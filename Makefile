@@ -12,7 +12,7 @@ GO ?= go
 # on dedicated hardware: BENCH_TOLERANCE=0.15 make bench-check.
 BENCH_TOLERANCE ?= 0.5
 
-.PHONY: all build test bench bench-smoke bench-json bench-json-smoke bench-check serve-smoke shard-smoke crash-smoke hybrid-smoke fuzz-smoke vet fmt-check staticcheck reprolint lint
+.PHONY: all build test bench bench-smoke bench-e2e-smoke bench-json bench-json-smoke bench-check serve-smoke shard-smoke crash-smoke hybrid-smoke fuzz-smoke vet fmt-check staticcheck reprolint lint
 
 all: build test
 
@@ -31,6 +31,14 @@ bench:
 # exercises the checkpointed campaign speedup path on every PR.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+
+# The repository benchmark (bench/, BENCHMARK.json) at its self-test
+# size: two small ops per workload, untraced then traced, with every
+# output check on — golden pins, the from-reset scalar reference, the
+# service's byte-identity against in-process execution. Seconds, not
+# minutes; exits nonzero on any failed op or check.
+bench-e2e-smoke:
+	$(GO) run ./bench -smoke
 
 # Full benchmark suite distilled to JSON (benchmark name -> ns/op plus
 # custom metrics). BENCH_PR9.json is the committed perf baseline (cut

@@ -22,12 +22,15 @@
 // # Checkpointed campaign engine
 //
 // Fault-injection campaigns fork every experiment from a golden-run
-// checkpoint: the fault-free warm-up prefix up to the injection instant
-// is simulated exactly once, its complete RTL state (pipeline registers,
+// checkpoint: the fault-free run is simulated exactly once more after
+// the golden run, its complete RTL state (pipeline registers,
 // register-file windows, cache arrays, architectural counters) is frozen
-// together with a copy-on-write image of program memory, and each of the
-// campaign's thousands of experiments resumes from that snapshot with its
-// fault armed. Results are bit-identical to from-reset re-simulation —
+// together with a copy-on-write image of program memory at the injection
+// instant and at a fixed spacing from there to program exit, and each of
+// the campaign's thousands of experiments resumes from the snapshot at
+// or below the cycle its fault arrives; a transient upset that has been
+// overwritten is finalized at the next snapshot instead of being
+// simulated to program exit. Results are bit-identical to from-reset re-simulation —
 // same outcome sequence, latencies and Pf — at a fraction of the cost for
 // realistic injection instants. Set CampaignSpec.NoCheckpoint (or
 // fault.Options.NoCheckpoint) to fall back to from-reset re-simulation
@@ -37,8 +40,8 @@
 // batches up to 64 fault universes — lanes — into one witnessed golden
 // pass that records which bit values every batched net is read with,
 // finalizes the lanes that provably never activate as no-effect without
-// simulating them, and re-runs only the activated lanes scalar from an
-// in-pass snapshot. Per-lane results are byte-identical to scalar
+// simulating them, and re-runs only the activated lanes scalar from the
+// nearest frozen golden state. Per-lane results are byte-identical to scalar
 // execution for every fault model and injection target, so batching is
 // invisible to result encodings, content addresses and shard merges.
 // Set CampaignSpec.NoBatch to force one scalar simulation per

@@ -11,9 +11,12 @@
 // design.
 //
 // Fault-injection campaigns run on the checkpointed engine: the golden
-// (fault-free) warm-up prefix up to the injection instant is simulated
-// once, frozen as a full RTL snapshot plus a copy-on-write memory image,
-// and every experiment forks from it instead of re-simulating from reset.
+// (fault-free) run is simulated once per runner and frozen as a ladder
+// of full RTL snapshots plus copy-on-write memory images from the
+// injection instant to program exit; every experiment forks from the
+// rung at or below the cycle its fault arrives instead of re-simulating
+// from reset, and a transient whose state re-equals a later rung is
+// finalized without simulating the rest (DESIGN.md §15).
 // The BenchmarkCampaignCheckpointed / BenchmarkCampaignFromReset pair in
 // bench_test.go measures the resulting campaign speedup; results are
 // bit-identical either way (see internal/fault's TestCheckpointFidelity).
@@ -25,7 +28,7 @@
 // witnessed golden pass, using the kernel's per-cycle read witnesses to
 // prove most lanes never activate — those are classified no-effect
 // without being simulated — while activated lanes fall back to an exact
-// scalar run from an in-pass snapshot. Per-lane results are
+// scalar run forked from the ladder. Per-lane results are
 // byte-identical to the scalar engine (TestEngineEquivalence,
 // TestBatchedCampaignRace), so batching never leaks into content
 // addresses, shard merges or cached outcomes. Disable it with

@@ -108,9 +108,14 @@ var runnerCache struct {
 // only ever need a dozen entries, but the campaign job service keys this
 // cache from client-supplied requests, so an unbounded map would let a
 // request stream with ever-new injection instants pin one golden run +
-// checkpoint each until the daemon dies. Eviction is least-recently-used
-// and only drops the memoization: runners still referenced by in-flight
-// campaigns stay alive until those campaigns finish.
+// golden ladder each until the daemon dies. A cached runner pins its
+// golden write trace, its node enumerations and — once a campaign has
+// used it — its ladder: at most 64 rungs, each a copy of the kernel
+// slabs plus the copy-on-write pages the program dirtied since the
+// previous rung, 0.7–0.9 MB in all on the EEMBC workalikes however long
+// the run, so a full cache holds well under 100 MB. Eviction is least-recently-used and only drops the
+// memoization: runners still referenced by in-flight campaigns stay
+// alive until those campaigns finish.
 const maxRunners = 64
 
 // buildSem bounds concurrent golden-run constructions: each is a full

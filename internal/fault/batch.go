@@ -1,11 +1,11 @@
 package fault
 
 import (
+	"math/bits"
 	"time"
 
 	"repro/internal/iss"
 	"repro/internal/leon3"
-	"repro/internal/mem"
 	"repro/internal/rtl"
 )
 
@@ -31,26 +31,19 @@ import (
 //
 // Lanes that never activate are finalized from the golden trajectory
 // without simulating a single faulted cycle. Activated lanes fork a
-// scalar continuation from the golden state at their first activation
-// cycle (materialized from periodic pass snapshots, bounded replay) and
-// run the exact scalar engine loop from there — which is why a batched
+// scalar continuation from the golden ladder at their first activation
+// cycle (materialize: nearest rung, bounded replay) and run the engine's
+// one run loop from there (Runner.resolve) — which is why a batched
 // campaign is byte-identical to a scalar one (TestEngineEquivalence
-// checks this for every fault model). A forked lane that heals — its
-// committed state re-equals a golden snapshot and its off-core write
-// position matches — is dropped back onto the golden trajectory, or
-// teleported forward to its next activation cycle.
+// checks this for every fault model). A forked lane that heals is
+// dropped back onto the golden trajectory, or teleported forward to its
+// next activation cycle. The pass itself keeps no golden state: it
+// starts from rung 0 of the runner's shared ladder and only witnesses.
 
-// batchSnapInterval is the spacing of the periodic golden-state
-// snapshots taken during a batch pass. It bounds lane materialization
-// (at most this many replayed clean cycles) and sets the granularity of
-// the reconvergence drop check.
-const batchSnapInterval = 128
-
-// maxBatchLanes is the lane capacity of one batch: the accumulator words
-// do not limit it (each lane checks one bit of its own net), but 64
-// keeps batch bookkeeping, pass snapshot lifetime and stop-rule
-// granularity bounded, and matches the PPSFP word width the design is
-// named for.
+// maxBatchLanes is the lane capacity of one batch: a pass records one
+// activation word per golden cycle, one bit per lane, which is also the
+// PPSFP word width the design is named for; 64 keeps batch bookkeeping
+// and stop-rule granularity bounded.
 const maxBatchLanes = 64
 
 // planItem is one dispatch granule of a campaign: a single scalar
@@ -66,7 +59,7 @@ type planItem struct {
 // the permanent models and SETPulse. BitFlip mutates raw state (its
 // effect can propagate through raw register copies without ever being
 // "read", so read-witness gating would be unsound), transients sampled
-// before the checkpoint cannot fork from it, and invalid nodes must
+// before the ladder's first rung cannot fork from it, and invalid nodes must
 // reproduce the scalar engine's inject-error result — all of those run
 // scalar. Batches are filled in input order; result content is
 // independent of the partition, so the plan shape is free to change
@@ -84,7 +77,7 @@ func (r *Runner) planBatches(exps []Experiment) []planItem {
 		return plan
 	}
 	eng := r.getEngine()
-	defer r.engines.Put(eng)
+	defer r.putEngine(eng)
 	k := eng.core.K
 
 	var cur []int
@@ -112,53 +105,84 @@ func (r *Runner) planBatches(exps []Experiment) []planItem {
 	return plan
 }
 
-// lane is one fault universe of a batch.
+// lane is one fault universe: a lane of a batch pass, or a scalar
+// experiment on its own.
 type lane struct {
 	e        Experiment
 	f        rtl.Fault
-	net      int    // witness net index
-	bit      uint64 // 1 << Node.Bit
 	injectAt uint64
-	pulseEnd uint64 // SETPulse window end; 0 for permanent models
-	// forcedOne is the armed polarity of the faulted bit. For the
-	// charge-sampling models it is derived from sampled, the net's raw
-	// word at the injection instant.
-	forcedOne bool
-	sampled   uint64
-	pending   bool // SETPulse lane whose instant the pass has not reached
-	// activateAt is the first golden cycle at which a consumer read the
-	// faulted net with a differing bit; active is false if that never
-	// happened.
-	active     bool
+	pulseEnd uint64 // SETPulse window end; 0 for the other models
+	// activateAt is the golden cycle at which the universe first differs
+	// from the golden one: the injection instant for a scalar experiment,
+	// for an activated batch lane the first cycle at which a consumer read
+	// the faulted net with a differing bit.
 	activateAt uint64
+
+	// Batch lanes only. act is the pass's activation record — word t-start
+	// has bit slot set when the lane's probe fired at golden cycle t — and
+	// is nil for a scalar experiment. sampled is the raw word the lane's
+	// net carried at the injection instant (charge-sampling models).
+	act     []uint64
+	slot    uint
+	sampled uint64
 }
 
-// activatesOn reports whether a golden-pass observation of the lane's
-// net activates the lane: some consumer read the faulted bit with the
-// polarity the forcing would invert.
-func (l *lane) activatesOn(a rtl.WitnessAcc) bool {
-	if l.forcedOne {
-		return a.Zeros&l.bit != 0
+// probe is the activation predicate of one batch lane, kept apart from
+// the lane so the pass's per-cycle loop walks one compact array: the
+// probe fires when some consumer read the faulted bit with the polarity
+// the forcing would invert.
+type probe struct {
+	net   int  // witness net index
+	shift uint // Node.Bit
+	// forcedOne is the armed polarity of the faulted bit; for the
+	// charge-sampling models it is derived from lane.sampled. armed is
+	// false while it is still unknown (a SETPulse lane whose instant the
+	// pass has not reached).
+	forcedOne bool
+	armed     bool
+}
+
+// fires reports whether a cycle's read observations activate the probe.
+func (p *probe) fires(acc []rtl.WitnessAcc) bool {
+	m := acc[p.net].Ones
+	if p.forcedOne {
+		m = acc[p.net].Zeros
 	}
-	return a.Ones&l.bit != 0
+	return p.armed && m>>p.shift&1 != 0
+}
+
+// newLane describes experiment e's universe as a scalar run: it leaves
+// the golden trajectory at its injection instant.
+func (r *Runner) newLane(e Experiment) lane {
+	l := lane{e: e, f: rtl.Fault{Node: e.Node.Node, Model: e.Model}, injectAt: r.armAt(e)}
+	l.activateAt = l.injectAt
+	if e.Model == rtl.SETPulse {
+		l.pulseEnd = l.injectAt + r.opts.PulseCycles
+	}
+	return l
+}
+
+// result returns the lane's result before any verdict: no effect, no
+// latency, no cycles.
+func (l *lane) result() Result {
+	return Result{Fault: l.f, Unit: l.e.Node.Unit, Latency: -1, InjectAt: l.injectAt}
 }
 
 // inWindow reports whether the lane's forcing is armed at golden cycle
 // t. Permanent lanes are armed from the injection instant onward;
 // SETPulse lanes only within their pulse window.
 func (l *lane) inWindow(t uint64) bool {
-	if t < l.injectAt || l.pending {
-		return false
-	}
-	return l.pulseEnd == 0 || t < l.pulseEnd
+	return t >= l.injectAt && (l.pulseEnd == 0 || t < l.pulseEnd)
 }
 
-// passSnap is one periodic golden-state snapshot of a batch pass.
-type passSnap struct {
-	cycle  uint64
-	core   *leon3.Snapshot
-	img    *mem.Image
-	writes int
+// healable reports whether the lane's universe may be compared against
+// the golden rung at cycle t: either the witnessed pass knows when its
+// forcing is next read divergently (batch lanes), or nothing is armed any
+// more — a flip from the start, a pulse once its window has closed. A
+// scalar permanent fault is never comparable: equal raw state says
+// nothing about when its forcing will next be read.
+func (l *lane) healable(t uint64) bool {
+	return l.act != nil || l.e.Model.Transient() && t >= l.pulseEnd
 }
 
 // runBatch executes one batch: a single witnessed golden continuation
@@ -166,30 +190,19 @@ type passSnap struct {
 // are positionally parallel to idxs and byte-identical to what RunOne
 // would produce for each experiment.
 func (r *Runner) runBatch(exps []Experiment, idxs []int) []Result {
-	ck := r.checkpoint()
-	var core *leon3.Core
-	if r.opts.NoPool {
-		core, _ = r.freshCore()
-	} else {
-		eng := r.getEngine()
-		defer r.engines.Put(eng)
-		core = eng.core
-	}
-
-	bus := mem.NewBus(ck.img.Fork())
-	core.Bus = bus
-	if err := core.Restore(ck.core); err != nil {
-		return r.runScalarFallback(exps, idxs)
-	}
-	bus.Trace.Exited, bus.Trace.ExitCode = ck.exited, ck.exitCode
-	start := core.Cycles()
+	lad := r.ladder()
+	eng := r.getEngine()
+	defer r.putEngine(eng)
+	core := eng.core
+	lad.fork(core, 0)
+	start := lad.start
 
 	// Build the lane set and the deduplicated witness net list (two
 	// lanes may fault different bits, or different models, of one net).
-	lanes := make([]*lane, len(idxs))
+	lanes := make([]lane, len(idxs))
+	probes := make([]probe, len(idxs))
 	netIdx := map[rtl.WitnessNet]int{}
 	var nets []rtl.WitnessNet
-	pendingSamples := 0
 	for j, i := range idxs {
 		e := exps[i]
 		n := rtl.WitnessNet{Name: e.Node.Node.Name, Word: e.Node.Node.Word}
@@ -199,19 +212,9 @@ func (r *Runner) runBatch(exps []Experiment, idxs []int) []Result {
 			netIdx[n] = ni
 			nets = append(nets, n)
 		}
-		l := &lane{
-			e:        e,
-			f:        rtl.Fault{Node: e.Node.Node, Model: e.Model},
-			net:      ni,
-			bit:      uint64(1) << e.Node.Node.Bit,
-			injectAt: r.armAt(e),
-		}
-		if e.Model == rtl.SETPulse {
-			l.pulseEnd = l.injectAt + r.opts.PulseCycles
-			l.pending = true
-			pendingSamples++
-		}
-		lanes[j] = l
+		lanes[j] = r.newLane(e)
+		lanes[j].slot = uint(j)
+		probes[j] = probe{net: ni, shift: uint(e.Node.Node.Bit)}
 	}
 	w, err := core.K.StartWitness(nets)
 	if err != nil {
@@ -221,29 +224,33 @@ func (r *Runner) runBatch(exps []Experiment, idxs []int) []Result {
 	// Arm the permanent lanes' polarities; the charge-sampling models
 	// read the net's raw word at the injection instant, which for
 	// permanents is the pass start (exactly the value a scalar Inject at
-	// that boundary would sample).
-	for _, l := range lanes {
+	// that boundary would sample). SETPulse lanes stay unarmed until the
+	// pass reaches their instant.
+	unarmed := 0
+	for j := range lanes {
+		l, p := &lanes[j], &probes[j]
 		switch l.e.Model {
 		case rtl.StuckAt1:
-			l.forcedOne = true
+			p.forcedOne, p.armed = true, true
 		case rtl.StuckAt0:
-			l.forcedOne = false
+			p.forcedOne, p.armed = false, true
 		case rtl.OpenLine:
-			l.sampled = w.Sample(l.net)
-			l.forcedOne = l.sampled&l.bit != 0
+			l.sampled = w.Sample(p.net)
+			p.forcedOne, p.armed = l.sampled>>p.shift&1 != 0, true
+		default:
+			unarmed++
 		}
 	}
 
-	// The witnessed golden pass: one clean continuation from the
-	// checkpoint to program exit, recording per-cycle read observations
-	// for every lane net, sampling SETPulse instants as they are
-	// reached, and freezing periodic snapshots for lane materialization
-	// and the reconvergence drop check.
-	nNets := len(nets)
-	wave := make([]rtl.WitnessAcc, 0, nNets*int(r.GoldenCycles-start+1))
-	var snaps []passSnap
+	// The witnessed golden pass: one clean continuation from rung 0 to
+	// program exit, sampling SETPulse instants as they are reached and
+	// recording one activation word per cycle — bit j set when lane j's
+	// probe fired. The words are all a healed lane needs to find its next
+	// activation, so the record is 8 bytes per golden cycle whatever the
+	// net count, and its buffer stays with the pooled engine.
+	act := eng.act[:0]
 	acc := w.Accs()
-	unresolved := len(lanes)
+	var activated uint64 // lanes whose first activation is known
 	var passStart time.Time
 	if r.met.live {
 		// Behind the live flag: an unregistered engine never reads the
@@ -252,35 +259,29 @@ func (r *Runner) runBatch(exps []Experiment, idxs []int) []Result {
 	}
 	for core.Status() == iss.StatusRunning {
 		t := core.Cycles()
-		if (t-start)%batchSnapInterval == 0 {
-			snaps = append(snaps, passSnap{
-				cycle: t,
-				core:  core.Snapshot(),
-				img:   bus.Mem.Snapshot(),
-				// The forked bus's trace holds only post-checkpoint writes;
-				// comparators index the absolute golden stream.
-				writes: ck.writes + len(bus.Trace.Writes),
-			})
-		}
-		if pendingSamples > 0 {
-			for _, l := range lanes {
-				if l.pending && l.injectAt == t {
-					l.sampled = w.Sample(l.net)
+		if unarmed > 0 {
+			for j := range lanes {
+				if l, p := &lanes[j], &probes[j]; !p.armed && l.injectAt == t {
+					l.sampled = w.Sample(p.net)
 					// A SET glitch drives the complement of the charge.
-					l.forcedOne = l.sampled&l.bit == 0
-					l.pending = false
-					pendingSamples--
+					p.forcedOne, p.armed = l.sampled>>p.shift&1 == 0, true
+					unarmed--
 				}
 			}
 		}
 		core.StepCycle()
-		wave = append(wave, acc...)
-		if unresolved > 0 {
-			for _, l := range lanes {
-				if !l.active && l.inWindow(t) && l.activatesOn(acc[l.net]) {
-					l.active, l.activateAt = true, t
-					unresolved--
-				}
+		var word uint64
+		for j := range probes {
+			if probes[j].fires(acc) {
+				word |= 1 << uint(j)
+			}
+		}
+		act = append(act, word)
+		for m := word &^ activated; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			if l := &lanes[j]; l.inWindow(t) {
+				l.activateAt = t
+				activated |= 1 << uint(j)
 			}
 		}
 		for i := range acc {
@@ -288,6 +289,7 @@ func (r *Runner) runBatch(exps []Experiment, idxs []int) []Result {
 		}
 	}
 	w.Stop()
+	eng.act = act
 	goldenEnd := core.Cycles()
 	if r.met.live {
 		r.met.goldenSeconds.Add(time.Since(passStart).Seconds()) //lint:allow det live-guarded golden-pass metric
@@ -299,22 +301,17 @@ func (r *Runner) runBatch(exps []Experiment, idxs []int) []Result {
 	// their faulted bit with a differing value, so the scalar run would
 	// have produced the golden trace and length exactly.
 	results := make([]Result, len(lanes))
-	for j, l := range lanes {
-		res := Result{
-			Fault:    l.f,
-			Unit:     l.e.Node.Unit,
-			Latency:  -1,
-			InjectAt: l.injectAt,
-		}
-		if !l.active {
+	for j := range lanes {
+		l := &lanes[j]
+		if activated>>uint(j)&1 == 0 {
 			r.met.lanesFree.Inc()
-			res.Outcome = OutcomeNoEffect
-			res.Cycles = goldenEnd
-		} else {
-			r.met.lanesActivated.Inc()
-			r.runLane(core, ck, l, &res, snaps, wave, nNets, start, goldenEnd)
+			results[j] = l.result()
+			results[j].Cycles = goldenEnd
+			continue
 		}
-		results[j] = res
+		r.met.lanesActivated.Inc()
+		l.act = act
+		results[j] = r.resolve(core, lad, l)
 	}
 	return results
 }
@@ -331,32 +328,14 @@ func (r *Runner) runScalarFallback(exps []Experiment, idxs []int) []Result {
 	return out
 }
 
-// materialize positions core (with a fresh bus and comparator) on the
-// golden trajectory at cycle t: restore the nearest periodic snapshot at
-// or before t, then replay clean cycles — at most batchSnapInterval of
-// them. The comparator comes out exactly as a scalar run's would at t:
-// no mismatch, write index at the golden position.
-func (r *Runner) materialize(core *leon3.Core, ck *checkpoint, snaps []passSnap, start, t uint64) (*mem.Bus, *comparator) {
-	r.met.snapshots.Inc()
-	s := snaps[int((t-start)/batchSnapInterval)]
-	bus := mem.NewBus(s.img.Fork())
-	core.Bus = bus
-	// Restore never fails here: the snapshot came from a same-program
-	// core a few calls up the stack.
-	core.Restore(s.core) //nolint:errcheck
-	bus.Trace.Exited, bus.Trace.ExitCode = ck.exited, ck.exitCode
-	c := r.watch(bus, core, s.writes)
-	for core.Cycles() < t && core.Status() == iss.StatusRunning {
-		core.StepCycle()
-	}
-	return bus, c
-}
-
-// nextActivation scans the recorded golden pass for the first cycle at
-// or after from where the lane's activation predicate holds, or -1 if
-// its fault is never again read with a differing bit.
-func (l *lane) nextActivation(wave []rtl.WitnessAcc, nNets int, start, from, goldenEnd uint64) int64 {
-	end := goldenEnd
+// nextActivation returns the first golden cycle at or after from at
+// which the lane's forcing is read with a differing bit, or -1 if it
+// never is again. start is the cycle of the activation record's first
+// word; the record runs to the golden run's end. A scalar universe has
+// no record and is only asked once nothing is armed (see healable), so
+// the answer is never.
+func (l *lane) nextActivation(start, from uint64) int64 {
+	end := start + uint64(len(l.act))
 	if l.pulseEnd != 0 && l.pulseEnd < end {
 		end = l.pulseEnd
 	}
@@ -364,80 +343,23 @@ func (l *lane) nextActivation(wave []rtl.WitnessAcc, nNets int, start, from, gol
 		from = l.injectAt
 	}
 	for t := from; t < end; t++ {
-		if l.activatesOn(wave[int(t-start)*nNets+l.net]) {
+		if l.act[t-start]>>l.slot&1 != 0 {
 			return int64(t)
 		}
 	}
 	return -1
 }
 
-// arm applies the lane's fault to a core positioned at or after the
-// injection instant, reproducing exactly the forcing a scalar Inject at
-// the original instant armed: the charge-sampling models take their
-// frozen value from the lane's recorded sample, not the present state.
+// arm applies the lane's fault to a core positioned on the golden
+// trajectory at the lane's activation cycle. A batch lane may sit past
+// its injection instant there, so the charge-sampling models take their
+// frozen value from the sample the pass recorded at that instant —
+// exactly the forcing a scalar Inject at the original instant arms; a
+// scalar universe sits on the instant itself and samples the present
+// state.
 func (l *lane) arm(core *leon3.Core) error {
-	switch l.e.Model {
-	case rtl.OpenLine, rtl.SETPulse:
+	if l.act != nil && (l.e.Model == rtl.OpenLine || l.e.Model == rtl.SETPulse) {
 		return core.K.InjectForced(l.f, l.sampled)
-	default:
-		return core.K.Inject(l.f)
 	}
-}
-
-// runLane resolves one activated lane: fork the golden state at the
-// first activation cycle, arm the fault, and run the scalar engine loop
-// from there. At periodic snapshot boundaries a diverged-but-healed lane
-// (committed state re-equals the golden snapshot, off-core write
-// position matches — which together imply identical memory, since every
-// off-core write flowed through the matching comparator) is dropped back
-// onto the golden trajectory: finalized as no-effect if its fault is
-// never read divergently again, teleported to the next activation cycle
-// if that is far away, or simply left running if it is near.
-func (r *Runner) runLane(core *leon3.Core, ck *checkpoint, l *lane, res *Result, snaps []passSnap, wave []rtl.WitnessAcc, nNets int, start, goldenEnd uint64) {
-	bus, c := r.materialize(core, ck, snaps, start, l.activateAt)
-	if err := l.arm(core); err != nil {
-		// Unreachable for plan-validated nodes; mirrors the scalar
-		// engine's inject-error result for robustness.
-		res.Outcome = OutcomeNoEffect
-		return
-	}
-	if l.e.Model == rtl.SETPulse {
-		for core.Cycles() < l.pulseEnd && core.Status() == iss.StatusRunning &&
-			core.Cycles() < r.budget && (r.opts.NoEarlyExit || c.mismatchAt < 0) {
-			core.StepCycle()
-		}
-		core.K.ClearFaults()
-	}
-	for core.Status() == iss.StatusRunning && core.Cycles() < r.budget &&
-		(r.opts.NoEarlyExit || c.mismatchAt < 0) {
-		core.StepCycle()
-		t := core.Cycles()
-		if c.mismatchAt >= 0 || (t-start)%batchSnapInterval != 0 {
-			continue
-		}
-		si := int((t - start) / batchSnapInterval)
-		if si >= len(snaps) || snaps[si].cycle != t {
-			continue // past the last golden snapshot (budget overrun region)
-		}
-		if c.idx != snaps[si].writes || !core.StateEquals(snaps[si].core) {
-			continue
-		}
-		// Healed: this universe is bit-identical to the golden run again.
-		next := l.nextActivation(wave, nNets, start, t, goldenEnd)
-		if next < 0 {
-			res.Outcome = OutcomeNoEffect
-			res.Cycles = goldenEnd
-			return
-		}
-		if uint64(next)-t > 2*batchSnapInterval {
-			// Teleport across the quiet stretch: re-fork at the next
-			// activation cycle instead of simulating golden cycles.
-			bus, c = r.materialize(core, ck, snaps, start, uint64(next))
-			if err := l.arm(core); err != nil {
-				res.Outcome = OutcomeNoEffect
-				return
-			}
-		}
-	}
-	r.classify(res, core, bus, c, l.injectAt)
+	return core.K.Inject(l.f)
 }

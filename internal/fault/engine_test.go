@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/rtl"
@@ -95,9 +96,12 @@ func TestEngineEquivalence(t *testing.T) {
 
 // TestBatchedCampaignRace drives the bit-parallel engine through a
 // parallel campaign with multiple concurrent batches, so `go test -race`
-// exercises concurrent witness arming on pooled cores, pass-snapshot
-// capture, copy-on-write image forks and per-lane materialization — and
-// the lane demultiplexing stays byte-identical to serial execution.
+// exercises the concurrent first build of the golden ladder, witness
+// arming on pooled cores, copy-on-write rung forks and per-lane
+// materialization — and the lane demultiplexing stays byte-identical to
+// serial execution. Two mixed seu+set+sa1 campaigns then run at once on
+// the same runner: scalar flips, SET lanes and permanent lanes of both
+// share its one ladder.
 func TestBatchedCampaignRace(t *testing.T) {
 	w, err := workloads.Build("excerptB", workloads.Config{})
 	if err != nil {
@@ -114,6 +118,25 @@ func TestBatchedCampaignRace(t *testing.T) {
 	ser := r.Campaign(exps, 1)
 	if !reflect.DeepEqual(par, ser) {
 		t.Fatal("parallel batched campaign diverged from serial")
+	}
+
+	mixed := Expand(SampleNodes(r.Nodes(TargetIU), 24, 12), rtl.BitFlip, rtl.SETPulse, rtl.StuckAt1)
+	r.ScheduleTransients(mixed, 6)
+	want := r.Campaign(mixed, 1)
+	var wg sync.WaitGroup
+	got := make([][]Result, 2)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = r.Campaign(mixed, 4)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("concurrent mixed campaign %d diverged from serial", i)
+		}
 	}
 }
 

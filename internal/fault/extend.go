@@ -78,7 +78,9 @@ func (r *Runner) RunBridge(e BridgeExperiment) Result {
 		res.Outcome = OutcomeNoEffect
 		return res
 	}
-	r.runFaulted(core, c)
+	for r.live(core, c) {
+		core.StepCycle()
+	}
 	r.classify(&res, core, bus, c, 0)
 	return res
 }

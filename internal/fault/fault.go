@@ -135,11 +135,13 @@ type Options struct {
 	// mismatch (ablation A1 in DESIGN.md). The classification is
 	// identical; only the campaign cost changes.
 	NoEarlyExit bool
-	// NoCheckpoint disables the checkpointed campaign engine: every
-	// experiment then re-simulates the warm-up prefix from reset instead
-	// of forking from the golden-run snapshot at the injection instant.
-	// Classifications are identical either way; disabling is only useful
-	// for debugging the engine or measuring its speedup.
+	// NoCheckpoint disables the golden ladder: every experiment then
+	// simulates from reset to its verdict — warm-up prefix included, and
+	// with no reconvergence drop — instead of forking from the frozen
+	// golden trajectory at its injection instant (see checkpoint.go).
+	// This is the engine's scalar reference: classifications are
+	// identical either way; disabling is only useful for debugging the
+	// engine or measuring its speedup.
 	NoCheckpoint bool
 	// NoPool disables the pooled campaign engine: every experiment then
 	// builds a fresh RTL core (the fork-per-experiment engine of PR 1)
@@ -152,9 +154,9 @@ type Options struct {
 	// sharing one witnessed golden pass per batch of up to 64 fault
 	// universes (see batch.go and DESIGN.md §10). Results are identical;
 	// like NoPool and NoCheckpoint the toggle exists for debugging and
-	// the engine-equivalence tests. Batching also requires the
-	// checkpointed engine; with NoCheckpoint set or InjectAtCycle zero
-	// every experiment is scalar regardless of NoBatch.
+	// the engine-equivalence tests. Batching also requires the golden
+	// ladder; with NoCheckpoint set or InjectAtCycle zero every
+	// experiment is scalar regardless of NoBatch.
 	NoBatch bool
 	// BatchLanes caps the number of fault universes a batch carries
 	// (DESIGN.md §10 ablates 1/8/32/64). Zero selects the full 64 lanes;
@@ -187,11 +189,11 @@ type Runner struct {
 	// the image byte stream into a fresh memory.
 	baseImg *mem.Image
 
-	// Golden-run checkpoint, captured lazily on first use (the campaign
-	// engine forks every experiment from it instead of re-simulating the
-	// fault-free prefix up to the injection instant).
-	ckptOnce sync.Once
-	ckpt     *checkpoint
+	// Golden ladder, built lazily on first use and immutable afterwards:
+	// every experiment and batch pass of every campaign on this runner
+	// forks from its rungs (see checkpoint.go).
+	ladderOnce sync.Once
+	lad        *ladder
 
 	// engines pools reusable RTL cores: each campaign worker restores a
 	// pooled core in place per experiment instead of rebuilding the whole
@@ -210,7 +212,7 @@ type Runner struct {
 
 // freshCore builds a clean RTL core over a copy-on-write fork of the
 // pristine program image (shared by every from-reset experiment and the
-// checkpoint capture, so all of them see identical memory).
+// ladder build, so all of them see identical memory).
 func (r *Runner) freshCore() (*leon3.Core, *mem.Bus) {
 	bus := mem.NewBus(r.baseImg.Fork())
 	return leon3.New(bus, r.prog.Entry), bus
@@ -338,8 +340,8 @@ func transientCycle(seed int64, i int, lo, hi uint64) uint64 {
 // determinism rule that keeps sharded campaigns byte-identical to
 // unsharded ones: any contiguous slice of a scheduled list carries the
 // same instants no matter which worker executes it. The window starts at
-// the runner's fixed instant so every sampled cycle lies at or beyond
-// the golden-run checkpoint and the fork engine stays usable.
+// the runner's fixed instant so every sampled cycle lies on the golden
+// ladder and the experiment can fork from a rung.
 func (r *Runner) ScheduleTransients(exps []Experiment, seed int64) {
 	lo, hi := r.opts.InjectAtCycle, r.GoldenCycles
 	for i := range exps {
@@ -358,19 +360,18 @@ type comparator struct {
 }
 
 // watch hooks the comparator onto the bus. start is the index of the next
-// expected golden write: 0 for a from-reset run, the checkpoint's write
-// count for a forked run (the golden prefix is identical by construction).
+// expected golden write: 0 for a from-reset run, the rung's write index
+// for a forked run (the golden prefix is identical by construction).
 func (r *Runner) watch(bus *mem.Bus, core *leon3.Core, start int) *comparator {
 	return watchTrace(&r.golden, bus, core.Cycles, start)
 }
 
-// runFaulted advances a core with an armed fault until exit, error mode,
-// the cycle budget, or (unless NoEarlyExit) the first off-core mismatch.
-func (r *Runner) runFaulted(core *leon3.Core, c *comparator) {
-	for core.Status() == iss.StatusRunning && core.Cycles() < r.budget &&
-		(r.opts.NoEarlyExit || c.mismatchAt < 0) {
-		core.StepCycle()
-	}
+// live reports whether a faulted run can still change its verdict: the
+// core is running, inside the cycle budget and (unless NoEarlyExit) has
+// not yet mismatched at the off-core boundary.
+func (r *Runner) live(core *leon3.Core, c *comparator) bool {
+	return core.Status() == iss.StatusRunning && core.Cycles() < r.budget &&
+		(r.opts.NoEarlyExit || c.mismatchAt < 0)
 }
 
 // classify maps a finished faulted run onto its outcome and latency.
@@ -382,18 +383,30 @@ func (r *Runner) classify(res *Result, core *leon3.Core, bus *mem.Bus, c *compar
 
 // engine is a pooled per-worker execution context: one reusable RTL core
 // whose kernel state is restored in place per experiment, so the design
-// graph is built once per worker instead of once per experiment.
+// graph is built once per worker instead of once per experiment, and the
+// activation record of the worker's latest batch pass.
 type engine struct {
 	core *leon3.Core
+	act  []uint64
 }
 
-// getEngine takes a pooled engine, building one on first use.
+// getEngine takes a pooled engine, building one on first use (and on
+// every use under Options.NoPool).
 func (r *Runner) getEngine() *engine {
-	if e, ok := r.engines.Get().(*engine); ok {
-		return e
+	if !r.opts.NoPool {
+		if e, ok := r.engines.Get().(*engine); ok {
+			return e
+		}
 	}
 	core, _ := r.freshCore()
 	return &engine{core: core}
+}
+
+// putEngine returns an engine to the pool.
+func (r *Runner) putEngine(e *engine) {
+	if !r.opts.NoPool {
+		r.engines.Put(e)
+	}
 }
 
 // armAt returns the cycle at which the experiment's fault is applied:
@@ -406,93 +419,85 @@ func (r *Runner) armAt(e Experiment) uint64 {
 	return r.opts.InjectAtCycle
 }
 
-// finish takes a core positioned at or before the experiment's injection
-// instant (comparator already attached), advances the clean run to that
-// instant, applies the fault and runs it to classification. Permanent
-// models stay forced to the end of the run; a BitFlip mutates state once
-// and the design runs free; a SETPulse holds its forcing for
-// Options.PulseCycles cycles and is then released.
-func (r *Runner) finish(core *leon3.Core, bus *mem.Bus, c *comparator, e Experiment) Result {
-	injectAt := r.armAt(e)
-	res := Result{
-		Fault:    rtl.Fault{Node: e.Node.Node, Model: e.Model},
-		Unit:     e.Node.Unit,
-		Latency:  -1,
-		InjectAt: injectAt,
-	}
-	for core.Cycles() < injectAt && core.Status() == iss.StatusRunning {
-		core.StepCycle()
-	}
-	if err := core.K.Inject(res.Fault); err != nil {
-		res.Outcome = OutcomeNoEffect
+// resolve runs lane l's fault universe to its verdict on core — the one
+// run loop of the engine, shared by scalar experiments and activated
+// batch lanes. The universe forks from the golden trajectory at the
+// lane's activation cycle (lad nil: from reset), the fault is armed, and
+// the core steps until exit, error mode, the cycle budget or (unless
+// NoEarlyExit) the first off-core mismatch. Permanent models stay forced
+// to the end of the run; a BitFlip mutates state once and the design runs
+// free; a SETPulse is released when its window closes.
+//
+// At every rung boundary a universe that is comparable (lane.healable)
+// and has healed — its committed state re-equals the golden rung and its
+// off-core write position matches, which together imply identical
+// memory, since every write so far flowed through the matching
+// comparator — is dropped back onto the golden trajectory: finalized as
+// no-effect with the golden run's length if its fault is never read
+// divergently again, re-forked at the next activation cycle if that is
+// far away, or simply left running if it is near.
+func (r *Runner) resolve(core *leon3.Core, lad *ladder, l *lane) Result {
+	res := l.result()
+	bus, c, stepped := r.materialize(core, lad, l.activateAt)
+	defer func() { r.met.faultedCycles.Add(float64(stepped)) }()
+	if err := l.arm(core); err != nil {
+		// An invalid node: nothing was injected.
 		return res
 	}
-	if e.Model == rtl.SETPulse {
-		// Hold the glitch for the pulse window, then release the net. The
-		// budget, terminal-status and early-exit bounds all apply inside
-		// the window too, so a pulse can never outlive the run.
-		for end := core.Cycles() + r.opts.PulseCycles; core.Cycles() < end &&
-			core.Status() == iss.StatusRunning && core.Cycles() < r.budget &&
-			(r.opts.NoEarlyExit || c.mismatchAt < 0); {
-			core.StepCycle()
+	release := l.pulseEnd // 0: nothing to release
+	for r.live(core, c) {
+		if release != 0 && core.Cycles() >= release {
+			core.K.ClearFaults()
+			release = 0
 		}
-		core.K.ClearFaults()
+		core.StepCycle()
+		stepped++
+		t := core.Cycles()
+		if lad == nil || c.mismatchAt >= 0 || !l.healable(t) {
+			continue
+		}
+		g := lad.at(t)
+		if g == nil || c.idx != g.writes || !core.StateEquals(g.core) {
+			continue
+		}
+		// Healed: this universe is bit-identical to the golden run again.
+		next := l.nextActivation(lad.start, t)
+		if next >= 0 && uint64(next)-t <= 2*lad.stride {
+			continue
+		}
+		r.met.reconverged.Inc()
+		if next < 0 {
+			res.Cycles = r.GoldenCycles
+			return res
+		}
+		// Teleport across the quiet stretch instead of simulating it.
+		var n uint64
+		bus, c, n = r.materialize(core, lad, uint64(next))
+		stepped += n
+		_ = l.arm(core) // the same arming succeeded above
 	}
-	r.runFaulted(core, c)
-	r.classify(&res, core, bus, c, injectAt)
+	r.classify(&res, core, bus, c, l.injectAt)
 	return res
 }
 
-// runFromReset executes one experiment on a freshly reset core: finish
-// simulates the warm-up prefix up to the injection instant, arms the
-// fault and continues under the comparator.
-func (r *Runner) runFromReset(core *leon3.Core, bus *mem.Bus, e Experiment) Result {
-	c := r.watch(bus, core, 0)
-	return r.finish(core, bus, c, e)
-}
-
-// RunOne executes a single injection experiment. When the checkpointed
-// engine is active the experiment forks from the golden-run snapshot at
-// the runner's fixed injection instant; otherwise it re-simulates from
-// reset. Transient experiments whose sampled instant lies at or beyond
-// that fork point ride the same engine (the clean continuation is
-// advanced to the sampled cycle before arming); one sampled earlier
-// falls back to from-reset execution so the injection is never skipped.
-// By default both paths reuse a pooled core restored in place (see
-// Options.NoPool for the fork-per-experiment engine). All engine
-// combinations produce identical results.
+// RunOne executes a single injection experiment as a scalar simulation.
+// With the ladder engine on, the universe forks from the golden rung at
+// or below the experiment's own injection instant — the runner's fixed
+// instant for permanent models, the sampled instant for transient ones —
+// and a transient universe is finalized the moment it heals (see
+// resolve); otherwise, and for a transient sampled before the ladder's
+// first rung, it re-simulates from reset so the injection is never
+// skipped. Cores are pooled and restored in place (see Options.NoPool).
+// All engine combinations produce identical results.
 func (r *Runner) RunOne(e Experiment) Result {
-	ck := r.checkpoint()
-	if ck != nil && e.Model.Transient() && e.AtCycle < r.opts.InjectAtCycle {
-		ck = nil
-	}
-	if r.opts.NoPool {
-		if ck != nil {
-			bus := mem.NewBus(ck.img.Fork())
-			if res, ok := r.runForked(leon3.New(bus, r.prog.Entry), bus, ck, e); ok {
-				return res
-			}
-		}
-		core, bus := r.freshCore()
-		return r.runFromReset(core, bus, e)
-	}
-
 	eng := r.getEngine()
-	defer r.engines.Put(eng)
-	core := eng.core
-	if ck != nil {
-		bus := mem.NewBus(ck.img.Fork())
-		core.Bus = bus
-		if res, ok := r.runForked(core, bus, ck, e); ok {
-			return res
-		}
-		// A restore failure never happens with a same-program core; fall
-		// through to the from-reset path for robustness.
+	defer r.putEngine(eng)
+	l := r.newLane(e)
+	lad := r.ladder()
+	if lad != nil && l.injectAt < r.opts.InjectAtCycle {
+		lad = nil
 	}
-	bus := mem.NewBus(r.baseImg.Fork())
-	core.Bus = bus
-	core.Reset()
-	return r.runFromReset(core, bus, e)
+	return r.resolve(eng.core, lad, &l)
 }
 
 // Campaign runs the experiments across workers and returns results in

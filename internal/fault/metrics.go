@@ -20,9 +20,16 @@ type engineMetrics struct {
 	lanesPlanned   *obs.Counter
 	lanesActivated *obs.Counter
 	lanesFree      *obs.Counter
-	// snapshots counts lane materializations from periodic pass snapshots
-	// (forks plus reconvergence teleports).
+	// snapshots counts materializations from a golden-ladder rung: scalar
+	// experiment forks, activated-lane forks and reconvergence teleports.
 	snapshots *obs.Counter
+	// reconverged counts healed universes dropped back onto the golden
+	// trajectory (finalized as no-effect, or teleported to their next
+	// activation); faultedCycles counts every cycle stepped outside a
+	// golden pass, replay included. Both are deterministic work counters:
+	// a fixed campaign reads the same values on any host.
+	reconverged   *obs.Counter
+	faultedCycles *obs.Counter
 	// fallbacks counts experiments resolved through runScalarFallback —
 	// nonzero only when a witnessed pass failed to set up.
 	fallbacks *obs.Counter
@@ -44,7 +51,11 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		lanesFree: r.Counter("engine_batch_lanes_free_total",
 			"Batch lanes finalized from the golden trajectory without scalar simulation."),
 		snapshots: r.Counter("engine_snapshot_materializations_total",
-			"Lane materializations replayed from periodic golden-pass snapshots."),
+			"Experiments, batch lanes and teleports materialized from a golden-ladder rung."),
+		reconverged: r.Counter("engine_reconverged_total",
+			"Healed experiments and batch lanes dropped back onto the golden trajectory."),
+		faultedCycles: r.Counter("engine_faulted_cycles_total",
+			"Cycles simulated outside witnessed golden passes, materialization replay included."),
 		fallbacks: r.Counter("engine_scalar_fallbacks_total",
 			"Experiments resolved through the scalar fallback after a batch pass setup failure."),
 		goldenCycles: r.Counter("engine_golden_pass_cycles_total",

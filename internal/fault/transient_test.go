@@ -1,9 +1,16 @@
 package fault
 
 import (
+	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/asm"
+	"repro/internal/difftest"
+	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/rtl"
 	"repro/internal/workloads"
 )
@@ -81,47 +88,225 @@ func TestScheduleTransientsDeterministic(t *testing.T) {
 }
 
 // TestTransientEngineEquivalence extends the engine contract to the
-// transient models: pooled-checkpointed, fork-per-experiment and both
-// from-reset engines must classify a scheduled BitFlip/SETPulse campaign
-// bit-identically.
+// transient models: every ladder engine — batched, scalar,
+// fork-per-experiment — must classify a scheduled BitFlip/SETPulse
+// campaign bit-identically to the from-reset reference, on a hand-written
+// workload and on constrained-random generated programs (whose register,
+// window and memory traffic the EEMBC workalikes do not reach).
 func TestTransientEngineEquivalence(t *testing.T) {
 	w, err := workloads.Build("excerptA", workloads.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	type program struct {
+		name string
+		prog *asm.Program
+	}
+	programs := []program{{"excerptA", w.Program}}
+	for seed := int64(1); seed <= 5; seed++ {
+		p, err := asm.Assemble(difftest.Generate(seed, difftest.AllFeatures(400)), mem.RAMBase)
+		if err != nil {
+			t.Fatalf("generated program %d: %v", seed, err)
+		}
+		programs = append(programs, program{fmt.Sprintf("generated-%d", seed), p})
+	}
 	engines := []struct {
 		name string
 		opts Options
 	}{
-		{"pooled-checkpointed", Options{InjectAtFraction: 0.3, PulseCycles: 3}},
-		{"fork-per-experiment", Options{InjectAtFraction: 0.3, PulseCycles: 3, NoPool: true}},
+		{"from-reset", Options{InjectAtFraction: 0.3, PulseCycles: 3, NoCheckpoint: true, NoPool: true}},
 		{"pooled-from-reset", Options{InjectAtFraction: 0.3, PulseCycles: 3, NoCheckpoint: true}},
-		{"unpooled-from-reset", Options{InjectAtFraction: 0.3, PulseCycles: 3, NoCheckpoint: true, NoPool: true}},
+		{"ladder-batched", Options{InjectAtFraction: 0.3, PulseCycles: 3}},
+		{"ladder-scalar", Options{InjectAtFraction: 0.3, PulseCycles: 3, NoBatch: true}},
+		{"ladder-fork-per-experiment", Options{InjectAtFraction: 0.3, PulseCycles: 3, NoPool: true}},
 	}
-	var ref []Result
-	for _, eng := range engines {
-		r, err := NewRunner(w.Program, eng.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes := SampleNodes(r.Nodes(TargetIU), 6, 7)
-		exps := Expand(nodes, rtl.BitFlip, rtl.SETPulse)
-		r.ScheduleTransients(exps, 5)
-		results := r.Campaign(exps, 3)
-		if ref == nil {
-			ref = results
-			continue
-		}
-		if !reflect.DeepEqual(ref, results) {
-			for i := range ref {
-				if !reflect.DeepEqual(ref[i], results[i]) {
-					t.Errorf("%s: experiment %d (%v@%d) diverged: %+v vs %+v",
-						eng.name, i, exps[i].Node.Node, exps[i].AtCycle, ref[i], results[i])
+	for _, pr := range programs {
+		t.Run(pr.name, func(t *testing.T) {
+			var ref []Result
+			for _, eng := range engines {
+				r, err := NewRunner(pr.prog, eng.opts)
+				if err != nil {
+					// A generated program may legitimately end in a trap.
+					t.Skipf("no golden run: %v", err)
+				}
+				nodes := SampleNodes(r.Nodes(TargetIU), 32, 7)
+				exps := Expand(nodes, rtl.BitFlip, rtl.SETPulse)
+				r.ScheduleTransients(exps, 5)
+				results := r.Campaign(exps, 3)
+				if ref == nil {
+					ref = results
+					t.Logf("%d golden cycles, outcomes %v", r.GoldenCycles, OutcomeCounts(ref))
+					continue
+				}
+				if !reflect.DeepEqual(ref, results) {
+					for i := range ref {
+						if !reflect.DeepEqual(ref[i], results[i]) {
+							t.Errorf("%s: experiment %d (%v@%d) diverged: %+v vs %+v",
+								eng.name, i, exps[i].Node.Node, exps[i].AtCycle, ref[i], results[i])
+						}
+					}
+					t.Fatalf("%s: results differ from %s", eng.name, engines[0].name)
 				}
 			}
-			t.Fatalf("%s: results differ from %s", eng.name, engines[0].name)
+		})
+	}
+}
+
+// TestTransientEdgeInstants walks the injection instant across every
+// boundary of the golden ladder — exactly on a rung, one cycle either
+// side, the last running cycle, past program exit, and before the first
+// rung (from-reset fallback) — for both transient models, through the
+// scalar path (RunOne) and the batch path (Campaign): nothing panics and
+// every result is byte-identical to the from-reset reference.
+func TestTransientEdgeInstants(t *testing.T) {
+	w, err := workloads.Build("excerptB", workloads.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{InjectAtFraction: 0.4, PulseCycles: 3}
+	ladder, err := NewRunner(w.Program, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.NoCheckpoint = true
+	reset, err := NewRunner(w.Program, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lad := ladder.ladder()
+	if len(lad.rungs) < 3 {
+		t.Fatalf("ladder has %d rungs; the workload is too short for the test", len(lad.rungs))
+	}
+	last := lad.start + uint64(len(lad.rungs)-1)*lad.stride
+	end := ladder.GoldenCycles
+	instants := []uint64{
+		0, lad.start - 1, // before rung 0: from reset
+		lad.start, lad.start + 1,
+		lad.start + lad.stride - 1, lad.start + lad.stride, lad.start + lad.stride + 1,
+		last - 1, last, last + 1,
+		end - 2, end - 1, // the last running cycles
+		end, end + 1, end + 1000, // the core has exited
+	}
+	nodes := SampleNodes(ladder.Nodes(TargetIU), 6, 5)
+	// A register-file word never heals unless overwritten; a pipeline
+	// register heals within cycles: cover both ends.
+	nodes = append(nodes,
+		NodeInfo{Node: rtl.Node{Name: "iu.ex.result", Bit: 3}},
+		NodeInfo{Node: rtl.Node{Name: "iu.ctl.exppc", Bit: 4}})
+	var exps []Experiment
+	for _, m := range rtl.TransientFaultModels() {
+		for _, n := range nodes {
+			for _, at := range instants {
+				exps = append(exps, Experiment{Node: n, Model: m, AtCycle: at})
+			}
 		}
 	}
+	want := reset.Campaign(exps, 0)
+	for i, e := range exps {
+		if got := ladder.RunOne(e); got != want[i] {
+			t.Errorf("RunOne %v %v@%d: ladder %+v, from-reset %+v", e.Model, e.Node.Node, e.AtCycle, got, want[i])
+		}
+	}
+	if got := ladder.Campaign(exps, 0); !reflect.DeepEqual(got, want) {
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("Campaign %v %v@%d: ladder %+v, from-reset %+v",
+					exps[i].Model, exps[i].Node.Node, exps[i].AtCycle, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestLadderBounded pins the ladder's memory bound: however long the
+// golden run, a runner pins at most maxRungs rungs, spaced a multiple of
+// rungSpacing apart, and a widened ladder still forks byte-identically.
+func TestLadderBounded(t *testing.T) {
+	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lad := r.ladder()
+	span := r.GoldenCycles - lad.start
+	if span <= rungSpacing*maxRungs {
+		t.Fatalf("golden continuation of %d cycles does not exceed the unwidened ladder", span)
+	}
+	if len(lad.rungs) > maxRungs || lad.stride%rungSpacing != 0 || lad.stride == rungSpacing {
+		t.Fatalf("%d rungs at stride %d over %d cycles", len(lad.rungs), lad.stride, span)
+	}
+	if top := lad.start + uint64(len(lad.rungs))*lad.stride; top < r.GoldenCycles {
+		t.Fatalf("rungs end at %d, short of the golden run's %d cycles", top, r.GoldenCycles)
+	}
+	ref, err := NewRunner(w.Program, Options{InjectAtFraction: 0.2, NoCheckpoint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := Expand(SampleNodes(r.Nodes(TargetIU), 8, 2), rtl.StuckAt1, rtl.BitFlip, rtl.SETPulse)
+	r.ScheduleTransients(exps, 2)
+	if got, want := r.Campaign(exps, 0), ref.Campaign(exps, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("widened ladder diverged from the from-reset reference:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestReconvergenceWorkCounters states the ladder's gain without a
+// clock: on a fixed-seed rspeed SEU campaign the engine used to step
+// every no-effect experiment through the whole continuation — replay from
+// the fixed instant to the sampled one, then on to program exit — and now
+// forks at the sampled instant and stops at the first rung where the
+// upset has been overwritten.
+func TestReconvergenceWorkCounters(t *testing.T) {
+	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.5, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := Expand(SampleNodes(r.Nodes(TargetIU), 256, 1), rtl.BitFlip)
+	r.ScheduleTransients(exps, 1)
+	r.Campaign(exps, 0)
+	counters := engineCounters(t, reg)
+	perExp := counters["engine_faulted_cycles_total"] / float64(len(exps))
+	remainder := float64(r.GoldenCycles - r.InjectCycle())
+	t.Logf("faulted cycles per experiment %.0f of a %.0f-cycle continuation; %v of %d reconverged",
+		perExp, remainder, counters["engine_reconverged_total"], len(exps))
+	if perExp > 0.6*remainder {
+		t.Errorf("faulted cycles per experiment %.0f exceed 0.6 x %.0f", perExp, remainder)
+	}
+	if counters["engine_reconverged_total"] == 0 {
+		t.Error("no experiment reconverged")
+	}
+	if got := counters["engine_snapshot_materializations_total"]; got != float64(len(exps)) {
+		t.Errorf("materializations = %v, want one rung fork per experiment (%d)", got, len(exps))
+	}
+}
+
+// engineCounters reads the registry's engine_* counters off its text
+// exposition.
+func engineCounters(t *testing.T, reg *obs.Registry) map[string]float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(name, "engine_") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		out[name] = v
+	}
+	return out
 }
 
 // TestSETPulseTemporalDependence mirrors the BitFlip temporal test: a
