@@ -135,14 +135,20 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Short fuzz pass over the WAL replay path: arbitrary journal bytes must
-# never panic replay, and truncation to the longest valid prefix must be
-# idempotent (re-replaying the truncated file is clean and lossless).
-# 10s is a smoke, not a campaign; run longer locally with
-# `go test -fuzz FuzzJournalReplay -fuzztime 5m ./internal/store/`.
+# Short fuzz passes, one per target (go test takes one -fuzz target per
+# run). FuzzJournalReplay, the WAL replay path: arbitrary journal bytes
+# must never panic replay, and truncation to the longest valid prefix
+# must be idempotent (re-replaying the truncated file is clean and
+# lossless). FuzzLaneEquivalence, the campaign engine: on generated
+# programs, any node, model and instant through the ladder-batched
+# engine equals the from-reset scalar reference byte for byte.
+# 10s each is a smoke, not a campaign; run longer locally with
+# `go test -fuzz FuzzJournalReplay -fuzztime 5m ./internal/store/` or
+# `go test -fuzz FuzzLaneEquivalence -fuzztime 5m ./internal/fault/`.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzLaneEquivalence -fuzztime $(FUZZTIME) ./internal/fault/
 
 # staticcheck is optional locally (the container may not ship it); CI
 # installs and runs it unconditionally via its action.

@@ -209,8 +209,8 @@ type CampaignSpec struct {
 	// that never observably activates, and only the rest simulate.
 	// Disabling runs each experiment as its own scalar simulation, which
 	// produces identical results at a higher cost and exists for
-	// debugging and ablation. With NoCheckpoint set (or injection at
-	// reset) every experiment is scalar regardless.
+	// debugging and ablation. With NoCheckpoint set every experiment is
+	// scalar regardless.
 	NoBatch bool `json:"no_batch,omitempty"`
 }
 
@@ -233,9 +233,10 @@ type CampaignResult struct {
 	Injections int
 	// GoldenCycles is the fault-free run's length in cycles.
 	GoldenCycles uint64
-	// Checkpointed reports whether the experiments forked from the
-	// golden-run snapshot at the injection instant instead of
-	// re-simulating the warm-up prefix from reset.
+	// Checkpointed reports whether forking skipped a warm-up prefix:
+	// the experiments forked from golden-run snapshots and the injection
+	// instant lies past reset. (At instant 0 they fork just the same,
+	// from the reset state; there is no prefix to skip.)
 	Checkpointed bool
 }
 

@@ -12,7 +12,8 @@ import (
 // This file implements the bit-parallel (PPSFP) campaign engine: one
 // witnessed golden pass resolves up to 64 fault universes ("lanes") at
 // once, and only the lanes whose fault is actually read with a differing
-// value ever pay for a scalar simulation.
+// value — or, for an upset memory-array word, read at all before it is
+// overwritten — ever pay for a scalar simulation.
 //
 // Classic PPSFP packs one gate-level net's value across 64 test patterns
 // into a machine word. That transplant is impossible for a word-level
@@ -28,6 +29,16 @@ import (
 // whether any of a batch's lanes activates at a cycle is then one AND
 // per lane against its net's accumulator — all 64 bit positions of a net
 // checked at once, which is where the 64-way parallelism lives.
+//
+// A BitFlip is the one model that does mutate raw state, and on a signal
+// the upset spreads through raw copies (Hold, the clock edge) that no Get
+// ever witnesses. A memory-array word is different: it changes only
+// through MemArray.Write, which replaces the whole word, and the design
+// sees it only through MemArray.Read. Until the word is next touched the
+// flipped universe equals the golden one in everything but that bit, so
+// the witness's write side decides the lane: written first, the upset is
+// dead and the lane is free; read first, the lane activates at that read
+// and the bit is flipped there instead of at the sampled instant.
 //
 // Lanes that never activate are finalized from the golden trajectory
 // without simulating a single faulted cycle. Activated lanes fork a
@@ -54,23 +65,24 @@ type planItem struct {
 }
 
 // planBatches partitions a campaign's experiments into dispatch
-// granules. Experiments are batchable when the checkpointed engine is on
-// and the experiment is a forcing the witnessed pass can reason about:
-// the permanent models and SETPulse. BitFlip mutates raw state (its
-// effect can propagate through raw register copies without ever being
-// "read", so read-witness gating would be unsound), transients sampled
-// before the ladder's first rung cannot fork from it, and invalid nodes must
-// reproduce the scalar engine's inject-error result — all of those run
-// scalar. Batches are filled in input order; result content is
-// independent of the partition, so the plan shape is free to change
-// without affecting campaign or shard determinism.
+// granules. Experiments are batchable when the ladder is on and the
+// witnessed pass can reason about the experiment: the permanent models,
+// SETPulse, and BitFlip on a memory-array word (see the file comment).
+// A BitFlip on a signal mutates raw state that propagates through raw
+// register copies without ever being "read", so witness gating would be
+// unsound; a hand-built transient before the ladder's first rung cannot
+// fork from it; and an invalid node must reproduce the scalar engine's
+// inject-error result — those three run scalar. Batches are filled in
+// input order; result content is independent of the partition, so the
+// plan shape is free to change without affecting campaign or shard
+// determinism.
 func (r *Runner) planBatches(exps []Experiment) []planItem {
 	lanes := r.opts.BatchLanes
 	if lanes <= 0 || lanes > maxBatchLanes {
 		lanes = maxBatchLanes
 	}
 	plan := make([]planItem, 0, len(exps))
-	if r.opts.NoBatch || !r.Checkpointed() {
+	if r.opts.NoBatch || r.opts.NoCheckpoint {
 		for i := range exps {
 			plan = append(plan, planItem{idx: i})
 		}
@@ -89,7 +101,7 @@ func (r *Runner) planBatches(exps []Experiment) []planItem {
 		}
 	}
 	for i, e := range exps {
-		batchable := e.Model != rtl.BitFlip &&
+		batchable := (e.Model != rtl.BitFlip || k.IsArrayWord(e.Node.Node)) &&
 			!(e.Model.Transient() && e.AtCycle < r.opts.InjectAtCycle) &&
 			k.NodeValid(e.Node.Node)
 		if !batchable {
@@ -113,9 +125,10 @@ type lane struct {
 	injectAt uint64
 	pulseEnd uint64 // SETPulse window end; 0 for the other models
 	// activateAt is the golden cycle at which the universe first differs
-	// from the golden one: the injection instant for a scalar experiment,
-	// for an activated batch lane the first cycle at which a consumer read
-	// the faulted net with a differing bit.
+	// from the golden one in anything a consumer saw: the injection
+	// instant for a scalar experiment, for an activated batch lane the
+	// first cycle at which a consumer read the faulted net with a
+	// differing bit — for a BitFlip lane, read the upset word at all.
 	activateAt uint64
 
 	// Batch lanes only. act is the pass's activation record — word t-start
@@ -132,23 +145,38 @@ type lane struct {
 // probe fires when some consumer read the faulted bit with the polarity
 // the forcing would invert.
 type probe struct {
-	net   int  // witness net index
-	shift uint // Node.Bit
+	net   int32 // witness net index (< maxBatchLanes)
+	shift uint8 // Node.Bit (< 64)
 	// forcedOne is the armed polarity of the faulted bit; for the
 	// charge-sampling models it is derived from lane.sampled. armed is
-	// false while it is still unknown (a SETPulse lane whose instant the
+	// false while it is still unknown (a transient lane whose instant the
 	// pass has not reached).
 	forcedOne bool
 	armed     bool
+	// flip marks a BitFlip lane on an array word. Its probe arms at the
+	// lane's instant and is spent by the word's next access: a write
+	// before any read kills it, the first read fires it — either polarity,
+	// the flipped bit differs from the clean one whatever it holds.
+	flip bool
 }
 
-// fires reports whether a cycle's read observations activate the probe.
+// fires reports whether a cycle's observations activate the probe, and
+// disarms a flip probe the cycle its word is touched.
 func (p *probe) fires(acc []rtl.WitnessAcc) bool {
-	m := acc[p.net].Ones
-	if p.forcedOne {
-		m = acc[p.net].Zeros
+	if !p.armed {
+		return false
 	}
-	return p.armed && m>>p.shift&1 != 0
+	a := &acc[p.net]
+	if p.flip {
+		read := a.Ones|a.Zeros != 0
+		p.armed = !read && !a.WriteFirst
+		return read && !a.WriteFirst
+	}
+	m := a.Ones
+	if p.forcedOne {
+		m = a.Zeros
+	}
+	return m>>p.shift&1 != 0
 }
 
 // newLane describes experiment e's universe as a scalar run: it leaves
@@ -214,7 +242,7 @@ func (r *Runner) runBatch(exps []Experiment, idxs []int) []Result {
 		}
 		lanes[j] = r.newLane(e)
 		lanes[j].slot = uint(j)
-		probes[j] = probe{net: ni, shift: uint(e.Node.Node.Bit)}
+		probes[j] = probe{net: int32(ni), shift: uint8(e.Node.Node.Bit), flip: e.Model == rtl.BitFlip}
 	}
 	w, err := core.K.StartWitness(nets)
 	if err != nil {
@@ -224,7 +252,7 @@ func (r *Runner) runBatch(exps []Experiment, idxs []int) []Result {
 	// Arm the permanent lanes' polarities; the charge-sampling models
 	// read the net's raw word at the injection instant, which for
 	// permanents is the pass start (exactly the value a scalar Inject at
-	// that boundary would sample). SETPulse lanes stay unarmed until the
+	// that boundary would sample). Transient lanes stay unarmed until the
 	// pass reaches their instant.
 	unarmed := 0
 	for j := range lanes {
@@ -235,7 +263,7 @@ func (r *Runner) runBatch(exps []Experiment, idxs []int) []Result {
 		case rtl.StuckAt0:
 			p.forcedOne, p.armed = false, true
 		case rtl.OpenLine:
-			l.sampled = w.Sample(p.net)
+			l.sampled = w.Sample(int(p.net))
 			p.forcedOne, p.armed = l.sampled>>p.shift&1 != 0, true
 		default:
 			unarmed++
@@ -243,7 +271,7 @@ func (r *Runner) runBatch(exps []Experiment, idxs []int) []Result {
 	}
 
 	// The witnessed golden pass: one clean continuation from rung 0 to
-	// program exit, sampling SETPulse instants as they are reached and
+	// program exit, arming transient lanes as their instants are reached and
 	// recording one activation word per cycle — bit j set when lane j's
 	// probe fired. The words are all a healed lane needs to find its next
 	// activation, so the record is 8 bytes per golden cycle whatever the
@@ -262,8 +290,9 @@ func (r *Runner) runBatch(exps []Experiment, idxs []int) []Result {
 		if unarmed > 0 {
 			for j := range lanes {
 				if l, p := &lanes[j], &probes[j]; !p.armed && l.injectAt == t {
-					l.sampled = w.Sample(p.net)
-					// A SET glitch drives the complement of the charge.
+					l.sampled = w.Sample(int(p.net))
+					// A SET glitch drives the complement of the charge (a
+					// flip probe ignores the polarity).
 					p.forcedOne, p.armed = l.sampled>>p.shift&1 == 0, true
 					unarmed--
 				}
@@ -298,8 +327,9 @@ func (r *Runner) runBatch(exps []Experiment, idxs []int) []Result {
 
 	// Lane resolution. Never-activated lanes tracked the golden
 	// trajectory bit-for-bit to program exit: no consumer ever read
-	// their faulted bit with a differing value, so the scalar run would
-	// have produced the golden trace and length exactly.
+	// their faulted bit with a differing value (an upset array word was
+	// overwritten, or left alone, before any read), so the scalar run
+	// would have produced the golden trace and length exactly.
 	results := make([]Result, len(lanes))
 	for j := range lanes {
 		l := &lanes[j]

@@ -49,8 +49,8 @@ type rung struct {
 // ladder is the frozen golden trajectory from the fixed injection
 // instant to program exit. Rung i sits at cycle start + i*stride.
 type ladder struct {
-	// start is rung 0's cycle: the fixed injection instant, or the golden
-	// run's end when the instant lies beyond it.
+	// start is rung 0's cycle: the fixed injection instant (0: the reset
+	// state), or the golden run's end when the instant lies beyond it.
 	start  uint64
 	stride uint64
 	rungs  []rung
@@ -62,10 +62,12 @@ type ladder struct {
 	exitCode uint32
 }
 
-// Checkpointed reports whether experiments fork from the golden ladder
-// instead of re-simulating from reset. It is a pure status query; the
-// ladder itself is built lazily by the first experiment (or explicitly
-// by PrepareCheckpoint).
+// Checkpointed reports whether forking skipped a warm-up prefix: the
+// ladder is on and the fixed injection instant lies past reset. It is a
+// wire field (Outcome.Checkpointed, ShardOutput.Checkpointed), frozen
+// with the outcome encoding, and not the engine switch: the ladder, the
+// batch planner and reconvergence depend on NoCheckpoint alone, and at
+// instant 0 rung 0 is simply the reset state.
 func (r *Runner) Checkpointed() bool {
 	return !r.opts.NoCheckpoint && r.opts.InjectAtCycle != 0
 }
@@ -76,9 +78,9 @@ func (r *Runner) Checkpointed() bool {
 func (r *Runner) PrepareCheckpoint() { r.ladder() }
 
 // ladder returns the lazily built golden ladder, or nil when the engine
-// is disabled or injection happens at reset.
+// is disabled.
 func (r *Runner) ladder() *ladder {
-	if !r.Checkpointed() {
+	if r.opts.NoCheckpoint {
 		return nil
 	}
 	r.ladderOnce.Do(func() { r.lad = r.buildLadder() })

@@ -53,9 +53,10 @@ func TestCheckpointFidelity(t *testing.T) {
 	}
 }
 
-// TestCheckpointInjectAtResetFallsBack: with injection at cycle 0 there is
-// no golden prefix to save, so the engine stays off and results still
-// match the from-reset semantics trivially.
+// TestCheckpointInjectAtResetFallsBack: with injection at cycle 0 there
+// is no golden prefix to skip, so the frozen `checkpointed` wire field
+// stays false — but the ladder is on all the same, with the reset state
+// as rung 0, and only NoCheckpoint turns it off.
 func TestCheckpointInjectAtResetFallsBack(t *testing.T) {
 	w, err := workloads.Build("excerptA", workloads.Config{})
 	if err != nil {
@@ -67,6 +68,16 @@ func TestCheckpointInjectAtResetFallsBack(t *testing.T) {
 	}
 	if r.Checkpointed() {
 		t.Fatal("checkpointed with InjectAtCycle 0")
+	}
+	if lad := r.ladder(); lad == nil || lad.start != 0 || lad.rungs[0].writes != 0 {
+		t.Fatalf("no reset-state rung 0 at instant 0: %+v", lad)
+	}
+	off, err := NewRunner(w.Program, Options{NoCheckpoint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.ladder() != nil {
+		t.Fatal("NoCheckpoint runner built a ladder")
 	}
 }
 

@@ -36,8 +36,10 @@ type CampaignEngine interface {
 	ScheduleTransients(exps []Experiment, seed int64)
 	// GoldenTicks is the clean run's length in the engine's timebase.
 	GoldenTicks() uint64
-	// Checkpointed reports whether experiments fork from a golden-run
-	// snapshot at the fixed injection instant.
+	// Checkpointed reports whether forking skipped a warm-up prefix (the
+	// engine forks and the fixed injection instant lies past reset). It
+	// is the value of the outcome's frozen `checkpointed` field, not a
+	// statement about which engine ran.
 	Checkpointed() bool
 	// RunOne executes a single injection experiment.
 	RunOne(e Experiment) Result

@@ -18,16 +18,20 @@ import (
 // transient instants scheduled over the full experiment list. The scalar
 // pooled checkpointed engine is the reference; the batched variants pin
 // DESIGN.md §10's claim that lane-masked execution is an optimization,
-// not an approximation.
+// not an approximation. The @0 rows repeat the contract at injection
+// instant 0 — the default of every campaign surface and the instant of
+// every hybrid audit — where rung 0 of the ladder is the reset state and
+// the reference is the NoCheckpoint engine.
 func TestEngineEquivalence(t *testing.T) {
 	w, err := workloads.Build("excerptA", workloads.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := []struct {
+	type engine struct {
 		name string
 		opts Options
-	}{
+	}
+	midRun := []engine{
 		{"scalar-pooled-checkpointed", Options{InjectAtFraction: 0.3, NoBatch: true}},
 		{"batched-64", Options{InjectAtFraction: 0.3}},
 		{"batched-8", Options{InjectAtFraction: 0.3, BatchLanes: 8}},
@@ -36,17 +40,31 @@ func TestEngineEquivalence(t *testing.T) {
 		{"pooled-from-reset", Options{InjectAtFraction: 0.3, NoCheckpoint: true}},
 		{"unpooled-from-reset", Options{InjectAtFraction: 0.3, NoCheckpoint: true, NoPool: true}},
 	}
-	for _, target := range []Target{TargetIU, TargetCMEM} {
-		t.Run(target.String(), func(t *testing.T) {
+	atReset := []engine{
+		{"pooled-from-reset", Options{NoCheckpoint: true}},
+		{"batched-64", Options{}},
+		{"batched-8", Options{BatchLanes: 8}},
+		{"batched-1", Options{BatchLanes: 1}},
+		{"scalar-ladder", Options{NoBatch: true}},
+	}
+	for _, tc := range []struct {
+		name    string
+		target  Target
+		engines []engine
+	}{
+		{"IU", TargetIU, midRun}, {"CMEM", TargetCMEM, midRun},
+		{"IU@0", TargetIU, atReset}, {"CMEM@0", TargetCMEM, atReset},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			var ref []Result
 			var batched *Runner
 			var scheduled []Experiment
-			for _, eng := range engines {
+			for _, eng := range tc.engines {
 				r, err := NewRunner(w.Program, eng.opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				nodes := SampleNodes(r.Nodes(target), 6, 7)
+				nodes := SampleNodes(r.Nodes(tc.target), 6, 7)
 				exps := Expand(nodes, rtl.AllFaultModels()...)
 				// Same options-derived window and seed in every runner, so
 				// each engine sees identical transient instants.
@@ -66,7 +84,7 @@ func TestEngineEquivalence(t *testing.T) {
 								eng.name, i, exps[i].Node.Node, exps[i].Model, ref[i], results[i])
 						}
 					}
-					t.Fatalf("%s: results differ from %s", eng.name, engines[0].name)
+					t.Fatalf("%s: results differ from %s", eng.name, tc.engines[0].name)
 				}
 				if got, want := Pf(results), Pf(ref); got != want {
 					t.Fatalf("%s: Pf %v != %v", eng.name, got, want)
@@ -100,8 +118,9 @@ func TestEngineEquivalence(t *testing.T) {
 // arming on pooled cores, copy-on-write rung forks and per-lane
 // materialization — and the lane demultiplexing stays byte-identical to
 // serial execution. Two mixed seu+set+sa1 campaigns then run at once on
-// the same runner: scalar flips, SET lanes and permanent lanes of both
-// share its one ladder.
+// the same runner: scalar signal flips, register-file SEU lanes, SET
+// lanes and permanent lanes of both share its one ladder, and the three
+// lane kinds share witnessed passes.
 func TestBatchedCampaignRace(t *testing.T) {
 	w, err := workloads.Build("excerptB", workloads.Config{})
 	if err != nil {

@@ -155,8 +155,9 @@ type Options struct {
 	// universes (see batch.go and DESIGN.md §10). Results are identical;
 	// like NoPool and NoCheckpoint the toggle exists for debugging and
 	// the engine-equivalence tests. Batching also requires the golden
-	// ladder; with NoCheckpoint set or InjectAtCycle zero every
-	// experiment is scalar regardless of NoBatch.
+	// ladder; with NoCheckpoint set every experiment is scalar regardless
+	// of NoBatch. The injection instant plays no part: at instant zero
+	// the ladder's first rung is the reset state.
 	NoBatch bool
 	// BatchLanes caps the number of fault universes a batch carries
 	// (DESIGN.md §10 ablates 1/8/32/64). Zero selects the full 64 lanes;
@@ -481,14 +482,15 @@ func (r *Runner) resolve(core *leon3.Core, lad *ladder, l *lane) Result {
 }
 
 // RunOne executes a single injection experiment as a scalar simulation.
-// With the ladder engine on, the universe forks from the golden rung at
-// or below the experiment's own injection instant — the runner's fixed
-// instant for permanent models, the sampled instant for transient ones —
-// and a transient universe is finalized the moment it heals (see
-// resolve); otherwise, and for a transient sampled before the ladder's
-// first rung, it re-simulates from reset so the injection is never
-// skipped. Cores are pooled and restored in place (see Options.NoPool).
-// All engine combinations produce identical results.
+// With the ladder engine on — at any fixed instant, reset included — the
+// universe forks from the golden rung at or below the experiment's own
+// injection instant (the runner's fixed instant for permanent models,
+// the sampled instant for transient ones) and a transient universe is
+// finalized the moment it heals (see resolve); under NoCheckpoint, and
+// for a hand-built transient placed before the ladder's first rung, it
+// re-simulates from reset so the injection is never skipped. Cores are
+// pooled and restored in place (see Options.NoPool). All engine
+// combinations produce identical results.
 func (r *Runner) RunOne(e Experiment) Result {
 	eng := r.getEngine()
 	defer r.putEngine(eng)

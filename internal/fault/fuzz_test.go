@@ -1,0 +1,78 @@
+package fault
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/asm"
+	"repro/internal/difftest"
+	"repro/internal/mem"
+	"repro/internal/rtl"
+)
+
+// FuzzLaneEquivalence is the engine oracle on generated programs: for a
+// constrained-random terminating SPARC program, any injectable node of
+// either target, any fault model and any instant, the default engine —
+// ladder from reset, 64-lane witnessed batches, array-word upsets riding
+// the pass — must return what the from-reset scalar reference returns,
+// byte for byte. The fuzzed experiment shares its batch with a second
+// upset on the same net, a SET pulse one cycle later and a stuck-at-1, so
+// probes of every kind meet on one accumulator.
+//
+// Smoke: make fuzz-smoke; longer:
+// go test -run '^$' -fuzz FuzzLaneEquivalence -fuzztime 5m ./internal/fault/
+func FuzzLaneEquivalence(f *testing.F) {
+	// Program seed, node index (IU enumeration, then CMEM), model, instant
+	// (modulo the golden run's length + 64, so some land past program exit).
+	f.Add(int64(1), uint32(2500), uint8(rtl.BitFlip), uint32(700)) // iu.rf.regs[31].13
+	f.Add(int64(2), uint32(7000), uint8(rtl.BitFlip), uint32(0))   // cmem.ic.tags[47].4, at reset
+	f.Add(int64(3), uint32(40), uint8(rtl.BitFlip), uint32(1200))  // iu.de.pc.7: a signal upset stays scalar
+	f.Add(int64(4), uint32(3000), uint8(rtl.SETPulse), uint32(90000))
+	f.Add(int64(5), uint32(9000), uint8(rtl.OpenLine), uint32(15)) // cmem.ic.data[50].13
+	f.Add(int64(1), uint32(2222), uint8(rtl.StuckAt0), uint32(1<<31))
+	f.Fuzz(func(t *testing.T, seed int64, node uint32, model uint8, instant uint32) {
+		p, err := asm.Assemble(difftest.Generate(seed, difftest.AllFeatures(200)), mem.RAMBase)
+		if err != nil {
+			t.Fatalf("generated program %d: %v", seed, err)
+		}
+		lanes, err := NewRunner(p, Options{PulseCycles: 2})
+		if err != nil {
+			t.Skipf("no golden run: %v", err) // the program ends in a trap
+		}
+		ref, err := NewRunner(p, Options{PulseCycles: 2, NoCheckpoint: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		iu, cmem := lanes.Nodes(TargetIU), lanes.Nodes(TargetCMEM)
+		var n NodeInfo
+		if i := int(node) % (len(iu) + len(cmem)); i < len(iu) {
+			n = iu[i]
+		} else {
+			n = cmem[i-len(iu)]
+		}
+		models := rtl.AllFaultModels()
+		at := uint64(instant) % (lanes.GoldenCycles + 64)
+		sibling := n
+		sibling.Node.Bit = 0
+		if n.Node.Bit == 0 {
+			// Bit 1 exists on every multi-bit net; on a 1-bit net the
+			// sibling is an invalid node, which must stay a scalar no-op.
+			sibling.Node.Bit = 1
+		}
+		exps := []Experiment{
+			{Node: n, Model: models[int(model)%len(models)], AtCycle: at},
+			{Node: sibling, Model: rtl.BitFlip, AtCycle: at},
+			{Node: n, Model: rtl.SETPulse, AtCycle: at + 1},
+			{Node: n, Model: rtl.StuckAt1},
+		}
+		got, want := lanes.Campaign(exps, 1), ref.Campaign(exps, 1)
+		if !reflect.DeepEqual(got, want) {
+			for i := range exps {
+				if got[i] != want[i] {
+					t.Errorf("seed %d %v %v@%d: lanes %+v, from-reset %+v",
+						seed, exps[i].Model, exps[i].Node.Node, exps[i].AtCycle, got[i], want[i])
+				}
+			}
+		}
+	})
+}

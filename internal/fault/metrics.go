@@ -15,8 +15,9 @@ type engineMetrics struct {
 	experiments *obs.Counter
 	// lanesPlanned/Activated/Free follow the PPSFP funnel: lanes placed
 	// into batch granules, lanes whose fault was read divergently during
-	// the witnessed pass, and lanes finalized from the golden trajectory
-	// without a single faulted cycle.
+	// the witnessed pass (an upset array word: read at all before being
+	// rewritten), and lanes finalized from the golden trajectory without
+	// a single faulted cycle.
 	lanesPlanned   *obs.Counter
 	lanesActivated *obs.Counter
 	lanesFree      *obs.Counter

@@ -3,6 +3,8 @@ package jobs_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -171,6 +173,42 @@ func TestHybridShardedMatchesUnsharded(t *testing.T) {
 	}
 	if !bytes.Equal(encode(t, un), encode(t, sh)) {
 		t.Fatal("sharded hybrid outcome differs from unsharded")
+	}
+}
+
+// hybridAtResetSHA256 is the sha256 of hybridAtReset's encoded outcome as
+// the engine produced it while instant-0 campaigns still simulated every
+// RTL experiment scalar from reset (commit 699cce9).
+const hybridAtResetSHA256 = "9572bf5baaca9308ccd1d09e4ee4d2e4f107e1524cef626280255ff5c6bcc4fe"
+
+// At injection instant 0 — the default, and the instant every hybrid
+// audit and escalation runs at — the RTL side forks from a reset-state
+// rung 0, batches and heals like any other campaign. The bytes must not
+// notice: unsharded == sharded == what the from-reset engine encoded,
+// `"checkpointed": false` included.
+func TestHybridInstantZeroBytes(t *testing.T) {
+	req := hybridSmall
+	req.InjectAtFraction = 0
+	req.Models = []string{"sa0", "sa1", "open", "seu", "set"}
+	ctx := context.Background()
+	un, err := jobs.Execute(ctx, req, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if un.Checkpointed {
+		t.Error("instant-0 outcome encodes checkpointed=true: the wire field is frozen")
+	}
+	sh, err := jobs.ExecuteSharded(ctx, req, 3, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unb := encode(t, un)
+	if !bytes.Equal(unb, encode(t, sh)) {
+		t.Fatal("sharded instant-0 hybrid outcome differs from unsharded")
+	}
+	sum := sha256.Sum256(unb)
+	if got := hex.EncodeToString(sum[:]); got != hybridAtResetSHA256 {
+		t.Fatalf("instant-0 hybrid outcome bytes changed: sha256 %s, pinned %s", got, hybridAtResetSHA256)
 	}
 }
 

@@ -3,11 +3,30 @@ package leon3
 import (
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/iss"
 	"repro/internal/mem"
 	"repro/internal/rtl"
 	"repro/internal/workloads"
 )
+
+// freshCore builds a core over a private copy of p's memory image.
+func freshCore(p *asm.Program) *Core {
+	m := mem.NewMemory()
+	m.LoadImage(p.Origin, p.Image)
+	return New(mem.NewBus(m), p.Entry)
+}
+
+// xorshift is the poison source of this file's tests: a fixed
+// pseudo-random sequence.
+type xorshift uint64
+
+func (x *xorshift) next() uint64 {
+	*x ^= *x << 13
+	*x ^= *x >> 7
+	*x ^= *x << 17
+	return uint64(*x)
+}
 
 // TestWiresCarryNoState poisons every wire of a running core with
 // pseudo-random garbage between clock cycles and checks that the run
@@ -25,13 +44,7 @@ func TestWiresCarryNoState(t *testing.T) {
 	}
 	p := w.Program
 
-	mr := mem.NewMemory()
-	mr.LoadImage(p.Origin, p.Image)
-	ref := New(mem.NewBus(mr), p.Entry)
-
-	mp := mem.NewMemory()
-	mp.LoadImage(p.Origin, p.Image)
-	poisoned := New(mem.NewBus(mp), p.Entry)
+	ref, poisoned := freshCore(p), freshCore(p)
 
 	var wires []*rtl.Signal
 	for _, s := range poisoned.K.Signals() {
@@ -43,13 +56,7 @@ func TestWiresCarryNoState(t *testing.T) {
 		t.Fatal("design declares no wires")
 	}
 
-	rng := uint64(0x9e3779b97f4a7c15)
-	garbage := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
+	rng := xorshift(0x9e3779b97f4a7c15)
 
 	const budget = 10_000_000
 	for cyc := uint64(0); cyc < budget; cyc++ {
@@ -57,7 +64,7 @@ func TestWiresCarryNoState(t *testing.T) {
 			break
 		}
 		for _, s := range wires {
-			s.Set(garbage())
+			s.Set(rng.next())
 		}
 		ps := poisoned.StepCycle()
 		rs := ref.StepCycle()
@@ -80,5 +87,136 @@ func TestWiresCarryNoState(t *testing.T) {
 	}
 	if !poisoned.StateEquals(ref.Snapshot()) {
 		t.Error("final committed state diverged under wire poisoning")
+	}
+}
+
+// TestUnreadArrayWordsCarryNoState is the memory-array analogue of the
+// wire test, and the soundness premise of batching array-word upsets
+// (DESIGN.md §10): an array word reaches the design only through
+// MemArray.Read and changes only through MemArray.Write, so garbage in a
+// word that the fault-free run overwrites — or never touches — before
+// reading it is invisible. A witnessed clean pass sorts the words of the
+// register file and of the cache data arrays by their first access after
+// an early instant (while the caches still fill, so both fates occur); a
+// second core then has every write-first or untouched word poisoned at
+// that instant and must run in lockstep with a clean
+// reference to program exit: same status every cycle, same off-core
+// write stream and counters, same registers and same array contents
+// everywhere except the untouched words themselves.
+func TestUnreadArrayWordsCarryNoState(t *testing.T) {
+	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Program
+
+	array := func(c *Core, name string) *rtl.MemArray {
+		for _, a := range c.K.Arrays() {
+			if a.Name() == name {
+				return a
+			}
+		}
+		t.Fatalf("no array %s", name)
+		return nil
+	}
+	probe := freshCore(p)
+	if st := probe.Run(10_000_000); st != iss.StatusExited {
+		t.Fatalf("clean run did not exit: %v", st)
+	}
+	at := probe.Cycles() / 10
+
+	for _, name := range []string{"iu.rf.regs", "cmem.dc.data", "cmem.ic.data"} {
+		t.Run(name, func(t *testing.T) {
+			// Pass 1: classify every word by its first access from `at` on.
+			pass := freshCore(p)
+			for pass.Cycles() < at {
+				pass.StepCycle()
+			}
+			n := array(pass, name).Len()
+			nets := make([]rtl.WitnessNet, n)
+			for i := range nets {
+				nets[i] = rtl.WitnessNet{Name: name, Word: i}
+			}
+			wit, err := pass.K.StartWitness(nets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const (
+				untouched = iota
+				writtenFirst
+				readFirst
+			)
+			fate := make([]int, n)
+			acc := wit.Accs()
+			for pass.Status() == iss.StatusRunning {
+				pass.StepCycle()
+				for i := range acc {
+					if fate[i] == untouched {
+						switch {
+						case acc[i].WriteFirst:
+							fate[i] = writtenFirst
+						case acc[i].Ones|acc[i].Zeros != 0:
+							fate[i] = readFirst
+						}
+					}
+					acc[i] = rtl.WitnessAcc{}
+				}
+			}
+			wit.Stop()
+			var counts [3]int
+			for _, f := range fate {
+				counts[f]++
+			}
+			t.Logf("from cycle %d of %d: %d words untouched, %d written first, %d read first",
+				at, pass.Cycles(), counts[untouched], counts[writtenFirst], counts[readFirst])
+			if counts[writtenFirst] == 0 || counts[readFirst] == 0 {
+				t.Fatal("the workload does not exercise both fates; the test would be vacuous")
+			}
+
+			// Pass 2: poison every word that is not read first.
+			ref, poisoned := freshCore(p), freshCore(p)
+			for ref.Cycles() < at {
+				ref.StepCycle()
+				poisoned.StepCycle()
+			}
+			parr := array(poisoned, name)
+			rng := xorshift(0x9e3779b97f4a7c15)
+			for i, f := range fate {
+				if f != readFirst {
+					parr.Write(i, parr.Read(i)^(rng.next()|1))
+				}
+			}
+			for ref.Status() == iss.StatusRunning || poisoned.Status() == iss.StatusRunning {
+				if ps, rs := poisoned.StepCycle(), ref.StepCycle(); ps != rs {
+					t.Fatalf("cycle %d: status diverged: poisoned %v, reference %v", ref.Cycles(), ps, rs)
+				}
+			}
+			if poisoned.Cycles() != ref.Cycles() || poisoned.Icount != ref.Icount {
+				t.Errorf("run length diverged: poisoned %d cycles / %d inst, reference %d / %d",
+					poisoned.Cycles(), poisoned.Icount, ref.Cycles(), ref.Icount)
+			}
+			if d := poisoned.Bus.Trace.Divergence(&ref.Bus.Trace); d != -1 {
+				t.Errorf("off-core traces diverge at write %d", d)
+			}
+			rs := ref.K.Signals()
+			for i, s := range poisoned.K.Signals() {
+				if s.IsReg() && s.Get() != rs[i].Get() {
+					t.Errorf("register %s diverged: poisoned %#x, reference %#x", s.Name(), s.Get(), rs[i].Get())
+				}
+			}
+			ra := ref.K.Arrays()
+			for ai, a := range poisoned.K.Arrays() {
+				for i := 0; i < a.Len(); i++ {
+					same := a.Read(i) == ra[ai].Read(i)
+					if a.Name() == name && fate[i] == untouched {
+						if same {
+							t.Errorf("%s[%d]: the poison vanished from a word nothing wrote", name, i)
+						}
+					} else if !same {
+						t.Errorf("%s[%d] diverged: poisoned %#x, reference %#x", a.Name(), i, a.Read(i), ra[ai].Read(i))
+					}
+				}
+			}
+		})
 	}
 }

@@ -23,7 +23,11 @@
 // therefore resolves up to 64 such universes (lanes) at once (see
 // internal/fault and DESIGN.md §10). InjectForced arms open-line and
 // SET-pulse faults with an externally sampled charge so a lane's fork
-// reproduces the scalar engine's injection instant exactly.
+// reproduces the scalar engine's injection instant exactly. A bit-flip
+// in a memory-array word joins the lanes through the witness's write
+// side: an array word changes only through MemArray.Write and is seen
+// only through MemArray.Read, and WitnessAcc.WriteFirst records that a
+// word was overwritten before anything read it.
 //
 // # Slab state layout
 //
@@ -205,7 +209,18 @@ func (a *MemArray) Read(i int) uint64 {
 }
 
 // Write stores word i. Faulted bits ignore the write (the cell is stuck).
-func (a *MemArray) Write(i int, v uint64) { a.data[i] = v & a.mask }
+// On a witnessed word, a write that lands before any read recorded since
+// the accumulator was last drained is marked WriteFirst: array writes are
+// immediate, so within one cycle the order of a word's write and its
+// reads decides whether the old contents were ever consumed.
+func (a *MemArray) Write(i int, v uint64) {
+	a.data[i] = v & a.mask
+	if a.obs != nil {
+		if w := a.obs[i]; w != nil && w.Ones|w.Zeros == 0 {
+			w.WriteFirst = true
+		}
+	}
+}
 
 // Kernel owns the signals, arrays and processes of a design and advances
 // it cycle by cycle. All signal and array values live in the kernel's

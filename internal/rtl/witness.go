@@ -26,9 +26,18 @@ type WitnessNet struct {
 // Zeros the bits sampled as 0 (within the net's width; higher Zeros bits
 // are junk). A bit appearing in neither was never consumed; a bit
 // appearing in both was consumed with each polarity at least once.
+//
+// WriteFirst is the write side, recorded for array words only: the word
+// was written while no read had been recorded since the last reset, so
+// whatever it held before was overwritten unseen. An array word changes
+// only through MemArray.Write (the whole word) and is consumed only
+// through MemArray.Read, which is what makes a state upset in it
+// witnessable at all; a signal has no such seam (Hold and the clock edge
+// copy raw values without a Get) and never sets the flag.
 type WitnessAcc struct {
-	Ones  uint64
-	Zeros uint64
+	Ones       uint64
+	Zeros      uint64
+	WriteFirst bool
 }
 
 // Witness is an armed set of observation accumulators over watched nets.
@@ -155,6 +164,10 @@ func (k *Kernel) findArray(name string) *MemArray {
 	}
 	return nil
 }
+
+// IsArrayWord reports whether n names a bit of a memory-array word rather
+// than of a signal (or of nothing).
+func (k *Kernel) IsArrayWord(n Node) bool { return k.findArray(n.Name) != nil }
 
 // NodeValid reports whether n names an injectable bit of the design
 // (Inject on it would not fail with a range or unknown-node error).

@@ -232,3 +232,96 @@ func TestStateEquals(t *testing.T) {
 		t.Fatal("array divergence missed")
 	}
 }
+
+// buildWriteWitnessDesign is a toy design whose single process touches
+// word 1 of a 4-word array in an order the test picks per cycle through
+// op: array writes are immediate, so the order of a word's write and its
+// reads inside one cycle is exactly the process's statement order.
+func buildWriteWitnessDesign(op *string) (*Kernel, *MemArray) {
+	k := NewKernel()
+	arr := k.Array("arr", 32, 4, 0)
+	sink := k.Reg("sink", 32, 0)
+	k.Comb(func() {
+		for _, c := range *op {
+			switch c {
+			case 'w':
+				arr.Write(1, k.Now()+0x10)
+			case 'r':
+				sink.SetNext(arr.Read(1))
+			case 'o': // another word: must never disturb word 1's accumulator
+				arr.Write(2, arr.Read(3)+1)
+			}
+		}
+	})
+	return k, arr
+}
+
+// TestWitnessWriteFirst pins the write side of the witness: WriteFirst
+// says the word was overwritten before anything read it since the last
+// drain, which is what lets the campaign engine declare a state upset in
+// that word dead.
+func TestWitnessWriteFirst(t *testing.T) {
+	var op string
+	k, arr := buildWriteWitnessDesign(&op)
+	w, err := k.StartWitness([]WitnessNet{{Name: "arr", Word: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := w.Accs()
+	cycle := func(ops string) WitnessAcc {
+		t.Helper()
+		op = ops
+		k.Cycle()
+		got := acc[0]
+		acc[0] = WitnessAcc{} // drain
+		return got
+	}
+
+	if got := cycle("wr"); !got.WriteFirst || got.Ones == 0 {
+		t.Errorf("write then read in one cycle: %+v, want WriteFirst and the read recorded", got)
+	}
+	if got := cycle("rw"); got.WriteFirst || got.Ones == 0 {
+		t.Errorf("read then write in one cycle: %+v, want the read alone", got)
+	}
+	if got := cycle("w"); !got.WriteFirst || got.Ones|got.Zeros != 0 {
+		t.Errorf("write alone: %+v", got)
+	}
+	if got := cycle("o"); got != (WitnessAcc{}) {
+		t.Errorf("accesses to unwitnessed words reached word 1's accumulator: %+v", got)
+	}
+	if got := cycle(""); got != (WitnessAcc{}) {
+		t.Errorf("idle cycle after a drain: %+v — the flag must clear with the accumulator", got)
+	}
+	// A read in an earlier, undrained cycle still counts as "read first".
+	op = "r"
+	k.Cycle()
+	op = "w"
+	k.Cycle()
+	if acc[0].WriteFirst {
+		t.Errorf("write after an undrained read marked WriteFirst: %+v", acc[0])
+	}
+	acc[0] = WitnessAcc{}
+
+	w.Stop()
+	if got := cycle("wr"); got != (WitnessAcc{}) {
+		t.Errorf("observation after Stop: %+v", got)
+	}
+	if arr.obs != nil {
+		t.Error("array still carries observers after Stop: the unwitnessed Write path must be one nil check")
+	}
+	if got := arr.Read(1); got != k.Now()-1+0x10 {
+		t.Errorf("arr[1] = %#x after the witnessed writes, want the last written value", got)
+	}
+}
+
+func TestIsArrayWord(t *testing.T) {
+	k, _, _, _, _ := buildWitnessDesign()
+	if !k.IsArrayWord(Node{Name: "arr", Word: 2, Bit: 1}) {
+		t.Error("arr not reported as an array")
+	}
+	for _, n := range []Node{{Name: "gated"}, {Name: "nosuch"}} {
+		if k.IsArrayWord(n) {
+			t.Errorf("IsArrayWord(%v) = true", n)
+		}
+	}
+}
