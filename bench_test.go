@@ -235,9 +235,9 @@ func BenchmarkCampaignFromReset(b *testing.B) {
 // BenchmarkCampaignTransient times the transient-model engine: SEU
 // bit-flips and 2-cycle SET pulses with per-experiment injection cycles
 // scheduled across the golden run, forked from the same checkpoint the
-// permanent campaigns use. Its exp/s rides the bench-check gate next to
-// the permanent baseline, so transient throughput is tracked without
-// perturbing the committed permanent numbers.
+// permanent campaigns use. Its exp/s sits in the committed BENCH_PR*.json
+// records next to the permanent baseline, so transient throughput is
+// tracked without perturbing the committed permanent numbers.
 func BenchmarkCampaignTransient(b *testing.B) {
 	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 2})
 	if err != nil {
@@ -266,11 +266,10 @@ func BenchmarkCampaignTransient(b *testing.B) {
 // BenchmarkCampaignHybrid times the hybrid router's prediction engine:
 // the ISS campaign pass that stands in for RTL re-simulation on trusted
 // node classes, pinned to the RTL golden run's timebase exactly as the
-// hybrid planner pins it. Its exp/s rides the bench-check gate — losing
-// ISS campaign throughput erases the hybrid's whole reason to exist.
-// The ISS-vs-RTL speedup over the identical experiment list is reported
-// alongside in a ratio unit, so the perf JSON records the routing
-// economics without the regression gate comparing a hardware ratio.
+// hybrid planner pins it — losing ISS campaign throughput erases the
+// hybrid's whole reason to exist. The ISS-vs-RTL speedup over the
+// identical experiment list is reported alongside in a ratio unit, so
+// the record carries the routing economics as well.
 func BenchmarkCampaignHybrid(b *testing.B) {
 	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 2})
 	if err != nil {

@@ -13,10 +13,11 @@
 // deterministically per experiment from -seed over the window between
 // the fixed injection instant and the end of the golden run.
 //
-// With -json the campaign is executed through the same canonical path the
-// campaign job server uses and the result is emitted in the service's
-// deterministic encoding, so CLI output and `faultserverd` responses are
-// byte-for-byte diffable for the same spec.
+// Every mode executes through the canonical path the campaign job server
+// uses (jobs.Execute, or its sharded form). With -json the result is
+// emitted in the service's deterministic encoding, so CLI output and
+// `faultserverd` responses are byte-for-byte diffable for the same spec;
+// without it the same outcome is rendered for people.
 //
 // -shards N executes the campaign as N deterministic experiment-range
 // shards on in-process workers (one binary, no daemon); results are
@@ -29,9 +30,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -45,172 +46,91 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("faultcampaign: ")
-	var (
-		name    = flag.String("w", "ttsprk", "workload name ("+strings.Join(core.WorkloadNames(), ", ")+")")
-		iters   = flag.Int("iters", 2, "kernel iterations")
-		dataset = flag.Int("dataset", 0, "input dataset selector")
-		target  = flag.String("target", "iu", "injection target: iu or cmem")
-		model   = flag.String("model", "all", "comma-separated fault models: sa0, sa1, open, seu, set or all (= sa0,sa1,open)")
-		nodes   = flag.Int("nodes", 256, "node sample size (0 = exhaustive)")
-		pulse   = flag.Uint64("pulse", 0, "set-pulse glitch width in cycles (0 = 1; only with the set model)")
-		seed    = flag.Int64("seed", 1, "sampling seed")
-		workers = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		inject  = flag.Uint64("inject-at", 0, "injection instant (cycle)")
-		injfrac = flag.Float64("inject-frac", 0, "injection instant as a fraction of the golden run (overrides -inject-at)")
-		noCkpt  = flag.Bool("no-checkpoint", false, "re-simulate each experiment from reset instead of forking the golden-run checkpoint")
-		noBatch = flag.Bool("no-batch", false, "run each experiment as its own scalar simulation instead of batching fault universes through the bit-parallel engine")
-		asJSON  = flag.Bool("json", false, "emit the campaign job service's canonical result JSON")
-		shards  = flag.Int("shards", 0, "split the campaign into this many experiment-range shards on in-process workers (0/1 = unsharded)")
-		epsilon = flag.Float64("epsilon", 0, "adaptive early stop once the Wilson 95% half-width around Pf reaches this (0 = run to completion)")
-		engine  = flag.String("engine", "rtl", "campaign engine: rtl, iss, or hybrid (ISS-predicted, RTL-audited)")
-		audit   = flag.Float64("rtl-audit", 0, "hybrid: RTL-audit fraction of ISS-trusted experiments (0 = default 0.1; 1.0 = pure RTL)")
-		conf    = flag.Float64("confidence", 0, "hybrid: per-class R² threshold below which the class re-runs on RTL (0 = default 0.9)")
-	)
-	flag.Var(aliasValue{model}, "models", "alias for -model (comma-separated fault model list)")
-	flag.Parse()
-
-	if *asJSON || *shards > 1 || *epsilon > 0 || *engine != "rtl" {
-		// The -iters flag defaults to 2 for the human-readable campaign,
-		// but an HTTP submission that omits "iterations" means 0
-		// (workload default). For byte-parity with the server, -json maps
-		// an unset flag to 0 too; an explicit -iters still wins. The
-		// human-readable sharded/adaptive path keeps the CLI default so
-		// `-shards`/`-epsilon` never change which campaign runs.
-		jsonIters := *iters
-		if *asJSON {
-			jsonIters = 0
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == "iters" {
-					jsonIters = *iters
-				}
-			})
-		}
-		req := jobs.Request{
-			Workload:         *name,
-			Iterations:       jsonIters,
-			Dataset:          *dataset,
-			Target:           *target,
-			Nodes:            *nodes,
-			Seed:             *seed,
-			InjectAtCycle:    *inject,
-			InjectAtFraction: *injfrac,
-			NoCheckpoint:     *noCkpt,
-			NoBatch:          *noBatch,
-			Epsilon:          *epsilon,
-			Engine:           *engine,
-			RTLAudit:         *audit,
-			Confidence:       *conf,
-		}
-		if *model != "all" {
-			// Unknown names are rejected by the request normalization
-			// inside Execute, keeping one canonical model list.
-			req.Models = splitModels(*model)
-		}
-		req.PulseCycles = *pulse
-		t0 := time.Now()
-		var out *jobs.Outcome
-		var err error
-		if *shards > 1 {
-			// Sharded in-process execution: byte-identical to unsharded
-			// (sharding is scheduling, not content).
-			out, err = jobs.ExecuteSharded(context.Background(), req, *shards, *workers, nil)
-		} else {
-			out, err = jobs.Execute(context.Background(), req, *workers, nil)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *asJSON {
-			if err := jobs.EncodeOutcome(os.Stdout, out); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
-		renderOutcome(out, *shards, time.Since(t0))
-		return
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
 	}
+}
 
-	spec := core.CampaignSpec{
+// run is the whole command: parse args, execute the campaign, write the
+// result to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("faultcampaign", flag.ExitOnError)
+	var (
+		name    = fs.String("w", "ttsprk", "workload name ("+strings.Join(core.WorkloadNames(), ", ")+")")
+		iters   = fs.Int("iters", 2, "kernel iterations")
+		dataset = fs.Int("dataset", 0, "input dataset selector")
+		target  = fs.String("target", "iu", "injection target: iu or cmem")
+		model   = fs.String("model", "all", "comma-separated fault models: sa0, sa1, open, seu, set or all (= sa0,sa1,open)")
+		nodes   = fs.Int("nodes", 256, "node sample size (0 = exhaustive)")
+		pulse   = fs.Uint64("pulse", 0, "set-pulse glitch width in cycles (0 = 1; only with the set model)")
+		seed    = fs.Int64("seed", 1, "sampling seed")
+		workers = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+		inject  = fs.Uint64("inject-at", 0, "injection instant (cycle)")
+		injfrac = fs.Float64("inject-frac", 0, "injection instant as a fraction of the golden run (overrides -inject-at)")
+		noCkpt  = fs.Bool("no-checkpoint", false, "run on the from-reset scalar reference engine (a fresh core per experiment) instead of forking the golden-run ladder")
+		asJSON  = fs.Bool("json", false, "emit the campaign job service's canonical result JSON")
+		shards  = fs.Int("shards", 0, "split the campaign into this many experiment-range shards on in-process workers (0/1 = unsharded)")
+		epsilon = fs.Float64("epsilon", 0, "adaptive early stop once the Wilson 95% half-width around Pf reaches this (0 = run to completion)")
+		engine  = fs.String("engine", "rtl", "campaign engine: rtl, iss, or hybrid (ISS-predicted, RTL-audited)")
+		audit   = fs.Float64("rtl-audit", 0, "hybrid: RTL-audit fraction of ISS-trusted experiments (0 = default 0.1; 1.0 = pure RTL)")
+		conf    = fs.Float64("confidence", 0, "hybrid: per-class R² threshold below which the class re-runs on RTL (0 = default 0.9)")
+	)
+	fs.Var(aliasValue{model}, "models", "alias for -model (comma-separated fault model list)")
+	fs.Parse(args) // ExitOnError: a bad flag exits here
+
+	req := jobs.Request{
+		Workload:         *name,
+		Iterations:       *iters,
+		Dataset:          *dataset,
+		Target:           *target,
 		Nodes:            *nodes,
 		Seed:             *seed,
-		Workers:          *workers,
 		InjectAtCycle:    *inject,
 		InjectAtFraction: *injfrac,
 		PulseCycles:      *pulse,
 		NoCheckpoint:     *noCkpt,
-		NoBatch:          *noBatch,
+		Epsilon:          *epsilon,
+		Engine:           *engine,
+		RTLAudit:         *audit,
+		Confidence:       *conf,
 	}
-	switch *target {
-	case "iu":
-		spec.Target = core.TargetIU
-	case "cmem":
-		spec.Target = core.TargetCMEM
-	default:
-		log.Fatalf("unknown target %q", *target)
+	if *asJSON {
+		// The -iters flag defaults to 2 for the human-readable campaign,
+		// but an HTTP submission that omits "iterations" means 0
+		// (workload default). For byte-parity with the server, -json maps
+		// an unset flag to 0 too; an explicit -iters still wins. The
+		// human-readable renderings keep the CLI default so `-shards`,
+		// `-epsilon` and `-engine` never change which campaign runs.
+		req.Iterations = 0
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "iters" {
+				req.Iterations = *iters
+			}
+		})
 	}
 	if *model != "all" {
-		// Mirror the service path's validation: a duplicate model would
-		// run every experiment twice and falsely tighten the Wilson
-		// interval (2N dependent trials reported as independent).
-		seen := map[string]bool{}
-		for _, name := range splitModels(*model) {
-			m, ok := modelByName[name]
-			if !ok {
-				log.Fatalf("unknown model %q (want sa0, sa1, open, seu, set or all)", name)
-			}
-			if seen[name] {
-				log.Fatalf("duplicate fault model %q", name)
-			}
-			seen[name] = true
-			spec.Models = append(spec.Models, m)
-		}
-	}
-
-	w, err := core.BuildWorkload(*name, core.WorkloadConfig{Iterations: *iters, Dataset: *dataset})
-	if err != nil {
-		log.Fatal(err)
+		// Unknown and duplicate names are rejected by the request
+		// normalization inside Execute, keeping one canonical model list.
+		req.Models = splitModels(*model)
 	}
 	t0 := time.Now()
-	res, err := core.RunCampaign(w, spec)
+	var out *jobs.Outcome
+	var err error
+	if *shards > 1 {
+		// Sharded in-process execution: byte-identical to unsharded
+		// (sharding is scheduling, not content).
+		out, err = jobs.ExecuteSharded(context.Background(), req, *shards, *workers, nil)
+	} else {
+		out, err = jobs.Execute(context.Background(), req, *workers, nil)
+	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-
-	fmt.Printf("workload:   %s, target %v, %d injections in %.1fs\n",
-		w.Name, spec.Target, res.Injections, time.Since(t0).Seconds())
-	mode := "from-reset re-simulation"
-	if res.Checkpointed {
-		mode = "golden-run forking (warm-up prefix simulated once)"
+	if *asJSON {
+		return jobs.EncodeOutcome(stdout, out)
 	}
-	fmt.Printf("engine:     %s, golden run %d cycles\n", mode, res.GoldenCycles)
-	fmt.Printf("Pf:         %s of faults propagated to failures (95%% CI %s..%s, Wilson)\n",
-		report.Percent(res.Pf), report.Percent(res.PfLow), report.Percent(res.PfHigh))
-	if res.MaxLatencyCycles >= 0 {
-		fmt.Printf("latency:    max detection latency %d cycles\n", res.MaxLatencyCycles)
-	}
-
-	counts := fault.OutcomeCounts(res.Results)
-	outs := make([]fault.Outcome, 0, len(counts))
-	for o := range counts {
-		outs = append(outs, o)
-	}
-	sort.Slice(outs, func(i, j int) bool { return outs[i] < outs[j] })
-	fmt.Printf("outcomes:  ")
-	for _, o := range outs {
-		fmt.Printf(" %v=%d", o, counts[o])
-	}
-	fmt.Println()
-
-	tab := &report.Table{Title: "per-unit Pf (Pmf of Equation 1)", Columns: []string{"unit", "Pf"}}
-	units := make([]sparc.Unit, 0, len(res.PfByUnit))
-	for u := range res.PfByUnit {
-		units = append(units, u)
-	}
-	sort.Slice(units, func(i, j int) bool { return units[i] < units[j] })
-	for _, u := range units {
-		tab.AddRow(u.String(), report.Percent(res.PfByUnit[u]))
-	}
-	fmt.Print(tab.String())
+	renderOutcome(stdout, out, *shards, time.Since(t0))
+	return nil
 }
 
 // aliasValue lets -models share the -model flag's storage.
@@ -224,16 +144,6 @@ func (a aliasValue) String() string {
 }
 func (a aliasValue) Set(v string) error { *a.s = v; return nil }
 
-// modelByName maps CLI model names onto core fault models for the
-// raw-results path; the service path defers to jobs.Request validation.
-var modelByName = map[string]core.FaultModel{
-	"sa0":  core.StuckAt0,
-	"sa1":  core.StuckAt1,
-	"open": core.OpenLine,
-	"seu":  core.BitFlip,
-	"set":  core.SETPulse,
-}
-
 // splitModels turns a comma-separated -model value into the service's
 // model-name list, trimming blanks so "sa1, seu" parses.
 func splitModels(v string) []string {
@@ -246,38 +156,43 @@ func splitModels(v string) []string {
 	return out
 }
 
-// renderOutcome prints the human-readable summary of a service-path
-// campaign (sharded and/or adaptive executions go through the canonical
-// outcome rather than raw engine results).
-func renderOutcome(out *jobs.Outcome, shards int, elapsed time.Duration) {
-	fmt.Printf("workload:   %s, target %s, %d injections in %.1fs",
+// renderOutcome prints the human-readable summary of a campaign outcome.
+func renderOutcome(w io.Writer, out *jobs.Outcome, shards int, elapsed time.Duration) {
+	fmt.Fprintf(w, "workload:   %s, target %s, %d injections in %.1fs",
 		out.Request.Workload, strings.ToUpper(out.Request.Target), out.Injections, elapsed.Seconds())
 	if shards > 1 {
-		fmt.Printf(" (%d shards)", shards)
+		fmt.Fprintf(w, " (%d shards)", shards)
 	}
-	fmt.Println()
-	engine := "from-reset re-simulation"
-	if out.Checkpointed {
-		engine = "golden-run forking (warm-up prefix simulated once)"
-	}
+	fmt.Fprintln(w)
+	// Which engine ran is the request's no_checkpoint, not the outcome's
+	// frozen `checkpointed` field ("a warm-up prefix was skipped"): at
+	// instant 0 the RTL ladder's first rung is the reset state and the
+	// campaign forks all the same. The ISS engine keeps one checkpoint, at
+	// the instant, and none at reset — there the field is the answer.
+	forks := !out.Request.NoCheckpoint
 	ticks := "cycles"
 	if out.Request.Engine == "iss" {
+		forks = out.Checkpointed
 		ticks = "instructions (ISS timebase)"
 	}
-	fmt.Printf("engine:     %s, golden run %d %s\n", engine, out.GoldenCycles, ticks)
+	engine := "from-reset re-simulation"
+	if forks {
+		engine = "golden-run forking (clean run simulated once, experiments fork from it)"
+	}
+	fmt.Fprintf(w, "engine:     %s, golden run %d %s\n", engine, out.GoldenCycles, ticks)
 	if out.EarlyStopped {
-		fmt.Printf("adaptive:   converged after %d of %d experiments (epsilon %.3g, Wilson 95%%)\n",
+		fmt.Fprintf(w, "adaptive:   converged after %d of %d experiments (epsilon %.3g, Wilson 95%%)\n",
 			out.Injections, out.Requested, out.Request.Epsilon)
 	}
-	fmt.Printf("Pf:         %s of faults propagated to failures (95%% CI %s..%s, Wilson)\n",
+	fmt.Fprintf(w, "Pf:         %s of faults propagated to failures (95%% CI %s..%s, Wilson)\n",
 		report.Percent(out.Pf), report.Percent(out.PfLow), report.Percent(out.PfHigh))
 	if out.MaxLatencyCycles >= 0 {
-		fmt.Printf("latency:    max detection latency %d cycles\n", out.MaxLatencyCycles)
+		fmt.Fprintf(w, "latency:    max detection latency %d cycles\n", out.MaxLatencyCycles)
 	}
 	if h := out.Hybrid; h != nil {
-		fmt.Printf("hybrid:     %d ISS-trusted + %d RTL (%d audited), %d audit disagreements (%s)\n",
+		fmt.Fprintf(w, "hybrid:     %d ISS-trusted + %d RTL (%d audited), %d audit disagreements (%s)\n",
 			h.ISSExperiments, h.RTLExperiments, h.Audited, h.Disagreements, report.Percent(h.DisagreementRate))
-		fmt.Printf("corrected:  Pf interval %s..%s after audit-error widening\n",
+		fmt.Fprintf(w, "corrected:  Pf interval %s..%s after audit-error widening\n",
 			report.Percent(h.CorrectedPfLow), report.Percent(h.CorrectedPfHigh))
 		tab := &report.Table{
 			Title:   "hybrid routing by node class",
@@ -292,64 +207,22 @@ func renderOutcome(out *jobs.Outcome, shards int, elapsed time.Duration) {
 				fmt.Sprintf("%.3f", c.R2), routed,
 				report.Percent(c.PredictedPf), report.Percent(c.AuditedPf))
 		}
-		fmt.Print(tab.String())
+		fmt.Fprint(w, tab.String())
 	}
-	// Sort outcome and unit names in their enum order, exactly like the
-	// raw-results path above: adding -shards or -epsilon must not reorder
-	// any output line.
-	keys := make([]string, 0, len(out.Outcomes))
-	for k := range out.Outcomes {
-		keys = append(keys, k)
-	}
-	sortByRank(keys, outcomeRank())
-	fmt.Printf("outcomes:  ")
-	for _, k := range keys {
-		fmt.Printf(" %s=%d", k, out.Outcomes[k])
-	}
-	fmt.Println()
-	tab := &report.Table{Title: "per-unit Pf (Pmf of Equation 1)", Columns: []string{"unit", "Pf"}}
-	units := make([]string, 0, len(out.PfByUnit))
-	for u := range out.PfByUnit {
-		units = append(units, u)
-	}
-	sortByRank(units, unitRank())
-	for _, u := range units {
-		tab.AddRow(u, report.Percent(out.PfByUnit[u]))
-	}
-	fmt.Print(tab.String())
-}
-
-// outcomeRank and unitRank map the service's wire names back onto their
-// enum order so sharded/adaptive renderings sort like the raw-results
-// path.
-func outcomeRank() map[string]int {
-	r := map[string]int{}
+	// Outcome and unit names print in their enum order, whatever map
+	// order the outcome carries them in.
+	fmt.Fprintf(w, "outcomes:  ")
 	for o := fault.OutcomeNoEffect; o <= fault.OutcomeHang; o++ {
-		r[o.String()] = int(o)
-	}
-	return r
-}
-
-func unitRank() map[string]int {
-	r := map[string]int{}
-	for u := sparc.Unit(0); u < sparc.NumUnits; u++ {
-		r[u.String()] = int(u)
-	}
-	return r
-}
-
-// sortByRank orders names by their rank, unknown names last by name.
-func sortByRank(names []string, rank map[string]int) {
-	sort.Slice(names, func(i, j int) bool {
-		ri, iok := rank[names[i]]
-		rj, jok := rank[names[j]]
-		switch {
-		case iok && jok:
-			return ri < rj
-		case iok != jok:
-			return iok
-		default:
-			return names[i] < names[j]
+		if n, ok := out.Outcomes[o.String()]; ok {
+			fmt.Fprintf(w, " %v=%d", o, n)
 		}
-	})
+	}
+	fmt.Fprintln(w)
+	tab := &report.Table{Title: "per-unit Pf (Pmf of Equation 1)", Columns: []string{"unit", "Pf"}}
+	for u := sparc.Unit(0); u < sparc.NumUnits; u++ {
+		if pf, ok := out.PfByUnit[u.String()]; ok {
+			tab.AddRow(u.String(), report.Percent(pf))
+		}
+	}
+	fmt.Fprint(w, tab.String())
 }

@@ -19,34 +19,35 @@
 //     content-addressed result cache and per-granule cancellation — the
 //     same scheduler cmd/faultserverd serves over HTTP/NDJSON.
 //
-// # Checkpointed campaign engine
+// # Campaign engine
 //
 // Fault-injection campaigns fork every experiment from a golden-run
-// checkpoint: the fault-free run is simulated exactly once more after
-// the golden run, its complete RTL state (pipeline registers,
-// register-file windows, cache arrays, architectural counters) is frozen
-// together with a copy-on-write image of program memory at the injection
-// instant and at a fixed spacing from there to program exit, and each of
-// the campaign's thousands of experiments resumes from the snapshot at
-// or below the cycle its fault arrives; a transient upset that has been
+// ladder: the fault-free run is simulated exactly once more after the
+// golden run, its complete RTL state (pipeline registers, register-file
+// windows, cache arrays, architectural counters) is frozen together with
+// a copy-on-write image of program memory at the injection instant and
+// at a fixed spacing from there to program exit, and each of the
+// campaign's thousands of experiments resumes from the snapshot at or
+// below the cycle its fault arrives; a transient upset that has been
 // overwritten is finalized at the next snapshot instead of being
-// simulated to program exit. Results are bit-identical to from-reset re-simulation —
-// same outcome sequence, latencies and Pf — at a fraction of the cost for
-// realistic injection instants. Set CampaignSpec.NoCheckpoint (or
-// fault.Options.NoCheckpoint) to fall back to from-reset re-simulation
-// when debugging the engine.
+// simulated to program exit.
 //
-// From the checkpoint, experiments run bit-parallel (PPSFP): the engine
+// From the ladder, experiments run bit-parallel (PPSFP): the engine
 // batches up to 64 fault universes — lanes — into one witnessed golden
 // pass that records which bit values every batched net is read with,
 // finalizes the lanes that provably never activate as no-effect without
 // simulating them, and re-runs only the activated lanes scalar from the
-// nearest frozen golden state. Per-lane results are byte-identical to scalar
-// execution for every fault model and injection target, so batching is
-// invisible to result encodings, content addresses and shard merges.
-// Set CampaignSpec.NoBatch to force one scalar simulation per
-// experiment (the pre-batching engine); see DESIGN.md §10 for the
-// design and the measured lane-count ablation.
+// nearest frozen golden state (DESIGN.md §10). Batching is invisible to
+// result encodings, content addresses and shard merges.
+//
+// There is one engine selector. CampaignSpec.NoCheckpoint (request field
+// no_checkpoint, `faultcampaign -no-checkpoint`, fault.Options.NoCheckpoint)
+// swaps the production engine for the deliberately naive reference — a
+// fresh core per experiment, simulated from reset, one scalar run each —
+// whose results are bit-identical (same outcome sequence, latencies and
+// Pf) at a much higher cost; it exists to check the engine and to
+// measure its speedup. The older no_batch name is still accepted and
+// echoed, and selects nothing.
 //
 // Quick start:
 //
@@ -194,23 +195,18 @@ type CampaignSpec struct {
 	// PulseCycles is the SETPulse glitch width in cycles (0 = 1).
 	// Permanent models and BitFlip ignore it.
 	PulseCycles uint64 `json:"pulse_cycles,omitempty"`
-	// NoCheckpoint disables the checkpointed campaign engine. By default
-	// (false) the golden warm-up prefix up to the injection instant is
-	// simulated once, its full RTL state is frozen in a snapshot with a
-	// copy-on-write memory image, and every experiment forks from it;
-	// disabling re-simulates each experiment from reset, which produces
-	// identical results at a much higher cost and exists for debugging
-	// the engine itself.
+	// NoCheckpoint selects the from-reset scalar reference engine instead
+	// of the production one (ladder forks on pooled cores, 64-lane
+	// witnessed batches, reconvergence drops): a fresh core per
+	// experiment, simulated from reset. Results are identical at a much
+	// higher cost; it exists for checking the engine and measuring its
+	// speedup.
 	NoCheckpoint bool `json:"no_checkpoint"`
-	// NoBatch disables the bit-parallel (PPSFP) campaign engine. By
-	// default (false) a checkpointed campaign groups experiments that
-	// share an injection instant into batches of up to 64 fault
-	// universes ("lanes"); one witnessed golden pass resolves every lane
-	// that never observably activates, and only the rest simulate.
-	// Disabling runs each experiment as its own scalar simulation, which
-	// produces identical results at a higher cost and exists for
-	// debugging and ablation. With NoCheckpoint set every experiment is
-	// scalar regardless.
+	// NoBatch is a frozen wire name and selects nothing: it once forced
+	// one scalar simulation per experiment on the ladder, a path the
+	// engine now takes only where its batch planner needs it. The field
+	// stays so specs that carry it keep decoding (addrlint holds the
+	// schema frozen).
 	NoBatch bool `json:"no_batch,omitempty"`
 }
 
@@ -252,7 +248,6 @@ func RunCampaign(w *Workload, spec CampaignSpec) (*CampaignResult, error) {
 		InjectAtFraction: spec.InjectAtFraction,
 		PulseCycles:      spec.PulseCycles,
 		NoCheckpoint:     spec.NoCheckpoint,
-		NoBatch:          spec.NoBatch,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -20,8 +20,10 @@
 // The BenchmarkCampaignCheckpointed / BenchmarkCampaignFromReset pair in
 // bench_test.go measures the resulting campaign speedup; results are
 // bit-identical either way (see internal/fault's TestCheckpointFidelity).
-// Disable the engine with fault.Options.NoCheckpoint or
-// core.CampaignSpec.NoCheckpoint when debugging.
+// fault.Options.NoCheckpoint (core.CampaignSpec.NoCheckpoint, request
+// field no_checkpoint) is the one engine selector: it swaps the
+// production engine for the naive from-reset scalar reference the
+// equivalence tests compare against.
 //
 // On top of the checkpoint, experiments execute bit-parallel in the
 // PPSFP style: the runner batches up to 64 fault universes (lanes) per
@@ -31,9 +33,9 @@
 // scalar run forked from the ladder. Per-lane results are
 // byte-identical to the scalar engine (TestEngineEquivalence,
 // TestBatchedCampaignRace), so batching never leaks into content
-// addresses, shard merges or cached outcomes. Disable it with
-// fault.Options.NoBatch / core.CampaignSpec.NoBatch / `-no-batch`, and
-// cap the lane count with fault.Options.BatchLanes (DESIGN.md §10).
+// addresses, shard merges or cached outcomes (DESIGN.md §10). It has no
+// switch of its own: the no_batch request field is a frozen wire name,
+// accepted and echoed, and selects nothing.
 //
 // Campaigns can also be served instead of batch-run: cmd/faultserverd is
 // a long-running HTTP/NDJSON job server (internal/jobs, internal/server)

@@ -38,17 +38,11 @@ type Options struct {
 	// Iterations overrides workload kernel iterations for RTL campaigns
 	// (0 = 2, which §4.2 shows is sufficient for permanent faults).
 	Iterations int
-	// NoCheckpoint disables the checkpointed campaign engine: every
-	// experiment then re-simulates its golden warm-up prefix from reset
-	// (the paper's original cost model; useful only for debugging or for
-	// measuring the engine's speedup).
+	// NoCheckpoint runs every campaign on the engine's from-reset scalar
+	// reference (fault.Options.NoCheckpoint) instead of the production
+	// engine: the paper's original cost model, useful only for debugging
+	// or for measuring the engine's speedup.
 	NoCheckpoint bool
-	// NoBatch disables the bit-parallel (PPSFP) campaign engine: every
-	// experiment then runs as its own scalar simulation instead of
-	// sharing one witnessed golden pass per batch of fault universes.
-	// Results are identical; the toggle exists for debugging and for the
-	// DESIGN.md §10 lane ablation.
-	NoBatch bool
 	// Context, when non-nil, bounds every campaign the experiment
 	// functions run: cancellation stops the worker loops within one
 	// experiment granule and the experiment function returns ctx.Err().
@@ -91,52 +85,92 @@ type runnerKey struct {
 	opts fault.Options
 }
 
-// runnerCache memoizes fault runners process-wide, so the golden run and
-// checkpoint of each (workload, config) pair are simulated once and then
-// shared across Figure3/4/5/6/7 and Eq1 — Figure 7 alone used to rebuild
-// the same six runners Figure 5 had already built. Runners are safe for
-// concurrent campaigns, so sharing one across experiment functions is
-// sound; the cache holds at most maxRunners entries, evicted
-// oldest-first (the experiment functions need only a dozen).
-var runnerCache struct {
+// onceCache memoizes engine builds process-wide: at most maxRunners
+// entries, evicted least-recently-used, each built exactly once — by the
+// first caller, under buildSem — while later callers of the same key wait
+// for that build and share its result, failure included. RunnerFor and
+// ISSRunnerFor each keep one.
+type onceCache[K comparable, V any] struct {
 	mu    sync.Mutex
-	m     map[runnerKey]*runnerEntry
-	order []runnerKey // recency order, oldest first, for LRU eviction
+	m     map[K]*onceEntry[V]
+	order []K // recency order, oldest first, for LRU eviction
 }
 
-// maxRunners bounds the memoized runner cache. The experiment functions
-// only ever need a dozen entries, but the campaign job service keys this
-// cache from client-supplied requests, so an unbounded map would let a
+type onceEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+// maxRunners bounds each memoized runner cache. The experiment functions
+// only ever need a dozen entries, but the campaign job service keys the
+// caches from client-supplied requests, so an unbounded map would let a
 // request stream with ever-new injection instants pin one golden run +
 // golden ladder each until the daemon dies. A cached runner pins its
 // golden write trace, its node enumerations and — once a campaign has
 // used it — its ladder: at most 64 rungs, each a copy of the kernel
 // slabs plus the copy-on-write pages the program dirtied since the
 // previous rung, 0.7–0.9 MB in all on the EEMBC workalikes however long
-// the run, so a full cache holds well under 100 MB. Eviction is least-recently-used and only drops the
-// memoization: runners still referenced by in-flight campaigns stay
+// the run, so a full cache holds well under 100 MB. Eviction only drops
+// the memoization: runners still referenced by in-flight campaigns stay
 // alive until those campaigns finish.
 const maxRunners = 64
 
 // buildSem bounds concurrent golden-run constructions: each is a full
-// RTL simulation of a workload's fault-free run, so an unbounded number
-// of them (e.g. a burst of distinct job-service requests) would swamp
-// the cores the campaigns themselves need. Cache hits never touch it.
+// simulation of a workload's fault-free run, so an unbounded number of
+// them (e.g. a burst of distinct job-service requests) would swamp the
+// cores the campaigns themselves need. Cache hits never touch it.
 var buildSem = make(chan struct{}, runtime.GOMAXPROCS(0))
 
-type runnerEntry struct {
-	once sync.Once
-	r    *fault.Runner
-	err  error
+// get returns key's memoized value, running build for it on first use.
+func (c *onceCache[K, V]) get(key K, build func() (V, error)) (V, error) {
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[K]*onceEntry[V])
+	}
+	e := c.m[key]
+	if e == nil {
+		for len(c.m) >= maxRunners {
+			delete(c.m, c.order[0])
+			c.order = c.order[1:]
+		}
+		e = &onceEntry[V]{}
+		c.m[key] = e
+		c.order = append(c.order, key)
+	} else {
+		// LRU touch: move the key to the back so the hottest runners are
+		// the last to be evicted.
+		for i, k := range c.order {
+			if k == key {
+				copy(c.order[i:], c.order[i+1:])
+				c.order[len(c.order)-1] = key
+				break
+			}
+		}
+	}
+	c.mu.Unlock()
+	e.once.Do(func() {
+		buildSem <- struct{}{}
+		defer func() { <-buildSem }()
+		e.v, e.err = build()
+	})
+	return e.v, e.err
 }
+
+// runnerCache shares the golden run and ladder of each (workload, config,
+// options) triple across Figure3/4/5/6/7 and Eq1 — Figure 7 alone used to
+// rebuild the same six runners Figure 5 had already built — and across
+// the job service's requests. Runners are safe for concurrent campaigns,
+// so sharing one is sound.
+var runnerCache onceCache[runnerKey, *fault.Runner]
 
 // RunnerFor returns the process-wide memoized fault runner for a
 // (workload, config, runner options) triple, building it — golden run
 // included — on first use. Runners are safe for concurrent campaigns, so
 // callers (the experiment functions here, and the campaign job service in
 // internal/jobs) share one runner per triple: the golden run and its
-// checkpoint are simulated once and reused until the entry ages out of
-// the bounded cache.
+// ladder are simulated once and reused until the entry ages out of the
+// bounded cache.
 func RunnerFor(name string, cfg workloads.Config, fopts fault.Options) (*fault.Runner, error) {
 	key := runnerKey{name: name, cfg: cfg, opts: fopts}
 	// The observability registry is a sink, never an input: two requests
@@ -147,42 +181,13 @@ func RunnerFor(name string, cfg workloads.Config, fopts fault.Options) (*fault.R
 	// the daemon every build goes through the manager's registry, so this
 	// is moot there.
 	key.opts.Obs = nil
-	runnerCache.mu.Lock()
-	if runnerCache.m == nil {
-		runnerCache.m = make(map[runnerKey]*runnerEntry)
-	}
-	e := runnerCache.m[key]
-	if e == nil {
-		for len(runnerCache.m) >= maxRunners {
-			delete(runnerCache.m, runnerCache.order[0])
-			runnerCache.order = runnerCache.order[1:]
-		}
-		e = &runnerEntry{}
-		runnerCache.m[key] = e
-		runnerCache.order = append(runnerCache.order, key)
-	} else {
-		// LRU touch: move the key to the back so the hottest runners are
-		// the last to be evicted.
-		for i, k := range runnerCache.order {
-			if k == key {
-				copy(runnerCache.order[i:], runnerCache.order[i+1:])
-				runnerCache.order[len(runnerCache.order)-1] = key
-				break
-			}
-		}
-	}
-	runnerCache.mu.Unlock()
-	e.once.Do(func() {
-		buildSem <- struct{}{}
-		defer func() { <-buildSem }()
+	return runnerCache.get(key, func() (*fault.Runner, error) {
 		w, err := workloads.Build(name, cfg)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.r, e.err = fault.NewRunner(w.Program, fopts)
+		return fault.NewRunner(w.Program, fopts)
 	})
-	return e.r, e.err
 }
 
 // runnerFor is the experiment functions' view of RunnerFor: every figure
@@ -192,7 +197,6 @@ func runnerFor(o Options, name string, cfg workloads.Config) (*fault.Runner, err
 	return RunnerFor(name, cfg, fault.Options{
 		InjectAtFraction: injectFraction,
 		NoCheckpoint:     o.NoCheckpoint,
-		NoBatch:          o.NoBatch,
 	})
 }
 
@@ -360,20 +364,14 @@ type Fig4Result struct {
 func Figure4(o Options) (*Fig4Result, error) {
 	out := &Fig4Result{}
 	for _, iters := range []int{2, 4, 10} {
-		r, err := runnerFor(o, "rspeed", workloads.Config{Iterations: iters})
+		pf, results, err := pfOf(o, "rspeed", workloads.Config{Iterations: iters}, fault.TargetIU, rtl.StuckAt1)
 		if err != nil {
 			return nil, err
 		}
-		nodes := fault.SampleNodes(r.Nodes(fault.TargetIU), o.nodes(), o.Seed)
-		results, err := r.CampaignContext(o.ctx(), fault.Expand(nodes, rtl.StuckAt1), o.Workers, nil)
-		if err != nil {
-			return nil, err
-		}
-		lat := fault.MaxLatency(results)
 		out.Points = append(out.Points, Fig4Point{
 			Iterations:   iters,
-			Pf:           fault.Pf(results),
-			MaxLatencyUS: float64(lat) / ClockMHz,
+			Pf:           pf,
+			MaxLatencyUS: float64(fault.MaxLatency(results)) / ClockMHz,
 		})
 	}
 	return out, nil
@@ -638,7 +636,6 @@ func checkpointSpeedup(o Options, w *workloads.Workload) (ckSec, resetSec float6
 		r, err := fault.NewRunner(w.Program, fault.Options{ //lint:allow seam audited one-shot timing build
 			InjectAtFraction: injectFraction,
 			NoCheckpoint:     noCkpt,
-			NoBatch:          o.NoBatch,
 		})
 		if err != nil {
 			return 0, 0, fmt.Errorf("campaign: checkpoint timing: %w", err)

@@ -40,7 +40,7 @@ func ExtTransient(o Options, benchmark string) (*TransientResult, error) {
 	nodes := fault.SampleNodes(r.Nodes(fault.TargetIU), o.nodes(), o.Seed)
 
 	out := &TransientResult{Benchmark: benchmark}
-	perm, err := r.CampaignContext(o.ctx(), fault.Expand(nodes, 1 /* StuckAt1 */), o.Workers, nil)
+	perm, err := r.CampaignContext(o.ctx(), fault.Expand(nodes, rtl.StuckAt1), o.Workers, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +49,11 @@ func ExtTransient(o Options, benchmark string) (*TransientResult, error) {
 	// Five instants spread across the golden run.
 	for _, frac := range []float64{0.05, 0.25, 0.5, 0.75, 0.95} {
 		at := uint64(frac * float64(r.GoldenCycles))
-		results, err := r.TransientCampaignContext(o.ctx(), nodes, []uint64{at}, o.Workers)
+		flips := fault.Expand(nodes, rtl.BitFlip)
+		for i := range flips {
+			flips[i].AtCycle = at
+		}
+		results, err := r.CampaignContext(o.ctx(), flips, o.Workers, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +93,6 @@ func TransientBreakdown(o Options, benchmark string, pulse uint64) (*TransientBr
 		InjectAtFraction: injectFraction,
 		PulseCycles:      pulse,
 		NoCheckpoint:     o.NoCheckpoint,
-		NoBatch:          o.NoBatch,
 	})
 	if err != nil {
 		return nil, err

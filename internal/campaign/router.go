@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"sync"
-
 	"repro/internal/fault"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -83,23 +81,13 @@ type issRunnerKey struct {
 	fixedCycle uint64
 }
 
-type issRunnerEntry struct {
-	once sync.Once
-	r    *fault.ISSRunner
-	err  error
-}
-
-var issRunnerCache struct {
-	mu    sync.Mutex
-	m     map[issRunnerKey]*issRunnerEntry
-	order []issRunnerKey
-}
+var issRunnerCache onceCache[issRunnerKey, *fault.ISSRunner]
 
 // ISSRunnerFor returns the process-wide memoized ISS campaign runner
 // for a (workload, config, options, timebase) tuple, building it —
-// golden emulation included — on first use. The cache mirrors
-// RunnerFor's: bounded, LRU-evicted, build-concurrency-limited, and
-// keyed with the observability registry stripped.
+// golden emulation included — on first use. The cache has RunnerFor's
+// policy (see onceCache) and, like it, is keyed with the observability
+// registry stripped.
 func ISSRunnerFor(name string, cfg workloads.Config, fopts fault.Options, cycleRef, fixedCycle uint64) (*fault.ISSRunner, error) {
 	key := issRunnerKey{
 		runnerKey:  runnerKey{name: name, cfg: cfg, opts: fopts},
@@ -107,38 +95,11 @@ func ISSRunnerFor(name string, cfg workloads.Config, fopts fault.Options, cycleR
 		fixedCycle: fixedCycle,
 	}
 	key.opts.Obs = nil
-	issRunnerCache.mu.Lock()
-	if issRunnerCache.m == nil {
-		issRunnerCache.m = make(map[issRunnerKey]*issRunnerEntry)
-	}
-	e := issRunnerCache.m[key]
-	if e == nil {
-		for len(issRunnerCache.m) >= maxRunners {
-			delete(issRunnerCache.m, issRunnerCache.order[0])
-			issRunnerCache.order = issRunnerCache.order[1:]
-		}
-		e = &issRunnerEntry{}
-		issRunnerCache.m[key] = e
-		issRunnerCache.order = append(issRunnerCache.order, key)
-	} else {
-		for i, k := range issRunnerCache.order {
-			if k == key {
-				copy(issRunnerCache.order[i:], issRunnerCache.order[i+1:])
-				issRunnerCache.order[len(issRunnerCache.order)-1] = key
-				break
-			}
-		}
-	}
-	issRunnerCache.mu.Unlock()
-	e.once.Do(func() {
-		buildSem <- struct{}{}
-		defer func() { <-buildSem }()
+	return issRunnerCache.get(key, func() (*fault.ISSRunner, error) {
 		w, err := workloads.Build(name, cfg)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.r, e.err = fault.NewISSRunner(w.Program, fopts, cycleRef, fixedCycle)
+		return fault.NewISSRunner(w.Program, fopts, cycleRef, fixedCycle)
 	})
-	return e.r, e.err
 }

@@ -51,11 +51,11 @@ import (
 // next activation cycle. The pass itself keeps no golden state: it
 // starts from rung 0 of the runner's shared ladder and only witnesses.
 
-// maxBatchLanes is the lane capacity of one batch: a pass records one
+// maxLanes is the lane capacity of one batch: a pass records one
 // activation word per golden cycle, one bit per lane, which is also the
 // PPSFP word width the design is named for; 64 keeps batch bookkeeping
 // and stop-rule granularity bounded.
-const maxBatchLanes = 64
+const maxLanes = 64
 
 // planItem is one dispatch granule of a campaign: a single scalar
 // experiment (lanes nil) or a batch of experiment indices.
@@ -65,8 +65,9 @@ type planItem struct {
 }
 
 // planBatches partitions a campaign's experiments into dispatch
-// granules. Experiments are batchable when the ladder is on and the
-// witnessed pass can reason about the experiment: the permanent models,
+// granules. Under NoCheckpoint — the reference engine — every experiment
+// is its own scalar granule. Otherwise an experiment is batchable when
+// the witnessed pass can reason about it: the permanent models,
 // SETPulse, and BitFlip on a memory-array word (see the file comment).
 // A BitFlip on a signal mutates raw state that propagates through raw
 // register copies without ever being "read", so witness gating would be
@@ -77,12 +78,8 @@ type planItem struct {
 // plan shape is free to change without affecting campaign or shard
 // determinism.
 func (r *Runner) planBatches(exps []Experiment) []planItem {
-	lanes := r.opts.BatchLanes
-	if lanes <= 0 || lanes > maxBatchLanes {
-		lanes = maxBatchLanes
-	}
 	plan := make([]planItem, 0, len(exps))
-	if r.opts.NoBatch || r.opts.NoCheckpoint {
+	if r.opts.NoCheckpoint {
 		for i := range exps {
 			plan = append(plan, planItem{idx: i})
 		}
@@ -109,7 +106,7 @@ func (r *Runner) planBatches(exps []Experiment) []planItem {
 			continue
 		}
 		cur = append(cur, i)
-		if len(cur) == lanes {
+		if len(cur) == maxLanes {
 			flush()
 		}
 	}
@@ -145,7 +142,7 @@ type lane struct {
 // probe fires when some consumer read the faulted bit with the polarity
 // the forcing would invert.
 type probe struct {
-	net   int32 // witness net index (< maxBatchLanes)
+	net   int32 // witness net index (< maxLanes)
 	shift uint8 // Node.Bit (< 64)
 	// forcedOne is the armed polarity of the faulted bit; for the
 	// charge-sampling models it is derived from lane.sampled. armed is

@@ -13,15 +13,15 @@ import (
 // TestCampaignContextCancel pins the cancellation contract: cancelling
 // mid-campaign stops the worker loops within one dispatch granule —
 // already-completed experiments keep their results, the remainder never
-// run — and the partial results come back with ctx.Err(). Batching is
-// disabled so the granule is a single experiment; the batched granule
-// is pinned by TestCampaignStopContext.
+// run — and the partial results come back with ctx.Err(). The run is on
+// the reference engine, whose granule is a single experiment; the batched
+// granule is pinned by TestCampaignStopContext.
 func TestCampaignContextCancel(t *testing.T) {
 	w, err := workloads.Build("excerptA", workloads.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.3, NoBatch: true})
+	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.3, NoCheckpoint: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +89,15 @@ func TestCampaignContextComplete(t *testing.T) {
 // early stopping: the rule sees monotonically growing completion counts,
 // halting via it is a success (nil error) with a ran bitmap marking
 // exactly the completed prefix set, and experiments whose slot is unset
-// in the bitmap never executed. The scalar engine stops within one
-// experiment per worker; the batched engine within one batch per worker.
+// in the bitmap never executed. The scalar reference engine stops within
+// one experiment per worker; the batched engine within one batch per
+// worker.
 func TestCampaignStopContext(t *testing.T) {
 	w, err := workloads.Build("excerptA", workloads.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.3, NoBatch: true})
+	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.3, NoCheckpoint: true})
 	if err != nil {
 		t.Fatal(err)
 	}

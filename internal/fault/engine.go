@@ -45,7 +45,7 @@ type CampaignEngine interface {
 	RunOne(e Experiment) Result
 	// CampaignStopContext runs the experiments across workers with
 	// per-completion taps and an optional sequential stop rule; see
-	// Runner.CampaignStopContext for the full contract.
+	// dispatch for the full contract.
 	CampaignStopContext(ctx context.Context, exps []Experiment, workers int,
 		tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error)
 }

@@ -6,109 +6,147 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/asm"
+	"repro/internal/obs"
 	"repro/internal/rtl"
 	"repro/internal/workloads"
 )
 
-// TestEngineEquivalence is the campaign engines' correctness contract:
-// every engine combination — pooled or fork-per-experiment, checkpointed
-// or from-reset, scalar or bit-parallel at any lane count — must produce
-// bit-identical Result slices (outcomes, latencies, run lengths, hence
-// Pf) across both injection targets and all five fault models, with
-// transient instants scheduled over the full experiment list. The scalar
-// pooled checkpointed engine is the reference; the batched variants pin
-// DESIGN.md §10's claim that lane-masked execution is an optimization,
-// not an approximation. The @0 rows repeat the contract at injection
-// instant 0 — the default of every campaign surface and the instant of
-// every hybrid audit — where rung 0 of the ladder is the reset state and
-// the reference is the NoCheckpoint engine.
+// TestEngineEquivalence is the campaign engine's correctness contract:
+// the production engine — ladder forks on pooled cores, 64-lane witnessed
+// batches, reconvergence drops — must produce Result slices (outcomes,
+// latencies, run lengths, hence Pf) bit-identical to the NoCheckpoint
+// reference's, across both injection targets and all five fault models,
+// with transient instants scheduled over the full experiment list, by
+// every path checkEngine walks. The @0 rows repeat the contract at
+// injection instant 0 — the default of every campaign surface and the
+// instant of every hybrid audit — where rung 0 of the ladder is the reset
+// state.
 func TestEngineEquivalence(t *testing.T) {
 	w, err := workloads.Build("excerptA", workloads.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	type engine struct {
-		name string
-		opts Options
-	}
-	midRun := []engine{
-		{"scalar-pooled-checkpointed", Options{InjectAtFraction: 0.3, NoBatch: true}},
-		{"batched-64", Options{InjectAtFraction: 0.3}},
-		{"batched-8", Options{InjectAtFraction: 0.3, BatchLanes: 8}},
-		{"batched-1", Options{InjectAtFraction: 0.3, BatchLanes: 1}},
-		{"batched-fork-per-experiment", Options{InjectAtFraction: 0.3, NoPool: true}},
-		{"pooled-from-reset", Options{InjectAtFraction: 0.3, NoCheckpoint: true}},
-		{"unpooled-from-reset", Options{InjectAtFraction: 0.3, NoCheckpoint: true, NoPool: true}},
-	}
-	atReset := []engine{
-		{"pooled-from-reset", Options{NoCheckpoint: true}},
-		{"batched-64", Options{}},
-		{"batched-8", Options{BatchLanes: 8}},
-		{"batched-1", Options{BatchLanes: 1}},
-		{"scalar-ladder", Options{NoBatch: true}},
-	}
 	for _, tc := range []struct {
-		name    string
-		target  Target
-		engines []engine
+		name   string
+		target Target
+		opts   Options
 	}{
-		{"IU", TargetIU, midRun}, {"CMEM", TargetCMEM, midRun},
-		{"IU@0", TargetIU, atReset}, {"CMEM@0", TargetCMEM, atReset},
+		{"IU", TargetIU, Options{InjectAtFraction: 0.3}}, {"CMEM", TargetCMEM, Options{InjectAtFraction: 0.3}},
+		{"IU@0", TargetIU, Options{}}, {"CMEM@0", TargetCMEM, Options{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var ref []Result
-			var batched *Runner
-			var scheduled []Experiment
-			for _, eng := range tc.engines {
-				r, err := NewRunner(w.Program, eng.opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nodes := SampleNodes(r.Nodes(tc.target), 6, 7)
-				exps := Expand(nodes, rtl.AllFaultModels()...)
-				// Same options-derived window and seed in every runner, so
-				// each engine sees identical transient instants.
-				r.ScheduleTransients(exps, 21)
-				results := r.Campaign(exps, 3)
-				if ref == nil {
-					ref = results
-					continue
-				}
-				if eng.name == "batched-64" {
-					batched, scheduled = r, exps
-				}
-				if !reflect.DeepEqual(ref, results) {
-					for i := range ref {
-						if !reflect.DeepEqual(ref[i], results[i]) {
-							t.Errorf("%s: experiment %d (%v %v) diverged: %+v vs %+v",
-								eng.name, i, exps[i].Node.Node, exps[i].Model, ref[i], results[i])
-						}
-					}
-					t.Fatalf("%s: results differ from %s", eng.name, tc.engines[0].name)
-				}
-				if got, want := Pf(results), Pf(ref); got != want {
-					t.Fatalf("%s: Pf %v != %v", eng.name, got, want)
-				}
-			}
-
-			// Sharded batched execution: running contiguous slices of the
-			// scheduled list as separate campaigns (the shard layer's
-			// currency — instants were assigned over the full list) and
-			// concatenating must reassemble the unsharded byte stream, no
-			// matter how the slicing interacts with batch boundaries.
-			var merged []Result
-			for lo := 0; lo < len(scheduled); {
-				hi := lo + 7
-				if hi > len(scheduled) {
-					hi = len(scheduled)
-				}
-				merged = append(merged, batched.Campaign(scheduled[lo:hi], 2)...)
-				lo = hi
-			}
-			if !reflect.DeepEqual(merged, ref) {
-				t.Fatal("sharded batched campaign diverged from unsharded results")
+			prod, ref := enginePair(t, w.Program, tc.opts)
+			exps := Expand(SampleNodes(prod.Nodes(tc.target), 6, 7), rtl.AllFaultModels()...)
+			// Both runners derive the same window from the same options, so
+			// one schedule serves both.
+			prod.ScheduleTransients(exps, 21)
+			want := ref.Campaign(exps, 3)
+			checkEngine(t, prod, exps, want)
+			if got := Pf(prod.Campaign(exps, 3)); got != Pf(want) {
+				t.Fatalf("Pf %v != reference %v", got, Pf(want))
 			}
 		})
+	}
+}
+
+// enginePair builds the production runner for opts and its NoCheckpoint
+// reference. A program whose golden run does not exit (a generated one
+// may legitimately end in a trap) skips the test.
+func enginePair(t *testing.T, p *asm.Program, opts Options) (prod, ref *Runner) {
+	t.Helper()
+	prod, err := NewRunner(p, opts)
+	if err != nil {
+		t.Skipf("no golden run: %v", err)
+	}
+	opts.NoCheckpoint = true
+	ref, err = NewRunner(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prod, ref
+}
+
+// checkEngine holds the production engine to want — the NoCheckpoint
+// reference's results for exps, which builds a fresh core per experiment
+// where everything below restores pooled ones — by every path an
+// experiment can take: the campaign as planned (full batches), every
+// experiment through RunOne (the scalar ladder path signal upsets take
+// inside campaigns too), and the scheduled list cut into 1-, 7- and
+// 8-experiment campaigns. The cuts are the shard layer's currency —
+// instants were assigned over the full list — and give every lane count
+// and batch boundary a turn: concatenated, they must reassemble the
+// reference's byte stream however the slicing falls.
+func checkEngine(t *testing.T, prod *Runner, exps []Experiment, want []Result) {
+	t.Helper()
+	check := func(path string, got []Result) {
+		t.Helper()
+		if reflect.DeepEqual(got, want) {
+			return
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: experiment %d (%v %v@%d): got %+v, reference %+v",
+					path, i, exps[i].Model, exps[i].Node.Node, exps[i].AtCycle, got[i], want[i])
+			}
+		}
+		t.Fatalf("%s: results differ from the from-reset reference", path)
+	}
+	check("Campaign", prod.Campaign(exps, 3))
+	one := make([]Result, len(exps))
+	for i, e := range exps {
+		one[i] = prod.RunOne(e)
+	}
+	check("RunOne", one)
+	for _, cut := range []int{1, 7, 8} {
+		if cut >= len(exps) {
+			continue // the whole list again
+		}
+		merged := make([]Result, 0, len(exps))
+		for lo := 0; lo < len(exps); lo += cut {
+			merged = append(merged, prod.Campaign(exps[lo:min(lo+cut, len(exps))], 2)...)
+		}
+		check(fmt.Sprintf("%d-experiment campaigns", cut), merged)
+	}
+}
+
+// TestReferenceEngineIsNaive pins what NoCheckpoint selects, since every
+// equivalence test above and the repository benchmark's output check
+// lean on it being independent of the machinery under test: a campaign
+// on it builds no ladder, leaves nothing in the core pool, forks from no
+// rung and plans no batch lane.
+func TestReferenceEngineIsNaive(t *testing.T) {
+	w, err := workloads.Build("excerptA", workloads.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.3, NoCheckpoint: true, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := Expand(SampleNodes(r.Nodes(TargetIU), 8, 3), rtl.AllFaultModels()...)
+	r.ScheduleTransients(exps, 3)
+	r.PrepareCheckpoint()
+	r.Campaign(exps, 3)
+	if r.lad != nil {
+		t.Error("reference campaign built a golden ladder")
+	}
+	if e := r.engines.Get(); e != nil {
+		t.Error("reference campaign returned a core to the pool")
+	}
+	counters := engineCounters(t, reg)
+	if got := counters["engine_experiments_total"]; got != float64(len(exps)) {
+		t.Errorf("engine_experiments_total = %v, want %d", got, len(exps))
+	}
+	for _, name := range []string{
+		"engine_snapshot_materializations_total", "engine_reconverged_total",
+		"engine_batch_lanes_planned_total", "engine_batch_lanes_activated_total",
+		"engine_batch_lanes_free_total", "engine_golden_pass_cycles_total",
+	} {
+		if counters[name] != 0 {
+			t.Errorf("%s = %v on the reference engine, want 0", name, counters[name])
+		}
 	}
 }
 
@@ -126,11 +164,12 @@ func TestBatchedCampaignRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.5, BatchLanes: 8, PulseCycles: 2})
+	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.5, PulseCycles: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := SampleNodes(r.Nodes(TargetIU), 12, 11)
+	// 200 experiments: several 64-lane batches in flight at once.
+	nodes := SampleNodes(r.Nodes(TargetIU), 40, 11)
 	exps := Expand(nodes, rtl.AllFaultModels()...)
 	r.ScheduleTransients(exps, 4)
 	par := r.Campaign(exps, 8)

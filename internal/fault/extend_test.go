@@ -14,17 +14,12 @@ func TestTransientFlipTemporalDependence(t *testing.T) {
 	// faults). A flip in the expected-PC register is catastrophic while
 	// the program runs, and harmless after the exit store has retired.
 	r := newRunner(t, "excerptA", workloads.Config{})
-	early := r.RunTransient(TransientExperiment{
-		Node:    NodeInfo{Node: rtl.Node{Name: "iu.ctl.exppc", Bit: 4}, Unit: sparc.UnitBranch},
-		AtCycle: 50,
-	})
+	exppc := NodeInfo{Node: rtl.Node{Name: "iu.ctl.exppc", Bit: 4}, Unit: sparc.UnitBranch}
+	early := r.RunOne(Experiment{Node: exppc, Model: rtl.BitFlip, AtCycle: 50})
 	if !early.Outcome.IsFailure() {
 		t.Errorf("early PC flip did not fail: %v", early.Outcome)
 	}
-	late := r.RunTransient(TransientExperiment{
-		Node:    NodeInfo{Node: rtl.Node{Name: "iu.ctl.exppc", Bit: 4}, Unit: sparc.UnitBranch},
-		AtCycle: r.GoldenCycles - 1,
-	})
+	late := r.RunOne(Experiment{Node: exppc, Model: rtl.BitFlip, AtCycle: r.GoldenCycles - 1})
 	if late.Outcome != OutcomeNoEffect {
 		t.Errorf("post-exit flip propagated: %v", late.Outcome)
 	}
@@ -36,10 +31,11 @@ func TestTransientWeakerThanPermanent(t *testing.T) {
 	r := newRunner(t, "excerptB", workloads.Config{})
 	nodes := SampleNodes(r.Nodes(TargetIU), 48, 11)
 	perm := r.Campaign(Expand(nodes, rtl.StuckAt1), 0)
-	trans := r.TransientCampaign(nodes, []uint64{100}, 0)
-	if len(trans) != len(nodes) {
-		t.Fatalf("transient results = %d", len(trans))
+	flips := Expand(nodes, rtl.BitFlip)
+	for i := range flips {
+		flips[i].AtCycle = 100
 	}
+	trans := r.Campaign(flips, 0)
 	pfPerm, pfTrans := Pf(perm), Pf(trans)
 	t.Logf("permanent Pf=%.3f transient Pf=%.3f", pfPerm, pfTrans)
 	if pfTrans > pfPerm+0.05 {
@@ -49,9 +45,9 @@ func TestTransientWeakerThanPermanent(t *testing.T) {
 
 func TestTransientFlipInDeadStateIsSilent(t *testing.T) {
 	r := newRunner(t, "excerptA", workloads.Config{})
-	res := r.RunTransient(TransientExperiment{
-		Node:    NodeInfo{Node: rtl.Node{Name: "iu.md.acc", Bit: 32}, Unit: sparc.UnitMulDiv},
-		AtCycle: 100,
+	res := r.RunOne(Experiment{
+		Node:  NodeInfo{Node: rtl.Node{Name: "iu.md.acc", Bit: 32}, Unit: sparc.UnitMulDiv},
+		Model: rtl.BitFlip, AtCycle: 100,
 	})
 	if res.Outcome != OutcomeNoEffect {
 		t.Errorf("flip in unused muldiv unit propagated: %v", res.Outcome)

@@ -135,36 +135,17 @@ type Options struct {
 	// mismatch (ablation A1 in DESIGN.md). The classification is
 	// identical; only the campaign cost changes.
 	NoEarlyExit bool
-	// NoCheckpoint disables the golden ladder: every experiment then
-	// simulates from reset to its verdict — warm-up prefix included, and
-	// with no reconvergence drop — instead of forking from the frozen
-	// golden trajectory at its injection instant (see checkpoint.go).
-	// This is the engine's scalar reference: classifications are
-	// identical either way; disabling is only useful for debugging the
-	// engine or measuring its speedup.
+	// NoCheckpoint is the one engine selector. False (the default) is the
+	// production engine: experiments fork from the frozen golden ladder at
+	// their injection instant on pooled cores, ride 64-lane witnessed
+	// batches where the planner can reason about them, and drop back onto
+	// the golden trajectory when they heal (checkpoint.go, batch.go). True
+	// is the deliberately naive reference every equivalence test and the
+	// repository benchmark's output check compare against: a fresh core
+	// per experiment, simulated from reset to its verdict, one scalar run
+	// each — no ladder, no pool, no batch, no reconvergence drop.
+	// Classifications are identical either way.
 	NoCheckpoint bool
-	// NoPool disables the pooled campaign engine: every experiment then
-	// builds a fresh RTL core (the fork-per-experiment engine of PR 1)
-	// instead of restoring a per-worker pooled core in place. Results are
-	// identical; the option exists for engine debugging and the
-	// engine-equivalence tests.
-	NoPool bool
-	// NoBatch disables the bit-parallel (PPSFP) campaign engine: every
-	// experiment then runs as its own scalar simulation instead of
-	// sharing one witnessed golden pass per batch of up to 64 fault
-	// universes (see batch.go and DESIGN.md §10). Results are identical;
-	// like NoPool and NoCheckpoint the toggle exists for debugging and
-	// the engine-equivalence tests. Batching also requires the golden
-	// ladder; with NoCheckpoint set every experiment is scalar regardless
-	// of NoBatch. The injection instant plays no part: at instant zero
-	// the ladder's first rung is the reset state.
-	NoBatch bool
-	// BatchLanes caps the number of fault universes a batch carries
-	// (DESIGN.md §10 ablates 1/8/32/64). Zero selects the full 64 lanes;
-	// values above 64 are clamped. One lane still exercises the batched
-	// engine (witnessed pass plus per-lane forks), just without lane
-	// sharing.
-	BatchLanes int
 	// Obs, when non-nil, receives the engine's counters (experiments,
 	// batch-lane funnel, golden-pass throughput). Observation only: it
 	// never influences planning, ordering or results, it is excluded from
@@ -172,6 +153,43 @@ type Options struct {
 	// addressing — a runner with a registry is byte-identical to one
 	// without.
 	Obs *obs.Registry
+}
+
+// normalize applies the documented defaults and rejects an injection
+// fraction that would place the instant at or past the golden run's end.
+func (o *Options) normalize() error {
+	if o.BudgetFactor == 0 {
+		o.BudgetFactor = 3
+	}
+	if o.ExtraCycles == 0 {
+		o.ExtraCycles = 10000
+	}
+	if o.PulseCycles == 0 {
+		o.PulseCycles = 1
+	}
+	if math.IsNaN(o.InjectAtFraction) || math.IsInf(o.InjectAtFraction, 0) ||
+		o.InjectAtFraction < 0 || o.InjectAtFraction >= 1 {
+		return fmt.Errorf("fault: InjectAtFraction %v outside [0,1)", o.InjectAtFraction)
+	}
+	return nil
+}
+
+// nodeLists is a runner's per-target injection-node enumeration, built
+// once (it used to construct a throwaway core on every call). Node
+// identity is a property of the RTL design, not of any engine, so both
+// runners keep one and enumerate the identical lists.
+type nodeLists struct {
+	once [2]sync.Once
+	val  [2][]NodeInfo
+}
+
+func (c *nodeLists) nodes(entry uint32, target Target) []NodeInfo {
+	i := 0
+	if target == TargetCMEM {
+		i = 1
+	}
+	c.once[i].Do(func() { c.val[i] = enumerateNodes(entry, target) })
+	return c.val[i]
 }
 
 // Runner executes fault-injection experiments for one program.
@@ -201,10 +219,7 @@ type Runner struct {
 	// design graph with leon3.New.
 	engines sync.Pool
 
-	// Per-target injection-node enumeration, built once per runner (it
-	// used to construct a throwaway core on every call).
-	nodesOnce [2]sync.Once
-	nodesVal  [2][]NodeInfo
+	nodeLists nodeLists
 
 	// met holds the engine's metric handles — no-ops unless Options.Obs
 	// was set.
@@ -222,18 +237,8 @@ func (r *Runner) freshCore() (*leon3.Core, *mem.Bus) {
 // NewRunner builds the golden reference by running the program on a clean
 // RTL core.
 func NewRunner(p *asm.Program, opts Options) (*Runner, error) {
-	if opts.BudgetFactor == 0 {
-		opts.BudgetFactor = 3
-	}
-	if opts.ExtraCycles == 0 {
-		opts.ExtraCycles = 10000
-	}
-	if opts.PulseCycles == 0 {
-		opts.PulseCycles = 1
-	}
-	if math.IsNaN(opts.InjectAtFraction) || math.IsInf(opts.InjectAtFraction, 0) ||
-		opts.InjectAtFraction < 0 || opts.InjectAtFraction >= 1 {
-		return nil, fmt.Errorf("fault: InjectAtFraction %v outside [0,1)", opts.InjectAtFraction)
+	if err := opts.normalize(); err != nil {
+		return nil, err
 	}
 	m := mem.NewMemory()
 	m.LoadImage(p.Origin, p.Image)
@@ -260,14 +265,7 @@ func (r *Runner) Golden() *mem.Trace { return &r.golden }
 // functional units. The enumeration is computed once per runner and the
 // same slice is returned to every caller; callers must not mutate it.
 func (r *Runner) Nodes(target Target) []NodeInfo {
-	i := 0
-	if target == TargetCMEM {
-		i = 1
-	}
-	r.nodesOnce[i].Do(func() {
-		r.nodesVal[i] = enumerateNodes(r.prog.Entry, target)
-	})
-	return r.nodesVal[i]
+	return r.nodeLists.nodes(r.prog.Entry, target)
 }
 
 // SampleNodes draws a deterministic uniform sample of n nodes (statistical
@@ -344,7 +342,10 @@ func transientCycle(seed int64, i int, lo, hi uint64) uint64 {
 // the runner's fixed instant so every sampled cycle lies on the golden
 // ladder and the experiment can fork from a rung.
 func (r *Runner) ScheduleTransients(exps []Experiment, seed int64) {
-	lo, hi := r.opts.InjectAtCycle, r.GoldenCycles
+	scheduleTransients(exps, seed, r.opts.InjectAtCycle, r.GoldenCycles)
+}
+
+func scheduleTransients(exps []Experiment, seed int64, lo, hi uint64) {
 	for i := range exps {
 		if exps[i].Model.Transient() {
 			exps[i].AtCycle = transientCycle(seed, i, lo, hi)
@@ -391,10 +392,10 @@ type engine struct {
 	act  []uint64
 }
 
-// getEngine takes a pooled engine, building one on first use (and on
-// every use under Options.NoPool).
+// getEngine takes a pooled engine, building one on first use. The
+// NoCheckpoint reference never pools: it builds a fresh core every time.
 func (r *Runner) getEngine() *engine {
-	if !r.opts.NoPool {
+	if !r.opts.NoCheckpoint {
 		if e, ok := r.engines.Get().(*engine); ok {
 			return e
 		}
@@ -405,7 +406,7 @@ func (r *Runner) getEngine() *engine {
 
 // putEngine returns an engine to the pool.
 func (r *Runner) putEngine(e *engine) {
-	if !r.opts.NoPool {
+	if !r.opts.NoCheckpoint {
 		r.engines.Put(e)
 	}
 }
@@ -482,15 +483,14 @@ func (r *Runner) resolve(core *leon3.Core, lad *ladder, l *lane) Result {
 }
 
 // RunOne executes a single injection experiment as a scalar simulation.
-// With the ladder engine on — at any fixed instant, reset included — the
+// On the production engine — at any fixed instant, reset included — the
 // universe forks from the golden rung at or below the experiment's own
 // injection instant (the runner's fixed instant for permanent models,
-// the sampled instant for transient ones) and a transient universe is
-// finalized the moment it heals (see resolve); under NoCheckpoint, and
-// for a hand-built transient placed before the ladder's first rung, it
-// re-simulates from reset so the injection is never skipped. Cores are
-// pooled and restored in place (see Options.NoPool). All engine
-// combinations produce identical results.
+// the sampled instant for transient ones) on a pooled core, and a
+// transient universe is finalized the moment it heals (see resolve);
+// under NoCheckpoint, and for a hand-built transient placed before the
+// ladder's first rung, it simulates from reset so the injection is never
+// skipped. Both engines produce identical results.
 func (r *Runner) RunOne(e Experiment) Result {
 	eng := r.getEngine()
 	defer r.putEngine(eng)
@@ -509,16 +509,10 @@ func (r *Runner) Campaign(exps []Experiment, workers int) []Result {
 	return results
 }
 
-// CampaignContext runs the experiments across workers, honouring ctx:
-// cancellation stops the campaign within one experiment granule (workers
-// finish the experiment they are on, skip the rest, and the dispatcher
-// stops feeding). Results are in input order; experiments that never ran
-// are left zero-valued. On cancellation the partial results are returned
-// together with ctx.Err().
-//
-// tap, when non-nil, is invoked as each experiment completes with its
-// index and result. It is called concurrently from worker goroutines and
-// must be safe for concurrent use.
+// CampaignContext runs the experiments across workers under ctx and
+// returns results in input order; experiments a cancellation kept from
+// running are left zero-valued and the partial results come back with
+// ctx.Err(). See dispatch for the tap and cancellation contract.
 func (r *Runner) CampaignContext(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result)) ([]Result, error) {
 	results, _, err := r.CampaignStopContext(ctx, exps, workers, tap, nil)
 	return results, err
@@ -526,29 +520,64 @@ func (r *Runner) CampaignContext(ctx context.Context, exps []Experiment, workers
 
 // CampaignStopContext is CampaignContext plus sequential early stopping
 // and completion tracking, the engine entry point of sharded and adaptive
-// campaigns. After every completed experiment the stop rule — when
-// non-nil — is consulted with the running completion and failure counts;
-// once it returns true the campaign halts within one dispatch granule
-// per worker, exactly like a context cancellation, but with a nil error:
-// stopping adaptively is a successful outcome, not an abort.
+// campaigns; see dispatch for the tap/stop/cancel contract.
 //
-// The dispatch granule is one batch of up to 64 experiments under the
-// bit-parallel engine (see batch.go), or one experiment when batching is
-// off. A stop or cancellation therefore overshoots by at most one batch
-// per worker; every experiment a finished granule covered is tallied and
-// reported, so the stop rule's decisions remain a function of completed
-// experiment counts only.
-//
-// The returned ran bitmap marks which experiments actually executed, so
-// callers of a stopped or cancelled campaign can distinguish a completed
-// zero-valued Result from an experiment that never ran. ctx cancellation
-// still returns the partial results together with ctx.Err().
+// The dispatch granule is one batch of up to 64 experiments (see
+// batch.go), or one experiment where the planner goes scalar: signal
+// upsets, and everything under NoCheckpoint. A stop or cancellation
+// therefore overshoots by at most one batch per worker.
 func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
+	plan := r.planBatches(exps)
+	counted := func(i int, res Result) {
+		r.met.experiments.Inc()
+		if tap != nil {
+			tap(i, res)
+		}
+	}
+	return dispatch(ctx, len(exps), len(plan), workers, counted, stop, func(g int, deliver func(int, Result)) {
+		item := plan[g]
+		if item.lanes == nil {
+			deliver(item.idx, r.RunOne(exps[item.idx]))
+			return
+		}
+		for j, res := range r.runBatch(exps, item.lanes) {
+			deliver(item.lanes[j], res)
+		}
+	})
+}
+
+// dispatch is the one campaign loop of the package, shared by the RTL and
+// ISS engines: it feeds granules dispatch granules to workers goroutines
+// (0 = GOMAXPROCS), and run(g, deliver) executes granule g, handing every
+// experiment it covers to deliver with the experiment's index in [0,n).
+//
+// tap, when non-nil, is invoked as each experiment completes with its
+// index and result; it is called concurrently from worker goroutines and
+// must be safe for concurrent use. After every completed experiment the
+// stop rule — when non-nil — is consulted with the running completion and
+// failure counts; once it returns true the campaign halts within one
+// granule per worker, exactly like a context cancellation, but with a nil
+// error: stopping adaptively is a successful outcome, not an abort. Every
+// experiment a finished granule covered is tallied and reported, so the
+// stop rule's decisions remain a function of completed experiment counts
+// only.
+//
+// Results are in input order. The returned ran bitmap marks which
+// experiments actually executed, so callers of a stopped or cancelled
+// campaign can distinguish a completed zero-valued Result from an
+// experiment that never ran. On ctx cancellation each worker finishes the
+// granule it is on, the feeder stops, and the partial results are
+// returned together with ctx.Err().
+func dispatch(ctx context.Context, n, granules, workers int, tap func(i int, res Result), stop func(done, failures int) bool,
+	run func(g int, deliver func(i int, res Result))) ([]Result, []bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	results := make([]Result, len(exps))
-	ran := make([]bool, len(exps))
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	results := make([]Result, n)
+	ran := make([]bool, n)
 	cctx := ctx
 	var cancel context.CancelFunc
 	if stop != nil {
@@ -558,7 +587,6 @@ func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, wor
 	var mu sync.Mutex
 	done, failures := 0, 0
 	deliver := func(i int, res Result) {
-		r.met.experiments.Inc()
 		results[i] = res
 		mu.Lock()
 		ran[i] = true
@@ -575,63 +603,35 @@ func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, wor
 			cancel()
 		}
 	}
-	plan := r.planBatches(exps)
-	err := runIndexed(cctx, len(plan), workers, func(pi int) {
-		item := plan[pi]
-		if item.lanes == nil {
-			deliver(item.idx, r.RunOne(exps[item.idx]))
-			return
-		}
-		for j, res := range r.runBatch(exps, item.lanes) {
-			deliver(item.lanes[j], res)
-		}
-	})
-	if err != nil && ctx.Err() == nil {
-		// The halt came from the stop rule, not the caller: report success.
-		err = nil
-	}
-	return results, ran, err
-}
-
-// runIndexed dispatches n experiment indices across workers under ctx —
-// the shared scaffolding of every campaign kind. Cancellation stops the
-// dispatch within one granule per worker: each worker finishes the index
-// it is on, the feeder stops, and ctx.Err() is returned.
-func runIndexed(ctx context.Context, n, workers int, run func(i int)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	done := ctx.Done()
+	halted := cctx.Done()
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
+			for g := range next {
 				select {
-				case <-done:
+				case <-halted:
 					return
 				default:
 				}
-				run(i)
+				run(g, deliver)
 			}
 		}()
 	}
 feed:
-	for i := 0; i < n; i++ {
+	for g := 0; g < granules; g++ {
 		select {
-		case next <- i:
-		case <-done:
+		case next <- g:
+		case <-halted:
 			break feed
 		}
 	}
 	close(next)
 	wg.Wait()
-	return ctx.Err()
+	// A halt that came from the stop rule, not the caller, is a success.
+	return results, ran, ctx.Err()
 }
 
 // Pf returns the fraction of experiments whose fault propagated to a

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/asm"
@@ -12,12 +11,13 @@ import (
 
 // FuzzLaneEquivalence is the engine oracle on generated programs: for a
 // constrained-random terminating SPARC program, any injectable node of
-// either target, any fault model and any instant, the default engine —
+// either target, any fault model and any instant, the production engine —
 // ladder from reset, 64-lane witnessed batches, array-word upsets riding
 // the pass — must return what the from-reset scalar reference returns,
-// byte for byte. The fuzzed experiment shares its batch with a second
-// upset on the same net, a SET pulse one cycle later and a stuck-at-1, so
-// probes of every kind meet on one accumulator.
+// byte for byte, by every path checkEngine walks (one batch of four,
+// RunOne, four single-lane campaigns). The fuzzed experiment shares its
+// batch with a second upset on the same net, a SET pulse one cycle later
+// and a stuck-at-1, so probes of every kind meet on one accumulator.
 //
 // Smoke: make fuzz-smoke; longer:
 // go test -run '^$' -fuzz FuzzLaneEquivalence -fuzztime 5m ./internal/fault/
@@ -35,14 +35,7 @@ func FuzzLaneEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated program %d: %v", seed, err)
 		}
-		lanes, err := NewRunner(p, Options{PulseCycles: 2})
-		if err != nil {
-			t.Skipf("no golden run: %v", err) // the program ends in a trap
-		}
-		ref, err := NewRunner(p, Options{PulseCycles: 2, NoCheckpoint: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		lanes, ref := enginePair(t, p, Options{PulseCycles: 2}) // skips a program that ends in a trap
 		iu, cmem := lanes.Nodes(TargetIU), lanes.Nodes(TargetCMEM)
 		var n NodeInfo
 		if i := int(node) % (len(iu) + len(cmem)); i < len(iu) {
@@ -65,14 +58,6 @@ func FuzzLaneEquivalence(f *testing.F) {
 			{Node: n, Model: rtl.SETPulse, AtCycle: at + 1},
 			{Node: n, Model: rtl.StuckAt1},
 		}
-		got, want := lanes.Campaign(exps, 1), ref.Campaign(exps, 1)
-		if !reflect.DeepEqual(got, want) {
-			for i := range exps {
-				if got[i] != want[i] {
-					t.Errorf("seed %d %v %v@%d: lanes %+v, from-reset %+v",
-						seed, exps[i].Model, exps[i].Node.Node, exps[i].AtCycle, got[i], want[i])
-				}
-			}
-		}
+		checkEngine(t, lanes, exps, ref.Campaign(exps, 1))
 	})
 }

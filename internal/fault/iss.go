@@ -68,8 +68,7 @@ type ISSRunner struct {
 	ckptOnce sync.Once
 	ckpt     *issCheckpoint
 
-	nodesOnce [2]sync.Once
-	nodesVal  [2][]NodeInfo
+	nodeLists nodeLists
 
 	met issMetrics
 }
@@ -88,18 +87,8 @@ func newISSMetrics(r *obs.Registry) issMetrics {
 // the engine in its native instruction timebase, where Options
 // instants are interpreted as instruction indices.
 func NewISSRunner(p *asm.Program, opts Options, cycleRef, fixedCycle uint64) (*ISSRunner, error) {
-	if opts.BudgetFactor == 0 {
-		opts.BudgetFactor = 3
-	}
-	if opts.ExtraCycles == 0 {
-		opts.ExtraCycles = 10000
-	}
-	if opts.PulseCycles == 0 {
-		opts.PulseCycles = 1
-	}
-	if math.IsNaN(opts.InjectAtFraction) || math.IsInf(opts.InjectAtFraction, 0) ||
-		opts.InjectAtFraction < 0 || opts.InjectAtFraction >= 1 {
-		return nil, fmt.Errorf("fault: InjectAtFraction %v outside [0,1)", opts.InjectAtFraction)
+	if err := opts.normalize(); err != nil {
+		return nil, err
 	}
 	m := mem.NewMemory()
 	m.LoadImage(p.Origin, p.Image)
@@ -166,14 +155,7 @@ func (r *ISSRunner) GoldenTicks() uint64 {
 // list the RTL engine yields, because node identity is a property of
 // the design, not the engine.
 func (r *ISSRunner) Nodes(target Target) []NodeInfo {
-	i := 0
-	if target == TargetCMEM {
-		i = 1
-	}
-	r.nodesOnce[i].Do(func() {
-		r.nodesVal[i] = enumerateNodes(r.prog.Entry, target)
-	})
-	return r.nodesVal[i]
+	return r.nodeLists.nodes(r.prog.Entry, target)
 }
 
 // ScheduleTransients assigns transient experiments their instants over
@@ -182,12 +164,7 @@ func (r *ISSRunner) Nodes(target Target) []NodeInfo {
 // window and sampler match the RTL engine's exactly, so both engines
 // schedule the byte-identical instants for the same experiment list.
 func (r *ISSRunner) ScheduleTransients(exps []Experiment, seed int64) {
-	lo, hi := r.injectExt, r.GoldenTicks()
-	for i := range exps {
-		if exps[i].Model.Transient() {
-			exps[i].AtCycle = transientCycle(seed, i, lo, hi)
-		}
-	}
+	scheduleTransients(exps, seed, r.injectExt, r.GoldenTicks())
 }
 
 // issCheckpoint is the forkable golden-run state at the fixed injection
@@ -364,45 +341,12 @@ func (r *ISSRunner) Campaign(exps []Experiment, workers int) []Result {
 	return results
 }
 
-// CampaignStopContext runs the experiments across workers with the same
-// tap/stop/cancellation contract as Runner.CampaignStopContext. The ISS
-// engine has no bit-parallel mode, so the dispatch granule is always
-// one experiment.
+// CampaignStopContext runs the experiments across workers under the
+// package's one tap/stop/cancel loop (see dispatch). The ISS engine has no
+// bit-parallel mode, so the dispatch granule is always one experiment.
 func (r *ISSRunner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int,
 	tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	results := make([]Result, len(exps))
-	ran := make([]bool, len(exps))
-	cctx := ctx
-	var cancel context.CancelFunc
-	if stop != nil {
-		cctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
-	var mu sync.Mutex
-	done, failures := 0, 0
-	err := runIndexed(cctx, len(exps), workers, func(i int) {
-		res := r.RunOne(exps[i])
-		results[i] = res
-		mu.Lock()
-		ran[i] = true
-		done++
-		if res.Outcome.IsFailure() {
-			failures++
-		}
-		d, f := done, failures
-		mu.Unlock()
-		if tap != nil {
-			tap(i, res)
-		}
-		if stop != nil && stop(d, f) {
-			cancel()
-		}
+	return dispatch(ctx, len(exps), len(exps), workers, tap, stop, func(i int, deliver func(int, Result)) {
+		deliver(i, r.RunOne(exps[i]))
 	})
-	if err != nil && ctx.Err() == nil {
-		err = nil // halt came from the stop rule: a successful outcome
-	}
-	return results, ran, err
 }

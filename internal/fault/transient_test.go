@@ -89,14 +89,13 @@ func TestScheduleTransientsDeterministic(t *testing.T) {
 }
 
 // TestTransientEngineEquivalence extends the engine contract to the
-// transient models: every ladder engine — batched at every lane count,
-// scalar, fork-per-experiment — must classify a scheduled
-// BitFlip/SETPulse campaign bit-identically to the from-reset reference,
-// on both targets (the IU sample is mostly register-file words, the CMEM
-// sample all tag and data words: the upsets that ride the witnessed pass),
-// on a hand-written workload, the EEMBC workalikes and constrained-random
-// generated programs (whose register, window and memory traffic the
-// workalikes do not reach).
+// transient models: the production engine must classify a scheduled
+// BitFlip/SETPulse campaign bit-identically to the from-reset reference
+// by every path checkEngine walks, on both targets (the IU sample is
+// mostly register-file words, the CMEM sample all tag and data words: the
+// upsets that ride the witnessed pass), on a hand-written workload, the
+// EEMBC workalikes and constrained-random generated programs (whose
+// register, window and memory traffic the workalikes do not reach).
 func TestTransientEngineEquivalence(t *testing.T) {
 	type program struct {
 		name string
@@ -117,47 +116,15 @@ func TestTransientEngineEquivalence(t *testing.T) {
 		}
 		programs = append(programs, program{fmt.Sprintf("generated-%d", seed), p})
 	}
-	engines := []struct {
-		name string
-		opts Options
-	}{
-		{"from-reset", Options{InjectAtFraction: 0.3, PulseCycles: 3, NoCheckpoint: true, NoPool: true}},
-		{"pooled-from-reset", Options{InjectAtFraction: 0.3, PulseCycles: 3, NoCheckpoint: true}},
-		{"ladder-batched", Options{InjectAtFraction: 0.3, PulseCycles: 3}},
-		{"ladder-batched-8", Options{InjectAtFraction: 0.3, PulseCycles: 3, BatchLanes: 8}},
-		{"ladder-batched-1", Options{InjectAtFraction: 0.3, PulseCycles: 3, BatchLanes: 1}},
-		{"ladder-scalar", Options{InjectAtFraction: 0.3, PulseCycles: 3, NoBatch: true}},
-		{"ladder-fork-per-experiment", Options{InjectAtFraction: 0.3, PulseCycles: 3, NoPool: true}},
-	}
 	for _, pr := range programs {
 		t.Run(pr.name, func(t *testing.T) {
+			prod, ref := enginePair(t, pr.prog, Options{InjectAtFraction: 0.3, PulseCycles: 3})
 			for _, target := range []Target{TargetIU, TargetCMEM} {
-				var ref []Result
-				for _, eng := range engines {
-					r, err := NewRunner(pr.prog, eng.opts)
-					if err != nil {
-						// A generated program may legitimately end in a trap.
-						t.Skipf("no golden run: %v", err)
-					}
-					nodes := SampleNodes(r.Nodes(target), 32, 7)
-					exps := Expand(nodes, rtl.BitFlip, rtl.SETPulse)
-					r.ScheduleTransients(exps, 5)
-					results := r.Campaign(exps, 3)
-					if ref == nil {
-						ref = results
-						t.Logf("%v: %d golden cycles, outcomes %v", target, r.GoldenCycles, OutcomeCounts(ref))
-						continue
-					}
-					if !reflect.DeepEqual(ref, results) {
-						for i := range ref {
-							if !reflect.DeepEqual(ref[i], results[i]) {
-								t.Errorf("%v %s: experiment %d (%v %v@%d) diverged: %+v vs %+v", target,
-									eng.name, i, exps[i].Model, exps[i].Node.Node, exps[i].AtCycle, ref[i], results[i])
-							}
-						}
-						t.Fatalf("%v %s: results differ from %s", target, eng.name, engines[0].name)
-					}
-				}
+				exps := Expand(SampleNodes(prod.Nodes(target), 32, 7), rtl.BitFlip, rtl.SETPulse)
+				prod.ScheduleTransients(exps, 5)
+				want := ref.Campaign(exps, 3)
+				t.Logf("%v: %d golden cycles, outcomes %v", target, prod.GoldenCycles, OutcomeCounts(want))
+				checkEngine(t, prod, exps, want)
 			}
 		})
 	}
@@ -166,24 +133,15 @@ func TestTransientEngineEquivalence(t *testing.T) {
 // TestTransientEdgeInstants walks the injection instant across every
 // boundary of the golden ladder — exactly on a rung, one cycle either
 // side, the last running cycle, past program exit, and before the first
-// rung (from-reset fallback) — for both transient models, through the
-// scalar path (RunOne) and the batch path (Campaign): nothing panics and
-// every result is byte-identical to the from-reset reference.
+// rung (from-reset fallback) — for both transient models, by every path
+// checkEngine walks: nothing panics and every result is byte-identical to
+// the from-reset reference.
 func TestTransientEdgeInstants(t *testing.T) {
 	w, err := workloads.Build("excerptB", workloads.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{InjectAtFraction: 0.4, PulseCycles: 3}
-	ladder, err := NewRunner(w.Program, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.NoCheckpoint = true
-	reset, err := NewRunner(w.Program, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ladder, reset := enginePair(t, w.Program, Options{InjectAtFraction: 0.4, PulseCycles: 3})
 	lad := ladder.ladder()
 	if len(lad.rungs) < 3 {
 		t.Fatalf("ladder has %d rungs; the workload is too short for the test", len(lad.rungs))
@@ -213,20 +171,7 @@ func TestTransientEdgeInstants(t *testing.T) {
 		}
 	}
 	exps = append(exps, arrayWordEdges(t, ladder)...)
-	want := reset.Campaign(exps, 0)
-	for i, e := range exps {
-		if got := ladder.RunOne(e); got != want[i] {
-			t.Errorf("RunOne %v %v@%d: ladder %+v, from-reset %+v", e.Model, e.Node.Node, e.AtCycle, got, want[i])
-		}
-	}
-	if got := ladder.Campaign(exps, 0); !reflect.DeepEqual(got, want) {
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("Campaign %v %v@%d: ladder %+v, from-reset %+v",
-					exps[i].Model, exps[i].Node.Node, exps[i].AtCycle, got[i], want[i])
-			}
-		}
-	}
+	checkEngine(t, ladder, exps, reset.Campaign(exps, 0))
 }
 
 // arrayWordEdges builds the experiments that sit on the edges of the

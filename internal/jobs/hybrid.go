@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sync"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 )
 
 // This file implements the hybrid ISS-predicted, RTL-audited campaign
@@ -51,40 +49,6 @@ const minClassAudits = 2
 // the decisions the router actually made.
 func escalateClass(pred, meas []bool, confidence float64) bool {
 	return len(pred) < minClassAudits || campaign.IndicatorR2(pred, meas) < confidence
-}
-
-// issRunnerFor resolves the memoized ISS campaign runner for a
-// normalized request, with the same detached-build cancellation
-// behaviour as runnerFor. cycleRef/fixedCycle pin the engine to the RTL
-// cycle timebase (hybrid); both zero select the native instruction
-// timebase (engine "iss").
-func issRunnerFor(ctx context.Context, n Request, reg *obs.Registry, cycleRef, fixedCycle uint64) (*fault.ISSRunner, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	type built struct {
-		r   *fault.ISSRunner
-		err error
-	}
-	ch := make(chan built, 1)
-	go func() {
-		r, err := campaign.ISSRunnerFor(n.Workload,
-			workloads.Config{Iterations: n.Iterations, Dataset: n.Dataset},
-			fault.Options{
-				InjectAtCycle:    n.InjectAtCycle,
-				InjectAtFraction: n.InjectAtFraction,
-				PulseCycles:      n.PulseCycles,
-				NoCheckpoint:     n.NoCheckpoint,
-				Obs:              reg,
-			}, cycleRef, fixedCycle)
-		ch <- built{r, err}
-	}()
-	select {
-	case b := <-ch:
-		return b.r, b.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 // routerMetrics counts the hybrid router's decisions. Registries dedupe
@@ -287,123 +251,33 @@ func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Regis
 	}, nil
 }
 
-// hybridOutcomes finalizes experiments [start,end) of a planned hybrid
-// campaign: escalated-class experiments that were not already audited
-// are re-run on RTL here (the only per-range engine work — predictions
-// and audits live in the plan), and every index is assembled into its
-// wire outcome. tap observes range-local completions against the range
-// size; escalations report live, plan-resolved entries are counted as
-// they are assembled.
-func hybridOutcomes(ctx context.Context, plan *hybridPlan, n Request, start, end, workers int, tap Tap, reg *obs.Registry) ([]ExperimentOutcome, error) {
-	total := end - start
-	var mu sync.Mutex
-	done, failures := 0, 0
-	if tap != nil {
-		tap(0, total, 0)
-	}
-	count := func(res fault.Result) {
-		if tap == nil {
-			return
-		}
-		mu.Lock()
-		done++
-		if res.Outcome.IsFailure() {
-			failures++
-		}
-		tap(done, total, failures)
-		mu.Unlock()
-	}
-
-	var escIdx []int
+// escalations lists, ascending, the experiments of [start,end) the router
+// still owes an RTL run: members of escalated classes that the audit
+// sample did not already cover. They are the only per-range engine work
+// of a hybrid campaign.
+func (p *hybridPlan) escalations(start, end int) []int {
+	var idx []int
 	for i := start; i < end; i++ {
-		if !plan.audited[i] && plan.escalated[plan.units[i]] {
-			escIdx = append(escIdx, i)
+		if !p.audited[i] && p.escalated[p.units[i]] {
+			idx = append(idx, i)
 		}
 	}
-	escExps := make([]fault.Experiment, len(escIdx))
-	for j, i := range escIdx {
-		escExps[j] = plan.exps[i]
-	}
-	escRes0, _, err := plan.rtl.CampaignStopContext(ctx, escExps, workers, func(j int, res fault.Result) {
-		count(res)
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	newRouterMetrics(reg).experiments.With("rtl").Add(float64(len(escIdx)))
-	escRes := make(map[int]fault.Result, len(escIdx))
-	for j, i := range escIdx {
-		escRes[i] = escRes0[j]
-	}
-
-	outs := make([]ExperimentOutcome, 0, total)
-	for i := start; i < end; i++ {
-		var eo ExperimentOutcome
-		switch {
-		case plan.audited[i]:
-			eo = experimentOutcome(plan.auditRes[i])
-			eo.Engine, eo.Audited = "rtl", true
-			eo.Predicted = plan.pred[i].Outcome.String()
-			count(plan.auditRes[i])
-		case plan.escalated[plan.units[i]]:
-			eo = experimentOutcome(escRes[i])
-			eo.Engine = "rtl"
-			eo.Predicted = plan.pred[i].Outcome.String()
-			// counted live above
-		default:
-			eo = experimentOutcome(plan.pred[i])
-			eo.Engine = "iss"
-			count(plan.pred[i])
-		}
-		outs = append(outs, eo)
-	}
-	return outs, nil
+	return idx
 }
 
-// executeHybrid is ExecuteObs's hybrid path: plan, finalize the full
-// range, assemble. Golden-run metadata is the RTL engine's — the hybrid
-// campaign's experiments are defined on the RTL cycle timebase.
-func executeHybrid(ctx context.Context, n Request, workers int, tap Tap, reg *obs.Registry) (*Outcome, error) {
-	tr := obs.TracerFrom(ctx)
-	endPlan := tr.Stage("golden")
-	plan, err := hybridPlanFor(ctx, n, workers, reg)
-	endPlan()
-	if err != nil {
-		return nil, err
+// outcome is the wire outcome of an experiment the plan itself resolved
+// — an audited one carries RTL truth plus the prediction it replaced, a
+// trusted one its ISS prediction — and the result behind it.
+func (p *hybridPlan) outcome(i int) (ExperimentOutcome, fault.Result) {
+	if !p.audited[i] {
+		eo := experimentOutcome(p.pred[i])
+		eo.Engine = "iss"
+		return eo, p.pred[i]
 	}
-	endExec := tr.Stage("execute")
-	outs, err := hybridOutcomes(ctx, plan, n, 0, len(plan.exps), workers, tap, reg)
-	endExec()
-	if err != nil {
-		return nil, err
-	}
-	endAsm := tr.Stage("assemble")
-	defer endAsm()
-	return assembleOutcome(n, plan.rtl.GoldenCycles, plan.rtl.Checkpointed(), len(plan.exps), outs), nil
-}
-
-// hybridShard is ExecuteShardObs's hybrid path. Unlike the single-engine
-// shard path it reports no partial output on cancellation — a hybrid
-// shard is final only when its whole range is resolved — so the
-// coordinator requeues the full range.
-func hybridShard(ctx context.Context, n Request, start, end, workers int, tap Tap, reg *obs.Registry) (*ShardOutput, error) {
-	plan, err := hybridPlanFor(ctx, n, workers, reg)
-	if err != nil {
-		return nil, err
-	}
-	if start < 0 || end > len(plan.exps) || start > end {
-		return nil, fmt.Errorf("jobs: shard range [%d,%d) outside campaign of %d experiments", start, end, len(plan.exps))
-	}
-	outs, err := hybridOutcomes(ctx, plan, n, start, end, workers, tap, reg)
-	if err != nil {
-		return nil, err
-	}
-	so := &ShardOutput{GoldenCycles: plan.rtl.GoldenCycles, Checkpointed: plan.rtl.Checkpointed()}
-	for j, eo := range outs {
-		so.Indices = append(so.Indices, start+j)
-		so.Experiments = append(so.Experiments, eo)
-	}
-	return so, nil
+	eo := experimentOutcome(p.auditRes[i])
+	eo.Engine, eo.Audited = "rtl", true
+	eo.Predicted = p.pred[i].Outcome.String()
+	return eo, p.auditRes[i]
 }
 
 // HybridClass is one node class (functional unit) of a hybrid

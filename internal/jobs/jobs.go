@@ -80,14 +80,15 @@ type Request struct {
 	// participates in the content address; requests without the "set"
 	// model normalize it away entirely.
 	PulseCycles uint64 `json:"pulse_cycles,omitempty"`
-	// NoCheckpoint re-simulates every experiment from reset (engine
-	// debugging only; results are identical).
+	// NoCheckpoint runs the campaign on the engine's from-reset scalar
+	// reference instead of the production engine (engine checking only;
+	// results are identical).
 	NoCheckpoint bool `json:"no_checkpoint,omitempty"`
-	// NoBatch disables the bit-parallel (PPSFP) engine so every
-	// experiment runs as its own scalar simulation (engine debugging
-	// only; results are identical). Like no_checkpoint it is omitted
-	// from the encoding when false, so pre-existing requests keep their
-	// content addresses.
+	// NoBatch is a frozen wire name and selects nothing. It once forced
+	// one scalar simulation per experiment; requests that carry it are
+	// still accepted, keep the content address they always had (the field
+	// joins the canonical encoding, omitted when false) and get it echoed
+	// in their outcome, and run on the same engine as everyone else.
 	NoBatch bool `json:"no_batch,omitempty"`
 	// Epsilon, when nonzero, enables adaptive early stopping: the campaign
 	// halts — and outstanding shards are cancelled — once the Wilson 95%
@@ -493,55 +494,78 @@ type Progress struct {
 // is called serially.
 type Tap func(done, total, failures int)
 
-// runnerFor resolves the memoized fault runner for a normalized request
-// while honouring cancellation: the golden-run simulation inside
-// campaign.RunnerFor cannot be interrupted mid-flight, so on ctx expiry
+// detached runs an engine build on its own goroutine and waits for it or
+// for ctx, whichever comes first: the golden-run simulation inside the
+// campaign registries cannot be interrupted mid-flight, so on ctx expiry
 // the build is left to finish in the background — where it still
 // populates the process-wide cache for a later resubmission — and the
-// caller returns promptly with ctx.Err().
-func runnerFor(ctx context.Context, n Request, reg *obs.Registry) (*fault.Runner, error) {
+// caller returns promptly with ctx.Err(). That is safe because the
+// registries bound concurrent golden-run constructions with their own
+// semaphore, so a submit-and-cancel loop over ever-new specs queues cheap
+// goroutines, not simulations.
+func detached[T any](ctx context.Context, build func() (T, error)) (v T, err error) {
 	// A dead context must not kick off an orphan build: Manager.Close
 	// drains every still-queued job through here with the base context
 	// already cancelled.
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if err = ctx.Err(); err != nil {
+		return v, err
 	}
 	type built struct {
-		r   *fault.Runner
+		v   T
 		err error
 	}
 	ch := make(chan built, 1)
 	go func() {
-		// A cancelled caller leaves this build running detached; that is
-		// safe because campaign.RunnerFor bounds concurrent golden-run
-		// constructions with its own semaphore, so a submit-and-cancel
-		// loop over ever-new specs queues cheap goroutines, not
-		// simulations.
-		r, err := campaign.RunnerFor(n.Workload,
-			workloads.Config{Iterations: n.Iterations, Dataset: n.Dataset},
-			fault.Options{
-				InjectAtCycle:    n.InjectAtCycle,
-				InjectAtFraction: n.InjectAtFraction,
-				PulseCycles:      n.PulseCycles,
-				NoCheckpoint:     n.NoCheckpoint,
-				NoBatch:          n.NoBatch,
-				Obs:              reg,
-			})
-		ch <- built{r, err}
+		v, err := build()
+		ch <- built{v, err}
 	}()
 	select {
 	case b := <-ch:
-		return b.r, b.err
+		return b.v, b.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return v, ctx.Err()
 	}
 }
 
-// engineFor resolves the campaign engine a normalized single-engine
-// request runs on: the RTL slab kernel by default, the ISS wrapper for
-// engine "iss" (in its native instruction timebase — instants in the
-// request are instruction indices there). Hybrid requests never come
-// here; their router drives both engines explicitly.
+// config and engineOptions are the normalized request's view of the
+// campaign registries' cache key.
+func (r Request) config() workloads.Config {
+	return workloads.Config{Iterations: r.Iterations, Dataset: r.Dataset}
+}
+
+func (r Request) engineOptions(reg *obs.Registry) fault.Options {
+	return fault.Options{
+		InjectAtCycle:    r.InjectAtCycle,
+		InjectAtFraction: r.InjectAtFraction,
+		PulseCycles:      r.PulseCycles,
+		NoCheckpoint:     r.NoCheckpoint,
+		Obs:              reg,
+	}
+}
+
+// runnerFor resolves the memoized RTL runner of a normalized request.
+func runnerFor(ctx context.Context, n Request, reg *obs.Registry) (*fault.Runner, error) {
+	return detached(ctx, func() (*fault.Runner, error) {
+		return campaign.RunnerFor(n.Workload, n.config(), n.engineOptions(reg))
+	})
+}
+
+// issRunnerFor resolves the memoized ISS runner of a normalized request.
+// cycleRef/fixedCycle pin the engine to the RTL cycle timebase (hybrid);
+// both zero select the native instruction timebase (engine "iss").
+func issRunnerFor(ctx context.Context, n Request, reg *obs.Registry, cycleRef, fixedCycle uint64) (*fault.ISSRunner, error) {
+	return detached(ctx, func() (*fault.ISSRunner, error) {
+		return campaign.ISSRunnerFor(n.Workload, n.config(), n.engineOptions(reg), cycleRef, fixedCycle)
+	})
+}
+
+// engineFor resolves the engine whose golden run describes a normalized
+// request's campaign and on which its single-engine experiments run: the
+// ISS wrapper for engine "iss" (in its native instruction timebase —
+// instants in the request are instruction indices there), the RTL slab
+// kernel otherwise. A hybrid campaign is defined on the RTL cycle
+// timebase, so its metadata — and its audits and escalations — are the
+// RTL engine's; its router drives the ISS side explicitly.
 func engineFor(ctx context.Context, n Request, reg *obs.Registry) (fault.CampaignEngine, error) {
 	if n.Engine == "iss" {
 		return issRunnerFor(ctx, n, reg, 0, 0)
@@ -573,15 +597,16 @@ func experimentsFor(r fault.CampaignEngine, n Request) []fault.Experiment {
 
 // Execute runs one campaign request synchronously on the process-wide
 // memoized runner cache and returns its canonical outcome. Cancellation
-// via ctx stops the engine within one experiment granule and returns
+// via ctx stops the engine within one dispatch granule and returns
 // ctx.Err(). tap, when non-nil, observes per-experiment completions.
 // A request with a nonzero Epsilon stops adaptively once the Wilson
 // half-width around the progressive Pf reaches it.
 //
 // This is the single execution path behind the job service's workers and
-// `faultcampaign -json`: both produce bit-identical outcomes by
-// construction. Sharded execution (ShardPool, ExecuteSharded) reassembles
-// the same per-experiment array and therefore the same bytes.
+// every mode of `faultcampaign`: runRange, over the whole expansion.
+// Sharded execution (ShardPool, ExecuteSharded) runs the same driver per
+// range and reassembles the same per-experiment array, hence the same
+// bytes.
 func Execute(ctx context.Context, req Request, workers int, tap Tap) (*Outcome, error) {
 	return ExecuteObs(ctx, req, workers, tap, nil)
 }
@@ -592,61 +617,11 @@ func Execute(ctx context.Context, req Request, workers int, tap Tap) (*Outcome, 
 // hit), plan (experiment expansion), execute (engine), assemble (outcome
 // encoding). With reg == nil and no tracer it is Execute, byte for byte.
 func ExecuteObs(ctx context.Context, req Request, workers int, tap Tap, reg *obs.Registry) (*Outcome, error) {
-	tr := obs.TracerFrom(ctx)
-	n, err := req.Normalize()
+	run, err := runRange(ctx, req, 0, wholeCampaign, rangeEnv{workers, tap, reg, obs.TracerFrom(ctx)})
 	if err != nil {
 		return nil, err
 	}
-	if n.Engine == "hybrid" {
-		return executeHybrid(ctx, n, workers, tap, reg)
-	}
-	endGolden := tr.Stage("golden")
-	r, err := engineFor(ctx, n, reg)
-	endGolden()
-	if err != nil {
-		return nil, err
-	}
-	endPlan := tr.Stage("plan")
-	exps := experimentsFor(r, n)
-	endPlan()
-
-	var mu sync.Mutex
-	done, failures := 0, 0
-	if tap != nil {
-		tap(0, len(exps), 0)
-	}
-	var stop func(done, failures int) bool
-	if n.Epsilon > 0 {
-		stop = func(done, failures int) bool {
-			return campaign.Tally{Done: done, Failures: failures}.Converged(n.Epsilon, stats.Z95)
-		}
-	}
-	endExec := tr.Stage("execute")
-	results, ran, err := r.CampaignStopContext(ctx, exps, workers, func(i int, res fault.Result) {
-		if tap == nil {
-			return
-		}
-		mu.Lock()
-		done++
-		if res.Outcome.IsFailure() {
-			failures++
-		}
-		tap(done, len(exps), failures)
-		mu.Unlock()
-	}, stop)
-	endExec()
-	if err != nil {
-		return nil, err
-	}
-	endAsm := tr.Stage("assemble")
-	defer endAsm()
-	out := make([]ExperimentOutcome, 0, len(results))
-	for i, res := range results {
-		if ran[i] {
-			out = append(out, experimentOutcome(res))
-		}
-	}
-	return assembleOutcome(n, r.GoldenTicks(), r.Checkpointed(), len(exps), out), nil
+	return run.outcome, nil
 }
 
 // ShardOutput is what one executed experiment-range shard reports back:
@@ -666,10 +641,12 @@ type ShardOutput struct {
 // expansion on the process-wide memoized runner cache. It is the worker
 // side of the shard protocol: in-process shard workers and remote
 // `faultserverd -worker` processes both execute leases through it. On ctx
-// cancellation the partial output is returned together with ctx.Err() so
-// the caller can still fold the completed experiments. tap observes
-// shard-local completions (done counts shard experiments, total is the
-// shard size).
+// cancellation the partial output of a single-engine shard is returned
+// together with ctx.Err() so the caller can still fold the completed
+// experiments; a hybrid shard is final only when its whole range is
+// resolved, reports nothing partial, and the coordinator requeues the
+// full range. tap observes shard-local completions (done counts shard
+// experiments, total is the shard size).
 func ExecuteShard(ctx context.Context, req Request, start, end, workers int, tap Tap) (*ShardOutput, error) {
 	return ExecuteShardObs(ctx, req, start, end, workers, tap, nil)
 }
@@ -679,27 +656,97 @@ func ExecuteShard(ctx context.Context, req Request, start, end, workers int, tap
 // stage tracer: many shards share one campaign, so per-shard spans would
 // double-count into the campaign's stage histogram.
 func ExecuteShardObs(ctx context.Context, req Request, start, end, workers int, tap Tap, reg *obs.Registry) (*ShardOutput, error) {
+	run, err := runRange(ctx, req, start, end, rangeEnv{workers: workers, tap: tap, reg: reg})
+	return run.out, err
+}
+
+// rangeEnv is what a caller of runRange brings besides the request and
+// the range: scheduling and observation, none of it content.
+type rangeEnv struct {
+	workers int
+	tap     Tap
+	reg     *obs.Registry
+	// tr receives the four stage timings. Only whole-campaign callers set
+	// it; a nil tracer is a no-op.
+	tr *obs.Tracer
+}
+
+// wholeCampaign, as runRange's end, runs the expansion from start to its
+// last experiment as one campaign rather than one shard of one: the tap
+// is told the total up front, the request's epsilon stop rule applies
+// (within a shard the coordinator owns stopping, across all shards), and
+// the canonical outcome is assembled.
+const wholeCampaign = -1
+
+// rangeRun is what runRange produced: the range's shard output and, for a
+// whole campaign, the outcome assembled from it.
+type rangeRun struct {
+	out     *ShardOutput
+	outcome *Outcome
+}
+
+// runRange is the package's one campaign driver: it resolves a request to
+// its engine — or, hybrid, to its routing plan — expands the
+// deterministic experiment list, runs the experiments of [start,end)
+// that need an engine, and encodes the range's outcomes in index order.
+// Every execution surface is this function over some range: Execute over
+// the whole expansion, shard workers over their leases.
+//
+// A single-engine range needs the engine for every experiment, and a
+// cancelled one still reports what completed, with ctx.Err(). A hybrid
+// range needs it only for experiments in escalated classes that the plan
+// did not already audit — predictions and audits live in the plan — and
+// reports nothing unless the whole range resolved.
+func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (rangeRun, error) {
 	n, err := req.Normalize()
 	if err != nil {
-		return nil, err
+		return rangeRun{}, err
 	}
+	endStage := env.tr.Stage("golden")
+	var eng fault.CampaignEngine
+	var plan *hybridPlan
 	if n.Engine == "hybrid" {
-		return hybridShard(ctx, n, start, end, workers, tap, reg)
+		if plan, err = hybridPlanFor(ctx, n, env.workers, env.reg); err == nil {
+			eng = plan.rtl
+		}
+	} else {
+		eng, err = engineFor(ctx, n, env.reg)
 	}
-	r, err := engineFor(ctx, n, reg)
+	endStage()
 	if err != nil {
-		return nil, err
+		return rangeRun{}, err
 	}
-	exps := experimentsFor(r, n)
+	endStage = env.tr.Stage("plan")
+	var exps []fault.Experiment
+	if plan != nil {
+		exps = plan.exps
+	} else {
+		exps = experimentsFor(eng, n)
+	}
+	endStage()
+	whole := end == wholeCampaign
+	if whole {
+		end = len(exps)
+	}
 	if start < 0 || end > len(exps) || start > end {
-		return nil, fmt.Errorf("jobs: shard range [%d,%d) outside campaign of %d experiments", start, end, len(exps))
+		return rangeRun{}, fmt.Errorf("jobs: shard range [%d,%d) outside campaign of %d experiments", start, end, len(exps))
 	}
-	slice := exps[start:end]
 
+	// run is what the engine executes and at maps its positions back to
+	// absolute experiment indices (ascending either way).
+	run, at := exps[start:end], func(j int) int { return start + j }
+	if plan != nil {
+		idx := plan.escalations(start, end)
+		run, at = make([]fault.Experiment, len(idx)), func(j int) int { return idx[j] }
+		for j, i := range idx {
+			run[j] = exps[i]
+		}
+	}
+	size := end - start
 	var mu sync.Mutex
 	done, failures := 0, 0
-	results, ran, err := r.CampaignStopContext(ctx, slice, workers, func(i int, res fault.Result) {
-		if tap == nil {
+	count := func(_ int, res fault.Result) {
+		if env.tap == nil {
 			return
 		}
 		mu.Lock()
@@ -707,15 +754,62 @@ func ExecuteShardObs(ctx context.Context, req Request, start, end, workers int, 
 		if res.Outcome.IsFailure() {
 			failures++
 		}
-		tap(done, len(slice), failures)
+		env.tap(done, size, failures)
 		mu.Unlock()
-	}, nil)
-	so := &ShardOutput{GoldenCycles: r.GoldenTicks(), Checkpointed: r.Checkpointed()}
-	for i, res := range results {
-		if ran[i] {
-			so.Indices = append(so.Indices, start+i)
-			so.Experiments = append(so.Experiments, experimentOutcome(res))
+	}
+	var stop func(done, failures int) bool
+	if whole {
+		if env.tap != nil {
+			env.tap(0, size, 0)
+		}
+		if n.Epsilon > 0 {
+			stop = func(done, failures int) bool {
+				return campaign.Tally{Done: done, Failures: failures}.Converged(n.Epsilon, stats.Z95)
+			}
 		}
 	}
-	return so, err
+	endStage = env.tr.Stage("execute")
+	results, ran, err := eng.CampaignStopContext(ctx, run, env.workers, count, stop)
+	endStage()
+	if err != nil && (whole || plan != nil) {
+		return rangeRun{}, err
+	}
+	if plan != nil {
+		newRouterMetrics(env.reg).experiments.With("rtl").Add(float64(len(run)))
+	}
+
+	defer env.tr.Stage("assemble")()
+	so := &ShardOutput{
+		GoldenCycles: eng.GoldenTicks(),
+		Checkpointed: eng.Checkpointed(),
+		Indices:      make([]int, 0, size),
+		Experiments:  make([]ExperimentOutcome, 0, size),
+	}
+	emit := func(i int, eo ExperimentOutcome) {
+		so.Indices = append(so.Indices, i)
+		so.Experiments = append(so.Experiments, eo)
+	}
+	j := 0 // next engine-run experiment
+	for i := start; i < end; i++ {
+		if j == len(run) || at(j) != i {
+			// Resolved by the hybrid plan; counted as it is assembled (the
+			// engine-run ones reported live).
+			eo, res := plan.outcome(i)
+			count(i, res)
+			emit(i, eo)
+			continue
+		}
+		if ran[j] {
+			eo := experimentOutcome(results[j])
+			if plan != nil {
+				eo.Engine, eo.Predicted = "rtl", plan.pred[i].Outcome.String()
+			}
+			emit(i, eo)
+		}
+		j++
+	}
+	if !whole {
+		return rangeRun{out: so}, err
+	}
+	return rangeRun{so, assembleOutcome(n, so.GoldenCycles, so.Checkpointed, len(exps), so.Experiments)}, nil
 }

@@ -195,13 +195,14 @@ func TestEarlyStopping(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Epsilon = 0.2 // coarse: converges after a few dozen experiments
-	// One-experiment dispatch granule: under the batch engine the stop
-	// rule is only consulted between ≤64-lane batches, so on a box whose
-	// scheduler dispatches both workers' batches back to back (1 CPU
-	// under -race) the whole 72-experiment campaign can be in flight
-	// before the rule ever fires. This test is about the stop rule, not
-	// the granule; the granule overshoot is pinned in internal/fault.
-	req.NoBatch = true
+	// One-experiment dispatch granule (the reference engine's): under the
+	// batch engine the stop rule is only consulted between ≤64-lane
+	// batches, so on a box whose scheduler dispatches both workers'
+	// batches back to back (1 CPU under -race) the whole 72-experiment
+	// campaign can be in flight before the rule ever fires. This test is
+	// about the stop rule, not the granule; the granule overshoot is
+	// pinned in internal/fault.
+	req.NoCheckpoint = true
 
 	for name, run := range map[string]func() (*jobs.Outcome, error){
 		"unsharded": func() (*jobs.Outcome, error) {
