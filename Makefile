@@ -81,13 +81,19 @@ fmt-check:
 # lossless). FuzzLaneEquivalence, the campaign engine: on generated
 # programs, any node, model and instant through the ladder-batched
 # engine equals the from-reset scalar reference byte for byte.
+# FuzzCoordinatorModel, the shard lease protocol: any interleaving of
+# lease/progress/complete/fail/reclaim and malformed or duplicate
+# results, held to a reference model — every index merged exactly once,
+# the attempt and reclaim bounds honoured, termination.
 # 10s each is a smoke, not a campaign; run longer locally with
-# `go test -fuzz FuzzJournalReplay -fuzztime 5m ./internal/store/` or
-# `go test -fuzz FuzzLaneEquivalence -fuzztime 5m ./internal/fault/`.
+# `go test -fuzz FuzzJournalReplay -fuzztime 5m ./internal/store/`,
+# `go test -fuzz FuzzLaneEquivalence -fuzztime 5m ./internal/fault/` or
+# `go test -fuzz FuzzCoordinatorModel -fuzztime 5m ./internal/jobs/`.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzLaneEquivalence -fuzztime $(FUZZTIME) ./internal/fault/
+	$(GO) test -run '^$$' -fuzz FuzzCoordinatorModel -fuzztime $(FUZZTIME) ./internal/jobs/
 
 # staticcheck is optional locally (the container may not ship it); CI
 # installs and runs it unconditionally via its action.

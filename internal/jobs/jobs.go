@@ -306,15 +306,21 @@ func (r Request) Normalize() (Request, error) {
 // the canonical JSON encoding of the normalized request. JSON struct
 // encoding has a fixed field order, so the digest is deterministic.
 func (r Request) Key() (string, error) {
-	n, err := r.Normalize()
-	if err != nil {
-		return "", err
-	}
-	return keyOf(n)
+	_, key, err := r.keyed()
+	return key, err
 }
 
-// keyOf hashes an already-normalized request (Manager.Submit normalizes
-// once and keys from that form directly).
+// keyed normalizes a request and returns the normalized form together
+// with its content address: what every admission path (Manager.Submit,
+// journal recovery, shard planning) needs of a raw request.
+func (r Request) keyed() (n Request, key string, err error) {
+	if n, err = r.Normalize(); err == nil {
+		key, err = keyOf(n)
+	}
+	return n, key, err
+}
+
+// keyOf hashes an already-normalized request.
 func keyOf(n Request) (string, error) {
 	b, err := json.Marshal(n)
 	if err != nil {
@@ -638,25 +644,16 @@ type ShardOutput struct {
 }
 
 // ExecuteShard runs experiments [start,end) of a campaign's deterministic
-// expansion on the process-wide memoized runner cache. It is the worker
-// side of the shard protocol: in-process shard workers and remote
-// `faultserverd -worker` processes both execute leases through it. On ctx
-// cancellation the partial output of a single-engine shard is returned
-// together with ctx.Err() so the caller can still fold the completed
-// experiments; a hybrid shard is final only when its whole range is
-// resolved, reports nothing partial, and the coordinator requeues the
-// full range. tap observes shard-local completions (done counts shard
-// experiments, total is the shard size).
+// expansion on the process-wide memoized runner cache: the bare range
+// execution underneath RunLease, for callers that hold a range rather
+// than a lease. On ctx cancellation the partial output of a single-engine
+// shard is returned together with ctx.Err() so the caller can still fold
+// the completed experiments; a hybrid shard is final only when its whole
+// range is resolved, reports nothing partial, and the coordinator
+// requeues the full range. tap observes shard-local completions (done
+// counts shard experiments, total is the shard size).
 func ExecuteShard(ctx context.Context, req Request, start, end, workers int, tap Tap) (*ShardOutput, error) {
-	return ExecuteShardObs(ctx, req, start, end, workers, tap, nil)
-}
-
-// ExecuteShardObs is ExecuteShard with an optional metrics registry
-// threaded to the fault engine. Shard execution deliberately carries no
-// stage tracer: many shards share one campaign, so per-shard spans would
-// double-count into the campaign's stage histogram.
-func ExecuteShardObs(ctx context.Context, req Request, start, end, workers int, tap Tap, reg *obs.Registry) (*ShardOutput, error) {
-	run, err := runRange(ctx, req, start, end, rangeEnv{workers: workers, tap: tap, reg: reg})
+	run, err := runRange(ctx, req, start, end, rangeEnv{workers: workers, tap: tap})
 	return run.out, err
 }
 

@@ -86,7 +86,7 @@ type ManagerOptions struct {
 	// deterministic or blocking executors here.
 	Executor func(ctx context.Context, req Request, workers int, tap Tap) (*Outcome, error)
 	// Obs, when non-nil, receives the service's metrics: manager counters
-	// mirroring Stats, a queue-depth gauge, job and per-stage latency
+	// read from Stats, a queue-depth gauge, job and per-stage latency
 	// histograms, shard-pool counters, the engine's counters, and — under
 	// OpenManager — store/journal gauges. Pure observation with a no-op
 	// default: a manager without a registry produces byte-identical
@@ -198,7 +198,6 @@ func newManager(opts ManagerOptions, p *persistence) *Manager {
 		persist: p,
 		jobs:    map[string]*job{},
 		byKey:   map[string]*job{},
-		met:     newManagerMetrics(opts.Obs),
 		log:     opts.Log,
 	}
 	if m.log == nil {
@@ -226,14 +225,7 @@ func newManager(opts ManagerOptions, p *persistence) *Manager {
 			}
 		}
 	}
-	// Scrape-time gauge: the live queued count already lives behind the
-	// manager lock, so read it there instead of mirroring it.
-	opts.Obs.GaugeFunc("jobs_queue_depth",
-		"Jobs queued but not yet running.", func() float64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			return float64(m.queued)
-		})
+	m.registerMetrics(opts.Obs)
 	m.cond = sync.NewCond(&m.mu)
 	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())
 	for i := 0; i < opts.Concurrency; i++ {
@@ -269,11 +261,7 @@ func (m *Manager) Close() {
 // job the caller should follow, and `fresh` reports whether this
 // submission created a new job (false for coalesced and cached answers).
 func (m *Manager) Submit(req Request) (st Status, fresh bool, err error) {
-	n, err := req.Normalize()
-	if err != nil {
-		return Status{}, false, err
-	}
-	key, err := keyOf(n)
+	n, key, err := req.keyed()
 	if err != nil {
 		return Status{}, false, err
 	}
@@ -284,13 +272,10 @@ func (m *Manager) Submit(req Request) (st Status, fresh bool, err error) {
 	}
 	if j := m.byKey[key]; j != nil {
 		m.stats.Submitted++
-		m.met.submitted.Inc()
 		if j.state == StateDone {
 			m.stats.CacheHits++
-			m.met.cacheHits.Inc()
 		} else {
 			m.stats.Coalesced++
-			m.met.coalesced.Inc()
 		}
 		return m.statusLocked(j), false, nil
 	}
@@ -299,12 +284,13 @@ func (m *Manager) Submit(req Request) (st Status, fresh bool, err error) {
 	// here without touching the engine.
 	if m.persist != nil {
 		if out, ok := m.persist.loadOutcome(key); ok {
+			// Born done, so status, result, watch and wait all behave exactly
+			// as for a job that completed in this process. No lifecycle
+			// records are journaled — the outcome is already durable under
+			// its content address.
 			m.stats.Submitted++
 			m.stats.CacheHits++
-			m.met.submitted.Inc()
-			m.met.cacheHits.Inc()
-			j := m.installStoredLocked(key, n, out)
-			return m.statusLocked(j), false, nil
+			return m.statusLocked(m.admitLocked(key, n, StateDone, out)), false, nil
 		}
 	}
 	// The bound counts live queued jobs; cancelled-while-queued entries
@@ -321,23 +307,7 @@ func (m *Manager) Submit(req Request) (st Status, fresh bool, err error) {
 		}
 	}
 	m.stats.Submitted++
-	m.met.submitted.Inc()
-	m.seq++
-	j := &job{
-		id:       fmt.Sprintf("job-%06d", m.seq),
-		key:      key,
-		req:      n,
-		created:  time.Now().UTC(), //lint:allow det status-API timestamp, not result state
-		state:    StateQueued,
-		finished: make(chan struct{}),
-	}
-	m.pending = append(m.pending, j)
-	m.queued++
-	m.jobs[j.id] = j
-	m.order = append(m.order, j)
-	m.byKey[key] = j
-	m.pruneLocked()
-	m.cond.Signal()
+	j := m.admitLocked(key, n, StateQueued, nil)
 	m.log.Info("job submitted", "job", j.id, "key", shortKey(key), "workload", n.Workload)
 	return m.statusLocked(j), true, nil
 }
@@ -351,25 +321,34 @@ func shortKey(key string) string {
 	return key
 }
 
-// installStoredLocked materializes a persistent-store hit as an
-// already-done job so status, result, watch and wait all behave exactly
-// as for a job that completed in this process. No lifecycle records are
-// journaled — the outcome is already durable under its content address.
-func (m *Manager) installStoredLocked(key string, n Request, out *Outcome) *job {
+// admitLocked creates a job for a normalized request and registers it
+// under its id, in submission order and as the latest job of its content
+// key — the one place a job comes into being. A queued job joins the
+// pending FIFO and wakes a worker; any other state is terminal (a
+// persistent-store hit arrives done, carrying its result) and the job is
+// born finished. Whether to admit at all — queue bound, journaling,
+// recovered-shard stash — is the caller's business.
+func (m *Manager) admitLocked(key string, n Request, state State, result *Outcome) *job {
 	m.seq++
 	j := &job{
 		id:       fmt.Sprintf("job-%06d", m.seq),
 		key:      key,
 		req:      n,
 		created:  time.Now().UTC(), //lint:allow det status-API timestamp, not result state
-		state:    StateDone,
-		result:   out,
+		state:    state,
+		result:   result,
 		finished: make(chan struct{}),
 	}
-	close(j.finished)
 	m.jobs[j.id] = j
 	m.order = append(m.order, j)
 	m.byKey[key] = j
+	if state == StateQueued {
+		m.pending = append(m.pending, j)
+		m.queued++
+		m.cond.Signal()
+	} else {
+		close(j.finished)
+	}
 	m.pruneLocked()
 	return j
 }
@@ -380,11 +359,7 @@ func (m *Manager) installStoredLocked(key string, n Request, out *Outcome) *job 
 // its submission record — but it does stash the job's durable completed
 // shards for the coordinator that will resume it.
 func (m *Manager) submitRecovered(rj *RecoveredJob) error {
-	n, err := rj.Request.Normalize()
-	if err != nil {
-		return err
-	}
-	key, err := keyOf(n)
+	n, key, err := rj.Request.keyed()
 	if err != nil {
 		return err
 	}
@@ -398,22 +373,7 @@ func (m *Manager) submitRecovered(rj *RecoveredJob) error {
 	}
 	m.persist.stashRecovered(key, rj.Completed)
 	m.stats.Submitted++
-	m.met.submitted.Inc()
-	m.seq++
-	j := &job{
-		id:       fmt.Sprintf("job-%06d", m.seq),
-		key:      key,
-		req:      n,
-		created:  time.Now().UTC(), //lint:allow det status-API timestamp, not result state
-		state:    StateQueued,
-		finished: make(chan struct{}),
-	}
-	m.pending = append(m.pending, j)
-	m.queued++
-	m.jobs[j.id] = j
-	m.order = append(m.order, j)
-	m.byKey[key] = j
-	m.cond.Signal()
+	m.admitLocked(key, n, StateQueued, nil)
 	return nil
 }
 
@@ -638,7 +598,6 @@ func (m *Manager) worker() {
 			j.state = StateDone
 			j.result = out
 			m.stats.Executed++
-			m.met.executed.Inc()
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			j.state = StateCancelled
 			j.errMsg = err.Error()

@@ -1,21 +1,33 @@
 package jobs
 
-import "repro/internal/obs"
+import (
+	"sync"
 
-// This file holds the job service's metric handles. Everything is
-// nil-safe: a manager built without ManagerOptions.Obs carries no-op
-// handles, so the instrumented code paths below cost a nil check each
-// and the in-memory library path behaves exactly as before. Counters
-// mirror the Stats/ShardStats snapshot structs one-for-one — the
-// snapshots stay the HTTP healthz payload, the counters give the same
-// numbers a time dimension.
+	"repro/internal/obs"
+)
 
-// managerMetrics instruments the job manager.
+// This file holds the job service's metrics. Everything is nil-safe: a
+// manager built without ManagerOptions.Obs registers nothing and carries
+// no-op histogram handles, so the in-memory library path behaves exactly
+// as before. Event counts are kept once, in the Stats and ShardStats
+// snapshot structs that are also the HTTP healthz payload; their
+// counters are scrape-time reads of those fields (ledgerCounter), which
+// gives the same numbers a time dimension without a second set of books.
+
+// ledgerCounter exposes one field of a stats struct guarded by mu as a
+// counter read at scrape time. The fields only ever grow, which is the
+// monotonicity CounterFunc asks its caller to guarantee.
+func ledgerCounter(r *obs.Registry, mu *sync.Mutex, field *int, name, help string) {
+	r.CounterFunc(name, help, func() float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return float64(*field)
+	})
+}
+
+// managerMetrics holds the manager's latency histograms; its event
+// counters live in Stats.
 type managerMetrics struct {
-	submitted *obs.Counter
-	coalesced *obs.Counter
-	cacheHits *obs.Counter
-	executed  *obs.Counter
 	// jobSeconds observes wall-clock executor latency per executed job
 	// (coalesced and cache-hit submissions never reach the executor).
 	jobSeconds *obs.Histogram
@@ -25,16 +37,24 @@ type managerMetrics struct {
 	stageSeconds *obs.HistogramVec
 }
 
-func newManagerMetrics(r *obs.Registry) managerMetrics {
-	return managerMetrics{
-		submitted: r.Counter("jobs_submitted_total",
-			"Campaign submissions accepted (including coalesced and cache hits)."),
-		coalesced: r.Counter("jobs_coalesced_total",
-			"Submissions that joined an in-flight job with the same content key."),
-		cacheHits: r.Counter("jobs_cache_hits_total",
-			"Submissions answered from the completed result cache or the on-disk store."),
-		executed: r.Counter("jobs_executed_total",
-			"Campaigns that actually ran the engine."),
+// registerMetrics exposes Stats as the jobs_*_total counters and the live
+// queued count as a gauge, and builds the latency histograms.
+func (m *Manager) registerMetrics(r *obs.Registry) {
+	ledgerCounter(r, &m.mu, &m.stats.Submitted, "jobs_submitted_total",
+		"Campaign submissions accepted (including coalesced and cache hits).")
+	ledgerCounter(r, &m.mu, &m.stats.Coalesced, "jobs_coalesced_total",
+		"Submissions that joined an in-flight job with the same content key.")
+	ledgerCounter(r, &m.mu, &m.stats.CacheHits, "jobs_cache_hits_total",
+		"Submissions answered from the completed result cache or the on-disk store.")
+	ledgerCounter(r, &m.mu, &m.stats.Executed, "jobs_executed_total",
+		"Campaigns that actually ran the engine.")
+	r.GaugeFunc("jobs_queue_depth",
+		"Jobs queued but not yet running.", func() float64 {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return float64(m.queued)
+		})
+	m.met = managerMetrics{
 		jobSeconds: r.Histogram("jobs_job_duration_seconds",
 			"Executor wall-clock latency per executed job.", obs.DurationBuckets),
 		stageSeconds: r.HistogramVec("jobs_campaign_stage_seconds",
@@ -42,44 +62,27 @@ func newManagerMetrics(r *obs.Registry) managerMetrics {
 	}
 }
 
-// shardMetrics instruments the shard pool and its coordinators.
-type shardMetrics struct {
-	campaigns *obs.Counter
-	leased    *obs.Counter
-	completed *obs.Counter
-	requeued  *obs.Counter
-	// reclaimed is the subset of requeues caused by TTL expiry of a
-	// silent lease (dead worker), as opposed to explicit Fail reports.
-	reclaimed *obs.Counter
-	// poisoned counts campaigns failed by a shard exhausting its
-	// failure/reclaim bounds or reporting diverged golden-run metadata.
-	poisoned     *obs.Counter
-	earlyStopped *obs.Counter
-}
-
-// newShardMetrics registers the pool's counters plus the in-flight lease
-// gauge, which reads len(p.owner) at scrape time.
-func newShardMetrics(r *obs.Registry, p *ShardPool) shardMetrics {
+// registerMetrics exposes ShardStats as the shards_*_total counters plus
+// the in-flight lease gauge, which reads len(p.owner) at scrape time.
+func (p *ShardPool) registerMetrics(r *obs.Registry) {
+	ledgerCounter(r, &p.mu, &p.stats.Campaigns, "shards_campaigns_total",
+		"Sharded campaigns executed.")
+	ledgerCounter(r, &p.mu, &p.stats.Leased, "shards_leased_total",
+		"Shard leases handed out (including re-leases of requeued shards).")
+	ledgerCounter(r, &p.mu, &p.stats.Completed, "shards_completed_total",
+		"Shard results merged into their campaign.")
+	ledgerCounter(r, &p.mu, &p.stats.Requeued, "shards_requeued_total",
+		"Shards put back in the queue after a worker failure or lease expiry.")
+	ledgerCounter(r, &p.mu, &p.stats.Reclaimed, "shards_reclaimed_total",
+		"Shard leases reclaimed after their TTL expired (silent worker).")
+	ledgerCounter(r, &p.mu, &p.stats.Poisoned, "shards_poisoned_total",
+		"Campaigns failed by a shard exhausting its failure or reclaim bound.")
+	ledgerCounter(r, &p.mu, &p.stats.EarlyStopped, "shards_early_stopped_total",
+		"Sharded campaigns halted by the adaptive epsilon rule.")
 	r.GaugeFunc("shards_inflight",
 		"Shard leases currently held by workers.", func() float64 {
 			p.mu.Lock()
 			defer p.mu.Unlock()
 			return float64(len(p.owner))
 		})
-	return shardMetrics{
-		campaigns: r.Counter("shards_campaigns_total",
-			"Sharded campaigns executed."),
-		leased: r.Counter("shards_leased_total",
-			"Shard leases handed out (including re-leases of requeued shards)."),
-		completed: r.Counter("shards_completed_total",
-			"Shard results merged into their campaign."),
-		requeued: r.Counter("shards_requeued_total",
-			"Shards put back in the queue after a worker failure or lease expiry."),
-		reclaimed: r.Counter("shards_reclaimed_total",
-			"Shard leases reclaimed after their TTL expired (silent worker)."),
-		poisoned: r.Counter("shards_poisoned_total",
-			"Campaigns failed by a shard exhausting its failure or reclaim bound."),
-		earlyStopped: r.Counter("shards_early_stopped_total",
-			"Sharded campaigns halted by the adaptive epsilon rule."),
-	}
 }

@@ -374,29 +374,45 @@ func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
 	}{Status: "ready"})
 }
 
-// pool resolves the manager's shard pool, answering 404 when sharded
-// execution is not enabled on this daemon.
-func (s *Server) pool(w http.ResponseWriter) *jobs.ShardPool {
+// shardCall opens one shard-protocol POST: it resolves the manager's
+// shard pool and decodes the JSON body, bounded to limit bytes, into v.
+// It returns nil after answering the request itself — 404 when sharded
+// execution is not enabled on this daemon, 400 for a malformed body.
+func (s *Server) shardCall(w http.ResponseWriter, r *http.Request, limit int64, v any) *jobs.ShardPool {
 	p := s.mgr.ShardPool()
 	if p == nil {
 		writeErr(w, http.StatusNotFound, jobs.ErrNoShards)
+		return nil
+	}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return nil
 	}
 	return p
+}
+
+// shardSettled answers a terminal shard report. 410 Gone tells the worker
+// its lease expired and the work was redone elsewhere — discard and move
+// on; any other error is the report's own fault.
+func shardSettled(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, jobs.ErrNoLease):
+		writeErr(w, http.StatusGone, err)
+	case err != nil:
+		writeErr(w, http.StatusBadRequest, err)
+	default:
+		writeJSON(w, http.StatusOK, struct{}{})
+	}
 }
 
 // shardLease hands the next pending shard of any active campaign to a
 // remote worker: 200 with the lease, or 204 when nothing is pending.
 func (s *Server) shardLease(w http.ResponseWriter, r *http.Request) {
-	p := s.pool(w)
-	if p == nil {
-		return
-	}
 	var req struct {
 		Worker string `json:"worker"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	p := s.shardCall(w, r, 1<<16, &req)
+	if p == nil {
 		return
 	}
 	if req.Worker == "" {
@@ -414,74 +430,36 @@ func (s *Server) shardLease(w http.ResponseWriter, r *http.Request) {
 // field tells the worker to stop the shard (the campaign converged, was
 // cancelled, or no longer tracks this lease) and submit what it has.
 func (s *Server) shardProgress(w http.ResponseWriter, r *http.Request) {
-	p := s.pool(w)
-	if p == nil {
-		return
-	}
 	var req struct {
 		Done     int `json:"done"`
 		Failures int `json:"failures"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	cancel := p.Progress(r.PathValue("lease"), req.Done, req.Failures)
-	writeJSON(w, http.StatusOK, struct {
-		Cancel bool `json:"cancel"`
-	}{Cancel: cancel})
-}
-
-// shardComplete merges a finished (or stop-cancelled partial) shard.
-// 410 Gone tells the worker its lease expired and the work was redone
-// elsewhere — discard and move on.
-func (s *Server) shardComplete(w http.ResponseWriter, r *http.Request) {
-	p := s.pool(w)
+	p := s.shardCall(w, r, 1<<16, &req)
 	if p == nil {
 		return
 	}
+	writeJSON(w, http.StatusOK, struct {
+		Cancel bool `json:"cancel"`
+	}{Cancel: p.Progress(r.PathValue("lease"), req.Done, req.Failures)})
+}
+
+// shardComplete merges a finished (or stop-cancelled partial) shard.
+func (s *Server) shardComplete(w http.ResponseWriter, r *http.Request) {
 	var out jobs.ShardOutput
 	// A shard of a large campaign carries per-experiment outcomes; size
 	// the bound like a result payload, not a control message.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(&out); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	err := p.Complete(jobs.ShardResult{Lease: r.PathValue("lease"), Output: out})
-	switch {
-	case errors.Is(err, jobs.ErrNoLease):
-		writeErr(w, http.StatusGone, err)
-	case err != nil:
-		writeErr(w, http.StatusBadRequest, err)
-	default:
-		writeJSON(w, http.StatusOK, struct{}{})
+	if p := s.shardCall(w, r, 64<<20, &out); p != nil {
+		shardSettled(w, p.Complete(jobs.ShardResult{Lease: r.PathValue("lease"), Output: out}))
 	}
 }
 
 // shardFail releases a lease after a worker-side error so the shard can
 // be re-leased; the worker keeps polling for new work afterwards.
 func (s *Server) shardFail(w http.ResponseWriter, r *http.Request) {
-	p := s.pool(w)
-	if p == nil {
-		return
-	}
 	var req struct {
 		Error string `json:"error"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	err := p.Fail(r.PathValue("lease"), req.Error)
-	switch {
-	case errors.Is(err, jobs.ErrNoLease):
-		writeErr(w, http.StatusGone, err)
-	case err != nil:
-		writeErr(w, http.StatusBadRequest, err)
-	default:
-		writeJSON(w, http.StatusOK, struct{}{})
+	if p := s.shardCall(w, r, 1<<16, &req); p != nil {
+		shardSettled(w, p.Fail(r.PathValue("lease"), req.Error))
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -231,5 +233,112 @@ func TestDrainStreams(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("stream during drain: HTTP %d, want 503", resp2.StatusCode)
+	}
+}
+
+// TestOneLedger: the pool's and the manager's event counts are kept once.
+// After a sharded campaign that saw a worker-reported failure and a
+// lease lost to the TTL, every shards_*_total and jobs_*_total series on
+// /metrics reads exactly the ShardStats / Stats field of the same name in
+// the /healthz payload.
+func TestOneLedger(t *testing.T) {
+	reg := obs.NewRegistry()
+	mgr := jobs.NewManager(jobs.ManagerOptions{
+		Concurrency:       1,
+		Shards:            3,
+		ShardLocalWorkers: -1,
+		ShardLeaseTTL:     100 * time.Millisecond,
+		Obs:               reg,
+	})
+	ts := httptest.NewServer(server.New(mgr, server.WithObs(reg)).Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		mgr.Close()
+	})
+	_, st := post(t, ts.URL, shardReq)
+
+	lease := func(worker string) jobs.ShardLease {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+			resp, err := http.Post(ts.URL+"/api/v1/shards/lease", "application/json",
+				strings.NewReader(`{"worker":"`+worker+`"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var l jobs.ShardLease
+			err = json.NewDecoder(resp.Body).Decode(&l)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK && err == nil {
+				return l
+			}
+		}
+		t.Fatal("no lease before deadline")
+		return jobs.ShardLease{}
+	}
+	// One explicit failure, then one lease that goes silent past the TTL.
+	resp, err := http.Post(ts.URL+"/api/v1/shards/"+lease("flaky").Lease+"/fail", "application/json",
+		strings.NewReader(`{"error":"synthetic worker error"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fail report: HTTP %d", resp.StatusCode)
+	}
+	lease("silent")
+	time.Sleep(250 * time.Millisecond)
+
+	// A live worker finishes the campaign. Wait for it to exit before
+	// reading the books, so its last report is fully settled.
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		(&server.Worker{Coordinator: ts.URL, Name: "live", Workers: 2, Poll: 10 * time.Millisecond}).Run(ctx)
+	}()
+	wctx, wcancel := context.WithTimeout(context.Background(), time.Minute)
+	defer wcancel()
+	final, err := mgr.Wait(wctx, st.ID)
+	cancel()
+	<-stopped
+	if err != nil || final.State != jobs.StateDone {
+		t.Fatalf("job ended %v / %s: %s", err, final.State, final.Error)
+	}
+
+	_, hb := get(t, ts.URL+"/api/v1/healthz")
+	var health struct {
+		Stats  map[string]any `json:"stats"`
+		Shards map[string]any `json:"shards"`
+	}
+	if err := json.Unmarshal(hb, &health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Shards["reclaimed"].(float64) < 1 || health.Shards["requeued"].(float64) < 2 {
+		t.Fatalf("healthz shards %v: want the reclaim and the failure on the books", health.Shards)
+	}
+	_, mb := get(t, ts.URL+"/metrics")
+	checked := 0
+	for _, line := range strings.Split(string(mb), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		field, isTotal := strings.CutSuffix(name, "_total")
+		if !ok || !isTotal || strings.HasPrefix(line, "#") {
+			continue
+		}
+		var ledger map[string]any
+		if f, ok := strings.CutPrefix(field, "shards_"); ok {
+			ledger, field = health.Shards, f
+		} else if f, ok := strings.CutPrefix(field, "jobs_"); ok {
+			ledger, field = health.Stats, f
+		} else {
+			continue
+		}
+		want, ok := ledger[field].(float64)
+		if got, err := strconv.ParseFloat(value, 64); !ok || err != nil || got != want {
+			t.Errorf("%s = %s, healthz field %q = %v", name, value, field, ledger[field])
+		}
+		checked++
+	}
+	if checked != 11 {
+		t.Errorf("compared %d ledger series, want the 7 shards_ and 4 jobs_ ones", checked)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -202,72 +201,31 @@ func sleepJitter(ctx context.Context, d time.Duration) bool {
 	return sleep(ctx, d/2+time.Duration(rand.Int63n(int64(d/2))))
 }
 
-// runShard executes one leased shard and reports it back.
+// runShard executes one leased shard and reports it back. RunLease owns
+// the execution — keepalives inside the lease TTL, throttled and
+// serialized progress reports, cancellation on the coordinator's word —
+// so only the settle step is spelled out here.
 func (w *Worker) runShard(ctx context.Context, lease *jobs.ShardLease) {
 	atomic.AddInt64(&w.stats.ShardsExecuted, 1)
 	w.log().Info("shard leased", "shard", lease.Range.Index,
 		"start", lease.Range.Start, "end", lease.Range.End,
 		"campaign", lease.Key[:min(12, len(lease.Key))])
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Throttle progress reports to ~16 per shard plus the first one, so
-	// a large campaign doesn't turn into an HTTP request per experiment.
-	stride := (lease.Range.End-lease.Range.Start)/16 + 1
-	var mu sync.Mutex
-	lastDone, lastFailures := 0, 0
-	report := func(done, failures int) {
-		// Serialize reports: ExecuteShard's tap is already serialized,
-		// but the HTTP round trip must not reorder tallies.
-		mu.Lock()
-		defer mu.Unlock()
-		if w.progress(lease.Lease, done, failures) {
-			cancel()
-		}
-	}
-	// Keepalive: the golden-run simulation and long experiments produce
-	// no taps; refresh the lease inside the coordinator's TTL so a live
-	// worker never loses its shard to the reclaim janitor.
-	kaStop := make(chan struct{})
-	defer close(kaStop)
-	go func() {
-		tick := time.NewTicker(jobs.KeepaliveInterval(time.Duration(lease.LeaseTTLSeconds * float64(time.Second))))
-		defer tick.Stop()
-		for {
-			select {
-			case <-kaStop:
-				return
-			case <-sctx.Done():
-				return
-			case <-tick.C:
-				mu.Lock()
-				d, f := lastDone, lastFailures
-				mu.Unlock()
-				report(d, f)
-			}
-		}
-	}()
-	out, err := jobs.ExecuteShardObs(sctx, lease.Request, lease.Range.Start, lease.Range.End, w.Workers,
-		func(done, total, failures int) {
-			mu.Lock()
-			lastDone, lastFailures = done, failures
-			mu.Unlock()
-			if done != 1 && done != total && done%stride != 0 {
-				return
-			}
-			report(done, failures)
-		}, w.Obs)
+	out, err := jobs.RunLease(ctx, lease, w.Workers, w.Obs, func(done, failures int) bool {
+		return w.progress(lease.Lease, done, failures)
+	})
 	if out == nil {
 		// The engine never produced anything (runner build failure or the
 		// worker's own shutdown): release the lease for someone else.
 		w.log().Warn("shard failed", "shard", lease.Range.Index, "error", err)
-		w.fail(ctx, lease.Lease, fmt.Sprintf("%v", err))
+		w.report(ctx, lease.Lease, "fail", struct {
+			Error string `json:"error"`
+		}{fmt.Sprintf("%v", err)}, "failure report")
 		return
 	}
 	// Completed, cancelled by the coordinator's stop rule, or the worker
 	// is shutting down mid-shard: submit what ran. The coordinator folds
 	// a partial once the campaign has stopped and requeues it otherwise.
-	w.complete(ctx, lease.Lease, out)
+	w.report(ctx, lease.Lease, "complete", out, fmt.Sprintf("shard result (%d experiments)", len(out.Experiments)))
 }
 
 // lease asks for the next shard; nil without error means no work.
@@ -327,38 +285,24 @@ func (w *Worker) progress(lease string, done, failures int) (cancel bool) {
 // re-executed, never lost.
 const reportAttempts = 5
 
-// complete submits a shard's outcomes, retrying transient coordinator
-// errors with jittered backoff. Silently dropping this POST — the old
-// behaviour — discarded the entire shard's completed experiments on one
-// flaky round trip; now only exhausting every retry does, and that is
-// counted (WorkerStats.Dropped) and logged.
-func (w *Worker) complete(ctx context.Context, lease string, out *jobs.ShardOutput) {
-	body, err := json.Marshal(out)
+// report delivers one terminal shard report: "complete" with the shard's
+// outcomes, or "fail" with the error that releases the lease. Transient
+// errors (network, 5xx) retry with jittered exponential backoff, because
+// one flaky round trip must not discard a whole shard's completed
+// experiments, nor leave a failed shard pinned until the lease TTL instead
+// of re-leasing it promptly; only exhausting every retry drops the
+// report, and that is counted (WorkerStats.Dropped) and logged. 410 Gone
+// (lease expired, work redone elsewhere) and other 4xx answers are
+// permanent. A worker already shutting down gets one quick retry instead
+// of the full schedule so the final partial still has a chance to land
+// without stalling process exit.
+func (w *Worker) report(ctx context.Context, lease, kind string, payload any, what string) {
+	body, err := json.Marshal(payload)
 	if err != nil {
-		w.log().Error("encoding shard result failed", "error", err)
+		w.log().Error("encoding shard report failed", "kind", kind, "error", err)
 		return
 	}
-	w.report(ctx, "complete", w.Coordinator+"/api/v1/shards/"+lease+"/complete", body,
-		fmt.Sprintf("shard result (%d experiments)", len(out.Experiments)))
-}
-
-// fail releases a lease after a worker-side error, with the same retry
-// discipline as complete: an undelivered failure report leaves the
-// shard pinned until the lease TTL instead of re-leasing it promptly.
-func (w *Worker) fail(ctx context.Context, lease, msg string) {
-	body, _ := json.Marshal(struct {
-		Error string `json:"error"`
-	}{Error: msg})
-	w.report(ctx, "fail", w.Coordinator+"/api/v1/shards/"+lease+"/fail", body, "failure report")
-}
-
-// report delivers one terminal shard report. Transient errors (network,
-// 5xx) retry with jittered exponential backoff; 410 Gone (lease
-// expired, work redone elsewhere) and other 4xx answers are permanent.
-// A worker already shutting down gets one quick retry instead of the
-// full schedule so the final partial still has a chance to land without
-// stalling process exit.
-func (w *Worker) report(ctx context.Context, kind, url string, body []byte, what string) {
+	url := w.Coordinator + "/api/v1/shards/" + lease + "/" + kind
 	backoff := 250 * time.Millisecond
 	for attempt := 1; ; attempt++ {
 		resp, err := w.post(url, body)
