@@ -33,12 +33,13 @@
 // simulated to program exit.
 //
 // From the ladder, experiments run bit-parallel (PPSFP): the engine
-// batches up to 64 fault universes — lanes — into one witnessed golden
-// pass that records which bit values every batched net is read with,
-// finalizes the lanes that provably never activate as no-effect without
-// simulating them, and re-runs only the activated lanes scalar from the
-// nearest frozen golden state (DESIGN.md §10). Batching is invisible to
-// result encodings, content addresses and shard merges.
+// batches fault universes — lanes, in groups of 64 — onto one witnessed
+// golden pass per campaign worker that records which bit values every
+// batched net is read with, finalizes the lanes that provably never
+// activate as no-effect without simulating them, and re-runs only the
+// activated lanes scalar from the nearest frozen golden state (DESIGN.md
+// §10). Batching is invisible to result encodings, content addresses and
+// shard merges.
 //
 // There is one engine selector. CampaignSpec.NoCheckpoint (request field
 // no_checkpoint, `faultcampaign -no-checkpoint`, fault.Options.NoCheckpoint)

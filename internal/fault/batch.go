@@ -1,7 +1,9 @@
 package fault
 
 import (
-	"math/bits"
+	"cmp"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/iss"
@@ -10,10 +12,13 @@ import (
 )
 
 // This file implements the bit-parallel (PPSFP) campaign engine: one
-// witnessed golden pass resolves up to 64 fault universes ("lanes") at
-// once, and only the lanes whose fault is actually read with a differing
-// value — or, for an upset memory-array word, read at all before it is
-// overwritten — ever pay for a scalar simulation.
+// witnessed golden pass decides, for every fault universe ("lane") riding
+// it, whether and when the fault is actually read with a differing value
+// — or, for an upset memory-array word, read at all before it is
+// overwritten — and only those lanes ever pay for a scalar simulation.
+// A campaign has one pass per worker, each carrying several 64-lane
+// groups — the dispatch granule — and walked once, by whichever worker
+// first needs one of its groups.
 //
 // Classic PPSFP packs one gate-level net's value across 64 test patterns
 // into a machine word. That transplant is impossible for a word-level
@@ -26,9 +31,10 @@ import (
 // where some process reads the faulted net and the forced bit differs
 // from the clean bit. During one shared golden continuation pass, a
 // rtl.Witness accumulates per-net read observations (Ones/Zeros masks);
-// whether any of a batch's lanes activates at a cycle is then one AND
-// per lane against its net's accumulator — all 64 bit positions of a net
-// checked at once, which is where the 64-way parallelism lives.
+// whether a lane activates at a cycle is then one AND against its net's
+// accumulator — all 64 bit positions of a net checked at once, which is
+// where the 64-way parallelism lives — and only the nets the design
+// touched that cycle visit their lanes at all.
 //
 // A BitFlip is the one model that does mutate raw state, and on a signal
 // the upset spreads through raw copies (Hold, the clock edge) that no Get
@@ -51,17 +57,44 @@ import (
 // next activation cycle. The pass itself keeps no golden state: it
 // starts from rung 0 of the runner's shared ladder and only witnesses.
 
-// maxLanes is the lane capacity of one batch: a pass records one
-// activation word per golden cycle, one bit per lane, which is also the
-// PPSFP word width the design is named for; 64 keeps batch bookkeeping
-// and stop-rule granularity bounded.
+// maxLanes is the lane capacity of one group, the PPSFP word width the
+// design is named for: a pass records one activation word per group per
+// golden cycle, one bit per lane. The group is the dispatch granule, so
+// 64 also bounds the stop-rule and cancellation overshoot per worker.
 const maxLanes = 64
 
+// actBudget bounds one pass's activation record (8 bytes per group per
+// golden cycle) at the order of the ladder's footprint; a constant, not an option.
+const actBudget = 1 << 20
+
+// pass is one witnessed golden walk shared by several groups of a
+// campaign. Once walked its storage is read-only, and read by every worker
+// that resolves one of its groups until the campaign's dispatch ends.
+type pass struct {
+	idxs     []int // experiment indices in lane order; group g is idxs[64g:64(g+1)]
+	once     sync.Once
+	*passBuf // nil until walked, and ever after if the witness failed to arm
+}
+
+// passBuf is the pooled storage of one walk.
+type passBuf struct {
+	lanes  []lane
+	probes []probe
+	// act is the activation record, group-major: group g's word for golden
+	// cycle t is act[g*span+t-start], span the continuation's length.
+	act       []uint64
+	nets      []rtl.WitnessNet // deduplicated over the whole pass
+	netIdx    map[rtl.WitnessNet]int32
+	head      []int32 // per net, the first lane of its chain (probe.next)
+	byInstant []int32 // transient lanes, sorted by injection instant
+}
+
 // planItem is one dispatch granule of a campaign: a single scalar
-// experiment (lanes nil) or a batch of experiment indices.
+// experiment (pass nil) or one 64-lane group of a pass.
 type planItem struct {
 	idx   int
-	lanes []int
+	pass  *pass
+	group int
 }
 
 // planBatches partitions a campaign's experiments into dispatch
@@ -73,48 +106,61 @@ type planItem struct {
 // register copies without ever being "read", so witness gating would be
 // unsound; a hand-built transient before the ladder's first rung cannot
 // fork from it; and an invalid node must reproduce the scalar engine's
-// inject-error result — those three run scalar. Batches are filled in
-// input order; result content is independent of the partition, so the
-// plan shape is free to change without affecting campaign or shard
-// determinism.
-func (r *Runner) planBatches(exps []Experiment) []planItem {
-	plan := make([]planItem, 0, len(exps))
+// inject-error result — those three run scalar.
+//
+// The plan is in input order, which is what an adaptive stop samples: a
+// scalar granule at its experiment's position, a group where its last lane
+// falls. Groups are dealt round-robin to one pass per worker — consecutive
+// groups open different passes, so no worker waits for another's walk
+// before it has work — and to more where a record would exceed actBudget.
+// Result content is independent of the partition.
+func (r *Runner) planBatches(exps []Experiment, workers int) ([]planItem, []*pass) {
 	if r.opts.NoCheckpoint {
-		for i := range exps {
-			plan = append(plan, planItem{idx: i})
+		plan := make([]planItem, len(exps))
+		for i := range plan {
+			plan[i].idx = i
 		}
-		return plan
+		return plan, nil
 	}
 	eng := r.getEngine()
 	defer r.putEngine(eng)
 	k := eng.core.K
 
-	var cur []int
-	flush := func() {
-		if len(cur) > 0 {
-			r.met.lanesPlanned.Add(float64(len(cur)))
-			plan = append(plan, planItem{idx: -1, lanes: cur})
-			cur = nil
-		}
-	}
+	batchable := make([]bool, len(exps))
+	lanes := 0
 	for i, e := range exps {
-		batchable := (e.Model != rtl.BitFlip || k.IsArrayWord(e.Node.Node)) &&
+		batchable[i] = (e.Model != rtl.BitFlip || k.IsArrayWord(e.Node.Node)) &&
 			!(e.Model.Transient() && e.AtCycle < r.opts.InjectAtCycle) &&
 			k.NodeValid(e.Node.Node)
-		if !batchable {
+		if batchable[i] {
+			lanes++
+		}
+	}
+	r.met.lanesPlanned.Add(float64(lanes))
+	groups := (lanes + maxLanes - 1) / maxLanes
+	gcap := max(1, actBudget/8/int(max(1, r.GoldenCycles-r.ladder().start)))
+	passes := make([]*pass, max((groups+gcap-1)/gcap, min(workers, groups)))
+	for i := range passes {
+		passes[i] = &pass{idxs: make([]int, 0, (groups+len(passes)-1)/len(passes)*maxLanes)}
+	}
+	plan := make([]planItem, 0, groups+len(exps)-lanes)
+	g, n := 0, 0 // groups planned, lanes seen
+	for i := range exps {
+		if !batchable[i] {
 			plan = append(plan, planItem{idx: i})
 			continue
 		}
-		cur = append(cur, i)
-		if len(cur) == maxLanes {
-			flush()
+		p := passes[g%len(passes)]
+		p.idxs = append(p.idxs, i)
+		if n++; n%maxLanes == 0 || n == lanes {
+			plan = append(plan, planItem{pass: p, group: g / len(passes)})
+			g++
 		}
 	}
-	flush()
-	return plan
+	return plan, passes
 }
 
-// lane is one fault universe: a lane of a batch pass, or a scalar
+// lane is one fault universe: a lane of a witnessed pass, or a scalar
 // experiment on its own.
 type lane struct {
 	e        Experiment
@@ -128,21 +174,23 @@ type lane struct {
 	// differing bit — for a BitFlip lane, read the upset word at all.
 	activateAt uint64
 
-	// Batch lanes only. act is the pass's activation record — word t-start
-	// has bit slot set when the lane's probe fired at golden cycle t — and
-	// is nil for a scalar experiment. sampled is the raw word the lane's
-	// net carried at the injection instant (charge-sampling models).
+	// Pass lanes only. act is the activation record of the lane's group —
+	// word t-start has bit slot set when the lane's probe fired at golden
+	// cycle t — nil for a scalar experiment or a never-activated lane.
+	// sampled is the raw word the lane's net carried at the injection
+	// instant (charge-sampling models).
 	act     []uint64
 	slot    uint
 	sampled uint64
 }
 
-// probe is the activation predicate of one batch lane, kept apart from
-// the lane so the pass's per-cycle loop walks one compact array: the
+// probe is the activation predicate of one pass lane, kept apart from
+// the lane so the pass's per-cycle drain walks one compact array: the
 // probe fires when some consumer read the faulted bit with the polarity
 // the forcing would invert.
 type probe struct {
-	net   int32 // witness net index (< maxLanes)
+	net   int32 // witness net index
+	next  int32 // the next lane faulting the same net, -1 at the chain's end
 	shift uint8 // Node.Bit (< 64)
 	// forcedOne is the armed polarity of the faulted bit; for the
 	// charge-sampling models it is derived from lane.sampled. armed is
@@ -157,13 +205,12 @@ type probe struct {
 	flip bool
 }
 
-// fires reports whether a cycle's observations activate the probe, and
-// disarms a flip probe the cycle its word is touched.
-func (p *probe) fires(acc []rtl.WitnessAcc) bool {
+// fires reports whether a cycle's observations of the probe's net
+// activate it, and disarms a flip probe the cycle its word is touched.
+func (p *probe) fires(a *rtl.WitnessAcc) bool {
 	if !p.armed {
 		return false
 	}
-	a := &acc[p.net]
 	if p.flip {
 		read := a.Ones|a.Zeros != 0
 		p.armed = !read && !a.WriteFirst
@@ -210,72 +257,116 @@ func (l *lane) healable(t uint64) bool {
 	return l.act != nil || l.e.Model.Transient() && t >= l.pulseEnd
 }
 
-// runBatch executes one batch: a single witnessed golden continuation
-// pass over all lanes, then per-lane resolution. The returned results
-// are positionally parallel to idxs and byte-identical to what RunOne
-// would produce for each experiment.
-func (r *Runner) runBatch(exps []Experiment, idxs []int) []Result {
+// runGroup executes one dispatch granule: group g of pass p, walking the
+// pass first if no worker has yet. Every result delivered is
+// byte-identical to what RunOne would produce for the experiment.
+func (r *Runner) runGroup(exps []Experiment, p *pass, g int, deliver func(i int, res Result)) {
+	p.once.Do(func() { r.walk(exps, p) })
+	lo := g * maxLanes
+	idxs := p.idxs[lo:min(lo+maxLanes, len(p.idxs))]
+	if p.passBuf == nil {
+		// The defensive path for a pass setup failure, which never happens
+		// with a same-program core and plan-validated nodes.
+		r.met.fallbacks.Add(float64(len(idxs)))
+		for _, i := range idxs {
+			deliver(i, r.RunOne(exps[i]))
+		}
+		return
+	}
+	lad := r.ladder()
+	eng := r.getEngine()
+	defer r.putEngine(eng)
+	for j, i := range idxs {
+		l := &p.lanes[lo+j]
+		if l.act != nil {
+			r.met.lanesActivated.Inc()
+			deliver(i, r.resolve(eng.core, lad, l))
+			continue
+		}
+		// A never-activated lane tracked the golden trajectory bit-for-bit
+		// to program exit: no consumer ever read its faulted bit with a
+		// differing value (an upset array word was overwritten, or left
+		// alone, before any read), so the scalar run would have produced
+		// the golden trace and length exactly.
+		r.met.lanesFree.Inc()
+		res := l.result()
+		res.Cycles = r.GoldenCycles
+		deliver(i, res)
+	}
+}
+
+// walk is the witnessed golden pass over p's lanes: one clean continuation
+// from rung 0 to program exit. It leaves every activated lane its first
+// activation cycle and group record — or p.passBuf nil, were the witness not to arm.
+func (r *Runner) walk(exps []Experiment, p *pass) {
 	lad := r.ladder()
 	eng := r.getEngine()
 	defer r.putEngine(eng)
 	core := eng.core
 	lad.fork(core, 0)
-	start := lad.start
+	start, span := lad.start, r.GoldenCycles-lad.start
 
-	// Build the lane set and the deduplicated witness net list (two
-	// lanes may fault different bits, or different models, of one net).
-	lanes := make([]lane, len(idxs))
-	probes := make([]probe, len(idxs))
-	netIdx := map[rtl.WitnessNet]int{}
-	var nets []rtl.WitnessNet
-	for j, i := range idxs {
+	// Build the lane set and the deduplicated witness net list (lanes may
+	// fault different bits, or models, of one net), chaining each net's lanes.
+	b, _ := r.passBufs.Get().(*passBuf)
+	if b == nil {
+		b = &passBuf{netIdx: map[rtl.WitnessNet]int32{}}
+	}
+	n := len(p.idxs)
+	b.lanes, b.probes = slices.Grow(b.lanes[:0], n)[:n], slices.Grow(b.probes[:0], n)[:n]
+	b.nets, b.head, b.byInstant = b.nets[:0], b.head[:0], b.byInstant[:0]
+	clear(b.netIdx)
+	lanes, probes := b.lanes, b.probes
+	for j, i := range p.idxs {
 		e := exps[i]
-		n := rtl.WitnessNet{Name: e.Node.Node.Name, Word: e.Node.Node.Word}
-		ni, ok := netIdx[n]
+		wn := rtl.WitnessNet{Name: e.Node.Node.Name, Word: e.Node.Node.Word}
+		ni, ok := b.netIdx[wn]
 		if !ok {
-			ni = len(nets)
-			netIdx[n] = ni
-			nets = append(nets, n)
+			ni = int32(len(b.nets))
+			b.netIdx[wn] = ni
+			b.nets, b.head = append(b.nets, wn), append(b.head, -1)
 		}
 		lanes[j] = r.newLane(e)
-		lanes[j].slot = uint(j)
-		probes[j] = probe{net: int32(ni), shift: uint8(e.Node.Node.Bit), flip: e.Model == rtl.BitFlip}
+		lanes[j].slot = uint(j % maxLanes)
+		probes[j] = probe{net: ni, next: b.head[ni], shift: uint8(e.Node.Node.Bit), flip: e.Model == rtl.BitFlip}
+		b.head[ni] = int32(j)
+		if e.Model.Transient() {
+			b.byInstant = append(b.byInstant, int32(j))
+		}
 	}
-	w, err := core.K.StartWitness(nets)
+	w, err := core.K.StartWitness(b.nets)
 	if err != nil {
-		return r.runScalarFallback(exps, idxs)
+		r.passBufs.Put(b)
+		return
 	}
 
 	// Arm the permanent lanes' polarities; the charge-sampling models
 	// read the net's raw word at the injection instant, which for
 	// permanents is the pass start (exactly the value a scalar Inject at
 	// that boundary would sample). Transient lanes stay unarmed until the
-	// pass reaches their instant.
-	unarmed := 0
+	// pass reaches their instant, in byInstant order.
 	for j := range lanes {
-		l, p := &lanes[j], &probes[j]
+		l, pr := &lanes[j], &probes[j]
 		switch l.e.Model {
 		case rtl.StuckAt1:
-			p.forcedOne, p.armed = true, true
+			pr.forcedOne, pr.armed = true, true
 		case rtl.StuckAt0:
-			p.forcedOne, p.armed = false, true
+			pr.forcedOne, pr.armed = false, true
 		case rtl.OpenLine:
-			l.sampled = w.Sample(int(p.net))
-			p.forcedOne, p.armed = l.sampled>>p.shift&1 != 0, true
-		default:
-			unarmed++
+			l.sampled = w.Sample(int(pr.net))
+			pr.forcedOne, pr.armed = l.sampled>>pr.shift&1 != 0, true
 		}
 	}
+	slices.SortFunc(b.byInstant, func(x, y int32) int { return cmp.Compare(lanes[x].injectAt, lanes[y].injectAt) })
+	due := b.byInstant
 
-	// The witnessed golden pass: one clean continuation from rung 0 to
-	// program exit, arming transient lanes as their instants are reached and
-	// recording one activation word per cycle — bit j set when lane j's
-	// probe fired. The words are all a healed lane needs to find its next
-	// activation, so the record is 8 bytes per golden cycle whatever the
-	// net count, and its buffer stays with the pooled engine.
-	act := eng.act[:0]
+	// One activation word per group per golden cycle, bit slot set when
+	// the lane's probe fired, is all a healed lane needs to find its next
+	// activation: 8 bytes, whatever the net count.
+	words := (n + maxLanes - 1) / maxLanes * int(span)
+	b.act = slices.Grow(b.act[:0], words)[:words]
+	clear(b.act)
 	acc := w.Accs()
-	var activated uint64 // lanes whose first activation is known
 	var passStart time.Time
 	if r.met.live {
 		// Behind the live flag: an unregistered engine never reads the
@@ -284,75 +375,40 @@ func (r *Runner) runBatch(exps []Experiment, idxs []int) []Result {
 	}
 	for core.Status() == iss.StatusRunning {
 		t := core.Cycles()
-		if unarmed > 0 {
-			for j := range lanes {
-				if l, p := &lanes[j], &probes[j]; !p.armed && l.injectAt == t {
-					l.sampled = w.Sample(int(p.net))
-					// A SET glitch drives the complement of the charge (a
-					// flip probe ignores the polarity).
-					p.forcedOne, p.armed = l.sampled>>p.shift&1 == 0, true
-					unarmed--
-				}
-			}
+		for ; len(due) > 0 && lanes[due[0]].injectAt == t; due = due[1:] {
+			l, pr := &lanes[due[0]], &probes[due[0]]
+			l.sampled = w.Sample(int(pr.net))
+			// A SET glitch drives the complement of the charge (a flip
+			// probe ignores the polarity).
+			pr.forcedOne, pr.armed = l.sampled>>pr.shift&1 == 0, true
 		}
 		core.StepCycle()
-		var word uint64
-		for j := range probes {
-			if probes[j].fires(acc) {
-				word |= 1 << uint(j)
+		// Net-major drain: only the nets the design touched this cycle
+		// visit their lanes, and only they need clearing.
+		for ni := range acc {
+			a := &acc[ni]
+			if a.Ones|a.Zeros == 0 && !a.WriteFirst {
+				continue
 			}
-		}
-		act = append(act, word)
-		for m := word &^ activated; m != 0; m &= m - 1 {
-			j := bits.TrailingZeros64(m)
-			if l := &lanes[j]; l.inWindow(t) {
-				l.activateAt = t
-				activated |= 1 << uint(j)
+			for j := b.head[ni]; j >= 0; j = probes[j].next {
+				if !probes[j].fires(a) {
+					continue
+				}
+				l, base := &lanes[j], uint64(j/maxLanes)*span
+				b.act[base+t-start] |= 1 << l.slot
+				if l.act == nil && l.inWindow(t) {
+					l.activateAt, l.act = t, b.act[base:base+span]
+				}
 			}
-		}
-		for i := range acc {
-			acc[i] = rtl.WitnessAcc{}
+			*a = rtl.WitnessAcc{}
 		}
 	}
 	w.Stop()
-	eng.act = act
-	goldenEnd := core.Cycles()
 	if r.met.live {
 		r.met.goldenSeconds.Add(time.Since(passStart).Seconds()) //lint:allow det live-guarded golden-pass metric
-		r.met.goldenCycles.Add(float64(goldenEnd - start))
+		r.met.goldenCycles.Add(float64(core.Cycles() - start))
 	}
-
-	// Lane resolution. Never-activated lanes tracked the golden
-	// trajectory bit-for-bit to program exit: no consumer ever read
-	// their faulted bit with a differing value (an upset array word was
-	// overwritten, or left alone, before any read), so the scalar run
-	// would have produced the golden trace and length exactly.
-	results := make([]Result, len(lanes))
-	for j := range lanes {
-		l := &lanes[j]
-		if activated>>uint(j)&1 == 0 {
-			r.met.lanesFree.Inc()
-			results[j] = l.result()
-			results[j].Cycles = goldenEnd
-			continue
-		}
-		r.met.lanesActivated.Inc()
-		l.act = act
-		results[j] = r.resolve(core, lad, l)
-	}
-	return results
-}
-
-// runScalarFallback resolves a batch through the scalar engine — the
-// defensive path for a pass setup failure, which never happens with a
-// same-program core and plan-validated nodes.
-func (r *Runner) runScalarFallback(exps []Experiment, idxs []int) []Result {
-	r.met.fallbacks.Add(float64(len(idxs)))
-	out := make([]Result, len(idxs))
-	for j, i := range idxs {
-		out[j] = r.RunOne(exps[i])
-	}
-	return out
+	p.passBuf = b
 }
 
 // nextActivation returns the first golden cycle at or after from at

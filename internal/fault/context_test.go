@@ -90,8 +90,8 @@ func TestCampaignContextComplete(t *testing.T) {
 // halting via it is a success (nil error) with a ran bitmap marking
 // exactly the completed prefix set, and experiments whose slot is unset
 // in the bitmap never executed. The scalar reference engine stops within
-// one experiment per worker; the batched engine within one batch per
-// worker.
+// one experiment per worker; the batched engine within one 64-lane group
+// per worker, however many groups share a witnessed pass.
 func TestCampaignStopContext(t *testing.T) {
 	w, err := workloads.Build("excerptA", workloads.Config{})
 	if err != nil {
@@ -124,9 +124,10 @@ func TestCampaignStopContext(t *testing.T) {
 		t.Fatalf("%d experiments completed, want within one granule of %d", completed, stopAt)
 	}
 
-	// Under the bit-parallel engine the dispatch granule is one batch of
-	// up to 64 experiments per worker, so a stop overshoots by at most
-	// that much — never by the rest of the campaign.
+	// Under the bit-parallel engine the dispatch granule is one group of
+	// up to 64 experiments per worker (the pass it rides is walked on the
+	// way, but only the worker's own group is resolved), so a stop
+	// overshoots by at most that much — never by the rest of the campaign.
 	rb, err := NewRunner(w.Program, Options{InjectAtFraction: 0.3})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +144,7 @@ func TestCampaignStopContext(t *testing.T) {
 		}
 	}
 	if completedB < stopAt || completedB > stopAt+2*64 {
-		t.Fatalf("batched: %d experiments completed, want within one batch per worker of %d", completedB, stopAt)
+		t.Fatalf("batched: %d experiments completed, want within one group per worker of %d", completedB, stopAt)
 	}
 	if completedB >= len(exps) {
 		t.Fatalf("batched campaign ran to completion (%d) despite stop rule", completedB)
@@ -173,6 +174,76 @@ func TestCampaignStopContext(t *testing.T) {
 	if _, _, err := r.CampaignStopContext(ctx, small, 2, nil,
 		func(done, failures int) bool { return false }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
+	}
+}
+
+// TestStoppedCampaignSamplesInputMix pins what an adaptive stop samples:
+// the plan keeps input order — a scalar granule at its experiment's
+// position, a lane group where its last lane falls, whichever pass carries
+// it — so a campaign stopped early has completed scalar signal upsets and
+// array-word lanes in roughly the input's proportion, not one kind first.
+func TestStoppedCampaignSamplesInputMix(t *testing.T) {
+	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := Expand(SampleNodes(r.Nodes(TargetIU), 256, 1), rtl.BitFlip)
+	r.ScheduleTransients(exps, 1)
+	scalar := make([]bool, len(exps))
+	scalars := 0
+	for _, workers := range []int{1, 2, 3, 5} {
+		plan, passes := r.planBatches(exps, workers)
+		at, groups := -1, 0
+		for _, it := range plan {
+			pos := it.idx
+			if it.pass != nil {
+				g := it.pass.idxs[it.group*maxLanes : min((it.group+1)*maxLanes, len(it.pass.idxs))]
+				pos = g[len(g)-1]
+				groups++
+			} else if workers == 1 {
+				scalar[it.idx] = true
+				scalars++
+			}
+			if pos <= at {
+				t.Fatalf("%d workers: granule at experiment %d planned after one at %d", workers, pos, at)
+			}
+			at = pos
+		}
+		if groups < 3 || len(passes) != min(workers, groups) {
+			t.Fatalf("%d workers: %d groups on %d passes, want one pass per worker", workers, groups, len(passes))
+		}
+	}
+	if scalars < 32 || len(exps)-scalars < 2*maxLanes {
+		t.Fatalf("%d scalar of %d experiments: the campaign is not mixed", scalars, len(exps))
+	}
+	for _, workers := range []int{1, 2} {
+		_, ran, err := r.CampaignStopContext(context.Background(), exps, workers, nil,
+			func(done, failures int) bool { return done >= 100 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		done, scalarDone := 0, 0
+		for i, ok := range ran {
+			if ok {
+				done++
+				if scalar[i] {
+					scalarDone++
+				}
+			}
+		}
+		if done >= len(exps) {
+			t.Fatalf("%d workers: the campaign ran to completion despite the stop rule", workers)
+		}
+		// Input share within a factor of two: the stop lands on a group
+		// boundary, so the sampled share is not exact.
+		if got, want := float64(scalarDone)/float64(done), float64(scalars)/float64(len(exps)); got < want/2 || got > 2*want {
+			t.Errorf("%d workers: %d of %d completed experiments are scalar (%.2f), input share %.2f",
+				workers, scalarDone, done, got, want)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -45,6 +47,65 @@ func TestEngineEquivalence(t *testing.T) {
 			checkEngine(t, prod, exps, want)
 			if got := Pf(prod.Campaign(exps, 3)); got != Pf(want) {
 				t.Fatalf("Pf %v != reference %v", got, Pf(want))
+			}
+		})
+	}
+}
+
+// TestSharedPassEquivalence holds the engine contract where a witnessed
+// pass carries several 64-lane groups, which the small campaigns above
+// never reach: all five models with scheduled instants over a mixed
+// IU+CMEM node sample, so every net recurs in a later group under another
+// model (Expand is models-outer) and sa0/sa1/open/set/seu lanes of one
+// net share one accumulator across groups. One worker walks every group
+// on one pass, two walk three-plus groups each, three and five deal the
+// groups to more, shorter passes — the bytes must not care.
+func TestSharedPassEquivalence(t *testing.T) {
+	for _, name := range []string{"excerptA", "rspeed"} {
+		t.Run(name, func(t *testing.T) {
+			w, err := workloads.Build(name, workloads.Config{Iterations: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prod, ref := enginePair(t, w.Program, Options{InjectAtFraction: 0.3, PulseCycles: 2})
+			nodes := append(SampleNodes(prod.Nodes(TargetIU), 56, 13), SampleNodes(prod.Nodes(TargetCMEM), 32, 13)...)
+			exps := Expand(nodes, rtl.AllFaultModels()...)
+			prod.ScheduleTransients(exps, 13)
+			for _, workers := range []int{1, 2, 3, 5} {
+				plan, passes := prod.planBatches(exps, workers)
+				lanes := 0
+				for _, p := range passes {
+					lanes += len(p.idxs)
+				}
+				groups := (lanes + maxLanes - 1) / maxLanes
+				if np := min(workers, groups); len(passes) != np || workers <= 2 && groups/np < 3 {
+					t.Fatalf("%d workers: %d groups on %d passes, want one pass per worker of at least 3 groups", workers, groups, len(passes))
+				}
+				// Groups are dealt round-robin: consecutive group granules open
+				// (then extend) different passes, in input order.
+				g := 0
+				for _, it := range plan {
+					if it.pass == nil {
+						continue
+					}
+					if it.pass != passes[g%len(passes)] || it.group != g/len(passes) {
+						t.Fatalf("%d workers: group granule %d is not group %d of pass %d", workers, g, g/len(passes), g%len(passes))
+					}
+					g++
+				}
+				if g != groups {
+					t.Fatalf("%d workers: %d group granules planned for %d groups", workers, g, groups)
+				}
+			}
+			want := ref.Campaign(exps, 0)
+			for _, workers := range []int{1, 2, 3, 5} {
+				if got := prod.Campaign(exps, workers); !reflect.DeepEqual(got, want) {
+					t.Errorf("%d workers: shared-pass campaign differs from the from-reset reference", workers)
+				}
+			}
+			if name == "excerptA" {
+				// RunOne and the cuts too, where a golden run is short.
+				checkEngine(t, prod, exps, want)
 			}
 		})
 	}
@@ -151,14 +212,20 @@ func TestReferenceEngineIsNaive(t *testing.T) {
 }
 
 // TestBatchedCampaignRace drives the bit-parallel engine through a
-// parallel campaign with multiple concurrent batches, so `go test -race`
-// exercises the concurrent first build of the golden ladder, witness
-// arming on pooled cores, copy-on-write rung forks and per-lane
-// materialization — and the lane demultiplexing stays byte-identical to
-// serial execution. Two mixed seu+set+sa1 campaigns then run at once on
-// the same runner: scalar signal flips, register-file SEU lanes, SET
-// lanes and permanent lanes of both share its one ladder, and the three
-// lane kinds share witnessed passes.
+// parallel campaign of shared passes — eight workers each open a pass and
+// then race for the second groups of the first ones, which another worker
+// walked or is still walking — so `go test -race` exercises the concurrent first
+// build of the golden ladder, witness arming on pooled cores, the hand-off
+// of a walked pass's lanes and record to the other groups' workers,
+// copy-on-write rung forks and per-lane materialization — and the lane
+// demultiplexing stays byte-identical to serial execution. Two mixed
+// seu+set+sa1 campaigns then run at once on the same runner: scalar
+// signal flips, register-file SEU lanes, SET lanes and permanent lanes of
+// both share its one ladder, and the three lane kinds share witnessed
+// passes. Last, campaigns cancelled at their first completion — while the
+// other workers are still walking or waiting on a walk — return promptly,
+// hand their pass storage back to the pool, and leave the concurrent and
+// the following campaigns that reuse it untouched.
 func TestBatchedCampaignRace(t *testing.T) {
 	w, err := workloads.Build("excerptB", workloads.Config{})
 	if err != nil {
@@ -168,10 +235,12 @@ func TestBatchedCampaignRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 200 experiments: several 64-lane batches in flight at once.
-	nodes := SampleNodes(r.Nodes(TargetIU), 40, 11)
+	nodes := SampleNodes(r.Nodes(TargetIU), 160, 11)
 	exps := Expand(nodes, rtl.AllFaultModels()...)
 	r.ScheduleTransients(exps, 4)
+	if _, passes := r.planBatches(exps, 8); len(passes) != 8 || len(passes[0].idxs) != 2*maxLanes {
+		t.Fatalf("8 workers plan %d passes, the first of %d lanes: want one per worker, the first ones shared by two groups", len(passes), len(passes[0].idxs))
+	}
 	par := r.Campaign(exps, 8)
 	ser := r.Campaign(exps, 1)
 	if !reflect.DeepEqual(par, ser) {
@@ -194,6 +263,38 @@ func TestBatchedCampaignRace(t *testing.T) {
 	for i := range got {
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("concurrent mixed campaign %d diverged from serial", i)
+		}
+	}
+
+	for round := 0; round < 4; round++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := r.Campaign(mixed, 4); !reflect.DeepEqual(got, want) {
+				t.Errorf("round %d: campaign beside a cancelled one diverged from serial", round)
+			}
+		}()
+		ctx, cancel := context.WithCancel(context.Background())
+		part, ran, err := r.CampaignStopContext(ctx, exps, 8, func(int, Result) { cancel() }, nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: cancelled campaign returned %v", round, err)
+		}
+		done := 0
+		for i, ok := range ran {
+			if !ok {
+				continue
+			}
+			done++
+			if part[i] != ser[i] {
+				t.Errorf("round %d: experiment %d completed before the cancel as %+v, serial %+v", round, i, part[i], ser[i])
+			}
+		}
+		if done == 0 || done > 8*maxLanes {
+			t.Errorf("round %d: %d experiments completed, want within one group per worker", round, done)
+		}
+		wg.Wait()
+		if got := r.Campaign(exps, 8); !reflect.DeepEqual(got, ser) {
+			t.Fatalf("round %d: campaign after a cancelled one diverged from serial", round)
 		}
 	}
 }

@@ -137,8 +137,8 @@ type Options struct {
 	NoEarlyExit bool
 	// NoCheckpoint is the one engine selector. False (the default) is the
 	// production engine: experiments fork from the frozen golden ladder at
-	// their injection instant on pooled cores, ride 64-lane witnessed
-	// batches where the planner can reason about them, and drop back onto
+	// their injection instant on pooled cores, ride witnessed passes in
+	// 64-lane groups where the planner can reason about them, and drop back onto
 	// the golden trajectory when they heal (checkpoint.go, batch.go). True
 	// is the deliberately naive reference every equivalence test and the
 	// repository benchmark's output check compare against: a fresh core
@@ -209,15 +209,17 @@ type Runner struct {
 	baseImg *mem.Image
 
 	// Golden ladder, built lazily on first use and immutable afterwards:
-	// every experiment and batch pass of every campaign on this runner
+	// every experiment and witnessed pass of every campaign on this runner
 	// forks from its rungs (see checkpoint.go).
 	ladderOnce sync.Once
 	lad        *ladder
 
 	// engines pools reusable RTL cores: each campaign worker restores a
 	// pooled core in place per experiment instead of rebuilding the whole
-	// design graph with leon3.New.
-	engines sync.Pool
+	// design graph with leon3.New. passBufs pools the lanes and activation
+	// records of witnessed passes, held until their campaign's dispatch ends.
+	engines  sync.Pool
+	passBufs sync.Pool
 
 	nodeLists nodeLists
 
@@ -385,11 +387,9 @@ func (r *Runner) classify(res *Result, core *leon3.Core, bus *mem.Bus, c *compar
 
 // engine is a pooled per-worker execution context: one reusable RTL core
 // whose kernel state is restored in place per experiment, so the design
-// graph is built once per worker instead of once per experiment, and the
-// activation record of the worker's latest batch pass.
+// graph is built once per worker instead of once per experiment.
 type engine struct {
 	core *leon3.Core
-	act  []uint64
 }
 
 // getEngine takes a pooled engine, building one on first use. The
@@ -522,12 +522,23 @@ func (r *Runner) CampaignContext(ctx context.Context, exps []Experiment, workers
 // and completion tracking, the engine entry point of sharded and adaptive
 // campaigns; see dispatch for the tap/stop/cancel contract.
 //
-// The dispatch granule is one batch of up to 64 experiments (see
+// The dispatch granule is one 64-lane group of a witnessed pass (see
 // batch.go), or one experiment where the planner goes scalar: signal
 // upsets, and everything under NoCheckpoint. A stop or cancellation
-// therefore overshoots by at most one batch per worker.
+// therefore overshoots by at most one 64-lane group per worker.
 func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
-	plan := r.planBatches(exps)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0) // resolved once: the planner and dispatch must agree
+	}
+	plan, passes := r.planBatches(exps, workers)
+	// dispatch returns with every worker gone: no lane still reads a pass.
+	defer func() {
+		for _, p := range passes {
+			if p.passBuf != nil {
+				r.passBufs.Put(p.passBuf)
+			}
+		}
+	}()
 	counted := func(i int, res Result) {
 		r.met.experiments.Inc()
 		if tap != nil {
@@ -536,13 +547,11 @@ func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, wor
 	}
 	return dispatch(ctx, len(exps), len(plan), workers, counted, stop, func(g int, deliver func(int, Result)) {
 		item := plan[g]
-		if item.lanes == nil {
+		if item.pass == nil {
 			deliver(item.idx, r.RunOne(exps[item.idx]))
 			return
 		}
-		for j, res := range r.runBatch(exps, item.lanes) {
-			deliver(item.lanes[j], res)
-		}
+		r.runGroup(exps, item.pass, item.group, deliver)
 	})
 }
 

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/asm"
@@ -17,7 +18,10 @@ import (
 // byte for byte, by every path checkEngine walks (one batch of four,
 // RunOne, four single-lane campaigns). The fuzzed experiment shares its
 // batch with a second upset on the same net, a SET pulse one cycle later
-// and a stuck-at-1, so probes of every kind meet on one accumulator.
+// and a stuck-at-1, so probes of every kind meet on one accumulator; and
+// the four run once more behind 64 filler lanes on the same net (glitches
+// scheduled past program exit: never armed, free), which puts them in the
+// second group of a shared pass at the end of a net chain that spans both.
 //
 // Smoke: make fuzz-smoke; longer:
 // go test -run '^$' -fuzz FuzzLaneEquivalence -fuzztime 5m ./internal/fault/
@@ -58,6 +62,15 @@ func FuzzLaneEquivalence(f *testing.F) {
 			{Node: n, Model: rtl.SETPulse, AtCycle: at + 1},
 			{Node: n, Model: rtl.StuckAt1},
 		}
-		checkEngine(t, lanes, exps, ref.Campaign(exps, 1))
+		want := ref.Campaign(exps, 1)
+		checkEngine(t, lanes, exps, want)
+		padded := make([]Experiment, maxLanes, maxLanes+len(exps))
+		for i := range padded {
+			padded[i] = Experiment{Node: n, Model: rtl.SETPulse, AtCycle: lanes.GoldenCycles + 63}
+		}
+		padded = append(padded, exps...)
+		if got := lanes.Campaign(padded, 1); !reflect.DeepEqual(got[maxLanes:], want) {
+			t.Fatalf("behind %d filler lanes: got %+v, reference %+v", maxLanes, got[maxLanes:], want)
+		}
 	})
 }

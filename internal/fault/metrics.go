@@ -31,11 +31,11 @@ type engineMetrics struct {
 	// a fixed campaign reads the same values on any host.
 	reconverged   *obs.Counter
 	faultedCycles *obs.Counter
-	// fallbacks counts experiments resolved through runScalarFallback —
-	// nonzero only when a witnessed pass failed to set up.
+	// fallbacks counts experiments runGroup resolved through RunOne because
+	// their pass has no passBuf — only when a witnessed pass failed to set up.
 	fallbacks *obs.Counter
-	// goldenCycles/goldenSeconds accumulate witnessed golden-pass work;
-	// their rate quotient is the engine's golden-pass cycles/s.
+	// goldenCycles/goldenSeconds accumulate witnessed golden-pass work (one
+	// pass per campaign worker); their quotient is the pass's cycles/s.
 	goldenCycles  *obs.Counter
 	goldenSeconds *obs.Counter
 }

@@ -280,6 +280,49 @@ func TestLadderBounded(t *testing.T) {
 	}
 }
 
+// TestPassRecordBounded pins the activation record's memory bound the
+// way TestLadderBounded pins the ladder's: on a long golden run one
+// worker's campaign is cut into more passes rather than carrying every
+// group on one, each pass's record stays within actBudget, and the capped
+// plan is byte-identical to the same list run as single-group campaigns
+// and, on a sample, to the from-reset reference.
+func TestPassRecordBounded(t *testing.T) {
+	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ref := enginePair(t, w.Program, Options{InjectAtFraction: 0.2, PulseCycles: 2})
+	exps := Expand(SampleNodes(r.Nodes(TargetIU), 120, 4), rtl.StuckAt1, rtl.OpenLine, rtl.SETPulse, rtl.BitFlip)
+	r.ScheduleTransients(exps, 4)
+	span := int(r.GoldenCycles - r.ladder().start)
+	gcap := actBudget / 8 / span
+	_, passes := r.planBatches(exps, 1)
+	lanes := 0
+	for _, p := range passes {
+		lanes += len(p.idxs)
+		if g := (len(p.idxs) + maxLanes - 1) / maxLanes; g > gcap || g*span*8 > actBudget {
+			t.Fatalf("a pass of %d groups over %d cycles records %d bytes, budget %d", g, span, g*span*8, actBudget)
+		}
+	}
+	if groups := (lanes + maxLanes - 1) / maxLanes; gcap < 2 || groups <= gcap || len(passes) != (groups+gcap-1)/gcap {
+		t.Fatalf("%d groups over %d cycles in %d passes (cap %d per pass): the campaign does not exercise the cap",
+			groups, span, len(passes), gcap)
+	}
+	got := r.Campaign(exps, 1)
+	var cut []Result
+	for lo := 0; lo < len(exps); lo += maxLanes {
+		cut = append(cut, r.Campaign(exps[lo:min(lo+maxLanes, len(exps))], 1)...)
+	}
+	if !reflect.DeepEqual(got, cut) {
+		t.Fatal("capped passes diverged from single-group campaigns")
+	}
+	for i := 0; i < len(exps); i += 19 {
+		if want := ref.RunOne(exps[i]); got[i] != want {
+			t.Errorf("experiment %d: got %+v, reference %+v", i, got[i], want)
+		}
+	}
+}
+
 // TestReconvergenceWorkCounters states the engine's gain without a
 // clock, on a fixed-seed rspeed SEU campaign. Signal upsets fork at their
 // sampled instant and stop at the first rung where they have been
@@ -288,42 +331,58 @@ func TestLadderBounded(t *testing.T) {
 // it is read, and otherwise fork at that first read. What is left is a
 // small fraction of the continuation per experiment, and one rung fork
 // per activated lane or scalar experiment rather than one per experiment.
+// The golden continuation itself is walked once per worker — one pass for
+// the campaign's three lane groups at one worker, two at two — and the
+// worker count moves nothing else.
 func TestReconvergenceWorkCounters(t *testing.T) {
 	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.5, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exps := Expand(SampleNodes(r.Nodes(TargetIU), 256, 1), rtl.BitFlip)
-	r.ScheduleTransients(exps, 1)
-	r.Campaign(exps, 0)
-	counters := engineCounters(t, reg)
-	perExp := counters["engine_faulted_cycles_total"] / float64(len(exps))
-	remainder := float64(r.GoldenCycles - r.InjectCycle())
-	t.Logf("faulted cycles per experiment %.0f of a %.0f-cycle continuation; %v of %d reconverged",
-		perExp, remainder, counters["engine_reconverged_total"], len(exps))
-	if perExp > 0.1*remainder {
-		t.Errorf("faulted cycles per experiment %.0f exceed 0.1 x %.0f", perExp, remainder)
-	}
-	if counters["engine_reconverged_total"] == 0 {
-		t.Error("no experiment reconverged")
-	}
-	planned, free := counters["engine_batch_lanes_planned_total"], counters["engine_batch_lanes_free_total"]
-	activated := counters["engine_batch_lanes_activated_total"]
-	t.Logf("lanes planned %v, free %v, activated %v", planned, free, activated)
-	if planned == 0 || planned != free+activated || free <= activated {
-		t.Errorf("lanes planned %v, free %v, activated %v: want most array-word upsets dead before their first read",
-			planned, free, activated)
-	}
-	// No universe teleports here (a flip has no later activation), so
-	// every materialization is an activated lane's or a scalar flip's fork.
-	scalar := float64(len(exps)) - planned
-	if got := counters["engine_snapshot_materializations_total"]; got != activated+scalar {
-		t.Errorf("materializations = %v, want %v activated lanes + %v scalar forks", got, activated, scalar)
+	var first map[string]float64
+	for workers := 1; workers <= 2; workers++ {
+		reg := obs.NewRegistry()
+		r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.5, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps := Expand(SampleNodes(r.Nodes(TargetIU), 256, 1), rtl.BitFlip)
+		r.ScheduleTransients(exps, 1)
+		r.Campaign(exps, workers)
+		counters := engineCounters(t, reg)
+		perExp := counters["engine_faulted_cycles_total"] / float64(len(exps))
+		remainder := float64(r.GoldenCycles - r.InjectCycle())
+		t.Logf("faulted cycles per experiment %.0f of a %.0f-cycle continuation; %v of %d reconverged",
+			perExp, remainder, counters["engine_reconverged_total"], len(exps))
+		if perExp > 0.1*remainder {
+			t.Errorf("faulted cycles per experiment %.0f exceed 0.1 x %.0f", perExp, remainder)
+		}
+		if counters["engine_reconverged_total"] == 0 {
+			t.Error("no experiment reconverged")
+		}
+		planned, free := counters["engine_batch_lanes_planned_total"], counters["engine_batch_lanes_free_total"]
+		activated := counters["engine_batch_lanes_activated_total"]
+		t.Logf("lanes planned %v, free %v, activated %v", planned, free, activated)
+		if planned <= 2*maxLanes || planned != free+activated || free <= activated {
+			t.Errorf("lanes planned %v, free %v, activated %v: want three groups, most array-word upsets dead before their first read",
+				planned, free, activated)
+		}
+		// No universe teleports here (a flip has no later activation), so
+		// every materialization is an activated lane's or a scalar flip's fork.
+		scalar := float64(len(exps)) - planned
+		if got := counters["engine_snapshot_materializations_total"]; got != activated+scalar {
+			t.Errorf("materializations = %v, want %v activated lanes + %v scalar forks", got, activated, scalar)
+		}
+		if got, want := counters["engine_golden_pass_cycles_total"], float64(workers)*remainder; got != want {
+			t.Errorf("%d workers: golden pass cycles = %v, want %d passes x %.0f cycles", workers, got, workers, remainder)
+		}
+		delete(counters, "engine_golden_pass_cycles_total")
+		delete(counters, "engine_golden_pass_seconds_total")
+		if first == nil {
+			first = counters
+		} else if !reflect.DeepEqual(counters, first) {
+			t.Errorf("work counters moved with the worker count:\n 1 worker  %v\n 2 workers %v", first, counters)
+		}
 	}
 }
 
