@@ -52,9 +52,12 @@ import (
 // cycle (materialize: nearest rung, bounded replay) and run the engine's
 // one run loop from there (Runner.resolve) — which is why a batched
 // campaign is byte-identical to a scalar one (TestEngineEquivalence
-// checks this for every fault model). A forked lane that heals is
-// dropped back onto the golden trajectory, or teleported forward to its
-// next activation cycle. The pass itself keeps no golden state: it
+// checks this for every fault model) — once per forcing: an open-line
+// lane is the twin of the stuck-at lane of its sampled charge, and the
+// campaign's memo hands it that lane's verdict (resolveOnce). A forked
+// lane that heals is dropped back onto the golden trajectory, or
+// teleported forward to its next activation cycle; one whose state
+// recurs is a proven hang. The pass itself keeps no golden state: it
 // starts from rung 0 of the runner's shared ladder and only witnesses.
 
 // maxLanes is the lane capacity of one group, the PPSFP word width the
@@ -72,8 +75,47 @@ const actBudget = 1 << 20
 // that resolves one of its groups until the campaign's dispatch ends.
 type pass struct {
 	idxs     []int // experiment indices in lane order; group g is idxs[64g:64(g+1)]
+	memo     *memo // the campaign's, shared by all its passes
 	once     sync.Once
 	*passBuf // nil until walked, and ever after if the witness failed to arm
+}
+
+// forcing keys an activated lane's universe: the kernel arms an open line
+// whose sampled charge is b exactly as it arms stuck-at-b, and Expand
+// crosses every node with all three permanent models at one instant, so
+// lanes of one forcing differ in Fault.Model and nothing else.
+type forcing struct {
+	node               rtl.Node
+	one                bool // forced polarity
+	injectAt, pulseEnd uint64
+}
+
+// memo resolves each forcing of a campaign once: the first lane to arrive
+// simulates under its verdict's lock, where a twin arriving meanwhile
+// waits. Pooled like passBuf; verdicts has the campaign's lane count for
+// capacity before dispatch, so no verdict moves under a waiter.
+type memo struct {
+	mu       sync.Mutex
+	idx      map[forcing]int32
+	verdicts []verdict
+}
+
+type verdict struct {
+	mu   sync.Mutex
+	done bool
+	res  Result
+}
+
+func (m *memo) verdict(f forcing) *verdict {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i, ok := m.idx[f]
+	if !ok {
+		i = int32(len(m.verdicts))
+		m.idx[f] = i
+		m.verdicts = append(m.verdicts, verdict{})
+	}
+	return &m.verdicts[i]
 }
 
 // passBuf is the pooled storage of one walk.
@@ -140,8 +182,16 @@ func (r *Runner) planBatches(exps []Experiment, workers int) ([]planItem, []*pas
 	groups := (lanes + maxLanes - 1) / maxLanes
 	gcap := max(1, actBudget/8/int(max(1, r.GoldenCycles-r.ladder().start)))
 	passes := make([]*pass, max((groups+gcap-1)/gcap, min(workers, groups)))
-	for i := range passes {
-		passes[i] = &pass{idxs: make([]int, 0, (groups+len(passes)-1)/len(passes)*maxLanes)}
+	if len(passes) > 0 {
+		m, _ := r.memos.Get().(*memo)
+		if m == nil {
+			m = &memo{idx: map[forcing]int32{}}
+		}
+		clear(m.idx)
+		m.verdicts = slices.Grow(m.verdicts[:0], lanes)
+		for i := range passes {
+			passes[i] = &pass{memo: m, idxs: make([]int, 0, (groups+len(passes)-1)/len(passes)*maxLanes)}
+		}
 	}
 	plan := make([]planItem, 0, groups+len(exps)-lanes)
 	g, n := 0, 0 // groups planned, lanes seen
@@ -247,16 +297,6 @@ func (l *lane) inWindow(t uint64) bool {
 	return t >= l.injectAt && (l.pulseEnd == 0 || t < l.pulseEnd)
 }
 
-// healable reports whether the lane's universe may be compared against
-// the golden rung at cycle t: either the witnessed pass knows when its
-// forcing is next read divergently (batch lanes), or nothing is armed any
-// more — a flip from the start, a pulse once its window has closed. A
-// scalar permanent fault is never comparable: equal raw state says
-// nothing about when its forcing will next be read.
-func (l *lane) healable(t uint64) bool {
-	return l.act != nil || l.e.Model.Transient() && t >= l.pulseEnd
-}
-
 // runGroup executes one dispatch granule: group g of pass p, walking the
 // pass first if no worker has yet. Every result delivered is
 // byte-identical to what RunOne would produce for the experiment.
@@ -280,7 +320,7 @@ func (r *Runner) runGroup(exps []Experiment, p *pass, g int, deliver func(i int,
 		l := &p.lanes[lo+j]
 		if l.act != nil {
 			r.met.lanesActivated.Inc()
-			deliver(i, r.resolve(eng.core, lad, l))
+			deliver(i, r.resolveOnce(eng, lad, p, lo+j))
 			continue
 		}
 		// A never-activated lane tracked the golden trajectory bit-for-bit
@@ -293,6 +333,27 @@ func (r *Runner) runGroup(exps []Experiment, p *pass, g int, deliver func(i int,
 		res.Cycles = r.GoldenCycles
 		deliver(i, res)
 	}
+}
+
+// resolveOnce returns activated lane j's verdict: resolved here if the lane
+// is the first of its forcing in the campaign, its twin's under its own
+// Fault otherwise. An upset array word is no forcing and always resolved.
+func (r *Runner) resolveOnce(eng *engine, lad *ladder, p *pass, j int) Result {
+	l := &p.lanes[j]
+	if l.e.Model == rtl.BitFlip {
+		return r.resolve(eng, lad, l)
+	}
+	v := p.memo.verdict(forcing{l.f.Node, p.probes[j].forcedOne, l.injectAt, l.pulseEnd})
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.done {
+		r.met.proven[provenEquivalent].Inc()
+	} else {
+		v.res, v.done = r.resolve(eng, lad, l), true
+	}
+	res := v.res
+	res.Fault = l.f
+	return res
 }
 
 // walk is the witnessed golden pass over p's lanes: one clean continuation
@@ -415,7 +476,7 @@ func (r *Runner) walk(exps []Experiment, p *pass) {
 // which the lane's forcing is read with a differing bit, or -1 if it
 // never is again. start is the cycle of the activation record's first
 // word; the record runs to the golden run's end. A scalar universe has
-// no record and is only asked once nothing is armed (see healable), so
+// no record and is only asked once nothing is armed (see resolve), so
 // the answer is never.
 func (l *lane) nextActivation(start, from uint64) int64 {
 	end := start + uint64(len(l.act))

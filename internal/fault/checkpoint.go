@@ -119,15 +119,6 @@ func (lad *ladder) below(t uint64) int {
 	return int(min((t-lad.start)/lad.stride, uint64(len(lad.rungs)-1)))
 }
 
-// at returns the rung sitting exactly on cycle t >= start, or nil.
-func (lad *ladder) at(t uint64) *rung {
-	d := t - lad.start
-	if d%lad.stride != 0 || d/lad.stride >= uint64(len(lad.rungs)) {
-		return nil
-	}
-	return &lad.rungs[d/lad.stride]
-}
-
 // fork restores rung i onto core over a fresh copy-on-write fork of the
 // rung's memory image.
 func (lad *ladder) fork(core *leon3.Core, i int) *mem.Bus {

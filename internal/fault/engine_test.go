@@ -112,15 +112,16 @@ func TestSharedPassEquivalence(t *testing.T) {
 }
 
 // enginePair builds the production runner for opts and its NoCheckpoint
-// reference. A program whose golden run does not exit (a generated one
-// may legitimately end in a trap) skips the test.
+// reference, which never shares the production runner's registry. A
+// program whose golden run does not exit (a generated one may
+// legitimately end in a trap) skips the test.
 func enginePair(t *testing.T, p *asm.Program, opts Options) (prod, ref *Runner) {
 	t.Helper()
 	prod, err := NewRunner(p, opts)
 	if err != nil {
 		t.Skipf("no golden run: %v", err)
 	}
-	opts.NoCheckpoint = true
+	opts.NoCheckpoint, opts.Obs = true, nil
 	ref, err = NewRunner(p, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +176,7 @@ func checkEngine(t *testing.T, prod *Runner, exps []Experiment, want []Result) {
 // equivalence test above and the repository benchmark's output check
 // lean on it being independent of the machinery under test: a campaign
 // on it builds no ladder, leaves nothing in the core pool, forks from no
-// rung and plans no batch lane.
+// rung, plans no batch lane and proves no verdict — it steps to every one.
 func TestReferenceEngineIsNaive(t *testing.T) {
 	w, err := workloads.Build("excerptA", workloads.Config{})
 	if err != nil {
@@ -186,7 +187,9 @@ func TestReferenceEngineIsNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := Expand(SampleNodes(r.Nodes(TargetIU), 8, 3), rtl.AllFaultModels()...)
+	// Low fetch-PC bits: their stuck-at-0 hangs, open-line twins and upsets
+	// are what the production engine proves (TestProvenVerdictsEquivalence).
+	exps := Expand(append(SampleNodes(r.Nodes(TargetIU), 8, 3), signalNodes(r, "iu.fe.pc")[2:6]...), rtl.AllFaultModels()...)
 	r.ScheduleTransients(exps, 3)
 	r.PrepareCheckpoint()
 	r.Campaign(exps, 3)
@@ -204,6 +207,8 @@ func TestReferenceEngineIsNaive(t *testing.T) {
 		"engine_snapshot_materializations_total", "engine_reconverged_total",
 		"engine_batch_lanes_planned_total", "engine_batch_lanes_activated_total",
 		"engine_batch_lanes_free_total", "engine_golden_pass_cycles_total",
+		`engine_verdicts_proven_total{proof="equivalent"}`, `engine_verdicts_proven_total{proof="recurrent"}`,
+		`engine_verdicts_proven_total{proof="shifted"}`, `engine_faulted_cycles_by_outcome_total{outcome="healed"}`,
 	} {
 		if counters[name] != 0 {
 			t.Errorf("%s = %v on the reference engine, want 0", name, counters[name])
@@ -222,16 +227,22 @@ func TestReferenceEngineIsNaive(t *testing.T) {
 // seu+set+sa1 campaigns then run at once on the same runner: scalar
 // signal flips, register-file SEU lanes, SET lanes and permanent lanes of
 // both share its one ladder, and the three lane kinds share witnessed
-// passes. Last, campaigns cancelled at their first completion — while the
-// other workers are still walking or waiting on a walk — return promptly,
-// hand their pass storage back to the pool, and leave the concurrent and
-// the following campaigns that reuse it untouched.
+// passes. The campaign's verdict memo is raced with them: the sa0, sa1 and
+// open-line lanes of a node sit in groups of different passes, so a twin
+// looks its forcing up while other workers add theirs, and finds it
+// resolved, being resolved by another worker (it waits) or new. Last,
+// campaigns cancelled at their first completion — while the other workers
+// are still walking, waiting on a walk or waiting on a twin's verdict —
+// return promptly, hand their pass storage and memo back to the pool, and
+// leave the concurrent and the following campaigns that reuse them
+// untouched.
 func TestBatchedCampaignRace(t *testing.T) {
 	w, err := workloads.Build("excerptB", workloads.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.5, PulseCycles: 2})
+	reg := obs.NewRegistry()
+	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.5, PulseCycles: 2, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +253,13 @@ func TestBatchedCampaignRace(t *testing.T) {
 		t.Fatalf("8 workers plan %d passes, the first of %d lanes: want one per worker, the first ones shared by two groups", len(passes), len(passes[0].idxs))
 	}
 	par := r.Campaign(exps, 8)
+	twins := proofCounts(t, reg)[provenEquivalent]
 	ser := r.Campaign(exps, 1)
 	if !reflect.DeepEqual(par, ser) {
 		t.Fatal("parallel batched campaign diverged from serial")
+	}
+	if serial := proofCounts(t, reg)[provenEquivalent] - twins; twins == 0 || serial != twins {
+		t.Fatalf("%v verdicts shared across 8 workers' passes, %v by one worker: want the same, nonzero", twins, serial)
 	}
 
 	mixed := Expand(SampleNodes(r.Nodes(TargetIU), 24, 12), rtl.BitFlip, rtl.SETPulse, rtl.StuckAt1)

@@ -217,9 +217,11 @@ type Runner struct {
 	// engines pools reusable RTL cores: each campaign worker restores a
 	// pooled core in place per experiment instead of rebuilding the whole
 	// design graph with leon3.New. passBufs pools the lanes and activation
-	// records of witnessed passes, held until their campaign's dispatch ends.
+	// records of witnessed passes, memos the campaigns' verdict memos; both
+	// are held until their campaign's dispatch ends.
 	engines  sync.Pool
 	passBufs sync.Pool
+	memos    sync.Pool
 
 	nodeLists nodeLists
 
@@ -387,9 +389,11 @@ func (r *Runner) classify(res *Result, core *leon3.Core, bus *mem.Bus, c *compar
 
 // engine is a pooled per-worker execution context: one reusable RTL core
 // whose kernel state is restored in place per experiment, so the design
-// graph is built once per worker instead of once per experiment.
+// graph is built once per worker instead of once per experiment, and the
+// one state buffer resolve's recurrence search saves into.
 type engine struct {
 	core *leon3.Core
+	seen rtl.Snapshot
 }
 
 // getEngine takes a pooled engine, building one on first use. The
@@ -421,8 +425,8 @@ func (r *Runner) armAt(e Experiment) uint64 {
 	return r.opts.InjectAtCycle
 }
 
-// resolve runs lane l's fault universe to its verdict on core — the one
-// run loop of the engine, shared by scalar experiments and activated
+// resolve runs lane l's fault universe to its verdict on eng's core — the
+// one run loop of the engine, shared by scalar experiments and activated
 // batch lanes. The universe forks from the golden trajectory at the
 // lane's activation cycle (lad nil: from reset), the fault is armed, and
 // the core steps until exit, error mode, the cycle budget or (unless
@@ -430,23 +434,40 @@ func (r *Runner) armAt(e Experiment) uint64 {
 // to the end of the run; a BitFlip mutates state once and the design runs
 // free; a SETPulse is released when its window closes.
 //
-// At every rung boundary a universe that is comparable (lane.healable)
-// and has healed — its committed state re-equals the golden rung and its
-// off-core write position matches, which together imply identical
-// memory, since every write so far flowed through the matching
-// comparator — is dropped back onto the golden trajectory: finalized as
-// no-effect with the golden run's length if its fault is never read
-// divergently again, re-forked at the next activation cycle if that is
-// far away, or simply left running if it is near.
-func (r *Runner) resolve(core *leon3.Core, lad *ladder, l *lane) Result {
+// On a ladder two kinds of verdict are proven instead of stepped to
+// (DESIGN.md §15 has the arguments); the from-reset reference proves
+// nothing and steps to every one.
+//
+// Healed: committed state equal to a golden rung's with the off-core write
+// position at the rung's, which together imply identical memory, since
+// every write so far flowed through the matching comparator. An unarmed
+// transient universe (a flip from the start, a pulse once released) is
+// compared every cycle with the rung at or below it: the cycle counter
+// feeds nothing, so shift cycles past the rung it replays the golden
+// continuation shift cycles late. A batch lane with its forcing armed is
+// compared on the rung's own cycle only, where its activation record says
+// when the forcing is next read divergently: never, and it is no-effect;
+// far away, and it is re-forked there; soon, and it runs on. A scalar
+// permanent fault has no record and is never compared.
+//
+// Recurrent: past the last rung, with nothing left to release, the future
+// is a function of kernel slabs, memory and comparator. Brent's cycle
+// search — eng.seen is the state since cycles back, re-saved at doubling
+// periods and after every off-core write, which alone moves memory and
+// comparator — finds a state recurring with no write in between: the
+// universe is finalized at the budget, the hang it would be stepped to.
+func (r *Runner) resolve(eng *engine, lad *ladder, l *lane) Result {
+	core := eng.core
 	res := l.result()
 	bus, c, stepped := r.materialize(core, lad, l.activateAt)
-	defer func() { r.met.faultedCycles.Add(float64(stepped)) }()
+	healed := false
+	defer func() { r.met.cycles(stepped, res.Outcome, healed) }()
 	if err := l.arm(core); err != nil {
 		// An invalid node: nothing was injected.
 		return res
 	}
 	release := l.pulseEnd // 0: nothing to release
+	period, since, writes := uint64(1), uint64(0), -1
 	for r.live(core, c) {
 		if release != 0 && core.Cycles() >= release {
 			core.K.ClearFaults()
@@ -454,22 +475,47 @@ func (r *Runner) resolve(core *leon3.Core, lad *ladder, l *lane) Result {
 		}
 		core.StepCycle()
 		stepped++
+		if lad == nil {
+			continue
+		}
 		t := core.Cycles()
-		if lad == nil || c.mismatchAt >= 0 || !l.healable(t) {
+		i := lad.below(t)
+		g := &lad.rungs[i]
+		shift := t - g.core.Cycle()
+		if shift > 0 && i == len(lad.rungs)-1 && release == 0 {
+			w := len(bus.Trace.Writes)
+			if w == writes && core.K.Recurs(&eng.seen) {
+				r.met.proven[provenRecurrent].Inc()
+				classifyRun(&res, &r.golden, iss.StatusRunning, r.budget, bus, c, l.injectAt)
+				return res
+			}
+			if since++; w != writes || since == period {
+				if w == writes {
+					period *= 2
+				}
+				core.K.SnapshotInto(&eng.seen)
+				writes, since = w, 0
+			}
+		}
+		// Comparable: an unarmed universe on any cycle, an armed batch lane
+		// on the rung's own.
+		unarmed := l.e.Model.Transient() && t >= l.pulseEnd
+		if c.mismatchAt >= 0 || c.idx != g.writes || !unarmed && (l.act == nil || shift > 0) ||
+			r.GoldenCycles+shift > r.budget || !core.StateEquals(g.core) {
 			continue
 		}
-		g := lad.at(t)
-		if g == nil || c.idx != g.writes || !core.StateEquals(g.core) {
-			continue
-		}
-		// Healed: this universe is bit-identical to the golden run again.
+		// Healed: this universe is on the golden trajectory again.
 		next := l.nextActivation(lad.start, t)
 		if next >= 0 && uint64(next)-t <= 2*lad.stride {
 			continue
 		}
 		r.met.reconverged.Inc()
 		if next < 0 {
-			res.Cycles = r.GoldenCycles
+			if shift > 0 {
+				r.met.proven[provenShifted].Inc()
+			}
+			healed = true
+			res.Cycles = r.GoldenCycles + shift
 			return res
 		}
 		// Teleport across the quiet stretch instead of simulating it.
@@ -499,7 +545,7 @@ func (r *Runner) RunOne(e Experiment) Result {
 	if lad != nil && l.injectAt < r.opts.InjectAtCycle {
 		lad = nil
 	}
-	return r.resolve(eng.core, lad, &l)
+	return r.resolve(eng, lad, &l)
 }
 
 // Campaign runs the experiments across workers and returns results in
@@ -531,12 +577,16 @@ func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, wor
 		workers = runtime.GOMAXPROCS(0) // resolved once: the planner and dispatch must agree
 	}
 	plan, passes := r.planBatches(exps, workers)
-	// dispatch returns with every worker gone: no lane still reads a pass.
+	// dispatch returns with every worker gone: no lane still reads a pass
+	// or the memo the passes share.
 	defer func() {
 		for _, p := range passes {
 			if p.passBuf != nil {
 				r.passBufs.Put(p.passBuf)
 			}
+		}
+		if len(passes) > 0 {
+			r.memos.Put(passes[0].memo)
 		}
 	}()
 	counted := func(i int, res Result) {
@@ -556,9 +606,10 @@ func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, wor
 }
 
 // dispatch is the one campaign loop of the package, shared by the RTL and
-// ISS engines: it feeds granules dispatch granules to workers goroutines
-// (0 = GOMAXPROCS), and run(g, deliver) executes granule g, handing every
-// experiment it covers to deliver with the experiment's index in [0,n).
+// ISS engines: it feeds the dispatch granules 0..granules-1, in order, to
+// workers goroutines (0 = GOMAXPROCS), and run(g, deliver) executes
+// granule g, handing every experiment it covers to deliver with the
+// experiment's index in [0,n).
 //
 // tap, when non-nil, is invoked as each experiment completes with its
 // index and result; it is called concurrently from worker goroutines and

@@ -15,12 +15,15 @@ import (
 // either target, any fault model and any instant, the production engine —
 // ladder from reset, 64-lane witnessed batches, array-word upsets riding
 // the pass — must return what the from-reset scalar reference returns,
-// byte for byte, by every path checkEngine walks (one batch of four,
-// RunOne, four single-lane campaigns). The fuzzed experiment shares its
+// byte for byte, by every path checkEngine walks (one batch of seven,
+// RunOne, single-lane campaigns). The fuzzed experiment shares its
 // batch with a second upset on the same net, a SET pulse one cycle later
-// and a stuck-at-1, so probes of every kind meet on one accumulator; and
-// the four run once more behind 64 filler lanes on the same net (glitches
-// scheduled past program exit: never armed, free), which puts them in the
+// and both stuck-ats with the open line that is the twin of one of them,
+// so probes of every kind meet on one accumulator and one forcing is
+// resolved once for two lanes; an upset of a fetch-PC bit at the same
+// instant is the scalar flip most likely to heal a refetch late. The lot
+// runs once more behind 64 filler lanes on the same net (glitches
+// scheduled past program exit: never armed, free), which puts it in the
 // second group of a shared pass at the end of a net chain that spans both.
 //
 // Smoke: make fuzz-smoke; longer:
@@ -61,6 +64,9 @@ func FuzzLaneEquivalence(f *testing.F) {
 			{Node: sibling, Model: rtl.BitFlip, AtCycle: at},
 			{Node: n, Model: rtl.SETPulse, AtCycle: at + 1},
 			{Node: n, Model: rtl.StuckAt1},
+			{Node: n, Model: rtl.StuckAt0},
+			{Node: n, Model: rtl.OpenLine},
+			{Node: signalNodes(lanes, "iu.fe.pc")[2+node%8], Model: rtl.BitFlip, AtCycle: at},
 		}
 		want := ref.Campaign(exps, 1)
 		checkEngine(t, lanes, exps, want)

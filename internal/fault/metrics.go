@@ -31,6 +31,10 @@ type engineMetrics struct {
 	// a fixed campaign reads the same values on any host.
 	reconverged   *obs.Counter
 	faultedCycles *obs.Counter
+	// cyclesBy splits faultedCycles by the universe's ending; proven counts
+	// verdicts reached without stepping to them, by proof.
+	cyclesBy [healedEnding + 1]*obs.Counter
+	proven   [len(proofs)]*obs.Counter
 	// fallbacks counts experiments runGroup resolved through RunOne because
 	// their pass has no passBuf — only when a witnessed pass failed to set up.
 	fallbacks *obs.Counter
@@ -40,8 +44,35 @@ type engineMetrics struct {
 	goldenSeconds *obs.Counter
 }
 
+// proofs labels engine_verdicts_proven_total: a twin of a resolved forcing
+// (resolveOnce), a recurring state, a time-shifted golden state (resolve).
+var proofs = [...]string{"equivalent", "recurrent", "shifted"}
+
+const (
+	provenEquivalent = iota
+	provenRecurrent
+	provenShifted
+)
+
+// healedEnding is cyclesBy's slot past the outcomes: a healed universe,
+// apart from the no-effects that ran to program exit.
+const healedEnding = OutcomeHang + 1
+
+// cycles books the n cycles one universe stepped, replay included.
+func (m *engineMetrics) cycles(n uint64, o Outcome, healed bool) {
+	if healed {
+		o = healedEnding
+	}
+	m.faultedCycles.Add(float64(n))
+	m.cyclesBy[o].Add(float64(n))
+}
+
 func newEngineMetrics(r *obs.Registry) engineMetrics {
-	return engineMetrics{
+	byOutcome := r.CounterVec("engine_faulted_cycles_by_outcome_total",
+		"engine_faulted_cycles_total split by how the universe ended; healed ones apart from no-effects that ran to exit.", "outcome")
+	byProof := r.CounterVec("engine_verdicts_proven_total",
+		"Verdicts reached without stepping to them: a twin of a resolved forcing, a recurring state, a time-shifted golden state.", "proof")
+	m := engineMetrics{
 		live: r != nil,
 		experiments: r.Counter("engine_experiments_total",
 			"Fault-injection experiments executed and classified."),
@@ -64,4 +95,15 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		goldenSeconds: r.Counter("engine_golden_pass_seconds_total",
 			"Wall-clock seconds spent in witnessed golden passes."),
 	}
+	for i := range m.cyclesBy {
+		label := "healed"
+		if i < int(healedEnding) {
+			label = Outcome(i).String()
+		}
+		m.cyclesBy[i] = byOutcome.With(label)
+	}
+	for i, v := range proofs {
+		m.proven[i] = byProof.With(v)
+	}
+	return m
 }

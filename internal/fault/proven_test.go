@@ -1,0 +1,263 @@
+package fault
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/rtl"
+	"repro/internal/workloads"
+)
+
+// faultedCycles indexes engine_faulted_cycles_total in proofCounts.
+const faultedCycles = len(proofs)
+
+// proofCounts reads engine_verdicts_proven_total off reg, in proofs order,
+// with engine_faulted_cycles_total last.
+func proofCounts(t *testing.T, reg *obs.Registry) (n [len(proofs) + 1]float64) {
+	t.Helper()
+	counters := engineCounters(t, reg)
+	for i, p := range proofs {
+		n[i] = counters[fmt.Sprintf("engine_verdicts_proven_total{proof=%q}", p)]
+	}
+	n[faultedCycles] = counters["engine_faulted_cycles_total"]
+	return n
+}
+
+func sub(a, b [len(proofs) + 1]float64) [len(proofs) + 1]float64 {
+	for i := range a {
+		a[i] -= b[i]
+	}
+	return a
+}
+
+// signalNodes returns every bit of the named IU signals.
+func signalNodes(r *Runner, names ...string) []NodeInfo {
+	var out []NodeInfo
+	for _, n := range r.Nodes(TargetIU) {
+		for _, name := range names {
+			if n.Node.Name == name {
+				out = append(out, n)
+			}
+		}
+	}
+	return out
+}
+
+// TestProvenVerdictsEquivalence holds the three proofs of resolve and
+// resolveOnce to the from-reset reference, byte for byte, on faults chosen
+// to reach them. The node set is the fetch PC, the multiply/divide counter
+// and the low half of the decode instruction register under all five
+// models: stuck-at-0 PC bits, a divider that never finishes and a decode
+// word that traps the program in a loop hang in a state that recurs; the
+// open-line lane of every node is the twin of its stuck-at-0 or stuck-at-1
+// lane, and with 64 nodes the three permanent models are the three groups
+// of the campaign — one pass at one worker, three passes from three
+// workers up, so a twin finds its verdict in its own pass, in another
+// worker's, or waits for it; PC upsets and glitches cost a refetch and
+// come back onto the golden trajectory a few cycles late. The counters —
+// faulted cycles included — must not move with the worker count.
+func TestProvenVerdictsEquivalence(t *testing.T) {
+	for _, name := range []string{"rspeed", "excerptA"} {
+		t.Run(name, func(t *testing.T) {
+			w, err := workloads.Build(name, workloads.Config{Iterations: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			prod, ref := enginePair(t, w.Program, Options{InjectAtFraction: 0.5, PulseCycles: 2, Obs: reg})
+			nodes := append(signalNodes(prod, "iu.fe.pc", "iu.md.count"), signalNodes(prod, "iu.de.inst")[:26]...)
+			if len(nodes) != maxLanes {
+				t.Fatalf("%d nodes, want one group per permanent model", len(nodes))
+			}
+			exps := Expand(nodes, rtl.AllFaultModels()...)
+			prod.ScheduleTransients(exps, 5)
+			want := ref.Campaign(exps, 0)
+			var first [len(proofs) + 1]float64
+			for _, workers := range []int{1, 2, 3, 5} {
+				before := proofCounts(t, reg)
+				if got := prod.Campaign(exps, workers); !reflect.DeepEqual(got, want) {
+					for i := range want {
+						if got[i] != want[i] {
+							t.Errorf("%d workers: %v %v@%d: got %+v, reference %+v", workers, exps[i].Model, exps[i].Node.Node, exps[i].AtCycle, got[i], want[i])
+						}
+					}
+					t.Fatalf("%d workers: campaign differs from the from-reset reference", workers)
+				}
+				n := sub(proofCounts(t, reg), before)
+				t.Logf("%d workers: proven equivalent %v, recurrent %v, shifted %v; %v faulted cycles", workers, n[provenEquivalent], n[provenRecurrent], n[provenShifted], n[faultedCycles])
+				for i, p := range proofs {
+					if n[i] == 0 {
+						t.Errorf("%d workers: no verdict proven %s", workers, p)
+					}
+				}
+				if workers == 1 {
+					first = n
+				} else if n != first {
+					t.Errorf("%d workers: proof and cycle counters %v, at 1 worker %v", workers, n, first)
+				}
+			}
+
+			// Experiment by experiment (RunOne: no pass, so no twins): what a
+			// proof finalizes is exactly what the reference steps to.
+			var recurrent, shifted int
+			for i, e := range exps {
+				before := proofCounts(t, reg)
+				got := prod.RunOne(e)
+				n := sub(proofCounts(t, reg), before)
+				if got != want[i] {
+					t.Fatalf("RunOne %v %v@%d: got %+v, reference %+v", e.Model, e.Node.Node, e.AtCycle, got, want[i])
+				}
+				if n[provenRecurrent] > 0 {
+					recurrent++
+					if got.Outcome != OutcomeHang || got.Cycles != prod.budget || n[faultedCycles] >= float64(prod.budget-got.InjectAt) {
+						t.Errorf("%v %v proven recurrent after %v cycles: %+v, want a hang at the %d-cycle budget", e.Model, e.Node.Node, n[faultedCycles], got, prod.budget)
+					}
+				}
+				if n[provenShifted] > 0 {
+					shifted++
+					if !e.Model.Transient() || got.Outcome != OutcomeNoEffect || got.Cycles <= prod.GoldenCycles || got.Cycles-prod.GoldenCycles >= prod.ladder().stride {
+						t.Errorf("%v %v@%d proven shifted: %+v, want no effect a few cycles past the golden %d", e.Model, e.Node.Node, e.AtCycle, got, prod.GoldenCycles)
+					}
+				}
+			}
+			if recurrent == 0 || shifted == 0 {
+				t.Errorf("RunOne proved %d verdicts recurrent, %d shifted", recurrent, shifted)
+			}
+		})
+	}
+}
+
+// TestUnprovableVerdictsAreStepped is the other half: universes that look
+// like the proven ones and are not. A decode stage forced empty, a halted
+// back end and a high PC bit stuck in the register-access stage all hang
+// with the self-correcting fetch free-running through the address space —
+// the state never recurs; a glitch whose window never closes still has a
+// release pending, however periodic the core looks, and is neither
+// recurrent nor (forcing armed) shifted; under NoEarlyExit a universe that
+// goes on writing after its mismatch is stepped to its real exit. All of
+// them must cost what the reference pays and say what it says.
+func TestUnprovableVerdictsAreStepped(t *testing.T) {
+	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepped := func(t *testing.T, reg *obs.Registry, prod, ref *Runner, e Experiment) Result {
+		t.Helper()
+		before := proofCounts(t, reg)
+		got, want := prod.RunOne(e), ref.RunOne(e)
+		if got != want {
+			t.Fatalf("%v %v: got %+v, reference %+v", e.Model, e.Node.Node, got, want)
+		}
+		if n := sub(proofCounts(t, reg), before); n[provenRecurrent]+n[provenShifted] != 0 {
+			t.Errorf("%v %v declared proven (%v): %+v", e.Model, e.Node.Node, n, got)
+		}
+		return got
+	}
+	node := func(r *Runner, name string, bit int) NodeInfo {
+		for _, n := range signalNodes(r, name) {
+			if n.Node.Bit == bit {
+				return n
+			}
+		}
+		t.Fatalf("no node %s.%d", name, bit)
+		return NodeInfo{}
+	}
+
+	t.Run("livelock", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		prod, ref := enginePair(t, w.Program, Options{InjectAtFraction: 0.5, Obs: reg})
+		for _, e := range []Experiment{
+			{Node: node(prod, "iu.ra.pc", 31), Model: rtl.StuckAt1},
+			{Node: node(prod, "iu.de.valid", 0), Model: rtl.StuckAt0},
+			{Node: node(prod, "iu.ctl.halt", 0), Model: rtl.StuckAt1},
+		} {
+			if got := stepped(t, reg, prod, ref, e); got.Outcome != OutcomeHang || got.Cycles != prod.budget {
+				t.Errorf("%v %v: %+v, want a hang stepped to the budget", e.Model, e.Node.Node, got)
+			}
+		}
+	})
+
+	t.Run("open pulse window", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		prod, ref := enginePair(t, w.Program, Options{InjectAtFraction: 0.5, PulseCycles: 1 << 20, Obs: reg})
+		hangs := 0
+		for _, n := range signalNodes(prod, "iu.fe.pc")[2:10] {
+			// A low fetch-PC bit forced to 0 loops the core for good (the
+			// stuck-at-0 lanes of the test above); forced by a glitch that
+			// outlasts the budget it is the same hang, unproven.
+			e := Experiment{Node: n, Model: rtl.SETPulse, AtCycle: prod.InjectCycle()}
+			if got := stepped(t, reg, prod, ref, e); got.Outcome == OutcomeHang {
+				hangs++
+			}
+			if got, want := prod.Campaign([]Experiment{e}, 1)[0], ref.RunOne(e); got != want {
+				t.Errorf("as a lane: %v: got %+v, reference %+v", n.Node, got, want)
+			}
+		}
+		if n := proofCounts(t, reg); hangs == 0 || n[provenRecurrent]+n[provenShifted] != 0 {
+			t.Errorf("%d hangs under a glitch that is never released, proofs %v", hangs, n)
+		}
+	})
+
+	t.Run("NoEarlyExit", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		prod, ref := enginePair(t, w.Program, Options{InjectAtFraction: 0.5, NoEarlyExit: true, Obs: reg})
+		exps := Expand(signalNodes(prod, "iu.ex.a", "iu.fe.pc")[:40], rtl.StuckAt0, rtl.StuckAt1)
+		ranOn, proven := 0, 0
+		for i, e := range exps {
+			before := proofCounts(t, reg)
+			got, want := prod.RunOne(e), ref.RunOne(e)
+			if got != want {
+				t.Fatalf("%v %v: got %+v, reference %+v", e.Model, e.Node.Node, got, want)
+			}
+			n := sub(proofCounts(t, reg), before)
+			switch {
+			case n[provenRecurrent] > 0:
+				proven++
+				if got.Cycles != prod.budget {
+					t.Errorf("experiment %d proven recurrent short of the budget: %+v", i, got)
+				}
+			case got.Outcome == OutcomeMismatch && got.Cycles < prod.budget && uint64(got.Latency)+got.InjectAt+1 < got.Cycles:
+				ranOn++ // mismatched, then ran on to its own exit
+			}
+		}
+		if got, want := prod.Campaign(exps, 2), ref.Campaign(exps, 0); !reflect.DeepEqual(got, want) {
+			t.Error("NoEarlyExit campaign differs from the from-reset reference")
+		}
+		if ranOn == 0 || proven == 0 {
+			t.Errorf("%d universes ran on past their mismatch, %d were proven periodic: the set reaches only one side", ranOn, proven)
+		}
+	})
+}
+
+// TestFaultedCyclesByOutcome pins the split of engine_faulted_cycles_total:
+// the outcome-labelled series sum to it, and healed universes are booked
+// apart from the no-effects that ran to exit.
+func TestFaultedCyclesByOutcome(t *testing.T) {
+	w, err := workloads.Build("excerptA", workloads.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.3, PulseCycles: 2, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := Expand(SampleNodes(r.Nodes(TargetIU), 96, 5), rtl.AllFaultModels()...)
+	r.ScheduleTransients(exps, 5)
+	r.Campaign(exps, 2)
+	sum, counters := 0.0, engineCounters(t, reg)
+	for name, v := range counters {
+		if strings.HasPrefix(name, "engine_faulted_cycles_by_outcome_total{") {
+			sum += v
+		}
+	}
+	if total := counters["engine_faulted_cycles_total"]; total == 0 || sum != total {
+		t.Errorf("outcome-labelled cycles sum to %v, engine_faulted_cycles_total is %v", sum, total)
+	}
+	if counters[`engine_faulted_cycles_by_outcome_total{outcome="healed"}`] == 0 || counters["engine_reconverged_total"] == 0 {
+		t.Errorf("no healed universe booked: %v", counters)
+	}
+}

@@ -324,65 +324,80 @@ func TestPassRecordBounded(t *testing.T) {
 }
 
 // TestReconvergenceWorkCounters states the engine's gain without a
-// clock, on a fixed-seed rspeed SEU campaign. Signal upsets fork at their
-// sampled instant and stop at the first rung where they have been
-// overwritten; register-file and cache upsets ride the witnessed pass,
-// cost nothing when their word is overwritten (or never touched) before
-// it is read, and otherwise fork at that first read. What is left is a
-// small fraction of the continuation per experiment, and one rung fork
-// per activated lane or scalar experiment rather than one per experiment.
+// clock, on two fixed-seed rspeed campaigns over the same 256 nodes; every
+// number is a deterministic work counter, pinned.
+//
+// SEU: signal upsets fork at their sampled instant and stop at the first
+// rung they re-equal, or a few cycles past it when the upset cost a
+// refetch; register-file and cache upsets ride the witnessed pass, cost
+// nothing when their word is overwritten (or never touched) before it is
+// read, and otherwise fork at that first read. What is left is a small
+// fraction of the continuation per experiment, and one rung fork per
+// activated lane or scalar experiment (no universe teleports: a flip has
+// no later activation) rather than one per experiment.
+//
+// Permanent: a quarter of the lanes activate, the open-line ones among
+// them are twins of a stuck-at lane and resolve nothing, and hangs whose
+// state recurs stop there. Before resolve proved verdicts the two
+// campaigns read 75,813 and 706,826 faulted cycles, 51 and 34 reconverged,
+// 100 and 214 materializations, on the same lanes.
+//
 // The golden continuation itself is walked once per worker — one pass for
-// the campaign's three lane groups at one worker, two at two — and the
-// worker count moves nothing else.
+// the campaign's lane groups at one worker, two at two — and the worker
+// count moves nothing else.
 func TestReconvergenceWorkCounters(t *testing.T) {
 	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first map[string]float64
-	for workers := 1; workers <= 2; workers++ {
-		reg := obs.NewRegistry()
-		r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.5, Obs: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		exps := Expand(SampleNodes(r.Nodes(TargetIU), 256, 1), rtl.BitFlip)
-		r.ScheduleTransients(exps, 1)
-		r.Campaign(exps, workers)
-		counters := engineCounters(t, reg)
-		perExp := counters["engine_faulted_cycles_total"] / float64(len(exps))
-		remainder := float64(r.GoldenCycles - r.InjectCycle())
-		t.Logf("faulted cycles per experiment %.0f of a %.0f-cycle continuation; %v of %d reconverged",
-			perExp, remainder, counters["engine_reconverged_total"], len(exps))
-		if perExp > 0.1*remainder {
-			t.Errorf("faulted cycles per experiment %.0f exceed 0.1 x %.0f", perExp, remainder)
-		}
-		if counters["engine_reconverged_total"] == 0 {
-			t.Error("no experiment reconverged")
-		}
-		planned, free := counters["engine_batch_lanes_planned_total"], counters["engine_batch_lanes_free_total"]
-		activated := counters["engine_batch_lanes_activated_total"]
-		t.Logf("lanes planned %v, free %v, activated %v", planned, free, activated)
-		if planned <= 2*maxLanes || planned != free+activated || free <= activated {
-			t.Errorf("lanes planned %v, free %v, activated %v: want three groups, most array-word upsets dead before their first read",
-				planned, free, activated)
-		}
-		// No universe teleports here (a flip has no later activation), so
-		// every materialization is an activated lane's or a scalar flip's fork.
-		scalar := float64(len(exps)) - planned
-		if got := counters["engine_snapshot_materializations_total"]; got != activated+scalar {
-			t.Errorf("materializations = %v, want %v activated lanes + %v scalar forks", got, activated, scalar)
-		}
-		if got, want := counters["engine_golden_pass_cycles_total"], float64(workers)*remainder; got != want {
-			t.Errorf("%d workers: golden pass cycles = %v, want %d passes x %.0f cycles", workers, got, workers, remainder)
-		}
-		delete(counters, "engine_golden_pass_cycles_total")
-		delete(counters, "engine_golden_pass_seconds_total")
-		if first == nil {
-			first = counters
-		} else if !reflect.DeepEqual(counters, first) {
-			t.Errorf("work counters moved with the worker count:\n 1 worker  %v\n 2 workers %v", first, counters)
-		}
+	for _, tc := range []struct {
+		name   string
+		models []rtl.FaultModel
+		want   map[string]float64
+	}{
+		{"seu", []rtl.FaultModel{rtl.BitFlip}, map[string]float64{
+			"engine_batch_lanes_planned_total": 190, "engine_batch_lanes_activated_total": 34, "engine_batch_lanes_free_total": 156,
+			"engine_faulted_cycles_total": 71429, "engine_reconverged_total": 55, "engine_snapshot_materializations_total": 34 + 66,
+			`engine_verdicts_proven_total{proof="equivalent"}`: 0, `engine_verdicts_proven_total{proof="recurrent"}`: 0,
+			`engine_verdicts_proven_total{proof="shifted"}`: 4,
+		}},
+		{"permanent", rtl.FaultModels(), map[string]float64{
+			"engine_batch_lanes_planned_total": 768, "engine_batch_lanes_activated_total": 193, "engine_batch_lanes_free_total": 575,
+			"engine_faulted_cycles_total": 492589, "engine_reconverged_total": 22, "engine_snapshot_materializations_total": 155,
+			`engine_verdicts_proven_total{proof="equivalent"}`: 52, `engine_verdicts_proven_total{proof="recurrent"}`: 2,
+			`engine_verdicts_proven_total{proof="shifted"}`: 0,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var first map[string]float64
+			for workers := 1; workers <= 2; workers++ {
+				reg := obs.NewRegistry()
+				r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.5, Obs: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				exps := Expand(SampleNodes(r.Nodes(TargetIU), 256, 1), tc.models...)
+				r.ScheduleTransients(exps, 1)
+				r.Campaign(exps, workers)
+				counters := engineCounters(t, reg)
+				for name, want := range tc.want {
+					if got := counters[name]; got != want {
+						t.Errorf("%d workers: %s = %v, want %v", workers, name, got, want)
+					}
+				}
+				remainder := float64(r.GoldenCycles - r.InjectCycle())
+				if got, want := counters["engine_golden_pass_cycles_total"], float64(workers)*remainder; got != want {
+					t.Errorf("%d workers: golden pass cycles = %v, want %d passes x %.0f cycles", workers, got, workers, remainder)
+				}
+				delete(counters, "engine_golden_pass_cycles_total")
+				delete(counters, "engine_golden_pass_seconds_total")
+				if first == nil {
+					first = counters
+				} else if !reflect.DeepEqual(counters, first) {
+					t.Errorf("work counters moved with the worker count:\n 1 worker  %v\n 2 workers %v", first, counters)
+				}
+			}
+		})
 	}
 }
 

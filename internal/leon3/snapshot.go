@@ -64,14 +64,17 @@ func (c *Core) Restore(s *Snapshot) error {
 }
 
 // StateEquals reports whether the core's committed RTL state (register
-// slab, memory arrays, cycle count) equals the snapshot's. Wire slabs
-// and the architectural diagnostics (instruction/stall counters) are
-// deliberately excluded: wires carry no state across the clock edge
-// (TestWiresCarryNoState enforces that), and the counters never feed
-// back into the datapath. The batched campaign engine uses this as its
-// reconvergence check — a forked fault universe that StateEquals a
-// golden snapshot, with a matching off-core write position, produces
-// the same future as the golden run while its fault stays unread.
+// slab, memory arrays) equals the snapshot's. Wire slabs, the cycle
+// counter and the architectural diagnostics (instruction/stall counters)
+// are deliberately excluded: wires carry no state across the clock edge
+// (TestWiresCarryNoState enforces that), the cycle counter only labels
+// off-core accesses (TestCycleCounterCarriesNoState), and the counters
+// never feed back into the datapath. The batched campaign engine uses
+// this as its reconvergence check — a forked fault universe that
+// StateEquals a golden snapshot, with a matching off-core write
+// position, produces the same future as the golden run from that
+// snapshot on while its fault stays unread, shifted by however many
+// cycles it sits past the snapshot's.
 func (c *Core) StateEquals(s *Snapshot) bool {
 	return c.K.StateEquals(s.kern)
 }

@@ -105,3 +105,60 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 		t.Fatal("restore into a different-entry core succeeded")
 	}
 }
+
+// TestCycleCounterCarriesNoState pins the property the campaign engine's
+// time-shifted heal and recurrence proofs stand on (rtl.Kernel.StateEquals,
+// fault.Runner.resolve): the kernel's cycle counter labels off-core
+// accesses (Access.Seq) and feeds nothing else. A fork of a mid-run
+// snapshot whose counter was rebased first must run to exit in the same
+// number of cycles and write the same Addr/Size/Data stream as the
+// uninterrupted run. A timer, or any process that reads K.Now() into the
+// datapath, fails here instead of silently breaking byte identity.
+func TestCycleCounterCarriesNoState(t *testing.T) {
+	w, err := workloads.Build("excerptA", workloads.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Program
+	m := mem.NewMemory()
+	m.LoadImage(p.Origin, p.Image)
+	bus := mem.NewBus(m)
+	ref := New(bus, p.Entry)
+	at := uint64(700)
+	for ref.Cycles() < at && ref.Status() == iss.StatusRunning {
+		ref.StepCycle()
+	}
+	snap, img, prefix := ref.Snapshot(), m.Snapshot(), len(bus.Trace.Writes)
+	if st := ref.Run(10_000_000); st != iss.StatusExited || prefix == 0 || prefix == len(bus.Trace.Writes) {
+		t.Fatalf("reference run: %v, %d of %d writes before cycle %d", st, prefix, len(bus.Trace.Writes), at)
+	}
+
+	const offset = 1_000_003
+	fbus := mem.NewBus(img.Fork())
+	fork := New(fbus, p.Entry)
+	if err := fork.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	fork.K.SetNow(at + offset)
+	if st := fork.Run(20_000_000); st != iss.StatusExited {
+		t.Fatalf("rebased fork: %v", st)
+	}
+	if got, want := fork.Cycles()-(at+offset), ref.Cycles()-at; got != want {
+		t.Errorf("rebased fork ran %d cycles to exit, the uninterrupted run %d", got, want)
+	}
+	suffix := bus.Trace.Writes[prefix:]
+	if len(fbus.Trace.Writes) != len(suffix) {
+		t.Fatalf("rebased fork made %d writes, the uninterrupted run %d", len(fbus.Trace.Writes), len(suffix))
+	}
+	for i, a := range fbus.Trace.Writes {
+		if g := suffix[i]; a.Addr != g.Addr || a.Size != g.Size || a.Data != g.Data {
+			t.Fatalf("write %d = %v, uninterrupted run %v", prefix+i, a, g)
+		}
+		if g := suffix[i]; a.Seq-g.Seq != offset {
+			t.Fatalf("write %d: Seq %d vs %d, want the rebase offset apart", prefix+i, a.Seq, g.Seq)
+		}
+	}
+	if fbus.ExitCode() != bus.ExitCode() {
+		t.Errorf("exit code %d, uninterrupted run %d", fbus.ExitCode(), bus.ExitCode())
+	}
+}

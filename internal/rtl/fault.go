@@ -201,7 +201,7 @@ func (k *Kernel) inject(f Fault, sampled uint64, haveSample bool) error {
 	return fmt.Errorf("rtl: unknown node %v", f.Node)
 }
 
-// Faults returns the armed faults.
+// Faults returns the armed faults; the slice is reused after ClearFaults.
 func (k *Kernel) Faults() []Fault { return k.faults }
 
 // ClearFaults removes all armed faults. The kernel dirty flag makes
@@ -219,6 +219,7 @@ func (k *Kernel) ClearFaults() {
 	for _, a := range k.fArrs {
 		a.fWord, a.fMask, a.fVal = -1, 0, 0
 	}
-	k.fSigs, k.fArrs, k.faults = nil, nil, nil
+	// Keep the capacity: a pooled kernel arms one fault per experiment.
+	k.fSigs, k.fArrs, k.faults = k.fSigs[:0], k.fArrs[:0], k.faults[:0]
 	k.dirty = len(k.bSigs) > 0
 }

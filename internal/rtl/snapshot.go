@@ -29,15 +29,21 @@ func (s *Snapshot) Cycle() uint64 { return s.cycle }
 // Snapshot captures the kernel's dynamic state. The snapshot is a deep
 // copy; the kernel may keep running without disturbing it.
 func (k *Kernel) Snapshot() *Snapshot {
-	return &Snapshot{
-		cycle:   k.cycle,
-		regCur:  append([]uint64(nil), k.regCur...),
-		regNxt:  append([]uint64(nil), k.regNxt...),
-		wireCur: append([]uint64(nil), k.wireCur...),
-		wireNxt: append([]uint64(nil), k.wireNxt...),
-		arr:     append([]uint64(nil), k.arr...),
-		narr:    len(k.arrays),
-	}
+	s := new(Snapshot)
+	k.SnapshotInto(s)
+	return s
+}
+
+// SnapshotInto is Snapshot into s, reusing s's slabs: the campaign
+// engine's recurrence search re-saves one buffer at growing intervals.
+func (k *Kernel) SnapshotInto(s *Snapshot) {
+	s.cycle = k.cycle
+	s.regCur = append(s.regCur[:0], k.regCur...)
+	s.regNxt = append(s.regNxt[:0], k.regNxt...)
+	s.wireCur = append(s.wireCur[:0], k.wireCur...)
+	s.wireNxt = append(s.wireNxt[:0], k.wireNxt...)
+	s.arr = append(s.arr[:0], k.arr...)
+	s.narr = len(k.arrays)
 }
 
 // Restore loads a snapshot into the kernel, which must have an identical
@@ -67,8 +73,9 @@ func (k *Kernel) Restore(s *Snapshot) error {
 }
 
 // StateEquals reports whether the kernel's committed state at a cycle
-// boundary equals the snapshot's: same cycle count, same register slab,
-// same array slab. Two slabs are deliberately not compared:
+// boundary equals the snapshot's: same register slab, same array slab
+// (slabs of another length are never equal). Three things are
+// deliberately not compared:
 //
 //   - the pending register slab, because the clock edge commits with a
 //     bulk copy (regCur := regNxt), so at any cycle boundary the two
@@ -78,14 +85,30 @@ func (k *Kernel) Restore(s *Snapshot) error {
 //     information across the clock edge, so two kernels with equal
 //     register and array state produce identical futures even if stale
 //     wire residue differs. leon3's TestWiresCarryNoState enforces this
-//     property dynamically.
+//     property dynamically;
+//   - the cycle counter, because it labels time and feeds no process
+//     (leon3's TestCycleCounterCarriesNoState): a kernel in the
+//     snapshot's state at another cycle replays the snapshot's future,
+//     that many cycles shifted. A caller that wants the same instant
+//     compares Now with the snapshot's Cycle itself.
 //
 // The batched campaign engine uses StateEquals as its reconvergence
 // check: a forked fault universe whose raw state re-equals a golden
 // snapshot (and whose off-core write position matches) has healed and
 // will track the golden run for as long as its fault stays unread.
 func (k *Kernel) StateEquals(s *Snapshot) bool {
-	return k.cycle == s.cycle &&
-		slices.Equal(k.regCur, s.regCur) &&
-		slices.Equal(k.arr, s.arr)
+	return slices.Equal(k.regCur, s.regCur) && slices.Equal(k.arr, s.arr)
 }
+
+// Recurs is StateEquals plus the wire slab: exactly the snapshot's
+// state, cycle counter aside. The engine's recurrence search proves a
+// universe periodic while its fault is still armed, which is outside the
+// clean-design argument that lets StateEquals skip the wires. Registers
+// are compared first: they differ on almost every cycle.
+func (k *Kernel) Recurs(s *Snapshot) bool {
+	return k.StateEquals(s) && slices.Equal(k.wireCur, s.wireCur)
+}
+
+// SetNow rebases the cycle counter without touching state: how tests show
+// that the counter carries none.
+func (k *Kernel) SetNow(cycle uint64) { k.cycle = cycle }

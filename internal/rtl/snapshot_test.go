@@ -97,3 +97,65 @@ func TestRestoreRejectsShapeMismatch(t *testing.T) {
 		t.Error("restore into a resized array succeeded")
 	}
 }
+
+// TestStateComparisons pins what the two state comparisons look at.
+// StateEquals: registers and arrays, not the cycle counter, not the wires.
+// Recurs: the wires too. Neither equals a snapshot of another shape, and
+// SnapshotInto reuses its buffer.
+func TestStateComparisons(t *testing.T) {
+	k, r, w, a := build()
+	for i := 0; i < 3; i++ {
+		k.Cycle()
+	}
+	var snap Snapshot
+	k.SnapshotInto(&snap)
+	if !k.StateEquals(&snap) || !k.Recurs(&snap) {
+		t.Fatal("kernel differs from its own snapshot")
+	}
+	k.SetNow(k.Now() + 1000)
+	if snap.Cycle() != 3 || !k.StateEquals(&snap) || !k.Recurs(&snap) {
+		t.Error("the cycle counter is part of a comparison")
+	}
+	w.Set(w.Get() ^ 1)
+	if !k.StateEquals(&snap) {
+		t.Error("StateEquals looks at a wire")
+	}
+	if k.Recurs(&snap) {
+		t.Error("Recurs misses a wire difference")
+	}
+	w.Set(w.Get() ^ 1)
+	*r.curp ^= 1
+	if k.StateEquals(&snap) || k.Recurs(&snap) {
+		t.Error("register difference missed")
+	}
+	*r.curp ^= 1
+	a.Write(2, a.Read(2)^1)
+	if k.StateEquals(&snap) || k.Recurs(&snap) {
+		t.Error("array difference missed")
+	}
+
+	regs := &snap.regCur[0]
+	k.SnapshotInto(&snap)
+	if &snap.regCur[0] != regs || snap.Cycle() != k.Now() || !k.Recurs(&snap) {
+		t.Error("SnapshotInto did not re-save into the same buffer")
+	}
+
+	// All-zero kernels of other shapes: equal slab values, unequal lengths.
+	other := NewKernel()
+	other.Reg("t.r", 8, 0)
+	other.Reg("t.r2", 8, 0)
+	other.Wire("t.w", 8, 0)
+	other.Array("t.a", 8, 4, 0)
+	fresh, _, _, _ := build()
+	if zero := fresh.Snapshot(); other.StateEquals(zero) || other.Recurs(zero) {
+		t.Error("a kernel with one more register equals the snapshot")
+	}
+	wider := NewKernel()
+	wider.Reg("t.r", 8, 0)
+	wider.Wire("t.w", 8, 0)
+	wider.Wire("t.w2", 8, 0)
+	wider.Array("t.a", 8, 4, 0)
+	if wider.Recurs(fresh.Snapshot()) {
+		t.Error("a kernel with one more wire recurs in the snapshot")
+	}
+}
