@@ -183,7 +183,7 @@ func (r *Runner) planBatches(exps []Experiment, workers int) ([]planItem, []*pas
 	gcap := max(1, actBudget/8/int(max(1, r.GoldenCycles-r.ladder().start)))
 	passes := make([]*pass, max((groups+gcap-1)/gcap, min(workers, groups)))
 	if len(passes) > 0 {
-		m, _ := r.memos.Get().(*memo)
+		m := r.memos.get()
 		if m == nil {
 			m = &memo{idx: map[forcing]int32{}}
 		}
@@ -369,7 +369,7 @@ func (r *Runner) walk(exps []Experiment, p *pass) {
 
 	// Build the lane set and the deduplicated witness net list (lanes may
 	// fault different bits, or models, of one net), chaining each net's lanes.
-	b, _ := r.passBufs.Get().(*passBuf)
+	b := r.passBufs.get()
 	if b == nil {
 		b = &passBuf{netIdx: map[rtl.WitnessNet]int32{}}
 	}
@@ -397,7 +397,7 @@ func (r *Runner) walk(exps []Experiment, p *pass) {
 	}
 	w, err := core.K.StartWitness(b.nets)
 	if err != nil {
-		r.passBufs.Put(b)
+		r.passBufs.put(b)
 		return
 	}
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -187,17 +189,19 @@ func TestReferenceEngineIsNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Low fetch-PC bits: their stuck-at-0 hangs, open-line twins and upsets
-	// are what the production engine proves (TestProvenVerdictsEquivalence).
-	exps := Expand(append(SampleNodes(r.Nodes(TargetIU), 8, 3), signalNodes(r, "iu.fe.pc")[2:6]...), rtl.AllFaultModels()...)
+	// Fetch-PC bits: the low ones' stuck-at-0 hangs, open-line twins and
+	// upsets and the top one's dead EX gate are what the production engine
+	// proves (TestProvenVerdictsEquivalence).
+	pc := signalNodes(r, "iu.fe.pc")
+	exps := Expand(append(SampleNodes(r.Nodes(TargetIU), 8, 3), append(pc[2:6], pc[31])...), rtl.AllFaultModels()...)
 	r.ScheduleTransients(exps, 3)
 	r.PrepareCheckpoint()
 	r.Campaign(exps, 3)
 	if r.lad != nil {
 		t.Error("reference campaign built a golden ladder")
 	}
-	if e := r.engines.Get(); e != nil {
-		t.Error("reference campaign returned a core to the pool")
+	if e := r.engines.get(); e != nil {
+		t.Error("reference campaign kept a core")
 	}
 	counters := engineCounters(t, reg)
 	if got := counters["engine_experiments_total"]; got != float64(len(exps)) {
@@ -208,11 +212,68 @@ func TestReferenceEngineIsNaive(t *testing.T) {
 		"engine_batch_lanes_planned_total", "engine_batch_lanes_activated_total",
 		"engine_batch_lanes_free_total", "engine_golden_pass_cycles_total",
 		`engine_verdicts_proven_total{proof="equivalent"}`, `engine_verdicts_proven_total{proof="recurrent"}`,
-		`engine_verdicts_proven_total{proof="shifted"}`, `engine_faulted_cycles_by_outcome_total{outcome="healed"}`,
+		`engine_verdicts_proven_total{proof="shifted"}`, `engine_verdicts_proven_total{proof="wedged"}`,
+		`engine_faulted_cycles_by_outcome_total{outcome="healed"}`,
 	} {
 		if counters[name] != 0 {
 			t.Errorf("%s = %v on the reference engine, want 0", name, counters[name])
 		}
+	}
+}
+
+// TestKeptObjectsSurviveCollections holds the runner's free lists to what
+// they replaced collector-emptied pools for: engines, pass storage and the
+// verdict memo sit idle between campaigns — through an ISS pass, through
+// the caller's own work — and a collection in between must not cost a
+// rebuilt design graph. Back-to-back campaigns with two collections in
+// between build no second engine per worker, and hand the first campaign's
+// objects on.
+func TestKeptObjectsSurviveCollections(t *testing.T) {
+	w, err := workloads.Build("excerptA", workloads.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := min(2, runtime.GOMAXPROCS(0))
+	exps := Expand(SampleNodes(r.Nodes(TargetIU), 96, 5), rtl.FaultModels()...)
+	want := r.Campaign(exps, workers)
+	engines := slices.Clone(r.engines.idle)
+	bufs, memos := slices.Clone(r.passBufs.idle), slices.Clone(r.memos.idle)
+	if len(engines) == 0 || len(bufs) == 0 || len(memos) != 1 {
+		t.Fatalf("after one campaign the runner keeps %d engines, %d pass buffers, %d memos", len(engines), len(bufs), len(memos))
+	}
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		runtime.GC()
+		if got := r.Campaign(exps, workers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("campaign %d on kept objects differs from the first", i+2)
+		}
+	}
+	if n := len(r.engines.idle); n > workers {
+		t.Errorf("%d engines built for %d workers", n, workers)
+	}
+	for _, e := range engines {
+		if !slices.Contains(r.engines.idle, e) {
+			t.Error("an engine of the first campaign was dropped and rebuilt")
+		}
+	}
+	for _, b := range bufs {
+		if !slices.Contains(r.passBufs.idle, b) {
+			t.Error("a pass buffer of the first campaign was dropped and rebuilt")
+		}
+	}
+	if len(r.memos.idle) != 1 || r.memos.idle[0] != memos[0] {
+		t.Error("the verdict memo of the first campaign was dropped and rebuilt")
+	}
+	// The lists are bounded: what does not fit is left to the collector.
+	for i := 0; i < 2*r.engines.max; i++ {
+		r.putEngine(&engine{})
+	}
+	if n := len(r.engines.idle); n != r.engines.max {
+		t.Errorf("%d idle engines kept, bound %d", n, r.engines.max)
 	}
 }
 

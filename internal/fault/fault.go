@@ -214,20 +214,53 @@ type Runner struct {
 	ladderOnce sync.Once
 	lad        *ladder
 
-	// engines pools reusable RTL cores: each campaign worker restores a
-	// pooled core in place per experiment instead of rebuilding the whole
-	// design graph with leon3.New. passBufs pools the lanes and activation
+	// engines keeps reusable RTL cores: each campaign worker restores a
+	// kept core in place per experiment instead of rebuilding the whole
+	// design graph with leon3.New. passBufs keeps the lanes and activation
 	// records of witnessed passes, memos the campaigns' verdict memos; both
 	// are held until their campaign's dispatch ends.
-	engines  sync.Pool
-	passBufs sync.Pool
-	memos    sync.Pool
+	engines  freeList[engine]
+	passBufs freeList[passBuf]
+	memos    freeList[memo]
 
 	nodeLists nodeLists
 
 	// met holds the engine's metric handles — no-ops unless Options.Obs
 	// was set.
 	met engineMetrics
+}
+
+// freeList keeps up to max idle objects for reuse and drops the overflow to
+// the collector. Unlike the standard library's pool it survives
+// collections: a runner's objects sit idle through an ISS pass and the
+// caller's work between campaigns, and a rebuilt engine is a whole design
+// graph.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	max  int
+	idle []*T
+}
+
+// get takes an idle object, or returns nil when there is none.
+func (f *freeList[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.idle)
+	if n == 0 {
+		return nil
+	}
+	x := f.idle[n-1]
+	f.idle[n-1] = nil
+	f.idle = f.idle[:n-1]
+	return x
+}
+
+func (f *freeList[T]) put(x *T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.idle) < f.max {
+		f.idle = append(f.idle, x)
+	}
 }
 
 // freshCore builds a clean RTL core over a copy-on-write fork of the
@@ -247,6 +280,10 @@ func NewRunner(p *asm.Program, opts Options) (*Runner, error) {
 	m := mem.NewMemory()
 	m.LoadImage(p.Origin, p.Image)
 	r := &Runner{prog: p, opts: opts, baseImg: m.Snapshot(), met: newEngineMetrics(opts.Obs)}
+	// One object of each kind per processor: what a campaign at the default
+	// worker count holds at once.
+	keep := runtime.GOMAXPROCS(0)
+	r.engines.max, r.passBufs.max, r.memos.max = keep, keep, keep
 	core, _ := r.freshCore()
 	st := core.Run(200_000_000)
 	if st != iss.StatusExited {
@@ -387,7 +424,7 @@ func (r *Runner) classify(res *Result, core *leon3.Core, bus *mem.Bus, c *compar
 	classifyRun(res, &r.golden, core.Status(), core.Cycles(), bus, c, injectAt)
 }
 
-// engine is a pooled per-worker execution context: one reusable RTL core
+// engine is a kept per-worker execution context: one reusable RTL core
 // whose kernel state is restored in place per experiment, so the design
 // graph is built once per worker instead of once per experiment, and the
 // one state buffer resolve's recurrence search saves into.
@@ -396,11 +433,11 @@ type engine struct {
 	seen rtl.Snapshot
 }
 
-// getEngine takes a pooled engine, building one on first use. The
-// NoCheckpoint reference never pools: it builds a fresh core every time.
+// getEngine takes a kept engine, building one when none is idle. The
+// NoCheckpoint reference keeps none: it builds a fresh core every time.
 func (r *Runner) getEngine() *engine {
 	if !r.opts.NoCheckpoint {
-		if e, ok := r.engines.Get().(*engine); ok {
+		if e := r.engines.get(); e != nil {
 			return e
 		}
 	}
@@ -408,12 +445,17 @@ func (r *Runner) getEngine() *engine {
 	return &engine{core: core}
 }
 
-// putEngine returns an engine to the pool.
+// putEngine returns an engine to the runner.
 func (r *Runner) putEngine(e *engine) {
 	if !r.opts.NoCheckpoint {
-		r.engines.Put(e)
+		r.engines.put(e)
 	}
 }
+
+// wedgeEvery is the cadence, in cycles, at which resolve asks the core for
+// the wedged proof: a dozen signal reads, against up to 3×golden+10,000
+// cycles not stepped. A constant, not an option.
+const wedgeEvery = 8
 
 // armAt returns the cycle at which the experiment's fault is applied:
 // the sampled per-experiment instant for transient models, the runner's
@@ -434,7 +476,7 @@ func (r *Runner) armAt(e Experiment) uint64 {
 // to the end of the run; a BitFlip mutates state once and the design runs
 // free; a SETPulse is released when its window closes.
 //
-// On a ladder two kinds of verdict are proven instead of stepped to
+// On a ladder three kinds of verdict are proven instead of stepped to
 // (DESIGN.md §15 has the arguments); the from-reset reference proves
 // nothing and steps to every one.
 //
@@ -456,6 +498,11 @@ func (r *Runner) armAt(e Experiment) uint64 {
 // periods and after every off-core write, which alone moves memory and
 // comparator — finds a state recurring with no write in between: the
 // universe is finalized at the budget, the hang it would be stepped to.
+//
+// Wedged: with nothing left to release and no mismatch recorded, a core
+// whose back end is drained and whose EX gate provably stays shut to the
+// budget (leon3.Core.Wedged, asked every wedgeEvery cycles) commits nothing
+// on the way there, however far the fetch free-runs: the same hang.
 func (r *Runner) resolve(eng *engine, lad *ladder, l *lane) Result {
 	core := eng.core
 	res := l.result()
@@ -468,6 +515,13 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane) Result {
 	}
 	release := l.pulseEnd // 0: nothing to release
 	period, since, writes := uint64(1), uint64(0), -1
+	// hangs finalizes the universe where it would be stepped to: still
+	// running at the budget.
+	hangs := func(proof int) Result {
+		r.met.proven[proof].Inc()
+		classifyRun(&res, &r.golden, iss.StatusRunning, r.budget, bus, c, l.injectAt)
+		return res
+	}
 	for r.live(core, c) {
 		if release != 0 && core.Cycles() >= release {
 			core.K.ClearFaults()
@@ -479,15 +533,16 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane) Result {
 			continue
 		}
 		t := core.Cycles()
+		if t%wedgeEvery == 0 && release == 0 && c.mismatchAt < 0 && core.Wedged(r.budget-t) {
+			return hangs(provenWedged)
+		}
 		i := lad.below(t)
 		g := &lad.rungs[i]
 		shift := t - g.core.Cycle()
 		if shift > 0 && i == len(lad.rungs)-1 && release == 0 {
 			w := len(bus.Trace.Writes)
 			if w == writes && core.K.Recurs(&eng.seen) {
-				r.met.proven[provenRecurrent].Inc()
-				classifyRun(&res, &r.golden, iss.StatusRunning, r.budget, bus, c, l.injectAt)
-				return res
+				return hangs(provenRecurrent)
 			}
 			if since++; w != writes || since == period {
 				if w == writes {
@@ -582,11 +637,11 @@ func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, wor
 	defer func() {
 		for _, p := range passes {
 			if p.passBuf != nil {
-				r.passBufs.Put(p.passBuf)
+				r.passBufs.put(p.passBuf)
 			}
 		}
 		if len(passes) > 0 {
-			r.memos.Put(passes[0].memo)
+			r.memos.put(passes[0].memo)
 		}
 	}()
 	counted := func(i int, res Result) {

@@ -37,6 +37,13 @@ func FuzzLaneEquivalence(f *testing.F) {
 	f.Add(int64(4), uint32(3000), uint8(rtl.SETPulse), uint32(90000))
 	f.Add(int64(5), uint32(9000), uint8(rtl.OpenLine), uint32(15)) // cmem.ic.data[50].13
 	f.Add(int64(1), uint32(2222), uint8(rtl.StuckAt0), uint32(1<<31))
+	// One net of the PC chain per model: the dead-EX-gate hangs resolve
+	// proves wedged (RAM addresses have bit 30 set and bit 31 clear).
+	f.Add(int64(6), uint32(31), uint8(rtl.StuckAt1), uint32(0))        // iu.fe.pc.31
+	f.Add(int64(7), uint32(33+30), uint8(rtl.StuckAt0), uint32(300))   // iu.de.pc.30
+	f.Add(int64(8), uint32(190+30), uint8(rtl.OpenLine), uint32(500))  // iu.ra.pc.30, open at its reset charge
+	f.Add(int64(9), uint32(443+12), uint8(rtl.BitFlip), uint32(400))   // iu.ex.pc.12
+	f.Add(int64(10), uint32(918+20), uint8(rtl.SETPulse), uint32(350)) // iu.ctl.exppc.20: the fetch is sent away, the target taken back
 	f.Fuzz(func(t *testing.T, seed int64, node uint32, model uint8, instant uint32) {
 		p, err := asm.Assemble(difftest.Generate(seed, difftest.AllFeatures(200)), mem.RAMBase)
 		if err != nil {

@@ -45,13 +45,15 @@ type engineMetrics struct {
 }
 
 // proofs labels engine_verdicts_proven_total: a twin of a resolved forcing
-// (resolveOnce), a recurring state, a time-shifted golden state (resolve).
-var proofs = [...]string{"equivalent", "recurrent", "shifted"}
+// (resolveOnce), a recurring state, a time-shifted golden state, a core
+// whose EX gate stays shut to the budget (resolve).
+var proofs = [...]string{"equivalent", "recurrent", "shifted", "wedged"}
 
 const (
 	provenEquivalent = iota
 	provenRecurrent
 	provenShifted
+	provenWedged
 )
 
 // healedEnding is cyclesBy's slot past the outcomes: a healed universe,
@@ -71,7 +73,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 	byOutcome := r.CounterVec("engine_faulted_cycles_by_outcome_total",
 		"engine_faulted_cycles_total split by how the universe ended; healed ones apart from no-effects that ran to exit.", "outcome")
 	byProof := r.CounterVec("engine_verdicts_proven_total",
-		"Verdicts reached without stepping to them: a twin of a resolved forcing, a recurring state, a time-shifted golden state.", "proof")
+		"Verdicts reached without stepping to them: a twin of a resolved forcing, a recurring state, a time-shifted golden state, a dead EX gate.", "proof")
 	m := engineMetrics{
 		live: r != nil,
 		experiments: r.Counter("engine_experiments_total",

@@ -46,19 +46,35 @@ func signalNodes(r *Runner, names ...string) []NodeInfo {
 	return out
 }
 
-// TestProvenVerdictsEquivalence holds the three proofs of resolve and
+// pick returns the given bits of one IU signal.
+func pick(r *Runner, name string, bits ...int) []NodeInfo {
+	all := signalNodes(r, name)
+	out := make([]NodeInfo, len(bits))
+	for i, b := range bits {
+		out[i] = all[b]
+	}
+	return out
+}
+
+// TestProvenVerdictsEquivalence holds the four proofs of resolve and
 // resolveOnce to the from-reset reference, byte for byte, on faults chosen
-// to reach them. The node set is the fetch PC, the multiply/divide counter
-// and the low half of the decode instruction register under all five
-// models: stuck-at-0 PC bits, a divider that never finishes and a decode
-// word that traps the program in a loop hang in a state that recurs; the
-// open-line lane of every node is the twin of its stuck-at-0 or stuck-at-1
-// lane, and with 64 nodes the three permanent models are the three groups
-// of the campaign — one pass at one worker, three passes from three
-// workers up, so a twin finds its verdict in its own pass, in another
-// worker's, or waits for it; PC upsets and glitches cost a refetch and
-// come back onto the golden trajectory a few cycles late. The counters —
-// faulted cycles included — must not move with the worker count.
+// to reach them. The first 64 nodes are the fetch PC, the multiply/divide
+// counter and the low half of the decode instruction register: under all
+// five models, a divider that never finishes and a decode word that traps
+// the program in a loop hang in a state that recurs; the open-line lane of
+// every node is the twin of its stuck-at-0 or stuck-at-1 lane; PC upsets
+// and glitches cost a refetch and come back onto the golden trajectory a
+// few cycles late. The other 64 are the nets whose hangs recurrence cannot
+// prove, because the fetch free-runs behind a dead EX gate — low and high
+// bits of the DE/RA/EX stage PCs and the redirect target, the three valid
+// bits, ctl.halt, ctl.redirt, the redirect request, and ctl.exppc for the
+// glitch that sends the fetch away and then takes the target back: every
+// lemma of leon3.Core.Wedged, armed and unarmed. With 128 nodes each
+// permanent model is two groups of the campaign's eight — one pass at one
+// worker, one per worker at two, three and five — so a twin finds its
+// verdict in its own pass, in another worker's, or waits for it. The counters — faulted cycles
+// included — must not move with the worker count, and the reference takes
+// none of the proving branches.
 func TestProvenVerdictsEquivalence(t *testing.T) {
 	for _, name := range []string{"rspeed", "excerptA"} {
 		t.Run(name, func(t *testing.T) {
@@ -66,11 +82,25 @@ func TestProvenVerdictsEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg := obs.NewRegistry()
-			prod, ref := enginePair(t, w.Program, Options{InjectAtFraction: 0.5, PulseCycles: 2, Obs: reg})
+			// The reference gets a registry of its own here: it must prove nothing.
+			reg, refReg := obs.NewRegistry(), obs.NewRegistry()
+			prod, err := NewRunner(w.Program, Options{InjectAtFraction: 0.5, PulseCycles: 2, Obs: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewRunner(w.Program, Options{InjectAtFraction: 0.5, PulseCycles: 2, NoCheckpoint: true, Obs: refReg})
+			if err != nil {
+				t.Fatal(err)
+			}
 			nodes := append(signalNodes(prod, "iu.fe.pc", "iu.md.count"), signalNodes(prod, "iu.de.inst")[:26]...)
-			if len(nodes) != maxLanes {
-				t.Fatalf("%d nodes, want one group per permanent model", len(nodes))
+			ends := []int{2, 3, 4, 5, 6, 7, 26, 27, 28, 29, 30, 31}
+			for _, pc := range []string{"iu.de.pc", "iu.ra.pc", "iu.ex.pc", "iu.fe.redirpc"} {
+				nodes = append(nodes, pick(prod, pc, ends...)...)
+			}
+			nodes = append(nodes, pick(prod, "iu.ctl.exppc", ends[1:11]...)...)
+			nodes = append(nodes, signalNodes(prod, "iu.de.valid", "iu.ra.valid", "iu.ex.valid", "iu.ctl.halt", "iu.ctl.redirt", "iu.fe.redir")...)
+			if len(nodes) != 2*maxLanes {
+				t.Fatalf("%d nodes, want two groups per permanent model", len(nodes))
 			}
 			exps := Expand(nodes, rtl.AllFaultModels()...)
 			prod.ScheduleTransients(exps, 5)
@@ -87,7 +117,7 @@ func TestProvenVerdictsEquivalence(t *testing.T) {
 					t.Fatalf("%d workers: campaign differs from the from-reset reference", workers)
 				}
 				n := sub(proofCounts(t, reg), before)
-				t.Logf("%d workers: proven equivalent %v, recurrent %v, shifted %v; %v faulted cycles", workers, n[provenEquivalent], n[provenRecurrent], n[provenShifted], n[faultedCycles])
+				t.Logf("%d workers: proven equivalent %v, recurrent %v, shifted %v, wedged %v; %v faulted cycles", workers, n[provenEquivalent], n[provenRecurrent], n[provenShifted], n[provenWedged], n[faultedCycles])
 				for i, p := range proofs {
 					if n[i] == 0 {
 						t.Errorf("%d workers: no verdict proven %s", workers, p)
@@ -103,6 +133,7 @@ func TestProvenVerdictsEquivalence(t *testing.T) {
 			// Experiment by experiment (RunOne: no pass, so no twins): what a
 			// proof finalizes is exactly what the reference steps to.
 			var recurrent, shifted int
+			wedged := map[string]bool{}
 			for i, e := range exps {
 				before := proofCounts(t, reg)
 				got := prod.RunOne(e)
@@ -116,6 +147,12 @@ func TestProvenVerdictsEquivalence(t *testing.T) {
 						t.Errorf("%v %v proven recurrent after %v cycles: %+v, want a hang at the %d-cycle budget", e.Model, e.Node.Node, n[faultedCycles], got, prod.budget)
 					}
 				}
+				if n[provenWedged] > 0 {
+					wedged[e.Node.Node.Name] = true
+					if got.Outcome != OutcomeHang || got.Cycles != prod.budget || n[faultedCycles] >= float64(prod.budget-got.InjectAt) {
+						t.Errorf("%v %v@%d proven wedged after %v cycles: %+v, want a hang at the %d-cycle budget", e.Model, e.Node.Node, e.AtCycle, n[faultedCycles], got, prod.budget)
+					}
+				}
 				if n[provenShifted] > 0 {
 					shifted++
 					if !e.Model.Transient() || got.Outcome != OutcomeNoEffect || got.Cycles <= prod.GoldenCycles || got.Cycles-prod.GoldenCycles >= prod.ladder().stride {
@@ -126,19 +163,30 @@ func TestProvenVerdictsEquivalence(t *testing.T) {
 			if recurrent == 0 || shifted == 0 {
 				t.Errorf("RunOne proved %d verdicts recurrent, %d shifted", recurrent, shifted)
 			}
+			for _, net := range []string{"iu.fe.pc", "iu.de.pc", "iu.ra.pc", "iu.ex.pc", "iu.fe.redirpc", "iu.ctl.exppc",
+				"iu.de.valid", "iu.ra.valid", "iu.ex.valid", "iu.ctl.halt", "iu.ctl.redirt", "iu.fe.redir"} {
+				if !wedged[net] {
+					t.Errorf("no fault on %s proven wedged", net)
+				}
+			}
+			if n := proofCounts(t, refReg); n != [len(proofs) + 1]float64{faultedCycles: n[faultedCycles]} || n[faultedCycles] == 0 {
+				t.Errorf("the reference engine's proof and cycle counters read %v: it must step to every verdict", n)
+			}
 		})
 	}
 }
 
 // TestUnprovableVerdictsAreStepped is the other half: universes that look
-// like the proven ones and are not. A decode stage forced empty, a halted
-// back end and a high PC bit stuck in the register-access stage all hang
-// with the self-correcting fetch free-running through the address space —
-// the state never recurs; a glitch whose window never closes still has a
-// release pending, however periodic the core looks, and is neither
-// recurrent nor (forcing armed) shifted; under NoEarlyExit a universe that
-// goes on writing after its mismatch is stepped to its real exit. All of
-// them must cost what the reference pays and say what it says.
+// like the proven ones and are not. An expected PC or next PC with a bit
+// stuck, an annul flag stuck high and a multiply/divide counter that never
+// runs out all hang with a dead-looking pipeline, but EX keeps passing its
+// gate or the back end stays busy — none of them is wedged, and only the
+// divider's state recurs; a glitch whose window never closes still has a
+// release pending, however periodic or wedged the core looks, and is
+// neither recurrent nor wedged nor (forcing armed) shifted; under
+// NoEarlyExit a universe that goes on writing after its mismatch is stepped
+// to its real exit. All of them must cost what the reference pays and say
+// what it says.
 func TestUnprovableVerdictsAreStepped(t *testing.T) {
 	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 1})
 	if err != nil {
@@ -151,32 +199,45 @@ func TestUnprovableVerdictsAreStepped(t *testing.T) {
 		if got != want {
 			t.Fatalf("%v %v: got %+v, reference %+v", e.Model, e.Node.Node, got, want)
 		}
-		if n := sub(proofCounts(t, reg), before); n[provenRecurrent]+n[provenShifted] != 0 {
+		if n := sub(proofCounts(t, reg), before); n[provenRecurrent]+n[provenShifted]+n[provenWedged] != 0 {
 			t.Errorf("%v %v declared proven (%v): %+v", e.Model, e.Node.Node, n, got)
 		}
 		return got
-	}
-	node := func(r *Runner, name string, bit int) NodeInfo {
-		for _, n := range signalNodes(r, name) {
-			if n.Node.Bit == bit {
-				return n
-			}
-		}
-		t.Fatalf("no node %s.%d", name, bit)
-		return NodeInfo{}
 	}
 
 	t.Run("livelock", func(t *testing.T) {
 		reg := obs.NewRegistry()
 		prod, ref := enginePair(t, w.Program, Options{InjectAtFraction: 0.5, Obs: reg})
-		for _, e := range []Experiment{
-			{Node: node(prod, "iu.ra.pc", 31), Model: rtl.StuckAt1},
-			{Node: node(prod, "iu.de.valid", 0), Model: rtl.StuckAt0},
-			{Node: node(prod, "iu.ctl.halt", 0), Model: rtl.StuckAt1},
-		} {
-			if got := stepped(t, reg, prod, ref, e); got.Outcome != OutcomeHang || got.Cycles != prod.budget {
-				t.Errorf("%v %v: %+v, want a hang stepped to the budget", e.Model, e.Node.Node, got)
+		// The divider counter's universes recur, with EX re-entering the unit
+		// every cycle, and so does the odd expected-PC bit: proven, but never
+		// as wedged. The rest is stepped to the budget.
+		hangs, recurrent := 0, 0
+		for _, n := range signalNodes(prod, "iu.ctl.exppc", "iu.ctl.expnpc", "iu.ctl.annul", "iu.md.count") {
+			e := Experiment{Node: n, Model: rtl.StuckAt1}
+			before := proofCounts(t, reg)
+			got, want := prod.RunOne(e), ref.RunOne(e)
+			if got != want {
+				t.Fatalf("%v %v: got %+v, reference %+v", e.Model, e.Node.Node, got, want)
 			}
+			n := sub(proofCounts(t, reg), before)
+			if n[provenWedged]+n[provenShifted] != 0 {
+				t.Errorf("%v %v declared proven (%v) with EX passing its gate: %+v", e.Model, e.Node.Node, n, got)
+			}
+			switch {
+			case n[provenRecurrent] > 0:
+				recurrent++
+			case got.Outcome == OutcomeHang:
+				hangs++
+				if n[faultedCycles] < float64(prod.budget-got.InjectAt) {
+					t.Errorf("%v %v: a hang after %v cycles with nothing proven: %+v", e.Model, e.Node.Node, n[faultedCycles], got)
+				}
+			}
+		}
+		if hangs < 5 {
+			t.Errorf("%d hangs stepped to the budget: the set does not reach the look-alikes", hangs)
+		}
+		if recurrent == 0 {
+			t.Error("no stuck divider counter proven recurrent")
 		}
 	})
 
@@ -196,7 +257,7 @@ func TestUnprovableVerdictsAreStepped(t *testing.T) {
 				t.Errorf("as a lane: %v: got %+v, reference %+v", n.Node, got, want)
 			}
 		}
-		if n := proofCounts(t, reg); hangs == 0 || n[provenRecurrent]+n[provenShifted] != 0 {
+		if n := proofCounts(t, reg); hangs == 0 || n[provenRecurrent]+n[provenShifted]+n[provenWedged] != 0 {
 			t.Errorf("%d hangs under a glitch that is never released, proofs %v", hangs, n)
 		}
 	})
@@ -214,10 +275,10 @@ func TestUnprovableVerdictsAreStepped(t *testing.T) {
 			}
 			n := sub(proofCounts(t, reg), before)
 			switch {
-			case n[provenRecurrent] > 0:
+			case n[provenRecurrent]+n[provenWedged] > 0:
 				proven++
 				if got.Cycles != prod.budget {
-					t.Errorf("experiment %d proven recurrent short of the budget: %+v", i, got)
+					t.Errorf("experiment %d proven a hang short of the budget: %+v", i, got)
 				}
 			case got.Outcome == OutcomeMismatch && got.Cycles < prod.budget && uint64(got.Latency)+got.InjectAt+1 < got.Cycles:
 				ranOn++ // mismatched, then ran on to its own exit
@@ -227,14 +288,21 @@ func TestUnprovableVerdictsAreStepped(t *testing.T) {
 			t.Error("NoEarlyExit campaign differs from the from-reset reference")
 		}
 		if ranOn == 0 || proven == 0 {
-			t.Errorf("%d universes ran on past their mismatch, %d were proven periodic: the set reaches only one side", ranOn, proven)
+			t.Errorf("%d universes ran on past their mismatch, %d were proven hangs: the set reaches only one side", ranOn, proven)
 		}
 	})
 }
 
 // TestFaultedCyclesByOutcome pins the split of engine_faulted_cycles_total:
 // the outcome-labelled series sum to it, and healed universes are booked
-// apart from the no-effects that ran to exit.
+// apart from the no-effects that ran to exit. The hang series is pinned by
+// value: this campaign's five hangs cost 38,113 cycles while the three
+// whose fetch free-runs behind a dead EX gate (a cut redirect wire, a decode
+// stage forced or glitched empty) were stepped to the 12,814-cycle budget,
+// and 775 now that they are proven wedged within a few cycles of their
+// activation; of the other two, a redirect stuck high recurs and the open
+// line shares its stuck-at twin's run. Nothing else moved: 7,185 cycles
+// end otherwise.
 func TestFaultedCyclesByOutcome(t *testing.T) {
 	w, err := workloads.Build("excerptA", workloads.Config{})
 	if err != nil {
@@ -259,5 +327,13 @@ func TestFaultedCyclesByOutcome(t *testing.T) {
 	}
 	if counters[`engine_faulted_cycles_by_outcome_total{outcome="healed"}`] == 0 || counters["engine_reconverged_total"] == 0 {
 		t.Errorf("no healed universe booked: %v", counters)
+	}
+	for name, want := range map[string]float64{
+		`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 775, "engine_faulted_cycles_total": 7960,
+		`engine_verdicts_proven_total{proof="wedged"}`: 3, `engine_verdicts_proven_total{proof="recurrent"}`: 1,
+	} {
+		if got := counters[name]; got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
 }

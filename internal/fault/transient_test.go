@@ -338,9 +338,15 @@ func TestPassRecordBounded(t *testing.T) {
 //
 // Permanent: a quarter of the lanes activate, the open-line ones among
 // them are twins of a stuck-at lane and resolve nothing, and hangs whose
-// state recurs stop there. Before resolve proved verdicts the two
-// campaigns read 75,813 and 706,826 faulted cycles, 51 and 34 reconverged,
-// 100 and 214 materializations, on the same lanes.
+// state recurs, or whose EX gate is dead, stop there. Before resolve
+// proved verdicts the two campaigns read 75,813 and 706,826 faulted
+// cycles, 51 and 34 reconverged, 100 and 214 materializations, on the same
+// lanes; with twins, recurrence and shifted heals 71,429 and 492,589. The
+// wedged proof took them to 40,165 and 123,253: the one SEU hang (an upset
+// expected PC) and 11 of the 13 permanent ones that are not twins — the
+// other two recur — were free-running fetches behind a dead EX gate, each
+// stepped 34,000 cycles to the budget (31,352 and 387,078 hang cycles, now
+// 88 and 17,742).
 //
 // The golden continuation itself is walked once per worker — one pass for
 // the campaign's lane groups at one worker, two at two — and the worker
@@ -357,15 +363,17 @@ func TestReconvergenceWorkCounters(t *testing.T) {
 	}{
 		{"seu", []rtl.FaultModel{rtl.BitFlip}, map[string]float64{
 			"engine_batch_lanes_planned_total": 190, "engine_batch_lanes_activated_total": 34, "engine_batch_lanes_free_total": 156,
-			"engine_faulted_cycles_total": 71429, "engine_reconverged_total": 55, "engine_snapshot_materializations_total": 34 + 66,
+			"engine_faulted_cycles_total": 40165, "engine_reconverged_total": 55, "engine_snapshot_materializations_total": 34 + 66,
 			`engine_verdicts_proven_total{proof="equivalent"}`: 0, `engine_verdicts_proven_total{proof="recurrent"}`: 0,
-			`engine_verdicts_proven_total{proof="shifted"}`: 4,
+			`engine_verdicts_proven_total{proof="shifted"}`: 4, `engine_verdicts_proven_total{proof="wedged"}`: 1,
+			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 88,
 		}},
 		{"permanent", rtl.FaultModels(), map[string]float64{
 			"engine_batch_lanes_planned_total": 768, "engine_batch_lanes_activated_total": 193, "engine_batch_lanes_free_total": 575,
-			"engine_faulted_cycles_total": 492589, "engine_reconverged_total": 22, "engine_snapshot_materializations_total": 155,
+			"engine_faulted_cycles_total": 123253, "engine_reconverged_total": 22, "engine_snapshot_materializations_total": 155,
 			`engine_verdicts_proven_total{proof="equivalent"}`: 52, `engine_verdicts_proven_total{proof="recurrent"}`: 2,
-			`engine_verdicts_proven_total{proof="shifted"}`: 0,
+			`engine_verdicts_proven_total{proof="shifted"}`: 0, `engine_verdicts_proven_total{proof="wedged"}`: 11,
+			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 17742,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

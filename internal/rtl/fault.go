@@ -1,6 +1,9 @@
 package rtl
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // FaultModel enumerates the fault models: the paper's permanent models
 // (stuck-at-0/1, open-line) plus the transient models of its declared
@@ -61,11 +64,23 @@ type Node struct {
 	Bit  int
 }
 
+// String renders the node as name.bit, or name[word].bit for an array word
+// past the first. Word 0 of an array prints like a signal; outcome bytes
+// and content-addressed results carry this text, so the format is frozen
+// (TestNodeStringFormat). Every experiment of every campaign renders one, so
+// it is built in a stack buffer — the string is its only allocation —
+// instead of through fmt.
 func (n Node) String() string {
+	var buf [64]byte // longer names spill to the heap
+	b := append(buf[:0], n.Name...)
 	if n.Word > 0 {
-		return fmt.Sprintf("%s[%d].%d", n.Name, n.Word, n.Bit)
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(n.Word), 10)
+		b = append(b, ']')
 	}
-	return fmt.Sprintf("%s.%d", n.Name, n.Bit)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(n.Bit), 10)
+	return string(b)
 }
 
 // Fault is a fault model applied at a node.
@@ -203,6 +218,24 @@ func (k *Kernel) inject(f Fault, sampled uint64, haveSample bool) error {
 
 // Faults returns the armed faults; the slice is reused after ClearFaults.
 func (k *Kernel) Faults() []Fault { return k.faults }
+
+// Forcing returns the forcing armed on the signal: the mask of forced bits
+// and the values they are held at (both zero on a clean net).
+func (s *Signal) Forcing() (mask, val uint64) { return s.fMask, s.fVal }
+
+// SoleForcing names everything that is armed on the design, for arguments
+// that hold only under a known forcing: the one signal carrying the one
+// armed fault, or nil when nothing is armed. ok is false when that does not
+// describe the design — two or more faults, a faulted array word, a bridge.
+func (k *Kernel) SoleForcing() (s *Signal, ok bool) {
+	switch {
+	case len(k.faults) > 1 || len(k.fArrs) > 0 || len(k.bSigs) > 0:
+		return nil, false
+	case len(k.faults) == 1:
+		return k.fSigs[0], true
+	}
+	return nil, true
+}
 
 // ClearFaults removes all armed faults. The kernel dirty flag makes
 // clearing a clean design — the common case on the campaign engine's

@@ -1,6 +1,8 @@
 package rtl
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -238,4 +240,100 @@ func TestDuplicateNamePanics(t *testing.T) {
 	k := NewKernel()
 	k.Wire("x", 1, 0)
 	k.Wire("x", 2, 0)
+}
+
+// TestNodeStringFormat pins Node.String: outcome bytes and content-addressed
+// results carry it. Word > 0 selects the bracket form, so word 0 of an array
+// prints like a signal bit — a quirk that is part of the format.
+func TestNodeStringFormat(t *testing.T) {
+	for _, c := range []struct {
+		n    Node
+		want string
+	}{
+		{Node{Name: "iu.fe.pc", Bit: 0}, "iu.fe.pc.0"},
+		{Node{Name: "iu.md.acc", Bit: 63}, "iu.md.acc.63"},
+		{Node{Name: "iu.rf.regs", Word: 0, Bit: 7}, "iu.rf.regs.7"},
+		{Node{Name: "iu.rf.regs", Word: 1, Bit: 0}, "iu.rf.regs[1].0"},
+		{Node{Name: "cmem.dc.data", Word: 255, Bit: 31}, "cmem.dc.data[255].31"},
+		{Node{Name: "x", Word: -1, Bit: -2}, "x.-2"},
+		{Node{}, ".0"},
+		{Node{Name: strings.Repeat("n", 80), Word: 12, Bit: 3}, strings.Repeat("n", 80) + "[12].3"},
+	} {
+		if got := c.n.String(); got != c.want {
+			t.Errorf("%#v: %q, want %q", c.n, got, c.want)
+		}
+		if got, want := (Fault{Node: c.n, Model: OpenLine}).String(), "open-line@"+c.want; got != want {
+			t.Errorf("fault: %q, want %q", got, want)
+		}
+	}
+	n := Node{Name: "iu.rf.regs", Word: 113, Bit: 31}
+	if a := testing.AllocsPerRun(100, func() { _ = n.String() }); a > 1 {
+		t.Errorf("Node.String allocates %v objects, want the string alone", a)
+	}
+}
+
+// TestSoleForcing holds the accessor leon3's wedged proof reads its forcing
+// through: the one forced signal with its mask and value, nil on a clean
+// design, and a refusal for anything else that is armed.
+func TestSoleForcing(t *testing.T) {
+	k := NewKernel()
+	a, b := k.Reg("a", 8, 0), k.Wire("b", 8, 0)
+	k.Array("m", 8, 4, 0)
+	sole := func() (*Signal, bool) { return k.SoleForcing() }
+	if s, ok := sole(); s != nil || !ok {
+		t.Fatalf("clean design: %v, %v", s, ok)
+	}
+	a.Set(0x10)
+	for _, f := range []Fault{
+		{Node{Name: "a", Bit: 4}, StuckAt0},
+		{Node{Name: "a", Bit: 4}, OpenLine}, // charge 1
+		{Node{Name: "b", Bit: 7}, SETPulse}, // complement of 0
+	} {
+		if err := k.Inject(f); err != nil {
+			t.Fatal(err)
+		}
+		want, wantVal := a, uint64(0)
+		if f.Node.Name == "b" {
+			want = b
+		}
+		if f.Model != StuckAt0 {
+			wantVal = 1 << f.Node.Bit
+		}
+		s, ok := sole()
+		if s != want || !ok {
+			t.Fatalf("%v: sole forcing %v, %v", f, s, ok)
+		}
+		if mask, val := s.Forcing(); mask != 1<<f.Node.Bit || val != wantVal {
+			t.Errorf("%v: forcing mask %#x value %#x", f, mask, val)
+		}
+		k.ClearFaults()
+		if s, ok := sole(); s != nil || !ok {
+			t.Fatalf("after ClearFaults: %v, %v", s, ok)
+		}
+	}
+	if err := k.FlipBit(Node{Name: "a", Bit: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if s, ok := sole(); s != nil || !ok {
+		t.Errorf("an upset is no forcing: %v, %v", s, ok)
+	}
+	for name, arm := range map[string]func() error{
+		"two faults on one net": func() error {
+			return errors.Join(k.Inject(Fault{Node{Name: "a", Bit: 0}, StuckAt1}), k.Inject(Fault{Node{Name: "a", Bit: 1}, StuckAt1}))
+		},
+		"two nets": func() error {
+			return errors.Join(k.Inject(Fault{Node{Name: "a", Bit: 0}, StuckAt1}), k.Inject(Fault{Node{Name: "b", Bit: 0}, StuckAt1}))
+		},
+		"array word": func() error { return k.Inject(Fault{Node{Name: "m", Word: 2, Bit: 3}, StuckAt1}) },
+		"bridge":     func() error { return k.InjectBridge(Node{Name: "a", Bit: 0}, Node{Name: "b", Bit: 0}, WiredOR) },
+	} {
+		if err := arm(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := sole(); ok {
+			t.Errorf("%s: accepted as a sole forcing", name)
+		}
+		k.ClearFaults()
+		k.ClearBridges()
+	}
 }
