@@ -364,7 +364,7 @@ func (r *Runner) walk(exps []Experiment, p *pass) {
 	eng := r.getEngine()
 	defer r.putEngine(eng)
 	core := eng.core
-	lad.fork(core, 0)
+	lad.fork(eng, 0)
 	start, span := lad.start, r.GoldenCycles-lad.start
 
 	// Build the lane set and the deduplicated witness net list (lanes may

@@ -27,19 +27,23 @@ import (
 
 // rungSpacing is the base distance between ladder rungs in cycles. It
 // bounds materialization (fewer than one spacing of replayed clean
-// cycles) and sets the granularity of the reconvergence check.
-const rungSpacing = 128
+// cycles) and sets the granularity of the reconvergence check: a register
+// file word stuck at a value its readers mask is read now and then and
+// healed a cycle later, and is let go at the next rung.
+const rungSpacing = 16
 
-// maxRungs caps a ladder's length: each rung holds a copy of the kernel
-// slabs (~13 KB) and of the memory pages dirtied since the rung before,
-// and a cached runner pins its ladder, so a long golden run widens the
-// spacing (in multiples of rungSpacing) instead of adding rungs.
-const maxRungs = 64
+// maxRungs caps a ladder's length: each rung holds a copy of the kernel's
+// committed state (~8 KB: one window of the ladder's single slab) and a
+// cached runner pins its ladder, so a golden run past 8,192 cycles widens
+// the spacing (in multiples of rungSpacing) instead of adding rungs.
+const maxRungs = 512
 
 // rung is the forkable golden-run state at one cycle.
 type rung struct {
 	core *leon3.Snapshot
-	img  *mem.Image
+	// img is shared with the rung before when the golden run wrote nothing
+	// off-core in between: memory changes through bus writes alone.
+	img *mem.Image
 	// writes is the absolute index of the next golden off-core write: a
 	// forked universe's comparator starts there, and a healed universe
 	// must sit there again.
@@ -97,16 +101,24 @@ func (r *Runner) buildLadder() *ladder {
 	for core.Cycles() < r.opts.InjectAtCycle && core.Status() == iss.StatusRunning {
 		core.StepCycle()
 	}
-	lad := &ladder{start: core.Cycles(), exited: bus.Trace.Exited, exitCode: bus.Trace.ExitCode}
+	lad := &ladder{start: core.Cycles(), stride: r.stride, exited: bus.Trace.Exited, exitCode: bus.Trace.ExitCode}
 	span := r.GoldenCycles - lad.start
-	lad.stride = rungSpacing * max(1, (span+rungSpacing*maxRungs-1)/(rungSpacing*maxRungs))
+	if lad.stride == 0 {
+		lad.stride = rungSpacing * max(1, (span+rungSpacing*maxRungs-1)/(rungSpacing*maxRungs))
+	}
+	// One rung per stride while the core runs, the first even if it does not.
+	snaps := core.Snapshots(int(max(1, (span+lad.stride-1)/lad.stride)))
+	lad.rungs = make([]rung, 0, len(snaps))
 	for {
 		if (core.Cycles()-lad.start)%lad.stride == 0 {
-			lad.rungs = append(lad.rungs, rung{
-				core:   core.Snapshot(),
-				img:    bus.Mem.Snapshot(),
-				writes: len(bus.Trace.Writes),
-			})
+			g := rung{core: &snaps[len(lad.rungs)], writes: len(bus.Trace.Writes)}
+			core.SnapshotInto(g.core)
+			if n := len(lad.rungs); n > 0 && lad.rungs[n-1].writes == g.writes {
+				g.img = lad.rungs[n-1].img
+			} else {
+				g.img = bus.Mem.Snapshot()
+			}
+			lad.rungs = append(lad.rungs, g)
 		}
 		if core.StepCycle() != iss.StatusRunning {
 			return lad
@@ -119,44 +131,44 @@ func (lad *ladder) below(t uint64) int {
 	return int(min((t-lad.start)/lad.stride, uint64(len(lad.rungs)-1)))
 }
 
-// fork restores rung i onto core over a fresh copy-on-write fork of the
-// rung's memory image.
-func (lad *ladder) fork(core *leon3.Core, i int) *mem.Bus {
-	g := &lad.rungs[i]
-	bus := mem.NewBus(g.img.Fork())
-	core.Bus = bus
-	if err := core.Restore(g.core); err != nil {
+// fork puts eng on rung i: the rung's state restored onto its core, its
+// memory re-pointed at the rung's image, its bus and comparator as an
+// uninterrupted run's would be there — no mismatch, the write index at the
+// golden position. Nothing is allocated.
+func (lad *ladder) fork(eng *engine, i int) {
+	g, bus := &lad.rungs[i], eng.core.Bus
+	g.img.ForkInto(bus.Mem)
+	if err := eng.core.Restore(g.core); err != nil {
 		// Every core of a runner is built by freshCore, like the one the
 		// rungs were frozen from; a shape mismatch is a bug, not an input.
 		panic("fault: golden rung does not fit the worker core: " + err.Error())
 	}
+	bus.Reset()
 	bus.Trace.Exited, bus.Trace.ExitCode = lad.exited, lad.exitCode
-	return bus
+	eng.cmp = comparator{mismatchAt: -1, idx: g.writes}
 }
 
-// materialize positions core on the golden trajectory at cycle t, with a
-// fresh bus and comparator: fork the rung at or below t — or, with no
-// ladder, reset the core over the pristine image — then replay clean
-// cycles (fewer than one stride from a rung). The comparator comes out
-// exactly as an uninterrupted run's would at t: no mismatch, write index
-// at the golden position. replayed is the number of cycles stepped. A t
-// beyond the golden run's end leaves the core exited where the golden
-// run did.
-func (r *Runner) materialize(core *leon3.Core, lad *ladder, t uint64) (bus *mem.Bus, c *comparator, replayed uint64) {
+// materialize positions eng on the golden trajectory at cycle t: fork the
+// rung at or below t — or, with no ladder, reset the core over the
+// pristine image — then replay clean cycles (fewer than one stride from a
+// rung). replayed is the number of cycles stepped. A t beyond the golden
+// run's end leaves the core exited where the golden run did.
+func (r *Runner) materialize(eng *engine, lad *ladder, t uint64) (replayed uint64) {
+	core := eng.core
 	if lad == nil {
-		bus = mem.NewBus(r.baseImg.Fork())
-		core.Bus = bus
+		r.baseImg.ForkInto(core.Bus.Mem)
 		core.Reset()
-		c = r.watch(bus, core, 0)
+		core.Bus.Reset()
+		eng.cmp = comparator{mismatchAt: -1}
 	} else {
 		r.met.snapshots.Inc()
-		i := lad.below(t)
-		bus = lad.fork(core, i)
-		c = r.watch(bus, core, lad.rungs[i].writes)
+		lad.fork(eng, lad.below(t))
 	}
 	from := core.Cycles()
 	for core.Cycles() < t && core.Status() == iss.StatusRunning {
 		core.StepCycle()
 	}
-	return bus, c, core.Cycles() - from
+	replayed = core.Cycles() - from
+	r.met.replayCycles.Add(float64(replayed))
+	return replayed
 }

@@ -21,7 +21,7 @@ func (r *Runner) RunBridge(e BridgeExperiment) Result {
 		Unit:    e.A.Unit,
 		Latency: -1,
 	}
-	c := r.watch(bus, core, 0)
+	c := watchTrace(&r.golden, bus, core.Cycles, 0)
 
 	if err := core.K.InjectBridge(e.A.Node, e.B.Node, e.Kind); err != nil {
 		res.Outcome = OutcomeNoEffect

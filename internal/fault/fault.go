@@ -213,6 +213,9 @@ type Runner struct {
 	// forks from its rungs (see checkpoint.go).
 	ladderOnce sync.Once
 	lad        *ladder
+	// stride, when nonzero, is the ladder's stride whatever the run length:
+	// set by tests alone, before the ladder is first used.
+	stride uint64
 
 	// engines keeps reusable RTL cores: each campaign worker restores a
 	// kept core in place per experiment instead of rebuilding the whole
@@ -402,13 +405,6 @@ type comparator struct {
 	idx        int
 }
 
-// watch hooks the comparator onto the bus. start is the index of the next
-// expected golden write: 0 for a from-reset run, the rung's write index
-// for a forked run (the golden prefix is identical by construction).
-func (r *Runner) watch(bus *mem.Bus, core *leon3.Core, start int) *comparator {
-	return watchTrace(&r.golden, bus, core.Cycles, start)
-}
-
 // live reports whether a faulted run can still change its verdict: the
 // core is running, inside the cycle budget and (unless NoEarlyExit) has
 // not yet mismatched at the off-core boundary.
@@ -426,10 +422,13 @@ func (r *Runner) classify(res *Result, core *leon3.Core, bus *mem.Bus, c *compar
 
 // engine is a kept per-worker execution context: one reusable RTL core
 // whose kernel state is restored in place per experiment, so the design
-// graph is built once per worker instead of once per experiment, and the
+// graph is built once per worker instead of once per experiment; the
+// golden comparator hooked onto the core's bus, which with its memory is
+// re-pointed at a rung per fork (ladder.fork) instead of rebuilt; and the
 // one state buffer resolve's recurrence search saves into.
 type engine struct {
 	core *leon3.Core
+	cmp  comparator
 	seen rtl.Snapshot
 }
 
@@ -441,8 +440,10 @@ func (r *Runner) getEngine() *engine {
 			return e
 		}
 	}
-	core, _ := r.freshCore()
-	return &engine{core: core}
+	core, bus := r.freshCore()
+	e := &engine{core: core}
+	e.cmp.watch(&r.golden, bus, core.Cycles)
+	return e
 }
 
 // putEngine returns an engine to the runner.
@@ -504,9 +505,9 @@ func (r *Runner) armAt(e Experiment) uint64 {
 // budget (leon3.Core.Wedged, asked every wedgeEvery cycles) commits nothing
 // on the way there, however far the fetch free-runs: the same hang.
 func (r *Runner) resolve(eng *engine, lad *ladder, l *lane) Result {
-	core := eng.core
+	core, bus, c := eng.core, eng.core.Bus, &eng.cmp
 	res := l.result()
-	bus, c, stepped := r.materialize(core, lad, l.activateAt)
+	stepped := r.materialize(eng, lad, l.activateAt)
 	healed := false
 	defer func() { r.met.cycles(stepped, res.Outcome, healed) }()
 	if err := l.arm(core); err != nil {
@@ -574,9 +575,7 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane) Result {
 			return res
 		}
 		// Teleport across the quiet stretch instead of simulating it.
-		var n uint64
-		bus, c, n = r.materialize(core, lad, uint64(next))
-		stepped += n
+		stepped += r.materialize(eng, lad, uint64(next))
 		_ = l.arm(core) // the same arming succeeded above
 	}
 	r.classify(&res, core, bus, c, l.injectAt)

@@ -27,10 +27,13 @@ type engineMetrics struct {
 	// reconverged counts healed universes dropped back onto the golden
 	// trajectory (finalized as no-effect, or teleported to their next
 	// activation); faultedCycles counts every cycle stepped outside a
-	// golden pass, replay included. Both are deterministic work counters:
-	// a fixed campaign reads the same values on any host.
+	// golden pass, replayCycles the part of it that materialize stepped
+	// clean from a rung (or from reset) to where a universe leaves the
+	// golden trajectory. All are deterministic work counters: a fixed
+	// campaign reads the same values on any host.
 	reconverged   *obs.Counter
 	faultedCycles *obs.Counter
+	replayCycles  *obs.Counter
 	// cyclesBy splits faultedCycles by the universe's ending; proven counts
 	// verdicts reached without stepping to them, by proof.
 	cyclesBy [healedEnding + 1]*obs.Counter
@@ -89,7 +92,9 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		reconverged: r.Counter("engine_reconverged_total",
 			"Healed experiments and batch lanes dropped back onto the golden trajectory."),
 		faultedCycles: r.Counter("engine_faulted_cycles_total",
-			"Cycles simulated outside witnessed golden passes, materialization replay included."),
+			"Cycles simulated outside witnessed golden passes, engine_replay_cycles_total included."),
+		replayCycles: r.Counter("engine_replay_cycles_total",
+			"Clean cycles replayed from a golden-ladder rung (or from reset) to the cycle a universe was materialized at."),
 		fallbacks: r.Counter("engine_scalar_fallbacks_total",
 			"Experiments resolved through the scalar fallback after a batch pass setup failure."),
 		goldenCycles: r.Counter("engine_golden_pass_cycles_total",

@@ -301,8 +301,11 @@ func TestUnprovableVerdictsAreStepped(t *testing.T) {
 // stage forced or glitched empty) were stepped to the 12,814-cycle budget,
 // and 775 now that they are proven wedged within a few cycles of their
 // activation; of the other two, a redirect stuck high recurs and the open
-// line shares its stuck-at twin's run. Nothing else moved: 7,185 cycles
-// end otherwise.
+// line shares its stuck-at twin's run; 7,185 cycles ended otherwise. The
+// 16-cycle ladder (part B) then took both down, 775 to 711 in fork replay
+// and 7,185 to 4,576 in replay and in heals seen within a rung of their
+// cycle; consumption-exact operand reads (part A) moved no counter of this
+// campaign.
 func TestFaultedCyclesByOutcome(t *testing.T) {
 	w, err := workloads.Build("excerptA", workloads.Config{})
 	if err != nil {
@@ -329,7 +332,7 @@ func TestFaultedCyclesByOutcome(t *testing.T) {
 		t.Errorf("no healed universe booked: %v", counters)
 	}
 	for name, want := range map[string]float64{
-		`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 775, "engine_faulted_cycles_total": 7960,
+		`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 711, "engine_faulted_cycles_total": 5287,
 		`engine_verdicts_proven_total{proof="wedged"}`: 3, `engine_verdicts_proven_total{proof="recurrent"}`: 1,
 	} {
 		if got := counters[name]; got != want {

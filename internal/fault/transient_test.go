@@ -345,8 +345,21 @@ func TestPassRecordBounded(t *testing.T) {
 // wedged proof took them to 40,165 and 123,253: the one SEU hang (an upset
 // expected PC) and 11 of the 13 permanent ones that are not twins — the
 // other two recur — were free-running fetches behind a dead EX gate, each
-// stepped 34,000 cycles to the budget (31,352 and 387,078 hang cycles, now
-// 88 and 17,742).
+// stepped 34,000 cycles to the budget (31,352 and 387,078 hang cycles,
+// then 88 and 17,742).
+//
+// Part A, operand reads that stop at the bypass supplying the value, moved
+// the lane funnel and nothing but it could: 5 SEU and 7 permanent lanes
+// whose register-file word was only ever read under a bypass are free (156
+// to 161, 575 to 582), one of them a twin, and with them went their forks
+// and heals — 39,693 and 109,725 faulted cycles, 53 and 16 reconverged, 95
+// and 146 materializations. Part B, a rung every 16 cycles instead of 128,
+// moved the cycles: a healed universe is seen at most 16 cycles late and a
+// fork replays fewer than 16, so the same lanes cost 31,325 and 99,605;
+// the permanent lanes let go and re-forked where they used to run on (152
+// reconverged, 281 materializations), and the wedged hangs' forks replay
+// less (8 and 17,678 hang cycles). The SEU campaign's forks and heals did
+// not move with B: a flip has no later activation to be re-forked at.
 //
 // The golden continuation itself is walked once per worker — one pass for
 // the campaign's lane groups at one worker, two at two — and the worker
@@ -362,18 +375,18 @@ func TestReconvergenceWorkCounters(t *testing.T) {
 		want   map[string]float64
 	}{
 		{"seu", []rtl.FaultModel{rtl.BitFlip}, map[string]float64{
-			"engine_batch_lanes_planned_total": 190, "engine_batch_lanes_activated_total": 34, "engine_batch_lanes_free_total": 156,
-			"engine_faulted_cycles_total": 40165, "engine_reconverged_total": 55, "engine_snapshot_materializations_total": 34 + 66,
+			"engine_batch_lanes_planned_total": 190, "engine_batch_lanes_activated_total": 29, "engine_batch_lanes_free_total": 161,
+			"engine_faulted_cycles_total": 31325, "engine_reconverged_total": 53, "engine_snapshot_materializations_total": 29 + 66,
 			`engine_verdicts_proven_total{proof="equivalent"}`: 0, `engine_verdicts_proven_total{proof="recurrent"}`: 0,
 			`engine_verdicts_proven_total{proof="shifted"}`: 4, `engine_verdicts_proven_total{proof="wedged"}`: 1,
-			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 88,
+			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 8,
 		}},
 		{"permanent", rtl.FaultModels(), map[string]float64{
-			"engine_batch_lanes_planned_total": 768, "engine_batch_lanes_activated_total": 193, "engine_batch_lanes_free_total": 575,
-			"engine_faulted_cycles_total": 123253, "engine_reconverged_total": 22, "engine_snapshot_materializations_total": 155,
-			`engine_verdicts_proven_total{proof="equivalent"}`: 52, `engine_verdicts_proven_total{proof="recurrent"}`: 2,
+			"engine_batch_lanes_planned_total": 768, "engine_batch_lanes_activated_total": 186, "engine_batch_lanes_free_total": 582,
+			"engine_faulted_cycles_total": 99605, "engine_reconverged_total": 152, "engine_snapshot_materializations_total": 281,
+			`engine_verdicts_proven_total{proof="equivalent"}`: 51, `engine_verdicts_proven_total{proof="recurrent"}`: 2,
 			`engine_verdicts_proven_total{proof="shifted"}`: 0, `engine_verdicts_proven_total{proof="wedged"}`: 11,
-			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 17742,
+			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 17678,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -31,16 +31,33 @@ func (s *Snapshot) Cycle() uint64 { return s.kern.Cycle() }
 // keep running without disturbing it. Bus state (memory contents, off-core
 // trace) is owned by the bus and must be snapshotted separately.
 func (c *Core) Snapshot() *Snapshot {
-	return &Snapshot{
-		kern:     c.K.Snapshot(),
-		icount:   c.Icount,
-		opCounts: c.OpCounts,
-		stalls: [6]uint64{c.StallMismatch, c.StallEmpty, c.StallDCache,
-			c.StallMulDiv, c.StallLoadUse, c.StallAnnul},
-		status:   c.status,
-		trapType: c.trapType,
-		entry:    c.entry,
+	s := &Snapshot{kern: new(rtl.Snapshot)}
+	c.SnapshotInto(s)
+	return s
+}
+
+// Snapshots returns n empty snapshots for SnapshotInto whose kernel state
+// shares one backing allocation (rtl.Kernel.Snapshots).
+func (c *Core) Snapshots(n int) []Snapshot {
+	ks := c.K.Snapshots(n)
+	out := make([]Snapshot, n)
+	for i := range out {
+		out[i].kern = &ks[i]
 	}
+	return out
+}
+
+// SnapshotInto is Snapshot into s, one of Snapshots' or an earlier
+// Snapshot's, reusing its storage.
+func (c *Core) SnapshotInto(s *Snapshot) {
+	c.K.SnapshotInto(s.kern)
+	s.icount = c.Icount
+	s.opCounts = c.OpCounts
+	s.stalls = [6]uint64{c.StallMismatch, c.StallEmpty, c.StallDCache,
+		c.StallMulDiv, c.StallLoadUse, c.StallAnnul}
+	s.status = c.status
+	s.trapType = c.trapType
+	s.entry = c.entry
 }
 
 // Restore loads a snapshot into the core, which must have been built by

@@ -266,27 +266,29 @@ func (c *Core) regaccessComb() {
 		if idx == 0 {
 			return 0
 		}
-		v := c.rf.Read(int(idx % physRegCnt))
-		if c.xc.valid.GetBool() {
-			if c.xc.wbEn.GetBool() && c.xc.wbIdx.Get() == idx {
-				v = c.xc.wbVal.Get()
-			}
-			if c.xc.wb2En.GetBool() && c.xc.wb2Idx.Get() == idx {
-				v = c.xc.wb2Val.Get()
-			}
+		// Youngest producer first, and nothing behind the one that supplies
+		// the value is sampled: a bypassed register-file word, like an older
+		// stage's ports, is not consumed (see the operand comment below).
+		if c.wExWbEn.GetBool() && c.wExWbIdx.Get() == idx {
+			return c.wExResult.Get()
 		}
 		if c.me.valid.GetBool() {
-			if c.me.wbEn.GetBool() && c.me.wbIdx.Get() == idx {
-				v = c.wMeWbVal.Get()
-			}
 			if c.me.wb2En.GetBool() && c.me.wb2Idx.Get() == idx {
-				v = c.wMeWb2Val.Get()
+				return c.wMeWb2Val.Get()
+			}
+			if c.me.wbEn.GetBool() && c.me.wbIdx.Get() == idx {
+				return c.wMeWbVal.Get()
 			}
 		}
-		if c.wExWbEn.GetBool() && c.wExWbIdx.Get() == idx {
-			v = c.wExResult.Get()
+		if c.xc.valid.GetBool() {
+			if c.xc.wb2En.GetBool() && c.xc.wb2Idx.Get() == idx {
+				return c.xc.wb2Val.Get()
+			}
+			if c.xc.wbEn.GetBool() && c.xc.wbIdx.Get() == idx {
+				return c.xc.wbVal.Get()
+			}
 		}
-		return v
+		return c.rf.Read(int(idx % physRegCnt))
 	}
 
 	rs1 := c.ra.rs1.Get()

@@ -78,6 +78,14 @@ func NewBus(m *Memory) *Bus {
 	return &Bus{Mem: m}
 }
 
+// Reset empties the recorded trace, reads and output port, keeping their
+// capacity, for a run over another memory state; Mem, RecordReads and
+// OnWrite stay as they are.
+func (b *Bus) Reset() {
+	b.Trace = Trace{Writes: b.Trace.Writes[:0]}
+	b.Reads, b.out = b.Reads[:0], b.out[:0]
+}
+
 // Exited reports whether the program wrote ExitAddr.
 func (b *Bus) Exited() bool { return b.Trace.Exited }
 

@@ -89,3 +89,37 @@ func TestConcurrentForksRace(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestForkIntoRecyclesPages: a memory re-pointed at an image reads the
+// image and nothing of its last run — a recycled page comes back as the
+// image's, or zero where the image maps nothing — never writes through to
+// an image, and at steady state allocates nothing.
+func TestForkIntoRecyclesPages(t *testing.T) {
+	m := NewMemory()
+	m.Write32(RAMBase, 0x11111111)
+	img := m.Snapshot()
+	m.Write32(RAMBase, 0x22222222)
+	later := m.Snapshot()
+
+	f := img.Fork()
+	run := func() {
+		f.Write32(RAMBase+8, 0xaaaaaaaa)          // a page the images map
+		f.Write32(RAMBase+8*pageSize, 0xbbbbbbbb) // one they do not
+	}
+	run()
+	later.ForkInto(f)
+	if a, b, c := f.Read32(RAMBase), f.Read32(RAMBase+8), f.Read32(RAMBase+8*pageSize); a != 0x22222222 || b != 0 || c != 0 {
+		t.Fatalf("re-pointed memory reads %08x %08x %08x, want the later image and no earlier write", a, b, c)
+	}
+	f.Write32(RAMBase+8*pageSize+4, 1)
+	if got := f.Read32(RAMBase + 8*pageSize); got != 0 {
+		t.Fatalf("a recycled page kept %08x of its last run", got)
+	}
+	f.Write32(RAMBase, 0x33333333)
+	if a, b := img.Fork().Read32(RAMBase), later.Fork().Read32(RAMBase); a != 0x11111111 || b != 0x22222222 {
+		t.Fatalf("images read %08x and %08x after a fork's write", a, b)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { img.ForkInto(f); run() }); allocs != 0 {
+		t.Errorf("%v allocations per re-point and run", allocs)
+	}
+}

@@ -28,6 +28,7 @@ const pageSize = 1 << pageBits
 type Memory struct {
 	pages map[uint32]*[pageSize]byte
 	base  map[uint32]*[pageSize]byte // frozen COW base; never written
+	free  []*[pageSize]byte          // private pages ForkInto took back
 }
 
 // NewMemory returns an empty memory.
@@ -44,7 +45,15 @@ func (m *Memory) page(addr uint32, create bool) *[pageSize]byte {
 	if !create {
 		return bp
 	}
-	p := new([pageSize]byte)
+	var p *[pageSize]byte
+	if n := len(m.free); n > 0 {
+		p, m.free = m.free[n-1], m.free[:n-1]
+		if bp == nil {
+			clear(p[:])
+		}
+	} else {
+		p = new([pageSize]byte)
+	}
 	if bp != nil {
 		*p = *bp
 	}
@@ -158,6 +167,18 @@ func (m *Memory) Snapshot() *Image {
 // thousands of experiments off one golden-run checkpoint.
 func (img *Image) Fork() *Memory {
 	return &Memory{pages: make(map[uint32]*[pageSize]byte), base: img.pages}
+}
+
+// ForkInto makes m a fork of the image in place — Fork without the
+// allocations: m keeps its page map, and the private pages of its last
+// run (never shared: Snapshot hands the ones it freezes to the image) are
+// taken back for the next run to dirty.
+func (img *Image) ForkInto(m *Memory) {
+	for _, p := range m.pages {
+		m.free = append(m.free, p)
+	}
+	clear(m.pages)
+	m.base = img.pages
 }
 
 // Pages returns the number of frozen pages in the image.

@@ -130,6 +130,27 @@ func TestBusOnWriteHook(t *testing.T) {
 	}
 }
 
+// TestBusReset: a reset bus has recorded nothing and has not exited, and
+// keeps its memory, its hook and its read recording.
+func TestBusReset(t *testing.T) {
+	b := NewBus(NewMemory())
+	hooked := 0
+	b.OnWrite = func(Access) { hooked++ }
+	b.RecordReads = true
+	b.Write(OutAddr, 4, 7, 0)
+	b.Write(ExitAddr, 4, 3, 1)
+	b.Read(RAMBase, 4, 2)
+	b.Reset()
+	if len(b.Trace.Writes)+len(b.Reads)+len(b.Out()) != 0 || b.Exited() || b.ExitCode() != 0 {
+		t.Fatalf("after Reset: trace %+v, reads %v, out %v", b.Trace, b.Reads, b.Out())
+	}
+	b.Write(RAMBase, 4, 5, 0)
+	b.Read(RAMBase, 4, 1)
+	if hooked != 3 || len(b.Trace.Writes) != 1 || len(b.Reads) != 1 || b.Reads[0].Data != 5 {
+		t.Errorf("a reset bus lost its hook, memory or read recording: %d hook calls, trace %+v, reads %v", hooked, b.Trace, b.Reads)
+	}
+}
+
 func TestTraceDivergence(t *testing.T) {
 	mk := func(vals ...uint32) *Trace {
 		tr := &Trace{Exited: true}

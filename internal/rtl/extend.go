@@ -14,20 +14,14 @@ import "fmt"
 // quasi-static state — exactly the behavior of a real SEU.
 func (k *Kernel) FlipBit(n Node) error {
 	bit := uint64(1) << n.Bit
-	for _, s := range k.signals {
-		if s.name != n.Name {
-			continue
-		}
+	if s := k.findSignal(n.Name); s != nil {
 		if n.Bit >= s.width || n.Word != 0 {
 			return fmt.Errorf("rtl: flip %v out of range", n)
 		}
 		*s.curp ^= bit
 		return nil
 	}
-	for _, a := range k.arrays {
-		if a.name != n.Name {
-			continue
-		}
+	if a := k.findArray(n.Name); a != nil {
 		if n.Bit >= a.width || n.Word < 0 || n.Word >= len(a.data) {
 			return fmt.Errorf("rtl: flip %v out of range", n)
 		}
@@ -91,15 +85,6 @@ func (k *Kernel) InjectBridge(a, b Node, kind BridgeKind) error {
 	sa.updateSlow()
 	sb.updateSlow()
 	k.dirty = true
-	return nil
-}
-
-func (k *Kernel) findSignal(name string) *Signal {
-	for _, s := range k.signals {
-		if s.name == name {
-			return s
-		}
-	}
 	return nil
 }
 

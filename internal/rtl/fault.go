@@ -150,10 +150,7 @@ func (k *Kernel) InjectForced(f Fault, sampled uint64) error {
 
 func (k *Kernel) inject(f Fault, sampled uint64, haveSample bool) error {
 	bit := uint64(1) << f.Node.Bit
-	for _, s := range k.signals {
-		if s.name != f.Node.Name {
-			continue
-		}
+	if s := k.findSignal(f.Node.Name); s != nil {
 		if f.Node.Bit >= s.width || f.Node.Word != 0 {
 			return fmt.Errorf("rtl: fault %v out of range (width %d)", f, s.width)
 		}
@@ -180,10 +177,7 @@ func (k *Kernel) inject(f Fault, sampled uint64, haveSample bool) error {
 		k.dirty = true
 		return nil
 	}
-	for _, a := range k.arrays {
-		if a.name != f.Node.Name {
-			continue
-		}
+	if a := k.findArray(f.Node.Name); a != nil {
 		if f.Node.Bit >= a.width || f.Node.Word < 0 || f.Node.Word >= len(a.data) {
 			return fmt.Errorf("rtl: fault %v out of range", f)
 		}

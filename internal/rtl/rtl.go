@@ -234,7 +234,7 @@ type Kernel struct {
 
 	signals []*Signal
 	arrays  []*MemArray
-	units   map[string]Unit // per signal/array name
+	decls   map[string]decl // per signal/array name
 	procs   []func()
 	cycle   uint64
 
@@ -245,9 +245,34 @@ type Kernel struct {
 	dirty  bool        // any fault or bridge armed on the design
 }
 
+// decl is what a declared name resolves to: its unit, and its handle's
+// place in signals or arrays, so that every arm, flip and witness finds
+// its node with one lookup instead of a scan of the declarations.
+type decl struct {
+	unit  Unit
+	array bool
+	idx   int32
+}
+
+// findSignal returns the signal declared under name, or nil.
+func (k *Kernel) findSignal(name string) *Signal {
+	if d, ok := k.decls[name]; ok && !d.array {
+		return k.signals[d.idx]
+	}
+	return nil
+}
+
+// findArray returns the memory array declared under name, or nil.
+func (k *Kernel) findArray(name string) *MemArray {
+	if d, ok := k.decls[name]; ok && d.array {
+		return k.arrays[d.idx]
+	}
+	return nil
+}
+
 // NewKernel returns an empty design.
 func NewKernel() *Kernel {
-	return &Kernel{units: make(map[string]Unit)}
+	return &Kernel{decls: make(map[string]decl)}
 }
 
 // repoint refreshes every signal handle's slab pointers (slab growth
@@ -266,7 +291,7 @@ func (k *Kernel) addSignal(name string, width int, unit Unit, reg bool) *Signal 
 	if width < 1 || width > 64 {
 		panic(fmt.Sprintf("rtl: signal %s: bad width %d", name, width))
 	}
-	if _, dup := k.units[name]; dup {
+	if _, dup := k.decls[name]; dup {
 		panic(fmt.Sprintf("rtl: duplicate name %s", name))
 	}
 	s := &Signal{k: k, name: name, width: width, reg: reg}
@@ -287,8 +312,8 @@ func (k *Kernel) addSignal(name string, width int, unit Unit, reg bool) *Signal 
 		k.wireCur = append(k.wireCur, 0)
 		k.wireNxt = append(k.wireNxt, 0)
 	}
+	k.decls[name] = decl{unit: unit, idx: int32(len(k.signals))}
 	k.signals = append(k.signals, s)
-	k.units[name] = unit
 	if grew {
 		// The append moved the slab backing; refresh every handle.
 		k.repoint()
@@ -315,7 +340,7 @@ func (k *Kernel) Array(name string, width, n int, unit Unit) *MemArray {
 	if width < 1 || width > 64 {
 		panic(fmt.Sprintf("rtl: array %s: bad width %d", name, width))
 	}
-	if _, dup := k.units[name]; dup {
+	if _, dup := k.decls[name]; dup {
 		panic(fmt.Sprintf("rtl: duplicate name %s", name))
 	}
 	off := len(k.arr)
@@ -327,6 +352,7 @@ func (k *Kernel) Array(name string, width, n int, unit Unit) *MemArray {
 		a.mask = 1<<width - 1
 	}
 	a.data = k.arr[off : off+n : off+n]
+	k.decls[name] = decl{unit: unit, array: true, idx: int32(len(k.arrays))}
 	k.arrays = append(k.arrays, a)
 	// Growing the slab may have moved its backing; re-point the existing
 	// arrays' views (their slice lengths are unaffected by the move).
@@ -334,7 +360,6 @@ func (k *Kernel) Array(name string, width, n int, unit Unit) *MemArray {
 		sz := len(ar.data)
 		ar.data = k.arr[ar.off : ar.off+sz : ar.off+sz]
 	}
-	k.units[name] = unit
 	return a
 }
 
@@ -404,7 +429,7 @@ func (k *Kernel) ResetState() {
 
 // UnitOf returns the functional unit a signal or array name was declared
 // under.
-func (k *Kernel) UnitOf(name string) Unit { return k.units[name] }
+func (k *Kernel) UnitOf(name string) Unit { return k.decls[name].unit }
 
 // Signals returns the declared signals (stable order).
 func (k *Kernel) Signals() []*Signal { return k.signals }
@@ -430,7 +455,7 @@ func (k *Kernel) String() string {
 // hierarchy prefix, sorted.
 func (k *Kernel) SignalNamesByPrefix(prefix string) []string {
 	var out []string
-	for name := range k.units {
+	for name := range k.decls {
 		if strings.HasPrefix(name, prefix) {
 			out = append(out, name)
 		}

@@ -6,21 +6,22 @@ import (
 )
 
 // Snapshot captures the full dynamic state of a kernel at a cycle
-// boundary: the committed and pending value of every signal, the contents
-// of every memory array, and the cycle counter. Because the kernel keeps
-// all of that state in flat slabs, a snapshot is a handful of bulk slice
-// copies rather than a per-signal walk. Fault forcing (stuck-at masks,
-// bridges) is deliberately not part of a snapshot: checkpoints are taken
-// on clean golden runs and restored into clean kernels, so a restored
-// design always starts fault-free.
+// boundary: the committed value of every signal, the contents of every
+// memory array, and the cycle counter. Because the kernel keeps all of
+// that state in flat slabs, a snapshot is three bulk slice copies rather
+// than a per-signal walk. The pending slabs are not part of it: the clock
+// edge commits with a bulk copy, so at a cycle boundary the pending
+// register slab equals the committed one, and a pending wire value feeds
+// nothing. Fault forcing (stuck-at masks, bridges) is deliberately not
+// part of a snapshot either: checkpoints are taken on clean golden runs
+// and restored into clean kernels, so a restored design always starts
+// fault-free.
 type Snapshot struct {
-	cycle   uint64
-	regCur  []uint64
-	regNxt  []uint64
-	wireCur []uint64
-	wireNxt []uint64
-	arr     []uint64
-	narr    int // array count, for the shape check
+	cycle uint64
+	regs  []uint64
+	wires []uint64
+	arr   []uint64
+	narr  int // array count, for the shape check
 }
 
 // Cycle returns the cycle count at which the snapshot was taken.
@@ -34,14 +35,26 @@ func (k *Kernel) Snapshot() *Snapshot {
 	return s
 }
 
+// Snapshots returns n empty snapshots whose slabs are windows of one
+// backing allocation sized for this kernel: SnapshotInto fills each in
+// place. The campaign engine's golden ladder is hundreds of them.
+func (k *Kernel) Snapshots(n int) []Snapshot {
+	nr, nw, na := len(k.regCur), len(k.wireCur), len(k.arr)
+	slab := make([]uint64, n*(nr+nw+na))
+	out := make([]Snapshot, n)
+	for i := range out {
+		s := slab[i*(nr+nw+na):]
+		out[i] = Snapshot{regs: s[:0:nr], wires: s[nr : nr : nr+nw], arr: s[nr+nw : nr+nw : nr+nw+na]}
+	}
+	return out
+}
+
 // SnapshotInto is Snapshot into s, reusing s's slabs: the campaign
 // engine's recurrence search re-saves one buffer at growing intervals.
 func (k *Kernel) SnapshotInto(s *Snapshot) {
 	s.cycle = k.cycle
-	s.regCur = append(s.regCur[:0], k.regCur...)
-	s.regNxt = append(s.regNxt[:0], k.regNxt...)
-	s.wireCur = append(s.wireCur[:0], k.wireCur...)
-	s.wireNxt = append(s.wireNxt[:0], k.wireNxt...)
+	s.regs = append(s.regs[:0], k.regCur...)
+	s.wires = append(s.wires[:0], k.wireCur...)
 	s.arr = append(s.arr[:0], k.arr...)
 	s.narr = len(k.arrays)
 }
@@ -55,18 +68,17 @@ func (k *Kernel) SnapshotInto(s *Snapshot) {
 // deliberately cheap: clearing is O(armed faults) and the state reload is
 // a handful of bulk copies.
 func (k *Kernel) Restore(s *Snapshot) error {
-	if len(s.regCur) != len(k.regCur) || len(s.wireCur) != len(k.wireCur) ||
+	if len(s.regs) != len(k.regCur) || len(s.wires) != len(k.wireCur) ||
 		len(s.arr) != len(k.arr) || s.narr != len(k.arrays) {
 		return fmt.Errorf("rtl: snapshot shape (%d regs, %d wires, %d arrays, %d array words) does not match kernel (%d regs, %d wires, %d arrays, %d array words)",
-			len(s.regCur), len(s.wireCur), s.narr, len(s.arr),
+			len(s.regs), len(s.wires), s.narr, len(s.arr),
 			len(k.regCur), len(k.wireCur), len(k.arrays), len(k.arr))
 	}
 	k.ClearFaults()
 	k.ClearBridges()
-	copy(k.regCur, s.regCur)
-	copy(k.regNxt, s.regNxt)
-	copy(k.wireCur, s.wireCur)
-	copy(k.wireNxt, s.wireNxt)
+	copy(k.regCur, s.regs)
+	copy(k.regNxt, s.regs)
+	copy(k.wireCur, s.wires)
 	copy(k.arr, s.arr)
 	k.cycle = s.cycle
 	return nil
@@ -97,7 +109,7 @@ func (k *Kernel) Restore(s *Snapshot) error {
 // snapshot (and whose off-core write position matches) has healed and
 // will track the golden run for as long as its fault stays unread.
 func (k *Kernel) StateEquals(s *Snapshot) bool {
-	return slices.Equal(k.regCur, s.regCur) && slices.Equal(k.arr, s.arr)
+	return slices.Equal(k.regCur, s.regs) && slices.Equal(k.arr, s.arr)
 }
 
 // Recurs is StateEquals plus the wire slab: exactly the snapshot's
@@ -106,7 +118,7 @@ func (k *Kernel) StateEquals(s *Snapshot) bool {
 // clean-design argument that lets StateEquals skip the wires. Registers
 // are compared first: they differ on almost every cycle.
 func (k *Kernel) Recurs(s *Snapshot) bool {
-	return k.StateEquals(s) && slices.Equal(k.wireCur, s.wireCur)
+	return k.StateEquals(s) && slices.Equal(k.wireCur, s.wires)
 }
 
 // SetNow rebases the cycle counter without touching state: how tests show

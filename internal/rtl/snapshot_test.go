@@ -134,9 +134,9 @@ func TestStateComparisons(t *testing.T) {
 		t.Error("array difference missed")
 	}
 
-	regs := &snap.regCur[0]
+	regs := &snap.regs[0]
 	k.SnapshotInto(&snap)
-	if &snap.regCur[0] != regs || snap.Cycle() != k.Now() || !k.Recurs(&snap) {
+	if &snap.regs[0] != regs || snap.Cycle() != k.Now() || !k.Recurs(&snap) {
 		t.Error("SnapshotInto did not re-save into the same buffer")
 	}
 
@@ -157,5 +157,38 @@ func TestStateComparisons(t *testing.T) {
 	wider.Array("t.a", 8, 4, 0)
 	if wider.Recurs(fresh.Snapshot()) {
 		t.Error("a kernel with one more wire recurs in the snapshot")
+	}
+}
+
+// TestSnapshotsShareOneSlab: the snapshots Snapshots hands out are filled
+// in place — no allocation, none overlapping its neighbour — and restore
+// like any other.
+func TestSnapshotsShareOneSlab(t *testing.T) {
+	k, _, _, _ := build()
+	snaps := k.Snapshots(3)
+	for i := range snaps {
+		k.Cycle()
+		s := &snaps[i]
+		if allocs := testing.AllocsPerRun(3, func() { k.SnapshotInto(s) }); allocs != 0 {
+			t.Errorf("snapshot %d: %v allocations filling it", i, allocs)
+		}
+	}
+	for i := range snaps {
+		want, _, _, _ := build()
+		for c := 0; c <= i; c++ {
+			want.Cycle()
+		}
+		if snaps[i].Cycle() != uint64(i+1) || !want.Recurs(&snaps[i]) {
+			t.Errorf("snapshot %d is not the state after %d cycles: a neighbour overwrote it", i, i+1)
+		}
+		k2, _, _, _ := build()
+		if err := k2.Restore(&snaps[i]); err != nil {
+			t.Fatal(err)
+		}
+		k2.Cycle()
+		want.Cycle()
+		if !k2.Recurs(want.Snapshot()) {
+			t.Errorf("snapshot %d: a kernel restored from it diverges from one that ran there", i)
+		}
 	}
 }

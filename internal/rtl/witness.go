@@ -156,15 +156,6 @@ func (w *Witness) Stop() {
 	w.sigs, w.arrs = nil, nil
 }
 
-func (k *Kernel) findArray(name string) *MemArray {
-	for _, a := range k.arrays {
-		if a.name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // IsArrayWord reports whether n names a bit of a memory-array word rather
 // than of a signal (or of nothing).
 func (k *Kernel) IsArrayWord(n Node) bool { return k.findArray(n.Name) != nil }
