@@ -108,10 +108,15 @@ type onceEntry[V any] struct {
 // request stream with ever-new injection instants pin one golden run +
 // golden ladder each until the daemon dies. A cached runner pins its
 // golden write trace, its node enumerations and — once a campaign has
-// used it — its ladder: at most 64 rungs, each a copy of the kernel
-// slabs plus the copy-on-write pages the program dirtied since the
-// previous rung, 0.7–0.9 MB in all on the EEMBC workalikes however long
-// the run, so a full cache holds well under 100 MB. Eviction only drops
+// used it — its ladder (at most 512 rungs in one slab of kernel-state
+// copies plus the copy-on-write pages the program dirtied between golden
+// writes: at most 6 MiB, about 3 MB for puwmod from reset) and its golden
+// read log (what the golden run read of the nets campaigns have faulted
+// so far: at most another 6 MiB, 1.7 MB for every IU net of rspeed from
+// mid-run and 3.4 MB of puwmod from reset; DESIGN.md §15), however long
+// the run. A full cache therefore holds at most 64 x 12 MiB of golden
+// state beside the traces, and nears that only if every entry is driven
+// over all of its nets on a long run. Eviction only drops
 // the memoization: runners still referenced by in-flight campaigns stay
 // alive until those campaigns finish.
 const maxRunners = 64

@@ -1,24 +1,22 @@
 package fault
 
 import (
-	"cmp"
 	"slices"
 	"sync"
-	"time"
 
-	"repro/internal/iss"
 	"repro/internal/leon3"
 	"repro/internal/rtl"
 )
 
-// This file implements the bit-parallel (PPSFP) campaign engine: one
-// witnessed golden pass decides, for every fault universe ("lane") riding
-// it, whether and when the fault is actually read with a differing value
-// — or, for an upset memory-array word, read at all before it is
+// This file implements the bit-parallel (PPSFP) campaign engine: what the
+// golden run read of a net decides, for every fault universe ("lane") on
+// that net, whether and when the fault is actually read with a differing
+// value — or, for an upset memory-array word, read at all before it is
 // overwritten — and only those lanes ever pay for a scalar simulation.
-// A campaign has one pass per worker, each carrying several 64-lane
-// groups — the dispatch granule — and walked once, by whichever worker
-// first needs one of its groups.
+// The reads come from the runner's read log (readlog.go), walked once per
+// net; a campaign has one pass per worker, each carrying several 64-lane
+// groups — the dispatch granule — and drained from the log once, by
+// whichever worker first needs one of its groups.
 //
 // Classic PPSFP packs one gate-level net's value across 64 test patterns
 // into a machine word. That transplant is impossible for a word-level
@@ -29,12 +27,12 @@ import (
 // the value consumers observe. A faulted universe whose raw state still
 // equals the golden run's therefore diverges exactly at the first cycle
 // where some process reads the faulted net and the forced bit differs
-// from the clean bit. During one shared golden continuation pass, a
+// from the clean bit. During a witnessed golden continuation a
 // rtl.Witness accumulates per-net read observations (Ones/Zeros masks);
 // whether a lane activates at a cycle is then one AND against its net's
 // accumulator — all 64 bit positions of a net checked at once, which is
-// where the 64-way parallelism lives — and only the nets the design
-// touched that cycle visit their lanes at all.
+// where the 64-way parallelism lives — and only the cycles at which the
+// design touched the net are visited at all.
 //
 // A BitFlip is the one model that does mutate raw state, and on a signal
 // the upset spreads through raw copies (Hold, the clock edge) that no Get
@@ -57,8 +55,8 @@ import (
 // campaign's memo hands it that lane's verdict (resolveOnce). A forked
 // lane that heals is dropped back onto the golden trajectory, or
 // teleported forward to its next activation cycle; one whose state
-// recurs is a proven hang. The pass itself keeps no golden state: it
-// starts from rung 0 of the runner's shared ladder and only witnesses.
+// recurs is a proven hang. A pass keeps no golden state and steps no
+// golden cycle: a campaign whose nets are all logged only reads.
 
 // maxLanes is the lane capacity of one group, the PPSFP word width the
 // design is named for: a pass records one activation word per group per
@@ -70,9 +68,9 @@ const maxLanes = 64
 // golden cycle) at the order of the ladder's footprint; a constant, not an option.
 const actBudget = 1 << 20
 
-// pass is one witnessed golden walk shared by several groups of a
-// campaign. Once walked its storage is read-only, and read by every worker
-// that resolves one of its groups until the campaign's dispatch ends.
+// pass is the lanes and activation record of several groups of a campaign,
+// built in one go. Once walked its storage is read-only, and read by every
+// worker that resolves one of its groups until the campaign's dispatch ends.
 type pass struct {
 	idxs     []int // experiment indices in lane order; group g is idxs[64g:64(g+1)]
 	memo     *memo // the campaign's, shared by all its passes
@@ -94,10 +92,20 @@ type forcing struct {
 // simulates under its verdict's lock, where a twin arriving meanwhile
 // waits. Pooled like passBuf; verdicts has the campaign's lane count for
 // capacity before dispatch, so no verdict moves under a waiter.
+//
+// It also holds what the plan fixes for every pass and no worker writes: the
+// deduplicated nets of the campaign's lanes (lanes may fault different
+// bits, or models, of one net) and their read logs.
 type memo struct {
 	mu       sync.Mutex
 	idx      map[forcing]int32
 	verdicts []verdict
+
+	netIdx map[rtl.WitnessNet]int32
+	nets   []rtl.WitnessNet
+	polled []bool    // per net: a SET lane samples its raw word at an instant of its own
+	logs   []*netLog // per net; empty if the logging walk's witness failed to arm
+	netOf  []int32   // per experiment, its net; -1 for one that runs scalar
 }
 
 type verdict struct {
@@ -120,15 +128,10 @@ func (m *memo) verdict(f forcing) *verdict {
 
 // passBuf is the pooled storage of one walk.
 type passBuf struct {
-	lanes  []lane
-	probes []probe
+	lanes []lane
 	// act is the activation record, group-major: group g's word for golden
 	// cycle t is act[g*span+t-start], span the continuation's length.
-	act       []uint64
-	nets      []rtl.WitnessNet // deduplicated over the whole pass
-	netIdx    map[rtl.WitnessNet]int32
-	head      []int32 // per net, the first lane of its chain (probe.next)
-	byInstant []int32 // transient lanes, sorted by injection instant
+	act []uint64
 }
 
 // planItem is one dispatch granule of a campaign: a single scalar
@@ -142,7 +145,7 @@ type planItem struct {
 // planBatches partitions a campaign's experiments into dispatch
 // granules. Under NoCheckpoint — the reference engine — every experiment
 // is its own scalar granule. Otherwise an experiment is batchable when
-// the witnessed pass can reason about it: the permanent models,
+// a witnessed walk can reason about it: the permanent models,
 // SETPulse, and BitFlip on a memory-array word (see the file comment).
 // A BitFlip on a signal mutates raw state that propagates through raw
 // register copies without ever being "read", so witness gating would be
@@ -155,7 +158,9 @@ type planItem struct {
 // falls. Groups are dealt round-robin to one pass per worker — consecutive
 // groups open different passes, so no worker waits for another's walk
 // before it has work — and to more where a record would exceed actBudget.
-// Result content is independent of the partition.
+// Result content is independent of the partition. The plan also asks the
+// runner, once, for the read logs of the lanes' nets (readLogs): the one
+// place a campaign may step golden cycles.
 func (r *Runner) planBatches(exps []Experiment, workers int) ([]planItem, []*pass) {
 	if r.opts.NoCheckpoint {
 		plan := make([]planItem, len(exps))
@@ -165,30 +170,42 @@ func (r *Runner) planBatches(exps []Experiment, workers int) ([]planItem, []*pas
 		return plan, nil
 	}
 	eng := r.getEngine()
-	defer r.putEngine(eng)
 	k := eng.core.K
-
-	batchable := make([]bool, len(exps))
+	m := r.memos.get()
+	if m == nil {
+		m = &memo{idx: map[forcing]int32{}, netIdx: map[rtl.WitnessNet]int32{}}
+	}
+	clear(m.idx)
+	clear(m.netIdx)
+	m.nets, m.polled = m.nets[:0], m.polled[:0]
+	m.netOf = slices.Grow(m.netOf[:0], len(exps))[:len(exps)]
 	lanes := 0
 	for i, e := range exps {
-		batchable[i] = (e.Model != rtl.BitFlip || k.IsArrayWord(e.Node.Node)) &&
+		m.netOf[i] = -1
+		if batchable := (e.Model != rtl.BitFlip || k.IsArrayWord(e.Node.Node)) &&
 			!(e.Model.Transient() && e.AtCycle < r.opts.InjectAtCycle) &&
-			k.NodeValid(e.Node.Node)
-		if batchable[i] {
-			lanes++
+			k.NodeValid(e.Node.Node); !batchable {
+			continue
 		}
+		wn := rtl.WitnessNet{Name: e.Node.Node.Name, Word: e.Node.Node.Word}
+		ni, ok := m.netIdx[wn]
+		if !ok {
+			ni = int32(len(m.nets))
+			m.netIdx[wn] = ni
+			m.nets, m.polled = append(m.nets, wn), append(m.polled, false)
+		}
+		m.netOf[i] = ni
+		m.polled[ni] = m.polled[ni] || e.Model == rtl.SETPulse
+		lanes++
 	}
+	r.putEngine(eng)
 	r.met.lanesPlanned.Add(float64(lanes))
 	groups := (lanes + maxLanes - 1) / maxLanes
 	gcap := max(1, actBudget/8/int(max(1, r.GoldenCycles-r.ladder().start)))
 	passes := make([]*pass, max((groups+gcap-1)/gcap, min(workers, groups)))
 	if len(passes) > 0 {
-		m := r.memos.get()
-		if m == nil {
-			m = &memo{idx: map[forcing]int32{}}
-		}
-		clear(m.idx)
 		m.verdicts = slices.Grow(m.verdicts[:0], lanes)
+		r.readLogs(m)
 		for i := range passes {
 			passes[i] = &pass{memo: m, idxs: make([]int, 0, (groups+len(passes)-1)/len(passes)*maxLanes)}
 		}
@@ -196,7 +213,7 @@ func (r *Runner) planBatches(exps []Experiment, workers int) ([]planItem, []*pas
 	plan := make([]planItem, 0, groups+len(exps)-lanes)
 	g, n := 0, 0 // groups planned, lanes seen
 	for i := range exps {
-		if !batchable[i] {
+		if m.netOf[i] < 0 {
 			plan = append(plan, planItem{idx: i})
 			continue
 		}
@@ -206,6 +223,9 @@ func (r *Runner) planBatches(exps []Experiment, workers int) ([]planItem, []*pas
 			plan = append(plan, planItem{pass: p, group: g / len(passes)})
 			g++
 		}
+	}
+	if len(passes) == 0 {
+		r.memos.put(m) // no lane: no pass carries the memo to the campaign's end
 	}
 	return plan, passes
 }
@@ -232,20 +252,16 @@ type lane struct {
 	act     []uint64
 	slot    uint
 	sampled uint64
+	probe
 }
 
-// probe is the activation predicate of one pass lane, kept apart from
-// the lane so the pass's per-cycle drain walks one compact array: the
-// probe fires when some consumer read the faulted bit with the polarity
-// the forcing would invert.
+// probe is the activation predicate of one pass lane: it fires when some
+// consumer read the faulted bit with the polarity the forcing would invert.
 type probe struct {
-	net   int32 // witness net index
-	next  int32 // the next lane faulting the same net, -1 at the chain's end
 	shift uint8 // Node.Bit (< 64)
 	// forcedOne is the armed polarity of the faulted bit; for the
 	// charge-sampling models it is derived from lane.sampled. armed is
-	// false while it is still unknown (a transient lane whose instant the
-	// pass has not reached).
+	// false for a transient lane scheduled past program exit.
 	forcedOne bool
 	armed     bool
 	// flip marks a BitFlip lane on an array word. Its probe arms at the
@@ -288,13 +304,6 @@ func (r *Runner) newLane(e Experiment) lane {
 // latency, no cycles.
 func (l *lane) result() Result {
 	return Result{Fault: l.f, Unit: l.e.Node.Unit, Latency: -1, InjectAt: l.injectAt}
-}
-
-// inWindow reports whether the lane's forcing is armed at golden cycle
-// t. Permanent lanes are armed from the injection instant onward;
-// SETPulse lanes only within their pulse window.
-func (l *lane) inWindow(t uint64) bool {
-	return t >= l.injectAt && (l.pulseEnd == 0 || t < l.pulseEnd)
 }
 
 // runGroup executes one dispatch granule: group g of pass p, walking the
@@ -343,7 +352,7 @@ func (r *Runner) resolveOnce(eng *engine, lad *ladder, p *pass, j int) Result {
 	if l.e.Model == rtl.BitFlip {
 		return r.resolve(eng, lad, l)
 	}
-	v := p.memo.verdict(forcing{l.f.Node, p.probes[j].forcedOne, l.injectAt, l.pulseEnd})
+	v := p.memo.verdict(forcing{l.f.Node, l.forcedOne, l.injectAt, l.pulseEnd})
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.done {
@@ -356,118 +365,36 @@ func (r *Runner) resolveOnce(eng *engine, lad *ladder, p *pass, j int) Result {
 	return res
 }
 
-// walk is the witnessed golden pass over p's lanes: one clean continuation
-// from rung 0 to program exit. It leaves every activated lane its first
-// activation cycle and group record — or p.passBuf nil, were the witness not to arm.
+// walk builds p's lanes and drains each one's net log into its group's
+// activation record: no golden cycle is stepped here. It leaves every
+// activated lane its first activation cycle and group record — or p.passBuf
+// nil, had the logging walk's witness not armed.
 func (r *Runner) walk(exps []Experiment, p *pass) {
-	lad := r.ladder()
-	eng := r.getEngine()
-	defer r.putEngine(eng)
-	core := eng.core
-	lad.fork(eng, 0)
-	start, span := lad.start, r.GoldenCycles-lad.start
-
-	// Build the lane set and the deduplicated witness net list (lanes may
-	// fault different bits, or models, of one net), chaining each net's lanes.
-	b := r.passBufs.get()
-	if b == nil {
-		b = &passBuf{netIdx: map[rtl.WitnessNet]int32{}}
-	}
-	n := len(p.idxs)
-	b.lanes, b.probes = slices.Grow(b.lanes[:0], n)[:n], slices.Grow(b.probes[:0], n)[:n]
-	b.nets, b.head, b.byInstant = b.nets[:0], b.head[:0], b.byInstant[:0]
-	clear(b.netIdx)
-	lanes, probes := b.lanes, b.probes
-	for j, i := range p.idxs {
-		e := exps[i]
-		wn := rtl.WitnessNet{Name: e.Node.Node.Name, Word: e.Node.Node.Word}
-		ni, ok := b.netIdx[wn]
-		if !ok {
-			ni = int32(len(b.nets))
-			b.netIdx[wn] = ni
-			b.nets, b.head = append(b.nets, wn), append(b.head, -1)
-		}
-		lanes[j] = r.newLane(e)
-		lanes[j].slot = uint(j % maxLanes)
-		probes[j] = probe{net: ni, next: b.head[ni], shift: uint8(e.Node.Node.Bit), flip: e.Model == rtl.BitFlip}
-		b.head[ni] = int32(j)
-		if e.Model.Transient() {
-			b.byInstant = append(b.byInstant, int32(j))
-		}
-	}
-	w, err := core.K.StartWitness(b.nets)
-	if err != nil {
-		r.passBufs.put(b)
+	m := p.memo
+	if len(m.logs) == 0 {
 		return
 	}
-
-	// Arm the permanent lanes' polarities; the charge-sampling models
-	// read the net's raw word at the injection instant, which for
-	// permanents is the pass start (exactly the value a scalar Inject at
-	// that boundary would sample). Transient lanes stay unarmed until the
-	// pass reaches their instant, in byInstant order.
-	for j := range lanes {
-		l, pr := &lanes[j], &probes[j]
-		switch l.e.Model {
-		case rtl.StuckAt1:
-			pr.forcedOne, pr.armed = true, true
-		case rtl.StuckAt0:
-			pr.forcedOne, pr.armed = false, true
-		case rtl.OpenLine:
-			l.sampled = w.Sample(int(pr.net))
-			pr.forcedOne, pr.armed = l.sampled>>pr.shift&1 != 0, true
-		}
+	start := r.ladder().start
+	span := r.GoldenCycles - start
+	b := r.passBufs.get()
+	if b == nil {
+		b = &passBuf{}
 	}
-	slices.SortFunc(b.byInstant, func(x, y int32) int { return cmp.Compare(lanes[x].injectAt, lanes[y].injectAt) })
-	due := b.byInstant
-
+	n := len(p.idxs)
+	b.lanes = slices.Grow(b.lanes[:0], n)[:n]
 	// One activation word per group per golden cycle, bit slot set when
 	// the lane's probe fired, is all a healed lane needs to find its next
 	// activation: 8 bytes, whatever the net count.
 	words := (n + maxLanes - 1) / maxLanes * int(span)
 	b.act = slices.Grow(b.act[:0], words)[:words]
 	clear(b.act)
-	acc := w.Accs()
-	var passStart time.Time
-	if r.met.live {
-		// Behind the live flag: an unregistered engine never reads the
-		// clock, and the value only feeds the golden-pass rate metric.
-		passStart = time.Now() //lint:allow det live-guarded golden-pass metric
-	}
-	for core.Status() == iss.StatusRunning {
-		t := core.Cycles()
-		for ; len(due) > 0 && lanes[due[0]].injectAt == t; due = due[1:] {
-			l, pr := &lanes[due[0]], &probes[due[0]]
-			l.sampled = w.Sample(int(pr.net))
-			// A SET glitch drives the complement of the charge (a flip
-			// probe ignores the polarity).
-			pr.forcedOne, pr.armed = l.sampled>>pr.shift&1 == 0, true
-		}
-		core.StepCycle()
-		// Net-major drain: only the nets the design touched this cycle
-		// visit their lanes, and only they need clearing.
-		for ni := range acc {
-			a := &acc[ni]
-			if a.Ones|a.Zeros == 0 && !a.WriteFirst {
-				continue
-			}
-			for j := b.head[ni]; j >= 0; j = probes[j].next {
-				if !probes[j].fires(a) {
-					continue
-				}
-				l, base := &lanes[j], uint64(j/maxLanes)*span
-				b.act[base+t-start] |= 1 << l.slot
-				if l.act == nil && l.inWindow(t) {
-					l.activateAt, l.act = t, b.act[base:base+span]
-				}
-			}
-			*a = rtl.WitnessAcc{}
-		}
-	}
-	w.Stop()
-	if r.met.live {
-		r.met.goldenSeconds.Add(time.Since(passStart).Seconds()) //lint:allow det live-guarded golden-pass metric
-		r.met.goldenCycles.Add(float64(core.Cycles() - start))
+	for j, i := range p.idxs {
+		l, e := &b.lanes[j], exps[i]
+		*l = r.newLane(e)
+		l.slot = uint(j % maxLanes)
+		l.probe = probe{shift: uint8(e.Node.Node.Bit), flip: e.Model == rtl.BitFlip}
+		base := uint64(j/maxLanes) * span
+		l.drain(m.logs[m.netOf[i]], b.act[base:base+span], start, r.GoldenCycles)
 	}
 	p.passBuf = b
 }

@@ -216,6 +216,9 @@ type Runner struct {
 	// stride, when nonzero, is the ladder's stride whatever the run length:
 	// set by tests alone, before the ladder is first used.
 	stride uint64
+	// log is what the golden continuation read of the nets campaigns have
+	// faulted so far, each walked once (see readlog.go).
+	log readLog
 
 	// engines keeps reusable RTL cores: each campaign worker restores a
 	// kept core in place per experiment instead of rebuilding the whole
@@ -283,6 +286,7 @@ func NewRunner(p *asm.Program, opts Options) (*Runner, error) {
 	m := mem.NewMemory()
 	m.LoadImage(p.Origin, p.Image)
 	r := &Runner{prog: p, opts: opts, baseImg: m.Snapshot(), met: newEngineMetrics(opts.Obs)}
+	r.log.budget = logBudget
 	// One object of each kind per processor: what a campaign at the default
 	// worker count holds at once.
 	keep := runtime.GOMAXPROCS(0)
@@ -640,7 +644,9 @@ func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, wor
 			}
 		}
 		if len(passes) > 0 {
-			r.memos.put(passes[0].memo)
+			m := passes[0].memo
+			clear(m.logs) // a log over budget is the campaign's alone: dropped here
+			r.memos.put(m)
 		}
 	}()
 	counted := func(i int, res Result) {

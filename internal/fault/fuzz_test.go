@@ -24,7 +24,9 @@ import (
 // instant is the scalar flip most likely to heal a refetch late. The lot
 // runs once more behind 64 filler lanes on the same net (glitches
 // scheduled past program exit: never armed, free), which puts it in the
-// second group of a shared pass at the end of a net chain that spans both.
+// second group of a shared pass. Every input runs twice on its runner: the
+// first round walks the nets into the runner's read log, the second is
+// answered from the log alone.
 //
 // Smoke: make fuzz-smoke; longer:
 // go test -run '^$' -fuzz FuzzLaneEquivalence -fuzztime 5m ./internal/fault/
@@ -76,14 +78,16 @@ func FuzzLaneEquivalence(f *testing.F) {
 			{Node: signalNodes(lanes, "iu.fe.pc")[2+node%8], Model: rtl.BitFlip, AtCycle: at},
 		}
 		want := ref.Campaign(exps, 1)
-		checkEngine(t, lanes, exps, want)
 		padded := make([]Experiment, maxLanes, maxLanes+len(exps))
 		for i := range padded {
 			padded[i] = Experiment{Node: n, Model: rtl.SETPulse, AtCycle: lanes.GoldenCycles + 63}
 		}
 		padded = append(padded, exps...)
-		if got := lanes.Campaign(padded, 1); !reflect.DeepEqual(got[maxLanes:], want) {
-			t.Fatalf("behind %d filler lanes: got %+v, reference %+v", maxLanes, got[maxLanes:], want)
+		for _, round := range []string{"cold", "warm"} {
+			checkEngine(t, lanes, exps, want)
+			if got := lanes.Campaign(padded, 1); !reflect.DeepEqual(got[maxLanes:], want) {
+				t.Fatalf("%s, behind %d filler lanes: got %+v, reference %+v", round, maxLanes, got[maxLanes:], want)
+			}
 		}
 	})
 }

@@ -39,12 +39,19 @@ type engineMetrics struct {
 	cyclesBy [healedEnding + 1]*obs.Counter
 	proven   [len(proofs)]*obs.Counter
 	// fallbacks counts experiments runGroup resolved through RunOne because
-	// their pass has no passBuf — only when a witnessed pass failed to set up.
+	// their pass has no passBuf — only when the logging walk's witness failed
+	// to arm.
 	fallbacks *obs.Counter
-	// goldenCycles/goldenSeconds accumulate witnessed golden-pass work (one
-	// pass per campaign worker); their quotient is the pass's cycles/s.
+	// goldenCycles/goldenSeconds accumulate witnessed golden-walk work (one
+	// walk per campaign that brings a net the runner has not logged); their
+	// quotient is the walk's cycles/s.
 	goldenCycles  *obs.Counter
 	goldenSeconds *obs.Counter
+	// logLogged/Hit/Scratch count the nets campaigns asked the read log for:
+	// walked and kept, answered from the log, walked for one campaign over
+	// the budget. logBytes is what the registry's runners' logs retain.
+	logLogged, logHit, logScratch *obs.Counter
+	logBytes                      *obs.Gauge
 }
 
 // proofs labels engine_verdicts_proven_total: a twin of a resolved forcing
@@ -98,10 +105,15 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		fallbacks: r.Counter("engine_scalar_fallbacks_total",
 			"Experiments resolved through the scalar fallback after a batch pass setup failure."),
 		goldenCycles: r.Counter("engine_golden_pass_cycles_total",
-			"Cycles simulated by witnessed golden passes."),
+			"Cycles simulated by witnessed golden walks: one continuation per campaign that brings a net the runner's read log lacks, none on a warm runner."),
 		goldenSeconds: r.Counter("engine_golden_pass_seconds_total",
-			"Wall-clock seconds spent in witnessed golden passes."),
+			"Wall-clock seconds spent in witnessed golden walks."),
+		logBytes: r.Gauge("engine_golden_log_bytes",
+			"Bytes of golden read log retained, summed over the runners built on this registry (each bounded by a constant budget)."),
 	}
+	byResult := r.CounterVec("engine_golden_log_nets_total",
+		"Nets campaigns asked the golden read log for: walked and kept, answered from the log, or walked for one campaign over the budget.", "result")
+	m.logLogged, m.logHit, m.logScratch = byResult.With("logged"), byResult.With("hit"), byResult.With("scratch")
 	for i := range m.cyclesBy {
 		label := "healed"
 		if i < int(healedEnding) {

@@ -1,0 +1,263 @@
+package fault
+
+import (
+	"math"
+	"sort"
+	"sync"
+	"time"
+
+	"repro/internal/iss"
+	"repro/internal/rtl"
+)
+
+// This file implements the runner's read log: what the golden continuation
+// from rung 0 to program exit read of each net a campaign has faulted so
+// far. The golden run belongs to the runner and never changes, so the
+// witnessed walk that learns a net's reads is stepped once per net, not once
+// per campaign: a campaign asks at plan time for its lanes' nets (readLogs),
+// the nets not logged yet ride one walk (logWalk), and every pass fills its
+// activation record from the logs (lane.drain). Like the ladder the log is
+// golden-only state and never reaches an outcome byte.
+
+// logBudget bounds the read log a runner retains, at the order of the
+// ladder's footprint; a constant, not an option. A net that does not fit is
+// logged for the asking campaign alone and dropped with it.
+const logBudget = 6 << 20
+
+// netRun is a run of consecutive golden cycles [t, t+n) in each of which a
+// net recorded the same rtl.WitnessAcc.
+type netRun struct {
+	ones, zeros uint64
+	t           uint32
+	n           uint16
+	writeFirst  bool
+}
+
+// change says a net's raw word reads v from the cycle boundary t on.
+type change struct {
+	v uint64
+	t uint32
+}
+
+// blocks is an append-only sequence in small fixed blocks: it grows without
+// moving, doubling or a second copy, so a walk allocates and first-touches
+// what it logs and little more — which a cold campaign in a fresh process
+// pays for.
+type blocks[T any] struct {
+	b [][]T
+	n int
+}
+
+const blockLen = 16
+
+func (s *blocks[T]) at(i int) *T { return &s.b[i/blockLen][i%blockLen] }
+
+func (s *blocks[T]) push(x T) {
+	if s.n == len(s.b)*blockLen {
+		s.b = append(s.b, make([]T, blockLen))
+	}
+	*s.at(s.n) = x
+	s.n++
+}
+
+// netLog is one net's golden reads, immutable once published: its runs in
+// time order, its raw word at rung 0 and — followed only for a net that
+// carried a SET lane, the one model that samples the charge at an instant of
+// its own — that word's later changes.
+type netLog struct {
+	runs   blocks[netRun]
+	v0     uint64
+	vals   blocks[change]
+	polled bool
+}
+
+// bytes is the log's footprint against logBudget: its blocks, their lists,
+// and a flat charge for the struct and its map entry.
+func (lg *netLog) bytes() int {
+	if lg == nil {
+		return 0
+	}
+	return 160 + 24*(cap(lg.runs.b)+cap(lg.vals.b)) + blockLen*(24*len(lg.runs.b)+16*len(lg.vals.b))
+}
+
+// valueAt returns the net's raw word at cycle boundary t.
+func (lg *netLog) valueAt(t uint64) uint64 {
+	if i := sort.Search(lg.vals.n, func(i int) bool { return uint64(lg.vals.at(i).t) > t }); i > 0 {
+		return lg.vals.at(i - 1).v
+	}
+	return lg.v0
+}
+
+// readLog is a runner's logged nets. mu serialises lookups and walks, so
+// concurrent campaigns — the shards of one request — share a walk's nets
+// instead of each stepping their own.
+type readLog struct {
+	mu     sync.Mutex
+	nets   map[rtl.WitnessNet]*netLog
+	bytes  int
+	budget int // logBudget; tests lower it
+}
+
+// readLogs fills m.logs with the log of every net of m's campaign, walking
+// the golden continuation once for those the runner has not logged (with
+// raw values, where a SET lane now asks for them). On a witness that fails
+// to arm it leaves m.logs empty and the campaign's passes unwalked.
+func (r *Runner) readLogs(m *memo) {
+	lg := &r.log
+	lg.mu.Lock()
+	defer lg.mu.Unlock()
+	m.logs = m.logs[:0]
+	var miss []rtl.WitnessNet
+	var polled []bool
+	for i, n := range m.nets {
+		l := lg.nets[n]
+		if l == nil || m.polled[i] && !l.polled {
+			l, miss, polled = nil, append(miss, n), append(polled, m.polled[i])
+		}
+		m.logs = append(m.logs, l)
+	}
+	r.met.logHit.Add(float64(len(m.nets) - len(miss)))
+	if len(miss) == 0 {
+		return
+	}
+	fresh := r.logWalk(miss, polled)
+	if fresh == nil {
+		m.logs = m.logs[:0]
+		return
+	}
+	if lg.nets == nil {
+		lg.nets = map[rtl.WitnessNet]*netLog{}
+	}
+	for k, n := range miss {
+		l := fresh[k]
+		m.logs[m.netIdx[n]] = l
+		// A net logged before without its raw values is replaced.
+		if size := l.bytes() - lg.nets[n].bytes(); lg.bytes+size <= lg.budget {
+			lg.nets[n], lg.bytes = l, lg.bytes+size
+			r.met.logLogged.Inc()
+			r.met.logBytes.Add(float64(size))
+		} else {
+			r.met.logScratch.Inc()
+		}
+	}
+}
+
+// logWalk is the witnessed golden walk: one clean continuation from rung 0
+// to program exit over nets, nil were the witness not to arm. Each cycle's
+// observations extend the net's latest run or open a new one. A polled
+// signal's raw word is compared at every cycle boundary; an array word
+// changes only through a write, which the witness records (first, or after
+// the read that did), so it is compared on the cycles it was touched alone.
+func (r *Runner) logWalk(nets []rtl.WitnessNet, polled []bool) []*netLog {
+	eng := r.getEngine()
+	defer r.putEngine(eng)
+	core := eng.core
+	r.ladder().fork(eng, 0)
+	start := core.Cycles()
+	w, err := core.K.StartWitness(nets)
+	if err != nil {
+		return nil
+	}
+	var (
+		logs   = make([]*netLog, len(nets))
+		evs    []rtl.WitnessEvent
+		poll   []int32                     // the signals whose raw word is polled
+		onRead = make([]bool, len(nets))   // the array words compared when touched
+		last   = make([]uint64, len(nets)) // a polled net's raw word when last compared
+	)
+	for k, n := range nets {
+		last[k] = w.Sample(k)
+		// Each log is its own object: a kept one must not pin a dropped one.
+		logs[k] = &netLog{v0: last[k], polled: polled[k]}
+		if polled[k] {
+			if onRead[k] = core.K.IsArrayWord(rtl.Node{Name: n.Name}); !onRead[k] {
+				poll = append(poll, int32(k))
+			}
+		}
+	}
+	changed := func(k int32, t uint32) {
+		if v := w.Sample(int(k)); v != last[k] {
+			last[k] = v
+			logs[k].vals.push(change{v, t})
+		}
+	}
+	var walkStart time.Time
+	if r.met.live {
+		// Behind the live flag: an unregistered engine never reads the
+		// clock, and the value only feeds the golden-pass rate metric.
+		walkStart = time.Now() //lint:allow det live-guarded golden-pass metric
+	}
+	for core.Status() == iss.StatusRunning {
+		t := uint32(core.Cycles())
+		for _, k := range poll {
+			changed(k, t)
+		}
+		core.StepCycle()
+		evs = w.Drain(evs[:0])
+		for _, e := range evs {
+			if onRead[e.Net] {
+				changed(e.Net, t+1)
+			}
+			runs, a := &logs[e.Net].runs, e.Acc
+			if runs.n > 0 {
+				if ru := runs.at(runs.n - 1); ru.t+uint32(ru.n) == t && ru.n < math.MaxUint16 &&
+					ru.ones == a.Ones && ru.zeros == a.Zeros && ru.writeFirst == a.WriteFirst {
+					ru.n++
+					continue
+				}
+			}
+			runs.push(netRun{a.Ones, a.Zeros, t, 1, a.WriteFirst})
+		}
+	}
+	w.Stop()
+	if r.met.live {
+		r.met.goldenSeconds.Add(time.Since(walkStart).Seconds()) //lint:allow det live-guarded golden-pass metric
+		r.met.goldenCycles.Add(float64(core.Cycles() - start))
+	}
+	return logs
+}
+
+// drain fills lane l's bits of its group's activation record act (word
+// t-start for golden cycle t) from its net's log, as a live witness drained
+// cycle by cycle would through the same probe: armed from the lane's
+// injection instant — a charge-sampling model's polarity from the logged raw
+// word there — every cycle it fires at sets the lane's bit, the first one
+// activating the lane. end is the golden run's length; a glitch stops being
+// read when its window closes.
+func (l *lane) drain(lg *netLog, act []uint64, start, end uint64) {
+	from := l.injectAt
+	switch l.e.Model {
+	case rtl.StuckAt1:
+		l.forcedOne = true
+	case rtl.OpenLine:
+		l.sampled = lg.v0
+		l.forcedOne = l.sampled>>l.shift&1 != 0
+	case rtl.SETPulse:
+		// A SET glitch drives the complement of the charge.
+		l.sampled = lg.valueAt(from)
+		l.forcedOne = l.sampled>>l.shift&1 == 0
+		end = min(end, l.pulseEnd)
+	}
+	l.armed = from < end
+	runs := &lg.runs
+	i := sort.Search(runs.n, func(i int) bool { ru := runs.at(i); return uint64(ru.t)+uint64(ru.n) > from })
+	for ; i < runs.n && l.armed; i++ {
+		ru := runs.at(i)
+		if uint64(ru.t) >= end {
+			return
+		}
+		if !l.fires(&rtl.WitnessAcc{Ones: ru.ones, Zeros: ru.zeros, WriteFirst: ru.writeFirst}) {
+			continue
+		}
+		lo, hi := max(uint64(ru.t), from), min(uint64(ru.t)+uint64(ru.n), end)
+		if l.flip {
+			hi = lo + 1 // spent by the access that fired it
+		}
+		for t := lo; t < hi; t++ {
+			act[t-start] |= 1 << l.slot
+		}
+		if l.act == nil {
+			l.activateAt, l.act = lo, act
+		}
+	}
+}

@@ -1,0 +1,320 @@
+package fault
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/asm"
+	"repro/internal/difftest"
+	"repro/internal/iss"
+	"repro/internal/mem"
+	"repro/internal/obs"
+	"repro/internal/rtl"
+	"repro/internal/workloads"
+)
+
+// allNets returns every IU and CMEM net of r's design, once each.
+func allNets(r *Runner) []rtl.WitnessNet {
+	seen := map[rtl.WitnessNet]bool{}
+	var nets []rtl.WitnessNet
+	for _, target := range []Target{TargetIU, TargetCMEM} {
+		for _, n := range r.Nodes(target) {
+			if wn := (rtl.WitnessNet{Name: n.Node.Name, Word: n.Node.Word}); !seen[wn] {
+				seen[wn] = true
+				nets = append(nets, wn)
+			}
+		}
+	}
+	return nets
+}
+
+// logPrograms is what the log tests run on: two generated programs and the
+// two workalikes the benchmark's campaigns use.
+func logPrograms(t *testing.T) map[string]*asm.Program {
+	t.Helper()
+	progs := map[string]*asm.Program{}
+	for _, seed := range []int64{3, 8} {
+		p, err := asm.Assemble(difftest.Generate(seed, difftest.AllFeatures(200)), mem.RAMBase)
+		if err != nil {
+			t.Fatalf("generated program %d: %v", seed, err)
+		}
+		progs[fmt.Sprintf("generated-%d", seed)] = p
+	}
+	for _, name := range []string{"rspeed", "puwmod"} {
+		w, err := workloads.Build(name, workloads.Config{Iterations: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs[name] = w.Program
+	}
+	return progs
+}
+
+// TestLogEqualsLiveWitness holds the read log to what it replaces: for
+// every IU and CMEM net, the logged runs expand to exactly the accumulators
+// a live witness records cycle by cycle over the same continuation, and the
+// logged raw values — followed at every boundary for signals, on touched
+// cycles for array words — equal the stepped core's word at every boundary,
+// through the cursor and (on a rotating sixteenth of the nets, every
+// boundary) through valueAt's search.
+func TestLogEqualsLiveWitness(t *testing.T) {
+	for name, p := range logPrograms(t) {
+		t.Run(name, func(t *testing.T) {
+			r, err := NewRunner(p, Options{InjectAtFraction: 0.3})
+			if err != nil {
+				t.Skipf("no golden run: %v", err)
+			}
+			nets := allNets(r)
+			polled := make([]bool, len(nets))
+			for i := range polled {
+				polled[i] = true
+			}
+			logs := r.logWalk(nets, polled)
+			if logs == nil {
+				t.Fatal("the logging walk's witness did not arm")
+			}
+
+			eng := r.getEngine()
+			r.ladder().fork(eng, 0)
+			core := eng.core
+			w, err := core.K.StartWitness(nets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Stop()
+			run := make([]int, len(nets)) // per net, the first run not wholly behind the walk
+			val := make([]int, len(nets)) // per net, the next change
+			cur := make([]uint64, len(nets))
+			for i, lg := range logs {
+				cur[i] = lg.v0
+			}
+			var evs []rtl.WitnessEvent
+			live := make([]rtl.WitnessAcc, len(nets))
+			events, runs := 0, 0
+			for core.Status() == iss.StatusRunning {
+				at := core.Cycles()
+				for i, lg := range logs {
+					if val[i] < lg.vals.n && uint64(lg.vals.at(val[i]).t) == at {
+						cur[i] = lg.vals.at(val[i]).v
+						val[i]++
+					}
+					if got := w.Sample(i); cur[i] != got {
+						t.Fatalf("%v at boundary %d: logged word %#x, the core holds %#x", nets[i], at, cur[i], got)
+					}
+					if uint64(i%16) == at%16 && lg.valueAt(at) != cur[i] {
+						t.Fatalf("%v: valueAt(%d) = %#x, want %#x", nets[i], at, lg.valueAt(at), cur[i])
+					}
+				}
+				core.StepCycle()
+				clear(live)
+				evs = w.Drain(evs[:0])
+				events += len(evs)
+				for _, e := range evs {
+					live[e.Net] = e.Acc
+				}
+				for i, lg := range logs {
+					var logged rtl.WitnessAcc
+					if run[i] < lg.runs.n {
+						ru := lg.runs.at(run[i])
+						if uint64(ru.t) <= at {
+							logged = rtl.WitnessAcc{Ones: ru.ones, Zeros: ru.zeros, WriteFirst: ru.writeFirst}
+							if uint64(ru.t)+uint64(ru.n) == at+1 {
+								run[i]++
+							}
+						}
+					}
+					if logged != live[i] {
+						t.Fatalf("%v at cycle %d: logged %+v, live witness %+v", nets[i], at, logged, live[i])
+					}
+				}
+			}
+			for i, lg := range logs {
+				runs += lg.runs.n
+				if run[i] != lg.runs.n {
+					t.Errorf("%v: %d of %d logged runs lie past what the live witness saw", nets[i], lg.runs.n-run[i], lg.runs.n)
+				}
+			}
+			if events == 0 {
+				t.Fatal("the live witness recorded nothing")
+			}
+			t.Logf("%d nets over %d cycles: %d events in %d runs", len(nets), r.GoldenCycles-r.ladder().start, events, runs)
+		})
+	}
+}
+
+// mixedCampaign is a campaign over IU and CMEM nodes under every model, so
+// that signals, array words, polled and unpolled nets all ride it.
+func mixedCampaign(r *Runner, n int, seed int64) []Experiment {
+	nodes := append(SampleNodes(r.Nodes(TargetIU), n, seed), SampleNodes(r.Nodes(TargetCMEM), n/2, seed)...)
+	exps := Expand(nodes, rtl.AllFaultModels()...)
+	r.ScheduleTransients(exps, seed)
+	return exps
+}
+
+// TestLogStateIndependence: a campaign's results do not depend on what the
+// runner's log holds — nothing (a fresh runner), everything it needs and
+// more (20 other campaigns ran first), or never anything (budget 0: every
+// net is logged for the campaign alone and dropped with it) — and equal the
+// from-reset reference's.
+func TestLogStateIndependence(t *testing.T) {
+	for name, p := range logPrograms(t) {
+		t.Run(name, func(t *testing.T) {
+			opts := Options{InjectAtFraction: 0.3, PulseCycles: 2}
+			fresh, ref := enginePair(t, p, opts)
+			exps := mixedCampaign(fresh, 24, 5)
+			want := ref.Campaign(exps, 0)
+			check := func(state string, r *Runner, reg *obs.Registry) map[string]float64 {
+				t.Helper()
+				for _, workers := range []int{1, 2} {
+					if got := r.Campaign(exps, workers); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s runner, %d workers: results differ from the from-reset reference", state, workers)
+					}
+				}
+				if reg == nil {
+					return nil
+				}
+				return engineCounters(t, reg)
+			}
+			check("fresh", fresh, nil)
+
+			reg := obs.NewRegistry()
+			opts.Obs = reg
+			warm, _ := NewRunner(p, opts)
+			for seed := int64(10); seed < 30; seed++ {
+				warm.Campaign(mixedCampaign(warm, 24, seed), 2)
+			}
+			walked := engineCounters(t, reg)["engine_golden_pass_cycles_total"]
+			c := check("warmed", warm, reg)
+			t.Logf("warmed by 20 campaigns: %v bytes of log, %v nets logged, %v hits",
+				c["engine_golden_log_bytes"], c[`engine_golden_log_nets_total{result="logged"}`], c[`engine_golden_log_nets_total{result="hit"}`])
+			if c["engine_golden_log_bytes"] != float64(warm.log.bytes) || warm.log.bytes > logBudget {
+				t.Errorf("log gauge %v, log holds %d bytes, budget %d", c["engine_golden_log_bytes"], warm.log.bytes, logBudget)
+			}
+			// The second run of the campaign found every net logged.
+			warm.Campaign(exps, 2)
+			if again := engineCounters(t, reg)["engine_golden_pass_cycles_total"]; again != c["engine_golden_pass_cycles_total"] || again > walked+float64(warm.GoldenCycles) {
+				t.Errorf("golden cycles stepped: %v after warming, %v after the campaign, %v after its repeat", walked, c["engine_golden_pass_cycles_total"], again)
+			}
+
+			reg = obs.NewRegistry()
+			opts.Obs = reg
+			none, _ := NewRunner(p, opts)
+			none.log.budget = 0
+			c = check("budget-0", none, reg)
+			if none.log.bytes != 0 || len(none.log.nets) != 0 || c[`engine_golden_log_nets_total{result="scratch"}`] == 0 ||
+				c[`engine_golden_log_nets_total{result="logged"}`]+c[`engine_golden_log_nets_total{result="hit"}`] != 0 {
+				t.Errorf("budget 0: the log holds %d bytes over %d nets, counters %v", none.log.bytes, len(none.log.nets), c)
+			}
+			if span := float64(none.GoldenCycles - none.ladder().start); c["engine_golden_pass_cycles_total"] != 2*span {
+				t.Errorf("budget 0: %v golden cycles over two campaigns, want one %v-cycle walk each", c["engine_golden_pass_cycles_total"], span)
+			}
+		})
+	}
+}
+
+// TestConcurrentCampaignsShareTheLog is the service's shard shape: four
+// goroutines run different campaigns on one cold runner at once. Every
+// result equals the serial run's on another runner, and — every net being
+// asked for with its raw values from the start — no net is logged twice
+// however the walks interleave: the nets logged are the distinct nets of
+// the four campaigns.
+func TestConcurrentCampaignsShareTheLog(t *testing.T) {
+	w, err := workloads.Build("excerptB", workloads.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{InjectAtFraction: 0.4, PulseCycles: 2}
+	serial, err := NewRunner(w.Program, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	opts.Obs = reg
+	r, err := NewRunner(w.Program, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards = 4
+	var camps [shards][]Experiment
+	var want [shards][]Result
+	distinct := map[rtl.WitnessNet]bool{}
+	for i := range camps {
+		camps[i] = mixedCampaign(serial, 32, int64(40+i))
+		want[i] = serial.Campaign(camps[i], 1)
+		for _, e := range camps[i] {
+			// Every valid node of these targets has a lane under some model.
+			distinct[rtl.WitnessNet{Name: e.Node.Node.Name, Word: e.Node.Node.Word}] = true
+		}
+	}
+	var wg sync.WaitGroup
+	for i := range camps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := r.Campaign(camps[i], 2); !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("campaign %d beside three others differs from its serial run", i)
+			}
+		}()
+	}
+	wg.Wait()
+	c := engineCounters(t, reg)
+	if logged := c[`engine_golden_log_nets_total{result="logged"}`]; logged != float64(len(distinct)) || len(r.log.nets) != len(distinct) {
+		t.Errorf("%v nets logged, %d in the log, over %d distinct nets: a net was walked twice, or not at all", logged, len(r.log.nets), len(distinct))
+	}
+	if walks := c["engine_golden_pass_cycles_total"] / float64(r.GoldenCycles-r.ladder().start); walks < 1 || walks > shards {
+		t.Errorf("%v walks for %d concurrent cold campaigns", walks, shards)
+	}
+}
+
+// TestLogFootprint holds the read log to its budget beside
+// TestLadderFootprint: after a campaign has asked for every IU and CMEM net
+// with its raw values, what the runner retains is within logBudget, by the
+// log's own books and by the heap's, and the books are not far below the
+// heap (the flat per-net charge covers the struct and the map entry).
+func TestLogFootprint(t *testing.T) {
+	for _, name := range []string{"rspeed", "puwmod"} {
+		t.Run(name, func(t *testing.T) {
+			w, err := workloads.Build(name, workloads.Config{Iterations: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewRunner(w.Program, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.PrepareCheckpoint()
+			r.putEngine(r.getEngine()) // the walk keeps one
+			m := &memo{netIdx: map[rtl.WitnessNet]int32{}, nets: allNets(r)}
+			for i, n := range m.nets {
+				m.netIdx[n] = int32(i)
+				m.polled = append(m.polled, true)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			r.readLogs(m)
+			logged, runs, vals := len(r.log.nets), 0, 0
+			for _, lg := range m.logs {
+				runs += lg.runs.n
+				vals += lg.vals.n
+			}
+			asked := len(m.nets)
+			m = nil // what did not fit was the campaign's alone
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			heap := int(after.HeapAlloc) - int(before.HeapAlloc)
+			t.Logf("%d nets over %d cycles: %d runs, %d value changes; %d nets kept in %d KiB by the log's books, %d KiB of heap",
+				asked, r.GoldenCycles, runs, vals, logged, r.log.bytes>>10, heap>>10)
+			if r.log.bytes > logBudget || heap > logBudget {
+				t.Errorf("the log retains %d bytes by its books, %d of heap; budget %d", r.log.bytes, heap, logBudget)
+			}
+			if logged == 0 || heap > 0 && r.log.bytes < heap*3/4 {
+				t.Errorf("%d nets logged; the books say %d bytes where the heap says %d", logged, r.log.bytes, heap)
+			}
+			runtime.KeepAlive(r)
+		})
+	}
+}

@@ -200,7 +200,7 @@ func arrayWordEdges(t *testing.T, r *Runner) []Experiment {
 	found := map[edge]bool{}
 	kinds := map[string]int{}
 	var exps []Experiment
-	acc := w.Accs()
+	var evs []rtl.WitnessEvent
 	before := make([]uint64, len(nets))
 	for core.Status() == iss.StatusRunning {
 		for i := range nets {
@@ -208,9 +208,9 @@ func arrayWordEdges(t *testing.T, r *Runner) []Experiment {
 		}
 		at := core.Cycles()
 		core.StepCycle()
-		for i, n := range nets {
-			a := acc[i]
-			acc[i] = rtl.WitnessAcc{}
+		evs = w.Drain(evs[:0])
+		for _, ev := range evs {
+			i, n, a := int(ev.Net), nets[ev.Net], ev.Acc
 			read, kind := a.Ones|a.Zeros != 0, ""
 			switch {
 			case a.WriteFirst && read:
@@ -361,9 +361,11 @@ func TestPassRecordBounded(t *testing.T) {
 // less (8 and 17,678 hang cycles). The SEU campaign's forks and heals did
 // not move with B: a flip has no later activation to be re-forked at.
 //
-// The golden continuation itself is walked once per worker — one pass for
-// the campaign's lane groups at one worker, two at two — and the worker
-// count moves nothing else.
+// The golden continuation itself is walked once, at plan time, by a campaign
+// that brings a net the runner's read log lacks — GoldenCycles − InjectCycle
+// cycles whatever the worker count — and a second campaign on the runner
+// steps no golden cycle at all: every net is answered from the log, and
+// every other counter doubles exactly.
 func TestReconvergenceWorkCounters(t *testing.T) {
 	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 2})
 	if err != nil {
@@ -406,12 +408,29 @@ func TestReconvergenceWorkCounters(t *testing.T) {
 						t.Errorf("%d workers: %s = %v, want %v", workers, name, got, want)
 					}
 				}
-				remainder := float64(r.GoldenCycles - r.InjectCycle())
-				if got, want := counters["engine_golden_pass_cycles_total"], float64(workers)*remainder; got != want {
-					t.Errorf("%d workers: golden pass cycles = %v, want %d passes x %.0f cycles", workers, got, workers, remainder)
+				if got, want := counters["engine_golden_pass_cycles_total"], float64(r.GoldenCycles-r.InjectCycle()); got != want {
+					t.Errorf("%d workers: a cold campaign stepped %v golden cycles, want one walk of %v", workers, got, want)
 				}
-				delete(counters, "engine_golden_pass_cycles_total")
+				nets := counters[`engine_golden_log_nets_total{result="logged"}`]
+				if nets == 0 || counters[`engine_golden_log_nets_total{result="hit"}`] != 0 || counters[`engine_golden_log_nets_total{result="scratch"}`] != 0 {
+					t.Errorf("%d workers: a cold campaign's nets were not all logged: %v", workers, counters)
+				}
 				delete(counters, "engine_golden_pass_seconds_total")
+				r.Campaign(exps, workers)
+				warm := engineCounters(t, reg)
+				delete(warm, "engine_golden_pass_seconds_total")
+				for name, v := range counters {
+					want := 2 * v
+					switch name {
+					case "engine_golden_pass_cycles_total", "engine_golden_log_bytes", `engine_golden_log_nets_total{result="logged"}`:
+						want = v // nothing walked, nothing logged
+					case `engine_golden_log_nets_total{result="hit"}`:
+						want = nets
+					}
+					if warm[name] != want {
+						t.Errorf("%d workers: %s = %v after a second campaign, want %v", workers, name, warm[name], want)
+					}
+				}
 				if first == nil {
 					first = counters
 				} else if !reflect.DeepEqual(counters, first) {

@@ -75,7 +75,11 @@ func readOperand(t *testing.T, matching uint, squashed ...string) (uint64, rtl.W
 	}
 	defer w.Stop()
 	c.regaccessComb()
-	return c.wRaOp1.Get(), w.Accs()[0]
+	var acc rtl.WitnessAcc
+	for _, e := range w.Drain(nil) {
+		acc = e.Acc
+	}
+	return c.wRaOp1.Get(), acc
 }
 
 // TestBypassedOperandIsNotRead: an operand a bypass supplies leaves the

@@ -147,19 +147,18 @@ func TestUnreadArrayWordsCarryNoState(t *testing.T) {
 				readFirst
 			)
 			fate := make([]int, n)
-			acc := wit.Accs()
+			var evs []rtl.WitnessEvent
 			for pass.Status() == iss.StatusRunning {
 				pass.StepCycle()
-				for i := range acc {
-					if fate[i] == untouched {
-						switch {
-						case acc[i].WriteFirst:
-							fate[i] = writtenFirst
-						case acc[i].Ones|acc[i].Zeros != 0:
-							fate[i] = readFirst
+				evs = wit.Drain(evs[:0])
+				for _, e := range evs {
+					if fate[e.Net] == untouched {
+						// A drained net was written first or read.
+						fate[e.Net] = readFirst
+						if e.Acc.WriteFirst {
+							fate[e.Net] = writtenFirst
 						}
 					}
-					acc[i] = rtl.WitnessAcc{}
 				}
 			}
 			wit.Stop()

@@ -74,8 +74,8 @@ type Signal struct {
 	fMask uint64 // faulted bits
 	fVal  uint64 // values of faulted bits
 
-	bridges []bridge    // saboteur-style shorts to other nets
-	obs     *WitnessAcc // read-observation accumulator (nil unless witnessed)
+	bridges []bridge  // saboteur-style shorts to other nets
+	obs     *observer // read-observation accumulator (nil unless witnessed)
 
 	k    *Kernel
 	name string
@@ -113,9 +113,10 @@ func (s *Signal) getSlow() uint64 {
 	if s.bridges != nil {
 		v = s.applyBridges(v)
 	}
-	if s.obs != nil {
-		s.obs.Ones |= v
-		s.obs.Zeros |= ^v
+	if o := s.obs; o != nil {
+		o.touch()
+		o.Ones |= v
+		o.Zeros |= ^v
 	}
 	return v
 }
@@ -176,7 +177,7 @@ type MemArray struct {
 	fMask uint64
 	fVal  uint64
 
-	obs []*WitnessAcc // per-word read observers (nil unless witnessed)
+	obs []*observer // per-word read observers (nil unless witnessed)
 
 	off   int // word offset into the kernel array slab
 	width int
@@ -200,9 +201,10 @@ func (a *MemArray) Read(i int) uint64 {
 		v = (v &^ a.fMask) | a.fVal
 	}
 	if a.obs != nil {
-		if w := a.obs[i]; w != nil {
-			w.Ones |= v
-			w.Zeros |= ^v
+		if o := a.obs[i]; o != nil {
+			o.touch()
+			o.Ones |= v
+			o.Zeros |= ^v
 		}
 	}
 	return v
@@ -216,8 +218,9 @@ func (a *MemArray) Read(i int) uint64 {
 func (a *MemArray) Write(i int, v uint64) {
 	a.data[i] = v & a.mask
 	if a.obs != nil {
-		if w := a.obs[i]; w != nil && w.Ones|w.Zeros == 0 {
-			w.WriteFirst = true
+		if o := a.obs[i]; o != nil && o.Ones|o.Zeros == 0 {
+			o.touch()
+			o.WriteFirst = true
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package rtl
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements read witnessing, the kernel seam of the batched
 // (bit-parallel) fault-simulation engine. A witness observes, during a
@@ -41,17 +44,47 @@ type WitnessAcc struct {
 }
 
 // Witness is an armed set of observation accumulators over watched nets.
-// It is arm-once, drain-per-cycle: the caller reads (and resets) the
-// accumulator slice between kernel cycles, then calls Stop to disarm.
-// Witnessing composes with fault forcing (the recorded value is the
-// value Get returns, forcing and bridges applied), but its intended use
-// is on a clean design, where the recorded values are the golden ones.
+// It is arm-once, drain-per-cycle: the caller drains between kernel
+// cycles, then calls Stop to disarm. Witnessing composes with fault
+// forcing (the recorded value is the value Get returns, forcing and
+// bridges applied), but its intended use is on a clean design, where the
+// recorded values are the golden ones.
 type Witness struct {
-	k    *Kernel
-	acc  []WitnessAcc
-	nets []WitnessNet
-	sigs []*Signal   // armed signal observers (parallel to nets; nil entries for array nets)
+	obs []observer // one per net, indexed like the nets passed to StartWitness
+	raw []*uint64  // each net's raw slab word, for Sample
+	// head chains the nets observed since the last drain, most recent first
+	// touch first: a drain visits the nets the design touched and no other.
+	// Links are 1 + an index into obs, chainEnd past the last, so that
+	// touching a net stores no pointer.
+	head int32
+	sigs []*Signal   // armed signal observers (parallel to obs; nil entries for array nets)
 	arrs []*MemArray // arrays with at least one armed word, for Stop
+}
+
+// observer is one watched net's accumulator and its link in the witness's
+// touched chain: next is 0 while the accumulator is empty.
+type observer struct {
+	WitnessAcc
+	w    *Witness
+	net  int32
+	next int32
+}
+
+const chainEnd = -1
+
+// touch chains an empty accumulator's net for the next drain. It must stay
+// cheap enough for MemArray.Read and Write to inline.
+func (o *observer) touch() {
+	if o.next == 0 {
+		o.next, o.w.head = o.w.head, o.net+1
+	}
+}
+
+// WitnessEvent is what one net recorded between two drains. Net indexes
+// the nets passed to StartWitness.
+type WitnessEvent struct {
+	Net int32
+	Acc WitnessAcc
 }
 
 // StartWitness arms read observation on the given nets and returns the
@@ -61,13 +94,9 @@ type Witness struct {
 // kernel's hot path pays for witnessing only on the watched nets
 // themselves, exactly like fault forcing.
 func (k *Kernel) StartWitness(nets []WitnessNet) (*Witness, error) {
-	w := &Witness{k: k, acc: make([]WitnessAcc, len(nets)), nets: append([]WitnessNet(nil), nets...)}
-	w.sigs = make([]*Signal, len(nets))
-	type arrNet struct {
-		a *MemArray
-		i int // index into nets/acc
-	}
-	var arrNets []arrNet
+	w := &Witness{obs: make([]observer, len(nets)), raw: make([]*uint64, len(nets)), sigs: make([]*Signal, len(nets))}
+	w.head = chainEnd
+	arrs := make([]*MemArray, len(nets)) // parallel to nets; nil entries for signals
 	seen := make(map[WitnessNet]bool, len(nets))
 	for i, n := range nets {
 		if seen[n] {
@@ -81,7 +110,7 @@ func (k *Kernel) StartWitness(nets []WitnessNet) (*Witness, error) {
 			if s.obs != nil {
 				return nil, fmt.Errorf("rtl: witness net %s already witnessed", n.Name)
 			}
-			w.sigs[i] = s
+			w.sigs[i], w.raw[i] = s, s.curp
 			continue
 		}
 		a := k.findArray(n.Name)
@@ -94,51 +123,46 @@ func (k *Kernel) StartWitness(nets []WitnessNet) (*Witness, error) {
 		if a.obs != nil && a.obs[n.Word] != nil {
 			return nil, fmt.Errorf("rtl: witness net %s[%d] already witnessed", n.Name, n.Word)
 		}
-		arrNets = append(arrNets, arrNet{a: a, i: i})
+		arrs[i], w.raw[i] = a, &a.data[n.Word]
 	}
 	// Validation passed; arm everything.
-	for i, s := range w.sigs {
-		if s == nil {
+	for i := range w.obs {
+		o := &w.obs[i]
+		o.w, o.net = w, int32(i)
+		if s := w.sigs[i]; s != nil {
+			s.obs = o
+			s.updateSlow()
 			continue
 		}
-		s.obs = &w.acc[i]
-		s.updateSlow()
-	}
-	for _, an := range arrNets {
-		if an.a.obs == nil {
-			an.a.obs = make([]*WitnessAcc, len(an.a.data))
-			w.arrs = append(w.arrs, an.a)
-		} else if !containsArr(w.arrs, an.a) {
-			w.arrs = append(w.arrs, an.a)
+		a := arrs[i]
+		if a.obs == nil {
+			a.obs = make([]*observer, len(a.data))
 		}
-		an.a.obs[w.nets[an.i].Word] = &w.acc[an.i]
+		if !slices.Contains(w.arrs, a) {
+			w.arrs = append(w.arrs, a)
+		}
+		a.obs[nets[i].Word] = o
 	}
 	return w, nil
 }
 
-func containsArr(as []*MemArray, a *MemArray) bool {
-	for _, x := range as {
-		if x == a {
-			return true
-		}
+// Drain appends to dst what each net recorded since the last drain — one
+// event per net the design touched, untouched nets cost nothing — and
+// resets those accumulators.
+func (w *Witness) Drain(dst []WitnessEvent) []WitnessEvent {
+	for h := w.head; h != chainEnd; {
+		o := &w.obs[h-1]
+		dst = append(dst, WitnessEvent{Net: o.net, Acc: o.WitnessAcc})
+		h, o.next, o.WitnessAcc = o.next, 0, WitnessAcc{}
 	}
-	return false
+	w.head = chainEnd
+	return dst
 }
-
-// Accs returns the live accumulator slice, indexed like the nets passed
-// to StartWitness. Callers drain a cycle's observations by copying the
-// entries out and zeroing them in place.
-func (w *Witness) Accs() []WitnessAcc { return w.acc }
 
 // Sample returns the present raw (committed, unforced) value of watched
 // net i without recording an observation — the charge-sampling models'
 // view of the net at an injection instant.
-func (w *Witness) Sample(i int) uint64 {
-	if s := w.sigs[i]; s != nil {
-		return *s.curp
-	}
-	return w.k.findArray(w.nets[i].Name).data[w.nets[i].Word]
-}
+func (w *Witness) Sample(i int) uint64 { return *w.raw[i] }
 
 // Stop disarms every observer. The witness must be stopped before its
 // kernel is reused for non-witnessed simulation (pooled campaign cores),

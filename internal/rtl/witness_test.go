@@ -28,6 +28,16 @@ func buildWitnessDesign() (*Kernel, *Signal, *Signal, *Signal, *MemArray) {
 	return k, src, gated, sel, arr
 }
 
+// drained returns what each of a witness's n nets recorded since the last
+// drain, indexed like the nets it was started on.
+func drained(w *Witness, n int) []WitnessAcc {
+	acc := make([]WitnessAcc, n)
+	for _, e := range w.Drain(nil) {
+		acc[e.Net] = e.Acc
+	}
+	return acc
+}
+
 func TestWitnessRecordsOnlyConsumedReads(t *testing.T) {
 	k, _, gated, _, arr := buildWitnessDesign()
 	gated.SetNext(0x5)
@@ -38,20 +48,20 @@ func TestWitnessRecordsOnlyConsumedReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := w.Accs()
 
 	// sel=1: gated read, arr not.
 	k.Cycle()
+	acc := drained(w, 3)
 	if acc[0].Ones != 0x5 || acc[0].Zeros&0xffffffff != ^uint64(0x5)&0xffffffff {
 		t.Fatalf("gated acc after consumed read: %+v", acc[0])
 	}
 	if acc[1] != (WitnessAcc{}) || acc[2] != (WitnessAcc{}) {
 		t.Fatalf("array words observed without being read: %+v %+v", acc[1], acc[2])
 	}
-	acc[0] = WitnessAcc{}
 
 	// sel=2: arr[2] read, gated not.
 	k.Cycle()
+	acc = drained(w, 3)
 	if acc[0] != (WitnessAcc{}) {
 		t.Fatalf("gated observed on a non-consuming cycle: %+v", acc[0])
 	}
@@ -63,25 +73,62 @@ func TestWitnessRecordsOnlyConsumedReads(t *testing.T) {
 	}
 
 	// Sample returns raw values without recording.
-	acc[1] = WitnessAcc{}
 	if got := w.Sample(1); got != 0xf0 {
 		t.Fatalf("Sample(arr[2]) = %#x", got)
 	}
 	if got := w.Sample(0); got != 0x5 {
 		t.Fatalf("Sample(gated) = %#x", got)
 	}
-	if acc[0] != (WitnessAcc{}) || acc[1] != (WitnessAcc{}) {
-		t.Fatal("Sample recorded an observation")
+	if evs := w.Drain(nil); len(evs) != 0 {
+		t.Fatalf("Sample recorded an observation: %+v", evs)
 	}
 
 	w.Stop()
 	k.Cycle() // sel=3: both consumed, but witness is stopped
-	if acc[0] != (WitnessAcc{}) || acc[1] != (WitnessAcc{}) {
-		t.Fatalf("observation after Stop: %+v %+v", acc[0], acc[1])
+	if evs := w.Drain(nil); len(evs) != 0 {
+		t.Fatalf("observation after Stop: %+v", evs)
 	}
 	for _, s := range k.Signals() {
 		if s.slow != 0 {
 			t.Fatalf("signal %s still on slow path after Stop", s.Name())
+		}
+	}
+}
+
+// TestWitnessDrainVisitsTouchedNets pins the drain: it yields one event per
+// net touched since the last drain — however often the net was read — and
+// nothing for the others, resets what it yields, and a net touched again
+// after a drain is yielded again.
+func TestWitnessDrainVisitsTouchedNets(t *testing.T) {
+	k, _, gated, _, arr := buildWitnessDesign()
+	gated.SetNext(0x5)
+	arr.Write(2, 0xf0)
+	k.Cycle() // sel=1 after this edge
+	w, err := k.StartWitness([]WitnessNet{{Name: "arr", Word: 3}, {Name: "sel"}, {Name: "gated"}, {Name: "arr", Word: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Stop()
+	for cycle, want := range [][]int32{{1, 2}, {1, 3}, {1, 2, 3}, {1}} { // sel=1, 2, 3, 4
+		k.Cycle() // sel is read three times a cycle
+		evs := w.Drain(nil)
+		got := map[int32]bool{}
+		for _, e := range evs {
+			if got[e.Net] || e.Acc == (WitnessAcc{}) {
+				t.Fatalf("cycle %d: net %d drained twice or empty: %+v", cycle, e.Net, evs)
+			}
+			got[e.Net] = true
+		}
+		if len(evs) != len(want) {
+			t.Fatalf("cycle %d: drained %+v, want nets %v", cycle, evs, want)
+		}
+		for _, n := range want {
+			if !got[n] {
+				t.Fatalf("cycle %d: drained %+v, want nets %v", cycle, evs, want)
+			}
+		}
+		if again := w.Drain(nil); len(again) != 0 {
+			t.Fatalf("cycle %d: a second drain yielded %+v", cycle, again)
 		}
 	}
 }
@@ -98,7 +145,7 @@ func TestWitnessComposesWithForcing(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Cycle() // sel=1: gated consumed; witness sees the forced value
-	if got := w.Accs()[0].Ones; got != 0xfe {
+	if got := drained(w, 1)[0].Ones; got != 0xfe {
 		t.Fatalf("witness recorded %#x, want forced 0xfe", got)
 	}
 	k.ClearFaults()
@@ -267,14 +314,11 @@ func TestWitnessWriteFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := w.Accs()
 	cycle := func(ops string) WitnessAcc {
 		t.Helper()
 		op = ops
 		k.Cycle()
-		got := acc[0]
-		acc[0] = WitnessAcc{} // drain
-		return got
+		return drained(w, 1)[0]
 	}
 
 	if got := cycle("wr"); !got.WriteFirst || got.Ones == 0 {
@@ -297,10 +341,9 @@ func TestWitnessWriteFirst(t *testing.T) {
 	k.Cycle()
 	op = "w"
 	k.Cycle()
-	if acc[0].WriteFirst {
-		t.Errorf("write after an undrained read marked WriteFirst: %+v", acc[0])
+	if got := drained(w, 1)[0]; got.WriteFirst {
+		t.Errorf("write after an undrained read marked WriteFirst: %+v", got)
 	}
-	acc[0] = WitnessAcc{}
 
 	w.Stop()
 	if got := cycle("wr"); got != (WitnessAcc{}) {
