@@ -85,15 +85,22 @@ fmt-check:
 # lease/progress/complete/fail/reclaim and malformed or duplicate
 # results, held to a reference model — every index merged exactly once,
 # the attempt and reclaim bounds honoured, termination.
+# FuzzStoreFile, the result store: arbitrary bytes where an entry belongs
+# (bit flips, truncations, mangled headers), found by Open or behind an
+# open store's back, are never served, are deleted, and leave the key
+# free to be Put again. It fsyncs for real, so it runs tens of inputs a
+# second, not thousands.
 # 10s each is a smoke, not a campaign; run longer locally with
 # `go test -fuzz FuzzJournalReplay -fuzztime 5m ./internal/store/`,
-# `go test -fuzz FuzzLaneEquivalence -fuzztime 5m ./internal/fault/` or
-# `go test -fuzz FuzzCoordinatorModel -fuzztime 5m ./internal/jobs/`.
+# `go test -fuzz FuzzLaneEquivalence -fuzztime 5m ./internal/fault/`,
+# `go test -fuzz FuzzCoordinatorModel -fuzztime 5m ./internal/jobs/` or
+# `go test -fuzz FuzzStoreFile -fuzztime 5m ./internal/store/`.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzLaneEquivalence -fuzztime $(FUZZTIME) ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzCoordinatorModel -fuzztime $(FUZZTIME) ./internal/jobs/
+	$(GO) test -run '^$$' -fuzz FuzzStoreFile -fuzztime $(FUZZTIME) ./internal/store/
 
 # staticcheck is optional locally (the container may not ship it); CI
 # installs and runs it unconditionally via its action.

@@ -301,6 +301,7 @@ func checkMetrics(mid, final metrics) error {
 		"http_request_seconds_bucket{",
 		"jobs_job_duration_seconds_count",
 		"jobs_campaign_stage_seconds_count{",
+		"store_journal_fsync_seconds_count",
 	} {
 		if !final.hasPrefix(prefix) {
 			return fmt.Errorf("metrics: no series matching %s", prefix)
@@ -328,6 +329,10 @@ func checkMetrics(mid, final metrics) error {
 	}
 	if v := final.value("store_results"); v != 1 {
 		return fmt.Errorf("store_results = %v, want 1", v)
+	}
+	// The one submission that created a job was answered after an fsync.
+	if v := final.value("store_journal_fsync_seconds_count"); v < 1 {
+		return fmt.Errorf("store_journal_fsync_seconds_count = %v after a journaled submission, want >= 1", v)
 	}
 	return nil
 }

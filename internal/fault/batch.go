@@ -52,7 +52,7 @@ import (
 // campaign is byte-identical to a scalar one (TestEngineEquivalence
 // checks this for every fault model) — once per forcing: an open-line
 // lane is the twin of the stuck-at lane of its sampled charge, and the
-// campaign's memo hands it that lane's verdict (resolveOnce). A forked
+// campaign's verdict table hands it that lane's verdict (resolveOnce). A forked
 // lane that heals is dropped back onto the golden trajectory, or
 // teleported forward to its next activation cycle; one whose state
 // recurs is a proven hang. A pass keeps no golden state and steps no
@@ -88,25 +88,24 @@ type forcing struct {
 	injectAt, pulseEnd uint64
 }
 
-// memo resolves each forcing of a campaign once: the first lane to arrive
-// simulates under its verdict's lock, where a twin arriving meanwhile
-// waits. Pooled like passBuf; verdicts has the campaign's lane count for
-// capacity before dispatch, so no verdict moves under a waiter.
-//
-// It also holds what the plan fixes for every pass and no worker writes: the
-// deduplicated nets of the campaign's lanes (lanes may fault different
-// bits, or models, of one net) and their read logs.
-type memo struct {
-	mu       sync.Mutex
-	idx      map[forcing]int32
-	verdicts []verdict
-
-	netIdx map[rtl.WitnessNet]int32
-	nets   []rtl.WitnessNet
-	polled []bool    // per net: a SET lane samples its raw word at an instant of its own
-	logs   []*netLog // per net; empty if the logging walk's witness failed to arm
-	netOf  []int32   // per experiment, its net; -1 for one that runs scalar
+// Verdicts resolves each forcing of a campaign once: the first lane to
+// arrive simulates under its verdict's lock, where a twin arriving meanwhile
+// waits, and every later twin copies the result. A campaign run as one call
+// uses the table its memo keeps; a caller that runs one campaign as several
+// calls on one runner — the local shards of a sharded campaign — makes one
+// table and hands it to each (CampaignShared), so a forcing is simulated once
+// however the experiments were cut. Scheduling only: a verdict is a function
+// of its forcing, so whether a lane computes it or copies it changes no
+// result, only the work counters. Verdicts live in fixed chunks and never
+// move, so the table may grow under a waiter.
+type Verdicts struct {
+	mu     sync.Mutex
+	idx    map[forcing]int32
+	chunks []*[verdictChunk]verdict
+	n      int
 }
+
+const verdictChunk = 64
 
 type verdict struct {
 	mu   sync.Mutex
@@ -114,16 +113,48 @@ type verdict struct {
 	res  Result
 }
 
-func (m *memo) verdict(f forcing) *verdict {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	i, ok := m.idx[f]
-	if !ok {
-		i = int32(len(m.verdicts))
-		m.idx[f] = i
-		m.verdicts = append(m.verdicts, verdict{})
+// NewVerdicts returns an empty table.
+func NewVerdicts() *Verdicts { return &Verdicts{idx: map[forcing]int32{}} }
+
+// Reset empties the table for another campaign and keeps its storage. No
+// call that was handed the table may still be running.
+func (t *Verdicts) Reset() {
+	clear(t.idx)
+	for _, c := range t.chunks[:(t.n+verdictChunk-1)/verdictChunk] {
+		*c = [verdictChunk]verdict{}
 	}
-	return &m.verdicts[i]
+	t.n = 0
+}
+
+func (t *Verdicts) verdict(f forcing) *verdict {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	i, ok := t.idx[f]
+	if !ok {
+		i = int32(t.n)
+		t.idx[f] = i
+		if t.n == len(t.chunks)*verdictChunk {
+			t.chunks = append(t.chunks, new([verdictChunk]verdict))
+		}
+		t.n++
+	}
+	return &t.chunks[i/verdictChunk][i%verdictChunk]
+}
+
+// memo is what the plan fixes for every pass of one CampaignShared call and
+// no worker writes — the deduplicated nets of the call's lanes (lanes may
+// fault different bits, or models, of one net) and their read logs — and the
+// verdict table its lanes resolve through: the caller's, or its own. Pooled
+// like passBuf.
+type memo struct {
+	verdicts *Verdicts // the caller's table, or own
+	own      *Verdicts
+
+	netIdx map[rtl.WitnessNet]int32
+	nets   []rtl.WitnessNet
+	polled []bool    // per net: a SET lane samples its raw word at an instant of its own
+	logs   []*netLog // per net; empty if the logging walk's witness failed to arm
+	netOf  []int32   // per experiment, its net; -1 for one that runs scalar
 }
 
 // passBuf is the pooled storage of one walk.
@@ -161,7 +192,7 @@ type planItem struct {
 // Result content is independent of the partition. The plan also asks the
 // runner, once, for the read logs of the lanes' nets (readLogs): the one
 // place a campaign may step golden cycles.
-func (r *Runner) planBatches(exps []Experiment, workers int) ([]planItem, []*pass) {
+func (r *Runner) planBatches(exps []Experiment, workers int, shared *Verdicts) ([]planItem, []*pass) {
 	if r.opts.NoCheckpoint {
 		plan := make([]planItem, len(exps))
 		for i := range plan {
@@ -173,9 +204,12 @@ func (r *Runner) planBatches(exps []Experiment, workers int) ([]planItem, []*pas
 	k := eng.core.K
 	m := r.memos.get()
 	if m == nil {
-		m = &memo{idx: map[forcing]int32{}, netIdx: map[rtl.WitnessNet]int32{}}
+		m = &memo{own: NewVerdicts(), netIdx: map[rtl.WitnessNet]int32{}}
 	}
-	clear(m.idx)
+	if m.verdicts = shared; shared == nil {
+		m.own.Reset()
+		m.verdicts = m.own
+	}
 	clear(m.netIdx)
 	m.nets, m.polled = m.nets[:0], m.polled[:0]
 	m.netOf = slices.Grow(m.netOf[:0], len(exps))[:len(exps)]
@@ -204,7 +238,6 @@ func (r *Runner) planBatches(exps []Experiment, workers int) ([]planItem, []*pas
 	gcap := max(1, actBudget/8/int(max(1, r.GoldenCycles-r.ladder().start)))
 	passes := make([]*pass, max((groups+gcap-1)/gcap, min(workers, groups)))
 	if len(passes) > 0 {
-		m.verdicts = slices.Grow(m.verdicts[:0], lanes)
 		r.readLogs(m)
 		for i := range passes {
 			passes[i] = &pass{memo: m, idxs: make([]int, 0, (groups+len(passes)-1)/len(passes)*maxLanes)}
@@ -225,7 +258,7 @@ func (r *Runner) planBatches(exps []Experiment, workers int) ([]planItem, []*pas
 		}
 	}
 	if len(passes) == 0 {
-		r.memos.put(m) // no lane: no pass carries the memo to the campaign's end
+		r.putMemo(m) // no lane: no pass carries the memo to the campaign's end
 	}
 	return plan, passes
 }
@@ -345,14 +378,14 @@ func (r *Runner) runGroup(exps []Experiment, p *pass, g int, deliver func(i int,
 }
 
 // resolveOnce returns activated lane j's verdict: resolved here if the lane
-// is the first of its forcing in the campaign, its twin's under its own
-// Fault otherwise. An upset array word is no forcing and always resolved.
+// is the first of its forcing in the campaign's table, its twin's under its
+// own Fault otherwise. An upset array word is no forcing and always resolved.
 func (r *Runner) resolveOnce(eng *engine, lad *ladder, p *pass, j int) Result {
 	l := &p.lanes[j]
 	if l.e.Model == rtl.BitFlip {
 		return r.resolve(eng, lad, l)
 	}
-	v := p.memo.verdict(forcing{l.f.Node, l.forcedOne, l.injectAt, l.pulseEnd})
+	v := p.memo.verdicts.verdict(forcing{l.f.Node, l.forcedOne, l.injectAt, l.pulseEnd})
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.done {

@@ -271,7 +271,7 @@ func TestForkAllocatesNothing(t *testing.T) {
 		}
 	}
 	exps := Expand(SampleNodes(regs, 256, 1), rtl.StuckAt0, rtl.StuckAt1)
-	_, passes := r.planBatches(exps, 1)
+	_, passes := r.planBatches(exps, 1, nil)
 	r.walk(exps, passes[0])
 	eng, lad := r.getEngine(), r.ladder()
 	forks := func() float64 { return engineCounters(t, reg)["engine_snapshot_materializations_total"] }

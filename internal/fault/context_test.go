@@ -196,7 +196,7 @@ func TestStoppedCampaignSamplesInputMix(t *testing.T) {
 	scalar := make([]bool, len(exps))
 	scalars := 0
 	for _, workers := range []int{1, 2, 3, 5} {
-		plan, passes := r.planBatches(exps, workers)
+		plan, passes := r.planBatches(exps, workers, nil)
 		at, groups := -1, 0
 		for _, it := range plan {
 			pos := it.idx

@@ -43,11 +43,13 @@ type CampaignEngine interface {
 	Checkpointed() bool
 	// RunOne executes a single injection experiment.
 	RunOne(e Experiment) Result
-	// CampaignStopContext runs the experiments across workers with
+	// CampaignShared runs the experiments across workers with
 	// per-completion taps and an optional sequential stop rule; see
-	// dispatch for the full contract.
-	CampaignStopContext(ctx context.Context, exps []Experiment, workers int,
-		tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error)
+	// dispatch for the full contract. shared, when non-nil, is the verdict
+	// table of the campaign these experiments are a part of (see Verdicts):
+	// scheduling, never content, and an engine without one ignores it.
+	CampaignShared(ctx context.Context, exps []Experiment, workers int,
+		tap func(i int, res Result), stop func(done, failures int) bool, shared *Verdicts) ([]Result, []bool, error)
 }
 
 // Both campaign backends satisfy the engine contract.

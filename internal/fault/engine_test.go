@@ -74,7 +74,7 @@ func TestSharedPassEquivalence(t *testing.T) {
 			exps := Expand(nodes, rtl.AllFaultModels()...)
 			prod.ScheduleTransients(exps, 13)
 			for _, workers := range []int{1, 2, 3, 5} {
-				plan, passes := prod.planBatches(exps, workers)
+				plan, passes := prod.planBatches(exps, workers, nil)
 				lanes := 0
 				for _, p := range passes {
 					lanes += len(p.idxs)
@@ -310,7 +310,7 @@ func TestBatchedCampaignRace(t *testing.T) {
 	nodes := SampleNodes(r.Nodes(TargetIU), 160, 11)
 	exps := Expand(nodes, rtl.AllFaultModels()...)
 	r.ScheduleTransients(exps, 4)
-	if _, passes := r.planBatches(exps, 8); len(passes) != 8 || len(passes[0].idxs) != 2*maxLanes {
+	if _, passes := r.planBatches(exps, 8, nil); len(passes) != 8 || len(passes[0].idxs) != 2*maxLanes {
 		t.Fatalf("8 workers plan %d passes, the first of %d lanes: want one per worker, the first ones shared by two groups", len(passes), len(passes[0].idxs))
 	}
 	par := r.Campaign(exps, 8)

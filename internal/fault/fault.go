@@ -223,8 +223,8 @@ type Runner struct {
 	// engines keeps reusable RTL cores: each campaign worker restores a
 	// kept core in place per experiment instead of rebuilding the whole
 	// design graph with leon3.New. passBufs keeps the lanes and activation
-	// records of witnessed passes, memos the campaigns' verdict memos; both
-	// are held until their campaign's dispatch ends.
+	// records of witnessed passes, memos the campaigns' net plans and verdict
+	// tables; both are held until their campaign's dispatch ends.
 	engines  freeList[engine]
 	passBufs freeList[passBuf]
 	memos    freeList[memo]
@@ -623,18 +623,25 @@ func (r *Runner) CampaignContext(ctx context.Context, exps []Experiment, workers
 }
 
 // CampaignStopContext is CampaignContext plus sequential early stopping
-// and completion tracking, the engine entry point of sharded and adaptive
-// campaigns; see dispatch for the tap/stop/cancel contract.
+// and completion tracking; see dispatch for the tap/stop/cancel contract.
+func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
+	return r.CampaignShared(ctx, exps, workers, tap, stop, nil)
+}
+
+// CampaignShared is CampaignStopContext resolving through the caller's
+// verdict table, the engine entry point of sharded and adaptive campaigns.
+// A caller that cuts one campaign into several calls on this runner hands
+// every one the same table (see Verdicts); nil uses a table of the call's own.
 //
 // The dispatch granule is one 64-lane group of a witnessed pass (see
 // batch.go), or one experiment where the planner goes scalar: signal
 // upsets, and everything under NoCheckpoint. A stop or cancellation
 // therefore overshoots by at most one 64-lane group per worker.
-func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
+func (r *Runner) CampaignShared(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result), stop func(done, failures int) bool, shared *Verdicts) ([]Result, []bool, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0) // resolved once: the planner and dispatch must agree
 	}
-	plan, passes := r.planBatches(exps, workers)
+	plan, passes := r.planBatches(exps, workers, shared)
 	// dispatch returns with every worker gone: no lane still reads a pass
 	// or the memo the passes share.
 	defer func() {
@@ -644,9 +651,7 @@ func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, wor
 			}
 		}
 		if len(passes) > 0 {
-			m := passes[0].memo
-			clear(m.logs) // a log over budget is the campaign's alone: dropped here
-			r.memos.put(m)
+			r.putMemo(passes[0].memo)
 		}
 	}()
 	counted := func(i int, res Result) {
@@ -663,6 +668,13 @@ func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, wor
 		}
 		r.runGroup(exps, item.pass, item.group, deliver)
 	})
+}
+
+// putMemo returns a call's memo to the runner.
+func (r *Runner) putMemo(m *memo) {
+	clear(m.logs)    // a log over budget is the campaign's alone: dropped here
+	m.verdicts = nil // a caller's table is not the runner's to keep
+	r.memos.put(m)
 }
 
 // dispatch is the one campaign loop of the package, shared by the RTL and

@@ -350,3 +350,10 @@ func (r *ISSRunner) CampaignStopContext(ctx context.Context, exps []Experiment, 
 		deliver(i, r.RunOne(exps[i]))
 	})
 }
+
+// CampaignShared is CampaignStopContext: every ISS experiment is simulated,
+// so there is no verdict to share.
+func (r *ISSRunner) CampaignShared(ctx context.Context, exps []Experiment, workers int,
+	tap func(i int, res Result), stop func(done, failures int) bool, _ *Verdicts) ([]Result, []bool, error) {
+	return r.CampaignStopContext(ctx, exps, workers, tap, stop)
+}

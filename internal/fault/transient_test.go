@@ -296,7 +296,7 @@ func TestPassRecordBounded(t *testing.T) {
 	r.ScheduleTransients(exps, 4)
 	span := int(r.GoldenCycles - r.ladder().start)
 	gcap := actBudget / 8 / span
-	_, passes := r.planBatches(exps, 1)
+	_, passes := r.planBatches(exps, 1, nil)
 	lanes := 0
 	for _, p := range passes {
 		lanes += len(p.idxs)

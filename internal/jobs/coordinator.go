@@ -126,8 +126,8 @@ var leaseCounter atomic.Int64
 // through it and pull a resumed campaign's journaled completed shards
 // from it. A nil value means in-memory operation.
 type shardPersist interface {
-	// ShardEvent appends one journal record (completed shards are
-	// fsync'd; the rest are breadcrumbs).
+	// ShardEvent appends one journal record (completed shards are synced
+	// soon after, without the caller waiting; the rest are breadcrumbs).
 	ShardEvent(typ, key string, data interface{})
 	// TakeRecovered hands over the completed shard outputs journaled for
 	// a campaign before the last crash, exactly once.
@@ -398,18 +398,21 @@ func (c *Coordinator) Complete(res ShardResult) error {
 		c.mu.Unlock()
 		return nil
 	}
+	if complete && c.persist != nil {
+		// The durable record of this shard's work — its loss would re-execute
+		// the whole range after a crash — written before the fold that may
+		// finish the campaign, under the lock like Lease's breadcrumb: whoever
+		// sees the campaign finished, and retires the job, finds every shard
+		// record ahead of that in the journal. The write is not waited on to
+		// reach the disk; a crash before it does merely re-runs the shard, and
+		// determinism folds identical bytes.
+		c.persist.ShardEvent(recShardCompleted, c.key, out)
+	}
 	c.foldLocked(out)
 	c.maybeStopLocked()
 	c.maybeFinishLocked()
 	t := c.tallyLocked()
 	c.mu.Unlock()
-	if complete && c.persist != nil {
-		// The durable record of this shard's work — fsync'd, because its
-		// loss would re-execute the whole range after a crash. Journaled
-		// after the fold (outside the lock): a crash in between merely
-		// re-runs the shard, and determinism folds identical bytes.
-		c.persist.ShardEvent(recShardCompleted, c.key, out)
-	}
 	c.notify(t)
 	return nil
 }

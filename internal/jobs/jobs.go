@@ -26,6 +26,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -407,6 +408,15 @@ func EncodeOutcome(w io.Writer, o *Outcome) error {
 	return enc.Encode(o)
 }
 
+// encodeOutcome returns the canonical encoding as bytes.
+func encodeOutcome(o *Outcome) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := EncodeOutcome(&buf, o); err != nil {
+		return nil, fmt.Errorf("jobs: encoding outcome: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
 // experimentOutcome is the wire encoding of one raw engine result.
 func experimentOutcome(res fault.Result) ExperimentOutcome {
 	eo := ExperimentOutcome{
@@ -623,7 +633,7 @@ func Execute(ctx context.Context, req Request, workers int, tap Tap) (*Outcome, 
 // hit), plan (experiment expansion), execute (engine), assemble (outcome
 // encoding). With reg == nil and no tracer it is Execute, byte for byte.
 func ExecuteObs(ctx context.Context, req Request, workers int, tap Tap, reg *obs.Registry) (*Outcome, error) {
-	run, err := runRange(ctx, req, 0, wholeCampaign, rangeEnv{workers, tap, reg, obs.TracerFrom(ctx)})
+	run, err := runRange(ctx, req, 0, wholeCampaign, rangeEnv{workers: workers, tap: tap, reg: reg, tr: obs.TracerFrom(ctx)})
 	if err != nil {
 		return nil, err
 	}
@@ -666,6 +676,11 @@ type rangeEnv struct {
 	// tr receives the four stage timings. Only whole-campaign callers set
 	// it; a nil tracer is a no-op.
 	tr *obs.Tracer
+	// verdicts, when non-nil, is the table every range of this campaign
+	// run in this process resolves through (fault.Verdicts): set by the
+	// shard pool for its local workers, so that cutting a campaign into
+	// shards costs no simulation an unsharded run would not do.
+	verdicts *fault.Verdicts
 }
 
 // wholeCampaign, as runRange's end, runs the expansion from start to its
@@ -766,7 +781,7 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 		}
 	}
 	endStage = env.tr.Stage("execute")
-	results, ran, err := eng.CampaignStopContext(ctx, run, env.workers, count, stop)
+	results, ran, err := eng.CampaignShared(ctx, run, env.workers, count, stop, env.verdicts)
 	endStage()
 	if err != nil && (whole || plan != nil) {
 		return rangeRun{}, err

@@ -133,9 +133,13 @@ type job struct {
 	req     Request // normalized
 	created time.Time
 
-	state    State
-	errMsg   string
-	result   *Outcome
+	state  State
+	errMsg string
+	result *Outcome
+	// encoded is result in its canonical encoding (EncodeOutcome), made
+	// once when the job finishes — or read back from the store — and what
+	// the store and the result endpoint are handed from then on.
+	encoded  []byte
 	done     int
 	total    int
 	failures int
@@ -249,6 +253,11 @@ func (m *Manager) Close() {
 	m.mu.Unlock()
 	m.baseCancel()
 	m.wg.Wait()
+	if m.pool != nil {
+		// Every campaign has returned; its local shard workers may still be
+		// reporting the shard they were on, to the journal closed next.
+		m.pool.Wait()
+	}
 	if m.persist != nil {
 		m.persist.Close()
 	}
@@ -283,14 +292,14 @@ func (m *Manager) Submit(req Request) (st Status, fresh bool, err error) {
 	// lifetimes: a campaign completed before the last restart answers
 	// here without touching the engine.
 	if m.persist != nil {
-		if out, ok := m.persist.loadOutcome(key); ok {
+		if out, encoded, ok := m.persist.loadOutcome(key); ok {
 			// Born done, so status, result, watch and wait all behave exactly
 			// as for a job that completed in this process. No lifecycle
 			// records are journaled — the outcome is already durable under
 			// its content address.
 			m.stats.Submitted++
 			m.stats.CacheHits++
-			return m.statusLocked(m.admitLocked(key, n, StateDone, out)), false, nil
+			return m.statusLocked(m.admitLocked(key, n, StateDone, out, encoded)), false, nil
 		}
 	}
 	// The bound counts live queued jobs; cancelled-while-queued entries
@@ -307,7 +316,7 @@ func (m *Manager) Submit(req Request) (st Status, fresh bool, err error) {
 		}
 	}
 	m.stats.Submitted++
-	j := m.admitLocked(key, n, StateQueued, nil)
+	j := m.admitLocked(key, n, StateQueued, nil, nil)
 	m.log.Info("job submitted", "job", j.id, "key", shortKey(key), "workload", n.Workload)
 	return m.statusLocked(j), true, nil
 }
@@ -325,10 +334,10 @@ func shortKey(key string) string {
 // under its id, in submission order and as the latest job of its content
 // key — the one place a job comes into being. A queued job joins the
 // pending FIFO and wakes a worker; any other state is terminal (a
-// persistent-store hit arrives done, carrying its result) and the job is
-// born finished. Whether to admit at all — queue bound, journaling,
-// recovered-shard stash — is the caller's business.
-func (m *Manager) admitLocked(key string, n Request, state State, result *Outcome) *job {
+// persistent-store hit arrives done, carrying its result and the stored
+// encoding of it) and the job is born finished. Whether to admit at all —
+// queue bound, journaling, recovered-shard stash — is the caller's business.
+func (m *Manager) admitLocked(key string, n Request, state State, result *Outcome, encoded []byte) *job {
 	m.seq++
 	j := &job{
 		id:       fmt.Sprintf("job-%06d", m.seq),
@@ -337,6 +346,7 @@ func (m *Manager) admitLocked(key string, n Request, state State, result *Outcom
 		created:  time.Now().UTC(), //lint:allow det status-API timestamp, not result state
 		state:    state,
 		result:   result,
+		encoded:  encoded,
 		finished: make(chan struct{}),
 	}
 	m.jobs[j.id] = j
@@ -373,7 +383,7 @@ func (m *Manager) submitRecovered(rj *RecoveredJob) error {
 	}
 	m.persist.stashRecovered(key, rj.Completed)
 	m.stats.Submitted++
-	m.admitLocked(key, n, StateQueued, nil)
+	m.admitLocked(key, n, StateQueued, nil, nil)
 	return nil
 }
 
@@ -410,6 +420,20 @@ func (m *Manager) Get(id string) (Status, error) {
 		return Status{}, ErrNotFound
 	}
 	return m.statusLocked(j), nil
+}
+
+// Result returns a done job's outcome in its canonical encoding — the bytes
+// EncodeOutcome writes, encoded once when the job finished — and nil, with
+// the job's state, for a job that has none (yet). The caller must not
+// modify them.
+func (m *Manager) Result(id string) ([]byte, State, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j := m.jobs[id]
+	if j == nil {
+		return nil, "", ErrNotFound
+	}
+	return j.encoded, j.state, nil
 }
 
 // List returns every job in submission order. Result payloads are
@@ -585,18 +609,24 @@ func (m *Manager) worker() {
 		dur := time.Since(started) //lint:allow det job-duration metric, observation only
 		m.met.jobSeconds.Observe(dur.Seconds())
 
+		// The one encoding of the outcome: what the store commits and the
+		// result endpoint serves.
+		var encoded []byte
+		if err == nil {
+			encoded, err = encodeOutcome(out)
+		}
 		// Commit the outcome before the in-memory terminal transition
 		// journals job_done: recovery treats a done record as "the result
 		// is in the store", and the reverse order would open a crash
 		// window where the record exists but the result does not.
 		if err == nil && m.persist != nil {
-			m.persist.saveOutcome(j.key, out)
+			m.persist.saveOutcome(j.key, encoded)
 		}
 		m.mu.Lock()
 		switch {
 		case err == nil:
 			j.state = StateDone
-			j.result = out
+			j.result, j.encoded = out, encoded
 			m.stats.Executed++
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			j.state = StateCancelled

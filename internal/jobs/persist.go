@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -25,10 +24,16 @@ import (
 // are pure functions of the normalized request, the recovered run's
 // merged outcome is byte-identical to an uninterrupted one.
 //
-// Journal record types. Only job_submitted and shard_completed carry
-// recovery state (and are fsync'd); the rest are breadcrumbs — cheap,
-// unsynced, and ignored by replay — that make a post-mortem journal read
-// like a flight recorder.
+// Journal record types, and what each asks of the disk (store.Journal's
+// durability classes; every record reaches the kernel before its append
+// returns, so a killed process loses none of them — the class is about
+// power loss). job_submitted is a barrier: the submitter is answered only
+// once it is on the disk. shard_completed and the three terminal records
+// are synced soon after, without their writer waiting: losing one costs a
+// shard re-run, or a replay that finds the outcome already in the store.
+// The rest are breadcrumbs — cheap, never synced on their own account, and
+// ignored by replay — that make a post-mortem journal read like a flight
+// recorder.
 const (
 	recJobSubmitted   = "job_submitted"   // Data: normalized Request
 	recJobDone        = "job_done"        // outcome committed to the store
@@ -123,6 +128,14 @@ func (p *persistence) registerMetrics(reg *obs.Registry) {
 		"Fsync calls issued against the journal file.", func() float64 {
 			return float64(p.journal.Stats().Fsyncs)
 		})
+	fsyncSeconds := reg.Histogram("store_journal_fsync_seconds",
+		"Duration of each fsync of the journal file.", obs.DurationBuckets)
+	p.journal.OnFsync(func(took time.Duration, err error) {
+		fsyncSeconds.Observe(took.Seconds())
+		if err != nil {
+			p.log.Error("journal fsync failed", "error", err)
+		}
+	})
 	reg.GaugeFunc("store_journal_compaction_age_seconds",
 		"Seconds since the journal was last compacted (or opened).", func() float64 {
 			//lint:allow det scrape-time compaction-age gauge, observation only
@@ -212,7 +225,7 @@ func (p *persistence) journalSubmit(key string, req Request) error {
 
 // journalJobEnd retires a job in the journal. Loss of this record is
 // tolerable (the job replays as in-flight and its completed outcome
-// cache-hits the store), so errors only log.
+// cache-hits the store), so nobody waits for the disk and errors only log.
 func (p *persistence) journalJobEnd(state State, key string, errMsg string) {
 	typ := recJobCancelled
 	switch state {
@@ -227,7 +240,7 @@ func (p *persistence) journalJobEnd(state State, key string, errMsg string) {
 			Error string `json:"error"`
 		}{errMsg}
 	}
-	if err := p.journal.AppendSync(typ, key, data); err != nil {
+	if err := p.journal.AppendSoon(typ, key, data); err != nil {
 		p.log.Error("journal append failed", "record", typ, "key", shortKey(key), "error", err)
 	}
 }
@@ -235,39 +248,35 @@ func (p *persistence) journalJobEnd(state State, key string, errMsg string) {
 // saveOutcome commits a completed campaign's canonical encoding to the
 // result store. Best-effort: on failure the outcome survives in memory
 // for this process's lifetime, just not across a restart.
-func (p *persistence) saveOutcome(key string, out *Outcome) {
-	var buf bytes.Buffer
-	if err := EncodeOutcome(&buf, out); err != nil {
-		p.log.Error("encoding outcome for store failed", "key", shortKey(key), "error", err)
-		return
-	}
-	if err := p.store.Put(key, buf.Bytes()); err != nil {
+func (p *persistence) saveOutcome(key string, encoded []byte) {
+	if err := p.store.Put(key, encoded); err != nil {
 		p.log.Error("persisting outcome failed", "key", shortKey(key), "error", err)
 	}
 }
 
-// loadOutcome fetches and decodes a stored campaign outcome.
-func (p *persistence) loadOutcome(key string) (*Outcome, bool) {
+// loadOutcome fetches a stored campaign outcome: decoded, and as the
+// canonical bytes it was stored as.
+func (p *persistence) loadOutcome(key string) (*Outcome, []byte, bool) {
 	b, ok := p.store.Get(key)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	var out Outcome
 	if err := json.Unmarshal(b, &out); err != nil {
 		// Verified bytes that fail to decode mean a schema change, not
 		// corruption; treat as a miss and re-execute.
-		return nil, false
+		return nil, nil, false
 	}
-	return &out, true
+	return &out, b, true
 }
 
 // ShardEvent journals one shard lifecycle event. Completed shards are
-// the currency of crash recovery and are fsync'd; leases and progress
-// are breadcrumbs and ride the next sync.
+// the currency of crash recovery and are synced soon after; leases and
+// progress are breadcrumbs and ride the next sync.
 func (p *persistence) ShardEvent(typ, key string, data interface{}) {
 	var err error
 	if typ == recShardCompleted {
-		err = p.journal.AppendSync(typ, key, data)
+		err = p.journal.AppendSoon(typ, key, data)
 	} else {
 		err = p.journal.Append(typ, key, data)
 	}

@@ -131,6 +131,10 @@ func TestStoreBackedCacheSurvivesRestart(t *testing.T) {
 	if !bytes.Equal(encodeOutcome(t, got.Result), first) {
 		t.Fatal("stored outcome bytes differ from the pre-restart outcome")
 	}
+	// The result endpoint's bytes are the stored ones, not a re-encoding.
+	if served, state, err := m2.Result(st2.ID); err != nil || state != jobs.StateDone || !bytes.Equal(served, first) {
+		t.Fatalf("Result after restart: %d bytes, state %q, err %v; want the %d stored bytes", len(served), state, err, len(first))
+	}
 }
 
 // TestReplayResumesInFlightJob: a journal holding a submission with no

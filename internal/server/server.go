@@ -49,6 +49,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -243,18 +244,19 @@ func (s *Server) status(w http.ResponseWriter, r *http.Request) {
 // byte-identical across duplicate submissions and diffable against
 // `faultcampaign -json`.
 func (s *Server) result(w http.ResponseWriter, r *http.Request) {
-	st, err := s.mgr.Get(r.PathValue("id"))
+	body, state, err := s.mgr.Result(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, errCode(err), err)
 		return
 	}
-	if st.Result == nil {
+	if body == nil {
 		writeErr(w, http.StatusConflict,
-			errors.New("jobs: job has no result yet (state "+string(st.State)+")"))
+			errors.New("jobs: job has no result yet (state "+string(state)+")"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	jobs.EncodeOutcome(w, st.Result)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {

@@ -148,6 +148,12 @@ func TestSubmitStatusStreamResult(t *testing.T) {
 	if !bytes.Equal(res1, res2) {
 		t.Fatal("repeated result fetches differ")
 	}
+	// The body is the job's one stored encoding, sent with its length.
+	if resp, err := http.Get(ts.URL + "/api/v1/campaigns/" + st1.ID + "/result"); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.ContentLength != int64(len(res1)) {
+		t.Errorf("result Content-Length %d for a %d-byte body", resp.ContentLength, len(res1))
+	}
 	out, err := jobs.Execute(context.Background(), small, 0, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,14 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -39,6 +44,13 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte("00000000 \n"))                                    // frame too short
 	f.Add([]byte("not a journal at all"))
 	f.Add([]byte("zzzzzzzz {\"seq\":1}\n")) // non-hex checksum
+	// Spellings of a correct checksum (0x00000ceb) that only a lenient
+	// scanner reads as one: blanks for zeros, a 0x prefix, capitals.
+	small := `{"seq":480595,"type":"t"}`
+	f.Add([]byte("00000ceb " + small + "\n"))
+	f.Add([]byte("     ceb " + small + "\n"))
+	f.Add([]byte("0x000ceb " + small + "\n"))
+	f.Add([]byte("00000CEB " + small + "\n"))
 	corrupt := append([]byte{}, rec1...)
 	corrupt[len(corrupt)/2] ^= 0x40 // bit flip inside the payload
 	f.Add(append(corrupt, rec2...))
@@ -78,5 +90,80 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatalf("record %d changed across re-replay: %s vs %s", i, a, b)
 			}
 		}
+	})
+}
+
+// entry encodes a payload as the result file Put writes for it.
+func entry(payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return append([]byte(resultHeader+" "+hex.EncodeToString(sum[:])+"\n"), payload...)
+}
+
+// FuzzStoreFile plants arbitrary bytes where a result entry belongs — found
+// by Open, as after a crash or bit rot at rest, and again behind an open
+// store's back, as bit rot since — and holds the store to its one promise:
+// what Get returns verified. An entry is served only if the file is, byte
+// for byte, what Put writes for the payload served; anything else — a
+// flipped bit, a truncation, a header with a stray blank or trailing
+// garbage — is a miss, is deleted, and leaves the key free to be Put again:
+// a corrupt result is re-executed, never served and never wedged.
+func FuzzStoreFile(f *testing.F) {
+	good := entry([]byte("{\n  \"pf\": 0.25\n}\n"))
+	f.Add(good)
+	f.Add(entry(nil))
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-3] ^= 0x10
+	f.Add(flipped)
+	f.Add(good[:len(good)-4])       // truncated payload
+	f.Add(good[:headerLen-1])       // header without its newline
+	f.Add(good[:len(resultHeader)]) // tag alone
+	f.Add(bytes.Replace(good, []byte("\n"), []byte(" trailing\n"), 1))
+	f.Add(bytes.Replace(good, []byte(" "), []byte("  "), 1))
+	f.Add(bytes.Replace(good, []byte("v1 "), []byte("v1 0x"), 1))
+	f.Add([]byte(strings.ToUpper(string(good[:headerLen])) + string(good[headerLen:])))
+	f.Add(bytes.Replace(good, []byte("-v1"), []byte("-v2"), 1))
+	f.Add([]byte{})
+
+	key := keyFor("fuzzed")
+	fresh := []byte("re-executed")
+	f.Fuzz(func(t *testing.T, file []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, key)
+		// check holds one lookup of the planted file to the promise, then
+		// proves the key is not wedged.
+		check := func(s *Store, where string) {
+			got, ok := s.Get(key)
+			if ok {
+				if !bytes.Equal(entry(got), file) {
+					t.Fatalf("%s: served %q from a file that is not its encoding: %q", where, got, file)
+				}
+				return
+			}
+			if _, err := os.Stat(path); err == nil {
+				t.Fatalf("%s: rejected entry left on disk", where)
+			}
+			if err := s.Put(key, fresh); err != nil {
+				t.Fatalf("%s: Put after a rejected entry: %v", where, err)
+			}
+			if got, ok := s.Get(key); !ok || !bytes.Equal(got, fresh) {
+				t.Fatalf("%s: the re-put entry reads back %q, %v", where, got, ok)
+			}
+		}
+
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(s, "found by Open")
+
+		// The same bytes replacing what is by now a committed entry of an
+		// open store: the planted file if it was served, the re-put one if not.
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check(s, "found by Get")
 	})
 }

@@ -2,12 +2,16 @@ package store
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -25,6 +29,20 @@ import (
 // recovery. Records after a corrupt one are dropped with it: a WAL's
 // suffix may depend on its prefix, so resuming past a hole could
 // resurrect state the lost record had superseded.
+//
+// Every append is written through to the kernel before it returns, so a
+// killed process loses nothing it appended; what an append's durability
+// class decides is when the record is forced to the disk, which is what
+// survives a power loss:
+//
+//	barrier     the caller returns once an fsync that began after its
+//	            write has finished; concurrent callers share one
+//	soon        the journal's syncer goroutine fsyncs it as soon as it
+//	            can, and the caller does not wait
+//	breadcrumb  never synced on its own account: it rides the next fsync
+//
+// The fsync runs outside the journal's mutex, so appends of any class go
+// on while the disk is busy.
 
 // Record is one journal entry. Type tags the event, Key is the campaign
 // content address it concerns, and Data carries the event's typed
@@ -42,18 +60,51 @@ type Journal struct {
 	path string
 
 	mu      sync.Mutex
+	cond    *sync.Cond // on mu: a sync is owed, a sync has finished, the journal is closing
 	f       *os.File
-	w       *bufio.Writer
+	frame   frameBuf      // the one record being framed, reused
+	enc     *json.Encoder // encodes a record's data onto frame
 	seq     int64
 	torn    bool  // a torn/corrupt tail was truncated at open
 	records int64 // live record count (replayed + appended - compacted)
 	size    int64 // bytes of valid records on disk
-	fsyncs  int64 // fsync calls issued (Sync/AppendSync/Rewrite/Close)
+	fsyncs  int64 // fsync calls issued (appends, Rewrite, Close)
 	// lastCompaction is when the journal contents were last rewritten
 	// down to live state (stamped at open, since OpenManager compacts
 	// immediately after replay).
 	lastCompaction time.Time
+
+	// Group commit. dirty: bytes were written since the last fsync began.
+	// owed: one of them belongs to a barrier or soon record. round: the
+	// barrier callers the next fsync releases. The syncer goroutine starts
+	// with the first owed fsync and exits at Close.
+	dirty, owed bool
+	round       *syncRound
+	syncing     bool          // an fsync is in flight, outside mu
+	rewriters   int           // Rewrites waiting for that fsync to end: the syncer starts no other
+	closing     bool          // Close has begun: no more appends
+	exited      chan struct{} // non-nil once the syncer runs; closed when it has returned
+	onFsync     func(took time.Duration, err error)
+	// fsync is (*os.File).Sync; tests substitute one they can watch, hold
+	// up or fail.
+	fsync func(*os.File) error
 }
+
+// syncRound is one fsync as the barrier callers waiting for it see it.
+type syncRound struct {
+	done chan struct{}
+	err  error
+}
+
+// frameBuf lets the JSON encoder append to the frame under construction.
+type frameBuf struct{ b []byte }
+
+func (w *frameBuf) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
+var errClosed = errors.New("store: journal closed")
 
 // JournalStats is an observability snapshot of the journal's size and
 // durability activity.
@@ -110,9 +161,12 @@ func OpenJournal(path string) (*Journal, []Record, error) {
 		return nil, nil, err
 	}
 	j := &Journal{
-		path: path, f: f, w: bufio.NewWriter(f), torn: torn,
+		path: path, f: f, torn: torn,
 		records: int64(len(recs)), size: valid, lastCompaction: time.Now(),
 	}
+	j.cond = sync.NewCond(&j.mu)
+	j.enc = json.NewEncoder(&j.frame)
+	j.fsync = (*os.File).Sync
 	for _, r := range recs {
 		if r.Seq > j.seq {
 			j.seq = r.Seq
@@ -149,16 +203,14 @@ func replayAll(r io.Reader) (recs []Record, valid int64, torn bool, err error) {
 
 // parseLine verifies one framed journal line.
 func parseLine(line []byte) (Record, bool) {
-	// Frame: 8 hex digits, one space, JSON, newline.
+	// Frame: the payload's checksum as 8 lowercase hex digits, one space,
+	// JSON, newline — exactly what encodeFrame writes, so the field is
+	// compared with its one valid spelling rather than parsed.
 	if len(line) < 11 || line[8] != ' ' || line[len(line)-1] != '\n' {
 		return Record{}, false
 	}
-	var sum uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &sum); err != nil {
-		return Record{}, false
-	}
 	payload := line[9 : len(line)-1]
-	if crc32.ChecksumIEEE(payload) != sum {
+	if sum := checksumHex(payload); !bytes.Equal(line[:8], sum[:]) {
 		return Record{}, false
 	}
 	var rec Record
@@ -168,75 +220,190 @@ func parseLine(line []byte) (Record, bool) {
 	return rec, true
 }
 
+// checksumHex is a payload's CRC-32 as a frame spells it.
+func checksumHex(payload []byte) (out [8]byte) {
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
+	hex.Encode(out[:], sum[:])
+	return out
+}
+
+// encodeFrame makes w.b the framed record in one pass, byte for byte
+// what json.Marshal(Record{seq, typ, key, <data, marshalled>}) behind its
+// checksum would be: the field order and omitempty rules of Record, spelled
+// out. A nil data is no data field. On an encoding error w.b holds garbage.
+func encodeFrame(w *frameBuf, enc *json.Encoder, seq int64, typ, key string, data interface{}) error {
+	w.b = append(w.b[:0], "00000000 {\"seq\":"...)
+	w.b = strconv.AppendInt(w.b, seq, 10)
+	w.b = append(w.b, ",\"type\":"...)
+	w.b = appendJSONString(w.b, typ)
+	if key != "" {
+		w.b = append(w.b, ",\"key\":"...)
+		w.b = appendJSONString(w.b, key)
+	}
+	if data != nil {
+		w.b = append(w.b, ",\"data\":"...)
+		if err := enc.Encode(data); err != nil {
+			return err
+		}
+		w.b = w.b[:len(w.b)-1] // the encoder ends every value with a newline
+	}
+	w.b = append(w.b, '}')
+	sum := checksumHex(w.b[9:])
+	copy(w.b, sum[:])
+	w.b = append(w.b, '\n')
+	return nil
+}
+
+// appendJSONString appends s as encoding/json writes a string. Record types
+// and content keys are plain ASCII, copied as they are; anything the
+// encoder would escape goes through it.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
 // TornTail reports whether OpenJournal found and truncated a torn or
 // corrupt tail — worth a log line, not an error.
 func (j *Journal) TornTail() bool { return j.torn }
 
-// Append writes one record (assigning its sequence number) without
-// forcing it to disk: an un-synced record lost in a crash replays as a
-// torn tail, which recovery tolerates by re-deriving the lost event.
-// Use AppendSync for records whose loss would redo significant work.
+// durability is when an appended record is forced to the disk; see the
+// file comment.
+type durability int
+
+const (
+	breadcrumb durability = iota
+	soon
+	barrier
+)
+
+// Append writes one breadcrumb record (assigning its sequence number): it
+// reaches the kernel before Append returns and the disk with the next
+// fsync anyone asks for. Lost to a power failure it replays as a torn tail,
+// which recovery tolerates by re-deriving the lost event.
 func (j *Journal) Append(typ, key string, data interface{}) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appendLocked(typ, key, data)
+	return j.append(breadcrumb, typ, key, data)
 }
 
-// AppendSync writes one record and fsyncs the journal, making the event
-// durable before the caller proceeds.
+// AppendSoon writes one record and has the journal fsync it right away
+// without making the caller wait for the disk: for records whose loss to a
+// power failure costs redone work, never correctness.
+func (j *Journal) AppendSoon(typ, key string, data interface{}) error {
+	return j.append(soon, typ, key, data)
+}
+
+// AppendSync writes one record and returns once it is on the disk: a
+// barrier, for events the caller must not act on before they are durable.
 func (j *Journal) AppendSync(typ, key string, data interface{}) error {
+	return j.append(barrier, typ, key, data)
+}
+
+func (j *Journal) append(d durability, typ, key string, data interface{}) error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if err := j.appendLocked(typ, key, data); err != nil {
+		j.mu.Unlock()
 		return err
 	}
-	return j.syncLocked()
+	var r *syncRound
+	if d != breadcrumb {
+		j.owed = true
+		if j.exited == nil {
+			j.exited = make(chan struct{})
+			go j.syncer()
+		}
+		if d == barrier {
+			if j.round == nil {
+				j.round = &syncRound{done: make(chan struct{})}
+			}
+			r = j.round
+		}
+		j.cond.Broadcast()
+	}
+	j.mu.Unlock()
+	if r == nil {
+		return nil
+	}
+	<-r.done
+	return r.err
 }
 
+// appendLocked frames one record and writes it through to the kernel: a
+// record must not linger in user space, where even a clean process exit
+// could lose it.
 func (j *Journal) appendLocked(typ, key string, data interface{}) error {
-	if j.f == nil {
-		return fmt.Errorf("store: journal closed")
+	if j.closing {
+		return errClosed
 	}
-	var raw json.RawMessage
-	if data != nil {
-		b, err := json.Marshal(data)
-		if err != nil {
-			return err
-		}
-		raw = b
+	if err := encodeFrame(&j.frame, j.enc, j.seq+1, typ, key, data); err != nil {
+		return err
+	}
+	if _, err := j.f.Write(j.frame.b); err != nil {
+		return err
 	}
 	j.seq++
-	payload, err := json.Marshal(Record{Seq: j.seq, Type: typ, Key: key, Data: raw})
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(j.w, "%08x %s\n", crc32.ChecksumIEEE(payload), payload); err != nil {
-		return err
-	}
 	j.records++
-	j.size += int64(8 + 1 + len(payload) + 1)
-	// The bufio layer exists to batch the frame writes of one record;
-	// records must not linger in user-space buffers where even a clean
-	// process exit could lose them.
-	return j.w.Flush()
+	j.size += int64(len(j.frame.b))
+	j.dirty = true
+	return nil
 }
 
-// Sync forces every appended record to disk.
-func (j *Journal) Sync() error {
+// OnFsync registers f to be told how long each fsync of the journal file
+// took and whether it failed: the only report of a failure no barrier
+// caller was waiting on. f runs with the journal locked and must not call
+// back into it.
+func (j *Journal) OnFsync(f func(took time.Duration, err error)) {
+	j.mu.Lock()
+	j.onFsync = f
+	j.mu.Unlock()
+}
+
+// syncer is the journal's one background goroutine: it fsyncs whenever a
+// barrier or soon record is owed one, and exits when Close begins.
+func (j *Journal) syncer() {
+	defer close(j.exited)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.syncLocked()
+	for {
+		for (!j.owed || j.rewriters > 0) && !j.closing {
+			j.cond.Wait()
+		}
+		if j.closing {
+			return // Close runs the last round itself
+		}
+		j.syncLocked()
+	}
 }
 
+// syncLocked runs one fsync round over everything written so far — the one
+// place the live file is synced. Called with mu held; the fsync itself runs
+// with mu released, so appends proceed (and join the next round) meanwhile.
+// The barrier callers that joined this round return when it is over.
 func (j *Journal) syncLocked() error {
-	if j.f == nil {
-		return fmt.Errorf("store: journal closed")
-	}
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
+	r, f := j.round, j.f
+	j.round, j.owed, j.dirty, j.syncing = nil, false, false, true
+	j.mu.Unlock()
+	t0 := time.Now()
+	err := j.fsync(f)
+	took := time.Since(t0)
+	j.mu.Lock()
+	j.syncing = false
 	j.fsyncs++
-	return j.f.Sync()
+	if j.onFsync != nil {
+		j.onFsync(took, err)
+	}
+	if r != nil {
+		r.err = err
+		close(r.done)
+	}
+	j.cond.Broadcast()
+	return err
 }
 
 // Rewrite atomically replaces the journal's contents with recs —
@@ -247,8 +414,17 @@ func (j *Journal) syncLocked() error {
 func (j *Journal) Rewrite(recs []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("store: journal closed")
+	// The file an fsync is running on is not swapped out under it; and the
+	// syncer, which under a stream of appends would begin the next fsync
+	// before this goroutine ran, begins none while a Rewrite waits.
+	j.rewriters++
+	for j.syncing {
+		j.cond.Wait()
+	}
+	j.rewriters--
+	defer j.cond.Broadcast()
+	if j.closing {
+		return errClosed
 	}
 	dir := filepath.Dir(j.path)
 	tmp, err := os.CreateTemp(dir, tmpPrefix+"journal-")
@@ -260,17 +436,19 @@ func (j *Journal) Rewrite(recs []Record) error {
 	var seq, size int64
 	for _, r := range recs {
 		seq++
-		r.Seq = seq
-		payload, err := json.Marshal(r)
+		var data interface{}
+		if len(r.Data) > 0 {
+			data = r.Data
+		}
+		err := encodeFrame(&j.frame, j.enc, seq, r.Type, r.Key, data)
+		if err == nil {
+			_, err = bw.Write(j.frame.b)
+		}
 		if err != nil {
 			tmp.Close()
 			return err
 		}
-		if _, err := fmt.Fprintf(bw, "%08x %s\n", crc32.ChecksumIEEE(payload), payload); err != nil {
-			tmp.Close()
-			return err
-		}
-		size += int64(8 + 1 + len(payload) + 1)
+		size += int64(len(j.frame.b))
 	}
 	if err := bw.Flush(); err != nil {
 		tmp.Close()
@@ -296,30 +474,39 @@ func (j *Journal) Rewrite(recs []Record) error {
 	}
 	j.f.Close()
 	j.f = f
-	j.w = bufio.NewWriter(f)
 	j.seq = seq
 	j.records = int64(len(recs))
 	j.size = size
-	j.fsyncs++ // the temp file's fsync above
+	j.fsyncs++      // the temp file's fsync above
+	j.dirty = false // and it covered everything the new file holds
 	j.lastCompaction = time.Now()
 	return nil
 }
 
-// Close flushes and closes the journal.
+// Close makes everything appended durable, stops the syncer and closes the
+// journal. Appends that race it either precede its fsync or fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.closing {
+		j.mu.Unlock()
 		return nil
 	}
-	err := j.w.Flush()
-	j.fsyncs++
-	if serr := j.f.Sync(); err == nil {
-		err = serr
+	j.closing = true
+	j.cond.Broadcast()
+	for j.syncing {
+		j.cond.Wait()
+	}
+	var err error
+	if j.dirty || j.owed {
+		err = j.syncLocked()
 	}
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}
-	j.f = nil
+	exited := j.exited
+	j.mu.Unlock()
+	if exited != nil {
+		<-exited
+	}
 	return err
 }

@@ -17,6 +17,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -93,29 +94,26 @@ func Open(dir string) (*Store, error) {
 
 const tmpPrefix = ".tmp-"
 
+// headerLen is the length of an entry's header line: the format tag, one
+// space, the payload's SHA-256 as 64 lowercase hex digits, a newline, and
+// nothing else — exactly what Put writes.
+const headerLen = len(resultHeader) + 1 + 2*sha256.Size + 1
+
 // readVerified loads one entry and checks its framing and checksum.
 func (s *Store) readVerified(key string) ([]byte, error) {
 	b, err := os.ReadFile(filepath.Join(s.dir, key))
 	if err != nil {
 		return nil, err
 	}
-	nl := -1
-	for i, c := range b {
-		if c == '\n' {
-			nl = i
-			break
-		}
+	if len(b) < headerLen || string(b[:len(resultHeader)]) != resultHeader ||
+		b[len(resultHeader)] != ' ' || b[headerLen-1] != '\n' {
+		return nil, fmt.Errorf("store: %s: bad header", key)
 	}
-	if nl < 0 {
-		return nil, fmt.Errorf("store: %s: missing header line", key)
-	}
-	var sum string
-	if _, err := fmt.Sscanf(string(b[:nl]), resultHeader+" %64s", &sum); err != nil {
-		return nil, fmt.Errorf("store: %s: bad header: %w", key, err)
-	}
-	payload := b[nl+1:]
+	payload := b[headerLen:]
 	got := sha256.Sum256(payload)
-	if hex.EncodeToString(got[:]) != sum {
+	var sum [2 * sha256.Size]byte
+	hex.Encode(sum[:], got[:])
+	if !bytes.Equal(b[len(resultHeader)+1:headerLen-1], sum[:]) {
 		return nil, fmt.Errorf("store: %s: payload checksum mismatch", key)
 	}
 	return payload, nil
