@@ -90,17 +90,23 @@ fmt-check:
 # open store's back, are never served, are deleted, and leave the key
 # free to be Put again. It fsyncs for real, so it runs tens of inputs a
 # second, not thousands.
+# FuzzISSEquivalence, the ISS campaign engine: on generated programs
+# (windows, traps, annulled slots), any node, model and instant, native
+# or pinned timebase, through the golden log, forks at activation, shared
+# verdicts and predecoded text equals the from-reset reference.
 # 10s each is a smoke, not a campaign; run longer locally with
 # `go test -fuzz FuzzJournalReplay -fuzztime 5m ./internal/store/`,
 # `go test -fuzz FuzzLaneEquivalence -fuzztime 5m ./internal/fault/`,
-# `go test -fuzz FuzzCoordinatorModel -fuzztime 5m ./internal/jobs/` or
-# `go test -fuzz FuzzStoreFile -fuzztime 5m ./internal/store/`.
+# `go test -fuzz FuzzCoordinatorModel -fuzztime 5m ./internal/jobs/`,
+# `go test -fuzz FuzzStoreFile -fuzztime 5m ./internal/store/` or
+# `go test -fuzz FuzzISSEquivalence -fuzztime 5m ./internal/fault/`.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzLaneEquivalence -fuzztime $(FUZZTIME) ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzCoordinatorModel -fuzztime $(FUZZTIME) ./internal/jobs/
 	$(GO) test -run '^$$' -fuzz FuzzStoreFile -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzISSEquivalence -fuzztime $(FUZZTIME) ./internal/fault/
 
 # staticcheck is optional locally (the container may not ship it); CI
 # installs and runs it unconditionally via its action.

@@ -86,6 +86,10 @@ type forcing struct {
 	node               rtl.Node
 	one                bool // forced polarity
 	injectAt, pulseEnd uint64
+	// iss, when nonzero, marks a verdict of the ISS engine and says which
+	// kind (see ISSRunner.resolve): node is then {Word: victim register,
+	// Bit: victim bit} with no name, injectAt an instruction index.
+	iss uint8
 }
 
 // Verdicts resolves each forcing of a campaign once: the first lane to
@@ -385,7 +389,7 @@ func (r *Runner) resolveOnce(eng *engine, lad *ladder, p *pass, j int) Result {
 	if l.e.Model == rtl.BitFlip {
 		return r.resolve(eng, lad, l)
 	}
-	v := p.memo.verdicts.verdict(forcing{l.f.Node, l.forcedOne, l.injectAt, l.pulseEnd})
+	v := p.memo.verdicts.verdict(forcing{node: l.f.Node, one: l.forcedOne, injectAt: l.injectAt, pulseEnd: l.pulseEnd})
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.done {

@@ -47,7 +47,8 @@ type CampaignEngine interface {
 	// per-completion taps and an optional sequential stop rule; see
 	// dispatch for the full contract. shared, when non-nil, is the verdict
 	// table of the campaign these experiments are a part of (see Verdicts):
-	// scheduling, never content, and an engine without one ignores it.
+	// scheduling, never content. Each engine keys its verdicts apart, so
+	// one table may serve both.
 	CampaignShared(ctx context.Context, exps []Experiment, workers int,
 		tap func(i int, res Result), stop func(done, failures int) bool, shared *Verdicts) ([]Result, []bool, error)
 }

@@ -91,3 +91,66 @@ func FuzzLaneEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// FuzzISSEquivalence is the ISS engine's oracle on generated programs
+// (register windows, traps, annulled delay slots): for any node, model and
+// instant, the production engine — golden log, fork at activation, shared
+// verdicts, predecoded text — returns what the from-reset reference returns,
+// by every path checkISSEngine walks. The fuzzed experiment shares its
+// campaign with both stuck-ats and the open line that is the twin of one of
+// them at the same fixed instant, an upset and a pulse one instruction on,
+// the same on a sibling bit of the victim register, and a transient before
+// the fixed instant; the pinned timebase gets its turn on odd instants.
+//
+// Smoke: make fuzz-smoke; longer:
+// go test -run '^$' -fuzz FuzzISSEquivalence -fuzztime 5m ./internal/fault/
+func FuzzISSEquivalence(f *testing.F) {
+	// Program seed, node index (IU enumeration, then CMEM), model, fixed
+	// instant (modulo the golden run's length + 64: some land past exit).
+	f.Add(int64(1), uint32(2500), uint8(rtl.BitFlip), uint32(700))
+	f.Add(int64(2), uint32(7000), uint8(rtl.StuckAt1), uint32(0))
+	f.Add(int64(3), uint32(40), uint8(rtl.OpenLine), uint32(1201))
+	f.Add(int64(4), uint32(3000), uint8(rtl.SETPulse), uint32(90000))
+	f.Add(int64(5), uint32(9000), uint8(rtl.StuckAt0), uint32(15))
+	f.Add(int64(6), uint32(2222), uint8(rtl.BitFlip), uint32(1<<31))
+	f.Fuzz(func(t *testing.T, seed int64, node uint32, model uint8, instant uint32) {
+		p, err := asm.Assemble(difftest.Generate(seed, difftest.AllFeatures(200)), mem.RAMBase)
+		if err != nil {
+			t.Fatalf("generated program %d: %v", seed, err)
+		}
+		probe, err := NewISSRunner(p, Options{NoCheckpoint: true}, 0, 0)
+		if err != nil {
+			t.Skipf("no golden run: %v", err) // a program that ends in a trap
+		}
+		opts, cycleRef, fixed := Options{PulseCycles: 2}, uint64(0), uint64(instant)%(probe.GoldenInsts+64)
+		if instant%2 == 1 {
+			cycleRef = probe.GoldenInsts*8/5 + 3
+			fixed = uint64(instant) % (cycleRef + 64)
+		} else {
+			opts.InjectAtCycle = fixed
+		}
+		prod, ref := issPair(t, p, opts, cycleRef, fixed)
+		iu, cmem := prod.Nodes(TargetIU), prod.Nodes(TargetCMEM)
+		var n NodeInfo
+		if i := int(node) % (len(iu) + len(cmem)); i < len(iu) {
+			n = iu[i]
+		} else {
+			n = cmem[i-len(iu)]
+		}
+		sibling := n
+		sibling.Node.Bit ^= 1
+		models := rtl.AllFaultModels()
+		exps := []Experiment{
+			{Node: n, Model: models[int(model)%len(models)], AtCycle: fixed},
+			{Node: n, Model: rtl.StuckAt0},
+			{Node: n, Model: rtl.StuckAt1},
+			{Node: n, Model: rtl.OpenLine},
+			{Node: n, Model: rtl.BitFlip, AtCycle: fixed + 1},
+			{Node: n, Model: rtl.SETPulse, AtCycle: fixed + 1},
+			{Node: sibling, Model: rtl.OpenLine},
+			{Node: sibling, Model: rtl.BitFlip, AtCycle: fixed + 1},
+			{Node: sibling, Model: rtl.SETPulse, AtCycle: fixed / 2},
+		}
+		checkISSEngine(t, prod, ref, exps)
+	})
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"sort"
 	"sync"
 
 	"repro/internal/asm"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/rtl"
+	"repro/internal/sparc"
 )
 
 // This file implements the ISS campaign engine: a CampaignEngine over
@@ -35,6 +38,23 @@ import (
 // RTL cycles and are mapped onto instruction indices by the ratio of
 // the two golden-run lengths, and reported Result.InjectAt echoes the
 // RTL-cycle input so hybrid outcome rows stay in one currency.
+//
+// Cost: the emulator is the cheap model of the paper's §4.2, and the
+// engine keeps it cheap by stepping only what diverges from the golden
+// run, as the RTL engine does (checkpoint.go, readlog.go). The golden run
+// is walked once per runner into a log of what every victim register
+// reads at every step boundary, with a forkable rung every few steps
+// (issLog). A forced bit — stuck-at, or an open line frozen at its charge
+// — changes nothing at a boundary where the register already reads the
+// forced value, so the faulted run is the golden run up to the first
+// boundary where the log says they differ: none, and the verdict is the
+// golden run's without a step; otherwise the run forks from the rung
+// below that boundary. Runs that cannot differ — one victim bit forced to
+// one value from one instant — share a verdict through the campaign's
+// Verdicts table, and every fork executes the program image through one
+// decode-once table (iss.Text). Options.NoCheckpoint selects the naive
+// reference instead: a fresh emulator per experiment, stepped from reset,
+// with no log, rung, table or predecoded text.
 
 // ISSRunner executes fault-injection experiments on the instruction-set
 // simulator. It satisfies CampaignEngine; see Runner for the RTL
@@ -65,19 +85,48 @@ type ISSRunner struct {
 
 	baseImg *mem.Image
 
-	ckptOnce sync.Once
-	ckpt     *issCheckpoint
+	// log is the golden walk, built lazily on first use and immutable
+	// afterwards: every experiment of every campaign on this runner reads
+	// it and forks from its rungs.
+	logOnce sync.Once
+	log     *issLog
+	// engines keeps one emulator per worker for forks to restore in place;
+	// tables keeps the verdict tables of campaigns that brought none.
+	engines freeList[issEngine]
+	tables  freeList[Verdicts]
 
 	nodeLists nodeLists
 
 	met issMetrics
 }
 
-type issMetrics struct{ experiments *obs.Counter }
+// issMetrics is the ISS engine's counter set; every handle is a no-op
+// without a registry. All are exact for a fixed campaign at any worker
+// count: a verdict is stepped once however many experiments share it.
+type issMetrics struct {
+	// experiments counts every classified experiment, whichever path
+	// classified it.
+	experiments *obs.Counter
+	// steps counts emulator steps taken for experiments: the clean ones
+	// from a rung (the reference: from reset) to where a run leaves the
+	// golden one, and the faulted ones from there to the verdict.
+	steps *obs.Counter
+	// free, twin and stepped split experiments by how their verdict was
+	// reached: read off the golden log without a step, copied from the
+	// experiment that stepped the same forcing, stepped.
+	free, twin, stepped *obs.Counter
+}
 
 func newISSMetrics(r *obs.Registry) issMetrics {
-	return issMetrics{experiments: r.Counter("iss_engine_experiments_total",
-		"Fault-injection experiments executed and classified by the ISS prediction engine.")}
+	by := r.CounterVec("iss_engine_verdicts_total",
+		"ISS experiments by how their verdict was reached: free (the golden log shows the fault never changes a register read), twin (copied from the run of the same victim bit, value and instant), stepped.", "path")
+	return issMetrics{
+		experiments: r.Counter("iss_engine_experiments_total",
+			"Fault-injection experiments executed and classified by the ISS prediction engine."),
+		steps: r.Counter("iss_engine_steps_total",
+			"Emulator steps taken for ISS experiments, clean replay from a golden rung (or from reset) included."),
+		free: by.With("free"), twin: by.With("twin"), stepped: by.With("stepped"),
+	}
 }
 
 // NewISSRunner builds the golden reference by running the program on a
@@ -94,7 +143,8 @@ func NewISSRunner(p *asm.Program, opts Options, cycleRef, fixedCycle uint64) (*I
 	m.LoadImage(p.Origin, p.Image)
 	r := &ISSRunner{prog: p, opts: opts, cycleRef: cycleRef, met: newISSMetrics(opts.Obs)}
 	r.baseImg = m.Snapshot()
-	cpu := r.freshCPU()
+	r.engines.max, r.tables.max = runtime.GOMAXPROCS(0), runtime.GOMAXPROCS(0)
+	cpu := r.newEngine(nil).cpu
 	st := cpu.Run(200_000_000)
 	if st != iss.StatusExited {
 		return nil, fmt.Errorf("fault: ISS golden run did not exit: %v", st)
@@ -124,8 +174,25 @@ func NewISSRunner(p *asm.Program, opts Options, cycleRef, fixedCycle uint64) (*I
 	return r, nil
 }
 
-func (r *ISSRunner) freshCPU() *iss.CPU {
-	return iss.New(mem.NewBus(r.baseImg.Fork()), r.prog.Entry)
+// issEngine is one emulator with its bus and the golden comparator hooked
+// onto it: built per experiment by the reference, kept per worker and
+// re-pointed at a rung per fork by the production engine.
+type issEngine struct {
+	cpu *iss.CPU
+	bus *mem.Bus
+	cmp comparator
+}
+
+// newEngine builds an emulator at reset over a copy-on-write fork of the
+// pristine program image, executing through text when it is non-nil.
+func (r *ISSRunner) newEngine(text *iss.Text) *issEngine {
+	eng := &issEngine{bus: mem.NewBus(r.baseImg.Fork()), cmp: comparator{mismatchAt: -1}}
+	eng.cpu = iss.New(eng.bus, r.prog.Entry)
+	if text != nil {
+		eng.cpu.UseText(text)
+	}
+	eng.cmp.watch(&r.golden, eng.bus, func() uint64 { return eng.cpu.Icount })
+	return eng
 }
 
 // mapTicks converts an externally-timed instant into an instruction
@@ -167,50 +234,163 @@ func (r *ISSRunner) ScheduleTransients(exps []Experiment, seed int64) {
 	scheduleTransients(exps, seed, r.injectExt, r.GoldenTicks())
 }
 
-// issCheckpoint is the forkable golden-run state at the fixed injection
-// instant: the full architectural state (the CPU is a value type apart
-// from its bus), the memory image, and the off-core trace position.
-type issCheckpoint struct {
-	cpu      iss.CPU // Bus and OnInst nilled; restored per fork
-	img      *mem.Image
-	writes   int
-	exited   bool
-	exitCode uint32
-}
-
-// Checkpointed reports whether experiments fork from the golden-run
-// checkpoint instead of re-emulating from reset.
+// Checkpointed reports whether forking skipped a warm-up prefix: the
+// engine forks and the fixed injection instant lies past reset. Like the
+// RTL runner's it is a wire field, frozen with the outcome encoding, and
+// not the engine switch — that is NoCheckpoint alone.
 func (r *ISSRunner) Checkpointed() bool {
 	return !r.opts.NoCheckpoint && r.injectAt != 0
 }
 
-// PrepareCheckpoint captures the checkpoint eagerly (benchmarks call it
-// to keep the one-time warm-up out of timed regions).
-func (r *ISSRunner) PrepareCheckpoint() { r.checkpoint() }
+// PrepareCheckpoint walks the golden run eagerly (a no-op for the
+// reference, or once the log exists). Benchmarks call it to keep the
+// one-time walk out of timed regions.
+func (r *ISSRunner) PrepareCheckpoint() { r.goldenLog() }
 
-func (r *ISSRunner) checkpoint() *issCheckpoint {
-	if !r.Checkpointed() {
-		return nil
-	}
-	r.ckptOnce.Do(func() { r.ckpt = r.capture() })
-	return r.ckpt
+// issRungSpacing is the base distance between rungs in steps: it bounds
+// the clean replay of a fork (fewer than one spacing of steps). issMaxRungs
+// caps the rung count — a rung is a copy of the CPU value, about 1.5 KB,
+// and a cached runner pins its log — so a golden run past 16,384 steps
+// widens the spacing in multiples of issRungSpacing instead.
+const (
+	issRungSpacing = 32
+	issMaxRungs    = 512
+)
+
+// issLog is the golden run as data: what each victim register reads at
+// every step boundary, forkable state every stride steps, and the program
+// image decoded once. Everything is indexed by Step call, not by Icount:
+// an annulled delay slot and a trapped instruction are boundaries at which
+// a forcing is re-applied, and neither advances Icount. Boundary s is the
+// state before Step call s; the run takes steps calls, so boundaries
+// 0..steps-1 are the ones a fault can be applied or re-applied at.
+type issLog struct {
+	steps uint32
+	// stalls lists, ascending, the Step calls that left Icount where it
+	// was; boundary maps an instant onto a boundary through it.
+	stalls []uint32
+	// regs[r] is the change list of what cpu.Reg(r) reads — the register
+	// of the window current at that boundary, which is what a victim
+	// names, so a window switch is a change of up to 24 of them.
+	regs   [32]regLog
+	stride uint32
+	rungs  []issRung
+	// text is the program image decoded once, less every word the golden
+	// run itself stores into: those are struck out for good, so that a
+	// fork from any rung may start with no word marked stored.
+	text *iss.Text
 }
 
-func (r *ISSRunner) capture() *issCheckpoint {
-	cpu := r.freshCPU()
-	bus := cpu.Bus
-	for cpu.Icount < r.injectAt && cpu.Status() == iss.StatusRunning {
+// regLog holds one register's reads as runs: it reads val[i] from
+// boundary at[i] up to boundary at[i+1].
+type regLog struct {
+	at  []uint32
+	val []uint32
+}
+
+// issRung is the forkable golden state at one boundary.
+type issRung struct {
+	cpu iss.CPU // Bus nil; pointed at the forking engine's
+	// img is shared with the rung before when the golden run wrote nothing
+	// in between.
+	img *mem.Image
+	// writes is the index of the next golden off-core write.
+	writes int
+}
+
+// goldenLog returns the lazily built golden log, or nil for the reference.
+func (r *ISSRunner) goldenLog() *issLog {
+	if r.opts.NoCheckpoint {
+		return nil
+	}
+	r.logOnce.Do(func() { r.log = r.buildLog() })
+	return r.log
+}
+
+// buildLog re-runs the clean emulator once, from reset to exit, logging
+// register reads and freezing rungs. This is the only time the golden run
+// is stepped for its state, however many campaigns the runner serves.
+func (r *ISSRunner) buildLog() *issLog {
+	lg := &issLog{text: iss.Predecode(r.prog.Origin, r.prog.Image)}
+	lg.stride = issRungSpacing * uint32(max(1, (r.GoldenInsts+issRungSpacing*issMaxRungs-1)/(issRungSpacing*issMaxRungs)))
+	eng := r.newEngine(lg.text)
+	cpu, bus := eng.cpu, eng.bus
+	for ; cpu.Status() == iss.StatusRunning; lg.steps++ {
+		s := lg.steps
+		for reg := 1; reg < 32; reg++ {
+			l := &lg.regs[reg]
+			if v := cpu.Reg(reg); s == 0 || v != l.val[len(l.val)-1] {
+				l.at, l.val = append(l.at, s), append(l.val, v)
+			}
+		}
+		if s%lg.stride == 0 {
+			g := issRung{cpu: *cpu, writes: len(bus.Trace.Writes)}
+			g.cpu.Bus = nil
+			if n := len(lg.rungs); n > 0 && lg.rungs[n-1].writes == g.writes {
+				g.img = lg.rungs[n-1].img
+			} else {
+				g.img = bus.Mem.Snapshot()
+			}
+			lg.rungs = append(lg.rungs, g)
+		}
+		before := cpu.Icount
 		cpu.Step()
+		if cpu.Icount == before {
+			lg.stalls = append(lg.stalls, s)
+		}
 	}
-	snap := *cpu
-	snap.Bus, snap.OnInst = nil, nil
-	return &issCheckpoint{
-		cpu:      snap,
-		img:      bus.Mem.Snapshot(),
-		writes:   len(bus.Trace.Writes),
-		exited:   bus.Trace.Exited,
-		exitCode: bus.Trace.ExitCode,
+	for i := range lg.text.Insts {
+		if bus.Stored(uint32(i)) {
+			lg.text.Insts[i] = sparc.Inst{}
+		}
 	}
+	return lg
+}
+
+// boundary returns the first boundary at which Icount has reached at —
+// where the reference, stepping clean while Icount < at, applies a fault
+// of that instant. Icount at boundary s is s less the stalls before s, so
+// the answer is at plus the stalls taken while Icount was still below at.
+// A result of lg.steps or more means the golden run exits first.
+func (lg *issLog) boundary(at uint64) uint64 {
+	j := sort.Search(len(lg.stalls), func(k int) bool { return uint64(lg.stalls[k])-uint64(k) >= at })
+	return at + uint64(j)
+}
+
+// run returns the index of the run of l that covers boundary s.
+func (l *regLog) run(s uint32) int {
+	return sort.Search(len(l.at), func(i int) bool { return l.at[i] > s }) - 1
+}
+
+// activation returns the first boundary at or after s at which victim v
+// reads a bit other than forced — the first at which forcing it changes
+// anything — or false when the golden run never does.
+func (lg *issLog) activation(v victim, forced uint32, s uint32) (uint32, bool) {
+	l := &lg.regs[v.reg]
+	for i := l.run(s); i < len(l.at); i++ {
+		if l.val[i]>>v.bit&1 != forced {
+			return max(l.at[i], s), true
+		}
+	}
+	return 0, false
+}
+
+// fork puts eng on the golden run at boundary s < lg.steps: the rung at or
+// below s restored in place — CPU value, memory re-pointed at the rung's
+// image, bus and comparator as an uninterrupted run's would be there — and
+// the steps between replayed clean. It returns the steps replayed.
+func (lg *issLog) fork(eng *issEngine, s uint32) uint64 {
+	k := min(s/lg.stride, uint32(len(lg.rungs)-1))
+	g := &lg.rungs[k]
+	g.img.ForkInto(eng.bus.Mem)
+	*eng.cpu = g.cpu
+	eng.cpu.Bus = eng.bus
+	eng.bus.Reset()
+	eng.cmp = comparator{mismatchAt: -1, idx: g.writes}
+	for i := k * lg.stride; i < s; i++ {
+		eng.cpu.Step()
+	}
+	return uint64(s - k*lg.stride)
 }
 
 // victim is the architectural injection point an RTL node maps onto: a
@@ -249,6 +429,21 @@ func (v victim) flip(cpu *iss.CPU) {
 	cpu.SetReg(v.reg, cpu.Reg(v.reg)^(1<<v.bit))
 }
 
+// forcedBit returns the value a model holds the victim bit at, was being
+// the bit at the instant: the constant of a stuck-at, the charge an open
+// line freezes, the complement a pulse drives. An upset holds nothing.
+func forcedBit(model rtl.FaultModel, was uint32) uint32 {
+	switch model {
+	case rtl.StuckAt0:
+		return 0
+	case rtl.StuckAt1:
+		return 1
+	case rtl.SETPulse:
+		return was ^ 1
+	}
+	return was
+}
+
 // armAt returns the externally-timed instant at which the experiment's
 // fault is applied: the sampled per-experiment instant for transient
 // models, the fixed instant otherwise.
@@ -259,79 +454,129 @@ func (r *ISSRunner) armAt(e Experiment) uint64 {
 	return r.injectExt
 }
 
-// RunOne executes a single injection experiment on the emulator. The
-// structure mirrors Runner.RunOne: fork from the golden checkpoint when
-// the instant allows it, otherwise re-emulate from reset, then advance
-// to the instant, apply the fault model at the node's architectural
-// victim, and classify against the golden off-core trace.
-func (r *ISSRunner) RunOne(e Experiment) Result {
+// Kinds of ISS verdict in a Verdicts table (forcing.iss); zero is an RTL
+// forcing.
+const (
+	issForced  uint8 = 1 + iota // the victim bit held at forcing.one from the instant on
+	issFlipped                  // inverted once at the instant
+	issPulsed                   // held at its complement for the runner's pulse window
+)
+
+// RunOne executes a single injection experiment on the emulator; see
+// resolve.
+func (r *ISSRunner) RunOne(e Experiment) Result { return r.resolve(e, nil) }
+
+// resolve classifies one experiment, through the campaign's verdict table
+// when there is one. The reference builds a fresh emulator, steps it clean
+// from reset to the experiment's instant and hands it to finish. The
+// production engine reads the golden log first: where the instant lies
+// (boundary), what the victim bit reads there — the charge an open line
+// freezes, the value a pulse inverts — and, for a forced bit, the first
+// boundary at which the forcing changes anything (activation). A run that
+// never leaves the golden one has the golden verdict; any other forks from
+// the rung below the boundary where it leaves, once per distinct (victim
+// bit, forced value or flip or pulse, instant): RTL nodes that hash onto
+// one victim, and an open line beside the stuck-at of its charge, are one
+// run. Fault, Unit and InjectAt are always the experiment's own.
+func (r *ISSRunner) resolve(e Experiment, verdicts *Verdicts) Result {
+	r.met.experiments.Inc()
 	atExt := r.armAt(e)
 	at := r.mapTicks(atExt)
-	ck := r.checkpoint()
-	if ck != nil && at < r.injectAt {
-		ck = nil // transient sampled before the fork point
-	}
-	var cpu *iss.CPU
-	start := 0
-	if ck != nil {
-		c := ck.cpu
-		cpu = &c
-		cpu.Bus = mem.NewBus(ck.img.Fork())
-		cpu.Bus.Trace.Exited, cpu.Bus.Trace.ExitCode = ck.exited, ck.exitCode
-		start = ck.writes
-	} else {
-		cpu = r.freshCPU()
-	}
-	c := watchTrace(&r.golden, cpu.Bus, func() uint64 { return cpu.Icount }, start)
-	return r.finish(cpu, c, e, at, atExt)
-}
-
-// finish advances the clean emulation to the injection instant, applies
-// the fault model at the node's victim and runs to classification.
-// Permanent models re-force the victim bit before every instruction; an
-// open line freezes the bit at the value it carried at the instant; a
-// BitFlip mutates state once; a SETPulse forces the complement for the
-// pulse window and then releases. Latency and run length are computed
-// in instructions and the reported InjectAt echoes the external instant.
-func (r *ISSRunner) finish(cpu *iss.CPU, c *comparator, e Experiment, at, atExt uint64) Result {
-	r.met.experiments.Inc()
+	v := victimOf(e.Node.Node)
+	// The golden run's verdict, until a run says otherwise.
 	res := Result{
 		Fault:    rtl.Fault{Node: e.Node.Node, Model: e.Model},
 		Unit:     e.Node.Unit,
 		Latency:  -1,
+		Cycles:   r.GoldenInsts,
 		InjectAt: atExt,
 	}
-	for cpu.Icount < at && cpu.Status() == iss.StatusRunning {
-		cpu.Step()
+	lg := r.goldenLog()
+	if lg == nil {
+		eng := r.newEngine(nil)
+		var clean uint64
+		for ; eng.cpu.Icount < at && eng.cpu.Status() == iss.StatusRunning; clean++ {
+			eng.cpu.Step()
+		}
+		r.finish(&res, eng, e.Model, v, forcedBit(e.Model, v.read(eng.cpu)), at, clean)
+		return res
 	}
-	v := victimOf(e.Node.Node)
-	var hold func()
-	holdUntil := uint64(math.MaxUint64)
+	b := lg.boundary(at)
+	if b >= uint64(lg.steps) {
+		r.met.free.Inc() // the golden run exits before the instant
+		return res
+	}
+	s := uint32(b)
+	l := &lg.regs[v.reg]
+	forced := forcedBit(e.Model, l.val[l.run(s)]>>v.bit&1)
+	key := forcing{node: rtl.Node{Word: v.reg, Bit: int(v.bit)}, injectAt: at, iss: issFlipped}
 	switch e.Model {
-	case rtl.StuckAt0:
-		hold = func() { v.force(cpu, 0) }
-	case rtl.StuckAt1:
-		hold = func() { v.force(cpu, 1) }
-	case rtl.OpenLine:
-		frozen := v.read(cpu)
-		hold = func() { v.force(cpu, frozen) }
+	case rtl.StuckAt0, rtl.StuckAt1, rtl.OpenLine:
+		var ok bool
+		if s, ok = lg.activation(v, forced, s); !ok {
+			r.met.free.Inc()
+			return res
+		}
+		key.one, key.iss = forced == 1, issForced
+	case rtl.SETPulse:
+		key.iss = issPulsed
+	}
+	if verdicts == nil {
+		r.stepFrom(lg, s, &res, e.Model, v, forced, at)
+		return res
+	}
+	vd := verdicts.verdict(key)
+	vd.mu.Lock()
+	defer vd.mu.Unlock()
+	if vd.done {
+		r.met.twin.Inc()
+		res.Outcome, res.Latency, res.Cycles = vd.res.Outcome, vd.res.Latency, vd.res.Cycles
+		return res
+	}
+	r.stepFrom(lg, s, &res, e.Model, v, forced, at)
+	vd.res, vd.done = res, true
+	return res
+}
+
+// stepFrom forks a kept emulator onto the golden run at boundary s and
+// finishes the experiment on it.
+func (r *ISSRunner) stepFrom(lg *issLog, s uint32, res *Result, model rtl.FaultModel, v victim, forced uint32, at uint64) {
+	eng := r.engines.get()
+	if eng == nil {
+		eng = r.newEngine(lg.text)
+	}
+	r.finish(res, eng, model, v, forced, at, lg.fork(eng, s))
+	r.engines.put(eng)
+}
+
+// finish applies the fault model at the victim of an emulator standing at
+// its injection instant — or, for a forced bit, at any later boundary up to
+// its activation — and runs it to classification. Permanent models re-force
+// the bit (forcedBit) before every instruction; a BitFlip mutates state
+// once; a SETPulse forces for the pulse window and then releases. Latency
+// and run length are in instructions, relative to at; clean is the number
+// of steps it took to bring the emulator here, booked with the rest.
+func (r *ISSRunner) finish(res *Result, eng *issEngine, model rtl.FaultModel, v victim, forced uint32, at, clean uint64) {
+	r.met.stepped.Inc()
+	cpu := eng.cpu
+	holdUntil := uint64(math.MaxUint64)
+	switch model {
 	case rtl.BitFlip:
 		v.flip(cpu)
+		holdUntil = 0
 	case rtl.SETPulse:
-		glitch := v.read(cpu) ^ 1
-		hold = func() { v.force(cpu, glitch) }
 		holdUntil = cpu.Icount + r.pulseTicks
 	}
-	for cpu.Status() == iss.StatusRunning && cpu.Icount < r.budget &&
-		(r.opts.NoEarlyExit || c.mismatchAt < 0) {
-		if hold != nil && cpu.Icount < holdUntil {
-			hold()
+	steps := clean
+	for ; cpu.Status() == iss.StatusRunning && cpu.Icount < r.budget &&
+		(r.opts.NoEarlyExit || eng.cmp.mismatchAt < 0); steps++ {
+		if cpu.Icount < holdUntil {
+			v.force(cpu, forced)
 		}
 		cpu.Step()
 	}
-	classifyRun(&res, &r.golden, cpu.Status(), cpu.Icount, cpu.Bus, c, at)
-	res.InjectAt = atExt
-	return res
+	r.met.steps.Add(float64(steps))
+	classifyRun(res, &r.golden, cpu.Status(), cpu.Icount, eng.bus, &eng.cmp, at)
 }
 
 // Campaign runs the experiments across workers and returns results in
@@ -341,19 +586,32 @@ func (r *ISSRunner) Campaign(exps []Experiment, workers int) []Result {
 	return results
 }
 
-// CampaignStopContext runs the experiments across workers under the
-// package's one tap/stop/cancel loop (see dispatch). The ISS engine has no
-// bit-parallel mode, so the dispatch granule is always one experiment.
+// CampaignStopContext is CampaignShared with a verdict table of the call's
+// own.
 func (r *ISSRunner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int,
 	tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
-	return dispatch(ctx, len(exps), len(exps), workers, tap, stop, func(i int, deliver func(int, Result)) {
-		deliver(i, r.RunOne(exps[i]))
-	})
+	return r.CampaignShared(ctx, exps, workers, tap, stop, nil)
 }
 
-// CampaignShared is CampaignStopContext: every ISS experiment is simulated,
-// so there is no verdict to share.
+// CampaignShared runs the experiments across workers under the package's
+// one tap/stop/cancel loop (see dispatch), resolving through the caller's
+// verdict table — ISS verdicts are keyed apart from RTL forcings, so a
+// hybrid campaign may hand both engines one — or one of the call's own.
+// The ISS engine has no bit-parallel mode, so the dispatch granule is
+// always one experiment.
 func (r *ISSRunner) CampaignShared(ctx context.Context, exps []Experiment, workers int,
-	tap func(i int, res Result), stop func(done, failures int) bool, _ *Verdicts) ([]Result, []bool, error) {
-	return r.CampaignStopContext(ctx, exps, workers, tap, stop)
+	tap func(i int, res Result), stop func(done, failures int) bool, shared *Verdicts) ([]Result, []bool, error) {
+	if shared == nil && !r.opts.NoCheckpoint {
+		if shared = r.tables.get(); shared == nil {
+			shared = NewVerdicts()
+		}
+		// dispatch returns with every worker gone: nothing reads the table.
+		defer func(t *Verdicts) {
+			t.Reset()
+			r.tables.put(t)
+		}(shared)
+	}
+	return dispatch(ctx, len(exps), len(exps), workers, tap, stop, func(i int, deliver func(int, Result)) {
+		deliver(i, r.resolve(exps[i], shared))
+	})
 }

@@ -441,8 +441,8 @@ func TestReconvergenceWorkCounters(t *testing.T) {
 	}
 }
 
-// engineCounters reads the registry's engine_* counters off its text
-// exposition.
+// engineCounters reads the registry's engine_* and iss_engine_* counters
+// off its text exposition.
 func engineCounters(t *testing.T, reg *obs.Registry) map[string]float64 {
 	t.Helper()
 	var sb strings.Builder
@@ -452,7 +452,7 @@ func engineCounters(t *testing.T, reg *obs.Registry) map[string]float64 {
 	out := map[string]float64{}
 	for _, line := range strings.Split(sb.String(), "\n") {
 		name, val, ok := strings.Cut(line, " ")
-		if !ok || !strings.HasPrefix(name, "engine_") {
+		if !ok || !strings.HasPrefix(strings.TrimPrefix(name, "iss_"), "engine_") {
 			continue
 		}
 		v, err := strconv.ParseFloat(val, 64)

@@ -10,6 +10,7 @@
 package iss
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/mem"
@@ -134,9 +135,62 @@ type CPU struct {
 	// OnInst, when non-nil, observes every executed instruction.
 	OnInst func(pc uint32, in sparc.Inst)
 
+	// text, when non-nil, is the program image decoded once (UseText). It
+	// travels with a copy of the CPU value, as the rest of the state does.
+	text *Text
+
 	status   Status
 	trapType uint8
 	trapped  bool // current instruction raised a trap
+}
+
+// Text is a program image decoded once: Insts[i] is the word at Base+4i.
+// It is read-only from the moment a CPU uses it, so any number of CPUs —
+// the forks of a fault-injection campaign — share one. An entry with Op ==
+// sparc.OpUnknown is not trusted: Step fetches and decodes that word from
+// memory, which lets a caller strike out words (zero the entry) whose
+// memory no longer holds what the image did.
+type Text struct {
+	Base  uint32
+	Insts []sparc.Inst
+}
+
+// Predecode decodes every whole word of a big-endian image loaded at base
+// (none of an image that is not word-aligned: no PC addresses its words).
+func Predecode(base uint32, image []byte) *Text {
+	if base&3 != 0 {
+		image = nil
+	}
+	t := &Text{Base: base, Insts: make([]sparc.Inst, len(image)/4)}
+	for i := range t.Insts {
+		t.Insts[i] = sparc.Decode(binary.BigEndian.Uint32(image[4*i:]))
+	}
+	return t
+}
+
+// at returns the decoded instruction at pc when t vouches for it: pc lies in
+// the image, the entry is not struck out — data or an undefined word decode
+// to OpUnknown too — and no store of this run, which bus tracks, has touched
+// the word. A nil Text vouches for nothing.
+func (t *Text) at(pc uint32, bus *mem.Bus) *sparc.Inst {
+	if t == nil {
+		return nil
+	}
+	if i := (pc - t.Base) / 4; pc >= t.Base && i < uint32(len(t.Insts)) &&
+		t.Insts[i].Op != sparc.OpUnknown && !bus.Stored(i) {
+		return &t.Insts[i]
+	}
+	return nil
+}
+
+// UseText makes Step take its instructions from t wherever memory still
+// holds what t was decoded from: the bus tracks stores into t's range from
+// here on (mem.Bus.TrackStores; Bus.Reset forgets them), and a stored word
+// is fetched and decoded again. The memory under the bus must hold t's
+// image, except at words t has struck out.
+func (c *CPU) UseText(t *Text) {
+	c.text = t
+	c.Bus.TrackStores(t.Base, len(t.Insts))
 }
 
 // New returns a CPU in the post-reset state, executing from entry in

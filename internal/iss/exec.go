@@ -40,14 +40,20 @@ func (c *CPU) Step() {
 		c.trap(TrapMemNotAligned)
 		return
 	}
-	word := c.Bus.Fetch32(c.PC)
 	if c.annul {
 		c.annul = false
 		c.Annulled++
 		c.advance()
 		return
 	}
-	in := sparc.Decode(word)
+	// One fast path — the decode-once table — and fetch + decode, as
+	// always, for whatever it does not vouch for.
+	var fetched sparc.Inst
+	in := c.text.at(c.PC, c.Bus)
+	if in == nil {
+		fetched = sparc.Decode(c.Bus.Fetch32(c.PC))
+		in = &fetched
+	}
 	pc := c.PC
 	c.trapped = false
 	c.exec(in)
@@ -57,7 +63,7 @@ func (c *CPU) Step() {
 		c.Icount++
 		c.OpCounts[in.Op]++
 		if c.OnInst != nil {
-			c.OnInst(pc, in)
+			c.OnInst(pc, *in)
 		}
 	}
 	if c.Bus.Exited() {
@@ -73,7 +79,7 @@ func (c *CPU) operand2(in *sparc.Inst) uint32 {
 	return c.Reg(in.Rs2)
 }
 
-func (c *CPU) exec(in sparc.Inst) {
+func (c *CPU) exec(in *sparc.Inst) {
 	op := in.Op
 	switch {
 	case op == sparc.OpUnknown:
@@ -90,13 +96,13 @@ func (c *CPU) exec(in sparc.Inst) {
 		c.NPC = t
 	case op.IsTicc():
 		if sparc.EvalCond(op.Cond(), c.PSR.ICC) {
-			tn := (c.Reg(in.Rs1) + c.operand2(&in)) & 0x7f
+			tn := (c.Reg(in.Rs1) + c.operand2(in)) & 0x7f
 			c.trap(uint8(TrapInstBase + tn))
 			return
 		}
 		c.advance()
 	case op == sparc.OpJMPL:
-		t := c.Reg(in.Rs1) + c.operand2(&in)
+		t := c.Reg(in.Rs1) + c.operand2(in)
 		if t&3 != 0 {
 			c.trap(TrapMemNotAligned)
 			return
@@ -115,7 +121,7 @@ func (c *CPU) exec(in sparc.Inst) {
 	}
 }
 
-func (c *CPU) execBicc(in sparc.Inst) {
+func (c *CPU) execBicc(in *sparc.Inst) {
 	taken := sparc.EvalCond(in.Op.Cond(), c.PSR.ICC)
 	if taken {
 		t := in.Target(c.PC)
@@ -133,7 +139,7 @@ func (c *CPU) execBicc(in sparc.Inst) {
 	c.advance()
 }
 
-func (c *CPU) execRett(in sparc.Inst) {
+func (c *CPU) execRett(in *sparc.Inst) {
 	if c.PSR.ET {
 		c.trap(TrapIllegalInst)
 		return
@@ -142,7 +148,7 @@ func (c *CPU) execRett(in sparc.Inst) {
 		c.trap(TrapPrivilegedInst)
 		return
 	}
-	t := c.Reg(in.Rs1) + c.operand2(&in)
+	t := c.Reg(in.Rs1) + c.operand2(in)
 	if t&3 != 0 {
 		c.trap(TrapMemNotAligned)
 		return
@@ -159,7 +165,7 @@ func (c *CPU) execRett(in sparc.Inst) {
 	c.NPC = t
 }
 
-func (c *CPU) execWindow(in sparc.Inst) {
+func (c *CPU) execWindow(in *sparc.Inst) {
 	var newCWP uint8
 	var trapType uint8
 	if in.Op == sparc.OpSAVE {
@@ -175,14 +181,14 @@ func (c *CPU) execWindow(in sparc.Inst) {
 	}
 	// Source operands come from the old window, the result goes to rd in
 	// the new window.
-	v := c.Reg(in.Rs1) + c.operand2(&in)
+	v := c.Reg(in.Rs1) + c.operand2(in)
 	c.PSR.CWP = newCWP
 	c.SetReg(in.Rd, v)
 	c.advance()
 }
 
-func (c *CPU) execMem(in sparc.Inst) {
-	addr := c.Reg(in.Rs1) + c.operand2(&in)
+func (c *CPU) execMem(in *sparc.Inst) {
+	addr := c.Reg(in.Rs1) + c.operand2(in)
 	op := in.Op
 	var align uint32
 	switch op {
@@ -235,9 +241,9 @@ func (c *CPU) execMem(in sparc.Inst) {
 	c.advance()
 }
 
-func (c *CPU) execALU(in sparc.Inst) {
+func (c *CPU) execALU(in *sparc.Inst) {
 	a := c.Reg(in.Rs1)
-	b := c.operand2(&in)
+	b := c.operand2(in)
 	op := in.Op
 	var res uint32
 	cc := c.PSR.ICC

@@ -78,7 +78,12 @@ func newRouterMetrics(r *obs.Registry) routerMetrics {
 // the audit sample with its RTL results, and the escalation set. It is
 // a pure function of the normalized request.
 type hybridPlan struct {
-	rtl       *fault.Runner
+	rtl *fault.Runner
+	// verdicts is the one table every RTL run of the campaign resolves
+	// through — the audit here, the escalations of every range (runRange)
+	// — so a stuck-at audited and its open-line twin escalated are one
+	// simulation. Scheduling, never content.
+	verdicts  *fault.Verdicts
 	exps      []fault.Experiment
 	units     []string
 	pred      []fault.Result
@@ -110,6 +115,12 @@ func hybridPlanFor(ctx context.Context, n Request, workers int, reg *obs.Registr
 	if err != nil {
 		return nil, err
 	}
+	return cachedPlan(ctx, key, func() (*hybridPlan, error) { return buildHybridPlan(ctx, n, workers, reg) })
+}
+
+// cachedPlan returns key's plan from planCache, building it — once, however
+// many callers ask meanwhile — when it is not there.
+func cachedPlan(ctx context.Context, key string, build func() (*hybridPlan, error)) (*hybridPlan, error) {
 	planCache.mu.Lock()
 	if planCache.m == nil {
 		planCache.m = make(map[string]*planEntry)
@@ -127,14 +138,18 @@ func hybridPlanFor(ctx context.Context, n Request, workers int, reg *obs.Registr
 	}
 	planCache.mu.Unlock()
 	if owner {
-		e.plan, e.err = buildHybridPlan(ctx, n, workers, reg)
+		e.plan, e.err = build()
 		if e.err != nil {
 			planCache.mu.Lock()
-			delete(planCache.m, key)
-			for i, k := range planCache.order {
-				if k == key {
-					planCache.order = append(planCache.order[:i], planCache.order[i+1:]...)
-					break
+			// Only while the entry is still this owner's: evicted meanwhile,
+			// the key may belong to a later submission's live plan.
+			if planCache.m[key] == e {
+				delete(planCache.m, key)
+				for i, k := range planCache.order {
+					if k == key {
+						planCache.order = append(planCache.order[:i], planCache.order[i+1:]...)
+						break
+					}
 				}
 			}
 			planCache.mu.Unlock()
@@ -187,7 +202,8 @@ func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Regis
 	for j, i := range auditIdx {
 		auditExps[j] = exps[i]
 	}
-	auditRes0, _, err := rtlR.CampaignStopContext(ctx, auditExps, workers, nil, nil)
+	verdicts := fault.NewVerdicts()
+	auditRes0, _, err := rtlR.CampaignShared(ctx, auditExps, workers, nil, nil, verdicts)
 	if err != nil {
 		return nil, err
 	}
@@ -242,6 +258,7 @@ func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Regis
 	}
 	return &hybridPlan{
 		rtl:       rtlR,
+		verdicts:  verdicts,
 		exps:      exps,
 		units:     units,
 		pred:      pred,

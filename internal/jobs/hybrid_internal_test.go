@@ -1,6 +1,11 @@
 package jobs
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+)
 
 // Table-driven router decision tests: the per-class escalation verdict
 // is the router's whole routing rule, shared verbatim between the
@@ -35,5 +40,53 @@ func TestEscalateClass(t *testing.T) {
 		if got := escalateClass(c.pred, c.meas, c.confidence); got != c.want {
 			t.Errorf("%s: escalateClass = %v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestFailedPlanLeavesLaterEntryAlone: an owner whose build fails removes
+// its own cache entry, not whatever sits under its key by then. Owner A is
+// still building when eight other plans evict its entry; B asks for the
+// same key, finds nothing and builds a live plan; then A fails. B's entry
+// must survive, so the next caller — another shard of B's campaign — is a
+// hit and not a rebuild of the ISS pass and the audit.
+func TestFailedPlanLeavesLaterEntryAlone(t *testing.T) {
+	reset := func() {
+		planCache.mu.Lock()
+		planCache.m, planCache.order = nil, nil
+		planCache.mu.Unlock()
+	}
+	reset()
+	t.Cleanup(reset)
+	ctx := context.Background()
+	building, fail := make(chan struct{}), make(chan struct{})
+	aDone := make(chan error)
+	go func() {
+		_, err := cachedPlan(ctx, "key", func() (*hybridPlan, error) {
+			close(building)
+			<-fail
+			return nil, errors.New("cancelled")
+		})
+		aDone <- err
+	}()
+	<-building
+	for i := 0; i < maxPlans; i++ {
+		if _, err := cachedPlan(ctx, fmt.Sprint("other-", i), func() (*hybridPlan, error) { return &hybridPlan{}, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := &hybridPlan{}
+	if got, err := cachedPlan(ctx, "key", func() (*hybridPlan, error) { return live, nil }); err != nil || got != live {
+		t.Fatalf("B's build: plan %p, err %v; want its own plan %p (A's entry should have been evicted)", got, err, live)
+	}
+	close(fail)
+	if err := <-aDone; err == nil {
+		t.Fatal("A's failed build returned no error")
+	}
+	got, err := cachedPlan(ctx, "key", func() (*hybridPlan, error) {
+		t.Error("B's second call rebuilt the plan: A's failure removed B's live entry")
+		return &hybridPlan{}, nil
+	})
+	if err != nil || got != live {
+		t.Errorf("B's second call: plan %p, err %v; want the cached %p", got, err, live)
 	}
 }

@@ -679,7 +679,8 @@ type rangeEnv struct {
 	// verdicts, when non-nil, is the table every range of this campaign
 	// run in this process resolves through (fault.Verdicts): set by the
 	// shard pool for its local workers, so that cutting a campaign into
-	// shards costs no simulation an unsharded run would not do.
+	// shards costs no simulation an unsharded run would not do. A hybrid
+	// campaign resolves through its plan's table instead.
 	verdicts *fault.Verdicts
 }
 
@@ -746,8 +747,9 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 
 	// run is what the engine executes and at maps its positions back to
 	// absolute experiment indices (ascending either way).
-	run, at := exps[start:end], func(j int) int { return start + j }
+	run, at, verdicts := exps[start:end], func(j int) int { return start + j }, env.verdicts
 	if plan != nil {
+		verdicts = plan.verdicts // the audit's results are in it
 		idx := plan.escalations(start, end)
 		run, at = make([]fault.Experiment, len(idx)), func(j int) int { return idx[j] }
 		for j, i := range idx {
@@ -781,7 +783,7 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 		}
 	}
 	endStage = env.tr.Stage("execute")
-	results, ran, err := eng.CampaignShared(ctx, run, env.workers, count, stop, env.verdicts)
+	results, ran, err := eng.CampaignShared(ctx, run, env.workers, count, stop, verdicts)
 	endStage()
 	if err != nil && (whole || plan != nil) {
 		return rangeRun{}, err

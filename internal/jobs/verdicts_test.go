@@ -8,11 +8,15 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/rtl"
+	"repro/internal/workloads"
 )
 
 // sharedReg receives the engine counters of TestLocalShardsShareVerdicts. A
@@ -168,6 +172,80 @@ func TestLocalShardsShareVerdicts(t *testing.T) {
 			t.Error("a shard run through a shared table differs from the same range run on its own")
 		}
 	})
+}
+
+// hybridSeed hands every run of TestHybridSharesOneVerdictTable a request
+// seed of its own: a hybrid plan — and now the verdicts its audit left — is
+// memoized by content address, so a second -count round on the same seed
+// would find every forcing resolved.
+var hybridSeed atomic.Int64
+
+// TestHybridSharesOneVerdictTable holds a hybrid campaign's RTL work — the
+// plan's audit, then the escalations of the range — to that of one RTL
+// campaign over the same experiments: the audit sample is a Bernoulli draw
+// over the whole expansion, so it splits open-line/stuck-at twins from the
+// escalated rest of their class, and only one table across both calls keeps
+// a forcing simulated once.
+func TestHybridSharesOneVerdictTable(t *testing.T) {
+	ctx := context.Background()
+	reg := sharedReg
+	delta := func(f func()) (d [3]float64) {
+		before := workCounters(t, reg)
+		f()
+		for i, v := range workCounters(t, reg) {
+			d[i] = v - before[i]
+		}
+		return d
+	}
+	req := jobs.Request{Workload: "puwmod", Iterations: 2, Target: "iu", Engine: "hybrid", RTLAudit: 0.3, Nodes: 48,
+		Seed: 7700 + hybridSeed.Add(1)}
+	var out *jobs.Outcome
+	hybrid := delta(func() {
+		var err error
+		if out, err = jobs.ExecuteObs(ctx, req, 2, nil, reg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The same memoized runner, and the experiments the router sent to it.
+	r, err := campaign.RunnerFor(req.Workload, workloads.Config{Iterations: req.Iterations}, fault.Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := fault.Expand(fault.SampleNodes(r.Nodes(fault.TargetIU), req.Nodes, req.Seed), rtl.FaultModels()...)
+	var onRTL []fault.Experiment
+	audited := 0
+	for i, e := range out.Experiments {
+		if e.Engine == "rtl" {
+			onRTL = append(onRTL, exps[i])
+		}
+		if e.Audited {
+			audited++
+		}
+	}
+	if audited == 0 || audited == len(onRTL) {
+		t.Fatalf("%d of %d RTL experiments audited: the campaign does not split its RTL work", audited, len(onRTL))
+	}
+	var res []fault.Result
+	one := delta(func() { res, _, err = r.CampaignStopContext(ctx, onRTL, 2, nil, nil) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one[2] == 0 {
+		t.Fatal("the single campaign proved no verdict equivalent: nothing to hold the hybrid one to")
+	}
+	if hybrid != one {
+		t.Errorf("faulted cycles, materializations, equivalent verdicts of the hybrid campaign's audit + escalations = %v, of one campaign over the same %d experiments %v",
+			hybrid, len(onRTL), one)
+	}
+	j := 0
+	for _, e := range out.Experiments {
+		if e.Engine == "rtl" {
+			if e.Outcome != res[j].Outcome.String() {
+				t.Fatalf("RTL experiment %d: hybrid outcome %s, single campaign %v", j, e.Outcome, res[j].Outcome)
+			}
+			j++
+		}
+	}
 }
 
 func shardBytes(t *testing.T, out *jobs.ShardOutput) []byte {

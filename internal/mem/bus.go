@@ -71,6 +71,11 @@ type Bus struct {
 	Trace Trace
 
 	out []uint32 // values written to OutAddr
+
+	// stored has one bit per word of [trackBase, trackBase+trackLen), set
+	// by every write that touches the word; see TrackStores.
+	trackBase, trackLen uint32
+	stored              []uint64
 }
 
 // NewBus returns a bus over m.
@@ -78,12 +83,31 @@ func NewBus(m *Memory) *Bus {
 	return &Bus{Mem: m}
 }
 
-// Reset empties the recorded trace, reads and output port, keeping their
-// capacity, for a run over another memory state; Mem, RecordReads and
-// OnWrite stay as they are.
+// Reset empties the recorded trace, reads, output port and tracked stores,
+// keeping their capacity, for a run over another memory state; Mem,
+// RecordReads, OnWrite and the tracked range stay as they are.
 func (b *Bus) Reset() {
 	b.Trace = Trace{Writes: b.Trace.Writes[:0]}
 	b.Reads, b.out = b.Reads[:0], b.out[:0]
+	clear(b.stored)
+}
+
+// TrackStores makes the bus remember, one bit per word, which words of
+// [base, base+4*words) its writes have touched since the last Reset. The
+// ISS executes a program image through a decode-once table and must fall
+// back to memory for exactly the words a run has stored into; the image
+// holds data beside text, so a coarser mark would die on the first data
+// store.
+func (b *Bus) TrackStores(base uint32, words int) {
+	b.trackBase, b.trackLen = base, uint32(words)*4
+	b.stored = make([]uint64, (words+63)/64)
+}
+
+// Stored reports whether a write since the last Reset touched word i of
+// the tracked range. A word outside it — on a bus that tracks nothing,
+// every word — reads as stored: the caller's fallback is always exact.
+func (b *Bus) Stored(i uint32) bool {
+	return i >= b.trackLen/4 || b.stored[i>>6]>>(i&63)&1 != 0
 }
 
 // Exited reports whether the program wrote ExitAddr.
@@ -134,6 +158,9 @@ func (b *Bus) Write(addr uint32, size uint8, v uint32, seq uint64) {
 		b.Mem.Write16(addr, uint16(v))
 	default:
 		b.Mem.Write32(addr, v)
+	}
+	if off := addr - b.trackBase; off < b.trackLen {
+		b.stored[off>>8] |= 1 << (off >> 2 & 63)
 	}
 	acc := Access{Write: true, Addr: addr, Size: size, Data: v, Seq: seq}
 	b.Trace.Writes = append(b.Trace.Writes, acc)
