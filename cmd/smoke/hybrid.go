@@ -1,5 +1,37 @@
-// Command hybridsmoke is the hermetic end-to-end smoke test behind
-// `make hybrid-smoke`: it proves the hybrid router's contract from the
+package main
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"log"
+	"os"
+	"strings"
+
+	"repro/internal/fault"
+	"repro/internal/jobs"
+)
+
+// contractReq is the in-process routing-contract campaign: three
+// permanent models over a 24-node IU sample with a high audit fraction,
+// so every node class collects a judgeable audit sample.
+var contractReq = jobs.Request{
+	Workload:         "excerptA",
+	Models:           []string{"sa0", "sa1", "open"},
+	Nodes:            24,
+	Seed:             3,
+	InjectAtFraction: 0.3,
+	Engine:           "hybrid",
+	RTLAudit:         0.5,
+}
+
+// hybridCampaign is the CLI campaign the collapse and shard checks run:
+// small enough to finish in seconds, big enough that the audit sample and
+// the escalation set are both non-trivial.
+var hybridCampaign = campaign{workload: "excerptA", target: "iu", models: "sa0,sa1,open", nodes: 24, seed: 3}
+
+// hybrid is the hermetic end-to-end smoke test behind `make
+// hybrid-smoke`: it proves the hybrid router's contract from the
 // outside, through the same binary a user runs.
 //
 // Three checks, in order of the guarantees they pin:
@@ -20,81 +52,27 @@
 //     pure function of the request, the audit sample of
 //     (seed, absolute index).
 //
-// It needs only the go toolchain; no network, no daemon.
-package main
-
-import (
-	"bytes"
-	"context"
-	"fmt"
-	"log"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"strings"
-
-	"repro/internal/fault"
-	"repro/internal/jobs"
-)
-
-// contractReq is the in-process routing-contract campaign: three
-// permanent models over a 24-node IU sample with a high audit fraction,
-// so every node class collects a judgeable audit sample.
-var contractReq = jobs.Request{
-	Workload:         "excerptA",
-	Models:           []string{"sa0", "sa1", "open"},
-	Nodes:            24,
-	Seed:             3,
-	InjectAtFraction: 0.3,
-	Engine:           "hybrid",
-	RTLAudit:         0.5,
-}
-
-// cliArgs is the CLI campaign the collapse and shard checks run: small
-// enough to finish in seconds, big enough that the audit sample and the
-// escalation set are both non-trivial.
-func cliArgs(extra ...string) []string {
-	args := []string{
-		"-w", "excerptA", "-target", "iu", "-models", "sa0,sa1,open",
-		"-nodes", "24", "-seed", "3", "-inject-frac", "0.3", "-json",
-	}
-	return append(args, extra...)
-}
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("hybridsmoke: ")
-	if err := run(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("hybridsmoke: OK (routing contract, full-audit collapse, shard invariance)")
-}
-
-func run() error {
+// No network, no daemon.
+func hybrid() error {
 	if err := contract(); err != nil {
 		return fmt.Errorf("routing contract: %w", err)
 	}
 
-	dir, err := os.MkdirTemp("", "hybridsmoke")
+	dir, bins, err := setup("hybridsmoke", "faultcampaign")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	bin := filepath.Join(dir, "faultcampaign")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/faultcampaign")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("building faultcampaign: %w", err)
-	}
+	bin := bins[0]
 
 	// Full-audit collapse: hybrid with -rtl-audit 1.0 == pure RTL, byte
 	// for byte. The hybrid spelling must also shed its accounting block
 	// (a collapsed campaign has no router to account for).
-	pure, err := campaign(bin, cliArgs()...)
+	pure, err := runCLI(bin, hybridCampaign.cli()...)
 	if err != nil {
 		return err
 	}
-	full, err := campaign(bin, cliArgs("-engine", "hybrid", "-rtl-audit", "1.0")...)
+	full, err := runCLI(bin, hybridCampaign.cli("-engine", "hybrid", "-rtl-audit", "1.0")...)
 	if err != nil {
 		return err
 	}
@@ -107,14 +85,14 @@ func run() error {
 	log.Printf("full-audit collapse: hybrid -rtl-audit 1.0 == pure RTL (%d identical bytes)", len(pure))
 
 	// Shard invariance: the same hybrid campaign, unsharded vs 3 shards.
-	un, err := campaign(bin, cliArgs("-engine", "hybrid", "-rtl-audit", "0.5")...)
+	un, err := runCLI(bin, hybridCampaign.cli("-engine", "hybrid", "-rtl-audit", "0.5")...)
 	if err != nil {
 		return err
 	}
 	if !strings.Contains(string(un), `"hybrid"`) {
 		return fmt.Errorf("hybrid campaign JSON carries no hybrid accounting block")
 	}
-	sh, err := campaign(bin, cliArgs("-engine", "hybrid", "-rtl-audit", "0.5", "-shards", "3")...)
+	sh, err := runCLI(bin, hybridCampaign.cli("-engine", "hybrid", "-rtl-audit", "0.5", "-shards", "3")...)
 	if err != nil {
 		return err
 	}
@@ -123,18 +101,6 @@ func run() error {
 	}
 	log.Printf("shard invariance: 3-way sharded hybrid == unsharded (%d identical bytes)", len(un))
 	return nil
-}
-
-// campaign runs the built CLI once and returns its stdout.
-func campaign(bin string, args ...string) ([]byte, error) {
-	cmd := exec.Command(bin, args...)
-	var out bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("%s %s: %w", filepath.Base(bin), strings.Join(args, " "), err)
-	}
-	return out.Bytes(), nil
 }
 
 // contract executes the hybrid campaign in-process and audits the

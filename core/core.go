@@ -33,9 +33,9 @@
 // simulated to program exit.
 //
 // From the ladder, experiments run bit-parallel (PPSFP): the engine
-// batches fault universes — lanes, in groups of 64 — onto one witnessed
-// golden pass per campaign worker that records which bit values every
-// batched net is read with, finalizes the lanes that provably never
+// batches fault universes — lanes, in groups of 64 — over a log of which
+// bit values the golden run read every batched net with (one witnessed
+// walk per net per runner), finalizes the lanes that provably never
 // activate as no-effect without simulating them, and re-runs only the
 // activated lanes scalar from the nearest frozen golden state (DESIGN.md
 // §10). Batching is invisible to result encodings, content addresses and

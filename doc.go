@@ -16,7 +16,7 @@
 // injection instant to program exit; every experiment forks from the
 // rung at or below the cycle its fault arrives instead of re-simulating
 // from reset, and a transient whose state re-equals a later rung is
-// finalized without simulating the rest (DESIGN.md §15).
+// finalized without simulating the rest (DESIGN.md §10).
 // The BenchmarkCampaignCheckpointed / BenchmarkCampaignFromReset pair in
 // bench_test.go measures the resulting campaign speedup; results are
 // bit-identical either way (see internal/fault's TestCheckpointFidelity).
@@ -26,8 +26,9 @@
 // equivalence tests compare against.
 //
 // On top of the checkpoint, experiments execute bit-parallel in the
-// PPSFP style: the runner batches up to 64 fault universes (lanes) per
-// witnessed golden pass, using the kernel's per-cycle read witnesses to
+// PPSFP style: the runner batches fault universes (lanes) in groups of 64
+// over a log of what the golden run read of each net, walked once per
+// runner through the kernel's per-cycle read witnesses, to
 // prove most lanes never activate — those are classified no-effect
 // without being simulated — while activated lanes fall back to an exact
 // scalar run forked from the ladder. Per-lane results are

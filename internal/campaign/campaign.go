@@ -114,7 +114,7 @@ type onceEntry[V any] struct {
 // writes: at most 6 MiB, about 3 MB for puwmod from reset) and its golden
 // read log (what the golden run read of the nets campaigns have faulted
 // so far: at most another 6 MiB, 1.7 MB for every IU net of rspeed from
-// mid-run and 3.4 MB of puwmod from reset; DESIGN.md §15), however long
+// mid-run and 3.4 MB of puwmod from reset; DESIGN.md §10), however long
 // the run. A full cache therefore holds at most 64 x 12 MiB of golden
 // state beside the traces, and nears that only if every entry is driven
 // over all of its nets on a long run. Eviction only drops

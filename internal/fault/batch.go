@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"math"
 	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/leon3"
@@ -14,9 +16,9 @@ import (
 // value — or, for an upset memory-array word, read at all before it is
 // overwritten — and only those lanes ever pay for a scalar simulation.
 // The reads come from the runner's read log (readlog.go), walked once per
-// net; a campaign has one pass per worker, each carrying several 64-lane
-// groups — the dispatch granule — and drained from the log once, by
-// whichever worker first needs one of its groups.
+// net: a lane is a cursor over its net's log, built by the worker that runs
+// its 64-lane group — the dispatch granule — and asked one question,
+// nextActivation.
 //
 // Classic PPSFP packs one gate-level net's value across 64 test patterns
 // into a machine word. That transplant is impossible for a word-level
@@ -27,12 +29,12 @@ import (
 // the value consumers observe. A faulted universe whose raw state still
 // equals the golden run's therefore diverges exactly at the first cycle
 // where some process reads the faulted net and the forced bit differs
-// from the clean bit. During a witnessed golden continuation a
-// rtl.Witness accumulates per-net read observations (Ones/Zeros masks);
-// whether a lane activates at a cycle is then one AND against its net's
-// accumulator — all 64 bit positions of a net checked at once, which is
-// where the 64-way parallelism lives — and only the cycles at which the
-// design touched the net are visited at all.
+// from the clean bit. During the witnessed golden walk a rtl.Witness
+// accumulates per-net read observations (Ones/Zeros masks), logged as runs
+// of equal cycles; whether a lane activates in a run is then one AND
+// against the run's accumulator — all 64 bit positions of a net answered
+// by one log, which is where the 64-way parallelism lives — and only the
+// cycles at which the design touched the net are visited at all.
 //
 // A BitFlip is the one model that does mutate raw state, and on a signal
 // the upset spreads through raw copies (Hold, the clock edge) that no Get
@@ -55,28 +57,13 @@ import (
 // campaign's verdict table hands it that lane's verdict (resolveOnce). A forked
 // lane that heals is dropped back onto the golden trajectory, or
 // teleported forward to its next activation cycle; one whose state
-// recurs is a proven hang. A pass keeps no golden state and steps no
+// recurs is a proven hang. A group keeps no golden state and steps no
 // golden cycle: a campaign whose nets are all logged only reads.
 
 // maxLanes is the lane capacity of one group, the PPSFP word width the
-// design is named for: a pass records one activation word per group per
-// golden cycle, one bit per lane. The group is the dispatch granule, so
-// 64 also bounds the stop-rule and cancellation overshoot per worker.
+// design is named for. The group is the dispatch granule, so 64 also
+// bounds the stop-rule and cancellation overshoot per worker.
 const maxLanes = 64
-
-// actBudget bounds one pass's activation record (8 bytes per group per
-// golden cycle) at the order of the ladder's footprint; a constant, not an option.
-const actBudget = 1 << 20
-
-// pass is the lanes and activation record of several groups of a campaign,
-// built in one go. Once walked its storage is read-only, and read by every
-// worker that resolves one of its groups until the campaign's dispatch ends.
-type pass struct {
-	idxs     []int // experiment indices in lane order; group g is idxs[64g:64(g+1)]
-	memo     *memo // the campaign's, shared by all its passes
-	once     sync.Once
-	*passBuf // nil until walked, and ever after if the witness failed to arm
-}
 
 // forcing keys an activated lane's universe: the kernel arms an open line
 // whose sampled charge is b exactly as it arms stuck-at-b, and Expand
@@ -145,11 +132,11 @@ func (t *Verdicts) verdict(f forcing) *verdict {
 	return &t.chunks[i/verdictChunk][i%verdictChunk]
 }
 
-// memo is what the plan fixes for every pass of one CampaignShared call and
+// memo is what the plan fixes for every group of one CampaignShared call and
 // no worker writes — the deduplicated nets of the call's lanes (lanes may
 // fault different bits, or models, of one net) and their read logs — and the
-// verdict table its lanes resolve through: the caller's, or its own. Pooled
-// like passBuf.
+// verdict table its lanes resolve through: the caller's, or its own. Kept by
+// the runner between campaigns, like its engines.
 type memo struct {
 	verdicts *Verdicts // the caller's table, or own
 	own      *Verdicts
@@ -161,26 +148,18 @@ type memo struct {
 	netOf  []int32   // per experiment, its net; -1 for one that runs scalar
 }
 
-// passBuf is the pooled storage of one walk.
-type passBuf struct {
-	lanes []lane
-	// act is the activation record, group-major: group g's word for golden
-	// cycle t is act[g*span+t-start], span the continuation's length.
-	act []uint64
-}
-
 // planItem is one dispatch granule of a campaign: a single scalar
-// experiment (pass nil) or one 64-lane group of a pass.
+// experiment (lanes nil), or the experiment indices of one group of up to
+// 64 lanes.
 type planItem struct {
 	idx   int
-	pass  *pass
-	group int
+	lanes []int
 }
 
 // planBatches partitions a campaign's experiments into dispatch
 // granules. Under NoCheckpoint — the reference engine — every experiment
 // is its own scalar granule. Otherwise an experiment is batchable when
-// a witnessed walk can reason about it: the permanent models,
+// the golden run's reads can reason about it: the permanent models,
 // SETPulse, and BitFlip on a memory-array word (see the file comment).
 // A BitFlip on a signal mutates raw state that propagates through raw
 // register copies without ever being "read", so witness gating would be
@@ -190,13 +169,11 @@ type planItem struct {
 //
 // The plan is in input order, which is what an adaptive stop samples: a
 // scalar granule at its experiment's position, a group where its last lane
-// falls. Groups are dealt round-robin to one pass per worker — consecutive
-// groups open different passes, so no worker waits for another's walk
-// before it has work — and to more where a record would exceed actBudget.
-// Result content is independent of the partition. The plan also asks the
-// runner, once, for the read logs of the lanes' nets (readLogs): the one
-// place a campaign may step golden cycles.
-func (r *Runner) planBatches(exps []Experiment, workers int, shared *Verdicts) ([]planItem, []*pass) {
+// falls. Result content is independent of the partition. The plan also asks
+// the runner, once, for the read logs of the lanes' nets (readLogs): the one
+// place a campaign may step golden cycles. The memo is nil under
+// NoCheckpoint.
+func (r *Runner) planBatches(exps []Experiment, shared *Verdicts) ([]planItem, *memo) {
 	if r.opts.NoCheckpoint {
 		plan := make([]planItem, len(exps))
 		for i := range plan {
@@ -238,37 +215,24 @@ func (r *Runner) planBatches(exps []Experiment, workers int, shared *Verdicts) (
 	}
 	r.putEngine(eng)
 	r.met.lanesPlanned.Add(float64(lanes))
-	groups := (lanes + maxLanes - 1) / maxLanes
-	gcap := max(1, actBudget/8/int(max(1, r.GoldenCycles-r.ladder().start)))
-	passes := make([]*pass, max((groups+gcap-1)/gcap, min(workers, groups)))
-	if len(passes) > 0 {
-		r.readLogs(m)
-		for i := range passes {
-			passes[i] = &pass{memo: m, idxs: make([]int, 0, (groups+len(passes)-1)/len(passes)*maxLanes)}
-		}
-	}
-	plan := make([]planItem, 0, groups+len(exps)-lanes)
-	g, n := 0, 0 // groups planned, lanes seen
+	r.readLogs(m)
+	plan := make([]planItem, 0, (lanes+maxLanes-1)/maxLanes+len(exps)-lanes)
+	idxs := make([]int, 0, lanes) // every group's indices, in lane order
 	for i := range exps {
 		if m.netOf[i] < 0 {
 			plan = append(plan, planItem{idx: i})
 			continue
 		}
-		p := passes[g%len(passes)]
-		p.idxs = append(p.idxs, i)
-		if n++; n%maxLanes == 0 || n == lanes {
-			plan = append(plan, planItem{pass: p, group: g / len(passes)})
-			g++
+		idxs = append(idxs, i)
+		if n := len(idxs); n%maxLanes == 0 || n == lanes {
+			plan = append(plan, planItem{lanes: idxs[(n-1)/maxLanes*maxLanes : n : n]})
 		}
 	}
-	if len(passes) == 0 {
-		r.putMemo(m) // no lane: no pass carries the memo to the campaign's end
-	}
-	return plan, passes
+	return plan, m
 }
 
-// lane is one fault universe: a lane of a witnessed pass, or a scalar
-// experiment on its own.
+// lane is one fault universe: a lane of a group, or a scalar experiment
+// on its own.
 type lane struct {
 	e        Experiment
 	f        rtl.Fault
@@ -281,49 +245,27 @@ type lane struct {
 	// differing bit — for a BitFlip lane, read the upset word at all.
 	activateAt uint64
 
-	// Pass lanes only. act is the activation record of the lane's group —
-	// word t-start has bit slot set when the lane's probe fired at golden
-	// cycle t — nil for a scalar experiment or a never-activated lane.
-	// sampled is the raw word the lane's net carried at the injection
-	// instant (charge-sampling models).
-	act     []uint64
-	slot    uint
+	// Batch lanes only. log is what the golden run read of the lane's net,
+	// nil for a scalar experiment. sampled is the raw word the net carried
+	// at the injection instant (charge-sampling models).
+	log     *netLog
 	sampled uint64
 	probe
 }
 
-// probe is the activation predicate of one pass lane: it fires when some
-// consumer read the faulted bit with the polarity the forcing would invert.
+// probe is the activation predicate of one batch lane: it fires on a run of
+// the net's log in which some consumer read the faulted bit with the
+// polarity the forcing would invert.
 type probe struct {
 	shift uint8 // Node.Bit (< 64)
 	// forcedOne is the armed polarity of the faulted bit; for the
-	// charge-sampling models it is derived from lane.sampled. armed is
-	// false for a transient lane scheduled past program exit.
+	// charge-sampling models it is derived from lane.sampled.
 	forcedOne bool
-	armed     bool
 	// flip marks a BitFlip lane on an array word. Its probe arms at the
 	// lane's instant and is spent by the word's next access: a write
 	// before any read kills it, the first read fires it — either polarity,
 	// the flipped bit differs from the clean one whatever it holds.
 	flip bool
-}
-
-// fires reports whether a cycle's observations of the probe's net
-// activate it, and disarms a flip probe the cycle its word is touched.
-func (p *probe) fires(a *rtl.WitnessAcc) bool {
-	if !p.armed {
-		return false
-	}
-	if p.flip {
-		read := a.Ones|a.Zeros != 0
-		p.armed = !read && !a.WriteFirst
-		return read && !a.WriteFirst
-	}
-	m := a.Ones
-	if p.forcedOne {
-		m = a.Zeros
-	}
-	return m>>p.shift&1 != 0
 }
 
 // newLane describes experiment e's universe as a scalar run: it leaves
@@ -337,21 +279,44 @@ func (r *Runner) newLane(e Experiment) lane {
 	return l
 }
 
+// batchLane describes experiment e's universe as a cursor over its net's
+// log: armed from its injection instant — a charge-sampling model's polarity
+// from the logged raw word there — it leaves the golden trajectory at its
+// first activation, if it has one.
+func (r *Runner) batchLane(e Experiment, lg *netLog) (l lane, activated bool) {
+	l = r.newLane(e)
+	l.log = lg
+	l.probe = probe{shift: uint8(e.Node.Node.Bit), flip: e.Model == rtl.BitFlip}
+	switch e.Model {
+	case rtl.StuckAt1:
+		l.forcedOne = true
+	case rtl.OpenLine:
+		l.sampled = lg.v0
+		l.forcedOne = l.sampled>>l.shift&1 != 0
+	case rtl.SETPulse:
+		// A SET glitch drives the complement of the charge.
+		l.sampled = lg.valueAt(l.injectAt)
+		l.forcedOne = l.sampled>>l.shift&1 == 0
+	}
+	at := l.nextActivation(l.injectAt)
+	if at >= 0 {
+		l.activateAt = uint64(at)
+	}
+	return l, at >= 0
+}
+
 // result returns the lane's result before any verdict: no effect, no
 // latency, no cycles.
 func (l *lane) result() Result {
 	return Result{Fault: l.f, Unit: l.e.Node.Unit, Latency: -1, InjectAt: l.injectAt}
 }
 
-// runGroup executes one dispatch granule: group g of pass p, walking the
-// pass first if no worker has yet. Every result delivered is
-// byte-identical to what RunOne would produce for the experiment.
-func (r *Runner) runGroup(exps []Experiment, p *pass, g int, deliver func(i int, res Result)) {
-	p.once.Do(func() { r.walk(exps, p) })
-	lo := g * maxLanes
-	idxs := p.idxs[lo:min(lo+maxLanes, len(p.idxs))]
-	if p.passBuf == nil {
-		// The defensive path for a pass setup failure, which never happens
+// runGroup executes one dispatch granule: the group of lanes idxs, each
+// built here from its net's log. Every result delivered is byte-identical
+// to what RunOne would produce for the experiment.
+func (r *Runner) runGroup(exps []Experiment, m *memo, idxs []int, deliver func(i int, res Result)) {
+	if len(m.logs) == 0 {
+		// The logging walk's witness failed to arm, which never happens
 		// with a same-program core and plan-validated nodes.
 		r.met.fallbacks.Add(float64(len(idxs)))
 		for _, i := range idxs {
@@ -362,11 +327,11 @@ func (r *Runner) runGroup(exps []Experiment, p *pass, g int, deliver func(i int,
 	lad := r.ladder()
 	eng := r.getEngine()
 	defer r.putEngine(eng)
-	for j, i := range idxs {
-		l := &p.lanes[lo+j]
-		if l.act != nil {
+	for _, i := range idxs {
+		l, activated := r.batchLane(exps[i], m.logs[m.netOf[i]])
+		if activated {
 			r.met.lanesActivated.Inc()
-			deliver(i, r.resolveOnce(eng, lad, p, lo+j))
+			deliver(i, r.resolveOnce(eng, lad, &l, m.verdicts))
 			continue
 		}
 		// A never-activated lane tracked the golden trajectory bit-for-bit
@@ -381,15 +346,14 @@ func (r *Runner) runGroup(exps []Experiment, p *pass, g int, deliver func(i int,
 	}
 }
 
-// resolveOnce returns activated lane j's verdict: resolved here if the lane
-// is the first of its forcing in the campaign's table, its twin's under its
+// resolveOnce returns activated lane l's verdict: resolved here if the lane
+// is the first of its forcing in the campaign's table t, its twin's under its
 // own Fault otherwise. An upset array word is no forcing and always resolved.
-func (r *Runner) resolveOnce(eng *engine, lad *ladder, p *pass, j int) Result {
-	l := &p.lanes[j]
+func (r *Runner) resolveOnce(eng *engine, lad *ladder, l *lane, t *Verdicts) Result {
 	if l.e.Model == rtl.BitFlip {
 		return r.resolve(eng, lad, l)
 	}
-	v := p.memo.verdicts.verdict(forcing{node: l.f.Node, one: l.forcedOne, injectAt: l.injectAt, pulseEnd: l.pulseEnd})
+	v := t.verdict(forcing{node: l.f.Node, one: l.forcedOne, injectAt: l.injectAt, pulseEnd: l.pulseEnd})
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.done {
@@ -402,57 +366,52 @@ func (r *Runner) resolveOnce(eng *engine, lad *ladder, p *pass, j int) Result {
 	return res
 }
 
-// walk builds p's lanes and drains each one's net log into its group's
-// activation record: no golden cycle is stepped here. It leaves every
-// activated lane its first activation cycle and group record — or p.passBuf
-// nil, had the logging walk's witness not armed.
-func (r *Runner) walk(exps []Experiment, p *pass) {
-	m := p.memo
-	if len(m.logs) == 0 {
-		return
+// nextActivation returns the first golden cycle at or after from — and no
+// earlier than the lane's injection instant — at which the lane's forcing
+// is read with a differing bit, or -1 if it never is again: a binary search
+// into the net's runs, then the first run whose accumulator fires the probe.
+// A glitch stops being read when its window closes; the log ends with the
+// golden run. An upset array word is spent by its first access at or after
+// the injection instant, whatever from is: written first it is dead, read
+// it fires on that one cycle. A scalar universe has no log and is only
+// asked once nothing is armed (see resolve), so the answer is never.
+func (l *lane) nextActivation(from uint64) int64 {
+	if l.log == nil {
+		return -1
 	}
-	start := r.ladder().start
-	span := r.GoldenCycles - start
-	b := r.passBufs.get()
-	if b == nil {
-		b = &passBuf{}
-	}
-	n := len(p.idxs)
-	b.lanes = slices.Grow(b.lanes[:0], n)[:n]
-	// One activation word per group per golden cycle, bit slot set when
-	// the lane's probe fired, is all a healed lane needs to find its next
-	// activation: 8 bytes, whatever the net count.
-	words := (n + maxLanes - 1) / maxLanes * int(span)
-	b.act = slices.Grow(b.act[:0], words)[:words]
-	clear(b.act)
-	for j, i := range p.idxs {
-		l, e := &b.lanes[j], exps[i]
-		*l = r.newLane(e)
-		l.slot = uint(j % maxLanes)
-		l.probe = probe{shift: uint8(e.Node.Node.Bit), flip: e.Model == rtl.BitFlip}
-		base := uint64(j/maxLanes) * span
-		l.drain(m.logs[m.netOf[i]], b.act[base:base+span], start, r.GoldenCycles)
-	}
-	p.passBuf = b
-}
-
-// nextActivation returns the first golden cycle at or after from at
-// which the lane's forcing is read with a differing bit, or -1 if it
-// never is again. start is the cycle of the activation record's first
-// word; the record runs to the golden run's end. A scalar universe has
-// no record and is only asked once nothing is armed (see resolve), so
-// the answer is never.
-func (l *lane) nextActivation(start, from uint64) int64 {
-	end := start + uint64(len(l.act))
-	if l.pulseEnd != 0 && l.pulseEnd < end {
+	end := uint64(math.MaxUint64)
+	if l.pulseEnd != 0 {
 		end = l.pulseEnd
 	}
-	if from < l.injectAt {
-		from = l.injectAt
+	from = max(from, l.injectAt)
+	search := from
+	if l.flip {
+		search = l.injectAt
 	}
-	for t := from; t < end; t++ {
-		if l.act[t-start]>>l.slot&1 != 0 {
-			return int64(t)
+	if search >= end {
+		return -1
+	}
+	runs := &l.log.runs
+	i := sort.Search(runs.n, func(i int) bool { ru := runs.at(i); return uint64(ru.t)+uint64(ru.n) > search })
+	for ; i < runs.n && uint64(runs.at(i).t) < end; i++ {
+		ru := runs.at(i)
+		at := max(uint64(ru.t), search)
+		if l.flip {
+			read := ru.ones|ru.zeros != 0
+			if read && !ru.writeFirst && from <= at {
+				return int64(at)
+			}
+			if read || ru.writeFirst {
+				break // spent
+			}
+			continue
+		}
+		m := ru.ones
+		if l.forcedOne {
+			m = ru.zeros
+		}
+		if m>>l.shift&1 != 0 {
+			return int64(at)
 		}
 	}
 	return -1
@@ -461,12 +420,12 @@ func (l *lane) nextActivation(start, from uint64) int64 {
 // arm applies the lane's fault to a core positioned on the golden
 // trajectory at the lane's activation cycle. A batch lane may sit past
 // its injection instant there, so the charge-sampling models take their
-// frozen value from the sample the pass recorded at that instant —
+// frozen value from the raw word the log holds for that instant —
 // exactly the forcing a scalar Inject at the original instant arms; a
 // scalar universe sits on the instant itself and samples the present
 // state.
 func (l *lane) arm(core *leon3.Core) error {
-	if l.act != nil && (l.e.Model == rtl.OpenLine || l.e.Model == rtl.SETPulse) {
+	if l.log != nil && (l.e.Model == rtl.OpenLine || l.e.Model == rtl.SETPulse) {
 		return core.K.InjectForced(l.f, l.sampled)
 	}
 	return core.K.Inject(l.f)

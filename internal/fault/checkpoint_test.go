@@ -271,16 +271,17 @@ func TestForkAllocatesNothing(t *testing.T) {
 		}
 	}
 	exps := Expand(SampleNodes(regs, 256, 1), rtl.StuckAt0, rtl.StuckAt1)
-	_, passes := r.planBatches(exps, 1, nil)
-	r.walk(exps, passes[0])
+	_, m := r.planBatches(exps, nil)
+	defer r.putMemo(m)
 	eng, lad := r.getEngine(), r.ladder()
 	forks := func() float64 { return engineCounters(t, reg)["engine_snapshot_materializations_total"] }
 	teleporting := 0
-	for j := range passes[0].lanes {
-		l := &passes[0].lanes[j]
-		if l.act == nil {
+	for i, e := range exps {
+		bl, activated := r.batchLane(e, m.logs[m.netOf[i]])
+		if !activated {
 			continue
 		}
+		l := &bl
 		before := forks()
 		want := r.resolve(eng, lad, l) // the first also warms the engine
 		if forks()-before < 3 {
@@ -296,6 +297,6 @@ func TestForkAllocatesNothing(t *testing.T) {
 		}
 	}
 	if teleporting < 5 {
-		t.Errorf("%d lanes of %d were re-forked at a later activation: the sample does not reach the teleport", teleporting, len(passes[0].lanes))
+		t.Errorf("%d lanes of %d were re-forked at a later activation: the sample does not reach the teleport", teleporting, len(exps))
 	}
 }

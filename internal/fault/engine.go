@@ -82,16 +82,6 @@ func enumerateNodes(entry uint32, target Target) []NodeInfo {
 	return out
 }
 
-// watchTrace hooks a new early-exit golden comparator onto a bus. start is
-// the index of the next expected golden write: 0 for a from-reset run, the
-// checkpoint's write count for a forked run (the golden prefix is
-// identical by construction).
-func watchTrace(golden *mem.Trace, bus *mem.Bus, tick func() uint64, start int) *comparator {
-	c := &comparator{mismatchAt: -1, idx: start}
-	c.watch(golden, bus, tick)
-	return c
-}
-
 // watch makes c the bus's write observer for as long as the bus lives; the
 // owner re-arms it by assigning c a fresh value. tick reports the engine's
 // current time (cycles for RTL, instructions for the ISS) and timestamps

@@ -54,14 +54,13 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestSharedPassEquivalence holds the engine contract where a witnessed
-// pass carries several 64-lane groups, which the small campaigns above
-// never reach: all five models with scheduled instants over a mixed
-// IU+CMEM node sample, so every net recurs in a later group under another
-// model (Expand is models-outer) and sa0/sa1/open/set/seu lanes of one
-// net share one accumulator across groups. One worker walks every group
-// on one pass, two walk three-plus groups each, three and five deal the
-// groups to more, shorter passes — the bytes must not care.
+// TestSharedPassEquivalence holds the engine contract where a campaign
+// has several 64-lane groups, which the small campaigns above never reach:
+// all five models with scheduled instants over a mixed IU+CMEM node
+// sample, so every net recurs in a later group under another model (Expand
+// is models-outer) and sa0/sa1/open/set/seu lanes of one net are cursors
+// over one log from different groups, on different workers at 2, 3 and 5 —
+// the bytes must not care.
 func TestSharedPassEquivalence(t *testing.T) {
 	for _, name := range []string{"excerptA", "rspeed"} {
 		t.Run(name, func(t *testing.T) {
@@ -73,36 +72,13 @@ func TestSharedPassEquivalence(t *testing.T) {
 			nodes := append(SampleNodes(prod.Nodes(TargetIU), 56, 13), SampleNodes(prod.Nodes(TargetCMEM), 32, 13)...)
 			exps := Expand(nodes, rtl.AllFaultModels()...)
 			prod.ScheduleTransients(exps, 13)
-			for _, workers := range []int{1, 2, 3, 5} {
-				plan, passes := prod.planBatches(exps, workers, nil)
-				lanes := 0
-				for _, p := range passes {
-					lanes += len(p.idxs)
-				}
-				groups := (lanes + maxLanes - 1) / maxLanes
-				if np := min(workers, groups); len(passes) != np || workers <= 2 && groups/np < 3 {
-					t.Fatalf("%d workers: %d groups on %d passes, want one pass per worker of at least 3 groups", workers, groups, len(passes))
-				}
-				// Groups are dealt round-robin: consecutive group granules open
-				// (then extend) different passes, in input order.
-				g := 0
-				for _, it := range plan {
-					if it.pass == nil {
-						continue
-					}
-					if it.pass != passes[g%len(passes)] || it.group != g/len(passes) {
-						t.Fatalf("%d workers: group granule %d is not group %d of pass %d", workers, g, g/len(passes), g%len(passes))
-					}
-					g++
-				}
-				if g != groups {
-					t.Fatalf("%d workers: %d group granules planned for %d groups", workers, g, groups)
-				}
+			if _, groups := planned(prod, exps); groups < 6 {
+				t.Fatalf("%d groups planned: the campaign does not give five workers a group each", groups)
 			}
 			want := ref.Campaign(exps, 0)
 			for _, workers := range []int{1, 2, 3, 5} {
 				if got := prod.Campaign(exps, workers); !reflect.DeepEqual(got, want) {
-					t.Errorf("%d workers: shared-pass campaign differs from the from-reset reference", workers)
+					t.Errorf("%d workers: multi-group campaign differs from the from-reset reference", workers)
 				}
 			}
 			if name == "excerptA" {
@@ -111,6 +87,19 @@ func TestSharedPassEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// planned returns the production engine's plan for exps and the number of
+// lane groups in it.
+func planned(r *Runner, exps []Experiment) (plan []planItem, groups int) {
+	plan, m := r.planBatches(exps, nil)
+	r.putMemo(m)
+	for _, it := range plan {
+		if it.lanes != nil {
+			groups++
+		}
+	}
+	return plan, groups
 }
 
 // enginePair builds the production runner for opts and its NoCheckpoint
@@ -222,8 +211,8 @@ func TestReferenceEngineIsNaive(t *testing.T) {
 }
 
 // TestKeptObjectsSurviveCollections holds the runner's free lists to what
-// they replaced collector-emptied pools for: engines, pass storage and the
-// verdict memo sit idle between campaigns — through an ISS pass, through
+// they replaced collector-emptied pools for: engines and the verdict memo
+// sit idle between campaigns — through an ISS pass, through
 // the caller's own work — and a collection in between must not cost a
 // rebuilt design graph. Back-to-back campaigns with two collections in
 // between build no second engine per worker, and hand the first campaign's
@@ -241,9 +230,9 @@ func TestKeptObjectsSurviveCollections(t *testing.T) {
 	exps := Expand(SampleNodes(r.Nodes(TargetIU), 96, 5), rtl.FaultModels()...)
 	want := r.Campaign(exps, workers)
 	engines := slices.Clone(r.engines.idle)
-	bufs, memos := slices.Clone(r.passBufs.idle), slices.Clone(r.memos.idle)
-	if len(engines) == 0 || len(bufs) == 0 || len(memos) != 1 {
-		t.Fatalf("after one campaign the runner keeps %d engines, %d pass buffers, %d memos", len(engines), len(bufs), len(memos))
+	memos := slices.Clone(r.memos.idle)
+	if len(engines) == 0 || len(memos) != 1 {
+		t.Fatalf("after one campaign the runner keeps %d engines, %d memos", len(engines), len(memos))
 	}
 	for i := 0; i < 3; i++ {
 		runtime.GC()
@@ -260,11 +249,6 @@ func TestKeptObjectsSurviveCollections(t *testing.T) {
 			t.Error("an engine of the first campaign was dropped and rebuilt")
 		}
 	}
-	for _, b := range bufs {
-		if !slices.Contains(r.passBufs.idle, b) {
-			t.Error("a pass buffer of the first campaign was dropped and rebuilt")
-		}
-	}
 	if len(r.memos.idle) != 1 || r.memos.idle[0] != memos[0] {
 		t.Error("the verdict memo of the first campaign was dropped and rebuilt")
 	}
@@ -278,25 +262,22 @@ func TestKeptObjectsSurviveCollections(t *testing.T) {
 }
 
 // TestBatchedCampaignRace drives the bit-parallel engine through a
-// parallel campaign of shared passes — eight workers each open a pass and
-// then race for the second groups of the first ones, which another worker
-// walked or is still walking — so `go test -race` exercises the concurrent first
-// build of the golden ladder, witness arming on pooled cores, the hand-off
-// of a walked pass's lanes and record to the other groups' workers,
-// copy-on-write rung forks and per-lane materialization — and the lane
+// parallel campaign of many groups — more than one for some of eight
+// workers, lanes of one net on different workers — so `go test -race`
+// exercises the concurrent first build of the golden ladder, the one
+// logging walk the others wait behind, concurrent cursors over one net's
+// log, copy-on-write rung forks and per-lane materialization — and the lane
 // demultiplexing stays byte-identical to serial execution. Two mixed
 // seu+set+sa1 campaigns then run at once on the same runner: scalar
 // signal flips, register-file SEU lanes, SET lanes and permanent lanes of
-// both share its one ladder, and the three lane kinds share witnessed
-// passes. The campaign's verdict memo is raced with them: the sa0, sa1 and
-// open-line lanes of a node sit in groups of different passes, so a twin
-// looks its forcing up while other workers add theirs, and finds it
-// resolved, being resolved by another worker (it waits) or new. Last,
-// campaigns cancelled at their first completion — while the other workers
-// are still walking, waiting on a walk or waiting on a twin's verdict —
-// return promptly, hand their pass storage and memo back to the pool, and
-// leave the concurrent and the following campaigns that reuse them
-// untouched.
+// both share its one ladder and its one read log. The campaign's verdict
+// memo is raced with them: the sa0, sa1 and open-line lanes of a node sit
+// in different groups, so a twin looks its forcing up while other workers
+// add theirs, and finds it resolved, being resolved by another worker (it
+// waits) or new. Last, campaigns cancelled at their first completion —
+// while the other workers are still resolving or waiting on a twin's
+// verdict — return promptly, hand their memo back to the runner, and leave
+// the concurrent and the following campaigns that reuse it untouched.
 func TestBatchedCampaignRace(t *testing.T) {
 	w, err := workloads.Build("excerptB", workloads.Config{})
 	if err != nil {
@@ -310,8 +291,8 @@ func TestBatchedCampaignRace(t *testing.T) {
 	nodes := SampleNodes(r.Nodes(TargetIU), 160, 11)
 	exps := Expand(nodes, rtl.AllFaultModels()...)
 	r.ScheduleTransients(exps, 4)
-	if _, passes := r.planBatches(exps, 8, nil); len(passes) != 8 || len(passes[0].idxs) != 2*maxLanes {
-		t.Fatalf("8 workers plan %d passes, the first of %d lanes: want one per worker, the first ones shared by two groups", len(passes), len(passes[0].idxs))
+	if _, groups := planned(r, exps); groups < 9 {
+		t.Fatalf("%d groups planned: want more than one for some of 8 workers", groups)
 	}
 	par := r.Campaign(exps, 8)
 	twins := proofCounts(t, reg)[provenEquivalent]
@@ -320,7 +301,7 @@ func TestBatchedCampaignRace(t *testing.T) {
 		t.Fatal("parallel batched campaign diverged from serial")
 	}
 	if serial := proofCounts(t, reg)[provenEquivalent] - twins; twins == 0 || serial != twins {
-		t.Fatalf("%v verdicts shared across 8 workers' passes, %v by one worker: want the same, nonzero", twins, serial)
+		t.Fatalf("%v verdicts shared across 8 workers' groups, %v by one worker: want the same, nonzero", twins, serial)
 	}
 
 	mixed := Expand(SampleNodes(r.Nodes(TargetIU), 24, 12), rtl.BitFlip, rtl.SETPulse, rtl.StuckAt1)

@@ -53,32 +53,3 @@ func TestTransientFlipInDeadStateIsSilent(t *testing.T) {
 		t.Errorf("flip in unused muldiv unit propagated: %v", res.Outcome)
 	}
 }
-
-func TestBridgeFaultPropagates(t *testing.T) {
-	// Shorting an ALU result bit to the (usually different) store-data
-	// path corrupts values whenever the two disagree.
-	r := newRunner(t, "excerptB", workloads.Config{})
-	res := r.RunBridge(BridgeExperiment{
-		A:    NodeInfo{Node: rtl.Node{Name: "iu.ex.result", Bit: 12}, Unit: sparc.UnitALU},
-		B:    NodeInfo{Node: rtl.Node{Name: "iu.ex.aluout", Bit: 29}, Unit: sparc.UnitALU},
-		Kind: rtl.WiredAND,
-	})
-	if !res.Outcome.IsFailure() {
-		t.Errorf("ALU bridge did not fail: %v", res.Outcome)
-	}
-}
-
-func TestBridgeBetweenQuiescentNetsIsSilent(t *testing.T) {
-	// Bridging two bits that are always equal (here: two nets that stay 0
-	// for the whole run — excerptA never divides, so the muldiv overflow
-	// flag never rises, and error mode is never entered) cannot manifest.
-	r := newRunner(t, "excerptA", workloads.Config{})
-	res := r.RunBridge(BridgeExperiment{
-		A:    NodeInfo{Node: rtl.Node{Name: "iu.ctl.errm", Bit: 0}, Unit: sparc.UnitPSR},
-		B:    NodeInfo{Node: rtl.Node{Name: "iu.md.ovf", Bit: 0}, Unit: sparc.UnitMulDiv},
-		Kind: rtl.WiredOR,
-	})
-	if res.Outcome != OutcomeNoEffect {
-		t.Errorf("bridge between quiescent nets propagated: %v", res.Outcome)
-	}
-}

@@ -137,7 +137,7 @@ type Options struct {
 	NoEarlyExit bool
 	// NoCheckpoint is the one engine selector. False (the default) is the
 	// production engine: experiments fork from the frozen golden ladder at
-	// their injection instant on pooled cores, ride witnessed passes in
+	// their injection instant on pooled cores, ride the golden read log in
 	// 64-lane groups where the planner can reason about them, and drop back onto
 	// the golden trajectory when they heal (checkpoint.go, batch.go). True
 	// is the deliberately naive reference every equivalence test and the
@@ -209,8 +209,8 @@ type Runner struct {
 	baseImg *mem.Image
 
 	// Golden ladder, built lazily on first use and immutable afterwards:
-	// every experiment and witnessed pass of every campaign on this runner
-	// forks from its rungs (see checkpoint.go).
+	// every experiment, batch lane and logging walk of every campaign on this
+	// runner forks from its rungs (see checkpoint.go).
 	ladderOnce sync.Once
 	lad        *ladder
 	// stride, when nonzero, is the ladder's stride whatever the run length:
@@ -222,12 +222,10 @@ type Runner struct {
 
 	// engines keeps reusable RTL cores: each campaign worker restores a
 	// kept core in place per experiment instead of rebuilding the whole
-	// design graph with leon3.New. passBufs keeps the lanes and activation
-	// records of witnessed passes, memos the campaigns' net plans and verdict
-	// tables; both are held until their campaign's dispatch ends.
-	engines  freeList[engine]
-	passBufs freeList[passBuf]
-	memos    freeList[memo]
+	// design graph with leon3.New. memos keeps the campaigns' net plans and
+	// verdict tables, each held until its campaign's dispatch ends.
+	engines freeList[engine]
+	memos   freeList[memo]
 
 	nodeLists nodeLists
 
@@ -290,7 +288,7 @@ func NewRunner(p *asm.Program, opts Options) (*Runner, error) {
 	// One object of each kind per processor: what a campaign at the default
 	// worker count holds at once.
 	keep := runtime.GOMAXPROCS(0)
-	r.engines.max, r.passBufs.max, r.memos.max = keep, keep, keep
+	r.engines.max, r.memos.max = keep, keep
 	core, _ := r.freshCore()
 	st := core.Run(200_000_000)
 	if st != iss.StatusExited {
@@ -482,7 +480,7 @@ func (r *Runner) armAt(e Experiment) uint64 {
 // free; a SETPulse is released when its window closes.
 //
 // On a ladder three kinds of verdict are proven instead of stepped to
-// (DESIGN.md §15 has the arguments); the from-reset reference proves
+// (DESIGN.md §10 has the arguments); the from-reset reference proves
 // nothing and steps to every one.
 //
 // Healed: committed state equal to a golden rung's with the off-core write
@@ -492,10 +490,10 @@ func (r *Runner) armAt(e Experiment) uint64 {
 // compared every cycle with the rung at or below it: the cycle counter
 // feeds nothing, so shift cycles past the rung it replays the golden
 // continuation shift cycles late. A batch lane with its forcing armed is
-// compared on the rung's own cycle only, where its activation record says
+// compared on the rung's own cycle only, where its net's read log says
 // when the forcing is next read divergently: never, and it is no-effect;
 // far away, and it is re-forked there; soon, and it runs on. A scalar
-// permanent fault has no record and is never compared.
+// permanent fault has no log and is never compared.
 //
 // Recurrent: past the last rung, with nothing left to release, the future
 // is a function of kernel slabs, memory and comparator. Brent's cycle
@@ -560,12 +558,12 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane) Result {
 		// Comparable: an unarmed universe on any cycle, an armed batch lane
 		// on the rung's own.
 		unarmed := l.e.Model.Transient() && t >= l.pulseEnd
-		if c.mismatchAt >= 0 || c.idx != g.writes || !unarmed && (l.act == nil || shift > 0) ||
+		if c.mismatchAt >= 0 || c.idx != g.writes || !unarmed && (l.log == nil || shift > 0) ||
 			r.GoldenCycles+shift > r.budget || !core.StateEquals(g.core) {
 			continue
 		}
 		// Healed: this universe is on the golden trajectory again.
-		next := l.nextActivation(lad.start, t)
+		next := l.nextActivation(t)
 		if next >= 0 && uint64(next)-t <= 2*lad.stride {
 			continue
 		}
@@ -607,9 +605,13 @@ func (r *Runner) RunOne(e Experiment) Result {
 }
 
 // Campaign runs the experiments across workers and returns results in
-// input order.
+// input order. The four entry points are one engine, CampaignShared:
+// Campaign and CampaignContext for library callers (core, internal/campaign),
+// CampaignStopContext for the repository benchmark's engine layer
+// (bench/layers.go), CampaignShared for the CampaignEngine interface the
+// jobs layer drives.
 func (r *Runner) Campaign(exps []Experiment, workers int) []Result {
-	results, _ := r.CampaignContext(context.Background(), exps, workers, nil)
+	results, _, _ := r.CampaignShared(context.Background(), exps, workers, nil, nil, nil)
 	return results
 }
 
@@ -618,7 +620,7 @@ func (r *Runner) Campaign(exps []Experiment, workers int) []Result {
 // running are left zero-valued and the partial results come back with
 // ctx.Err(). See dispatch for the tap and cancellation contract.
 func (r *Runner) CampaignContext(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result)) ([]Result, error) {
-	results, _, err := r.CampaignStopContext(ctx, exps, workers, tap, nil)
+	results, _, err := r.CampaignShared(ctx, exps, workers, tap, nil, nil)
 	return results, err
 }
 
@@ -633,27 +635,16 @@ func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, wor
 // A caller that cuts one campaign into several calls on this runner hands
 // every one the same table (see Verdicts); nil uses a table of the call's own.
 //
-// The dispatch granule is one 64-lane group of a witnessed pass (see
-// batch.go), or one experiment where the planner goes scalar: signal
-// upsets, and everything under NoCheckpoint. A stop or cancellation
-// therefore overshoots by at most one 64-lane group per worker.
+// The dispatch granule is one 64-lane group (see batch.go), or one
+// experiment where the planner goes scalar: signal upsets, and everything
+// under NoCheckpoint. A stop or cancellation therefore overshoots by at
+// most one 64-lane group per worker.
 func (r *Runner) CampaignShared(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result), stop func(done, failures int) bool, shared *Verdicts) ([]Result, []bool, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) // resolved once: the planner and dispatch must agree
+	plan, m := r.planBatches(exps, shared)
+	if m != nil {
+		// dispatch returns with every worker gone: no lane still reads the memo.
+		defer r.putMemo(m)
 	}
-	plan, passes := r.planBatches(exps, workers, shared)
-	// dispatch returns with every worker gone: no lane still reads a pass
-	// or the memo the passes share.
-	defer func() {
-		for _, p := range passes {
-			if p.passBuf != nil {
-				r.passBufs.put(p.passBuf)
-			}
-		}
-		if len(passes) > 0 {
-			r.putMemo(passes[0].memo)
-		}
-	}()
 	counted := func(i int, res Result) {
 		r.met.experiments.Inc()
 		if tap != nil {
@@ -661,12 +652,11 @@ func (r *Runner) CampaignShared(ctx context.Context, exps []Experiment, workers 
 		}
 	}
 	return dispatch(ctx, len(exps), len(plan), workers, counted, stop, func(g int, deliver func(int, Result)) {
-		item := plan[g]
-		if item.pass == nil {
+		if item := plan[g]; item.lanes == nil {
 			deliver(item.idx, r.RunOne(exps[item.idx]))
-			return
+		} else {
+			r.runGroup(exps, m, item.lanes, deliver)
 		}
-		r.runGroup(exps, item.pass, item.group, deliver)
 	})
 }
 

@@ -13,18 +13,18 @@ import (
 // FuzzLaneEquivalence is the engine oracle on generated programs: for a
 // constrained-random terminating SPARC program, any injectable node of
 // either target, any fault model and any instant, the production engine —
-// ladder from reset, 64-lane witnessed batches, array-word upsets riding
-// the pass — must return what the from-reset scalar reference returns,
+// ladder from reset, 64-lane groups over the read log, array-word upsets
+// among them — must return what the from-reset scalar reference returns,
 // byte for byte, by every path checkEngine walks (one batch of seven,
 // RunOne, single-lane campaigns). The fuzzed experiment shares its
 // batch with a second upset on the same net, a SET pulse one cycle later
 // and both stuck-ats with the open line that is the twin of one of them,
-// so probes of every kind meet on one accumulator and one forcing is
+// so probes of every kind meet on one net's log and one forcing is
 // resolved once for two lanes; an upset of a fetch-PC bit at the same
 // instant is the scalar flip most likely to heal a refetch late. The lot
 // runs once more behind 64 filler lanes on the same net (glitches
 // scheduled past program exit: never armed, free), which puts it in the
-// second group of a shared pass. Every input runs twice on its runner: the
+// second group of the campaign. Every input runs twice on its runner: the
 // first round walks the nets into the runner's read log, the second is
 // answered from the log alone.
 //

@@ -14,8 +14,8 @@ type engineMetrics struct {
 	// (scalar, forked, batched) resolved it.
 	experiments *obs.Counter
 	// lanesPlanned/Activated/Free follow the PPSFP funnel: lanes placed
-	// into batch granules, lanes whose fault was read divergently during
-	// the witnessed pass (an upset array word: read at all before being
+	// into batch granules, lanes whose fault the golden run read
+	// divergently (an upset array word: read at all before being
 	// rewritten), and lanes finalized from the golden trajectory without
 	// a single faulted cycle.
 	lanesPlanned   *obs.Counter
@@ -27,7 +27,7 @@ type engineMetrics struct {
 	// reconverged counts healed universes dropped back onto the golden
 	// trajectory (finalized as no-effect, or teleported to their next
 	// activation); faultedCycles counts every cycle stepped outside a
-	// golden pass, replayCycles the part of it that materialize stepped
+	// golden walk, replayCycles the part of it that materialize stepped
 	// clean from a rung (or from reset) to where a universe leaves the
 	// golden trajectory. All are deterministic work counters: a fixed
 	// campaign reads the same values on any host.
@@ -39,8 +39,8 @@ type engineMetrics struct {
 	cyclesBy [healedEnding + 1]*obs.Counter
 	proven   [len(proofs)]*obs.Counter
 	// fallbacks counts experiments runGroup resolved through RunOne because
-	// their pass has no passBuf — only when the logging walk's witness failed
-	// to arm.
+	// the campaign has no read logs — only when the logging walk's witness
+	// failed to arm.
 	fallbacks *obs.Counter
 	// goldenCycles/goldenSeconds accumulate witnessed golden-walk work (one
 	// walk per campaign that brings a net the runner has not logged); their
@@ -91,7 +91,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		lanesPlanned: r.Counter("engine_batch_lanes_planned_total",
 			"Experiments placed into bit-parallel batch lanes."),
 		lanesActivated: r.Counter("engine_batch_lanes_activated_total",
-			"Batch lanes whose fault was read divergently during the witnessed pass."),
+			"Batch lanes whose fault the golden run read divergently, by its read log."),
 		lanesFree: r.Counter("engine_batch_lanes_free_total",
 			"Batch lanes finalized from the golden trajectory without scalar simulation."),
 		snapshots: r.Counter("engine_snapshot_materializations_total",
@@ -99,11 +99,11 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		reconverged: r.Counter("engine_reconverged_total",
 			"Healed experiments and batch lanes dropped back onto the golden trajectory."),
 		faultedCycles: r.Counter("engine_faulted_cycles_total",
-			"Cycles simulated outside witnessed golden passes, engine_replay_cycles_total included."),
+			"Cycles simulated outside witnessed golden walks, engine_replay_cycles_total included."),
 		replayCycles: r.Counter("engine_replay_cycles_total",
 			"Clean cycles replayed from a golden-ladder rung (or from reset) to the cycle a universe was materialized at."),
 		fallbacks: r.Counter("engine_scalar_fallbacks_total",
-			"Experiments resolved through the scalar fallback after a batch pass setup failure."),
+			"Experiments resolved through the scalar fallback because the golden read log's witness failed to arm."),
 		goldenCycles: r.Counter("engine_golden_pass_cycles_total",
 			"Cycles simulated by witnessed golden walks: one continuation per campaign that brings a net the runner's read log lacks, none on a warm runner."),
 		goldenSeconds: r.Counter("engine_golden_pass_seconds_total",

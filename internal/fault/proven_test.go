@@ -70,9 +70,9 @@ func pick(r *Runner, name string, bits ...int) []NodeInfo {
 // bits, ctl.halt, ctl.redirt, the redirect request, and ctl.exppc for the
 // glitch that sends the fetch away and then takes the target back: every
 // lemma of leon3.Core.Wedged, armed and unarmed. With 128 nodes each
-// permanent model is two groups of the campaign's eight — one pass at one
-// worker, one per worker at two, three and five — so a twin finds its
-// verdict in its own pass, in another worker's, or waits for it. The counters — faulted cycles
+// permanent model is two groups of the campaign's eight, so a twin finds
+// its verdict resolved by its own worker, by another one, or waits for it
+// (two, three and five workers). The counters — faulted cycles
 // included — must not move with the worker count, and the reference takes
 // none of the proving branches.
 func TestProvenVerdictsEquivalence(t *testing.T) {
@@ -130,7 +130,7 @@ func TestProvenVerdictsEquivalence(t *testing.T) {
 				}
 			}
 
-			// Experiment by experiment (RunOne: no pass, so no twins): what a
+			// Experiment by experiment (RunOne: no verdict table, so no twins): what a
 			// proof finalizes is exactly what the reference steps to.
 			var recurrent, shifted int
 			wedged := map[string]bool{}

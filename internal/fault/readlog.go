@@ -15,8 +15,8 @@ import (
 // far. The golden run belongs to the runner and never changes, so the
 // witnessed walk that learns a net's reads is stepped once per net, not once
 // per campaign: a campaign asks at plan time for its lanes' nets (readLogs),
-// the nets not logged yet ride one walk (logWalk), and every pass fills its
-// activation record from the logs (lane.drain). Like the ladder the log is
+// the nets not logged yet ride one walk (logWalk), and every lane is a cursor
+// over its net's log (lane.nextActivation). Like the ladder the log is
 // golden-only state and never reaches an outcome byte.
 
 // logBudget bounds the read log a runner retains, at the order of the
@@ -101,8 +101,12 @@ type readLog struct {
 // readLogs fills m.logs with the log of every net of m's campaign, walking
 // the golden continuation once for those the runner has not logged (with
 // raw values, where a SET lane now asks for them). On a witness that fails
-// to arm it leaves m.logs empty and the campaign's passes unwalked.
+// to arm it leaves m.logs empty and the campaign's groups run scalar.
 func (r *Runner) readLogs(m *memo) {
+	// The ladder a walk forks from is built before the lock is taken, not
+	// under it: cold concurrent campaigns wait for the one build together,
+	// then queue for the log, whose holder steps its walk and nothing else.
+	r.ladder()
 	lg := &r.log
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
@@ -215,49 +219,4 @@ func (r *Runner) logWalk(nets []rtl.WitnessNet, polled []bool) []*netLog {
 		r.met.goldenCycles.Add(float64(core.Cycles() - start))
 	}
 	return logs
-}
-
-// drain fills lane l's bits of its group's activation record act (word
-// t-start for golden cycle t) from its net's log, as a live witness drained
-// cycle by cycle would through the same probe: armed from the lane's
-// injection instant — a charge-sampling model's polarity from the logged raw
-// word there — every cycle it fires at sets the lane's bit, the first one
-// activating the lane. end is the golden run's length; a glitch stops being
-// read when its window closes.
-func (l *lane) drain(lg *netLog, act []uint64, start, end uint64) {
-	from := l.injectAt
-	switch l.e.Model {
-	case rtl.StuckAt1:
-		l.forcedOne = true
-	case rtl.OpenLine:
-		l.sampled = lg.v0
-		l.forcedOne = l.sampled>>l.shift&1 != 0
-	case rtl.SETPulse:
-		// A SET glitch drives the complement of the charge.
-		l.sampled = lg.valueAt(from)
-		l.forcedOne = l.sampled>>l.shift&1 == 0
-		end = min(end, l.pulseEnd)
-	}
-	l.armed = from < end
-	runs := &lg.runs
-	i := sort.Search(runs.n, func(i int) bool { ru := runs.at(i); return uint64(ru.t)+uint64(ru.n) > from })
-	for ; i < runs.n && l.armed; i++ {
-		ru := runs.at(i)
-		if uint64(ru.t) >= end {
-			return
-		}
-		if !l.fires(&rtl.WitnessAcc{Ones: ru.ones, Zeros: ru.zeros, WriteFirst: ru.writeFirst}) {
-			continue
-		}
-		lo, hi := max(uint64(ru.t), from), min(uint64(ru.t)+uint64(ru.n), end)
-		if l.flip {
-			hi = lo + 1 // spent by the access that fired it
-		}
-		for t := lo; t < hi; t++ {
-			act[t-start] |= 1 << l.slot
-		}
-		if l.act == nil {
-			l.activateAt, l.act = lo, act
-		}
-	}
 }

@@ -318,3 +318,195 @@ func TestLogFootprint(t *testing.T) {
 		})
 	}
 }
+
+// bruteProbe is the stateful activation predicate a live witness is drained
+// through cycle by cycle: armed from the lane's instant, it fires when a
+// cycle's accumulator shows the faulted bit read with the polarity the
+// forcing inverts; an upset array word's is disarmed the cycle its word is
+// touched — written first it dies, read it fires once.
+type bruteProbe struct {
+	shift                  uint8
+	forcedOne, flip, armed bool
+}
+
+func (p *bruteProbe) fires(a rtl.WitnessAcc) bool {
+	if !p.armed {
+		return false
+	}
+	if p.flip {
+		read := a.Ones|a.Zeros != 0
+		p.armed = !read && !a.WriteFirst
+		return read && !a.WriteFirst
+	}
+	m := a.Ones
+	if p.forcedOne {
+		m = a.Zeros
+	}
+	return m>>p.shift&1 != 0
+}
+
+// TestNextActivationMatchesLiveWitness holds the lane's one question to a
+// cycle-by-cycle oracle. A live witness is walked over the golden
+// continuation and every net's per-cycle accumulators kept; then, for every
+// IU and CMEM net, its lowest, middle and highest bit, all five models and
+// instants at rung 0, mid-run, with the glitch window closing on the last
+// cycle, on the last cycle and past exit, the lane batchLane builds must
+// carry the polarity the stepped core's word gives it and activate where
+// the brute-force predicate first fires, and nextActivation must answer,
+// for from values before the instant, on a run's first, middle and last
+// cycle and one past it, one past each of the first activations, around
+// the window's end and past exit, the first cycle at or after from the
+// predicate fired at.
+func TestNextActivationMatchesLiveWitness(t *testing.T) {
+	const pulse = 3
+	type event struct {
+		t   uint64
+		acc rtl.WitnessAcc
+	}
+	if p := (bruteProbe{armed: true, flip: true}); p.fires(rtl.WitnessAcc{}) || !p.armed {
+		t.Fatal("an untouched cycle fires or spends a probe: the oracle may not skip them")
+	}
+	for name, p := range logPrograms(t) {
+		for _, frac := range []float64{0, 0.3} {
+			t.Run(fmt.Sprintf("%s@%v", name, frac), func(t *testing.T) {
+				r, err := NewRunner(p, Options{InjectAtFraction: frac, PulseCycles: pulse})
+				if err != nil {
+					t.Skipf("no golden run: %v", err)
+				}
+				nets := allNets(r)
+				netIdx := map[rtl.WitnessNet]int{}
+				polled := make([]bool, len(nets))
+				for i, n := range nets {
+					netIdx[n], polled[i] = i, true
+				}
+				logs := r.logWalk(nets, polled)
+				if logs == nil {
+					t.Fatal("the logging walk's witness did not arm")
+				}
+				start, end := r.ladder().start, r.GoldenCycles
+				instants := []uint64{start, (start + end) / 2, end - pulse, end - 1, end + 9}
+
+				// The live walk: each net's touched cycles (an untouched one
+				// has the empty accumulator) and its raw word at the instants.
+				eng := r.getEngine()
+				r.ladder().fork(eng, 0)
+				core := eng.core
+				w, err := core.K.StartWitness(nets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live := make([][]event, len(nets))
+				charge := make([][]uint64, len(nets)) // per net, per instant
+				for i := range charge {
+					charge[i] = make([]uint64, len(instants))
+				}
+				var evs []rtl.WitnessEvent
+				for core.Status() == iss.StatusRunning {
+					at := core.Cycles()
+					for k, c := range instants {
+						if c == at {
+							for i := range nets {
+								charge[i][k] = w.Sample(i)
+							}
+						}
+					}
+					core.StepCycle()
+					evs = w.Drain(evs[:0])
+					for _, e := range evs {
+						live[e.Net] = append(live[e.Net], event{at, e.Acc})
+					}
+				}
+				w.Stop()
+				r.putEngine(eng)
+
+				byNet := make([][]NodeInfo, len(nets))
+				for _, target := range []Target{TargetIU, TargetCMEM} {
+					for _, n := range r.Nodes(target) {
+						i := netIdx[rtl.WitnessNet{Name: n.Node.Name, Word: n.Node.Word}]
+						byNet[i] = append(byNet[i], n)
+					}
+				}
+				lanes, asked, activated := 0, 0, 0
+				var fired []uint64
+				for i, bits := range byNet {
+					for _, node := range []NodeInfo{bits[0], bits[len(bits)/2], bits[len(bits)-1]} {
+						for _, model := range rtl.AllFaultModels() {
+							for k, at := range instants {
+								if !model.Transient() && k > 0 {
+									continue // one instant: the runner's
+								}
+								e := Experiment{Node: node, Model: model, AtCycle: at}
+								l, act := r.batchLane(e, logs[i])
+								lanes++
+
+								// The oracle: polarity from the stepped core's word,
+								// every cycle the stateful predicate fires at.
+								bp := bruteProbe{shift: uint8(node.Node.Bit), flip: model == rtl.BitFlip}
+								window := end
+								switch model {
+								case rtl.StuckAt1:
+									bp.forcedOne = true
+								case rtl.OpenLine:
+									bp.forcedOne = charge[i][0]>>bp.shift&1 != 0
+								case rtl.SETPulse:
+									bp.forcedOne = charge[i][k]>>bp.shift&1 == 0
+									window = min(end, at+pulse)
+								}
+								bp.armed = at < window
+								fired = fired[:0]
+								for _, ev := range live[i] {
+									if ev.t >= at && ev.t < window && bp.fires(ev.acc) {
+										fired = append(fired, ev.t)
+									}
+								}
+								first := func(from uint64) int64 {
+									for _, c := range fired {
+										if c >= from {
+											return int64(c)
+										}
+									}
+									return -1
+								}
+
+								if at < window && !l.flip && l.forcedOne != bp.forcedOne {
+									t.Fatalf("%v %v@%d: lane forces %v, the core's word says %v", model, node.Node, at, l.forcedOne, bp.forcedOne)
+								}
+								if want := first(0); act != (want >= 0) || act && l.activateAt != uint64(want) {
+									t.Fatalf("%v %v@%d: lane activated %v at %d, the live witness first fires at %d", model, node.Node, at, act, l.activateAt, want)
+								}
+								if act {
+									activated++
+								}
+								froms := []uint64{start, at - 1, at, at + 1, at + pulse - 1, at + pulse, at + pulse + 1, end - 1, end, end + 5}
+								if at == 0 {
+									froms[1] = 0
+								}
+								for n, j := 0, 0; j < logs[i].runs.n && n < 3; j++ {
+									if ru := logs[i].runs.at(j); uint64(ru.t)+uint64(ru.n) > at {
+										lo, len := uint64(ru.t), uint64(ru.n)
+										froms = append(froms, lo, lo+len/2, lo+len-1, lo+len)
+										n++
+									}
+								}
+								for _, c := range fired[:min(3, len(fired))] {
+									froms = append(froms, c+1)
+								}
+								for _, from := range froms {
+									asked++
+									if got, want := l.nextActivation(from), first(from); got != want {
+										t.Fatalf("%v %v@%d: nextActivation(%d) = %d, the live witness next fires at %d (fired at %v)",
+											model, node.Node, at, from, got, want, fired)
+									}
+								}
+							}
+						}
+					}
+				}
+				if activated == 0 || activated == lanes {
+					t.Fatalf("%d of %d lanes activated: the sample does not reach both answers", activated, lanes)
+				}
+				t.Logf("%d nets over cycles [%d,%d): %d lanes, %d activated, %d questions", len(nets), start, end, lanes, activated, asked)
+			})
+		}
+	}
+}

@@ -15,7 +15,7 @@ import (
 // ctl.redirt, the instruction cache) keeps moving. The proof holds while
 // the set of armed forcings stays what it is now — a caller with a pulse
 // still to release must not ask — and false only means "not proven".
-// DESIGN.md §15 has the inductions; TestWedgedHoldsToHorizon steps every
+// DESIGN.md §10 has the inductions; TestWedgedHoldsToHorizon steps every
 // true answer to its horizon.
 //
 // The back end must be drained, and the gate held shut by one of four

@@ -287,11 +287,6 @@ func TestWedgedRefusesNearMisses(t *testing.T) {
 				c.t.Fatal(err)
 			}
 		}), false},
-		{"a bridge", with(halted, func(c core) {
-			if err := c.K.InjectBridge(rtl.Node{Name: "iu.ex.a", Bit: 0}, rtl.Node{Name: "iu.ex.b", Bit: 0}, rtl.WiredAND); err != nil {
-				c.t.Fatal(err)
-			}
-		}), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := core{leon3.New(mem.NewBus(mem.NewMemory()), entry), t}

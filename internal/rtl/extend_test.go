@@ -60,63 +60,3 @@ func TestFlipBitErrors(t *testing.T) {
 		t.Error("out-of-range bit accepted")
 	}
 }
-
-func TestBridgeWiredAND(t *testing.T) {
-	k := NewKernel()
-	a := k.Wire("a", 4, 0)
-	b := k.Wire("b", 4, 0)
-	if err := k.InjectBridge(Node{Name: "a", Bit: 0}, Node{Name: "b", Bit: 2}, WiredAND); err != nil {
-		t.Fatal(err)
-	}
-	a.Set(1) // a.0 = 1
-	b.Set(0) // b.2 = 0
-	if a.Get()&1 != 0 {
-		t.Error("wired-AND did not pull a.0 low")
-	}
-	if b.Get()>>2&1 != 0 {
-		t.Error("b.2 changed despite being the dominant side")
-	}
-	b.Set(4) // b.2 = 1
-	if a.Get()&1 != 1 || b.Get()>>2&1 != 1 {
-		t.Error("both high should read high")
-	}
-}
-
-func TestBridgeWiredOR(t *testing.T) {
-	k := NewKernel()
-	a := k.Wire("a", 4, 0)
-	b := k.Wire("b", 4, 0)
-	if err := k.InjectBridge(Node{Name: "a", Bit: 1}, Node{Name: "b", Bit: 1}, WiredOR); err != nil {
-		t.Fatal(err)
-	}
-	a.Set(0)
-	b.Set(2)
-	if a.Get()>>1&1 != 1 {
-		t.Error("wired-OR did not pull a.1 high")
-	}
-	k.ClearBridges()
-	if a.Get()>>1&1 != 0 {
-		t.Error("bridge survived ClearBridges")
-	}
-}
-
-func TestBridgeErrors(t *testing.T) {
-	k := NewKernel()
-	k.Wire("a", 4, 0)
-	k.Array("m", 8, 2, 0)
-	if err := k.InjectBridge(Node{Name: "a", Bit: 0}, Node{Name: "m", Bit: 0}, WiredOR); err == nil {
-		t.Error("bridging to an array accepted")
-	}
-	if err := k.InjectBridge(Node{Name: "a", Bit: 0}, Node{Name: "a", Bit: 0}, WiredOR); err == nil {
-		t.Error("self-bridge accepted")
-	}
-	if err := k.InjectBridge(Node{Name: "a", Bit: 9}, Node{Name: "a", Bit: 0}, WiredOR); err == nil {
-		t.Error("out-of-range bridge accepted")
-	}
-}
-
-func TestBridgeKindString(t *testing.T) {
-	if WiredAND.String() != "wired-and" || WiredOR.String() != "wired-or" {
-		t.Error("bridge kind names wrong")
-	}
-}

@@ -220,10 +220,10 @@ func (s *Signal) Forcing() (mask, val uint64) { return s.fMask, s.fVal }
 // SoleForcing names everything that is armed on the design, for arguments
 // that hold only under a known forcing: the one signal carrying the one
 // armed fault, or nil when nothing is armed. ok is false when that does not
-// describe the design — two or more faults, a faulted array word, a bridge.
+// describe the design — two or more faults, a faulted array word.
 func (k *Kernel) SoleForcing() (s *Signal, ok bool) {
 	switch {
-	case len(k.faults) > 1 || len(k.fArrs) > 0 || len(k.bSigs) > 0:
+	case len(k.faults) > 1 || len(k.fArrs) > 0:
 		return nil, false
 	case len(k.faults) == 1:
 		return k.fSigs[0], true
@@ -248,5 +248,5 @@ func (k *Kernel) ClearFaults() {
 	}
 	// Keep the capacity: a pooled kernel arms one fault per experiment.
 	k.fSigs, k.fArrs, k.faults = k.fSigs[:0], k.fArrs[:0], k.faults[:0]
-	k.dirty = len(k.bSigs) > 0
+	k.dirty = false
 }

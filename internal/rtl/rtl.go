@@ -41,8 +41,8 @@
 // single bulk copy of the register slab (no per-signal scan), Snapshot
 // and Restore are bulk slab copies instead of per-signal walks, and Get
 // collapses to one pointer load plus one well-predicted branch on a
-// per-signal slow-path flag (set only for the ≤1 faulted or bridged node
-// of an experiment, with the kernel-level dirty flag guarding the
+// per-signal slow-path flag (set only for the ≤1 faulted node of an
+// experiment, with the kernel-level dirty flag guarding the
 // campaign engine's clear/restore walks).
 package rtl
 
@@ -66,7 +66,7 @@ type Signal struct {
 	nxtp *uint64 // pending value (slab slot)
 	mask uint64  // width mask
 
-	slow  uint8 // nonzero when a fault, bridge or witness is armed on this net
+	slow  uint8 // nonzero when a fault or witness is armed on this net
 	reg   bool
 	width int
 	idx   int32 // index within the reg or wire slab
@@ -74,8 +74,7 @@ type Signal struct {
 	fMask uint64 // faulted bits
 	fVal  uint64 // values of faulted bits
 
-	bridges []bridge  // saboteur-style shorts to other nets
-	obs     *observer // read-observation accumulator (nil unless witnessed)
+	obs *observer // read-observation accumulator (nil unless witnessed)
 
 	k    *Kernel
 	name string
@@ -92,8 +91,8 @@ func (s *Signal) IsReg() bool { return s.reg }
 
 // Get samples the signal as seen by consumers, with any injected fault
 // applied at the net. The clean-design fast path is a single slab load;
-// only the (at most one) faulted or bridged net of an experiment takes
-// the slow path.
+// only the (at most one) faulted net of an experiment takes the slow
+// path.
 func (s *Signal) Get() uint64 {
 	if s.slow != 0 {
 		return s.getSlow()
@@ -101,8 +100,8 @@ func (s *Signal) Get() uint64 {
 	return *s.curp
 }
 
-// getSlow samples the signal with the armed fault forcing and bridge
-// resolution applied, and records the sampled value into the witness
+// getSlow samples the signal with the armed fault forcing applied, and
+// records the sampled value into the witness
 // accumulator when one is armed. It is kept out of line so that Get (and
 // GetBool) stay small enough to inline at every sampling site; the call
 // is taken only on faulted or witnessed nets.
@@ -110,9 +109,6 @@ func (s *Signal) Get() uint64 {
 //go:noinline
 func (s *Signal) getSlow() uint64 {
 	v := *s.curp&^s.fMask | s.fVal
-	if s.bridges != nil {
-		v = s.applyBridges(v)
-	}
 	if o := s.obs; o != nil {
 		o.touch()
 		o.Ones |= v
@@ -121,10 +117,9 @@ func (s *Signal) getSlow() uint64 {
 	return v
 }
 
-// updateSlow recomputes the slow-path flag after fault, bridge or
-// witness changes.
+// updateSlow recomputes the slow-path flag after fault or witness changes.
 func (s *Signal) updateSlow() {
-	if s.fMask != 0 || s.bridges != nil || s.obs != nil {
+	if s.fMask != 0 || s.obs != nil {
 		s.slow = 1
 	} else {
 		s.slow = 0
@@ -244,8 +239,7 @@ type Kernel struct {
 	faults []Fault
 	fSigs  []*Signal   // signals with armed faults
 	fArrs  []*MemArray // arrays with armed faults
-	bSigs  []*Signal   // signals with armed bridges
-	dirty  bool        // any fault or bridge armed on the design
+	dirty  bool        // any fault armed on the design
 }
 
 // decl is what a declared name resolves to: its unit, and its handle's
@@ -416,12 +410,11 @@ func (k *Kernel) Cycle() {
 func (k *Kernel) Now() uint64 { return k.cycle }
 
 // ResetState returns every signal, array and the cycle counter to the
-// all-zero power-on state and clears any armed faults and bridges. The
+// all-zero power-on state and clears any armed faults. The
 // design structure (signals, arrays, processes) is untouched, so a kernel
 // can be reset in place and re-run instead of being rebuilt.
 func (k *Kernel) ResetState() {
 	k.ClearFaults()
-	k.ClearBridges()
 	clear(k.regCur)
 	clear(k.regNxt)
 	clear(k.wireCur)

@@ -325,7 +325,6 @@ func TestSoleForcing(t *testing.T) {
 			return errors.Join(k.Inject(Fault{Node{Name: "a", Bit: 0}, StuckAt1}), k.Inject(Fault{Node{Name: "b", Bit: 0}, StuckAt1}))
 		},
 		"array word": func() error { return k.Inject(Fault{Node{Name: "m", Word: 2, Bit: 3}, StuckAt1}) },
-		"bridge":     func() error { return k.InjectBridge(Node{Name: "a", Bit: 0}, Node{Name: "b", Bit: 0}, WiredOR) },
 	} {
 		if err := arm(); err != nil {
 			t.Fatal(err)
@@ -334,6 +333,5 @@ func TestSoleForcing(t *testing.T) {
 			t.Errorf("%s: accepted as a sole forcing", name)
 		}
 		k.ClearFaults()
-		k.ClearBridges()
 	}
 }

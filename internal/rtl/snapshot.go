@@ -12,7 +12,7 @@ import (
 // than a per-signal walk. The pending slabs are not part of it: the clock
 // edge commits with a bulk copy, so at a cycle boundary the pending
 // register slab equals the committed one, and a pending wire value feeds
-// nothing. Fault forcing (stuck-at masks, bridges) is deliberately not
+// nothing. Fault forcing (stuck-at masks) is deliberately not
 // part of a snapshot either: checkpoints are taken on clean golden runs
 // and restored into clean kernels, so a restored design always starts
 // fault-free.
@@ -62,7 +62,7 @@ func (k *Kernel) SnapshotInto(s *Snapshot) {
 // Restore loads a snapshot into the kernel, which must have an identical
 // structure (same signals and arrays in the same declaration order — in
 // practice a kernel built by the same constructor as the snapshotted one).
-// Any armed faults or bridges on the kernel are cleared so the restored
+// Any armed faults on the kernel are cleared so the restored
 // design matches the clean snapshotted state exactly. Restore is the
 // campaign engine's per-experiment reset of a pooled core, so it is
 // deliberately cheap: clearing is O(armed faults) and the state reload is
@@ -75,7 +75,6 @@ func (k *Kernel) Restore(s *Snapshot) error {
 			len(k.regCur), len(k.wireCur), len(k.arrays), len(k.arr))
 	}
 	k.ClearFaults()
-	k.ClearBridges()
 	copy(k.regCur, s.regs)
 	copy(k.regNxt, s.regs)
 	copy(k.wireCur, s.wires)

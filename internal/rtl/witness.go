@@ -46,8 +46,8 @@ type WitnessAcc struct {
 // Witness is an armed set of observation accumulators over watched nets.
 // It is arm-once, drain-per-cycle: the caller drains between kernel
 // cycles, then calls Stop to disarm. Witnessing composes with fault
-// forcing (the recorded value is the value Get returns, forcing and
-// bridges applied), but its intended use is on a clean design, where the
+// forcing (the recorded value is the value Get returns, forcing
+// applied), but its intended use is on a clean design, where the
 // recorded values are the golden ones.
 type Witness struct {
 	obs []observer // one per net, indexed like the nets passed to StartWitness
