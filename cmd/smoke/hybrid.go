@@ -34,7 +34,7 @@ var hybridCampaign = campaign{workload: "excerptA", target: "iu", models: "sa0,s
 // hybrid-smoke`: it proves the hybrid router's contract from the
 // outside, through the same binary a user runs.
 //
-// Three checks, in order of the guarantees they pin:
+// Four checks, in order of the guarantees they pin:
 //
 //  1. Routing-contract audit (in-process): a real hybrid campaign's
 //     outcome must be internally consistent — the ISS/RTL engine
@@ -43,11 +43,16 @@ var hybridCampaign = campaign{workload: "excerptA", target: "iu", models: "sa0,s
 //     classes, the per-class accounting recounts exactly from the
 //     experiments array, and the audit-corrected Pf interval contains
 //     the raw Wilson interval.
-//  2. Full-audit collapse (CLI): `faultcampaign -json -engine hybrid
+//  2. Warm runners (in-process against CLI): a second hybrid campaign
+//     whose node sample overlaps check 1's, run in this process on the
+//     ISS and RTL runners that one left warm — their verdict tables
+//     hold its forcings — must be byte-identical to a cold
+//     `faultcampaign -json` of the same request.
+//  3. Full-audit collapse (CLI): `faultcampaign -json -engine hybrid
 //     -rtl-audit 1.0` must emit bytes identical to the pure-RTL
 //     spelling of the same campaign — auditing everything IS a pure
 //     RTL campaign, down to the content address.
-//  3. Shard invariance (CLI): the hybrid campaign sharded 3 ways must
+//  4. Shard invariance (CLI): the hybrid campaign sharded 3 ways must
 //     be byte-identical to the unsharded run — the routing plan is a
 //     pure function of the request, the audit sample of
 //     (seed, absolute index).
@@ -64,6 +69,28 @@ func hybrid() error {
 	}
 	defer os.RemoveAll(dir)
 	bin := bins[0]
+
+	// Warm runners: contractReq's seed draws the same 24 nodes first.
+	overlap := contractReq
+	overlap.Nodes = 36
+	out, err := jobs.Execute(context.Background(), overlap, 4, nil)
+	if err != nil {
+		return err
+	}
+	var warm bytes.Buffer
+	if err := jobs.EncodeOutcome(&warm, out); err != nil {
+		return err
+	}
+	overlapCLI := hybridCampaign
+	overlapCLI.nodes = overlap.Nodes
+	cold, err := runCLI(bin, overlapCLI.cli("-engine", "hybrid", "-rtl-audit", "0.5")...)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(warm.Bytes(), cold) {
+		return fmt.Errorf("overlapping hybrid campaign on warm runners differs from a cold faultcampaign -json (%d vs %d bytes)", warm.Len(), len(cold))
+	}
+	log.Printf("warm runners: overlapping hybrid campaign == cold faultcampaign -json (%d identical bytes)", len(cold))
 
 	// Full-audit collapse: hybrid with -rtl-audit 1.0 == pure RTL, byte
 	// for byte. The hybrid spelling must also shed its accounting block

@@ -32,7 +32,7 @@ func main() {
 			os.Exit(1)
 		}
 	case "hybrid":
-		err, ok = hybrid(), "OK (routing contract, full-audit collapse, shard invariance)"
+		err, ok = hybrid(), "OK (routing contract, warm runners, full-audit collapse, shard invariance)"
 	default:
 		log.Fatalf("unknown smoke %q: want serve, shard, crash or hybrid", os.Args[1])
 	}

@@ -17,6 +17,12 @@ import (
 // sub-second.
 var serveCampaign = campaign{workload: "excerptA", target: "iu", models: "sa1", nodes: 6, seed: 1}
 
+// overlapCampaign is submitted after it on the warm daemon: the same seed
+// draws the same six nodes first, so it runs on the runner serveCampaign left
+// and finds their stuck-at-1 verdicts in its table, beside eighteen nodes and
+// two models the runner has not resolved.
+var overlapCampaign = campaign{workload: "excerptA", target: "iu", models: "sa0,sa1,open", nodes: 24, seed: 1}
+
 // serve is the hermetic end-to-end smoke test behind `make serve-smoke`:
 // it builds faultserverd and faultcampaign, boots the
 // daemon (sharded and durable, so every subsystem is live) on an
@@ -24,7 +30,10 @@ var serveCampaign = campaign{workload: "excerptA", target: "iu", models: "sa1", 
 // its NDJSON progress, and asserts the service contract — the duplicate
 // submission coalesces or cache-hits (one engine execution), both
 // result payloads are byte-identical, and they match `faultcampaign
-// -json` byte for byte for the same spec.
+// -json` byte for byte for the same spec. A second campaign whose node
+// sample overlaps the first then runs on the warm daemon — its runner
+// already holds some of the verdicts — and must match a cold `faultcampaign
+// -json` of the same spec byte for byte too.
 //
 // It also scrapes GET /metrics twice — once mid-campaign, once after —
 // and asserts the observability contract: the exposition parses, core
@@ -127,6 +136,37 @@ func serve() error {
 	}
 	log.Printf("metrics OK: %d series, %v experiments executed",
 		len(final), final["engine_experiments_total"])
+
+	// The overlapping campaign: answered in part from what the first left on
+	// the runner, and byte-identical to a process that never ran the first.
+	id3, err := submit(base, overlapCampaign, http.StatusCreated, "overlapping submission")
+	if err != nil {
+		return err
+	}
+	if _, _, err := streamDone(base, id3, "overlapping job"); err != nil {
+		return err
+	}
+	warm, err := getBytes(base + "/api/v1/campaigns/" + id3 + "/result")
+	if err != nil {
+		return err
+	}
+	cold, err := runCLI(cliBin, overlapCampaign.cli()...)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(warm, cold) {
+		return fmt.Errorf("overlapping campaign on the warm daemon and cold faultcampaign -json diverge:\n--- server\n%s\n--- cli\n%s", warm, cold)
+	}
+	after, err := scrapeMetrics(base)
+	if err != nil {
+		return fmt.Errorf("metrics after the overlapping campaign: %w", err)
+	}
+	known := after[`engine_verdicts_proven_total{proof="known"}`]
+	if known == 0 {
+		return fmt.Errorf("the overlapping campaign found no verdict the first had left on its runner")
+	}
+	log.Printf("overlapping campaign on the warm runner == cold faultcampaign -json (%d bytes, %v verdicts known, %v kept)",
+		len(warm), known, after["engine_verdict_table_entries"])
 	return nil
 }
 

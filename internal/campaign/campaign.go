@@ -115,9 +115,12 @@ type onceEntry[V any] struct {
 // read log (what the golden run read of the nets campaigns have faulted
 // so far: at most another 6 MiB, 1.7 MB for every IU net of rspeed from
 // mid-run and 3.4 MB of puwmod from reset; DESIGN.md §10), however long
-// the run. A full cache therefore holds at most 64 x 12 MiB of golden
-// state beside the traces, and nears that only if every entry is driven
-// over all of its nets on a long run. Eviction only drops
+// the run — and its verdict table, what the permanent forcings campaigns
+// activated came to: at most two entries of about 130 bytes per node of
+// the faulted populations, 1.5 MB for every IU node, in practice the
+// activated quarter. A full cache therefore holds at most 64 x 14 MiB of
+// golden state and verdicts beside the traces, and nears that only if
+// every entry is driven over all of its nets on a long run. Eviction only drops
 // the memoization: runners still referenced by in-flight campaigns stay
 // alive until those campaigns finish.
 const maxRunners = 64
@@ -161,6 +164,23 @@ func (c *onceCache[K, V]) get(key K, build func() (V, error)) (V, error) {
 		e.v, e.err = build()
 	})
 	return e.v, e.err
+}
+
+// forget empties the cache; see ForgetRunners.
+func (c *onceCache[K, V]) forget() {
+	c.mu.Lock()
+	c.m, c.order = nil, nil
+	c.mu.Unlock()
+}
+
+// ForgetRunners empties both runner caches, so that the next RunnerFor or
+// ISSRunnerFor of any key builds anew; campaigns in flight keep the runner
+// they hold. A runner keeps what its campaigns resolved, so a caller that
+// wants a cold campaign's work counters — the tests that compare them across
+// shard counts — forgets the warm runner first. Results never need it.
+func ForgetRunners() {
+	runnerCache.forget()
+	issRunnerCache.forget()
 }
 
 // runnerCache shares the golden run and ladder of each (workload, config,

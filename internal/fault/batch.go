@@ -5,8 +5,10 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/leon3"
+	"repro/internal/obs"
 	"repro/internal/rtl"
 )
 
@@ -54,7 +56,7 @@ import (
 // campaign is byte-identical to a scalar one (TestEngineEquivalence
 // checks this for every fault model) — once per forcing: an open-line
 // lane is the twin of the stuck-at lane of its sampled charge, and the
-// campaign's verdict table hands it that lane's verdict (resolveOnce). A forked
+// runner's verdict table hands it that lane's verdict (resolveOnce). A forked
 // lane that heals is dropped back onto the golden trajectory, or
 // teleported forward to its next activation cycle; one whose state
 // recurs is a proven hang. A group keeps no golden state and steps no
@@ -65,61 +67,75 @@ import (
 // bounds the stop-rule and cancellation overshoot per worker.
 const maxLanes = 64
 
-// forcing keys an activated lane's universe: the kernel arms an open line
-// whose sampled charge is b exactly as it arms stuck-at-b, and Expand
-// crosses every node with all three permanent models at one instant, so
-// lanes of one forcing differ in Fault.Model and nothing else.
+// forcing keys a permanent universe — a line stuck at, or left open on, one
+// value from the runner's fixed instant on: the kernel arms an open line
+// whose sampled charge is b exactly as it arms stuck-at-b, and Expand crosses
+// every node with all three permanent models, so lanes of one forcing differ
+// in Fault.Model and nothing else. On the ISS engine node is {Word: victim
+// register, Bit: victim bit} with no name: every RTL node that hashes onto
+// the victim is the same run.
 type forcing struct {
-	node               rtl.Node
-	one                bool // forced polarity
-	injectAt, pulseEnd uint64
-	// iss, when nonzero, marks a verdict of the ISS engine and says which
-	// kind (see ISSRunner.resolve): node is then {Word: victim register,
-	// Bit: victim bit} with no name, injectAt an instruction index.
-	iss uint8
+	node rtl.Node
+	one  bool // forced polarity
 }
 
-// Verdicts resolves each forcing of a campaign once: the first lane to
-// arrive simulates under its verdict's lock, where a twin arriving meanwhile
-// waits, and every later twin copies the result. A campaign run as one call
-// uses the table its memo keeps; a caller that runs one campaign as several
-// calls on one runner — the local shards of a sharded campaign — makes one
-// table and hands it to each (CampaignShared), so a forcing is simulated once
-// however the experiments were cut. Scheduling only: a verdict is a function
-// of its forcing, so whether a lane computes it or copies it changes no
-// result, only the work counters. Verdicts live in fixed chunks and never
-// move, so the table may grow under a waiter.
-type Verdicts struct {
-	mu     sync.Mutex
-	idx    map[forcing]int32
-	chunks []*[verdictChunk]verdict
-	n      int
+// verdicts is a runner's forcing→verdict table, kept as long as the runner,
+// beside its ladder and its read log: every campaign, shard, audit and
+// escalation on the runner resolves through it, so a permanent forcing is
+// stepped once per runner however the experiments were cut into calls. The
+// first lane to arrive simulates under its verdict's lock, where a twin
+// arriving meanwhile waits, and every later one copies the result. Scheduling
+// only: a verdict is a function of its forcing and of what the runner fixed
+// at construction (program, instant, budget), a resolve is never abandoned
+// half-way, and the from-reset reference keeps no table — so whether a lane
+// computes a verdict or copies it changes no result, only the work counters.
+// Permanent forcings alone enter, at most two per node of the population:
+// bounded by construction, no budget. A transient is keyed by an instant
+// sampled per experiment, never recurs, and is resolved directly. Verdicts
+// live in fixed chunks and never move, so the table may grow under a waiter.
+type verdicts struct {
+	mu      sync.Mutex
+	idx     map[forcing]int32
+	chunks  []*[verdictChunk]verdict
+	n       int
+	calls   atomic.Uint32 // calls begun on the runner; see begin
+	entries *obs.Gauge    // engine_verdict_table_entries
 }
 
 const verdictChunk = 64
 
+// verdict is what a forcing's universe came to; a lane reports it under its
+// own Fault and Unit.
 type verdict struct {
-	mu   sync.Mutex
-	done bool
-	res  Result
+	mu      sync.Mutex
+	call    uint32 // the call that resolved it; 0 while unresolved
+	outcome Outcome
+	latency int64
+	cycles  uint64
 }
 
-// NewVerdicts returns an empty table.
-func NewVerdicts() *Verdicts { return &Verdicts{idx: map[forcing]int32{}} }
+// Ways a lane's verdict was reached: its universe was stepped, copied from a
+// lane of the same call (an in-campaign twin), copied from an earlier call's.
+const (
+	verdictStepped = iota
+	verdictTwin
+	verdictKnown
+)
 
-// Reset empties the table for another campaign and keeps its storage. No
-// call that was handed the table may still be running.
-func (t *Verdicts) Reset() {
-	clear(t.idx)
-	for _, c := range t.chunks[:(t.n+verdictChunk-1)/verdictChunk] {
-		*c = [verdictChunk]verdict{}
-	}
-	t.n = 0
+func newVerdicts(reg *obs.Registry) verdicts {
+	return verdicts{idx: map[forcing]int32{}, entries: reg.Gauge("engine_verdict_table_entries",
+		"Forcing→verdict entries retained, summed over the RTL and ISS runners built on this registry (each at most two per node of the population).")}
 }
 
-func (t *Verdicts) verdict(f forcing) *verdict {
+// begin numbers a call, so that its lanes can tell a twin from a verdict the
+// runner already knew.
+func (t *verdicts) begin() uint32 { return t.calls.Add(1) }
+
+// once fills res with forcing f's verdict — run's, called under the verdict's
+// lock, if no lane of f arrived on this runner before — and says how it was
+// reached.
+func (t *verdicts) once(f forcing, call uint32, res *Result, run func()) int {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	i, ok := t.idx[f]
 	if !ok {
 		i = int32(t.n)
@@ -128,18 +144,31 @@ func (t *Verdicts) verdict(f forcing) *verdict {
 			t.chunks = append(t.chunks, new([verdictChunk]verdict))
 		}
 		t.n++
+		t.entries.Add(1)
 	}
-	return &t.chunks[i/verdictChunk][i%verdictChunk]
+	v := &t.chunks[i/verdictChunk][i%verdictChunk]
+	t.mu.Unlock()
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.call == 0 {
+		run()
+		v.call, v.outcome, v.latency, v.cycles = call, res.Outcome, res.Latency, res.Cycles
+		return verdictStepped
+	}
+	res.Outcome, res.Latency, res.Cycles = v.outcome, v.latency, v.cycles
+	if v.call == call {
+		return verdictTwin
+	}
+	return verdictKnown
 }
 
-// memo is what the plan fixes for every group of one CampaignShared call and
-// no worker writes — the deduplicated nets of the call's lanes (lanes may
-// fault different bits, or models, of one net) and their read logs — and the
-// verdict table its lanes resolve through: the caller's, or its own. Kept by
-// the runner between campaigns, like its engines.
+// memo is what the plan fixes for every group of one campaign call and no
+// worker writes: the deduplicated nets of the call's lanes (lanes may fault
+// different bits, or models, of one net), their read logs, and the call's
+// number in the runner's verdict table. Kept by the runner between campaigns,
+// like its engines.
 type memo struct {
-	verdicts *Verdicts // the caller's table, or own
-	own      *Verdicts
+	call uint32
 
 	netIdx map[rtl.WitnessNet]int32
 	nets   []rtl.WitnessNet
@@ -173,7 +202,7 @@ type planItem struct {
 // the runner, once, for the read logs of the lanes' nets (readLogs): the one
 // place a campaign may step golden cycles. The memo is nil under
 // NoCheckpoint.
-func (r *Runner) planBatches(exps []Experiment, shared *Verdicts) ([]planItem, *memo) {
+func (r *Runner) planBatches(exps []Experiment) ([]planItem, *memo) {
 	if r.opts.NoCheckpoint {
 		plan := make([]planItem, len(exps))
 		for i := range plan {
@@ -185,12 +214,9 @@ func (r *Runner) planBatches(exps []Experiment, shared *Verdicts) ([]planItem, *
 	k := eng.core.K
 	m := r.memos.get()
 	if m == nil {
-		m = &memo{own: NewVerdicts(), netIdx: map[rtl.WitnessNet]int32{}}
+		m = &memo{netIdx: map[rtl.WitnessNet]int32{}}
 	}
-	if m.verdicts = shared; shared == nil {
-		m.own.Reset()
-		m.verdicts = m.own
-	}
+	m.call = r.verdicts.begin()
 	clear(m.netIdx)
 	m.nets, m.polled = m.nets[:0], m.polled[:0]
 	m.netOf = slices.Grow(m.netOf[:0], len(exps))[:len(exps)]
@@ -331,7 +357,7 @@ func (r *Runner) runGroup(exps []Experiment, m *memo, idxs []int, deliver func(i
 		l, activated := r.batchLane(exps[i], m.logs[m.netOf[i]])
 		if activated {
 			r.met.lanesActivated.Inc()
-			deliver(i, r.resolveOnce(eng, lad, &l, m.verdicts))
+			deliver(i, r.resolveOnce(eng, lad, &l, m.call))
 			continue
 		}
 		// A never-activated lane tracked the golden trajectory bit-for-bit
@@ -346,23 +372,20 @@ func (r *Runner) runGroup(exps []Experiment, m *memo, idxs []int, deliver func(i
 	}
 }
 
-// resolveOnce returns activated lane l's verdict: resolved here if the lane
-// is the first of its forcing in the campaign's table t, its twin's under its
-// own Fault otherwise. An upset array word is no forcing and always resolved.
-func (r *Runner) resolveOnce(eng *engine, lad *ladder, l *lane, t *Verdicts) Result {
-	if l.e.Model == rtl.BitFlip {
+// resolveOnce returns activated lane l's verdict: a permanent forcing's
+// through the runner's table, under the lane's own Fault; a transient —
+// keyed by an instant of its own — resolved here.
+func (r *Runner) resolveOnce(eng *engine, lad *ladder, l *lane, call uint32) Result {
+	if l.e.Model.Transient() {
 		return r.resolve(eng, lad, l)
 	}
-	v := t.verdict(forcing{node: l.f.Node, one: l.forcedOne, injectAt: l.injectAt, pulseEnd: l.pulseEnd})
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.done {
+	res := l.result()
+	switch r.verdicts.once(forcing{node: l.f.Node, one: l.forcedOne}, call, &res, func() { res = r.resolve(eng, lad, l) }) {
+	case verdictTwin:
 		r.met.proven[provenEquivalent].Inc()
-	} else {
-		v.res, v.done = r.resolve(eng, lad, l), true
+	case verdictKnown:
+		r.met.proven[provenKnown].Inc()
 	}
-	res := v.res
-	res.Fault = l.f
 	return res
 }
 

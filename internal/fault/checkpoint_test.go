@@ -271,7 +271,7 @@ func TestForkAllocatesNothing(t *testing.T) {
 		}
 	}
 	exps := Expand(SampleNodes(regs, 256, 1), rtl.StuckAt0, rtl.StuckAt1)
-	_, m := r.planBatches(exps, nil)
+	_, m := r.planBatches(exps)
 	defer r.putMemo(m)
 	eng, lad := r.getEngine(), r.ladder()
 	forks := func() float64 { return engineCounters(t, reg)["engine_snapshot_materializations_total"] }

@@ -43,14 +43,11 @@ type CampaignEngine interface {
 	Checkpointed() bool
 	// RunOne executes a single injection experiment.
 	RunOne(e Experiment) Result
-	// CampaignShared runs the experiments across workers with
+	// CampaignStopContext runs the experiments across workers with
 	// per-completion taps and an optional sequential stop rule; see
-	// dispatch for the full contract. shared, when non-nil, is the verdict
-	// table of the campaign these experiments are a part of (see Verdicts):
-	// scheduling, never content. Each engine keys its verdicts apart, so
-	// one table may serve both.
-	CampaignShared(ctx context.Context, exps []Experiment, workers int,
-		tap func(i int, res Result), stop func(done, failures int) bool, shared *Verdicts) ([]Result, []bool, error)
+	// dispatch for the full contract.
+	CampaignStopContext(ctx context.Context, exps []Experiment, workers int,
+		tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error)
 }
 
 // Both campaign backends satisfy the engine contract.

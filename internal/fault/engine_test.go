@@ -92,7 +92,7 @@ func TestSharedPassEquivalence(t *testing.T) {
 // planned returns the production engine's plan for exps and the number of
 // lane groups in it.
 func planned(r *Runner, exps []Experiment) (plan []planItem, groups int) {
-	plan, m := r.planBatches(exps, nil)
+	plan, m := r.planBatches(exps)
 	r.putMemo(m)
 	for _, it := range plan {
 		if it.lanes != nil {
@@ -270,11 +270,12 @@ func TestKeptObjectsSurviveCollections(t *testing.T) {
 // demultiplexing stays byte-identical to serial execution. Two mixed
 // seu+set+sa1 campaigns then run at once on the same runner: scalar
 // signal flips, register-file SEU lanes, SET lanes and permanent lanes of
-// both share its one ladder and its one read log. The campaign's verdict
-// memo is raced with them: the sa0, sa1 and open-line lanes of a node sit
+// both share its one ladder and its one read log. The runner's verdict
+// table is raced with them: the sa0, sa1 and open-line lanes of a node sit
 // in different groups, so a twin looks its forcing up while other workers
 // add theirs, and finds it resolved, being resolved by another worker (it
-// waits) or new. Last, campaigns cancelled at their first completion —
+// waits) or new; the serial campaign it is held to runs on a runner of its
+// own, or it would find every verdict known. Last, campaigns cancelled at their first completion —
 // while the other workers are still resolving or waiting on a twin's
 // verdict — return promptly, hand their memo back to the runner, and leave
 // the concurrent and the following campaigns that reuse it untouched.
@@ -283,11 +284,15 @@ func TestBatchedCampaignRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.5, PulseCycles: 2, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
+	fresh := func() (*Runner, *obs.Registry) {
+		reg := obs.NewRegistry()
+		r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.5, PulseCycles: 2, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, reg
 	}
+	r, reg := fresh()
 	nodes := SampleNodes(r.Nodes(TargetIU), 160, 11)
 	exps := Expand(nodes, rtl.AllFaultModels()...)
 	r.ScheduleTransients(exps, 4)
@@ -296,11 +301,12 @@ func TestBatchedCampaignRace(t *testing.T) {
 	}
 	par := r.Campaign(exps, 8)
 	twins := proofCounts(t, reg)[provenEquivalent]
-	ser := r.Campaign(exps, 1)
+	serR, serReg := fresh()
+	ser := serR.Campaign(exps, 1)
 	if !reflect.DeepEqual(par, ser) {
 		t.Fatal("parallel batched campaign diverged from serial")
 	}
-	if serial := proofCounts(t, reg)[provenEquivalent] - twins; twins == 0 || serial != twins {
+	if serial := proofCounts(t, serReg)[provenEquivalent]; twins == 0 || serial != twins {
 		t.Fatalf("%v verdicts shared across 8 workers' groups, %v by one worker: want the same, nonzero", twins, serial)
 	}
 

@@ -219,11 +219,14 @@ type Runner struct {
 	// log is what the golden continuation read of the nets campaigns have
 	// faulted so far, each walked once (see readlog.go).
 	log readLog
+	// verdicts is what the permanent forcings campaigns have activated so
+	// far came to, each stepped once (see batch.go).
+	verdicts verdicts
 
 	// engines keeps reusable RTL cores: each campaign worker restores a
 	// kept core in place per experiment instead of rebuilding the whole
-	// design graph with leon3.New. memos keeps the campaigns' net plans and
-	// verdict tables, each held until its campaign's dispatch ends.
+	// design graph with leon3.New. memos keeps the campaigns' net plans,
+	// each held until its campaign's dispatch ends.
 	engines freeList[engine]
 	memos   freeList[memo]
 
@@ -283,7 +286,7 @@ func NewRunner(p *asm.Program, opts Options) (*Runner, error) {
 	}
 	m := mem.NewMemory()
 	m.LoadImage(p.Origin, p.Image)
-	r := &Runner{prog: p, opts: opts, baseImg: m.Snapshot(), met: newEngineMetrics(opts.Obs)}
+	r := &Runner{prog: p, opts: opts, baseImg: m.Snapshot(), met: newEngineMetrics(opts.Obs), verdicts: newVerdicts(opts.Obs)}
 	r.log.budget = logBudget
 	// One object of each kind per processor: what a campaign at the default
 	// worker count holds at once.
@@ -605,13 +608,12 @@ func (r *Runner) RunOne(e Experiment) Result {
 }
 
 // Campaign runs the experiments across workers and returns results in
-// input order. The four entry points are one engine, CampaignShared:
+// input order. The three entry points are one engine, CampaignStopContext:
 // Campaign and CampaignContext for library callers (core, internal/campaign),
-// CampaignStopContext for the repository benchmark's engine layer
-// (bench/layers.go), CampaignShared for the CampaignEngine interface the
-// jobs layer drives.
+// CampaignStopContext for the CampaignEngine interface the jobs layer drives
+// and the repository benchmark's engine layer (bench/layers.go).
 func (r *Runner) Campaign(exps []Experiment, workers int) []Result {
-	results, _, _ := r.CampaignShared(context.Background(), exps, workers, nil, nil, nil)
+	results, _, _ := r.CampaignStopContext(context.Background(), exps, workers, nil, nil)
 	return results
 }
 
@@ -620,27 +622,23 @@ func (r *Runner) Campaign(exps []Experiment, workers int) []Result {
 // running are left zero-valued and the partial results come back with
 // ctx.Err(). See dispatch for the tap and cancellation contract.
 func (r *Runner) CampaignContext(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result)) ([]Result, error) {
-	results, _, err := r.CampaignShared(ctx, exps, workers, tap, nil, nil)
+	results, _, err := r.CampaignStopContext(ctx, exps, workers, tap, nil)
 	return results, err
 }
 
 // CampaignStopContext is CampaignContext plus sequential early stopping
 // and completion tracking; see dispatch for the tap/stop/cancel contract.
-func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
-	return r.CampaignShared(ctx, exps, workers, tap, stop, nil)
-}
-
-// CampaignShared is CampaignStopContext resolving through the caller's
-// verdict table, the engine entry point of sharded and adaptive campaigns.
-// A caller that cuts one campaign into several calls on this runner hands
-// every one the same table (see Verdicts); nil uses a table of the call's own.
+// Permanent forcings resolve through the runner's verdict table, so a
+// caller that cuts one campaign into several calls on this runner — shards,
+// an audit and its escalations — or submits an overlapping one later steps
+// each forcing once (see verdicts).
 //
 // The dispatch granule is one 64-lane group (see batch.go), or one
 // experiment where the planner goes scalar: signal upsets, and everything
 // under NoCheckpoint. A stop or cancellation therefore overshoots by at
 // most one 64-lane group per worker.
-func (r *Runner) CampaignShared(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result), stop func(done, failures int) bool, shared *Verdicts) ([]Result, []bool, error) {
-	plan, m := r.planBatches(exps, shared)
+func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
+	plan, m := r.planBatches(exps)
 	if m != nil {
 		// dispatch returns with every worker gone: no lane still reads the memo.
 		defer r.putMemo(m)
@@ -662,8 +660,7 @@ func (r *Runner) CampaignShared(ctx context.Context, exps []Experiment, workers 
 
 // putMemo returns a call's memo to the runner.
 func (r *Runner) putMemo(m *memo) {
-	clear(m.logs)    // a log over budget is the campaign's alone: dropped here
-	m.verdicts = nil // a caller's table is not the runner's to keep
+	clear(m.logs) // a log over budget is the campaign's alone: dropped here
 	r.memos.put(m)
 }
 

@@ -25,8 +25,12 @@ import (
 // runs once more behind 64 filler lanes on the same net (glitches
 // scheduled past program exit: never armed, free), which puts it in the
 // second group of the campaign. Every input runs twice on its runner: the
-// first round walks the nets into the runner's read log, the second is
-// answered from the log alone.
+// first round walks the nets into the runner's read log and resolves the
+// forcings into its verdict table, the second is answered from both. A
+// second campaign then overlaps the first on the same runner — the node's own
+// forcings again, beside those of its sibling bit and of a neighbouring node
+// the table has not seen — and is held to the reference too: a verdict kept
+// stale, or keyed short of its bit, polarity or word, is a finding.
 //
 // Smoke: make fuzz-smoke; longer:
 // go test -run '^$' -fuzz FuzzLaneEquivalence -fuzztime 5m ./internal/fault/
@@ -89,18 +93,26 @@ func FuzzLaneEquivalence(f *testing.F) {
 				t.Fatalf("%s, behind %d filler lanes: got %+v, reference %+v", round, maxLanes, got[maxLanes:], want)
 			}
 		}
+		overlap := Expand([]NodeInfo{sibling, n, iu[(int(node)+1)%len(iu)]}, rtl.FaultModels()...)
+		if got, want := lanes.Campaign(overlap, 2), ref.Campaign(overlap, 1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("overlapping campaign on the warm runner: got %+v, reference %+v", got, want)
+		}
 	})
 }
 
 // FuzzISSEquivalence is the ISS engine's oracle on generated programs
 // (register windows, traps, annulled delay slots): for any node, model and
-// instant, the production engine — golden log, fork at activation, shared
-// verdicts, predecoded text — returns what the from-reset reference returns,
-// by every path checkISSEngine walks. The fuzzed experiment shares its
-// campaign with both stuck-ats and the open line that is the twin of one of
-// them at the same fixed instant, an upset and a pulse one instruction on,
-// the same on a sibling bit of the victim register, and a transient before
-// the fixed instant; the pinned timebase gets its turn on odd instants.
+// instant, the production engine — golden log, fork at activation, the
+// runner's verdict table, predecoded text — returns what the from-reset
+// reference returns, by every path checkISSEngine walks. The fuzzed
+// experiment shares its campaign with both stuck-ats and the open line that
+// is the twin of one of them at the same fixed instant, an upset and a pulse
+// one instruction on, the same on a sibling bit of the victim register, and a
+// transient before the fixed instant; the pinned timebase gets its turn on
+// odd instants. A second campaign then overlaps the first on the same runner
+// — the node's forcings again, the sibling bit's in full and those of a
+// neighbouring node, whose victim the table has not seen or shares — and is
+// held to the reference too, so a stale or mis-keyed verdict is a finding.
 //
 // Smoke: make fuzz-smoke; longer:
 // go test -run '^$' -fuzz FuzzISSEquivalence -fuzztime 5m ./internal/fault/
@@ -152,5 +164,6 @@ func FuzzISSEquivalence(f *testing.F) {
 			{Node: sibling, Model: rtl.SETPulse, AtCycle: fixed / 2},
 		}
 		checkISSEngine(t, prod, ref, exps)
+		checkISSEngine(t, prod, ref, Expand([]NodeInfo{sibling, n, iu[(int(node)+1)%len(iu)]}, rtl.FaultModels()...))
 	})
 }

@@ -90,10 +90,11 @@ type ISSRunner struct {
 	// it and forks from its rungs.
 	logOnce sync.Once
 	log     *issLog
-	// engines keeps one emulator per worker for forks to restore in place;
-	// tables keeps the verdict tables of campaigns that brought none.
+	// verdicts is what the forced victim bits campaigns have activated so
+	// far came to, each stepped once (see verdicts in batch.go).
+	verdicts verdicts
+	// engines keeps one emulator per worker for forks to restore in place.
 	engines freeList[issEngine]
-	tables  freeList[Verdicts]
 
 	nodeLists nodeLists
 
@@ -111,21 +112,22 @@ type issMetrics struct {
 	// from a rung (the reference: from reset) to where a run leaves the
 	// golden one, and the faulted ones from there to the verdict.
 	steps *obs.Counter
-	// free, twin and stepped split experiments by how their verdict was
-	// reached: read off the golden log without a step, copied from the
-	// experiment that stepped the same forcing, stepped.
-	free, twin, stepped *obs.Counter
+	// free, twin, known and stepped split experiments by how their verdict
+	// was reached: read off the golden log without a step, copied from the
+	// experiment of the same call that stepped the same forcing, copied from
+	// an earlier call's on this runner, stepped.
+	free, twin, known, stepped *obs.Counter
 }
 
 func newISSMetrics(r *obs.Registry) issMetrics {
 	by := r.CounterVec("iss_engine_verdicts_total",
-		"ISS experiments by how their verdict was reached: free (the golden log shows the fault never changes a register read), twin (copied from the run of the same victim bit, value and instant), stepped.", "path")
+		"ISS experiments by how their verdict was reached: free (the golden log shows the fault never changes a register read), twin (copied from the same call's run of the same victim bit and value), known (copied from an earlier call's, kept in the runner's verdict table), stepped.", "path")
 	return issMetrics{
 		experiments: r.Counter("iss_engine_experiments_total",
 			"Fault-injection experiments executed and classified by the ISS prediction engine."),
 		steps: r.Counter("iss_engine_steps_total",
 			"Emulator steps taken for ISS experiments, clean replay from a golden rung (or from reset) included."),
-		free: by.With("free"), twin: by.With("twin"), stepped: by.With("stepped"),
+		free: by.With("free"), twin: by.With("twin"), known: by.With("known"), stepped: by.With("stepped"),
 	}
 }
 
@@ -141,9 +143,9 @@ func NewISSRunner(p *asm.Program, opts Options, cycleRef, fixedCycle uint64) (*I
 	}
 	m := mem.NewMemory()
 	m.LoadImage(p.Origin, p.Image)
-	r := &ISSRunner{prog: p, opts: opts, cycleRef: cycleRef, met: newISSMetrics(opts.Obs)}
+	r := &ISSRunner{prog: p, opts: opts, cycleRef: cycleRef, met: newISSMetrics(opts.Obs), verdicts: newVerdicts(opts.Obs)}
 	r.baseImg = m.Snapshot()
-	r.engines.max, r.tables.max = runtime.GOMAXPROCS(0), runtime.GOMAXPROCS(0)
+	r.engines.max = runtime.GOMAXPROCS(0)
 	cpu := r.newEngine(nil).cpu
 	st := cpu.Run(200_000_000)
 	if st != iss.StatusExited {
@@ -454,31 +456,23 @@ func (r *ISSRunner) armAt(e Experiment) uint64 {
 	return r.injectExt
 }
 
-// Kinds of ISS verdict in a Verdicts table (forcing.iss); zero is an RTL
-// forcing.
-const (
-	issForced  uint8 = 1 + iota // the victim bit held at forcing.one from the instant on
-	issFlipped                  // inverted once at the instant
-	issPulsed                   // held at its complement for the runner's pulse window
-)
-
 // RunOne executes a single injection experiment on the emulator; see
 // resolve.
-func (r *ISSRunner) RunOne(e Experiment) Result { return r.resolve(e, nil) }
+func (r *ISSRunner) RunOne(e Experiment) Result { return r.resolve(e, r.verdicts.begin()) }
 
-// resolve classifies one experiment, through the campaign's verdict table
-// when there is one. The reference builds a fresh emulator, steps it clean
-// from reset to the experiment's instant and hands it to finish. The
-// production engine reads the golden log first: where the instant lies
-// (boundary), what the victim bit reads there — the charge an open line
-// freezes, the value a pulse inverts — and, for a forced bit, the first
-// boundary at which the forcing changes anything (activation). A run that
-// never leaves the golden one has the golden verdict; any other forks from
-// the rung below the boundary where it leaves, once per distinct (victim
-// bit, forced value or flip or pulse, instant): RTL nodes that hash onto
-// one victim, and an open line beside the stuck-at of its charge, are one
-// run. Fault, Unit and InjectAt are always the experiment's own.
-func (r *ISSRunner) resolve(e Experiment, verdicts *Verdicts) Result {
+// resolve classifies one experiment of call number call (see verdicts). The
+// reference builds a fresh emulator, steps it clean from reset to the
+// experiment's instant and hands it to finish. The production engine reads
+// the golden log first: where the instant lies (boundary), what the victim
+// bit reads there — the charge an open line freezes, the value a pulse
+// inverts — and, for a forced bit, the first boundary at which the forcing
+// changes anything (activation). A run that never leaves the golden one has
+// the golden verdict; a forced bit forks from the rung below the boundary
+// where it leaves, once per runner and distinct (victim bit, forced value):
+// RTL nodes that hash onto one victim, and an open line beside the stuck-at
+// of its charge, are one run. A transient forks from its own sampled
+// instant. Fault, Unit and InjectAt are always the experiment's own.
+func (r *ISSRunner) resolve(e Experiment, call uint32) Result {
 	r.met.experiments.Inc()
 	atExt := r.armAt(e)
 	at := r.mapTicks(atExt)
@@ -509,32 +503,22 @@ func (r *ISSRunner) resolve(e Experiment, verdicts *Verdicts) Result {
 	s := uint32(b)
 	l := &lg.regs[v.reg]
 	forced := forcedBit(e.Model, l.val[l.run(s)]>>v.bit&1)
-	key := forcing{node: rtl.Node{Word: v.reg, Bit: int(v.bit)}, injectAt: at, iss: issFlipped}
-	switch e.Model {
-	case rtl.StuckAt0, rtl.StuckAt1, rtl.OpenLine:
-		var ok bool
-		if s, ok = lg.activation(v, forced, s); !ok {
-			r.met.free.Inc()
-			return res
-		}
-		key.one, key.iss = forced == 1, issForced
-	case rtl.SETPulse:
-		key.iss = issPulsed
-	}
-	if verdicts == nil {
+	if e.Model.Transient() {
 		r.stepFrom(lg, s, &res, e.Model, v, forced, at)
 		return res
 	}
-	vd := verdicts.verdict(key)
-	vd.mu.Lock()
-	defer vd.mu.Unlock()
-	if vd.done {
-		r.met.twin.Inc()
-		res.Outcome, res.Latency, res.Cycles = vd.res.Outcome, vd.res.Latency, vd.res.Cycles
+	s, ok := lg.activation(v, forced, s)
+	if !ok {
+		r.met.free.Inc()
 		return res
 	}
-	r.stepFrom(lg, s, &res, e.Model, v, forced, at)
-	vd.res, vd.done = res, true
+	key := forcing{node: rtl.Node{Word: v.reg, Bit: int(v.bit)}, one: forced == 1}
+	switch r.verdicts.once(key, call, &res, func() { r.stepFrom(lg, s, &res, e.Model, v, forced, at) }) {
+	case verdictTwin:
+		r.met.twin.Inc()
+	case verdictKnown:
+		r.met.known.Inc()
+	}
 	return res
 }
 
@@ -586,32 +570,13 @@ func (r *ISSRunner) Campaign(exps []Experiment, workers int) []Result {
 	return results
 }
 
-// CampaignStopContext is CampaignShared with a verdict table of the call's
-// own.
+// CampaignStopContext runs the experiments across workers under the
+// package's one tap/stop/cancel loop (see dispatch). The ISS engine has no
+// bit-parallel mode, so the dispatch granule is always one experiment.
 func (r *ISSRunner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int,
 	tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
-	return r.CampaignShared(ctx, exps, workers, tap, stop, nil)
-}
-
-// CampaignShared runs the experiments across workers under the package's
-// one tap/stop/cancel loop (see dispatch), resolving through the caller's
-// verdict table — ISS verdicts are keyed apart from RTL forcings, so a
-// hybrid campaign may hand both engines one — or one of the call's own.
-// The ISS engine has no bit-parallel mode, so the dispatch granule is
-// always one experiment.
-func (r *ISSRunner) CampaignShared(ctx context.Context, exps []Experiment, workers int,
-	tap func(i int, res Result), stop func(done, failures int) bool, shared *Verdicts) ([]Result, []bool, error) {
-	if shared == nil && !r.opts.NoCheckpoint {
-		if shared = r.tables.get(); shared == nil {
-			shared = NewVerdicts()
-		}
-		// dispatch returns with every worker gone: nothing reads the table.
-		defer func(t *Verdicts) {
-			t.Reset()
-			r.tables.put(t)
-		}(shared)
-	}
+	call := r.verdicts.begin()
 	return dispatch(ctx, len(exps), len(exps), workers, tap, stop, func(i int, deliver func(int, Result)) {
-		deliver(i, r.resolve(exps[i], shared))
+		deliver(i, r.resolve(exps[i], call))
 	})
 }

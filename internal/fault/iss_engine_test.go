@@ -32,9 +32,10 @@ func issPair(t testing.TB, p *asm.Program, opts Options, cycleRef, fixedCycle ui
 }
 
 // checkISSEngine holds the production ISS engine to the NoCheckpoint
-// reference's results for exps by every path an experiment can take:
-// RunOne (no verdict table), a campaign at one worker and at two, and a
-// second campaign on the now warm runner (kept emulators, a reused table).
+// reference's results for exps by every path an experiment can take: a
+// campaign at one worker (on a fresh runner: forcings stepped, twins copied),
+// RunOne and campaigns at two workers on the now warm runner (kept emulators,
+// every forcing known to the runner's table).
 func checkISSEngine(t testing.TB, prod, ref *ISSRunner, exps []Experiment) {
 	t.Helper()
 	want := ref.Campaign(exps, 1)
@@ -51,12 +52,12 @@ func checkISSEngine(t testing.TB, prod, ref *ISSRunner, exps []Experiment) {
 		}
 		t.Fatalf("%s: results differ from the from-reset reference", path)
 	}
+	check("Campaign, 1 worker", prod.Campaign(exps, 1))
 	one := make([]Result, len(exps))
 	for i, e := range exps {
 		one[i] = prod.RunOne(e)
 	}
 	check("RunOne", one)
-	check("Campaign, 1 worker", prod.Campaign(exps, 1))
 	check("Campaign, 2 workers", prod.Campaign(exps, 2))
 	check("warm Campaign", prod.Campaign(exps, 2))
 }
@@ -220,20 +221,21 @@ func TestISSNeverActivatedIsFree(t *testing.T) {
 	}
 }
 
-// TestISSTwinsShareOneRun holds the verdict table to its counters: in one
-// campaign every distinct (victim bit, forced value, instant) is stepped
-// once — an open line beside the stuck-at of its charge, and two RTL nodes
-// that hash onto one victim — at one worker and at two, to the step.
+// TestISSTwinsShareOneRun holds the verdict table to its counters: on a
+// fresh runner every distinct (victim bit, forced value) is stepped once — an
+// open line beside the stuck-at of its charge, and two RTL nodes that hash
+// onto one victim — at one worker and at two, to the step. Transients stay
+// out of the table: two upsets of one victim at one instant are two runs.
 func TestISSTwinsShareOneRun(t *testing.T) {
 	w, err := workloads.Build("puwmod", workloads.Config{Iterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := func(workers int) (map[string]float64, []Experiment, []Result) {
+	counts := func(workers int) (perm, trans map[string]float64, permExps, transExps []Experiment) {
 		reg := obs.NewRegistry()
 		prod, ref := issPair(t, w.Program, Options{InjectAtFraction: 0.4, PulseCycles: 3, Obs: reg}, 0, 0)
 		// Nodes that share a victim with an earlier node, and those earlier
-		// nodes: every model's run of the second is the first's.
+		// nodes: every permanent model's run of the second is the first's.
 		first := map[victim]NodeInfo{}
 		var nodes []NodeInfo
 		for _, n := range prod.Nodes(TargetIU) {
@@ -248,36 +250,49 @@ func TestISSTwinsShareOneRun(t *testing.T) {
 		if len(nodes) == 0 {
 			t.Fatal("no two IU nodes share a victim")
 		}
-		exps := Expand(nodes, rtl.AllFaultModels()...)
-		for i := range exps {
-			if exps[i].Model.Transient() {
-				// One instant per pair, so that transient twins exist too.
-				exps[i].AtCycle = prod.injectAt + uint64(i/2*2%len(nodes))*7
+		permExps = Expand(nodes, rtl.FaultModels()...)
+		transExps = Expand(nodes, rtl.TransientFaultModels()...)
+		for i := range transExps {
+			// One instant per pair: transient twins, were they shared.
+			transExps[i].AtCycle = prod.injectAt + uint64(i/2*2%len(nodes))*7
+		}
+		for _, exps := range [][]Experiment{permExps, transExps} {
+			got := prod.Campaign(exps, workers)
+			if want := ref.Campaign(exps, 1); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d workers: campaign differs from the reference", workers)
+			}
+			if trans = engineCounters(t, reg); perm == nil {
+				perm = trans
 			}
 		}
-		got := prod.Campaign(exps, workers)
-		if want := ref.Campaign(exps, 1); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d workers: campaign differs from the reference", workers)
+		for k, v := range perm {
+			trans[k] -= v
 		}
-		return engineCounters(t, reg), exps, got
+		return perm, trans, permExps, transExps
 	}
-	one, exps, _ := counts(1)
-	two, _, _ := counts(2)
-	if !reflect.DeepEqual(one, two) {
-		t.Errorf("counters differ between 1 and 2 workers:\n%v\n%v", one, two)
+	one, oneT, exps, transExps := counts(1)
+	two, twoT, _, _ := counts(2)
+	if !reflect.DeepEqual(one, two) || !reflect.DeepEqual(oneT, twoT) {
+		t.Errorf("counters differ between 1 and 2 workers:\n%v %v\n%v %v", one, oneT, two, twoT)
 	}
 	free, twin, stepped := one[`iss_engine_verdicts_total{path="free"}`], one[`iss_engine_verdicts_total{path="twin"}`], one[`iss_engine_verdicts_total{path="stepped"}`]
 	if free+twin+stepped != float64(len(exps)) || one["iss_engine_experiments_total"] != float64(len(exps)) {
 		t.Errorf("free %v + twin %v + stepped %v, experiments %v: want %d each way", free, twin, stepped, one["iss_engine_experiments_total"], len(exps))
 	}
-	// Per victim pair: the two upsets are one run, the two pulses one, and
-	// the six forcings at most two (forced 0, forced 1) — so at least six of
-	// every ten experiments that are not free are twins.
+	// Per victim pair the six forcings are at most two runs (forced 0, forced
+	// 1), each shared by two or four experiments.
 	if twin < stepped {
 		t.Errorf("twin %v < stepped %v: shared victims were stepped more than once", twin, stepped)
 	}
 	if twin == 0 || stepped == 0 {
 		t.Errorf("twin %v, stepped %v: the campaign exercised only one path", twin, stepped)
+	}
+	if n := one["engine_verdict_table_entries"]; n != stepped || oneT["engine_verdict_table_entries"] != 0 {
+		t.Errorf("table holds %v entries after %v runs, and the transient campaign added %v: want one per run and none",
+			n, stepped, oneT["engine_verdict_table_entries"])
+	}
+	if got := oneT[`iss_engine_verdicts_total{path="stepped"}`] + oneT[`iss_engine_verdicts_total{path="free"}`]; got != float64(len(transExps)) {
+		t.Errorf("%v of %d transient experiments stepped or free: none may be copied", got, len(transExps))
 	}
 }
 
@@ -451,15 +466,15 @@ func TestISSReferenceIsNaive(t *testing.T) {
 	if r.engines.get() != nil {
 		t.Error("reference campaign kept an emulator")
 	}
-	if r.tables.get() != nil {
-		t.Error("reference campaign kept a verdict table")
+	if r.verdicts.n != 0 {
+		t.Errorf("reference campaign kept %d verdicts", r.verdicts.n)
 	}
 	c := engineCounters(t, reg)
 	if got := c[`iss_engine_verdicts_total{path="stepped"}`]; got != float64(len(exps)) || c["iss_engine_experiments_total"] != got {
 		t.Errorf("stepped %v of %v experiments, want all %d", got, c["iss_engine_experiments_total"], len(exps))
 	}
-	if free, twin := c[`iss_engine_verdicts_total{path="free"}`], c[`iss_engine_verdicts_total{path="twin"}`]; free != 0 || twin != 0 {
-		t.Errorf("free %v, twin %v on the reference engine, want 0", free, twin)
+	if free, twin, known := c[`iss_engine_verdicts_total{path="free"}`], c[`iss_engine_verdicts_total{path="twin"}`], c[`iss_engine_verdicts_total{path="known"}`]; free != 0 || twin != 0 || known != 0 {
+		t.Errorf("free %v, twin %v, known %v on the reference engine, want 0", free, twin, known)
 	}
 	if c["iss_engine_steps_total"] < float64(len(exps))*float64(r.injectAt) {
 		t.Errorf("iss_engine_steps_total = %v: the reference did not step from reset", c["iss_engine_steps_total"])

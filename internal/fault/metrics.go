@@ -54,16 +54,18 @@ type engineMetrics struct {
 	logBytes                      *obs.Gauge
 }
 
-// proofs labels engine_verdicts_proven_total: a twin of a resolved forcing
-// (resolveOnce), a recurring state, a time-shifted golden state, a core
-// whose EX gate stays shut to the budget (resolve).
-var proofs = [...]string{"equivalent", "recurrent", "shifted", "wedged"}
+// proofs labels engine_verdicts_proven_total: a twin of a forcing the same
+// call resolved, a recurring state, a time-shifted golden state, a core whose
+// EX gate stays shut to the budget (resolve), a forcing an earlier call on the
+// runner resolved (resolveOnce).
+var proofs = [...]string{"equivalent", "recurrent", "shifted", "wedged", "known"}
 
 const (
 	provenEquivalent = iota
 	provenRecurrent
 	provenShifted
 	provenWedged
+	provenKnown
 )
 
 // healedEnding is cyclesBy's slot past the outcomes: a healed universe,
@@ -83,7 +85,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 	byOutcome := r.CounterVec("engine_faulted_cycles_by_outcome_total",
 		"engine_faulted_cycles_total split by how the universe ended; healed ones apart from no-effects that ran to exit.", "outcome")
 	byProof := r.CounterVec("engine_verdicts_proven_total",
-		"Verdicts reached without stepping to them: a twin of a resolved forcing, a recurring state, a time-shifted golden state, a dead EX gate.", "proof")
+		"Verdicts reached without stepping to them: a twin of a forcing the same call resolved (equivalent), one the runner's verdict table kept from an earlier call (known), a recurring state, a time-shifted golden state, a dead EX gate.", "proof")
 	m := engineMetrics{
 		live: r != nil,
 		experiments: r.Counter("engine_experiments_total",

@@ -348,8 +348,11 @@ func TestPassRecordBounded(t *testing.T) {
 // The golden continuation itself is walked once, at plan time, by a campaign
 // that brings a net the runner's read log lacks — GoldenCycles − InjectCycle
 // cycles whatever the worker count — and a second campaign on the runner
-// steps no golden cycle at all: every net is answered from the log, and
-// every other counter doubles exactly.
+// steps no golden cycle at all: every net is answered from the log. The SEU
+// campaign's other counters double exactly — an upset is keyed by an instant
+// of its own and is resolved every time — while the permanent one's lane
+// funnel doubles and nothing else moves: each of its 186 activated lanes
+// finds its forcing among the 135 verdicts the runner kept.
 func TestReconvergenceWorkCounters(t *testing.T) {
 	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 2})
 	if err != nil {
@@ -358,21 +361,22 @@ func TestReconvergenceWorkCounters(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		models []rtl.FaultModel
+		known  float64 // verdicts a second campaign finds in the runner's table
 		want   map[string]float64
 	}{
-		{"seu", []rtl.FaultModel{rtl.BitFlip}, map[string]float64{
+		{"seu", []rtl.FaultModel{rtl.BitFlip}, 0, map[string]float64{
 			"engine_batch_lanes_planned_total": 190, "engine_batch_lanes_activated_total": 29, "engine_batch_lanes_free_total": 161,
 			"engine_faulted_cycles_total": 31325, "engine_reconverged_total": 53, "engine_snapshot_materializations_total": 29 + 66,
 			`engine_verdicts_proven_total{proof="equivalent"}`: 0, `engine_verdicts_proven_total{proof="recurrent"}`: 0,
 			`engine_verdicts_proven_total{proof="shifted"}`: 4, `engine_verdicts_proven_total{proof="wedged"}`: 1,
 			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 8,
 		}},
-		{"permanent", rtl.FaultModels(), map[string]float64{
+		{"permanent", rtl.FaultModels(), 186, map[string]float64{
 			"engine_batch_lanes_planned_total": 768, "engine_batch_lanes_activated_total": 186, "engine_batch_lanes_free_total": 582,
 			"engine_faulted_cycles_total": 99605, "engine_reconverged_total": 152, "engine_snapshot_materializations_total": 281,
 			`engine_verdicts_proven_total{proof="equivalent"}`: 51, `engine_verdicts_proven_total{proof="recurrent"}`: 2,
 			`engine_verdicts_proven_total{proof="shifted"}`: 0, `engine_verdicts_proven_total{proof="wedged"}`: 11,
-			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 17678,
+			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 17678, "engine_verdict_table_entries": 135,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -405,11 +409,17 @@ func TestReconvergenceWorkCounters(t *testing.T) {
 				delete(warm, "engine_golden_pass_seconds_total")
 				for name, v := range counters {
 					want := 2 * v
-					switch name {
-					case "engine_golden_pass_cycles_total", "engine_golden_log_bytes", `engine_golden_log_nets_total{result="logged"}`:
+					switch {
+					case name == "engine_golden_pass_cycles_total" || name == "engine_golden_log_bytes" || name == `engine_golden_log_nets_total{result="logged"}`:
 						want = v // nothing walked, nothing logged
-					case `engine_golden_log_nets_total{result="hit"}`:
+					case name == `engine_golden_log_nets_total{result="hit"}`:
 						want = nets
+					case name == `engine_verdicts_proven_total{proof="known"}`:
+						want = tc.known
+					case strings.HasPrefix(name, "engine_batch_lanes_") || name == "engine_experiments_total":
+						// The funnel runs again.
+					case tc.known > 0:
+						want = v // nothing stepped, nothing resolved
 					}
 					if warm[name] != want {
 						t.Errorf("%d workers: %s = %v after a second campaign, want %v", workers, name, warm[name], want)

@@ -1,0 +1,168 @@
+package fault
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/asm"
+	"repro/internal/obs"
+	"repro/internal/rtl"
+	"repro/internal/workloads"
+)
+
+// TestRunnerKeepsVerdicts holds the runner's verdict table to its contract
+// on both engines: what a campaign resolved is there for every later call on
+// the runner, however the calls overlap in nodes or in time, results are
+// those of a from-reset reference that keeps no table, and only permanent
+// forcings ever enter. Work is read off the engine's exact counters: cycles
+// (steps) simulated and universes resolved.
+func TestRunnerKeepsVerdicts(t *testing.T) {
+	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []struct {
+		name  string
+		build func(p *asm.Program, opts Options) (CampaignEngine, error)
+		work  [2]string // cycles or steps simulated, universes resolved
+	}{
+		{"rtl", func(p *asm.Program, opts Options) (CampaignEngine, error) { return NewRunner(p, opts) },
+			[2]string{"engine_faulted_cycles_total", "engine_snapshot_materializations_total"}},
+		{"iss", func(p *asm.Program, opts Options) (CampaignEngine, error) { return NewISSRunner(p, opts, 0, 0) },
+			[2]string{"iss_engine_steps_total", `iss_engine_verdicts_total{path="stepped"}`}},
+	} {
+		// fresh builds a runner that has resolved nothing; work reads what it
+		// has simulated since, entries what its table holds.
+		type runner struct {
+			CampaignEngine
+			reg *obs.Registry
+		}
+		fresh := func(t *testing.T, noCheckpoint bool) runner {
+			t.Helper()
+			reg := obs.NewRegistry()
+			r, err := eng.build(w.Program, Options{InjectAtFraction: 0.5, PulseCycles: 2, NoCheckpoint: noCheckpoint, Obs: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return runner{r, reg}
+		}
+		work := func(t *testing.T, r runner) [2]float64 {
+			c := engineCounters(t, r.reg)
+			return [2]float64{c[eng.work[0]], c[eng.work[1]]}
+		}
+		entries := func(t *testing.T, r runner) float64 { return engineCounters(t, r.reg)["engine_verdict_table_entries"] }
+		campaign := func(t *testing.T, r runner, exps []Experiment, workers int) []Result {
+			t.Helper()
+			res, _, err := r.CampaignStopContext(context.Background(), exps, workers, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		permanent := func(r runner, lo, hi int) []Experiment {
+			return Expand(SampleNodes(r.Nodes(TargetIU), 96, 3)[lo:hi], rtl.FaultModels()...)
+		}
+
+		t.Run(eng.name+"/again", func(t *testing.T) {
+			r := fresh(t, false)
+			exps := permanent(r, 0, 48)
+			first := campaign(t, r, exps, 2)
+			cold := work(t, r)
+			second := campaign(t, r, exps, 2)
+			if warm := work(t, r); cold[0] == 0 || warm != cold {
+				t.Errorf("work after one campaign %v, after the same again %v: want the second to simulate nothing", cold, warm)
+			}
+			want := campaign(t, fresh(t, true), exps, 0)
+			if !reflect.DeepEqual(first, want) || !reflect.DeepEqual(second, want) {
+				t.Error("a campaign answered from the runner's table differs from the from-reset reference")
+			}
+		})
+
+		t.Run(eng.name+"/concurrent", func(t *testing.T) {
+			r := fresh(t, false)
+			halves := [][]Experiment{permanent(r, 0, 64), permanent(r, 32, 96)}
+			got := make([][]Result, len(halves))
+			var wg sync.WaitGroup
+			for i := range halves {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					res, _, err := r.CampaignStopContext(context.Background(), halves[i], 2, nil, nil)
+					if err != nil {
+						t.Error(err)
+					}
+					got[i] = res
+				}()
+			}
+			wg.Wait()
+			union := fresh(t, false)
+			campaign(t, union, permanent(union, 0, 96), 2)
+			if pair, one := work(t, r), work(t, union); pair != one || entries(t, r) != entries(t, union) {
+				t.Errorf("two half-overlapping campaigns at once simulated %v into %v verdicts, their union as one campaign %v into %v",
+					pair, entries(t, r), one, entries(t, union))
+			}
+			ref := fresh(t, true)
+			for i := range halves {
+				if !reflect.DeepEqual(got[i], campaign(t, ref, halves[i], 0)) {
+					t.Errorf("concurrent campaign %d differs from the from-reset reference", i)
+				}
+			}
+		})
+
+		t.Run(eng.name+"/cancelled", func(t *testing.T) {
+			r := fresh(t, false)
+			exps := permanent(r, 0, 96)
+			ctx, cancel := context.WithCancel(context.Background())
+			var completed atomic.Int32
+			_, ran, err := r.CampaignStopContext(ctx, exps, 2, func(int, Result) {
+				if completed.Add(1) == int32(len(exps)/3) {
+					cancel()
+				}
+			}, nil)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled campaign returned %v", err)
+			}
+			done := 0
+			for _, ok := range ran {
+				if ok {
+					done++
+				}
+			}
+			part := work(t, r)
+			if done == len(exps) || part[0] == 0 {
+				t.Fatalf("%d of %d experiments completed before the cancel, on work %v: nothing kept, or nothing to resume", done, len(exps), part)
+			}
+			again := campaign(t, r, exps, 2)
+			whole := fresh(t, false)
+			campaign(t, whole, exps, 2)
+			if both, one := work(t, r), work(t, whole); both != one {
+				t.Errorf("a campaign cancelled after %v and resubmitted simulated %v in all, run once %v: want the same", part, both, one)
+			}
+			if !reflect.DeepEqual(again, campaign(t, fresh(t, true), exps, 0)) {
+				t.Error("the resubmitted campaign differs from the from-reset reference")
+			}
+		})
+
+		t.Run(eng.name+"/bounded", func(t *testing.T) {
+			r := fresh(t, false)
+			nodes := r.Nodes(TargetIU)
+			campaign(t, r, Expand(nodes, rtl.FaultModels()...), 0)
+			n := entries(t, r)
+			if n == 0 || n > float64(2*len(nodes)) {
+				t.Errorf("%v verdicts kept after an exhaustive campaign over %d nodes: want at most two each", n, len(nodes))
+			}
+			transients := Expand(SampleNodes(nodes, 128, 5), rtl.TransientFaultModels()...)
+			r.ScheduleTransients(transients, 5)
+			before := work(t, r)
+			campaign(t, r, transients, 0)
+			if after := entries(t, r); after != n || work(t, r) == before {
+				t.Errorf("a seu+set campaign took the table from %v to %v entries and the work from %v to %v: want it stepped and none kept",
+					n, after, before, work(t, r))
+			}
+		})
+	}
+}

@@ -78,12 +78,7 @@ func newRouterMetrics(r *obs.Registry) routerMetrics {
 // the audit sample with its RTL results, and the escalation set. It is
 // a pure function of the normalized request.
 type hybridPlan struct {
-	rtl *fault.Runner
-	// verdicts is the one table every RTL run of the campaign resolves
-	// through — the audit here, the escalations of every range (runRange)
-	// — so a stuck-at audited and its open-line twin escalated are one
-	// simulation. Scheduling, never content.
-	verdicts  *fault.Verdicts
+	rtl       *fault.Runner
 	exps      []fault.Experiment
 	units     []string
 	pred      []fault.Result
@@ -202,8 +197,7 @@ func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Regis
 	for j, i := range auditIdx {
 		auditExps[j] = exps[i]
 	}
-	verdicts := fault.NewVerdicts()
-	auditRes0, _, err := rtlR.CampaignShared(ctx, auditExps, workers, nil, nil, verdicts)
+	auditRes0, _, err := rtlR.CampaignStopContext(ctx, auditExps, workers, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +252,6 @@ func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Regis
 	}
 	return &hybridPlan{
 		rtl:       rtlR,
-		verdicts:  verdicts,
 		exps:      exps,
 		units:     units,
 		pred:      pred,

@@ -676,12 +676,6 @@ type rangeEnv struct {
 	// tr receives the four stage timings. Only whole-campaign callers set
 	// it; a nil tracer is a no-op.
 	tr *obs.Tracer
-	// verdicts, when non-nil, is the table every range of this campaign
-	// run in this process resolves through (fault.Verdicts): set by the
-	// shard pool for its local workers, so that cutting a campaign into
-	// shards costs no simulation an unsharded run would not do. A hybrid
-	// campaign resolves through its plan's table instead.
-	verdicts *fault.Verdicts
 }
 
 // wholeCampaign, as runRange's end, runs the expansion from start to its
@@ -747,9 +741,8 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 
 	// run is what the engine executes and at maps its positions back to
 	// absolute experiment indices (ascending either way).
-	run, at, verdicts := exps[start:end], func(j int) int { return start + j }, env.verdicts
+	run, at := exps[start:end], func(j int) int { return start + j }
 	if plan != nil {
-		verdicts = plan.verdicts // the audit's results are in it
 		idx := plan.escalations(start, end)
 		run, at = make([]fault.Experiment, len(idx)), func(j int) int { return idx[j] }
 		for j, i := range idx {
@@ -783,7 +776,7 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 		}
 	}
 	endStage = env.tr.Stage("execute")
-	results, ran, err := eng.CampaignShared(ctx, run, env.workers, count, stop, verdicts)
+	results, ran, err := eng.CampaignStopContext(ctx, run, env.workers, count, stop)
 	endStage()
 	if err != nil && (whole || plan != nil) {
 		return rangeRun{}, err

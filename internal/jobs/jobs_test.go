@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/jobs"
 )
 
@@ -541,7 +542,9 @@ func TestManagerRealCancellation(t *testing.T) {
 	defer m.Close()
 
 	// Exhaustive IU sweep over all three models: far more experiments
-	// than could finish before the cancel lands.
+	// than could finish before the cancel lands — on a runner that has
+	// resolved none of them, so a second -count round is as slow as the first.
+	campaign.ForgetRunners()
 	big := jobs.Request{Workload: "excerptA", InjectAtFraction: 0.3}
 	st, _, err := m.Submit(big)
 	if err != nil {

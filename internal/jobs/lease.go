@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -33,9 +32,7 @@ func KeepaliveInterval(ttl time.Duration) time.Duration {
 // else, partial or not, is submitted for the coordinator to fold or
 // requeue. reg optionally receives the fault engine's counters; there is
 // deliberately no stage tracer — many shards share one campaign, so
-// per-shard spans would double-count into its stage histogram. verdicts is
-// the campaign's table when its coordinator runs in this process (see
-// rangeEnv), nil for a remote worker.
+// per-shard spans would double-count into its stage histogram.
 //
 // progress receives shard-local absolute counts and answers whether the
 // coordinator wants the shard cancelled (the campaign stopped, converged
@@ -49,7 +46,7 @@ func KeepaliveInterval(ttl time.Duration) time.Duration {
 //
 // Cancelled — by progress or by ctx — a single-engine shard returns what
 // completed together with the context's error; see runRange.
-func RunLease(ctx context.Context, lease *ShardLease, workers int, reg *obs.Registry, verdicts *fault.Verdicts,
+func RunLease(ctx context.Context, lease *ShardLease, workers int, reg *obs.Registry,
 	progress func(done, failures int) (cancel bool)) (*ShardOutput, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	stride := (lease.Range.End-lease.Range.Start)/16 + 1
@@ -81,9 +78,8 @@ func RunLease(ctx context.Context, lease *ShardLease, workers int, reg *obs.Regi
 		<-kaDone
 	}()
 	run, err := runRange(ctx, lease.Request, lease.Range.Start, lease.Range.End, rangeEnv{
-		workers:  workers,
-		reg:      reg,
-		verdicts: verdicts,
+		workers: workers,
+		reg:     reg,
 		tap: func(d, total, f int) {
 			mu.Lock()
 			defer mu.Unlock()

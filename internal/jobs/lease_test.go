@@ -65,7 +65,7 @@ func TestRunLeaseReports(t *testing.T) {
 	t.Run("cadence", func(t *testing.T) {
 		lease := leaseOf(req, n, 0)
 		seen = nil
-		out, err := jobs.RunLease(context.Background(), lease, 2, nil, nil, func(done, failures int) bool {
+		out, err := jobs.RunLease(context.Background(), lease, 2, nil, func(done, failures int) bool {
 			record(done, failures)
 			return false
 		})
@@ -91,7 +91,7 @@ func TestRunLeaseReports(t *testing.T) {
 		lease := leaseOf(req, n, 1)
 		seen = nil
 		var once sync.Once
-		out, err := jobs.RunLease(context.Background(), lease, 1, nil, nil, func(done, failures int) bool {
+		out, err := jobs.RunLease(context.Background(), lease, 1, nil, func(done, failures int) bool {
 			record(done, failures)
 			once.Do(func() { time.Sleep(jobs.KeepaliveInterval(time.Second) + 200*time.Millisecond) })
 			return false
@@ -111,7 +111,7 @@ func TestRunLeaseReports(t *testing.T) {
 	t.Run("cancel", func(t *testing.T) {
 		lease := leaseOf(req, n, 0)
 		seen = nil
-		out, err := jobs.RunLease(context.Background(), lease, 1, nil, nil, func(done, failures int) bool {
+		out, err := jobs.RunLease(context.Background(), lease, 1, nil, func(done, failures int) bool {
 			record(done, failures)
 			return true
 		})

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -95,13 +94,10 @@ type ShardPool struct {
 	active []*Coordinator
 	owner  map[string]*Coordinator // lease id -> owning coordinator
 	stats  ShardStats
-	// tables keeps the verdict tables of finished campaigns for the next
-	// ones: never more than the campaigns that ever ran at once.
-	tables []*fault.Verdicts
 
-	// campaigns counts the campaigns whose local workers are still running;
-	// Wait joins them.
-	campaigns sync.WaitGroup
+	// running counts the local worker and janitor goroutines of every
+	// campaign; Wait joins them.
+	running sync.WaitGroup
 }
 
 // NewShardPool builds a shard pool.
@@ -174,18 +170,16 @@ func (p *ShardPool) Execute(ctx context.Context, req Request, workers int, tap T
 	if local == 0 {
 		local = runtime.GOMAXPROCS(0)
 	}
-	// The campaign's local shards resolve through one verdict table, as the
-	// passes and workers of an unsharded campaign do. It, and whatever else
-	// the workers reach — the journal behind the coordinator — is released
-	// only once they are all gone: they may outlive this call by the shard
-	// they are on, so the join is Wait's, not this function's.
-	verdicts := p.takeVerdicts()
-	var running sync.WaitGroup
+	// The campaign's local shards run on one memoized runner and so resolve
+	// through its one verdict table, as the workers of an unsharded campaign
+	// do. What the workers report to — the journal behind the coordinator —
+	// is released only once they are all gone: they may outlive this call by
+	// the shard they are on, so the join is Wait's, not this function's.
 	work := func(name string) {
-		running.Add(1)
+		p.running.Add(1)
 		go func() {
-			defer running.Done()
-			p.localWorker(ctx, c, name, verdicts)
+			defer p.running.Done()
+			p.localWorker(ctx, c, name)
 		}()
 	}
 	for i := 0; i < local; i++ {
@@ -196,9 +190,9 @@ func (p *ShardPool) Execute(ctx context.Context, req Request, workers int, tap T
 	// then hang. Reclaim expired leases periodically and put a local
 	// worker on the requeued remainder (unless the pool is remote-only,
 	// where the next polling worker picks it up).
-	running.Add(1)
+	p.running.Add(1)
 	go func() {
-		defer running.Done()
+		defer p.running.Done()
 		tick := time.NewTicker(p.opts.LeaseTTL)
 		defer tick.Stop()
 		for {
@@ -213,14 +207,6 @@ func (p *ShardPool) Execute(ctx context.Context, req Request, workers int, tap T
 				}
 			}
 		}
-	}()
-	p.campaigns.Add(1)
-	go func() {
-		defer p.campaigns.Done()
-		running.Wait()
-		p.mu.Lock()
-		p.tables = append(p.tables, verdicts)
-		p.mu.Unlock()
 	}()
 	endExec := tr.Stage("execute")
 	out, err := c.Wait(ctx)
@@ -237,27 +223,12 @@ func (p *ShardPool) Execute(ctx context.Context, req Request, workers int, tap T
 	return out, err
 }
 
-// takeVerdicts returns an empty verdict table for a campaign: a kept one, or
-// a new one.
-func (p *ShardPool) takeVerdicts() *fault.Verdicts {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.tables)
-	if n == 0 {
-		return fault.NewVerdicts()
-	}
-	v := p.tables[n-1]
-	p.tables = p.tables[:n-1]
-	v.Reset()
-	return v
-}
-
 // Wait blocks until no local worker of any campaign this pool executed is
 // still running. Execute returns when its campaign's outcome is known, which
 // may be a shard before its workers notice; whoever is about to release what
 // they report to — the manager closing its journal — waits here first. The
 // caller must have made every Execute return (their contexts cancelled).
-func (p *ShardPool) Wait() { p.campaigns.Wait() }
+func (p *ShardPool) Wait() { p.running.Wait() }
 
 // book counts one event in a ShardStats field.
 func (p *ShardPool) book(field *int) {
@@ -270,13 +241,13 @@ func (p *ShardPool) book(field *int) {
 // other worker would: lease, RunLease, settle through the pool's own
 // Progress/Complete/Fail surface. Each shard executes single-threaded so
 // a campaign's total parallelism stays at the local worker count.
-func (p *ShardPool) localWorker(ctx context.Context, c *Coordinator, name string, verdicts *fault.Verdicts) {
+func (p *ShardPool) localWorker(ctx context.Context, c *Coordinator, name string) {
 	for ctx.Err() == nil {
 		l, ok := p.leaseFrom(name, c)
 		if !ok {
 			return
 		}
-		out, err := RunLease(ctx, l, 1, p.opts.Obs, verdicts, func(done, failures int) bool {
+		out, err := RunLease(ctx, l, 1, p.opts.Obs, func(done, failures int) bool {
 			return p.Progress(l.Lease, done, failures)
 		})
 		if out == nil {

@@ -20,13 +20,14 @@ import (
 )
 
 // sharedReg receives the engine counters of TestLocalShardsShareVerdicts. A
-// memoized runner counts into the registry it was first built with, so the
-// registry lives as long as the runner cache — the process — or a second
-// -count round would read zeros off a fresh one.
+// memoized runner counts into the registry it was first built with, and each
+// measurement below forgets the memoized runners first, so its runner is
+// built with this one.
 var sharedReg = obs.NewRegistry()
 
 // workCounters reads the engine's three exact work counters off the
-// registry's text exposition; callers compare deltas.
+// registry's text exposition — faulted cycles, materializations, verdicts
+// copied from the runner's table — and callers compare deltas.
 func workCounters(t *testing.T, reg *obs.Registry) [3]float64 {
 	t.Helper()
 	var sb strings.Builder
@@ -40,40 +41,56 @@ func workCounters(t *testing.T, reg *obs.Registry) [3]float64 {
 			"engine_faulted_cycles_total",
 			"engine_snapshot_materializations_total",
 			`engine_verdicts_proven_total{proof="equivalent"}`,
+			// Copied all the same, from a call before: one more shard's.
+			`engine_verdicts_proven_total{proof="known"}`,
 		} {
 			if name == want {
 				v, err := strconv.ParseFloat(val, 64)
 				if err != nil {
 					t.Fatalf("metric line %q: %v", line, err)
 				}
-				out[i] = v
+				out[min(i, 2)] += v
 			}
 		}
 	}
 	return out
 }
 
+// workDelta runs f and returns what it added to the work counters.
+func workDelta(t *testing.T, reg *obs.Registry, f func()) (d [3]float64) {
+	t.Helper()
+	before := workCounters(t, reg)
+	f()
+	for i, v := range workCounters(t, reg) {
+		d[i] = v - before[i]
+	}
+	return d
+}
+
+// coldWorkDelta is workDelta with every memoized runner forgotten first: f
+// builds its own, with reg, and finds no verdict resolved.
+func coldWorkDelta(t *testing.T, reg *obs.Registry, f func()) [3]float64 {
+	t.Helper()
+	campaign.ForgetRunners()
+	return workDelta(t, reg, f)
+}
+
 // TestLocalShardsShareVerdicts holds a campaign cut into local shards to the
 // engine work of the uncut one. Expand crosses models outer, nodes inner, so
 // the experiment-range shards split every open-line/stuck-at twin pair; the
-// pool's one verdict table per campaign is what keeps a forcing simulated
-// once all the same. At any shard count the outcome bytes equal Execute's —
-// they always did — and so now do the faulted cycles, the materializations
-// and the verdicts proven equivalent, exactly. Requests without twins
+// shards run on one memoized runner, whose one verdict table is what keeps a
+// forcing simulated once all the same. At any shard count the outcome bytes
+// equal Execute's — they always did — and so do the faulted cycles, the
+// materializations and the verdicts copied (a twin another shard resolved
+// counts as known to the runner, one the same shard resolved as equivalent:
+// the sum is the unsharded campaign's), exactly. Requests without twins
 // (transients, a hybrid campaign's escalations) are the control: nothing to
 // share, nothing moves.
 func TestLocalShardsShareVerdicts(t *testing.T) {
 	ctx := context.Background()
 	reg := sharedReg
-	// delta runs f and returns what it added to the work counters.
-	delta := func(f func()) (d [3]float64) {
-		before := workCounters(t, reg)
-		f()
-		for i, v := range workCounters(t, reg) {
-			d[i] = v - before[i]
-		}
-		return d
-	}
+	delta := func(f func()) [3]float64 { return workDelta(t, reg, f) }
+	cold := func(f func()) [3]float64 { return coldWorkDelta(t, reg, f) }
 	sharded := func(t *testing.T, req jobs.Request, shards int) *jobs.Outcome {
 		t.Helper()
 		pool := jobs.NewShardPool(jobs.ShardPoolOptions{Shards: shards, Obs: reg})
@@ -110,7 +127,7 @@ func TestLocalShardsShareVerdicts(t *testing.T) {
 				req := tc.req
 				req.Seed = seed
 				var want *jobs.Outcome
-				unsharded := delta(func() {
+				unsharded := cold(func() {
 					var err error
 					if want, err = jobs.ExecuteObs(ctx, req, 2, nil, reg); err != nil {
 						t.Fatal(err)
@@ -122,12 +139,12 @@ func TestLocalShardsShareVerdicts(t *testing.T) {
 				wantSum := sha256.Sum256(encode(t, want))
 				for _, shards := range []int{1, 2, 4, 7} {
 					var got *jobs.Outcome
-					work := delta(func() { got = sharded(t, req, shards) })
+					work := cold(func() { got = sharded(t, req, shards) })
 					if sha256.Sum256(encode(t, got)) != wantSum {
 						t.Errorf("seed %d, %d shards: outcome differs from Execute", seed, shards)
 					}
 					if tc.counters && work != unsharded {
-						t.Errorf("seed %d, %d shards: faulted cycles, materializations, equivalent verdicts = %v, unsharded %v",
+						t.Errorf("seed %d, %d shards: faulted cycles, materializations, copied verdicts = %v, unsharded %v",
 							seed, shards, work, unsharded)
 					}
 				}
@@ -136,7 +153,7 @@ func TestLocalShardsShareVerdicts(t *testing.T) {
 	}
 
 	// A shard that is requeued and run again finds its verdicts in the
-	// campaign's table: every activated forcing is a copy, nothing is
+	// runner's table: every activated forcing is a copy, nothing is
 	// simulated, and the shard's bytes are what they were.
 	t.Run("requeued", func(t *testing.T) {
 		req := perm
@@ -147,19 +164,18 @@ func TestLocalShardsShareVerdicts(t *testing.T) {
 		}
 		lease := leaseOf(n, 3*req.Nodes, 0)
 		lease.Range = jobs.ShardRange{Index: 1, Start: 192, End: 384}
-		verdicts := fault.NewVerdicts()
 		run := func() (out *jobs.ShardOutput) {
-			out, err := jobs.RunLease(ctx, lease, 1, reg, verdicts, func(int, int) bool { return false })
+			out, err := jobs.RunLease(ctx, lease, 1, reg, func(int, int) bool { return false })
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}
 		var first, again *jobs.ShardOutput
-		cold := delta(func() { first = run() })
+		work := cold(func() { first = run() })
 		warm := delta(func() { again = run() })
-		if cold[0] == 0 || warm[0] != 0 || warm[1] != 0 {
-			t.Errorf("work of the first run %v, of the re-run %v: want the re-run to simulate nothing", cold, warm)
+		if work[0] == 0 || warm[0] != 0 || warm[1] != 0 {
+			t.Errorf("work of the first run %v, of the re-run %v: want the re-run to simulate nothing", work, warm)
 		}
 		if a, b := shardBytes(t, first), shardBytes(t, again); !bytes.Equal(a, b) {
 			t.Error("a shard re-run against a table holding its verdicts changed its bytes")
@@ -169,49 +185,44 @@ func TestLocalShardsShareVerdicts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(shardBytes(t, first), shardBytes(t, want)) {
-			t.Error("a shard run through a shared table differs from the same range run on its own")
+			t.Error("a shard run as a lease differs from the same range run on its own")
 		}
 	})
 }
 
 // hybridSeed hands every run of TestHybridSharesOneVerdictTable a request
-// seed of its own: a hybrid plan — and now the verdicts its audit left — is
-// memoized by content address, so a second -count round on the same seed
-// would find every forcing resolved.
+// seed of its own: a hybrid plan is memoized by content address, so a second
+// -count round on the same seed would find its audit done.
 var hybridSeed atomic.Int64
 
 // TestHybridSharesOneVerdictTable holds a hybrid campaign's RTL work — the
 // plan's audit, then the escalations of the range — to that of one RTL
 // campaign over the same experiments: the audit sample is a Bernoulli draw
 // over the whole expansion, so it splits open-line/stuck-at twins from the
-// escalated rest of their class, and only one table across both calls keeps
-// a forcing simulated once.
+// escalated rest of their class, and only the runner's one table across both
+// calls keeps a forcing simulated once. Each side runs on a runner built for
+// it.
 func TestHybridSharesOneVerdictTable(t *testing.T) {
 	ctx := context.Background()
 	reg := sharedReg
-	delta := func(f func()) (d [3]float64) {
-		before := workCounters(t, reg)
-		f()
-		for i, v := range workCounters(t, reg) {
-			d[i] = v - before[i]
-		}
-		return d
-	}
 	req := jobs.Request{Workload: "puwmod", Iterations: 2, Target: "iu", Engine: "hybrid", RTLAudit: 0.3, Nodes: 48,
 		Seed: 7700 + hybridSeed.Add(1)}
 	var out *jobs.Outcome
-	hybrid := delta(func() {
+	hybrid := coldWorkDelta(t, reg, func() {
 		var err error
 		if out, err = jobs.ExecuteObs(ctx, req, 2, nil, reg); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// The same memoized runner, and the experiments the router sent to it.
-	r, err := campaign.RunnerFor(req.Workload, workloads.Config{Iterations: req.Iterations}, fault.Options{Obs: reg})
-	if err != nil {
-		t.Fatal(err)
+	// The experiments the router sent to the RTL runner.
+	rtlRunner := func() *fault.Runner {
+		r, err := campaign.RunnerFor(req.Workload, workloads.Config{Iterations: req.Iterations}, fault.Options{Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	exps := fault.Expand(fault.SampleNodes(r.Nodes(fault.TargetIU), req.Nodes, req.Seed), rtl.FaultModels()...)
+	exps := fault.Expand(fault.SampleNodes(rtlRunner().Nodes(fault.TargetIU), req.Nodes, req.Seed), rtl.FaultModels()...)
 	var onRTL []fault.Experiment
 	audited := 0
 	for i, e := range out.Experiments {
@@ -226,15 +237,17 @@ func TestHybridSharesOneVerdictTable(t *testing.T) {
 		t.Fatalf("%d of %d RTL experiments audited: the campaign does not split its RTL work", audited, len(onRTL))
 	}
 	var res []fault.Result
-	one := delta(func() { res, _, err = r.CampaignStopContext(ctx, onRTL, 2, nil, nil) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := coldWorkDelta(t, reg, func() {
+		var err error
+		if res, _, err = rtlRunner().CampaignStopContext(ctx, onRTL, 2, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if one[2] == 0 {
-		t.Fatal("the single campaign proved no verdict equivalent: nothing to hold the hybrid one to")
+		t.Fatal("the single campaign copied no verdict: nothing to hold the hybrid one to")
 	}
 	if hybrid != one {
-		t.Errorf("faulted cycles, materializations, equivalent verdicts of the hybrid campaign's audit + escalations = %v, of one campaign over the same %d experiments %v",
+		t.Errorf("faulted cycles, materializations, copied verdicts of the hybrid campaign's audit + escalations = %v, of one campaign over the same %d experiments %v",
 			hybrid, len(onRTL), one)
 	}
 	j := 0

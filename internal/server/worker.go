@@ -210,7 +210,7 @@ func (w *Worker) runShard(ctx context.Context, lease *jobs.ShardLease) {
 	w.log().Info("shard leased", "shard", lease.Range.Index,
 		"start", lease.Range.Start, "end", lease.Range.End,
 		"campaign", lease.Key[:min(12, len(lease.Key))])
-	out, err := jobs.RunLease(ctx, lease, w.Workers, w.Obs, nil, func(done, failures int) bool {
+	out, err := jobs.RunLease(ctx, lease, w.Workers, w.Obs, func(done, failures int) bool {
 		return w.progress(lease.Lease, done, failures)
 	})
 	if out == nil {
