@@ -15,8 +15,8 @@ import (
 // This file implements the bit-parallel (PPSFP) campaign engine: what the
 // golden run read of a net decides, for every fault universe ("lane") on
 // that net, whether and when the fault is actually read with a differing
-// value — or, for an upset memory-array word, read at all before it is
-// overwritten — and only those lanes ever pay for a scalar simulation.
+// value — or, for an upset word, read at all before it is overwritten — and
+// only those lanes ever pay for a scalar simulation.
 // The reads come from the runner's read log (readlog.go), walked once per
 // net: a lane is a cursor over its net's log, built by the worker that runs
 // its 64-lane group — the dispatch granule — and asked one question,
@@ -38,15 +38,18 @@ import (
 // by one log, which is where the 64-way parallelism lives — and only the
 // cycles at which the design touched the net are visited at all.
 //
-// A BitFlip is the one model that does mutate raw state, and on a signal
-// the upset spreads through raw copies (Hold, the clock edge) that no Get
-// ever witnesses. A memory-array word is different: it changes only
-// through MemArray.Write, which replaces the whole word, and the design
-// sees it only through MemArray.Read. Until the word is next touched the
-// flipped universe equals the golden one in everything but that bit, so
-// the witness's write side decides the lane: written first, the upset is
-// dead and the lane is free; read first, the lane activates at that read
-// and the bit is flipped there instead of at the sampled instant.
+// A BitFlip is the one model that does mutate raw state. The design sees a
+// memory-array word only through MemArray.Read and changes it only through
+// MemArray.Write, which replaces the whole word; it sees a register only
+// through Get, and each clock edge either carries the word over by a raw
+// copy (Hold, Group.Hold) or replaces it with a scheduled value. Until the
+// word is next read or replaced the flipped universe equals the golden one
+// in everything but that bit — the seed — so the witness's write side
+// decides the lane (rtl.WitnessAcc.WriteFirst; DESIGN.md §10 has the lemma):
+// replaced first, the upset is dead and the lane is free; read first, the
+// lane activates at that read and the bit is flipped there instead of at the
+// sampled instant. A universe that has shrunk back to golden ⊕ seed is that
+// lane again from where it stands (Runner.resolve, the park).
 //
 // Lanes that never activate are finalized from the golden trajectory
 // without simulating a single faulted cycle. Activated lanes fork a
@@ -172,9 +175,9 @@ type memo struct {
 
 	netIdx map[rtl.WitnessNet]int32
 	nets   []rtl.WitnessNet
-	polled []bool    // per net: a SET lane samples its raw word at an instant of its own
-	logs   []*netLog // per net; empty if the logging walk's witness failed to arm
-	netOf  []int32   // per experiment, its net; -1 for one that runs scalar
+	extras []logExtra // per net: what its lanes ask of the log beyond the reads
+	logs   []*netLog  // per net; empty if the logging walk's witness failed to arm
+	netOf  []int32    // per experiment, its net; -1 for one that runs scalar
 }
 
 // planItem is one dispatch granule of a campaign: a single scalar
@@ -187,14 +190,13 @@ type planItem struct {
 
 // planBatches partitions a campaign's experiments into dispatch
 // granules. Under NoCheckpoint — the reference engine — every experiment
-// is its own scalar granule. Otherwise an experiment is batchable when
-// the golden run's reads can reason about it: the permanent models,
-// SETPulse, and BitFlip on a memory-array word (see the file comment).
-// A BitFlip on a signal mutates raw state that propagates through raw
-// register copies without ever being "read", so witness gating would be
-// unsound; a hand-built transient before the ladder's first rung cannot
-// fork from it; and an invalid node must reproduce the scalar engine's
-// inject-error result — those three run scalar.
+// is its own scalar granule. Otherwise an experiment is a lane, but for
+// three kinds that run scalar: a BitFlip on a net whose write side the
+// witness cannot watch — a wire, which carries no state to the next cycle
+// anyway, or a register too wide to tag (iu.md.acc, 64 bits); a hand-built
+// transient before the ladder's first rung, which cannot fork from it; and
+// an invalid node, which must reproduce the scalar engine's inject-error
+// result.
 //
 // The plan is in input order, which is what an adaptive stop samples: a
 // scalar granule at its experiment's position, a group where its last lane
@@ -218,14 +220,21 @@ func (r *Runner) planBatches(exps []Experiment) ([]planItem, *memo) {
 	}
 	m.call = r.verdicts.begin()
 	clear(m.netIdx)
-	m.nets, m.polled = m.nets[:0], m.polled[:0]
+	m.nets, m.extras = m.nets[:0], m.extras[:0]
 	m.netOf = slices.Grow(m.netOf[:0], len(exps))[:len(exps)]
 	lanes := 0
 	for i, e := range exps {
 		m.netOf[i] = -1
-		if batchable := (e.Model != rtl.BitFlip || k.IsArrayWord(e.Node.Node)) &&
-			!(e.Model.Transient() && e.AtCycle < r.opts.InjectAtCycle) &&
-			k.NodeValid(e.Node.Node); !batchable {
+		var extra logExtra
+		switch node := e.Node.Node; {
+		case e.Model == rtl.SETPulse:
+			extra = logValues
+		case e.Model == rtl.BitFlip && k.EdgesWatchable(node):
+			extra = logEdges
+		case e.Model == rtl.BitFlip && !k.IsArrayWord(node):
+			continue
+		}
+		if e.Model.Transient() && e.AtCycle < r.opts.InjectAtCycle || !k.NodeValid(e.Node.Node) {
 			continue
 		}
 		wn := rtl.WitnessNet{Name: e.Node.Node.Name, Word: e.Node.Node.Word}
@@ -233,10 +242,10 @@ func (r *Runner) planBatches(exps []Experiment) ([]planItem, *memo) {
 		if !ok {
 			ni = int32(len(m.nets))
 			m.netIdx[wn] = ni
-			m.nets, m.polled = append(m.nets, wn), append(m.polled, false)
+			m.nets, m.extras = append(m.nets, wn), append(m.extras, 0)
 		}
 		m.netOf[i] = ni
-		m.polled[ni] = m.polled[ni] || e.Model == rtl.SETPulse
+		m.extras[ni] |= extra
 		lanes++
 	}
 	r.putEngine(eng)
@@ -268,7 +277,8 @@ type lane struct {
 	// from the golden one in anything a consumer saw: the injection
 	// instant for a scalar experiment, for an activated batch lane the
 	// first cycle at which a consumer read the faulted net with a
-	// differing bit — for a BitFlip lane, read the upset word at all.
+	// differing bit — for an upset lane, read the upset word at all, or
+	// which ended on an edge that took the register's pending word.
 	activateAt uint64
 
 	// Batch lanes only. log is what the golden run read of the lane's net,
@@ -287,10 +297,10 @@ type probe struct {
 	// forcedOne is the armed polarity of the faulted bit; for the
 	// charge-sampling models it is derived from lane.sampled.
 	forcedOne bool
-	// flip marks a BitFlip lane on an array word. Its probe arms at the
-	// lane's instant and is spent by the word's next access: a write
-	// before any read kills it, the first read fires it — either polarity,
-	// the flipped bit differs from the clean one whatever it holds.
+	// flip marks an upset lane. Its probe is decided by the next thing
+	// that happens to the word: replaced before any read, it is dead; the
+	// first read fires it — either polarity, the flipped bit differs from
+	// the clean one whatever it holds.
 	flip bool
 }
 
@@ -362,8 +372,8 @@ func (r *Runner) runGroup(exps []Experiment, m *memo, idxs []int, deliver func(i
 		}
 		// A never-activated lane tracked the golden trajectory bit-for-bit
 		// to program exit: no consumer ever read its faulted bit with a
-		// differing value (an upset array word was overwritten, or left
-		// alone, before any read), so the scalar run would have produced
+		// differing value (an upset word was replaced, or left alone,
+		// before any read), so the scalar run would have produced
 		// the golden trace and length exactly.
 		r.met.lanesFree.Inc()
 		res := l.result()
@@ -394,10 +404,14 @@ func (r *Runner) resolveOnce(eng *engine, lad *ladder, l *lane, call uint32) Res
 // is read with a differing bit, or -1 if it never is again: a binary search
 // into the net's runs, then the first run whose accumulator fires the probe.
 // A glitch stops being read when its window closes; the log ends with the
-// golden run. An upset array word is spent by its first access at or after
-// the injection instant, whatever from is: written first it is dead, read
-// it fires on that one cycle. A scalar universe has no log and is only
-// asked once nothing is armed (see resolve), so the answer is never.
+// golden run. An upset is asked with from a cycle boundary at which its
+// universe is the golden one but for the seed bit — its instant, or where
+// resolve parked it — and is decided by the next thing the log holds for
+// the word: replaced unread it is dead, read it fires; so does, unread, a
+// register's edge that takes the pending word, which an upset not yet
+// carried over an edge never reached (conservative: it costs a fork, which
+// steps the truth). A scalar universe has no log and is only asked once
+// nothing is armed (see resolve), so the answer is never.
 func (l *lane) nextActivation(from uint64) int64 {
 	if l.log == nil {
 		return -1
@@ -407,25 +421,20 @@ func (l *lane) nextActivation(from uint64) int64 {
 		end = l.pulseEnd
 	}
 	from = max(from, l.injectAt)
-	search := from
-	if l.flip {
-		search = l.injectAt
-	}
-	if search >= end {
+	if from >= end {
 		return -1
 	}
 	runs := &l.log.runs
-	i := sort.Search(runs.n, func(i int) bool { ru := runs.at(i); return uint64(ru.t)+uint64(ru.n) > search })
+	i := sort.Search(runs.n, func(i int) bool { ru := runs.at(i); return uint64(ru.t)+uint64(ru.n) > from })
 	for ; i < runs.n && uint64(runs.at(i).t) < end; i++ {
 		ru := runs.at(i)
-		at := max(uint64(ru.t), search)
+		at := max(uint64(ru.t), from)
 		if l.flip {
-			read := ru.ones|ru.zeros != 0
-			if read && !ru.writeFirst && from <= at {
-				return int64(at)
+			if ru.writeFirst {
+				return -1
 			}
-			if read || ru.writeFirst {
-				break // spent
+			if ru.untouched || ru.ones|ru.zeros != 0 {
+				return int64(at)
 			}
 			continue
 		}
@@ -444,12 +453,15 @@ func (l *lane) nextActivation(from uint64) int64 {
 // trajectory at the lane's activation cycle. A batch lane may sit past
 // its injection instant there, so the charge-sampling models take their
 // frozen value from the raw word the log holds for that instant —
-// exactly the forcing a scalar Inject at the original instant arms; a
-// scalar universe sits on the instant itself and samples the present
-// state.
+// exactly the forcing a scalar Inject at the original instant arms — and an
+// upset is flipped as the clock edges since have carried it; a scalar
+// universe sits on the instant itself and samples the present state.
 func (l *lane) arm(core *leon3.Core) error {
-	if l.log != nil && (l.e.Model == rtl.OpenLine || l.e.Model == rtl.SETPulse) {
+	switch {
+	case l.log != nil && (l.e.Model == rtl.OpenLine || l.e.Model == rtl.SETPulse):
 		return core.K.InjectForced(l.f, l.sampled)
+	case l.flip && core.Cycles() > l.injectAt:
+		return core.K.FlipCarried(l.f.Node)
 	}
 	return core.K.Inject(l.f)
 }

@@ -142,8 +142,11 @@ func TestCheckpointLateInjection(t *testing.T) {
 // 16 (the production spacing), every 128 (the one before it) and with one
 // rung only — no heal ever seen before the last rung, every fork replayed
 // from the instant — and all of them read what the from-reset reference
-// reads. The stride is set on the runner before its ladder is built, which
-// only a test can do.
+// reads. The campaign carries 160 upsets more, over other IU nodes and
+// some CMEM words: an upset's universe is parked only on a rung's own
+// cycle, so where the rungs fall decides which parks are seen, and must
+// decide nothing else. The stride is set on the runner before its ladder is
+// built, which only a test can do.
 func TestStrideIndependence(t *testing.T) {
 	type prog struct {
 		name string
@@ -170,6 +173,7 @@ func TestStrideIndependence(t *testing.T) {
 			opts := Options{InjectAtFraction: 0.5, PulseCycles: 2}
 			_, ref := enginePair(t, p, opts) // skips a program that ends in a trap
 			exps := Expand(SampleNodes(ref.Nodes(TargetIU), 48, 7), rtl.AllFaultModels()...)
+			exps = append(exps, Expand(append(SampleNodes(ref.Nodes(TargetIU), 128, 11), SampleNodes(ref.Nodes(TargetCMEM), 32, 11)...), rtl.BitFlip)...)
 			ref.ScheduleTransients(exps, 7)
 			want := ref.Campaign(exps, 0)
 			for _, stride := range []uint64{1, rungSpacing, 128, ref.GoldenCycles + 1} {

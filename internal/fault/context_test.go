@@ -179,8 +179,9 @@ func TestCampaignStopContext(t *testing.T) {
 // TestStoppedCampaignSamplesInputMix pins what an adaptive stop samples:
 // the plan keeps input order — a scalar granule at its experiment's
 // position, a lane group where its last lane falls — so a campaign stopped
-// early has completed scalar signal upsets and
-// array-word lanes in roughly the input's proportion, not one kind first.
+// early has completed scalar upsets (the few the write side cannot watch:
+// wires and the 64-bit iu.md.acc, 22 of these 256) and upset lanes in
+// roughly the input's proportion, not one kind first.
 func TestStoppedCampaignSamplesInputMix(t *testing.T) {
 	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 2})
 	if err != nil {
@@ -212,7 +213,7 @@ func TestStoppedCampaignSamplesInputMix(t *testing.T) {
 	if groups < 3 {
 		t.Fatalf("%d groups planned, want at least 3", groups)
 	}
-	if scalars < 32 || len(exps)-scalars < 2*maxLanes {
+	if scalars < 16 || len(exps)-scalars < 2*maxLanes {
 		t.Fatalf("%d scalar of %d experiments: the campaign is not mixed", scalars, len(exps))
 	}
 	for _, workers := range []int{1, 2} {

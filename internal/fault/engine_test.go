@@ -124,7 +124,7 @@ func enginePair(t *testing.T, p *asm.Program, opts Options) (prod, ref *Runner) 
 // reference's results for exps, which builds a fresh core per experiment
 // where everything below restores pooled ones — by every path an
 // experiment can take: the campaign as planned (full batches), every
-// experiment through RunOne (the scalar ladder path signal upsets take
+// experiment through RunOne (the scalar ladder path upsets on wires take
 // inside campaigns too), and the scheduled list cut into 1-, 7- and
 // 8-experiment campaigns. The cuts are the shard layer's currency —
 // instants were assigned over the full list — and give every lane count
@@ -268,8 +268,8 @@ func TestKeptObjectsSurviveCollections(t *testing.T) {
 // logging walk the others wait behind, concurrent cursors over one net's
 // log, copy-on-write rung forks and per-lane materialization — and the lane
 // demultiplexing stays byte-identical to serial execution. Two mixed
-// seu+set+sa1 campaigns then run at once on the same runner: scalar
-// signal flips, register-file SEU lanes, SET lanes and permanent lanes of
+// seu+set+sa1 campaigns then run at once on the same runner: scalar wire
+// flips, register and register-file SEU lanes, SET lanes and permanent lanes of
 // both share its one ladder and its one read log. The runner's verdict
 // table is raced with them: the sa0, sa1 and open-line lanes of a node sit
 // in different groups, so a twin looks its forcing up while other workers

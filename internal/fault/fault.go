@@ -482,7 +482,7 @@ func (r *Runner) armAt(e Experiment) uint64 {
 // to the end of the run; a BitFlip mutates state once and the design runs
 // free; a SETPulse is released when its window closes.
 //
-// On a ladder three kinds of verdict are proven instead of stepped to
+// On a ladder four kinds of verdict are proven instead of stepped to
 // (DESIGN.md §10 has the arguments); the from-reset reference proves
 // nothing and steps to every one.
 //
@@ -497,6 +497,13 @@ func (r *Runner) armAt(e Experiment) uint64 {
 // when the forcing is next read divergently: never, and it is no-effect;
 // far away, and it is re-forked there; soon, and it runs on. A scalar
 // permanent fault has no log and is never compared.
+//
+// Parked: an upset lane's universe equal to the rung but for its seed bit,
+// on the rung's own cycle — the log is indexed by golden cycle — and at the
+// rung's write position. What the flip disturbed has drained and the flip
+// itself is still there: exactly what the lane described at its instant, so
+// the same question is asked of its net's log from this cycle on, with the
+// same three answers. An upset healed altogether is spent and asks nothing.
 //
 // Recurrent: past the last rung, with nothing left to release, the future
 // is a function of kernel slabs, memory and comparator. Brent's cycle
@@ -562,11 +569,25 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane) Result {
 		// on the rung's own.
 		unarmed := l.e.Model.Transient() && t >= l.pulseEnd
 		if c.mismatchAt >= 0 || c.idx != g.writes || !unarmed && (l.log == nil || shift > 0) ||
-			r.GoldenCycles+shift > r.budget || !core.StateEquals(g.core) {
+			r.GoldenCycles+shift > r.budget {
 			continue
 		}
-		// Healed: this universe is on the golden trajectory again.
-		next := l.nextActivation(t)
+		next := int64(-1)
+		parked := false
+		switch {
+		case core.StateEquals(g.core):
+			// Healed: this universe is on the golden trajectory again, an
+			// upset overwritten and spent.
+			if !l.flip {
+				next = l.nextActivation(t)
+			}
+		case l.flip && shift == 0 && core.StateEqualsUpset(g.core, l.f.Node):
+			// Parked: golden but for the seed bit, a lane again from here.
+			parked = true
+			next = l.nextActivation(t)
+		default:
+			continue
+		}
 		if next >= 0 && uint64(next)-t <= 2*lad.stride {
 			continue
 		}
@@ -574,6 +595,9 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane) Result {
 		if next < 0 {
 			if shift > 0 {
 				r.met.proven[provenShifted].Inc()
+			}
+			if parked {
+				r.met.proven[provenParked].Inc()
 			}
 			healed = true
 			res.Cycles = r.GoldenCycles + shift
@@ -634,9 +658,9 @@ func (r *Runner) CampaignContext(ctx context.Context, exps []Experiment, workers
 // each forcing once (see verdicts).
 //
 // The dispatch granule is one 64-lane group (see batch.go), or one
-// experiment where the planner goes scalar: signal upsets, and everything
-// under NoCheckpoint. A stop or cancellation therefore overshoots by at
-// most one 64-lane group per worker.
+// experiment where the planner goes scalar: the few upsets whose write side
+// the witness cannot watch, and everything under NoCheckpoint. A stop or
+// cancellation therefore overshoots by at most one 64-lane group per worker.
 func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
 	plan, m := r.planBatches(exps)
 	if m != nil {

@@ -13,15 +13,15 @@ import (
 // FuzzLaneEquivalence is the engine oracle on generated programs: for a
 // constrained-random terminating SPARC program, any injectable node of
 // either target, any fault model and any instant, the production engine —
-// ladder from reset, 64-lane groups over the read log, array-word upsets
-// among them — must return what the from-reset scalar reference returns,
+// ladder from reset, 64-lane groups over the read log, upsets among them,
+// parked and teleported — must return what the from-reset scalar reference returns,
 // byte for byte, by every path checkEngine walks (one batch of seven,
 // RunOne, single-lane campaigns). The fuzzed experiment shares its
 // batch with a second upset on the same net, a SET pulse one cycle later
 // and both stuck-ats with the open line that is the twin of one of them,
 // so probes of every kind meet on one net's log and one forcing is
 // resolved once for two lanes; an upset of a fetch-PC bit at the same
-// instant is the scalar flip most likely to heal a refetch late. The lot
+// instant is the flip most likely to heal a refetch late. The lot
 // runs once more behind 64 filler lanes on the same net (glitches
 // scheduled past program exit: never armed, free), which puts it in the
 // second group of the campaign. Every input runs twice on its runner: the
@@ -39,7 +39,7 @@ func FuzzLaneEquivalence(f *testing.F) {
 	// (modulo the golden run's length + 64, so some land past program exit).
 	f.Add(int64(1), uint32(2500), uint8(rtl.BitFlip), uint32(700)) // iu.rf.regs[31].13
 	f.Add(int64(2), uint32(7000), uint8(rtl.BitFlip), uint32(0))   // cmem.ic.tags[47].4, at reset
-	f.Add(int64(3), uint32(40), uint8(rtl.BitFlip), uint32(1200))  // iu.de.pc.7: a signal upset stays scalar
+	f.Add(int64(3), uint32(40), uint8(rtl.BitFlip), uint32(1200))  // iu.de.pc.7: a register upset, a lane through its clock edges
 	f.Add(int64(4), uint32(3000), uint8(rtl.SETPulse), uint32(90000))
 	f.Add(int64(5), uint32(9000), uint8(rtl.OpenLine), uint32(15)) // cmem.ic.data[50].13
 	f.Add(int64(1), uint32(2222), uint8(rtl.StuckAt0), uint32(1<<31))
@@ -50,6 +50,12 @@ func FuzzLaneEquivalence(f *testing.F) {
 	f.Add(int64(8), uint32(190+30), uint8(rtl.OpenLine), uint32(500))  // iu.ra.pc.30, open at its reset charge
 	f.Add(int64(9), uint32(443+12), uint8(rtl.BitFlip), uint32(400))   // iu.ex.pc.12
 	f.Add(int64(10), uint32(918+20), uint8(rtl.SETPulse), uint32(350)) // iu.ctl.exppc.20: the fetch is sent away, the target taken back
+	// Upsets that ride their net's log past the injection instant.
+	f.Add(int64(2), uint32(1009), uint8(rtl.BitFlip), uint32(600)) // iu.psr.tbr.9: carried to program exit unread, parked from its instant on
+	f.Add(int64(1), uint32(4348), uint8(rtl.BitFlip), uint32(61))  // iu.rf.regs[89].5: read under a don't-care, parked, then overwritten
+	f.Add(int64(1), uint32(993), uint8(rtl.BitFlip), uint32(20))   // iu.psr.wim.1: parked and teleported eight times, then never read again
+	f.Add(int64(3), uint32(34), uint8(rtl.BitFlip), uint32(307))   // iu.de.pc.1 on a bubble: the first edge takes the pending word
+	f.Add(int64(1), uint32(7045), uint8(rtl.BitFlip), uint32(20))  // cmem.ic.tags[49].3: re-parked between its set's lookups, other lines refilled meanwhile
 	f.Fuzz(func(t *testing.T, seed int64, node uint32, model uint8, instant uint32) {
 		p, err := asm.Assemble(difftest.Generate(seed, difftest.AllFeatures(200)), mem.RAMBase)
 		if err != nil {

@@ -15,18 +15,21 @@ type engineMetrics struct {
 	experiments *obs.Counter
 	// lanesPlanned/Activated/Free follow the PPSFP funnel: lanes placed
 	// into batch granules, lanes whose fault the golden run read
-	// divergently (an upset array word: read at all before being
-	// rewritten), and lanes finalized from the golden trajectory without
-	// a single faulted cycle.
+	// divergently (an upset word: read at all before being replaced), and
+	// lanes finalized from the golden trajectory without a single faulted
+	// cycle.
 	lanesPlanned   *obs.Counter
 	lanesActivated *obs.Counter
 	lanesFree      *obs.Counter
 	// snapshots counts materializations from a golden-ladder rung: scalar
-	// experiment forks, activated-lane forks and reconvergence teleports.
+	// experiment forks, activated-lane forks and teleports. A teleport
+	// trades stepped cycles for a fork, so this may rise where
+	// faultedCycles, the cost, falls.
 	snapshots *obs.Counter
-	// reconverged counts healed universes dropped back onto the golden
-	// trajectory (finalized as no-effect, or teleported to their next
-	// activation); faultedCycles counts every cycle stepped outside a
+	// reconverged counts healed universes, and upset lanes parked golden
+	// but for their seed bit, dropped back onto the golden trajectory
+	// (finalized as no-effect, or teleported to their next activation);
+	// faultedCycles counts every cycle stepped outside a
 	// golden walk, replayCycles the part of it that materialize stepped
 	// clean from a rung (or from reset) to where a universe leaves the
 	// golden trajectory. All are deterministic work counters: a fixed
@@ -57,8 +60,9 @@ type engineMetrics struct {
 // proofs labels engine_verdicts_proven_total: a twin of a forcing the same
 // call resolved, a recurring state, a time-shifted golden state, a core whose
 // EX gate stays shut to the budget (resolve), a forcing an earlier call on the
-// runner resolved (resolveOnce).
-var proofs = [...]string{"equivalent", "recurrent", "shifted", "wedged", "known"}
+// runner resolved (resolveOnce), an upset parked on its net's log that is
+// never read again (resolve).
+var proofs = [...]string{"equivalent", "recurrent", "shifted", "wedged", "known", "parked"}
 
 const (
 	provenEquivalent = iota
@@ -66,6 +70,7 @@ const (
 	provenShifted
 	provenWedged
 	provenKnown
+	provenParked
 )
 
 // healedEnding is cyclesBy's slot past the outcomes: a healed universe,
@@ -85,7 +90,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 	byOutcome := r.CounterVec("engine_faulted_cycles_by_outcome_total",
 		"engine_faulted_cycles_total split by how the universe ended; healed ones apart from no-effects that ran to exit.", "outcome")
 	byProof := r.CounterVec("engine_verdicts_proven_total",
-		"Verdicts reached without stepping to them: a twin of a forcing the same call resolved (equivalent), one the runner's verdict table kept from an earlier call (known), a recurring state, a time-shifted golden state, a dead EX gate.", "proof")
+		"Verdicts reached without stepping to them: a twin of a forcing the same call resolved (equivalent), one the runner's verdict table kept from an earlier call (known), a recurring state, a time-shifted golden state, a dead EX gate, an upset parked on its net's read log and never read again (parked).", "proof")
 	m := engineMetrics{
 		live: r != nil,
 		experiments: r.Counter("engine_experiments_total",
@@ -97,9 +102,9 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		lanesFree: r.Counter("engine_batch_lanes_free_total",
 			"Batch lanes finalized from the golden trajectory without scalar simulation."),
 		snapshots: r.Counter("engine_snapshot_materializations_total",
-			"Experiments, batch lanes and teleports materialized from a golden-ladder rung."),
+			"Experiments, batch lanes and teleports materialized from a golden-ladder rung. Rises when parked upsets teleport (a restore and under one stride of replay in place of the cycles in between): engine_faulted_cycles_total is the cost."),
 		reconverged: r.Counter("engine_reconverged_total",
-			"Healed experiments and batch lanes dropped back onto the golden trajectory."),
+			"Healed experiments and batch lanes, and upset lanes parked on their net's read log, dropped back onto the golden trajectory: finalized there or teleported to their next activation."),
 		faultedCycles: r.Counter("engine_faulted_cycles_total",
 			"Cycles simulated outside witnessed golden walks, engine_replay_cycles_total included."),
 		replayCycles: r.Counter("engine_replay_cycles_total",

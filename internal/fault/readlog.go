@@ -25,12 +25,15 @@ import (
 const logBudget = 6 << 20
 
 // netRun is a run of consecutive golden cycles [t, t+n) in each of which a
-// net recorded the same rtl.WitnessAcc.
+// net recorded the same rtl.WitnessAcc. untouched is kept on unread cycles
+// alone — a read fires an upset lane whatever the edge did next, and a
+// forcing's probe looks at ones and zeros, which such a run leaves empty.
 type netRun struct {
 	ones, zeros uint64
 	t           uint32
 	n           uint16
 	writeFirst  bool
+	untouched   bool
 }
 
 // change says a net's raw word reads v from the cycle boundary t on.
@@ -61,15 +64,29 @@ func (s *blocks[T]) push(x T) {
 }
 
 // netLog is one net's golden reads, immutable once published: its runs in
-// time order, its raw word at rung 0 and — followed only for a net that
-// carried a SET lane, the one model that samples the charge at an instant of
-// its own — that word's later changes.
+// time order, its raw word at rung 0 and what else its lanes asked for.
 type netLog struct {
-	runs   blocks[netRun]
-	v0     uint64
-	vals   blocks[change]
-	polled bool
+	runs blocks[netRun]
+	v0   uint64
+	vals blocks[change]
+	has  logExtra
 }
+
+// logExtra is what a net's log holds beyond its reads, walked on demand: a
+// net logged without something a lane now asks for is walked again and
+// replaced.
+type logExtra uint8
+
+const (
+	// logValues: the raw word's changes after rung 0, for a net that carries
+	// a SET lane, the one model that samples the charge at an instant of its
+	// own.
+	logValues logExtra = 1 << iota
+	// logEdges: what each clock edge did with the word a register held
+	// (rtl.Witness.WatchEdges), for one that carries an upset lane. An array
+	// word's write side comes with its reads.
+	logEdges
+)
 
 // bytes is the log's footprint against logBudget: its blocks, their lists,
 // and a flat charge for the struct and its map entry.
@@ -100,8 +117,8 @@ type readLog struct {
 
 // readLogs fills m.logs with the log of every net of m's campaign, walking
 // the golden continuation once for those the runner has not logged (with
-// raw values, where a SET lane now asks for them). On a witness that fails
-// to arm it leaves m.logs empty and the campaign's groups run scalar.
+// the extras its lanes now ask for, and those it had). On a witness that
+// fails to arm it leaves m.logs empty and the campaign's groups run scalar.
 func (r *Runner) readLogs(m *memo) {
 	// The ladder a walk forks from is built before the lock is taken, not
 	// under it: cold concurrent campaigns wait for the one build together,
@@ -112,11 +129,13 @@ func (r *Runner) readLogs(m *memo) {
 	defer lg.mu.Unlock()
 	m.logs = m.logs[:0]
 	var miss []rtl.WitnessNet
-	var polled []bool
+	var extras []logExtra
 	for i, n := range m.nets {
 		l := lg.nets[n]
-		if l == nil || m.polled[i] && !l.polled {
-			l, miss, polled = nil, append(miss, n), append(polled, m.polled[i])
+		if l == nil {
+			miss, extras = append(miss, n), append(extras, m.extras[i])
+		} else if m.extras[i]&^l.has != 0 {
+			l, miss, extras = nil, append(miss, n), append(extras, m.extras[i]|l.has)
 		}
 		m.logs = append(m.logs, l)
 	}
@@ -124,7 +143,7 @@ func (r *Runner) readLogs(m *memo) {
 	if len(miss) == 0 {
 		return
 	}
-	fresh := r.logWalk(miss, polled)
+	fresh := r.logWalk(miss, extras)
 	if fresh == nil {
 		m.logs = m.logs[:0]
 		return
@@ -148,11 +167,12 @@ func (r *Runner) readLogs(m *memo) {
 
 // logWalk is the witnessed golden walk: one clean continuation from rung 0
 // to program exit over nets, nil were the witness not to arm. Each cycle's
-// observations extend the net's latest run or open a new one. A polled
-// signal's raw word is compared at every cycle boundary; an array word
-// changes only through a write, which the witness records (first, or after
-// the read that did), so it is compared on the cycles it was touched alone.
-func (r *Runner) logWalk(nets []rtl.WitnessNet, polled []bool) []*netLog {
+// observations extend the net's latest run or open a new one. With
+// logValues a signal's raw word is compared at every cycle boundary; an
+// array word changes only through a write, which the witness records (first,
+// or after the read that did), so it is compared on the cycles it was
+// touched alone. With logEdges the witness watches a register's clock edges.
+func (r *Runner) logWalk(nets []rtl.WitnessNet, extras []logExtra) []*netLog {
 	eng := r.getEngine()
 	defer r.putEngine(eng)
 	core := eng.core
@@ -172,11 +192,15 @@ func (r *Runner) logWalk(nets []rtl.WitnessNet, polled []bool) []*netLog {
 	for k, n := range nets {
 		last[k] = w.Sample(k)
 		// Each log is its own object: a kept one must not pin a dropped one.
-		logs[k] = &netLog{v0: last[k], polled: polled[k]}
-		if polled[k] {
+		logs[k] = &netLog{v0: last[k], has: extras[k]}
+		if extras[k]&logValues != 0 {
 			if onRead[k] = core.K.IsArrayWord(rtl.Node{Name: n.Name}); !onRead[k] {
 				poll = append(poll, int32(k))
 			}
+		}
+		if extras[k]&logEdges != 0 && w.WatchEdges(k) != nil {
+			w.Stop()
+			return nil
 		}
 	}
 	changed := func(k int32, t uint32) {
@@ -203,14 +227,15 @@ func (r *Runner) logWalk(nets []rtl.WitnessNet, polled []bool) []*netLog {
 				changed(e.Net, t+1)
 			}
 			runs, a := &logs[e.Net].runs, e.Acc
+			next := netRun{a.Ones, a.Zeros, t, 1, a.WriteFirst, a.Untouched && a.Ones|a.Zeros == 0}
 			if runs.n > 0 {
 				if ru := runs.at(runs.n - 1); ru.t+uint32(ru.n) == t && ru.n < math.MaxUint16 &&
-					ru.ones == a.Ones && ru.zeros == a.Zeros && ru.writeFirst == a.WriteFirst {
+					ru.ones == next.ones && ru.zeros == next.zeros && ru.writeFirst == next.writeFirst && ru.untouched == next.untouched {
 					ru.n++
 					continue
 				}
 			}
-			runs.push(netRun{a.Ones, a.Zeros, t, 1, a.WriteFirst})
+			runs.push(next)
 		}
 	}
 	w.Stop()

@@ -10,6 +10,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/difftest"
 	"repro/internal/iss"
+	"repro/internal/leon3"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/rtl"
@@ -29,6 +30,39 @@ func allNets(r *Runner) []rtl.WitnessNet {
 		}
 	}
 	return nets
+}
+
+// allExtras asks for everything a log can hold of each net: its raw values,
+// and its clock edges where the witness can watch them (a register of at
+// most 62 bits; an array word's write side comes with its reads).
+func allExtras(r *Runner, nets []rtl.WitnessNet) []logExtra {
+	eng := r.getEngine()
+	defer r.putEngine(eng)
+	extras := make([]logExtra, len(nets))
+	for i, n := range nets {
+		extras[i] = logValues
+		if eng.core.K.EdgesWatchable(rtl.Node{Name: n.Name}) {
+			extras[i] |= logEdges
+		}
+	}
+	return extras
+}
+
+// liveWitness arms on core the witness a logging walk with extras arms.
+func liveWitness(t *testing.T, core *leon3.Core, nets []rtl.WitnessNet, extras []logExtra) *rtl.Witness {
+	t.Helper()
+	w, err := core.K.StartWitness(nets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range extras {
+		if x&logEdges != 0 {
+			if err := w.WatchEdges(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return w
 }
 
 // logPrograms is what the log tests run on: two generated programs and the
@@ -55,8 +89,9 @@ func logPrograms(t *testing.T) map[string]*asm.Program {
 
 // TestLogEqualsLiveWitness holds the read log to what it replaces: for
 // every IU and CMEM net, the logged runs expand to exactly the accumulators
-// a live witness records cycle by cycle over the same continuation, and the
-// logged raw values — followed at every boundary for signals, on touched
+// a live witness records cycle by cycle over the same continuation — reads,
+// and what each clock edge did with a register's word, an untouched edge
+// kept on unread cycles alone — and the logged raw values — followed at every boundary for signals, on touched
 // cycles for array words — equal the stepped core's word at every boundary,
 // through the cursor and (on a rotating sixteenth of the nets, every
 // boundary) through valueAt's search.
@@ -68,11 +103,8 @@ func TestLogEqualsLiveWitness(t *testing.T) {
 				t.Skipf("no golden run: %v", err)
 			}
 			nets := allNets(r)
-			polled := make([]bool, len(nets))
-			for i := range polled {
-				polled[i] = true
-			}
-			logs := r.logWalk(nets, polled)
+			extras := allExtras(r, nets)
+			logs := r.logWalk(nets, extras)
 			if logs == nil {
 				t.Fatal("the logging walk's witness did not arm")
 			}
@@ -80,10 +112,7 @@ func TestLogEqualsLiveWitness(t *testing.T) {
 			eng := r.getEngine()
 			r.ladder().fork(eng, 0)
 			core := eng.core
-			w, err := core.K.StartWitness(nets)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := liveWitness(t, core, nets, extras)
 			defer w.Stop()
 			run := make([]int, len(nets)) // per net, the first run not wholly behind the walk
 			val := make([]int, len(nets)) // per net, the next change
@@ -93,7 +122,7 @@ func TestLogEqualsLiveWitness(t *testing.T) {
 			}
 			var evs []rtl.WitnessEvent
 			live := make([]rtl.WitnessAcc, len(nets))
-			events, runs := 0, 0
+			events, runs, replaced, untouched := 0, 0, 0, 0
 			for core.Status() == iss.StatusRunning {
 				at := core.Cycles()
 				for i, lg := range logs {
@@ -114,13 +143,20 @@ func TestLogEqualsLiveWitness(t *testing.T) {
 				events += len(evs)
 				for _, e := range evs {
 					live[e.Net] = e.Acc
+					live[e.Net].Untouched = e.Acc.Untouched && e.Acc.Ones|e.Acc.Zeros == 0
+					if extras[e.Net]&logEdges != 0 && e.Acc.WriteFirst {
+						replaced++
+					}
+					if e.Acc.Untouched {
+						untouched++
+					}
 				}
 				for i, lg := range logs {
 					var logged rtl.WitnessAcc
 					if run[i] < lg.runs.n {
 						ru := lg.runs.at(run[i])
 						if uint64(ru.t) <= at {
-							logged = rtl.WitnessAcc{Ones: ru.ones, Zeros: ru.zeros, WriteFirst: ru.writeFirst}
+							logged = rtl.WitnessAcc{Ones: ru.ones, Zeros: ru.zeros, WriteFirst: ru.writeFirst, Untouched: ru.untouched}
 							if uint64(ru.t)+uint64(ru.n) == at+1 {
 								run[i]++
 							}
@@ -137,10 +173,11 @@ func TestLogEqualsLiveWitness(t *testing.T) {
 					t.Errorf("%v: %d of %d logged runs lie past what the live witness saw", nets[i], lg.runs.n-run[i], lg.runs.n)
 				}
 			}
-			if events == 0 {
-				t.Fatal("the live witness recorded nothing")
+			if events == 0 || replaced == 0 || untouched == 0 {
+				t.Fatalf("the live witness recorded %d events, %d registers replaced unread, %d edges untouched", events, replaced, untouched)
 			}
-			t.Logf("%d nets over %d cycles: %d events in %d runs", len(nets), r.GoldenCycles-r.ladder().start, events, runs)
+			t.Logf("%d nets over %d cycles: %d events in %d runs, %d registers replaced unread, %d edges untouched",
+				len(nets), r.GoldenCycles-r.ladder().start, events, runs, replaced, untouched)
 		})
 	}
 }
@@ -271,7 +308,7 @@ func TestConcurrentCampaignsShareTheLog(t *testing.T) {
 
 // TestLogFootprint holds the read log to its budget beside
 // TestLadderFootprint: after a campaign has asked for every IU and CMEM net
-// with its raw values, what the runner retains is within logBudget, by the
+// with its raw values and its clock edges, what the runner retains is within logBudget, by the
 // log's own books and by the heap's, and the books are not far below the
 // heap (the flat per-net charge covers the struct and the map entry).
 func TestLogFootprint(t *testing.T) {
@@ -288,9 +325,9 @@ func TestLogFootprint(t *testing.T) {
 			r.PrepareCheckpoint()
 			r.putEngine(r.getEngine()) // the walk keeps one
 			m := &memo{netIdx: map[rtl.WitnessNet]int32{}, nets: allNets(r)}
+			m.extras = allExtras(r, m.nets)
 			for i, n := range m.nets {
 				m.netIdx[n] = int32(i)
-				m.polled = append(m.polled, true)
 			}
 			var before, after runtime.MemStats
 			runtime.GC()
@@ -322,8 +359,9 @@ func TestLogFootprint(t *testing.T) {
 // bruteProbe is the stateful activation predicate a live witness is drained
 // through cycle by cycle: armed from the lane's instant, it fires when a
 // cycle's accumulator shows the faulted bit read with the polarity the
-// forcing inverts; an upset array word's is disarmed the cycle its word is
-// touched — written first it dies, read it fires once.
+// forcing inverts; an upset's is disarmed the cycle its word is touched —
+// replaced unread it dies; read, or dropped by an edge that took the pending
+// word, it fires once.
 type bruteProbe struct {
 	shift                  uint8
 	forcedOne, flip, armed bool
@@ -334,9 +372,8 @@ func (p *bruteProbe) fires(a rtl.WitnessAcc) bool {
 		return false
 	}
 	if p.flip {
-		read := a.Ones|a.Zeros != 0
-		p.armed = !read && !a.WriteFirst
-		return read && !a.WriteFirst
+		p.armed = a == rtl.WitnessAcc{}
+		return !p.armed && !a.WriteFirst
 	}
 	m := a.Ones
 	if p.forcedOne {
@@ -356,7 +393,8 @@ func (p *bruteProbe) fires(a rtl.WitnessAcc) bool {
 // for from values before the instant, on a run's first, middle and last
 // cycle and one past it, one past each of the first activations, around
 // the window's end and past exit, the first cycle at or after from the
-// predicate fired at.
+// predicate fired at — an upset's armed afresh at from, the boundary a park
+// asks from.
 func TestNextActivationMatchesLiveWitness(t *testing.T) {
 	const pulse = 3
 	type event struct {
@@ -375,11 +413,11 @@ func TestNextActivationMatchesLiveWitness(t *testing.T) {
 				}
 				nets := allNets(r)
 				netIdx := map[rtl.WitnessNet]int{}
-				polled := make([]bool, len(nets))
 				for i, n := range nets {
-					netIdx[n], polled[i] = i, true
+					netIdx[n] = i
 				}
-				logs := r.logWalk(nets, polled)
+				extras := allExtras(r, nets)
+				logs := r.logWalk(nets, extras)
 				if logs == nil {
 					t.Fatal("the logging walk's witness did not arm")
 				}
@@ -391,10 +429,7 @@ func TestNextActivationMatchesLiveWitness(t *testing.T) {
 				eng := r.getEngine()
 				r.ladder().fork(eng, 0)
 				core := eng.core
-				w, err := core.K.StartWitness(nets)
-				if err != nil {
-					t.Fatal(err)
-				}
+				w := liveWitness(t, core, nets, extras)
 				live := make([][]event, len(nets))
 				charge := make([][]uint64, len(nets)) // per net, per instant
 				for i := range charge {
@@ -460,6 +495,15 @@ func TestNextActivationMatchesLiveWitness(t *testing.T) {
 									}
 								}
 								first := func(from uint64) int64 {
+									if bp.flip {
+										again := bruteProbe{flip: true, armed: at < window}
+										for _, ev := range live[i] {
+											if ev.t >= max(from, at) && again.fires(ev.acc) {
+												return int64(ev.t)
+											}
+										}
+										return -1
+									}
 									for _, c := range fired {
 										if c >= from {
 											return int64(c)

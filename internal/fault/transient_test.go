@@ -311,14 +311,12 @@ func TestPassRecordBounded(t *testing.T) {
 // clock, on two fixed-seed rspeed campaigns over the same 256 nodes; every
 // number is a deterministic work counter, pinned.
 //
-// SEU: signal upsets fork at their sampled instant and stop at the first
-// rung they re-equal, or a few cycles past it when the upset cost a
-// refetch; register-file and cache upsets are lanes over the read log, cost
-// nothing when their word is overwritten (or never touched) before it is
-// read, and otherwise fork at that first read. What is left is a small
-// fraction of the continuation per experiment, and one rung fork per
-// activated lane or scalar experiment (no universe teleports: a flip has
-// no later activation) rather than one per experiment.
+// SEU: an upset is a lane over its net's read log — a register-file or
+// cache word, or a register whose clock edges the witness watches — costs
+// nothing when its word is replaced (or never touched) before it is read,
+// and otherwise forks at that first read and stops at the first rung it
+// re-equals, or a few cycles past it when the upset cost a refetch. The 22
+// on a wire or on the 64-bit iu.md.acc run scalar from their instant.
 //
 // Permanent: a quarter of the lanes activate, the open-line ones among
 // them are twins of a stuck-at lane and resolve nothing, and hangs whose
@@ -343,7 +341,22 @@ func TestPassRecordBounded(t *testing.T) {
 // the permanent lanes let go and re-forked where they used to run on (152
 // reconverged, 281 materializations), and the wedged hangs' forks replay
 // less (8 and 17,678 hang cycles). The SEU campaign's forks and heals did
-// not move with B: a flip has no later activation to be re-forked at.
+// not move with B: a flip had no later activation to be re-forked at.
+//
+// It has one since a universe that equals a rung but for its seed bit is
+// parked: a lane again, asked of its net's log from the rung on. With the
+// register write side 44 of the 66 signal upsets are lanes (190 to 234
+// planned), 10 of them free — three bits of the trap base and two of the
+// divider's quotient never read again, five of pipeline payload replaced
+// before anything sampled them — and 34 activated (29 to 63). Of the parks
+// that did not step on, one found its word never touched again and ended
+// there (proof "parked") and 234 were re-forked at its next read, more than
+// two strides on — which is where the materializations went, 95 to 63 + 22
+// + 234 = 319, each a restore and fewer than 16 replayed cycles (2,254 in
+// all) — in place of the cycles stepped from a don't-care read to the real
+// one: 31,325 faulted cycles to 15,181, 14,079 of them in the 27 universes
+// that end in a mismatch. Reconverged counts every drop onto the golden
+// trajectory, the 234 teleports and 47 heals.
 //
 // The golden continuation itself is walked once, at plan time, by a campaign
 // that brings a net the runner's read log lacks — GoldenCycles − InjectCycle
@@ -365,17 +378,20 @@ func TestReconvergenceWorkCounters(t *testing.T) {
 		want   map[string]float64
 	}{
 		{"seu", []rtl.FaultModel{rtl.BitFlip}, 0, map[string]float64{
-			"engine_batch_lanes_planned_total": 190, "engine_batch_lanes_activated_total": 29, "engine_batch_lanes_free_total": 161,
-			"engine_faulted_cycles_total": 31325, "engine_reconverged_total": 53, "engine_snapshot_materializations_total": 29 + 66,
+			"engine_batch_lanes_planned_total": 234, "engine_batch_lanes_activated_total": 63, "engine_batch_lanes_free_total": 171,
+			"engine_faulted_cycles_total": 15181, "engine_reconverged_total": 234 + 47, "engine_snapshot_materializations_total": 63 + 22 + 234,
+			"engine_replay_cycles_total":                       2254,
 			`engine_verdicts_proven_total{proof="equivalent"}`: 0, `engine_verdicts_proven_total{proof="recurrent"}`: 0,
 			`engine_verdicts_proven_total{proof="shifted"}`: 4, `engine_verdicts_proven_total{proof="wedged"}`: 1,
-			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 8,
+			`engine_verdicts_proven_total{proof="parked"}`:           1,
+			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 8, `engine_faulted_cycles_by_outcome_total{outcome="mismatch"}`: 14079,
 		}},
 		{"permanent", rtl.FaultModels(), 186, map[string]float64{
 			"engine_batch_lanes_planned_total": 768, "engine_batch_lanes_activated_total": 186, "engine_batch_lanes_free_total": 582,
 			"engine_faulted_cycles_total": 99605, "engine_reconverged_total": 152, "engine_snapshot_materializations_total": 281,
 			`engine_verdicts_proven_total{proof="equivalent"}`: 51, `engine_verdicts_proven_total{proof="recurrent"}`: 2,
 			`engine_verdicts_proven_total{proof="shifted"}`: 0, `engine_verdicts_proven_total{proof="wedged"}`: 11,
+			`engine_verdicts_proven_total{proof="parked"}`:           0,
 			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 17678, "engine_verdict_table_entries": 135,
 		}},
 	} {

@@ -95,3 +95,10 @@ func (c *Core) Restore(s *Snapshot) error {
 func (c *Core) StateEquals(s *Snapshot) bool {
 	return c.K.StateEquals(s.kern)
 }
+
+// StateEqualsUpset is StateEquals but for bit n, which the core holds
+// inverted: the snapshot's state with a single-event upset of that bit
+// sitting in it, unread and not yet overwritten.
+func (c *Core) StateEqualsUpset(s *Snapshot, n rtl.Node) bool {
+	return c.K.StateEqualsUpset(s.kern, n)
+}

@@ -10,13 +10,26 @@ import "fmt"
 // In a pipeline register the flip naturally lasts until the register is
 // rewritten — one cycle for flow-through state, indefinitely for
 // quasi-static state — exactly the behavior of a real SEU.
-func (k *Kernel) FlipBit(n Node) error {
+func (k *Kernel) FlipBit(n Node) error { return k.flip(n, false) }
+
+// FlipCarried inverts a node as an upset that struck at an earlier cycle
+// boundary and was carried over at least one clock edge since reads now: in
+// a clocked signal, in the pending slot as well as the committed one — the
+// edge commits the whole pending slab, so from the first edge on the two
+// hold the same word, and an edge that finds the register unscheduled takes
+// the pending one. An array word has one slot and flips as under FlipBit.
+func (k *Kernel) FlipCarried(n Node) error { return k.flip(n, true) }
+
+func (k *Kernel) flip(n Node, carried bool) error {
 	bit := uint64(1) << n.Bit
 	if s := k.findSignal(n.Name); s != nil {
 		if n.Bit >= s.width || n.Word != 0 {
 			return fmt.Errorf("rtl: flip %v out of range", n)
 		}
 		*s.curp ^= bit
+		if carried && s.reg {
+			*s.nxtp ^= bit
+		}
 		return nil
 	}
 	if a := k.findArray(n.Name); a != nil {
@@ -27,4 +40,18 @@ func (k *Kernel) FlipBit(n Node) error {
 		return nil
 	}
 	return fmt.Errorf("rtl: unknown node %v", n)
+}
+
+// StateEqualsUpset is StateEquals with bit n of the kernel's committed state
+// inverted for the comparison: it reports a kernel that is in the snapshot's
+// state but for an upset of that one bit still sitting in it. At a cycle
+// boundary the pending register slab equals the committed one, so the upset
+// then sits in both. An unknown node equals nothing.
+func (k *Kernel) StateEqualsUpset(s *Snapshot, n Node) bool {
+	if k.FlipBit(n) != nil {
+		return false
+	}
+	eq := k.StateEquals(s)
+	_ = k.FlipBit(n)
+	return eq
 }

@@ -154,7 +154,7 @@ func (k *Kernel) inject(f Fault, sampled uint64, haveSample bool) error {
 		if f.Node.Bit >= s.width || f.Node.Word != 0 {
 			return fmt.Errorf("rtl: fault %v out of range (width %d)", f, s.width)
 		}
-		if s.fMask == 0 {
+		if s.fMask == s.tags() {
 			k.fSigs = append(k.fSigs, s)
 		}
 		cur := *s.curp
@@ -215,7 +215,7 @@ func (k *Kernel) Faults() []Fault { return k.faults }
 
 // Forcing returns the forcing armed on the signal: the mask of forced bits
 // and the values they are held at (both zero on a clean net).
-func (s *Signal) Forcing() (mask, val uint64) { return s.fMask, s.fVal }
+func (s *Signal) Forcing() (mask, val uint64) { return s.fMask &^ s.tags(), s.fVal }
 
 // SoleForcing names everything that is armed on the design, for arguments
 // that hold only under a known forcing: the one signal carrying the one
@@ -240,7 +240,7 @@ func (k *Kernel) ClearFaults() {
 		return
 	}
 	for _, s := range k.fSigs {
-		s.fMask, s.fVal = 0, 0
+		s.fMask, s.fVal = s.tags(), 0 // a witness's edge tags stay masked
 		s.updateSlow()
 	}
 	for _, a := range k.fArrs {

@@ -24,10 +24,14 @@
 // internal/fault and DESIGN.md §10). InjectForced arms open-line and
 // SET-pulse faults with an externally sampled charge so a lane's fork
 // reproduces the scalar engine's injection instant exactly. A bit-flip
-// in a memory-array word joins the lanes through the witness's write
-// side: an array word changes only through MemArray.Write and is seen
-// only through MemArray.Read, and WitnessAcc.WriteFirst records that a
-// word was overwritten before anything read it.
+// joins the lanes through the witness's write side, which records what
+// became of the word a net held: an array word changes only through
+// MemArray.Write and is seen only through MemArray.Read, a register is
+// carried over the clock edge by a raw copy (Hold, Group.Hold) or replaced
+// by a scheduled value (SetNext) and is seen only through Get, and
+// WitnessAcc.WriteFirst records that the word was replaced before anything
+// read it (Witness.WatchEdges has the register mechanism, which costs the
+// kernel's own paths nothing).
 //
 // # Slab state layout
 //
@@ -66,12 +70,13 @@ type Signal struct {
 	nxtp *uint64 // pending value (slab slot)
 	mask uint64  // width mask
 
-	slow  uint8 // nonzero when a fault or witness is armed on this net
-	reg   bool
-	width int
-	idx   int32 // index within the reg or wire slab
+	slow   uint8 // nonzero when a fault or witness is armed on this net
+	reg    bool
+	tagged bool // a witness watches the clock edges (Witness.WatchEdges)
+	width  int
+	idx    int32 // index within the reg or wire slab
 
-	fMask uint64 // faulted bits
+	fMask uint64 // faulted bits, and the edge tags of a tagged signal
 	fVal  uint64 // values of faulted bits
 
 	obs *observer // read-observation accumulator (nil unless witnessed)
@@ -156,7 +161,7 @@ func (s *Signal) SetNextBool(v bool) {
 
 // Next returns the currently scheduled next value (used by hold logic to
 // re-schedule the present value).
-func (s *Signal) Next() uint64 { return *s.nxtp }
+func (s *Signal) Next() uint64 { return *s.nxtp & s.mask }
 
 // Hold re-schedules the current committed value, stalling the register.
 func (s *Signal) Hold() { *s.nxtp = *s.curp }
@@ -172,7 +177,8 @@ type MemArray struct {
 	fMask uint64
 	fVal  uint64
 
-	obs []*observer // per-word read observers (nil unless witnessed)
+	obs   []*observer // per-word read observers (nil unless witnessed)
+	armed int         // words with an observer, over every witness
 
 	off   int // word offset into the kernel array slab
 	width int

@@ -1,9 +1,6 @@
 package rtl
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // This file implements read witnessing, the kernel seam of the batched
 // (bit-parallel) fault-simulation engine. A witness observes, during a
@@ -30,17 +27,23 @@ type WitnessNet struct {
 // are junk). A bit appearing in neither was never consumed; a bit
 // appearing in both was consumed with each polarity at least once.
 //
-// WriteFirst is the write side, recorded for array words only: the word
-// was written while no read had been recorded since the last reset, so
-// whatever it held before was overwritten unseen. An array word changes
-// only through MemArray.Write (the whole word) and is consumed only
-// through MemArray.Read, which is what makes a state upset in it
-// witnessable at all; a signal has no such seam (Hold and the clock edge
-// copy raw values without a Get) and never sets the flag.
+// WriteFirst and Untouched are the write side, which is what makes a state
+// upset witnessable at all: they say what became of the word a net held
+// before, whatever that was. WriteFirst: it was replaced while no read had
+// been recorded since the last reset, so it went unseen — an array word by
+// MemArray.Write, which stores the whole word and is the only way one
+// changes; a register whose clock edges are watched (WatchEdges) by the edge
+// committing a scheduled value (SetNext) in a cycle nothing sampled it. An
+// edge that carried the word on — a raw copy scheduled it again: Hold,
+// Group.Hold — records nothing. Untouched, such registers only: nothing
+// scheduled the register this cycle, so the edge committed whatever the
+// pending slot still held from the cycle before and dropped the committed
+// word, read or not.
 type WitnessAcc struct {
 	Ones       uint64
 	Zeros      uint64
 	WriteFirst bool
+	Untouched  bool
 }
 
 // Witness is an armed set of observation accumulators over watched nets.
@@ -56,10 +59,32 @@ type Witness struct {
 	// touch first: a drain visits the nets the design touched and no other.
 	// Links are 1 + an index into obs, chainEnd past the last, so that
 	// touching a net stores no pointer.
-	head int32
-	sigs []*Signal   // armed signal observers (parallel to obs; nil entries for array nets)
-	arrs []*MemArray // arrays with at least one armed word, for Stop
+	head  int32
+	sigs  []*Signal   // armed signal observers (parallel to obs; nil entries for array nets)
+	arrs  []*MemArray // armed array words' arrays (parallel to obs; nil entries for signals)
+	words []int       // and their words
+	edges []int32     // the nets whose clock edges are watched (WatchEdges)
 }
+
+// A register whose clock edges are watched carries a tag above its width in
+// each slab between drains: tagCarry on the committed word, tagStay on the
+// pending one. Hold and Group.Hold copy the committed word raw, tag and all;
+// SetNext and Set mask theirs off; the edge commits the pending word. So the
+// tag on the committed word after the edge says what the cycle did with the
+// word committed before it: tagCarry, a raw copy carried it over; tagStay,
+// nothing scheduled the register and the edge took the pending slot as it
+// stood; neither, a scheduled value replaced it. The kernel's own paths —
+// Get, SetNext, Hold, Group.Hold, Cycle — do not know: consumers never see a
+// tag because the forcing mask getSlow applies covers both (zero forced
+// values, on a net that is on the slow path for being witnessed anyway), and
+// Sample and Next mask by width.
+const (
+	tagCarry = uint64(1) << 63
+	tagStay  = uint64(1) << 62
+	edgeTags = tagCarry | tagStay
+	// maxEdgeWidth is the widest register with room for both tags.
+	maxEdgeWidth = 62
+)
 
 // observer is one watched net's accumulator and its link in the witness's
 // touched chain: next is 0 while the accumulator is empty.
@@ -94,9 +119,9 @@ type WitnessEvent struct {
 // kernel's hot path pays for witnessing only on the watched nets
 // themselves, exactly like fault forcing.
 func (k *Kernel) StartWitness(nets []WitnessNet) (*Witness, error) {
-	w := &Witness{obs: make([]observer, len(nets)), raw: make([]*uint64, len(nets)), sigs: make([]*Signal, len(nets))}
+	w := &Witness{obs: make([]observer, len(nets)), raw: make([]*uint64, len(nets)), sigs: make([]*Signal, len(nets)),
+		arrs: make([]*MemArray, len(nets)), words: make([]int, len(nets))}
 	w.head = chainEnd
-	arrs := make([]*MemArray, len(nets)) // parallel to nets; nil entries for signals
 	seen := make(map[WitnessNet]bool, len(nets))
 	for i, n := range nets {
 		if seen[n] {
@@ -123,7 +148,7 @@ func (k *Kernel) StartWitness(nets []WitnessNet) (*Witness, error) {
 		if a.obs != nil && a.obs[n.Word] != nil {
 			return nil, fmt.Errorf("rtl: witness net %s[%d] already witnessed", n.Name, n.Word)
 		}
-		arrs[i], w.raw[i] = a, &a.data[n.Word]
+		w.arrs[i], w.words[i], w.raw[i] = a, n.Word, &a.data[n.Word]
 	}
 	// Validation passed; arm everything.
 	for i := range w.obs {
@@ -134,22 +159,77 @@ func (k *Kernel) StartWitness(nets []WitnessNet) (*Witness, error) {
 			s.updateSlow()
 			continue
 		}
-		a := arrs[i]
+		a := w.arrs[i]
 		if a.obs == nil {
 			a.obs = make([]*observer, len(a.data))
 		}
-		if !slices.Contains(w.arrs, a) {
-			w.arrs = append(w.arrs, a)
-		}
-		a.obs[nets[i].Word] = o
+		a.obs[w.words[i]] = o
+		a.armed++
 	}
 	return w, nil
+}
+
+// EdgesWatchable reports whether n names a bit of a clocked signal narrow
+// enough for WatchEdges.
+func (k *Kernel) EdgesWatchable(n Node) bool {
+	s := k.findSignal(n.Name)
+	return s != nil && s.edgesWatchable()
+}
+
+func (s *Signal) edgesWatchable() bool { return s.reg && s.width <= maxEdgeWidth }
+
+// WatchEdges adds the write side to watched net i, a clocked signal of at
+// most 62 bits: from the next cycle on, each Drain also records what the
+// clock edge did with the word the register held (WitnessAcc.WriteFirst,
+// Untouched). It needs one Drain per cycle, and until Stop the register's
+// raw slab words carry the tags: take no Snapshot of the kernel, and compare
+// no state, in between.
+func (w *Witness) WatchEdges(i int) error {
+	s := w.sigs[i]
+	if s == nil || !s.edgesWatchable() {
+		return fmt.Errorf("rtl: witness net %d: only a clocked signal of at most %d bits has watchable edges", i, maxEdgeWidth)
+	}
+	if !s.tagged { // one witness per net: tagged by this one
+		w.edges = append(w.edges, int32(i))
+		s.tagged = true
+		s.fMask |= edgeTags
+		s.tag()
+	}
+	return nil
+}
+
+// tags is the part of fMask that hides a tagged signal's edge tags and
+// forces nothing.
+func (s *Signal) tags() uint64 {
+	if s.tagged {
+		return edgeTags
+	}
+	return 0
+}
+
+// tag marks both slab words of a register for the coming cycle.
+func (s *Signal) tag() {
+	*s.curp = *s.curp&s.mask | tagCarry
+	*s.nxtp = *s.nxtp&s.mask | tagStay
 }
 
 // Drain appends to dst what each net recorded since the last drain — one
 // event per net the design touched, untouched nets cost nothing — and
 // resets those accumulators.
 func (w *Witness) Drain(dst []WitnessEvent) []WitnessEvent {
+	for _, i := range w.edges {
+		s, o := w.sigs[i], &w.obs[i]
+		switch cur := *s.curp; {
+		case cur&tagCarry != 0:
+		case cur&tagStay != 0:
+			o.touch()
+			o.Untouched = true
+		case o.Ones|o.Zeros == 0:
+			o.touch()
+			o.WriteFirst = true
+		}
+		s.tag()
+	}
 	for h := w.head; h != chainEnd; {
 		o := &w.obs[h-1]
 		dst = append(dst, WitnessEvent{Net: o.net, Acc: o.WitnessAcc})
@@ -162,22 +242,38 @@ func (w *Witness) Drain(dst []WitnessEvent) []WitnessEvent {
 // Sample returns the present raw (committed, unforced) value of watched
 // net i without recording an observation — the charge-sampling models'
 // view of the net at an injection instant.
-func (w *Witness) Sample(i int) uint64 { return *w.raw[i] }
+func (w *Witness) Sample(i int) uint64 {
+	v := *w.raw[i]
+	if s := w.sigs[i]; s != nil {
+		v &= s.mask // edge tags sit above the width
+	}
+	return v
+}
 
-// Stop disarms every observer. The witness must be stopped before its
-// kernel is reused for non-witnessed simulation (pooled campaign cores),
-// and before arming a new witness over the same nets.
+// Stop disarms every observer of this witness, and no other's: witnesses
+// over different words share an array's observer list, which goes with the
+// last of them. The witness must be stopped before its kernel is reused for
+// non-witnessed simulation (pooled campaign cores), and before arming a new
+// witness over the same nets.
 func (w *Witness) Stop() {
-	for _, s := range w.sigs {
+	for _, i := range w.edges {
+		s := w.sigs[i]
+		s.fMask, s.tagged = s.fMask&^edgeTags, false
+		*s.curp &= s.mask
+		*s.nxtp &= s.mask
+	}
+	for i, s := range w.sigs {
 		if s != nil {
 			s.obs = nil
 			s.updateSlow()
+		} else if a := w.arrs[i]; a != nil {
+			a.obs[w.words[i]] = nil
+			if a.armed--; a.armed == 0 {
+				a.obs = nil
+			}
 		}
 	}
-	for _, a := range w.arrs {
-		a.obs = nil
-	}
-	w.sigs, w.arrs = nil, nil
+	w.sigs, w.arrs, w.words, w.edges = nil, nil, nil, nil
 }
 
 // IsArrayWord reports whether n names a bit of a memory-array word rather

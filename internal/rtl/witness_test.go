@@ -368,3 +368,195 @@ func TestIsArrayWord(t *testing.T) {
 		}
 	}
 }
+
+// buildEdgeDesign is a toy design of four registers — 8, 32, 62 and 64 bits
+// wide — whose single process does to each, per cycle, what the test picks
+// through op, a statement per letter in order: 'g' samples it, 'h' holds it,
+// 'G' holds it through a group, 'n' schedules its value plus one, 's'
+// schedules the value it already holds, 'S' drives the committed word
+// directly. The 32-bit one is in the group; sink keeps the samples alive.
+func buildEdgeDesign(op *string) (k *Kernel, regs [4]*Signal) {
+	k = NewKernel()
+	for i, w := range []int{8, 32, 62, 64} {
+		regs[i] = k.Reg([]string{"r8", "r32", "r62", "r64"}[i], w, 0)
+	}
+	sink := k.Reg("sink", 64, 0)
+	group := k.Group(regs[1])
+	k.Comb(func() {
+		for _, r := range regs {
+			for _, c := range *op {
+				switch c {
+				case 'g':
+					sink.SetNext(r.Get())
+				case 'h':
+					r.Hold()
+				case 'G':
+					group.Hold()
+				case 'n':
+					r.SetNext(r.Get() + 1)
+				case 's':
+					r.SetNext(r.Next())
+				case 'S':
+					r.Set(0x2a)
+				}
+			}
+		}
+	})
+	return k, regs
+}
+
+// TestWitnessRegisterEdges pins the register write side: with its clock
+// edges watched, a register's accumulator says what each edge did with the
+// word committed before it — carried by a raw copy (nothing recorded),
+// replaced unread (WriteFirst), or dropped for a pending slot nothing
+// scheduled (Untouched) — whatever the kernel call and whatever came before
+// it in the cycle; no tag is ever seen through Get, Next or Sample; a fault
+// on the tagged register composes and clears; a 64-bit register has no room
+// for tags, and its top bits force and clear like any others; and after
+// Stop both slabs equal, bit for bit, those of a run nobody witnessed.
+func TestWitnessRegisterEdges(t *testing.T) {
+	var op, plainOp string
+	k, regs := buildEdgeDesign(&op)
+	plain, plainRegs := buildEdgeDesign(&plainOp)
+	nets := []WitnessNet{{Name: "r8"}, {Name: "r32"}, {Name: "r62"}, {Name: "r64"}}
+	w, err := k.StartWitness(nets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		if err := w.WatchEdges(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.WatchEdges(3); err == nil {
+		t.Fatal("a 64-bit register has no room for edge tags, WatchEdges took it")
+	}
+	if k.EdgesWatchable(Node{Name: "r64"}) || !k.EdgesWatchable(Node{Name: "r62"}) || k.EdgesWatchable(Node{Name: "nosuch"}) {
+		t.Fatal("EdgesWatchable: want registers of at most 62 bits")
+	}
+	read := func(a WitnessAcc) bool { return a.Ones|a.Zeros != 0 }
+	for _, tc := range []struct {
+		ops                         string
+		writeFirst, untouched, read bool
+	}{
+		{"n", false, false, true}, // sampled, then replaced: the read stands
+		{"h", false, false, false},
+		{"G", false, false, false},
+		{"Gn", false, false, true}, // the last writer wins
+		{"hs", true, false, false}, // replaced by the value it held: replaced all the same
+		{"nh", false, false, true},
+		{"", false, true, false},
+		{"g", false, true, true},
+		{"", false, true, false},   // two untouched edges in a row
+		{"S", false, true, false},  // the committed word driven, the pending slot left alone
+		{"Sh", true, false, false}, // ... or copied: the word committed before is gone unread
+		{"s", true, false, false},
+	} {
+		op, plainOp = tc.ops, tc.ops
+		k.Cycle()
+		plain.Cycle()
+		acc := drained(w, 4)
+		for i, r := range regs {
+			want := WitnessAcc{WriteFirst: tc.writeFirst, Untouched: tc.untouched}
+			switch {
+			case i == 3:
+				want = WitnessAcc{} // unwatched edges: reads alone
+			case i != 1 && tc.ops == "G":
+				want = WitnessAcc{Untouched: true} // the group holds r32 alone
+			}
+			got := acc[i]
+			if got.WriteFirst != want.WriteFirst || got.Untouched != want.Untouched || read(got) != tc.read {
+				t.Errorf("%q on %s: %+v, want WriteFirst %v, Untouched %v, read %v", tc.ops, r.Name(), got, want.WriteFirst, want.Untouched, tc.read)
+			}
+			if g, p := r.Get(), plainRegs[i].Get(); g != p || r.Next() != plainRegs[i].Next() || w.Sample(i) != p {
+				t.Fatalf("%q on %s: Get %#x, Next %#x, Sample %#x; unwitnessed %#x, %#x", tc.ops, r.Name(), g, r.Next(), w.Sample(i), p, plainRegs[i].Next())
+			}
+		}
+		w.Drain(nil) // the checks' own reads
+	}
+
+	// A fault on a tagged register, and on the top bits of the 64-bit one.
+	for _, f := range []Fault{{Node{Name: "r62", Bit: 61}, StuckAt1}, {Node{Name: "r64", Bit: 63}, StuckAt1}, {Node{Name: "r64", Bit: 62}, StuckAt1}} {
+		if err := k.Inject(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m, v := regs[2].Forcing(); m != 1<<61 || v != 1<<61 {
+		t.Errorf("forcing on the tagged r62: mask %#x value %#x", m, v)
+	}
+	if m, _ := regs[3].Forcing(); m != 3<<62 {
+		t.Errorf("forcing on r64's top bits: mask %#x", m)
+	}
+	if regs[2].Get()>>61 != 1 || regs[3].Get()>>62 != 3 {
+		t.Errorf("forced reads: r62 %#x, r64 %#x", regs[2].Get(), regs[3].Get())
+	}
+	k.ClearFaults()
+	if len(k.Faults()) != 0 || regs[2].Get() != plainRegs[2].Get() || regs[3].Get() != plainRegs[3].Get() {
+		t.Errorf("after ClearFaults: r62 %#x, r64 %#x; unwitnessed %#x, %#x", regs[2].Get(), regs[3].Get(), plainRegs[2].Get(), plainRegs[3].Get())
+	}
+	op, plainOp = "h", "h"
+	k.Cycle()
+	plain.Cycle()
+	if acc := drained(w, 4); acc[2].WriteFirst || acc[2].Untouched {
+		t.Errorf("r62 held after ClearFaults: %+v — the tags must outlive a fault on their register", acc[2])
+	}
+
+	w.Stop()
+	if !k.StateEquals(plain.Snapshot()) {
+		t.Error("committed state after Stop differs from the unwitnessed run's")
+	}
+	for i, r := range regs {
+		if r.slow != 0 || r.fMask != 0 || *r.curp != *plainRegs[i].curp || *r.nxtp != *plainRegs[i].nxtp {
+			t.Errorf("%s after Stop: slow %d, mask %#x, slabs %#x/%#x; unwitnessed %#x/%#x",
+				r.Name(), r.slow, r.fMask, *r.curp, *r.nxtp, *plainRegs[i].curp, *plainRegs[i].nxtp)
+		}
+	}
+}
+
+// TestWitnessesShareAnArray: two witnesses over different words of one array
+// share its observer list, and stopping either leaves the other armed; the
+// list goes with the last.
+func TestWitnessesShareAnArray(t *testing.T) {
+	for _, order := range [][2]int{{0, 1}, {1, 0}} {
+		k := NewKernel()
+		rf := k.Array("iu.rf.regs", 32, 8, 0)
+		sink := k.Reg("sink", 32, 0)
+		k.Comb(func() { sink.SetNext(rf.Read(3) + rf.Read(5)) })
+		var ws [2]*Witness
+		for i, word := range []int{3, 5} {
+			w, err := k.StartWitness([]WitnessNet{{Name: "iu.rf.regs", Word: word}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws[i] = w
+		}
+		if _, err := k.StartWitness([]WitnessNet{{Name: "iu.rf.regs", Word: 5}}); err == nil {
+			t.Fatal("a word witnessed twice")
+		}
+		k.Cycle()
+		if len(ws[0].Drain(nil)) != 1 || len(ws[1].Drain(nil)) != 1 {
+			t.Fatal("both witnesses armed, one saw nothing")
+		}
+		ws[order[0]].Stop()
+		k.Cycle()
+		if n := len(ws[order[1]].Drain(nil)); n != 1 {
+			t.Errorf("stopping the witness on word %d disarmed the one on word %d: %d events", 3+2*order[0], 3+2*order[1], n)
+		}
+		if n := len(ws[order[0]].Drain(nil)); n != 0 {
+			t.Errorf("the stopped witness still records: %d events", n)
+		}
+		if rf.obs == nil {
+			t.Error("the observer list went with the first witness")
+		}
+		ws[order[1]].Stop()
+		if rf.obs != nil {
+			t.Error("the observer list outlives its last witness")
+		}
+		// The word is free again.
+		w, err := k.StartWitness([]WitnessNet{{Name: "iu.rf.regs", Word: 3 + 2*order[0]}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Stop()
+	}
+}
