@@ -51,7 +51,9 @@ var logger = slog.New(slog.NewTextHandler(os.Stderr, nil)).With("prog", "crashsm
 //     `faultcampaign -json` run undisturbed and unsharded;
 //   - a final SIGKILL+restart serves a resubmission of the same spec
 //     straight from the on-disk result store: state "done" immediately,
-//     zero engine executions on the fresh process, same result bytes.
+//     zero engine executions on the fresh process, same result bytes;
+//   - the result entry a killed coordinator had begun for the running
+//     campaign is swept by the next one: no temp file accumulates.
 //
 // Kill points are randomized; the seed is logged and can be pinned with
 // -seed to replay a failing schedule.
@@ -164,6 +166,12 @@ func crash(args []string) error {
 		if id, err = submit(base, crashCampaign, http.StatusOK, "resubmit (recovered or stored)"); err != nil {
 			return fmt.Errorf("cycle %d: %w", cycle, err)
 		}
+		// Every kill caught the campaign running, so with its result entry
+		// begun and not committed: the reopened store has swept that file, and
+		// the only one there can be is the resumed job's own.
+		if tmps := resultTemps(dataDir); len(tmps) > 1 {
+			return fmt.Errorf("cycle %d: the reopened store kept dead temp files: %v", cycle, tmps)
+		}
 		logger.Info("coordinator resurrected, campaign recovered", "cycle", cycle, "job", id)
 	}
 
@@ -230,6 +238,9 @@ func crash(args []string) error {
 	if !bytes.Equal(stored, crashed) {
 		return fmt.Errorf("stored result differs from the pre-crash result bytes")
 	}
+	if tmps := resultTemps(dataDir); len(tmps) != 0 {
+		return fmt.Errorf("temp files left under the result store after the campaign committed: %v", tmps)
+	}
 	logger.Info("final restart served the result from the store", "executions", 0, "byte_identical", true)
 	return nil
 }
@@ -261,6 +272,13 @@ func reservePort() (string, error) {
 	addr := ln.Addr().String()
 	ln.Close()
 	return addr, nil
+}
+
+// resultTemps lists the result store's unfinished entries: files a store
+// entry is written to before it is renamed to its content address.
+func resultTemps(dataDir string) []string {
+	tmps, _ := filepath.Glob(filepath.Join(dataDir, "results", ".tmp-*")) // the pattern is well-formed
+	return tmps
 }
 
 // countShardRecords counts durably journaled shard completions. It

@@ -3,6 +3,7 @@ package fault
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -173,6 +174,78 @@ func TestCampaignStopContext(t *testing.T) {
 	if _, _, err := r.CampaignStopContext(ctx, small, 2, nil,
 		func(done, failures int) bool { return false }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
+	}
+}
+
+// TestDispatchDrawsInOrder holds the campaign loop itself, without an
+// engine, to how it hands granules out: every granule exactly once; one
+// worker takes them in order on the caller's own goroutine (a shard starts
+// none); never more workers than granules; and a stop rule halts each
+// worker within the granule it is on, with a nil error.
+func TestDispatchDrawsInOrder(t *testing.T) {
+	one := func(g int, deliver func(int, Result)) { deliver(g, Result{Cycles: uint64(g)}) }
+
+	var order []int
+	before := runtime.NumGoroutine()
+	_, ran, err := dispatch(context.Background(), 100, 100, 1, nil, nil, func(g int, deliver func(int, Result)) {
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("granule %d: %d goroutines, %d before the campaign: a one-worker dispatch starts none", g, n, before)
+		}
+		order = append(order, g) // unsynchronized on purpose: one goroutine
+		one(g, deliver)
+	})
+	if err != nil || len(order) != 100 {
+		t.Fatalf("one worker: %d granules, err %v", len(order), err)
+	}
+	for g := range order {
+		if order[g] != g || !ran[g] {
+			t.Fatalf("one worker drew granule %d at position %d (ran %v)", order[g], g, ran[g])
+		}
+	}
+
+	var busy, peak, calls atomic.Int64
+	hold := make(chan struct{})
+	go func() {
+		for calls.Load() < 3 {
+			runtime.Gosched()
+		}
+		close(hold)
+	}()
+	results, ran, err := dispatch(context.Background(), 3, 3, 16, nil, nil, func(g int, deliver func(int, Result)) {
+		calls.Add(1)
+		if b := busy.Add(1); b > peak.Load() {
+			peak.Store(b)
+		}
+		<-hold // all three granules are in flight at once: three workers, not one
+		busy.Add(-1)
+		one(g, deliver)
+	})
+	if err != nil || peak.Load() != 3 {
+		t.Fatalf("16 workers over 3 granules: peak %d at once, err %v; want 3", peak.Load(), err)
+	}
+	for g := range results {
+		if !ran[g] || results[g].Cycles != uint64(g) {
+			t.Errorf("granule %d: ran %v, result %+v", g, ran[g], results[g])
+		}
+	}
+
+	const workers, stopAt = 4, 10
+	var done atomic.Int64
+	_, ran, err = dispatch(context.Background(), 1000, 1000, workers, nil,
+		func(d, _ int) bool { return d >= stopAt }, func(g int, deliver func(int, Result)) {
+			done.Add(1)
+			one(g, deliver)
+		})
+	if err != nil {
+		t.Fatalf("a stop is a success, got %v", err)
+	}
+	if n := done.Load(); n < stopAt || n > stopAt+workers {
+		t.Errorf("stopped after %d granules, want between %d and %d", n, stopAt, stopAt+workers)
+	}
+	for g, ok := range ran { // in order: what ran is a prefix, give or take the workers' last draws
+		if ok && g >= stopAt+2*workers {
+			t.Errorf("granule %d ran after a stop at %d", g, stopAt)
+		}
 	}
 }
 

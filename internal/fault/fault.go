@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/asm"
 	"repro/internal/iss"
@@ -689,10 +690,12 @@ func (r *Runner) putMemo(m *memo) {
 }
 
 // dispatch is the one campaign loop of the package, shared by the RTL and
-// ISS engines: it feeds the dispatch granules 0..granules-1, in order, to
-// workers goroutines (0 = GOMAXPROCS), and run(g, deliver) executes
-// granule g, handing every experiment it covers to deliver with the
-// experiment's index in [0,n).
+// ISS engines: workers (0 = GOMAXPROCS; never more than there are
+// granules) draw the dispatch granules 0..granules-1, in order, from one
+// counter, and run(g, deliver) executes granule g, handing every
+// experiment it covers to deliver with the experiment's index in [0,n).
+// The caller is the first worker, so a one-worker campaign — a shard —
+// starts no goroutine.
 //
 // tap, when non-nil, is invoked as each experiment completes with its
 // index and result; it is called concurrently from worker goroutines and
@@ -709,7 +712,7 @@ func (r *Runner) putMemo(m *memo) {
 // experiments actually executed, so callers of a stopped or cancelled
 // campaign can distinguish a completed zero-valued Result from an
 // experiment that never ran. On ctx cancellation each worker finishes the
-// granule it is on, the feeder stops, and the partial results are
+// granule it is on and draws no other, and the partial results are
 // returned together with ctx.Err().
 func dispatch(ctx context.Context, n, granules, workers int, tap func(i int, res Result), stop func(done, failures int) bool,
 	run func(g int, deliver func(i int, res Result))) ([]Result, []bool, error) {
@@ -747,31 +750,30 @@ func dispatch(ctx context.Context, n, granules, workers int, tap func(i int, res
 		}
 	}
 	halted := cctx.Done()
+	var next atomic.Int64 // the next granule nobody has drawn
+	work := func() {
+		for {
+			g := int(next.Add(1)) - 1
+			if g >= granules {
+				return
+			}
+			select {
+			case <-halted:
+				return
+			default:
+			}
+			run(g, deliver)
+		}
+	}
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(workers, granules); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for g := range next {
-				select {
-				case <-halted:
-					return
-				default:
-				}
-				run(g, deliver)
-			}
+			work()
 		}()
 	}
-feed:
-	for g := 0; g < granules; g++ {
-		select {
-		case next <- g:
-		case <-halted:
-			break feed
-		}
-	}
-	close(next)
+	work()
 	wg.Wait()
 	// A halt that came from the stop rule, not the caller, is a success.
 	return results, ran, ctx.Err()

@@ -26,13 +26,11 @@
 package jobs
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 
@@ -399,24 +397,6 @@ type Outcome struct {
 	Experiments []ExperimentOutcome `json:"experiments"`
 }
 
-// EncodeOutcome writes the canonical indented JSON encoding of an
-// outcome. The CLI's -json flag and the server's result endpoint both use
-// it, which is what makes their outputs diffable.
-func EncodeOutcome(w io.Writer, o *Outcome) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(o)
-}
-
-// encodeOutcome returns the canonical encoding as bytes.
-func encodeOutcome(o *Outcome) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := EncodeOutcome(&buf, o); err != nil {
-		return nil, fmt.Errorf("jobs: encoding outcome: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 // experimentOutcome is the wire encoding of one raw engine result.
 func experimentOutcome(res fault.Result) ExperimentOutcome {
 	eo := ExperimentOutcome{
@@ -676,6 +656,10 @@ type rangeEnv struct {
 	// tr receives the four stage timings. Only whole-campaign callers set
 	// it; a nil tracer is a no-op.
 	tr *obs.Tracer
+	// exps, when non-nil, is the single-engine campaign's expansion —
+	// experimentsFor of this very request, made once by whoever planned the
+	// campaign — and is only read. Nil has runRange expand.
+	exps []fault.Experiment
 }
 
 // wholeCampaign, as runRange's end, runs the expansion from start to its
@@ -724,10 +708,10 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 		return rangeRun{}, err
 	}
 	endStage = env.tr.Stage("plan")
-	var exps []fault.Experiment
+	exps := env.exps
 	if plan != nil {
 		exps = plan.exps
-	} else {
+	} else if exps == nil {
 		exps = experimentsFor(eng, n)
 	}
 	endStage()

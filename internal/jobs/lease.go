@@ -48,6 +48,13 @@ func KeepaliveInterval(ttl time.Duration) time.Duration {
 // completed together with the context's error; see runRange.
 func RunLease(ctx context.Context, lease *ShardLease, workers int, reg *obs.Registry,
 	progress func(done, failures int) (cancel bool)) (*ShardOutput, error) {
+	return runLease(ctx, lease, rangeEnv{workers: workers, reg: reg}, progress)
+}
+
+// runLease is RunLease for a caller that may already hold the campaign's
+// expansion (env.exps): the pool's local workers. env.tap is runLease's own.
+func runLease(ctx context.Context, lease *ShardLease, env rangeEnv,
+	progress func(done, failures int) (cancel bool)) (*ShardOutput, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	stride := (lease.Range.End-lease.Range.Start)/16 + 1
 	var mu sync.Mutex
@@ -77,17 +84,14 @@ func RunLease(ctx context.Context, lease *ShardLease, workers int, reg *obs.Regi
 		cancel()
 		<-kaDone
 	}()
-	run, err := runRange(ctx, lease.Request, lease.Range.Start, lease.Range.End, rangeEnv{
-		workers: workers,
-		reg:     reg,
-		tap: func(d, total, f int) {
-			mu.Lock()
-			defer mu.Unlock()
-			done, failures = d, f
-			if d == 1 || d == total || d%stride == 0 {
-				report()
-			}
-		},
-	})
+	env.tap = func(d, total, f int) {
+		mu.Lock()
+		defer mu.Unlock()
+		done, failures = d, f
+		if d == 1 || d == total || d%stride == 0 {
+			report()
+		}
+	}
+	run, err := runRange(ctx, lease.Request, lease.Range.Start, lease.Range.End, env)
 	return run.out, err
 }

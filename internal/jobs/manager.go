@@ -11,6 +11,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/store"
 )
 
 // State is a job's lifecycle phase.
@@ -592,6 +593,13 @@ func (m *Manager) worker() {
 		// job-finished log line below.
 		tr := obs.NewTracer(m.met.stageSeconds)
 		m.log.Info("job started", "job", j.id, "key", shortKey(j.key), "workload", j.req.Workload)
+		// The outcome's store entry is begun now: creating its file needs
+		// nothing the campaign computes, so it happens while the campaign runs
+		// instead of after it.
+		var entry *store.Pending
+		if m.persist != nil {
+			entry = m.persist.store.Begin(j.key)
+		}
 		started := time.Now() //lint:allow det job-duration metric, observation only
 		out, err := m.exec(obs.WithTracer(ctx, tr), j.req, m.opts.CampaignWorkers, func(done, total, failures int) {
 			m.mu.Lock()
@@ -613,14 +621,22 @@ func (m *Manager) worker() {
 		// result endpoint serves.
 		var encoded []byte
 		if err == nil {
+			endEncode := tr.Stage("encode")
 			encoded, err = encodeOutcome(out)
+			endEncode()
 		}
 		// Commit the outcome before the in-memory terminal transition
 		// journals job_done: recovery treats a done record as "the result
 		// is in the store", and the reverse order would open a crash
 		// window where the record exists but the result does not.
-		if err == nil && m.persist != nil {
-			m.persist.saveOutcome(j.key, encoded)
+		if entry != nil {
+			if err == nil {
+				endCommit := tr.Stage("commit")
+				m.persist.commitOutcome(entry, j.key, encoded)
+				endCommit()
+			} else {
+				entry.Abort()
+			}
 		}
 		m.mu.Lock()
 		switch {

@@ -31,9 +31,10 @@ type managerMetrics struct {
 	// jobSeconds observes wall-clock executor latency per executed job
 	// (coalesced and cache-hit submissions never reach the executor).
 	jobSeconds *obs.Histogram
-	// stageSeconds breaks a campaign execution into its stages (golden,
-	// plan, execute, assemble) via the obs.Tracer each worker threads
-	// through the executor context.
+	// stageSeconds breaks a job into its stages: golden, plan, execute and
+	// assemble from the executor, via the obs.Tracer each worker threads
+	// through the executor context, then encode and commit from the worker
+	// itself.
 	stageSeconds *obs.HistogramVec
 }
 

@@ -128,6 +128,9 @@ func (p *persistence) registerMetrics(reg *obs.Registry) {
 		"Fsync calls issued against the journal file.", func() float64 {
 			return float64(p.journal.Stats().Fsyncs)
 		})
+	putSeconds := reg.Histogram("store_put_seconds",
+		"Duration of each commit of an outcome to the result store (checksum, write, fsync, rename, directory fsync).", obs.DurationBuckets)
+	p.store.OnCommit(func(took time.Duration, _ error) { putSeconds.Observe(took.Seconds()) })
 	fsyncSeconds := reg.Histogram("store_journal_fsync_seconds",
 		"Duration of each fsync of the journal file.", obs.DurationBuckets)
 	p.journal.OnFsync(func(took time.Duration, err error) {
@@ -206,11 +209,7 @@ func (p *persistence) compact(live []*RecoveredJob) error {
 		}
 		recs = append(recs, store.Record{Type: recJobSubmitted, Key: rj.Key, Data: req})
 		for _, out := range rj.Completed {
-			b, err := json.Marshal(out)
-			if err != nil {
-				return err
-			}
-			recs = append(recs, store.Record{Type: recShardCompleted, Key: rj.Key, Data: b})
+			recs = append(recs, store.Record{Type: recShardCompleted, Key: rj.Key, Data: out.AppendJSON(nil)})
 		}
 	}
 	return p.journal.Rewrite(recs)
@@ -245,11 +244,12 @@ func (p *persistence) journalJobEnd(state State, key string, errMsg string) {
 	}
 }
 
-// saveOutcome commits a completed campaign's canonical encoding to the
-// result store. Best-effort: on failure the outcome survives in memory
-// for this process's lifetime, just not across a restart.
-func (p *persistence) saveOutcome(key string, encoded []byte) {
-	if err := p.store.Put(key, encoded); err != nil {
+// commitOutcome commits a completed campaign's canonical encoding to the
+// store entry begun when its job started. Best-effort: on failure the
+// outcome survives in memory for this process's lifetime, just not across
+// a restart.
+func (p *persistence) commitOutcome(entry *store.Pending, key string, encoded []byte) {
+	if err := entry.Commit(encoded); err != nil {
 		p.log.Error("persisting outcome failed", "key", shortKey(key), "error", err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -119,22 +120,24 @@ func NewShardPool(opts ShardPoolOptions) *ShardPool {
 // plan resolves the engine a request's campaign is defined on — through
 // the process-wide memoized cache, so a pool that also runs local workers
 // pays for the golden run exactly once — and hands everything it knows
-// to a fresh coordinator.
-func (p *ShardPool) plan(ctx context.Context, req Request, tap Tap) (*Coordinator, error) {
+// to a fresh coordinator. The expansion it sized the campaign by is
+// returned for the local workers, which would each make the same one.
+func (p *ShardPool) plan(ctx context.Context, req Request, tap Tap) (*Coordinator, []fault.Experiment, error) {
 	n, key, err := req.keyed()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r, err := engineFor(ctx, n, p.opts.Obs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var onProgress func(campaign.Tally, int)
 	if tap != nil {
 		onProgress = func(t campaign.Tally, total int) { tap(t.Done, total, t.Failures) }
 	}
-	return newCoordinator(key, n, len(experimentsFor(r, n)), r.GoldenTicks(), r.Checkpointed(),
-		p.opts.Shards, onProgress, p.opts.persist), nil
+	exps := experimentsFor(r, n)
+	return newCoordinator(key, n, len(exps), r.GoldenTicks(), r.Checkpointed(),
+		p.opts.Shards, onProgress, p.opts.persist), exps, nil
 }
 
 // Execute runs one campaign sharded and returns its canonical outcome;
@@ -145,7 +148,7 @@ func (p *ShardPool) plan(ctx context.Context, req Request, tap Tap) (*Coordinato
 func (p *ShardPool) Execute(ctx context.Context, req Request, workers int, tap Tap) (*Outcome, error) {
 	tr := obs.TracerFrom(ctx)
 	endGolden := tr.Stage("golden")
-	c, err := p.plan(ctx, req, tap)
+	c, exps, err := p.plan(ctx, req, tap)
 	endGolden()
 	if err != nil {
 		return nil, err
@@ -179,7 +182,7 @@ func (p *ShardPool) Execute(ctx context.Context, req Request, workers int, tap T
 		p.running.Add(1)
 		go func() {
 			defer p.running.Done()
-			p.localWorker(ctx, c, name)
+			p.localWorker(ctx, c, exps, name)
 		}()
 	}
 	for i := 0; i < local; i++ {
@@ -238,16 +241,18 @@ func (p *ShardPool) book(field *int) {
 }
 
 // localWorker drains one coordinator's pending shards in-process, as any
-// other worker would: lease, RunLease, settle through the pool's own
+// other worker would: lease, run the lease, settle through the pool's own
 // Progress/Complete/Fail surface. Each shard executes single-threaded so
-// a campaign's total parallelism stays at the local worker count.
-func (p *ShardPool) localWorker(ctx context.Context, c *Coordinator, name string) {
+// a campaign's total parallelism stays at the local worker count. exps is
+// the campaign's expansion as plan made it, shared read-only by every
+// local worker: a lease is then a slice of it, not a fresh expansion.
+func (p *ShardPool) localWorker(ctx context.Context, c *Coordinator, exps []fault.Experiment, name string) {
 	for ctx.Err() == nil {
 		l, ok := p.leaseFrom(name, c)
 		if !ok {
 			return
 		}
-		out, err := RunLease(ctx, l, 1, p.opts.Obs, func(done, failures int) bool {
+		out, err := runLease(ctx, l, rangeEnv{workers: 1, reg: p.opts.Obs, exps: exps}, func(done, failures int) bool {
 			return p.Progress(l.Lease, done, failures)
 		})
 		if out == nil {

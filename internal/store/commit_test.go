@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -258,6 +259,7 @@ func TestFrameIdentity(t *testing.T) {
 		Index  int    `json:"index"`
 	}
 	key := keyFor("campaign")
+	laid := selfLaid{N: 9616}
 	for i, tc := range []struct {
 		typ, key string
 		data     interface{}
@@ -283,6 +285,7 @@ func TestFrameIdentity(t *testing.T) {
 		{"event", "", json.RawMessage("{ \"spaced\" : [ 1 , 2 ] }")},
 		{"event", "", (*lease)(nil)},
 		{"typ\"e<&>", "kéy\x00\xff", "d"},
+		{"shard_completed", key, &laid},
 	} {
 		var raw json.RawMessage
 		if tc.data != nil {
@@ -309,6 +312,21 @@ func TestFrameIdentity(t *testing.T) {
 			t.Errorf("%s: the frame does not parse back: %+v, %v", tc.typ, rec, ok)
 		}
 	}
+	if laid.asked != 1 {
+		t.Errorf("data with an AppendJSON method was asked for its bytes %d times, want once (and the reflecting encoder not at all)", laid.asked)
+	}
+}
+
+// selfLaid is record data that lays its own JSON, as the jobs layer's
+// ShardOutput does; asked counts the frames that took it up on it.
+type selfLaid struct {
+	N     int `json:"n"`
+	asked int
+}
+
+func (s *selfLaid) AppendJSON(b []byte) []byte {
+	s.asked++
+	return append(strconv.AppendInt(append(b, `{"n":`...), int64(s.N), 10), '}')
 }
 
 // TestParseExactly pins the two readers to the one spelling the writers

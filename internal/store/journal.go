@@ -228,6 +228,14 @@ func checksumHex(payload []byte) (out [8]byte) {
 	return out
 }
 
+// jsonAppender is data that lays its own JSON — byte for byte what
+// json.Marshal would make of it — onto a buffer: how a large record (the
+// jobs layer's shard_completed) skips the reflecting encoder without this
+// package learning what is in it.
+type jsonAppender interface {
+	AppendJSON(b []byte) []byte
+}
+
 // encodeFrame makes w.b the framed record in one pass, byte for byte
 // what json.Marshal(Record{seq, typ, key, <data, marshalled>}) behind its
 // checksum would be: the field order and omitempty rules of Record, spelled
@@ -236,17 +244,20 @@ func encodeFrame(w *frameBuf, enc *json.Encoder, seq int64, typ, key string, dat
 	w.b = append(w.b[:0], "00000000 {\"seq\":"...)
 	w.b = strconv.AppendInt(w.b, seq, 10)
 	w.b = append(w.b, ",\"type\":"...)
-	w.b = appendJSONString(w.b, typ)
+	w.b = AppendJSONString(w.b, typ)
 	if key != "" {
 		w.b = append(w.b, ",\"key\":"...)
-		w.b = appendJSONString(w.b, key)
+		w.b = AppendJSONString(w.b, key)
 	}
 	if data != nil {
 		w.b = append(w.b, ",\"data\":"...)
-		if err := enc.Encode(data); err != nil {
+		if a, ok := data.(jsonAppender); ok {
+			w.b = a.AppendJSON(w.b)
+		} else if err := enc.Encode(data); err != nil {
 			return err
+		} else {
+			w.b = w.b[:len(w.b)-1] // the encoder ends every value with a newline
 		}
-		w.b = w.b[:len(w.b)-1] // the encoder ends every value with a newline
 	}
 	w.b = append(w.b, '}')
 	sum := checksumHex(w.b[9:])
@@ -255,10 +266,13 @@ func encodeFrame(w *frameBuf, enc *json.Encoder, seq int64, typ, key string, dat
 	return nil
 }
 
-// appendJSONString appends s as encoding/json writes a string. Record types
-// and content keys are plain ASCII, copied as they are; anything the
-// encoder would escape goes through it.
-func appendJSONString(b []byte, s string) []byte {
+// AppendJSONString appends s as encoding/json writes a string: plain ASCII —
+// record types, content keys, the node and outcome names of an experiment —
+// is copied as it is, and anything the encoder would escape or replace
+// (quotes, backslashes, <>&, control bytes, DEL and everything beyond it,
+// so U+2028 and invalid UTF-8 too) goes through the encoder. The one copy
+// of this rule: the jobs layer's outcome encoder calls it as well.
+func AppendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			q, _ := json.Marshal(s) // a string always encodes

@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"time"
 )
 
 // resultHeader tags every result file with its format version; the rest
@@ -40,6 +41,19 @@ type Store struct {
 
 	mu   sync.Mutex
 	keys map[string]struct{}
+
+	onCommit func(took time.Duration, err error)
+
+	// fsync is (*os.File).Sync; tests substitute one they can hold up.
+	fsync func(*os.File) error
+}
+
+// OnCommit registers f to be told how long each Commit took and whether it
+// failed, on the committing goroutine, just before Commit returns.
+func (s *Store) OnCommit(f func(took time.Duration, err error)) {
+	s.mu.Lock()
+	s.onCommit = f
+	s.mu.Unlock()
 }
 
 // validKey reports whether key is a well-formed SHA-256 hex content
@@ -66,7 +80,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, keys: map[string]struct{}{}}
+	s := &Store{dir: dir, keys: map[string]struct{}{}, fsync: (*os.File).Sync}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -96,7 +110,7 @@ const tmpPrefix = ".tmp-"
 
 // headerLen is the length of an entry's header line: the format tag, one
 // space, the payload's SHA-256 as 64 lowercase hex digits, a newline, and
-// nothing else — exactly what Put writes.
+// nothing else — exactly what Commit writes.
 const headerLen = len(resultHeader) + 1 + 2*sha256.Size + 1
 
 // readVerified loads one entry and checks its framing and checksum.
@@ -119,27 +133,99 @@ func (s *Store) readVerified(key string) ([]byte, error) {
 	return payload, nil
 }
 
-// Put durably commits payload under key: the entry is written to a temp
-// file, fsync'd, then renamed into place (and the directory fsync'd), so
-// readers — including a post-crash Open — see either the whole entry or
-// nothing. Re-putting an existing key is a no-op: content-addressed
-// payloads for the same key are byte-identical by construction.
+// Put durably commits payload under key: Begin and Commit back to back.
+// Re-putting an existing key is a no-op: content-addressed payloads for
+// the same key are byte-identical by construction.
 func (s *Store) Put(key string, payload []byte) error {
+	return s.Begin(key).Commit(payload)
+}
+
+// Pending is an entry whose temp file exists (or is being created) and
+// whose payload is not yet known. Exactly one of Commit and Abort must
+// follow Begin; both wait for the creation to finish, so no goroutine and
+// no open file outlives them. A process killed in between leaves a temp
+// file, which the next Open deletes.
+type Pending struct {
+	s   *Store
+	key string
+	// created is closed once tmp and err are final.
+	created chan struct{}
+	tmp     *os.File
+	err     error
+}
+
+// Begin starts an entry for key and returns at once: the temp file — which
+// needs nothing of the payload, and is a third of what committing costs —
+// is created on a goroutine of its own while the caller computes what to
+// store. An invalid key, or a failure to create the file, is reported by
+// Commit.
+func (s *Store) Begin(key string) *Pending {
+	p := &Pending{s: s, key: key, created: make(chan struct{})}
 	if !validKey(key) {
-		return fmt.Errorf("store: invalid content key %q", key)
+		p.err = fmt.Errorf("store: invalid content key %q", key)
+		close(p.created)
+		return p
 	}
+	go func() {
+		p.tmp, p.err = os.CreateTemp(s.dir, tmpPrefix+key+"-")
+		close(p.created)
+	}()
+	return p
+}
+
+// has reports whether key is committed.
+func (s *Store) has(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.keys[key]; ok {
+	_, ok := s.keys[key]
+	return ok
+}
+
+// Abort gives the entry up and removes its temp file.
+func (p *Pending) Abort() {
+	<-p.created
+	if p.tmp != nil {
+		p.tmp.Close()
+		os.Remove(p.tmp.Name())
+	}
+}
+
+// Commit durably stores payload under the entry's key: header and payload
+// are written to the temp file, which is fsync'd, then renamed into place
+// (and the directory fsync'd), so readers — including a post-crash Open —
+// see either the whole entry or nothing. The store's lock is held for the
+// key check and the insert only, never across the disk: a Get of another
+// key does not queue behind this entry's fsyncs, and two commits of one
+// key both rename the same bytes onto the same name.
+func (p *Pending) Commit(payload []byte) error {
+	t0 := time.Now()
+	err := p.commit(payload)
+	p.s.mu.Lock()
+	f := p.s.onCommit
+	p.s.mu.Unlock()
+	if f != nil {
+		f(time.Since(t0), err)
+	}
+	return err
+}
+
+func (p *Pending) commit(payload []byte) error {
+	<-p.created
+	if p.err != nil {
+		return p.err
+	}
+	s, tmp := p.s, p.tmp
+	if s.has(p.key) {
+		p.Abort() // the bytes under a content address are already these
 		return nil
 	}
-	sum := sha256.Sum256(payload)
-	tmp, err := os.CreateTemp(s.dir, tmpPrefix+key+"-")
-	if err != nil {
-		return err
-	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := fmt.Fprintf(tmp, "%s %s\n", resultHeader, hex.EncodeToString(sum[:])); err != nil {
+	sum := sha256.Sum256(payload)
+	head := make([]byte, 0, headerLen)
+	head = append(head, resultHeader+" "...)
+	head = hex.AppendEncode(head, sum[:])
+	head = append(head, '\n')
+	if _, err := tmp.Write(head); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -147,20 +233,22 @@ func (s *Store) Put(key string, payload []byte) error {
 		tmp.Close()
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
+	if err := s.fsync(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, key)); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, p.key)); err != nil {
 		return err
 	}
 	if err := syncDir(s.dir); err != nil {
 		return err
 	}
-	s.keys[key] = struct{}{}
+	s.mu.Lock()
+	s.keys[p.key] = struct{}{}
+	s.mu.Unlock()
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -439,5 +440,161 @@ func TestJournalRewrite(t *testing.T) {
 		if strings.HasPrefix(e.Name(), tmpPrefix) {
 			t.Fatalf("compaction temp file %s left behind", e.Name())
 		}
+	}
+}
+
+// temps lists the temp files under a store directory.
+func temps(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), tmpPrefix) {
+			out = append(out, e.Name())
+		}
+	}
+	return out
+}
+
+// TestPendingLeavesNoTemp holds every way a begun entry can end to leaving
+// no temp file behind: aborted, committed, committed over a key that is
+// already there, begun with a key the store refuses, and — the crash case,
+// a Begin nothing followed — swept by the next Open.
+func TestPendingLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, payload := keyFor("campaign-a"), []byte(`{"pf":0.25}`+"\n")
+
+	s.Begin(k).Abort()
+	if got := temps(t, dir); len(got) != 0 || s.Len() != 0 {
+		t.Fatalf("after Abort: temps %v, %d entries", got, s.Len())
+	}
+	if _, ok := s.Get(k); ok {
+		t.Fatal("an aborted entry is served")
+	}
+	if err := s.Begin(k).Commit(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Begin(k).Commit(payload); err != nil { // the key exists: nothing to write
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(k); !ok || string(got) != string(payload) {
+		t.Fatalf("Get = %q, %v; want the committed payload", got, ok)
+	}
+	if got := temps(t, dir); len(got) != 0 || s.Len() != 1 {
+		t.Fatalf("after two commits of one key: temps %v, %d entries", got, s.Len())
+	}
+	bad := s.Begin("../../etc/passwd")
+	if err := bad.Commit(payload); err == nil {
+		t.Fatal("Commit under an invalid key succeeded")
+	}
+	s.Begin("not-a-key").Abort()
+	if got := temps(t, dir); len(got) != 0 {
+		t.Fatalf("after an invalid key: temps %v", got)
+	}
+
+	// A process killed between Begin and Commit: the file exists, nothing
+	// will ever finish it.
+	orphan := s.Begin(keyFor("campaign-b"))
+	<-orphan.created
+	if orphan.err != nil {
+		t.Fatal(orphan.err)
+	}
+	orphan.tmp.Close()
+	if got := temps(t, dir); len(got) != 1 {
+		t.Fatalf("a begun entry has temps %v, want one", got)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := temps(t, dir); len(got) != 0 || s2.Len() != 1 {
+		t.Fatalf("after reopen: temps %v, %d entries; want none and the one committed", got, s2.Len())
+	}
+}
+
+// TestConcurrentCommitsOfOneKey races commits of one content address (two
+// jobs of one campaign: cancel, resubmit, and the first finishes anyway):
+// every one succeeds, one entry results, it verifies, no temp is left.
+func TestConcurrentCommitsOfOneKey(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, payload := keyFor("campaign-a"), []byte(strings.Repeat(`{"pf":0.25}`, 4096))
+	const writers = 8
+	entries := make([]*Pending, writers)
+	for i := range entries {
+		entries[i] = s.Begin(k)
+	}
+	var wg sync.WaitGroup
+	for _, e := range entries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := e.Commit(payload); err != nil {
+				t.Error(err)
+			}
+			if got, ok := s.Get(k); !ok || string(got) != string(payload) {
+				t.Errorf("Get after Commit: %d bytes, %v", len(got), ok)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := temps(t, dir); len(got) != 0 || s.Len() != 1 {
+		t.Fatalf("temps %v, %d entries; want none and one", got, s.Len())
+	}
+	if s2, err := Open(dir); err != nil || s2.Len() != 1 {
+		t.Fatalf("reopen: %d entries, %v", s2.Len(), err)
+	}
+}
+
+// TestGetDoesNotWaitForCommit holds a commit inside its fsync and reads
+// another key meanwhile: Put used to keep the store's lock across both of
+// its fsyncs, so a cache hit read from the disk queued behind whatever
+// campaign was committing. The entry being committed is not served until
+// its commit is over.
+func TestGetDoesNotWaitForCommit(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ka, kb := keyFor("campaign-a"), keyFor("campaign-b")
+	if err := s.Put(ka, []byte("a\n")); err != nil {
+		t.Fatal(err)
+	}
+	inSync, release := make(chan struct{}), make(chan struct{})
+	s.fsync = func(f *os.File) error {
+		close(inSync)
+		<-release
+		return f.Sync()
+	}
+	committed := make(chan error, 1)
+	go func() { committed <- s.Put(kb, []byte("b\n")) }()
+	<-inSync
+	// With the lock held across the fsync this Get would deadlock the test
+	// (release comes after it), so a regression fails by timeout.
+	if got, ok := s.Get(ka); !ok || string(got) != "a\n" {
+		t.Errorf("Get during a commit = %q, %v", got, ok)
+	}
+	if _, ok := s.Get(kb); ok {
+		t.Error("an entry is served before its commit is over")
+	}
+	if s.Len() != 1 {
+		t.Errorf("Len during a commit = %d, want 1", s.Len())
+	}
+	close(release)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(kb); !ok || string(got) != "b\n" {
+		t.Errorf("Get after the commit = %q, %v", got, ok)
 	}
 }
