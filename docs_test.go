@@ -1,0 +1,104 @@
+package repro
+
+import (
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// The documents cite DESIGN.md's sections by number and the repository's
+// files by name. These tests fail when a citation dangles, so a re-cut of
+// DESIGN.md or a renamed file cannot leave a stale pointer behind.
+
+var (
+	designCite    = regexp.MustCompile("DESIGN\\.md`?\\s*§(\\d+)")
+	designSection = regexp.MustCompile(`(?m)^## §(\d+) `)
+	fileCite      = regexp.MustCompile("`([^`\\s]+\\.(?:go|md|json))`")
+)
+
+// repoFiles lists every file under the repository root, slash-separated,
+// leaving out .git and the benchmark's untracked scratch (.gitignore).
+func repoFiles(t *testing.T) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == ".git" || d.Name() == ".bench_tmp" || d.Name() == ".bench_build") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() {
+			files = append(files, filepath.ToSlash(p))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+func readFile(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestDesignCitationsResolve: every DESIGN.md section cited by number in
+// a .go or .md file is a "## §N" heading of DESIGN.md. CHANGES.md (the
+// history) and ISSUE.md (a task statement) quote sections as they were;
+// bench/ is a contract only a benchmark change edits.
+func TestDesignCitationsResolve(t *testing.T) {
+	sections := map[string]bool{}
+	for _, m := range designSection.FindAllStringSubmatch(readFile(t, "DESIGN.md"), -1) {
+		sections[m[1]] = true
+	}
+	for _, f := range repoFiles(t) {
+		if f == "CHANGES.md" || f == "ISSUE.md" || strings.HasPrefix(f, "bench/") {
+			continue
+		}
+		if ext := path.Ext(f); ext != ".go" && ext != ".md" {
+			continue
+		}
+		for i, line := range strings.Split(readFile(t, f), "\n") {
+			for _, m := range designCite.FindAllStringSubmatch(line, -1) {
+				if !sections[m[1]] {
+					t.Errorf("%s:%d cites DESIGN.md §%s, which has no such section", f, i+1, m[1])
+				}
+			}
+		}
+	}
+}
+
+// TestDocumentedFilesExist: every backticked .go, .md or .json name in
+// DESIGN.md, README.md and docs/ARCHITECTURE.md is a file. A name with a
+// directory is a path from the repository root (or the tail of one); a
+// bare name may live anywhere.
+func TestDocumentedFilesExist(t *testing.T) {
+	files := repoFiles(t)
+	exists := func(name string) bool {
+		for _, f := range files {
+			if f == name || strings.HasSuffix(f, "/"+name) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, doc := range []string{"DESIGN.md", "README.md", "docs/ARCHITECTURE.md"} {
+		for i, line := range strings.Split(readFile(t, doc), "\n") {
+			for _, m := range fileCite.FindAllStringSubmatch(line, -1) {
+				if !exists(m[1]) {
+					t.Errorf("%s:%d names `%s`, which is no file in the repository", doc, i+1, m[1])
+				}
+			}
+		}
+	}
+}

@@ -23,27 +23,6 @@ func (t *Tally) Add(u Tally) {
 	t.Failures += u.Failures
 }
 
-// Sub removes a previously folded tally from t (used when a shard's
-// in-flight partial tally is replaced by its final counts). The fold is
-// clamped: on the coordinator requeue path a reclaimed shard's in-flight
-// partial can exceed its replacement's counts, and an unguarded
-// subtraction would drive Done or Failures negative — feeding
-// out-of-range inputs into the Wilson interval and the stopping rule. A
-// clamped tally stays a valid (0 <= Failures <= Done) sample.
-func (t *Tally) Sub(u Tally) {
-	t.Done -= u.Done
-	t.Failures -= u.Failures
-	if t.Done < 0 {
-		t.Done = 0
-	}
-	if t.Failures < 0 {
-		t.Failures = 0
-	}
-	if t.Failures > t.Done {
-		t.Failures = t.Done
-	}
-}
-
 // Pf returns the progressive failure-probability estimate over the
 // completed experiments (0 while nothing has completed).
 func (t Tally) Pf() float64 {

@@ -48,46 +48,6 @@ func TestTallyFoldExact(t *testing.T) {
 	}
 }
 
-func TestTallySub(t *testing.T) {
-	tl := Tally{Done: 10, Failures: 4}
-	tl.Add(Tally{Done: 5, Failures: 1})
-	tl.Sub(Tally{Done: 5, Failures: 1})
-	if tl != (Tally{Done: 10, Failures: 4}) {
-		t.Fatalf("Add/Sub not inverse: %+v", tl)
-	}
-}
-
-// TestTallySubClamped pins the requeue-corruption guard: subtracting an
-// in-flight partial that exceeds its replacement must clamp at a valid
-// sample instead of going negative — a negative tally would feed
-// out-of-range counts into the Wilson interval and the stopping rule.
-func TestTallySubClamped(t *testing.T) {
-	tl := Tally{Done: 3, Failures: 1}
-	tl.Sub(Tally{Done: 5, Failures: 2}) // reclaimed partial larger than fold
-	if tl != (Tally{}) {
-		t.Fatalf("over-subtraction not clamped to zero: %+v", tl)
-	}
-	tl = Tally{Done: 10, Failures: 2}
-	tl.Sub(Tally{Done: 0, Failures: 5})
-	if tl.Failures < 0 || tl.Failures > tl.Done {
-		t.Fatalf("failures outside [0, Done]: %+v", tl)
-	}
-	tl = Tally{Done: 10, Failures: 9}
-	tl.Sub(Tally{Done: 5, Failures: 0}) // failures would exceed done
-	if tl != (Tally{Done: 5, Failures: 5}) {
-		t.Fatalf("failures not clamped to Done: %+v", tl)
-	}
-	// The clamped result always yields in-range statistics.
-	for _, bad := range []Tally{{Done: 1, Failures: 1}, {Done: 100, Failures: 100}} {
-		tl := Tally{}
-		tl.Sub(bad)
-		lo, hi := tl.Interval(stats.Z95)
-		if !(lo >= 0 && lo <= hi && hi <= 1) {
-			t.Fatalf("clamped tally %+v yields interval [%v,%v]", tl, lo, hi)
-		}
-	}
-}
-
 // TestTallyEstimateDistinguishesNoData pins the progressive-progress
 // contract: a record with Done==0 reports Pf 0 with the vacuous (0,1)
 // Wilson interval, while a genuine zero-failure estimate reports Pf 0

@@ -122,11 +122,6 @@ type Options struct {
 	// Injecting mid-run matters for the open-line model, whose frozen
 	// value is the charge the net carries at that instant.
 	InjectAtFraction float64
-	// BudgetFactor scales the golden run length into the faulted-run cycle
-	// budget (hang detection). Default 3.
-	BudgetFactor uint64
-	// ExtraCycles is added on top of the scaled budget. Default 10000.
-	ExtraCycles uint64
 	// PulseCycles is the width of a SETPulse glitch in cycles: the net is
 	// forced to the complement of its present value for this many cycles,
 	// then released. Zero selects 1 (a single-cycle glitch). Permanent
@@ -156,15 +151,19 @@ type Options struct {
 	Obs *obs.Registry
 }
 
+// A faulted run still going after budgetFactor × the golden run's length +
+// budgetExtra (cycles on RTL, instructions on the ISS) is a hang (DESIGN.md
+// §4). Constants, so a runner's budget is a function of its golden run.
+const (
+	budgetFactor = 3
+	budgetExtra  = 10_000
+)
+
+func faultedBudget(golden uint64) uint64 { return golden*budgetFactor + budgetExtra }
+
 // normalize applies the documented defaults and rejects an injection
 // fraction that would place the instant at or past the golden run's end.
 func (o *Options) normalize() error {
-	if o.BudgetFactor == 0 {
-		o.BudgetFactor = 3
-	}
-	if o.ExtraCycles == 0 {
-		o.ExtraCycles = 10000
-	}
 	if o.PulseCycles == 0 {
 		o.PulseCycles = 1
 	}
@@ -304,7 +303,7 @@ func NewRunner(p *asm.Program, opts Options) (*Runner, error) {
 	if opts.InjectAtFraction > 0 {
 		r.opts.InjectAtCycle = uint64(opts.InjectAtFraction * float64(r.GoldenCycles))
 	}
-	r.budget = r.GoldenCycles*opts.BudgetFactor + opts.ExtraCycles
+	r.budget = faultedBudget(r.GoldenCycles)
 	return r, nil
 }
 

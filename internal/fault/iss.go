@@ -166,7 +166,7 @@ func NewISSRunner(p *asm.Program, opts Options, cycleRef, fixedCycle uint64) (*I
 		r.injectExt = r.injectAt
 	}
 	r.opts.InjectAtCycle = r.injectExt
-	r.budget = r.GoldenInsts*r.opts.BudgetFactor + r.opts.ExtraCycles
+	r.budget = faultedBudget(r.GoldenInsts)
 	r.pulseTicks = r.opts.PulseCycles
 	if cycleRef != 0 {
 		if r.pulseTicks = r.mapTicks(r.opts.PulseCycles); r.pulseTicks == 0 {

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 
@@ -154,6 +155,11 @@ func cachedPlan(ctx context.Context, key string, build func() (*hybridPlan, erro
 	}
 	select {
 	case <-e.done:
+		// The owner's cancellation is not this caller's. Its entry is
+		// already evicted, so asking again builds or joins a live one.
+		if ctx.Err() == nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
+			return cachedPlan(ctx, key, build)
+		}
 		return e.plan, e.err
 	case <-ctx.Done():
 		return nil, ctx.Err()

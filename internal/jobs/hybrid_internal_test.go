@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -88,5 +89,65 @@ func TestFailedPlanLeavesLaterEntryAlone(t *testing.T) {
 	})
 	if err != nil || got != live {
 		t.Errorf("B's second call: plan %p, err %v; want the cached %p", got, err, live)
+	}
+}
+
+// joinedCtx is a live context that reports when cachedPlan first waits on
+// it: the select that asks for Done is where a waiter has joined an entry.
+type joinedCtx struct {
+	context.Context
+	once   sync.Once
+	joined chan struct{}
+}
+
+func (c *joinedCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.joined) })
+	return c.Context.Done()
+}
+
+// TestPlanWaiterOutlivesCancelledOwner: a user cancels a hybrid job and
+// resubmits it while the cancelled job is still building the plan. The
+// fresh job joins that build; when the owner's context is cancelled, the
+// fresh job, which nobody cancelled, must get a plan — built by itself or
+// joined live — and not the owner's context.Canceled.
+func TestPlanWaiterOutlivesCancelledOwner(t *testing.T) {
+	reset := func() {
+		planCache.mu.Lock()
+		planCache.m, planCache.order = nil, nil
+		planCache.mu.Unlock()
+	}
+	reset()
+	t.Cleanup(reset)
+	ownerCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	building := make(chan struct{})
+	ownerDone := make(chan error)
+	go func() {
+		_, err := cachedPlan(ownerCtx, "key", func() (*hybridPlan, error) {
+			close(building)
+			<-ownerCtx.Done()
+			return nil, ownerCtx.Err()
+		})
+		ownerDone <- err
+	}()
+	<-building
+	waiter := &joinedCtx{Context: context.Background(), joined: make(chan struct{})}
+	live := &hybridPlan{}
+	type reply struct {
+		plan *hybridPlan
+		err  error
+	}
+	waiterDone := make(chan reply)
+	go func() {
+		p, err := cachedPlan(waiter, "key", func() (*hybridPlan, error) { return live, nil })
+		waiterDone <- reply{p, err}
+	}()
+	<-waiter.joined
+	cancel()
+	if err := <-ownerDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("owner: err %v, want context.Canceled", err)
+	}
+	if r := <-waiterDone; r.err != nil || r.plan != live {
+		t.Fatalf("waiter with a live context: plan %p, err %v; want its own plan %p, not another caller's cancellation", r.plan, r.err, live)
 	}
 }

@@ -591,6 +591,13 @@ func experimentsFor(r fault.CampaignEngine, n Request) []fault.Experiment {
 	return exps
 }
 
+// The repository benchmark (bench/, which no PR but a [benchmark] one
+// edits) imports Execute, ExecuteObs, ExecuteShard, ExecuteSharded,
+// PlanShards, EncodeOutcome, NewManager and OpenManager. Each Execute* is
+// one call — into runRange, or ExecuteSharded into a ShardPool — so what
+// looks like twin entry points is that pinned surface, and no twin is left
+// to collapse.
+
 // Execute runs one campaign request synchronously on the process-wide
 // memoized runner cache and returns its canonical outcome. Cancellation
 // via ctx stops the engine within one dispatch granule and returns

@@ -527,9 +527,8 @@ func TestReclaimsDoNotTripPoisonBound(t *testing.T) {
 // then crashes mid-shard must never drive the coordinator's merged
 // progressive tally negative (or beyond the campaign total), and the
 // recovered campaign must still merge to the unsharded bytes. The
-// coordinator clamps reported tallies into the leased range and
-// campaign.Tally.Sub clamps the fold, so every progress snapshot the
-// pool emits stays a valid sample.
+// coordinator clamps reported tallies into the leased range, so every
+// progress snapshot the pool emits stays a valid sample.
 func TestCrashedWorkerTallyNeverNegative(t *testing.T) {
 	pool := jobs.NewShardPool(jobs.ShardPoolOptions{Shards: 2, LocalWorkers: -1})
 	req := shardSpec("iu")

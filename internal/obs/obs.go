@@ -244,17 +244,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return &Counter{s: v.f.seriesFor(values)}
 }
 
-// GaugeVec is a gauge family with labels. With is nil-safe.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil || v.f == nil {
-		return nil
-	}
-	return &Gauge{s: v.f.seriesFor(values)}
-}
-
 // HistogramVec is a histogram family with labels. With is nil-safe.
 type HistogramVec struct{ f *family }
 
@@ -290,14 +279,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	}
 	f := r.getOrCreate(name, help, kindGauge, nil, nil)
 	return &Gauge{s: f.seriesFor(nil)}
-}
-
-// GaugeVec registers (or returns) a labelled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.getOrCreate(name, help, kindGauge, labels, nil)}
 }
 
 // Histogram registers (or returns) an unlabelled histogram with the given

@@ -22,7 +22,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Gauge("g", "h").Dec()
 	r.Histogram("hist", "h", DurationBuckets).Observe(0.5)
 	r.CounterVec("cv", "h", "a").With("x").Inc()
-	r.GaugeVec("gv", "h", "a").With("x").Set(2)
 	r.HistogramVec("hv", "h", DurationBuckets, "a").With("x").Observe(1)
 	r.GaugeFunc("gf", "h", func() float64 { return 1 })
 	r.CounterFunc("cf", "h", func() float64 { return 1 })
