@@ -102,3 +102,43 @@ func TestDocumentedFilesExist(t *testing.T) {
 		}
 	}
 }
+
+var (
+	testFunc   = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
+	runPattern = regexp.MustCompile(`-run '([^']*)'`)
+	testName   = regexp.MustCompile(`\b(?:Test|Fuzz)\w+`)
+	fuzzTarget = regexp.MustCompile(`(?m)^\t.*-fuzz (\w+)`) // in a recipe line
+)
+
+// TestCINamesExist: every Test… or Fuzz… name in a -run pattern of the CI
+// workflow, and every -fuzz target of the Makefile, is a function of some
+// _test.go file. A pattern that names a renamed test still passes — it
+// matches nothing — so without this the test silently drops out of the
+// step that selects it.
+func TestCINamesExist(t *testing.T) {
+	defined := map[string]bool{}
+	for _, f := range repoFiles(t) {
+		if strings.HasSuffix(f, "_test.go") {
+			for _, m := range testFunc.FindAllStringSubmatch(readFile(t, f), -1) {
+				defined[m[1]] = true
+			}
+		}
+	}
+	cited := map[string]string{}
+	for _, m := range runPattern.FindAllStringSubmatch(readFile(t, ".github/workflows/ci.yml"), -1) {
+		for _, name := range testName.FindAllString(m[1], -1) {
+			cited[name] = "ci.yml"
+		}
+	}
+	for _, m := range fuzzTarget.FindAllStringSubmatch(readFile(t, "Makefile"), -1) {
+		cited[m[1]] = "Makefile"
+	}
+	if len(cited) == 0 {
+		t.Fatal("no test names found in ci.yml or the Makefile: the patterns above no longer read them")
+	}
+	for name, where := range cited {
+		if !defined[name] {
+			t.Errorf("%s names %s, which no _test.go file defines", where, name)
+		}
+	}
+}

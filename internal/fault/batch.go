@@ -101,7 +101,7 @@ type verdicts struct {
 	idx     map[forcing]int32
 	chunks  []*[verdictChunk]verdict
 	n       int
-	calls   atomic.Uint32 // calls begun on the runner; see begin
+	calls   atomic.Uint64 // calls begun on the runner; see begin
 	entries *obs.Gauge    // engine_verdict_table_entries
 }
 
@@ -111,7 +111,7 @@ const verdictChunk = 64
 // own Fault and Unit.
 type verdict struct {
 	mu      sync.Mutex
-	call    uint32 // the call that resolved it; 0 while unresolved
+	call    uint64 // the call that resolved it; 0 while unresolved
 	outcome Outcome
 	latency int64
 	cycles  uint64
@@ -131,13 +131,15 @@ func newVerdicts(reg *obs.Registry) verdicts {
 }
 
 // begin numbers a call, so that its lanes can tell a twin from a verdict the
-// runner already knew.
-func (t *verdicts) begin() uint32 { return t.calls.Add(1) }
+// runner already knew. The count is 64 bits wide: a warm daemon's runner
+// begins thousands of calls a second, so 32 would wrap within days onto 0,
+// the unresolved mark, and onto numbers its verdicts still carry.
+func (t *verdicts) begin() uint64 { return t.calls.Add(1) }
 
 // once fills res with forcing f's verdict — run's, called under the verdict's
 // lock, if no lane of f arrived on this runner before — and says how it was
 // reached.
-func (t *verdicts) once(f forcing, call uint32, res *Result, run func()) int {
+func (t *verdicts) once(f forcing, call uint64, res *Result, run func()) int {
 	t.mu.Lock()
 	i, ok := t.idx[f]
 	if !ok {
@@ -171,7 +173,7 @@ func (t *verdicts) once(f forcing, call uint32, res *Result, run func()) int {
 // number in the runner's verdict table. Kept by the runner between campaigns,
 // like its engines.
 type memo struct {
-	call uint32
+	call uint64
 
 	netIdx map[rtl.WitnessNet]int32
 	nets   []rtl.WitnessNet
@@ -385,7 +387,7 @@ func (r *Runner) runGroup(exps []Experiment, m *memo, idxs []int, deliver func(i
 // resolveOnce returns activated lane l's verdict: a permanent forcing's
 // through the runner's table, under the lane's own Fault; a transient —
 // keyed by an instant of its own — resolved here.
-func (r *Runner) resolveOnce(eng *engine, lad *ladder, l *lane, call uint32) Result {
+func (r *Runner) resolveOnce(eng *engine, lad *ladder, l *lane, call uint64) Result {
 	if l.e.Model.Transient() {
 		return r.resolve(eng, lad, l)
 	}
@@ -403,6 +405,9 @@ func (r *Runner) resolveOnce(eng *engine, lad *ladder, l *lane, call uint32) Res
 // earlier than the lane's injection instant — at which the lane's forcing
 // is read with a differing bit, or -1 if it never is again: a binary search
 // into the net's runs, then the first run whose accumulator fires the probe.
+// Asked from the log's start — every permanent lane is, at the runner's
+// fixed instant — a forcing's answer is the first run that read its bit
+// with the differing value, which the log keeps per bit (netLog.first).
 // A glitch stops being read when its window closes; the log ends with the
 // golden run. An upset is asked with from a cycle boundary at which its
 // universe is the golden one but for the seed bit — its instant, or where
@@ -421,10 +426,21 @@ func (l *lane) nextActivation(from uint64) int64 {
 		end = l.pulseEnd
 	}
 	from = max(from, l.injectAt)
-	if from >= end {
+	runs := &l.log.runs
+	if from >= end || runs.n == 0 {
 		return -1
 	}
-	runs := &l.log.runs
+	if !l.flip && from <= uint64(runs.at(0).t) {
+		read := 1 // the value whose read the forcing inverts
+		if l.forcedOne {
+			read = 0
+		}
+		k := l.log.first[read][l.shift]
+		if k < 0 || uint64(runs.at(int(k)).t) >= end {
+			return -1
+		}
+		return int64(runs.at(int(k)).t)
+	}
 	i := sort.Search(runs.n, func(i int) bool { ru := runs.at(i); return uint64(ru.t)+uint64(ru.n) > from })
 	for ; i < runs.n && uint64(runs.at(i).t) < end; i++ {
 		ru := runs.at(i)

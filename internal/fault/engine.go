@@ -2,6 +2,7 @@ package fault
 
 import (
 	"context"
+	"strings"
 
 	"repro/internal/iss"
 	"repro/internal/leon3"
@@ -68,13 +69,21 @@ func (r *Runner) InjectCycle() uint64 { return r.opts.InjectAtCycle }
 // enumerateNodes builds the annotated injectable-node list of a target
 // from a throwaway core. Node identity comes from the RTL design alone,
 // so the ISS engine enumerates through the same kernel and yields the
-// byte-identical list the RTL engine does.
+// byte-identical list the RTL engine does. Every node's name is printed here,
+// once per runner and into one string, for the outcomes of every campaign
+// to share (NodeInfo.String).
 func enumerateNodes(entry uint32, target Target) []NodeInfo {
 	core := leon3.New(mem.NewBus(mem.NewMemory()), entry)
 	nodes := core.K.Nodes(target.Prefix())
+	// A string from the builder never changes, so each name is a slice of
+	// what it has built so far.
+	var names strings.Builder
+	names.Grow(24 * len(nodes)) // a name is some 20 bytes
 	out := make([]NodeInfo, len(nodes))
 	for j, n := range nodes {
-		out[j] = NodeInfo{Node: n, Unit: sparc.Unit(core.K.UnitOf(n.Name))}
+		start := names.Len()
+		names.WriteString(n.String())
+		out[j] = NodeInfo{Node: n, Unit: sparc.Unit(core.K.UnitOf(n.Name)), name: names.String()[start:]}
 	}
 	return out
 }

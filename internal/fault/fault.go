@@ -93,6 +93,19 @@ func (o Outcome) IsFailure() bool { return o != OutcomeNoEffect }
 type NodeInfo struct {
 	Node rtl.Node
 	Unit sparc.Unit
+	// name is Node.String(), printed when the runner enumerated its
+	// population; empty in a hand-built value. A copy whose Node is edited
+	// keeps the old name: derive a node as NodeInfo{Node: ..., Unit: ...}.
+	name string
+}
+
+// String returns the node's name as outcomes carry it, Node.String(): the
+// copy printed at enumeration, or printed now for a hand-built value.
+func (n NodeInfo) String() string {
+	if n.name != "" {
+		return n.name
+	}
+	return n.Node.String()
 }
 
 // Result is the outcome of one injection experiment.
@@ -318,16 +331,33 @@ func (r *Runner) Nodes(target Target) []NodeInfo {
 }
 
 // SampleNodes draws a deterministic uniform sample of n nodes (statistical
-// fault injection). If n >= len(nodes) the full set is returned.
+// fault injection): nodes at the first n positions of
+// rand.New(rand.NewSource(seed)).Perm(len(nodes)). If n >= len(nodes) the
+// full set is returned, in order; if n <= 0, an empty sample.
 func SampleNodes(nodes []NodeInfo, n int, seed int64) []NodeInfo {
 	if n >= len(nodes) {
 		return nodes
 	}
+	if n <= 0 {
+		return []NodeInfo{}
+	}
+	// Perm's inside-out shuffle (m[i] = m[j]; m[j] = i, j drawn from [0,i])
+	// on the first n positions alone: a step moves what sits at a position
+	// at or past n only to another such position, so the prefix needs every
+	// draw and nothing else of the permutation. Position n stands for all of
+	// those: what is stored there is never read.
 	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(len(nodes))
-	out := make([]NodeInfo, n)
+	idx := make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		out[i] = nodes[perm[i]]
+		j := rng.Intn(i + 1)
+		idx[i], idx[j] = idx[j], int32(i)
+	}
+	for i := n; i < len(nodes); i++ {
+		idx[min(rng.Intn(i+1), n)] = int32(i)
+	}
+	out := make([]NodeInfo, n)
+	for k, i := range idx[:n] {
+		out[k] = nodes[i]
 	}
 	return out
 }
@@ -667,10 +697,13 @@ func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, wor
 		// dispatch returns with every worker gone: no lane still reads the memo.
 		defer r.putMemo(m)
 	}
-	counted := func(i int, res Result) {
-		r.met.experiments.Inc()
-		if tap != nil {
-			tap(i, res)
+	counted := tap
+	if r.met.live {
+		counted = func(i int, res Result) {
+			r.met.experiments.Inc()
+			if tap != nil {
+				tap(i, res)
+			}
 		}
 	}
 	return dispatch(ctx, len(exps), len(plan), workers, counted, stop, func(g int, deliver func(int, Result)) {
@@ -729,23 +762,28 @@ func dispatch(ctx context.Context, n, granules, workers int, tap func(i int, res
 		cctx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
-	var mu sync.Mutex
-	done, failures := 0, 0
-	deliver := func(i int, res Result) {
-		results[i] = res
-		mu.Lock()
-		ran[i] = true
-		done++
-		if res.Outcome.IsFailure() {
-			failures++
-		}
-		d, f := done, failures
-		mu.Unlock()
-		if tap != nil {
-			tap(i, res)
-		}
-		if stop != nil && stop(d, f) {
-			cancel()
+	// Without a tap or a stop rule nobody reads a count, and each experiment's
+	// slots are written by the one worker that ran it: no lock.
+	deliver := func(i int, res Result) { results[i], ran[i] = res, true }
+	if tap != nil || stop != nil {
+		var mu sync.Mutex
+		done, failures := 0, 0
+		deliver = func(i int, res Result) {
+			results[i] = res
+			mu.Lock()
+			ran[i] = true
+			done++
+			if res.Outcome.IsFailure() {
+				failures++
+			}
+			d, f := done, failures
+			mu.Unlock()
+			if tap != nil {
+				tap(i, res)
+			}
+			if stop != nil && stop(d, f) {
+				cancel()
+			}
 		}
 	}
 	halted := cctx.Done()

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -76,6 +78,66 @@ func TestSampleNodesDeterministic(t *testing.T) {
 	}
 	if got := SampleNodes(nodes, len(nodes)+5, 1); len(got) != len(nodes) {
 		t.Errorf("oversample returned %d nodes", len(got))
+	}
+}
+
+// TestSampleNodesMatchesPerm holds the sample, drawn without a permutation,
+// to the permutation it is a prefix of: for sizes 1, 2, 48, 256 and either
+// side of the IU population's, under 64 seeds, the sample is the nodes at
+// rand.Perm's first n positions — the whole population, in order, from its
+// size on — and a size of 0 or less is an empty sample.
+func TestSampleNodesMatchesPerm(t *testing.T) {
+	nodes := newRunner(t, "excerptA", workloads.Config{}).Nodes(TargetIU)
+	pop := len(nodes)
+	for _, n := range []int{1, 2, 48, 256, pop - 1, pop, pop + 1} {
+		for seed := int64(0); seed < 64; seed++ {
+			got := SampleNodes(nodes, n, seed)
+			want := nodes
+			if n < pop {
+				want = make([]NodeInfo, n)
+				for i, j := range rand.New(rand.NewSource(seed)).Perm(pop)[:n] {
+					want[i] = nodes[j]
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("SampleNodes(%d of %d, seed %d) is not the nodes at Perm's first %d positions", n, pop, seed, n)
+			}
+		}
+	}
+	for _, n := range []int{0, -1} {
+		if got := SampleNodes(nodes, n, 1); got == nil || len(got) != 0 {
+			t.Errorf("SampleNodes(%d) = %v, want an empty sample", n, got)
+		}
+	}
+}
+
+// TestNodeNamesPrintedOnce: every node a runner enumerates carries the name
+// Node.String() prints, on both engines, and a hand-built NodeInfo without
+// one prints the same.
+func TestNodeNamesPrintedOnce(t *testing.T) {
+	w, err := workloads.Build("excerptA", workloads.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(w.Program, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir, err := NewISSRunner(w.Program, Options{}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []CampaignEngine{r, ir} {
+		for _, target := range []Target{TargetIU, TargetCMEM} {
+			for _, n := range eng.Nodes(target) {
+				if n.name == "" || n.String() != n.Node.String() {
+					t.Fatalf("%T %v: enumerated as %q, Node.String() prints %q", eng, target, n.name, n.Node.String())
+				}
+				if hand := (NodeInfo{Node: n.Node, Unit: n.Unit}); hand.String() != n.String() {
+					t.Fatalf("hand-built %v prints %q, enumerated %q", n.Node, hand.String(), n.String())
+				}
+			}
+		}
 	}
 }
 

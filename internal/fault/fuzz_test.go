@@ -13,8 +13,8 @@ import (
 // FuzzLaneEquivalence is the engine oracle on generated programs: for a
 // constrained-random terminating SPARC program, any injectable node of
 // either target, any fault model and any instant, the production engine —
-// ladder from reset, 64-lane groups over the read log, upsets among them,
-// parked and teleported — must return what the from-reset scalar reference returns,
+// ladder from the fixed instant, 64-lane groups over the read log, upsets
+// among them, parked and teleported — must return what the from-reset scalar reference returns,
 // byte for byte, by every path checkEngine walks (one batch of seven,
 // RunOne, single-lane campaigns). The fuzzed experiment shares its
 // batch with a second upset on the same net, a SET pulse one cycle later
@@ -30,38 +30,46 @@ import (
 // second campaign then overlaps the first on the same runner — the node's own
 // forcings again, beside those of its sibling bit and of a neighbouring node
 // the table has not seen — and is held to the reference too: a verdict kept
-// stale, or keyed short of its bit, polarity or word, is a finding.
+// stale, or keyed short of its bit, polarity or word, is a finding. The
+// runners' fixed instant is reset or a mid-run fraction, so the permanent
+// lanes' log-start answer (netLog.first) is held to the reference both where
+// the log starts at reset and where it starts mid-run.
 //
 // Smoke: make fuzz-smoke; longer:
 // go test -run '^$' -fuzz FuzzLaneEquivalence -fuzztime 5m ./internal/fault/
 func FuzzLaneEquivalence(f *testing.F) {
 	// Program seed, node index (IU enumeration, then CMEM), model, instant
-	// (modulo the golden run's length + 64, so some land past program exit).
-	f.Add(int64(1), uint32(2500), uint8(rtl.BitFlip), uint32(700)) // iu.rf.regs[31].13
-	f.Add(int64(2), uint32(7000), uint8(rtl.BitFlip), uint32(0))   // cmem.ic.tags[47].4, at reset
-	f.Add(int64(3), uint32(40), uint8(rtl.BitFlip), uint32(1200))  // iu.de.pc.7: a register upset, a lane through its clock edges
-	f.Add(int64(4), uint32(3000), uint8(rtl.SETPulse), uint32(90000))
-	f.Add(int64(5), uint32(9000), uint8(rtl.OpenLine), uint32(15)) // cmem.ic.data[50].13
-	f.Add(int64(1), uint32(2222), uint8(rtl.StuckAt0), uint32(1<<31))
+	// (modulo the golden run's length + 64, so some land past program exit),
+	// fixed instant (fixed%4 quarters of the golden run: 0 is reset).
+	f.Add(int64(1), uint32(2500), uint8(rtl.BitFlip), uint32(700), uint8(0)) // iu.rf.regs[31].13
+	f.Add(int64(2), uint32(7000), uint8(rtl.BitFlip), uint32(0), uint8(0))   // cmem.ic.tags[47].4, at reset
+	f.Add(int64(3), uint32(40), uint8(rtl.BitFlip), uint32(1200), uint8(0))  // iu.de.pc.7: a register upset, a lane through its clock edges
+	f.Add(int64(4), uint32(3000), uint8(rtl.SETPulse), uint32(90000), uint8(0))
+	f.Add(int64(5), uint32(9000), uint8(rtl.OpenLine), uint32(15), uint8(0)) // cmem.ic.data[50].13
+	f.Add(int64(1), uint32(2222), uint8(rtl.StuckAt0), uint32(1<<31), uint8(0))
 	// One net of the PC chain per model: the dead-EX-gate hangs resolve
 	// proves wedged (RAM addresses have bit 30 set and bit 31 clear).
-	f.Add(int64(6), uint32(31), uint8(rtl.StuckAt1), uint32(0))        // iu.fe.pc.31
-	f.Add(int64(7), uint32(33+30), uint8(rtl.StuckAt0), uint32(300))   // iu.de.pc.30
-	f.Add(int64(8), uint32(190+30), uint8(rtl.OpenLine), uint32(500))  // iu.ra.pc.30, open at its reset charge
-	f.Add(int64(9), uint32(443+12), uint8(rtl.BitFlip), uint32(400))   // iu.ex.pc.12
-	f.Add(int64(10), uint32(918+20), uint8(rtl.SETPulse), uint32(350)) // iu.ctl.exppc.20: the fetch is sent away, the target taken back
+	f.Add(int64(6), uint32(31), uint8(rtl.StuckAt1), uint32(0), uint8(0))        // iu.fe.pc.31
+	f.Add(int64(7), uint32(33+30), uint8(rtl.StuckAt0), uint32(300), uint8(0))   // iu.de.pc.30
+	f.Add(int64(8), uint32(190+30), uint8(rtl.OpenLine), uint32(500), uint8(0))  // iu.ra.pc.30, open at its reset charge
+	f.Add(int64(9), uint32(443+12), uint8(rtl.BitFlip), uint32(400), uint8(0))   // iu.ex.pc.12
+	f.Add(int64(10), uint32(918+20), uint8(rtl.SETPulse), uint32(350), uint8(0)) // iu.ctl.exppc.20: the fetch is sent away, the target taken back
 	// Upsets that ride their net's log past the injection instant.
-	f.Add(int64(2), uint32(1009), uint8(rtl.BitFlip), uint32(600)) // iu.psr.tbr.9: carried to program exit unread, parked from its instant on
-	f.Add(int64(1), uint32(4348), uint8(rtl.BitFlip), uint32(61))  // iu.rf.regs[89].5: read under a don't-care, parked, then overwritten
-	f.Add(int64(1), uint32(993), uint8(rtl.BitFlip), uint32(20))   // iu.psr.wim.1: parked and teleported eight times, then never read again
-	f.Add(int64(3), uint32(34), uint8(rtl.BitFlip), uint32(307))   // iu.de.pc.1 on a bubble: the first edge takes the pending word
-	f.Add(int64(1), uint32(7045), uint8(rtl.BitFlip), uint32(20))  // cmem.ic.tags[49].3: re-parked between its set's lookups, other lines refilled meanwhile
-	f.Fuzz(func(t *testing.T, seed int64, node uint32, model uint8, instant uint32) {
+	f.Add(int64(2), uint32(1009), uint8(rtl.BitFlip), uint32(600), uint8(0)) // iu.psr.tbr.9: carried to program exit unread, parked from its instant on
+	f.Add(int64(1), uint32(4348), uint8(rtl.BitFlip), uint32(61), uint8(0))  // iu.rf.regs[89].5: read under a don't-care, parked, then overwritten
+	f.Add(int64(1), uint32(993), uint8(rtl.BitFlip), uint32(20), uint8(0))   // iu.psr.wim.1: parked and teleported eight times, then never read again
+	f.Add(int64(3), uint32(34), uint8(rtl.BitFlip), uint32(307), uint8(0))   // iu.de.pc.1 on a bubble: the first edge takes the pending word
+	f.Add(int64(1), uint32(7045), uint8(rtl.BitFlip), uint32(20), uint8(0))  // cmem.ic.tags[49].3: re-parked between its set's lookups, other lines refilled meanwhile
+	// Permanent lanes asked from a log that starts mid-run.
+	f.Add(int64(2), uint32(2222), uint8(rtl.StuckAt1), uint32(900), uint8(2)) // a register-file word stuck from half-way
+	f.Add(int64(5), uint32(9000), uint8(rtl.OpenLine), uint32(15), uint8(1))  // cmem.ic.data[50].13, open from a quarter in
+	f.Fuzz(func(t *testing.T, seed int64, node uint32, model uint8, instant uint32, fixed uint8) {
 		p, err := asm.Assemble(difftest.Generate(seed, difftest.AllFeatures(200)), mem.RAMBase)
 		if err != nil {
 			t.Fatalf("generated program %d: %v", seed, err)
 		}
-		lanes, ref := enginePair(t, p, Options{PulseCycles: 2}) // skips a program that ends in a trap
+		// Skips a program that ends in a trap.
+		lanes, ref := enginePair(t, p, Options{PulseCycles: 2, InjectAtFraction: float64(fixed%4) / 4})
 		iu, cmem := lanes.Nodes(TargetIU), lanes.Nodes(TargetCMEM)
 		var n NodeInfo
 		if i := int(node) % (len(iu) + len(cmem)); i < len(iu) {
@@ -71,7 +79,7 @@ func FuzzLaneEquivalence(f *testing.F) {
 		}
 		models := rtl.AllFaultModels()
 		at := uint64(instant) % (lanes.GoldenCycles + 64)
-		sibling := n
+		sibling := NodeInfo{Node: n.Node, Unit: n.Unit}
 		sibling.Node.Bit = 0
 		if n.Node.Bit == 0 {
 			// Bit 1 exists on every multi-bit net; on a 1-bit net the
@@ -155,7 +163,7 @@ func FuzzISSEquivalence(f *testing.F) {
 		} else {
 			n = cmem[i-len(iu)]
 		}
-		sibling := n
+		sibling := NodeInfo{Node: n.Node, Unit: n.Unit}
 		sibling.Node.Bit ^= 1
 		models := rtl.AllFaultModels()
 		exps := []Experiment{

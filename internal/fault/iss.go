@@ -472,7 +472,7 @@ func (r *ISSRunner) RunOne(e Experiment) Result { return r.resolve(e, r.verdicts
 // RTL nodes that hash onto one victim, and an open line beside the stuck-at
 // of its charge, are one run. A transient forks from its own sampled
 // instant. Fault, Unit and InjectAt are always the experiment's own.
-func (r *ISSRunner) resolve(e Experiment, call uint32) Result {
+func (r *ISSRunner) resolve(e Experiment, call uint64) Result {
 	r.met.experiments.Inc()
 	atExt := r.armAt(e)
 	at := r.mapTicks(atExt)

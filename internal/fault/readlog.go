@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -65,11 +66,15 @@ func (s *blocks[T]) push(x T) {
 
 // netLog is one net's golden reads, immutable once published: its runs in
 // time order, its raw word at rung 0 and what else its lanes asked for.
+// first[v][b] is the index of the first run that read bit b as v, -1 if
+// none did: a forcing's first activation from the log's start, without a
+// scan (lane.nextActivation).
 type netLog struct {
-	runs blocks[netRun]
-	v0   uint64
-	vals blocks[change]
-	has  logExtra
+	runs  blocks[netRun]
+	v0    uint64
+	vals  blocks[change]
+	has   logExtra
+	first [2][64]int32
 }
 
 // logExtra is what a net's log holds beyond its reads, walked on demand: a
@@ -89,12 +94,35 @@ const (
 )
 
 // bytes is the log's footprint against logBudget: its blocks, their lists,
-// and a flat charge for the struct and its map entry.
+// the first-read table (512) and a flat charge for the rest of the struct
+// and its map entry.
 func (lg *netLog) bytes() int {
 	if lg == nil {
 		return 0
 	}
-	return 160 + 24*(cap(lg.runs.b)+cap(lg.vals.b)) + blockLen*(24*len(lg.runs.b)+16*len(lg.vals.b))
+	return 160 + 512 + 24*(cap(lg.runs.b)+cap(lg.vals.b)) + blockLen*(24*len(lg.runs.b)+16*len(lg.vals.b))
+}
+
+// noneRead is the first-read table of a log no run has read.
+var noneRead = func() (t [2][64]int32) {
+	for v := range t {
+		for b := range t[v] {
+			t[v][b] = -1
+		}
+	}
+	return t
+}()
+
+// noteFirst records run j, ru, as the first reader of every bit it reads as
+// 0 or as 1 that no earlier run read so; seen is what the earlier runs read,
+// and takes ru's reads.
+func (lg *netLog) noteFirst(seen *[2]uint64, ru netRun, j int) {
+	for v, m := range [2]uint64{ru.zeros &^ seen[0], ru.ones &^ seen[1]} {
+		for ; m != 0; m &= m - 1 {
+			lg.first[v][bits.TrailingZeros64(m)] = int32(j)
+		}
+	}
+	seen[0], seen[1] = seen[0]|ru.zeros, seen[1]|ru.ones
 }
 
 // valueAt returns the net's raw word at cycle boundary t.
@@ -172,6 +200,7 @@ func (r *Runner) readLogs(m *memo) {
 // array word changes only through a write, which the witness records (first,
 // or after the read that did), so it is compared on the cycles it was
 // touched alone. With logEdges the witness watches a register's clock edges.
+// The first run to read a bit as 0, or as 1, is noted in the log's first.
 func (r *Runner) logWalk(nets []rtl.WitnessNet, extras []logExtra) []*netLog {
 	eng := r.getEngine()
 	defer r.putEngine(eng)
@@ -185,14 +214,15 @@ func (r *Runner) logWalk(nets []rtl.WitnessNet, extras []logExtra) []*netLog {
 	var (
 		logs   = make([]*netLog, len(nets))
 		evs    []rtl.WitnessEvent
-		poll   []int32                     // the signals whose raw word is polled
-		onRead = make([]bool, len(nets))   // the array words compared when touched
-		last   = make([]uint64, len(nets)) // a polled net's raw word when last compared
+		poll   []int32                        // the signals whose raw word is polled
+		onRead = make([]bool, len(nets))      // the array words compared when touched
+		last   = make([]uint64, len(nets))    // a polled net's raw word when last compared
+		read   = make([][2]uint64, len(nets)) // per net, the bits its runs read as 0, as 1
 	)
 	for k, n := range nets {
 		last[k] = w.Sample(k)
 		// Each log is its own object: a kept one must not pin a dropped one.
-		logs[k] = &netLog{v0: last[k], has: extras[k]}
+		logs[k] = &netLog{v0: last[k], has: extras[k], first: noneRead}
 		if extras[k]&logValues != 0 {
 			if onRead[k] = core.K.IsArrayWord(rtl.Node{Name: n.Name}); !onRead[k] {
 				poll = append(poll, int32(k))
@@ -234,6 +264,9 @@ func (r *Runner) logWalk(nets []rtl.WitnessNet, extras []logExtra) []*netLog {
 					ru.n++
 					continue
 				}
+			}
+			if seen := &read[e.Net]; next.zeros&^seen[0]|next.ones&^seen[1] != 0 {
+				logs[e.Net].noteFirst(seen, next, runs.n)
 			}
 			runs.push(next)
 		}

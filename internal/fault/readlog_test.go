@@ -554,3 +554,69 @@ func TestNextActivationMatchesLiveWitness(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstActivationMatchesScan holds the log-start answer — the first-read
+// table a walk fills per bit (netLog.first) — to a scan over the net's runs
+// written here: for every IU and CMEM net, at fixed instants 0 and 0.3, every
+// bit and both polarities, with no window end and with one at rung 0's next
+// cycle or mid-run, a forcing asked from the log's start (or before it)
+// activates where the scan first finds its bit read with the value it
+// inverts, inside the window.
+func TestFirstActivationMatchesScan(t *testing.T) {
+	for name, p := range logPrograms(t) {
+		for _, frac := range []float64{0, 0.3} {
+			t.Run(fmt.Sprintf("%s@%v", name, frac), func(t *testing.T) {
+				r, err := NewRunner(p, Options{InjectAtFraction: frac})
+				if err != nil {
+					t.Skipf("no golden run: %v", err)
+				}
+				nets := allNets(r)
+				logs := r.logWalk(nets, make([]logExtra, len(nets)))
+				if logs == nil {
+					t.Fatal("the logging walk's witness did not arm")
+				}
+				start := r.ladder().start
+				scan := func(lg *netLog, bit int, forcedOne bool, end uint64) int64 {
+					for j := 0; j < lg.runs.n; j++ {
+						ru := lg.runs.at(j)
+						if end != 0 && uint64(ru.t) >= end {
+							break
+						}
+						m := ru.ones
+						if forcedOne {
+							m = ru.zeros
+						}
+						if m>>bit&1 != 0 {
+							return int64(ru.t)
+						}
+					}
+					return -1
+				}
+				asked, activated := 0, 0
+				for i, lg := range logs {
+					for bit := 0; bit < 64; bit++ {
+						for _, forcedOne := range []bool{false, true} {
+							for _, end := range []uint64{0, start + 1, (start + r.GoldenCycles) / 2} {
+								l := lane{injectAt: start, pulseEnd: end, log: lg, probe: probe{shift: uint8(bit), forcedOne: forcedOne}}
+								want := scan(lg, bit, forcedOne, end)
+								for _, from := range []uint64{0, start} {
+									asked++
+									if got := l.nextActivation(from); got != want {
+										t.Fatalf("%v bit %d forced to %v, window end %d: nextActivation(%d) = %d, the scan says %d",
+											nets[i], bit, forcedOne, end, from, got, want)
+									}
+								}
+								if want >= 0 {
+									activated++
+								}
+							}
+						}
+					}
+				}
+				if activated == 0 || activated == asked/2 {
+					t.Fatalf("%d of %d questions activated: the nets do not reach both answers", activated, asked/2)
+				}
+			})
+		}
+	}
+}

@@ -3,7 +3,9 @@ package fault
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -162,6 +164,88 @@ func TestRunnerKeepsVerdicts(t *testing.T) {
 			if after := entries(t, r); after != n || work(t, r) == before {
 				t.Errorf("a seu+set campaign took the table from %v to %v entries and the work from %v to %v: want it stepped and none kept",
 					n, after, before, work(t, r))
+			}
+		})
+	}
+}
+
+// TestVerdictCallsDoNotWrap runs a runner's call counter across 2³² on both
+// engines: the counter is started at 2³²−2 after a first campaign (call 1),
+// and three overlapping campaigns then begin calls 2³²−1, 2³² and 2³²+1 —
+// which, 32 bits wide, would be 0 (the unresolved mark: its verdicts stepped
+// again) and 1 (the first campaign's: its verdicts counted twins). Results,
+// work and every verdict counter must equal those of a runner that counted
+// from 1, every verdict of the last campaign must be reused, and the counter
+// must read past 2³².
+func TestVerdictCallsDoNotWrap(t *testing.T) {
+	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []struct {
+		name  string
+		build func(opts Options) (CampaignEngine, *verdicts, error)
+	}{
+		{"rtl", func(opts Options) (CampaignEngine, *verdicts, error) {
+			r, err := NewRunner(w.Program, opts)
+			if err != nil {
+				return nil, nil, err
+			}
+			return r, &r.verdicts, nil
+		}},
+		{"iss", func(opts Options) (CampaignEngine, *verdicts, error) {
+			r, err := NewISSRunner(w.Program, opts, 0, 0)
+			if err != nil {
+				return nil, nil, err
+			}
+			return r, &r.verdicts, nil
+		}},
+	} {
+		t.Run(eng.name, func(t *testing.T) {
+			// run builds a runner, runs four campaigns on it — the counter
+			// moved to start after the first — and returns their results and
+			// the deterministic counters after each.
+			run := func(start uint64) (res [][]Result, counters []map[string]float64, table *verdicts) {
+				reg := obs.NewRegistry()
+				r, table, err := eng.build(Options{InjectAtFraction: 0.5, Obs: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				nodes := SampleNodes(r.Nodes(TargetIU), 96, 3)
+				for k, span := range [][2]int{{0, 48}, {24, 72}, {48, 96}, {0, 96}} {
+					if k == 1 && start != 0 {
+						table.calls.Store(start)
+					}
+					got, _, err := r.CampaignStopContext(context.Background(), Expand(nodes[span[0]:span[1]], rtl.FaultModels()...), 2, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := engineCounters(t, reg)
+					for name := range c {
+						if strings.Contains(name, "seconds") {
+							delete(c, name)
+						}
+					}
+					res, counters = append(res, got), append(counters, c)
+				}
+				return res, counters, table
+			}
+			wantRes, want, _ := run(0)
+			gotRes, got, table := run(math.MaxUint32 - 1)
+			if !reflect.DeepEqual(gotRes, wantRes) {
+				t.Error("campaigns across the wrap differ from those of a runner counting from 1")
+			}
+			for k := range want {
+				if !reflect.DeepEqual(got[k], want[k]) {
+					t.Errorf("after campaign %d: counters %v, a runner counting from 1 reads %v", k, got[k], want[k])
+				}
+			}
+			stepped := map[string]string{"rtl": "engine_faulted_cycles_total", "iss": `iss_engine_verdicts_total{path="stepped"}`}[eng.name]
+			if got[3][stepped] != got[2][stepped] || got[2][stepped] == 0 {
+				t.Errorf("%s: %v after three campaigns, %v after a fourth over their union: want every verdict reused", stepped, got[2][stepped], got[3][stepped])
+			}
+			if calls := table.calls.Load(); calls != math.MaxUint32+2 {
+				t.Errorf("the call counter reads %d after four campaigns from %d, want %d", calls, uint64(math.MaxUint32-1), uint64(math.MaxUint32+2))
 			}
 		})
 	}

@@ -285,12 +285,13 @@ func (p *hybridPlan) escalations(start, end int) []int {
 // — an audited one carries RTL truth plus the prediction it replaced, a
 // trusted one its ISS prediction — and the result behind it.
 func (p *hybridPlan) outcome(i int) (ExperimentOutcome, fault.Result) {
+	node := p.exps[i].Node.String()
 	if !p.audited[i] {
-		eo := experimentOutcome(p.pred[i])
+		eo := experimentOutcome(p.pred[i], node)
 		eo.Engine = "iss"
 		return eo, p.pred[i]
 	}
-	eo := experimentOutcome(p.auditRes[i])
+	eo := experimentOutcome(p.auditRes[i], node)
 	eo.Engine, eo.Audited = "rtl", true
 	eo.Predicted = p.pred[i].Outcome.String()
 	return eo, p.auditRes[i]

@@ -397,21 +397,19 @@ type Outcome struct {
 	Experiments []ExperimentOutcome `json:"experiments"`
 }
 
-// experimentOutcome is the wire encoding of one raw engine result.
-func experimentOutcome(res fault.Result) ExperimentOutcome {
-	eo := ExperimentOutcome{
-		Node:    res.Fault.Node.String(),
+// experimentOutcome is the wire encoding of one raw engine result, node its
+// experiment's name (fault.NodeInfo.String: printed once per runner). A
+// transient's AtCycle is left to the caller, which keeps its range's
+// instants in one array (runRange).
+func experimentOutcome(res fault.Result, node string) ExperimentOutcome {
+	return ExperimentOutcome{
+		Node:    node,
 		Model:   res.Fault.Model.String(),
 		Unit:    res.Unit.String(),
 		Outcome: res.Outcome.String(),
 		Latency: res.Latency,
 		Cycles:  res.Cycles,
 	}
-	if res.Fault.Model.Transient() {
-		at := res.InjectAt
-		eo.AtCycle = &at
-	}
-	return eo
 }
 
 // noEffect is the one outcome string that does not count as a propagated
@@ -741,19 +739,21 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 		}
 	}
 	size := end - start
-	var mu sync.Mutex
-	done, failures := 0, 0
-	count := func(_ int, res fault.Result) {
-		if env.tap == nil {
-			return
+	// count tells the tap of every completion; nil without one, so that the
+	// engine takes no lock per experiment for nobody.
+	var count func(int, fault.Result)
+	if env.tap != nil {
+		var mu sync.Mutex
+		done, failures := 0, 0
+		count = func(_ int, res fault.Result) {
+			mu.Lock()
+			done++
+			if res.Outcome.IsFailure() {
+				failures++
+			}
+			env.tap(done, size, failures)
+			mu.Unlock()
 		}
-		mu.Lock()
-		done++
-		if res.Outcome.IsFailure() {
-			failures++
-		}
-		env.tap(done, size, failures)
-		mu.Unlock()
 	}
 	var stop func(done, failures int) bool
 	if whole {
@@ -783,7 +783,15 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 		Indices:      make([]int, 0, size),
 		Experiments:  make([]ExperimentOutcome, 0, size),
 	}
-	emit := func(i int, eo ExperimentOutcome) {
+	var instants []uint64 // the range's transient instants, which their outcomes point into
+	emit := func(i int, eo ExperimentOutcome, res fault.Result) {
+		if res.Fault.Model.Transient() {
+			if instants == nil {
+				instants = make([]uint64, size)
+			}
+			instants[i-start] = res.InjectAt
+			eo.AtCycle = &instants[i-start]
+		}
 		so.Indices = append(so.Indices, i)
 		so.Experiments = append(so.Experiments, eo)
 	}
@@ -793,16 +801,18 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 			// Resolved by the hybrid plan; counted as it is assembled (the
 			// engine-run ones reported live).
 			eo, res := plan.outcome(i)
-			count(i, res)
-			emit(i, eo)
+			if count != nil {
+				count(i, res)
+			}
+			emit(i, eo, res)
 			continue
 		}
 		if ran[j] {
-			eo := experimentOutcome(results[j])
+			eo := experimentOutcome(results[j], run[j].Node.String())
 			if plan != nil {
 				eo.Engine, eo.Predicted = "rtl", plan.pred[i].Outcome.String()
 			}
-			emit(i, eo)
+			emit(i, eo, results[j])
 		}
 		j++
 	}
