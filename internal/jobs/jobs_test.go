@@ -534,6 +534,64 @@ func TestManagerWatch(t *testing.T) {
 	}
 }
 
+// TestWatchPacesSnapshots holds a watcher's intermediate snapshots to one
+// per 50 ms: a campaign that reports every experiment in a burst, stalls,
+// then bursts again shows its watcher the stall's far side, not a snapshot
+// per 64th of the campaign — so how many lines a progress stream carries
+// does not hang on how the campaign's shards and the host's load interleave
+// its reports.
+func TestWatchPacesSnapshots(t *testing.T) {
+	const n = 768
+	started, release := make(chan struct{}), make(chan struct{})
+	exec := func(ctx context.Context, req jobs.Request, workers int, tap jobs.Tap) (*jobs.Outcome, error) {
+		close(started)
+		<-release
+		for d := 1; d <= n; d++ {
+			tap(d, n, 0)
+			if d == n/2 {
+				time.Sleep(150 * time.Millisecond)
+			}
+		}
+		return &jobs.Outcome{Request: req, Injections: n}, nil
+	}
+	m := jobs.NewManager(jobs.ManagerOptions{Concurrency: 1, Executor: exec})
+	defer m.Close()
+	st, _, err := m.Submit(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	ch, unsub, err := m.Watch(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unsub()
+	close(release)
+
+	var mid []int // Done of every snapshot between the first and the terminal one
+	var last jobs.Progress
+	for p := range ch {
+		if last.State != "" && !p.State.Terminal() {
+			mid = append(mid, p.Done)
+		}
+		last = p
+	}
+	if last.State != jobs.StateDone || last.Done != n {
+		t.Fatalf("terminal snapshot = %+v, want done with %d", last, n)
+	}
+	// One snapshot past the stall; a scheduler hiccup of 50 ms inside a burst
+	// may add one more, a snapshot per 64th would add sixty.
+	past := 0
+	for _, d := range mid {
+		if d > n/2 {
+			past++
+		}
+	}
+	if past == 0 || len(mid) > 3 {
+		t.Errorf("intermediate snapshots at done = %v, want the one past the stall at %d and no more than a hiccup's", mid, n/2)
+	}
+}
+
 // TestManagerRealCancellation exercises the full stack — manager, Execute
 // and the fault engine's context plumbing — and checks an in-flight
 // campaign stops within one experiment granule of cancellation.

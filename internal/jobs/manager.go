@@ -144,7 +144,11 @@ type job struct {
 	done     int
 	total    int
 	failures int
-	step     int // progress notification stride
+	// shown and shownAt are the done count and the time of the latest
+	// intermediate snapshot (shownAt: of the job's start before there is
+	// one); see progressGap.
+	shown   int
+	shownAt time.Time
 
 	cancel   context.CancelFunc
 	watchers []chan Progress
@@ -507,11 +511,19 @@ func (m *Manager) Cancel(id string) (Status, error) {
 	}
 }
 
+// progressGap is the least time between a job's start or intermediate
+// progress snapshot and its next intermediate one, which is also at least a
+// 64th of its experiments further on. A campaign shorter than the gap shows
+// its watchers its state changes alone, however its shards interleave: how
+// many snapshots a watcher reads does not hang on the host's load.
+const progressGap = 50 * time.Millisecond
+
 // Watch subscribes to a job's progress. The returned channel first yields
-// the job's current snapshot, then throttled incremental snapshots, and
-// finally the terminal snapshot, after which it is closed. Slow consumers
-// lose intermediate snapshots (newest wins), never the terminal one. The
-// unsubscribe function releases the subscription early.
+// the job's current snapshot, then incremental snapshots (paced by
+// progressGap), and finally the terminal snapshot, after which it is
+// closed. Slow consumers lose intermediate snapshots (newest wins), never
+// the terminal one. The unsubscribe function releases the subscription
+// early.
 func (m *Manager) Watch(id string) (<-chan Progress, func(), error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -585,6 +597,7 @@ func (m *Manager) worker() {
 		j.state = StateRunning
 		ctx, cancel := context.WithCancel(m.baseCtx)
 		j.cancel = cancel
+		j.shownAt = time.Now() //lint:allow det progress-snapshot pacing, observation only
 		m.notifyLocked(j)
 		m.mu.Unlock()
 
@@ -604,12 +617,12 @@ func (m *Manager) worker() {
 		out, err := m.exec(obs.WithTracer(ctx, tr), j.req, m.opts.CampaignWorkers, func(done, total, failures int) {
 			m.mu.Lock()
 			j.done, j.total, j.failures = done, total, failures
-			if j.step == 0 {
-				// ~64 notifications per campaign, plus the final one.
-				j.step = total/64 + 1
-			}
-			if done == total || done%j.step == 0 {
-				m.notifyLocked(j)
+			if done-j.shown > total/64 {
+				//lint:allow det progress-snapshot pacing, observation only
+				if now := time.Now(); now.Sub(j.shownAt) >= progressGap {
+					j.shown, j.shownAt = done, now
+					m.notifyLocked(j)
+				}
 			}
 			m.mu.Unlock()
 		})
