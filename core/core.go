@@ -33,13 +33,13 @@
 // simulated to program exit.
 //
 // From the ladder, experiments run bit-parallel (PPSFP): the engine
-// batches fault universes — lanes, in groups of 64 — over a log of which
-// bit values the golden run read every batched net with (one witnessed
-// walk per net per runner), finalizes the lanes that provably never
-// activate as no-effect without simulating them, and re-runs only the
-// activated lanes scalar from the nearest frozen golden state (DESIGN.md
-// §10). Batching is invisible to result encodings, content addresses and
-// shard merges.
+// runs fault universes as lanes — one experiment each, the dispatch
+// granule — over a log of which bit values the golden run read every net
+// with (one witnessed walk per net per runner), finalizes the lanes that
+// provably never activate as no-effect without simulating them, and
+// re-runs only the activated lanes scalar from the nearest frozen golden
+// state (DESIGN.md §10). Batching is invisible to result encodings,
+// content addresses and shard merges.
 //
 // There is one engine selector. CampaignSpec.NoCheckpoint (request field
 // no_checkpoint, `faultcampaign -no-checkpoint`, fault.Options.NoCheckpoint)
@@ -197,8 +197,8 @@ type CampaignSpec struct {
 	// Permanent models and BitFlip ignore it.
 	PulseCycles uint64 `json:"pulse_cycles,omitempty"`
 	// NoCheckpoint selects the from-reset scalar reference engine instead
-	// of the production one (ladder forks on pooled cores, 64-lane
-	// witnessed batches, reconvergence drops): a fresh core per
+	// of the production one (ladder forks on pooled cores, lanes over the
+	// golden read log, reconvergence drops): a fresh core per
 	// experiment, simulated from reset. Results are identical at a much
 	// higher cost; it exists for checking the engine and measuring its
 	// speedup.

@@ -26,10 +26,10 @@
 // equivalence tests compare against.
 //
 // On top of the checkpoint, experiments execute bit-parallel in the
-// PPSFP style: the runner batches fault universes (lanes) in groups of 64
-// over a log of what the golden run read of each net, walked once per
-// runner through the kernel's per-cycle read witnesses, to
-// prove most lanes never activate — those are classified no-effect
+// PPSFP style: the runner asks of each fault universe (lane), one
+// experiment at a time, a log of what the golden run read of its net,
+// walked once per runner through the kernel's per-cycle read witnesses,
+// to prove most lanes never activate — those are classified no-effect
 // without being simulated — while activated lanes fall back to an exact
 // scalar run forked from the ladder. Per-lane results are
 // byte-identical to the scalar engine (TestEngineEquivalence,

@@ -10,6 +10,7 @@ import (
 	"repro/internal/leon3"
 	"repro/internal/obs"
 	"repro/internal/rtl"
+	"repro/internal/sparc"
 )
 
 // This file implements the bit-parallel (PPSFP) campaign engine: what the
@@ -18,9 +19,10 @@ import (
 // value — or, for an upset word, read at all before it is overwritten — and
 // only those lanes ever pay for a scalar simulation.
 // The reads come from the runner's read log (readlog.go), walked once per
-// net: a lane is a cursor over its net's log, built by the worker that runs
-// its 64-lane group — the dispatch granule — and asked one question,
-// nextActivation.
+// net: a lane is a cursor over its net's log, built by the worker that draws
+// its experiment — the dispatch granule — and asked one question,
+// nextActivation. Lanes share their net's log and nothing else, so none
+// waits behind another.
 //
 // Classic PPSFP packs one gate-level net's value across 64 test patterns
 // into a machine word. That transplant is impossible for a word-level
@@ -62,13 +64,9 @@ import (
 // runner's verdict table hands it that lane's verdict (resolveOnce). A forked
 // lane that heals is dropped back onto the golden trajectory, or
 // teleported forward to its next activation cycle; one whose state
-// recurs is a proven hang. A group keeps no golden state and steps no
-// golden cycle: a campaign whose nets are all logged only reads.
-
-// maxLanes is the lane capacity of one group, the PPSFP word width the
-// design is named for. The group is the dispatch granule, so 64 also
-// bounds the stop-rule and cancellation overshoot per worker.
-const maxLanes = 64
+// recurs is a proven hang. A lane keeps no golden state and steps no
+// golden cycle: a campaign whose nets are all logged only reads, and a lane
+// takes an engine only to step its universe.
 
 // forcing keys a permanent universe — a line stuck at, or left open on, one
 // value from the runner's fixed instant on: the kernel arms an open line
@@ -167,7 +165,7 @@ func (t *verdicts) once(f forcing, call uint64, res *Result, run func()) int {
 	return verdictKnown
 }
 
-// memo is what the plan fixes for every group of one campaign call and no
+// memo is what the plan fixes for every lane of one campaign call and no
 // worker writes: the deduplicated nets of the call's lanes (lanes may fault
 // different bits, or models, of one net), their read logs, and the call's
 // number in the runner's verdict table. Kept by the runner between campaigns,
@@ -182,37 +180,22 @@ type memo struct {
 	netOf  []int32    // per experiment, its net; -1 for one that runs scalar
 }
 
-// planItem is one dispatch granule of a campaign: a single scalar
-// experiment (lanes nil), or the experiment indices of one group of up to
-// 64 lanes.
-type planItem struct {
-	idx   int
-	lanes []int
-}
-
-// planBatches partitions a campaign's experiments into dispatch
-// granules. Under NoCheckpoint — the reference engine — every experiment
-// is its own scalar granule. Otherwise an experiment is a lane, but for
-// three kinds that run scalar: a BitFlip on a net whose write side the
-// witness cannot watch — a wire, which carries no state to the next cycle
-// anyway, or a register too wide to tag (iu.md.acc, 64 bits); a hand-built
-// transient before the ladder's first rung, which cannot fork from it; and
-// an invalid node, which must reproduce the scalar engine's inject-error
-// result.
+// planBatches says which of a campaign's experiments run as lanes over
+// their net's log and which scalar (netOf < 0). Under NoCheckpoint — the
+// reference engine — every experiment runs scalar and the memo is nil.
+// Otherwise an experiment is a lane, but for three kinds that run scalar: a
+// BitFlip on a net whose write side the witness cannot watch — a wire, which
+// carries no state to the next cycle anyway, or a register too wide to tag
+// (iu.md.acc, 64 bits); a hand-built transient before the ladder's first
+// rung, which cannot fork from it; and an invalid node, which must reproduce
+// the scalar engine's inject-error result.
 //
-// The plan is in input order, which is what an adaptive stop samples: a
-// scalar granule at its experiment's position, a group where its last lane
-// falls. Result content is independent of the partition. The plan also asks
-// the runner, once, for the read logs of the lanes' nets (readLogs): the one
-// place a campaign may step golden cycles. The memo is nil under
-// NoCheckpoint.
-func (r *Runner) planBatches(exps []Experiment) ([]planItem, *memo) {
+// The plan also asks the runner, once, for the read logs of the lanes' nets
+// (readLogs): the one place a campaign may step golden cycles. Result
+// content does not depend on which experiments are lanes.
+func (r *Runner) planBatches(exps []Experiment) *memo {
 	if r.opts.NoCheckpoint {
-		plan := make([]planItem, len(exps))
-		for i := range plan {
-			plan[i].idx = i
-		}
-		return plan, nil
+		return nil
 	}
 	eng := r.getEngine()
 	k := eng.core.K
@@ -253,26 +236,14 @@ func (r *Runner) planBatches(exps []Experiment) ([]planItem, *memo) {
 	r.putEngine(eng)
 	r.met.lanesPlanned.Add(float64(lanes))
 	r.readLogs(m)
-	plan := make([]planItem, 0, (lanes+maxLanes-1)/maxLanes+len(exps)-lanes)
-	idxs := make([]int, 0, lanes) // every group's indices, in lane order
-	for i := range exps {
-		if m.netOf[i] < 0 {
-			plan = append(plan, planItem{idx: i})
-			continue
-		}
-		idxs = append(idxs, i)
-		if n := len(idxs); n%maxLanes == 0 || n == lanes {
-			plan = append(plan, planItem{lanes: idxs[(n-1)/maxLanes*maxLanes : n : n]})
-		}
-	}
-	return plan, m
+	return m
 }
 
-// lane is one fault universe: a lane of a group, or a scalar experiment
-// on its own.
+// lane is one fault universe: a cursor over its net's log, or a scalar
+// experiment on its own.
 type lane struct {
-	e        Experiment
 	f        rtl.Fault
+	unit     sparc.Unit
 	injectAt uint64
 	pulseEnd uint64 // SETPulse window end; 0 for the other models
 	// activateAt is the golden cycle at which the universe first differs
@@ -306,23 +277,23 @@ type probe struct {
 	flip bool
 }
 
-// newLane describes experiment e's universe as a scalar run: it leaves
-// the golden trajectory at its injection instant.
-func (r *Runner) newLane(e Experiment) lane {
-	l := lane{e: e, f: rtl.Fault{Node: e.Node.Node, Model: e.Model}, injectAt: r.armAt(e)}
+// newLane describes experiment e's universe in l, a zero lane, as a scalar
+// run: it leaves the golden trajectory at its injection instant.
+func (r *Runner) newLane(l *lane, e *Experiment) {
+	l.f, l.unit, l.injectAt = rtl.Fault{Node: e.Node.Node, Model: e.Model}, e.Node.Unit, r.armAt(e)
 	l.activateAt = l.injectAt
 	if e.Model == rtl.SETPulse {
 		l.pulseEnd = l.injectAt + r.opts.PulseCycles
 	}
-	return l
 }
 
-// batchLane describes experiment e's universe as a cursor over its net's
-// log: armed from its injection instant — a charge-sampling model's polarity
-// from the logged raw word there — it leaves the golden trajectory at its
-// first activation, if it has one.
-func (r *Runner) batchLane(e Experiment, lg *netLog) (l lane, activated bool) {
-	l = r.newLane(e)
+// batchLane describes experiment e's universe in l, a zero lane, as a cursor
+// over its net's log: armed from its injection instant — a charge-sampling
+// model's polarity from the logged raw word there — it leaves the golden
+// trajectory at its first activation, if it has one, and says whether it
+// does.
+func (r *Runner) batchLane(l *lane, e *Experiment, lg *netLog) (activated bool) {
+	r.newLane(l, e)
 	l.log = lg
 	l.probe = probe{shift: uint8(e.Node.Node.Bit), flip: e.Model == rtl.BitFlip}
 	switch e.Model {
@@ -340,65 +311,75 @@ func (r *Runner) batchLane(e Experiment, lg *netLog) (l lane, activated bool) {
 	if at >= 0 {
 		l.activateAt = uint64(at)
 	}
-	return l, at >= 0
+	return at >= 0
 }
 
-// result returns the lane's result before any verdict: no effect, no
+// result sets res to the lane's result before any verdict: no effect, no
 // latency, no cycles.
-func (l *lane) result() Result {
-	return Result{Fault: l.f, Unit: l.e.Node.Unit, Latency: -1, InjectAt: l.injectAt}
+func (l *lane) result(res *Result) {
+	res.Fault, res.Unit, res.Outcome = l.f, l.unit, OutcomeNoEffect
+	res.Latency, res.Cycles, res.InjectAt = -1, 0, l.injectAt
 }
 
-// runGroup executes one dispatch granule: the group of lanes idxs, each
-// built here from its net's log. Every result delivered is byte-identical
-// to what RunOne would produce for the experiment.
-func (r *Runner) runGroup(exps []Experiment, m *memo, idxs []int, deliver func(i int, res Result)) {
-	if len(m.logs) == 0 {
-		// The logging walk's witness failed to arm, which never happens
-		// with a same-program core and plan-validated nodes.
-		r.met.fallbacks.Add(float64(len(idxs)))
-		for _, i := range idxs {
-			deliver(i, r.RunOne(exps[i]))
+// runLane executes experiment e — number i of the campaign m planned, or,
+// with m nil, a scalar run — into res: the RTL engine's dispatch granule,
+// built and classified here. res is byte-identical to what RunOne produces
+// for e, whatever the plan.
+func (r *Runner) runLane(e *Experiment, m *memo, i int, res *Result) {
+	r.met.experiments.Inc()
+	var l lane
+	lad := r.ladder()
+	if m != nil && m.netOf[i] >= 0 {
+		if len(m.logs) == 0 {
+			// The logging walk's witness failed to arm, which never happens
+			// with a same-program core and plan-validated nodes: scalar.
+			r.met.fallbacks.Inc()
+		} else if r.batchLane(&l, e, m.logs[m.netOf[i]]) {
+			r.met.lanesActivated.Inc()
+			r.resolveOnce(lad, &l, m.call, res)
+			return
+		} else {
+			// A never-activated lane tracked the golden trajectory
+			// bit-for-bit to program exit: no consumer ever read its faulted
+			// bit with a differing value (an upset word was replaced, or left
+			// alone, before any read), so the scalar run would have produced
+			// the golden trace and length exactly.
+			r.met.lanesFree.Inc()
+			l.result(res)
+			res.Cycles = r.GoldenCycles
+			return
 		}
+	}
+	r.newLane(&l, e)
+	if lad != nil && l.injectAt < r.opts.InjectAtCycle {
+		lad = nil // a hand-built transient before the first rung: from reset
+	}
+	r.step(lad, &l, res)
+}
+
+// resolveOnce fills res with activated lane l's verdict: a permanent
+// forcing's through the runner's table, under the lane's own Fault; a
+// transient — keyed by an instant of its own — stepped here. A lane that
+// copies its verdict takes no engine.
+func (r *Runner) resolveOnce(lad *ladder, l *lane, call uint64, res *Result) {
+	if l.f.Model.Transient() {
+		r.step(lad, l, res)
 		return
 	}
-	lad := r.ladder()
-	eng := r.getEngine()
-	defer r.putEngine(eng)
-	for _, i := range idxs {
-		l, activated := r.batchLane(exps[i], m.logs[m.netOf[i]])
-		if activated {
-			r.met.lanesActivated.Inc()
-			deliver(i, r.resolveOnce(eng, lad, &l, m.call))
-			continue
-		}
-		// A never-activated lane tracked the golden trajectory bit-for-bit
-		// to program exit: no consumer ever read its faulted bit with a
-		// differing value (an upset word was replaced, or left alone,
-		// before any read), so the scalar run would have produced
-		// the golden trace and length exactly.
-		r.met.lanesFree.Inc()
-		res := l.result()
-		res.Cycles = r.GoldenCycles
-		deliver(i, res)
-	}
-}
-
-// resolveOnce returns activated lane l's verdict: a permanent forcing's
-// through the runner's table, under the lane's own Fault; a transient —
-// keyed by an instant of its own — resolved here.
-func (r *Runner) resolveOnce(eng *engine, lad *ladder, l *lane, call uint64) Result {
-	if l.e.Model.Transient() {
-		return r.resolve(eng, lad, l)
-	}
-	res := l.result()
-	switch r.verdicts.once(forcing{node: l.f.Node, one: l.forcedOne}, call, &res, func() { res = r.resolve(eng, lad, l) }) {
+	l.result(res)
+	switch r.verdicts.once(forcing{node: l.f.Node, one: l.forcedOne}, call, res, func() { r.step(lad, l, res) }) {
 	case verdictTwin:
 		r.met.proven[provenEquivalent].Inc()
 	case verdictKnown:
 		r.met.proven[provenKnown].Inc()
 	}
-	return res
+}
+
+// step resolves universe l into res on an engine taken for the run alone.
+func (r *Runner) step(lad *ladder, l *lane, res *Result) {
+	eng := r.getEngine()
+	r.resolve(eng, lad, l, res)
+	r.putEngine(eng)
 }
 
 // nextActivation returns the first golden cycle at or after from — and no
@@ -474,7 +455,7 @@ func (l *lane) nextActivation(from uint64) int64 {
 // universe sits on the instant itself and samples the present state.
 func (l *lane) arm(core *leon3.Core) error {
 	switch {
-	case l.log != nil && (l.e.Model == rtl.OpenLine || l.e.Model == rtl.SETPulse):
+	case l.log != nil && (l.f.Model == rtl.OpenLine || l.f.Model == rtl.SETPulse):
 		return core.K.InjectForced(l.f, l.sampled)
 	case l.flip && core.Cycles() > l.injectAt:
 		return core.K.FlipCarried(l.f.Node)

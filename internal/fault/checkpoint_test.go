@@ -275,25 +275,25 @@ func TestForkAllocatesNothing(t *testing.T) {
 		}
 	}
 	exps := Expand(SampleNodes(regs, 256, 1), rtl.StuckAt0, rtl.StuckAt1)
-	_, m := r.planBatches(exps)
+	m := r.planBatches(exps)
 	defer r.putMemo(m)
 	eng, lad := r.getEngine(), r.ladder()
 	forks := func() float64 { return engineCounters(t, reg)["engine_snapshot_materializations_total"] }
 	teleporting := 0
-	for i, e := range exps {
-		bl, activated := r.batchLane(e, m.logs[m.netOf[i]])
-		if !activated {
+	for i := range exps {
+		l := new(lane)
+		if !r.batchLane(l, &exps[i], m.logs[m.netOf[i]]) {
 			continue
 		}
-		l := &bl
 		before := forks()
-		want := r.resolve(eng, lad, l) // the first also warms the engine
+		var want, got Result
+		r.resolve(eng, lad, l, &want) // the first also warms the engine
 		if forks()-before < 3 {
 			continue
 		}
 		teleporting++
 		if allocs := testing.AllocsPerRun(5, func() {
-			if got := r.resolve(eng, lad, l); got != want {
+			if r.resolve(eng, lad, l, &got); got != want {
 				t.Fatalf("%v: resolved %+v, then %+v", l.f, want, got)
 			}
 		}); allocs != 0 {

@@ -6,17 +6,19 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rtl"
 	"repro/internal/workloads"
 )
 
 // TestCampaignContextCancel pins the cancellation contract: cancelling
-// mid-campaign stops the worker loops within one dispatch granule —
-// already-completed experiments keep their results, the remainder never
-// run — and the partial results come back with ctx.Err(). The run is on
-// the reference engine, whose granule is a single experiment; the batched
-// granule is pinned by TestCampaignStopContext.
+// mid-campaign stops the worker loops within one dispatch granule — one
+// experiment — already-completed experiments keep their results, the
+// remainder never run — and the partial results come back with ctx.Err().
+// The run is on the reference engine; TestCampaignStopContext stops the
+// batched one too.
 func TestCampaignContextCancel(t *testing.T) {
 	w, err := workloads.Build("excerptA", workloads.Config{})
 	if err != nil {
@@ -90,9 +92,8 @@ func TestCampaignContextComplete(t *testing.T) {
 // early stopping: the rule sees monotonically growing completion counts,
 // halting via it is a success (nil error) with a ran bitmap marking
 // exactly the completed prefix set, and experiments whose slot is unset
-// in the bitmap never executed. The scalar reference engine stops within
-// one experiment per worker; the batched engine within one 64-lane group
-// per worker, however many groups the campaign has.
+// in the bitmap never executed. Both engines stop within one experiment
+// per worker, the batched one however many lanes the campaign has.
 func TestCampaignStopContext(t *testing.T) {
 	w, err := workloads.Build("excerptA", workloads.Config{})
 	if err != nil {
@@ -125,9 +126,7 @@ func TestCampaignStopContext(t *testing.T) {
 		t.Fatalf("%d experiments completed, want within one granule of %d", completed, stopAt)
 	}
 
-	// Under the bit-parallel engine the dispatch granule is one group of
-	// up to 64 experiments per worker, so a stop overshoots by at most that
-	// much — never by the rest of the campaign.
+	// The bit-parallel engine's granule is one experiment too: a lane.
 	rb, err := NewRunner(w.Program, Options{InjectAtFraction: 0.3})
 	if err != nil {
 		t.Fatal(err)
@@ -143,11 +142,8 @@ func TestCampaignStopContext(t *testing.T) {
 			completedB++
 		}
 	}
-	if completedB < stopAt || completedB > stopAt+2*64 {
-		t.Fatalf("batched: %d experiments completed, want within one group per worker of %d", completedB, stopAt)
-	}
-	if completedB >= len(exps) {
-		t.Fatalf("batched campaign ran to completion (%d) despite stop rule", completedB)
+	if completedB < stopAt || completedB > stopAt+2 {
+		t.Fatalf("batched: %d experiments completed, want within one per worker of %d", completedB, stopAt)
 	}
 
 	// Unstopped: every experiment runs, bitmap all true, identical to the
@@ -178,28 +174,29 @@ func TestCampaignStopContext(t *testing.T) {
 }
 
 // TestDispatchDrawsInOrder holds the campaign loop itself, without an
-// engine, to how it hands granules out: every granule exactly once; one
-// worker takes them in order on the caller's own goroutine (a shard starts
-// none); never more workers than granules; and a stop rule halts each
-// worker within the granule it is on, with a nil error.
+// engine, to how it hands experiments out: every one exactly once, into its
+// own result slot; one worker takes them in order on the caller's own
+// goroutine (a shard starts none); never more workers than experiments; and
+// a stop rule halts each worker within the experiment it is on, with a nil
+// error.
 func TestDispatchDrawsInOrder(t *testing.T) {
-	one := func(g int, deliver func(int, Result)) { deliver(g, Result{Cycles: uint64(g)}) }
+	one := func(i int, res *Result) { res.Cycles = uint64(i) }
 
 	var order []int
 	before := runtime.NumGoroutine()
-	_, ran, err := dispatch(context.Background(), 100, 100, 1, nil, nil, func(g int, deliver func(int, Result)) {
+	_, ran, err := dispatch(context.Background(), 100, 1, nil, nil, func(i int, res *Result) {
 		if n := runtime.NumGoroutine(); n > before {
-			t.Errorf("granule %d: %d goroutines, %d before the campaign: a one-worker dispatch starts none", g, n, before)
+			t.Errorf("experiment %d: %d goroutines, %d before the campaign: a one-worker dispatch starts none", i, n, before)
 		}
-		order = append(order, g) // unsynchronized on purpose: one goroutine
-		one(g, deliver)
+		order = append(order, i) // unsynchronized on purpose: one goroutine
+		one(i, res)
 	})
 	if err != nil || len(order) != 100 {
-		t.Fatalf("one worker: %d granules, err %v", len(order), err)
+		t.Fatalf("one worker: %d experiments, err %v", len(order), err)
 	}
-	for g := range order {
-		if order[g] != g || !ran[g] {
-			t.Fatalf("one worker drew granule %d at position %d (ran %v)", order[g], g, ran[g])
+	for i := range order {
+		if order[i] != i || !ran[i] {
+			t.Fatalf("one worker drew experiment %d at position %d (ran %v)", order[i], i, ran[i])
 		}
 	}
 
@@ -211,50 +208,94 @@ func TestDispatchDrawsInOrder(t *testing.T) {
 		}
 		close(hold)
 	}()
-	results, ran, err := dispatch(context.Background(), 3, 3, 16, nil, nil, func(g int, deliver func(int, Result)) {
+	results, ran, err := dispatch(context.Background(), 3, 16, nil, nil, func(i int, res *Result) {
 		calls.Add(1)
 		if b := busy.Add(1); b > peak.Load() {
 			peak.Store(b)
 		}
-		<-hold // all three granules are in flight at once: three workers, not one
+		<-hold // all three experiments are in flight at once: three workers, not one
 		busy.Add(-1)
-		one(g, deliver)
+		one(i, res)
 	})
 	if err != nil || peak.Load() != 3 {
-		t.Fatalf("16 workers over 3 granules: peak %d at once, err %v; want 3", peak.Load(), err)
+		t.Fatalf("16 workers over 3 experiments: peak %d at once, err %v; want 3", peak.Load(), err)
 	}
-	for g := range results {
-		if !ran[g] || results[g].Cycles != uint64(g) {
-			t.Errorf("granule %d: ran %v, result %+v", g, ran[g], results[g])
+	for i := range results {
+		if !ran[i] || results[i].Cycles != uint64(i) {
+			t.Errorf("experiment %d: ran %v, result %+v", i, ran[i], results[i])
 		}
 	}
 
 	const workers, stopAt = 4, 10
 	var done atomic.Int64
-	_, ran, err = dispatch(context.Background(), 1000, 1000, workers, nil,
-		func(d, _ int) bool { return d >= stopAt }, func(g int, deliver func(int, Result)) {
+	_, ran, err = dispatch(context.Background(), 1000, workers, nil,
+		func(d, _ int) bool { return d >= stopAt }, func(i int, res *Result) {
 			done.Add(1)
-			one(g, deliver)
+			one(i, res)
 		})
 	if err != nil {
 		t.Fatalf("a stop is a success, got %v", err)
 	}
 	if n := done.Load(); n < stopAt || n > stopAt+workers {
-		t.Errorf("stopped after %d granules, want between %d and %d", n, stopAt, stopAt+workers)
+		t.Errorf("stopped after %d experiments, want between %d and %d", n, stopAt, stopAt+workers)
 	}
-	for g, ok := range ran { // in order: what ran is a prefix, give or take the workers' last draws
-		if ok && g >= stopAt+2*workers {
-			t.Errorf("granule %d ran after a stop at %d", g, stopAt)
+	for i, ok := range ran { // in order: what ran is a prefix, give or take the workers' last draws
+		if ok && i >= stopAt+2*workers {
+			t.Errorf("experiment %d ran after a stop at %d", i, stopAt)
 		}
 	}
 }
 
+// TestNoExperimentWaitsBehindABusyWorker holds the dispatch granule to one
+// experiment: a worker held in the tap at the campaign's first completion
+// keeps no other experiment from finishing — the other worker runs them all.
+// A granule of several lanes would leave the rest of the held worker's
+// granule unfinished until it is released, and the test would time out.
+func TestNoExperimentWaitsBehindABusyWorker(t *testing.T) {
+	w, err := workloads.Build("excerptA", workloads.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	r, err := NewRunner(w.Program, Options{InjectAtFraction: 0.3, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := Expand(SampleNodes(r.Nodes(TargetIU), 64, 2), rtl.FaultModels()...)
+	var first atomic.Bool
+	var others atomic.Int64
+	rest := make(chan struct{})
+	_, ran, err := r.CampaignStopContext(context.Background(), exps, 2, func(int, Result) {
+		if first.CompareAndSwap(false, true) {
+			select {
+			case <-rest:
+			case <-time.After(time.Minute):
+				t.Errorf("%d of the other %d experiments finished while the first one's worker was held", others.Load(), len(exps)-1)
+			}
+			return
+		}
+		if others.Add(1) == int64(len(exps)-1) {
+			close(rest)
+		}
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ok := range ran {
+		if !ok {
+			t.Fatalf("experiment %d never ran", i)
+		}
+	}
+	if lanes := engineCounters(t, reg)["engine_batch_lanes_planned_total"]; lanes < 128 {
+		t.Fatalf("%v lanes planned, want at least 128", lanes)
+	}
+}
+
 // TestStoppedCampaignSamplesInputMix pins what an adaptive stop samples:
-// the plan keeps input order — a scalar granule at its experiment's
-// position, a lane group where its last lane falls — so a campaign stopped
-// early has completed scalar upsets (the few the write side cannot watch:
-// wires and the 64-bit iu.md.acc, 22 of these 256) and upset lanes in
-// roughly the input's proportion, not one kind first.
+// experiments are drawn in input order, a lane and a scalar one alike, so a
+// campaign stopped early has completed scalar upsets (the few the write
+// side cannot watch: wires and the 64-bit iu.md.acc, 22 of these 256) and
+// upset lanes in roughly the input's proportion, not one kind first.
 func TestStoppedCampaignSamplesInputMix(t *testing.T) {
 	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 2})
 	if err != nil {
@@ -268,25 +309,13 @@ func TestStoppedCampaignSamplesInputMix(t *testing.T) {
 	r.ScheduleTransients(exps, 1)
 	scalar := make([]bool, len(exps))
 	scalars := 0
-	plan, groups := planned(r, exps)
-	at := -1
-	for _, it := range plan {
-		pos := it.idx
-		if it.lanes != nil {
-			pos = it.lanes[len(it.lanes)-1]
-		} else {
-			scalar[it.idx] = true
+	for i, n := range netsOf(r, exps) {
+		if n < 0 {
+			scalar[i] = true
 			scalars++
 		}
-		if pos <= at {
-			t.Fatalf("granule at experiment %d planned after one at %d", pos, at)
-		}
-		at = pos
 	}
-	if groups < 3 {
-		t.Fatalf("%d groups planned, want at least 3", groups)
-	}
-	if scalars < 16 || len(exps)-scalars < 2*maxLanes {
+	if scalars < 16 || len(exps)-scalars < 128 {
 		t.Fatalf("%d scalar of %d experiments: the campaign is not mixed", scalars, len(exps))
 	}
 	for _, workers := range []int{1, 2} {
@@ -307,8 +336,8 @@ func TestStoppedCampaignSamplesInputMix(t *testing.T) {
 		if done >= len(exps) {
 			t.Fatalf("%d workers: the campaign ran to completion despite the stop rule", workers)
 		}
-		// Input share within a factor of two: the stop lands on a group
-		// boundary, so the sampled share is not exact.
+		// Input share within a factor of two: the completed prefix is short,
+		// so the sampled share is not exact.
 		if got, want := float64(scalarDone)/float64(done), float64(scalars)/float64(len(exps)); got < want/2 || got > 2*want {
 			t.Errorf("%d workers: %d of %d completed experiments are scalar (%.2f), input share %.2f",
 				workers, scalarDone, done, got, want)

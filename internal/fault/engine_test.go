@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/asm"
 	"repro/internal/obs"
@@ -17,8 +18,8 @@ import (
 )
 
 // TestEngineEquivalence is the campaign engine's correctness contract:
-// the production engine — ladder forks on pooled cores, 64-lane witnessed
-// batches, reconvergence drops — must produce Result slices (outcomes,
+// the production engine — ladder forks on pooled cores, lanes over the
+// read log, reconvergence drops — must produce Result slices (outcomes,
 // latencies, run lengths, hence Pf) bit-identical to the NoCheckpoint
 // reference's, across both injection targets and all five fault models,
 // with transient instants scheduled over the full experiment list, by
@@ -54,13 +55,12 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestSharedPassEquivalence holds the engine contract where a campaign
-// has several 64-lane groups, which the small campaigns above never reach:
-// all five models with scheduled instants over a mixed IU+CMEM node
-// sample, so every net recurs in a later group under another model (Expand
-// is models-outer) and sa0/sa1/open/set/seu lanes of one net are cursors
-// over one log from different groups, on different workers at 2, 3 and 5 —
-// the bytes must not care.
+// TestSharedPassEquivalence holds the engine contract on campaigns larger
+// than the ones above reach: all five models with scheduled instants over
+// a mixed IU+CMEM node sample, so every net recurs later in the list under
+// another model (Expand is models-outer) and sa0/sa1/open/set/seu lanes of
+// one net are cursors over one log, resolved on more than one worker at 2,
+// 3 and 5 (acrossWorkers) — the bytes must not care.
 func TestSharedPassEquivalence(t *testing.T) {
 	for _, name := range []string{"excerptA", "rspeed"} {
 		t.Run(name, func(t *testing.T) {
@@ -72,13 +72,13 @@ func TestSharedPassEquivalence(t *testing.T) {
 			nodes := append(SampleNodes(prod.Nodes(TargetIU), 56, 13), SampleNodes(prod.Nodes(TargetCMEM), 32, 13)...)
 			exps := Expand(nodes, rtl.AllFaultModels()...)
 			prod.ScheduleTransients(exps, 13)
-			if _, groups := planned(prod, exps); groups < 6 {
-				t.Fatalf("%d groups planned: the campaign does not give five workers a group each", groups)
-			}
 			want := ref.Campaign(exps, 0)
-			for _, workers := range []int{1, 2, 3, 5} {
-				if got := prod.Campaign(exps, workers); !reflect.DeepEqual(got, want) {
-					t.Errorf("%d workers: multi-group campaign differs from the from-reset reference", workers)
+			if got := prod.Campaign(exps, 1); !reflect.DeepEqual(got, want) {
+				t.Error("1 worker: campaign differs from the from-reset reference")
+			}
+			for _, workers := range []int{2, 3, 5} {
+				if got := acrossWorkers(t, prod, exps, workers); !reflect.DeepEqual(got, want) {
+					t.Errorf("%d workers: campaign differs from the from-reset reference", workers)
 				}
 			}
 			if name == "excerptA" {
@@ -89,17 +89,59 @@ func TestSharedPassEquivalence(t *testing.T) {
 	}
 }
 
-// planned returns the production engine's plan for exps and the number of
-// lane groups in it.
-func planned(r *Runner, exps []Experiment) (plan []planItem, groups int) {
-	plan, m := r.planBatches(exps)
-	r.putMemo(m)
-	for _, it := range plan {
-		if it.lanes != nil {
-			groups++
-		}
+// netsOf returns the net of each of exps as r's plan makes it a lane, -1
+// for one that runs scalar.
+func netsOf(r *Runner, exps []Experiment) []int32 {
+	m := r.planBatches(exps)
+	defer r.putMemo(m)
+	return slices.Clone(m.netOf)
+}
+
+// acrossWorkers runs exps on r with workers (at least 2) and returns the
+// results. The first worker to finish a lane whose net has other lanes is
+// held in the tap until all of those have finished — on other workers, as
+// the held one draws nothing meanwhile — so lanes of one net are resolved
+// on more than one worker. The test fails if they never finish: a lane
+// queued behind the held one.
+func acrossWorkers(t *testing.T, r *Runner, exps []Experiment, workers int) []Result {
+	t.Helper()
+	netOf := netsOf(r, exps)
+	lanes := map[int32]int{}
+	for _, n := range netOf {
+		lanes[n]++
 	}
-	return plan, groups
+	var mu sync.Mutex
+	held, left := int32(-1), 0 // the held lane's net, and its lanes not yet finished
+	rest := make(chan struct{})
+	got, _, err := r.CampaignStopContext(context.Background(), exps, workers, func(i int, _ Result) {
+		n := netOf[i]
+		mu.Lock()
+		if n >= 0 && held < 0 && lanes[n] > 1 {
+			held, left = n, lanes[n]-1
+			mu.Unlock()
+			select {
+			case <-rest:
+			case <-time.After(time.Minute):
+				mu.Lock()
+				t.Errorf("%d workers: %d lanes of the held lane's net still unfinished after a minute", workers, left)
+				mu.Unlock()
+			}
+			return
+		}
+		if n >= 0 && n == held {
+			if left--; left == 0 {
+				close(rest)
+			}
+		}
+		mu.Unlock()
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held < 0 {
+		t.Fatal("no net has two lanes")
+	}
+	return got
 }
 
 // enginePair builds the production runner for opts and its NoCheckpoint
@@ -262,8 +304,8 @@ func TestKeptObjectsSurviveCollections(t *testing.T) {
 }
 
 // TestBatchedCampaignRace drives the bit-parallel engine through a
-// parallel campaign of many groups — more than one for some of eight
-// workers, lanes of one net on different workers — so `go test -race`
+// parallel campaign on eight workers, lanes of one net resolved on more
+// than one of them (acrossWorkers) — so `go test -race`
 // exercises the concurrent first build of the golden ladder, the one
 // logging walk the others wait behind, concurrent cursors over one net's
 // log, copy-on-write rung forks and per-lane materialization — and the lane
@@ -271,8 +313,8 @@ func TestKeptObjectsSurviveCollections(t *testing.T) {
 // seu+set+sa1 campaigns then run at once on the same runner: scalar wire
 // flips, register and register-file SEU lanes, SET lanes and permanent lanes of
 // both share its one ladder and its one read log. The runner's verdict
-// table is raced with them: the sa0, sa1 and open-line lanes of a node sit
-// in different groups, so a twin looks its forcing up while other workers
+// table is raced with them: the sa0, sa1 and open-line lanes of a node are
+// drawn apart, so a twin looks its forcing up while other workers
 // add theirs, and finds it resolved, being resolved by another worker (it
 // waits) or new; the serial campaign it is held to runs on a runner of its
 // own, or it would find every verdict known. Last, campaigns cancelled at their first completion —
@@ -296,10 +338,7 @@ func TestBatchedCampaignRace(t *testing.T) {
 	nodes := SampleNodes(r.Nodes(TargetIU), 160, 11)
 	exps := Expand(nodes, rtl.AllFaultModels()...)
 	r.ScheduleTransients(exps, 4)
-	if _, groups := planned(r, exps); groups < 9 {
-		t.Fatalf("%d groups planned: want more than one for some of 8 workers", groups)
-	}
-	par := r.Campaign(exps, 8)
+	par := acrossWorkers(t, r, exps, 8)
 	twins := proofCounts(t, reg)[provenEquivalent]
 	serR, serReg := fresh()
 	ser := serR.Campaign(exps, 1)
@@ -307,7 +346,7 @@ func TestBatchedCampaignRace(t *testing.T) {
 		t.Fatal("parallel batched campaign diverged from serial")
 	}
 	if serial := proofCounts(t, serReg)[provenEquivalent]; twins == 0 || serial != twins {
-		t.Fatalf("%v verdicts shared across 8 workers' groups, %v by one worker: want the same, nonzero", twins, serial)
+		t.Fatalf("%v verdicts shared across 8 workers, %v by one worker: want the same, nonzero", twins, serial)
 	}
 
 	mixed := Expand(SampleNodes(r.Nodes(TargetIU), 24, 12), rtl.BitFlip, rtl.SETPulse, rtl.StuckAt1)
@@ -352,8 +391,8 @@ func TestBatchedCampaignRace(t *testing.T) {
 				t.Errorf("round %d: experiment %d completed before the cancel as %+v, serial %+v", round, i, part[i], ser[i])
 			}
 		}
-		if done == 0 || done > 8*maxLanes {
-			t.Errorf("round %d: %d experiments completed, want within one group per worker", round, done)
+		if done == 0 || done > 8 {
+			t.Errorf("round %d: %d experiments completed, want within one per worker", round, done)
 		}
 		wg.Wait()
 		if got := r.Campaign(exps, 8); !reflect.DeepEqual(got, ser) {

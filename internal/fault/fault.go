@@ -146,8 +146,8 @@ type Options struct {
 	NoEarlyExit bool
 	// NoCheckpoint is the one engine selector. False (the default) is the
 	// production engine: experiments fork from the frozen golden ladder at
-	// their injection instant on pooled cores, ride the golden read log in
-	// 64-lane groups where the planner can reason about them, and drop back onto
+	// their injection instant on pooled cores, ride the golden read log as
+	// lanes where the planner can reason about them, and drop back onto
 	// the golden trajectory when they heal (checkpoint.go, batch.go). True
 	// is the deliberately naive reference every equivalence test and the
 	// repository benchmark's output check compare against: a fresh core
@@ -496,16 +496,16 @@ const wedgeEvery = 8
 // armAt returns the cycle at which the experiment's fault is applied:
 // the sampled per-experiment instant for transient models, the runner's
 // fixed injection instant otherwise.
-func (r *Runner) armAt(e Experiment) uint64 {
+func (r *Runner) armAt(e *Experiment) uint64 {
 	if e.Model.Transient() {
 		return e.AtCycle
 	}
 	return r.opts.InjectAtCycle
 }
 
-// resolve runs lane l's fault universe to its verdict on eng's core — the
-// one run loop of the engine, shared by scalar experiments and activated
-// batch lanes. The universe forks from the golden trajectory at the
+// resolve runs lane l's fault universe to its verdict, written to res, on
+// eng's core — the one run loop of the engine, shared by scalar experiments
+// and activated batch lanes. The universe forks from the golden trajectory at the
 // lane's activation cycle (lad nil: from reset), the fault is armed, and
 // the core steps until exit, error mode, the cycle budget or (unless
 // NoEarlyExit) the first off-core mismatch. Permanent models stay forced
@@ -546,24 +546,23 @@ func (r *Runner) armAt(e Experiment) uint64 {
 // whose back end is drained and whose EX gate provably stays shut to the
 // budget (leon3.Core.Wedged, asked every wedgeEvery cycles) commits nothing
 // on the way there, however far the fetch free-runs: the same hang.
-func (r *Runner) resolve(eng *engine, lad *ladder, l *lane) Result {
+func (r *Runner) resolve(eng *engine, lad *ladder, l *lane, res *Result) {
 	core, bus, c := eng.core, eng.core.Bus, &eng.cmp
-	res := l.result()
+	l.result(res)
 	stepped := r.materialize(eng, lad, l.activateAt)
 	healed := false
 	defer func() { r.met.cycles(stepped, res.Outcome, healed) }()
 	if err := l.arm(core); err != nil {
 		// An invalid node: nothing was injected.
-		return res
+		return
 	}
 	release := l.pulseEnd // 0: nothing to release
 	period, since, writes := uint64(1), uint64(0), -1
 	// hangs finalizes the universe where it would be stepped to: still
 	// running at the budget.
-	hangs := func(proof int) Result {
+	hangs := func(proof int) {
 		r.met.proven[proof].Inc()
-		classifyRun(&res, &r.golden, iss.StatusRunning, r.budget, bus, c, l.injectAt)
-		return res
+		classifyRun(res, &r.golden, iss.StatusRunning, r.budget, bus, c, l.injectAt)
 	}
 	for r.live(core, c) {
 		if release != 0 && core.Cycles() >= release {
@@ -577,7 +576,8 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane) Result {
 		}
 		t := core.Cycles()
 		if t%wedgeEvery == 0 && release == 0 && c.mismatchAt < 0 && core.Wedged(r.budget-t) {
-			return hangs(provenWedged)
+			hangs(provenWedged)
+			return
 		}
 		i := lad.below(t)
 		g := &lad.rungs[i]
@@ -585,7 +585,8 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane) Result {
 		if shift > 0 && i == len(lad.rungs)-1 && release == 0 {
 			w := len(bus.Trace.Writes)
 			if w == writes && core.K.Recurs(&eng.seen) {
-				return hangs(provenRecurrent)
+				hangs(provenRecurrent)
+				return
 			}
 			if since++; w != writes || since == period {
 				if w == writes {
@@ -597,7 +598,7 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane) Result {
 		}
 		// Comparable: an unarmed universe on any cycle, an armed batch lane
 		// on the rung's own.
-		unarmed := l.e.Model.Transient() && t >= l.pulseEnd
+		unarmed := l.f.Model.Transient() && t >= l.pulseEnd
 		if c.mismatchAt >= 0 || c.idx != g.writes || !unarmed && (l.log == nil || shift > 0) ||
 			r.GoldenCycles+shift > r.budget {
 			continue
@@ -631,14 +632,13 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane) Result {
 			}
 			healed = true
 			res.Cycles = r.GoldenCycles + shift
-			return res
+			return
 		}
 		// Teleport across the quiet stretch instead of simulating it.
 		stepped += r.materialize(eng, lad, uint64(next))
 		_ = l.arm(core) // the same arming succeeded above
 	}
-	r.classify(&res, core, bus, c, l.injectAt)
-	return res
+	r.classify(res, core, bus, c, l.injectAt)
 }
 
 // RunOne executes a single injection experiment as a scalar simulation.
@@ -651,14 +651,9 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane) Result {
 // ladder's first rung, it simulates from reset so the injection is never
 // skipped. Both engines produce identical results.
 func (r *Runner) RunOne(e Experiment) Result {
-	eng := r.getEngine()
-	defer r.putEngine(eng)
-	l := r.newLane(e)
-	lad := r.ladder()
-	if lad != nil && l.injectAt < r.opts.InjectAtCycle {
-		lad = nil
-	}
-	return r.resolve(eng, lad, &l)
+	var res Result
+	r.runLane(&e, nil, 0, &res)
+	return res
 }
 
 // Campaign runs the experiments across workers and returns results in
@@ -687,32 +682,15 @@ func (r *Runner) CampaignContext(ctx context.Context, exps []Experiment, workers
 // an audit and its escalations — or submits an overlapping one later steps
 // each forcing once (see verdicts).
 //
-// The dispatch granule is one 64-lane group (see batch.go), or one
-// experiment where the planner goes scalar: the few upsets whose write side
-// the witness cannot watch, and everything under NoCheckpoint. A stop or
-// cancellation therefore overshoots by at most one 64-lane group per worker.
+// The dispatch granule is one experiment (runLane), a lane or scalar alike:
+// a stop or cancellation overshoots by at most one experiment per worker.
 func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
-	plan, m := r.planBatches(exps)
+	m := r.planBatches(exps)
 	if m != nil {
 		// dispatch returns with every worker gone: no lane still reads the memo.
 		defer r.putMemo(m)
 	}
-	counted := tap
-	if r.met.live {
-		counted = func(i int, res Result) {
-			r.met.experiments.Inc()
-			if tap != nil {
-				tap(i, res)
-			}
-		}
-	}
-	return dispatch(ctx, len(exps), len(plan), workers, counted, stop, func(g int, deliver func(int, Result)) {
-		if item := plan[g]; item.lanes == nil {
-			deliver(item.idx, r.RunOne(exps[item.idx]))
-		} else {
-			r.runGroup(exps, m, item.lanes, deliver)
-		}
-	})
+	return dispatch(ctx, len(exps), workers, tap, stop, func(i int, res *Result) { r.runLane(&exps[i], m, i, res) })
 }
 
 // putMemo returns a call's memo to the runner.
@@ -722,32 +700,30 @@ func (r *Runner) putMemo(m *memo) {
 }
 
 // dispatch is the one campaign loop of the package, shared by the RTL and
-// ISS engines: workers (0 = GOMAXPROCS; never more than there are
-// granules) draw the dispatch granules 0..granules-1, in order, from one
-// counter, and run(g, deliver) executes granule g, handing every
-// experiment it covers to deliver with the experiment's index in [0,n).
-// The caller is the first worker, so a one-worker campaign — a shard —
-// starts no goroutine.
+// ISS engines, and its granule is one experiment: workers (0 = GOMAXPROCS;
+// never more than there are experiments) draw the indices 0..n-1, in order,
+// from one counter, and run(i, res) executes experiment i into its result
+// slot — written once, where it lands. The caller is the first worker, so a
+// one-worker campaign — a shard — starts no goroutine.
 //
 // tap, when non-nil, is invoked as each experiment completes with its
 // index and result; it is called concurrently from worker goroutines and
 // must be safe for concurrent use. After every completed experiment the
 // stop rule — when non-nil — is consulted with the running completion and
 // failure counts; once it returns true the campaign halts within one
-// granule per worker, exactly like a context cancellation, but with a nil
-// error: stopping adaptively is a successful outcome, not an abort. Every
-// experiment a finished granule covered is tallied and reported, so the
-// stop rule's decisions remain a function of completed experiment counts
-// only.
+// experiment per worker, exactly like a context cancellation, but with a
+// nil error: stopping adaptively is a successful outcome, not an abort.
+// Every finished experiment is tallied and reported, so the stop rule's
+// decisions remain a function of completed experiment counts only.
 //
 // Results are in input order. The returned ran bitmap marks which
 // experiments actually executed, so callers of a stopped or cancelled
 // campaign can distinguish a completed zero-valued Result from an
 // experiment that never ran. On ctx cancellation each worker finishes the
-// granule it is on and draws no other, and the partial results are
+// experiment it is on and draws no other, and the partial results are
 // returned together with ctx.Err().
-func dispatch(ctx context.Context, n, granules, workers int, tap func(i int, res Result), stop func(done, failures int) bool,
-	run func(g int, deliver func(i int, res Result))) ([]Result, []bool, error) {
+func dispatch(ctx context.Context, n, workers int, tap func(i int, res Result), stop func(done, failures int) bool,
+	run func(i int, res *Result)) ([]Result, []bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -762,36 +738,19 @@ func dispatch(ctx context.Context, n, granules, workers int, tap func(i int, res
 		cctx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
-	// Without a tap or a stop rule nobody reads a count, and each experiment's
-	// slots are written by the one worker that ran it: no lock.
-	deliver := func(i int, res Result) { results[i], ran[i] = res, true }
-	if tap != nil || stop != nil {
-		var mu sync.Mutex
-		done, failures := 0, 0
-		deliver = func(i int, res Result) {
-			results[i] = res
-			mu.Lock()
-			ran[i] = true
-			done++
-			if res.Outcome.IsFailure() {
-				failures++
-			}
-			d, f := done, failures
-			mu.Unlock()
-			if tap != nil {
-				tap(i, res)
-			}
-			if stop != nil && stop(d, f) {
-				cancel()
-			}
-		}
+	// Each experiment's slots are written by the one worker that ran it; the
+	// counts are shared, and without a tap or a stop rule nobody reads them.
+	counted := tap != nil || stop != nil
+	var tally struct {
+		sync.Mutex
+		done, failures int
 	}
 	halted := cctx.Done()
-	var next atomic.Int64 // the next granule nobody has drawn
+	var next atomic.Int64 // the next experiment nobody has drawn
 	work := func() {
 		for {
-			g := int(next.Add(1)) - 1
-			if g >= granules {
+			i := int(next.Add(1)) - 1
+			if i >= n {
 				return
 			}
 			select {
@@ -799,11 +758,29 @@ func dispatch(ctx context.Context, n, granules, workers int, tap func(i int, res
 				return
 			default:
 			}
-			run(g, deliver)
+			res := &results[i]
+			run(i, res)
+			ran[i] = true
+			if !counted {
+				continue
+			}
+			tally.Lock()
+			tally.done++
+			if res.Outcome.IsFailure() {
+				tally.failures++
+			}
+			d, f := tally.done, tally.failures
+			tally.Unlock()
+			if tap != nil {
+				tap(i, *res)
+			}
+			if stop != nil && stop(d, f) {
+				cancel()
+			}
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(workers, granules); w++ {
+	for w := 1; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

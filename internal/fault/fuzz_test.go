@@ -13,18 +13,18 @@ import (
 // FuzzLaneEquivalence is the engine oracle on generated programs: for a
 // constrained-random terminating SPARC program, any injectable node of
 // either target, any fault model and any instant, the production engine —
-// ladder from the fixed instant, 64-lane groups over the read log, upsets
+// ladder from the fixed instant, lanes over the read log, upsets
 // among them, parked and teleported — must return what the from-reset scalar reference returns,
-// byte for byte, by every path checkEngine walks (one batch of seven,
+// byte for byte, by every path checkEngine walks (one campaign of seven,
 // RunOne, single-lane campaigns). The fuzzed experiment shares its
-// batch with a second upset on the same net, a SET pulse one cycle later
+// campaign with a second upset on the same net, a SET pulse one cycle later
 // and both stuck-ats with the open line that is the twin of one of them,
 // so probes of every kind meet on one net's log and one forcing is
 // resolved once for two lanes; an upset of a fetch-PC bit at the same
 // instant is the flip most likely to heal a refetch late. The lot
 // runs once more behind 64 filler lanes on the same net (glitches
-// scheduled past program exit: never armed, free), which puts it in the
-// second group of the campaign. Every input runs twice on its runner: the
+// scheduled past program exit: never armed, free), so that its lanes are
+// not the campaign's first. Every input runs twice on its runner: the
 // first round walks the nets into the runner's read log and resolves the
 // forcings into its verdict table, the second is answered from both. A
 // second campaign then overlaps the first on the same runner — the node's own
@@ -96,15 +96,16 @@ func FuzzLaneEquivalence(f *testing.F) {
 			{Node: signalNodes(lanes, "iu.fe.pc")[2+node%8], Model: rtl.BitFlip, AtCycle: at},
 		}
 		want := ref.Campaign(exps, 1)
-		padded := make([]Experiment, maxLanes, maxLanes+len(exps))
+		const filler = 64
+		padded := make([]Experiment, filler, filler+len(exps))
 		for i := range padded {
 			padded[i] = Experiment{Node: n, Model: rtl.SETPulse, AtCycle: lanes.GoldenCycles + 63}
 		}
 		padded = append(padded, exps...)
 		for _, round := range []string{"cold", "warm"} {
 			checkEngine(t, lanes, exps, want)
-			if got := lanes.Campaign(padded, 1); !reflect.DeepEqual(got[maxLanes:], want) {
-				t.Fatalf("%s, behind %d filler lanes: got %+v, reference %+v", round, maxLanes, got[maxLanes:], want)
+			if got := lanes.Campaign(padded, 1); !reflect.DeepEqual(got[filler:], want) {
+				t.Fatalf("%s, behind %d filler lanes: got %+v, reference %+v", round, filler, got[filler:], want)
 			}
 		}
 		overlap := Expand([]NodeInfo{sibling, n, iu[(int(node)+1)%len(iu)]}, rtl.FaultModels()...)

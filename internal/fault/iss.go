@@ -449,7 +449,7 @@ func forcedBit(model rtl.FaultModel, was uint32) uint32 {
 // armAt returns the externally-timed instant at which the experiment's
 // fault is applied: the sampled per-experiment instant for transient
 // models, the fixed instant otherwise.
-func (r *ISSRunner) armAt(e Experiment) uint64 {
+func (r *ISSRunner) armAt(e *Experiment) uint64 {
 	if e.Model.Transient() {
 		return e.AtCycle
 	}
@@ -458,10 +458,14 @@ func (r *ISSRunner) armAt(e Experiment) uint64 {
 
 // RunOne executes a single injection experiment on the emulator; see
 // resolve.
-func (r *ISSRunner) RunOne(e Experiment) Result { return r.resolve(e, r.verdicts.begin()) }
+func (r *ISSRunner) RunOne(e Experiment) Result {
+	var res Result
+	r.resolve(&e, r.verdicts.begin(), &res)
+	return res
+}
 
-// resolve classifies one experiment of call number call (see verdicts). The
-// reference builds a fresh emulator, steps it clean from reset to the
+// resolve classifies one experiment of call number call (see verdicts) into
+// res. The reference builds a fresh emulator, steps it clean from reset to the
 // experiment's instant and hands it to finish. The production engine reads
 // the golden log first: where the instant lies (boundary), what the victim
 // bit reads there — the charge an open line freezes, the value a pulse
@@ -472,19 +476,14 @@ func (r *ISSRunner) RunOne(e Experiment) Result { return r.resolve(e, r.verdicts
 // RTL nodes that hash onto one victim, and an open line beside the stuck-at
 // of its charge, are one run. A transient forks from its own sampled
 // instant. Fault, Unit and InjectAt are always the experiment's own.
-func (r *ISSRunner) resolve(e Experiment, call uint64) Result {
+func (r *ISSRunner) resolve(e *Experiment, call uint64, res *Result) {
 	r.met.experiments.Inc()
 	atExt := r.armAt(e)
 	at := r.mapTicks(atExt)
 	v := victimOf(e.Node.Node)
 	// The golden run's verdict, until a run says otherwise.
-	res := Result{
-		Fault:    rtl.Fault{Node: e.Node.Node, Model: e.Model},
-		Unit:     e.Node.Unit,
-		Latency:  -1,
-		Cycles:   r.GoldenInsts,
-		InjectAt: atExt,
-	}
+	res.Fault, res.Unit, res.Outcome = rtl.Fault{Node: e.Node.Node, Model: e.Model}, e.Node.Unit, OutcomeNoEffect
+	res.Latency, res.Cycles, res.InjectAt = -1, r.GoldenInsts, atExt
 	lg := r.goldenLog()
 	if lg == nil {
 		eng := r.newEngine(nil)
@@ -492,34 +491,33 @@ func (r *ISSRunner) resolve(e Experiment, call uint64) Result {
 		for ; eng.cpu.Icount < at && eng.cpu.Status() == iss.StatusRunning; clean++ {
 			eng.cpu.Step()
 		}
-		r.finish(&res, eng, e.Model, v, forcedBit(e.Model, v.read(eng.cpu)), at, clean)
-		return res
+		r.finish(res, eng, e.Model, v, forcedBit(e.Model, v.read(eng.cpu)), at, clean)
+		return
 	}
 	b := lg.boundary(at)
 	if b >= uint64(lg.steps) {
 		r.met.free.Inc() // the golden run exits before the instant
-		return res
+		return
 	}
 	s := uint32(b)
 	l := &lg.regs[v.reg]
 	forced := forcedBit(e.Model, l.val[l.run(s)]>>v.bit&1)
 	if e.Model.Transient() {
-		r.stepFrom(lg, s, &res, e.Model, v, forced, at)
-		return res
+		r.stepFrom(lg, s, res, e.Model, v, forced, at)
+		return
 	}
 	s, ok := lg.activation(v, forced, s)
 	if !ok {
 		r.met.free.Inc()
-		return res
+		return
 	}
 	key := forcing{node: rtl.Node{Word: v.reg, Bit: int(v.bit)}, one: forced == 1}
-	switch r.verdicts.once(key, call, &res, func() { r.stepFrom(lg, s, &res, e.Model, v, forced, at) }) {
+	switch r.verdicts.once(key, call, res, func() { r.stepFrom(lg, s, res, e.Model, v, forced, at) }) {
 	case verdictTwin:
 		r.met.twin.Inc()
 	case verdictKnown:
 		r.met.known.Inc()
 	}
-	return res
 }
 
 // stepFrom forks a kept emulator onto the golden run at boundary s and
@@ -571,12 +569,10 @@ func (r *ISSRunner) Campaign(exps []Experiment, workers int) []Result {
 }
 
 // CampaignStopContext runs the experiments across workers under the
-// package's one tap/stop/cancel loop (see dispatch). The ISS engine has no
-// bit-parallel mode, so the dispatch granule is always one experiment.
+// package's one tap/stop/cancel loop (see dispatch), one experiment at a
+// time like the RTL engine.
 func (r *ISSRunner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int,
 	tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
 	call := r.verdicts.begin()
-	return dispatch(ctx, len(exps), len(exps), workers, tap, stop, func(i int, deliver func(int, Result)) {
-		deliver(i, r.resolve(exps[i], call))
-	})
+	return dispatch(ctx, len(exps), workers, tap, stop, func(i int, res *Result) { r.resolve(&exps[i], call, res) })
 }

@@ -10,11 +10,11 @@ import "repro/internal/obs"
 type engineMetrics struct {
 	live bool
 
-	// experiments counts every classified experiment, whichever engine
-	// (scalar, forked, batched) resolved it.
+	// experiments counts every classified experiment, scalar, forked or
+	// batched: runLane counts it as it classifies it.
 	experiments *obs.Counter
-	// lanesPlanned/Activated/Free follow the PPSFP funnel: lanes placed
-	// into batch granules, lanes whose fault the golden run read
+	// lanesPlanned/Activated/Free follow the PPSFP funnel: experiments the
+	// plan made lanes over their net's log, lanes whose fault the golden run read
 	// divergently (an upset word: read at all before being replaced), and
 	// lanes finalized from the golden trajectory without a single faulted
 	// cycle.
@@ -41,9 +41,8 @@ type engineMetrics struct {
 	// verdicts reached without stepping to them, by proof.
 	cyclesBy [healedEnding + 1]*obs.Counter
 	proven   [len(proofs)]*obs.Counter
-	// fallbacks counts experiments runGroup resolved through RunOne because
-	// the campaign has no read logs — only when the logging walk's witness
-	// failed to arm.
+	// fallbacks counts lanes runLane ran scalar because the campaign has no
+	// read logs — only when the logging walk's witness failed to arm.
 	fallbacks *obs.Counter
 	// goldenCycles/goldenSeconds accumulate witnessed golden-walk work (one
 	// walk per campaign that brings a net the runner has not logged); their

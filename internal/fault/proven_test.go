@@ -69,10 +69,9 @@ func pick(r *Runner, name string, bits ...int) []NodeInfo {
 // bits of the DE/RA/EX stage PCs and the redirect target, the three valid
 // bits, ctl.halt, ctl.redirt, the redirect request, and ctl.exppc for the
 // glitch that sends the fetch away and then takes the target back: every
-// lemma of leon3.Core.Wedged, armed and unarmed. With 128 nodes each
-// model is two groups of the campaign's ten, so a twin finds
-// its verdict resolved by its own worker, by another one, or waits for it
-// (two, three and five workers). The counters — faulted cycles
+// lemma of leon3.Core.Wedged, armed and unarmed. Each model's 128 lanes
+// are drawn one at a time, so a twin finds its verdict resolved by its own
+// worker, by another one, or waits for it (two, three and five workers). The counters — faulted cycles
 // included — must not move with the worker count: each count is measured on
 // a runner of its own, whose verdict table holds nothing yet, and so proves
 // nothing known; none of these pipeline registers keeps an upset to program
@@ -107,8 +106,8 @@ func TestProvenVerdictsEquivalence(t *testing.T) {
 			}
 			nodes = append(nodes, pick(prod, "iu.ctl.exppc", ends[1:11]...)...)
 			nodes = append(nodes, signalNodes(prod, "iu.de.valid", "iu.ra.valid", "iu.ex.valid", "iu.ctl.halt", "iu.ctl.redirt", "iu.fe.redir")...)
-			if len(nodes) != 2*maxLanes {
-				t.Fatalf("%d nodes, want two groups per permanent model", len(nodes))
+			if len(nodes) != 128 {
+				t.Fatalf("%d nodes, want 128", len(nodes))
 			}
 			exps := Expand(nodes, rtl.AllFaultModels()...)
 			prod.ScheduleTransients(exps, 5)

@@ -146,7 +146,7 @@ type readLog struct {
 // readLogs fills m.logs with the log of every net of m's campaign, walking
 // the golden continuation once for those the runner has not logged (with
 // the extras its lanes now ask for, and those it had). On a witness that
-// fails to arm it leaves m.logs empty and the campaign's groups run scalar.
+// fails to arm it leaves m.logs empty and the campaign's lanes run scalar.
 func (r *Runner) readLogs(m *memo) {
 	// The ladder a walk forks from is built before the lock is taken, not
 	// under it: cold concurrent campaigns wait for the one build together,

@@ -471,7 +471,8 @@ func TestNextActivationMatchesLiveWitness(t *testing.T) {
 									continue // one instant: the runner's
 								}
 								e := Experiment{Node: node, Model: model, AtCycle: at}
-								l, act := r.batchLane(e, logs[i])
+								var l lane
+								act := r.batchLane(&l, &e, logs[i])
 								lanes++
 
 								// The oracle: polarity from the stepped core's word,

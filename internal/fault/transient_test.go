@@ -280,10 +280,9 @@ func TestLadderBounded(t *testing.T) {
 	}
 }
 
-// TestPassRecordBounded holds a many-group campaign on a long golden run
-// (eight groups over a 19,632-cycle continuation) byte-identical to the
-// same list run as single-group campaigns and, on a sample, to the
-// from-reset reference.
+// TestPassRecordBounded holds a 480-experiment campaign on a long golden run
+// (a 19,632-cycle continuation) byte-identical to the same list cut into
+// 64-experiment campaigns and, on a sample, to the from-reset reference.
 func TestPassRecordBounded(t *testing.T) {
 	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 6})
 	if err != nil {
@@ -294,11 +293,11 @@ func TestPassRecordBounded(t *testing.T) {
 	r.ScheduleTransients(exps, 4)
 	got := r.Campaign(exps, 1)
 	var cut []Result
-	for lo := 0; lo < len(exps); lo += maxLanes {
-		cut = append(cut, r.Campaign(exps[lo:min(lo+maxLanes, len(exps))], 1)...)
+	for lo := 0; lo < len(exps); lo += 64 {
+		cut = append(cut, r.Campaign(exps[lo:min(lo+64, len(exps))], 1)...)
 	}
 	if !reflect.DeepEqual(got, cut) {
-		t.Fatal("the campaign diverged from its single-group cuts")
+		t.Fatal("the campaign diverged from its 64-experiment cuts")
 	}
 	for i := 0; i < len(exps); i += 19 {
 		if want := ref.RunOne(exps[i]); got[i] != want {

@@ -97,7 +97,8 @@ func TestUpsetLaneMatchesSteppedUniverse(t *testing.T) {
 				for k := uint64(0); k < instants; k++ {
 					at := start + (span*k/instants+37*uint64(i))%span
 					node := rtl.Node{Name: n.Name, Bit: (i + int(k)) % width[i]}
-					l, act := r.batchLane(Experiment{Node: NodeInfo{Node: node}, Model: rtl.BitFlip, AtCycle: at}, logs[i])
+					var l lane
+					act := r.batchLane(&l, &Experiment{Node: NodeInfo{Node: node}, Model: rtl.BitFlip, AtCycle: at}, logs[i])
 					r.materialize(gold, lad, at)
 					r.materialize(flipped, lad, at)
 					if err := flipped.core.K.FlipBit(node); err != nil {

@@ -84,7 +84,7 @@ type hybridPlan struct {
 	units     []string
 	pred      []fault.Result
 	audited   []bool
-	auditRes  map[int]fault.Result
+	auditRes  map[int]*fault.Result
 	escalated map[string]bool
 }
 
@@ -211,10 +211,10 @@ func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Regis
 
 	type pairs struct{ pred, meas []bool }
 	byClass := map[string]*pairs{}
-	auditRes := make(map[int]fault.Result, len(auditIdx))
+	auditRes := make(map[int]*fault.Result, len(auditIdx))
 	disag := 0
 	for j, i := range auditIdx {
-		auditRes[i] = auditRes0[j]
+		auditRes[i] = &auditRes0[j]
 		p := pred[i].Outcome.IsFailure()
 		m := auditRes0[j].Outcome.IsFailure()
 		if p != m {
@@ -281,20 +281,25 @@ func (p *hybridPlan) escalations(start, end int) []int {
 	return idx
 }
 
-// outcome is the wire outcome of an experiment the plan itself resolved
-// — an audited one carries RTL truth plus the prediction it replaced, a
-// trusted one its ISS prediction — and the result behind it.
-func (p *hybridPlan) outcome(i int) (ExperimentOutcome, fault.Result) {
-	node := p.exps[i].Node.String()
-	if !p.audited[i] {
-		eo := experimentOutcome(p.pred[i], node)
-		eo.Engine = "iss"
-		return eo, p.pred[i]
+// result is the result of an experiment the plan itself resolved: an
+// audited one's RTL truth, a trusted one's ISS prediction.
+func (p *hybridPlan) result(i int) *fault.Result {
+	if p.audited[i] {
+		return p.auditRes[i]
 	}
-	eo := experimentOutcome(p.auditRes[i], node)
+	return &p.pred[i]
+}
+
+// label sets the hybrid fields of the wire outcome of an experiment the plan
+// itself resolved: an audited one carries the prediction its RTL truth
+// replaced, a trusted one says it is the ISS's.
+func (p *hybridPlan) label(eo *ExperimentOutcome, i int) {
+	if !p.audited[i] {
+		eo.Engine = "iss"
+		return
+	}
 	eo.Engine, eo.Audited = "rtl", true
 	eo.Predicted = p.pred[i].Outcome.String()
-	return eo, p.auditRes[i]
 }
 
 // HybridClass is one node class (functional unit) of a hybrid

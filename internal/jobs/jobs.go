@@ -397,19 +397,13 @@ type Outcome struct {
 	Experiments []ExperimentOutcome `json:"experiments"`
 }
 
-// experimentOutcome is the wire encoding of one raw engine result, node its
+// fillOutcome lays one raw engine result into its wire encoding eo, node its
 // experiment's name (fault.NodeInfo.String: printed once per runner). A
-// transient's AtCycle is left to the caller, which keeps its range's
-// instants in one array (runRange).
-func experimentOutcome(res fault.Result, node string) ExperimentOutcome {
-	return ExperimentOutcome{
-		Node:    node,
-		Model:   res.Fault.Model.String(),
-		Unit:    res.Unit.String(),
-		Outcome: res.Outcome.String(),
-		Latency: res.Latency,
-		Cycles:  res.Cycles,
-	}
+// transient's AtCycle and the hybrid fields are left to the caller, which
+// keeps its range's instants in one array (runRange).
+func fillOutcome(eo *ExperimentOutcome, res *fault.Result, node string) {
+	eo.Node, eo.Model, eo.Unit, eo.Outcome = node, res.Fault.Model.String(), res.Unit.String(), res.Outcome.String()
+	eo.Latency, eo.Cycles = res.Latency, res.Cycles
 }
 
 // noEffect is the one outcome string that does not count as a propagated
@@ -784,7 +778,14 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 		Experiments:  make([]ExperimentOutcome, 0, size),
 	}
 	var instants []uint64 // the range's transient instants, which their outcomes point into
-	emit := func(i int, eo ExperimentOutcome, res fault.Result) {
+	// add appends experiment i's outcome, in index order, filled from res in
+	// place, and returns it for the hybrid fields.
+	add := func(i int, res *fault.Result, node string) *ExperimentOutcome {
+		n := len(so.Experiments)
+		so.Indices = append(so.Indices, i)
+		so.Experiments = so.Experiments[:n+1] // a zero slot: the capacity is the range's size
+		eo := &so.Experiments[n]
+		fillOutcome(eo, res, node)
 		if res.Fault.Model.Transient() {
 			if instants == nil {
 				instants = make([]uint64, size)
@@ -792,27 +793,25 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 			instants[i-start] = res.InjectAt
 			eo.AtCycle = &instants[i-start]
 		}
-		so.Indices = append(so.Indices, i)
-		so.Experiments = append(so.Experiments, eo)
+		return eo
 	}
 	j := 0 // next engine-run experiment
 	for i := start; i < end; i++ {
 		if j == len(run) || at(j) != i {
 			// Resolved by the hybrid plan; counted as it is assembled (the
 			// engine-run ones reported live).
-			eo, res := plan.outcome(i)
+			res := plan.result(i)
 			if count != nil {
-				count(i, res)
+				count(i, *res)
 			}
-			emit(i, eo, res)
+			plan.label(add(i, res, exps[i].Node.String()), i)
 			continue
 		}
 		if ran[j] {
-			eo := experimentOutcome(results[j], run[j].Node.String())
+			eo := add(i, &results[j], run[j].Node.String())
 			if plan != nil {
 				eo.Engine, eo.Predicted = "rtl", plan.pred[i].Outcome.String()
 			}
-			emit(i, eo, results[j])
 		}
 		j++
 	}

@@ -56,7 +56,7 @@ func TestHandBuiltNodesEncodeIdentically(t *testing.T) {
 // one per experiment: names are printed once per runner, the sample is
 // drawn without a permutation and nothing is counted for nobody. Measured
 // at 768 and 384 experiments, the difference is well under one allocation
-// per 64 experiments (a 64-lane group).
+// per 64 experiments.
 func TestWarmCampaignAllocations(t *testing.T) {
 	allocs := func(req Request) float64 {
 		for range 2 { // warm the runner's log and verdict table

@@ -195,14 +195,9 @@ func TestEarlyStopping(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Epsilon = 0.2 // coarse: converges after a few dozen experiments
-	// One-experiment dispatch granule (the reference engine's): under the
-	// batch engine the stop rule is only consulted between ≤64-lane
-	// batches, so on a box whose scheduler dispatches both workers'
-	// batches back to back (1 CPU under -race) the whole 72-experiment
-	// campaign can be in flight before the rule ever fires. This test is
-	// about the stop rule, not the granule; the granule overshoot is
-	// pinned in internal/fault.
-	req.NoCheckpoint = true
+	// The production engine: a stop lands within one experiment per worker,
+	// so the 72-experiment campaign stops early even where one CPU runs
+	// both workers' draws back to back (-cpu 1 under -race).
 
 	for name, run := range map[string]func() (*jobs.Outcome, error){
 		"unsharded": func() (*jobs.Outcome, error) {
