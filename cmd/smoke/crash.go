@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"math/rand"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"time"
 )
 
@@ -52,8 +54,9 @@ var logger = slog.New(slog.NewTextHandler(os.Stderr, nil)).With("prog", "crashsm
 //   - a final SIGKILL+restart serves a resubmission of the same spec
 //     straight from the on-disk result store: state "done" immediately,
 //     zero engine executions on the fresh process, same result bytes;
-//   - the result entry a killed coordinator had begun for the running
-//     campaign is swept by the next one: no temp file accumulates.
+//   - no restart leaves a temp file anywhere in the data directory: the
+//     result store writes none, and a journal compaction's is renamed
+//     into place or removed before the coordinator reports ready.
 //
 // Kill points are randomized; the seed is logged and can be pinned with
 // -seed to replay a failing schedule.
@@ -166,11 +169,8 @@ func crash(args []string) error {
 		if id, err = submit(base, crashCampaign, http.StatusOK, "resubmit (recovered or stored)"); err != nil {
 			return fmt.Errorf("cycle %d: %w", cycle, err)
 		}
-		// Every kill caught the campaign running, so with its result entry
-		// begun and not committed: the reopened store has swept that file, and
-		// the only one there can be is the resumed job's own.
-		if tmps := resultTemps(dataDir); len(tmps) > 1 {
-			return fmt.Errorf("cycle %d: the reopened store kept dead temp files: %v", cycle, tmps)
+		if tmps := temps(dataDir); len(tmps) != 0 {
+			return fmt.Errorf("cycle %d: temp files in the data directory after a restart: %v", cycle, tmps)
 		}
 		logger.Info("coordinator resurrected, campaign recovered", "cycle", cycle, "job", id)
 	}
@@ -238,8 +238,8 @@ func crash(args []string) error {
 	if !bytes.Equal(stored, crashed) {
 		return fmt.Errorf("stored result differs from the pre-crash result bytes")
 	}
-	if tmps := resultTemps(dataDir); len(tmps) != 0 {
-		return fmt.Errorf("temp files left under the result store after the campaign committed: %v", tmps)
+	if tmps := temps(dataDir); len(tmps) != 0 {
+		return fmt.Errorf("temp files in the data directory after the final restart: %v", tmps)
 	}
 	logger.Info("final restart served the result from the store", "executions", 0, "byte_identical", true)
 	return nil
@@ -274,11 +274,18 @@ func reservePort() (string, error) {
 	return addr, nil
 }
 
-// resultTemps lists the result store's unfinished entries: files a store
-// entry is written to before it is renamed to its content address.
-func resultTemps(dataDir string) []string {
-	tmps, _ := filepath.Glob(filepath.Join(dataDir, "results", ".tmp-*")) // the pattern is well-formed
-	return tmps
+// temps lists the temp files anywhere under the data directory: files
+// written to be renamed into place, which a restarted coordinator must not
+// leave behind.
+func temps(dataDir string) []string {
+	var out []string
+	filepath.WalkDir(dataDir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasPrefix(d.Name(), ".tmp-") {
+			out = append(out, path)
+		}
+		return nil // an entry gone mid-walk is no temp file
+	})
+	return out
 }
 
 // countShardRecords counts durably journaled shard completions. It

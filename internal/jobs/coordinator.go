@@ -138,7 +138,7 @@ type shardPersist interface {
 type shardLease struct {
 	id       string
 	rng      ShardRange
-	tally    campaign.Tally // last reported in-flight progress
+	tally    campaign.Tally // last reported in-flight progress; never journaled
 	lastSeen time.Time
 }
 
@@ -339,13 +339,6 @@ func (c *Coordinator) Progress(leaseID string, done, failures int) (cancel bool)
 	stop := c.stopped || c.done
 	t := c.tallyLocked()
 	c.mu.Unlock()
-	if c.persist != nil {
-		c.persist.ShardEvent(recShardProgress, c.key, struct {
-			Lease    string `json:"lease"`
-			Done     int    `json:"done"`
-			Failures int    `json:"failures"`
-		}{leaseID, done, failures})
-	}
 	c.notify(t)
 	return stop
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/store"
 )
 
 // State is a job's lifecycle phase.
@@ -606,13 +605,6 @@ func (m *Manager) worker() {
 		// job-finished log line below.
 		tr := obs.NewTracer(m.met.stageSeconds)
 		m.log.Info("job started", "job", j.id, "key", shortKey(j.key), "workload", j.req.Workload)
-		// The outcome's store entry is begun now: creating its file needs
-		// nothing the campaign computes, so it happens while the campaign runs
-		// instead of after it.
-		var entry *store.Pending
-		if m.persist != nil {
-			entry = m.persist.store.Begin(j.key)
-		}
 		started := time.Now() //lint:allow det job-duration metric, observation only
 		out, err := m.exec(obs.WithTracer(ctx, tr), j.req, m.opts.CampaignWorkers, func(done, total, failures int) {
 			m.mu.Lock()
@@ -642,14 +634,10 @@ func (m *Manager) worker() {
 		// journals job_done: recovery treats a done record as "the result
 		// is in the store", and the reverse order would open a crash
 		// window where the record exists but the result does not.
-		if entry != nil {
-			if err == nil {
-				endCommit := tr.Stage("commit")
-				m.persist.commitOutcome(entry, j.key, encoded)
-				endCommit()
-			} else {
-				entry.Abort()
-			}
+		if m.persist != nil && err == nil {
+			endCommit := tr.Stage("commit")
+			m.persist.commitOutcome(j.key, encoded)
+			endCommit()
 		}
 		m.mu.Lock()
 		switch {

@@ -13,14 +13,14 @@ import (
 )
 
 // Durability: when a manager is opened with a data directory, every
-// completed campaign outcome is committed to an on-disk content-addressed
-// result store and every job/shard lifecycle event is appended to a
-// checksummed write-ahead journal. A crashed coordinator reopens both on
-// boot: completed campaigns are served from the store without touching
-// the engine (dedup across process lifetimes), and in-flight jobs are
-// resubmitted with their journaled completed shards pre-folded, so a
-// recovered campaign resumes from its last durable shard instead of
-// restarting from zero. Because the shard plan and experiment expansion
+// completed campaign outcome is appended to an on-disk content-addressed
+// outcome log and every job/shard lifecycle event that recovery or the
+// lease timeline reads to a checksummed write-ahead journal. A crashed
+// coordinator reopens both on boot: completed campaigns are served from
+// the store without touching the engine (dedup across process
+// lifetimes), and in-flight jobs are resubmitted with their journaled
+// completed shards pre-folded, so a recovered campaign resumes from its
+// last durable shard instead of restarting from zero. Because the shard plan and experiment expansion
 // are pure functions of the normalized request, the recovered run's
 // merged outcome is byte-identical to an uninterrupted one.
 //
@@ -31,9 +31,9 @@ import (
 // once it is on the disk. shard_completed and the three terminal records
 // are synced soon after, without their writer waiting: losing one costs a
 // shard re-run, or a replay that finds the outcome already in the store.
-// The rest are breadcrumbs — cheap, never synced on their own account, and
-// ignored by replay — that make a post-mortem journal read like a flight
-// recorder.
+// The plan and the leases are breadcrumbs — cheap, never synced on their
+// own account, and ignored by replay — that keep a post-mortem journal's
+// lease timeline. A lease's in-flight tally lives in memory only.
 const (
 	recJobSubmitted   = "job_submitted"   // Data: normalized Request
 	recJobDone        = "job_done"        // outcome committed to the store
@@ -41,12 +41,11 @@ const (
 	recJobCancelled   = "job_cancelled"   //
 	recShardPlanned   = "shard_planned"   // Data: {"total": N, "shards": K}
 	recShardLeased    = "shard_leased"    // Data: lease id + range
-	recShardProgress  = "shard_progress"  // Data: lease id + tally
 	recShardCompleted = "shard_completed" // Data: ShardOutput
 )
 
-// journalName is the WAL file inside a manager's data directory; results
-// live in the resultsDir subdirectory beside it.
+// journalName is the WAL file inside a manager's data directory; the
+// result store lives in the resultsDir subdirectory beside it.
 const (
 	journalName = "journal.ndjson"
 	resultsDir  = "results"
@@ -99,6 +98,7 @@ func openPersistence(dir string) (*persistence, []*RecoveredJob, error) {
 	}
 	j, recs, err := store.OpenJournal(filepath.Join(dir, journalName))
 	if err != nil {
+		st.Close()
 		return nil, nil, fmt.Errorf("jobs: opening journal: %w", err)
 	}
 	p := &persistence{
@@ -129,7 +129,7 @@ func (p *persistence) registerMetrics(reg *obs.Registry) {
 			return float64(p.journal.Stats().Fsyncs)
 		})
 	putSeconds := reg.Histogram("store_put_seconds",
-		"Duration of each commit of an outcome to the result store (checksum, write, fsync, rename, directory fsync).", obs.DurationBuckets)
+		"Duration of each commit of an outcome to the result store (checksum, append, fsync).", obs.DurationBuckets)
 	p.store.OnCommit(func(took time.Duration, _ error) { putSeconds.Observe(took.Seconds()) })
 	fsyncSeconds := reg.Histogram("store_journal_fsync_seconds",
 		"Duration of each fsync of the journal file.", obs.DurationBuckets)
@@ -150,8 +150,7 @@ func (p *persistence) registerMetrics(reg *obs.Registry) {
 // still in flight when the process died, in submission order. Terminal
 // records retire their job; duplicate submissions of a live key merge
 // (keeping the completed shards already folded); completion records for
-// untracked keys are dropped. Lease, plan and progress records are
-// breadcrumbs only.
+// untracked keys are dropped. Lease and plan records are breadcrumbs only.
 func replayJournal(recs []store.Record) []*RecoveredJob {
 	byKey := map[string]*RecoveredJob{}
 	var order []*RecoveredJob
@@ -245,11 +244,10 @@ func (p *persistence) journalJobEnd(state State, key string, errMsg string) {
 }
 
 // commitOutcome commits a completed campaign's canonical encoding to the
-// store entry begun when its job started. Best-effort: on failure the
-// outcome survives in memory for this process's lifetime, just not across
-// a restart.
-func (p *persistence) commitOutcome(entry *store.Pending, key string, encoded []byte) {
-	if err := entry.Commit(encoded); err != nil {
+// store. Best-effort: on failure the outcome survives in memory for this
+// process's lifetime, just not across a restart.
+func (p *persistence) commitOutcome(key string, encoded []byte) {
+	if err := p.store.Put(key, encoded); err != nil {
 		p.log.Error("persisting outcome failed", "key", shortKey(key), "error", err)
 	}
 }
@@ -271,8 +269,8 @@ func (p *persistence) loadOutcome(key string) (*Outcome, []byte, bool) {
 }
 
 // ShardEvent journals one shard lifecycle event. Completed shards are
-// the currency of crash recovery and are synced soon after; leases and
-// progress are breadcrumbs and ride the next sync.
+// the currency of crash recovery and are synced soon after; the plan and
+// leases are breadcrumbs and ride the next sync.
 func (p *persistence) ShardEvent(typ, key string, data interface{}) {
 	var err error
 	if typ == recShardCompleted {
@@ -306,10 +304,13 @@ func (p *persistence) TakeRecovered(key string) []ShardOutput {
 	return outs
 }
 
-// Close flushes and closes the journal.
+// Close flushes and closes the journal, and closes the store.
 func (p *persistence) Close() {
 	if err := p.journal.Close(); err != nil {
 		p.log.Error("closing journal failed", "error", err)
+	}
+	if err := p.store.Close(); err != nil {
+		p.log.Error("closing result store failed", "error", err)
 	}
 }
 

@@ -6,26 +6,29 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 )
 
-// resultTemps lists the unfinished entries under a data directory's result
-// store.
-func resultTemps(t *testing.T, dataDir string) []string {
+// storeBytes is the size of everything under a data directory's result
+// store: the outcome log, and anything a store might leave beside it.
+func storeBytes(t *testing.T, dataDir string) int64 {
 	t.Helper()
-	entries, err := os.ReadDir(filepath.Join(dataDir, resultsDir))
+	var n int64
+	err := filepath.WalkDir(filepath.Join(dataDir, resultsDir), func(_ string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		fi, err := d.Info()
+		if err == nil {
+			n += fi.Size()
+		}
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".tmp-") {
-			out = append(out, e.Name())
-		}
-	}
-	return out
+	return n
 }
 
 // journaled reports whether the live journal file holds a record of typ.
@@ -39,13 +42,12 @@ func journaled(t *testing.T, dataDir, typ string) bool {
 	return bytes.Contains(b, []byte(`"type":"`+typ+`"`))
 }
 
-// TestOutcomeEntryLifecycle follows the store entry of a job's outcome from
-// Begin at job start to every end a job can come to. While the campaign
-// runs the entry is a temp file; the outcome is committed — renamed into
-// place, Commit returned — before the job reads done and before job_done is
-// journaled (recovery takes that record to mean the result is in the
-// store); and a failed job, a cancelled one and one cut short by Close
-// leave no temp file behind.
+// TestOutcomeEntryLifecycle follows a job's outcome into the store at every
+// end a job can come to. A done job's outcome is committed — appended,
+// fsynced, indexed, Commit returned — before the job reads done and before
+// job_done is journaled (recovery takes that record to mean the result is
+// in the store); a failed job, a cancelled one and one cut short by Close
+// append nothing.
 func TestOutcomeEntryLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	started, release := make(chan struct{}), make(chan struct{})
@@ -78,17 +80,6 @@ func TestOutcomeEntryLifecycle(t *testing.T) {
 		}
 		return st
 	}
-	// begun waits for the running job's temp file: it is created on a
-	// goroutine of its own.
-	begun := func() {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); len(resultTemps(t, dir)) != 1; {
-			if time.Now().After(deadline) {
-				t.Fatalf("a running job's store entry: temps %v, want one", resultTemps(t, dir))
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 
 	// Done: hold Commit just before it returns and look around.
 	inCommit, letGo := make(chan struct{}), make(chan struct{})
@@ -104,7 +95,9 @@ func TestOutcomeEntryLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	begun()
+	if n := storeBytes(t, dir); n != 0 {
+		t.Errorf("a running job has put %d bytes in the store", n)
+	}
 	close(release)
 	<-inCommit
 	if _, ok := m.persist.store.Get(st.Key); !ok {
@@ -120,10 +113,17 @@ func TestOutcomeEntryLifecycle(t *testing.T) {
 	if final := wait(st.ID); final.State != StateDone {
 		t.Fatalf("job ended %q (%s)", final.State, final.Error)
 	}
-	if !journaled(t, dir, recJobDone) || len(resultTemps(t, dir)) != 0 || m.persist.store.Len() != 1 {
-		t.Errorf("after a done job: job_done journaled %v, temps %v, %d entries", journaled(t, dir, recJobDone), resultTemps(t, dir), m.persist.store.Len())
+	if !journaled(t, dir, recJobDone) || m.persist.store.Len() != 1 {
+		t.Errorf("after a done job: job_done journaled %v, %d entries", journaled(t, dir, recJobDone), m.persist.store.Len())
 	}
 	m.persist.store.OnCommit(nil)
+	size := storeBytes(t, dir)
+	unchanged := func(after string) {
+		t.Helper()
+		if n := storeBytes(t, dir); n != size || m.persist.store.Len() != 1 {
+			t.Errorf("after %s: %d entries, the store holds %d bytes, want %d", after, m.persist.store.Len(), n, size)
+		}
+	}
 
 	// Failed.
 	req.Seed = 2
@@ -133,9 +133,7 @@ func TestOutcomeEntryLifecycle(t *testing.T) {
 	if final := wait(st.ID); final.State != StateFailed {
 		t.Fatalf("job ended %q, want failed", final.State)
 	}
-	if len(resultTemps(t, dir)) != 0 || m.persist.store.Len() != 1 {
-		t.Errorf("after a failed job: temps %v, %d entries", resultTemps(t, dir), m.persist.store.Len())
-	}
+	unchanged("a failed job")
 
 	// Cancelled while running.
 	req.Seed = 3
@@ -143,16 +141,13 @@ func TestOutcomeEntryLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	begun()
 	if _, err := m.Cancel(st.ID); err != nil {
 		t.Fatal(err)
 	}
 	if final := wait(st.ID); final.State != StateCancelled {
 		t.Fatalf("job ended %q, want cancelled", final.State)
 	}
-	if len(resultTemps(t, dir)) != 0 || m.persist.store.Len() != 1 {
-		t.Errorf("after a cancelled job: temps %v, %d entries", resultTemps(t, dir), m.persist.store.Len())
-	}
+	unchanged("a cancelled job")
 
 	// Still running when the manager closes.
 	req.Seed = 4
@@ -160,9 +155,6 @@ func TestOutcomeEntryLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	begun()
 	m.Close()
-	if got := resultTemps(t, dir); len(got) != 0 {
-		t.Errorf("after Close: temps %v", got)
-	}
+	unchanged("Close")
 }

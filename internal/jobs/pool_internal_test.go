@@ -8,12 +8,12 @@ import (
 	"time"
 )
 
-// gatedPersist is a journal stand-in whose progress breadcrumbs can be held
+// gatedPersist is a journal stand-in whose shard completions can be held
 // up, the way a descheduled worker would be, and which knows when whoever
 // owns the journal has let go of it.
 type gatedPersist struct {
-	entered chan struct{} // closed when the first progress event arrives
-	release chan struct{} // progress events return once this is closed
+	entered chan struct{} // closed when the first completion event arrives
+	release chan struct{} // completion events return once this is closed
 	once    sync.Once
 
 	mu     sync.Mutex
@@ -27,7 +27,7 @@ func (g *gatedPersist) ShardEvent(typ, _ string, _ interface{}) {
 		g.late++
 	}
 	g.mu.Unlock()
-	if typ == recShardProgress {
+	if typ == recShardCompleted {
 		g.once.Do(func() { close(g.entered) })
 		<-g.release
 	}
@@ -50,7 +50,7 @@ func TestPoolWaitJoinsLocalWorkers(t *testing.T) {
 		_, err := pool.Execute(ctx, Request{Workload: "excerptA", Nodes: 48, Seed: 1, InjectAtFraction: 0.3}, 2, nil)
 		returned <- err
 	}()
-	<-g.entered // a local worker is inside its progress append
+	<-g.entered // a local worker is inside its completion append
 	cancel()
 	if err := <-returned; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Execute returned %v, want the cancellation", err)

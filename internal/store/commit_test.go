@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -275,7 +276,6 @@ func TestFrameIdentity(t *testing.T) {
 			Shards int `json:"shards"`
 		}{768, 4}},
 		{"shard_leased", key, lease{"abc-1", "local-0", 2}},
-		{"shard_progress", key, map[string]int{"done": 12, "failures": 3}},
 		{"shard_completed", key, struct {
 			GoldenCycles uint64   `json:"golden_cycles"`
 			Indices      []int    `json:"indices"`
@@ -332,8 +332,9 @@ func (s *selfLaid) AppendJSON(b []byte) []byte {
 // TestParseExactly pins the two readers to the one spelling the writers
 // produce. The checksum field of a journal line is eight lowercase hex
 // digits — fmt.Sscanf, which used to read it, also took leading blanks, a
-// 0x prefix and capitals — and a result file's header is the tag, one
-// space, 64 hex digits and the newline, with nothing after the digest.
+// 0x prefix and capitals — and an outcome log record's header is the tag,
+// the key, the length and the two checksums, each at its fixed width in
+// lowercase hex, one blank between, and the newline.
 func TestParseExactly(t *testing.T) {
 	payload := `{"seq":480595,"type":"t"}` // crc32 0x00000ceb
 	for spelling, want := range map[string]bool{
@@ -348,35 +349,28 @@ func TestParseExactly(t *testing.T) {
 		}
 	}
 
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	k, body := keyFor("entry"), []byte("{\"pf\":0.5}\n")
-	if err := s.Put(k, body); err != nil {
-		t.Fatal(err)
-	}
-	good, err := os.ReadFile(filepath.Join(dir, k))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := string(good[len(resultHeader)+1 : headerLen-1])
+	rec := logRecord(k, body)
+	line := string(rec[:headerLen-1])
+	fields := line[len(logTag)+1:] // key, length, checksums
 	for name, header := range map[string]string{
-		"as written":       resultHeader + " " + sum,
-		"trailing garbage": resultHeader + " " + sum + " and more",
-		"trailing blank":   resultHeader + " " + sum + " ",
-		"two spaces":       resultHeader + "  " + sum,
-		"capitals":         resultHeader + " " + strings.ToUpper(sum),
-		"short digest":     resultHeader + " " + sum[:63],
-		"carriage return":  resultHeader + " " + sum + "\r",
+		"as written":       line,
+		"trailing garbage": line + " and more",
+		"trailing blank":   line + " ",
+		"two spaces":       logTag + "  " + fields,
+		"capitals":         logTag + " " + strings.ToUpper(fields),
+		"0x length":        strings.Replace(line, " 0000", " 0x00", 1),
+		"blank-padded":     strings.Replace(line, " 0000", "     ", 1),
+		"short checksum":   line[:len(line)-1],
+		"carriage return":  line + "\r",
+		"header checksum":  line[:len(line)-1] + string(line[len(line)-1]^1),
 	} {
-		if err := os.WriteFile(filepath.Join(dir, k), []byte(header+"\n"+string(body)), 0o644); err != nil {
-			t.Fatal(err)
+		gotKey, n, sum, ok := parseHeader([]byte(header + "\n"))
+		if ok != (name == "as written") {
+			t.Errorf("header %s: accepted=%v", name, ok)
 		}
-		_, err := s.readVerified(k)
-		if ok := err == nil; ok != (name == "as written") {
-			t.Errorf("header %s: accepted=%v (%v)", name, ok, err)
+		if ok && (gotKey != k || n != uint64(len(body)) || sum != crc32.Checksum(body, castagnoli)) {
+			t.Errorf("header %s reads key %s, %d bytes, checksum %08x", name, gotKey, n, sum)
 		}
 	}
 }

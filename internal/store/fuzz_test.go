@@ -2,8 +2,6 @@ package store
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -93,77 +91,111 @@ func FuzzJournalReplay(f *testing.F) {
 	})
 }
 
-// entry encodes a payload as the result file Put writes for it.
-func entry(payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	return append([]byte(resultHeader+" "+hex.EncodeToString(sum[:])+"\n"), payload...)
+// logRecord encodes a payload as the outcome log record Put appends for it.
+func logRecord(key string, payload []byte) []byte {
+	return append(appendHeader(nil, key, uint64(len(payload)), crc32.Checksum(payload, castagnoli)), payload...)
 }
 
-// FuzzStoreFile plants arbitrary bytes where a result entry belongs — found
-// by Open, as after a crash or bit rot at rest, and again behind an open
-// store's back, as bit rot since — and holds the store to its one promise:
-// what Get returns verified. An entry is served only if the file is, byte
-// for byte, what Put writes for the payload served; anything else — a
-// flipped bit, a truncation, a header with a stray blank or trailing
-// garbage — is a miss, is deleted, and leaves the key free to be Put again:
-// a corrupt result is re-executed, never served and never wedged.
+// FuzzStoreFile plants arbitrary bytes as the store's one file, the outcome
+// log — as the whole log, found by Open after a crash or bit rot at rest,
+// and appended behind records Put committed, as a torn or garbled tail —
+// and holds the store to its promises: Open never fails on what the log
+// holds; a payload it serves is byte for byte what Put laid down for it
+// (a record found whole in the planted bytes, or a committed one); the
+// records before the damage are all still served; reopening the log Open
+// truncated finds it as it was left; and a key rejected along the way can be
+// Put again and reads back, then and after the next Open — a corrupt result
+// is re-executed, never served and never wedged.
 func FuzzStoreFile(f *testing.F) {
-	good := entry([]byte("{\n  \"pf\": 0.25\n}\n"))
-	f.Add(good)
-	f.Add(entry(nil))
-	flipped := append([]byte(nil), good...)
+	key := keyFor("fuzzed")
+	good := logRecord(key, []byte("{\n  \"pf\": 0.25\n}\n"))
+	other := logRecord(keyFor("other"), []byte("{}\n"))
+	flipped := bytes.Clone(good)
 	flipped[len(flipped)-3] ^= 0x10
-	f.Add(flipped)
-	f.Add(good[:len(good)-4])       // truncated payload
-	f.Add(good[:headerLen-1])       // header without its newline
-	f.Add(good[:len(resultHeader)]) // tag alone
-	f.Add(bytes.Replace(good, []byte("\n"), []byte(" trailing\n"), 1))
+	f.Add(good)
+	f.Add(logRecord(key, nil))
+	f.Add(flipped)            // payload bit flip, header intact
+	f.Add(good[:len(good)-4]) // torn payload
+	f.Add(good[:headerLen-1]) // header without its newline
+	f.Add(good[:len(logTag)]) // tag alone
 	f.Add(bytes.Replace(good, []byte(" "), []byte("  "), 1))
-	f.Add(bytes.Replace(good, []byte("v1 "), []byte("v1 0x"), 1))
+	f.Add(bytes.Replace(good, []byte("-v2"), []byte("-v1"), 1))
 	f.Add([]byte(strings.ToUpper(string(good[:headerLen])) + string(good[headerLen:])))
-	f.Add(bytes.Replace(good, []byte("-v1"), []byte("-v2"), 1))
+	f.Add(append(bytes.Clone(flipped), other...)) // a skipped record, then a good one
+	f.Add(append(bytes.Clone(good), good...))     // one key twice
+	f.Add(append(bytes.Clone(other), "trailing garbage"...))
 	f.Add([]byte{})
 
-	key := keyFor("fuzzed")
+	committed := map[string][]byte{keyFor("first"): []byte("first\n"), keyFor("second"): []byte("second\n")}
 	fresh := []byte("re-executed")
-	f.Fuzz(func(t *testing.T, file []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, key)
-		// check holds one lookup of the planted file to the promise, then
-		// proves the key is not wedged.
-		check := func(s *Store, where string) {
-			got, ok := s.Get(key)
-			if ok {
-				if !bytes.Equal(entry(got), file) {
-					t.Fatalf("%s: served %q from a file that is not its encoding: %q", where, got, file)
+	f.Fuzz(func(t *testing.T, planted []byte) {
+		for _, behind := range []map[string][]byte{nil, committed} {
+			dir := t.TempDir()
+			if behind != nil {
+				s := openStore(t, dir)
+				for _, k := range []string{keyFor("first"), keyFor("second")} {
+					if err := s.Put(k, behind[k]); err != nil {
+						t.Fatal(err)
+					}
 				}
-				return
+				s.Close()
 			}
-			if _, err := os.Stat(path); err == nil {
-				t.Fatalf("%s: rejected entry left on disk", where)
+			lf, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := s.Put(key, fresh); err != nil {
-				t.Fatalf("%s: Put after a rejected entry: %v", where, err)
+			if _, err := lf.Write(planted); err != nil {
+				t.Fatal(err)
 			}
-			if got, ok := s.Get(key); !ok || !bytes.Equal(got, fresh) {
-				t.Fatalf("%s: the re-put entry reads back %q, %v", where, got, ok)
-			}
-		}
+			lf.Close()
 
-		if err := os.WriteFile(path, file, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(s, "found by Open")
+			s := openStore(t, dir)
+			served := map[string][]byte{}
+			for k := range s.index {
+				got, ok := s.Get(k)
+				if !ok {
+					t.Fatalf("indexed key %s is not served", k)
+				}
+				if want, ok := behind[k]; ok && !bytes.Equal(got, want) || !ok && !bytes.Contains(planted, logRecord(k, got)) {
+					t.Fatalf("served %q under %s, which no Put laid down", got, k)
+				}
+				served[k] = got
+			}
+			for k := range behind {
+				if served[k] == nil {
+					t.Fatalf("committed key %s lost to the bytes behind it", k)
+				}
+			}
 
-		// The same bytes replacing what is by now a committed entry of an
-		// open store: the planted file if it was served, the re-put one if not.
-		if err := os.WriteFile(path, file, 0o644); err != nil {
-			t.Fatal(err)
+			// The truncated log reopens as it was left.
+			size := logSize(t, dir)
+			s.Close()
+			s = openStore(t, dir)
+			if len(s.index) != len(served) || logSize(t, dir) != size {
+				t.Fatalf("reopen: %d entries of %d, %d of %d bytes", len(s.index), len(served), logSize(t, dir), size)
+			}
+			for k, want := range served {
+				if got, ok := s.Get(k); !ok || !bytes.Equal(got, want) {
+					t.Fatalf("reopen: %s reads %q, %v; want %q", k, got, ok, want)
+				}
+			}
+
+			// A rejected key is not wedged.
+			want, entries := served[key], len(served)
+			if want == nil {
+				if err := s.Put(key, fresh); err != nil {
+					t.Fatalf("Put after a rejected record: %v", err)
+				}
+				want, entries = fresh, entries+1
+			}
+			if got, ok := s.Get(key); !ok || !bytes.Equal(got, want) {
+				t.Fatalf("%s reads back %q, %v; want %q", key, got, ok, want)
+			}
+			s.Close()
+			s = openStore(t, dir)
+			if got, ok := s.Get(key); !ok || !bytes.Equal(got, want) || s.Len() != entries {
+				t.Fatalf("after the re-put and a reopen: %s reads %q, %v, %d of %d entries", key, got, ok, s.Len(), entries)
+			}
 		}
-		check(s, "found by Get")
 	})
 }

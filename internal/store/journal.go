@@ -106,6 +106,10 @@ func (w *frameBuf) Write(p []byte) (int, error) {
 
 var errClosed = errors.New("store: journal closed")
 
+// tmpPrefix names the file a compaction writes before renaming it over the
+// journal.
+const tmpPrefix = ".tmp-"
+
 // JournalStats is an observability snapshot of the journal's size and
 // durability activity.
 type JournalStats struct {

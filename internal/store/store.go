@@ -1,13 +1,14 @@
 // Package store is the durability layer of the campaign job service: an
-// on-disk content-addressed result store for completed campaign outcomes
+// append-only, checksummed outcome log for completed campaign outcomes
 // and an append-only, checksummed write-ahead journal for job and shard
 // lifecycle events. Together they make cmd/faultserverd crash-only — a
 // SIGKILL'd coordinator reopens its data directory, discards anything
-// half-written (torn journal tails, unrenamed result temps, corrupt
-// entries), and resumes every in-flight campaign from its last journaled
-// shard. Because a campaign's shard plan and experiment expansion are
-// pure functions of the normalized request (the PR-4 determinism rule),
-// a recovered run is byte-identical to an uninterrupted one.
+// half-written (torn journal tails, torn or corrupt log records), and
+// resumes every in-flight campaign from its last journaled shard.
+// Because a campaign's shard plan and experiment expansion are pure
+// functions of the normalized request (docs/ARCHITECTURE.md, the
+// determinism rules), a recovered run is byte-identical to an
+// uninterrupted one.
 //
 // The store and journal are deliberately generic: keys are SHA-256 hex
 // content addresses, payloads are opaque bytes, and journal records carry
@@ -17,39 +18,105 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
-	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
+	"syscall"
 	"time"
 )
 
-// resultHeader tags every result file with its format version; the rest
-// of the header line is the SHA-256 of the payload that follows it.
-const resultHeader = "repro-outcome-v1"
+// The outcome log is one file of records, each
+//
+//	repro-outcome-v2 <key> <payload length> <payload crc> <header crc>\n<payload>
+//
+// with the key as 64 lowercase hex digits, the length as 16, and both
+// checksums — CRC-32C of the payload, and of the header line up to and
+// including the blank before its own — as 8. Every field has a fixed width,
+// so a header has exactly one valid spelling.
+const (
+	logName = "outcomes.log"
+	logTag  = "repro-outcome-v2"
+	// Where a header's fields start, and its length, newline included.
+	keyOff    = len(logTag) + 1
+	lenOff    = keyOff + 64 + 1
+	sumOff    = lenOff + 16 + 1
+	headerLen = sumOff + 8 + 1 + 8 + 1
+)
 
-// Store is an on-disk content-addressed result store: one file per key
-// under its directory, each self-checksummed, written via fsync'd
-// temp-file + atomic rename so a crash can never leave a half-written
-// entry visible. Safe for concurrent use.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// appendHeader appends the header line of a record of n payload bytes
+// checksummed sum under key.
+func appendHeader(b []byte, key string, n uint64, sum uint32) []byte {
+	start := len(b)
+	var nb [8]byte
+	var sb [4]byte
+	binary.BigEndian.PutUint64(nb[:], n)
+	binary.BigEndian.PutUint32(sb[:], sum)
+	b = append(b, logTag+" "...)
+	b = append(b, key...)
+	b = append(b, ' ')
+	b = hex.AppendEncode(b, nb[:])
+	b = append(b, ' ')
+	b = hex.AppendEncode(b, sb[:])
+	b = append(b, ' ')
+	binary.BigEndian.PutUint32(sb[:], crc32.Checksum(b[start:], castagnoli))
+	b = hex.AppendEncode(b, sb[:])
+	return append(b, '\n')
+}
+
+// parseHeader reads one header line. It accepts exactly what appendHeader
+// writes: the line is decoded, re-spelled, and compared byte for byte.
+func parseHeader(line []byte) (key string, n uint64, sum uint32, ok bool) {
+	var nb [8]byte
+	var sb [4]byte
+	if len(line) != headerLen {
+		return "", 0, 0, false
+	}
+	_, errN := hex.Decode(nb[:], line[lenOff:lenOff+16])
+	_, errSum := hex.Decode(sb[:], line[sumOff:sumOff+8])
+	key = string(line[keyOff : keyOff+64])
+	n, sum = binary.BigEndian.Uint64(nb[:]), binary.BigEndian.Uint32(sb[:])
+	var want [headerLen]byte
+	ok = errN == nil && errSum == nil && validKey(key) && bytes.Equal(appendHeader(want[:0], key, n, sum), line)
+	return key, n, sum, ok
+}
+
+// record is where a committed payload lies in the log.
+type record struct {
+	off int64 // of the payload
+	n   int64
+	sum uint32
+}
+
+// Store is a content-addressed result store: one append-only log of
+// checksummed records under its directory, and an in-memory index of the
+// records that verified. Safe for concurrent use.
 type Store struct {
-	dir string
+	f *os.File
 
-	mu   sync.Mutex
-	keys map[string]struct{}
+	// appendMu serialises appends; end is where the next one goes.
+	appendMu sync.Mutex
+	end      int64
 
+	mu       sync.Mutex
+	index    map[string]record
 	onCommit func(took time.Duration, err error)
 
 	// fsync is (*os.File).Sync; tests substitute one they can hold up.
 	fsync func(*os.File) error
 }
 
-// OnCommit registers f to be told how long each Commit took and whether it
-// failed, on the committing goroutine, just before Commit returns.
+// OnCommit registers f to be told how long each Put took and whether it
+// failed, on the committing goroutine, just before Put returns.
 func (s *Store) OnCommit(f func(took time.Duration, err error)) {
 	s.mu.Lock()
 	s.onCommit = f
@@ -57,8 +124,7 @@ func (s *Store) OnCommit(f func(took time.Duration, err error)) {
 }
 
 // validKey reports whether key is a well-formed SHA-256 hex content
-// address — the only names the store will touch on disk, so a corrupt
-// journal can never walk the filesystem.
+// address — the only keys the store will write or index.
 func validKey(key string) bool {
 	if len(key) != 64 {
 		return false
@@ -72,229 +138,170 @@ func validKey(key string) bool {
 	return true
 }
 
-// Open creates (or reopens) a result store rooted at dir. Every existing
-// entry is integrity-checked: files whose checksum or framing do not
-// verify — and temp files left behind by a crash mid-write — are deleted,
-// so a reopened store only ever serves results that were fully committed.
+// Open creates (or reopens) the result store rooted at dir. Every record
+// of the log is verified: one whose payload fails its checksum is skipped
+// (its key alone is lost), and the first header that is torn or does not
+// verify ends the log, which is truncated there — so a reopened store only
+// ever serves results that were fully committed. Nothing else under dir is
+// read or deleted.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, keys: map[string]struct{}{}, fsync: (*os.File).Sync}
-	entries, err := os.ReadDir(dir)
+	path := filepath.Join(dir, logName)
+	_, statErr := os.Stat(path)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(name, tmpPrefix) {
-			os.Remove(filepath.Join(dir, name)) // crashed mid-write
-			continue
-		}
-		if !validKey(name) {
-			continue // not ours; leave it alone
-		}
-		if _, err := s.readVerified(name); err != nil {
-			os.Remove(filepath.Join(dir, name)) // half-written or bit-rotted
-			continue
-		}
-		s.keys[name] = struct{}{}
+	s := &Store{f: f, index: map[string]record{}, fsync: (*os.File).Sync}
+	if errors.Is(statErr, os.ErrNotExist) {
+		err = syncDir(dir)
+	}
+	if err == nil {
+		err = s.scan()
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	return s, nil
 }
 
-const tmpPrefix = ".tmp-"
-
-// headerLen is the length of an entry's header line: the format tag, one
-// space, the payload's SHA-256 as 64 lowercase hex digits, a newline, and
-// nothing else — exactly what Commit writes.
-const headerLen = len(resultHeader) + 1 + 2*sha256.Size + 1
-
-// readVerified loads one entry and checks its framing and checksum.
-func (s *Store) readVerified(key string) ([]byte, error) {
-	b, err := os.ReadFile(filepath.Join(s.dir, key))
+// scan indexes every record that verifies, the first of each key, and
+// truncates the log after the last whole one.
+func (s *Store) scan() error {
+	fi, err := s.f.Stat()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(b) < headerLen || string(b[:len(resultHeader)]) != resultHeader ||
-		b[len(resultHeader)] != ' ' || b[headerLen-1] != '\n' {
-		return nil, fmt.Errorf("store: %s: bad header", key)
+	size := fi.Size()
+	br := bufio.NewReader(io.NewSectionReader(s.f, 0, size))
+	buf := make([]byte, 32<<10)
+	var line [headerLen]byte
+	off := int64(0)
+	for off+int64(headerLen) <= size { // else the header is torn
+		if _, err := io.ReadFull(br, line[:]); err != nil {
+			return err
+		}
+		key, n, sum, ok := parseHeader(line[:])
+		if !ok || n > uint64(size-off-int64(headerLen)) {
+			break // not a header, or its payload is torn
+		}
+		h := crc32.New(castagnoli)
+		if _, err := io.CopyBuffer(h, io.LimitReader(br, int64(n)), buf); err != nil {
+			return err
+		}
+		rec := record{off: off + int64(headerLen), n: int64(n), sum: sum}
+		if _, dup := s.index[key]; !dup && h.Sum32() == sum {
+			s.index[key] = rec
+		}
+		off = rec.off + rec.n
 	}
-	payload := b[headerLen:]
-	got := sha256.Sum256(payload)
-	var sum [2 * sha256.Size]byte
-	hex.Encode(sum[:], got[:])
-	if !bytes.Equal(b[len(resultHeader)+1:headerLen-1], sum[:]) {
-		return nil, fmt.Errorf("store: %s: payload checksum mismatch", key)
+	if off < size {
+		if err := s.f.Truncate(off); err != nil {
+			return err
+		}
 	}
-	return payload, nil
+	s.end = off
+	return nil
 }
 
-// Put durably commits payload under key: Begin and Commit back to back.
-// Re-putting an existing key is a no-op: content-addressed payloads for
-// the same key are byte-identical by construction.
+// Put durably stores payload under key: one record appended to the log and
+// fsynced, then indexed. Re-putting a stored key is a no-op:
+// content-addressed payloads for the same key are byte-identical by
+// construction, and two Puts of one key racing both append the same bytes,
+// which is harmless.
 func (s *Store) Put(key string, payload []byte) error {
-	return s.Begin(key).Commit(payload)
-}
-
-// Pending is an entry whose temp file exists (or is being created) and
-// whose payload is not yet known. Exactly one of Commit and Abort must
-// follow Begin; both wait for the creation to finish, so no goroutine and
-// no open file outlives them. A process killed in between leaves a temp
-// file, which the next Open deletes.
-type Pending struct {
-	s   *Store
-	key string
-	// created is closed once tmp and err are final.
-	created chan struct{}
-	tmp     *os.File
-	err     error
-}
-
-// Begin starts an entry for key and returns at once: the temp file — which
-// needs nothing of the payload, and is a third of what committing costs —
-// is created on a goroutine of its own while the caller computes what to
-// store. An invalid key, or a failure to create the file, is reported by
-// Commit.
-func (s *Store) Begin(key string) *Pending {
-	p := &Pending{s: s, key: key, created: make(chan struct{})}
-	if !validKey(key) {
-		p.err = fmt.Errorf("store: invalid content key %q", key)
-		close(p.created)
-		return p
-	}
-	go func() {
-		p.tmp, p.err = os.CreateTemp(s.dir, tmpPrefix+key+"-")
-		close(p.created)
-	}()
-	return p
-}
-
-// has reports whether key is committed.
-func (s *Store) has(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.keys[key]
-	return ok
-}
-
-// Abort gives the entry up and removes its temp file.
-func (p *Pending) Abort() {
-	<-p.created
-	if p.tmp != nil {
-		p.tmp.Close()
-		os.Remove(p.tmp.Name())
-	}
-}
-
-// Commit durably stores payload under the entry's key: header and payload
-// are written to the temp file, which is fsync'd, then renamed into place
-// (and the directory fsync'd), so readers — including a post-crash Open —
-// see either the whole entry or nothing. The store's lock is held for the
-// key check and the insert only, never across the disk: a Get of another
-// key does not queue behind this entry's fsyncs, and two commits of one
-// key both rename the same bytes onto the same name.
-func (p *Pending) Commit(payload []byte) error {
 	t0 := time.Now()
-	err := p.commit(payload)
-	p.s.mu.Lock()
-	f := p.s.onCommit
-	p.s.mu.Unlock()
+	err := s.put(key, payload)
+	s.mu.Lock()
+	f := s.onCommit
+	s.mu.Unlock()
 	if f != nil {
 		f(time.Since(t0), err)
 	}
 	return err
 }
 
-func (p *Pending) commit(payload []byte) error {
-	<-p.created
-	if p.err != nil {
-		return p.err
+func (s *Store) put(key string, payload []byte) error {
+	if !validKey(key) {
+		return fmt.Errorf("store: invalid content key %q", key)
 	}
-	s, tmp := p.s, p.tmp
-	if s.has(p.key) {
-		p.Abort() // the bytes under a content address are already these
+	s.mu.Lock()
+	_, ok := s.index[key]
+	s.mu.Unlock()
+	if ok {
 		return nil
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	sum := sha256.Sum256(payload)
-	head := make([]byte, 0, headerLen)
-	head = append(head, resultHeader+" "...)
-	head = hex.AppendEncode(head, sum[:])
-	head = append(head, '\n')
-	if _, err := tmp.Write(head); err != nil {
-		tmp.Close()
-		return err
+	rec := record{n: int64(len(payload)), sum: crc32.Checksum(payload, castagnoli)}
+	var head [headerLen]byte
+	appendHeader(head[:0], key, uint64(rec.n), rec.sum)
+	// A failed or short write is cut off again before the next append can
+	// land behind it.
+	s.appendMu.Lock()
+	rec.off = s.end + int64(headerLen)
+	_, err := s.f.WriteAt(head[:], s.end)
+	if err == nil {
+		_, err = s.f.WriteAt(payload, rec.off)
 	}
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close()
-		return err
+	if err != nil {
+		s.f.Truncate(s.end) // best effort: the next Open truncates a torn record too
+	} else {
+		s.end = rec.off + rec.n
 	}
-	if err := s.fsync(tmp); err != nil {
-		tmp.Close()
-		return err
+	s.appendMu.Unlock()
+	// The fsync runs outside the append lock, so other commits append
+	// meanwhile; the key is served only once its record is on the disk.
+	if err == nil {
+		err = s.fsync(s.f)
 	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, p.key)); err != nil {
-		return err
-	}
-	if err := syncDir(s.dir); err != nil {
+	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.keys[p.key] = struct{}{}
+	s.index[key] = rec
 	s.mu.Unlock()
 	return nil
 }
 
-// Get returns the payload committed under key. A present-but-corrupt
-// entry (bit rot since Open) is deleted and reported as a miss: the
+// Get returns the payload committed under key. A record whose payload no
+// longer matches its checksum (bit rot since Open) is dropped from the
+// index and reported as a miss, so a later Put appends it afresh: the
 // content-addressed contract is that whatever Get returns verified.
 func (s *Store) Get(key string) ([]byte, bool) {
-	if !validKey(key) {
-		return nil, false
-	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.keys[key]; !ok {
+	rec, ok := s.index[key]
+	s.mu.Unlock()
+	if !ok {
 		return nil, false
 	}
-	payload, err := s.readVerified(key)
-	if err != nil {
-		delete(s.keys, key)
-		os.Remove(filepath.Join(s.dir, key))
+	b := make([]byte, rec.n)
+	if _, err := s.f.ReadAt(b, rec.off); err != nil || crc32.Checksum(b, castagnoli) != rec.sum {
+		s.mu.Lock()
+		if s.index[key] == rec {
+			delete(s.index, key)
+		}
+		s.mu.Unlock()
 		return nil, false
 	}
-	return payload, true
+	return b, true
 }
 
 // Len returns the number of committed entries.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.keys)
+	return len(s.index)
 }
 
-// Keys returns the committed content addresses in unspecified order.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.keys))
-	for k := range s.keys {
-		out = append(out, k)
-	}
-	return out
-}
+// Close closes the log. Every Put that returned is already on the disk.
+func (s *Store) Close() error { return s.f.Close() }
 
-// syncDir fsyncs a directory so a just-renamed entry survives power loss.
-// Some platforms (and some filesystems) refuse to fsync directories;
-// that only weakens the power-loss window, not crash consistency, so the
-// error is ignored there.
+// syncDir fsyncs a directory so a just-created or just-renamed file
+// survives power loss. Some platforms (and some filesystems) refuse to
+// fsync directories; that only weakens the power-loss window, not crash
+// consistency, so the error is ignored there.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -304,7 +311,7 @@ func syncDir(dir string) error {
 	if err := d.Sync(); err != nil && !os.IsPermission(err) {
 		// EINVAL from directory fsync on exotic filesystems is not a
 		// durability bug in our code; EIO and friends are real.
-		if pe, ok := err.(*os.PathError); ok && pe.Err.Error() == "invalid argument" {
+		if errors.Is(err, syscall.EINVAL) {
 			return nil
 		}
 		return err

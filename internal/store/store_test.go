@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -78,136 +80,168 @@ func TestStoreRejectsInvalidKeys(t *testing.T) {
 	}
 }
 
-// TestStoreOpenDiscardsDamage covers the crash debris Open must clean:
-// temp files from a mid-write crash, entries whose payload no longer
-// matches their checksum, and entries with mangled framing. Foreign
-// files that are not content addresses must be left untouched.
+// openStore opens the store under dir, to be closed at the end of the test
+// if the test has not closed it itself.
+func openStore(t testing.TB, dir string) *Store {
+	t.Helper()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// logSize is the byte length of the outcome log under dir.
+func logSize(t testing.TB, dir string) int {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(fi.Size())
+}
+
+// TestStoreOpenDiscardsDamage covers the debris Open must clean out of the
+// log, and what it must leave alone. A record whose header verifies but
+// whose payload does not is skipped, and the records after it are served; a
+// header that is torn or does not verify ends the log, which is truncated
+// there. Files beside the log — a previous format's result files and temp
+// files, anything foreign — are neither read nor deleted. Each case then
+// appends a record where the log now ends and reopens it.
 func TestStoreOpenDiscardsDamage(t *testing.T) {
+	keys := []string{keyFor("first"), keyFor("second"), keyFor("third")}
+	payloads := [][]byte{[]byte(`{"n":1}`), []byte(`{"n":2}`), []byte(`{"n":3}`)}
+	r1, r2, r3 := logRecord(keys[0], payloads[0]), logRecord(keys[1], payloads[1]), logRecord(keys[2], payloads[2])
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	flip := func(rec []byte, i int) []byte {
+		b := bytes.Clone(rec)
+		b[i] ^= 0x40
+		return b
+	}
+	v1 := sha256.Sum256(payloads[1])
 	tests := []struct {
-		name    string
-		file    string // basename to create
-		content func(key string, good []byte) []byte
-		kept    bool // file still on disk after Open
-		served  bool // Get(key) hits after Open
+		name   string
+		log    []byte
+		beside string // a file next to the log, by name; its content is "beside"+name
+		served []bool // per key, whether Get hits after Open
+		kept   int    // bytes of the log Open keeps
 	}{
-		{
-			name: "intact entry",
-			content: func(key string, good []byte) []byte {
-				return good
-			},
-			kept: true, served: true,
-		},
-		{
-			name: "bit rot in payload",
-			content: func(key string, good []byte) []byte {
-				b := append([]byte(nil), good...)
-				b[len(b)-2] ^= 0x40
-				return b
-			},
-			kept: false, served: false,
-		},
-		{
-			name: "truncated payload",
-			content: func(key string, good []byte) []byte {
-				return good[:len(good)-3]
-			},
-			kept: false, served: false,
-		},
-		{
-			name: "missing header line",
-			content: func(key string, good []byte) []byte {
-				return []byte("no newline at all")
-			},
-			kept: false, served: false,
-		},
-		{
-			name: "wrong format version",
-			content: func(key string, good []byte) []byte {
-				return append([]byte("repro-outcome-v0 "+strings.Repeat("0", 64)+"\n"), "x"...)
-			},
-			kept: false, served: false,
-		},
-		{
-			name: "crash-abandoned temp file",
-			file: tmpPrefix + keyFor("tmp") + "-123",
-			content: func(key string, good []byte) []byte {
-				return []byte("half a result")
-			},
-			kept: false, served: false,
-		},
-		{
-			name: "foreign file is not ours to delete",
-			file: "README.txt",
-			content: func(key string, good []byte) []byte {
-				return []byte("hands off")
-			},
-			kept: true, served: false,
-		},
+		{name: "intact entry", log: cat(r1, r2, r3),
+			served: []bool{true, true, true}, kept: len(r1) + len(r2) + len(r3)},
+		{name: "bit rot in payload", log: cat(r1, flip(r2, len(r2)-2), r3),
+			served: []bool{true, false, true}, kept: len(r1) + len(r2) + len(r3)},
+		{name: "truncated payload", log: cat(r1, r2, r3[:len(r3)-3]),
+			served: []bool{true, true, false}, kept: len(r1) + len(r2)},
+		{name: "missing header line", log: cat(r1, r2, r3[:headerLen/2]),
+			served: []bool{true, true, false}, kept: len(r1) + len(r2)},
+		{name: "wrong format version", log: cat(r1, bytes.Replace(r2, []byte(logTag), []byte("repro-outcome-v1"), 1), r3),
+			served: []bool{true, false, false}, kept: len(r1)},
+		{name: "mid-file header corruption", log: cat(r1, flip(r2, len(logTag)+70), r3),
+			served: []bool{true, false, false}, kept: len(r1)},
+		{name: "trailing garbage", log: cat(r1, r2, r3, []byte("not a record\n")),
+			served: []bool{true, true, true}, kept: len(r1) + len(r2) + len(r3)},
+		{name: "crash-abandoned temp file", log: r1, beside: ".tmp-" + keys[1] + "-123",
+			served: []bool{true, false, false}, kept: len(r1)},
+		{name: "foreign file is not ours to delete", log: r1, beside: "README.txt",
+			served: []bool{true, false, false}, kept: len(r1)},
+		{name: "result file of the previous format", log: r1, beside: keys[1],
+			served: []bool{true, false, false}, kept: len(r1)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			dir := t.TempDir()
-			key := keyFor(tt.name)
+			if err := os.WriteFile(filepath.Join(dir, logName), tt.log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			beside := []byte("beside" + tt.beside)
+			if tt.beside == keys[1] {
+				beside = append([]byte("repro-outcome-v1 "+hex.EncodeToString(v1[:])+"\n"), payloads[1]...)
+			}
+			if tt.beside != "" {
+				if err := os.WriteFile(filepath.Join(dir, tt.beside), beside, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(s *Store, extra int) {
+				t.Helper()
+				for i, k := range keys {
+					got, ok := s.Get(k)
+					if ok != tt.served[i] || (ok && !bytes.Equal(got, payloads[i])) {
+						t.Errorf("key %d: Get = %q, %v; want served %v", i, got, ok, tt.served[i])
+					}
+				}
+				if n := logSize(t, dir); n != tt.kept+extra {
+					t.Errorf("the log holds %d bytes, want %d", n, tt.kept+extra)
+				}
+				if tt.beside != "" {
+					if b, err := os.ReadFile(filepath.Join(dir, tt.beside)); err != nil || !bytes.Equal(b, beside) {
+						t.Errorf("the file beside the log reads %q, %v", b, err)
+					}
+				}
+			}
+			s := openStore(t, dir)
+			check(s, 0)
 
-			// Produce a well-formed entry via a throwaway store, then
-			// replace its bytes with the damaged variant.
-			s0, err := Open(dir)
-			if err != nil {
+			// The log goes on where Open left it.
+			k4, p4 := keyFor("fourth"), []byte(`{"n":4}`)
+			if err := s.Put(k4, p4); err != nil {
 				t.Fatal(err)
 			}
-			if err := s0.Put(key, []byte(`{"n":1}`)); err != nil {
-				t.Fatal(err)
-			}
-			good, err := os.ReadFile(filepath.Join(dir, key))
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := tt.file
-			if name == "" {
-				name = key
-			} else {
-				os.Remove(filepath.Join(dir, key))
-			}
-			if err := os.WriteFile(filepath.Join(dir, name), tt.content(key, good), 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			s, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, name)); (err == nil) != tt.kept {
-				t.Errorf("file kept = %v, want %v", err == nil, tt.kept)
-			}
-			if _, ok := s.Get(key); ok != tt.served {
-				t.Errorf("Get served = %v, want %v", ok, tt.served)
+			s.Close()
+			s = openStore(t, dir)
+			check(s, len(logRecord(k4, p4)))
+			if got, ok := s.Get(k4); !ok || !bytes.Equal(got, p4) {
+				t.Errorf("the record appended after Open reads back %q, %v", got, ok)
 			}
 		})
 	}
 }
 
+// TestStoreGetDropsLateCorruption rots a payload behind an open store's
+// back: Get misses from then on, the records around it are still served,
+// and a Put of the key appends a fresh record that Get — and the next Open
+// — serves.
 func TestStoreGetDropsLateCorruption(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
+	s := openStore(t, dir)
+	k, k2, payload := keyFor("rots-after-open"), keyFor("stays"), []byte("payload")
+	if err := s.Put(k, payload); err != nil {
 		t.Fatal(err)
 	}
-	k := keyFor("rots-after-open")
-	if err := s.Put(k, []byte("payload")); err != nil {
+	if err := s.Put(k2, []byte("other")); err != nil {
 		t.Fatal(err)
 	}
 	// Rot sets in after Open verified the entry.
-	if err := os.WriteFile(filepath.Join(dir, k), []byte("garbage"), 0o644); err != nil {
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(k); ok {
-		t.Fatal("Get returned a corrupt entry")
+	if _, err := f.WriteAt([]byte("P"), int64(headerLen)); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, k)); err == nil {
-		t.Fatal("corrupt entry left on disk after the miss")
+	f.Close()
+	for i := 0; i < 2; i++ {
+		if got, ok := s.Get(k); ok {
+			t.Fatalf("Get %d returned a corrupt entry %q", i, got)
+		}
 	}
-	if _, ok := s.Get(k); ok {
-		t.Fatal("second Get resurrected the deleted entry")
+	if got, ok := s.Get(k2); !ok || string(got) != "other" {
+		t.Fatalf("the record after the rot reads %q, %v", got, ok)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d after the miss, want 1", s.Len())
+	}
+	if err := s.Put(k, payload); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(k); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("Get after the re-put = %q, %v", got, ok)
+	}
+	s.Close()
+	s = openStore(t, dir)
+	if got, ok := s.Get(k); !ok || !bytes.Equal(got, payload) || s.Len() != 2 {
+		t.Fatalf("after reopen: Get = %q, %v, %d entries", got, ok, s.Len())
 	}
 }
 
@@ -443,152 +477,86 @@ func TestJournalRewrite(t *testing.T) {
 	}
 }
 
-// temps lists the temp files under a store directory.
-func temps(t *testing.T, dir string) []string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []string
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), tmpPrefix) {
-			out = append(out, e.Name())
-		}
-	}
-	return out
-}
-
-// TestPendingLeavesNoTemp holds every way a begun entry can end to leaving
-// no temp file behind: aborted, committed, committed over a key that is
-// already there, begun with a key the store refuses, and — the crash case,
-// a Begin nothing followed — swept by the next Open.
-func TestPendingLeavesNoTemp(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, payload := keyFor("campaign-a"), []byte(`{"pf":0.25}`+"\n")
-
-	s.Begin(k).Abort()
-	if got := temps(t, dir); len(got) != 0 || s.Len() != 0 {
-		t.Fatalf("after Abort: temps %v, %d entries", got, s.Len())
-	}
-	if _, ok := s.Get(k); ok {
-		t.Fatal("an aborted entry is served")
-	}
-	if err := s.Begin(k).Commit(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Begin(k).Commit(payload); err != nil { // the key exists: nothing to write
-		t.Fatal(err)
-	}
-	if got, ok := s.Get(k); !ok || string(got) != string(payload) {
-		t.Fatalf("Get = %q, %v; want the committed payload", got, ok)
-	}
-	if got := temps(t, dir); len(got) != 0 || s.Len() != 1 {
-		t.Fatalf("after two commits of one key: temps %v, %d entries", got, s.Len())
-	}
-	bad := s.Begin("../../etc/passwd")
-	if err := bad.Commit(payload); err == nil {
-		t.Fatal("Commit under an invalid key succeeded")
-	}
-	s.Begin("not-a-key").Abort()
-	if got := temps(t, dir); len(got) != 0 {
-		t.Fatalf("after an invalid key: temps %v", got)
-	}
-
-	// A process killed between Begin and Commit: the file exists, nothing
-	// will ever finish it.
-	orphan := s.Begin(keyFor("campaign-b"))
-	<-orphan.created
-	if orphan.err != nil {
-		t.Fatal(orphan.err)
-	}
-	orphan.tmp.Close()
-	if got := temps(t, dir); len(got) != 1 {
-		t.Fatalf("a begun entry has temps %v, want one", got)
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := temps(t, dir); len(got) != 0 || s2.Len() != 1 {
-		t.Fatalf("after reopen: temps %v, %d entries; want none and the one committed", got, s2.Len())
-	}
-}
-
 // TestConcurrentCommitsOfOneKey races commits of one content address (two
 // jobs of one campaign: cancel, resubmit, and the first finishes anyway):
-// every one succeeds, one entry results, it verifies, no temp is left.
+// every one succeeds, one entry results, it verifies, and the log holds
+// whole records only — one per commit at most, all of them the same bytes.
 func TestConcurrentCommitsOfOneKey(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openStore(t, dir)
 	k, payload := keyFor("campaign-a"), []byte(strings.Repeat(`{"pf":0.25}`, 4096))
 	const writers = 8
-	entries := make([]*Pending, writers)
-	for i := range entries {
-		entries[i] = s.Begin(k)
-	}
 	var wg sync.WaitGroup
-	for _, e := range entries {
+	for i := 0; i < writers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := e.Commit(payload); err != nil {
+			if err := s.Put(k, payload); err != nil {
 				t.Error(err)
 			}
 			if got, ok := s.Get(k); !ok || string(got) != string(payload) {
-				t.Errorf("Get after Commit: %d bytes, %v", len(got), ok)
+				t.Errorf("Get after Put: %d bytes, %v", len(got), ok)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := temps(t, dir); len(got) != 0 || s.Len() != 1 {
-		t.Fatalf("temps %v, %d entries; want none and one", got, s.Len())
+	if s.Len() != 1 {
+		t.Fatalf("%d entries, want one", s.Len())
 	}
-	if s2, err := Open(dir); err != nil || s2.Len() != 1 {
-		t.Fatalf("reopen: %d entries, %v", s2.Len(), err)
-	}
-}
-
-// TestGetDoesNotWaitForCommit holds a commit inside its fsync and reads
-// another key meanwhile: Put used to keep the store's lock across both of
-// its fsyncs, so a cache hit read from the disk queued behind whatever
-// campaign was committing. The entry being committed is not served until
-// its commit is over.
-func TestGetDoesNotWaitForCommit(t *testing.T) {
-	s, err := Open(t.TempDir())
+	rec := logRecord(k, payload)
+	b, err := os.ReadFile(filepath.Join(dir, logName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ka, kb := keyFor("campaign-a"), keyFor("campaign-b")
+	if n := len(b) / len(rec); n < 1 || n > writers || !bytes.Equal(b, bytes.Repeat(rec, n)) {
+		t.Fatalf("the log holds %d bytes, not 1 to %d copies of the record", len(b), writers)
+	}
+	s.Close()
+	if s2 := openStore(t, dir); s2.Len() != 1 || logSize(t, dir) != len(b) {
+		t.Fatalf("reopen: %d entries, %d of %d bytes kept", s2.Len(), logSize(t, dir), len(b))
+	}
+}
+
+// TestGetDoesNotWaitForCommit holds a commit inside its fsync and works the
+// store meanwhile: a Get of another key is answered, and so is a Put — the
+// fsync runs outside both the index lock and the append lock, so a cache
+// hit does not queue behind another campaign's commit, nor one commit
+// behind another's disk flush. The entry being committed is not served
+// until its fsync is over.
+func TestGetDoesNotWaitForCommit(t *testing.T) {
+	s := openStore(t, t.TempDir())
+	ka, kb, kc := keyFor("campaign-a"), keyFor("campaign-b"), keyFor("campaign-c")
 	if err := s.Put(ka, []byte("a\n")); err != nil {
 		t.Fatal(err)
 	}
 	inSync, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
 	s.fsync = func(f *os.File) error {
-		close(inSync)
-		<-release
+		if held.CompareAndSwap(false, true) {
+			close(inSync)
+			<-release
+		}
 		return f.Sync()
 	}
 	committed := make(chan error, 1)
 	go func() { committed <- s.Put(kb, []byte("b\n")) }()
 	<-inSync
-	// With the lock held across the fsync this Get would deadlock the test
-	// (release comes after it), so a regression fails by timeout.
+	// With either lock held across the fsync these would deadlock the test
+	// (release comes after them), so a regression fails by timeout.
 	if got, ok := s.Get(ka); !ok || string(got) != "a\n" {
 		t.Errorf("Get during a commit = %q, %v", got, ok)
 	}
 	if _, ok := s.Get(kb); ok {
-		t.Error("an entry is served before its commit is over")
+		t.Error("an entry is served before its fsync is over")
 	}
 	if s.Len() != 1 {
 		t.Errorf("Len during a commit = %d, want 1", s.Len())
+	}
+	if err := s.Put(kc, []byte("c\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(kc); !ok || string(got) != "c\n" {
+		t.Errorf("Get of a key committed during another's fsync = %q, %v", got, ok)
 	}
 	close(release)
 	if err := <-committed; err != nil {
