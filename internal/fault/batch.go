@@ -173,8 +173,8 @@ func (t *verdicts) once(f forcing, call uint64, res *Result, run func()) int {
 type memo struct {
 	call uint64
 
-	netIdx map[rtl.WitnessNet]int32
-	nets   []rtl.WitnessNet
+	slot   []int32    // per net id of the design: 1 + the net's index in nets, 0 if not among them
+	nets   []int32    // the call's distinct nets, as net ids
 	extras []logExtra // per net: what its lanes ask of the log beyond the reads
 	logs   []*netLog  // per net; empty if the logging walk's witness failed to arm
 	netOf  []int32    // per experiment, its net; -1 for one that runs scalar
@@ -188,7 +188,9 @@ type memo struct {
 // carries no state to the next cycle anyway, or a register too wide to tag
 // (iu.md.acc, 64 bits); a hand-built transient before the ladder's first
 // rung, which cannot fork from it; and an invalid node, which must reproduce
-// the scalar engine's inject-error result.
+// the scalar engine's inject-error result. What a node is comes from its
+// facts (NodeInfo.plan), and its net from the id they carry: the loop looks
+// no name up and hashes none for an enumerated node.
 //
 // The plan also asks the runner, once, for the read logs of the lanes' nets
 // (readLogs): the one place a campaign may step golden cycles. Result
@@ -197,43 +199,43 @@ func (r *Runner) planBatches(exps []Experiment) *memo {
 	if r.opts.NoCheckpoint {
 		return nil
 	}
-	eng := r.getEngine()
-	k := eng.core.K
 	m := r.memos.get()
 	if m == nil {
-		m = &memo{netIdx: map[rtl.WitnessNet]int32{}}
+		m = &memo{slot: make([]int32, len(design().nets))}
 	}
 	m.call = r.verdicts.begin()
-	clear(m.netIdx)
 	m.nets, m.extras = m.nets[:0], m.extras[:0]
 	m.netOf = slices.Grow(m.netOf[:0], len(exps))[:len(exps)]
 	lanes := 0
-	for i, e := range exps {
+	for i := range exps {
+		e := &exps[i]
 		m.netOf[i] = -1
+		facts, net := e.Node.plan()
 		var extra logExtra
-		switch node := e.Node.Node; {
+		switch {
 		case e.Model == rtl.SETPulse:
 			extra = logValues
-		case e.Model == rtl.BitFlip && k.EdgesWatchable(node):
+		case e.Model == rtl.BitFlip && facts&edgesWatchable != 0:
 			extra = logEdges
-		case e.Model == rtl.BitFlip && !k.IsArrayWord(node):
+		case e.Model == rtl.BitFlip && facts&arrayWord == 0:
 			continue
 		}
-		if e.Model.Transient() && e.AtCycle < r.opts.InjectAtCycle || !k.NodeValid(e.Node.Node) {
+		if e.Model.Transient() && e.AtCycle < r.opts.InjectAtCycle || facts&nodeValid == 0 {
 			continue
 		}
-		wn := rtl.WitnessNet{Name: e.Node.Node.Name, Word: e.Node.Node.Word}
-		ni, ok := m.netIdx[wn]
-		if !ok {
-			ni = int32(len(m.nets))
-			m.netIdx[wn] = ni
-			m.nets, m.extras = append(m.nets, wn), append(m.extras, 0)
+		s := m.slot[net]
+		if s == 0 {
+			m.nets, m.extras = append(m.nets, net), append(m.extras, 0)
+			s = int32(len(m.nets))
+			m.slot[net] = s
 		}
-		m.netOf[i] = ni
-		m.extras[ni] |= extra
+		m.netOf[i] = s - 1
+		m.extras[s-1] |= extra
 		lanes++
 	}
-	r.putEngine(eng)
+	for _, net := range m.nets {
+		m.slot[net] = 0 // the slots are the plan's scratch: zero for the next
+	}
 	r.met.lanesPlanned.Add(float64(lanes))
 	r.readLogs(m)
 	return m

@@ -3,10 +3,12 @@ package fault
 import (
 	"context"
 	"strings"
+	"sync"
 
 	"repro/internal/iss"
 	"repro/internal/leon3"
 	"repro/internal/mem"
+	"repro/internal/rtl"
 	"repro/internal/sparc"
 )
 
@@ -66,15 +68,66 @@ func (r *Runner) GoldenTicks() uint64 { return r.GoldenCycles }
 // the ISS engine to the same instant on the RTL cycle timebase.
 func (r *Runner) InjectCycle() uint64 { return r.opts.InjectAtCycle }
 
-// enumerateNodes builds the annotated injectable-node list of a target
-// from a throwaway core. Node identity comes from the RTL design alone,
-// so the ISS engine enumerates through the same kernel and yields the
-// byte-identical list the RTL engine does. Every node's name is printed here,
-// once per runner and into one string, for the outcomes of every campaign
-// to share (NodeInfo.String).
-func enumerateNodes(entry uint32, target Target) []NodeInfo {
-	core := leon3.New(mem.NewBus(mem.NewMemory()), entry)
-	nodes := core.K.Nodes(target.Prefix())
+// designTable is what campaigns read of the RTL design, built once per
+// process from a throwaway core: the design does not depend on the program,
+// so every runner of both engines shares it. Each net (Name, Word) — a
+// signal, or one word of a memory array — has a dense id, one space for both
+// targets, and what the plan asks of a node is asked of the kernel here, at
+// enumeration, instead of by the node's name per experiment.
+type designTable struct {
+	k     *rtl.Kernel              // the throwaway core's
+	nets  []rtl.WitnessNet         // by net id
+	ids   map[rtl.WitnessNet]int32 // by net
+	once  [2]sync.Once
+	nodes [2][]NodeInfo // each target's annotated node list, IU then CMEM, enumerated on first use
+}
+
+var (
+	designOnce sync.Once
+	theDesign  *designTable
+)
+
+// design returns the process's design table, numbering the nets on first
+// use.
+func design() *designTable {
+	designOnce.Do(func() {
+		k := leon3.New(mem.NewBus(mem.NewMemory()), 0).K
+		d := &designTable{k: k, ids: map[rtl.WitnessNet]int32{}}
+		add := func(wn rtl.WitnessNet) {
+			d.ids[wn] = int32(len(d.nets))
+			d.nets = append(d.nets, wn)
+		}
+		for _, s := range k.Signals() {
+			add(rtl.WitnessNet{Name: s.Name()})
+		}
+		for _, a := range k.Arrays() {
+			for w := range a.Len() {
+				add(rtl.WitnessNet{Name: a.Name(), Word: w})
+			}
+		}
+		theDesign = d
+	})
+	return theDesign
+}
+
+// nodesOf returns target's node list, enumerating it on first use; any
+// target but CMEM is the IU, as in Target.Prefix.
+func (d *designTable) nodesOf(target Target) []NodeInfo {
+	i := 0
+	if target == TargetCMEM {
+		i = 1
+	}
+	d.once[i].Do(func() { d.nodes[i] = d.enumerate(target) })
+	return d.nodes[i]
+}
+
+// enumerate builds target's annotated node list. Both engines enumerate
+// through the one kernel, so the ISS engine yields the byte-identical list
+// the RTL engine does. Every node's name is printed here, once per process
+// and into one string, for the outcomes of every campaign to share
+// (NodeInfo.String), and its facts and net id are filled in.
+func (d *designTable) enumerate(target Target) []NodeInfo {
+	nodes := d.k.Nodes(target.Prefix())
 	// A string from the builder never changes, so each name is a slice of
 	// what it has built so far.
 	var names strings.Builder
@@ -83,9 +136,38 @@ func enumerateNodes(entry uint32, target Target) []NodeInfo {
 	for j, n := range nodes {
 		start := names.Len()
 		names.WriteString(n.String())
-		out[j] = NodeInfo{Node: n, Unit: sparc.Unit(core.K.UnitOf(n.Name)), name: names.String()[start:]}
+		if j > 0 && n.Name == nodes[j-1].Name && n.Word == nodes[j-1].Word {
+			// A net's bits are enumerated together and share its unit, facts
+			// and id: each is valid.
+			out[j] = out[j-1]
+		} else {
+			out[j].Unit = sparc.Unit(d.k.UnitOf(n.Name))
+			out[j].facts, out[j].net = d.factsOf(n)
+		}
+		out[j].Node, out[j].name = n, names.String()[start:]
 	}
 	return out
+}
+
+// factsOf returns what the design's kernel says of n — NodeValid,
+// EdgesWatchable and IsArrayWord, with factsSet — and n's net id: -1 for a
+// node on no net of the design, which is invalid.
+func (d *designTable) factsOf(n rtl.Node) (nodeFacts, int32) {
+	f := factsSet
+	if d.k.NodeValid(n) {
+		f |= nodeValid
+	}
+	if d.k.EdgesWatchable(n) {
+		f |= edgesWatchable
+	}
+	if d.k.IsArrayWord(n) {
+		f |= arrayWord
+	}
+	id, ok := d.ids[rtl.WitnessNet{Name: n.Name, Word: n.Word}]
+	if !ok {
+		id = -1
+	}
+	return f, id
 }
 
 // watch makes c the bus's write observer for as long as the bus lives; the

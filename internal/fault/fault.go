@@ -93,10 +93,36 @@ func (o Outcome) IsFailure() bool { return o != OutcomeNoEffect }
 type NodeInfo struct {
 	Node rtl.Node
 	Unit sparc.Unit
-	// name is Node.String(), printed when the runner enumerated its
-	// population; empty in a hand-built value. A copy whose Node is edited
-	// keeps the old name: derive a node as NodeInfo{Node: ..., Unit: ...}.
+	// facts and net are what the design table says of Node (nodeFacts) and
+	// the id of its net, filled in at enumeration and packed into the padding
+	// after Unit; zero in a hand-built value, which the plan looks up instead
+	// (NodeInfo.plan).
+	facts nodeFacts
+	net   int32
+	// name is Node.String(), printed when the population was enumerated;
+	// empty in a hand-built value. A copy whose Node is edited keeps the old
+	// name, facts and net: derive a node as NodeInfo{Node: ..., Unit: ...}.
 	name string
+}
+
+// nodeFacts is what the design says of a node: the answers the kernel's
+// NodeValid, EdgesWatchable and IsArrayWord give, and whether they are known.
+type nodeFacts uint8
+
+const (
+	factsSet       nodeFacts = 1 << iota // the facts and the net id are filled in
+	nodeValid                            // an injectable bit of the design
+	edgesWatchable                       // a bit of a register whose clock edges a witness can watch
+	arrayWord                            // a bit of a memory-array word
+)
+
+// plan returns n's facts and net id: the enumerated ones, or for a hand-built
+// node the design table's answer now.
+func (n *NodeInfo) plan() (nodeFacts, int32) {
+	if n.facts&factsSet != 0 {
+		return n.facts, n.net
+	}
+	return design().factsOf(n.Node)
 }
 
 // String returns the node's name as outcomes carry it, Node.String(): the
@@ -187,24 +213,6 @@ func (o *Options) normalize() error {
 	return nil
 }
 
-// nodeLists is a runner's per-target injection-node enumeration, built
-// once (it used to construct a throwaway core on every call). Node
-// identity is a property of the RTL design, not of any engine, so both
-// runners keep one and enumerate the identical lists.
-type nodeLists struct {
-	once [2]sync.Once
-	val  [2][]NodeInfo
-}
-
-func (c *nodeLists) nodes(entry uint32, target Target) []NodeInfo {
-	i := 0
-	if target == TargetCMEM {
-		i = 1
-	}
-	c.once[i].Do(func() { c.val[i] = enumerateNodes(entry, target) })
-	return c.val[i]
-}
-
 // Runner executes fault-injection experiments for one program.
 type Runner struct {
 	prog   *asm.Program
@@ -242,8 +250,6 @@ type Runner struct {
 	// each held until its campaign's dispatch ends.
 	engines freeList[engine]
 	memos   freeList[memo]
-
-	nodeLists nodeLists
 
 	// met holds the engine's metric handles — no-ops unless Options.Obs
 	// was set.
@@ -300,7 +306,7 @@ func NewRunner(p *asm.Program, opts Options) (*Runner, error) {
 	m := mem.NewMemory()
 	m.LoadImage(p.Origin, p.Image)
 	r := &Runner{prog: p, opts: opts, baseImg: m.Snapshot(), met: newEngineMetrics(opts.Obs), verdicts: newVerdicts(opts.Obs)}
-	r.log.budget = logBudget
+	r.log.budget, r.log.nets = logBudget, make([]*netLog, len(design().nets))
 	// One object of each kind per processor: what a campaign at the default
 	// worker count holds at once.
 	keep := runtime.GOMAXPROCS(0)
@@ -324,11 +330,10 @@ func NewRunner(p *asm.Program, opts Options) (*Runner, error) {
 func (r *Runner) Golden() *mem.Trace { return &r.golden }
 
 // Nodes enumerates the injectable nodes of a target, annotated with their
-// functional units. The enumeration is computed once per runner and the
-// same slice is returned to every caller; callers must not mutate it.
-func (r *Runner) Nodes(target Target) []NodeInfo {
-	return r.nodeLists.nodes(r.prog.Entry, target)
-}
+// functional units. The enumeration is computed once per process (the design
+// table) and the same slice is returned to every caller; callers must not
+// mutate it.
+func (r *Runner) Nodes(target Target) []NodeInfo { return design().nodesOf(target) }
 
 // SampleNodes draws a deterministic uniform sample of n nodes (statistical
 // fault injection): nodes at the first n positions of

@@ -96,8 +96,6 @@ type ISSRunner struct {
 	// engines keeps one emulator per worker for forks to restore in place.
 	engines freeList[issEngine]
 
-	nodeLists nodeLists
-
 	met issMetrics
 }
 
@@ -223,9 +221,7 @@ func (r *ISSRunner) GoldenTicks() uint64 {
 // Nodes enumerates the injectable nodes of a target — the identical
 // list the RTL engine yields, because node identity is a property of
 // the design, not the engine.
-func (r *ISSRunner) Nodes(target Target) []NodeInfo {
-	return r.nodeLists.nodes(r.prog.Entry, target)
-}
+func (r *ISSRunner) Nodes(target Target) []NodeInfo { return design().nodesOf(target) }
 
 // ScheduleTransients assigns transient experiments their instants over
 // [fixed instant, golden length) in the engine's external timebase,

@@ -94,8 +94,7 @@ const (
 )
 
 // bytes is the log's footprint against logBudget: its blocks, their lists,
-// the first-read table (512) and a flat charge for the rest of the struct
-// and its map entry.
+// the first-read table (512) and a flat charge for the rest of the struct.
 func (lg *netLog) bytes() int {
 	if lg == nil {
 		return 0
@@ -138,7 +137,7 @@ func (lg *netLog) valueAt(t uint64) uint64 {
 // instead of each stepping their own.
 type readLog struct {
 	mu     sync.Mutex
-	nets   map[rtl.WitnessNet]*netLog
+	nets   []*netLog // by net id of the design, sized by NewRunner; nil for a net not logged
 	bytes  int
 	budget int // logBudget; tests lower it
 }
@@ -155,15 +154,18 @@ func (r *Runner) readLogs(m *memo) {
 	lg := &r.log
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
+	d := design()
 	m.logs = m.logs[:0]
-	var miss []rtl.WitnessNet
+	var miss []int // indices into m.nets
+	var nets []rtl.WitnessNet
 	var extras []logExtra
-	for i, n := range m.nets {
-		l := lg.nets[n]
-		if l == nil {
-			miss, extras = append(miss, n), append(extras, m.extras[i])
-		} else if m.extras[i]&^l.has != 0 {
-			l, miss, extras = nil, append(miss, n), append(extras, m.extras[i]|l.has)
+	for i, net := range m.nets {
+		l := lg.nets[net]
+		if x := m.extras[i]; l == nil || x&^l.has != 0 {
+			if l != nil {
+				x |= l.has // a net logged without what a lane now asks for is walked again
+			}
+			l, miss, nets, extras = nil, append(miss, i), append(nets, d.nets[net]), append(extras, x)
 		}
 		m.logs = append(m.logs, l)
 	}
@@ -171,20 +173,17 @@ func (r *Runner) readLogs(m *memo) {
 	if len(miss) == 0 {
 		return
 	}
-	fresh := r.logWalk(miss, extras)
+	fresh := r.logWalk(nets, extras)
 	if fresh == nil {
 		m.logs = m.logs[:0]
 		return
 	}
-	if lg.nets == nil {
-		lg.nets = map[rtl.WitnessNet]*netLog{}
-	}
-	for k, n := range miss {
-		l := fresh[k]
-		m.logs[m.netIdx[n]] = l
+	for k, i := range miss {
+		l, net := fresh[k], m.nets[i]
+		m.logs[i] = l
 		// A net logged before without its raw values is replaced.
-		if size := l.bytes() - lg.nets[n].bytes(); lg.bytes+size <= lg.budget {
-			lg.nets[n], lg.bytes = l, lg.bytes+size
+		if size := l.bytes() - lg.nets[net].bytes(); lg.bytes+size <= lg.budget {
+			lg.nets[net], lg.bytes = l, lg.bytes+size
 			r.met.logLogged.Inc()
 			r.met.logBytes.Add(float64(size))
 		} else {

@@ -246,14 +246,24 @@ func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Regis
 			met.escalated.Inc()
 		}
 	}
+	// Counted here and added once per decision: a series is resolved per
+	// plan, not per experiment, and one that no experiment took is never
+	// created.
+	decision := [...]string{"audit", "escalate", "trust"}
+	var decided [len(decision)]int
 	for i := range exps {
 		switch {
 		case audited[i]:
-			met.decisions.With("audit").Inc()
+			decided[0]++
 		case escalated[units[i]]:
-			met.decisions.With("escalate").Inc()
+			decided[1]++
 		default:
-			met.decisions.With("trust").Inc()
+			decided[2]++
+		}
+	}
+	for d, n := range decided {
+		if n > 0 {
+			met.decisions.With(decision[d]).Add(float64(n))
 		}
 	}
 	return &hybridPlan{

@@ -5,10 +5,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"maps"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/jobs"
+	"repro/internal/obs"
 )
 
 // hybridSmall is a cheap real hybrid campaign: three permanent models
@@ -260,5 +263,47 @@ func TestISSEngineExecute(t *testing.T) {
 	}
 	if !strings.Contains(string(encode(t, out)), `"engine": "iss"`) {
 		t.Fatal("outcome request encoding omits the engine")
+	}
+}
+
+// routerDecisionsWant is what router_decisions_total reads after
+// routerDecisionsReq's plan, as the router counted it one experiment at a
+// time.
+var routerDecisionsWant = map[string]float64{"audit": 40, "escalate": 97, "trust": 7}
+
+// routerDecisionsReq is a hybrid campaign that takes all three decisions,
+// under a seed no other test plans with: a plan is cached by content address,
+// and a cached one counts nothing again.
+var routerDecisionsReq = jobs.Request{Workload: "excerptA", Models: []string{"sa0", "sa1", "open"}, Nodes: 48, Seed: 41,
+	InjectAtFraction: 0.3, Engine: "hybrid", RTLAudit: 0.3, Confidence: 0.3}
+
+// TestRouterDecisionsCountedPerPlan: the router's decisions, counted into a
+// registry once per plan, sum to the campaign's experiments and read what
+// counting each experiment read.
+func TestRouterDecisionsCountedPerPlan(t *testing.T) {
+	reg := obs.NewRegistry()
+	out, err := jobs.ExecuteObs(context.Background(), routerDecisionsReq, 2, nil, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	got, sum := map[string]float64{}, 0.0
+	for _, line := range strings.Split(sb.String(), "\n") {
+		name, val, _ := strings.Cut(line, " ")
+		if label, ok := strings.CutPrefix(name, `router_decisions_total{decision="`); ok {
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			got[strings.TrimSuffix(label, `"}`)] = v
+			sum += v
+		}
+	}
+	t.Logf("decisions %v over %d experiments", got, out.Injections)
+	if sum != float64(out.Injections) || !maps.Equal(got, routerDecisionsWant) {
+		t.Errorf("router_decisions_total %v over %d experiments, want %v", got, out.Injections, routerDecisionsWant)
 	}
 }

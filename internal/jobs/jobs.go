@@ -430,22 +430,20 @@ func assembleOutcome(req Request, goldenCycles uint64, checkpointed bool, reques
 		GoldenCycles:     goldenCycles,
 		Checkpointed:     checkpointed,
 		MaxLatencyCycles: -1,
-		Outcomes:         map[string]int{},
-		PfByUnit:         map[string]float64{},
 		Experiments:      exps,
 	}
 	if len(exps) < requested {
 		out.EarlyStopped = true
 		out.Requested = requested
 	}
-	unitTotal := map[string]int{}
-	unitFail := map[string]int{}
-	for _, e := range exps {
-		out.Outcomes[e.Outcome]++
-		unitTotal[e.Unit]++
-		if e.Outcome != noEffect {
+	var outcomes, units tally
+	for i := range exps {
+		e := &exps[i]
+		failed := e.Outcome != noEffect
+		outcomes.add(e.Outcome, false)
+		units.add(e.Unit, failed)
+		if failed {
 			out.Failures++
-			unitFail[e.Unit]++
 		}
 		if e.Outcome != outcomeHang && e.Latency > out.MaxLatencyCycles {
 			out.MaxLatencyCycles = e.Latency
@@ -455,13 +453,76 @@ func assembleOutcome(req Request, goldenCycles uint64, checkpointed bool, reques
 		out.Pf = float64(out.Failures) / float64(len(exps))
 	}
 	out.PfLow, out.PfHigh = stats.WilsonCI(out.Failures, len(exps), stats.Z95)
-	for u, n := range unitTotal {
-		out.PfByUnit[u] = float64(unitFail[u]) / float64(n)
-	}
+	out.Outcomes = make(map[string]int, outcomes.size())
+	outcomes.each(func(o string, c tallyCount) { out.Outcomes[o] = c.n })
+	out.PfByUnit = make(map[string]float64, units.size())
+	units.each(func(u string, c tallyCount) { out.PfByUnit[u] = float64(c.fail) / float64(c.n) })
 	if req.Engine == "hybrid" {
 		out.Hybrid = hybridAccounting(req, out)
 	}
 	return out
+}
+
+// tally counts a campaign's strings — its outcomes, or its units with their
+// failures — for assembleOutcome, which builds each map once from it. The
+// strings a campaign of this process carries are a handful of constants, so
+// the first tallyScan distinct ones are found by a scan of an array that
+// lives on the stack (equal constants compare by pointer); the rest — only a
+// remote worker's arbitrary strings get there — by a map, so that a tally
+// stays linear in the experiments whatever strings arrive.
+type tally struct {
+	keys [tallyScan]string
+	cnt  [tallyScan]tallyCount
+	k    int
+	more map[string]*tallyCount
+}
+
+// tallyScan is more than the outcomes and the functional units there are.
+const tallyScan = 16
+
+type tallyCount struct{ n, fail int }
+
+func (t *tally) add(s string, failed bool) {
+	c := t.find(s)
+	c.n++
+	if failed {
+		c.fail++
+	}
+}
+
+// find returns s's count, adding a zero one on s's first appearance.
+func (t *tally) find(s string) *tallyCount {
+	for i := range t.k {
+		if t.keys[i] == s {
+			return &t.cnt[i]
+		}
+	}
+	if t.k < tallyScan {
+		t.keys[t.k] = s
+		t.k++
+		return &t.cnt[t.k-1]
+	}
+	c := t.more[s]
+	if c == nil {
+		if t.more == nil {
+			t.more = map[string]*tallyCount{}
+		}
+		c = &tallyCount{}
+		t.more[s] = c
+	}
+	return c
+}
+
+func (t *tally) size() int { return t.k + len(t.more) }
+
+// each calls f with every string counted and its count, in no fixed order.
+func (t *tally) each(f func(string, tallyCount)) {
+	for i := range t.k {
+		f(t.keys[i], t.cnt[i])
+	}
+	for s, c := range t.more {
+		f(s, *c)
+	}
 }
 
 // Progress is one incremental snapshot of a running campaign: how many

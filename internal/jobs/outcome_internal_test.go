@@ -3,7 +3,10 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"maps"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 )
@@ -76,5 +79,76 @@ func TestWarmCampaignAllocations(t *testing.T) {
 	t.Logf("a warm campaign allocates %.0f times over 768 experiments, %.0f over 384", full, small)
 	if full > small+384/64 || full > 768/8 {
 		t.Errorf("a warm campaign allocates %.0f times over 768 experiments and %.0f over 384: want a constant per campaign", full, small)
+	}
+}
+
+// mapTally is assembleOutcome's tally as it was: a map assignment per
+// experiment into each of three string-keyed maps.
+func mapTally(exps []ExperimentOutcome) (outcomes map[string]int, pfByUnit map[string]float64) {
+	outcomes, pfByUnit = map[string]int{}, map[string]float64{}
+	unitTotal, unitFail := map[string]int{}, map[string]int{}
+	for _, e := range exps {
+		outcomes[e.Outcome]++
+		unitTotal[e.Unit]++
+		if e.Outcome != noEffect {
+			unitFail[e.Unit]++
+		}
+	}
+	for u, n := range unitTotal {
+		pfByUnit[u] = float64(unitFail[u]) / float64(n)
+	}
+	return outcomes, pfByUnit
+}
+
+// TestHostileTallyMatchesMapTally: what a remote worker may send — 20,000
+// experiments whose unit and outcome strings are nearly all distinct, some
+// needing JSON escaping, some empty, among the ones this process prints —
+// assembles to the bytes the map tally gives, and past the tally's scanned
+// keys the rest are found through its map, not by a scan that would make the
+// tally quadratic.
+func TestHostileTallyMatchesMapTally(t *testing.T) {
+	const n = 20_000
+	escaping := []string{"", `a"b`, `a\b`, "<script>", "a&b", "tab\there", "nul\x00", "line sep", "é", "\n"}
+	exps := make([]ExperimentOutcome, n)
+	for i := range exps {
+		e := &exps[i]
+		e.Node, e.Model, e.Latency, e.Cycles = "iu.ex.result.3", "sa0", int64(i%97)-1, uint64(i)
+		switch i % 5 {
+		case 0: // what this process prints
+			e.Unit, e.Outcome = "ALU", noEffect
+		case 1:
+			e.Unit, e.Outcome = escaping[(i/5)%len(escaping)], escaping[(i/3)%len(escaping)]
+		default:
+			e.Unit, e.Outcome = fmt.Sprintf("unit-%d", i), fmt.Sprintf("outcome-%d", i)
+		}
+	}
+	req := Request{Workload: "rspeed", Target: "iu", Models: []string{"sa0"}}
+	start := time.Now()
+	got := assembleOutcome(req, 1234, true, n+1, exps)
+	elapsed := time.Since(start)
+	want := *got
+	want.Outcomes, want.PfByUnit = mapTally(exps)
+	t.Logf("%d experiments, %d outcomes and %d units tallied in %v", n, len(got.Outcomes), len(got.PfByUnit), elapsed)
+	if !maps.Equal(got.Outcomes, want.Outcomes) || !maps.Equal(got.PfByUnit, want.PfByUnit) {
+		t.Fatal("the tally differs from the map tally")
+	}
+	gb, err := encodeOutcome(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := encodeOutcome(&want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, wb) {
+		t.Fatal("the outcome assembled from the tally encodes differently from the map tally's")
+	}
+
+	var units tally
+	for i := range exps {
+		units.add(exps[i].Unit, false)
+	}
+	if units.k != tallyScan || units.size() != len(want.PfByUnit) || len(units.more) != units.size()-tallyScan {
+		t.Errorf("%d units: %d scanned, %d in the map; want %d scanned and the rest in the map", units.size(), units.k, len(units.more), tallyScan)
 	}
 }
