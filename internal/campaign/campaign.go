@@ -10,6 +10,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/diversity"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/iss"
 	"repro/internal/leon3"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/rtl"
 	"repro/internal/stats"
@@ -92,15 +94,19 @@ type runnerKey struct {
 // for that build and share its result, failure included. RunnerFor and
 // ISSRunnerFor each keep one.
 type onceCache[K comparable, V any] struct {
+	// build makes a key's value, its engine counters fed to the registry
+	// given.
+	build func(K, *obs.Registry) (V, error)
 	mu    sync.Mutex
 	m     map[K]*onceEntry[V]
 	order []K // recency order, oldest first, for LRU eviction
 }
 
 type onceEntry[V any] struct {
-	once sync.Once
-	v    V
-	err  error
+	once  sync.Once
+	built atomic.Bool // v and err are set
+	v     V
+	err   error
 }
 
 // maxRunners bounds each memoized runner cache. The experiment functions
@@ -131,9 +137,42 @@ const maxRunners = 64
 // cores the campaigns themselves need. Cache hits never touch it.
 var buildSem = make(chan struct{}, runtime.GOMAXPROCS(0))
 
-// get returns key's memoized value, running build for it on first use.
-func (c *onceCache[K, V]) get(key K, build func() (V, error)) (V, error) {
+// get returns key's memoized value, running build for it on first use. A
+// built entry is returned directly. A build runs on the caller's goroutine
+// when ctx can never end, and otherwise on its own, waited for until ctx
+// ends: the golden-run simulation inside cannot be interrupted mid-flight,
+// so on ctx expiry it is left to finish in the background — where it still
+// fills the entry for a later caller — and get returns ctx.Err() promptly.
+// That is safe because buildSem bounds concurrent builds, so a
+// submit-and-cancel loop over ever-new keys queues cheap goroutines, not
+// simulations. A dead ctx returns its error before the lookup, so a caller
+// draining queued work with a cancelled context starts no orphan build.
+func (c *onceCache[K, V]) get(ctx context.Context, key K, reg *obs.Registry) (v V, err error) {
+	if err = ctx.Err(); err != nil {
+		return v, err
+	}
+	e := c.entry(key)
+	if e.built.Load() || ctx.Done() == nil {
+		c.fill(e, key, reg)
+		return e.v, e.err
+	}
+	done := make(chan struct{})
+	go func() {
+		c.fill(e, key, reg)
+		close(done)
+	}()
+	select {
+	case <-done:
+		return e.v, e.err
+	case <-ctx.Done():
+		return v, ctx.Err()
+	}
+}
+
+// entry returns key's entry, built or not, adding it when missing.
+func (c *onceCache[K, V]) entry(key K) *onceEntry[V] {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.m == nil {
 		c.m = make(map[K]*onceEntry[V])
 	}
@@ -157,13 +196,17 @@ func (c *onceCache[K, V]) get(key K, build func() (V, error)) (V, error) {
 			}
 		}
 	}
-	c.mu.Unlock()
+	return e
+}
+
+// fill builds key's value into its entry e once, under buildSem.
+func (c *onceCache[K, V]) fill(e *onceEntry[V], key K, reg *obs.Registry) {
 	e.once.Do(func() {
 		buildSem <- struct{}{}
 		defer func() { <-buildSem }()
-		e.v, e.err = build()
+		e.v, e.err = c.build(key, reg)
+		e.built.Store(true)
 	})
-	return e.v, e.err
 }
 
 // forget empties the cache; see ForgetRunners.
@@ -188,7 +231,7 @@ func ForgetRunners() {
 // rebuild the same six runners Figure 5 had already built — and across
 // the job service's requests. Runners are safe for concurrent campaigns,
 // so sharing one is sound.
-var runnerCache onceCache[runnerKey, *fault.Runner]
+var runnerCache = onceCache[runnerKey, *fault.Runner]{build: buildRunner}
 
 // RunnerFor returns the process-wide memoized fault runner for a
 // (workload, config, runner options) triple, building it — golden run
@@ -198,7 +241,13 @@ var runnerCache onceCache[runnerKey, *fault.Runner]
 // ladder are simulated once and reused until the entry ages out of the
 // bounded cache.
 func RunnerFor(name string, cfg workloads.Config, fopts fault.Options) (*fault.Runner, error) {
-	key := runnerKey{name: name, cfg: cfg, opts: fopts}
+	return RunnerForContext(context.Background(), name, cfg, fopts)
+}
+
+// RunnerForContext is RunnerFor under ctx: a cached runner is returned
+// directly, and a build is waited for until ctx ends, then left to finish in
+// the background (see onceCache.get).
+func RunnerForContext(ctx context.Context, name string, cfg workloads.Config, fopts fault.Options) (*fault.Runner, error) {
 	// The observability registry is a sink, never an input: two requests
 	// that differ only in Obs want the same golden run and checkpoint, so
 	// the registry must not fragment the cache (nor, being a pointer,
@@ -206,14 +255,20 @@ func RunnerFor(name string, cfg workloads.Config, fopts fault.Options) (*fault.R
 	// of a triple decides which registry its engine counters feed — in
 	// the daemon every build goes through the manager's registry, so this
 	// is moot there.
+	key := runnerKey{name: name, cfg: cfg, opts: fopts}
 	key.opts.Obs = nil
-	return runnerCache.get(key, func() (*fault.Runner, error) {
-		w, err := workloads.Build(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return fault.NewRunner(w.Program, fopts)
-	})
+	return runnerCache.get(ctx, key, fopts.Obs)
+}
+
+// buildRunner builds the runner of a RunnerFor key.
+func buildRunner(key runnerKey, reg *obs.Registry) (*fault.Runner, error) {
+	w, err := workloads.Build(key.name, key.cfg)
+	if err != nil {
+		return nil, err
+	}
+	fopts := key.opts
+	fopts.Obs = reg
+	return fault.NewRunner(w.Program, fopts)
 }
 
 // runnerFor is the experiment functions' view of RunnerFor: every figure

@@ -1,7 +1,10 @@
 package campaign
 
 import (
+	"context"
+
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -81,7 +84,7 @@ type issRunnerKey struct {
 	fixedCycle uint64
 }
 
-var issRunnerCache onceCache[issRunnerKey, *fault.ISSRunner]
+var issRunnerCache = onceCache[issRunnerKey, *fault.ISSRunner]{build: buildISSRunner}
 
 // ISSRunnerFor returns the process-wide memoized ISS campaign runner
 // for a (workload, config, options, timebase) tuple, building it —
@@ -89,17 +92,28 @@ var issRunnerCache onceCache[issRunnerKey, *fault.ISSRunner]
 // policy (see onceCache) and, like it, is keyed with the observability
 // registry stripped.
 func ISSRunnerFor(name string, cfg workloads.Config, fopts fault.Options, cycleRef, fixedCycle uint64) (*fault.ISSRunner, error) {
+	return ISSRunnerForContext(context.Background(), name, cfg, fopts, cycleRef, fixedCycle)
+}
+
+// ISSRunnerForContext is ISSRunnerFor under ctx, as RunnerForContext is
+// RunnerFor.
+func ISSRunnerForContext(ctx context.Context, name string, cfg workloads.Config, fopts fault.Options, cycleRef, fixedCycle uint64) (*fault.ISSRunner, error) {
 	key := issRunnerKey{
 		runnerKey:  runnerKey{name: name, cfg: cfg, opts: fopts},
 		cycleRef:   cycleRef,
 		fixedCycle: fixedCycle,
 	}
 	key.opts.Obs = nil
-	return issRunnerCache.get(key, func() (*fault.ISSRunner, error) {
-		w, err := workloads.Build(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return fault.NewISSRunner(w.Program, fopts, cycleRef, fixedCycle)
-	})
+	return issRunnerCache.get(ctx, key, fopts.Obs)
+}
+
+// buildISSRunner builds the runner of an ISSRunnerFor key.
+func buildISSRunner(key issRunnerKey, reg *obs.Registry) (*fault.ISSRunner, error) {
+	w, err := workloads.Build(key.name, key.cfg)
+	if err != nil {
+		return nil, err
+	}
+	fopts := key.opts
+	fopts.Obs = reg
+	return fault.NewISSRunner(w.Program, fopts, key.cycleRef, key.fixedCycle)
 }

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -334,38 +333,6 @@ func (r *Runner) Golden() *mem.Trace { return &r.golden }
 // table) and the same slice is returned to every caller; callers must not
 // mutate it.
 func (r *Runner) Nodes(target Target) []NodeInfo { return design().nodesOf(target) }
-
-// SampleNodes draws a deterministic uniform sample of n nodes (statistical
-// fault injection): nodes at the first n positions of
-// rand.New(rand.NewSource(seed)).Perm(len(nodes)). If n >= len(nodes) the
-// full set is returned, in order; if n <= 0, an empty sample.
-func SampleNodes(nodes []NodeInfo, n int, seed int64) []NodeInfo {
-	if n >= len(nodes) {
-		return nodes
-	}
-	if n <= 0 {
-		return []NodeInfo{}
-	}
-	// Perm's inside-out shuffle (m[i] = m[j]; m[j] = i, j drawn from [0,i])
-	// on the first n positions alone: a step moves what sits at a position
-	// at or past n only to another such position, so the prefix needs every
-	// draw and nothing else of the permutation. Position n stands for all of
-	// those: what is stored there is never read.
-	rng := rand.New(rand.NewSource(seed))
-	idx := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		j := rng.Intn(i + 1)
-		idx[i], idx[j] = idx[j], int32(i)
-	}
-	for i := n; i < len(nodes); i++ {
-		idx[min(rng.Intn(i+1), n)] = int32(i)
-	}
-	out := make([]NodeInfo, n)
-	for k, i := range idx[:n] {
-		out[k] = nodes[i]
-	}
-	return out
-}
 
 // Experiment is one (node, model) injection.
 type Experiment struct {

@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -82,31 +80,24 @@ func TestSampleNodesDeterministic(t *testing.T) {
 }
 
 // TestSampleNodesMatchesPerm holds the sample, drawn without a permutation,
-// to the permutation it is a prefix of: for sizes 1, 2, 48, 256 and either
-// side of the IU population's, under 64 seeds, the sample is the nodes at
-// rand.Perm's first n positions — the whole population, in order, from its
-// size on — and a size of 0 or less is an empty sample.
+// to the permutation it is a prefix of: on the IU and the CMEM population,
+// for sizes 1, 2, 48, 256 and either side of the population's, under seeds
+// 0–63 and the edge seeds, the sample is the nodes at rand.Perm's first n
+// positions — the whole population, in order, from its size on — and a size
+// of 0 or less is an empty sample.
 func TestSampleNodesMatchesPerm(t *testing.T) {
-	nodes := newRunner(t, "excerptA", workloads.Config{}).Nodes(TargetIU)
-	pop := len(nodes)
-	for _, n := range []int{1, 2, 48, 256, pop - 1, pop, pop + 1} {
-		for seed := int64(0); seed < 64; seed++ {
-			got := SampleNodes(nodes, n, seed)
-			want := nodes
-			if n < pop {
-				want = make([]NodeInfo, n)
-				for i, j := range rand.New(rand.NewSource(seed)).Perm(pop)[:n] {
-					want[i] = nodes[j]
-				}
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("SampleNodes(%d of %d, seed %d) is not the nodes at Perm's first %d positions", n, pop, seed, n)
-			}
-		}
+	r := newRunner(t, "excerptA", workloads.Config{})
+	seeds := append([]int64{}, sampleSeeds...)
+	for seed := range int64(64) {
+		seeds = append(seeds, seed)
 	}
-	for _, n := range []int{0, -1} {
-		if got := SampleNodes(nodes, n, 1); got == nil || len(got) != 0 {
-			t.Errorf("SampleNodes(%d) = %v, want an empty sample", n, got)
+	for _, target := range []Target{TargetIU, TargetCMEM} {
+		nodes := r.Nodes(target)
+		pop := len(nodes)
+		for _, n := range []int{-1, 0, 1, 2, 48, 256, pop - 1, pop, pop + 1} {
+			for _, seed := range seeds {
+				checkSample(t, nodes, n, seed)
+			}
 		}
 	}
 }

@@ -543,39 +543,6 @@ type Progress struct {
 // is called serially.
 type Tap func(done, total, failures int)
 
-// detached runs an engine build on its own goroutine and waits for it or
-// for ctx, whichever comes first: the golden-run simulation inside the
-// campaign registries cannot be interrupted mid-flight, so on ctx expiry
-// the build is left to finish in the background — where it still
-// populates the process-wide cache for a later resubmission — and the
-// caller returns promptly with ctx.Err(). That is safe because the
-// registries bound concurrent golden-run constructions with their own
-// semaphore, so a submit-and-cancel loop over ever-new specs queues cheap
-// goroutines, not simulations.
-func detached[T any](ctx context.Context, build func() (T, error)) (v T, err error) {
-	// A dead context must not kick off an orphan build: Manager.Close
-	// drains every still-queued job through here with the base context
-	// already cancelled.
-	if err = ctx.Err(); err != nil {
-		return v, err
-	}
-	type built struct {
-		v   T
-		err error
-	}
-	ch := make(chan built, 1)
-	go func() {
-		v, err := build()
-		ch <- built{v, err}
-	}()
-	select {
-	case b := <-ch:
-		return b.v, b.err
-	case <-ctx.Done():
-		return v, ctx.Err()
-	}
-}
-
 // config and engineOptions are the normalized request's view of the
 // campaign registries' cache key.
 func (r Request) config() workloads.Config {
@@ -592,20 +559,18 @@ func (r Request) engineOptions(reg *obs.Registry) fault.Options {
 	}
 }
 
-// runnerFor resolves the memoized RTL runner of a normalized request.
+// runnerFor resolves the memoized RTL runner of a normalized request. A
+// cached runner is returned directly; a build is waited for until ctx ends
+// (campaign.RunnerForContext).
 func runnerFor(ctx context.Context, n Request, reg *obs.Registry) (*fault.Runner, error) {
-	return detached(ctx, func() (*fault.Runner, error) {
-		return campaign.RunnerFor(n.Workload, n.config(), n.engineOptions(reg))
-	})
+	return campaign.RunnerForContext(ctx, n.Workload, n.config(), n.engineOptions(reg))
 }
 
 // issRunnerFor resolves the memoized ISS runner of a normalized request.
 // cycleRef/fixedCycle pin the engine to the RTL cycle timebase (hybrid);
 // both zero select the native instruction timebase (engine "iss").
 func issRunnerFor(ctx context.Context, n Request, reg *obs.Registry, cycleRef, fixedCycle uint64) (*fault.ISSRunner, error) {
-	return detached(ctx, func() (*fault.ISSRunner, error) {
-		return campaign.ISSRunnerFor(n.Workload, n.config(), n.engineOptions(reg), cycleRef, fixedCycle)
-	})
+	return campaign.ISSRunnerForContext(ctx, n.Workload, n.config(), n.engineOptions(reg), cycleRef, fixedCycle)
 }
 
 // engineFor resolves the engine whose golden run describes a normalized

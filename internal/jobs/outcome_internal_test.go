@@ -82,6 +82,32 @@ func TestWarmCampaignAllocations(t *testing.T) {
 	}
 }
 
+// TestWarmRunnerLookupAllocatesNothing: resolving a runner the cache has
+// built — both of a hybrid campaign's, under a context that can be
+// cancelled — starts no goroutine and makes no channel: it allocates
+// nothing.
+func TestWarmRunnerLookupAllocatesNothing(t *testing.T) {
+	n, err := warmRequest.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	lookup := func() {
+		r, err := runnerFor(ctx, n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := issRunnerFor(ctx, n, nil, r.GoldenCycles, r.InjectCycle()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lookup() // build both
+	if a := testing.AllocsPerRun(100, lookup); a != 0 {
+		t.Errorf("a warm runner lookup allocates %v times, want 0", a)
+	}
+}
+
 // mapTally is assembleOutcome's tally as it was: a map assignment per
 // experiment into each of three string-keyed maps.
 func mapTally(exps []ExperimentOutcome) (outcomes map[string]int, pfByUnit map[string]float64) {

@@ -39,10 +39,12 @@ var seamConstructors = []string{"NewRunner", "NewISSRunner"}
 var seamTypes = map[string]bool{"Runner": true, "ISSRunner": true}
 
 // seamRegistry lists the functions allowed to construct engines
-// directly: the memoized registries themselves.
+// directly: the memoized registries themselves and the builds behind them.
 var seamRegistry = []struct{ pathSuffix, funcName string }{
 	{"internal/campaign", "RunnerFor"},
 	{"internal/campaign", "ISSRunnerFor"},
+	{"internal/campaign", "buildRunner"},
+	{"internal/campaign", "buildISSRunner"},
 }
 
 func runSeamlint(pass *Pass) error {
