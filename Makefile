@@ -12,11 +12,11 @@ test:
 
 # What each target below runs and asserts: docs/ARCHITECTURE.md, "Make targets".
 
-# Every table and figure of the paper plus the engine pair, timed.
+# The engine timings (simulators, campaign engines) and ablation A1.
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# One iteration of every benchmark, no unit tests, no timing gate.
+# One iteration of every engine timing and A1, no unit tests, no timing gate.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 

@@ -1,17 +1,24 @@
-// Command correlate regenerates the paper's evaluation artifacts: Table 1,
-// Figures 3-7 and the simulation-time comparison, printing each in a
-// paper-style layout.
+// Command correlate regenerates the paper's evaluation — Table 1, Figures
+// 3-7, the simulation-time comparison and Equation (1) — with the transient
+// extensions and the ablations A2-A4, printing each in a paper-style layout
+// on stdout and its wall-clock time on stderr. Every artifact comes from one
+// list, core.Artifacts; internal/campaign/testdata/artifacts.golden pins
+// the untimed ones at -nodes 48.
 //
 // Usage:
 //
-//	correlate -exp all [-nodes 256] [-seed 1]
+//	correlate -exp all [-nodes 256] [-seed 1] [-iters 2]
 //	correlate -exp fig7
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/core"
@@ -20,47 +27,47 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("correlate: ")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command: parse args, render the chosen artifacts to
+// stdout, and time each on stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	arts := core.Artifacts()
+	var names []string
+	for _, a := range arts {
+		names = append(names, a.Name)
+	}
+	valid := strings.Join(names, ", ") + " or all"
+	fs := flag.NewFlagSet("correlate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp   = flag.String("exp", "all", "experiment: table1, fig3, fig4, fig5, fig6, fig7, simtime or all")
-		nodes = flag.Int("nodes", 256, "injection node sample size per campaign")
-		seed  = flag.Int64("seed", 1, "sampling seed")
-		iters = flag.Int("iters", 2, "workload iterations for RTL campaigns")
+		exp   = fs.String("exp", "all", "artifact: "+valid)
+		nodes = fs.Int("nodes", 256, "injection node sample size per campaign")
+		seed  = fs.Int64("seed", 1, "sampling seed")
+		iters = fs.Int("iters", 2, "workload iterations for RTL campaigns")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *exp != "all" && !slices.Contains(names, *exp) {
+		return fmt.Errorf("unknown -exp %q: want %s", *exp, valid)
+	}
 
 	o := core.ExperimentOptions{Nodes: *nodes, Seed: *seed, Iterations: *iters}
-
-	type renderer interface{ Render() string }
-	run := func(name string, f func() (renderer, error)) {
-		t0 := time.Now()
-		r, err := f()
-		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+	for _, a := range arts {
+		if *exp != "all" && *exp != a.Name {
+			continue
 		}
-		fmt.Println(r.Render())
-		fmt.Printf("[%s took %.1fs]\n\n", name, time.Since(t0).Seconds())
+		t0 := time.Now()
+		r, err := a.Run(o)
+		if err != nil {
+			return fmt.Errorf("%s: %w", a.Name, err)
+		}
+		fmt.Fprintln(stdout, r.Render())
+		fmt.Fprintf(stderr, "[%s took %.1fs]\n", a.Name, time.Since(t0).Seconds())
 	}
-
-	all := *exp == "all"
-	if all || *exp == "table1" {
-		run("table1", func() (renderer, error) { return core.Table1() })
-	}
-	if all || *exp == "fig3" {
-		run("fig3", func() (renderer, error) { return core.Figure3(o) })
-	}
-	if all || *exp == "fig4" {
-		run("fig4", func() (renderer, error) { return core.Figure4(o) })
-	}
-	if all || *exp == "fig5" {
-		run("fig5", func() (renderer, error) { return core.Figure5(o) })
-	}
-	if all || *exp == "fig6" {
-		run("fig6", func() (renderer, error) { return core.Figure6(o) })
-	}
-	if all || *exp == "fig7" {
-		run("fig7", func() (renderer, error) { return core.Figure7(o) })
-	}
-	if all || *exp == "simtime" {
-		run("simtime", func() (renderer, error) { return core.SimTime(o) })
-	}
+	return nil
 }

@@ -283,7 +283,7 @@ func RunCampaign(w *Workload, spec CampaignSpec) (*CampaignResult, error) {
 // PredictPf estimates a workload's failure probability from its ISS
 // profile alone, using the Equation-(1) area-weighted model with the
 // fitted per-unit log coefficients (a, b). areaWeights typically comes
-// from AreaWeightsIU.
+// from AreaWeights(TargetIU).
 func PredictPf(prof Profile, areaWeights map[Unit]float64, a, b float64) float64 {
 	pmf := diversity.PredictPmf(prof.UnitDiversity, a, b)
 	return diversity.CombinePf(areaWeights, pmf)
@@ -291,63 +291,21 @@ func PredictPf(prof Profile, areaWeights map[Unit]float64, a, b float64) float64
 
 // AreaWeights returns alpha_m for the target: each functional unit's share
 // of the RTL's injectable nodes (the paper's area fraction proxy).
-func AreaWeights(target Target) map[Unit]float64 {
-	c := leon3.New(mem.NewBus(mem.NewMemory()), mem.RAMBase)
-	counts := map[Unit]int{}
-	for _, n := range c.K.Nodes(target.Prefix()) {
-		counts[Unit(c.K.UnitOf(n.Name))]++
-	}
-	return diversity.AreaWeights(counts)
-}
+func AreaWeights(target Target) map[Unit]float64 { return campaign.AreaWeights(target) }
 
-// Experiment entry points (Table 1, Figures 3-7, simulation time). See
-// package repro/internal/campaign for the result types; each result has a
-// Render method that prints the paper-style table or series.
+// The reproduction of the paper's evaluation — Table 1, Figures 3-7, the
+// simulation-time comparison, Equation (1), the transient extensions and the
+// ablations A2-A4 — is one list of artifacts, each rendered in the paper's
+// layout (cmd/correlate prints them). See package repro/internal/campaign
+// for the result types.
 type (
 	// ExperimentOptions tunes campaign cost versus precision.
 	ExperimentOptions = campaign.Options
-	// Table1Result is the reproduced Table 1.
-	Table1Result = campaign.Table1Result
-	// Fig3Result is Figure 3 (input-data variation).
-	Fig3Result = campaign.Fig3Result
-	// Fig4Result is Figure 4 (iteration scaling).
-	Fig4Result = campaign.Fig4Result
-	// FigPfResult is Figure 5 or 6 (Pf per benchmark and model).
-	FigPfResult = campaign.FigPfResult
-	// Fig7Result is Figure 7 (Pf versus diversity with log fit).
-	Fig7Result = campaign.Fig7Result
-	// SimTimeResult is the §4.2 simulation-time comparison.
-	SimTimeResult = campaign.SimTimeResult
-	// TransientBreakdownResult is the per-model Pf breakdown contrasting
-	// permanent and transient fault classes.
-	TransientBreakdownResult = campaign.TransientBreakdownResult
+	// Artifact is one entry of the reproduction: its correlate -exp name and
+	// how to produce it.
+	Artifact = campaign.Artifact
 )
 
-// Table1 reproduces Table 1 on the ISS.
-func Table1() (*Table1Result, error) { return campaign.Table1() }
-
-// Figure3 reproduces Figure 3.
-func Figure3(o ExperimentOptions) (*Fig3Result, error) { return campaign.Figure3(o) }
-
-// Figure4 reproduces Figure 4.
-func Figure4(o ExperimentOptions) (*Fig4Result, error) { return campaign.Figure4(o) }
-
-// Figure5 reproduces Figure 5 (IU nodes).
-func Figure5(o ExperimentOptions) (*FigPfResult, error) { return campaign.Figure5(o) }
-
-// Figure6 reproduces Figure 6 (CMEM nodes).
-func Figure6(o ExperimentOptions) (*FigPfResult, error) { return campaign.Figure6(o) }
-
-// Figure7 reproduces Figure 7.
-func Figure7(o ExperimentOptions) (*Fig7Result, error) { return campaign.Figure7(o) }
-
-// SimTime reproduces the simulation-time comparison.
-func SimTime(o ExperimentOptions) (*SimTimeResult, error) { return campaign.SimTime(o) }
-
-// TransientBreakdown runs one campaign per fault model — permanent and
-// transient — over a shared node sample of one benchmark and returns the
-// per-model Pf columns with the class aggregates. pulse is the SET
-// glitch width in cycles (0 = 1).
-func TransientBreakdown(o ExperimentOptions, benchmark string, pulse uint64) (*TransientBreakdownResult, error) {
-	return campaign.TransientBreakdown(o, benchmark, pulse)
-}
+// Artifacts lists every artifact of the reproduction, in the order
+// correlate renders them.
+func Artifacts() []Artifact { return campaign.Artifacts() }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/diversity"
 	"repro/internal/iss"
+	"repro/internal/leon3"
+	"repro/internal/mem"
 	"repro/internal/sparc"
 )
 
@@ -129,6 +133,22 @@ func TestAreaWeightsNormalized(t *testing.T) {
 		}
 		if sum < 0.999 || sum > 1.001 {
 			t.Errorf("%v: weights sum to %v", target, sum)
+		}
+	}
+}
+
+// TestAreaWeightsCountTheDesign holds AreaWeights, which counts the fault
+// design table's enumeration, to the count it replaced: a throwaway core's
+// kernel, asked node by node.
+func TestAreaWeightsCountTheDesign(t *testing.T) {
+	for _, target := range []Target{TargetIU, TargetCMEM} {
+		c := leon3.New(mem.NewBus(mem.NewMemory()), mem.RAMBase)
+		counts := map[Unit]int{}
+		for _, n := range c.K.Nodes(target.Prefix()) {
+			counts[Unit(c.K.UnitOf(n.Name))]++
+		}
+		if got, want := AreaWeights(target), diversity.AreaWeights(counts); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: weights %v, the kernel's count gives %v", target, got, want)
 		}
 	}
 }

@@ -2,13 +2,13 @@
 // Set Simulators for Automotive Microcontroller Robustness Verification"
 // (Espinosa, Hernandez, Abella, de Andres, Ruiz — DAC 2015).
 //
-// The public API lives in repro/core; the benchmark harness in
-// bench_test.go regenerates every table and figure of the paper's
-// evaluation and prints the paper-versus-measured quantities as custom
-// benchmark metrics. See README.md for the architecture overview and
-// DESIGN.md for the system inventory, the documented microarchitectural
-// deviations, the ablation suite and the slab-kernel/pooled-engine
-// design.
+// The public API lives in repro/core. cmd/correlate renders every table
+// and figure of the paper's evaluation, the extensions and the ablations
+// from one list (core.Artifacts), and internal/campaign's golden test pins
+// that rendering byte for byte. See README.md for the architecture
+// overview and DESIGN.md for the system inventory, the documented
+// microarchitectural deviations, the ablation suite and the
+// slab-kernel/pooled-engine design.
 //
 // Fault-injection campaigns run on the checkpointed engine: the golden
 // (fault-free) run is simulated once per runner and frozen as a ladder

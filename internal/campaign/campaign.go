@@ -1,6 +1,7 @@
 // Package campaign orchestrates the reproduction of every table and figure
-// of the paper's evaluation (Table 1, Figures 3-7, and the simulation-time
-// comparison). Each experiment function returns a structured result whose
+// of the paper's evaluation (Table 1, Figures 3-7, the simulation-time
+// comparison and Equation (1)), its transient extensions and the ablations,
+// as one list: Artifacts. Each entry returns a structured result whose
 // Render method prints the same rows/series the paper reports.
 package campaign
 
@@ -21,6 +22,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/rtl"
+	"repro/internal/sparc"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -36,27 +38,9 @@ type Options struct {
 	Nodes int
 	// Seed makes node sampling reproducible.
 	Seed int64
-	// Workers bounds campaign parallelism (0 = GOMAXPROCS).
-	Workers int
 	// Iterations overrides workload kernel iterations for RTL campaigns
 	// (0 = 2, which §4.2 shows is sufficient for permanent faults).
 	Iterations int
-	// NoCheckpoint runs every campaign on the engine's from-reset scalar
-	// reference (fault.Options.NoCheckpoint) instead of the production
-	// engine: the paper's original cost model, useful only for debugging
-	// or for measuring the engine's speedup.
-	NoCheckpoint bool
-	// Context, when non-nil, bounds every campaign the experiment
-	// functions run: cancellation stops the worker loops within one
-	// experiment granule and the experiment function returns ctx.Err().
-	Context context.Context
-}
-
-func (o Options) ctx() context.Context {
-	if o.Context != nil {
-		return o.Context
-	}
-	return context.Background()
 }
 
 func (o Options) nodes() int {
@@ -81,7 +65,7 @@ const injectFraction = 0.05
 // runnerKey identifies a memoized fault runner: the workload, its
 // configuration and the full runner options that shape golden run,
 // checkpoint and engine behaviour. Campaign options that only affect
-// sampling (Nodes, Seed, Workers) deliberately do not participate.
+// sampling (Nodes, Seed) deliberately do not participate.
 type runnerKey struct {
 	name string
 	cfg  workloads.Config
@@ -227,7 +211,7 @@ func ForgetRunners() {
 }
 
 // runnerCache shares the golden run and ladder of each (workload, config,
-// options) triple across Figure3/4/5/6/7 and Eq1 — Figure 7 alone used to
+// options) triple across the artifacts — Figure 7 alone used to
 // rebuild the same six runners Figure 5 had already built — and across
 // the job service's requests. Runners are safe for concurrent campaigns,
 // so sharing one is sound.
@@ -273,27 +257,24 @@ func buildRunner(key runnerKey, reg *obs.Registry) (*fault.Runner, error) {
 
 // runnerFor is the experiment functions' view of RunnerFor: every figure
 // uses the same fixed injection fraction, so runners are shared across
-// Figures 3-7 and Eq1.
-func runnerFor(o Options, name string, cfg workloads.Config) (*fault.Runner, error) {
-	return RunnerFor(name, cfg, fault.Options{
-		InjectAtFraction: injectFraction,
-		NoCheckpoint:     o.NoCheckpoint,
-	})
+// Figures 3-7, Eq1 and the ablations.
+func runnerFor(name string, cfg workloads.Config) (*fault.Runner, error) {
+	return RunnerFor(name, cfg, fault.Options{InjectAtFraction: injectFraction})
 }
 
-// pfOf runs one (workload, target, model) campaign and returns Pf plus the
-// raw results.
-func pfOf(o Options, name string, cfg workloads.Config, target fault.Target, model rtl.FaultModel) (float64, []fault.Result, error) {
-	r, err := runnerFor(o, name, cfg)
-	if err != nil {
-		return 0, nil, err
+// pfOf is the one campaign of the artifacts: model over o's node sample of
+// target on r, transient instants scheduled from o.Seed — or every one at
+// cycle at, when at > 0 — returning Pf and the raw results.
+func pfOf(o Options, r *fault.Runner, target fault.Target, model rtl.FaultModel, at uint64) (float64, []fault.Result) {
+	exps := fault.Expand(fault.SampleNodes(r.Nodes(target), o.nodes(), o.Seed), model)
+	r.ScheduleTransients(exps, o.Seed)
+	if at > 0 {
+		for i := range exps {
+			exps[i].AtCycle = at
+		}
 	}
-	nodes := fault.SampleNodes(r.Nodes(target), o.nodes(), o.Seed)
-	results, err := r.CampaignContext(o.ctx(), fault.Expand(nodes, model), o.Workers, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	return fault.Pf(results), results, nil
+	results := r.Campaign(exps, 0)
+	return fault.Pf(results), results
 }
 
 // ---------------------------------------------------------------------------
@@ -385,10 +366,11 @@ func Figure3(o Options) (*Fig3Result, error) {
 	for _, subset := range []string{"A", "B"} {
 		var min, max float64
 		for ds := 0; ds < 3; ds++ {
-			pf, _, err := pfOf(o, "excerpt"+subset, workloads.Config{Dataset: ds}, fault.TargetIU, rtl.StuckAt1)
+			r, err := runnerFor("excerpt"+subset, workloads.Config{Dataset: ds})
 			if err != nil {
 				return nil, err
 			}
+			pf, _ := pfOf(o, r, fault.TargetIU, rtl.StuckAt1, 0)
 			out.Points = append(out.Points, Fig3Point{Subset: subset, Dataset: labels[subset][ds], Pf: pf})
 			if ds == 0 || pf < min {
 				min = pf
@@ -445,10 +427,11 @@ type Fig4Result struct {
 func Figure4(o Options) (*Fig4Result, error) {
 	out := &Fig4Result{}
 	for _, iters := range []int{2, 4, 10} {
-		pf, results, err := pfOf(o, "rspeed", workloads.Config{Iterations: iters}, fault.TargetIU, rtl.StuckAt1)
+		r, err := runnerFor("rspeed", workloads.Config{Iterations: iters})
 		if err != nil {
 			return nil, err
 		}
+		pf, results := pfOf(o, r, fault.TargetIU, rtl.StuckAt1, 0)
 		out.Points = append(out.Points, Fig4Point{
 			Iterations:   iters,
 			Pf:           pf,
@@ -490,12 +473,12 @@ type FigPfResult struct {
 func figurePf(o Options, target fault.Target) (*FigPfResult, error) {
 	out := &FigPfResult{Target: target}
 	for _, name := range workloads.Table1Names() {
-		cfg := workloads.Config{Iterations: o.iters()}
+		r, err := runnerFor(name, workloads.Config{Iterations: o.iters()})
+		if err != nil {
+			return nil, err
+		}
 		for _, model := range rtl.FaultModels() {
-			pf, _, err := pfOf(o, name, cfg, target, model)
-			if err != nil {
-				return nil, err
-			}
+			pf, _ := pfOf(o, r, target, model, 0)
 			out.Points = append(out.Points, FigPfPoint{Benchmark: name, Model: model, Pf: pf})
 		}
 	}
@@ -549,6 +532,9 @@ type Fig7Point struct {
 type Fig7Result struct {
 	Points        []Fig7Point
 	A, Bderiv, R2 float64
+	// unitDivs is each point's per-unit diversity, which ablation A3
+	// predicts from.
+	unitDivs [][sparc.NumUnits]int
 }
 
 // Figure7 correlates Pf (stuck-at-1 at IU) against instruction diversity
@@ -565,11 +551,13 @@ func Figure7(o Options) (*Fig7Result, error) {
 		if err != nil {
 			return err
 		}
-		pf, _, err := pfOf(o, name, cfg, fault.TargetIU, rtl.StuckAt1)
+		r, err := runnerFor(name, cfg)
 		if err != nil {
 			return err
 		}
+		pf, _ := pfOf(o, r, fault.TargetIU, rtl.StuckAt1, 0)
 		out.Points = append(out.Points, Fig7Point{Label: label, Diversity: prof.Diversity, Pf: pf})
+		out.unitDivs = append(out.unitDivs, prof.UnitDiversity)
 		return nil
 	}
 	for _, name := range workloads.Table1Names() {
@@ -744,9 +732,7 @@ func checkpointSpeedup(o Options, w *workloads.Workload) (ckSec, resetSec float6
 		exps := fault.Expand(fault.SampleNodes(r.Nodes(fault.TargetIU), sample, o.Seed), rtl.StuckAt1)
 		r.PrepareCheckpoint() // capture outside the timed region
 		t0 := time.Now()      //lint:allow det measured quantity of the checkpoint-speedup row
-		if _, err := r.CampaignContext(o.ctx(), exps, o.Workers, nil); err != nil {
-			return 0, 0, err
-		}
+		r.Campaign(exps, 0)
 		if noCkpt {
 			resetSec = time.Since(t0).Seconds() //lint:allow det measured quantity of the checkpoint-speedup row
 		} else {

@@ -226,27 +226,26 @@ func TestSimTimeRatio(t *testing.T) {
 // every figure — while a different config or engine option builds its
 // own.
 func TestRunnerCacheMemoizes(t *testing.T) {
-	o := Options{}
 	cfg := workloads.Config{Iterations: 2}
-	a, err := runnerFor(o, "rspeed", cfg)
+	a, err := runnerFor("rspeed", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runnerFor(o, "rspeed", cfg)
+	b, err := runnerFor("rspeed", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("identical key rebuilt the runner (golden run re-simulated)")
 	}
-	c, err := runnerFor(o, "rspeed", workloads.Config{Iterations: 4})
+	c, err := runnerFor("rspeed", workloads.Config{Iterations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c == a {
 		t.Error("different iteration count shared a runner")
 	}
-	d, err := runnerFor(Options{NoCheckpoint: true}, "rspeed", cfg)
+	d, err := RunnerFor("rspeed", cfg, fault.Options{InjectAtFraction: injectFraction, NoCheckpoint: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,19 +59,27 @@ func FitUnit(divs, pmfs []float64) (UnitFit, error) {
 	return UnitFit{A: a, B: b, R2: r2}, nil
 }
 
+// AreaWeights returns Equation (1)'s alpha_m for target: each functional
+// unit's share of the design's injectable nodes (the paper's area proxy),
+// counted over the fault design table's enumeration.
+func AreaWeights(target fault.Target) map[sparc.Unit]float64 {
+	counts := map[sparc.Unit]int{}
+	for _, n := range fault.Nodes(target) {
+		counts[n.Unit]++
+	}
+	return diversity.AreaWeights(counts)
+}
+
 // Eq1 runs the calibration-and-predict experiment over the Table-1
 // benchmarks with stuck-at-1 faults at the IU.
 func Eq1(o Options) (*Eq1Result, error) {
 	type benchData struct {
-		name     string
-		prof     diversity.Profile
-		pf       float64
-		unitPf   map[sparc.Unit]float64
-		unitDivs [sparc.NumUnits]int
+		name   string
+		prof   diversity.Profile
+		pf     float64
+		unitPf map[sparc.Unit]float64
 	}
 	var all []benchData
-	var weights map[sparc.Unit]float64
-
 	for _, name := range workloads.Table1Names() {
 		cfg := workloads.Config{Iterations: o.iters()}
 		w, err := workloads.Build(name, cfg)
@@ -82,29 +90,12 @@ func Eq1(o Options) (*Eq1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := runnerFor(o, name, cfg)
+		r, err := runnerFor(name, cfg)
 		if err != nil {
 			return nil, err
 		}
-		nodes := fault.SampleNodes(r.Nodes(fault.TargetIU), o.nodes(), o.Seed)
-		if weights == nil {
-			counts := map[sparc.Unit]int{}
-			for _, n := range r.Nodes(fault.TargetIU) {
-				counts[n.Unit]++
-			}
-			weights = diversity.AreaWeights(counts)
-		}
-		results, err := r.CampaignContext(o.ctx(), fault.Expand(nodes, rtl.StuckAt1), o.Workers, nil)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, benchData{
-			name:     name,
-			prof:     prof,
-			pf:       fault.Pf(results),
-			unitPf:   fault.PfByUnit(results),
-			unitDivs: prof.UnitDiversity,
-		})
+		pf, results := pfOf(o, r, fault.TargetIU, rtl.StuckAt1, 0)
+		all = append(all, benchData{name: name, prof: prof, pf: pf, unitPf: fault.PfByUnit(results)})
 	}
 
 	// Fit Pmf = a_m*ln(Dm) + b_m per functional unit, across benchmarks —
@@ -118,7 +109,7 @@ func Eq1(o Options) (*Eq1Result, error) {
 	for u := sparc.Unit(0); u < sparc.NumUnits; u++ {
 		var xs, ys []float64
 		for _, b := range all {
-			if d := b.unitDivs[u]; d > 0 {
+			if d := b.prof.UnitDiversity[u]; d > 0 {
 				if pmf, sampled := b.unitPf[u]; sampled {
 					xs = append(xs, float64(d))
 					ys = append(ys, pmf)
@@ -145,23 +136,16 @@ func Eq1(o Options) (*Eq1Result, error) {
 		FitR2:    r2sum / float64(r2n),
 		UnitFits: fits,
 	}
+	weights := AreaWeights(fault.TargetIU)
 	var preds, meas []float64
 	for _, b := range all {
-		pred := 0.0
-		for u, w := range weights {
-			f, ok := fits[u]
-			if !ok || b.unitDivs[u] <= 0 {
-				continue
+		pmf := diversity.UnitPf{}
+		for u := sparc.Unit(0); u < sparc.NumUnits; u++ {
+			if f, ok := fits[u]; ok && b.prof.UnitDiversity[u] > 0 {
+				pmf[u] = min(max(f.A*math.Log(float64(b.prof.UnitDiversity[u]))+f.B, 0), 1)
 			}
-			p := f.A*logOf(float64(b.unitDivs[u])) + f.B
-			if p < 0 {
-				p = 0
-			}
-			if p > 1 {
-				p = 1
-			}
-			pred += w * p
 		}
+		pred := diversity.CombinePf(weights, pmf)
 		out.Points = append(out.Points, Eq1Point{
 			Benchmark:   b.name,
 			Diversity:   b.prof.Diversity,
@@ -179,8 +163,6 @@ func Eq1(o Options) (*Eq1Result, error) {
 	})
 	return out, nil
 }
-
-func logOf(x float64) float64 { return math.Log(x) }
 
 // Render prints the calibration table.
 func (e *Eq1Result) Render() string {

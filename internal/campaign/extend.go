@@ -33,31 +33,17 @@ type TransientResult struct {
 // benchmark and contrasts the resulting Pf with the permanent stuck-at-1
 // Pf of the same nodes.
 func ExtTransient(o Options, benchmark string) (*TransientResult, error) {
-	r, err := runnerFor(o, benchmark, workloads.Config{Iterations: o.iters()})
+	r, err := runnerFor(benchmark, workloads.Config{Iterations: o.iters()})
 	if err != nil {
 		return nil, err
 	}
-	nodes := fault.SampleNodes(r.Nodes(fault.TargetIU), o.nodes(), o.Seed)
-
 	out := &TransientResult{Benchmark: benchmark}
-	perm, err := r.CampaignContext(o.ctx(), fault.Expand(nodes, rtl.StuckAt1), o.Workers, nil)
-	if err != nil {
-		return nil, err
-	}
-	out.PermanentPf = fault.Pf(perm)
-
+	out.PermanentPf, _ = pfOf(o, r, fault.TargetIU, rtl.StuckAt1, 0)
 	// Five instants spread across the golden run.
 	for _, frac := range []float64{0.05, 0.25, 0.5, 0.75, 0.95} {
 		at := uint64(frac * float64(r.GoldenCycles))
-		flips := fault.Expand(nodes, rtl.BitFlip)
-		for i := range flips {
-			flips[i].AtCycle = at
-		}
-		results, err := r.CampaignContext(o.ctx(), flips, o.Workers, nil)
-		if err != nil {
-			return nil, err
-		}
-		out.Points = append(out.Points, TransientPoint{AtCycle: at, Pf: fault.Pf(results)})
+		pf, _ := pfOf(o, r, fault.TargetIU, rtl.BitFlip, at)
+		out.Points = append(out.Points, TransientPoint{AtCycle: at, Pf: pf})
 	}
 	return out, nil
 }
@@ -92,27 +78,20 @@ func TransientBreakdown(o Options, benchmark string, pulse uint64) (*TransientBr
 	r, err := RunnerFor(benchmark, workloads.Config{Iterations: o.iters()}, fault.Options{
 		InjectAtFraction: injectFraction,
 		PulseCycles:      pulse,
-		NoCheckpoint:     o.NoCheckpoint,
 	})
 	if err != nil {
 		return nil, err
 	}
-	nodes := fault.SampleNodes(r.Nodes(fault.TargetIU), o.nodes(), o.Seed)
 	out := &TransientBreakdownResult{Benchmark: benchmark, PulseCycles: max(pulse, 1)}
 	classDone := map[bool]int{}
 	classFail := map[bool]int{}
 	for _, model := range rtl.AllFaultModels() {
-		exps := fault.Expand(nodes, model)
-		r.ScheduleTransients(exps, o.Seed)
-		results, err := r.CampaignContext(o.ctx(), exps, o.Workers, nil)
-		if err != nil {
-			return nil, err
-		}
+		pf, results := pfOf(o, r, fault.TargetIU, model, 0)
 		lo, hi := fault.PfInterval(results, stats.Z95)
 		out.Rows = append(out.Rows, ModelPf{
 			Model:     model,
 			Transient: model.Transient(),
-			Pf:        fault.Pf(results),
+			Pf:        pf,
 			PfLow:     lo,
 			PfHigh:    hi,
 		})

@@ -79,11 +79,12 @@ func AreaWeights(nodeCounts map[sparc.Unit]int) map[sparc.Unit]float64 {
 type UnitPf map[sparc.Unit]float64
 
 // CombinePf evaluates Equation (1): the area-weighted sum of per-unit
-// failure probabilities.
+// failure probabilities. It adds the terms in unit order, so the sum is the
+// same to the last bit on every call (a map's iteration order is not).
 func CombinePf(weights map[sparc.Unit]float64, pmf UnitPf) float64 {
 	s := 0.0
-	for u, a := range weights {
-		s += a * pmf[u]
+	for u := sparc.Unit(0); u < sparc.NumUnits; u++ {
+		s += weights[u] * pmf[u]
 	}
 	return s
 }

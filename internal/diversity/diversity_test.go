@@ -61,6 +61,24 @@ func TestAreaWeights(t *testing.T) {
 	}
 }
 
+// TestCombinePfIsBitStable repeats Equation (1) over weights no float64
+// holds exactly: a sum taken in a map's iteration order changes in its last
+// bits from call to call, and the golden rendering of the artifacts could
+// not hold it.
+func TestCombinePfIsBitStable(t *testing.T) {
+	weights, pmf := map[sparc.Unit]float64{}, UnitPf{}
+	for u := sparc.Unit(0); u < sparc.NumUnits; u++ {
+		weights[u] = 1 / float64(3+u)
+		pmf[u] = 1 / float64(7+3*u)
+	}
+	first := CombinePf(weights, pmf)
+	for i := 0; i < 200; i++ {
+		if got := CombinePf(weights, pmf); math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("call %d: %v, first call %v", i, got, first)
+		}
+	}
+}
+
 func TestCombinePfEquation1(t *testing.T) {
 	weights := map[sparc.Unit]float64{sparc.UnitALU: 0.6, sparc.UnitLSU: 0.4}
 	pmf := UnitPf{sparc.UnitALU: 0.5, sparc.UnitLSU: 0.25}

@@ -35,11 +35,11 @@ func TestCampaignContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	results, err := r.CampaignContext(ctx, exps, 2, func(i int, res Result) {
+	results, _, err := r.CampaignStopContext(ctx, exps, 2, func(i int, res Result) {
 		if ran.Add(1) == 3 {
 			cancel()
 		}
-	})
+	}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -71,9 +71,9 @@ func TestCampaignContextComplete(t *testing.T) {
 	}
 	exps := Expand(SampleNodes(r.Nodes(TargetIU), 6, 3), rtl.StuckAt1)
 	var taps atomic.Int64
-	got, err := r.CampaignContext(context.Background(), exps, 3, func(i int, res Result) {
+	got, _, err := r.CampaignStopContext(context.Background(), exps, 3, func(i int, res Result) {
 		taps.Add(1)
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -332,7 +332,10 @@ func (r *Runner) Golden() *mem.Trace { return &r.golden }
 // functional units. The enumeration is computed once per process (the design
 // table) and the same slice is returned to every caller; callers must not
 // mutate it.
-func (r *Runner) Nodes(target Target) []NodeInfo { return design().nodesOf(target) }
+func Nodes(target Target) []NodeInfo { return design().nodesOf(target) }
+
+// Nodes is the package's Nodes: the design's, not the runner's.
+func (r *Runner) Nodes(target Target) []NodeInfo { return Nodes(target) }
 
 // Experiment is one (node, model) injection.
 type Experiment struct {
@@ -629,26 +632,21 @@ func (r *Runner) RunOne(e Experiment) Result {
 }
 
 // Campaign runs the experiments across workers and returns results in
-// input order. The three entry points are one engine, CampaignStopContext:
-// Campaign and CampaignContext for library callers (core, internal/campaign),
-// CampaignStopContext for the CampaignEngine interface the jobs layer drives
-// and the repository benchmark's engine layer (bench/layers.go).
+// input order. The two entry points are one engine, CampaignStopContext:
+// Campaign for library callers (core, internal/campaign), CampaignStopContext
+// for the CampaignEngine interface the jobs layer drives and the repository
+// benchmark's engine layer (bench/layers.go).
 func (r *Runner) Campaign(exps []Experiment, workers int) []Result {
 	results, _, _ := r.CampaignStopContext(context.Background(), exps, workers, nil, nil)
 	return results
 }
 
-// CampaignContext runs the experiments across workers under ctx and
-// returns results in input order; experiments a cancellation kept from
-// running are left zero-valued and the partial results come back with
-// ctx.Err(). See dispatch for the tap and cancellation contract.
-func (r *Runner) CampaignContext(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result)) ([]Result, error) {
-	results, _, err := r.CampaignStopContext(ctx, exps, workers, tap, nil)
-	return results, err
-}
-
-// CampaignStopContext is CampaignContext plus sequential early stopping
-// and completion tracking; see dispatch for the tap/stop/cancel contract.
+// CampaignStopContext runs the experiments across workers under ctx, with
+// per-completion taps, sequential early stopping and completion tracking,
+// and returns results in input order; experiments a cancellation or the stop
+// rule kept from running are left zero-valued, and a cancelled campaign's
+// partial results come back with ctx.Err(). See dispatch for the
+// tap/stop/cancel contract.
 // Permanent forcings resolve through the runner's verdict table, so a
 // caller that cuts one campaign into several calls on this runner — shards,
 // an audit and its escalations — or submits an overlapping one later steps

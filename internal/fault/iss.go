@@ -221,7 +221,7 @@ func (r *ISSRunner) GoldenTicks() uint64 {
 // Nodes enumerates the injectable nodes of a target — the identical
 // list the RTL engine yields, because node identity is a property of
 // the design, not the engine.
-func (r *ISSRunner) Nodes(target Target) []NodeInfo { return design().nodesOf(target) }
+func (r *ISSRunner) Nodes(target Target) []NodeInfo { return Nodes(target) }
 
 // ScheduleTransients assigns transient experiments their instants over
 // [fixed instant, golden length) in the engine's external timebase,
