@@ -174,23 +174,29 @@ func TestCampaignStopContext(t *testing.T) {
 }
 
 // TestDispatchDrawsInOrder holds the campaign loop itself, without an
-// engine, to how it hands experiments out: every one exactly once, into its
-// own result slot; one worker takes them in order on the caller's own
-// goroutine (a shard starts none); never more workers than experiments; and
-// a stop rule halts each worker within the experiment it is on, with a nil
-// error.
+// engine, to how it hands experiments out: every one exactly once, to the
+// sink with its own index; one worker takes them in order on the caller's
+// own goroutine (a shard starts none); never more workers than experiments;
+// and a stop rule halts each worker within the experiment it is on, with a
+// nil error.
 func TestDispatchDrawsInOrder(t *testing.T) {
 	one := func(i int, res *Result) { res.Cycles = uint64(i) }
+	// into is a sink that files each result by index, as collect does.
+	into := func(n int) ([]Result, []bool, func(int, *Result)) {
+		results, ran := make([]Result, n), make([]bool, n)
+		return results, ran, func(i int, res *Result) { results[i], ran[i] = *res, true }
+	}
 
 	var order []int
 	before := runtime.NumGoroutine()
-	_, ran, err := dispatch(context.Background(), 100, 1, nil, nil, func(i int, res *Result) {
+	_, ran, sink := into(100)
+	err := dispatch(context.Background(), 100, 1, nil, func(i int, res *Result) {
 		if n := runtime.NumGoroutine(); n > before {
 			t.Errorf("experiment %d: %d goroutines, %d before the campaign: a one-worker dispatch starts none", i, n, before)
 		}
 		order = append(order, i) // unsynchronized on purpose: one goroutine
 		one(i, res)
-	})
+	}, sink)
 	if err != nil || len(order) != 100 {
 		t.Fatalf("one worker: %d experiments, err %v", len(order), err)
 	}
@@ -208,7 +214,8 @@ func TestDispatchDrawsInOrder(t *testing.T) {
 		}
 		close(hold)
 	}()
-	results, ran, err := dispatch(context.Background(), 3, 16, nil, nil, func(i int, res *Result) {
+	results, ran, sink := into(3)
+	err = dispatch(context.Background(), 3, 16, nil, func(i int, res *Result) {
 		calls.Add(1)
 		if b := busy.Add(1); b > peak.Load() {
 			peak.Store(b)
@@ -216,7 +223,7 @@ func TestDispatchDrawsInOrder(t *testing.T) {
 		<-hold // all three experiments are in flight at once: three workers, not one
 		busy.Add(-1)
 		one(i, res)
-	})
+	}, sink)
 	if err != nil || peak.Load() != 3 {
 		t.Fatalf("16 workers over 3 experiments: peak %d at once, err %v; want 3", peak.Load(), err)
 	}
@@ -228,11 +235,12 @@ func TestDispatchDrawsInOrder(t *testing.T) {
 
 	const workers, stopAt = 4, 10
 	var done atomic.Int64
-	_, ran, err = dispatch(context.Background(), 1000, workers, nil,
+	_, ran, sink = into(1000)
+	err = dispatch(context.Background(), 1000, workers,
 		func(d, _ int) bool { return d >= stopAt }, func(i int, res *Result) {
 			done.Add(1)
 			one(i, res)
-		})
+		}, sink)
 	if err != nil {
 		t.Fatalf("a stop is a success, got %v", err)
 	}
@@ -361,5 +369,44 @@ func TestPfInterval(t *testing.T) {
 	}
 	if lo, hi := PfInterval(nil, 1.96); lo != 0 || hi != 1 {
 		t.Errorf("empty interval = [%v, %v], want [0, 1]", lo, hi)
+	}
+}
+
+// TestTapOnlyCampaignTapsEachIndexOnce: a campaign with a tap and no stop
+// rule, on four workers, taps every experiment exactly once with its own
+// index and the result it returns at that index, on both engines. Without a
+// stop rule the workers share no tally, so under -race this also holds that
+// the tap, which runs on the workers, needs no lock of the loop's.
+func TestTapOnlyCampaignTapsEachIndexOnce(t *testing.T) {
+	w, err := workloads.Build("excerptA", workloads.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{InjectAtFraction: 0.3, PulseCycles: 2}
+	r, err := NewRunner(w.Program, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir, err := NewISSRunner(w.Program, opts, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []CampaignEngine{r, ir} {
+		exps := Expand(SampleNodes(eng.Nodes(TargetIU), 64, 5), rtl.FaultModels()...)
+		eng.ScheduleTransients(exps, 5)
+		taps := make([]atomic.Int32, len(exps))
+		tapped := make([]Result, len(exps))
+		results, ran, err := eng.CampaignStopContext(context.Background(), exps, 4, func(i int, res Result) {
+			taps[i].Add(1)
+			tapped[i] = res // each index's own slot: written by the one worker that ran it
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range exps {
+			if n := taps[i].Load(); n != 1 || !ran[i] || tapped[i] != results[i] {
+				t.Fatalf("%T experiment %d: tapped %d times, ran %v, tapped %+v, returned %+v", eng, i, n, ran[i], tapped[i], results[i])
+			}
+		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // router) needs afterwards — node enumeration, deterministic transient
 // scheduling, the golden run's length in the backend's own timebase,
 // whether experiments fork from a snapshot, and the parallel campaign
-// loop with tap/stop hooks.
+// loop with sink/stop hooks.
 //
 // Timebase: every tick-valued quantity (GoldenTicks, Result.Cycles,
 // Result.InjectAt, Result.Latency, Experiment.AtCycle) is in the
@@ -46,9 +46,14 @@ type CampaignEngine interface {
 	Checkpointed() bool
 	// RunOne executes a single injection experiment.
 	RunOne(e Experiment) Result
-	// CampaignStopContext runs the experiments across workers with
-	// per-completion taps and an optional sequential stop rule; see
-	// dispatch for the full contract.
+	// CampaignSink runs the experiments across workers and hands each
+	// finished one to sink, under an optional sequential stop rule; see
+	// dispatch for the full contract. It is the engine's one campaign loop.
+	CampaignSink(ctx context.Context, exps []Experiment, workers int,
+		sink func(i int, res *Result), stop func(done, failures int) bool) error
+	// CampaignStopContext is CampaignSink collected into an input-ordered
+	// result array, with a bitmap of the experiments that ran and a tap
+	// per completion.
 	CampaignStopContext(ctx context.Context, exps []Experiment, workers int,
 		tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error)
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -355,10 +356,21 @@ type Experiment struct {
 // both assume every expansion of the same (nodes, models) pair yields
 // the identical sequence.
 func Expand(nodes []NodeInfo, models ...rtl.FaultModel) []Experiment {
-	out := make([]Experiment, 0, len(nodes)*len(models))
+	return ExpandInto(nil, nodes, models...)
+}
+
+// ExpandInto is Expand into dst's storage, which it overwrites: reused when
+// it holds the whole expansion, replaced by one of exactly its size when not.
+func ExpandInto(dst []Experiment, nodes []NodeInfo, models ...rtl.FaultModel) []Experiment {
+	out := slices.Grow(dst[:0], len(nodes)*len(models))[:len(nodes)*len(models)]
+	k := 0
 	for _, m := range models {
-		for _, n := range nodes {
-			out = append(out, Experiment{Node: n, Model: m})
+		for i := range nodes {
+			// Field by field: appending a composite literal builds it and then
+			// copies it, several times slower.
+			e := &out[k]
+			e.Node, e.Model, e.AtCycle = nodes[i], m, 0
+			k++
 		}
 	}
 	return out
@@ -632,21 +644,27 @@ func (r *Runner) RunOne(e Experiment) Result {
 }
 
 // Campaign runs the experiments across workers and returns results in
-// input order. The two entry points are one engine, CampaignStopContext:
-// Campaign for library callers (core, internal/campaign), CampaignStopContext
-// for the CampaignEngine interface the jobs layer drives and the repository
-// benchmark's engine layer (bench/layers.go).
+// input order: CampaignStopContext with no context, tap or stop rule, for
+// library callers (core, internal/campaign).
 func (r *Runner) Campaign(exps []Experiment, workers int) []Result {
 	results, _, _ := r.CampaignStopContext(context.Background(), exps, workers, nil, nil)
 	return results
 }
 
 // CampaignStopContext runs the experiments across workers under ctx, with
-// per-completion taps, sequential early stopping and completion tracking,
-// and returns results in input order; experiments a cancellation or the stop
-// rule kept from running are left zero-valued, and a cancelled campaign's
-// partial results come back with ctx.Err(). See dispatch for the
-// tap/stop/cancel contract.
+// per-completion taps and sequential early stopping, and returns results in
+// input order with a bitmap of the experiments that ran; experiments a
+// cancellation or the stop rule kept from running are left zero-valued, and
+// a cancelled campaign's partial results come back with ctx.Err(). It is
+// CampaignSink with a sink that fills the array (collect); the repository
+// benchmark's engine layer (bench/layers.go) and the hybrid plan's ISS pass
+// and audit call it.
+func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
+	return collect(ctx, r, exps, workers, tap, stop)
+}
+
+// CampaignSink runs the experiments across workers under ctx and hands each
+// finished one to sink (see dispatch for the sink/stop/cancel contract).
 // Permanent forcings resolve through the runner's verdict table, so a
 // caller that cuts one campaign into several calls on this runner — shards,
 // an audit and its escalations — or submits an overlapping one later steps
@@ -654,13 +672,13 @@ func (r *Runner) Campaign(exps []Experiment, workers int) []Result {
 //
 // The dispatch granule is one experiment (runLane), a lane or scalar alike:
 // a stop or cancellation overshoots by at most one experiment per worker.
-func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
+func (r *Runner) CampaignSink(ctx context.Context, exps []Experiment, workers int, sink func(i int, res *Result), stop func(done, failures int) bool) error {
 	m := r.planBatches(exps)
 	if m != nil {
 		// dispatch returns with every worker gone: no lane still reads the memo.
 		defer r.putMemo(m)
 	}
-	return dispatch(ctx, len(exps), workers, tap, stop, func(i int, res *Result) { r.runLane(&exps[i], m, i, res) })
+	return dispatch(ctx, len(exps), workers, stop, func(i int, res *Result) { r.runLane(&exps[i], m, i, res) }, sink)
 }
 
 // putMemo returns a call's memo to the runner.
@@ -669,57 +687,72 @@ func (r *Runner) putMemo(m *memo) {
 	r.memos.put(m)
 }
 
+// collect is CampaignStopContext over an engine's CampaignSink: its sink
+// copies each result into its slot of an input-ordered array, marks it ran
+// and taps it.
+func collect(ctx context.Context, e CampaignEngine, exps []Experiment, workers int, tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
+	results, ran := make([]Result, len(exps)), make([]bool, len(exps))
+	err := e.CampaignSink(ctx, exps, workers, func(i int, res *Result) {
+		results[i], ran[i] = *res, true
+		if tap != nil {
+			tap(i, *res)
+		}
+	}, stop)
+	return results, ran, err
+}
+
 // dispatch is the one campaign loop of the package, shared by the RTL and
 // ISS engines, and its granule is one experiment: workers (0 = GOMAXPROCS;
 // never more than there are experiments) draw the indices 0..n-1, in order,
-// from one counter, and run(i, res) executes experiment i into its result
-// slot — written once, where it lands. The caller is the first worker, so a
-// one-worker campaign — a shard — starts no goroutine.
+// from one counter, run(i, res) executes experiment i into the worker's
+// result, zeroed before each run, and sink(i, res) takes it from there —
+// the pointer is the worker's, valid until sink returns. The caller is the
+// first worker, so a one-worker campaign — a shard — starts no goroutine.
 //
-// tap, when non-nil, is invoked as each experiment completes with its
-// index and result; it is called concurrently from worker goroutines and
-// must be safe for concurrent use. After every completed experiment the
-// stop rule — when non-nil — is consulted with the running completion and
-// failure counts; once it returns true the campaign halts within one
-// experiment per worker, exactly like a context cancellation, but with a
-// nil error: stopping adaptively is a successful outcome, not an abort.
-// Every finished experiment is tallied and reported, so the stop rule's
-// decisions remain a function of completed experiment counts only.
+// sink is called concurrently from the workers, once per experiment that
+// ran, in no fixed order; a sink that writes only experiment i's own slot
+// needs no lock. After every completed experiment the stop rule — when
+// non-nil — is consulted with the running completion and failure counts;
+// once it returns true the campaign halts within one experiment per worker,
+// exactly like a context cancellation, but with a nil error: stopping
+// adaptively is a successful outcome, not an abort. Every finished
+// experiment is sunk and counted, so the stop rule's decisions remain a
+// function of completed experiment counts only. Only a stop rule reads the
+// counts, so without one the workers share nothing but the counter.
 //
-// Results are in input order. The returned ran bitmap marks which
-// experiments actually executed, so callers of a stopped or cancelled
-// campaign can distinguish a completed zero-valued Result from an
-// experiment that never ran. On ctx cancellation each worker finishes the
-// experiment it is on and draws no other, and the partial results are
-// returned together with ctx.Err().
-func dispatch(ctx context.Context, n, workers int, tap func(i int, res Result), stop func(done, failures int) bool,
-	run func(i int, res *Result)) ([]Result, []bool, error) {
+// On ctx cancellation each worker finishes the experiment it is on and
+// draws no other, and dispatch returns ctx.Err(), the experiments that ran
+// having been sunk.
+func dispatch(ctx context.Context, n, workers int, stop func(done, failures int) bool,
+	run, sink func(i int, res *Result)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	results := make([]Result, n)
-	ran := make([]bool, n)
+	workers = max(min(workers, n), 1)
 	cctx := ctx
 	var cancel context.CancelFunc
 	if stop != nil {
 		cctx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
-	// Each experiment's slots are written by the one worker that ran it; the
-	// counts are shared, and without a tap or a stop rule nobody reads them.
-	counted := tap != nil || stop != nil
-	var tally struct {
-		sync.Mutex
-		done, failures int
-	}
 	halted := cctx.Done()
-	var next atomic.Int64 // the next experiment nobody has drawn
-	work := func() {
+	// What the workers share, made once: the draw counter, the counts a stop
+	// rule reads, and each worker's result.
+	shared := &struct {
+		next  atomic.Int64 // the next experiment nobody has drawn
+		tally struct {
+			sync.Mutex
+			done, failures int
+		}
+		wg sync.WaitGroup
+	}{}
+	slots := make([]workerResult, workers)
+	work := func(res *Result) {
 		for {
-			i := int(next.Add(1)) - 1
+			i := int(shared.next.Add(1)) - 1
 			if i >= n {
 				return
 			}
@@ -728,39 +761,44 @@ func dispatch(ctx context.Context, n, workers int, tap func(i int, res Result), 
 				return
 			default:
 			}
-			res := &results[i]
+			*res = Result{}
 			run(i, res)
-			ran[i] = true
-			if !counted {
+			sink(i, res)
+			if stop == nil {
 				continue
 			}
-			tally.Lock()
-			tally.done++
+			t := &shared.tally
+			t.Lock()
+			t.done++
 			if res.Outcome.IsFailure() {
-				tally.failures++
+				t.failures++
 			}
-			d, f := tally.done, tally.failures
-			tally.Unlock()
-			if tap != nil {
-				tap(i, *res)
-			}
-			if stop != nil && stop(d, f) {
+			d, f := t.done, t.failures
+			t.Unlock()
+			if stop(d, f) {
 				cancel()
 			}
 		}
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, n); w++ {
-		wg.Add(1)
+	for w := 1; w < workers; w++ {
+		shared.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			work()
+			defer shared.wg.Done()
+			work(&slots[w].res)
 		}()
 	}
-	work()
-	wg.Wait()
+	work(&slots[0].res)
+	shared.wg.Wait()
 	// A halt that came from the stop rule, not the caller, is a success.
-	return results, ran, ctx.Err()
+	return ctx.Err()
+}
+
+// workerResult is a dispatch worker's result, padded so that the next
+// worker's starts a cache line clear of it: each is written every
+// experiment.
+type workerResult struct {
+	res Result
+	_   [64]byte
 }
 
 // Pf returns the fraction of experiments whose fault propagated to a

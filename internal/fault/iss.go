@@ -564,11 +564,19 @@ func (r *ISSRunner) Campaign(exps []Experiment, workers int) []Result {
 	return results
 }
 
-// CampaignStopContext runs the experiments across workers under the
-// package's one tap/stop/cancel loop (see dispatch), one experiment at a
-// time like the RTL engine.
+// CampaignStopContext runs the experiments across workers under ctx and
+// returns results in input order: CampaignSink collected into an array, as
+// for the RTL engine (collect).
 func (r *ISSRunner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int,
 	tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
+	return collect(ctx, r, exps, workers, tap, stop)
+}
+
+// CampaignSink runs the experiments across workers under the package's one
+// sink/stop/cancel loop (see dispatch), one experiment at a time like the
+// RTL engine.
+func (r *ISSRunner) CampaignSink(ctx context.Context, exps []Experiment, workers int,
+	sink func(i int, res *Result), stop func(done, failures int) bool) error {
 	call := r.verdicts.begin()
-	return dispatch(ctx, len(exps), workers, tap, stop, func(i int, res *Result) { r.resolve(&exps[i], call, res) })
+	return dispatch(ctx, len(exps), workers, stop, func(i int, res *Result) { r.resolve(&exps[i], call, res) }, sink)
 }

@@ -173,7 +173,7 @@ func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Regis
 	if err != nil {
 		return nil, err
 	}
-	exps := experimentsFor(rtlR, n)
+	exps := experimentsFor(nil, rtlR, n)
 	// Pin the ISS engine to the RTL cycle timebase so one experiment
 	// list — instants in RTL cycles — drives both engines.
 	issR, err := issRunnerFor(ctx, n, reg, rtlR.GoldenCycles, rtlR.InjectCycle())

@@ -32,6 +32,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/campaign"
@@ -329,6 +331,14 @@ func keyOf(n Request) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// transient reports whether a normalized request names a transient model.
+func (r Request) transient() bool {
+	return slices.ContainsFunc(r.Models, func(name string) bool {
+		m, _ := parseModel(name) // validated by Normalize
+		return m.Transient()
+	})
+}
+
 func (r Request) target() fault.Target {
 	if r.Target == "cmem" {
 		return fault.TargetCMEM
@@ -588,14 +598,14 @@ func engineFor(ctx context.Context, n Request, reg *obs.Registry) (fault.Campaig
 }
 
 // experimentsFor returns the campaign's deterministic experiment
-// expansion: the sampled (or exhaustive) node set crossed with the
-// requested fault models, in canonical order, with every transient
-// experiment's injection cycle scheduled from (seed, absolute index).
-// Every shard of a campaign and its unsharded execution expand the
-// identical list — instants included — which is what makes
-// experiment-index ranges a sound shard currency: scheduling happens on
-// the full list before any slicing, never per worker.
-func experimentsFor(r fault.CampaignEngine, n Request) []fault.Experiment {
+// expansion, written over dst's storage (ExpandInto): the sampled (or
+// exhaustive) node set crossed with the requested fault models, in
+// canonical order, with every transient experiment's injection cycle
+// scheduled from (seed, absolute index). Every shard of a campaign and its
+// unsharded execution expand the identical list — instants included —
+// which is what makes experiment-index ranges a sound shard currency:
+// scheduling happens on the full list before any slicing, never per worker.
+func experimentsFor(dst []fault.Experiment, r fault.CampaignEngine, n Request) []fault.Experiment {
 	nodes := r.Nodes(n.target())
 	if n.Nodes > 0 {
 		nodes = fault.SampleNodes(nodes, n.Nodes, n.Seed)
@@ -604,9 +614,42 @@ func experimentsFor(r fault.CampaignEngine, n Request) []fault.Experiment {
 	for i, name := range n.Models {
 		models[i], _ = parseModel(name) // validated by Normalize
 	}
-	exps := fault.Expand(nodes, models...)
+	exps := fault.ExpandInto(dst, nodes, models...)
 	r.ScheduleTransients(exps, n.Seed)
 	return exps
+}
+
+// expansions keeps the experiment lists runRange made for itself — its own
+// expansion, a hybrid range's escalations — for a later range to write its
+// own over: up to one per processor, as a runner keeps its engines, and
+// none longer than maxKeptExpansion (2.4 MB; an exhaustive CMEM campaign's
+// is three times that). Only runRange's own lists enter, never the hybrid
+// plan's or the shard pool's, which others read; and nothing an outcome
+// holds points into one.
+var expansions = make(chan []fault.Experiment, runtime.GOMAXPROCS(0))
+
+const maxKeptExpansion = 1 << 15
+
+// takeExpansion returns a kept list, or nil when none is idle.
+func takeExpansion() []fault.Experiment {
+	select {
+	case e := <-expansions:
+		return e
+	default:
+		return nil
+	}
+}
+
+// keepExpansion returns a list to expansions, or drops it to the collector
+// when as many are idle as are kept, or it has no storage or too much.
+func keepExpansion(e []fault.Experiment) {
+	if cap(e) == 0 || cap(e) > maxKeptExpansion {
+		return
+	}
+	select {
+	case expansions <- e:
+	default:
+	}
 }
 
 // The repository benchmark (bench/, which no PR but a [benchmark] one
@@ -704,9 +747,16 @@ type rangeRun struct {
 // runRange is the package's one campaign driver: it resolves a request to
 // its engine — or, hybrid, to its routing plan — expands the
 // deterministic experiment list, runs the experiments of [start,end)
-// that need an engine, and encodes the range's outcomes in index order.
+// that need an engine, and lays the range's outcomes in index order.
 // Every execution surface is this function over some range: Execute over
 // the whole expansion, shard workers over their leases.
+//
+// The range's outcome array is made once, one slot per experiment, and the
+// worker that resolves an experiment lays its wire record into its slot
+// (the engine's sink): nothing is collected and copied after the run. A
+// range that ran to the end is the array as laid — a shard's indices are
+// its range — and only a stopped or cancelled one is compacted to the
+// experiments that ran, their indices listed.
 //
 // A single-engine range needs the engine for every experiment, and a
 // cancelled one still reports what completed, with ctx.Err(). A hybrid
@@ -737,7 +787,8 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 	if plan != nil {
 		exps = plan.exps
 	} else if exps == nil {
-		exps = experimentsFor(eng, n)
+		exps = experimentsFor(takeExpansion(), eng, n)
+		defer keepExpansion(exps)
 	}
 	endStage()
 	whole := end == wholeCampaign
@@ -748,24 +799,35 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 		return rangeRun{}, fmt.Errorf("jobs: shard range [%d,%d) outside campaign of %d experiments", start, end, len(exps))
 	}
 
-	// run is what the engine executes and at maps its positions back to
-	// absolute experiment indices (ascending either way).
-	run, at := exps[start:end], func(j int) int { return start + j }
+	// run is what the engine executes: the range itself, or a hybrid range's
+	// escalations, idx their absolute indices (ascending either way).
+	run := exps[start:end]
+	var idx []int
 	if plan != nil {
-		idx := plan.escalations(start, end)
-		run, at = make([]fault.Experiment, len(idx)), func(j int) int { return idx[j] }
-		for j, i := range idx {
-			run[j] = exps[i]
+		idx = plan.escalations(start, end)
+		run = slices.Grow(takeExpansion()[:0], len(idx))
+		for _, i := range idx {
+			run = append(run, exps[i])
 		}
+		defer keepExpansion(run)
 	}
 	size := end - start
+	so := &ShardOutput{
+		GoldenCycles: eng.GoldenTicks(),
+		Checkpointed: eng.Checkpointed(),
+		Experiments:  make([]ExperimentOutcome, size),
+	}
+	var instants []uint64 // the range's transient instants, which their outcomes point into
+	if n.transient() {
+		instants = make([]uint64, size)
+	}
 	// count tells the tap of every completion; nil without one, so that the
-	// engine takes no lock per experiment for nobody.
-	var count func(int, fault.Result)
+	// workers take no lock per experiment for nobody.
+	var count func(res *fault.Result)
 	if env.tap != nil {
 		var mu sync.Mutex
 		done, failures := 0, 0
-		count = func(_ int, res fault.Result) {
+		count = func(res *fault.Result) {
 			mu.Lock()
 			done++
 			if res.Outcome.IsFailure() {
@@ -786,10 +848,23 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 			}
 		}
 	}
+	// sink runs on the worker that resolved run[j]: each writes its own slot.
+	sink := func(j int, res *fault.Result) {
+		if plan == nil {
+			so.lay(j, res, run[j].Node.String(), instants)
+		} else {
+			i := idx[j]
+			eo := so.lay(i-start, res, run[j].Node.String(), instants)
+			eo.Engine, eo.Predicted = "rtl", plan.pred[i].Outcome.String()
+		}
+		if count != nil {
+			count(res)
+		}
+	}
 	endStage = env.tr.Stage("execute")
-	results, ran, err := eng.CampaignStopContext(ctx, run, env.workers, count, stop)
+	err = eng.CampaignSink(ctx, run, env.workers, sink, stop)
 	endStage()
-	if err != nil && (whole || plan != nil) {
+	if err != nil && plan != nil {
 		return rangeRun{}, err
 	}
 	if plan != nil {
@@ -797,52 +872,60 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 	}
 
 	defer env.tr.Stage("assemble")()
-	so := &ShardOutput{
-		GoldenCycles: eng.GoldenTicks(),
-		Checkpointed: eng.Checkpointed(),
-		Indices:      make([]int, 0, size),
-		Experiments:  make([]ExperimentOutcome, 0, size),
-	}
-	var instants []uint64 // the range's transient instants, which their outcomes point into
-	// add appends experiment i's outcome, in index order, filled from res in
-	// place, and returns it for the hybrid fields.
-	add := func(i int, res *fault.Result, node string) *ExperimentOutcome {
-		n := len(so.Experiments)
-		so.Indices = append(so.Indices, i)
-		so.Experiments = so.Experiments[:n+1] // a zero slot: the capacity is the range's size
-		eo := &so.Experiments[n]
-		fillOutcome(eo, res, node)
-		if res.Fault.Model.Transient() {
-			if instants == nil {
-				instants = make([]uint64, size)
+	if plan != nil {
+		// The experiments the plan resolved, counted as they are laid (the
+		// engine-run ones were counted live).
+		for i, j := start, 0; i < end; i++ {
+			if j < len(idx) && idx[j] == i {
+				j++
+				continue
 			}
-			instants[i-start] = res.InjectAt
-			eo.AtCycle = &instants[i-start]
-		}
-		return eo
-	}
-	j := 0 // next engine-run experiment
-	for i := start; i < end; i++ {
-		if j == len(run) || at(j) != i {
-			// Resolved by the hybrid plan; counted as it is assembled (the
-			// engine-run ones reported live).
 			res := plan.result(i)
+			plan.label(so.lay(i-start, res, exps[i].Node.String(), instants), i)
 			if count != nil {
-				count(i, *res)
-			}
-			plan.label(add(i, res, exps[i].Node.String()), i)
-			continue
-		}
-		if ran[j] {
-			eo := add(i, &results[j], run[j].Node.String())
-			if plan != nil {
-				eo.Engine, eo.Predicted = "rtl", plan.pred[i].Outcome.String()
+				count(res)
 			}
 		}
-		j++
 	}
-	if !whole {
+	switch {
+	case err != nil || stop != nil:
+		so.compact(start)
+	case !whole:
+		so.Indices = make([]int, size)
+		for k := range so.Indices {
+			so.Indices[k] = start + k
+		}
+	}
+	if !whole || err != nil {
 		return rangeRun{out: so}, err
 	}
 	return rangeRun{so, assembleOutcome(n, so.GoldenCycles, so.Checkpointed, len(exps), so.Experiments)}, nil
+}
+
+// lay writes an experiment's outcome into slot k, filled from res, and a
+// transient's instant into instants[k], where the outcome points; it returns
+// the outcome for the hybrid fields.
+func (so *ShardOutput) lay(k int, res *fault.Result, node string, instants []uint64) *ExperimentOutcome {
+	eo := &so.Experiments[k]
+	fillOutcome(eo, res, node)
+	if res.Fault.Model.Transient() {
+		instants[k] = res.InjectAt
+		eo.AtCycle = &instants[k]
+	}
+	return eo
+}
+
+// compact closes up the slots of the experiments a stop or cancellation
+// kept from running — a laid slot always has an outcome — and lists the
+// absolute indices of those that ran, start being the first slot's.
+func (so *ShardOutput) compact(start int) {
+	ran := so.Experiments[:0]
+	so.Indices = make([]int, 0, len(so.Experiments))
+	for k := range so.Experiments {
+		if so.Experiments[k].Outcome != "" {
+			so.Indices = append(so.Indices, start+k)
+			ran = append(ran, so.Experiments[k])
+		}
+	}
+	so.Experiments = ran
 }

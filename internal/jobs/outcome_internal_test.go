@@ -5,8 +5,10 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/fault"
 )
@@ -32,7 +34,7 @@ func TestHandBuiltNodesEncodeIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := experimentsFor(eng, n)
+	exps := experimentsFor(nil, eng, n)
 	hand := make([]fault.Experiment, len(exps))
 	for i, e := range exps {
 		hand[i] = e
@@ -80,6 +82,74 @@ func TestWarmCampaignAllocations(t *testing.T) {
 	if full > small+384/64 || full > 768/8 {
 		t.Errorf("a warm campaign allocates %.0f times over 768 experiments and %.0f over 384: want a constant per campaign", full, small)
 	}
+}
+
+// TestWarmCampaignBytes bounds what TestWarmCampaignAllocations counts by
+// size: a warm campaign allocates its outcome's experiments array and a
+// constant beside it — the node sample, the tally's maps, a shard pool's
+// own state — and no other array per experiment: no experiment list, no raw
+// result array, no index list for a whole campaign. A whole engine_perm
+// campaign allocates at most its experiments array plus warmSlack bytes;
+// it, the hybrid shape and an in-process 4-shard campaign each allocate at
+// most twice what a half-size one does plus warmSlack.
+func TestWarmCampaignBytes(t *testing.T) {
+	const warmSlack = 32 << 10
+	execute := func(req Request) func() {
+		return func() {
+			if _, err := Execute(context.Background(), req, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sharded := func(req Request) func() {
+		return func() {
+			if _, err := ExecuteSharded(context.Background(), req, 4, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	hybrid := Request{Workload: "puwmod", Iterations: 2, Target: "iu", Engine: "hybrid", RTLAudit: 0.1, Nodes: 256, Seed: 7}
+	for _, c := range []struct {
+		name string
+		run  func(Request) func()
+		req  Request
+	}{
+		{"perm", execute, warmRequest},
+		{"hybrid", execute, hybrid},
+		{"sharded", sharded, warmRequest},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			half := c.req
+			half.Nodes /= 2
+			full, small := warmBytes(c.run(c.req)), warmBytes(c.run(half))
+			outcome := 3 * c.req.Nodes * int(unsafe.Sizeof(ExperimentOutcome{}))
+			t.Logf("%s: %.0f bytes over %d experiments (experiments array %d), %.0f over half as many",
+				c.name, full, 3*c.req.Nodes, outcome, small)
+			if full > 2*small+warmSlack {
+				t.Errorf("%s: %.0f bytes over %d experiments, %.0f over half as many: want at most twice plus %d",
+					c.name, full, 3*c.req.Nodes, small, warmSlack)
+			}
+			if c.name == "perm" && full > float64(outcome+warmSlack) {
+				t.Errorf("a warm campaign allocates %.0f bytes: want at most its experiments array, %d, plus %d",
+					full, outcome, warmSlack)
+			}
+		})
+	}
+}
+
+// warmBytes returns the bytes run allocates a call, after two calls that
+// warm what it runs on.
+func warmBytes(run func()) float64 {
+	const runs = 5
+	run()
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
 // TestWarmRunnerLookupAllocatesNothing: resolving a runner the cache has

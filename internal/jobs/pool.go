@@ -135,7 +135,7 @@ func (p *ShardPool) plan(ctx context.Context, req Request, tap Tap) (*Coordinato
 	if tap != nil {
 		onProgress = func(t campaign.Tally, total int) { tap(t.Done, total, t.Failures) }
 	}
-	exps := experimentsFor(r, n)
+	exps := experimentsFor(nil, r, n)
 	return newCoordinator(key, n, len(exps), r.GoldenTicks(), r.Checkpointed(),
 		p.opts.Shards, onProgress, p.opts.persist), exps, nil
 }
