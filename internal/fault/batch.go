@@ -68,48 +68,42 @@ import (
 // golden cycle: a campaign whose nets are all logged only reads, and a lane
 // takes an engine only to step its universe.
 
-// forcing keys a permanent universe — a line stuck at, or left open on, one
-// value from the runner's fixed instant on: the kernel arms an open line
-// whose sampled charge is b exactly as it arms stuck-at-b, and Expand crosses
-// every node with all three permanent models, so lanes of one forcing differ
-// in Fault.Model and nothing else. On the ISS engine node is {Word: victim
-// register, Bit: victim bit} with no name: every RTL node that hashes onto
-// the victim is the same run.
-type forcing struct {
-	node rtl.Node
-	one  bool // forced polarity
-}
-
-// verdicts is a runner's forcing→verdict table, kept as long as the runner,
-// beside its ladder and its read log: every campaign, shard, audit and
-// escalation on the runner resolves through it, so a permanent forcing is
-// stepped once per runner however the experiments were cut into calls. The
-// first lane to arrive simulates under its verdict's lock, where a twin
-// arriving meanwhile waits, and every later one copies the result. Scheduling
+// verdicts is a runner's table of what its permanent forcings came to, kept
+// as long as the runner, beside its ladder and its read log: every campaign,
+// shard, audit and escalation on the runner resolves through it, so a
+// forcing is stepped once per runner however the experiments were cut into
+// calls. A forcing is a line stuck at, or left open on, one value from the
+// runner's fixed instant on — the kernel arms an open line whose sampled
+// charge is b exactly as it arms stuck-at-b, and Expand crosses every node
+// with all three permanent models, so lanes of one forcing differ in
+// Fault.Model and nothing else — and is keyed by (row, bit, forced
+// polarity): on the RTL engine the row is the design table's net id, on the
+// ISS engine the victim register, onto which every RTL node that hashes to
+// the victim is the same run. A row holds two verdicts per bit of its net,
+// allocated when a lane first arrives on the net and never moved, so a
+// lookup is an index and no lock: a verdict that is resolved (call nonzero)
+// is copied as it stands. The first lane to find one unresolved steps it
+// under the verdict's lock, where a twin arriving meanwhile waits. Scheduling
 // only: a verdict is a function of its forcing and of what the runner fixed
 // at construction (program, instant, budget), a resolve is never abandoned
 // half-way, and the from-reset reference keeps no table — so whether a lane
 // computes a verdict or copies it changes no result, only the work counters.
 // Permanent forcings alone enter, at most two per node of the population:
 // bounded by construction, no budget. A transient is keyed by an instant
-// sampled per experiment, never recurs, and is resolved directly. Verdicts
-// live in fixed chunks and never move, so the table may grow under a waiter.
+// sampled per experiment, never recurs, and is resolved directly.
 type verdicts struct {
-	mu      sync.Mutex
-	idx     map[forcing]int32
-	chunks  []*[verdictChunk]verdict
-	n       int
-	calls   atomic.Uint64 // calls begun on the runner; see begin
-	entries *obs.Gauge    // engine_verdict_table_entries
+	rows    []atomic.Pointer[[]verdict] // by row; none under NoCheckpoint
+	bits    []uint8                     // by row, the width of its net
+	calls   atomic.Uint64               // calls begun on the runner; see begin
+	entries *obs.Gauge                  // engine_verdict_table_entries
 }
 
-const verdictChunk = 64
-
 // verdict is what a forcing's universe came to; a lane reports it under its
-// own Fault and Unit.
+// own Fault and Unit. The call that resolved it is stored last, after the
+// three values, so a lane that loads a nonzero call may read them unlocked.
 type verdict struct {
-	mu      sync.Mutex
-	call    uint64 // the call that resolved it; 0 while unresolved
+	call    atomic.Uint64 // the call that resolved it; 0 while unresolved
+	mu      sync.Mutex    // held by the lane stepping it
 	outcome Outcome
 	latency int64
 	cycles  uint64
@@ -123,8 +117,10 @@ const (
 	verdictKnown
 )
 
-func newVerdicts(reg *obs.Registry) verdicts {
-	return verdicts{idx: map[forcing]int32{}, entries: reg.Gauge("engine_verdict_table_entries",
+// newVerdicts returns a table with one row per entry of bits, the width of
+// the row's net; nil bits — the from-reset reference — keep none.
+func newVerdicts(reg *obs.Registry, bits []uint8) verdicts {
+	return verdicts{rows: make([]atomic.Pointer[[]verdict], len(bits)), bits: bits, entries: reg.Gauge("engine_verdict_table_entries",
 		"Forcing→verdict entries retained, summed over the RTL and ISS runners built on this registry (each at most two per node of the population).")}
 }
 
@@ -134,35 +130,69 @@ func newVerdicts(reg *obs.Registry) verdicts {
 // the unresolved mark, and onto numbers its verdicts still carry.
 func (t *verdicts) begin() uint64 { return t.calls.Add(1) }
 
-// once fills res with forcing f's verdict — run's, called under the verdict's
-// lock, if no lane of f arrived on this runner before — and says how it was
-// reached.
-func (t *verdicts) once(f forcing, call uint64, res *Result, run func()) int {
-	t.mu.Lock()
-	i, ok := t.idx[f]
-	if !ok {
-		i = int32(t.n)
-		t.idx[f] = i
-		if t.n == len(t.chunks)*verdictChunk {
-			t.chunks = append(t.chunks, new([verdictChunk]verdict))
-		}
-		t.n++
-		t.entries.Add(1)
+// once fills res with the verdict of forcing bit of row to one (or to zero)
+// — run's, called under the verdict's lock, if no lane of the forcing
+// arrived on this runner before — and says how it was reached.
+func (t *verdicts) once(row int32, bit int, one bool, call uint64, res *Result, run func()) int {
+	p := t.rows[row].Load()
+	if p == nil {
+		p = t.grow(row)
 	}
-	v := &t.chunks[i/verdictChunk][i%verdictChunk]
-	t.mu.Unlock()
+	i := 2 * bit
+	if one {
+		i++
+	}
+	v := &(*p)[i]
+	if c := v.call.Load(); c != 0 {
+		return v.copyTo(res, c, call)
+	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.call == 0 {
-		run()
-		v.call, v.outcome, v.latency, v.cycles = call, res.Outcome, res.Latency, res.Cycles
-		return verdictStepped
+	if c := v.call.Load(); c != 0 {
+		return v.copyTo(res, c, call)
 	}
+	run()
+	v.outcome, v.latency, v.cycles = res.Outcome, res.Latency, res.Cycles
+	v.call.Store(call)
+	t.entries.Add(1)
+	return verdictStepped
+}
+
+// grow allocates row's verdicts, or returns those a racing lane published
+// first.
+func (t *verdicts) grow(row int32) *[]verdict {
+	p := new([]verdict)
+	*p = make([]verdict, 2*int(t.bits[row]))
+	if t.rows[row].CompareAndSwap(nil, p) {
+		return p
+	}
+	return t.rows[row].Load()
+}
+
+// copyTo fills res with v, which call c resolved, and says whether that was
+// call's twin or a known verdict.
+func (v *verdict) copyTo(res *Result, c, call uint64) int {
 	res.Outcome, res.Latency, res.Cycles = v.outcome, v.latency, v.cycles
-	if v.call == call {
+	if c == call {
 		return verdictTwin
 	}
 	return verdictKnown
+}
+
+// held returns how many verdicts the table holds resolved and how many its
+// rows have room for.
+func (t *verdicts) held() (resolved, slots int) {
+	for i := range t.rows {
+		if p := t.rows[i].Load(); p != nil {
+			for j := range *p {
+				if (*p)[j].call.Load() != 0 {
+					resolved++
+				}
+			}
+			slots += len(*p)
+		}
+	}
+	return resolved, slots
 }
 
 // memo is what the plan fixes for every lane of one campaign call and no
@@ -338,7 +368,7 @@ func (r *Runner) runLane(e *Experiment, m *memo, i int, res *Result) {
 			r.met.fallbacks.Inc()
 		} else if r.batchLane(&l, e, m.logs[m.netOf[i]]) {
 			r.met.lanesActivated.Inc()
-			r.resolveOnce(lad, &l, m.call, res)
+			r.resolveOnce(lad, &l, m.nets[m.netOf[i]], m.call, res)
 			return
 		} else {
 			// A never-activated lane tracked the golden trajectory
@@ -360,16 +390,16 @@ func (r *Runner) runLane(e *Experiment, m *memo, i int, res *Result) {
 }
 
 // resolveOnce fills res with activated lane l's verdict: a permanent
-// forcing's through the runner's table, under the lane's own Fault; a
-// transient — keyed by an instant of its own — stepped here. A lane that
-// copies its verdict takes no engine.
-func (r *Runner) resolveOnce(lad *ladder, l *lane, call uint64, res *Result) {
+// forcing's through the runner's table, on the lane's net id, under the
+// lane's own Fault; a transient — keyed by an instant of its own — stepped
+// here. A lane that copies its verdict takes no engine.
+func (r *Runner) resolveOnce(lad *ladder, l *lane, net int32, call uint64, res *Result) {
 	if l.f.Model.Transient() {
 		r.step(lad, l, res)
 		return
 	}
 	l.result(res)
-	switch r.verdicts.once(forcing{node: l.f.Node, one: l.forcedOne}, call, res, func() { r.step(lad, l, res) }) {
+	switch r.verdicts.once(net, l.f.Node.Bit, l.forcedOne, call, res, func() { r.step(lad, l, res) }) {
 	case verdictTwin:
 		r.met.proven[provenEquivalent].Inc()
 	case verdictKnown:

@@ -82,6 +82,7 @@ func (r *Runner) InjectCycle() uint64 { return r.opts.InjectAtCycle }
 type designTable struct {
 	k     *rtl.Kernel              // the throwaway core's
 	nets  []rtl.WitnessNet         // by net id
+	bits  []uint8                  // by net id, the net's width
 	ids   map[rtl.WitnessNet]int32 // by net
 	once  [2]sync.Once
 	nodes [2][]NodeInfo // each target's annotated node list, IU then CMEM, enumerated on first use
@@ -98,16 +99,16 @@ func design() *designTable {
 	designOnce.Do(func() {
 		k := leon3.New(mem.NewBus(mem.NewMemory()), 0).K
 		d := &designTable{k: k, ids: map[rtl.WitnessNet]int32{}}
-		add := func(wn rtl.WitnessNet) {
+		add := func(wn rtl.WitnessNet, width int) {
 			d.ids[wn] = int32(len(d.nets))
-			d.nets = append(d.nets, wn)
+			d.nets, d.bits = append(d.nets, wn), append(d.bits, uint8(width))
 		}
 		for _, s := range k.Signals() {
-			add(rtl.WitnessNet{Name: s.Name()})
+			add(rtl.WitnessNet{Name: s.Name()}, s.Width())
 		}
 		for _, a := range k.Arrays() {
 			for w := range a.Len() {
-				add(rtl.WitnessNet{Name: a.Name(), Word: w})
+				add(rtl.WitnessNet{Name: a.Name(), Word: w}, a.Width())
 			}
 		}
 		theDesign = d

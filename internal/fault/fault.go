@@ -305,7 +305,11 @@ func NewRunner(p *asm.Program, opts Options) (*Runner, error) {
 	}
 	m := mem.NewMemory()
 	m.LoadImage(p.Origin, p.Image)
-	r := &Runner{prog: p, opts: opts, baseImg: m.Snapshot(), met: newEngineMetrics(opts.Obs), verdicts: newVerdicts(opts.Obs)}
+	var rows []uint8 // the reference keeps no verdicts
+	if !opts.NoCheckpoint {
+		rows = design().bits
+	}
+	r := &Runner{prog: p, opts: opts, baseImg: m.Snapshot(), met: newEngineMetrics(opts.Obs), verdicts: newVerdicts(opts.Obs, rows)}
 	r.log.budget, r.log.nets = logBudget, make([]*netLog, len(design().nets))
 	// One object of each kind per processor: what a campaign at the default
 	// worker count holds at once.

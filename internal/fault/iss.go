@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -141,7 +142,11 @@ func NewISSRunner(p *asm.Program, opts Options, cycleRef, fixedCycle uint64) (*I
 	}
 	m := mem.NewMemory()
 	m.LoadImage(p.Origin, p.Image)
-	r := &ISSRunner{prog: p, opts: opts, cycleRef: cycleRef, met: newISSMetrics(opts.Obs), verdicts: newVerdicts(opts.Obs)}
+	var rows []uint8 // the reference keeps no verdicts
+	if !opts.NoCheckpoint {
+		rows = victimBits
+	}
+	r := &ISSRunner{prog: p, opts: opts, cycleRef: cycleRef, met: newISSMetrics(opts.Obs), verdicts: newVerdicts(opts.Obs, rows)}
 	r.baseImg = m.Snapshot()
 	r.engines.max = runtime.GOMAXPROCS(0)
 	cpu := r.newEngine(nil).cpu
@@ -401,6 +406,9 @@ type victim struct {
 	bit uint
 }
 
+// victimBits is the width of each register: the ISS verdict table's rows.
+var victimBits = bytes.Repeat([]uint8{32}, 32)
+
 func victimOf(n rtl.Node) victim {
 	h := splitmix64(strHash(n.Name) + uint64(n.Word)*0x9e3779b97f4a7c15)
 	return victim{reg: 1 + int(h%31), bit: uint(n.Bit) & 31}
@@ -507,8 +515,7 @@ func (r *ISSRunner) resolve(e *Experiment, call uint64, res *Result) {
 		r.met.free.Inc()
 		return
 	}
-	key := forcing{node: rtl.Node{Word: v.reg, Bit: int(v.bit)}, one: forced == 1}
-	switch r.verdicts.once(key, call, res, func() { r.stepFrom(lg, s, res, e.Model, v, forced, at) }) {
+	switch r.verdicts.once(int32(v.reg), int(v.bit), forced == 1, call, res, func() { r.stepFrom(lg, s, res, e.Model, v, forced, at) }) {
 	case verdictTwin:
 		r.met.twin.Inc()
 	case verdictKnown:

@@ -466,8 +466,8 @@ func TestISSReferenceIsNaive(t *testing.T) {
 	if r.engines.get() != nil {
 		t.Error("reference campaign kept an emulator")
 	}
-	if r.verdicts.n != 0 {
-		t.Errorf("reference campaign kept %d verdicts", r.verdicts.n)
+	if n, slots := r.verdicts.held(); n != 0 || slots != 0 {
+		t.Errorf("reference campaign kept %d verdicts in %d slots", n, slots)
 	}
 	c := engineCounters(t, reg)
 	if got := c[`iss_engine_verdicts_total{path="stepped"}`]; got != float64(len(exps)) || c["iss_engine_experiments_total"] != got {

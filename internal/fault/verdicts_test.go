@@ -5,10 +5,12 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/asm"
 	"repro/internal/obs"
@@ -31,11 +33,14 @@ func TestRunnerKeepsVerdicts(t *testing.T) {
 		name  string
 		build func(p *asm.Program, opts Options) (CampaignEngine, error)
 		work  [2]string // cycles or steps simulated, universes resolved
+		table func(CampaignEngine) *verdicts
 	}{
 		{"rtl", func(p *asm.Program, opts Options) (CampaignEngine, error) { return NewRunner(p, opts) },
-			[2]string{"engine_faulted_cycles_total", "engine_snapshot_materializations_total"}},
+			[2]string{"engine_faulted_cycles_total", "engine_snapshot_materializations_total"},
+			func(e CampaignEngine) *verdicts { return &e.(*Runner).verdicts }},
 		{"iss", func(p *asm.Program, opts Options) (CampaignEngine, error) { return NewISSRunner(p, opts, 0, 0) },
-			[2]string{"iss_engine_steps_total", `iss_engine_verdicts_total{path="stepped"}`}},
+			[2]string{"iss_engine_steps_total", `iss_engine_verdicts_total{path="stepped"}`},
+			func(e CampaignEngine) *verdicts { return &e.(*ISSRunner).verdicts }},
 	} {
 		// fresh builds a runner that has resolved nothing; work reads what it
 		// has simulated since, entries what its table holds.
@@ -157,6 +162,39 @@ func TestRunnerKeepsVerdicts(t *testing.T) {
 			if n == 0 || n > float64(2*len(nodes)) {
 				t.Errorf("%v verdicts kept after an exhaustive campaign over %d nodes: want at most two each", n, len(nodes))
 			}
+			// The rows take two verdicts per bit of the nets the campaign
+			// touched — on the RTL engine a net's bits are the nodes the
+			// population has on it, on the ISS engine a register's are 32 —
+			// and nothing else.
+			table := eng.table(r.CampaignEngine)
+			bits := map[int32]int{}
+			for _, nd := range nodes {
+				bits[nd.net]++
+			}
+			touched := 0
+			for row := range table.rows {
+				p := table.rows[row].Load()
+				if p == nil {
+					continue
+				}
+				width := 32
+				if eng.name == "rtl" {
+					width = bits[int32(row)]
+				}
+				for j := range *p {
+					if (*p)[j].call.Load() != 0 {
+						touched += width
+						break
+					}
+				}
+			}
+			size := int(unsafe.Sizeof(verdict{}))
+			held, slots := table.held()
+			if float64(held) != n || slots*size > 2*size*touched {
+				t.Errorf("the table holds %d verdicts (the gauge reads %v) in %d bytes: want at most %d, two %d-byte verdicts per bit of the nets touched",
+					held, n, slots*size, 2*size*touched, size)
+			}
+			t.Logf("%v verdicts in %d bytes over %d touched bits", n, slots*size, touched)
 			transients := Expand(SampleNodes(nodes, 128, 5), rtl.TransientFaultModels()...)
 			r.ScheduleTransients(transients, 5)
 			before := work(t, r)
@@ -249,4 +287,233 @@ func TestVerdictCallsDoNotWrap(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestVerdictTableRace runs eight goroutines over a table's shared rows —
+// both polarities of every bit, calls begun between lookups, each call
+// shared by a pair of goroutines — and holds the lock-free read path to its
+// contract: every forcing's run executes once, every copier reads the three
+// values it stepped — never a verdict half published, whose unwritten
+// fields read zero — and a copy is a twin exactly when its call is the one
+// that stepped the forcing.
+func TestVerdictTableRace(t *testing.T) {
+	const (
+		goroutines = 8
+		rounds     = 40
+	)
+	bits := []uint8{3, 1, 64, 8}
+	reg := obs.NewRegistry()
+	table := newVerdicts(reg, bits)
+	type key struct {
+		row, bit int
+		one      bool
+	}
+	var keys []key
+	for row, w := range bits {
+		for bit := range int(w) {
+			keys = append(keys, key{row, bit, false}, key{row, bit, true})
+		}
+	}
+	// stepped is what a forcing's universe comes to: distinct per forcing
+	// and nonzero in each of the three values.
+	stepped := func(k key) (Outcome, int64, uint64) {
+		n := 1 + k.row*256 + k.bit*2
+		if k.one {
+			n++
+		}
+		return Outcome(n), int64(3 * n), uint64(7 * n)
+	}
+	runs := make([]atomic.Int32, len(keys))
+	stepCall := make([]atomic.Uint64, len(keys))
+	// A call per round per pair of goroutines, begun by whichever of the
+	// pair gets there first, between other pairs' lookups.
+	var begin [goroutines / 2][rounds]struct {
+		once sync.Once
+		call uint64
+	}
+	type lookup struct {
+		k         int
+		call      uint64
+		how       int
+		got, want Result
+	}
+	seen := make([][]lookup, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range rounds {
+				b := &begin[g/2][round]
+				b.once.Do(func() { b.call = table.begin() })
+				for j := range keys {
+					k := (j*(2*g+1) + round) % len(keys) // each goroutine its own order
+					var res Result
+					var want Result
+					want.Outcome, want.Latency, want.Cycles = stepped(keys[k])
+					how := table.once(int32(keys[k].row), keys[k].bit, keys[k].one, b.call, &res, func() {
+						runs[k].Add(1)
+						stepCall[k].Store(b.call)
+						res.Outcome, res.Latency, res.Cycles = stepped(keys[k])
+						for range 50 {
+							runtime.Gosched() // hold the verdict while others arrive
+						}
+					})
+					seen[g] = append(seen[g], lookup{k, b.call, how, res, want})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for k := range keys {
+		if n := runs[k].Load(); n != 1 {
+			t.Errorf("forcing %+v ran %d times, want once", keys[k], n)
+		}
+	}
+	var split [3]int
+	for g := range seen {
+		for _, l := range seen[g] {
+			split[l.how]++
+			if l.got != l.want {
+				t.Fatalf("forcing %+v read %+v, its run stepped %+v", keys[l.k], l.got, l.want)
+			}
+			want := verdictKnown
+			switch {
+			case l.how == verdictStepped:
+				want = verdictStepped
+			case l.call == stepCall[l.k].Load():
+				want = verdictTwin
+			}
+			if l.how != want {
+				t.Errorf("forcing %+v on call %d (stepped on call %d) reached as %d, want %d", keys[l.k], l.call, stepCall[l.k].Load(), l.how, want)
+			}
+		}
+	}
+	if split[verdictStepped] != len(keys) || split[verdictTwin] == 0 || split[verdictKnown] == 0 {
+		t.Errorf("stepped/twin/known %v over %d forcings: want each stepped once, and twins and known copies both", split, len(keys))
+	}
+	held, slots := table.held()
+	if entries := engineCounters(t, reg)["engine_verdict_table_entries"]; held != len(keys) || slots != len(keys) || entries != float64(len(keys)) {
+		t.Errorf("table holds %d verdicts in %d slots, gauge %v: want %d each", held, slots, entries, len(keys))
+	}
+}
+
+// TestKnownVerdictAllocatesNothing holds the lookup of a verdict the runner
+// already knows to no allocation on both engines: an activated permanent
+// lane on RTL (runLane: its net's log, the table), a forced victim bit on
+// the ISS (resolve).
+func TestKnownVerdictAllocatesNothing(t *testing.T) {
+	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{InjectAtFraction: 0.5}
+	t.Run("rtl", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		opts.Obs = reg
+		r, err := NewRunner(w.Program, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps := Expand(SampleNodes(r.Nodes(TargetIU), 64, 1), rtl.FaultModels()...)
+		want := r.Campaign(exps, 2)
+		m := r.planBatches(exps)
+		defer r.putMemo(m)
+		known := func() float64 { return engineCounters(t, reg)[`engine_verdicts_proven_total{proof="known"}`] }
+		checked := 0
+		for i := range exps {
+			var l lane
+			if m.netOf[i] < 0 || !r.batchLane(&l, &exps[i], m.logs[m.netOf[i]]) {
+				continue
+			}
+			before := known()
+			var res Result
+			if a := testing.AllocsPerRun(20, func() { r.runLane(&exps[i], m, i, &res) }); a != 0 {
+				t.Errorf("%v: %v allocations per known lookup", exps[i], a)
+			}
+			if res != want[i] || known()-before != 21 {
+				t.Errorf("%v: read %+v, %v known copies in 21 lookups; the campaign read %+v", exps[i], res, known()-before, want[i])
+			}
+			if checked++; checked == 8 {
+				break
+			}
+		}
+		if checked == 0 {
+			t.Fatal("no lane of the sample activates")
+		}
+	})
+	t.Run("iss", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		opts.Obs = reg
+		r, err := NewISSRunner(w.Program, opts, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps := Expand(SampleNodes(r.Nodes(TargetIU), 64, 1), rtl.FaultModels()...)
+		want := r.Campaign(exps, 2)
+		call := r.verdicts.begin()
+		c := engineCounters(t, reg)
+		known := func() float64 { return engineCounters(t, reg)[`iss_engine_verdicts_total{path="known"}`] }
+		if c[`iss_engine_verdicts_total{path="stepped"}`] == 0 {
+			t.Fatal("no forcing of the sample is stepped")
+		}
+		checked := 0
+		for i := range exps {
+			before, free := known(), engineCounters(t, reg)[`iss_engine_verdicts_total{path="free"}`]
+			var res Result
+			if a := testing.AllocsPerRun(20, func() { r.resolve(&exps[i], call, &res) }); a != 0 {
+				t.Errorf("%v: %v allocations per known lookup", exps[i], a)
+			}
+			if res != want[i] {
+				t.Errorf("%v: read %+v, the campaign read %+v", exps[i], res, want[i])
+			}
+			switch k := known() - before; {
+			case k == 21:
+				checked++
+			case k != 0 || engineCounters(t, reg)[`iss_engine_verdicts_total{path="free"}`]-free != 21:
+				t.Errorf("%v: %v of 21 lookups known, the rest not free", exps[i], k)
+			}
+		}
+		if checked == 0 {
+			t.Fatal("no experiment of the sample reads a known verdict")
+		}
+	})
+}
+
+// BenchmarkVerdictOnce times the lookup of a known verdict: a 256-node IU
+// sample's forcings, both polarities, resolved once and then read in turn,
+// by one goroutine (known) and by GOMAXPROCS at once (known-parallel).
+func BenchmarkVerdictOnce(b *testing.B) {
+	type key struct {
+		net int32
+		bit int
+		one bool
+	}
+	var keys []key
+	for _, nd := range SampleNodes(design().nodesOf(TargetIU), 256, 1) {
+		keys = append(keys, key{nd.net, nd.Node.Bit, false}, key{nd.net, nd.Node.Bit, true})
+	}
+	table := newVerdicts(nil, design().bits)
+	first := table.begin()
+	for _, k := range keys {
+		var res Result
+		table.once(k.net, k.bit, k.one, first, &res, func() { res.Outcome, res.Latency, res.Cycles = OutcomeMismatch, 1, 2 })
+	}
+	call := table.begin()
+	b.Run("known", func(b *testing.B) {
+		var res Result
+		for i := 0; b.Loop(); i++ {
+			k := &keys[i%len(keys)]
+			table.once(k.net, k.bit, k.one, call, &res, func() { b.Fatal("a known verdict stepped") })
+		}
+	})
+	b.Run("known-parallel", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			var res Result
+			for i := 0; pb.Next(); i++ {
+				k := &keys[i%len(keys)]
+				table.once(k.net, k.bit, k.one, call, &res, func() { b.Error("a known verdict stepped") })
+			}
+		})
+	})
 }
