@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		exp   = fs.String("exp", "all", "artifact: "+valid)
-		nodes = fs.Int("nodes", 256, "injection node sample size per campaign")
+		nodes = fs.Int("nodes", 256, "injection node sample size per campaign (0 = every node)")
 		seed  = fs.Int64("seed", 1, "sampling seed")
 		iters = fs.Int("iters", 2, "workload iterations for RTL campaigns")
 	)
@@ -54,6 +54,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *exp != "all" && !slices.Contains(names, *exp) {
 		return fmt.Errorf("unknown -exp %q: want %s", *exp, valid)
+	}
+	if *nodes < 0 {
+		return fmt.Errorf("-nodes %d: want 0 (every node) or a sample size", *nodes)
 	}
 
 	o := core.ExperimentOptions{Nodes: *nodes, Seed: *seed, Iterations: *iters}

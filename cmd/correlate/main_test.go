@@ -24,6 +24,15 @@ func TestUnknownExperimentIsRejected(t *testing.T) {
 	}
 }
 
+// TestNegativeNodesIsRejected: 0 is the census, so a negative -nodes has
+// no meaning and must not run as an empty sample.
+func TestNegativeNodesIsRejected(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-exp", "fig5", "-nodes", "-1"}, &stdout, &stderr); err == nil || stdout.Len() != 0 {
+		t.Errorf("-nodes -1: error %v, stdout %q; want an error and no rendering", err, stdout.String())
+	}
+}
+
 // TestStdoutIsTheRendering holds stdout to the artifact alone: the timing
 // line goes to stderr.
 func TestStdoutIsTheRendering(t *testing.T) {

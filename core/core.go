@@ -47,8 +47,8 @@
 // fresh core per experiment, simulated from reset, one scalar run each —
 // whose results are bit-identical (same outcome sequence, latencies and
 // Pf) at a much higher cost; it exists to check the engine and to
-// measure its speedup. The older no_batch name is still accepted and
-// echoed, and selects nothing.
+// measure its speedup. A job request's older no_batch field is still
+// accepted and echoed, and selects nothing.
 //
 // Quick start:
 //
@@ -203,12 +203,6 @@ type CampaignSpec struct {
 	// higher cost; it exists for checking the engine and measuring its
 	// speedup.
 	NoCheckpoint bool `json:"no_checkpoint"`
-	// NoBatch is a frozen wire name and selects nothing: it once forced
-	// one scalar simulation per experiment on the ladder, a path the
-	// engine now takes only where its batch planner needs it. The field
-	// stays so specs that carry it keep decoding (addrlint holds the
-	// schema frozen).
-	NoBatch bool `json:"no_batch,omitempty"`
 }
 
 // CampaignResult aggregates an injection campaign.

@@ -34,7 +34,7 @@ const ClockMHz = 100
 // Options tunes campaign cost versus precision.
 type Options struct {
 	// Nodes is the per-target injection-node sample size (statistical
-	// fault injection). 0 selects 256.
+	// fault injection). 0 injects every node.
 	Nodes int
 	// Seed makes node sampling reproducible.
 	Seed int64
@@ -43,11 +43,13 @@ type Options struct {
 	Iterations int
 }
 
-func (o Options) nodes() int {
-	if o.Nodes <= 0 {
-		return 256
+// sample returns o's sample of a node population: all of it when Nodes
+// is 0, otherwise the Seed-keyed sample of Nodes nodes.
+func (o Options) sample(nodes []fault.NodeInfo) []fault.NodeInfo {
+	if o.Nodes == 0 {
+		return nodes
 	}
-	return o.Nodes
+	return fault.SampleNodes(nodes, o.Nodes, o.Seed)
 }
 
 func (o Options) iters() int {
@@ -266,7 +268,7 @@ func runnerFor(name string, cfg workloads.Config) (*fault.Runner, error) {
 // target on r, transient instants scheduled from o.Seed — or every one at
 // cycle at, when at > 0 — returning Pf and the raw results.
 func pfOf(o Options, r *fault.Runner, target fault.Target, model rtl.FaultModel, at uint64) (float64, []fault.Result) {
-	exps := fault.Expand(fault.SampleNodes(r.Nodes(target), o.nodes(), o.Seed), model)
+	exps := fault.Expand(o.sample(r.Nodes(target)), model)
 	r.ScheduleTransients(exps, o.Seed)
 	if at > 0 {
 		for i := range exps {

@@ -12,6 +12,19 @@ import (
 // small keeps test campaigns fast; benchmarks use larger samples.
 var small = Options{Nodes: 48, Seed: 1, Iterations: 2}
 
+// TestZeroNodesIsCensus holds Options.Nodes to the meaning it has in
+// jobs.Request and faultcampaign -nodes 0: 0 injects every node, and a
+// positive count draws that many.
+func TestZeroNodesIsCensus(t *testing.T) {
+	all := fault.Nodes(fault.TargetIU)
+	if got := (Options{Seed: 1}).sample(all); !reflect.DeepEqual(got, all) {
+		t.Errorf("Nodes 0: %d nodes, want all %d", len(got), len(all))
+	}
+	if got := small.sample(all); !reflect.DeepEqual(got, fault.SampleNodes(all, 48, 1)) || len(got) != 48 {
+		t.Errorf("Nodes 48: %d nodes, want the seed-1 sample of 48", len(got))
+	}
+}
+
 func TestTable1ShapeMatchesPaper(t *testing.T) {
 	res, err := Table1()
 	if err != nil {

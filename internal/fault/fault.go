@@ -865,12 +865,3 @@ func MaxLatency(results []Result) int64 {
 	}
 	return max
 }
-
-// OutcomeCounts tallies the outcome distribution.
-func OutcomeCounts(results []Result) map[Outcome]int {
-	out := map[Outcome]int{}
-	for _, r := range results {
-		out[r.Outcome]++
-	}
-	return out
-}

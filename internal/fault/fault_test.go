@@ -208,7 +208,7 @@ func TestCampaignParallelMatchesSerial(t *testing.T) {
 	if pf < 0 || pf > 1 {
 		t.Fatalf("Pf = %v", pf)
 	}
-	t.Logf("excerptA IU sa1 sample Pf = %.3f, outcomes %v", pf, OutcomeCounts(parallel))
+	t.Logf("excerptA IU sa1 sample Pf = %.3f, %d failures", pf, Failures(parallel))
 }
 
 func TestExpandCrossesModels(t *testing.T) {

@@ -123,7 +123,7 @@ func TestTransientEngineEquivalence(t *testing.T) {
 				exps := Expand(SampleNodes(prod.Nodes(target), 32, 7), rtl.BitFlip, rtl.SETPulse)
 				prod.ScheduleTransients(exps, 5)
 				want := ref.Campaign(exps, 3)
-				t.Logf("%v: %d golden cycles, outcomes %v", target, prod.GoldenCycles, OutcomeCounts(want))
+				t.Logf("%v: %d golden cycles, %d failures", target, prod.GoldenCycles, Failures(want))
 				checkEngine(t, prod, exps, want)
 			}
 		})

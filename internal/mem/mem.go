@@ -181,9 +181,6 @@ func (img *Image) ForkInto(m *Memory) {
 	m.base = img.pages
 }
 
-// Pages returns the number of frozen pages in the image.
-func (img *Image) Pages() int { return len(img.pages) }
-
 // String summarizes the mapped pages.
 func (m *Memory) String() string {
 	private := len(m.pages)

@@ -100,10 +100,6 @@ func Table1Names() []string {
 // SyntheticNames returns the synthetic benchmark names.
 func SyntheticNames() []string { return []string{"membench", "intbench"} }
 
-// ExcerptNames returns the Figure-3 excerpt identifiers as
-// (subset, dataset-label) pairs flattened to "excerptA/0" style names.
-func ExcerptNames() []string { return []string{"excerptA", "excerptB"} }
-
 // Build assembles the named workload with the given configuration.
 func Build(name string, cfg Config) (*Workload, error) {
 	e, ok := registry[name]
