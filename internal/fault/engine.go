@@ -80,12 +80,16 @@ func (r *Runner) InjectCycle() uint64 { return r.opts.InjectAtCycle }
 // targets, and what the plan asks of a node is asked of the kernel here, at
 // enumeration, instead of by the node's name per experiment.
 type designTable struct {
-	k     *rtl.Kernel              // the throwaway core's
-	nets  []rtl.WitnessNet         // by net id
-	bits  []uint8                  // by net id, the net's width
-	ids   map[rtl.WitnessNet]int32 // by net
-	once  [2]sync.Once
-	nodes [2][]NodeInfo // each target's annotated node list, IU then CMEM, enumerated on first use
+	k    *rtl.Kernel      // the throwaway core's
+	nets []rtl.WitnessNet // by net id
+	bits []uint8          // by net id, the net's width
+	// victims is, by net id, the ISS register the net's bits are injected
+	// into (victimReg), filled here so that an ISS experiment reads it
+	// through its node's net id instead of hashing the name.
+	victims []uint8
+	ids     map[rtl.WitnessNet]int32 // by net
+	once    [2]sync.Once
+	nodes   [2][]NodeInfo // each target's annotated node list, IU then CMEM, enumerated on first use
 }
 
 var (
@@ -99,16 +103,18 @@ func design() *designTable {
 	designOnce.Do(func() {
 		k := leon3.New(mem.NewBus(mem.NewMemory()), 0).K
 		d := &designTable{k: k, ids: map[rtl.WitnessNet]int32{}}
-		add := func(wn rtl.WitnessNet, width int) {
+		add := func(wn rtl.WitnessNet, width int, name uint64) {
 			d.ids[wn] = int32(len(d.nets))
 			d.nets, d.bits = append(d.nets, wn), append(d.bits, uint8(width))
+			d.victims = append(d.victims, victimReg(name, wn.Word))
 		}
 		for _, s := range k.Signals() {
-			add(rtl.WitnessNet{Name: s.Name()}, s.Width())
+			add(rtl.WitnessNet{Name: s.Name()}, s.Width(), strHash(s.Name()))
 		}
 		for _, a := range k.Arrays() {
+			h := strHash(a.Name())
 			for w := range a.Len() {
-				add(rtl.WitnessNet{Name: a.Name(), Word: w}, a.Width())
+				add(rtl.WitnessNet{Name: a.Name(), Word: w}, a.Width(), h)
 			}
 		}
 		theDesign = d

@@ -398,9 +398,9 @@ func (lg *issLog) fork(eng *issEngine, s uint32) uint64 {
 
 // victim is the architectural injection point an RTL node maps onto: a
 // register (g1-g7 or the current window's r8-r31 — never g0, which
-// reads zero architecturally) and a bit position. The mapping is a
-// fixed hash of the node's identity so the same node perturbs the same
-// state in every process — another face of the determinism rule.
+// reads zero architecturally) and a bit position. The register is a
+// fixed hash of the node's net so the same node perturbs the same state
+// in every process — another face of the determinism rule.
 type victim struct {
 	reg int
 	bit uint
@@ -409,9 +409,23 @@ type victim struct {
 // victimBits is the width of each register: the ISS verdict table's rows.
 var victimBits = bytes.Repeat([]uint8{32}, 32)
 
-func victimOf(n rtl.Node) victim {
-	h := splitmix64(strHash(n.Name) + uint64(n.Word)*0x9e3779b97f4a7c15)
-	return victim{reg: 1 + int(h%31), bit: uint(n.Bit) & 31}
+// victimOf returns n's victim: the design table's register for n's net,
+// hashed once per process, or for a node on no net of the design — or
+// hand-built, with no net id — the hash now.
+func victimOf(n *NodeInfo) victim {
+	v := victim{bit: uint(n.Node.Bit) & 31}
+	if n.facts&factsSet != 0 && n.net >= 0 {
+		v.reg = int(design().victims[n.net])
+	} else {
+		v.reg = int(victimReg(strHash(n.Node.Name), n.Node.Word))
+	}
+	return v
+}
+
+// victimReg is the register the bits of a net hit: name is strHash of the
+// net's name, word its word in a memory array.
+func victimReg(name uint64, word int) uint8 {
+	return uint8(1 + splitmix64(name+uint64(word)*0x9e3779b97f4a7c15)%31)
 }
 
 // strHash is FNV-1a over the node name — stable, dependency-free, and
@@ -484,7 +498,7 @@ func (r *ISSRunner) resolve(e *Experiment, call uint64, res *Result) {
 	r.met.experiments.Inc()
 	atExt := r.armAt(e)
 	at := r.mapTicks(atExt)
-	v := victimOf(e.Node.Node)
+	v := victimOf(&e.Node)
 	// The golden run's verdict, until a run says otherwise.
 	res.Fault, res.Unit, res.Outcome = rtl.Fault{Node: e.Node.Node, Model: e.Model}, e.Node.Unit, OutcomeNoEffect
 	res.Latency, res.Cycles, res.InjectAt = -1, r.GoldenInsts, atExt

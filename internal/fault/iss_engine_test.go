@@ -47,7 +47,7 @@ func checkISSEngine(t testing.TB, prod, ref *ISSRunner, exps []Experiment) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Errorf("%s: experiment %d (%v %v@%d, victim %+v): got %+v, reference %+v",
-					path, i, exps[i].Model, exps[i].Node.Node, exps[i].AtCycle, victimOf(exps[i].Node.Node), got[i], want[i])
+					path, i, exps[i].Model, exps[i].Node.Node, exps[i].AtCycle, victimOf(&exps[i].Node), got[i], want[i])
 			}
 		}
 		t.Fatalf("%s: results differ from the from-reset reference", path)
@@ -143,7 +143,7 @@ func nodeForVictim(t *testing.T, r *ISSRunner, v victim) NodeInfo {
 	t.Helper()
 	for _, target := range []Target{TargetIU, TargetCMEM} {
 		for _, n := range r.Nodes(target) {
-			if victimOf(n.Node) == v {
+			if victimOf(&n) == v {
 				return n
 			}
 		}
@@ -168,7 +168,7 @@ func TestISSNeverActivatedIsFree(t *testing.T) {
 	s0 := uint32(lg.boundary(prod.injectAt))
 	var silent, late []Experiment
 	for _, n := range prod.Nodes(TargetIU) {
-		v := victimOf(n.Node)
+		v := victimOf(&n)
 		for _, m := range []rtl.FaultModel{rtl.StuckAt0, rtl.StuckAt1} {
 			s, ok := lg.activation(v, uint32(m-rtl.StuckAt0), s0)
 			switch {
@@ -207,7 +207,7 @@ func TestISSNeverActivatedIsFree(t *testing.T) {
 	// A late activation replays fewer than one stride of clean steps, then
 	// only the faulted run: never the stretch from the instant to it.
 	for _, e := range late {
-		v := victimOf(e.Node.Node)
+		v := victimOf(&e.Node)
 		s, _ := lg.activation(v, uint32(e.Model-rtl.StuckAt0), s0)
 		before := engineCounters(t, reg)["iss_engine_steps_total"]
 		res := prod.RunOne(e)
@@ -239,7 +239,7 @@ func TestISSTwinsShareOneRun(t *testing.T) {
 		first := map[victim]NodeInfo{}
 		var nodes []NodeInfo
 		for _, n := range prod.Nodes(TargetIU) {
-			v := victimOf(n.Node)
+			v := victimOf(&n)
 			if f, ok := first[v]; ok && len(nodes) < 24 {
 				nodes = append(nodes, f, n)
 				delete(first, v)
@@ -478,5 +478,51 @@ func TestISSReferenceIsNaive(t *testing.T) {
 	}
 	if c["iss_engine_steps_total"] < float64(len(exps))*float64(r.injectAt) {
 		t.Errorf("iss_engine_steps_total = %v: the reference did not step from reset", c["iss_engine_steps_total"])
+	}
+}
+
+// TestVictimTableMatchesHash: the design table's victim column is the hash
+// it replaced, so the ISS bytes do not move. Every node of both targets —
+// each on a net of the design — reads from the table the register the
+// frozen hash of its net's name and word gives, and its own bit; a
+// hand-built node on no net of the design falls back to that hash, and a
+// hand-built copy of a design node, which carries no net id, meets the
+// table's answer.
+func TestVictimTableMatchesHash(t *testing.T) {
+	hashed := func(n rtl.Node) victim {
+		h := splitmix64(strHash(n.Name) + uint64(n.Word)*0x9e3779b97f4a7c15)
+		return victim{reg: 1 + int(h%31), bit: uint(n.Bit) & 31}
+	}
+	d := design()
+	if len(d.victims) != len(d.nets) {
+		t.Fatalf("%d victims for %d nets", len(d.victims), len(d.nets))
+	}
+	regs := map[int]bool{}
+	for _, target := range []Target{TargetIU, TargetCMEM} {
+		for _, n := range d.nodesOf(target) {
+			if n.facts&factsSet == 0 || n.net < 0 {
+				t.Fatalf("%v %v: enumerated without a net id", target, n.Node)
+			}
+			got, want := victimOf(&n), hashed(n.Node)
+			if got != want {
+				t.Fatalf("%v %v: victim %+v from the table, the hash gives %+v", target, n.Node, got, want)
+			}
+			if hand := (NodeInfo{Node: n.Node, Unit: n.Unit}); victimOf(&hand) != want {
+				t.Fatalf("%v %v: hand-built, victim %+v, want %+v", target, n.Node, victimOf(&hand), want)
+			}
+			regs[got.reg] = true
+		}
+	}
+	if len(regs) != 31 {
+		t.Errorf("the design's nodes hit %d registers, want all 31 of g1–r31", len(regs))
+	}
+	for _, n := range []rtl.Node{{Name: "no.such.net", Bit: 37}, {Name: "iu.rf.regs", Word: 1 << 20, Bit: 5}} {
+		hand := NodeInfo{Node: n}
+		if _, id := hand.plan(); id >= 0 {
+			t.Fatalf("%v: on net %d of the design", n, id)
+		}
+		if got, want := victimOf(&hand), hashed(n); got != want {
+			t.Errorf("%v: victim %+v, the hash gives %+v", n, got, want)
+		}
 	}
 }

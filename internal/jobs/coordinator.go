@@ -518,15 +518,20 @@ func (c *Coordinator) maybeFinishLocked() {
 	c.finishLocked()
 }
 
-// finishLocked assembles the canonical outcome from the folded slots.
+// finishLocked assembles the canonical outcome from the folded slots: the
+// slots themselves once every index is folded — foldLocked writes none
+// after that — and a stopped campaign's folded ones, compacted.
 func (c *Coordinator) finishLocked() {
 	if c.done {
 		return
 	}
-	exps := make([]ExperimentOutcome, 0, c.folded.Done)
-	for i, ok := range c.have {
-		if ok {
-			exps = append(exps, c.slots[i])
+	exps := c.slots
+	if c.folded.Done < c.total {
+		exps = make([]ExperimentOutcome, 0, c.folded.Done)
+		for i, ok := range c.have {
+			if ok {
+				exps = append(exps, c.slots[i])
+			}
 		}
 	}
 	c.outcome = assembleOutcome(c.req, c.goldenCycles, c.checkpointed, c.total, exps)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/sparc"
 	"repro/internal/stats"
 )
 
@@ -79,14 +80,24 @@ func newRouterMetrics(r *obs.Registry) routerMetrics {
 // the audit sample with its RTL results, and the escalation set. It is
 // a pure function of the normalized request.
 type hybridPlan struct {
-	rtl       *fault.Runner
-	exps      []fault.Experiment
-	units     []string
-	pred      []fault.Result
-	audited   []bool
-	auditRes  map[int]*fault.Result
-	escalated map[string]bool
+	rtl   *fault.Runner
+	exps  []fault.Experiment
+	pred  []fault.Result
+	audit []fault.Result // the audit pass's results, in experiment order
+	// auditAt is, per experiment, its index in audit; -1 for one the
+	// sample left out.
+	auditAt   []int32
+	escalated [classSlots]bool
 }
+
+// classSlots is the number of node classes a plan tells apart: one per
+// functional unit, and one shared by every unit past sparc.NumUnits, which
+// all print "unit?" — so a plan's classes are exactly the outcome's, which
+// group experiments by the unit's name.
+const classSlots = sparc.NumUnits + 1
+
+// classOf returns the class slot of unit u.
+func classOf(u sparc.Unit) int { return int(min(u, sparc.NumUnits)) }
 
 // planCache memoizes hybrid plans per content address so the in-process
 // shard pool pays the ISS pass and audit set once per campaign, not
@@ -187,62 +198,51 @@ func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Regis
 	}
 	met.experiments.With("iss").Add(float64(len(exps)))
 
-	units := make([]string, len(exps))
+	auditAt := make([]int32, len(exps))
+	audits := int32(0)
 	for i := range exps {
-		units[i] = exps[i].Node.Unit.String()
-	}
-	audited := make([]bool, len(exps))
-	var auditIdx []int
-	for i := range exps {
+		auditAt[i] = -1
 		if fault.AuditSample(n.Seed, i, n.RTLAudit) {
-			audited[i] = true
-			auditIdx = append(auditIdx, i)
+			auditAt[i] = audits
+			audits++
 		}
 	}
-	auditExps := make([]fault.Experiment, len(auditIdx))
-	for j, i := range auditIdx {
-		auditExps[j] = exps[i]
+	auditExps := make([]fault.Experiment, 0, audits)
+	for i, j := range auditAt {
+		if j >= 0 {
+			auditExps = append(auditExps, exps[i])
+		}
 	}
-	auditRes0, _, err := rtlR.CampaignStopContext(ctx, auditExps, workers, nil, nil)
+	audit, _, err := rtlR.CampaignStopContext(ctx, auditExps, workers, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	met.experiments.With("rtl").Add(float64(len(auditIdx)))
+	met.experiments.With("rtl").Add(float64(len(auditExps)))
 
-	type pairs struct{ pred, meas []bool }
-	byClass := map[string]*pairs{}
-	auditRes := make(map[int]*fault.Result, len(auditIdx))
+	var byClass [classSlots]struct{ pred, meas []bool }
+	var seen [classSlots]bool
 	disag := 0
-	for j, i := range auditIdx {
-		auditRes[i] = &auditRes0[j]
+	for i := range exps {
+		c := classOf(exps[i].Node.Unit)
+		seen[c] = true
+		j := auditAt[i]
+		if j < 0 {
+			continue
+		}
 		p := pred[i].Outcome.IsFailure()
-		m := auditRes0[j].Outcome.IsFailure()
+		m := audit[j].Outcome.IsFailure()
 		if p != m {
 			disag++
 		}
-		c := byClass[units[i]]
-		if c == nil {
-			c = &pairs{}
-			byClass[units[i]] = c
-		}
-		c.pred = append(c.pred, p)
-		c.meas = append(c.meas, m)
+		byClass[c].pred = append(byClass[c].pred, p)
+		byClass[c].meas = append(byClass[c].meas, m)
 	}
 	met.disagreements.Add(float64(disag))
 
-	escalated := map[string]bool{}
-	seen := map[string]bool{}
-	for _, u := range units {
-		if seen[u] {
-			continue
-		}
-		seen[u] = true
-		var p, m []bool
-		if c := byClass[u]; c != nil {
-			p, m = c.pred, c.meas
-		}
-		if escalateClass(p, m, n.Confidence) {
-			escalated[u] = true
+	var escalated [classSlots]bool
+	for c := range escalated {
+		if seen[c] && escalateClass(byClass[c].pred, byClass[c].meas, n.Confidence) {
+			escalated[c] = true
 			met.escalated.Inc()
 		}
 	}
@@ -253,9 +253,9 @@ func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Regis
 	var decided [len(decision)]int
 	for i := range exps {
 		switch {
-		case audited[i]:
+		case auditAt[i] >= 0:
 			decided[0]++
-		case escalated[units[i]]:
+		case escalated[classOf(exps[i].Node.Unit)]:
 			decided[1]++
 		default:
 			decided[2]++
@@ -269,10 +269,9 @@ func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Regis
 	return &hybridPlan{
 		rtl:       rtlR,
 		exps:      exps,
-		units:     units,
 		pred:      pred,
-		audited:   audited,
-		auditRes:  auditRes,
+		audit:     audit,
+		auditAt:   auditAt,
 		escalated: escalated,
 	}, nil
 }
@@ -284,7 +283,7 @@ func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Regis
 func (p *hybridPlan) escalations(start, end int) []int {
 	var idx []int
 	for i := start; i < end; i++ {
-		if !p.audited[i] && p.escalated[p.units[i]] {
+		if p.auditAt[i] < 0 && p.escalated[classOf(p.exps[i].Node.Unit)] {
 			idx = append(idx, i)
 		}
 	}
@@ -294,8 +293,8 @@ func (p *hybridPlan) escalations(start, end int) []int {
 // result is the result of an experiment the plan itself resolved: an
 // audited one's RTL truth, a trusted one's ISS prediction.
 func (p *hybridPlan) result(i int) *fault.Result {
-	if p.audited[i] {
-		return p.auditRes[i]
+	if j := p.auditAt[i]; j >= 0 {
+		return &p.audit[j]
 	}
 	return &p.pred[i]
 }
@@ -304,7 +303,7 @@ func (p *hybridPlan) result(i int) *fault.Result {
 // itself resolved: an audited one carries the prediction its RTL truth
 // replaced, a trusted one says it is the ISS's.
 func (p *hybridPlan) label(eo *ExperimentOutcome, i int) {
-	if !p.audited[i] {
+	if p.auditAt[i] < 0 {
 		eo.Engine = "iss"
 		return
 	}
@@ -367,19 +366,23 @@ type HybridOutcome struct {
 func hybridAccounting(req Request, out *Outcome) *HybridOutcome {
 	h := &HybridOutcome{}
 	type cls struct {
+		unit                   string
 		n, rtl, audited, disag int
 		predFail, measFail     int
 		pred, meas             []bool
 	}
-	classes := map[string]*cls{}
-	var order []string
+	// The classes in first-appearance order, each found through a tally of
+	// the units that holds its index.
+	classes := make([]cls, 0, classSlots)
+	var units tally
 	for _, e := range out.Experiments {
-		c := classes[e.Unit]
-		if c == nil {
-			c = &cls{}
-			classes[e.Unit] = c
-			order = append(order, e.Unit)
+		u := units.find(e.Unit)
+		if u.n == 0 {
+			u.at = len(classes)
+			classes = append(classes, cls{unit: e.Unit})
 		}
+		u.n++
+		c := &classes[u.at]
 		c.n++
 		predStr := e.Predicted
 		if predStr == "" {
@@ -414,10 +417,10 @@ func hybridAccounting(req Request, out *Outcome) *HybridOutcome {
 	if h.Audited > 0 {
 		h.DisagreementRate = float64(h.Disagreements) / float64(h.Audited)
 	}
-	for _, u := range order {
-		c := classes[u]
+	for i := range classes {
+		c := &classes[i]
 		hc := HybridClass{
-			Unit:           u,
+			Unit:           c.unit,
 			Experiments:    c.n,
 			RTLExperiments: c.rtl,
 			Audited:        c.audited,

@@ -6,6 +6,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/rtl"
+	"repro/internal/sparc"
 )
 
 // Table-driven router decision tests: the per-class escalation verdict
@@ -149,5 +153,156 @@ func TestPlanWaiterOutlivesCancelledOwner(t *testing.T) {
 	}
 	if r := <-waiterDone; r.err != nil || r.plan != live {
 		t.Fatalf("waiter with a live context: plan %p, err %v; want its own plan %p, not another caller's cancellation", r.plan, r.err, live)
+	}
+}
+
+// The routing contract, end to end: every experiment's final engine is
+// consistent with the audit sample and the per-class escalation
+// verdicts reported in the outcome, and the hybrid accounting is
+// internally consistent with the experiments array.
+func TestHybridRoutingContract(t *testing.T) {
+	req := Request{Workload: "excerptA", Models: []string{"sa0", "sa1", "open"}, Nodes: 12, Seed: 3,
+		InjectAtFraction: 0.3, Engine: "hybrid", RTLAudit: 0.5}
+	out, err := Execute(context.Background(), req, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRoutingContract(t, out)
+	if out.Hybrid.Audited == 0 {
+		t.Fatal("audit fraction 0.5 selected nothing")
+	}
+}
+
+// checkRoutingContract fails t unless out keeps the routing contract:
+// ISS-trusted experiments sit in trusted classes and carry no audit
+// fields, unaudited RTL ones sit in escalated classes, every RTL one carries
+// its prediction, the accounting recounts and the corrected interval
+// contains the Wilson one.
+func checkRoutingContract(t *testing.T, out *Outcome) {
+	t.Helper()
+	h := out.Hybrid
+	if h == nil {
+		t.Fatal("hybrid campaign without hybrid accounting")
+	}
+	if h.ISSExperiments+h.RTLExperiments != out.Injections {
+		t.Fatalf("engine partition %d+%d != %d injections", h.ISSExperiments, h.RTLExperiments, out.Injections)
+	}
+	escalated := map[string]bool{}
+	for _, c := range h.Classes {
+		escalated[c.Unit] = c.Escalated
+	}
+	iss, rtl, audited := 0, 0, 0
+	for i, e := range out.Experiments {
+		switch e.Engine {
+		case "iss":
+			iss++
+			if e.Audited || e.Predicted != "" {
+				t.Fatalf("experiment %d: ISS-trusted entry carries audit fields", i)
+			}
+			if escalated[e.Unit] {
+				t.Fatalf("experiment %d: ISS-trusted entry in escalated class %s", i, e.Unit)
+			}
+		case "rtl":
+			rtl++
+			if e.Predicted == "" {
+				t.Fatalf("experiment %d: RTL entry without its ISS prediction", i)
+			}
+			if e.Audited {
+				audited++
+			} else if !escalated[e.Unit] {
+				t.Fatalf("experiment %d: unaudited RTL entry in trusted class %s", i, e.Unit)
+			}
+		default:
+			t.Fatalf("experiment %d: engine %q", i, e.Engine)
+		}
+	}
+	if iss != h.ISSExperiments || rtl != h.RTLExperiments || audited != h.Audited {
+		t.Fatalf("accounting (%d,%d,%d) != recount (%d,%d,%d)",
+			h.ISSExperiments, h.RTLExperiments, h.Audited, iss, rtl, audited)
+	}
+	if h.CorrectedPfLow > out.PfLow || h.CorrectedPfHigh < out.PfHigh {
+		t.Fatalf("corrected interval [%v,%v] narrower than Wilson [%v,%v]",
+			h.CorrectedPfLow, h.CorrectedPfHigh, out.PfLow, out.PfHigh)
+	}
+}
+
+// TestRouterByUnitMatchesByName: the plan keeps its class state by unit,
+// the outcome's accounting groups experiments by the unit's printed name,
+// and the two must be one grouping. Over fresh seeds, both targets and
+// three workloads, every plan keeps the routing contract and every class
+// the outcome reports is escalated exactly when the plan escalated its
+// unit. Units past sparc.NumUnits all print "unit?": a hand-built pair of
+// them is one class of the plan, and each unit in range is its own.
+func TestRouterByUnitMatchesByName(t *testing.T) {
+	ctx := context.Background()
+	trusted, escalated := 0, 0
+	for _, target := range []string{"iu", "cmem"} {
+		for _, w := range []string{"puwmod", "rspeed", "membench"} {
+			for k := range 16 {
+				// Audit fraction and threshold vary with the seed, so that
+				// classes of one plan land on both sides of the rule.
+				req := Request{Workload: w, Iterations: 1, Target: target, Engine: "hybrid", Nodes: 48, Seed: int64(4101 + k),
+					RTLAudit: []float64{0.1, 0.3, 0.6}[k%3], Confidence: []float64{0.9, 0.5, 0.2, 0.05}[k%4]}
+				out, err := Execute(ctx, req, 2, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkRoutingContract(t, out)
+				n, err := req.Normalize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan, err := hybridPlanFor(ctx, n, 2, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				byName := map[string]bool{}
+				for _, e := range plan.exps {
+					byName[e.Node.Unit.String()] = plan.escalated[classOf(e.Node.Unit)]
+				}
+				if len(byName) != len(out.Hybrid.Classes) {
+					t.Fatalf("%s/%s seed %d: the plan's experiments are in %d units, the outcome reports %d classes",
+						target, w, req.Seed, len(byName), len(out.Hybrid.Classes))
+				}
+				for _, c := range out.Hybrid.Classes {
+					if want, ok := byName[c.Unit]; !ok || c.Escalated != want {
+						t.Fatalf("%s/%s seed %d: class %s reports escalated=%v, the plan decided %v (known %v)",
+							target, w, req.Seed, c.Unit, c.Escalated, want, ok)
+					}
+					if c.Escalated {
+						escalated++
+					} else {
+						trusted++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d classes trusted, %d escalated", trusted, escalated)
+	if trusted == 0 || escalated == 0 {
+		t.Errorf("the sweep decided every class one way (%d trusted, %d escalated): it tells nothing apart", trusted, escalated)
+	}
+
+	for u := range sparc.NumUnits {
+		for v := range u {
+			if classOf(u) == classOf(v) {
+				t.Errorf("units %s and %s share a class slot", u, v)
+			}
+		}
+	}
+	a, b := sparc.NumUnits, sparc.Unit(200)
+	if a.String() != b.String() || classOf(a) != classOf(b) {
+		t.Fatalf("units %d and %d print %q and %q and take slots %d and %d: want one class", a, b, a, b, classOf(a), classOf(b))
+	}
+	hand := &hybridPlan{
+		exps: []fault.Experiment{
+			{Node: fault.NodeInfo{Node: rtl.Node{Name: "hand.a"}, Unit: a}},
+			{Node: fault.NodeInfo{Node: rtl.Node{Name: "hand.b"}, Unit: b}},
+		},
+		auditAt: []int32{-1, -1},
+	}
+	hand.escalated[classOf(a)] = true
+	if got := hand.escalations(0, 2); len(got) != 2 {
+		t.Errorf("a plan that escalated unit %d owes RTL runs for %v of a pair with units %d and %d, want both", a, got, a, b)
 	}
 }

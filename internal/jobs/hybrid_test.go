@@ -103,64 +103,6 @@ func TestHybridFullAuditIsPureRTL(t *testing.T) {
 	}
 }
 
-// The routing contract, end to end: every experiment's final engine is
-// consistent with the audit sample and the per-class escalation
-// verdicts reported in the outcome, and the hybrid accounting is
-// internally consistent with the experiments array.
-func TestHybridRoutingContract(t *testing.T) {
-	out, err := jobs.Execute(context.Background(), hybridSmall, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Hybrid == nil {
-		t.Fatal("hybrid campaign without hybrid accounting")
-	}
-	h := out.Hybrid
-	if h.ISSExperiments+h.RTLExperiments != out.Injections {
-		t.Fatalf("engine partition %d+%d != %d injections", h.ISSExperiments, h.RTLExperiments, out.Injections)
-	}
-	escalated := map[string]bool{}
-	for _, c := range h.Classes {
-		escalated[c.Unit] = c.Escalated
-	}
-	iss, rtl, audited := 0, 0, 0
-	for i, e := range out.Experiments {
-		switch e.Engine {
-		case "iss":
-			iss++
-			if e.Audited || e.Predicted != "" {
-				t.Fatalf("experiment %d: ISS-trusted entry carries audit fields", i)
-			}
-			if escalated[e.Unit] {
-				t.Fatalf("experiment %d: ISS-trusted entry in escalated class %s", i, e.Unit)
-			}
-		case "rtl":
-			rtl++
-			if e.Predicted == "" {
-				t.Fatalf("experiment %d: RTL entry without its ISS prediction", i)
-			}
-			if e.Audited {
-				audited++
-			} else if !escalated[e.Unit] {
-				t.Fatalf("experiment %d: unaudited RTL entry in trusted class %s", i, e.Unit)
-			}
-		default:
-			t.Fatalf("experiment %d: engine %q", i, e.Engine)
-		}
-	}
-	if iss != h.ISSExperiments || rtl != h.RTLExperiments || audited != h.Audited {
-		t.Fatalf("accounting (%d,%d,%d) != recount (%d,%d,%d)",
-			h.ISSExperiments, h.RTLExperiments, h.Audited, iss, rtl, audited)
-	}
-	if h.Audited == 0 {
-		t.Fatal("audit fraction 0.5 selected nothing")
-	}
-	if h.CorrectedPfLow > out.PfLow || h.CorrectedPfHigh < out.PfHigh {
-		t.Fatalf("corrected interval [%v,%v] narrower than Wilson [%v,%v]",
-			h.CorrectedPfLow, h.CorrectedPfHigh, out.PfLow, out.PfHigh)
-	}
-}
-
 // Sharded hybrid campaigns must be byte-identical to unsharded ones:
 // the routing plan is a pure function of the request, the audit sample
 // of (seed, absolute index).

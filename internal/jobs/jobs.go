@@ -490,7 +490,10 @@ type tally struct {
 // tallyScan is more than the outcomes and the functional units there are.
 const tallyScan = 16
 
-type tallyCount struct{ n, fail int }
+type tallyCount struct {
+	n, fail int
+	at      int // the string's first-appearance index, for a caller that keeps one
+}
 
 func (t *tally) add(s string, failed bool) {
 	c := t.find(s)

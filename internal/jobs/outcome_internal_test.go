@@ -90,8 +90,9 @@ func TestWarmCampaignAllocations(t *testing.T) {
 // own state — and no other array per experiment: no experiment list, no raw
 // result array, no index list for a whole campaign. A whole engine_perm
 // campaign allocates at most its experiments array plus warmSlack bytes;
-// it, the hybrid shape and an in-process 4-shard campaign each allocate at
-// most twice what a half-size one does plus warmSlack.
+// it, the hybrid shape — with its plan cached, and with the plan built each
+// call — and an in-process 4-shard campaign each allocate at most twice what
+// a half-size one does plus warmSlack.
 func TestWarmCampaignBytes(t *testing.T) {
 	const warmSlack = 32 << 10
 	execute := func(req Request) func() {
@@ -108,6 +109,22 @@ func TestWarmCampaignBytes(t *testing.T) {
 			}
 		}
 	}
+	// replan runs each call on an empty plan cache, so that a hybrid
+	// campaign builds its plan — the ISS pass, the audit and the class
+	// scores — every time instead of finding it cached. The seed stays: a
+	// fresh one would also walk new nets into the runners' logs and
+	// resolve new forcings, which the half-size campaign, a prefix of the
+	// same sample, does not, so the two would not be measured alike.
+	replan := func(req Request) func() {
+		return func() {
+			planCache.mu.Lock()
+			planCache.m, planCache.order = nil, nil
+			planCache.mu.Unlock()
+			if _, err := Execute(context.Background(), req, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	hybrid := Request{Workload: "puwmod", Iterations: 2, Target: "iu", Engine: "hybrid", RTLAudit: 0.1, Nodes: 256, Seed: 7}
 	for _, c := range []struct {
 		name string
@@ -116,6 +133,7 @@ func TestWarmCampaignBytes(t *testing.T) {
 	}{
 		{"perm", execute, warmRequest},
 		{"hybrid", execute, hybrid},
+		{"hybrid-plan", replan, hybrid},
 		{"sharded", sharded, warmRequest},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -201,7 +219,9 @@ func mapTally(exps []ExperimentOutcome) (outcomes map[string]int, pfByUnit map[s
 // needing JSON escaping, some empty, among the ones this process prints —
 // assembles to the bytes the map tally gives, and past the tally's scanned
 // keys the rest are found through its map, not by a scan that would make the
-// tally quadratic.
+// tally quadratic. The hybrid accounting of the same experiments, routed
+// every which way, finds its classes likewise: each, in first-appearance
+// order, is the one class of that unit's experiments accounted alone.
 func TestHostileTallyMatchesMapTally(t *testing.T) {
 	const n = 20_000
 	escaping := []string{"", `a"b`, `a\b`, "<script>", "a&b", "tab\there", "nul\x00", "line sep", "é", "\n"}
@@ -246,5 +266,39 @@ func TestHostileTallyMatchesMapTally(t *testing.T) {
 	}
 	if units.k != tallyScan || units.size() != len(want.PfByUnit) || len(units.more) != units.size()-tallyScan {
 		t.Errorf("%d units: %d scanned, %d in the map; want %d scanned and the rest in the map", units.size(), units.k, len(units.more), tallyScan)
+	}
+
+	for i := range exps {
+		e := &exps[i]
+		switch i % 3 {
+		case 0:
+			e.Engine, e.Audited, e.Predicted = "rtl", true, []string{noEffect, "mismatch"}[i%2]
+		case 1: // escalated
+			e.Engine, e.Predicted = "rtl", noEffect
+		default:
+			e.Engine = "iss"
+		}
+	}
+	req.Engine, req.Confidence = "hybrid", 0.5
+	start = time.Now()
+	h := hybridAccounting(req, &Outcome{Experiments: exps})
+	elapsed = time.Since(start)
+	byUnit := map[string][]ExperimentOutcome{}
+	var order []string
+	for _, e := range exps {
+		if _, ok := byUnit[e.Unit]; !ok {
+			order = append(order, e.Unit)
+		}
+		byUnit[e.Unit] = append(byUnit[e.Unit], e)
+	}
+	t.Logf("%d hybrid classes accounted in %v", len(h.Classes), elapsed)
+	if len(h.Classes) != len(order) {
+		t.Fatalf("%d hybrid classes over %d distinct units", len(h.Classes), len(order))
+	}
+	for k, u := range order {
+		alone := hybridAccounting(req, &Outcome{Experiments: byUnit[u]}).Classes
+		if len(alone) != 1 || h.Classes[k] != alone[0] {
+			t.Fatalf("hybrid class %d is %+v, accounted alone %+v", k, h.Classes[k], alone)
+		}
 	}
 }
