@@ -61,16 +61,14 @@ type sampleSizeRow struct {
 }
 
 func sampleSize(o Options) (sampleSizeResult, error) {
-	r, err := runnerFor("ttsprk", workloads.Config{Iterations: o.iters()})
-	if err != nil {
-		return nil, err
-	}
 	var out sampleSizeResult
 	for _, n := range []int{64, 128, 256, 512} {
 		o.Nodes = n
-		pf, results := pfOf(o, r, fault.TargetIU, rtl.StuckAt1, 0)
-		lo, hi := fault.PfInterval(results, stats.Z95)
-		out = append(out, sampleSizeRow{Nodes: n, Pf: pf, PfLow: lo, PfHigh: hi})
+		res, err := o.run("ttsprk", workloads.Config{Iterations: o.iters()}, fault.TargetIU, rtl.StuckAt1, 0)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, sampleSizeRow{Nodes: n, Pf: res.Pf, PfLow: res.PfLow, PfHigh: res.PfHigh})
 	}
 	return out, nil
 }
@@ -139,15 +137,15 @@ type openLineResult struct {
 }
 
 func openLine(o Options) (*openLineResult, error) {
-	r, err := runnerFor("canrdr", workloads.Config{Iterations: o.iters()})
-	if err != nil {
-		return nil, err
+	var pf [3]float64
+	for i, model := range []rtl.FaultModel{rtl.OpenLine, rtl.StuckAt0, rtl.StuckAt1} {
+		res, err := o.run("canrdr", workloads.Config{Iterations: o.iters()}, fault.TargetIU, model, 0)
+		if err != nil {
+			return nil, err
+		}
+		pf[i] = res.Pf
 	}
-	out := &openLineResult{}
-	out.Open, _ = pfOf(o, r, fault.TargetIU, rtl.OpenLine, 0)
-	out.SA0, _ = pfOf(o, r, fault.TargetIU, rtl.StuckAt0, 0)
-	out.SA1, _ = pfOf(o, r, fault.TargetIU, rtl.StuckAt1, 0)
-	return out, nil
+	return &openLineResult{Open: pf[0], SA0: pf[1], SA1: pf[2]}, nil
 }
 
 // Render prints the three Pf and whether the stuck-at models bracket the

@@ -9,17 +9,15 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"repro/internal/diversity"
 	"repro/internal/fault"
 	"repro/internal/iss"
+	"repro/internal/jobs"
 	"repro/internal/leon3"
 	"repro/internal/mem"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/rtl"
 	"repro/internal/sparc"
@@ -43,15 +41,6 @@ type Options struct {
 	Iterations int
 }
 
-// sample returns o's sample of a node population: all of it when Nodes
-// is 0, otherwise the Seed-keyed sample of Nodes nodes.
-func (o Options) sample(nodes []fault.NodeInfo) []fault.NodeInfo {
-	if o.Nodes == 0 {
-		return nodes
-	}
-	return fault.SampleNodes(nodes, o.Nodes, o.Seed)
-}
-
 func (o Options) iters() int {
 	if o.Iterations <= 0 {
 		return 2
@@ -64,219 +53,48 @@ func (o Options) iters() int {
 // reset values (the paper's "fixed injection instant").
 const injectFraction = 0.05
 
-// runnerKey identifies a memoized fault runner: the workload, its
-// configuration and the full runner options that shape golden run,
-// checkpoint and engine behaviour. Campaign options that only affect
-// sampling (Nodes, Seed) deliberately do not participate.
-type runnerKey struct {
-	name string
-	cfg  workloads.Config
-	opts fault.Options
-}
+// wireName names each fault model as a jobs.Request does.
+var wireName = [...]string{rtl.StuckAt0: "sa0", rtl.StuckAt1: "sa1", rtl.OpenLine: "open", rtl.BitFlip: "seu", rtl.SETPulse: "set"}
 
-// onceCache memoizes engine builds process-wide: at most maxRunners
-// entries, evicted least-recently-used, each built exactly once — by the
-// first caller, under buildSem — while later callers of the same key wait
-// for that build and share its result, failure included. RunnerFor and
-// ISSRunnerFor each keep one.
-type onceCache[K comparable, V any] struct {
-	// build makes a key's value, its engine counters fed to the registry
-	// given.
-	build func(K, *obs.Registry) (V, error)
-	mu    sync.Mutex
-	m     map[K]*onceEntry[V]
-	order []K // recency order, oldest first, for LRU eviction
-}
-
-type onceEntry[V any] struct {
-	once  sync.Once
-	built atomic.Bool // v and err are set
-	v     V
-	err   error
-}
-
-// maxRunners bounds each memoized runner cache. The experiment functions
-// only ever need a dozen entries, but the campaign job service keys the
-// caches from client-supplied requests, so an unbounded map would let a
-// request stream with ever-new injection instants pin one golden run +
-// golden ladder each until the daemon dies. A cached runner pins its
-// golden write trace, its node enumerations and — once a campaign has
-// used it — its ladder (at most 512 rungs in one slab of kernel-state
-// copies plus the copy-on-write pages the program dirtied between golden
-// writes: at most 6 MiB, about 3 MB for puwmod from reset) and its golden
-// read log (what the golden run read of the nets campaigns have faulted
-// so far: at most another 6 MiB, 1.7 MB for every IU net of rspeed from
-// mid-run and 3.4 MB of puwmod from reset; DESIGN.md §10), however long
-// the run — and its verdict table, what the permanent forcings campaigns
-// activated came to: at most two entries of about 130 bytes per node of
-// the faulted populations, 1.5 MB for every IU node, in practice the
-// activated quarter. A full cache therefore holds at most 64 x 14 MiB of
-// golden state and verdicts beside the traces, and nears that only if
-// every entry is driven over all of its nets on a long run. Eviction only drops
-// the memoization: runners still referenced by in-flight campaigns stay
-// alive until those campaigns finish.
-const maxRunners = 64
-
-// buildSem bounds concurrent golden-run constructions: each is a full
-// simulation of a workload's fault-free run, so an unbounded number of
-// them (e.g. a burst of distinct job-service requests) would swamp the
-// cores the campaigns themselves need. Cache hits never touch it.
-var buildSem = make(chan struct{}, runtime.GOMAXPROCS(0))
-
-// get returns key's memoized value, running build for it on first use. A
-// built entry is returned directly. A build runs on the caller's goroutine
-// when ctx can never end, and otherwise on its own, waited for until ctx
-// ends: the golden-run simulation inside cannot be interrupted mid-flight,
-// so on ctx expiry it is left to finish in the background — where it still
-// fills the entry for a later caller — and get returns ctx.Err() promptly.
-// That is safe because buildSem bounds concurrent builds, so a
-// submit-and-cancel loop over ever-new keys queues cheap goroutines, not
-// simulations. A dead ctx returns its error before the lookup, so a caller
-// draining queued work with a cancelled context starts no orphan build.
-func (c *onceCache[K, V]) get(ctx context.Context, key K, reg *obs.Registry) (v V, err error) {
-	if err = ctx.Err(); err != nil {
-		return v, err
-	}
-	e := c.entry(key)
-	if e.built.Load() || ctx.Done() == nil {
-		c.fill(e, key, reg)
-		return e.v, e.err
-	}
-	done := make(chan struct{})
-	go func() {
-		c.fill(e, key, reg)
-		close(done)
-	}()
-	select {
-	case <-done:
-		return e.v, e.err
-	case <-ctx.Done():
-		return v, ctx.Err()
+// request is one campaign of the artifacts as the job service takes it:
+// model at target over o's node sample of the named workload (Nodes 0 is
+// every node), injected injectFraction into its run, transient instants
+// scheduled from o.Seed and a set pulse pulse cycles wide. Every figure
+// injects at the same fraction, so runners are shared across Figures 3-7,
+// Eq1 and the ablations.
+func (o Options) request(name string, cfg workloads.Config, target fault.Target, model rtl.FaultModel, pulse uint64) jobs.Request {
+	return jobs.Request{
+		Workload:         name,
+		Iterations:       cfg.Iterations,
+		Dataset:          cfg.Dataset,
+		Target:           strings.ToLower(target.String()),
+		Models:           []string{wireName[model]},
+		Nodes:            o.Nodes,
+		Seed:             o.Seed,
+		InjectAtFraction: injectFraction,
+		PulseCycles:      pulse,
 	}
 }
 
-// entry returns key's entry, built or not, adding it when missing.
-func (c *onceCache[K, V]) entry(key K) *onceEntry[V] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[K]*onceEntry[V])
-	}
-	e := c.m[key]
-	if e == nil {
-		for len(c.m) >= maxRunners {
-			delete(c.m, c.order[0])
-			c.order = c.order[1:]
-		}
-		e = &onceEntry[V]{}
-		c.m[key] = e
-		c.order = append(c.order, key)
-	} else {
-		// LRU touch: move the key to the back so the hottest runners are
-		// the last to be evicted.
-		for i, k := range c.order {
-			if k == key {
-				copy(c.order[i:], c.order[i+1:])
-				c.order[len(c.order)-1] = key
-				break
-			}
-		}
-	}
-	return e
+// run executes o.request on the job service's one campaign path.
+func (o Options) run(name string, cfg workloads.Config, target fault.Target, model rtl.FaultModel, pulse uint64) (*jobs.Outcome, error) {
+	return jobs.Execute(context.Background(), o.request(name, cfg, target, model, pulse), 0, nil)
 }
 
-// fill builds key's value into its entry e once, under buildSem.
-func (c *onceCache[K, V]) fill(e *onceEntry[V], key K, reg *obs.Registry) {
-	e.once.Do(func() {
-		buildSem <- struct{}{}
-		defer func() { <-buildSem }()
-		e.v, e.err = c.build(key, reg)
-		e.built.Store(true)
-	})
-}
+// The repository benchmark (bench/) calls RunnerFor and ISSRunnerFor, so
+// they stay: each is one call into the job service's runner cache, where
+// every artifact's campaign runs too.
 
-// forget empties the cache; see ForgetRunners.
-func (c *onceCache[K, V]) forget() {
-	c.mu.Lock()
-	c.m, c.order = nil, nil
-	c.mu.Unlock()
-}
-
-// ForgetRunners empties both runner caches, so that the next RunnerFor or
-// ISSRunnerFor of any key builds anew; campaigns in flight keep the runner
-// they hold. A runner keeps what its campaigns resolved, so a caller that
-// wants a cold campaign's work counters — the tests that compare them across
-// shard counts — forgets the warm runner first. Results never need it.
-func ForgetRunners() {
-	runnerCache.forget()
-	issRunnerCache.forget()
-}
-
-// runnerCache shares the golden run and ladder of each (workload, config,
-// options) triple across the artifacts — Figure 7 alone used to
-// rebuild the same six runners Figure 5 had already built — and across
-// the job service's requests. Runners are safe for concurrent campaigns,
-// so sharing one is sound.
-var runnerCache = onceCache[runnerKey, *fault.Runner]{build: buildRunner}
-
-// RunnerFor returns the process-wide memoized fault runner for a
-// (workload, config, runner options) triple, building it — golden run
-// included — on first use. Runners are safe for concurrent campaigns, so
-// callers (the experiment functions here, and the campaign job service in
-// internal/jobs) share one runner per triple: the golden run and its
-// ladder are simulated once and reused until the entry ages out of the
-// bounded cache.
+// RunnerFor returns the memoized fault runner of a (workload, config,
+// runner options) triple (jobs.RunnerFor).
 func RunnerFor(name string, cfg workloads.Config, fopts fault.Options) (*fault.Runner, error) {
-	return RunnerForContext(context.Background(), name, cfg, fopts)
+	return jobs.RunnerFor(context.Background(), name, cfg, fopts)
 }
 
-// RunnerForContext is RunnerFor under ctx: a cached runner is returned
-// directly, and a build is waited for until ctx ends, then left to finish in
-// the background (see onceCache.get).
-func RunnerForContext(ctx context.Context, name string, cfg workloads.Config, fopts fault.Options) (*fault.Runner, error) {
-	// The observability registry is a sink, never an input: two requests
-	// that differ only in Obs want the same golden run and checkpoint, so
-	// the registry must not fragment the cache (nor, being a pointer,
-	// could two equal-valued options ever collide on it). The first build
-	// of a triple decides which registry its engine counters feed — in
-	// the daemon every build goes through the manager's registry, so this
-	// is moot there.
-	key := runnerKey{name: name, cfg: cfg, opts: fopts}
-	key.opts.Obs = nil
-	return runnerCache.get(ctx, key, fopts.Obs)
-}
-
-// buildRunner builds the runner of a RunnerFor key.
-func buildRunner(key runnerKey, reg *obs.Registry) (*fault.Runner, error) {
-	w, err := workloads.Build(key.name, key.cfg)
-	if err != nil {
-		return nil, err
-	}
-	fopts := key.opts
-	fopts.Obs = reg
-	return fault.NewRunner(w.Program, fopts)
-}
-
-// runnerFor is the experiment functions' view of RunnerFor: every figure
-// uses the same fixed injection fraction, so runners are shared across
-// Figures 3-7, Eq1 and the ablations.
-func runnerFor(name string, cfg workloads.Config) (*fault.Runner, error) {
-	return RunnerFor(name, cfg, fault.Options{InjectAtFraction: injectFraction})
-}
-
-// pfOf is the one campaign of the artifacts: model over o's node sample of
-// target on r, transient instants scheduled from o.Seed — or every one at
-// cycle at, when at > 0 — returning Pf and the raw results.
-func pfOf(o Options, r *fault.Runner, target fault.Target, model rtl.FaultModel, at uint64) (float64, []fault.Result) {
-	exps := fault.Expand(o.sample(r.Nodes(target)), model)
-	r.ScheduleTransients(exps, o.Seed)
-	if at > 0 {
-		for i := range exps {
-			exps[i].AtCycle = at
-		}
-	}
-	results := r.Campaign(exps, 0)
-	return fault.Pf(results), results
+// ISSRunnerFor returns the memoized ISS runner of a (workload, config,
+// options, timebase) tuple (jobs.ISSRunnerFor).
+func ISSRunnerFor(name string, cfg workloads.Config, fopts fault.Options, cycleRef, fixedCycle uint64) (*fault.ISSRunner, error) {
+	return jobs.ISSRunnerFor(context.Background(), name, cfg, fopts, cycleRef, fixedCycle)
 }
 
 // ---------------------------------------------------------------------------
@@ -368,11 +186,11 @@ func Figure3(o Options) (*Fig3Result, error) {
 	for _, subset := range []string{"A", "B"} {
 		var min, max float64
 		for ds := 0; ds < 3; ds++ {
-			r, err := runnerFor("excerpt"+subset, workloads.Config{Dataset: ds})
+			res, err := o.run("excerpt"+subset, workloads.Config{Dataset: ds}, fault.TargetIU, rtl.StuckAt1, 0)
 			if err != nil {
 				return nil, err
 			}
-			pf, _ := pfOf(o, r, fault.TargetIU, rtl.StuckAt1, 0)
+			pf := res.Pf
 			out.Points = append(out.Points, Fig3Point{Subset: subset, Dataset: labels[subset][ds], Pf: pf})
 			if ds == 0 || pf < min {
 				min = pf
@@ -429,15 +247,14 @@ type Fig4Result struct {
 func Figure4(o Options) (*Fig4Result, error) {
 	out := &Fig4Result{}
 	for _, iters := range []int{2, 4, 10} {
-		r, err := runnerFor("rspeed", workloads.Config{Iterations: iters})
+		res, err := o.run("rspeed", workloads.Config{Iterations: iters}, fault.TargetIU, rtl.StuckAt1, 0)
 		if err != nil {
 			return nil, err
 		}
-		pf, results := pfOf(o, r, fault.TargetIU, rtl.StuckAt1, 0)
 		out.Points = append(out.Points, Fig4Point{
 			Iterations:   iters,
-			Pf:           pf,
-			MaxLatencyUS: float64(fault.MaxLatency(results)) / ClockMHz,
+			Pf:           res.Pf,
+			MaxLatencyUS: float64(res.MaxLatencyCycles) / ClockMHz,
 		})
 	}
 	return out, nil
@@ -475,13 +292,12 @@ type FigPfResult struct {
 func figurePf(o Options, target fault.Target) (*FigPfResult, error) {
 	out := &FigPfResult{Target: target}
 	for _, name := range workloads.Table1Names() {
-		r, err := runnerFor(name, workloads.Config{Iterations: o.iters()})
-		if err != nil {
-			return nil, err
-		}
 		for _, model := range rtl.FaultModels() {
-			pf, _ := pfOf(o, r, target, model, 0)
-			out.Points = append(out.Points, FigPfPoint{Benchmark: name, Model: model, Pf: pf})
+			res, err := o.run(name, workloads.Config{Iterations: o.iters()}, target, model, 0)
+			if err != nil {
+				return nil, err
+			}
+			out.Points = append(out.Points, FigPfPoint{Benchmark: name, Model: model, Pf: res.Pf})
 		}
 	}
 	return out, nil
@@ -553,12 +369,11 @@ func Figure7(o Options) (*Fig7Result, error) {
 		if err != nil {
 			return err
 		}
-		r, err := runnerFor(name, cfg)
+		res, err := o.run(name, cfg, fault.TargetIU, rtl.StuckAt1, 0)
 		if err != nil {
 			return err
 		}
-		pf, _ := pfOf(o, r, fault.TargetIU, rtl.StuckAt1, 0)
-		out.Points = append(out.Points, Fig7Point{Label: label, Diversity: prof.Diversity, Pf: pf})
+		out.Points = append(out.Points, Fig7Point{Label: label, Diversity: prof.Diversity, Pf: res.Pf})
 		out.unitDivs = append(out.unitDivs, prof.UnitDiversity)
 		return nil
 	}
@@ -722,8 +537,8 @@ func checkpointSpeedup(o Options, w *workloads.Workload) (ckSec, resetSec float6
 	}
 	for _, noCkpt := range []bool{false, true} {
 		// Deliberately unmemoized: this measures golden-run + campaign
-		// cost both ways, so a RunnerFor cache hit would time an empty
-		// build and overstate the speedup.
+		// cost both ways, so a cache hit would time an empty build and
+		// overstate the speedup.
 		r, err := fault.NewRunner(w.Program, fault.Options{ //lint:allow seam audited one-shot timing build
 			InjectAtFraction: injectFraction,
 			NoCheckpoint:     noCkpt,

@@ -1,11 +1,14 @@
 package campaign
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/jobs"
+	"repro/internal/rtl"
 	"repro/internal/workloads"
 )
 
@@ -14,14 +17,36 @@ var small = Options{Nodes: 48, Seed: 1, Iterations: 2}
 
 // TestZeroNodesIsCensus holds Options.Nodes to the meaning it has in
 // jobs.Request and faultcampaign -nodes 0: 0 injects every node, and a
-// positive count draws that many.
+// positive count draws that many, the seed's sample.
 func TestZeroNodesIsCensus(t *testing.T) {
-	all := fault.Nodes(fault.TargetIU)
-	if got := (Options{Seed: 1}).sample(all); !reflect.DeepEqual(got, all) {
-		t.Errorf("Nodes 0: %d nodes, want all %d", len(got), len(all))
+	names := func(ns []fault.NodeInfo) []string {
+		out := make([]string, len(ns))
+		for i, n := range ns {
+			out[i] = n.String()
+		}
+		return out
 	}
-	if got := small.sample(all); !reflect.DeepEqual(got, fault.SampleNodes(all, 48, 1)) || len(got) != 48 {
-		t.Errorf("Nodes 48: %d nodes, want the seed-1 sample of 48", len(got))
+	// injected returns the request o makes of an artifact's campaign and
+	// the nodes that campaign injects.
+	injected := func(o Options) (jobs.Request, []string) {
+		req := o.request("intbench", workloads.Config{Iterations: 2}, fault.TargetIU, rtl.StuckAt1, 0)
+		res, err := jobs.Execute(context.Background(), req, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range res.Experiments {
+			got = append(got, e.Node)
+		}
+		return req, got
+	}
+	all := fault.Nodes(fault.TargetIU)
+	if req, got := injected(Options{Seed: 1}); req.Nodes != 0 || !reflect.DeepEqual(got, names(all)) {
+		t.Errorf("Nodes 0: request Nodes %d injects %d nodes, want 0 injecting all %d", req.Nodes, len(got), len(all))
+	}
+	if req, got := injected(small); req.Nodes != 48 || req.Seed != 1 ||
+		!reflect.DeepEqual(got, names(fault.SampleNodes(all, 48, 1))) || len(got) != 48 {
+		t.Errorf("Nodes 48: request Nodes %d seed %d injects %d nodes, want the seed-1 sample of 48", req.Nodes, req.Seed, len(got))
 	}
 }
 
@@ -231,40 +256,6 @@ func TestSimTimeRatio(t *testing.T) {
 		t.Errorf("campaign size %d suspiciously small", res.CampaignRuns)
 	}
 	t.Logf("%s", res.Render())
-}
-
-// TestRunnerCacheMemoizes pins the campaign-wide golden-run reuse: the
-// same (workload, config, runner options) key must yield the same cached
-// runner — one golden run and one checkpoint per process, shared across
-// every figure — while a different config or engine option builds its
-// own.
-func TestRunnerCacheMemoizes(t *testing.T) {
-	cfg := workloads.Config{Iterations: 2}
-	a, err := runnerFor("rspeed", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runnerFor("rspeed", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("identical key rebuilt the runner (golden run re-simulated)")
-	}
-	c, err := runnerFor("rspeed", workloads.Config{Iterations: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a {
-		t.Error("different iteration count shared a runner")
-	}
-	d, err := RunnerFor("rspeed", cfg, fault.Options{InjectAtFraction: injectFraction, NoCheckpoint: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d == a {
-		t.Error("NoCheckpoint shared a checkpointed runner")
-	}
 }
 
 func TestTransientBreakdown(t *testing.T) {

@@ -48,10 +48,9 @@ type UnitFit struct {
 	A, B, R2 float64
 }
 
-// FitUnit fits one unit's log model over (diversity, Pmf) calibration
-// points: the per-class fit Eq1 aggregates and the hybrid router's
-// confidence machinery builds on.
-func FitUnit(divs, pmfs []float64) (UnitFit, error) {
+// fitUnit fits one unit's log model over (diversity, Pmf) calibration
+// points: the per-unit fit Eq1 aggregates.
+func fitUnit(divs, pmfs []float64) (UnitFit, error) {
 	a, b, r2, err := stats.LogFit(divs, pmfs)
 	if err != nil {
 		return UnitFit{}, err
@@ -77,7 +76,7 @@ func Eq1(o Options) (*Eq1Result, error) {
 		name   string
 		prof   diversity.Profile
 		pf     float64
-		unitPf map[sparc.Unit]float64
+		unitPf map[string]float64 // by unit name, sampled units only
 	}
 	var all []benchData
 	for _, name := range workloads.Table1Names() {
@@ -90,12 +89,11 @@ func Eq1(o Options) (*Eq1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := runnerFor(name, cfg)
+		res, err := o.run(name, cfg, fault.TargetIU, rtl.StuckAt1, 0)
 		if err != nil {
 			return nil, err
 		}
-		pf, results := pfOf(o, r, fault.TargetIU, rtl.StuckAt1, 0)
-		all = append(all, benchData{name: name, prof: prof, pf: pf, unitPf: fault.PfByUnit(results)})
+		all = append(all, benchData{name: name, prof: prof, pf: res.Pf, unitPf: res.PfByUnit})
 	}
 
 	// Fit Pmf = a_m*ln(Dm) + b_m per functional unit, across benchmarks —
@@ -110,13 +108,13 @@ func Eq1(o Options) (*Eq1Result, error) {
 		var xs, ys []float64
 		for _, b := range all {
 			if d := b.prof.UnitDiversity[u]; d > 0 {
-				if pmf, sampled := b.unitPf[u]; sampled {
+				if pmf, sampled := b.unitPf[u.String()]; sampled {
 					xs = append(xs, float64(d))
 					ys = append(ys, pmf)
 				}
 			}
 		}
-		f, err := FitUnit(xs, ys)
+		f, err := fitUnit(xs, ys)
 		if err != nil {
 			continue
 		}

@@ -1,12 +1,13 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/fault"
+	"repro/internal/jobs"
 	"repro/internal/report"
 	"repro/internal/rtl"
-	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
@@ -33,17 +34,31 @@ type TransientResult struct {
 // benchmark and contrasts the resulting Pf with the permanent stuck-at-1
 // Pf of the same nodes.
 func ExtTransient(o Options, benchmark string) (*TransientResult, error) {
-	r, err := runnerFor(benchmark, workloads.Config{Iterations: o.iters()})
+	cfg := workloads.Config{Iterations: o.iters()}
+	perm, err := o.run(benchmark, cfg, fault.TargetIU, rtl.StuckAt1, 0)
 	if err != nil {
 		return nil, err
 	}
-	out := &TransientResult{Benchmark: benchmark}
-	out.PermanentPf, _ = pfOf(o, r, fault.TargetIU, rtl.StuckAt1, 0)
+	// A request schedules each transient's instant from the seed; this
+	// sweep pins every instant of a campaign at one cycle, so it drives
+	// the engine directly (DESIGN.md §1), on the runner the request ran on.
+	r, err := jobs.RunnerFor(context.Background(), benchmark, cfg, fault.Options{InjectAtFraction: injectFraction})
+	if err != nil {
+		return nil, err
+	}
+	nodes := r.Nodes(fault.TargetIU)
+	if o.Nodes > 0 {
+		nodes = fault.SampleNodes(nodes, o.Nodes, o.Seed)
+	}
+	out := &TransientResult{Benchmark: benchmark, PermanentPf: perm.Pf}
 	// Five instants spread across the golden run.
 	for _, frac := range []float64{0.05, 0.25, 0.5, 0.75, 0.95} {
 		at := uint64(frac * float64(r.GoldenCycles))
-		pf, _ := pfOf(o, r, fault.TargetIU, rtl.BitFlip, at)
-		out.Points = append(out.Points, TransientPoint{AtCycle: at, Pf: pf})
+		exps := fault.Expand(nodes, rtl.BitFlip)
+		for i := range exps {
+			exps[i].AtCycle = at
+		}
+		out.Points = append(out.Points, TransientPoint{AtCycle: at, Pf: fault.Pf(r.Campaign(exps, 0))})
 	}
 	return out, nil
 }
@@ -75,28 +90,23 @@ type TransientBreakdownResult struct {
 // sampling seed, so the breakdown is reproducible. pulse is the SET
 // glitch width in cycles (0 = 1).
 func TransientBreakdown(o Options, benchmark string, pulse uint64) (*TransientBreakdownResult, error) {
-	r, err := RunnerFor(benchmark, workloads.Config{Iterations: o.iters()}, fault.Options{
-		InjectAtFraction: injectFraction,
-		PulseCycles:      pulse,
-	})
-	if err != nil {
-		return nil, err
-	}
 	out := &TransientBreakdownResult{Benchmark: benchmark, PulseCycles: max(pulse, 1)}
 	classDone := map[bool]int{}
 	classFail := map[bool]int{}
 	for _, model := range rtl.AllFaultModels() {
-		pf, results := pfOf(o, r, fault.TargetIU, model, 0)
-		lo, hi := fault.PfInterval(results, stats.Z95)
+		res, err := o.run(benchmark, workloads.Config{Iterations: o.iters()}, fault.TargetIU, model, pulse)
+		if err != nil {
+			return nil, err
+		}
 		out.Rows = append(out.Rows, ModelPf{
 			Model:     model,
 			Transient: model.Transient(),
-			Pf:        pf,
-			PfLow:     lo,
-			PfHigh:    hi,
+			Pf:        res.Pf,
+			PfLow:     res.PfLow,
+			PfHigh:    res.PfHigh,
 		})
-		classDone[model.Transient()] += len(results)
-		classFail[model.Transient()] += fault.Failures(results)
+		classDone[model.Transient()] += res.Injections
+		classFail[model.Transient()] += res.Failures
 	}
 	if n := classDone[false]; n > 0 {
 		out.PermanentPf = float64(classFail[false]) / float64(n)

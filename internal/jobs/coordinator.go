@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/stats"
 )
 
@@ -138,8 +137,50 @@ type shardPersist interface {
 type shardLease struct {
 	id       string
 	rng      ShardRange
-	tally    campaign.Tally // last reported in-flight progress; never journaled
+	tally    progressTally // last reported in-flight progress; never journaled
 	lastSeen time.Time
+}
+
+// progressTally is the unit of campaign progress accounting: how many
+// experiments have completed and how many of them propagated to a
+// failure. Shard workers report tallies, the coordinator folds them, and
+// the folded tally drives both the streamed progressive Pf estimate and
+// the adaptive early-stopping decision.
+//
+// Folding is exact, order-independent and loss-free: a campaign's merged
+// tally is identical no matter how its experiment set was partitioned
+// into shards, which is what keeps sharded and unsharded campaigns
+// statistically — and, with early stopping off, bit-for-bit — equivalent.
+type progressTally struct {
+	Done, Failures int
+}
+
+// Add folds another tally into t.
+func (t *progressTally) Add(u progressTally) {
+	t.Done += u.Done
+	t.Failures += u.Failures
+}
+
+// Estimate returns the progressive Pf point estimate together with its
+// Wilson interval at confidence level z. With no completed experiments
+// the point estimate is 0 but the interval is the vacuous (0,1): that
+// pair is what lets a progress-stream consumer distinguish "no data yet"
+// from a genuine zero-failure estimate, whose interval tightens around 0
+// as Done grows. Emit all three together — a bare Pf of 0 is ambiguous.
+func (t progressTally) Estimate(z float64) (pf, lo, hi float64) {
+	if t.Done > 0 {
+		pf = float64(t.Failures) / float64(t.Done)
+	}
+	lo, hi = stats.WilsonCI(t.Failures, t.Done, z)
+	return pf, lo, hi
+}
+
+// Converged reports whether the tally satisfies the adaptive stopping
+// rule: at least one completed experiment and a Wilson half-width at or
+// below epsilon. epsilon <= 0 disables the rule (campaigns run to
+// completion), matching the job service's "off by default" contract.
+func (t progressTally) Converged(epsilon, z float64) bool {
+	return epsilon > 0 && t.Done > 0 && stats.HalfWidth(t.Failures, t.Done, z) <= epsilon
 }
 
 // Coordinator owns one sharded campaign: it plans the ranges, leases
@@ -157,7 +198,7 @@ type Coordinator struct {
 
 	// onProgress, when non-nil, observes folded tallies (called without
 	// the coordinator lock held).
-	onProgress func(t campaign.Tally, total int)
+	onProgress func(t progressTally, total int)
 	// persist, when non-nil, journals shard lifecycle events so a
 	// restarted coordinator resumes from the completed shards.
 	persist shardPersist
@@ -172,8 +213,8 @@ type Coordinator struct {
 	leases   map[string]*shardLease
 	slots    []ExperimentOutcome
 	have     []bool
-	folded   campaign.Tally // over folded (merged) experiments only
-	stopped  bool           // epsilon rule fired; no more leases
+	folded   progressTally // over folded (merged) experiments only
+	stopped  bool          // epsilon rule fired; no more leases
 	done     bool
 	outcome  *Outcome
 	err      error
@@ -190,7 +231,7 @@ type Coordinator struct {
 // expansion is a pure function of the request the merged outcome is
 // byte-identical to an undisturbed run.
 func newCoordinator(key string, n Request, total int, goldenCycles uint64, checkpointed bool, shards int,
-	onProgress func(campaign.Tally, int), persist shardPersist) *Coordinator {
+	onProgress func(progressTally, int), persist shardPersist) *Coordinator {
 	c := &Coordinator{
 		key:          key,
 		req:          n,
@@ -333,7 +374,7 @@ func (c *Coordinator) Progress(leaseID string, done, failures int) (cancel bool)
 	// rule with counts its shard cannot contain.
 	done = min(max(done, 0), l.rng.End-l.rng.Start)
 	failures = min(max(failures, 0), done)
-	l.tally = campaign.Tally{Done: done, Failures: failures}
+	l.tally = progressTally{Done: done, Failures: failures}
 	l.lastSeen = time.Now() //lint:allow det lease keepalive timestamp
 	c.maybeStopLocked()
 	stop := c.stopped || c.done
@@ -481,7 +522,7 @@ func (c *Coordinator) Reclaim(ttl time.Duration, now time.Time) (reclaimed int) 
 
 // tallyLocked is the live progressive tally: folded experiments plus
 // every lease's last reported in-flight progress.
-func (c *Coordinator) tallyLocked() campaign.Tally {
+func (c *Coordinator) tallyLocked() progressTally {
 	t := c.folded
 	for _, l := range c.leases {
 		t.Add(l.tally)
@@ -554,7 +595,7 @@ func (c *Coordinator) fatalLocked(err error) {
 	close(c.finished)
 }
 
-func (c *Coordinator) notify(t campaign.Tally) {
+func (c *Coordinator) notify(t progressTally) {
 	if c.onProgress != nil {
 		c.onProgress(t, c.total)
 	}

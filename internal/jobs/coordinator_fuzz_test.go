@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"testing"
 	"time"
-
-	"repro/internal/campaign"
 )
 
 // FuzzCoordinatorModel drives a Coordinator — built without an engine,
@@ -95,7 +93,7 @@ func modelOutcome(idx int) ExperimentOutcome {
 	return eo
 }
 
-func (m *coordModel) onProgress(tl campaign.Tally, total int) {
+func (m *coordModel) onProgress(tl progressTally, total int) {
 	if total != m.total || tl.Failures < 0 || tl.Failures > tl.Done || tl.Done > total {
 		m.t.Fatalf("merged tally %+v outside campaign of %d", tl, m.total)
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sparc"
@@ -50,7 +49,66 @@ const minClassAudits = 2
 // through this one function, so the reported Escalated flags are always
 // the decisions the router actually made.
 func escalateClass(pred, meas []bool, confidence float64) bool {
-	return len(pred) < minClassAudits || campaign.IndicatorR2(pred, meas) < confidence
+	return len(pred) < minClassAudits || indicatorR2(pred, meas) < confidence
+}
+
+// indicatorR2 computes the routing confidence of one node class from its
+// audited (ISS-predicted failure, RTL-measured failure) indicator pairs:
+// the R² of the least-squares fit of measured on predicted — for a simple
+// regression, the squared Pearson correlation of the two indicators. It is
+// the per-class goodness-of-fit of Equation (1)'s prediction applied at
+// experiment granularity: 1 when the ISS verdict determines the RTL verdict
+// on the audit sample, 0 when it carries no information.
+//
+// Degenerate samples are resolved by agreement, not by the fit: when
+// either indicator has zero variance (all-failing or all-passing), R² is 1
+// if every pair agrees and 0 otherwise. A constant predictor that matches a
+// constant measurement is a perfect router even though no line can be
+// fitted through it; a constant predictor that misses even once has
+// demonstrated nothing.
+func indicatorR2(pred, meas []bool) float64 {
+	if len(pred) != len(meas) || len(pred) == 0 {
+		return 0
+	}
+	xs := make([]float64, len(pred))
+	ys := make([]float64, len(meas))
+	agree := true
+	for i := range pred {
+		if pred[i] {
+			xs[i] = 1
+		}
+		if meas[i] {
+			ys[i] = 1
+		}
+		if pred[i] != meas[i] {
+			agree = false
+		}
+	}
+	if _, _, r2, err := stats.LinFit(xs, ys); err == nil {
+		// LinFit reports R²=1 for a zero-variance response; that verdict
+		// is only trustworthy when the predictor actually tracked it.
+		if !varies(ys) {
+			if agree {
+				return 1
+			}
+			return 0
+		}
+		return r2
+	}
+	// Zero-variance predictor (or n<2): no fit exists.
+	if agree {
+		return 1
+	}
+	return 0
+}
+
+func varies(xs []float64) bool {
+	for _, x := range xs {
+		if x != xs[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // routerMetrics counts the hybrid router's decisions. Registries dedupe
@@ -425,7 +483,7 @@ func hybridAccounting(req Request, out *Outcome) *HybridOutcome {
 			RTLExperiments: c.rtl,
 			Audited:        c.audited,
 			Disagreements:  c.disag,
-			R2:             campaign.IndicatorR2(c.pred, c.meas),
+			R2:             indicatorR2(c.pred, c.meas),
 			PredictedPf:    float64(c.predFail) / float64(c.n),
 		}
 		hc.Escalated = escalateClass(c.pred, c.meas, req.Confidence)

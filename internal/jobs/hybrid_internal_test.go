@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -304,5 +305,34 @@ func TestRouterByUnitMatchesByName(t *testing.T) {
 	hand.escalated[classOf(a)] = true
 	if got := hand.escalations(0, 2); len(got) != 2 {
 		t.Errorf("a plan that escalated unit %d owes RTL runs for %v of a pair with units %d and %d, want both", a, got, a, b)
+	}
+}
+
+func TestIndicatorR2(t *testing.T) {
+	cases := []struct {
+		name       string
+		pred, meas []bool
+		want       float64
+	}{
+		{"perfect agreement", []bool{true, false, true, false}, []bool{true, false, true, false}, 1},
+		{"perfect anticorrelation", []bool{true, false, true, false}, []bool{false, true, false, true}, 1},
+		{"no information", []bool{true, true, false, false}, []bool{true, false, true, false}, 0},
+		{"constant agreeing", []bool{true, true, true}, []bool{true, true, true}, 1},
+		{"constant disagreeing once", []bool{false, false, false}, []bool{false, true, false}, 0},
+		{"constant predictor varying measurement", []bool{true, true, true, true}, []bool{true, false, true, true}, 0},
+		{"empty", nil, nil, 0},
+		{"length mismatch", []bool{true}, []bool{true, false}, 0},
+		{"single agreeing pair", []bool{true}, []bool{true}, 1},
+	}
+	for _, c := range cases {
+		if got := indicatorR2(c.pred, c.meas); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: indicatorR2 = %v, want %v", c.name, got, c.want)
+		}
+	}
+	// Three-of-four agreement: R² equals the squared Pearson correlation
+	// of the indicators, strictly between 0 and 1.
+	r2 := indicatorR2([]bool{true, true, false, false}, []bool{true, false, false, false})
+	if r2 <= 0 || r2 >= 1 {
+		t.Errorf("partial agreement R2 = %v, want in (0,1)", r2)
 	}
 }

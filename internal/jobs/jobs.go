@@ -36,7 +36,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/rtl"
@@ -556,34 +555,19 @@ type Progress struct {
 // is called serially.
 type Tap func(done, total, failures int)
 
-// config and engineOptions are the normalized request's view of the
-// campaign registries' cache key.
-func (r Request) config() workloads.Config {
-	return workloads.Config{Iterations: r.Iterations, Dataset: r.Dataset}
-}
-
-func (r Request) engineOptions(reg *obs.Registry) fault.Options {
-	return fault.Options{
-		InjectAtCycle:    r.InjectAtCycle,
-		InjectAtFraction: r.InjectAtFraction,
-		PulseCycles:      r.PulseCycles,
-		NoCheckpoint:     r.NoCheckpoint,
-		Obs:              reg,
+// runnerKey is the normalized request's runner-cache key: the workload,
+// its configuration and the engine options that shape its golden run.
+func (r Request) runnerKey() runnerKey {
+	return runnerKey{
+		name: r.Workload,
+		cfg:  workloads.Config{Iterations: r.Iterations, Dataset: r.Dataset},
+		opts: fault.Options{
+			InjectAtCycle:    r.InjectAtCycle,
+			InjectAtFraction: r.InjectAtFraction,
+			PulseCycles:      r.PulseCycles,
+			NoCheckpoint:     r.NoCheckpoint,
+		},
 	}
-}
-
-// runnerFor resolves the memoized RTL runner of a normalized request. A
-// cached runner is returned directly; a build is waited for until ctx ends
-// (campaign.RunnerForContext).
-func runnerFor(ctx context.Context, n Request, reg *obs.Registry) (*fault.Runner, error) {
-	return campaign.RunnerForContext(ctx, n.Workload, n.config(), n.engineOptions(reg))
-}
-
-// issRunnerFor resolves the memoized ISS runner of a normalized request.
-// cycleRef/fixedCycle pin the engine to the RTL cycle timebase (hybrid);
-// both zero select the native instruction timebase (engine "iss").
-func issRunnerFor(ctx context.Context, n Request, reg *obs.Registry, cycleRef, fixedCycle uint64) (*fault.ISSRunner, error) {
-	return campaign.ISSRunnerForContext(ctx, n.Workload, n.config(), n.engineOptions(reg), cycleRef, fixedCycle)
 }
 
 // engineFor resolves the engine whose golden run describes a normalized
@@ -847,7 +831,7 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 		}
 		if n.Epsilon > 0 {
 			stop = func(done, failures int) bool {
-				return campaign.Tally{Done: done, Failures: failures}.Converged(n.Epsilon, stats.Z95)
+				return progressTally{Done: done, Failures: failures}.Converged(n.Epsilon, stats.Z95)
 			}
 		}
 	}

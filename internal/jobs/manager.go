@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -723,7 +722,7 @@ func (m *Manager) progressLocked(j *job) Progress {
 	// Estimate emits the Wilson interval alongside the point estimate so
 	// a Done==0 snapshot (Pf 0, interval (0,1)) is distinguishable from a
 	// true zero-failure estimate (Pf 0, interval shrinking around 0).
-	p.Pf, p.PfLow, p.PfHigh = campaign.Tally{Done: j.done, Failures: j.failures}.Estimate(stats.Z95)
+	p.Pf, p.PfLow, p.PfHigh = progressTally{Done: j.done, Failures: j.failures}.Estimate(stats.Z95)
 	if j.state == StateDone && j.result != nil {
 		// The terminal snapshot reports the exact final numbers.
 		p.Pf, p.PfLow, p.PfHigh = j.result.Pf, j.result.PfLow, j.result.PfHigh

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/obs"
 )
@@ -131,9 +130,9 @@ func (p *ShardPool) plan(ctx context.Context, req Request, tap Tap) (*Coordinato
 	if err != nil {
 		return nil, nil, err
 	}
-	var onProgress func(campaign.Tally, int)
+	var onProgress func(progressTally, int)
 	if tap != nil {
-		onProgress = func(t campaign.Tally, total int) { tap(t.Done, total, t.Failures) }
+		onProgress = func(t progressTally, total int) { tap(t.Done, total, t.Failures) }
 	}
 	exps := experimentsFor(nil, r, n)
 	return newCoordinator(key, n, len(exps), r.GoldenTicks(), r.Checkpointed(),

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -71,7 +70,7 @@ func workDelta(t *testing.T, reg *obs.Registry, f func()) (d [3]float64) {
 // builds its own, with reg, and finds no verdict resolved.
 func coldWorkDelta(t *testing.T, reg *obs.Registry, f func()) [3]float64 {
 	t.Helper()
-	campaign.ForgetRunners()
+	jobs.ForgetRunners()
 	return workDelta(t, reg, f)
 }
 
@@ -216,7 +215,7 @@ func TestHybridSharesOneVerdictTable(t *testing.T) {
 	})
 	// The experiments the router sent to the RTL runner.
 	rtlRunner := func() *fault.Runner {
-		r, err := campaign.RunnerFor(req.Workload, workloads.Config{Iterations: req.Iterations}, fault.Options{Obs: reg})
+		r, err := jobs.RunnerFor(context.Background(), req.Workload, workloads.Config{Iterations: req.Iterations}, fault.Options{Obs: reg})
 		if err != nil {
 			t.Fatal(err)
 		}

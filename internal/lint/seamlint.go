@@ -6,13 +6,14 @@ import (
 )
 
 // SeamAnalyzer (seamlint) keeps campaign execution flowing through the
-// engine registry seams. The memoized registries in internal/campaign
-// (RunnerFor for the RTL engine, ISSRunnerFor for the ISS one) are
-// where golden runs are shared, build concurrency is bounded, and the
-// observability registry is stripped from the cache key; an engine
-// constructed anywhere else silently re-simulates golden runs and
-// fragments those guarantees. seamlint therefore reports, outside
-// internal/fault itself and outside the registry functions:
+// engine registry seams. The memoized runner caches in internal/jobs
+// (jobs.RunnerFor for the RTL engine, jobs.ISSRunnerFor for the ISS one,
+// and the request-keyed lookups beside them) are where golden runs are
+// shared, build concurrency is bounded, and the observability registry
+// is stripped from the cache key; an engine constructed anywhere else
+// silently re-simulates golden runs and fragments those guarantees.
+// seamlint therefore reports, outside internal/fault itself and outside
+// the caches' two build functions (buildRunner, buildISSRunner):
 //
 //   - calls to fault.NewRunner / fault.NewISSRunner;
 //   - composite literals fault.Runner{...} / fault.ISSRunner{...}
@@ -25,8 +26,8 @@ import (
 var SeamAnalyzer = &Analyzer{
 	Name: "seamlint",
 	Tag:  "seam",
-	Doc: "fault engines are constructed only through the campaign registry seams\n" +
-		"(campaign.RunnerFor / campaign.ISSRunnerFor)",
+	Doc: "fault engines are constructed only through the jobs registry seams\n" +
+		"(jobs.RunnerFor / jobs.ISSRunnerFor)",
 	Run: runSeamlint,
 }
 
@@ -39,12 +40,10 @@ var seamConstructors = []string{"NewRunner", "NewISSRunner"}
 var seamTypes = map[string]bool{"Runner": true, "ISSRunner": true}
 
 // seamRegistry lists the functions allowed to construct engines
-// directly: the memoized registries themselves and the builds behind them.
+// directly: the builds behind the memoized runner caches.
 var seamRegistry = []struct{ pathSuffix, funcName string }{
-	{"internal/campaign", "RunnerFor"},
-	{"internal/campaign", "ISSRunnerFor"},
-	{"internal/campaign", "buildRunner"},
-	{"internal/campaign", "buildISSRunner"},
+	{"internal/jobs", "buildRunner"},
+	{"internal/jobs", "buildISSRunner"},
 }
 
 func runSeamlint(pass *Pass) error {
@@ -80,16 +79,16 @@ func seamlintFunc(pass *Pass, fn *ast.FuncDecl) {
 		switch x := n.(type) {
 		case *ast.CallExpr:
 			if name, ok := calleeFrom(pass.TypesInfo, x, seamEnginePkg, seamConstructors...); ok {
-				pass.Reportf(x.Pos(), "direct fault.%s call bypasses the engine registry: golden runs stop being shared and build concurrency unbounded — route through campaign.RunnerFor / campaign.ISSRunnerFor (//lint:allow seam for audited one-shot builds)", name)
+				pass.Reportf(x.Pos(), "direct fault.%s call bypasses the engine registry: golden runs stop being shared and build concurrency unbounded — route through jobs.RunnerFor / jobs.ISSRunnerFor (//lint:allow seam for audited one-shot builds)", name)
 			}
 			if isBuiltin(pass.TypesInfo, x.Fun, "new") && len(x.Args) == 1 {
 				if name, ok := seamEngineType(pass, x.Args[0]); ok {
-					pass.Reportf(x.Pos(), "new(fault.%s) constructs an engine outside the registry seam: a zero-valued engine has no golden run — route through campaign.RunnerFor / campaign.ISSRunnerFor", name)
+					pass.Reportf(x.Pos(), "new(fault.%s) constructs an engine outside the registry seam: a zero-valued engine has no golden run — route through jobs.RunnerFor / jobs.ISSRunnerFor", name)
 				}
 			}
 		case *ast.CompositeLit:
 			if name, ok := seamEngineType(pass, x.Type); ok {
-				pass.Reportf(x.Pos(), "fault.%s composite literal constructs an engine outside the registry seam — route through campaign.RunnerFor / campaign.ISSRunnerFor", name)
+				pass.Reportf(x.Pos(), "fault.%s composite literal constructs an engine outside the registry seam — route through jobs.RunnerFor / jobs.ISSRunnerFor", name)
 			}
 		}
 		return true

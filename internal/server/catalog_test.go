@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -26,7 +25,7 @@ var catalogRow = regexp.MustCompile("^\\| `([a-z_]+)(\\{[a-z_,]+\\})?` \\|")
 // builds the last three) — and holds README's catalog to it: every family
 // the registry holds has a row, and every row is a registered family.
 func TestMetricCatalogMatchesRegistry(t *testing.T) {
-	campaign.ForgetRunners() // a memoized runner feeds the registry it was built on
+	jobs.ForgetRunners() // a memoized runner feeds the registry it was built on
 	reg := obs.NewRegistry()
 	mgr, _, err := jobs.OpenManager(jobs.ManagerOptions{Concurrency: 1, Shards: 2, DataDir: t.TempDir(), Obs: reg})
 	if err != nil {
