@@ -53,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzISSEquivalence -fuzztime $(FUZZTIME) ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzOutcomeEncoding -fuzztime $(FUZZTIME) ./internal/jobs/
 	$(GO) test -run '^$$' -fuzz FuzzSampleNodes -fuzztime $(FUZZTIME) ./internal/fault/
+	$(GO) test -run '^$$' -fuzz FuzzRequestNormalize -fuzztime $(FUZZTIME) ./internal/jobs/
 
 # Optional locally (the container may not ship it); CI installs and runs it.
 staticcheck:

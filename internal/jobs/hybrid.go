@@ -2,9 +2,7 @@ package jobs
 
 import (
 	"context"
-	"errors"
 	"math"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -30,12 +28,13 @@ import (
 // is a pure function of the normalized request, so every shard — and
 // every remote worker process — computes the identical plan and each
 // experiment's final engine is a pure function of (request, absolute
-// index). In-process the plan is memoized; a remote worker pays the
-// plan once per process. The audit sample spans the whole campaign, so
-// a worker executing one shard still audits out-of-range experiments —
-// bounded duplicated work (rtl_audit of the campaign per worker
-// process), the price of keeping shard outputs order- and
-// partition-independent.
+// index). In-process the plan is memoized per content address
+// (planCache): the local shards of a campaign, and a campaign submitted
+// again, share one build; a remote worker pays the plan once per process.
+// The audit sample spans the whole campaign, so a worker executing one
+// shard still audits out-of-range experiments — bounded duplicated work
+// (rtl_audit of the campaign per worker process), the price of keeping
+// shard outputs order- and partition-independent.
 
 // minClassAudits is the smallest audit sample a node class may be
 // judged on; with fewer audited experiments the class escalates to RTL
@@ -158,21 +157,19 @@ const classSlots = sparc.NumUnits + 1
 func classOf(u sparc.Unit) int { return int(min(u, sparc.NumUnits)) }
 
 // planCache memoizes hybrid plans per content address so the in-process
-// shard pool pays the ISS pass and audit set once per campaign, not
-// once per shard. Failed builds (including cancellations) are evicted
-// so a later submission retries cleanly.
-var planCache struct {
-	mu    sync.Mutex
-	m     map[string]*planEntry
-	order []string
-}
+// shard pool pays the ISS pass and audit set once per campaign, not once
+// per shard. It holds 8 plans: one pins about 9.5 MB for an exhaustive
+// CMEM campaign (58,188 experiments of 72 bytes of expansion and 80 of ISS
+// prediction, plus the audit). It takes no build semaphore: a plan build
+// resolves its runners under buildSem, so a plan holding a slot there
+// would deadlock at GOMAXPROCS=1.
+var planCache = onceCache[string, planArgs, *hybridPlan]{build: buildHybridPlan, limit: 8}
 
-const maxPlans = 8
-
-type planEntry struct {
-	done chan struct{}
-	plan *hybridPlan
-	err  error
+// planArgs is what a plan build needs beyond its key.
+type planArgs struct {
+	n       Request
+	workers int
+	reg     *obs.Registry
 }
 
 func hybridPlanFor(ctx context.Context, n Request, workers int, reg *obs.Registry) (*hybridPlan, error) {
@@ -180,64 +177,13 @@ func hybridPlanFor(ctx context.Context, n Request, workers int, reg *obs.Registr
 	if err != nil {
 		return nil, err
 	}
-	return cachedPlan(ctx, key, func() (*hybridPlan, error) { return buildHybridPlan(ctx, n, workers, reg) })
-}
-
-// cachedPlan returns key's plan from planCache, building it — once, however
-// many callers ask meanwhile — when it is not there.
-func cachedPlan(ctx context.Context, key string, build func() (*hybridPlan, error)) (*hybridPlan, error) {
-	planCache.mu.Lock()
-	if planCache.m == nil {
-		planCache.m = make(map[string]*planEntry)
-	}
-	e := planCache.m[key]
-	owner := e == nil
-	if owner {
-		for len(planCache.m) >= maxPlans {
-			delete(planCache.m, planCache.order[0])
-			planCache.order = planCache.order[1:]
-		}
-		e = &planEntry{done: make(chan struct{})}
-		planCache.m[key] = e
-		planCache.order = append(planCache.order, key)
-	}
-	planCache.mu.Unlock()
-	if owner {
-		e.plan, e.err = build()
-		if e.err != nil {
-			planCache.mu.Lock()
-			// Only while the entry is still this owner's: evicted meanwhile,
-			// the key may belong to a later submission's live plan.
-			if planCache.m[key] == e {
-				delete(planCache.m, key)
-				for i, k := range planCache.order {
-					if k == key {
-						planCache.order = append(planCache.order[:i], planCache.order[i+1:]...)
-						break
-					}
-				}
-			}
-			planCache.mu.Unlock()
-		}
-		close(e.done)
-		return e.plan, e.err
-	}
-	select {
-	case <-e.done:
-		// The owner's cancellation is not this caller's. Its entry is
-		// already evicted, so asking again builds or joins a live one.
-		if ctx.Err() == nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-			return cachedPlan(ctx, key, build)
-		}
-		return e.plan, e.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return planCache.get(ctx, key, planArgs{n, workers, reg})
 }
 
 // buildHybridPlan executes the routing plan's two phases: the full ISS
 // prediction pass and the RTL audit pass, then scores every node class.
-func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Registry) (*hybridPlan, error) {
+func buildHybridPlan(ctx context.Context, _ string, a planArgs) (*hybridPlan, error) {
+	n, workers, reg := a.n, a.workers, a.reg
 	rtlR, err := runnerFor(ctx, n, reg)
 	if err != nil {
 		return nil, err

@@ -9,19 +9,15 @@ import (
 )
 
 // KeepaliveInterval paces a worker's lease keepalives: a third of the
-// TTL, clamped to [1s, TTL], with a 5s default for a missing TTL. The
-// silent phases of shard execution — golden-run construction, a long
-// hang-budget experiment — produce no progress taps, and without
+// TTL, at least 1s, never past half of it, with a 5s default for a missing
+// TTL. The silent phases of shard execution — golden-run construction, a
+// long hang-budget experiment — produce no progress taps, and without
 // keepalives the janitor would reclaim a live worker's shard.
 func KeepaliveInterval(ttl time.Duration) time.Duration {
 	if ttl <= 0 {
 		return 5 * time.Second
 	}
-	iv := ttl / 3
-	if iv < time.Second {
-		iv = time.Second
-	}
-	return iv
+	return max(ttl/3, min(time.Second, ttl/2))
 }
 
 // RunLease executes one leased shard on up to `workers` engine workers

@@ -33,6 +33,17 @@ func cadenceOf(n int) (dones []int) {
 	return dones
 }
 
+// TestKeepaliveIntervalInsideTTL: a live worker keeps its lease only if
+// a keepalive lands before the TTL runs out, so the interval must stay
+// under the TTL however short the TTL is.
+func TestKeepaliveIntervalInsideTTL(t *testing.T) {
+	for _, ttl := range []time.Duration{100 * time.Millisecond, 500 * time.Millisecond, time.Second, 2 * time.Second, 3 * time.Second, 2 * time.Minute} {
+		if iv := jobs.KeepaliveInterval(ttl); iv <= 0 || iv >= ttl {
+			t.Errorf("TTL %v: keepalive interval %v, want inside (0, %v)", ttl, iv, ttl)
+		}
+	}
+}
+
 // TestRunLeaseReports pins the one lease runner's reporting contract:
 // the first and last completion and every (size/16+1)-th in between are
 // reported, in order; a keepalive that fires while a report is in flight
@@ -85,8 +96,8 @@ func TestRunLeaseReports(t *testing.T) {
 	})
 
 	t.Run("keepalive", func(t *testing.T) {
-		// The shortest keepalive interval is a second. Hold the first
-		// report past it: the tick that lands meanwhile must wait for the
+		// Hold the first report past the keepalive interval of a
+		// one-second TTL: the tick that lands meanwhile must wait for the
 		// lock, and what it then reports is the tally as of that moment.
 		lease := leaseOf(req, n, 1)
 		seen = nil

@@ -117,9 +117,7 @@ func TestWarmCampaignBytes(t *testing.T) {
 	// same sample, does not, so the two would not be measured alike.
 	replan := func(req Request) func() {
 		return func() {
-			planCache.mu.Lock()
-			planCache.m, planCache.order = nil, nil
-			planCache.mu.Unlock()
+			planCache.forget()
 			if _, err := Execute(context.Background(), req, 1, nil); err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,9 @@ package jobs
 
 import (
 	"context"
+	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -41,25 +43,29 @@ type issRunnerKey struct {
 	fixedCycle uint64
 }
 
-// onceCache memoizes engine builds process-wide: at most maxRunners
-// entries, evicted least-recently-used, each built exactly once — by the
-// first caller, under buildSem — while later callers of the same key wait
-// for that build and share its result, failure included. runnerCache and
-// issRunnerCache are the two.
-type onceCache[K comparable, V any] struct {
-	// build makes a key's value, its engine counters fed to the registry
-	// given.
-	build func(K, *obs.Registry) (V, error)
+// onceCache memoizes builds process-wide: at most limit entries, evicted
+// least-recently-used, each built exactly once — by the first caller, with
+// that caller's context and per-call argument, under sem when there is
+// one — while later callers of the same key wait for that build and share
+// its result, failure included. One failure is not shared: a build that
+// ends in its own context's error is dropped, and a waiter whose context
+// is live asks again. runnerCache, issRunnerCache and planCache are the
+// three.
+type onceCache[K comparable, A, V any] struct {
+	build func(context.Context, K, A) (V, error)
+	limit int
+	sem   chan struct{} // bounds concurrent builds; nil for none
 	mu    sync.Mutex
 	m     map[K]*onceEntry[V]
 	order []K // recency order, oldest first, for LRU eviction
 }
 
 type onceEntry[V any] struct {
-	once  sync.Once
-	built atomic.Bool // v and err are set
-	v     V
-	err   error
+	once      sync.Once
+	built     atomic.Bool // v, err and cancelled are set
+	v         V
+	err       error
+	cancelled bool // err is the build's own context's: the entry is dropped
 }
 
 // maxRunners bounds each memoized runner cache. The paper's artifacts
@@ -93,37 +99,43 @@ var buildSem = make(chan struct{}, runtime.GOMAXPROCS(0))
 // get returns key's memoized value, running build for it on first use. A
 // built entry is returned directly. A build runs on the caller's goroutine
 // when ctx can never end, and otherwise on its own, waited for until ctx
-// ends: the golden-run simulation inside cannot be interrupted mid-flight,
-// so on ctx expiry it is left to finish in the background — where it still
-// fills the entry for a later caller — and get returns ctx.Err() promptly.
-// That is safe because buildSem bounds concurrent builds, so a
-// submit-and-cancel loop over ever-new keys queues cheap goroutines, not
-// simulations. A dead ctx returns its error before the lookup, so a caller
-// draining queued work with a cancelled context starts no orphan build.
-func (c *onceCache[K, V]) get(ctx context.Context, key K, reg *obs.Registry) (v V, err error) {
-	if err = ctx.Err(); err != nil {
-		return v, err
-	}
-	e := c.entry(key)
-	if e.built.Load() || ctx.Done() == nil {
-		c.fill(e, key, reg)
-		return e.v, e.err
-	}
-	done := make(chan struct{})
-	go func() {
-		c.fill(e, key, reg)
-		close(done)
-	}()
-	select {
-	case <-done:
-		return e.v, e.err
-	case <-ctx.Done():
-		return v, ctx.Err()
+// ends: a runner's golden-run simulation cannot be interrupted
+// mid-flight, so on ctx expiry it is left to finish in the background —
+// where it still fills the entry for a later caller — and get returns
+// ctx.Err() promptly. That is safe because buildSem bounds concurrent
+// runner builds, so a submit-and-cancel loop over ever-new keys queues
+// cheap goroutines, not simulations. A dead ctx returns its error before
+// the lookup, so a caller draining queued work with a cancelled context
+// starts no orphan build; a live one that joined a build cancelled under
+// another caller's context asks again.
+func (c *onceCache[K, A, V]) get(ctx context.Context, key K, arg A) (v V, err error) {
+	for {
+		if err = ctx.Err(); err != nil {
+			return v, err
+		}
+		e := c.entry(key)
+		if e.built.Load() || ctx.Done() == nil {
+			c.fill(ctx, e, key, arg)
+		} else {
+			done := make(chan struct{})
+			go func() {
+				c.fill(ctx, e, key, arg)
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-ctx.Done():
+				return v, ctx.Err()
+			}
+		}
+		if !e.cancelled {
+			return e.v, e.err
+		}
 	}
 }
 
 // entry returns key's entry, built or not, adding it when missing.
-func (c *onceCache[K, V]) entry(key K) *onceEntry[V] {
+func (c *onceCache[K, A, V]) entry(key K) *onceEntry[V] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.m == nil {
@@ -131,7 +143,7 @@ func (c *onceCache[K, V]) entry(key K) *onceEntry[V] {
 	}
 	e := c.m[key]
 	if e == nil {
-		for len(c.m) >= maxRunners {
+		for len(c.m) >= c.limit {
 			delete(c.m, c.order[0])
 			c.order = c.order[1:]
 		}
@@ -139,31 +151,41 @@ func (c *onceCache[K, V]) entry(key K) *onceEntry[V] {
 		c.m[key] = e
 		c.order = append(c.order, key)
 	} else {
-		// LRU touch: move the key to the back so the hottest runners are
+		// LRU touch: move the key to the back so the hottest entries are
 		// the last to be evicted.
-		for i, k := range c.order {
-			if k == key {
-				copy(c.order[i:], c.order[i+1:])
-				c.order[len(c.order)-1] = key
-				break
-			}
-		}
+		i := slices.Index(c.order, key)
+		c.order = append(slices.Delete(c.order, i, i+1), key)
 	}
 	return e
 }
 
-// fill builds key's value into its entry e once, under buildSem.
-func (c *onceCache[K, V]) fill(e *onceEntry[V], key K, reg *obs.Registry) {
+// fill builds key's value into its entry e once, under sem, and drops the
+// entry — only while the map still holds it: evicted meanwhile, the key
+// may belong to a later caller's live entry — when the build ended in
+// ctx's error.
+func (c *onceCache[K, A, V]) fill(ctx context.Context, e *onceEntry[V], key K, arg A) {
 	e.once.Do(func() {
-		buildSem <- struct{}{}
-		defer func() { <-buildSem }()
-		e.v, e.err = c.build(key, reg)
+		if c.sem != nil {
+			c.sem <- struct{}{}
+			defer func() { <-c.sem }()
+		}
+		e.v, e.err = c.build(ctx, key, arg)
+		if e.err != nil && ctx.Err() != nil && errors.Is(e.err, ctx.Err()) {
+			e.cancelled = true
+			c.mu.Lock()
+			if c.m[key] == e {
+				delete(c.m, key)
+				i := slices.Index(c.order, key)
+				c.order = slices.Delete(c.order, i, i+1)
+			}
+			c.mu.Unlock()
+		}
 		e.built.Store(true)
 	})
 }
 
 // forget empties the cache; see ForgetRunners.
-func (c *onceCache[K, V]) forget() {
+func (c *onceCache[K, A, V]) forget() {
 	c.mu.Lock()
 	c.m, c.order = nil, nil
 	c.mu.Unlock()
@@ -173,18 +195,20 @@ func (c *onceCache[K, V]) forget() {
 // options) triple across the job service's requests and the paper's
 // artifacts, which run as requests too. Runners are safe for concurrent
 // campaigns, so sharing one is sound.
-var runnerCache = onceCache[runnerKey, *fault.Runner]{build: buildRunner}
+var runnerCache = onceCache[runnerKey, *obs.Registry, *fault.Runner]{build: buildRunner, limit: maxRunners, sem: buildSem}
 
-var issRunnerCache = onceCache[issRunnerKey, *fault.ISSRunner]{build: buildISSRunner}
+var issRunnerCache = onceCache[issRunnerKey, *obs.Registry, *fault.ISSRunner]{build: buildISSRunner, limit: maxRunners, sem: buildSem}
 
-// ForgetRunners empties both runner caches, so that the next campaign of
-// any key builds its runners anew; campaigns in flight keep the runner they
-// hold. A runner keeps what its campaigns resolved, so a caller that wants
-// a cold campaign's work counters — the tests that compare them across
-// shard counts — forgets the warm runner first. Results never need it.
+// ForgetRunners empties both runner caches and the plan cache, so that the
+// next campaign of any key builds its runners and plan anew; campaigns in
+// flight keep the runners they hold. A runner keeps what its campaigns
+// resolved, so a caller that wants a cold campaign's work counters — the
+// tests that compare them across shard counts — forgets the warm runner
+// first. Results never need it.
 func ForgetRunners() {
 	runnerCache.forget()
 	issRunnerCache.forget()
+	planCache.forget()
 }
 
 // RunnerFor returns the process-wide memoized RTL runner of a (workload,
@@ -215,8 +239,9 @@ func issRunnerFor(ctx context.Context, n Request, reg *obs.Registry, cycleRef, f
 	return issRunnerCache.get(ctx, issRunnerKey{n.runnerKey(), cycleRef, fixedCycle}, reg)
 }
 
-// buildRunner builds the runner of a runnerCache key.
-func buildRunner(key runnerKey, reg *obs.Registry) (*fault.Runner, error) {
+// buildRunner builds the runner of a runnerCache key, its engine counters
+// fed to reg. It never stops on ctx.
+func buildRunner(_ context.Context, key runnerKey, reg *obs.Registry) (*fault.Runner, error) {
 	w, err := workloads.Build(key.name, key.cfg)
 	if err != nil {
 		return nil, err
@@ -226,8 +251,8 @@ func buildRunner(key runnerKey, reg *obs.Registry) (*fault.Runner, error) {
 	return fault.NewRunner(w.Program, fopts)
 }
 
-// buildISSRunner builds the runner of an issRunnerCache key.
-func buildISSRunner(key issRunnerKey, reg *obs.Registry) (*fault.ISSRunner, error) {
+// buildISSRunner is buildRunner for an issRunnerCache key.
+func buildISSRunner(_ context.Context, key issRunnerKey, reg *obs.Registry) (*fault.ISSRunner, error) {
 	w, err := workloads.Build(key.name, key.cfg)
 	if err != nil {
 		return nil, err

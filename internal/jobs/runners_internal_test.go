@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -49,17 +50,19 @@ func TestRunnerCacheMemoizes(t *testing.T) {
 	}
 }
 
-// TestOnceCache holds the runner caches' policy on a fake build: entries
-// are evicted least-recently-used at maxRunners, a failed build is every
-// waiter's failure, N concurrent lookups of a key build it once, and a
-// lookup whose context ends returns at once while its build goes on to
-// fill the entry.
+// TestOnceCache holds the memo's policy on a fake build with the runner
+// caches' bound: entries are evicted least-recently-used at maxRunners, a
+// failed build is every waiter's failure and stays cached, N concurrent
+// lookups of a key build it once, a lookup whose context ends returns at
+// once while its build goes on to fill the entry, and a build that ends
+// in its own context's error is dropped, so a live caller builds again.
 func TestOnceCache(t *testing.T) {
 	ctx := context.Background()
-	var builds [maxRunners + 2]atomic.Int32
+	const ctxKey = maxRunners + 2 // its build ends with its context, when that can end
+	var builds [maxRunners + 3]atomic.Int32
 	gate := map[int]chan struct{}{} // a key's build waits for its gate to close
 	errBad := errors.New("bad key")
-	c := &onceCache[int, int]{build: func(k int, _ *obs.Registry) (int, error) {
+	c := &onceCache[int, *obs.Registry, int]{limit: maxRunners, build: func(ctx context.Context, k int, _ *obs.Registry) (int, error) {
 		builds[k].Add(1)
 		if g := gate[k]; g != nil {
 			<-g
@@ -67,9 +70,18 @@ func TestOnceCache(t *testing.T) {
 		if k == 0 {
 			return 0, errBad
 		}
+		if k == ctxKey && ctx.Done() != nil {
+			<-ctx.Done()
+			return 0, ctx.Err()
+		}
 		return 10 * k, nil
 	}}
 	get := func(ctx context.Context, k int) (int, error) { return c.get(ctx, k, nil) }
+	entry := func(k int) *onceEntry[int] {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.m[k]
+	}
 
 	t.Run("lru", func(t *testing.T) {
 		defer c.forget()
@@ -120,6 +132,22 @@ func TestOnceCache(t *testing.T) {
 		}
 	})
 
+	t.Run("failure stays shared", func(t *testing.T) {
+		defer c.forget()
+		builds[0].Store(0)
+		for range 2 {
+			cctx, cancel := context.WithCancel(ctx)
+			_, err := get(cctx, 0)
+			cancel()
+			if !errors.Is(err, errBad) {
+				t.Fatalf("failing key: error %v, want the build's", err)
+			}
+		}
+		if n := builds[0].Load(); n != 1 || entry(0) == nil {
+			t.Errorf("failing key: %d builds, cached %v; want 1 build whose failure stays cached", n, entry(0) != nil)
+		}
+	})
+
 	t.Run("cancelled wait", func(t *testing.T) {
 		defer c.forget()
 		const k = 4
@@ -142,4 +170,145 @@ func TestOnceCache(t *testing.T) {
 			t.Errorf("after the cancelled lookup: (%d, %v) after %d builds, want (%d, nil) after 1", v, err, builds[k].Load(), 10*k)
 		}
 	})
+
+	t.Run("own context error dropped", func(t *testing.T) {
+		defer c.forget()
+		builds[ctxKey].Store(0)
+		cctx, cancel := context.WithCancel(ctx)
+		go func() {
+			for builds[ctxKey].Load() == 0 { // until the build has started
+				runtime.Gosched()
+			}
+			cancel()
+		}()
+		if _, err := get(cctx, ctxKey); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled lookup returned %v, want context.Canceled", err)
+		}
+		for e := entry(ctxKey); e != nil && !e.built.Load(); e = entry(ctxKey) {
+			runtime.Gosched() // until the build has ended and dropped its entry
+		}
+		if e := entry(ctxKey); e != nil {
+			t.Fatalf("a build cancelled by its own context stayed cached with error %v", e.err)
+		}
+		if v, err := get(ctx, ctxKey); v != 10*ctxKey || err != nil || builds[ctxKey].Load() != 2 {
+			t.Errorf("live lookup after the cancelled build: (%d, %v) after %d builds, want (%d, nil) after 2", v, err, builds[ctxKey].Load(), 10*ctxKey)
+		}
+	})
+}
+
+// planBuild is a build of a plan-cache test instance: the instance's
+// per-call argument, run with the first caller's context.
+type planBuild = func(context.Context) (*hybridPlan, error)
+
+// newPlanTestCache returns an empty cache with planCache's bound whose
+// per-call argument is the build itself.
+func newPlanTestCache() *onceCache[string, planBuild, *hybridPlan] {
+	return &onceCache[string, planBuild, *hybridPlan]{limit: planCache.limit,
+		build: func(ctx context.Context, _ string, b planBuild) (*hybridPlan, error) { return b(ctx) }}
+}
+
+// TestFailedPlanLeavesLaterEntryAlone: an owner whose build is cancelled
+// removes its own cache entry, not whatever sits under its key by then.
+// Owner A is still building when eight other plans evict its entry; B asks
+// for the same key, finds nothing and builds a live plan; then A's context
+// is cancelled and its build ends in that error. B's entry must survive, so
+// the next caller — another shard of B's campaign — is a hit and not a
+// rebuild of the ISS pass and the audit.
+func TestFailedPlanLeavesLaterEntryAlone(t *testing.T) {
+	c := newPlanTestCache()
+	ctx := context.Background()
+	aCtx, cancelA := context.WithCancel(ctx)
+	defer cancelA()
+	building := make(chan struct{})
+	aDone := make(chan error)
+	go func() {
+		_, err := c.get(aCtx, "key", func(ctx context.Context) (*hybridPlan, error) {
+			close(building)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		})
+		aDone <- err
+	}()
+	<-building
+	c.mu.Lock()
+	a := c.m["key"]
+	c.mu.Unlock()
+	for i := range c.limit {
+		if _, err := c.get(ctx, fmt.Sprint("other-", i), func(context.Context) (*hybridPlan, error) { return &hybridPlan{}, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := &hybridPlan{}
+	if got, err := c.get(ctx, "key", func(context.Context) (*hybridPlan, error) { return live, nil }); err != nil || got != live {
+		t.Fatalf("B's build: plan %p, err %v; want its own plan %p (A's entry should have been evicted)", got, err, live)
+	}
+	cancelA()
+	if err := <-aDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("A's cancelled build returned %v, want context.Canceled", err)
+	}
+	for !a.built.Load() {
+		runtime.Gosched() // until A's build has ended and dropped what it drops
+	}
+	got, err := c.get(ctx, "key", func(context.Context) (*hybridPlan, error) {
+		t.Error("B's second call rebuilt the plan: A's cancellation removed B's live entry")
+		return &hybridPlan{}, nil
+	})
+	if err != nil || got != live {
+		t.Errorf("B's second call: plan %p, err %v; want the cached %p", got, err, live)
+	}
+}
+
+// joinedCtx is a live context that reports when onceCache.get first asks
+// it for Done, which get does once it holds the key's entry: there a
+// waiter has joined the build.
+type joinedCtx struct {
+	context.Context
+	once   sync.Once
+	joined chan struct{}
+}
+
+func (c *joinedCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.joined) })
+	return c.Context.Done()
+}
+
+// TestPlanWaiterOutlivesCancelledOwner: a user cancels a hybrid job and
+// resubmits it while the cancelled job is still building the plan. The
+// fresh job joins that build; when the owner's context is cancelled, the
+// fresh job, which nobody cancelled, must get a plan — built by itself or
+// joined live — and not the owner's context.Canceled.
+func TestPlanWaiterOutlivesCancelledOwner(t *testing.T) {
+	c := newPlanTestCache()
+	ownerCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	building := make(chan struct{})
+	ownerDone := make(chan error)
+	go func() {
+		_, err := c.get(ownerCtx, "key", func(ctx context.Context) (*hybridPlan, error) {
+			close(building)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		})
+		ownerDone <- err
+	}()
+	<-building
+	waiter := &joinedCtx{Context: context.Background(), joined: make(chan struct{})}
+	live := &hybridPlan{}
+	type reply struct {
+		plan *hybridPlan
+		err  error
+	}
+	waiterDone := make(chan reply)
+	go func() {
+		p, err := c.get(waiter, "key", func(context.Context) (*hybridPlan, error) { return live, nil })
+		waiterDone <- reply{p, err}
+	}()
+	<-waiter.joined
+	cancel()
+	if err := <-ownerDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("owner: err %v, want context.Canceled", err)
+	}
+	if r := <-waiterDone; r.err != nil || r.plan != live {
+		t.Fatalf("waiter with a live context: plan %p, err %v; want its own plan %p, not another caller's cancellation", r.plan, r.err, live)
+	}
 }
