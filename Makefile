@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-smoke bench-e2e-smoke serve-smoke shard-smoke crash-smoke hybrid-smoke fuzz-smoke vet fmt-check staticcheck reprolint lint
+.PHONY: all build test bench-e2e-smoke serve-smoke shard-smoke crash-smoke hybrid-smoke fuzz-smoke vet fmt-check staticcheck reprolint lint
 
 all: build test
 
@@ -11,14 +11,6 @@ test:
 	$(GO) test -race ./...
 
 # What each target below runs and asserts: docs/ARCHITECTURE.md, "Make targets".
-
-# The engine timings (simulators, campaign engines) and ablation A1.
-bench:
-	$(GO) test -bench=. -benchmem .
-
-# One iteration of every engine timing and A1, no unit tests, no timing gate.
-bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
 # The repository benchmark (bench/, BENCHMARK.json) at self-test size, every output check on.
 bench-e2e-smoke:

@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		exp   = fs.String("exp", "all", "artifact: "+valid)
 		nodes = fs.Int("nodes", 256, "injection node sample size per campaign (0 = every node)")
 		seed  = fs.Int64("seed", 1, "sampling seed")
-		iters = fs.Int("iters", 2, "workload iterations for RTL campaigns")
+		iters = fs.Int("iters", 2, "workload iterations for RTL campaigns (0 = 2)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -57,6 +57,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *nodes < 0 {
 		return fmt.Errorf("-nodes %d: want 0 (every node) or a sample size", *nodes)
+	}
+	if *iters < 0 {
+		return fmt.Errorf("-iters %d: want 0 (the default 2) or an iteration count", *iters)
 	}
 
 	o := core.ExperimentOptions{Nodes: *nodes, Seed: *seed, Iterations: *iters}

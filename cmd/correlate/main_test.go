@@ -25,11 +25,14 @@ func TestUnknownExperimentIsRejected(t *testing.T) {
 }
 
 // TestNegativeNodesIsRejected: 0 is the census, so a negative -nodes has
-// no meaning and must not run as an empty sample.
+// no meaning and must not run as an empty sample; nor may a negative
+// -iters run as the default.
 func TestNegativeNodesIsRejected(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-exp", "fig5", "-nodes", "-1"}, &stdout, &stderr); err == nil || stdout.Len() != 0 {
-		t.Errorf("-nodes -1: error %v, stdout %q; want an error and no rendering", err, stdout.String())
+	for _, flag := range []string{"-nodes", "-iters"} {
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"-exp", "fig5", flag, "-1"}, &stdout, &stderr); err == nil || stdout.Len() != 0 {
+			t.Errorf("%s -1: error %v, stdout %q; want an error and no rendering", flag, err, stdout.String())
+		}
 	}
 }
 

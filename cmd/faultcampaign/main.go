@@ -62,7 +62,7 @@ func run(args []string, stdout io.Writer) error {
 		target  = fs.String("target", "iu", "injection target: iu or cmem")
 		model   = fs.String("model", "all", "comma-separated fault models: sa0, sa1, open, seu, set or all (= sa0,sa1,open)")
 		nodes   = fs.Int("nodes", 256, "node sample size (0 = exhaustive)")
-		pulse   = fs.Uint64("pulse", 0, "set-pulse glitch width in cycles (0 = 1; only with the set model)")
+		pulse   = fs.Uint64("pulse", 0, "set-pulse glitch width in cycles (0 = 1, at most 2^32; only with the set model)")
 		seed    = fs.Int64("seed", 1, "sampling seed")
 		workers = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		inject  = fs.Uint64("inject-at", 0, "injection instant (cycle)")

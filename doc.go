@@ -17,9 +17,10 @@
 // rung at or below the cycle its fault arrives instead of re-simulating
 // from reset, and a transient whose state re-equals a later rung is
 // finalized without simulating the rest (DESIGN.md §10).
-// The BenchmarkCampaignCheckpointed / BenchmarkCampaignFromReset pair in
-// bench_test.go measures the resulting campaign speedup; results are
-// bit-identical either way (see internal/fault's TestCheckpointFidelity).
+// The checkpoint-speedup row of `correlate -exp simtime` measures the
+// resulting campaign speedup, and the repository benchmark (bench/) times
+// the engine; results are bit-identical either way (see internal/fault's
+// TestCheckpointFidelity).
 // fault.Options.NoCheckpoint (core.CampaignSpec.NoCheckpoint, request
 // field no_checkpoint) is the one engine selector: it swaps the
 // production engine for the naive from-reset scalar reference the

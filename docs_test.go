@@ -142,3 +142,34 @@ func TestCINamesExist(t *testing.T) {
 		}
 	}
 }
+
+var fuzzRow = regexp.MustCompile("(?m)^\\| `(Fuzz\\w+)` \\|") // a row of the fuzz table
+
+// TestFuzzTargetsListed is TestCINamesExist's other direction: every Fuzz…
+// function of a _test.go file is a -fuzz target of the Makefile, so
+// fuzz-smoke runs it, and has a row in docs/ARCHITECTURE.md's fuzz table,
+// which says what it holds.
+func TestFuzzTargetsListed(t *testing.T) {
+	smoked, rows := map[string]bool{}, map[string]bool{}
+	for _, m := range fuzzTarget.FindAllStringSubmatch(readFile(t, "Makefile"), -1) {
+		smoked[m[1]] = true
+	}
+	for _, m := range fuzzRow.FindAllStringSubmatch(readFile(t, "docs/ARCHITECTURE.md"), -1) {
+		rows[m[1]] = true
+	}
+	for _, f := range repoFiles(t) {
+		if !strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(readFile(t, f), -1) {
+			if name := m[1]; strings.HasPrefix(name, "Fuzz") {
+				if !smoked[name] {
+					t.Errorf("%s defines %s, which no -fuzz target of the Makefile runs", f, name)
+				}
+				if !rows[name] {
+					t.Errorf("%s defines %s, which has no row in docs/ARCHITECTURE.md's fuzz table", f, name)
+				}
+			}
+		}
+	}
+}

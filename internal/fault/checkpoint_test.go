@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -98,6 +99,26 @@ func TestInjectAtFractionRange(t *testing.T) {
 		if _, err := NewRunner(w.Program, Options{InjectAtFraction: frac}); err == nil {
 			t.Errorf("InjectAtFraction %v accepted", frac)
 		}
+	}
+}
+
+// TestPulseCyclesRange: a glitch wider than MaxPulseCycles would wrap its
+// release instant and read as no pulse at all, so both engines refuse it.
+func TestPulseCyclesRange(t *testing.T) {
+	w, err := workloads.Build("excerptA", workloads.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pulse := range []uint64{MaxPulseCycles + 1, math.MaxUint64} {
+		if _, err := NewRunner(w.Program, Options{PulseCycles: pulse}); err == nil {
+			t.Errorf("NewRunner: PulseCycles %d accepted", pulse)
+		}
+		if _, err := NewISSRunner(w.Program, Options{PulseCycles: pulse}, 0, 0); err == nil {
+			t.Errorf("NewISSRunner: PulseCycles %d accepted", pulse)
+		}
+	}
+	if _, err := NewRunner(w.Program, Options{PulseCycles: MaxPulseCycles}); err != nil {
+		t.Errorf("PulseCycles %d refused: %v", uint64(MaxPulseCycles), err)
 	}
 }
 

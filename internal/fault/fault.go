@@ -163,13 +163,9 @@ type Options struct {
 	InjectAtFraction float64
 	// PulseCycles is the width of a SETPulse glitch in cycles: the net is
 	// forced to the complement of its present value for this many cycles,
-	// then released. Zero selects 1 (a single-cycle glitch). Permanent
-	// models and BitFlip ignore it.
+	// then released. Zero selects 1 (a single-cycle glitch); more than
+	// MaxPulseCycles is rejected. Permanent models and BitFlip ignore it.
 	PulseCycles uint64
-	// NoEarlyExit disables stopping a faulted run at its first off-core
-	// mismatch (ablation A1 in DESIGN.md). The classification is
-	// identical; only the campaign cost changes.
-	NoEarlyExit bool
 	// NoCheckpoint is the one engine selector. False (the default) is the
 	// production engine: experiments fork from the frozen golden ladder at
 	// their injection instant on pooled cores, ride the golden read log as
@@ -200,11 +196,22 @@ const (
 
 func faultedBudget(golden uint64) uint64 { return golden*budgetFactor + budgetExtra }
 
-// normalize applies the documented defaults and rejects an injection
-// fraction that would place the instant at or past the golden run's end.
+// MaxPulseCycles bounds Options.PulseCycles. A pulse of 2^30 cycles already
+// outlasts the largest faulted budget (3 × the 200M-cycle golden limit +
+// 10,000), so the bound takes no glitch the engine can tell apart from a
+// wider one, and it keeps every release instant — injection instant plus
+// width, on either engine's timebase — from wrapping.
+const MaxPulseCycles = 1 << 32
+
+// normalize applies the documented defaults and rejects a pulse wider than
+// MaxPulseCycles and an injection fraction that would place the instant at
+// or past the golden run's end.
 func (o *Options) normalize() error {
 	if o.PulseCycles == 0 {
 		o.PulseCycles = 1
+	}
+	if o.PulseCycles > MaxPulseCycles {
+		return fmt.Errorf("fault: PulseCycles %d exceeds the limit %d", o.PulseCycles, uint64(MaxPulseCycles))
 	}
 	if math.IsNaN(o.InjectAtFraction) || math.IsInf(o.InjectAtFraction, 0) ||
 		o.InjectAtFraction < 0 || o.InjectAtFraction >= 1 {
@@ -432,11 +439,10 @@ type comparator struct {
 }
 
 // live reports whether a faulted run can still change its verdict: the
-// core is running, inside the cycle budget and (unless NoEarlyExit) has
-// not yet mismatched at the off-core boundary.
+// core is running, inside the cycle budget and has not yet mismatched at
+// the off-core boundary.
 func (r *Runner) live(core *leon3.Core, c *comparator) bool {
-	return core.Status() == iss.StatusRunning && core.Cycles() < r.budget &&
-		(r.opts.NoEarlyExit || c.mismatchAt < 0)
+	return core.Status() == iss.StatusRunning && core.Cycles() < r.budget && c.mismatchAt < 0
 }
 
 // classify maps a finished faulted run onto its outcome and latency.
@@ -498,10 +504,10 @@ func (r *Runner) armAt(e *Experiment) uint64 {
 // eng's core — the one run loop of the engine, shared by scalar experiments
 // and activated batch lanes. The universe forks from the golden trajectory at the
 // lane's activation cycle (lad nil: from reset), the fault is armed, and
-// the core steps until exit, error mode, the cycle budget or (unless
-// NoEarlyExit) the first off-core mismatch. Permanent models stay forced
-// to the end of the run; a BitFlip mutates state once and the design runs
-// free; a SETPulse is released when its window closes.
+// the core steps until exit, error mode, the cycle budget or the first
+// off-core mismatch. Permanent models stay forced to the end of the run; a
+// BitFlip mutates state once and the design runs free; a SETPulse is
+// released when its window closes.
 //
 // On a ladder four kinds of verdict are proven instead of stepped to
 // (DESIGN.md §10 has the arguments); the from-reset reference proves

@@ -203,7 +203,8 @@ func (r *ISSRunner) newEngine(text *iss.Text) *issEngine {
 // mapTicks converts an externally-timed instant into an instruction
 // index: the identity in native mode, the golden-length ratio when the
 // engine is pinned to the RTL cycle timebase. Golden runs are bounded
-// by the 2e8-instruction budget, so the product cannot overflow.
+// by the 2e8-instruction budget, so for an instant inside the run or a
+// pulse width of at most MaxPulseCycles the product cannot overflow.
 func (r *ISSRunner) mapTicks(c uint64) uint64 {
 	if r.cycleRef == 0 {
 		return c
@@ -567,8 +568,7 @@ func (r *ISSRunner) finish(res *Result, eng *issEngine, model rtl.FaultModel, v 
 		holdUntil = cpu.Icount + r.pulseTicks
 	}
 	steps := clean
-	for ; cpu.Status() == iss.StatusRunning && cpu.Icount < r.budget &&
-		(r.opts.NoEarlyExit || eng.cmp.mismatchAt < 0); steps++ {
+	for ; cpu.Status() == iss.StatusRunning && cpu.Icount < r.budget && eng.cmp.mismatchAt < 0; steps++ {
 		if cpu.Icount < holdUntil {
 			v.force(cpu, forced)
 		}

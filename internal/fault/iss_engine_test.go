@@ -325,7 +325,7 @@ fresh:
 
 // redirectable stores a word through %l0 into buf; one flipped address bit
 // (bit 6 of %l0) lands the store on the first instruction of tail instead,
-// 64 bytes on, which then exits ten instructions early.
+// 64 bytes on: an off-core mismatch, where the faulted run stops.
 const redirectable = `
 start:
 	ba body
@@ -365,18 +365,20 @@ fresh:
 	st %g0, [%o5]
 `
 
-// TestISSSelfModifiedText holds the decode-once table to memory: a word a
-// run has stored into is fetched and decoded again, whether the golden run
-// stored it (every fork, from rungs before and after the store) or a fault
-// sent the store there (that run alone).
+// TestISSSelfModifiedText holds the decode-once table to memory: a word the
+// golden run has stored into is fetched and decoded again by every fork,
+// from rungs before and after the store; a word a fault sent a store to is
+// marked for that run alone, and the next fork on its emulator executes the
+// image's text again.
 func TestISSSelfModifiedText(t *testing.T) {
 	t.Run("golden store", func(t *testing.T) {
 		p, err := asm.Assemble(selfModifying, mem.RAMBase)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// No early exit: every run goes on through the patched word.
-		prod, ref := issPair(t, p, Options{NoEarlyExit: true}, 0, 0)
+		// A fork that has not mismatched by then runs on through the
+		// patched word, as the golden run does.
+		prod, ref := issPair(t, p, Options{}, 0, 0)
 		for _, r := range []*ISSRunner{prod, ref} {
 			if w := r.Golden().Writes; len(w) != 3 || w[1].Addr != mem.OutAddr || w[1].Data != 7 {
 				t.Fatalf("golden writes %v: the stored instruction was not executed", w)
@@ -413,7 +415,7 @@ func TestISSSelfModifiedText(t *testing.T) {
 		if buf, tail := p.Symbols["buf"], p.Symbols["tail"]; buf^tail != 1<<6 {
 			t.Fatalf("buf %#x and tail %#x do not differ in address bit 6 alone", buf, tail)
 		}
-		prod, ref := issPair(t, p, Options{NoEarlyExit: true}, 0, 0)
+		prod, ref := issPair(t, p, Options{}, 0, 0)
 		ptr := nodeForVictim(t, prod, victim{reg: 16, bit: 6}) // %l0
 		exps := []Experiment{
 			{Node: ptr, Model: rtl.StuckAt1},                                   // activates when %l0 is loaded
@@ -422,11 +424,12 @@ func TestISSSelfModifiedText(t *testing.T) {
 		}
 		checkISSEngine(t, prod, ref, exps)
 		got := prod.Campaign(exps, 1)
+		store := prod.Golden().Writes[0].Seq // the golden run's store into buf
 		for i, res := range got[:2] {
-			// The store went astray (a mismatch) and the word it left in
-			// the text was executed: the run exits ten instructions early.
-			if res.Outcome != OutcomeMismatch || res.Cycles != prod.GoldenInsts-10 {
-				t.Errorf("experiment %d: %+v, want a mismatch ending after %d instructions", i, res, prod.GoldenInsts-10)
+			// The store went astray: a mismatch at its own instant, and
+			// the run ends there.
+			if res.Outcome != OutcomeMismatch || uint64(res.Latency)+res.InjectAt != store || res.Cycles != store+1 {
+				t.Errorf("experiment %d: %+v, want a mismatch at instruction %d ending the run", i, res, store)
 			}
 		}
 		if got[2].Outcome != OutcomeNoEffect {

@@ -191,10 +191,8 @@ func TestProvenVerdictsEquivalence(t *testing.T) {
 // gate or the back end stays busy — none of them is wedged, and only the
 // divider's state recurs; a glitch whose window never closes still has a
 // release pending, however periodic or wedged the core looks, and is
-// neither recurrent nor wedged nor (forcing armed) shifted; under
-// NoEarlyExit a universe that goes on writing after its mismatch is stepped
-// to its real exit. All of them must cost what the reference pays and say
-// what it says.
+// neither recurrent nor wedged nor (forcing armed) shifted. All of them
+// must cost what the reference pays and say what it says.
 func TestUnprovableVerdictsAreStepped(t *testing.T) {
 	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 1})
 	if err != nil {
@@ -267,36 +265,6 @@ func TestUnprovableVerdictsAreStepped(t *testing.T) {
 		}
 		if n := proofCounts(t, reg); hangs == 0 || n[provenRecurrent]+n[provenShifted]+n[provenWedged] != 0 {
 			t.Errorf("%d hangs under a glitch that is never released, proofs %v", hangs, n)
-		}
-	})
-
-	t.Run("NoEarlyExit", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		prod, ref := enginePair(t, w.Program, Options{InjectAtFraction: 0.5, NoEarlyExit: true, Obs: reg})
-		exps := Expand(signalNodes(prod, "iu.ex.a", "iu.fe.pc")[:40], rtl.StuckAt0, rtl.StuckAt1)
-		ranOn, proven := 0, 0
-		for i, e := range exps {
-			before := proofCounts(t, reg)
-			got, want := prod.RunOne(e), ref.RunOne(e)
-			if got != want {
-				t.Fatalf("%v %v: got %+v, reference %+v", e.Model, e.Node.Node, got, want)
-			}
-			n := sub(proofCounts(t, reg), before)
-			switch {
-			case n[provenRecurrent]+n[provenWedged] > 0:
-				proven++
-				if got.Cycles != prod.budget {
-					t.Errorf("experiment %d proven a hang short of the budget: %+v", i, got)
-				}
-			case got.Outcome == OutcomeMismatch && got.Cycles < prod.budget && uint64(got.Latency)+got.InjectAt+1 < got.Cycles:
-				ranOn++ // mismatched, then ran on to its own exit
-			}
-		}
-		if got, want := prod.Campaign(exps, 2), ref.Campaign(exps, 0); !reflect.DeepEqual(got, want) {
-			t.Error("NoEarlyExit campaign differs from the from-reset reference")
-		}
-		if ranOn == 0 || proven == 0 {
-			t.Errorf("%d universes ran on past their mismatch, %d were proven hangs: the set reaches only one side", ranOn, proven)
 		}
 	})
 }

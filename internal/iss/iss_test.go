@@ -2,6 +2,7 @@ package iss
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -424,6 +425,64 @@ func TestOffCoreTraceAndExit(t *testing.T) {
 	}
 	if out := c.Bus.Out(); len(out) != 1 || out[0] != 0x11 {
 		t.Errorf("out port = %v", out)
+	}
+}
+
+// TestTextFetchesStoredWord holds a predecoded text to memory: a program
+// that stores a new instruction over its own next word and executes it runs
+// the same under UseText as with no text — the stored word is fetched and
+// decoded again, not taken from the table.
+func TestTextFetchesStoredWord(t *testing.T) {
+	p, err := asm.Assemble(`
+start:
+	set fresh, %l1
+	ld [%l1], %l2
+	set patch, %l0
+	st %l2, [%l0]          ! over the next word
+patch:
+	mov 1, %o0             ! by then: mov 7, %o0
+	set 0x90000000, %l7
+	st %o0, [%l7]          ! exit with %o0
+	nop
+	.align 8
+fresh:
+	mov 7, %o0
+`, mem.RAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type step struct {
+		pc uint32
+		in sparc.Inst
+	}
+	exec := func(text *Text) (*CPU, []step) {
+		m := mem.NewMemory()
+		m.LoadImage(p.Origin, p.Image)
+		c := New(mem.NewBus(m), p.Entry)
+		if text != nil {
+			c.UseText(text)
+		}
+		var steps []step
+		c.OnInst = func(pc uint32, in sparc.Inst) { steps = append(steps, step{pc, in}) }
+		if st := c.Run(1000); st != StatusExited {
+			t.Fatalf("status %v", st)
+		}
+		return c, steps
+	}
+	plain, want := exec(nil)
+	if plain.Bus.ExitCode() != 7 {
+		t.Fatalf("exit code %d without a text: the stored instruction was not executed", plain.Bus.ExitCode())
+	}
+	text := Predecode(p.Origin, p.Image)
+	if patch := (p.Symbols["patch"] - p.Origin) / 4; text.Insts[patch].Op == sparc.OpUnknown {
+		t.Fatalf("the patched word is struck out of the text: the test would not reach the table")
+	}
+	c, got := exec(text)
+	same := slices.Equal(got, want)
+	if !same || c.Icount != plain.Icount || c.Bus.ExitCode() != plain.Bus.ExitCode() ||
+		!slices.Equal(c.Bus.Trace.Writes, plain.Bus.Trace.Writes) {
+		t.Errorf("under a text: %d instructions, exit %d, writes %v (same instructions: %v); want %d, exit %d, writes %v",
+			c.Icount, c.Bus.ExitCode(), c.Bus.Trace.Writes, same, plain.Icount, plain.Bus.ExitCode(), plain.Bus.Trace.Writes)
 	}
 }
 

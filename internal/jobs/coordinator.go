@@ -387,7 +387,8 @@ func (c *Coordinator) Progress(leaseID string, done, failures int) (cancel bool)
 // Complete merges a finished (or, once the campaign stopped, partial)
 // shard. An incomplete range reported while the campaign is still
 // running means the worker was cancelled externally: nothing is folded
-// and the shard is requeued for another worker.
+// and the shard is requeued for another worker. A result from another
+// golden run fails the campaign and is refused with that error.
 func (c *Coordinator) Complete(res ShardResult) error {
 	c.mu.Lock()
 	l := c.leases[res.Lease]
@@ -425,12 +426,15 @@ func (c *Coordinator) Complete(res ShardResult) error {
 	// Golden-run metadata must agree across every shard of one campaign —
 	// the coordinator simulated the same golden run while planning. A
 	// mismatch means a worker executed a different campaign than the
-	// coordinator planned, and merging would silently corrupt the result.
+	// coordinator planned, and merging would silently corrupt the result:
+	// the campaign fails, and the report, merged nowhere, is refused with
+	// the same error.
 	if !c.sameGolden(out) {
-		c.fatalLocked(fmt.Errorf("jobs: shard golden-run metadata diverged (%d/%v vs %d/%v)",
-			out.GoldenCycles, out.Checkpointed, c.goldenCycles, c.checkpointed))
+		err := fmt.Errorf("jobs: shard golden-run metadata diverged (%d/%v vs %d/%v)",
+			out.GoldenCycles, out.Checkpointed, c.goldenCycles, c.checkpointed)
+		c.fatalLocked(err)
 		c.mu.Unlock()
-		return nil
+		return err
 	}
 	if complete && c.persist != nil {
 		// The durable record of this shard's work — its loss would re-execute

@@ -274,8 +274,8 @@ func (m *coordModel) step(op, k int) {
 		if rng, ok := m.held[id]; ok {
 			out := modelResult(rng, rng.End-rng.Start)
 			out.GoldenCycles++
-			if err := m.c.Complete(ShardResult{Lease: id, Output: out}); err != nil {
-				m.t.Fatalf("diverged result answered %v, want a poisoned campaign", err)
+			if err := m.c.Complete(ShardResult{Lease: id, Output: out}); err == nil || err != m.c.err {
+				m.t.Fatalf("diverged result answered %v, want the error that failed the campaign (%v)", err, m.c.err)
 			}
 			m.poison()
 		}

@@ -75,8 +75,8 @@ type Request struct {
 	// InjectAtFraction positions the injection instant at this fraction
 	// of the golden run (overrides InjectAtCycle when nonzero).
 	InjectAtFraction float64 `json:"inject_at_fraction,omitempty"`
-	// PulseCycles is the width of a "set" glitch in cycles (0 selects 1).
-	// Like the models list it changes which experiments run, so it
+	// PulseCycles is the width of a "set" glitch in cycles (0 selects 1;
+	// at most fault.MaxPulseCycles). Like the models list it changes which experiments run, so it
 	// participates in the content address; requests without the "set"
 	// model normalize it away entirely.
 	PulseCycles uint64 `json:"pulse_cycles,omitempty"`
@@ -291,6 +291,8 @@ func (r Request) Normalize() (Request, error) {
 		// Zero means the engine default (a single-cycle glitch); pin it
 		// so the spelled-out form hashes identically.
 		r.PulseCycles = 1
+	} else if r.PulseCycles > fault.MaxPulseCycles {
+		return r, fmt.Errorf("jobs: pulse_cycles %d exceeds the limit %d", r.PulseCycles, uint64(fault.MaxPulseCycles))
 	}
 	// A Wilson half-width never exceeds 0.5, so epsilon at or above it
 	// would stop a campaign after its very first experiment — reject the

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/jobs"
 )
 
@@ -48,6 +49,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{Workload: "excerptA", InjectAtFraction: math.NaN()},   // non-finite
 		{Workload: "excerptA", InjectAtFraction: math.Inf(1)},  // non-finite
 		{Workload: "excerptA", Iterations: jobs.MaxIterations + 1},
+		{Workload: "excerptA", Models: []string{"set"}, PulseCycles: fault.MaxPulseCycles + 1}, // wraps its release
 	}
 	for i, req := range bad {
 		if _, err := req.Normalize(); err == nil {

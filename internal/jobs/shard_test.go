@@ -392,12 +392,13 @@ func TestShardFailureRequeueAndAttempts(t *testing.T) {
 		t.Fatal(err)
 	}
 	out.GoldenCycles++ // corrupt the metadata
-	if err := pool2.Complete(jobs.ShardResult{Lease: l2.Lease, Output: *out}); err != nil {
-		t.Fatal(err)
-	}
+	refused := pool2.Complete(jobs.ShardResult{Lease: l2.Lease, Output: *out})
 	r = <-ch
 	if r.err == nil {
 		t.Fatal("campaign accepted a shard with divergent golden metadata")
+	}
+	if refused == nil || refused.Error() != r.err.Error() {
+		t.Errorf("the divergent report answered %v, want the campaign's error %v", refused, r.err)
 	}
 }
 

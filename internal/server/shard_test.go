@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -114,9 +115,13 @@ func TestRemoteWorkerEndToEnd(t *testing.T) {
 
 // TestShardProtocolEdges exercises the HTTP mapping of lease errors: an
 // unknown lease completes with 410 Gone, progress on it asks the worker
-// to cancel, and a malformed body is a 400.
+// to cancel, and a malformed body is a 400. Then a hostile worker takes
+// both shards of a live remote-only campaign: an oversize progress body is
+// a 400 that leaves its lease reporting, a replayed complete is 410 Gone,
+// and a complete from another golden run is a 400 that fails the campaign
+// with the same error — booked as poisoned, not as a merged shard.
 func TestShardProtocolEdges(t *testing.T) {
-	ts, _ := newTestServer(t, jobs.ManagerOptions{
+	ts, mgr := newTestServer(t, jobs.ManagerOptions{
 		Concurrency:       1,
 		Shards:            2,
 		ShardLocalWorkers: -1,
@@ -153,6 +158,89 @@ func TestShardProtocolEdges(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed lease body: HTTP %d, want 400", resp.StatusCode)
+	}
+
+	shardPost := func(url string, body []byte) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, b
+	}
+	// run leases the next shard and executes it honestly.
+	run := func() (string, jobs.ShardOutput) {
+		t.Helper()
+		deadline := time.Now().Add(time.Minute)
+		for {
+			code, b := shardPost("/api/v1/shards/lease", []byte(`{"worker":"hostile"}`))
+			if code == http.StatusOK {
+				var l jobs.ShardLease
+				if err := json.Unmarshal(b, &l); err != nil {
+					t.Fatal(err)
+				}
+				out, err := jobs.RunLease(context.Background(), &l, 1, nil, func(int, int) bool { return false })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return l.Lease, *out
+			}
+			if code != http.StatusNoContent || time.Now().After(deadline) {
+				t.Fatalf("lease: HTTP %d %s", code, b)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	resp, st := post(t, ts.URL, shardReq)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	lease, out := run()
+	oversize := []byte(`{"done":1,"failures":0,"pad":"` + strings.Repeat("x", 1<<16) + `"}`)
+	if code, b := shardPost("/api/v1/shards/"+lease+"/progress", oversize); code != http.StatusBadRequest {
+		t.Fatalf("oversize progress: HTTP %d %s, want 400", code, b)
+	}
+	if code, b := shardPost("/api/v1/shards/"+lease+"/progress", []byte(`{"done":1,"failures":0}`)); code != http.StatusOK {
+		t.Fatalf("progress after an oversize body: HTTP %d %s, want 200", code, b)
+	}
+	body, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, b := shardPost("/api/v1/shards/"+lease+"/complete", body); code != http.StatusOK {
+		t.Fatalf("complete: HTTP %d %s, want 200", code, b)
+	}
+	if code, b := shardPost("/api/v1/shards/"+lease+"/complete", body); code != http.StatusGone {
+		t.Fatalf("replayed complete: HTTP %d %s, want 410", code, b)
+	}
+	lease, out = run()
+	out.GoldenCycles++
+	if body, err = json.Marshal(out); err != nil {
+		t.Fatal(err)
+	}
+	code, refused := shardPost("/api/v1/shards/"+lease+"/complete", body)
+	if code != http.StatusBadRequest {
+		t.Errorf("complete from another golden run: HTTP %d %s, want 400", code, refused)
+	}
+	wctx, wcancel := context.WithTimeout(context.Background(), time.Minute)
+	defer wcancel()
+	final, err := mgr.Wait(wctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != jobs.StateFailed || !strings.Contains(final.Error, "golden-run metadata diverged") {
+		t.Fatalf("job ended %s (%q), want failed on the divergence", final.State, final.Error)
+	}
+	if !strings.Contains(string(refused), final.Error) {
+		t.Errorf("the refusal read %s, want the job's error %q", refused, final.Error)
+	}
+	if stats := mgr.ShardPool().Stats(); stats.Completed != 1 || stats.Poisoned != 1 {
+		t.Errorf("shard stats %+v, want 1 completed and 1 poisoned", stats)
 	}
 }
 
