@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-e2e-smoke serve-smoke shard-smoke crash-smoke hybrid-smoke fuzz-smoke vet fmt-check staticcheck reprolint lint
+.PHONY: all build test bench-e2e-smoke serve-smoke crash-smoke fuzz-smoke vet fmt-check staticcheck reprolint lint
 
 all: build test
 
@@ -16,15 +16,11 @@ test:
 bench-e2e-smoke:
 	$(GO) run ./bench -smoke
 
-# The four hermetic end-to-end smokes (cmd/smoke); crash takes `-seed N` to replay a kill schedule.
+# The two hermetic end-to-end smokes (cmd/smoke); crash takes `-seed N` to replay a kill schedule.
 serve-smoke:
 	$(GO) run ./cmd/smoke serve
-shard-smoke:
-	$(GO) run ./cmd/smoke shard
 crash-smoke:
 	$(GO) run ./cmd/smoke crash
-hybrid-smoke:
-	$(GO) run ./cmd/smoke hybrid
 
 vet:
 	$(GO) vet ./...
@@ -46,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOutcomeEncoding -fuzztime $(FUZZTIME) ./internal/jobs/
 	$(GO) test -run '^$$' -fuzz FuzzSampleNodes -fuzztime $(FUZZTIME) ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzRequestNormalize -fuzztime $(FUZZTIME) ./internal/jobs/
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotFork -fuzztime $(FUZZTIME) ./internal/leon3/
 
 # Optional locally (the container may not ship it); CI installs and runs it.
 staticcheck:

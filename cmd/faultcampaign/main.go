@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	faultcampaign -w ttsprk -target iu -model sa1 -nodes 256 -seed 1
+//	faultcampaign -w ttsprk -target iu -models sa1 -nodes 256 -seed 1
 //
-// -models (alias -model) takes a comma-separated list of fault models:
+// -models takes a comma-separated list of fault models:
 // the permanent sa0, sa1 and open, the transient seu (single-event
 // bit-flip) and set (glitch pulse; width via -pulse), or "all" for the
 // paper's permanent trio. Transient injection instants are sampled
@@ -60,7 +60,7 @@ func run(args []string, stdout io.Writer) error {
 		iters   = fs.Int("iters", 2, "kernel iterations")
 		dataset = fs.Int("dataset", 0, "input dataset selector")
 		target  = fs.String("target", "iu", "injection target: iu or cmem")
-		model   = fs.String("model", "all", "comma-separated fault models: sa0, sa1, open, seu, set or all (= sa0,sa1,open)")
+		models  = fs.String("models", "all", "comma-separated fault models: sa0, sa1, open, seu, set or all (= sa0,sa1,open)")
 		nodes   = fs.Int("nodes", 256, "node sample size (0 = exhaustive)")
 		pulse   = fs.Uint64("pulse", 0, "set-pulse glitch width in cycles (0 = 1, at most 2^32; only with the set model)")
 		seed    = fs.Int64("seed", 1, "sampling seed")
@@ -75,7 +75,6 @@ func run(args []string, stdout io.Writer) error {
 		audit   = fs.Float64("rtl-audit", 0, "hybrid: RTL-audit fraction of ISS-trusted experiments (0 = default 0.1; 1.0 = pure RTL)")
 		conf    = fs.Float64("confidence", 0, "hybrid: per-class R² threshold below which the class re-runs on RTL (0 = default 0.9)")
 	)
-	fs.Var(aliasValue{model}, "models", "alias for -model (comma-separated fault model list)")
 	fs.Parse(args) // ExitOnError: a bad flag exits here
 
 	req := jobs.Request{
@@ -108,10 +107,10 @@ func run(args []string, stdout io.Writer) error {
 			}
 		})
 	}
-	if *model != "all" {
+	if *models != "all" {
 		// Unknown and duplicate names are rejected by the request
 		// normalization inside Execute, keeping one canonical model list.
-		req.Models = splitModels(*model)
+		req.Models = splitModels(*models)
 	}
 	t0 := time.Now()
 	var out *jobs.Outcome
@@ -133,18 +132,7 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// aliasValue lets -models share the -model flag's storage.
-type aliasValue struct{ s *string }
-
-func (a aliasValue) String() string {
-	if a.s == nil {
-		return ""
-	}
-	return *a.s
-}
-func (a aliasValue) Set(v string) error { *a.s = v; return nil }
-
-// splitModels turns a comma-separated -model value into the service's
+// splitModels turns a comma-separated -models value into the service's
 // model-name list, trimming blanks so "sa1, seu" parses.
 func splitModels(v string) []string {
 	var out []string

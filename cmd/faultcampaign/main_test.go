@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"regexp"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -42,5 +44,52 @@ regfile  28.6%
 	wantRef := regexp.MustCompile(`golden-run forking \([^)]*\)`).ReplaceAllString(want, "from-reset re-simulation")
 	if ref != wantRef {
 		t.Errorf("-no-checkpoint output:\n got:\n%s\nwant:\n%s", ref, wantRef)
+	}
+}
+
+// TestJSONSpellingsAgree holds the flag-to-request mapping to the
+// byte-identity contracts: two spellings of one campaign print the same
+// -json bytes. -engine hybrid -rtl-audit 1.0 is the pure-RTL campaign and
+// carries no hybrid block; -shards 3 is the unsharded campaign, hybrid, on
+// both targets and transient, whose instants are keyed by (seed, index),
+// not by shard.
+func TestJSONSpellingsAgree(t *testing.T) {
+	jsonOf := func(args ...string) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := run(append(args, "-json"), &buf); err != nil {
+			t.Fatalf("faultcampaign %s: %v", strings.Join(args, " "), err)
+		}
+		return buf.String()
+	}
+	sameSharded := func(what string, args ...string) string {
+		t.Helper()
+		un := jsonOf(args...)
+		if sh := jsonOf(slices.Concat(args, []string{"-shards", "3"})...); sh != un {
+			t.Errorf("%s: -shards 3 differs from unsharded (%d vs %d bytes)", what, len(sh), len(un))
+		}
+		return un
+	}
+
+	hybrid := []string{"-w", "excerptA", "-models", "sa0,sa1,open", "-nodes", "24", "-seed", "3", "-inject-frac", "0.3"}
+	pure := jsonOf(hybrid...)
+	full := jsonOf(slices.Concat(hybrid, []string{"-engine", "hybrid", "-rtl-audit", "1.0"})...)
+	if full != pure {
+		t.Errorf("-engine hybrid -rtl-audit 1.0 differs from pure RTL (%d vs %d bytes)", len(full), len(pure))
+	}
+	if strings.Contains(full, `"hybrid"`) {
+		t.Error("the full-audit campaign carries a hybrid block")
+	}
+	audited := sameSharded("hybrid", slices.Concat(hybrid, []string{"-engine", "hybrid", "-rtl-audit", "0.5"})...)
+	if !strings.Contains(audited, `"hybrid"`) {
+		t.Error("the hybrid campaign at -rtl-audit 0.5 carries no hybrid block")
+	}
+
+	for _, target := range []string{"iu", "cmem"} {
+		sameSharded(target, "-w", "rspeed", "-iters", "2", "-target", target, "-models", "sa1", "-nodes", "60", "-seed", "1", "-inject-frac", "0.3")
+	}
+	transient := sameSharded("seu,set", "-w", "rspeed", "-iters", "2", "-models", "seu,set", "-pulse", "2", "-nodes", "30", "-seed", "1", "-inject-frac", "0.3")
+	if !strings.Contains(transient, `"at_cycle"`) {
+		t.Error("the transient campaign carries no sampled injection instants")
 	}
 }

@@ -113,32 +113,23 @@ type campaign struct {
 	iters    int
 	target   string
 	models   string // comma-separated
-	pulse    int    // SET pulse width; 0 leaves the default
 	nodes    int
 	seed     int
 }
 
 func (c campaign) spec() map[string]interface{} {
-	m := map[string]interface{}{
+	return map[string]interface{}{
 		"workload": c.workload, "iterations": c.iters, "target": c.target,
 		"models": strings.Split(c.models, ","), "nodes": c.nodes, "seed": c.seed,
 		"inject_at_fraction": 0.3,
 	}
-	if c.pulse != 0 {
-		m["pulse_cycles"] = c.pulse
-	}
-	return m
 }
 
-func (c campaign) cli(extra ...string) []string {
-	args := []string{
+func (c campaign) cli() []string {
+	return []string{
 		"-w", c.workload, "-iters", strconv.Itoa(c.iters), "-target", c.target, "-models", c.models,
 		"-nodes", strconv.Itoa(c.nodes), "-seed", strconv.Itoa(c.seed), "-inject-frac", "0.3", "-json",
 	}
-	if c.pulse != 0 {
-		args = append(args, "-pulse", strconv.Itoa(c.pulse))
-	}
-	return append(args, extra...)
 }
 
 // runCLI runs a built CLI once and returns its stdout.

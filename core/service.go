@@ -117,8 +117,8 @@ func ExecuteCampaign(ctx context.Context, req CampaignRequest, workers int) (*Ca
 	return jobs.Execute(ctx, req, workers, nil)
 }
 
-// ExecuteShardedCampaign runs one campaign split into `shards`
-// deterministic experiment-range shards on in-process workers (0 =
+// ExecuteShardedCampaign runs one campaign split into `shards` (at least
+// 1) deterministic experiment-range shards on in-process workers (0 =
 // GOMAXPROCS) — the single-binary multi-worker mode. With early stopping
 // off the outcome is byte-identical to ExecuteCampaign for the same
 // request: sharding is scheduling, not content.

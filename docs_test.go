@@ -105,17 +105,46 @@ func TestDocumentedFilesExist(t *testing.T) {
 
 var (
 	testFunc   = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
-	runPattern = regexp.MustCompile(`-run '([^']*)'`)
-	testName   = regexp.MustCompile(`\b(?:Test|Fuzz)\w+`)
-	fuzzTarget = regexp.MustCompile(`(?m)^\t.*-fuzz (\w+)`) // in a recipe line
+	fuzzTarget = regexp.MustCompile(`(?m)^\t.*-fuzz (\w+)`)         // in a recipe line
+	makeTarget = regexp.MustCompile(`(?m)^([a-z][\w-]*):`)          // a rule of the Makefile
+	makeRun    = regexp.MustCompile(`(?m)^\s*run: make ([\w -]+)$`) // a CI step
+	backticked = regexp.MustCompile("`([^`]+)`")
 )
 
-// TestCINamesExist: every Test… or Fuzz… name in a -run pattern of the CI
-// workflow, and every -fuzz target of the Makefile, is a function of some
-// _test.go file. A pattern that names a renamed test still passes — it
-// matches nothing — so without this the test silently drops out of the
-// step that selects it.
+// makeTargets lists the Makefile's targets.
+func makeTargets(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	for _, m := range makeTarget.FindAllStringSubmatch(readFile(t, "Makefile"), -1) {
+		out = append(out, m[1])
+	}
+	if len(out) == 0 {
+		t.Fatal("no targets found in the Makefile: the pattern above no longer reads them")
+	}
+	return out
+}
+
+// TestCINamesExist: every make target a step of the CI workflow runs is a
+// target of the Makefile, and every -fuzz target of the Makefile is a
+// function of some _test.go file. A stale name fails only when its step
+// or target runs; this fails it before.
 func TestCINamesExist(t *testing.T) {
+	targets := map[string]bool{}
+	for _, name := range makeTargets(t) {
+		targets[name] = true
+	}
+	steps := makeRun.FindAllStringSubmatch(readFile(t, ".github/workflows/ci.yml"), -1)
+	if len(steps) == 0 {
+		t.Fatal("no make steps found in ci.yml: the pattern above no longer reads them")
+	}
+	for _, m := range steps {
+		for _, name := range strings.Fields(m[1]) {
+			if !targets[name] {
+				t.Errorf("ci.yml runs make %s, which is no target of the Makefile", name)
+			}
+		}
+	}
+
 	defined := map[string]bool{}
 	for _, f := range repoFiles(t) {
 		if strings.HasSuffix(f, "_test.go") {
@@ -124,21 +153,39 @@ func TestCINamesExist(t *testing.T) {
 			}
 		}
 	}
-	cited := map[string]string{}
-	for _, m := range runPattern.FindAllStringSubmatch(readFile(t, ".github/workflows/ci.yml"), -1) {
-		for _, name := range testName.FindAllString(m[1], -1) {
-			cited[name] = "ci.yml"
+	fuzzed := fuzzTarget.FindAllStringSubmatch(readFile(t, "Makefile"), -1)
+	if len(fuzzed) == 0 {
+		t.Fatal("no -fuzz targets found in the Makefile: the pattern above no longer reads them")
+	}
+	for _, m := range fuzzed {
+		if !defined[m[1]] {
+			t.Errorf("the Makefile fuzzes %s, which no _test.go file defines", m[1])
 		}
 	}
-	for _, m := range fuzzTarget.FindAllStringSubmatch(readFile(t, "Makefile"), -1) {
-		cited[m[1]] = "Makefile"
+}
+
+// TestMakeTargetsDocumented: every target of the Makefile is named, in
+// backticks, in docs/ARCHITECTURE.md's "Make targets" section — its prose
+// or its table.
+func TestMakeTargetsDocumented(t *testing.T) {
+	doc := readFile(t, "docs/ARCHITECTURE.md")
+	start := strings.Index(doc, "\n## Make targets\n")
+	if start < 0 {
+		t.Fatal(`docs/ARCHITECTURE.md has no "## Make targets" section`)
 	}
-	if len(cited) == 0 {
-		t.Fatal("no test names found in ci.yml or the Makefile: the patterns above no longer read them")
+	section := doc[start+1:]
+	if end := strings.Index(section[1:], "\n## "); end >= 0 {
+		section = section[:end+1]
 	}
-	for name, where := range cited {
-		if !defined[name] {
-			t.Errorf("%s names %s, which no _test.go file defines", where, name)
+	named := map[string]bool{}
+	for _, m := range backticked.FindAllStringSubmatch(section, -1) {
+		for _, word := range strings.Fields(m[1]) {
+			named[word] = true
+		}
+	}
+	for _, name := range makeTargets(t) {
+		if !named[name] {
+			t.Errorf("the Makefile's target %s is not named in docs/ARCHITECTURE.md's \"Make targets\"", name)
 		}
 	}
 }

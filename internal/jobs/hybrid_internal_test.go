@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -49,7 +50,9 @@ func TestEscalateClass(t *testing.T) {
 // The routing contract, end to end: every experiment's final engine is
 // consistent with the audit sample and the per-class escalation
 // verdicts reported in the outcome, and the hybrid accounting is
-// internally consistent with the experiments array.
+// internally consistent with the experiments array. A second campaign
+// whose node sample overlaps the first, run on the runners and plan cache
+// the first left warm, is byte-identical to the same campaign run cold.
 func TestHybridRoutingContract(t *testing.T) {
 	req := Request{Workload: "excerptA", Models: []string{"sa0", "sa1", "open"}, Nodes: 12, Seed: 3,
 		InjectAtFraction: 0.3, Engine: "hybrid", RTLAudit: 0.5}
@@ -72,6 +75,10 @@ func TestHybridRoutingContract(t *testing.T) {
 	planCache.mu.Lock()
 	cached := planCache.m[key] != nil
 	planCache.mu.Unlock()
+	// The same seed draws the first campaign's 12 nodes first.
+	overlap := req
+	overlap.Nodes = 36
+	warm := encodedOutcome(t, overlap)
 	ForgetRunners()
 	planCache.mu.Lock()
 	left := len(planCache.m)
@@ -79,13 +86,30 @@ func TestHybridRoutingContract(t *testing.T) {
 	if !cached || left != 0 {
 		t.Errorf("campaign's plan cached: %v, plans left after ForgetRunners: %d; want true and 0", cached, left)
 	}
+	if cold := encodedOutcome(t, overlap); !bytes.Equal(warm, cold) {
+		t.Errorf("overlapping hybrid campaign on warm runners differs from the same campaign cold (%d vs %d bytes)", len(warm), len(cold))
+	}
+}
+
+// encodedOutcome executes req on 4 workers and returns its encoded outcome.
+func encodedOutcome(t *testing.T, req Request) []byte {
+	t.Helper()
+	out, err := Execute(context.Background(), req, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := EncodeOutcome(&buf, out); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // checkRoutingContract fails t unless out keeps the routing contract:
 // ISS-trusted experiments sit in trusted classes and carry no audit
 // fields, unaudited RTL ones sit in escalated classes, every RTL one carries
-// its prediction, the accounting recounts and the corrected interval
-// contains the Wilson one.
+// its prediction, the accounting recounts — disagreements included, on the
+// failure indicator — and the corrected interval contains the Wilson one.
 func checkRoutingContract(t *testing.T, out *Outcome) {
 	t.Helper()
 	h := out.Hybrid
@@ -99,7 +123,8 @@ func checkRoutingContract(t *testing.T, out *Outcome) {
 	for _, c := range h.Classes {
 		escalated[c.Unit] = c.Escalated
 	}
-	iss, rtl, audited := 0, 0, 0
+	noEffect := fault.OutcomeNoEffect.String()
+	iss, rtl, audited, disagreements := 0, 0, 0, 0
 	for i, e := range out.Experiments {
 		switch e.Engine {
 		case "iss":
@@ -117,6 +142,11 @@ func checkRoutingContract(t *testing.T, out *Outcome) {
 			}
 			if e.Audited {
 				audited++
+				// A predicted mismatch audited as a hang is still a
+				// correctly predicted failure.
+				if (e.Predicted != noEffect) != (e.Outcome != noEffect) {
+					disagreements++
+				}
 			} else if !escalated[e.Unit] {
 				t.Fatalf("experiment %d: unaudited RTL entry in trusted class %s", i, e.Unit)
 			}
@@ -124,9 +154,9 @@ func checkRoutingContract(t *testing.T, out *Outcome) {
 			t.Fatalf("experiment %d: engine %q", i, e.Engine)
 		}
 	}
-	if iss != h.ISSExperiments || rtl != h.RTLExperiments || audited != h.Audited {
-		t.Fatalf("accounting (%d,%d,%d) != recount (%d,%d,%d)",
-			h.ISSExperiments, h.RTLExperiments, h.Audited, iss, rtl, audited)
+	if iss != h.ISSExperiments || rtl != h.RTLExperiments || audited != h.Audited || disagreements != h.Disagreements {
+		t.Fatalf("accounting (%d,%d,%d,%d) != recount (%d,%d,%d,%d)",
+			h.ISSExperiments, h.RTLExperiments, h.Audited, h.Disagreements, iss, rtl, audited, disagreements)
 	}
 	if h.CorrectedPfLow > out.PfLow || h.CorrectedPfHigh < out.PfHigh {
 		t.Fatalf("corrected interval [%v,%v] narrower than Wilson [%v,%v]",

@@ -47,7 +47,7 @@ type ShardStats struct {
 // ShardPoolOptions sizes a shard pool.
 type ShardPoolOptions struct {
 	// Shards is the number of experiment-range shards each campaign is
-	// split into. Default 8.
+	// split into (PlanShards: fewer than 1 is one shard).
 	Shards int
 	// LocalWorkers is the number of in-process shard executors per
 	// campaign: 0 selects the campaign's worker budget (GOMAXPROCS when
@@ -102,9 +102,6 @@ type ShardPool struct {
 
 // NewShardPool builds a shard pool.
 func NewShardPool(opts ShardPoolOptions) *ShardPool {
-	if opts.Shards <= 0 {
-		opts.Shards = 8
-	}
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 2 * time.Minute
 	}
@@ -413,6 +410,10 @@ func (p *ShardPool) Stats() ShardStats {
 // GOMAXPROCS) and returns the canonical outcome — with early stopping
 // off, byte-identical to Execute for the same request. It is the
 // single-binary multi-worker mode behind `faultcampaign -shards`.
+// shards must be at least 1.
 func ExecuteSharded(ctx context.Context, req Request, shards, workers int, tap Tap) (*Outcome, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("jobs: %d shards, want at least 1", shards)
+	}
 	return NewShardPool(ShardPoolOptions{Shards: shards}).Execute(ctx, req, workers, tap)
 }

@@ -142,6 +142,24 @@ func TestExecuteShardedBitIdentical(t *testing.T) {
 	}
 }
 
+// TestShardCountIsNotDefaulted: a shard count below 1 is an error of
+// ExecuteSharded, not a quiet 8-way split, and a pool sized 0 plans the
+// one shard PlanShards makes of it.
+func TestShardCountIsNotDefaulted(t *testing.T) {
+	for _, shards := range []int{0, -3} {
+		if _, err := jobs.ExecuteSharded(context.Background(), shardSpec("iu"), shards, 2, nil); err == nil {
+			t.Errorf("ExecuteSharded with %d shards: no error", shards)
+		}
+	}
+	pool := jobs.NewShardPool(jobs.ShardPoolOptions{})
+	if _, err := pool.Execute(context.Background(), shardSpec("iu"), 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := pool.Stats(); st.Planned != 1 {
+		t.Errorf("a pool sized 0 planned %d shards, want 1", st.Planned)
+	}
+}
+
 // TestManagerSharded runs a campaign through a shard-pool-backed manager
 // and checks the result matches unsharded execution byte for byte, the
 // progress stream reaches the terminal count, and the pool accounted for

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -44,7 +45,10 @@ func TestShardEndpointsDisabled(t *testing.T) {
 // TestRemoteWorkerEndToEnd is the full distributed path in one process:
 // a remote-only coordinator (no local shard execution) serves a
 // campaign's shards over HTTP to three server.Worker loops, and the
-// merged result is byte-identical to unsharded execution.
+// merged result is byte-identical to unsharded execution. The second
+// campaign is transient (seu and 2-cycle set pulses): its sampled
+// instants cross the wire and must not depend on which worker ran which
+// shard. Every planned shard is merged, and every lease went to w1–w3.
 func TestRemoteWorkerEndToEnd(t *testing.T) {
 	ts, mgr := newTestServer(t, jobs.ManagerOptions{
 		Concurrency:       1,
@@ -54,44 +58,52 @@ func TestRemoteWorkerEndToEnd(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for i := 0; i < 3; i++ {
+	names := []string{"w1", "w2", "w3"}
+	for _, name := range names {
 		w := &server.Worker{
 			Coordinator: ts.URL,
-			Name:        []string{"w1", "w2", "w3"}[i],
+			Name:        name,
 			Workers:     2,
 			Poll:        10 * time.Millisecond,
 		}
 		go w.Run(ctx)
 	}
 
-	resp, st := post(t, ts.URL, shardReq)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("submit: HTTP %d", resp.StatusCode)
-	}
-	wctx, wcancel := context.WithTimeout(context.Background(), time.Minute)
-	defer wcancel()
-	final, err := mgr.Wait(wctx, st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != jobs.StateDone {
-		t.Fatalf("job ended %s: %s", final.State, final.Error)
-	}
+	transient := shardReq
+	transient.Models, transient.PulseCycles = []string{"seu", "set"}, 2
+	for _, req := range []jobs.Request{shardReq, transient} {
+		resp, st := post(t, ts.URL, req)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("submit: HTTP %d", resp.StatusCode)
+		}
+		wctx, wcancel := context.WithTimeout(context.Background(), time.Minute)
+		final, err := mgr.Wait(wctx, st.ID)
+		wcancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != jobs.StateDone {
+			t.Fatalf("job ended %s: %s", final.State, final.Error)
+		}
 
-	code, body := get(t, ts.URL+"/api/v1/campaigns/"+st.ID+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("result: HTTP %d", code)
-	}
-	want, err := jobs.Execute(context.Background(), shardReq, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := jobs.EncodeOutcome(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, buf.Bytes()) {
-		t.Fatalf("remote-worker result diverged from unsharded execution:\n--- server\n%s\n--- unsharded\n%s", body, buf.Bytes())
+		code, body := get(t, ts.URL+"/api/v1/campaigns/"+st.ID+"/result")
+		if code != http.StatusOK {
+			t.Fatalf("result: HTTP %d", code)
+		}
+		want, err := jobs.Execute(context.Background(), req, 4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := jobs.EncodeOutcome(&buf, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, buf.Bytes()) {
+			t.Fatalf("models %v: remote-worker result diverged from unsharded execution:\n--- server\n%s\n--- unsharded\n%s", req.Models, body, buf.Bytes())
+		}
+		if req.PulseCycles != 0 && !bytes.Contains(body, []byte(`"at_cycle"`)) {
+			t.Fatal("the transient result carries no sampled injection instants")
+		}
 	}
 
 	// The pool's accounting surfaces through healthz.
@@ -105,11 +117,16 @@ func TestRemoteWorkerEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(hb, &health); err != nil {
 		t.Fatal(err)
 	}
-	if health.Shards == nil || health.Shards.Completed != 5 {
-		t.Fatalf("healthz shards = %+v, want 5 completed", health.Shards)
+	if health.Shards == nil || health.Shards.Planned != 10 || health.Shards.Completed != 10 {
+		t.Fatalf("healthz shards = %+v, want 10 planned and 10 completed", health.Shards)
 	}
 	if len(health.Shards.Workers) == 0 {
 		t.Fatal("healthz shards missing worker tallies")
+	}
+	for w := range health.Shards.Workers {
+		if !slices.Contains(names, w) {
+			t.Errorf("worker %q leased a shard: one ran outside w1–w3", w)
+		}
 	}
 }
 
