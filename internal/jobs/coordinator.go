@@ -117,20 +117,26 @@ type ShardResult struct {
 	Output ShardOutput `json:"output"`
 }
 
+// shardRecords keeps the records Complete lays complete shards into: a
+// record is framed before its journal append returns and not kept, so it is
+// free again at once, and its columns serve the next shard of any campaign.
+var shardRecords = sync.Pool{New: func() any { return new(shardRecord) }}
+
 // leaseCounter makes lease ids process-unique.
 var leaseCounter atomic.Int64
 
 // shardPersist is the durability seam between the shard layer and the
 // manager's write-ahead journal: coordinators report lifecycle events
-// through it and pull a resumed campaign's journaled completed shards
-// from it. A nil value means in-memory operation.
+// through it, and the shard pool pulls a resumed campaign's journaled
+// completed shards from it. A nil value means in-memory operation.
 type shardPersist interface {
 	// ShardEvent appends one journal record (completed shards are synced
 	// soon after, without the caller waiting; the rest are breadcrumbs).
+	// The data is framed before it returns and not kept.
 	ShardEvent(typ, key string, data interface{})
-	// TakeRecovered hands over the completed shard outputs journaled for
+	// TakeRecovered hands over the completed shard records journaled for
 	// a campaign before the last crash, exactly once.
-	TakeRecovered(key string) []ShardOutput
+	TakeRecovered(key string) []shardRecord
 }
 
 // shardLease is the coordinator-side lease record.
@@ -224,14 +230,14 @@ type Coordinator struct {
 // newCoordinator plans a campaign of total experiments into shards. The
 // caller has resolved everything an engine knows — the normalized
 // request and its key, the expansion's size, the golden-run metadata
-// every shard must echo — so the state machine itself never touches
-// one. With persist set, any completed shards journaled before a crash
-// are folded in before leasing begins — the resumed campaign only
-// executes the ranges that never durably finished, and because the
-// expansion is a pure function of the request the merged outcome is
-// byte-identical to an undisturbed run.
+// every shard must echo, the shards completed before a crash rebuilt
+// over the expansion — so the state machine itself never touches one.
+// The recovered shards are folded in before leasing begins — the resumed
+// campaign only executes the ranges that never durably finished, and
+// because the expansion is a pure function of the request the merged
+// outcome is byte-identical to an undisturbed run.
 func newCoordinator(key string, n Request, total int, goldenCycles uint64, checkpointed bool, shards int,
-	onProgress func(progressTally, int), persist shardPersist) *Coordinator {
+	onProgress func(progressTally, int), persist shardPersist, recovered []ShardOutput) *Coordinator {
 	c := &Coordinator{
 		key:          key,
 		req:          n,
@@ -253,7 +259,9 @@ func newCoordinator(key string, n Request, total int, goldenCycles uint64, check
 			Total  int `json:"total"`
 			Shards int `json:"shards"`
 		}{total, len(c.pending)})
-		c.preloadRecovered(persist.TakeRecovered(key))
+	}
+	if len(recovered) > 0 {
+		c.preloadRecovered(recovered)
 	}
 	c.planned = len(c.pending)
 	if total == 0 {
@@ -262,24 +270,20 @@ func newCoordinator(key string, n Request, total int, goldenCycles uint64, check
 	return c
 }
 
-// preloadRecovered folds journaled completed shard outputs into the
-// fresh plan and drops the pending ranges they fully cover. It runs
-// before the coordinator is visible to any worker, so no locking.
+// preloadRecovered folds the rebuilt outputs of journaled completed shards
+// into the fresh plan and drops the pending ranges they fully cover. It
+// runs before the coordinator is visible to any worker, so no locking.
 // Defensive by construction: outputs whose golden-run metadata diverges
-// from the freshly simulated run, whose indices fall outside the
-// campaign, or that duplicate already-folded indices (a shard requeued
-// and completed twice before the crash) are skipped — the worst a bad
-// journal can do is re-execute work. The shard count need not match the
-// previous process's: coverage is tracked per experiment index, so a
-// plan resumed under a different -shards flag still only re-runs the
-// uncovered remainder of each range.
+// from the freshly simulated run, or that duplicate already-folded
+// indices (a shard requeued and completed twice before the crash) are
+// skipped — the worst a bad journal can do is re-execute work. The shard
+// count need not match the previous process's: coverage is tracked per
+// experiment index, so a plan resumed under a different -shards flag
+// still only re-runs the uncovered remainder of each range.
 func (c *Coordinator) preloadRecovered(outs []ShardOutput) {
 	for _, out := range outs {
 		if !c.sameGolden(out) {
 			continue // journaled under a different engine; re-execute
-		}
-		if len(out.Indices) != len(out.Experiments) {
-			continue
 		}
 		c.foldLocked(out)
 	}
@@ -310,7 +314,7 @@ func (c *Coordinator) sameGolden(out ShardOutput) bool {
 // foldLocked merges a shard output's experiments into the campaign, each
 // index at most once and none outside it: the one merge loop behind live
 // completions and recovered ones. out.Indices and out.Experiments have
-// equal length (both callers check).
+// equal length (Complete checks; a rebuilt output is made so).
 func (c *Coordinator) foldLocked(out ShardOutput) {
 	for i, idx := range out.Indices {
 		if idx < 0 || idx >= c.total || c.have[idx] {
@@ -443,8 +447,11 @@ func (c *Coordinator) Complete(res ShardResult) error {
 		// sees the campaign finished, and retires the job, finds every shard
 		// record ahead of that in the journal. The write is not waited on to
 		// reach the disk; a crash before it does merely re-runs the shard, and
-		// determinism folds identical bytes.
-		c.persist.ShardEvent(recShardCompleted, c.key, out)
+		// determinism folds identical bytes. A complete shard's indices are its
+		// range, so the record names the range and carries the results alone.
+		rec := shardRecords.Get().(*shardRecord)
+		c.persist.ShardEvent(recShardCompleted, c.key, rec.set(l.rng, &out))
+		shardRecords.Put(rec)
 	}
 	c.foldLocked(out)
 	c.maybeStopLocked()

@@ -48,7 +48,7 @@ func FuzzCoordinatorModel(f *testing.F) {
 		m := &coordModel{t: t, total: total, strict: req.Epsilon == 0,
 			pending: PlanShards(total, shards), held: map[string]ShardRange{},
 			folded: map[int]bool{}, attempts: map[int]int{}, reclaims: map[int]int{}}
-		m.c = newCoordinator("model-key", req, total, 7, true, shards, m.onProgress, nil)
+		m.c = newCoordinator("model-key", req, total, 7, true, shards, m.onProgress, nil, nil)
 		for _, b := range data[2:] {
 			m.step(int(b&0x0f), int(b>>4))
 		}

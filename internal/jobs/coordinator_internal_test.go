@@ -44,7 +44,7 @@ func TestFinishedCampaignOutcomeIsItsSlots(t *testing.T) {
 	}
 
 	t.Run("complete", func(t *testing.T) {
-		c := newCoordinator("whole", Request{Workload: "model"}, 12, 7, true, 3, nil, nil)
+		c := newCoordinator("whole", Request{Workload: "model"}, 12, 7, true, 3, nil, nil, nil)
 		ids := leaseAll(c)
 		for _, k := range []int{2, 0, 1} { // out of order
 			complete(c, ids[k], span(4*k, 4*k+4)...)
@@ -64,7 +64,7 @@ func TestFinishedCampaignOutcomeIsItsSlots(t *testing.T) {
 	})
 
 	t.Run("stopped", func(t *testing.T) {
-		c := newCoordinator("stopped", Request{Workload: "model", Epsilon: 0.2}, 60, 7, true, 5, nil, nil)
+		c := newCoordinator("stopped", Request{Workload: "model", Epsilon: 0.2}, 60, 7, true, 5, nil, nil, nil)
 		ids := leaseAll(c) // five shards of 12
 		complete(c, ids[3], span(36, 48)...)
 		if !c.Progress(ids[0], 12, 4) {

@@ -12,73 +12,65 @@ import (
 
 // This file is the package's one experiment encoder. A campaign's bytes
 // are almost all its experiments array — 768 objects of ten fixed fields
-// in a 133 KB outcome — and they are written twice per campaign: indented
-// in the outcome (the store, /result, `faultcampaign -json`) and compact
-// in the journal's shard_completed records. Both spellings are laid here
-// by hand, byte for byte what encoding/json writes for the same value;
-// everything else of an outcome (the request echo, the floats, the maps)
-// still goes through encoding/json, and so does every decoder, which is
-// what TestOutcomeEncodingMatchesEncodingJSON holds this file to.
+// in a 133 KB outcome — and they are written once per campaign, indented
+// in the outcome (the store, /result, `faultcampaign -json`). The array is
+// laid here by hand, byte for byte what encoding/json writes for the same
+// value; everything else of an outcome (the request echo, the floats, the
+// maps) still goes through encoding/json, and so does every decoder, which
+// is what TestOutcomeEncodingMatchesEncodingJSON holds this file to. The
+// journal holds no experiment object: its shard_completed record is a
+// shard's result columns (shardRecord), laid here as well.
 
-// spelling is one layout of an experiment object and of the array around
-// it: what precedes each field's value, in ExperimentOutcome's field order.
-type spelling struct {
-	node, model, unit, outcome, latency, cycles, atCycle, engine, predicted, audited string
-	// end closes an object; open, sep and close bracket a non-empty array.
-	end, open, sep, close string
-}
-
-// newSpelling derives a layout from its punctuation: objOpen and fieldSep
-// carry the newline and indentation of an experiment's fields, colon the
-// blank after a key.
-func newSpelling(objOpen, fieldSep, colon, objEnd, open, sep, close string) spelling {
-	key := func(name string) string { return fieldSep + `"` + name + `"` + colon }
-	return spelling{
-		node:  objOpen + `"node"` + colon,
-		model: key("model"), unit: key("unit"), outcome: key("outcome"),
-		latency: key("latency"), cycles: key("cycles"), atCycle: key("at_cycle"),
-		engine: key("engine"), predicted: key("predicted"), audited: key("audited"),
-		end: objEnd, open: open, sep: sep, close: close,
-	}
-}
-
-var (
-	// compact is json.Marshal's spelling.
-	compact = newSpelling("{", ",", ":", "}", "[", ",", "]")
-	// indented is json.Encoder's under SetIndent("", "  ") for an array one
-	// level inside the top object, as Outcome.Experiments is.
-	indented = newSpelling("{\n      ", ",\n      ", ": ", "\n    }", "[\n    ", ",\n    ", "\n  ]")
+// The layout of an experiment object and of the array around it: what
+// precedes each field's value, in ExperimentOutcome's field order. It is
+// json.Encoder's under SetIndent("", "  ") for an array one level inside
+// the top object, as Outcome.Experiments is.
+const (
+	fieldSep     = ",\n      "
+	keyNode      = "{\n      \"node\": "
+	keyModel     = fieldSep + `"model": `
+	keyUnit      = fieldSep + `"unit": `
+	keyOutcome   = fieldSep + `"outcome": `
+	keyLatency   = fieldSep + `"latency": `
+	keyCycles    = fieldSep + `"cycles": `
+	keyAtCycle   = fieldSep + `"at_cycle": `
+	keyEngine    = fieldSep + `"engine": `
+	keyPredicted = fieldSep + `"predicted": `
+	keyAudited   = fieldSep + `"audited": `
+	objEnd       = "\n    }"
+	arrayOpen    = "[\n    "
+	arraySep     = ",\n    "
+	arrayClose   = "\n  ]"
 )
 
-// appendExperiment appends one experiment in the given spelling, honouring
-// the omitempty of the four optional fields. Adding a field to
-// ExperimentOutcome means adding it here; TestEncoderCoversEveryField fails
-// until that is done.
-func appendExperiment(b []byte, e *ExperimentOutcome, sp *spelling) []byte {
-	b = store.AppendJSONString(append(b, sp.node...), e.Node)
-	b = store.AppendJSONString(append(b, sp.model...), e.Model)
-	b = store.AppendJSONString(append(b, sp.unit...), e.Unit)
-	b = store.AppendJSONString(append(b, sp.outcome...), e.Outcome)
-	b = strconv.AppendInt(append(b, sp.latency...), e.Latency, 10)
-	b = strconv.AppendUint(append(b, sp.cycles...), e.Cycles, 10)
+// appendExperiment appends one experiment, honouring the omitempty of the
+// four optional fields. Adding a field to ExperimentOutcome means adding it
+// here; TestEncoderCoversEveryField fails until that is done.
+func appendExperiment(b []byte, e *ExperimentOutcome) []byte {
+	b = store.AppendJSONString(append(b, keyNode...), e.Node)
+	b = store.AppendJSONString(append(b, keyModel...), e.Model)
+	b = store.AppendJSONString(append(b, keyUnit...), e.Unit)
+	b = store.AppendJSONString(append(b, keyOutcome...), e.Outcome)
+	b = strconv.AppendInt(append(b, keyLatency...), e.Latency, 10)
+	b = strconv.AppendUint(append(b, keyCycles...), e.Cycles, 10)
 	if e.AtCycle != nil {
-		b = strconv.AppendUint(append(b, sp.atCycle...), *e.AtCycle, 10)
+		b = strconv.AppendUint(append(b, keyAtCycle...), *e.AtCycle, 10)
 	}
 	if e.Engine != "" {
-		b = store.AppendJSONString(append(b, sp.engine...), e.Engine)
+		b = store.AppendJSONString(append(b, keyEngine...), e.Engine)
 	}
 	if e.Predicted != "" {
-		b = store.AppendJSONString(append(b, sp.predicted...), e.Predicted)
+		b = store.AppendJSONString(append(b, keyPredicted...), e.Predicted)
 	}
 	if e.Audited {
-		b = append(append(b, sp.audited...), "true"...)
+		b = append(append(b, keyAudited...), "true"...)
 	}
-	return append(b, sp.end...)
+	return append(b, objEnd...)
 }
 
 // appendExperiments appends an experiments array: null for a nil slice and
 // [] for an empty one, as encoding/json tells them apart.
-func appendExperiments(b []byte, exps []ExperimentOutcome, sp *spelling) []byte {
+func appendExperiments(b []byte, exps []ExperimentOutcome) []byte {
 	if exps == nil {
 		return append(b, "null"...)
 	}
@@ -87,13 +79,13 @@ func appendExperiments(b []byte, exps []ExperimentOutcome, sp *spelling) []byte 
 	}
 	for i := range exps {
 		if i == 0 {
-			b = append(b, sp.open...)
+			b = append(b, arrayOpen...)
 		} else {
-			b = append(b, sp.sep...)
+			b = append(b, arraySep...)
 		}
-		b = appendExperiment(b, &exps[i], sp)
+		b = appendExperiment(b, &exps[i])
 	}
-	return append(b, sp.close...)
+	return append(b, arrayClose...)
 }
 
 // experimentBytes is the size budgeted for one indented experiment (a real
@@ -122,7 +114,7 @@ func encodeOutcome(o *Outcome) ([]byte, error) {
 		// Only a field declared after Experiments can do this.
 		return nil, fmt.Errorf("jobs: encoding outcome: experiments are not the outcome's last field")
 	}
-	b = appendExperiments(b[:len(b)-len(outcomeTail)], o.Experiments, &indented)
+	b = appendExperiments(b[:len(b)-len(outcomeTail)], o.Experiments)
 	return append(b, "\n}\n"...), nil
 }
 
@@ -138,25 +130,45 @@ func EncodeOutcome(w io.Writer, o *Outcome) error {
 	return err
 }
 
-// AppendJSON appends the shard output exactly as json.Marshal encodes it.
-// The journal asks its record data for this method, so a shard_completed
-// record is laid by the encoder the outcome is.
-func (o ShardOutput) AppendJSON(b []byte) []byte {
-	b = strconv.AppendUint(append(b, `{"golden_cycles":`...), o.GoldenCycles, 10)
-	b = strconv.AppendBool(append(b, `,"checkpointed":`...), o.Checkpointed)
-	b = append(b, `,"indices":`...)
-	if o.Indices == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, idx := range o.Indices {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(idx), 10)
-		}
-		b = append(b, ']')
+// AppendJSON appends the record exactly as json.Marshal encodes it. The
+// journal asks its record data for this method, so a shard_completed record
+// skips the reflecting encoder; TestShardCompletedFrame holds the two to
+// each other.
+func (r *shardRecord) AppendJSON(b []byte) []byte {
+	b = strconv.AppendUint(append(b, `{"golden_cycles":`...), r.GoldenCycles, 10)
+	b = strconv.AppendBool(append(b, `,"checkpointed":`...), r.Checkpointed)
+	b = strconv.AppendInt(append(b, `,"start":`...), int64(r.Start), 10)
+	b = strconv.AppendInt(append(b, `,"end":`...), int64(r.End), 10)
+	b = appendColumn(append(b, `,"outcomes":`...), r.Outcomes, store.AppendJSONString)
+	b = appendColumn(append(b, `,"latencies":`...), r.Latencies, appendInt)
+	b = appendColumn(append(b, `,"cycles":`...), r.Cycles, appendUint)
+	if len(r.Engines) > 0 {
+		b = appendColumn(append(b, `,"engines":`...), r.Engines, store.AppendJSONString)
 	}
-	b = appendExperiments(append(b, `,"experiments":`...), o.Experiments, &compact)
+	if len(r.Predicted) > 0 {
+		b = appendColumn(append(b, `,"predicted":`...), r.Predicted, store.AppendJSONString)
+	}
+	if len(r.Audited) > 0 {
+		b = appendColumn(append(b, `,"audited":`...), r.Audited, strconv.AppendBool)
+	}
 	return append(b, '}')
 }
+
+// appendColumn appends a compact JSON array of vs, each laid by one: null
+// for a nil slice, as encoding/json writes it.
+func appendColumn[T any](b []byte, vs []T, one func([]byte, T) []byte) []byte {
+	if vs == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = one(b, v)
+	}
+	return append(b, ']')
+}
+
+func appendInt(b []byte, v int64) []byte   { return strconv.AppendInt(b, v, 10) }
+func appendUint(b []byte, v uint64) []byte { return strconv.AppendUint(b, v, 10) }

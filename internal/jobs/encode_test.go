@@ -5,21 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"unicode/utf8"
 
 	"repro/internal/jobs"
-	"repro/internal/store"
 )
 
-// The outcome and the journal's shard_completed records are laid by hand
-// (encode.go). Everything below holds those bytes to encoding/json, which
-// shares none of that code and is what every decoder of them runs.
+// The outcome's experiments array is laid by hand (encode.go). Everything
+// below holds those bytes to encoding/json, which shares none of that code
+// and is what every decoder of them runs.
 
 // oracleOutcome is the outcome encoding as it was always made.
 func oracleOutcome(t *testing.T, o *jobs.Outcome) []byte {
@@ -33,23 +29,11 @@ func oracleOutcome(t *testing.T, o *jobs.Outcome) []byte {
 	return buf.Bytes()
 }
 
-// checkEncodings holds one outcome, and the shard output made of its
-// experiments, to the oracle.
-func checkEncodings(t *testing.T, name string, o *jobs.Outcome, so jobs.ShardOutput) {
+// checkEncoding holds one outcome's encoding to the oracle.
+func checkEncoding(t *testing.T, name string, o *jobs.Outcome) {
 	t.Helper()
 	if got, want := encode(t, o), oracleOutcome(t, o); !bytes.Equal(got, want) {
 		t.Errorf("%s: outcome encoding differs from encoding/json's (%d vs %d bytes)%s", name, len(got), len(want), firstDiff(got, want))
-	}
-	want, err := json.Marshal(so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := so.AppendJSON(nil); !bytes.Equal(got, want) {
-		t.Errorf("%s: shard output encoding differs from json.Marshal's (%d vs %d bytes)%s", name, len(got), len(want), firstDiff(got, want))
-	}
-	// Appended, not overwritten: the journal lays it behind a frame's head.
-	if got := so.AppendJSON([]byte("head ")); !bytes.Equal(got, append([]byte("head "), want...)) {
-		t.Errorf("%s: AppendJSON does not append", name)
 	}
 }
 
@@ -71,14 +55,6 @@ var hostile = []string{
 
 func TestOutcomeEncodingMatchesEncodingJSON(t *testing.T) {
 	ctx := context.Background()
-	shard := func(t *testing.T, req jobs.Request, start, end int) jobs.ShardOutput {
-		t.Helper()
-		so, err := jobs.ExecuteShard(ctx, req, start, end, 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return *so
-	}
 	stopped := shardSpec("iu")
 	stopped.Nodes, stopped.Epsilon = 0, 0.1
 	for _, tc := range []struct {
@@ -128,15 +104,7 @@ func TestOutcomeEncodingMatchesEncodingJSON(t *testing.T) {
 			if tc.check != nil {
 				tc.check(t, o)
 			}
-			so := jobs.ShardOutput{GoldenCycles: o.GoldenCycles, Checkpointed: o.Checkpointed, Experiments: o.Experiments}
-			for i := range o.Experiments {
-				so.Indices = append(so.Indices, i)
-			}
-			checkEncodings(t, "whole", o, so)
-			if tc.req.Engine == "" && tc.req.Epsilon == 0 {
-				checkEncodings(t, "shard", o, shard(t, tc.req, 5, 17))
-				checkEncodings(t, "empty shard", o, shard(t, tc.req, 5, 5))
-			}
+			checkEncoding(t, "whole", o)
 		})
 	}
 
@@ -161,71 +129,20 @@ func TestOutcomeEncodingMatchesEncodingJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tc := range []struct {
-			name    string
-			exps    []jobs.ExperimentOutcome
-			indices []int
+			name string
+			exps []jobs.ExperimentOutcome
 		}{
-			{"hostile strings", exps, []int{-1, 0, 1 << 40}},
-			{"one", exps[:1], []int{0}},
-			{"nil", nil, nil},
-			{"empty", []jobs.ExperimentOutcome{}, []int{}},
-			{"nil experiments, empty indices", nil, []int{}},
+			{"hostile strings", exps},
+			{"one", exps[:1]},
+			{"nil", nil},
+			{"empty", []jobs.ExperimentOutcome{}},
 		} {
 			o := *base
 			o.Experiments = tc.exps
-			checkEncodings(t, tc.name, &o, jobs.ShardOutput{GoldenCycles: big, Checkpointed: true, Indices: tc.indices, Experiments: tc.exps})
+			checkEncoding(t, tc.name, &o)
 		}
-		checkEncodings(t, "zero values", &jobs.Outcome{}, jobs.ShardOutput{})
+		checkEncoding(t, "zero values", &jobs.Outcome{})
 	})
-}
-
-// TestShardCompletedFrame holds the journal line of a shard_completed
-// record — laid by ShardOutput.AppendJSON through the journal's own frame
-// encoder — to what the journal always wrote: json.Marshal of the record,
-// its data marshalled first, behind the payload's checksum.
-func TestShardCompletedFrame(t *testing.T) {
-	key, err := small.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := uint64(0)
-	outs := []jobs.ShardOutput{
-		{GoldenCycles: 9616, Indices: []int{3, 4}, Experiments: []jobs.ExperimentOutcome{
-			{Node: "iu.x", Model: "seu", Unit: "alu", Outcome: "no-effect", Latency: -1, Cycles: 12, AtCycle: &at},
-			{Node: "a<b>\"\\\xff", Model: "sa0", Unit: "u ", Outcome: "hang", Engine: "rtl", Predicted: "sdc", Audited: true},
-		}},
-		{},
-	}
-	path := filepath.Join(t.TempDir(), "journal.ndjson")
-	j, _, err := store.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []byte
-	for i, out := range outs {
-		if err := j.AppendSoon("shard_completed", key, out); err != nil { // by value, as the coordinator hands it over
-			t.Fatal(err)
-		}
-		data, err := json.Marshal(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload, err := json.Marshal(store.Record{Seq: int64(i + 1), Type: "shard_completed", Key: key, Data: data})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(payload), payload)...)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("journal holds\n%q\nwant\n%q", got, want)
-	}
 }
 
 // set gives the field a value its zero value does not encode as.
@@ -241,54 +158,38 @@ func set(t *testing.T, f reflect.Value) {
 		*v = new(uint64) // the zero it points at must still be written
 	case *bool:
 		*v = true
-	case *[]int:
-		*v = []int{3}
-	case *[]jobs.ExperimentOutcome:
-		*v = []jobs.ExperimentOutcome{{Node: "n"}}
 	default:
 		t.Fatalf("set: no value for a %s: teach this test (and encode.go) the new field type", f.Type())
 	}
 }
 
-// TestEncoderCoversEveryField sets every field of the two hand-laid types
-// alone and requires the hand-laid bytes to move exactly as encoding/json's
-// do. The field counts are pinned: a field added to either type without
+// TestEncoderCoversEveryField sets every field of an experiment alone and
+// requires the hand-laid bytes to move exactly as encoding/json's do. The
+// field count is pinned: a field added to ExperimentOutcome without
 // teaching encode.go fails here, not as a content address that no longer
-// matches its bytes.
+// matches its bytes. (Whether the journal's shard record keeps the field is
+// TestShardRecordCoversEveryField's.)
 func TestEncoderCoversEveryField(t *testing.T) {
 	if n := reflect.TypeOf(jobs.ExperimentOutcome{}).NumField(); n != 10 {
 		t.Errorf("ExperimentOutcome has %d fields, appendExperiment lays 10", n)
-	}
-	if n := reflect.TypeOf(jobs.ShardOutput{}).NumField(); n != 4 {
-		t.Errorf("ShardOutput has %d fields, AppendJSON lays 4", n)
 	}
 	ot := reflect.TypeOf(jobs.Outcome{})
 	if last := ot.Field(ot.NumField() - 1).Name; last != "Experiments" {
 		t.Errorf("Outcome's last field is %s: encodeOutcome puts the experiments in place of the tail", last)
 	}
 
-	wrap := func(e jobs.ExperimentOutcome) (*jobs.Outcome, jobs.ShardOutput) {
-		exps := []jobs.ExperimentOutcome{e}
-		return &jobs.Outcome{Experiments: exps}, jobs.ShardOutput{Indices: []int{0}, Experiments: exps}
+	wrap := func(e jobs.ExperimentOutcome) *jobs.Outcome {
+		return &jobs.Outcome{Experiments: []jobs.ExperimentOutcome{e}}
 	}
-	baseO, baseS := wrap(jobs.ExperimentOutcome{})
+	base := wrap(jobs.ExperimentOutcome{})
 	et := reflect.TypeOf(jobs.ExperimentOutcome{})
 	for i := 0; i < et.NumField(); i++ {
 		var e jobs.ExperimentOutcome
 		set(t, reflect.ValueOf(&e).Elem().Field(i))
-		o, so := wrap(e)
-		checkEncodings(t, et.Field(i).Name, o, so)
-		if bytes.Equal(encode(t, o), encode(t, baseO)) || bytes.Equal(so.AppendJSON(nil), baseS.AppendJSON(nil)) {
-			t.Errorf("setting ExperimentOutcome.%s changes no byte of an encoding", et.Field(i).Name)
-		}
-	}
-	st := reflect.TypeOf(jobs.ShardOutput{})
-	for i := 0; i < st.NumField(); i++ {
-		var so jobs.ShardOutput
-		set(t, reflect.ValueOf(&so).Elem().Field(i))
-		checkEncodings(t, st.Field(i).Name, &jobs.Outcome{}, so)
-		if bytes.Equal(so.AppendJSON(nil), jobs.ShardOutput{}.AppendJSON(nil)) {
-			t.Errorf("setting ShardOutput.%s changes no byte of its encoding", st.Field(i).Name)
+		o := wrap(e)
+		checkEncoding(t, et.Field(i).Name, o)
+		if bytes.Equal(encode(t, o), encode(t, base)) {
+			t.Errorf("setting ExperimentOutcome.%s changes no byte of the encoding", et.Field(i).Name)
 		}
 	}
 }
@@ -321,7 +222,7 @@ func TestEncodeOutcomeAllocations(t *testing.T) {
 }
 
 // FuzzOutcomeEncoding: arbitrary field bytes encode as encoding/json
-// encodes them, in both spellings, and decode back to the value they came
+// encodes them, and decode back to the value they came
 // from (strings that are not UTF-8 excepted: JSON cannot carry them, and
 // both encoders replace the same bytes).
 func FuzzOutcomeEncoding(f *testing.F) {
@@ -337,21 +238,18 @@ func FuzzOutcomeEncoding(f *testing.F) {
 			e.AtCycle = &at
 		}
 		var exps []jobs.ExperimentOutcome
-		var indices []int
 		switch {
 		case flags&4 != 0: // nil
 		case flags&8 != 0:
-			exps, indices = []jobs.ExperimentOutcome{}, []int{}
+			exps = []jobs.ExperimentOutcome{}
 		default:
 			for i := 0; i <= int(n%4); i++ {
 				exps = append(exps, e)
-				indices = append(indices, int(latency)+i)
 				e.Node, e.Predicted, e.Cycles = e.Predicted, e.Node, e.Cycles+1
 			}
 		}
-		o := &jobs.Outcome{GoldenCycles: cycles, Experiments: exps}
-		so := jobs.ShardOutput{GoldenCycles: cycles, Checkpointed: flags&16 != 0, Indices: indices, Experiments: exps}
-		checkEncodings(t, "fuzzed", o, so)
+		o := &jobs.Outcome{GoldenCycles: cycles, Checkpointed: flags&16 != 0, Experiments: exps}
+		checkEncoding(t, "fuzzed", o)
 
 		for _, s := range []string{node, model, unit, outcome, engine, predicted} {
 			if !utf8.ValidString(s) {
@@ -364,13 +262,6 @@ func FuzzOutcomeEncoding(f *testing.F) {
 		}
 		if !reflect.DeepEqual(backO.Experiments, exps) {
 			t.Errorf("outcome experiments decode to\n%+v\nwant\n%+v", backO.Experiments, exps)
-		}
-		var backS jobs.ShardOutput
-		if err := json.Unmarshal(so.AppendJSON(nil), &backS); err != nil {
-			t.Fatalf("the shard output does not decode: %v", err)
-		}
-		if !reflect.DeepEqual(backS, so) {
-			t.Errorf("shard output decodes to\n%+v\nwant\n%+v", backS, so)
 		}
 	})
 }

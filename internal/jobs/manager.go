@@ -371,7 +371,7 @@ func (m *Manager) admitLocked(key string, n Request, state State, result *Outcom
 // crash) and does not journal — the compacted journal already carries
 // its submission record — but it does stash the job's durable completed
 // shards for the coordinator that will resume it.
-func (m *Manager) submitRecovered(rj *RecoveredJob) error {
+func (m *Manager) submitRecovered(rj *recoveredJob) error {
 	n, key, err := rj.Request.keyed()
 	if err != nil {
 		return err

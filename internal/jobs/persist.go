@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"log/slog"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -41,8 +43,121 @@ const (
 	recJobCancelled   = "job_cancelled"   //
 	recShardPlanned   = "shard_planned"   // Data: {"total": N, "shards": K}
 	recShardLeased    = "shard_leased"    // Data: lease id + range
-	recShardCompleted = "shard_completed" // Data: ShardOutput
+	recShardCompleted = "shard_completed" // Data: shardRecord
 )
+
+// shardRecord is a shard_completed record's data: the results of one
+// complete shard — exactly its leased range, [Start,End) — and only what
+// the campaign's expansion cannot give back. The expansion (experimentsFor,
+// a pure function of the request) names every experiment's node, model,
+// unit and transient instant by its index, so the record carries the
+// golden-run metadata and, column by column in index order, what the engine
+// found: outcome, latency and cycles, and the hybrid fields when any
+// experiment of the shard sets them (a column is then as long as the
+// others, its unset entries zero). Replay checks its shape alone; the shard
+// pool lays it over the expansion when it plans the resumed campaign
+// (rebuild). A record of any other shape is dropped and its shard re-runs.
+type shardRecord struct {
+	GoldenCycles uint64   `json:"golden_cycles"`
+	Checkpointed bool     `json:"checkpointed"`
+	Start        int      `json:"start"`
+	End          int      `json:"end"`
+	Outcomes     []string `json:"outcomes"`
+	Latencies    []int64  `json:"latencies"`
+	Cycles       []uint64 `json:"cycles"`
+	Engines      []string `json:"engines,omitempty"`
+	Predicted    []string `json:"predicted,omitempty"`
+	Audited      []bool   `json:"audited,omitempty"`
+}
+
+// set makes r the record of a complete shard out over rng, over the
+// storage of r's columns (the coordinator keeps records for reuse:
+// shardRecords).
+func (r *shardRecord) set(rng ShardRange, out *ShardOutput) *shardRecord {
+	n := len(out.Experiments)
+	r.GoldenCycles, r.Checkpointed, r.Start, r.End = out.GoldenCycles, out.Checkpointed, rng.Start, rng.End
+	r.Outcomes, r.Latencies, r.Cycles = slices.Grow(r.Outcomes[:0], n), slices.Grow(r.Latencies[:0], n), slices.Grow(r.Cycles[:0], n)
+	r.Engines, r.Predicted, r.Audited = r.Engines[:0], r.Predicted[:0], r.Audited[:0]
+	var hybrid bool
+	for i := range out.Experiments {
+		e := &out.Experiments[i]
+		r.Outcomes = append(r.Outcomes, e.Outcome)
+		r.Latencies = append(r.Latencies, e.Latency)
+		r.Cycles = append(r.Cycles, e.Cycles)
+		hybrid = hybrid || e.Engine != "" || e.Predicted != "" || e.Audited
+	}
+	if hybrid {
+		r.Engines, r.Predicted, r.Audited = slices.Grow(r.Engines, n), slices.Grow(r.Predicted, n), slices.Grow(r.Audited, n)
+		for i := range out.Experiments {
+			e := &out.Experiments[i]
+			r.Engines = append(r.Engines, e.Engine)
+			r.Predicted = append(r.Predicted, e.Predicted)
+			r.Audited = append(r.Audited, e.Audited)
+		}
+	}
+	return r
+}
+
+// decodeShardRecord reads a shard_completed record's data and reports
+// whether it is a complete shard's results: a non-empty range and every
+// column exactly as long, the hybrid ones absent or as long. Whether the
+// range lies inside the campaign only the expansion knows (rebuild).
+func decodeShardRecord(data []byte) (shardRecord, bool) {
+	var r shardRecord
+	if err := json.Unmarshal(data, &r); err != nil {
+		return r, false
+	}
+	n := r.End - r.Start
+	if r.Start < 0 || n <= 0 || len(r.Outcomes) != n || len(r.Latencies) != n || len(r.Cycles) != n {
+		return r, false
+	}
+	for _, col := range []int{len(r.Engines), len(r.Predicted), len(r.Audited)} {
+		if col != 0 && col != n {
+			return r, false
+		}
+	}
+	return r, true
+}
+
+// rebuild lays a decoded record over the campaign's expansion exps: the
+// experiments of its range, each named by the expansion — node, model,
+// unit and a transient's instant, as runRange names them — and classified
+// by the record. It reports false, and folds nothing, when the range does
+// not lie inside the campaign.
+func (r *shardRecord) rebuild(exps []fault.Experiment) (ShardOutput, bool) {
+	if r.End > len(exps) {
+		return ShardOutput{}, false
+	}
+	n := r.End - r.Start
+	out := ShardOutput{
+		GoldenCycles: r.GoldenCycles,
+		Checkpointed: r.Checkpointed,
+		Indices:      make([]int, n),
+		Experiments:  make([]ExperimentOutcome, n),
+	}
+	instants := make([]uint64, n) // the transients' instants, which their outcomes point into
+	for k := range out.Experiments {
+		i := r.Start + k
+		e, eo := &exps[i], &out.Experiments[k]
+		out.Indices[k] = i
+		eo.Node, eo.Model, eo.Unit = e.Node.String(), e.Model.String(), e.Node.Unit.String()
+		if e.Model.Transient() {
+			instants[k] = e.AtCycle
+			eo.AtCycle = &instants[k]
+		}
+		eo.Outcome, eo.Latency, eo.Cycles = r.Outcomes[k], r.Latencies[k], r.Cycles[k]
+		if len(r.Engines) > 0 {
+			eo.Engine = r.Engines[k]
+		}
+		if len(r.Predicted) > 0 {
+			eo.Predicted = r.Predicted[k]
+		}
+		if len(r.Audited) > 0 {
+			eo.Audited = r.Audited[k]
+		}
+	}
+	return out, true
+}
 
 // journalName is the WAL file inside a manager's data directory; the
 // result store lives in the resultsDir subdirectory beside it.
@@ -51,13 +166,13 @@ const (
 	resultsDir  = "results"
 )
 
-// RecoveredJob is one in-flight campaign reconstructed from the journal:
-// its normalized request and every shard output that was durably
+// recoveredJob is one in-flight campaign reconstructed from the journal:
+// its normalized request and the record of every shard that was durably
 // completed before the crash.
-type RecoveredJob struct {
+type recoveredJob struct {
 	Key       string
 	Request   Request
-	Completed []ShardOutput
+	Completed []shardRecord
 }
 
 // RecoveryInfo summarizes what OpenManager found in the data directory.
@@ -68,8 +183,10 @@ type RecoveryInfo struct {
 	// ResumedJobs is the number of in-flight jobs resubmitted from the
 	// journal.
 	ResumedJobs int
-	// RecoveredShards counts the durable completed shards pre-folded
-	// into the resumed jobs.
+	// RecoveredShards counts the durable completed shard records handed
+	// to the resumed jobs. One whose range turns out to lie outside its
+	// campaign is dropped when the campaign is planned, and its shard
+	// re-runs.
 	RecoveredShards int
 	// TornTail reports that the journal ended in a torn or corrupt
 	// record, which recovery truncated — expected after a crash, worth a
@@ -86,12 +203,12 @@ type persistence struct {
 	log     *slog.Logger
 
 	mu        sync.Mutex
-	recovered map[string][]ShardOutput // journaled completed shards, by campaign key
+	recovered map[string][]shardRecord // journaled completed shards, by campaign key
 }
 
 // openPersistence opens (or creates) the store and journal under dir and
 // replays the journal into the set of in-flight jobs.
-func openPersistence(dir string) (*persistence, []*RecoveredJob, error) {
+func openPersistence(dir string) (*persistence, []*recoveredJob, error) {
 	st, err := store.Open(filepath.Join(dir, resultsDir))
 	if err != nil {
 		return nil, nil, fmt.Errorf("jobs: opening result store: %w", err)
@@ -102,7 +219,7 @@ func openPersistence(dir string) (*persistence, []*RecoveredJob, error) {
 		return nil, nil, fmt.Errorf("jobs: opening journal: %w", err)
 	}
 	p := &persistence{
-		store: st, journal: j, recovered: map[string][]ShardOutput{},
+		store: st, journal: j, recovered: map[string][]shardRecord{},
 		log: slog.New(slog.DiscardHandler),
 	}
 	return p, replayJournal(recs), nil
@@ -151,9 +268,9 @@ func (p *persistence) registerMetrics(reg *obs.Registry) {
 // records retire their job; duplicate submissions of a live key merge
 // (keeping the completed shards already folded); completion records for
 // untracked keys are dropped. Lease and plan records are breadcrumbs only.
-func replayJournal(recs []store.Record) []*RecoveredJob {
-	byKey := map[string]*RecoveredJob{}
-	var order []*RecoveredJob
+func replayJournal(recs []store.Record) []*recoveredJob {
+	byKey := map[string]*recoveredJob{}
+	var order []*recoveredJob
 	for _, rec := range recs {
 		switch rec.Type {
 		case recJobSubmitted:
@@ -164,7 +281,7 @@ func replayJournal(recs []store.Record) []*RecoveredJob {
 			if err := json.Unmarshal(rec.Data, &req); err != nil {
 				continue // unreadable request: nothing to resume
 			}
-			rj := &RecoveredJob{Key: rec.Key, Request: req}
+			rj := &recoveredJob{Key: rec.Key, Request: req}
 			byKey[rec.Key] = rj
 			order = append(order, rj)
 		case recJobDone, recJobFailed, recJobCancelled:
@@ -182,14 +299,11 @@ func replayJournal(recs []store.Record) []*RecoveredJob {
 			if rj == nil {
 				continue
 			}
-			var out ShardOutput
-			if err := json.Unmarshal(rec.Data, &out); err != nil {
-				continue
+			sr, ok := decodeShardRecord(rec.Data)
+			if !ok {
+				continue // malformed despite checksum, or another format: the shard re-runs
 			}
-			if len(out.Indices) != len(out.Experiments) {
-				continue // malformed despite checksum: drop, shard re-runs
-			}
-			rj.Completed = append(rj.Completed, out)
+			rj.Completed = append(rj.Completed, sr)
 		}
 	}
 	return order
@@ -199,7 +313,7 @@ func replayJournal(recs []store.Record) []*RecoveredJob {
 // one submission record per in-flight job plus its completed shards.
 // Everything else — terminal pairs, breadcrumbs, torn tails — has been
 // folded and is dropped, bounding journal growth across restarts.
-func (p *persistence) compact(live []*RecoveredJob) error {
+func (p *persistence) compact(live []*recoveredJob) error {
 	var recs []store.Record
 	for _, rj := range live {
 		req, err := json.Marshal(rj.Request)
@@ -207,8 +321,8 @@ func (p *persistence) compact(live []*RecoveredJob) error {
 			return err
 		}
 		recs = append(recs, store.Record{Type: recJobSubmitted, Key: rj.Key, Data: req})
-		for _, out := range rj.Completed {
-			recs = append(recs, store.Record{Type: recShardCompleted, Key: rj.Key, Data: out.AppendJSON(nil)})
+		for i := range rj.Completed {
+			recs = append(recs, store.Record{Type: recShardCompleted, Key: rj.Key, Data: rj.Completed[i].AppendJSON(nil)})
 		}
 	}
 	return p.journal.Rewrite(recs)
@@ -283,9 +397,9 @@ func (p *persistence) ShardEvent(typ, key string, data interface{}) {
 	}
 }
 
-// stashRecovered records a resumed job's journaled shard outputs for the
-// coordinator that will re-plan it.
-func (p *persistence) stashRecovered(key string, outs []ShardOutput) {
+// stashRecovered records a resumed job's journaled shard records for the
+// shard pool that will re-plan it.
+func (p *persistence) stashRecovered(key string, outs []shardRecord) {
 	if len(outs) == 0 {
 		return
 	}
@@ -294,9 +408,9 @@ func (p *persistence) stashRecovered(key string, outs []ShardOutput) {
 	p.mu.Unlock()
 }
 
-// TakeRecovered hands a campaign's journaled completed shards to its
-// coordinator, exactly once.
-func (p *persistence) TakeRecovered(key string) []ShardOutput {
+// TakeRecovered hands a campaign's journaled completed shard records to
+// the shard pool planning it, exactly once.
+func (p *persistence) TakeRecovered(key string) []shardRecord {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	outs := p.recovered[key]

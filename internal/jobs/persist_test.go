@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -176,15 +177,53 @@ func TestReplayResumesInFlightJob(t *testing.T) {
 	}
 }
 
-// shardOutputRecord materializes the durable record of one completed
-// shard, exactly as a coordinator journals it after folding.
-func shardOutputRecord(t *testing.T, req jobs.Request, start, end int) store.Record {
+// shardRecord is a shard_completed record's data as it lies on the disk:
+// the golden-run metadata, the complete shard's range and, column by
+// column in index order, what its experiments found — the hybrid columns
+// only when an experiment sets them. Node, model, unit and instant are the
+// expansion's and are not journaled.
+type shardRecord struct {
+	GoldenCycles uint64   `json:"golden_cycles"`
+	Checkpointed bool     `json:"checkpointed"`
+	Start        int      `json:"start"`
+	End          int      `json:"end"`
+	Outcomes     []string `json:"outcomes"`
+	Latencies    []int64  `json:"latencies"`
+	Cycles       []uint64 `json:"cycles"`
+	Engines      []string `json:"engines,omitempty"`
+	Predicted    []string `json:"predicted,omitempty"`
+	Audited      []bool   `json:"audited,omitempty"`
+}
+
+// resultsOf runs experiments [start,end) of a campaign and returns its
+// shard_completed data, as a coordinator journals it before the fold.
+func resultsOf(t *testing.T, req jobs.Request, start, end int) shardRecord {
 	t.Helper()
 	out, err := jobs.ExecuteShard(context.Background(), req, start, end, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(out)
+	rec := shardRecord{GoldenCycles: out.GoldenCycles, Checkpointed: out.Checkpointed, Start: start, End: end}
+	hybrid := false
+	for _, e := range out.Experiments {
+		rec.Outcomes = append(rec.Outcomes, e.Outcome)
+		rec.Latencies = append(rec.Latencies, e.Latency)
+		rec.Cycles = append(rec.Cycles, e.Cycles)
+		rec.Engines = append(rec.Engines, e.Engine)
+		rec.Predicted = append(rec.Predicted, e.Predicted)
+		rec.Audited = append(rec.Audited, e.Audited)
+		hybrid = hybrid || e.Engine != "" || e.Predicted != "" || e.Audited
+	}
+	if !hybrid {
+		rec.Engines, rec.Predicted, rec.Audited = nil, nil, nil
+	}
+	return rec
+}
+
+// keyedRecord is a journal record of typ about req's campaign.
+func keyedRecord(t *testing.T, req jobs.Request, typ string, data any) store.Record {
+	t.Helper()
+	b, err := json.Marshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +231,85 @@ func shardOutputRecord(t *testing.T, req jobs.Request, start, end int) store.Rec
 	if err != nil {
 		t.Fatal(err)
 	}
-	return store.Record{Type: "shard_completed", Key: key, Data: data}
+	return store.Record{Type: typ, Key: key, Data: b}
+}
+
+// shardOutputRecord materializes the durable record of one completed
+// shard, exactly as a coordinator journals it.
+func shardOutputRecord(t *testing.T, req jobs.Request, start, end int) store.Record {
+	t.Helper()
+	return keyedRecord(t, req, "shard_completed", resultsOf(t, req, start, end))
+}
+
+// resumeAndCompare opens a manager over dir at the given shard count, waits
+// for the one campaign it resumes, holds the outcome to a direct Execute of
+// req, and returns what recovery found and how many shards the pool planned.
+func resumeAndCompare(t *testing.T, dir string, req jobs.Request, shards int) (jobs.RecoveryInfo, int) {
+	t.Helper()
+	m, info, err := jobs.OpenManager(jobs.ManagerOptions{Concurrency: 1, Shards: shards, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if info.ResumedJobs != 1 {
+		t.Fatalf("recovery %+v: want 1 resumed job", info)
+	}
+	got := waitDone(t, m, m.List()[0].ID)
+	want, err := jobs.Execute(context.Background(), req, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeOutcome(t, got.Result), encodeOutcome(t, want)) {
+		t.Fatal("recovered run diverged from a direct Execute")
+	}
+	return info, m.ShardPool().Stats().Planned
+}
+
+// TestReplayResumesFromShardRecords: shards journaled as results only come
+// back as the experiments that ran. A transient campaign's instants are
+// rebuilt from the expansion, a hybrid one's engine, prediction and audit
+// mark from the record, and either resumed campaign is byte-identical to a
+// direct Execute while running only the shards the journal lacks.
+func TestReplayResumesFromShardRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  jobs.Request
+	}{{"transient", transientSpec()}, {"hybrid", hybridSmall}} {
+		t.Run(tc.name, func(t *testing.T) {
+			full, err := jobs.Execute(context.Background(), tc.req, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := jobs.PlanShards(full.Injections, 4)
+			first, third := resultsOf(t, tc.req, plan[0].Start, plan[0].End), resultsOf(t, tc.req, plan[2].Start, plan[2].End)
+			if tc.req.Engine == "hybrid" && (first.Engines == nil || third.Engines == nil) {
+				t.Fatal("hybrid shard records carry no engine column")
+			}
+			dir := t.TempDir()
+			journalRecords(t, dir, submittedRecord(t, tc.req),
+				keyedRecord(t, tc.req, "shard_completed", first), keyedRecord(t, tc.req, "shard_completed", third))
+			info, planned := resumeAndCompare(t, dir, tc.req, 4)
+			if info.RecoveredShards != 2 || planned != 2 {
+				t.Fatalf("recovery %+v, %d shards planned: want 2 recovered and the other 2 run", info, planned)
+			}
+		})
+	}
+}
+
+// TestReplayRejectsEarlierRecordFormat: a shard_completed record as
+// earlier releases wrote it — indices and whole experiment objects — has no
+// reader. Replay drops it and its shard re-runs to the same bytes.
+func TestReplayRejectsEarlierRecordFormat(t *testing.T) {
+	out, err := jobs.ExecuteShard(context.Background(), small, 0, 2, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	journalRecords(t, dir, submittedRecord(t, small), keyedRecord(t, small, "shard_completed", out))
+	info, planned := resumeAndCompare(t, dir, small, 2)
+	if info.RecoveredShards != 0 || planned != 2 {
+		t.Fatalf("recovery %+v, %d shards planned: want the old record dropped and both shards run", info, planned)
+	}
 }
 
 // TestReplayDedupsDuplicateShardCompletions: a crash between a shard
@@ -270,36 +387,63 @@ func TestReplayIgnoresLeaseWithoutCompletion(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsMalformedShardRecord: a shard_completed record whose
-// tallies do not cover its range (truncated Data that still parses) is
-// discarded rather than folded as partial truth.
+// TestReplayRejectsMalformedShardRecord: a shard_completed record that
+// checksums but is not a complete shard inside its campaign is discarded
+// rather than folded as partial truth. Replay rejects a result count other
+// than the range's length itself; a range past the campaign's end only the
+// expansion reveals, so that record is dropped when the campaign is
+// planned. Either way every shard runs, and the bytes are a direct
+// Execute's. small expands to 4 experiments.
 func TestReplayRejectsMalformedShardRecord(t *testing.T) {
-	dir := t.TempDir()
-	key, err := small.Key()
-	if err != nil {
-		t.Fatal(err)
+	short := resultsOf(t, small, 0, 2)
+	short.Outcomes, short.Latencies, short.Cycles = short.Outcomes[:1], short.Latencies[:1], short.Cycles[:1]
+	past := resultsOf(t, small, 2, 4)
+	past.Start, past.End = 3, 5
+	past.Outcomes[0] = "hang" // folded at index 3, it would show
+	for _, tc := range []struct {
+		name      string
+		rec       shardRecord
+		recovered int
+	}{{"count", short, 0}, {"range", past, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			journalRecords(t, dir, submittedRecord(t, small), keyedRecord(t, small, "shard_completed", tc.rec))
+			info, planned := resumeAndCompare(t, dir, small, 2)
+			if info.RecoveredShards != tc.recovered || planned != 2 {
+				t.Fatalf("recovery %+v, %d shards planned: want %d replayed and both shards run", info, planned, tc.recovered)
+			}
+		})
 	}
-	journalRecords(t, dir,
-		submittedRecord(t, small),
-		store.Record{Type: "shard_completed", Key: key,
-			Data: json.RawMessage(`{"golden_cycles":1,"indices":[0,1],"experiments":[]}`)},
-	)
+}
 
-	m, info, err := jobs.OpenManager(jobs.ManagerOptions{Concurrency: 1, Shards: 2, DataDir: dir})
+// TestJournalBytesPerCampaign: a campaign of the benchmark's service shape
+// — rspeed at 2 iterations, 256 IU nodes × sa0/sa1/open injected mid-run,
+// 4 shards — journals at most 25,000 bytes on a fresh data directory. Its
+// four shard records carry results, not a second copy of the 768
+// experiments the outcome already spells (that copy made the journal
+// ~92,600 bytes).
+func TestJournalBytesPerCampaign(t *testing.T) {
+	dir := t.TempDir()
+	m, _, err := jobs.OpenManager(jobs.ManagerOptions{Concurrency: 1, Shards: 4, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	if info.RecoveredShards != 0 {
-		t.Fatalf("recovery %+v: malformed shard record was trusted", info)
-	}
-	got := waitDone(t, m, m.List()[0].ID)
-	want, err := jobs.Execute(context.Background(), small, 1, nil)
+	req := jobs.Request{Workload: "rspeed", Iterations: 2, Target: "iu", Models: []string{"sa0", "sa1", "open"},
+		Nodes: 256, Seed: 1, InjectAtFraction: 0.5}
+	st, _, err := m.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encodeOutcome(t, got.Result), encodeOutcome(t, want)) {
-		t.Fatal("recovered run diverged from a direct Execute")
+	if got := waitDone(t, m, st.ID); got.Result.Injections != 768 {
+		t.Fatalf("campaign ran %d experiments, want 768", got.Result.Injections)
+	}
+	m.Close()
+	journal, err := os.ReadFile(filepath.Join(dir, "journal.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if records := bytes.Count(journal, []byte("\n")); len(journal) > 25000 || records != 11 {
+		t.Errorf("one campaign journaled %d bytes in %d records, want at most 25,000 in 11", len(journal), records)
 	}
 }
 

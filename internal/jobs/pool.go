@@ -116,8 +116,10 @@ func NewShardPool(opts ShardPoolOptions) *ShardPool {
 // plan resolves the engine a request's campaign is defined on — through
 // the process-wide memoized cache, so a pool that also runs local workers
 // pays for the golden run exactly once — and hands everything it knows
-// to a fresh coordinator. The expansion it sized the campaign by is
-// returned for the local workers, which would each make the same one.
+// to a fresh coordinator, the shards journaled before a crash among it:
+// their records are laid over the expansion here, which names what the
+// records leave out. The expansion it sized the campaign by is returned
+// for the local workers, which would each make the same one.
 func (p *ShardPool) plan(ctx context.Context, req Request, tap Tap) (*Coordinator, []fault.Experiment, error) {
 	n, key, err := req.keyed()
 	if err != nil {
@@ -132,8 +134,16 @@ func (p *ShardPool) plan(ctx context.Context, req Request, tap Tap) (*Coordinato
 		onProgress = func(t progressTally, total int) { tap(t.Done, total, t.Failures) }
 	}
 	exps := experimentsFor(nil, r, n)
+	var recovered []ShardOutput
+	if p.opts.persist != nil {
+		for _, rec := range p.opts.persist.TakeRecovered(key) {
+			if out, ok := rec.rebuild(exps); ok {
+				recovered = append(recovered, out)
+			}
+		}
+	}
 	return newCoordinator(key, n, len(exps), r.GoldenTicks(), r.Checkpointed(),
-		p.opts.Shards, onProgress, p.opts.persist), exps, nil
+		p.opts.Shards, onProgress, p.opts.persist, recovered), exps, nil
 }
 
 // Execute runs one campaign sharded and returns its canonical outcome;

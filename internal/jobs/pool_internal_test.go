@@ -33,7 +33,7 @@ func (g *gatedPersist) ShardEvent(typ, _ string, _ interface{}) {
 	}
 }
 
-func (g *gatedPersist) TakeRecovered(string) []ShardOutput { return nil }
+func (g *gatedPersist) TakeRecovered(string) []shardRecord { return nil }
 
 // TestPoolWaitJoinsLocalWorkers holds ShardPool.Wait to what Manager.Close
 // leans on before it closes the journal: Execute may return — here because
