@@ -41,7 +41,7 @@
 // state (DESIGN.md §10). Batching is invisible to result encodings,
 // content addresses and shard merges.
 //
-// There is one engine selector. CampaignSpec.NoCheckpoint (request field
+// There is one engine selector. CampaignRequest.NoCheckpoint (request field
 // no_checkpoint, `faultcampaign -no-checkpoint`, fault.Options.NoCheckpoint)
 // swaps the production engine for the deliberately naive reference — a
 // fresh core per experiment, simulated from reset, one scalar run each —
@@ -54,16 +54,14 @@
 //
 //	w, _ := core.BuildWorkload("rspeed", core.WorkloadConfig{Iterations: 2})
 //	prof, _ := core.MeasureDiversity(w)      // ISS run, Table-1 style profile
-//	res, _ := core.RunCampaign(w, core.CampaignSpec{
-//	    Target: core.TargetIU, Models: []core.FaultModel{core.StuckAt1},
+//	res, _ := core.ExecuteCampaign(context.Background(), core.CampaignRequest{
+//	    Workload: "rspeed", Iterations: 2, Models: []string{"sa1"},
 //	    Nodes: 256, Seed: 1,
-//	})
+//	}, 0)
 //	fmt.Printf("diversity=%d Pf=%.1f%%\n", prof.Diversity, 100*res.Pf)
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/asm"
 	"repro/internal/campaign"
 	"repro/internal/diversity"
@@ -73,7 +71,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/rtl"
 	"repro/internal/sparc"
-	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
@@ -96,10 +93,6 @@ type (
 	Node = rtl.Node
 	// Target selects IU or CMEM injection.
 	Target = fault.Target
-	// Outcome classifies one injection experiment.
-	Outcome = fault.Outcome
-	// InjectionResult is the outcome of one experiment.
-	InjectionResult = fault.Result
 	// Unit is a microcontroller functional unit.
 	Unit = sparc.Unit
 	// ISS is the functional instruction set simulator.
@@ -124,16 +117,6 @@ const (
 	TargetIU   = fault.TargetIU
 	TargetCMEM = fault.TargetCMEM
 )
-
-// PermanentFaultModels lists the paper's permanent models (the default
-// of a CampaignSpec with no Models).
-func PermanentFaultModels() []FaultModel { return rtl.FaultModels() }
-
-// TransientFaultModels lists the transient models (BitFlip, SETPulse).
-func TransientFaultModels() []FaultModel { return rtl.TransientFaultModels() }
-
-// AllFaultModels lists every supported model in canonical order.
-func AllFaultModels() []FaultModel { return rtl.AllFaultModels() }
 
 // WorkloadNames lists the bundled benchmarks.
 func WorkloadNames() []string { return workloads.Names() }
@@ -166,112 +149,6 @@ func NewRTL(p *Program) *RTL {
 // (instruction counts, diversity, per-unit diversity Dm).
 func MeasureDiversity(w *Workload) (Profile, error) {
 	return diversity.Measure(w.Name, w.Program, 100_000_000)
-}
-
-// CampaignSpec configures an RTL fault-injection campaign. The json
-// tags declare the spec's stable schema — the field spellings mirror
-// the jobs.Request wire form that feeds the job service's sha256
-// content address, and addrlint (internal/lint) holds them frozen:
-// post-v1 fields are omitempty so a spec that predates them encodes to
-// the exact bytes it always did.
-type CampaignSpec struct {
-	// Target selects the injected unit hierarchy (IU or CMEM).
-	Target Target `json:"target"`
-	// Models lists the permanent fault models to apply (default: all).
-	Models []FaultModel `json:"models"`
-	// Nodes is the statistical sample size; 0 injects every node.
-	Nodes int `json:"nodes"`
-	// Seed makes sampling reproducible.
-	Seed int64 `json:"seed"`
-	// Workers bounds parallelism (0 = GOMAXPROCS).
-	Workers int `json:"workers"`
-	// InjectAtCycle is the fixed injection instant.
-	InjectAtCycle uint64 `json:"inject_at_cycle"`
-	// InjectAtFraction, when nonzero, positions the injection instant at
-	// this fraction of the golden run length (overrides InjectAtCycle).
-	// For transient models this is the start of the per-experiment
-	// injection-cycle sampling window (which extends to the end of the
-	// golden run).
-	InjectAtFraction float64 `json:"inject_at_fraction"`
-	// PulseCycles is the SETPulse glitch width in cycles (0 = 1).
-	// Permanent models and BitFlip ignore it.
-	PulseCycles uint64 `json:"pulse_cycles,omitempty"`
-	// NoCheckpoint selects the from-reset scalar reference engine instead
-	// of the production one (ladder forks on pooled cores, lanes over the
-	// golden read log, reconvergence drops): a fresh core per
-	// experiment, simulated from reset. Results are identical at a much
-	// higher cost; it exists for checking the engine and measuring its
-	// speedup.
-	NoCheckpoint bool `json:"no_checkpoint"`
-}
-
-// CampaignResult aggregates an injection campaign.
-type CampaignResult struct {
-	// Pf is the fraction of faults that propagated to failures at the
-	// off-core boundary.
-	Pf float64
-	// PfLow and PfHigh bound Pf with the 95% Wilson score confidence
-	// interval: campaigns are statistical fault injection, so the point
-	// estimate carries sampling uncertainty.
-	PfLow, PfHigh float64
-	// PfByUnit groups Pf by functional unit (for Equation 1).
-	PfByUnit map[Unit]float64
-	// MaxLatencyCycles is the largest bounded detection latency.
-	MaxLatencyCycles int64
-	// Results holds every individual experiment.
-	Results []InjectionResult
-	// Injections is the number of experiments performed.
-	Injections int
-	// GoldenCycles is the fault-free run's length in cycles.
-	GoldenCycles uint64
-	// Checkpointed reports whether forking skipped a warm-up prefix:
-	// the experiments forked from golden-run snapshots and the injection
-	// instant lies past reset. (At instant 0 they fork just the same,
-	// from the reset state; there is no prefix to skip.)
-	Checkpointed bool
-}
-
-// RunCampaign executes an RTL fault-injection campaign on a workload.
-func RunCampaign(w *Workload, spec CampaignSpec) (*CampaignResult, error) {
-	// The synchronous one-shot API deliberately builds an unshared,
-	// unmemoized engine: callers hand in an already-built Workload (the
-	// registry seam keys on workload name + config, which this signature
-	// predates), and a one-shot run must not pin a slot in the bounded
-	// runner cache the job service depends on.
-	r, err := fault.NewRunner(w.Program, fault.Options{ //lint:allow seam audited one-shot public API build
-		InjectAtCycle:    spec.InjectAtCycle,
-		InjectAtFraction: spec.InjectAtFraction,
-		PulseCycles:      spec.PulseCycles,
-		NoCheckpoint:     spec.NoCheckpoint,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	nodes := r.Nodes(spec.Target)
-	if spec.Nodes > 0 {
-		nodes = fault.SampleNodes(nodes, spec.Nodes, spec.Seed)
-	}
-	models := spec.Models
-	if len(models) == 0 {
-		models = rtl.FaultModels()
-	}
-	exps := fault.Expand(nodes, models...)
-	// Transient experiments get their injection instants here, before any
-	// execution: a pure function of (seed, absolute experiment index).
-	r.ScheduleTransients(exps, spec.Seed)
-	results := r.Campaign(exps, spec.Workers)
-	lo, hi := fault.PfInterval(results, stats.Z95)
-	return &CampaignResult{
-		Pf:               fault.Pf(results),
-		PfLow:            lo,
-		PfHigh:           hi,
-		PfByUnit:         fault.PfByUnit(results),
-		MaxLatencyCycles: fault.MaxLatency(results),
-		Results:          results,
-		Injections:       len(results),
-		GoldenCycles:     r.GoldenCycles,
-		Checkpointed:     r.Checkpointed(),
-	}, nil
 }
 
 // PredictPf estimates a workload's failure probability from its ISS

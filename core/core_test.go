@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -53,17 +54,19 @@ func TestMeasureDiversityProfile(t *testing.T) {
 	}
 }
 
+// TestRunCampaignFacade runs a campaign on a program of the caller's own
+// (here a bundled one's, under a label of its own).
 func TestRunCampaignFacade(t *testing.T) {
 	w, err := BuildWorkload("excerptB", WorkloadConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCampaign(w, CampaignSpec{
-		Target: TargetIU,
-		Models: []FaultModel{StuckAt1},
-		Nodes:  32,
-		Seed:   5,
-	})
+	res, err := RunCampaign(context.Background(), w.Program, CampaignRequest{
+		Workload: "candidate",
+		Models:   []string{"sa1"},
+		Nodes:    32,
+		Seed:     5,
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +85,9 @@ func TestRunCampaignFacade(t *testing.T) {
 	if res.Checkpointed {
 		t.Error("checkpointed with injection at reset")
 	}
+	if res.Request.Workload != "candidate" {
+		t.Errorf("outcome labelled %q, want the request's label", res.Request.Workload)
+	}
 }
 
 func TestRunCampaignCheckpointToggle(t *testing.T) {
@@ -89,34 +95,34 @@ func TestRunCampaignCheckpointToggle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := CampaignSpec{
-		Target:           TargetIU,
-		Models:           []FaultModel{StuckAt1},
+	req := CampaignRequest{
+		Workload:         "excerptB",
+		Models:           []string{"sa1"},
 		Nodes:            16,
 		Seed:             5,
 		InjectAtFraction: 0.5,
 	}
-	forked, err := RunCampaign(w, spec)
+	forked, err := RunCampaign(context.Background(), w.Program, req, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !forked.Checkpointed {
 		t.Error("mid-run injection did not use the checkpoint engine")
 	}
-	spec.NoCheckpoint = true
-	reset, err := RunCampaign(w, spec)
+	req.NoCheckpoint = true
+	reset, err := RunCampaign(context.Background(), w.Program, req, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reset.Checkpointed {
-		t.Error("NoCheckpoint spec still checkpointed")
+		t.Error("NoCheckpoint request still checkpointed")
 	}
 	if forked.Pf != reset.Pf {
 		t.Errorf("Pf differs: checkpointed %v, from-reset %v", forked.Pf, reset.Pf)
 	}
-	for i := range forked.Results {
-		if forked.Results[i] != reset.Results[i] {
-			t.Fatalf("result %d differs: %+v vs %+v", i, forked.Results[i], reset.Results[i])
+	for i := range forked.Experiments {
+		if forked.Experiments[i] != reset.Experiments[i] {
+			t.Fatalf("experiment %d differs: %+v vs %+v", i, forked.Experiments[i], reset.Experiments[i])
 		}
 	}
 }

@@ -117,6 +117,16 @@ func ExecuteCampaign(ctx context.Context, req CampaignRequest, workers int) (*Ca
 	return jobs.Execute(ctx, req, workers, nil)
 }
 
+// RunCampaign is ExecuteCampaign for a program of the caller's own — one
+// assembled from source, say — rather than a bundled workload: one RTL
+// runner is built for p alone, and the campaign runs on the same driver,
+// so a bundled workload's program gives ExecuteCampaign's outcome byte for
+// byte. req.Workload only labels p; a request that sets Iterations,
+// Dataset or an Engine other than rtl is rejected.
+func RunCampaign(ctx context.Context, p *Program, req CampaignRequest, workers int) (*CampaignOutcome, error) {
+	return jobs.ExecuteProgram(ctx, p, req, workers)
+}
+
 // ExecuteShardedCampaign runs one campaign split into `shards` (at least
 // 1) deterministic experiment-range shards on in-process workers (0 =
 // GOMAXPROCS) — the single-binary multi-worker mode. With early stopping

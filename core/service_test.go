@@ -81,8 +81,6 @@ func TestJobServiceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunCampaignReportsWilson checks the synchronous API carries the
-// confidence interval alongside Pf.
 // TestExecuteShardedCampaignFacade pins the public sharded surface: the
 // in-process sharded execution matches the synchronous path bit for bit,
 // and the shard planner covers [0,n) contiguously.
@@ -116,15 +114,17 @@ func TestExecuteShardedCampaignFacade(t *testing.T) {
 	}
 }
 
+// TestRunCampaignReportsWilson checks the synchronous API on a program of
+// the caller's own carries the confidence interval alongside Pf.
 func TestRunCampaignReportsWilson(t *testing.T) {
 	w, err := core.BuildWorkload("excerptA", core.WorkloadConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunCampaign(w, core.CampaignSpec{
-		Target: core.TargetIU, Models: []core.FaultModel{core.StuckAt1},
+	res, err := core.RunCampaign(context.Background(), w.Program, core.CampaignRequest{
+		Workload: "excerptA", Models: []string{"sa1"},
 		Nodes: 6, Seed: 1, InjectAtFraction: 0.3,
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@
 // resulting campaign speedup, and the repository benchmark (bench/) times
 // the engine; results are bit-identical either way (see internal/fault's
 // TestCheckpointFidelity).
-// fault.Options.NoCheckpoint (core.CampaignSpec.NoCheckpoint, request
+// fault.Options.NoCheckpoint (core.CampaignRequest.NoCheckpoint, request
 // field no_checkpoint) is the one engine selector: it swaps the
 // production engine for the naive from-reset scalar reference the
 // equivalence tests compare against.

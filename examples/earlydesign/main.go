@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -52,16 +53,13 @@ func main() {
 	// Verify the extremes against the RTL (this is the step the paper's
 	// correlation makes optional for every intermediate iteration).
 	for _, n := range []string{rows[0].name, rows[len(rows)-1].name} {
-		w, err := core.BuildWorkload(n, core.WorkloadConfig{Iterations: 2})
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := core.RunCampaign(w, core.CampaignSpec{
-			Target: core.TargetIU,
-			Models: []core.FaultModel{core.StuckAt1},
-			Nodes:  128,
-			Seed:   1,
-		})
+		res, err := core.ExecuteCampaign(context.Background(), core.CampaignRequest{
+			Workload:   n,
+			Iterations: 2,
+			Models:     []string{"sa1"},
+			Nodes:      128,
+			Seed:       1,
+		}, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,7 +35,9 @@ func main() {
 	if err := faulty.K.Inject(fault); err != nil {
 		log.Fatal(err)
 	}
-	faulty.Run(10_000_000)
+	// Past the golden run's length plus slack a faulted core counts as hung
+	// (the campaign engine's hang budget, DESIGN.md §4).
+	faulty.Run(3*golden.Cycles() + 10_000)
 
 	// The lockstep comparator: first divergence in off-core activity.
 	d := faulty.Bus.Trace.Divergence(&golden.Bus.Trace)

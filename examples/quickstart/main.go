@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,12 +30,13 @@ func main() {
 		w.Name, prof.TotalInsts, prof.MemoryInsts, prof.Diversity)
 
 	// 3. Inject permanent faults into the RTL integer unit.
-	res, err := core.RunCampaign(w, core.CampaignSpec{
-		Target: core.TargetIU,
-		Models: []core.FaultModel{core.StuckAt1},
-		Nodes:  192,
-		Seed:   1,
-	})
+	res, err := core.ExecuteCampaign(context.Background(), core.CampaignRequest{
+		Workload:   w.Name,
+		Iterations: 2,
+		Models:     []string{"sa1"},
+		Nodes:      192,
+		Seed:       1,
+	}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,19 +40,8 @@ out:
 	.space 260
 `
 
-func campaignPf(p *core.Program) float64 {
-	w := &core.Workload{Name: "candidate", Program: p}
-	res, err := core.RunCampaign(w, core.CampaignSpec{
-		Target: core.TargetIU,
-		Models: []core.FaultModel{core.StuckAt1},
-		Nodes:  160,
-		Seed:   3,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return res.Pf
-}
+// coverage is the stuck-at-1 IU campaign both candidates are measured by.
+var coverage = core.CampaignRequest{Models: []string{"sa1"}, Nodes: 160, Seed: 3}
 
 func main() {
 	log.SetFlags(0)
@@ -80,11 +70,22 @@ func main() {
 	fmt.Printf("  interpolating lookup: diversity=%2d\n", richProf.Diversity)
 	fmt.Printf("  naive constant loop:  diversity=%2d\n", cpu.Diversity())
 
-	pfRich := campaignPf(rich.Program)
-	pfNaive := campaignPf(naiveProg)
+	ctx := context.Background()
+	richReq := coverage
+	richReq.Workload, richReq.Iterations = rich.Name, 2
+	richRes, err := core.ExecuteCampaign(ctx, richReq, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	naiveReq := coverage
+	naiveReq.Workload = "naive"
+	naiveRes, err := core.RunCampaign(ctx, naiveProg, naiveReq, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("measured stuck-at-1 IU coverage: rich %.1f%%, naive %.1f%%\n",
-		100*pfRich, 100*pfNaive)
-	if pfRich > pfNaive {
+		100*richRes.Pf, 100*naiveRes.Pf)
+	if richRes.Pf > naiveRes.Pf {
 		fmt.Println("=> the higher-diversity workload flushes out more permanent faults,")
 		fmt.Println("   as the ISS-level diversity metric predicted without any RTL run.")
 	} else {

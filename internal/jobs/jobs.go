@@ -36,6 +36,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/asm"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/rtl"
@@ -643,10 +644,11 @@ func keepExpansion(e []fault.Experiment) {
 
 // The repository benchmark (bench/, which no PR but a [benchmark] one
 // edits) imports Execute, ExecuteObs, ExecuteShard, ExecuteSharded,
-// PlanShards, EncodeOutcome, NewManager and OpenManager. Each Execute* is
-// one call — into runRange, or ExecuteSharded into a ShardPool — so what
-// looks like twin entry points is that pinned surface, and no twin is left
-// to collapse.
+// PlanShards, EncodeOutcome, NewManager and OpenManager. Each of those
+// Execute* is one call — into runRange, or ExecuteSharded into a
+// ShardPool — so what looks like twin entry points is that pinned surface,
+// and no twin is left to collapse. ExecuteProgram, a given program's way
+// in, builds its engine and then is one call into runRange too.
 
 // Execute runs one campaign request synchronously on the process-wide
 // memoized runner cache and returns its canonical outcome. Cancellation
@@ -674,6 +676,46 @@ func ExecuteObs(ctx context.Context, req Request, workers int, tap Tap, reg *obs
 	if err != nil {
 		return nil, err
 	}
+	return run.outcome, nil
+}
+
+// ExecuteProgram runs a campaign on a given program rather than a bundled
+// workload — one assembled from source, say. The request's runner options
+// build one RTL runner for p, which no cache keeps, and runRange drives it
+// as it drives every campaign: for a bundled workload's program the outcome
+// is Execute's, byte for byte. req.Workload only labels p in the outcome and
+// need not name a bundled workload. A request that sets iterations or
+// dataset, which configure a bundled workload's build, or an engine other
+// than rtl is rejected; every other field is checked and canonicalized as
+// Normalize does.
+func ExecuteProgram(ctx context.Context, p *asm.Program, req Request, workers int) (*Outcome, error) {
+	if req.Iterations != 0 || req.Dataset != 0 {
+		return nil, fmt.Errorf("jobs: iterations/dataset configure a bundled workload, not a given program")
+	}
+	if req.Engine != "" && req.Engine != "rtl" {
+		return nil, fmt.Errorf("jobs: a given program runs on engine \"rtl\" only, not %q", req.Engine)
+	}
+	label := req.Workload
+	if label != "" {
+		// Normalize holds the name to the bundled workloads; here it is a
+		// label, so a bundled name stands in for it.
+		req.Workload = workloads.Names()[0]
+	}
+	n, err := req.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	// A given program has no cache key, and a one-shot campaign must not pin
+	// a slot in the runner cache the job service depends on.
+	eng, err := fault.NewRunner(p, n.runnerKey().opts) //lint:allow seam one-shot build of a given program, outside the runner cache
+	if err != nil {
+		return nil, err
+	}
+	run, err := runRange(ctx, n, 0, wholeCampaign, rangeEnv{workers: workers, eng: eng})
+	if err != nil {
+		return nil, err
+	}
+	run.outcome.Request.Workload = label
 	return run.outcome, nil
 }
 
@@ -717,6 +759,10 @@ type rangeEnv struct {
 	// experimentsFor of this very request, made once by whoever planned the
 	// campaign — and is only read. Nil has runRange expand.
 	exps []fault.Experiment
+	// eng, when non-nil, is the RTL engine the request runs on — a given
+	// program's, which no cache keeps (ExecuteProgram). Nil has runRange
+	// resolve the request's engine from the runner caches.
+	eng fault.CampaignEngine
 }
 
 // wholeCampaign, as runRange's end, runs the expansion from start to its
@@ -758,13 +804,15 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 		return rangeRun{}, err
 	}
 	endStage := env.tr.Stage("golden")
-	var eng fault.CampaignEngine
+	eng := env.eng
 	var plan *hybridPlan
-	if n.Engine == "hybrid" {
+	switch {
+	case eng != nil:
+	case n.Engine == "hybrid":
 		if plan, err = hybridPlanFor(ctx, n, env.workers, env.reg); err == nil {
 			eng = plan.rtl
 		}
-	} else {
+	default:
 		eng, err = engineFor(ctx, n, env.reg)
 	}
 	endStage()

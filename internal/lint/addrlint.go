@@ -45,14 +45,6 @@ var addrStructs = []addrStruct{
 			"pf_by_unit", "experiments",
 		},
 	},
-	{
-		pathSuffix: "core", typeName: "CampaignSpec",
-		role: "the public campaign spec mirrored into jobs.Request",
-		v1: []string{
-			"target", "models", "nodes", "seed", "workers", "inject_at_cycle",
-			"inject_at_fraction", "no_checkpoint",
-		},
-	},
 }
 
 // AddrAnalyzer (addrlint) enforces the content-address stability rule:
@@ -66,7 +58,7 @@ var addrStructs = []addrStruct{
 var AddrAnalyzer = &Analyzer{
 	Name: "addrlint",
 	Tag:  "addr",
-	Doc: "content-addressed structs (jobs.Request, jobs.Outcome, core.CampaignSpec):\n" +
+	Doc: "content-addressed structs (jobs.Request, jobs.Outcome, jobs.ExperimentOutcome):\n" +
 		"every field json-tagged, v1 names intact, post-v1 fields omitempty",
 	Run: runAddrlint,
 }

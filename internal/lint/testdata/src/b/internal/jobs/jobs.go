@@ -1,6 +1,7 @@
-// Package jobs is an addrlint fixture mirroring the real jobs.Request:
+// Package jobs is an addrlint fixture mirroring the real jobs.Request —
 // the v1 fields are all present under their frozen names, and the
-// violations exercise each rule.
+// violations exercise each rule — and the real ExperimentOutcome with a v1
+// field removed.
 package jobs
 
 // Request mirrors the real content-addressed request schema.
@@ -40,3 +41,13 @@ type Mixin struct {
 }
 
 func (r Request) use() int { return r.hidden }
+
+// ExperimentOutcome mirrors the real outcome record, its v1 "cycles" field
+// gone.
+type ExperimentOutcome struct { // want `v1 field "cycles" of ExperimentOutcome is gone`
+	Node    string `json:"node"`
+	Model   string `json:"model"`
+	Unit    string `json:"unit"`
+	Outcome string `json:"outcome"`
+	Latency int64  `json:"latency"`
+}
