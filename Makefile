@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzShardRecord -fuzztime $(FUZZTIME) ./internal/jobs/
 	$(GO) test -run '^$$' -fuzz FuzzSampleNodes -fuzztime $(FUZZTIME) ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzRequestNormalize -fuzztime $(FUZZTIME) ./internal/jobs/
+	$(GO) test -run '^$$' -fuzz FuzzShardBody -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotFork -fuzztime $(FUZZTIME) ./internal/leon3/
 
 # Optional locally (the container may not ship it); CI installs and runs it.

@@ -19,6 +19,14 @@ import (
 // computed only for a draw that could be rejected. A population has fewer
 // than 2³¹ nodes, so every draw is Int31n's.
 func SampleNodes(nodes []NodeInfo, n int, seed int64) []NodeInfo {
+	return SampleNodesInto(nil, nodes, n, seed)
+}
+
+// SampleNodesInto is SampleNodes written over dst's storage, which it
+// allocates only when dst is too short: a caller that draws one sample after
+// another can keep one array for them all. The whole population and the
+// empty sample are SampleNodes' and leave dst unused.
+func SampleNodesInto(dst, nodes []NodeInfo, n int, seed int64) []NodeInfo {
 	if n >= len(nodes) {
 		return nodes
 	}
@@ -56,7 +64,10 @@ func SampleNodes(nodes []NodeInfo, n int, seed int64) []NodeInfo {
 			}
 		}
 	}
-	out := make([]NodeInfo, n)
+	if cap(dst) < n {
+		dst = make([]NodeInfo, n)
+	}
+	out := dst[:n]
 	for k, i := range idx[:n] {
 		out[k] = nodes[i]
 	}

@@ -193,6 +193,38 @@ func TestSampleAllocations(t *testing.T) {
 	}
 }
 
+// TestSampleIntoKeptStorage: a sample written over a kept array — one that
+// held a larger sample of another seed — is SampleNodes' sample, in the
+// array's storage, and allocates only its index; one that does not fit
+// gets fresh storage, and a sample of the whole population is the
+// population.
+func TestSampleIntoKeptStorage(t *testing.T) {
+	nodes := design().nodesOf(TargetIU)
+	kept := SampleNodes(nodes, 96, 2)
+	got := SampleNodesInto(kept, nodes, 48, 1)
+	if &got[0] != &kept[0] {
+		t.Error("a sample that fits was not written over the kept array")
+	}
+	want := SampleNodes(nodes, 48, 1)
+	if len(got) != len(want) {
+		t.Fatalf("%d nodes, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("node %d is %v over the kept array, %v fresh", i, got[i], want[i])
+		}
+	}
+	if grown := SampleNodesInto(kept[:4:4], nodes, 48, 1); &grown[0] == &kept[0] || len(grown) != 48 {
+		t.Error("a sample that does not fit was written over the kept array")
+	}
+	if all := SampleNodesInto(kept, nodes, len(nodes), 1); &all[0] != &nodes[0] {
+		t.Error("a sample of the whole population is not the population")
+	}
+	if a := testing.AllocsPerRun(20, func() { SampleNodesInto(kept, nodes, 48, 1) }); a != 1 {
+		t.Errorf("SampleNodesInto over room allocates %v objects, want 1 (its index)", a)
+	}
+}
+
 // BenchmarkSampleNodes draws a 48-node sample of the IU population, a
 // hybrid_audit campaign's: in place, and as math/rand draws it.
 func BenchmarkSampleNodes(b *testing.B) {

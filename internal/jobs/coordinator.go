@@ -314,7 +314,8 @@ func (c *Coordinator) sameGolden(out ShardOutput) bool {
 // foldLocked merges a shard output's experiments into the campaign, each
 // index at most once and none outside it: the one merge loop behind live
 // completions and recovered ones. out.Indices and out.Experiments have
-// equal length (Complete checks; a rebuilt output is made so).
+// equal length (Complete checks; a rebuilt output is made so). Each
+// experiment is copied into its slot: nothing keeps out's arrays.
 func (c *Coordinator) foldLocked(out ShardOutput) {
 	for i, idx := range out.Indices {
 		if idx < 0 || idx >= c.total || c.have[idx] {
@@ -393,6 +394,11 @@ func (c *Coordinator) Progress(leaseID string, done, failures int) (cancel bool)
 // running means the worker was cancelled externally: nothing is folded
 // and the shard is requeued for another worker. A result from another
 // golden run fails the campaign and is refused with that error.
+//
+// Complete copies what it keeps of the output — its experiments into the
+// campaign's slots, its result columns into a journal record framed before
+// the append returns — and keeps no reference to it: a local worker lays
+// its next shard over the same arrays once Complete has returned.
 func (c *Coordinator) Complete(res ShardResult) error {
 	c.mu.Lock()
 	l := c.leases[res.Lease]

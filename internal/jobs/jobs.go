@@ -35,6 +35,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/asm"
 	"repro/internal/fault"
@@ -597,8 +598,12 @@ func engineFor(ctx context.Context, n Request, reg *obs.Registry) (fault.Campaig
 // scheduling happens on the full list before any slicing, never per worker.
 func experimentsFor(dst []fault.Experiment, r fault.CampaignEngine, n Request) []fault.Experiment {
 	nodes := r.Nodes(n.target())
-	if n.Nodes > 0 {
-		nodes = fault.SampleNodes(nodes, n.Nodes, n.Seed)
+	if n.Nodes > 0 && n.Nodes < len(nodes) {
+		// The expansion copies each node, so the sample is free again once
+		// it is made. (A sample of the whole population is the population,
+		// which the runner owns.)
+		nodes = fault.SampleNodesInto(samples.take(), nodes, n.Nodes, n.Seed)
+		defer samples.keep(nodes)
 	}
 	models := make([]rtl.FaultModel, len(n.Models))
 	for i, name := range n.Models {
@@ -609,37 +614,69 @@ func experimentsFor(dst []fault.Experiment, r fault.CampaignEngine, n Request) [
 	return exps
 }
 
-// expansions keeps the experiment lists runRange made for itself — its own
-// expansion, a hybrid range's escalations — for a later range to write its
-// own over: up to one per processor, as a runner keeps its engines, and
-// none longer than maxKeptExpansion (2.4 MB; an exhaustive CMEM campaign's
-// is three times that). Only runRange's own lists enter, never the hybrid
-// plan's or the shard pool's, which others read; and nothing an outcome
-// holds points into one.
-var expansions = make(chan []fault.Experiment, runtime.GOMAXPROCS(0))
+// freeList keeps arrays a campaign made and let go of for a later one to
+// write over: up to one per processor, as a runner keeps its engines, and
+// none larger than maxKeptBytes. An array enters only once nothing reads it
+// any more, and nothing an outcome holds points into one; whoever takes one
+// zeroes or overwrites what it uses.
+type freeList[T any] chan []T
 
-const maxKeptExpansion = 1 << 15
+// maxKeptBytes bounds every kept array by size, whatever its element: an
+// expansion of 2¹⁵ experiments, 2.4 MB (an exhaustive CMEM campaign's is
+// three times that). The four lists together keep at most four such arrays
+// per processor alive across collections.
+const maxKeptBytes = 1 << 15 * unsafe.Sizeof(fault.Experiment{})
 
-// takeExpansion returns a kept list, or nil when none is idle.
-func takeExpansion() []fault.Experiment {
+func newFreeList[T any]() freeList[T] { return make(freeList[T], runtime.GOMAXPROCS(0)) }
+
+// The free lists: expansions for runRange's own lists — its expansion, a
+// hybrid range's escalations — and the shard pool's expansion once its
+// campaign's last local worker has returned (never the hybrid plan's, which
+// the plan keeps); samples for experimentsFor's node samples; outcomes and
+// indices for the output arrays of the pool's local shards, once Complete
+// has folded them (rangeEnv.reuse).
+var (
+	expansions = newFreeList[fault.Experiment]()
+	samples    = newFreeList[fault.NodeInfo]()
+	outcomes   = newFreeList[ExperimentOutcome]()
+	indices    = newFreeList[int]()
+)
+
+// take returns a kept array, or nil when none is idle.
+func (f freeList[T]) take() []T {
 	select {
-	case e := <-expansions:
-		return e
+	case s := <-f:
+		return s
 	default:
 		return nil
 	}
 }
 
-// keepExpansion returns a list to expansions, or drops it to the collector
-// when as many are idle as are kept, or it has no storage or too much.
-func keepExpansion(e []fault.Experiment) {
-	if cap(e) == 0 || cap(e) > maxKeptExpansion {
+// keep returns an array to f, or drops it to the collector when as many are
+// idle as are kept, or it has no storage or too much.
+func (f freeList[T]) keep(s []T) {
+	if cap(s) == 0 || uintptr(cap(s))*unsafe.Sizeof(s[0]) > maxKeptBytes {
 		return
 	}
 	select {
-	case expansions <- e:
+	case f <- s:
 	default:
 	}
+}
+
+// zeroed returns n zero elements: over a kept array when reuse is set and
+// one with room is idle, fresh otherwise. A kept array is cleared first, so
+// nothing of the range that laid it — a hybrid label, a transient's
+// instant, an outcome where a stopped range left a slot empty — carries over.
+func (f freeList[T]) zeroed(n int, reuse bool) []T {
+	if reuse {
+		if s := f.take(); cap(s) >= n {
+			s = s[:n]
+			clear(s)
+			return s
+		}
+	}
+	return make([]T, n)
 }
 
 // The repository benchmark (bench/, which no PR but a [benchmark] one
@@ -763,6 +800,10 @@ type rangeEnv struct {
 	// program's, which no cache keeps (ExecuteProgram). Nil has runRange
 	// resolve the request's engine from the runner caches.
 	eng fault.CampaignEngine
+	// reuse lays the range's output over kept arrays (outcomes, indices):
+	// the caller hands them back with recycle once it has read them, and
+	// nothing else keeps them. Only the shard pool's local workers set it.
+	reuse bool
 }
 
 // wholeCampaign, as runRange's end, runs the expansion from start to its
@@ -824,8 +865,8 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 	if plan != nil {
 		exps = plan.exps
 	} else if exps == nil {
-		exps = experimentsFor(takeExpansion(), eng, n)
-		defer keepExpansion(exps)
+		exps = experimentsFor(expansions.take(), eng, n)
+		defer expansions.keep(exps)
 	}
 	endStage()
 	whole := end == wholeCampaign
@@ -842,17 +883,17 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 	var idx []int
 	if plan != nil {
 		idx = plan.escalations(start, end)
-		run = slices.Grow(takeExpansion()[:0], len(idx))
+		run = slices.Grow(expansions.take()[:0], len(idx))
 		for _, i := range idx {
 			run = append(run, exps[i])
 		}
-		defer keepExpansion(run)
+		defer expansions.keep(run)
 	}
 	size := end - start
 	so := &ShardOutput{
 		GoldenCycles: eng.GoldenTicks(),
 		Checkpointed: eng.Checkpointed(),
-		Experiments:  make([]ExperimentOutcome, size),
+		Experiments:  outcomes.zeroed(size, env.reuse),
 	}
 	var instants []uint64 // the range's transient instants, which their outcomes point into
 	if n.transient() {
@@ -926,9 +967,9 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 	}
 	switch {
 	case err != nil || stop != nil:
-		so.compact(start)
+		so.compact(start, env.reuse)
 	case !whole:
-		so.Indices = make([]int, size)
+		so.Indices = indices.zeroed(size, env.reuse)
 		for k := range so.Indices {
 			so.Indices[k] = start + k
 		}
@@ -937,6 +978,14 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 		return rangeRun{out: so}, err
 	}
 	return rangeRun{so, assembleOutcome(n, so.GoldenCycles, so.Checkpointed, len(exps), so.Experiments)}, nil
+}
+
+// recycle hands the output's arrays to the free lists, for the next range
+// run with rangeEnv.reuse. Its caller reads the output no more: whatever it
+// was folded into copied it.
+func (so *ShardOutput) recycle() {
+	outcomes.keep(so.Experiments)
+	indices.keep(so.Indices)
 }
 
 // lay writes an experiment's outcome into slot k, filled from res, and a
@@ -954,10 +1003,11 @@ func (so *ShardOutput) lay(k int, res *fault.Result, node string, instants []uin
 
 // compact closes up the slots of the experiments a stop or cancellation
 // kept from running — a laid slot always has an outcome — and lists the
-// absolute indices of those that ran, start being the first slot's.
-func (so *ShardOutput) compact(start int) {
+// absolute indices of those that ran, start being the first slot's, over a
+// kept array when reuse is set.
+func (so *ShardOutput) compact(start int, reuse bool) {
 	ran := so.Experiments[:0]
-	so.Indices = make([]int, 0, len(so.Experiments))
+	so.Indices = indices.zeroed(len(so.Experiments), reuse)[:0]
 	for k := range so.Experiments {
 		if so.Experiments[k].Outcome != "" {
 			so.Indices = append(so.Indices, start+k)

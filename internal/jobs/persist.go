@@ -72,7 +72,7 @@ type shardRecord struct {
 
 // set makes r the record of a complete shard out over rng, over the
 // storage of r's columns (the coordinator keeps records for reuse:
-// shardRecords).
+// shardRecords). The columns are copies: r keeps nothing of out's arrays.
 func (r *shardRecord) set(rng ShardRange, out *ShardOutput) *shardRecord {
 	n := len(out.Experiments)
 	r.GoldenCycles, r.Checkpointed, r.Start, r.End = out.GoldenCycles, out.Checkpointed, rng.Start, rng.End

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -118,8 +119,9 @@ func NewShardPool(opts ShardPoolOptions) *ShardPool {
 // pays for the golden run exactly once — and hands everything it knows
 // to a fresh coordinator, the shards journaled before a crash among it:
 // their records are laid over the expansion here, which names what the
-// records leave out. The expansion it sized the campaign by is returned
-// for the local workers, which would each make the same one.
+// records leave out. The expansion it sized the campaign by, written over
+// a kept one, is returned for the local workers, which would each make the
+// same one; the last of them to return hands it back to the free list.
 func (p *ShardPool) plan(ctx context.Context, req Request, tap Tap) (*Coordinator, []fault.Experiment, error) {
 	n, key, err := req.keyed()
 	if err != nil {
@@ -133,7 +135,7 @@ func (p *ShardPool) plan(ctx context.Context, req Request, tap Tap) (*Coordinato
 	if tap != nil {
 		onProgress = func(t progressTally, total int) { tap(t.Done, total, t.Failures) }
 	}
-	exps := experimentsFor(nil, r, n)
+	exps := experimentsFor(expansions.take(), r, n)
 	var recovered []ShardOutput
 	if p.opts.persist != nil {
 		for _, rec := range p.opts.persist.TakeRecovered(key) {
@@ -184,10 +186,25 @@ func (p *ShardPool) Execute(ctx context.Context, req Request, workers int, tap T
 	// do. What the workers report to — the journal behind the coordinator —
 	// is released only once they are all gone: they may outlive this call by
 	// the shard they are on, so the join is Wait's, not this function's.
+	//
+	// The expansion they read goes back to the free list when the last of
+	// them has returned, which may be after this call. readers counts them
+	// and the janitor, which holds its count for as long as it may start a
+	// reclaim worker, so the count cannot reach zero while one more reader
+	// is still to come; whoever drops it to zero keeps the expansion.
+	var readers atomic.Int32
+	readers.Store(1) // the janitor's
+	release := func() {
+		if readers.Add(-1) == 0 {
+			expansions.keep(exps)
+		}
+	}
 	work := func(name string) {
+		readers.Add(1)
 		p.running.Add(1)
 		go func() {
 			defer p.running.Done()
+			defer release()
 			p.localWorker(ctx, c, exps, name)
 		}()
 	}
@@ -202,6 +219,7 @@ func (p *ShardPool) Execute(ctx context.Context, req Request, workers int, tap T
 	p.running.Add(1)
 	go func() {
 		defer p.running.Done()
+		defer release()
 		tick := time.NewTicker(p.opts.LeaseTTL)
 		defer tick.Stop()
 		for {
@@ -251,14 +269,16 @@ func (p *ShardPool) book(field *int) {
 // Progress/Complete/Fail surface. Each shard executes single-threaded so
 // a campaign's total parallelism stays at the local worker count. exps is
 // the campaign's expansion as plan made it, shared read-only by every
-// local worker: a lease is then a slice of it, not a fresh expansion.
+// local worker: a lease is then a slice of it, not a fresh expansion. A
+// shard's output is laid over kept arrays and handed back once Complete has
+// folded it, which copies what it keeps.
 func (p *ShardPool) localWorker(ctx context.Context, c *Coordinator, exps []fault.Experiment, name string) {
 	for ctx.Err() == nil {
 		l, ok := p.leaseFrom(name, c)
 		if !ok {
 			return
 		}
-		out, err := runLease(ctx, l, rangeEnv{workers: 1, reg: p.opts.Obs, exps: exps}, func(done, failures int) bool {
+		out, err := runLease(ctx, l, rangeEnv{workers: 1, reg: p.opts.Obs, exps: exps, reuse: true}, func(done, failures int) bool {
 			return p.Progress(l.Lease, done, failures)
 		})
 		if out == nil {
@@ -272,6 +292,7 @@ func (p *ShardPool) localWorker(ctx context.Context, c *Coordinator, exps []faul
 		// from outside with a partial — the coordinator folds the first
 		// two and requeues the last.
 		p.Complete(ShardResult{Lease: l.Lease, Output: *out})
+		out.recycle()
 	}
 }
 

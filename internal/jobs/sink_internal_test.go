@@ -101,7 +101,7 @@ func TestPartialRangesReportWhatRan(t *testing.T) {
 // is the same after an overlapping campaign has reused the list.
 func TestReusedExpansionLeavesOutcomesAlone(t *testing.T) {
 	for len(expansions) > 0 { // a list of this test's own below
-		takeExpansion()
+		expansions.take()
 	}
 	req := Request{Workload: "rspeed", Iterations: 2, Models: []string{"seu", "set"}, PulseCycles: 2,
 		Nodes: 96, Seed: 21, InjectAtFraction: 0.5}
