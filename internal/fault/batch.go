@@ -355,9 +355,10 @@ func (l *lane) result(res *Result) {
 
 // runLane executes experiment e — number i of the campaign m planned, or,
 // with m nil, a scalar run — into res: the RTL engine's dispatch granule,
-// built and classified here. res is byte-identical to what RunOne produces
-// for e, whatever the plan.
-func (r *Runner) runLane(e *Experiment, m *memo, i int, res *Result) {
+// built and classified here, on a worker of crew c (nil outside a
+// campaign). res is byte-identical to what RunOne produces for e, whatever
+// the plan.
+func (r *Runner) runLane(e *Experiment, m *memo, i int, res *Result, c *crew) {
 	r.met.experiments.Inc()
 	var l lane
 	lad := r.ladder()
@@ -368,7 +369,7 @@ func (r *Runner) runLane(e *Experiment, m *memo, i int, res *Result) {
 			r.met.fallbacks.Inc()
 		} else if r.batchLane(&l, e, m.logs[m.netOf[i]]) {
 			r.met.lanesActivated.Inc()
-			r.resolveOnce(lad, &l, m.nets[m.netOf[i]], m.call, res)
+			r.resolveOnce(lad, &l, m.nets[m.netOf[i]], m.call, res, c)
 			return
 		} else {
 			// A never-activated lane tracked the golden trajectory
@@ -386,20 +387,20 @@ func (r *Runner) runLane(e *Experiment, m *memo, i int, res *Result) {
 	if lad != nil && l.injectAt < r.opts.InjectAtCycle {
 		lad = nil // a hand-built transient before the first rung: from reset
 	}
-	r.step(lad, &l, res)
+	r.step(lad, &l, res, c)
 }
 
 // resolveOnce fills res with activated lane l's verdict: a permanent
 // forcing's through the runner's table, on the lane's net id, under the
 // lane's own Fault; a transient — keyed by an instant of its own — stepped
 // here. A lane that copies its verdict takes no engine.
-func (r *Runner) resolveOnce(lad *ladder, l *lane, net int32, call uint64, res *Result) {
+func (r *Runner) resolveOnce(lad *ladder, l *lane, net int32, call uint64, res *Result, c *crew) {
 	if l.f.Model.Transient() {
-		r.step(lad, l, res)
+		r.step(lad, l, res, c)
 		return
 	}
 	l.result(res)
-	switch r.verdicts.once(net, l.f.Node.Bit, l.forcedOne, call, res, func() { r.step(lad, l, res) }) {
+	switch r.verdicts.once(net, l.f.Node.Bit, l.forcedOne, call, res, func() { r.step(lad, l, res, c) }) {
 	case verdictTwin:
 		r.met.proven[provenEquivalent].Inc()
 	case verdictKnown:
@@ -407,8 +408,10 @@ func (r *Runner) resolveOnce(lad *ladder, l *lane, net int32, call uint64, res *
 	}
 }
 
-// step resolves universe l into res on an engine taken for the run alone.
-func (r *Runner) step(lad *ladder, l *lane, res *Result) {
+// step resolves universe l into res on an engine taken for the run alone,
+// waking the rest of crew c first: from here on the campaign is work.
+func (r *Runner) step(lad *ladder, l *lane, res *Result, c *crew) {
+	c.wake()
 	eng := r.getEngine()
 	r.resolve(eng, lad, l, res)
 	r.putEngine(eng)

@@ -3,6 +3,7 @@ package fault
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -176,9 +177,9 @@ func TestCampaignStopContext(t *testing.T) {
 // TestDispatchDrawsInOrder holds the campaign loop itself, without an
 // engine, to how it hands experiments out: every one exactly once, to the
 // sink with its own index; one worker takes them in order on the caller's
-// own goroutine (a shard starts none); never more workers than experiments;
-// and a stop rule halts each worker within the experiment it is on, with a
-// nil error.
+// own goroutine (a shard starts none); never more workers than experiments,
+// all of them at work once an experiment asks for an engine; and a stop
+// rule halts each worker within the experiment it is on, with a nil error.
 func TestDispatchDrawsInOrder(t *testing.T) {
 	one := func(i int, res *Result) { res.Cycles = uint64(i) }
 	// into is a sink that files each result by index, as collect does.
@@ -190,7 +191,8 @@ func TestDispatchDrawsInOrder(t *testing.T) {
 	var order []int
 	before := runtime.NumGoroutine()
 	_, ran, sink := into(100)
-	err := dispatch(context.Background(), 100, 1, nil, func(i int, res *Result) {
+	err := dispatch(context.Background(), 100, 1, nil, func(i int, res *Result, c *crew) {
+		c.wake()
 		if n := runtime.NumGoroutine(); n > before {
 			t.Errorf("experiment %d: %d goroutines, %d before the campaign: a one-worker dispatch starts none", i, n, before)
 		}
@@ -206,21 +208,25 @@ func TestDispatchDrawsInOrder(t *testing.T) {
 		}
 	}
 
+	// The first experiment asks for an engine, which starts the other
+	// workers; each holds until all three experiments are in flight at once
+	// — three workers, not one — or, if they never are, a few seconds.
 	var busy, peak, calls atomic.Int64
 	hold := make(chan struct{})
 	go func() {
-		for calls.Load() < 3 {
+		for deadline := time.Now().Add(5 * time.Second); calls.Load() < 3 && time.Now().Before(deadline); {
 			runtime.Gosched()
 		}
 		close(hold)
 	}()
 	results, ran, sink := into(3)
-	err = dispatch(context.Background(), 3, 16, nil, func(i int, res *Result) {
+	err = dispatch(context.Background(), 3, 16, nil, func(i int, res *Result, c *crew) {
+		c.wake()
 		calls.Add(1)
 		if b := busy.Add(1); b > peak.Load() {
 			peak.Store(b)
 		}
-		<-hold // all three experiments are in flight at once: three workers, not one
+		<-hold
 		busy.Add(-1)
 		one(i, res)
 	}, sink)
@@ -237,7 +243,8 @@ func TestDispatchDrawsInOrder(t *testing.T) {
 	var done atomic.Int64
 	_, ran, sink = into(1000)
 	err = dispatch(context.Background(), 1000, workers,
-		func(d, _ int) bool { return d >= stopAt }, func(i int, res *Result) {
+		func(d, _ int) bool { return d >= stopAt }, func(i int, res *Result, c *crew) {
+			c.wake()
 			done.Add(1)
 			one(i, res)
 		}, sink)
@@ -254,11 +261,61 @@ func TestDispatchDrawsInOrder(t *testing.T) {
 	}
 }
 
+// TestWarmCampaignStartsNoGoroutine holds the other half of dispatch's
+// contract: workers beyond the caller start only once an experiment takes
+// an engine, so a many-worker campaign whose every experiment is a known
+// verdict or a free lane runs on the caller alone and starts no goroutine.
+// It is checked on a warm RTL sample — a permanent-model campaign run
+// again on the runner whose verdict table its first run filled — and on
+// the ISS pass of the same experiments, warmed alike.
+func TestWarmCampaignStartsNoGoroutine(t *testing.T) {
+	w, err := workloads.Build("excerptA", workloads.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{InjectAtFraction: 0.3}
+	r, err := NewRunner(w.Program, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir, err := NewISSRunner(w.Program, opts, r.GoldenCycles, r.InjectCycle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := Expand(SampleNodes(r.Nodes(TargetIU), 48, 5), rtl.FaultModels()...)
+	for _, c := range []struct {
+		name string
+		eng  CampaignEngine
+	}{{"rtl", r}, {"iss", ir}} {
+		cold, _, err := c.eng.CampaignStopContext(context.Background(), exps, 4, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		most := 0
+		warm := make([]Result, len(exps))
+		if err := c.eng.CampaignSink(context.Background(), exps, 4, func(i int, res *Result) {
+			most = max(most, runtime.NumGoroutine()) // unsynchronized on purpose: one goroutine
+			warm[i] = *res
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if most > before {
+			t.Errorf("%s: a warm 4-worker campaign ran with %d goroutines, %d before it: want none started", c.name, most, before)
+		}
+		if !reflect.DeepEqual(warm, cold) {
+			t.Errorf("%s: the warm campaign differs from the cold one", c.name)
+		}
+	}
+}
+
 // TestNoExperimentWaitsBehindABusyWorker holds the dispatch granule to one
 // experiment: a worker held in the tap at the campaign's first completion
-// keeps no other experiment from finishing — the other worker runs them all.
-// A granule of several lanes would leave the rest of the held worker's
-// granule unfinished until it is released, and the test would time out.
+// of an activated lane — one that has stepped, or copied the verdict of one
+// that has, so every worker is at work — keeps no other experiment from
+// finishing: the other worker runs them all. A granule of several lanes
+// would leave the rest of the held worker's granule unfinished until it is
+// released, and the test would time out.
 func TestNoExperimentWaitsBehindABusyWorker(t *testing.T) {
 	w, err := workloads.Build("excerptA", workloads.Config{})
 	if err != nil {
@@ -270,15 +327,16 @@ func TestNoExperimentWaitsBehindABusyWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	exps := Expand(SampleNodes(r.Nodes(TargetIU), 64, 2), rtl.FaultModels()...)
+	act := activatedLanes(r, exps)
 	var first atomic.Bool
 	var others atomic.Int64
 	rest := make(chan struct{})
-	_, ran, err := r.CampaignStopContext(context.Background(), exps, 2, func(int, Result) {
-		if first.CompareAndSwap(false, true) {
+	_, ran, err := r.CampaignStopContext(context.Background(), exps, 2, func(i int, _ Result) {
+		if act[i] && first.CompareAndSwap(false, true) {
 			select {
 			case <-rest:
 			case <-time.After(time.Minute):
-				t.Errorf("%d of the other %d experiments finished while the first one's worker was held", others.Load(), len(exps)-1)
+				t.Errorf("%d of the other %d experiments finished while the first activated lane's worker was held", others.Load(), len(exps)-1)
 			}
 			return
 		}
@@ -288,6 +346,9 @@ func TestNoExperimentWaitsBehindABusyWorker(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !first.Load() {
+		t.Fatal("no lane activated")
 	}
 	for i, ok := range ran {
 		if !ok {

@@ -97,41 +97,56 @@ func netsOf(r *Runner, exps []Experiment) []int32 {
 	return slices.Clone(m.netOf)
 }
 
+// activatedLanes reports, per experiment of exps, whether r's plan makes it
+// a lane that activates: one whose universe leaves the golden one, so
+// that it steps an engine unless its verdict is already known — and a
+// transient one always steps.
+func activatedLanes(r *Runner, exps []Experiment) []bool {
+	m := r.planBatches(exps)
+	defer r.putMemo(m)
+	act := make([]bool, len(exps))
+	for i, n := range m.netOf {
+		var l lane
+		act[i] = n >= 0 && r.batchLane(&l, &exps[i], m.logs[n])
+	}
+	return act
+}
+
 // acrossWorkers runs exps on r with workers (at least 2) and returns the
-// results. The first worker to finish a lane whose net has other lanes is
-// held in the tap until all of those have finished — on other workers, as
-// the held one draws nothing meanwhile — so lanes of one net are resolved
-// on more than one worker. The test fails if they never finish: a lane
-// queued behind the held one.
+// results. The first worker to finish a transient lane that activated — a
+// worker that has stepped, so the campaign's other workers are at work —
+// while lanes of its net are still unfinished is held in the tap until all
+// of those have finished — on other workers, as the held one draws nothing
+// meanwhile — so lanes of one net are resolved on more than one worker. The
+// test fails if they never finish: a lane queued behind the held one.
 func acrossWorkers(t *testing.T, r *Runner, exps []Experiment, workers int) []Result {
 	t.Helper()
-	netOf := netsOf(r, exps)
-	lanes := map[int32]int{}
+	netOf, act := netsOf(r, exps), activatedLanes(r, exps)
+	left := map[int32]int{} // per net, its lanes not yet finished
 	for _, n := range netOf {
-		lanes[n]++
+		left[n]++
 	}
 	var mu sync.Mutex
-	held, left := int32(-1), 0 // the held lane's net, and its lanes not yet finished
+	held := int32(-1) // the held lane's net
 	rest := make(chan struct{})
 	got, _, err := r.CampaignStopContext(context.Background(), exps, workers, func(i int, _ Result) {
 		n := netOf[i]
 		mu.Lock()
-		if n >= 0 && held < 0 && lanes[n] > 1 {
-			held, left = n, lanes[n]-1
+		left[n]--
+		if n >= 0 && held < 0 && act[i] && exps[i].Model.Transient() && left[n] > 0 {
+			held = n
 			mu.Unlock()
 			select {
 			case <-rest:
 			case <-time.After(time.Minute):
 				mu.Lock()
-				t.Errorf("%d workers: %d lanes of the held lane's net still unfinished after a minute", workers, left)
+				t.Errorf("%d workers: %d lanes of the held lane's net still unfinished after a minute", workers, left[n])
 				mu.Unlock()
 			}
 			return
 		}
-		if n >= 0 && n == held {
-			if left--; left == 0 {
-				close(rest)
-			}
+		if n >= 0 && n == held && left[n] == 0 {
+			close(rest)
 		}
 		mu.Unlock()
 	}, nil)
@@ -139,7 +154,7 @@ func acrossWorkers(t *testing.T, r *Runner, exps []Experiment, workers int) []Re
 		t.Fatal(err)
 	}
 	if held < 0 {
-		t.Fatal("no net has two lanes")
+		t.Fatal("no activated transient lane finished before the other lanes of its net")
 	}
 	return got
 }

@@ -649,7 +649,7 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane, res *Result) {
 // skipped. Both engines produce identical results.
 func (r *Runner) RunOne(e Experiment) Result {
 	var res Result
-	r.runLane(&e, nil, 0, &res)
+	r.runLane(&e, nil, 0, &res, nil)
 	return res
 }
 
@@ -688,7 +688,7 @@ func (r *Runner) CampaignSink(ctx context.Context, exps []Experiment, workers in
 		// dispatch returns with every worker gone: no lane still reads the memo.
 		defer r.putMemo(m)
 	}
-	return dispatch(ctx, len(exps), workers, stop, func(i int, res *Result) { r.runLane(&exps[i], m, i, res) }, sink)
+	return dispatch(ctx, len(exps), workers, stop, func(i int, res *Result, c *crew) { r.runLane(&exps[i], m, i, res, c) }, sink)
 }
 
 // putMemo returns a call's memo to the runner.
@@ -714,10 +714,17 @@ func collect(ctx context.Context, e CampaignEngine, exps []Experiment, workers i
 // dispatch is the one campaign loop of the package, shared by the RTL and
 // ISS engines, and its granule is one experiment: workers (0 = GOMAXPROCS;
 // never more than there are experiments) draw the indices 0..n-1, in order,
-// from one counter, run(i, res) executes experiment i into the worker's
+// from one counter, run(i, res, c) executes experiment i into the worker's
 // result, zeroed before each run, and sink(i, res) takes it from there —
-// the pointer is the worker's, valid until sink returns. The caller is the
-// first worker, so a one-worker campaign — a shard — starts no goroutine.
+// the pointer is the worker's, valid until sink returns.
+//
+// The caller is the first worker, and at first the only one: it draws
+// alone, in index order, until an experiment is about to take an engine —
+// the engine says so by calling c.wake() (the RTL engine's step, the ISS
+// engine's stepFrom and its log-less run) — and only then starts the other
+// workers. A campaign whose every experiment is a table read — a known
+// verdict, a free lane — is over before a goroutine could have started,
+// so it starts none; nor does a one-worker campaign — a shard.
 //
 // sink is called concurrently from the workers, once per experiment that
 // ran, in no fixed order; a sink that writes only experiment i's own slot
@@ -734,73 +741,103 @@ func collect(ctx context.Context, e CampaignEngine, exps []Experiment, workers i
 // draws no other, and dispatch returns ctx.Err(), the experiments that ran
 // having been sunk.
 func dispatch(ctx context.Context, n, workers int, stop func(done, failures int) bool,
-	run, sink func(i int, res *Result)) error {
+	run func(i int, res *Result, c *crew), sink func(i int, res *Result)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = max(min(workers, n), 1)
+	// What the workers share, made once — the loop, its counter and the wake
+	// included, so that waking allocates nothing but the goroutines.
+	c := &crew{n: n, run: run, sink: sink, stop: stop, slots: make([]workerResult, max(min(workers, n), 1))}
 	cctx := ctx
-	var cancel context.CancelFunc
 	if stop != nil {
-		cctx, cancel = context.WithCancel(ctx)
-		defer cancel()
+		cctx, c.cancel = context.WithCancel(ctx)
+		defer c.cancel()
 	}
-	halted := cctx.Done()
-	// What the workers share, made once: the draw counter, the counts a stop
-	// rule reads, and each worker's result.
-	shared := &struct {
-		next  atomic.Int64 // the next experiment nobody has drawn
-		tally struct {
-			sync.Mutex
-			done, failures int
-		}
-		wg sync.WaitGroup
-	}{}
-	slots := make([]workerResult, workers)
-	work := func(res *Result) {
-		for {
-			i := int(shared.next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			select {
-			case <-halted:
-				return
-			default:
-			}
-			*res = Result{}
-			run(i, res)
-			sink(i, res)
-			if stop == nil {
-				continue
-			}
-			t := &shared.tally
-			t.Lock()
-			t.done++
-			if res.Outcome.IsFailure() {
-				t.failures++
-			}
-			d, f := t.done, t.failures
-			t.Unlock()
-			if stop(d, f) {
-				cancel()
-			}
-		}
-	}
-	for w := 1; w < workers; w++ {
-		shared.wg.Add(1)
-		go func() {
-			defer shared.wg.Done()
-			work(&slots[w].res)
-		}()
-	}
-	work(&slots[0].res)
-	shared.wg.Wait()
+	c.halted = cctx.Done()
+	c.work(0)
+	c.wg.Wait()
 	// A halt that came from the stop rule, not the caller, is a success.
 	return ctx.Err()
+}
+
+// crew is one dispatch call's workers and what they share: the draw
+// counter, the counts a stop rule reads, each worker's result, and whether
+// the caller has started the others yet.
+type crew struct {
+	n      int
+	run    func(i int, res *Result, c *crew)
+	sink   func(i int, res *Result)
+	stop   func(done, failures int) bool
+	cancel context.CancelFunc
+	halted <-chan struct{}
+	next   atomic.Int64 // the next experiment nobody has drawn
+	tally  struct {
+		sync.Mutex
+		done, failures int
+	}
+	// woken is written once, by the caller, before it starts the other
+	// workers, which read it only after they start: no atomic needed.
+	woken bool
+	wg    sync.WaitGroup
+	slots []workerResult // one per worker; the caller's is slots[0]
+}
+
+// wake starts the workers beside the caller, once per campaign and no more
+// of them than there are experiments left to draw; an engine calls it as an
+// experiment is about to take one. A nil crew — an experiment run outside a
+// campaign (RunOne) — has nobody to wake.
+func (c *crew) wake() {
+	if c == nil || c.woken {
+		return
+	}
+	c.woken = true
+	helpers := min(len(c.slots)-1, c.n-int(c.next.Load()))
+	for w := 1; w <= helpers; w++ {
+		c.wg.Add(1)
+		go c.help(w)
+	}
+}
+
+// help is worker w's goroutine.
+func (c *crew) help(w int) {
+	defer c.wg.Done()
+	c.work(w)
+}
+
+// work is worker w's loop: draw, run, sink, and count for a stop rule.
+func (c *crew) work(w int) {
+	res := &c.slots[w].res
+	for {
+		i := int(c.next.Add(1)) - 1
+		if i >= c.n {
+			return
+		}
+		select {
+		case <-c.halted:
+			return
+		default:
+		}
+		*res = Result{}
+		c.run(i, res, c)
+		c.sink(i, res)
+		if c.stop == nil {
+			continue
+		}
+		t := &c.tally
+		t.Lock()
+		t.done++
+		if res.Outcome.IsFailure() {
+			t.failures++
+		}
+		d, f := t.done, t.failures
+		t.Unlock()
+		if c.stop(d, f) {
+			c.cancel()
+		}
+	}
 }
 
 // workerResult is a dispatch worker's result, padded so that the next

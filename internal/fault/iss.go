@@ -479,12 +479,13 @@ func (r *ISSRunner) armAt(e *Experiment) uint64 {
 // resolve.
 func (r *ISSRunner) RunOne(e Experiment) Result {
 	var res Result
-	r.resolve(&e, r.verdicts.begin(), &res)
+	r.resolve(&e, r.verdicts.begin(), &res, nil)
 	return res
 }
 
 // resolve classifies one experiment of call number call (see verdicts) into
-// res. The reference builds a fresh emulator, steps it clean from reset to the
+// res, on a worker of crew c (nil outside a campaign), which it wakes before
+// any run that takes an emulator. The reference builds a fresh emulator, steps it clean from reset to the
 // experiment's instant and hands it to finish. The production engine reads
 // the golden log first: where the instant lies (boundary), what the victim
 // bit reads there — the charge an open line freezes, the value a pulse
@@ -495,7 +496,7 @@ func (r *ISSRunner) RunOne(e Experiment) Result {
 // RTL nodes that hash onto one victim, and an open line beside the stuck-at
 // of its charge, are one run. A transient forks from its own sampled
 // instant. Fault, Unit and InjectAt are always the experiment's own.
-func (r *ISSRunner) resolve(e *Experiment, call uint64, res *Result) {
+func (r *ISSRunner) resolve(e *Experiment, call uint64, res *Result, c *crew) {
 	r.met.experiments.Inc()
 	atExt := r.armAt(e)
 	at := r.mapTicks(atExt)
@@ -505,6 +506,7 @@ func (r *ISSRunner) resolve(e *Experiment, call uint64, res *Result) {
 	res.Latency, res.Cycles, res.InjectAt = -1, r.GoldenInsts, atExt
 	lg := r.goldenLog()
 	if lg == nil {
+		c.wake()
 		eng := r.newEngine(nil)
 		var clean uint64
 		for ; eng.cpu.Icount < at && eng.cpu.Status() == iss.StatusRunning; clean++ {
@@ -522,7 +524,7 @@ func (r *ISSRunner) resolve(e *Experiment, call uint64, res *Result) {
 	l := &lg.regs[v.reg]
 	forced := forcedBit(e.Model, l.val[l.run(s)]>>v.bit&1)
 	if e.Model.Transient() {
-		r.stepFrom(lg, s, res, e.Model, v, forced, at)
+		r.stepFrom(lg, s, res, e.Model, v, forced, at, c)
 		return
 	}
 	s, ok := lg.activation(v, forced, s)
@@ -530,7 +532,7 @@ func (r *ISSRunner) resolve(e *Experiment, call uint64, res *Result) {
 		r.met.free.Inc()
 		return
 	}
-	switch r.verdicts.once(int32(v.reg), int(v.bit), forced == 1, call, res, func() { r.stepFrom(lg, s, res, e.Model, v, forced, at) }) {
+	switch r.verdicts.once(int32(v.reg), int(v.bit), forced == 1, call, res, func() { r.stepFrom(lg, s, res, e.Model, v, forced, at, c) }) {
 	case verdictTwin:
 		r.met.twin.Inc()
 	case verdictKnown:
@@ -539,8 +541,9 @@ func (r *ISSRunner) resolve(e *Experiment, call uint64, res *Result) {
 }
 
 // stepFrom forks a kept emulator onto the golden run at boundary s and
-// finishes the experiment on it.
-func (r *ISSRunner) stepFrom(lg *issLog, s uint32, res *Result, model rtl.FaultModel, v victim, forced uint32, at uint64) {
+// finishes the experiment on it, waking the rest of crew c first.
+func (r *ISSRunner) stepFrom(lg *issLog, s uint32, res *Result, model rtl.FaultModel, v victim, forced uint32, at uint64, c *crew) {
+	c.wake()
 	eng := r.engines.get()
 	if eng == nil {
 		eng = r.newEngine(lg.text)
@@ -599,5 +602,5 @@ func (r *ISSRunner) CampaignStopContext(ctx context.Context, exps []Experiment, 
 func (r *ISSRunner) CampaignSink(ctx context.Context, exps []Experiment, workers int,
 	sink func(i int, res *Result), stop func(done, failures int) bool) error {
 	call := r.verdicts.begin()
-	return dispatch(ctx, len(exps), workers, stop, func(i int, res *Result) { r.resolve(&exps[i], call, res) }, sink)
+	return dispatch(ctx, len(exps), workers, stop, func(i int, res *Result, c *crew) { r.resolve(&exps[i], call, res, c) }, sink)
 }

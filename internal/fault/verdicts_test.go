@@ -428,7 +428,7 @@ func TestKnownVerdictAllocatesNothing(t *testing.T) {
 			}
 			before := known()
 			var res Result
-			if a := testing.AllocsPerRun(20, func() { r.runLane(&exps[i], m, i, &res) }); a != 0 {
+			if a := testing.AllocsPerRun(20, func() { r.runLane(&exps[i], m, i, &res, nil) }); a != 0 {
 				t.Errorf("%v: %v allocations per known lookup", exps[i], a)
 			}
 			if res != want[i] || known()-before != 21 {
@@ -461,7 +461,7 @@ func TestKnownVerdictAllocatesNothing(t *testing.T) {
 		for i := range exps {
 			before, free := known(), engineCounters(t, reg)[`iss_engine_verdicts_total{path="free"}`]
 			var res Result
-			if a := testing.AllocsPerRun(20, func() { r.resolve(&exps[i], call, &res) }); a != 0 {
+			if a := testing.AllocsPerRun(20, func() { r.resolve(&exps[i], call, &res, nil) }); a != 0 {
 				t.Errorf("%v: %v allocations per known lookup", exps[i], a)
 			}
 			if res != want[i] {

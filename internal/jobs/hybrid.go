@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"math"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -28,9 +29,11 @@ import (
 // is a pure function of the normalized request, so every shard — and
 // every remote worker process — computes the identical plan and each
 // experiment's final engine is a pure function of (request, absolute
-// index). In-process the plan is memoized per content address
-// (planCache): the local shards of a campaign, and a campaign submitted
-// again, share one build; a remote worker pays the plan once per process.
+// index). A whole campaign owns its plan: runRange builds it over arrays
+// from the free lists and hands them back when the campaign returns
+// (planHybrid, release). The ranges of a sharded campaign share one plan
+// memoized per content address (planCache): its local shards share one
+// build, and a remote worker pays the plan once per process.
 // The audit sample spans the whole campaign, so a worker executing one
 // shard still audits out-of-range experiments — bounded duplicated work
 // (rtl_audit of the campaign per worker process), the price of keeping
@@ -145,6 +148,9 @@ type hybridPlan struct {
 	// sample left out.
 	auditAt   []int32
 	escalated [classSlots]bool
+	// kept marks a plan laid over the free lists' arrays, a whole
+	// campaign's own, which release hands back.
+	kept bool
 }
 
 // classSlots is the number of node classes a plan tells apart: one per
@@ -157,12 +163,14 @@ const classSlots = sparc.NumUnits + 1
 func classOf(u sparc.Unit) int { return int(min(u, sparc.NumUnits)) }
 
 // planCache memoizes hybrid plans per content address so the in-process
-// shard pool pays the ISS pass and audit set once per campaign, not once
-// per shard. It holds 8 plans: one pins about 9.5 MB for an exhaustive
-// CMEM campaign (58,188 experiments of 72 bytes of expansion and 80 of ISS
-// prediction, plus the audit). It takes no build semaphore: a plan build
-// resolves its runners under buildSem, so a plan holding a slot there
-// would deadlock at GOMAXPROCS=1.
+// shard pool pays the ISS pass and audit set once per sharded campaign, not
+// once per shard, and a remote worker once per process. A whole campaign
+// never asks it: its plan is its own (planHybrid with kept set). It holds 8
+// plans: one pins about 9.5 MB for an exhaustive CMEM campaign (58,188
+// experiments of 72 bytes of expansion and 80 of ISS prediction, plus the
+// audit). It takes no build semaphore: a plan build resolves its runners
+// under buildSem, so a plan holding a slot there would deadlock at
+// GOMAXPROCS=1.
 var planCache = onceCache[string, planArgs, *hybridPlan]{build: buildHybridPlan, limit: 8}
 
 // planArgs is what a plan build needs beyond its key.
@@ -180,48 +188,74 @@ func hybridPlanFor(ctx context.Context, n Request, workers int, reg *obs.Registr
 	return planCache.get(ctx, key, planArgs{n, workers, reg})
 }
 
-// buildHybridPlan executes the routing plan's two phases: the full ISS
-// prediction pass and the RTL audit pass, then scores every node class.
+// buildHybridPlan is planCache's build: a plan on arrays of its own, which
+// the cache keeps.
 func buildHybridPlan(ctx context.Context, _ string, a planArgs) (*hybridPlan, error) {
-	n, workers, reg := a.n, a.workers, a.reg
+	return planHybrid(ctx, a.n, a.workers, a.reg, false)
+}
+
+// planHybrid executes the routing plan's two phases — the full ISS
+// prediction pass and the RTL audit pass — then scores every node class.
+// With kept set the plan is laid over arrays the free lists hold —
+// expansions, results, auditMaps — for one whole campaign, which hands
+// them back (release) once its outcome is assembled; without, it is built
+// on fresh ones, for planCache to keep. Either way the audit's experiment
+// list, which the plan does not keep, goes back to subsets after its pass.
+func planHybrid(ctx context.Context, n Request, workers int, reg *obs.Registry, kept bool) (*hybridPlan, error) {
 	rtlR, err := runnerFor(ctx, n, reg)
 	if err != nil {
 		return nil, err
 	}
-	exps := experimentsFor(nil, rtlR, n)
 	// Pin the ISS engine to the RTL cycle timebase so one experiment
 	// list — instants in RTL cycles — drives both engines.
 	issR, err := issRunnerFor(ctx, n, reg, rtlR.GoldenCycles, rtlR.InjectCycle())
 	if err != nil {
 		return nil, err
 	}
+	p := &hybridPlan{rtl: rtlR, kept: kept}
+	var dst []fault.Experiment
+	if kept {
+		dst = expansions.take()
+	}
+	p.exps = experimentsFor(dst, rtlR, n)
+	exps := p.exps
+
+	// The audit sample first, a function of the seed and the index alone:
+	// its size fixes the results array, the predictions then the audits.
+	// Every slot of auditAt is written here — a kept one holds the last
+	// plan's sample — and every result by its pass.
+	p.auditAt = auditMaps.room(len(exps), kept)
+	audits := int32(0)
+	for i := range exps {
+		p.auditAt[i] = -1
+		if fault.AuditSample(n.Seed, i, n.RTLAudit) {
+			p.auditAt[i] = audits
+			audits++
+		}
+	}
+	all := results.room(len(exps)+int(audits), kept)
+	p.pred, p.audit = all[:len(exps)], all[len(exps):]
+
 	met := newRouterMetrics(reg)
-	pred, _, err := issR.CampaignStopContext(ctx, exps, workers, nil, nil)
-	if err != nil {
+	if err := issR.CampaignSink(ctx, exps, workers, func(i int, res *fault.Result) { p.pred[i] = *res }, nil); err != nil {
+		p.release()
 		return nil, err
 	}
 	met.experiments.With("iss").Add(float64(len(exps)))
 
-	auditAt := make([]int32, len(exps))
-	audits := int32(0)
-	for i := range exps {
-		auditAt[i] = -1
-		if fault.AuditSample(n.Seed, i, n.RTLAudit) {
-			auditAt[i] = audits
-			audits++
-		}
-	}
-	auditExps := make([]fault.Experiment, 0, audits)
-	for i, j := range auditAt {
+	auditExps := slices.Grow(subsets.take()[:0], int(audits))
+	for i, j := range p.auditAt {
 		if j >= 0 {
 			auditExps = append(auditExps, exps[i])
 		}
 	}
-	audit, _, err := rtlR.CampaignStopContext(ctx, auditExps, workers, nil, nil)
+	err = rtlR.CampaignSink(ctx, auditExps, workers, func(j int, res *fault.Result) { p.audit[j] = *res }, nil)
+	subsets.keep(auditExps)
 	if err != nil {
+		p.release()
 		return nil, err
 	}
-	met.experiments.With("rtl").Add(float64(len(auditExps)))
+	met.experiments.With("rtl").Add(float64(audits))
 
 	var byClass [classSlots]struct{ pred, meas []bool }
 	var seen [classSlots]bool
@@ -229,24 +263,23 @@ func buildHybridPlan(ctx context.Context, _ string, a planArgs) (*hybridPlan, er
 	for i := range exps {
 		c := classOf(exps[i].Node.Unit)
 		seen[c] = true
-		j := auditAt[i]
+		j := p.auditAt[i]
 		if j < 0 {
 			continue
 		}
-		p := pred[i].Outcome.IsFailure()
-		m := audit[j].Outcome.IsFailure()
-		if p != m {
+		pf := p.pred[i].Outcome.IsFailure()
+		mf := p.audit[j].Outcome.IsFailure()
+		if pf != mf {
 			disag++
 		}
-		byClass[c].pred = append(byClass[c].pred, p)
-		byClass[c].meas = append(byClass[c].meas, m)
+		byClass[c].pred = append(byClass[c].pred, pf)
+		byClass[c].meas = append(byClass[c].meas, mf)
 	}
 	met.disagreements.Add(float64(disag))
 
-	var escalated [classSlots]bool
-	for c := range escalated {
+	for c := range p.escalated {
 		if seen[c] && escalateClass(byClass[c].pred, byClass[c].meas, n.Confidence) {
-			escalated[c] = true
+			p.escalated[c] = true
 			met.escalated.Inc()
 		}
 	}
@@ -257,9 +290,9 @@ func buildHybridPlan(ctx context.Context, _ string, a planArgs) (*hybridPlan, er
 	var decided [len(decision)]int
 	for i := range exps {
 		switch {
-		case auditAt[i] >= 0:
+		case p.auditAt[i] >= 0:
 			decided[0]++
-		case escalated[classOf(exps[i].Node.Unit)]:
+		case p.escalated[classOf(exps[i].Node.Unit)]:
 			decided[1]++
 		default:
 			decided[2]++
@@ -270,28 +303,35 @@ func buildHybridPlan(ctx context.Context, _ string, a planArgs) (*hybridPlan, er
 			met.decisions.With(decision[d]).Add(float64(n))
 		}
 	}
-	return &hybridPlan{
-		rtl:       rtlR,
-		exps:      exps,
-		pred:      pred,
-		audit:     audit,
-		auditAt:   auditAt,
-		escalated: escalated,
-	}, nil
+	return p, nil
+}
+
+// release hands a whole campaign's plan arrays back to the free lists; a
+// cached plan's, and a nil plan, it leaves alone. Nothing reads the plan
+// after: the outcome copied what it needed of it.
+func (p *hybridPlan) release() {
+	if p == nil || !p.kept {
+		return
+	}
+	expansions.keep(p.exps)
+	results.keep(p.pred[:cap(p.pred)]) // the audits follow the predictions
+	auditMaps.keep(p.auditAt)
 }
 
 // escalations lists, ascending, the experiments of [start,end) the router
 // still owes an RTL run: members of escalated classes that the audit
 // sample did not already cover. They are the only per-range engine work
-// of a hybrid campaign.
-func (p *hybridPlan) escalations(start, end int) []int {
-	var idx []int
+// of a hybrid campaign. It returns their absolute indices, over an array
+// of indices, and the experiments themselves, over one of subsets, for
+// the caller to hand back once their run is over.
+func (p *hybridPlan) escalations(start, end int) (idx []int, run []fault.Experiment) {
+	idx, run = indices.take()[:0], subsets.take()[:0]
 	for i := start; i < end; i++ {
 		if p.auditAt[i] < 0 && p.escalated[classOf(p.exps[i].Node.Unit)] {
-			idx = append(idx, i)
+			idx, run = append(idx, i), append(run, p.exps[i])
 		}
 	}
-	return idx
+	return idx, run
 }
 
 // result is the result of an experiment the plan itself resolved: an

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -50,9 +51,12 @@ func TestEscalateClass(t *testing.T) {
 // The routing contract, end to end: every experiment's final engine is
 // consistent with the audit sample and the per-class escalation
 // verdicts reported in the outcome, and the hybrid accounting is
-// internally consistent with the experiments array. A second campaign
-// whose node sample overlaps the first, run on the runners and plan cache
-// the first left warm, is byte-identical to the same campaign run cold.
+// internally consistent with the experiments array. A whole campaign
+// builds its plan for itself and leaves none in the plan cache; the same
+// campaign sharded — equal to it — caches the plan its shards share, and
+// ForgetRunners empties the cache. A second campaign whose node sample
+// overlaps the first, run on the runners the first left warm, is
+// byte-identical to the same campaign run cold.
 func TestHybridRoutingContract(t *testing.T) {
 	req := Request{Workload: "excerptA", Models: []string{"sa0", "sa1", "open"}, Nodes: 12, Seed: 3,
 		InjectAtFraction: 0.3, Engine: "hybrid", RTLAudit: 0.5}
@@ -72,9 +76,22 @@ func TestHybridRoutingContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planCache.mu.Lock()
-	cached := planCache.m[key] != nil
-	planCache.mu.Unlock()
+	planCached := func() bool {
+		planCache.mu.Lock()
+		defer planCache.mu.Unlock()
+		return planCache.m[key] != nil
+	}
+	if planCached() {
+		t.Error("a whole campaign left its plan in the plan cache")
+	}
+	sharded, err := ExecuteSharded(context.Background(), req, 3, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sharded, out) {
+		t.Error("the campaign in 3 shards differs from it whole")
+	}
+	cached := planCached()
 	// The same seed draws the first campaign's 12 nodes first.
 	overlap := req
 	overlap.Nodes = 36
@@ -84,7 +101,7 @@ func TestHybridRoutingContract(t *testing.T) {
 	left := len(planCache.m)
 	planCache.mu.Unlock()
 	if !cached || left != 0 {
-		t.Errorf("campaign's plan cached: %v, plans left after ForgetRunners: %d; want true and 0", cached, left)
+		t.Errorf("sharded campaign's plan cached: %v, plans left after ForgetRunners: %d; want true and 0", cached, left)
 	}
 	if cold := encodedOutcome(t, overlap); !bytes.Equal(warm, cold) {
 		t.Errorf("overlapping hybrid campaign on warm runners differs from the same campaign cold (%d vs %d bytes)", len(warm), len(cold))
@@ -240,7 +257,7 @@ func TestRouterByUnitMatchesByName(t *testing.T) {
 		auditAt: []int32{-1, -1},
 	}
 	hand.escalated[classOf(a)] = true
-	if got := hand.escalations(0, 2); len(got) != 2 {
+	if got, _ := hand.escalations(0, 2); len(got) != 2 {
 		t.Errorf("a plan that escalated unit %d owes RTL runs for %v of a pair with units %d and %d, want both", a, got, a, b)
 	}
 }

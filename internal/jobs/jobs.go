@@ -623,23 +623,29 @@ type freeList[T any] chan []T
 
 // maxKeptBytes bounds every kept array by size, whatever its element: an
 // expansion of 2¹⁵ experiments, 2.4 MB (an exhaustive CMEM campaign's is
-// three times that). The four lists together keep at most four such arrays
-// per processor alive across collections.
+// three times that). The seven lists together keep at most seven such
+// arrays per processor alive across collections.
 const maxKeptBytes = 1 << 15 * unsafe.Sizeof(fault.Experiment{})
 
 func newFreeList[T any]() freeList[T] { return make(freeList[T], runtime.GOMAXPROCS(0)) }
 
-// The free lists: expansions for runRange's own lists — its expansion, a
-// hybrid range's escalations — and the shard pool's expansion once its
-// campaign's last local worker has returned (never the hybrid plan's, which
-// the plan keeps); samples for experimentsFor's node samples; outcomes and
-// indices for the output arrays of the pool's local shards, once Complete
-// has folded them (rangeEnv.reuse).
+// The free lists: expansions for runRange's own expansion, a whole hybrid
+// campaign's plan's and the shard pool's once its campaign's last local
+// worker has returned (never a cached plan's, which the cache keeps);
+// samples for experimentsFor's node samples; outcomes and indices for the
+// output arrays of the pool's local shards, once Complete has folded them
+// (rangeEnv.reuse), and indices also for a hybrid range's escalations;
+// subsets for the experiment lists of a hybrid plan's audit and of a
+// hybrid range's escalations; results and auditMaps for a whole hybrid
+// campaign's plan (hybridPlan.release).
 var (
 	expansions = newFreeList[fault.Experiment]()
 	samples    = newFreeList[fault.NodeInfo]()
 	outcomes   = newFreeList[ExperimentOutcome]()
 	indices    = newFreeList[int]()
+	subsets    = newFreeList[fault.Experiment]()
+	results    = newFreeList[fault.Result]()
+	auditMaps  = newFreeList[int32]()
 )
 
 // take returns a kept array, or nil when none is idle.
@@ -662,6 +668,18 @@ func (f freeList[T]) keep(s []T) {
 	case f <- s:
 	default:
 	}
+}
+
+// room returns n elements for a caller that writes every one of them before
+// it reads any: over a kept array when reuse is set and one with room is
+// idle — as the last campaign left it — fresh otherwise.
+func (f freeList[T]) room(n int, reuse bool) []T {
+	if reuse {
+		if s := f.take(); cap(s) >= n {
+			return s[:n]
+		}
+	}
+	return make([]T, n)
 }
 
 // zeroed returns n zero elements: over a kept array when reuse is set and
@@ -844,13 +862,23 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 	if err != nil {
 		return rangeRun{}, err
 	}
+	whole := end == wholeCampaign
 	endStage := env.tr.Stage("golden")
 	eng := env.eng
 	var plan *hybridPlan
 	switch {
 	case eng != nil:
 	case n.Engine == "hybrid":
-		if plan, err = hybridPlanFor(ctx, n, env.workers, env.reg); err == nil {
+		// A whole campaign's plan is its own, over the free lists' arrays,
+		// handed back when the campaign returns; the cache serves the ranges
+		// of sharded campaigns, whose shards share one build.
+		if whole {
+			plan, err = planHybrid(ctx, n, env.workers, env.reg, true)
+			defer plan.release()
+		} else {
+			plan, err = hybridPlanFor(ctx, n, env.workers, env.reg)
+		}
+		if err == nil {
 			eng = plan.rtl
 		}
 	default:
@@ -869,7 +897,6 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 		defer expansions.keep(exps)
 	}
 	endStage()
-	whole := end == wholeCampaign
 	if whole {
 		end = len(exps)
 	}
@@ -882,12 +909,9 @@ func runRange(ctx context.Context, req Request, start, end int, env rangeEnv) (r
 	run := exps[start:end]
 	var idx []int
 	if plan != nil {
-		idx = plan.escalations(start, end)
-		run = slices.Grow(expansions.take()[:0], len(idx))
-		for _, i := range idx {
-			run = append(run, exps[i])
-		}
-		defer expansions.keep(run)
+		idx, run = plan.escalations(start, end)
+		defer indices.keep(idx)
+		defer subsets.keep(run)
 	}
 	size := end - start
 	so := &ShardOutput{

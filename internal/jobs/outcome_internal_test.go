@@ -88,12 +88,15 @@ func TestWarmCampaignAllocations(t *testing.T) {
 // size: a warm campaign allocates its outcome's experiments array and a
 // constant beside it — the tally's maps, a shard pool's own state — and no
 // other array per experiment: no node sample, no experiment list, no raw
-// result array, no index list, no shard's output. A whole engine_perm
-// campaign allocates at most its experiments array plus permSlack bytes,
-// less than its node sample's 16 KiB, and an in-process 4-shard one at most
-// the array plus warmSlack; those two, the hybrid shape — with its plan
-// cached, and with the plan built each call — each allocate at most twice
-// what a half-size one does plus warmSlack.
+// result array, no index list, no shard's output, no hybrid plan. A whole
+// engine_perm campaign allocates at most its experiments array plus
+// permSlack bytes, less than its node sample's 16 KiB; an in-process
+// 4-shard one, and a whole hybrid one — its ISS pass, audit and class
+// scores included — at most the array plus warmSlack; each allocates at
+// most twice what a half-size one does plus warmSlack. The hybrid shape
+// runs twice, on the plan cache as the last campaign left it and emptied
+// before each call: a whole campaign builds its plan over recycled arrays
+// either way and never reads the cache.
 func TestWarmCampaignBytes(t *testing.T) {
 	const warmSlack, permSlack = 32 << 10, 8 << 10
 	execute := func(req Request) func() {
@@ -116,9 +119,7 @@ func TestWarmCampaignBytes(t *testing.T) {
 			}
 		}
 	}
-	// replan runs each call on an empty plan cache, so that a hybrid
-	// campaign builds its plan — the ISS pass, the audit and the class
-	// scores — every time instead of finding it cached. The seed stays: a
+	// replan runs each call on an empty plan cache. The seed stays: a
 	// fresh one would also walk new nets into the runners' logs and
 	// resolve new forcings, which the half-size campaign, a prefix of the
 	// same sample, does not, so the two would not be measured alike.
@@ -139,8 +140,8 @@ func TestWarmCampaignBytes(t *testing.T) {
 		slack int
 	}{
 		{"perm", execute, warmRequest, permSlack},
-		{"hybrid", execute, hybrid, 0},
-		{"hybrid-plan", replan, hybrid, 0},
+		{"hybrid", execute, hybrid, warmSlack},
+		{"hybrid-plan", replan, hybrid, warmSlack},
 		{"sharded", sharded, warmRequest, warmSlack},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"sync"
 	"testing"
@@ -13,17 +14,18 @@ import (
 // drainFreeLists empties the process-wide free lists, so that what a test's
 // campaigns reuse is what its own earlier campaigns left.
 func drainFreeLists() {
-	for len(expansions) > 0 {
-		expansions.take()
-	}
-	for len(samples) > 0 {
-		samples.take()
-	}
-	for len(outcomes) > 0 {
-		outcomes.take()
-	}
-	for len(indices) > 0 {
-		indices.take()
+	drain(expansions)
+	drain(samples)
+	drain(outcomes)
+	drain(indices)
+	drain(subsets)
+	drain(results)
+	drain(auditMaps)
+}
+
+func drain[T any](f freeList[T]) {
+	for len(f) > 0 {
+		f.take()
 	}
 }
 
@@ -179,3 +181,55 @@ func (g *leaseGate) Handle(_ context.Context, r slog.Record) error {
 
 func (g *leaseGate) WithAttrs([]slog.Attr) slog.Handler { return g }
 func (g *leaseGate) WithGroup(string) slog.Handler      { return g }
+
+// TestRecycledPlanStorageCarriesNothing: whole hybrid campaigns run one
+// after another, each building its plan over the arrays the one before
+// handed back — an IU campaign, a transient one, a CMEM one (another
+// population, other units, another audit sample), one cancelled in its
+// escalations, then a fresh request — and each is byte-identical to the
+// same request run on fresh storage.
+func TestRecycledPlanStorageCarriesNothing(t *testing.T) {
+	hybrid := func(seed int64, target string, models ...string) Request {
+		return Request{Workload: "puwmod", Iterations: 2, Target: target, Models: models, Engine: "hybrid",
+			RTLAudit: 0.1, Nodes: 48, Seed: seed, PulseCycles: 2, InjectAtFraction: 0.5}
+	}
+	steps := []struct {
+		req       Request
+		cancelled bool
+	}{
+		{hybrid(21, "iu"), false},
+		{hybrid(22, "iu", "seu", "set"), false},
+		{hybrid(23, "cmem"), false},
+		{hybrid(24, "iu", "sa0", "set"), true},
+		{hybrid(25, "iu", "sa1", "open"), false},
+	}
+	fresh := make([][]byte, len(steps))
+	for i, s := range steps {
+		if !s.cancelled {
+			drainFreeLists()
+			fresh[i] = encodedOutcome(t, s.req)
+		}
+	}
+	drainFreeLists()
+	for i, s := range steps {
+		name := fmt.Sprintf("%s %v seed %d", s.req.Target, s.req.Models, s.req.Seed)
+		if s.cancelled {
+			ctx, cancel := context.WithCancel(context.Background())
+			_, err := Execute(ctx, s.req, 2, func(done, _, _ int) {
+				if done > 0 {
+					cancel() // at the first escalation to finish
+				}
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: Execute returned %v, want the cancellation", name, err)
+			}
+		} else if got := encodedOutcome(t, s.req); !bytes.Equal(got, fresh[i]) {
+			t.Errorf("%s: over the last campaign's plan arrays it differs from fresh storage (%d vs %d bytes)",
+				name, len(got), len(fresh[i]))
+		}
+		if len(results) == 0 || len(auditMaps) == 0 || len(subsets) == 0 {
+			t.Fatalf("%s: the plan's arrays were not handed back for the next campaign", name)
+		}
+	}
+}

@@ -69,6 +69,9 @@ func (in *Inst) Target(pc uint32) uint32 {
 }
 
 // String disassembles the instruction (without PC-relative resolution).
+// For an ALU, memory, sethi, rd or wr instruction whose register form
+// leaves the asi field zero — and, for rd, every field but rd — it is
+// assembler syntax that assembles back to exactly the word's encoding.
 func (in *Inst) String() string {
 	op := in.Op
 	switch {
@@ -89,10 +92,12 @@ func (in *Inst) String() string {
 		return fmt.Sprintf("call %+d", in.Disp30)
 	case op.IsTicc():
 		return fmt.Sprintf("%s %s", op, in.op2str())
-	case op == OpRDY || op == OpRDPSR || op == OpRDWIM || op == OpRDTBR:
-		return fmt.Sprintf("%s %s", op, RegName(in.Rd))
-	case op == OpWRY || op == OpWRPSR || op == OpWRWIM || op == OpWRTBR:
-		return fmt.Sprintf("%s %s, %s", op, RegName(in.Rs1), in.op2str())
+	case op >= OpRDY && op <= OpWRTBR:
+		sr := specialRegs[(op-OpRDY)/2]
+		if (op-OpRDY)%2 == 0 {
+			return fmt.Sprintf("rd %s, %s", sr, RegName(in.Rd))
+		}
+		return fmt.Sprintf("wr %s, %s, %s", RegName(in.Rs1), in.op2str(), sr)
 	case op.IsLoad() && !op.IsStore():
 		return fmt.Sprintf("%s [%s], %s", op, in.addrStr(), RegName(in.Rd))
 	case op.IsStore() && !op.IsLoad():
@@ -107,6 +112,10 @@ func (in *Inst) String() string {
 	return fmt.Sprintf("%s %s, %s, %s", op, RegName(in.Rs1), in.op2str(), RegName(in.Rd))
 }
 
+// specialRegs names the state registers rd and wr access, in the order of
+// their ops (OpRDY, OpWRY, OpRDPSR, …).
+var specialRegs = [...]string{"%y", "%psr", "%wim", "%tbr"}
+
 func (in *Inst) op2str() string {
 	if in.Imm {
 		return fmt.Sprintf("%d", in.Simm13)
@@ -120,9 +129,6 @@ func (in *Inst) addrStr() string {
 			return RegName(in.Rs1)
 		}
 		return fmt.Sprintf("%s%+d", RegName(in.Rs1), in.Simm13)
-	}
-	if in.Rs2 == 0 {
-		return RegName(in.Rs1)
 	}
 	return fmt.Sprintf("%s+%s", RegName(in.Rs1), RegName(in.Rs2))
 }
