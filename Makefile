@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-e2e-smoke serve-smoke crash-smoke fuzz-smoke vet fmt-check staticcheck reprolint lint
+.PHONY: all build test bench-e2e-smoke fuzz-smoke vet fmt-check staticcheck reprolint lint
 
 all: build test
 
@@ -15,12 +15,6 @@ test:
 # The repository benchmark (bench/, BENCHMARK.json) at self-test size, every output check on.
 bench-e2e-smoke:
 	$(GO) run ./bench -smoke
-
-# The two hermetic end-to-end smokes (cmd/smoke); crash takes `-seed N` to replay a kill schedule.
-serve-smoke:
-	$(GO) run ./cmd/smoke serve
-crash-smoke:
-	$(GO) run ./cmd/smoke crash
 
 vet:
 	$(GO) vet ./...

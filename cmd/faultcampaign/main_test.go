@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/jobs"
 )
 
 // TestPlainOutputGolden pins the human-readable rendering of a plain
@@ -52,7 +56,11 @@ regfile  28.6%
 // -json bytes. -engine hybrid -rtl-audit 1.0 is the pure-RTL campaign and
 // carries no hybrid block; -shards 3 is the unsharded campaign, hybrid, on
 // both targets and transient, whose instants are keyed by (seed, index),
-// not by shard.
+// not by shard. And -json is the bytes cmd/faultserverd's tests hold a
+// daemon's results to, jobs.EncodeOutcome of jobs.Execute on the same
+// request, for those tests' serve, overlap and crash campaigns spelled as
+// flags, -iters 0 included: an explicit 0 is the workload default, as a
+// request that omits "iterations" is.
 func TestJSONSpellingsAgree(t *testing.T) {
 	jsonOf := func(args ...string) string {
 		t.Helper()
@@ -91,5 +99,26 @@ func TestJSONSpellingsAgree(t *testing.T) {
 	transient := sameSharded("seu,set", "-w", "rspeed", "-iters", "2", "-models", "seu,set", "-pulse", "2", "-nodes", "30", "-seed", "1", "-inject-frac", "0.3")
 	if !strings.Contains(transient, `"at_cycle"`) {
 		t.Error("the transient campaign carries no sampled injection instants")
+	}
+
+	for _, req := range []jobs.Request{
+		{Workload: "excerptA", Target: "iu", Models: []string{"sa1"}, Nodes: 6, Seed: 1, InjectAtFraction: 0.3},
+		{Workload: "excerptA", Target: "iu", Models: []string{"sa0", "sa1", "open"}, Nodes: 24, Seed: 1, InjectAtFraction: 0.3},
+		{Workload: "rspeed", Iterations: crashIters, Target: "iu", Models: []string{"sa0", "sa1"}, Nodes: 120, Seed: 1, InjectAtFraction: 0.3},
+	} {
+		args := []string{"-w", req.Workload, "-iters", strconv.Itoa(req.Iterations), "-target", req.Target,
+			"-models", strings.Join(req.Models, ","), "-nodes", strconv.Itoa(req.Nodes),
+			"-seed", strconv.FormatInt(req.Seed, 10), "-inject-frac", "0.3"}
+		out, err := jobs.Execute(context.Background(), req, 0, nil)
+		var want bytes.Buffer
+		if err == nil {
+			err = jobs.EncodeOutcome(&want, out)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cli := jsonOf(args...); cli != want.String() {
+			t.Errorf("faultcampaign %s -json and jobs.Execute differ (%d vs %d bytes)", strings.Join(args, " "), len(cli), want.Len())
+		}
 	}
 }

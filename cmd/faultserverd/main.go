@@ -16,8 +16,8 @@
 // SIGKILL included — replays the journal, serves finished campaigns
 // from the store without re-executing them, and resumes in-flight
 // campaigns from their last durably completed shard; the recovered
-// outcome is byte-identical to an undisturbed run. /readyz answers 503
-// until recovery finishes, then 200.
+// outcome is byte-identical to an undisturbed run. The port is bound only
+// once recovery has finished, so /readyz answers 200 whenever it answers.
 //
 // With -shards N each campaign is split into N deterministic
 // experiment-range shards, drained by in-process shard workers and by
@@ -154,7 +154,7 @@ func main() {
 		logger.Error("listen failed", "addr", *addr, "error", err)
 		os.Exit(1)
 	}
-	// The stdout line is an interface: scripts (and the smoke tests)
+	// The stdout line is an interface: scripts (and this command's tests)
 	// scrape the bound address from it, so it stays a bare printf no
 	// matter the log format.
 	fmt.Printf("faultserverd: listening on http://%s\n", ln.Addr())
@@ -172,7 +172,6 @@ func main() {
 		}
 	}
 	api := server.New(mgr, server.WithObs(reg), server.WithBootInfo(recovery, *dataDir))
-	api.SetReady()
 	srv := &http.Server{
 		Handler: api.Handler(),
 		// No WriteTimeout: the NDJSON stream endpoint is legitimately

@@ -18,7 +18,8 @@ import (
 // (the record vocabulary is part of the on-disk format, pinned here on
 // purpose) and then open a manager over the debris. Nothing reaches
 // into unexported state — if these pass, a real SIGKILL recovers too,
-// which is exactly what cmd/smoke crash demonstrates process-for-real.
+// which is exactly what cmd/faultserverd's TestCrashRecovery demonstrates
+// process-for-real.
 
 func encodeOutcome(t *testing.T, o *jobs.Outcome) []byte {
 	t.Helper()

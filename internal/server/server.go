@@ -25,9 +25,9 @@
 //
 //	GET /healthz   liveness — 200 as soon as the process serves HTTP
 //	               (same payload as /api/v1/healthz)
-//	GET /readyz    readiness — 503 until the daemon calls SetReady
-//	               (journal replayed, result store opened, recovered
-//	               jobs resubmitted), 200 afterwards
+//	GET /readyz    readiness — 200 whenever it answers: faultserverd
+//	               binds its port only after the journal is replayed,
+//	               the result store opened and recovered jobs resubmitted
 //
 // When the manager runs a shard pool, four more endpoints serve the
 // shard protocol to remote `faultserverd -worker` processes:
@@ -51,7 +51,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/jobs"
@@ -72,10 +71,6 @@ type Server struct {
 	// Boot info surfaced on /healthz (WithBootInfo).
 	dataDir  string
 	recovery *jobs.RecoveryInfo
-
-	// ready gates /readyz: false (503) until the daemon finishes boot
-	// work — durability recovery above all — and calls SetReady.
-	ready atomic.Bool
 
 	// Stream lifecycle: Drain waits for in-flight NDJSON progress streams
 	// to flush their terminal snapshots before the daemon closes its
@@ -131,11 +126,6 @@ func New(mgr *jobs.Manager, options ...Option) *Server {
 
 // Handler returns the root handler: the instrumented mux.
 func (s *Server) Handler() http.Handler { return s.instrument(s.mux) }
-
-// SetReady flips /readyz to 200. Call it once boot work that readiness
-// promises — journal replay, result-store open, recovered-job
-// resubmission — has completed.
-func (s *Server) SetReady() { s.ready.Store(true) }
 
 // Drain marks the server as shutting down — new stream subscriptions are
 // refused with 503 — and waits for every in-flight NDJSON progress
@@ -360,17 +350,10 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// readyz answers readiness probes: 503 while the daemon is still booting
-// (durability recovery in flight), 200 once SetReady ran. Liveness is
-// /healthz; the two differ exactly during recovery, which is the window
-// supervisors must not route traffic into.
+// readyz answers readiness probes. A daemon that answers is ready: it
+// binds its port only once recovery has finished, so during recovery a
+// probe finds no listener rather than a "starting" answer.
 func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
-	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, struct {
-			Status string `json:"status"`
-		}{Status: "starting"})
-		return
-	}
 	writeJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{Status: "ready"})

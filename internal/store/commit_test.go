@@ -222,8 +222,8 @@ func TestJournalBarrierReportsSyncFailure(t *testing.T) {
 // TestJournalWriteThrough is the SIGKILL half of the crash contract: every
 // record, whatever its class, is in the file the moment its append returns,
 // so a process that dies without closing the journal loses none — and
-// cmd/smoke crash, which times its kills by the journal file's growth, sees
-// each record as it happens.
+// cmd/faultserverd's TestCrashRecovery, which times its kills by the
+// journal file's growth, sees each record as it happens.
 func TestJournalWriteThrough(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.ndjson")
 	j, _ := openJournalT(t, path)
