@@ -50,8 +50,9 @@ import (
 // decides the lane (rtl.WitnessAcc.WriteFirst; DESIGN.md §10 has the lemma):
 // replaced first, the upset is dead and the lane is free; read first, the
 // lane activates at that read and the bit is flipped there instead of at the
-// sampled instant. A universe that has shrunk back to golden ⊕ seed is that
-// lane again from where it stands (Runner.resolve, the park).
+// sampled instant. A stepped universe that has shrunk back to golden but for
+// a few words is such an upset on each of their logs again, from where it
+// stands (Runner.park).
 //
 // Lanes that never activate are finalized from the golden trajectory
 // without simulating a single faulted cycle. Activated lanes fork a
@@ -418,18 +419,17 @@ func (r *Runner) step(lad *ladder, l *lane, res *Result, c *crew) {
 }
 
 // nextActivation returns the first golden cycle at or after from — and no
-// earlier than the lane's injection instant — at which the lane's forcing
-// is read with a differing bit, or -1 if it never is again: a binary search
-// into the net's runs, then the first run whose accumulator fires the probe.
-// Asked from the log's start — every permanent lane is, at the runner's
-// fixed instant — a forcing's answer is the first run that read its bit
-// with the differing value, which the log keeps per bit (netLog.first).
-// A glitch stops being read when its window closes; the log ends with the
-// golden run. An upset is asked with from a cycle boundary at which its
-// universe is the golden one but for the seed bit — its instant, or where
-// resolve parked it — and is decided by the next thing the log holds for
-// the word: replaced unread it is dead, read it fires; so does, unread, a
-// register's edge that takes the pending word, which an upset not yet
+// earlier than the lane's injection instant — at which the lane's forcing is
+// read with a differing bit, or -1 if it never is again: a binary search into
+// the net's runs, then the first run whose accumulator fires the probe. Asked
+// from the log's start — every permanent lane is, at the runner's fixed
+// instant — a forcing's answer is the first run that read its bit with the
+// differing value, which the log keeps per bit (netLog.first). A glitch stops
+// being read when its window closes; the log ends with the golden run. An
+// upset is asked at its instant, where its universe is the golden one but for
+// the seed bit, and is decided by the next thing the log holds for the word
+// (netLog.upset): replaced unread it is dead, read it fires; so does, unread,
+// a register's edge that takes the pending word, which an upset not yet
 // carried over an edge never reached (conservative: it costs a fork, which
 // steps the truth). A scalar universe has no log and is only asked once
 // nothing is armed (see resolve), so the answer is never.
@@ -446,7 +446,13 @@ func (l *lane) nextActivation(from uint64) int64 {
 	if from >= end || runs.n == 0 {
 		return -1
 	}
-	if !l.flip && from <= uint64(runs.at(0).t) {
+	if l.flip {
+		if at, read := l.log.upset(from); read {
+			return at
+		}
+		return -1
+	}
+	if from <= uint64(runs.at(0).t) {
 		read := 1 // the value whose read the forcing inverts
 		if l.forcedOne {
 			read = 0
@@ -457,19 +463,9 @@ func (l *lane) nextActivation(from uint64) int64 {
 		}
 		return int64(runs.at(int(k)).t)
 	}
-	i := sort.Search(runs.n, func(i int) bool { ru := runs.at(i); return uint64(ru.t)+uint64(ru.n) > from })
-	for ; i < runs.n && uint64(runs.at(i).t) < end; i++ {
+	for i := l.log.runAt(from); i < runs.n && uint64(runs.at(i).t) < end; i++ {
 		ru := runs.at(i)
 		at := max(uint64(ru.t), from)
-		if l.flip {
-			if ru.writeFirst {
-				return -1
-			}
-			if ru.untouched || ru.ones|ru.zeros != 0 {
-				return int64(at)
-			}
-			continue
-		}
 		m := ru.ones
 		if l.forcedOne {
 			m = ru.zeros
@@ -479,6 +475,31 @@ func (l *lane) nextActivation(from uint64) int64 {
 		}
 	}
 	return -1
+}
+
+// runAt returns the index of the first run that ends after cycle from.
+func (lg *netLog) runAt(from uint64) int {
+	runs := &lg.runs
+	return sort.Search(runs.n, func(i int) bool { ru := runs.at(i); return uint64(ru.t)+uint64(ru.n) > from })
+}
+
+// upset says what the log holds next for an upset its word has carried
+// since a cycle boundary at or before from (the lemma of DESIGN.md §10): the
+// first golden cycle at or after from in which the word is read, or its
+// register's edge takes the pending word (read true), or in which it is
+// replaced unread (read false); at is -1 if neither happens before the
+// golden run ends.
+func (lg *netLog) upset(from uint64) (at int64, read bool) {
+	runs := &lg.runs
+	for i := lg.runAt(from); i < runs.n; i++ {
+		switch ru := runs.at(i); {
+		case ru.writeFirst:
+			return int64(max(uint64(ru.t), from)), false
+		case ru.untouched || ru.ones|ru.zeros != 0:
+			return int64(max(uint64(ru.t), from)), true
+		}
+	}
+	return -1, false
 }
 
 // arm applies the lane's fault to a core positioned on the golden

@@ -87,9 +87,14 @@ type designTable struct {
 	// into (victimReg), filled here so that an ISS experiment reads it
 	// through its node's net id instead of hashing the name.
 	victims []uint8
-	ids     map[rtl.WitnessNet]int32 // by net
-	once    [2]sync.Once
-	nodes   [2][]NodeInfo // each target's annotated node list, IU then CMEM, enumerated on first use
+	// state is, by the index rtl.Kernel.Diff gives a state word — the
+	// registers, then the array words — the word's net id; regs is how many
+	// of the indices are registers.
+	state []int32
+	regs  int32
+	ids   map[rtl.WitnessNet]int32 // by net
+	once  [2]sync.Once
+	nodes [2][]NodeInfo // each target's annotated node list, IU then CMEM, enumerated on first use
 }
 
 var (
@@ -109,11 +114,16 @@ func design() *designTable {
 			d.victims = append(d.victims, victimReg(name, wn.Word))
 		}
 		for _, s := range k.Signals() {
+			if s.IsReg() {
+				d.state = append(d.state, int32(len(d.nets)))
+			}
 			add(rtl.WitnessNet{Name: s.Name()}, s.Width(), strHash(s.Name()))
 		}
+		d.regs = int32(len(d.state))
 		for _, a := range k.Arrays() {
 			h := strHash(a.Name())
 			for w := range a.Len() {
+				d.state = append(d.state, int32(len(d.nets)))
 				add(rtl.WitnessNet{Name: a.Name(), Word: w}, a.Width(), h)
 			}
 		}

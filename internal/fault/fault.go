@@ -317,7 +317,7 @@ func NewRunner(p *asm.Program, opts Options) (*Runner, error) {
 		rows = design().bits
 	}
 	r := &Runner{prog: p, opts: opts, baseImg: m.Snapshot(), met: newEngineMetrics(opts.Obs), verdicts: newVerdicts(opts.Obs, rows)}
-	r.log.budget, r.log.nets = logBudget, make([]*netLog, len(design().nets))
+	r.log.budget, r.log.nets = logBudget, make([]atomic.Pointer[netLog], len(design().nets))
 	// One object of each kind per processor: what a campaign at the default
 	// worker count holds at once.
 	keep := runtime.GOMAXPROCS(0)
@@ -462,7 +462,14 @@ type engine struct {
 	core *leon3.Core
 	cmp  comparator
 	seen rtl.Snapshot
+	diff [diffMax]rtl.WordDiff // the words a universe differs from a rung in (Runner.park)
 }
+
+// diffMax is how many state words a universe may differ from a golden rung
+// in and still be parked on their read logs: the stretches a corrupted
+// value sits unread in a few words of the register file. A constant, not an
+// option.
+const diffMax = 4
 
 // getEngine takes a kept engine, building one when none is idle. The
 // NoCheckpoint reference keeps none: it builds a fresh core every time.
@@ -525,12 +532,15 @@ func (r *Runner) armAt(e *Experiment) uint64 {
 // far away, and it is re-forked there; soon, and it runs on. A scalar
 // permanent fault has no log and is never compared.
 //
-// Parked: an upset lane's universe equal to the rung but for its seed bit,
-// on the rung's own cycle — the log is indexed by golden cycle — and at the
-// rung's write position. What the flip disturbed has drained and the flip
-// itself is still there: exactly what the lane described at its instant, so
-// the same question is asked of its net's log from this cycle on, with the
-// same three answers. An upset healed altogether is spent and asks nothing.
+// Parked: an unarmed universe equal to the rung but for at most diffMax
+// state words (rtl.Kernel.Diff), on the rung's own cycle — the logs are
+// indexed by golden cycle — and at the rung's write position. Each word is
+// an upset on its net's read log, where the runner has published one, and
+// the universe stays golden but for them until one is read (Runner.park):
+// never, and it is no-effect; more than two strides away, and it is re-forked
+// there with the words still differing XORed back in; nearer, and it runs
+// on. An upset lane whose flip has drained is the lane it was at its
+// instant; a universe healed altogether asks nothing.
 //
 // Recurrent: past the last rung, with nothing left to release, the future
 // is a function of kernel slabs, memory and comparator. Brent's cycle
@@ -600,21 +610,24 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane, res *Result) {
 			r.GoldenCycles+shift > r.budget {
 			continue
 		}
-		next := int64(-1)
-		parked := false
+		next, kept, parked := int64(-1), 0, false
 		switch {
-		case core.StateEquals(g.core):
-			// Healed: this universe is on the golden trajectory again, an
-			// upset overwritten and spent.
-			if !l.flip {
-				next = l.nextActivation(t)
+		case unarmed && shift == 0:
+			// Healed when no word differs; parked, golden but for a few words
+			// whose logs say when one is next read, a lane again from here.
+			n, ok := core.Diff(g.core, eng.diff[:])
+			if ok && n > 0 {
+				next, kept, ok = r.park(eng, n, t)
+				parked = true
 			}
-		case l.flip && shift == 0 && core.StateEqualsUpset(g.core, l.f.Node):
-			// Parked: golden but for the seed bit, a lane again from here.
-			parked = true
-			next = l.nextActivation(t)
-		default:
+			if !ok {
+				continue
+			}
+		case !core.StateEquals(g.core):
 			continue
+		case !unarmed:
+			// Healed with its forcing armed: a lane again from here.
+			next = l.nextActivation(t)
 		}
 		if next >= 0 && uint64(next)-t <= 2*lad.stride {
 			continue
@@ -633,9 +646,51 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane, res *Result) {
 		}
 		// Teleport across the quiet stretch instead of simulating it.
 		stepped += r.materialize(eng, lad, uint64(next))
-		_ = l.arm(core) // the same arming succeeded above
+		if parked {
+			for _, w := range eng.diff[:kept] {
+				core.K.XorWord(w.Index, w.Mask)
+			}
+		} else {
+			_ = l.arm(core) // the same arming succeeded above
+		}
 	}
 	r.classify(res, core, bus, c, l.injectAt)
+}
+
+// park asks the read logs of the n state words in eng.diff, in which an
+// unarmed universe on rung cycle t differs from the rung, when the universe
+// is next read: each word is an upset on its net's log (netLog.upset), and
+// the universe stays golden but for the words still differing up to the
+// first cycle one of them is read (next; -1 if none ever is). A word replaced
+// unread before then is golden from there on and drops out; the rest, in
+// eng.diff[:kept], are what a teleport to next XORs back in. ok is false —
+// step on — when a word's log is not published, or a register's lacks its
+// clock edges, without which an unread replacement looks like a carry.
+func (r *Runner) park(eng *engine, n int, t uint64) (next int64, kept int, ok bool) {
+	d := design()
+	var dead [diffMax]int64
+	next = -1
+	for i, w := range eng.diff[:n] {
+		lg := r.log.nets[d.state[w.Index]].Load()
+		if lg == nil || w.Index < d.regs && lg.has&logEdges == 0 {
+			return 0, 0, false
+		}
+		at, read := lg.upset(t)
+		dead[i] = -1
+		switch {
+		case read && (next < 0 || at < next):
+			next = at
+		case !read:
+			dead[i] = at
+		}
+	}
+	for i, w := range eng.diff[:n] {
+		if dead[i] < 0 || dead[i] >= next {
+			eng.diff[kept] = w
+			kept++
+		}
+	}
+	return next, kept, true
 }
 
 // RunOne executes a single injection experiment as a scalar simulation.

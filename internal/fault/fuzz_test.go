@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -13,8 +14,9 @@ import (
 // FuzzLaneEquivalence is the engine oracle on generated programs: for a
 // constrained-random terminating SPARC program, any injectable node of
 // either target, any fault model and any instant, the production engine —
-// ladder from the fixed instant, lanes over the read log, upsets
-// among them, parked and teleported — must return what the from-reset scalar reference returns,
+// ladder from the fixed instant, lanes over the read log, upsets among
+// them, universes parked on the logs of the words they differ in and
+// teleported — must return what the from-reset scalar reference returns,
 // byte for byte, by every path checkEngine walks (one campaign of seven,
 // RunOne, single-lane campaigns). The fuzzed experiment shares its
 // campaign with a second upset on the same net, a SET pulse one cycle later
@@ -24,7 +26,9 @@ import (
 // instant is the flip most likely to heal a refetch late. The lot
 // runs once more behind 64 filler lanes on the same net (glitches
 // scheduled past program exit: never armed, free), so that its lanes are
-// not the campaign's first. Every input runs twice on its runner: the
+// not the campaign's first. Before either, the runner's read log is given
+// the register file and the IU registers (logAround), as earlier campaigns
+// would leave it. Every input runs twice on its runner: the
 // first round walks the nets into the runner's read log and resolves the
 // forcings into its verdict table, the second is answered from both. A
 // second campaign then overlaps the first on the same runner — the node's own
@@ -60,6 +64,15 @@ func FuzzLaneEquivalence(f *testing.F) {
 	f.Add(int64(1), uint32(993), uint8(rtl.BitFlip), uint32(20), uint8(0))   // iu.psr.wim.1: parked and teleported eight times, then never read again
 	f.Add(int64(3), uint32(34), uint8(rtl.BitFlip), uint32(307), uint8(0))   // iu.de.pc.1 on a bubble: the first edge takes the pending word
 	f.Add(int64(1), uint32(7045), uint8(rtl.BitFlip), uint32(20), uint8(0))  // cmem.ic.tags[49].3: re-parked between its set's lookups, other lines refilled meanwhile
+	// Universes parked on the logs of words other than their seed's, or of
+	// several words at once (logAround publishes them).
+	f.Add(int64(11), uint32(21811), uint8(rtl.BitFlip), uint32(293), uint8(0))  // cmem.dc.data[148].24: loaded into iu.rf.regs[128], parked there alone, replaced unread
+	f.Add(int64(11), uint32(4454), uint8(rtl.BitFlip), uint32(465), uint8(0))   // iu.rf.regs[92].15 copied into iu.rf.regs[112]: a two-word park teleported three times, then for good
+	f.Add(int64(6), uint32(1442), uint8(rtl.SETPulse), uint32(1517), uint8(3))  // iu.wb.wbval.20 written to two words, one replaced before the other's read: XORed back alone
+	f.Add(int64(7), uint32(8379), uint8(rtl.BitFlip), uint32(551), uint8(1))    // cmem.ic.data[31].0: a wrong instruction leaves four words, two replaced unread before the teleport
+	f.Add(int64(7), uint32(10466), uint8(rtl.SETPulse), uint32(1188), uint8(1)) // the sibling's upset leaves three words; XOR iu.rf.regs[133], replaced before the teleport, and a mismatch follows
+	f.Add(int64(9), uint32(11709), uint8(rtl.BitFlip), uint32(618), uint8(0))   // cmem.ic.data[135].2: a wrong divide leaves iu.md.quot, logged without its edges: never parked there
+	f.Add(int64(4), uint32(166), uint8(rtl.BitFlip), uint32(1154), uint8(1))    // iu.de.disp.14: the pulse moves on to iu.ex.disp, logged without its edges
 	// Permanent lanes asked from a log that starts mid-run.
 	f.Add(int64(2), uint32(2222), uint8(rtl.StuckAt1), uint32(900), uint8(2)) // a register-file word stuck from half-way
 	f.Add(int64(5), uint32(9000), uint8(rtl.OpenLine), uint32(15), uint8(1))  // cmem.ic.data[50].13, open from a quarter in
@@ -70,6 +83,7 @@ func FuzzLaneEquivalence(f *testing.F) {
 		}
 		// Skips a program that ends in a trap.
 		lanes, ref := enginePair(t, p, Options{PulseCycles: 2, InjectAtFraction: float64(fixed%4) / 4})
+		logAround(lanes)
 		iu, cmem := lanes.Nodes(TargetIU), lanes.Nodes(TargetCMEM)
 		var n NodeInfo
 		if i := int(node) % (len(iu) + len(cmem)); i < len(iu) {
@@ -113,6 +127,32 @@ func FuzzLaneEquivalence(f *testing.F) {
 			t.Fatalf("overlapping campaign on the warm runner: got %+v, reference %+v", got, want)
 		}
 	})
+}
+
+// logAround publishes on r's read log what earlier campaigns over other nets
+// would have left there: every register-file word, and every IU register
+// whose edges the witness can watch — with its edges on an even net id, with
+// its reads alone, as a permanent campaign logs it, on an odd one. A
+// transient universe then finds logs for the words it spreads to, so it
+// parks on words that are not its seed's, on several at once, and meets
+// registers whose log cannot say when they were replaced.
+func logAround(r *Runner) {
+	d := design()
+	m := &memo{}
+	for id, n := range d.nets {
+		x := logExtra(0)
+		switch {
+		case n.Name == "iu.rf.regs":
+		case strings.HasPrefix(n.Name, "iu.") && d.k.EdgesWatchable(rtl.Node{Name: n.Name}):
+			if id%2 == 0 {
+				x = logEdges
+			}
+		default:
+			continue
+		}
+		m.nets, m.extras = append(m.nets, int32(id)), append(m.extras, x)
+	}
+	r.readLogs(m)
 }
 
 // FuzzISSEquivalence is the ISS engine's oracle on generated programs

@@ -26,8 +26,8 @@ type engineMetrics struct {
 	// trades stepped cycles for a fork, so this may rise where
 	// faultedCycles, the cost, falls.
 	snapshots *obs.Counter
-	// reconverged counts healed universes, and upset lanes parked golden
-	// but for their seed bit, dropped back onto the golden trajectory
+	// reconverged counts healed universes, and unarmed ones parked golden
+	// but for a few words, dropped back onto the golden trajectory
 	// (finalized as no-effect, or teleported to their next activation);
 	// faultedCycles counts every cycle stepped outside a
 	// golden walk, replayCycles the part of it that materialize stepped
@@ -59,8 +59,9 @@ type engineMetrics struct {
 // proofs labels engine_verdicts_proven_total: a twin of a forcing the same
 // call resolved, a recurring state, a time-shifted golden state, a core whose
 // EX gate stays shut to the budget (resolve), a forcing an earlier call on the
-// runner resolved (resolveOnce), an upset parked on its net's log that is
-// never read again (resolve).
+// runner resolved (resolveOnce), a universe parked on the logs of the few
+// words it differs from the golden one in, none of which is read again
+// (Runner.park).
 var proofs = [...]string{"equivalent", "recurrent", "shifted", "wedged", "known", "parked"}
 
 const (
@@ -89,7 +90,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 	byOutcome := r.CounterVec("engine_faulted_cycles_by_outcome_total",
 		"engine_faulted_cycles_total split by how the universe ended; healed ones apart from no-effects that ran to exit.", "outcome")
 	byProof := r.CounterVec("engine_verdicts_proven_total",
-		"Verdicts reached without stepping to them: a twin of a forcing the same call resolved (equivalent), one the runner's verdict table kept from an earlier call (known), a recurring state, a time-shifted golden state, a dead EX gate, an upset parked on its net's read log and never read again (parked).", "proof")
+		"Verdicts reached without stepping to them: a twin of a forcing the same call resolved (equivalent), one the runner's verdict table kept from an earlier call (known), a recurring state, a time-shifted golden state, a dead EX gate, a transient universe golden but for a few state words, parked on their read logs, none read again before it is replaced or the run ends (parked).", "proof")
 	m := engineMetrics{
 		live: r != nil,
 		experiments: r.Counter("engine_experiments_total",
@@ -101,9 +102,9 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		lanesFree: r.Counter("engine_batch_lanes_free_total",
 			"Batch lanes finalized from the golden trajectory without scalar simulation."),
 		snapshots: r.Counter("engine_snapshot_materializations_total",
-			"Experiments, batch lanes and teleports materialized from a golden-ladder rung. Rises when parked upsets teleport (a restore and under one stride of replay in place of the cycles in between): engine_faulted_cycles_total is the cost."),
+			"Experiments, batch lanes and teleports materialized from a golden-ladder rung. Rises when parked universes teleport (a restore and under one stride of replay in place of the cycles in between): engine_faulted_cycles_total is the cost."),
 		reconverged: r.Counter("engine_reconverged_total",
-			"Healed experiments and batch lanes, and upset lanes parked on their net's read log, dropped back onto the golden trajectory: finalized there or teleported to their next activation."),
+			"Healed experiments and batch lanes, and transient universes golden but for a few state words parked on those words' read logs, dropped back onto the golden trajectory: finalized there or teleported to the first read of a word still differing, which is XORed back in."),
 		faultedCycles: r.Counter("engine_faulted_cycles_total",
 			"Cycles simulated outside witnessed golden walks, engine_replay_cycles_total included."),
 		replayCycles: r.Counter("engine_replay_cycles_total",

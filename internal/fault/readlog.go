@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/iss"
@@ -134,10 +135,13 @@ func (lg *netLog) valueAt(t uint64) uint64 {
 
 // readLog is a runner's logged nets. mu serialises lookups and walks, so
 // concurrent campaigns — the shards of one request — share a walk's nets
-// instead of each stepping their own.
+// instead of each stepping their own. A log is published through its net's
+// pointer once walked and never changes, so a worker parking a universe on
+// the logs of the words it differs in (Runner.park) loads them without the
+// lock: one another campaign publishes meanwhile serves it from then on.
 type readLog struct {
 	mu     sync.Mutex
-	nets   []*netLog // by net id of the design, sized by NewRunner; nil for a net not logged
+	nets   []atomic.Pointer[netLog] // by net id of the design, sized by NewRunner; nil for a net not logged
 	bytes  int
 	budget int // logBudget; tests lower it
 }
@@ -160,7 +164,7 @@ func (r *Runner) readLogs(m *memo) {
 	var nets []rtl.WitnessNet
 	var extras []logExtra
 	for i, net := range m.nets {
-		l := lg.nets[net]
+		l := lg.nets[net].Load()
 		if x := m.extras[i]; l == nil || x&^l.has != 0 {
 			if l != nil {
 				x |= l.has // a net logged without what a lane now asks for is walked again
@@ -182,8 +186,9 @@ func (r *Runner) readLogs(m *memo) {
 		l, net := fresh[k], m.nets[i]
 		m.logs[i] = l
 		// A net logged before without its raw values is replaced.
-		if size := l.bytes() - lg.nets[net].bytes(); lg.bytes+size <= lg.budget {
-			lg.nets[net], lg.bytes = l, lg.bytes+size
+		if size := l.bytes() - lg.nets[net].Load().bytes(); lg.bytes+size <= lg.budget {
+			lg.nets[net].Store(l)
+			lg.bytes += size
 			r.met.logLogged.Inc()
 			r.met.logBytes.Add(float64(size))
 		} else {

@@ -44,8 +44,8 @@ func netIDs(nets []rtl.WitnessNet) []int32 {
 // logged counts the nets the log holds.
 func (lg *readLog) logged() int {
 	n := 0
-	for _, l := range lg.nets {
-		if l != nil {
+	for i := range lg.nets {
+		if lg.nets[i].Load() != nil {
 			n++
 		}
 	}
@@ -324,6 +324,83 @@ func TestConcurrentCampaignsShareTheLog(t *testing.T) {
 	if walks := c["engine_golden_pass_cycles_total"] / float64(r.GoldenCycles-r.ladder().start); walks < 1 || walks > shards {
 		t.Errorf("%v walks for %d concurrent cold campaigns", walks, shards)
 	}
+}
+
+// TestParksOnLogsPublishedMidRun holds a park to the logs the runner has
+// published when it asks, by whichever campaign: Runner.park loads them
+// without the log's lock. Upsets of the instruction cache's data run wrong
+// instructions and spread into the register file; a second campaign, of
+// upsets on every register-file word, publishes those words' logs. Run after
+// the second, the first campaign steps fewer faulted cycles than on a fresh
+// runner, because its universes park on words its own plan never logged. Run
+// both at once on a cold runner, and one parks on what the other publishes
+// mid-run, under the race detector's eye. Every run equals the from-reset
+// reference byte for byte.
+func TestParksOnLogsPublishedMidRun(t *testing.T) {
+	p, err := asm.Assemble(difftest.Generate(4, difftest.AllFeatures(200)), mem.RAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{PulseCycles: 2}
+	_, ref := enginePair(t, p, opts)
+	var icache, regfile []Experiment
+	var ic []NodeInfo
+	for _, n := range Nodes(TargetCMEM) {
+		if n.Node.Name == "cmem.ic.data" {
+			ic = append(ic, n)
+		}
+	}
+	icache = Expand(SampleNodes(ic, 64, 1), rtl.BitFlip, rtl.SETPulse)
+	ref.ScheduleTransients(icache, 1)
+	for _, n := range Nodes(TargetIU) {
+		if n.Node.Name == "iu.rf.regs" && n.Node.Bit == n.Node.Word%32 {
+			regfile = append(regfile, Experiment{Node: n, Model: rtl.BitFlip})
+		}
+	}
+	ref.ScheduleTransients(regfile, 2)
+	camps := [][]Experiment{icache, regfile}
+	want := [][]Result{ref.Campaign(icache, 2), ref.Campaign(regfile, 2)}
+
+	// cycles runs the campaigns in order on a fresh runner and returns the
+	// faulted cycles the last one stepped.
+	cycles := func(order ...int) float64 {
+		reg := obs.NewRegistry()
+		o := opts
+		o.Obs = reg
+		r, err := NewRunner(p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before float64
+		for _, i := range order {
+			before = engineCounters(t, reg)["engine_faulted_cycles_total"]
+			if got := r.Campaign(camps[i], 2); !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("campaign %d after %v differs from the reference", i, order)
+			}
+		}
+		return engineCounters(t, reg)["engine_faulted_cycles_total"] - before
+	}
+	alone, after := cycles(0), cycles(1, 0)
+	if after >= alone {
+		t.Errorf("instruction-cache upsets step %v faulted cycles after the register file was logged, %v alone: they parked on no word of it", after, alone)
+	}
+	t.Logf("instruction-cache upsets: %v faulted cycles alone, %v after the register file was logged", alone, after)
+
+	r, err := NewRunner(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := range camps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := r.Campaign(camps[i], 2); !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("campaign %d beside the other differs from the reference", i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestLogFootprint holds the read log to its budget beside

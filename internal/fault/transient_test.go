@@ -357,6 +357,18 @@ func TestPassRecordBounded(t *testing.T) {
 // that end in a mismatch. Reconverged counts every drop onto the golden
 // trajectory, the 234 teleports and 47 heals.
 //
+// Since a universe is parked on the logs of whatever few words it differs
+// from the rung in (Runner.park), not on its seed bit's alone, four
+// register-file upsets teleport 47 times more, 61 times to 108:
+// iu.rf.regs[103].1 (0 to 29) once its value was copied into another word and
+// the seed word replaced, iu.rf.regs[93].14 (3 to 16) and [77].30 (0 to 1)
+// while their word held a value computed from the flip, differing in more
+// bits than the seed, and [99].24 (58 to 62); four of the new teleports
+// restore two words at once. So 234 teleports became 281 (319
+// materializations to 366, 2,254 replayed cycles to 2,583), and 15,181
+// faulted cycles 13,501, 12,431 of them (from 14,079) in the universes that
+// end in a mismatch. Reconverged is the 281 teleports and the 47 heals.
+//
 // The golden continuation itself is walked once, at plan time, by a campaign
 // that brings a net the runner's read log lacks — GoldenCycles − InjectCycle
 // cycles whatever the worker count — and a second campaign on the runner
@@ -378,12 +390,12 @@ func TestReconvergenceWorkCounters(t *testing.T) {
 	}{
 		{"seu", []rtl.FaultModel{rtl.BitFlip}, 0, map[string]float64{
 			"engine_batch_lanes_planned_total": 234, "engine_batch_lanes_activated_total": 63, "engine_batch_lanes_free_total": 171,
-			"engine_faulted_cycles_total": 15181, "engine_reconverged_total": 234 + 47, "engine_snapshot_materializations_total": 63 + 22 + 234,
-			"engine_replay_cycles_total":                       2254,
+			"engine_faulted_cycles_total": 13501, "engine_reconverged_total": 281 + 47, "engine_snapshot_materializations_total": 63 + 22 + 281,
+			"engine_replay_cycles_total":                       2583,
 			`engine_verdicts_proven_total{proof="equivalent"}`: 0, `engine_verdicts_proven_total{proof="recurrent"}`: 0,
 			`engine_verdicts_proven_total{proof="shifted"}`: 4, `engine_verdicts_proven_total{proof="wedged"}`: 1,
 			`engine_verdicts_proven_total{proof="parked"}`:           1,
-			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 8, `engine_faulted_cycles_by_outcome_total{outcome="mismatch"}`: 14079,
+			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 8, `engine_faulted_cycles_by_outcome_total{outcome="mismatch"}`: 12431,
 		}},
 		{"permanent", rtl.FaultModels(), 186, map[string]float64{
 			"engine_batch_lanes_planned_total": 768, "engine_batch_lanes_activated_total": 186, "engine_batch_lanes_free_total": 582,

@@ -96,9 +96,9 @@ func (c *Core) StateEquals(s *Snapshot) bool {
 	return c.K.StateEquals(s.kern)
 }
 
-// StateEqualsUpset is StateEquals but for bit n, which the core holds
-// inverted: the snapshot's state with a single-event upset of that bit
-// sitting in it, unread and not yet overwritten.
-func (c *Core) StateEqualsUpset(s *Snapshot, n rtl.Node) bool {
-	return c.K.StateEqualsUpset(s.kern, n)
+// Diff lists in dst the state words in which the core's committed RTL state
+// differs from the snapshot's (rtl.Kernel.Diff): a universe that StateEquals
+// the snapshot but for those words.
+func (c *Core) Diff(s *Snapshot, dst []rtl.WordDiff) (int, bool) {
+	return c.K.Diff(s.kern, dst)
 }

@@ -41,17 +41,3 @@ func (k *Kernel) flip(n Node, carried bool) error {
 	}
 	return fmt.Errorf("rtl: unknown node %v", n)
 }
-
-// StateEqualsUpset is StateEquals with bit n of the kernel's committed state
-// inverted for the comparison: it reports a kernel that is in the snapshot's
-// state but for an upset of that one bit still sitting in it. At a cycle
-// boundary the pending register slab equals the committed one, so the upset
-// then sits in both. An unknown node equals nothing.
-func (k *Kernel) StateEqualsUpset(s *Snapshot, n Node) bool {
-	if k.FlipBit(n) != nil {
-		return false
-	}
-	eq := k.StateEquals(s)
-	_ = k.FlipBit(n)
-	return eq
-}

@@ -111,6 +111,65 @@ func (k *Kernel) StateEquals(s *Snapshot) bool {
 	return slices.Equal(k.regCur, s.regs) && slices.Equal(k.arr, s.arr)
 }
 
+// WordDiff is one state word in which a kernel differs from a snapshot.
+// Index numbers the kernel's state words: its clocked signals in declaration
+// order, then the words of its arrays, array by array in declaration order.
+// Mask is the kernel's word XOR the snapshot's.
+type WordDiff struct {
+	Index int32
+	Mask  uint64
+}
+
+// diffChunk is how many words Diff compares in one bulk equality before it
+// looks at them one by one: a few words of the thousands differ.
+const diffChunk = 64
+
+// Diff is StateEquals word by word: it lists in dst, registers first, the
+// state words in which the kernel's committed state differs from the
+// snapshot's, and returns how many. ok is false when more words differ than
+// dst holds, or the slabs have another length. The campaign engine parks a
+// universe that differs from a golden rung in a few words on those words'
+// read logs.
+func (k *Kernel) Diff(s *Snapshot, dst []WordDiff) (n int, ok bool) {
+	if len(s.regs) != len(k.regCur) || len(s.arr) != len(k.arr) {
+		return 0, false
+	}
+	base := 0
+	for _, slab := range [2][2][]uint64{{k.regCur, s.regs}, {k.arr, s.arr}} {
+		a, b := slab[0], slab[1]
+		for lo := 0; lo < len(a); lo += diffChunk {
+			hi := min(lo+diffChunk, len(a))
+			if slices.Equal(a[lo:hi], b[lo:hi]) {
+				continue
+			}
+			for i := lo; i < hi; i++ {
+				if x := a[i] ^ b[i]; x != 0 {
+					if n == len(dst) {
+						return n, false
+					}
+					dst[n] = WordDiff{Index: int32(base + i), Mask: x}
+					n++
+				}
+			}
+		}
+		base = len(a)
+	}
+	return n, true
+}
+
+// XorWord inverts the bits of mask in state word i, numbered as Diff numbers
+// them: a register in its committed and its pending slot, which hold the same
+// word at a cycle boundary (an upset carried over an edge, as FlipCarried
+// leaves it), an array word in its one slot.
+func (k *Kernel) XorWord(i int32, mask uint64) {
+	if int(i) < len(k.regCur) {
+		k.regCur[i] ^= mask
+		k.regNxt[i] ^= mask
+		return
+	}
+	k.arr[int(i)-len(k.regCur)] ^= mask
+}
+
 // Recurs is StateEquals plus the wire slab: exactly the snapshot's
 // state, cycle counter aside. The engine's recurrence search proves a
 // universe periodic while its fault is still armed, which is outside the

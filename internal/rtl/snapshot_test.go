@@ -160,6 +160,48 @@ func TestStateComparisons(t *testing.T) {
 	}
 }
 
+// TestDiffAndXorWord: Diff lists the words StateEquals would find unequal —
+// registers by declaration order, then array words after them, across its
+// 64-word chunks — and nothing of the wires; it says so when dst is too short
+// or the shape differs. XorWord of what Diff listed gives the snapshot's
+// state back, a register in both its slots.
+func TestDiffAndXorWord(t *testing.T) {
+	k := NewKernel()
+	k.Reg("t.r0", 8, 0)
+	w := k.Wire("t.w", 8, 0)
+	r1 := k.Reg("t.r1", 16, 0)
+	k.Array("t.a", 32, 4, 0)
+	b := k.Array("t.b", 32, 100, 0)
+	var snap Snapshot
+	k.SnapshotInto(&snap)
+	var dst [3]WordDiff
+	if n, ok := k.Diff(&snap, dst[:]); !ok || n != 0 {
+		t.Fatalf("a kernel against its own snapshot: %d words, ok %v", n, ok)
+	}
+	w.Set(7)
+	*r1.curp ^= 0x105
+	*r1.nxtp ^= 0x105
+	b.Write(70, 1<<20)
+	n, ok := k.Diff(&snap, dst[:])
+	want := []WordDiff{{Index: 1, Mask: 0x105}, {Index: 2 + 4 + 70, Mask: 1 << 20}}
+	if !ok || n != 2 || dst[0] != want[0] || dst[1] != want[1] {
+		t.Fatalf("Diff = %v (%d words, ok %v), want %v", dst[:n], n, ok, want)
+	}
+	if n, ok := k.Diff(&snap, dst[:1]); ok || n != 1 {
+		t.Errorf("two words against room for one: %d words, ok %v", n, ok)
+	}
+	for _, d := range want {
+		k.XorWord(d.Index, d.Mask)
+	}
+	if n, ok := k.Diff(&snap, dst[:]); !ok || n != 0 || !k.StateEquals(&snap) || r1.Next() != r1.Get() {
+		t.Errorf("after XorWord: %d words differ, pending %#x, committed %#x", n, r1.Next(), r1.Get())
+	}
+	other, _, _, _ := build()
+	if _, ok := other.Diff(&snap, dst[:]); ok {
+		t.Error("a kernel of another shape diffed against the snapshot")
+	}
+}
+
 // TestSnapshotsShareOneSlab: the snapshots Snapshots hands out are filled
 // in place — no allocation, none overlapping its neighbour — and restore
 // like any other.
