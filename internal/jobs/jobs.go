@@ -163,14 +163,7 @@ func (r Request) Normalize() (Request, error) {
 	// Reject unknown workloads up front: accepting them would hand out a
 	// job doomed to fail at execution, and every distinct bad name would
 	// burn a slot in the bounded runner cache.
-	known := false
-	for _, name := range workloads.Names() {
-		if name == r.Workload {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !workloads.Known(r.Workload) {
 		return r, fmt.Errorf("jobs: unknown workload %q", r.Workload)
 	}
 	switch r.Target {

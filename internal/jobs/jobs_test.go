@@ -183,7 +183,8 @@ func TestExecuteCancelledBeforeGoldenRun(t *testing.T) {
 }
 
 // blockingExecutor returns an executor that parks until released (or its
-// context is cancelled) and counts executions.
+// context is cancelled) and counts executions. A context already cancelled
+// when it wakes wins over a release that came with it.
 type blockingExecutor struct {
 	mu      sync.Mutex
 	started chan string // job keys in execution order
@@ -206,6 +207,9 @@ func (b *blockingExecutor) exec(ctx context.Context, req jobs.Request, workers i
 	}
 	select {
 	case <-b.release:
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		if tap != nil {
 			tap(10, 10, 3)
 		}

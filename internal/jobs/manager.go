@@ -98,7 +98,8 @@ type ManagerOptions struct {
 }
 
 // Stats counts what the manager has done since it started. Submitted is
-// every accepted submission; Coalesced are submissions that joined an
+// every submission that was given a job — one whose journal barrier then
+// failed too, its job cancelled; Coalesced are submissions that joined an
 // in-flight job; CacheHits are submissions answered from the completed
 // result cache; Executed are campaigns that actually ran the engine.
 type Stats struct {
@@ -278,49 +279,91 @@ func (m *Manager) Submit(req Request) (st Status, fresh bool, err error) {
 		return Status{}, false, err
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return Status{}, false, ErrClosed
-	}
-	if j := m.byKey[key]; j != nil {
-		m.stats.Submitted++
-		if j.state == StateDone {
-			m.stats.CacheHits++
-		} else {
-			m.stats.Coalesced++
-		}
-		return m.statusLocked(j), false, nil
+	if st, ok, err := m.joinLocked(key); ok {
+		m.mu.Unlock()
+		return st, false, err
 	}
 	// The persistent result store extends the cache across process
 	// lifetimes: a campaign completed before the last restart answers
-	// here without touching the engine.
+	// here without touching the engine. The read and the decode run off
+	// the lock, so other keys' submissions and every status read go on
+	// meanwhile; a job that took the key in that window wins, and the
+	// decode is dropped.
 	if m.persist != nil {
-		if out, encoded, ok := m.persist.loadOutcome(key); ok {
+		m.mu.Unlock()
+		out, encoded, stored := m.persist.loadOutcome(key)
+		m.mu.Lock()
+		if st, ok, err := m.joinLocked(key); ok {
+			m.mu.Unlock()
+			return st, false, err
+		}
+		if stored {
 			// Born done, so status, result, watch and wait all behave exactly
 			// as for a job that completed in this process. No lifecycle
 			// records are journaled — the outcome is already durable under
 			// its content address.
 			m.stats.Submitted++
 			m.stats.CacheHits++
-			return m.statusLocked(m.admitLocked(key, n, StateDone, out, encoded)), false, nil
+			st = m.statusLocked(m.admitLocked(key, n, StateDone, out, encoded))
+			m.mu.Unlock()
+			return st, false, nil
 		}
 	}
 	// The bound counts live queued jobs; cancelled-while-queued entries
 	// are spliced out of the FIFO by Cancel and free their slot.
 	if m.queued >= m.opts.QueueDepth {
+		m.mu.Unlock()
 		return Status{}, false, ErrQueueFull
 	}
-	// Durably record the submission before admitting it: a job the
-	// journal cannot remember would vanish in the next crash, which is
-	// worse than failing the submit now.
+	// Record the submission before admitting it, and answer only once the
+	// record is on the disk: a job the journal cannot remember would vanish
+	// in the next crash, which is worse than failing the submit. The job is
+	// queued at the write and the fsync is waited for off the lock, so the
+	// campaign runs while the disk works.
+	var synced func() error
 	if m.persist != nil {
-		if err := m.persist.journalSubmit(key, n); err != nil {
+		if synced, err = m.persist.journalSubmit(key, n); err != nil {
+			m.mu.Unlock()
 			return Status{}, false, fmt.Errorf("jobs: journaling submission: %w", err)
 		}
 	}
 	m.stats.Submitted++
 	j := m.admitLocked(key, n, StateQueued, nil, nil)
 	m.log.Info("job submitted", "job", j.id, "key", shortKey(key), "workload", n.Workload)
+	st = m.statusLocked(j)
+	m.mu.Unlock()
+	if synced != nil {
+		if err := synced(); err != nil {
+			// Nobody was told of the job: stop it and free its key. One that
+			// has already finished keeps its outcome, which is the request's
+			// whoever asks.
+			m.mu.Lock()
+			m.cancelLocked(j)
+			m.mu.Unlock()
+			return Status{}, false, fmt.Errorf("jobs: journaling submission: %w", err)
+		}
+	}
+	return st, true, nil
+}
+
+// joinLocked answers a submission of key from the job that holds it — a
+// queued or running one to coalesce onto, or a done one from the cache —
+// and reports whether it did; once the manager is closed it answers
+// ErrClosed.
+func (m *Manager) joinLocked(key string) (Status, bool, error) {
+	if m.closed {
+		return Status{}, true, ErrClosed
+	}
+	j := m.byKey[key]
+	if j == nil {
+		return Status{}, false, nil
+	}
+	m.stats.Submitted++
+	if j.state == StateDone {
+		m.stats.CacheHits++
+	} else {
+		m.stats.Coalesced++
+	}
 	return m.statusLocked(j), true, nil
 }
 
@@ -479,6 +522,16 @@ func (m *Manager) Cancel(id string) (Status, error) {
 	if j == nil {
 		return Status{}, ErrNotFound
 	}
+	if j.state.Terminal() {
+		return m.statusLocked(j), ErrTerminal
+	}
+	m.cancelLocked(j)
+	return m.statusLocked(j), nil
+}
+
+// cancelLocked stops a job that is still in flight; a terminal one it
+// leaves as it is.
+func (m *Manager) cancelLocked(j *job) {
 	switch j.state {
 	case StateQueued:
 		j.state = StateCancelled
@@ -494,7 +547,6 @@ func (m *Manager) Cancel(id string) (Status, error) {
 			}
 		}
 		m.finishLocked(j)
-		return m.statusLocked(j), nil
 	case StateRunning:
 		// Release the content key now, not when the worker notices the
 		// cancellation: a resubmission in that window must start a fresh
@@ -503,9 +555,6 @@ func (m *Manager) Cancel(id string) (Status, error) {
 			delete(m.byKey, j.key)
 		}
 		j.cancel()
-		return m.statusLocked(j), nil
-	default:
-		return m.statusLocked(j), ErrTerminal
 	}
 }
 

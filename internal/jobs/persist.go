@@ -30,7 +30,11 @@ import (
 // durability classes; every record reaches the kernel before its append
 // returns, so a killed process loses none of them — the class is about
 // power loss). job_submitted is a barrier: the submitter is answered only
-// once it is on the disk. shard_completed and the three terminal records
+// once it is on the disk, but the job is queued as soon as the record is
+// written and may run, and even commit its outcome, while the fsync is in
+// flight — the client has not been told the job exists, the job's own
+// records follow job_submitted in the file, and a stored outcome is
+// content-addressed. shard_completed and the three terminal records
 // are synced soon after, without their writer waiting: losing one costs a
 // shard re-run, or a replay that finds the outcome already in the store.
 // The plan and the leases are breadcrumbs — cheap, never synced on their
@@ -204,6 +208,10 @@ type persistence struct {
 
 	mu        sync.Mutex
 	recovered map[string][]shardRecord // journaled completed shards, by campaign key
+
+	// loading, when set, is called by loadOutcome on a store hit before
+	// the decode: where a test holds a load.
+	loading func(key string)
 }
 
 // openPersistence opens (or creates) the store and journal under dir and
@@ -328,11 +336,13 @@ func (p *persistence) compact(live []*recoveredJob) error {
 	return p.journal.Rewrite(recs)
 }
 
-// journalSubmit durably records a fresh submission before the job is
-// queued; failing it fails the submission — accepting a job the journal
-// cannot remember would silently drop it on the next crash.
-func (p *persistence) journalSubmit(key string, req Request) error {
-	return p.journal.AppendSync(recJobSubmitted, key, req)
+// journalSubmit writes a fresh submission's record and returns the wait for
+// its fsync, which the submitter is answered only after: accepting a job the
+// journal cannot remember would silently drop it on the next crash. Until
+// then the job may run, since the record is already in the file ahead of
+// anything the job journals.
+func (p *persistence) journalSubmit(key string, req Request) (synced func() error, err error) {
+	return p.journal.AppendBarrier(recJobSubmitted, key, req)
 }
 
 // journalJobEnd retires a job in the journal. Loss of this record is
@@ -372,6 +382,9 @@ func (p *persistence) loadOutcome(key string) (*Outcome, []byte, bool) {
 	b, ok := p.store.Get(key)
 	if !ok {
 		return nil, nil, false
+	}
+	if p.loading != nil {
+		p.loading(key)
 	}
 	var out Outcome
 	if err := json.Unmarshal(b, &out); err != nil {

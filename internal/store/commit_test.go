@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,10 +18,12 @@ import (
 // watchedSync replaces a journal's fsync with one that notes, before it
 // syncs, which records the file already holds, and publishes them as durable
 // once the sync is over: "on the disk" as a barrier caller is entitled to
-// read it. fail, when set, makes every sync report that error instead.
+// read it. fail, when set, makes every sync report that error instead;
+// hold, when set, keeps each sync from finishing until it is closed.
 type watchedSync struct {
 	path string
 	fail error
+	hold chan struct{}
 
 	mu      sync.Mutex
 	durable map[int]bool // record ids covered by a finished sync
@@ -35,6 +38,9 @@ func watch(j *Journal) *watchedSync {
 
 func (w *watchedSync) sync(f *os.File) error {
 	_, ids := replayIDs(w.path)
+	if w.hold != nil {
+		<-w.hold
+	}
 	err := f.Sync()
 	if w.fail != nil {
 		err = w.fail
@@ -70,7 +76,8 @@ func replayIDs(path string) ([]Record, []int) {
 
 // TestJournalGroupCommit mixes the three durability classes from several
 // goroutines and holds the journal to its contract: the file carries the
-// records in sequence order; a barrier append returns only after an fsync
+// records in sequence order; a barrier record is in the file when
+// AppendBarrier hands back its wait, and the wait returns only after an fsync
 // that began with its bytes already in the file; coalescing never adds an
 // fsync — there are at most as many as barrier and soon appends; and Close
 // leaves everything durable, trailing breadcrumbs included.
@@ -96,8 +103,16 @@ func TestJournalGroupCommit(t *testing.T) {
 				case 1:
 					err = j.AppendSoon("soon", keyFor("k"), id)
 				case 2:
-					if err = j.AppendSync("barrier", keyFor("k"), id); err == nil && !w.isDurable(id) {
-						t.Errorf("barrier append %d returned before an fsync that began after its write had finished", id)
+					var wait func() error
+					if wait, err = j.AppendBarrier("barrier", keyFor("k"), id); err != nil {
+						break
+					}
+					// A copy of the file, replayed as a reopening process would.
+					if _, ids := replayIDs(path); !slices.Contains(ids, id) {
+						t.Errorf("barrier record %d is not in the file when AppendBarrier returns", id)
+					}
+					if err = wait(); err == nil && !w.isDurable(id) {
+						t.Errorf("barrier %d's wait returned before an fsync that began after its write had finished", id)
 					}
 				}
 				if err != nil {
@@ -196,17 +211,40 @@ func TestJournalSyncerRaces(t *testing.T) {
 	}
 }
 
-// TestJournalBarrierReportsSyncFailure: the callers that shared a failed
-// fsync all learn of it, and so does the observer; the journal goes on.
+// TestJournalBarrierReportsSyncFailure: a barrier's wait, handed back with
+// its record already in the file, does not return while the fsync that
+// began after the write is held, and returns that fsync's failure when it
+// fails; so does the observer learn of it, and the journal goes on.
 func TestJournalBarrierReportsSyncFailure(t *testing.T) {
-	j, _ := openJournalT(t, filepath.Join(t.TempDir(), "journal.ndjson"))
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	j, _ := openJournalT(t, path)
 	defer j.Close()
 	w := watch(j)
-	w.fail = errors.New("disk on fire")
+	w.fail, w.hold = errors.New("disk on fire"), make(chan struct{})
+	release := sync.OnceFunc(func() { close(w.hold) })
+	defer release() // before Close, which waits for the held sync
 	var observed error
 	j.OnFsync(func(_ time.Duration, err error) { observed = err })
-	if err := j.AppendSync("event", "", 1); !errors.Is(err, w.fail) {
-		t.Fatalf("barrier append over a failing fsync returned %v", err)
+	wait, err := j.AppendBarrier("event", "", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ids := replayIDs(path); !slices.Equal(ids, []int{1}) {
+		t.Fatalf("AppendBarrier returned with the file replaying ids %v", ids)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- wait() }()
+	select {
+	case err := <-waited:
+		t.Fatalf("the wait returned (%v) while the fsync was held", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	if err := <-waited; !errors.Is(err, w.fail) {
+		t.Fatalf("barrier wait over a failing fsync returned %v", err)
+	}
+	if w.last != 1 {
+		t.Errorf("the failed fsync began with %d records in the file, want 1", w.last)
 	}
 	j.mu.Lock()
 	if !errors.Is(observed, w.fail) {
@@ -214,8 +252,8 @@ func TestJournalBarrierReportsSyncFailure(t *testing.T) {
 	}
 	j.mu.Unlock()
 	w.fail = nil
-	if err := j.AppendSync("event", "", 2); err != nil {
-		t.Fatalf("barrier append after the disk recovered: %v", err)
+	if err := j.AppendSync("event", "", 2); err != nil || !w.isDurable(2) {
+		t.Fatalf("barrier append after the disk recovered: %v, durable %v", err, w.isDurable(2))
 	}
 }
 

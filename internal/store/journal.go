@@ -36,7 +36,8 @@ import (
 // survives a power loss:
 //
 //	barrier     the caller returns once an fsync that began after its
-//	            write has finished; concurrent callers share one
+//	            write has finished (AppendSync), or is handed that wait
+//	            (AppendBarrier); concurrent callers share one fsync
 //	soon        the journal's syncer goroutine fsyncs it as soon as it
 //	            can, and the caller does not wait
 //	breadcrumb  never synced on its own account: it rides the next fsync
@@ -86,7 +87,7 @@ type Journal struct {
 	exited      chan struct{} // non-nil once the syncer runs; closed when it has returned
 	onFsync     func(took time.Duration, err error)
 	// fsync is (*os.File).Sync; tests substitute one they can watch, hold
-	// up or fail.
+	// up or fail (SetFsync).
 	fsync func(*os.File) error
 }
 
@@ -94,6 +95,12 @@ type Journal struct {
 type syncRound struct {
 	done chan struct{}
 	err  error
+}
+
+// wait returns once the round's fsync has finished, with its error.
+func (r *syncRound) wait() error {
+	<-r.done
+	return r.err
 }
 
 // frameBuf lets the JSON encoder append to the frame under construction.
@@ -307,49 +314,66 @@ const (
 // fsync anyone asks for. Lost to a power failure it replays as a torn tail,
 // which recovery tolerates by re-deriving the lost event.
 func (j *Journal) Append(typ, key string, data interface{}) error {
-	return j.append(breadcrumb, typ, key, data)
+	_, err := j.append(breadcrumb, typ, key, data)
+	return err
 }
 
 // AppendSoon writes one record and has the journal fsync it right away
 // without making the caller wait for the disk: for records whose loss to a
 // power failure costs redone work, never correctness.
 func (j *Journal) AppendSoon(typ, key string, data interface{}) error {
-	return j.append(soon, typ, key, data)
+	_, err := j.append(soon, typ, key, data)
+	return err
 }
 
 // AppendSync writes one record and returns once it is on the disk: a
 // barrier, for events the caller must not act on before they are durable.
 func (j *Journal) AppendSync(typ, key string, data interface{}) error {
-	return j.append(barrier, typ, key, data)
-}
-
-func (j *Journal) append(d durability, typ, key string, data interface{}) error {
-	j.mu.Lock()
-	if err := j.appendLocked(typ, key, data); err != nil {
-		j.mu.Unlock()
+	wait, err := j.AppendBarrier(typ, key, data)
+	if err != nil {
 		return err
 	}
-	var r *syncRound
-	if d != breadcrumb {
-		j.owed = true
-		if j.exited == nil {
-			j.exited = make(chan struct{})
-			go j.syncer()
-		}
-		if d == barrier {
-			if j.round == nil {
-				j.round = &syncRound{done: make(chan struct{})}
-			}
-			r = j.round
-		}
-		j.cond.Broadcast()
+	return wait()
+}
+
+// AppendBarrier is AppendSync split in two: it writes the record, owes it
+// an fsync at once and returns the wait for it, which returns once an
+// fsync that began after the write has finished, with that fsync's error.
+// Between the two the caller may do what does not depend on the record
+// being on the disk — release its own locks, start work the record
+// describes.
+func (j *Journal) AppendBarrier(typ, key string, data interface{}) (wait func() error, err error) {
+	r, err := j.append(barrier, typ, key, data)
+	if err != nil {
+		return nil, err
 	}
-	j.mu.Unlock()
-	if r == nil {
-		return nil
+	return r.wait, nil
+}
+
+// append writes one record through and owes it the fsync its class asks
+// for; a barrier record gets the round that fsync will end.
+func (j *Journal) append(d durability, typ, key string, data interface{}) (*syncRound, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.appendLocked(typ, key, data); err != nil {
+		return nil, err
 	}
-	<-r.done
-	return r.err
+	if d == breadcrumb {
+		return nil, nil
+	}
+	j.owed = true
+	if j.exited == nil {
+		j.exited = make(chan struct{})
+		go j.syncer()
+	}
+	j.cond.Broadcast()
+	if d == soon {
+		return nil, nil
+	}
+	if j.round == nil {
+		j.round = &syncRound{done: make(chan struct{})}
+	}
+	return j.round, nil
 }
 
 // appendLocked frames one record and writes it through to the kernel: a
@@ -370,6 +394,15 @@ func (j *Journal) appendLocked(typ, key string, data interface{}) error {
 	j.size += int64(len(j.frame.b))
 	j.dirty = true
 	return nil
+}
+
+// SetFsync replaces how the journal file is forced to the disk —
+// (*os.File).Sync — with f: how a test outside this package holds a sync up
+// or makes it fail.
+func (j *Journal) SetFsync(f func(*os.File) error) {
+	j.mu.Lock()
+	j.fsync = f
+	j.mu.Unlock()
 }
 
 // OnFsync registers f to be told how long each fsync of the journal file
@@ -404,11 +437,11 @@ func (j *Journal) syncer() {
 // with mu released, so appends proceed (and join the next round) meanwhile.
 // The barrier callers that joined this round return when it is over.
 func (j *Journal) syncLocked() error {
-	r, f := j.round, j.f
+	r, f, fsync := j.round, j.f, j.fsync
 	j.round, j.owed, j.dirty, j.syncing = nil, false, false, true
 	j.mu.Unlock()
 	t0 := time.Now()
-	err := j.fsync(f)
+	err := fsync(f)
 	took := time.Since(t0)
 	j.mu.Lock()
 	j.syncing = false

@@ -86,6 +86,12 @@ func Names() []string {
 	return out
 }
 
+// Known reports whether name is a workload Build can assemble.
+func Known(name string) bool {
+	_, ok := registry[name]
+	return ok
+}
+
 // AutomotiveNames returns the automotive benchmark names in the paper's
 // Table 1 order followed by the remaining members.
 func AutomotiveNames() []string {

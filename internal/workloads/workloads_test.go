@@ -157,6 +157,14 @@ func TestUnknownWorkload(t *testing.T) {
 	if _, err := Get("no-such-benchmark"); err == nil {
 		t.Fatal("expected error for unknown workload")
 	}
+	if Known("no-such-benchmark") || Known("") {
+		t.Error("Known accepts a name the registry lacks")
+	}
+	for _, n := range Names() {
+		if !Known(n) {
+			t.Errorf("Known(%q) = false for a listed workload", n)
+		}
+	}
 }
 
 func TestTable1NamesExist(t *testing.T) {
