@@ -53,9 +53,6 @@ func (o Options) iters() int {
 // reset values (the paper's "fixed injection instant").
 const injectFraction = 0.05
 
-// wireName names each fault model as a jobs.Request does.
-var wireName = [...]string{rtl.StuckAt0: "sa0", rtl.StuckAt1: "sa1", rtl.OpenLine: "open", rtl.BitFlip: "seu", rtl.SETPulse: "set"}
-
 // request is one campaign of the artifacts as the job service takes it:
 // model at target over o's node sample of the named workload (Nodes 0 is
 // every node), injected injectFraction into its run, transient instants
@@ -68,7 +65,7 @@ func (o Options) request(name string, cfg workloads.Config, target fault.Target,
 		Iterations:       cfg.Iterations,
 		Dataset:          cfg.Dataset,
 		Target:           strings.ToLower(target.String()),
-		Models:           []string{wireName[model]},
+		Models:           []string{jobs.ModelName(model)},
 		Nodes:            o.Nodes,
 		Seed:             o.Seed,
 		InjectAtFraction: injectFraction,
@@ -546,10 +543,12 @@ func checkpointSpeedup(o Options, w *workloads.Workload) (ckSec, resetSec float6
 		if err != nil {
 			return 0, 0, fmt.Errorf("campaign: checkpoint timing: %w", err)
 		}
-		exps := fault.Expand(fault.SampleNodes(r.Nodes(fault.TargetIU), sample, o.Seed), rtl.StuckAt1)
+		exps := fault.Expand(fault.SampleNodes(fault.Nodes(fault.TargetIU), sample, o.Seed), rtl.StuckAt1)
 		r.PrepareCheckpoint() // capture outside the timed region
 		t0 := time.Now()      //lint:allow det measured quantity of the checkpoint-speedup row
-		r.Campaign(exps, 0)
+		if err := r.CampaignSink(context.Background(), exps, 0, func(int, *fault.Result) {}, nil); err != nil {
+			return 0, 0, fmt.Errorf("campaign: checkpoint timing: %w", err)
+		}
 		if noCkpt {
 			resetSec = time.Since(t0).Seconds() //lint:allow det measured quantity of the checkpoint-speedup row
 		} else {

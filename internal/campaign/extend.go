@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/jobs"
@@ -46,7 +47,7 @@ func ExtTransient(o Options, benchmark string) (*TransientResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := r.Nodes(fault.TargetIU)
+	nodes := fault.Nodes(fault.TargetIU)
 	if o.Nodes > 0 {
 		nodes = fault.SampleNodes(nodes, o.Nodes, o.Seed)
 	}
@@ -58,7 +59,15 @@ func ExtTransient(o Options, benchmark string) (*TransientResult, error) {
 		for i := range exps {
 			exps[i].AtCycle = at
 		}
-		out.Points = append(out.Points, TransientPoint{AtCycle: at, Pf: fault.Pf(r.Campaign(exps, 0))})
+		var failures atomic.Int64
+		if err := r.CampaignSink(context.Background(), exps, 0, func(_ int, res *fault.Result) {
+			if res.Outcome.IsFailure() {
+				failures.Add(1)
+			}
+		}, nil); err != nil {
+			return nil, fmt.Errorf("campaign: transient sweep: %w", err)
+		}
+		out.Points = append(out.Points, TransientPoint{AtCycle: at, Pf: float64(failures.Load()) / float64(len(exps))})
 	}
 	return out, nil
 }

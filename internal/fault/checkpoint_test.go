@@ -42,7 +42,7 @@ func TestCheckpointFidelity(t *testing.T) {
 					t.Fatal("NoCheckpoint runner still checkpointed")
 				}
 
-				nodes := SampleNodes(forked.Nodes(target), 10, 3)
+				nodes := SampleNodes(Nodes(target), 10, 3)
 				exps := Expand(nodes, model)
 				a := forked.Campaign(exps, 4)
 				b := reset.Campaign(exps, 4)
@@ -51,7 +51,7 @@ func TestCheckpointFidelity(t *testing.T) {
 						t.Errorf("experiment %v: forked %+v, from-reset %+v", exps[i], a[i], b[i])
 					}
 				}
-				if pa, pb := Pf(a), Pf(b); pa != pb {
+				if pa, pb := pf(a), pf(b); pa != pb {
 					t.Errorf("Pf: forked %v, from-reset %v", pa, pb)
 				}
 			})
@@ -193,8 +193,8 @@ func TestStrideIndependence(t *testing.T) {
 		t.Run(pr.name, func(t *testing.T) {
 			opts := Options{InjectAtFraction: 0.5, PulseCycles: 2}
 			_, ref := enginePair(t, p, opts) // skips a program that ends in a trap
-			exps := Expand(SampleNodes(ref.Nodes(TargetIU), 48, 7), rtl.AllFaultModels()...)
-			exps = append(exps, Expand(append(SampleNodes(ref.Nodes(TargetIU), 128, 11), SampleNodes(ref.Nodes(TargetCMEM), 32, 11)...), rtl.BitFlip)...)
+			exps := Expand(SampleNodes(Nodes(TargetIU), 48, 7), rtl.AllFaultModels()...)
+			exps = append(exps, Expand(append(SampleNodes(Nodes(TargetIU), 128, 11), SampleNodes(Nodes(TargetCMEM), 32, 11)...), rtl.BitFlip)...)
 			ref.ScheduleTransients(exps, 7)
 			want := ref.Campaign(exps, 0)
 			for _, stride := range []uint64{1, rungSpacing, 128, ref.GoldenCycles + 1} {
@@ -290,7 +290,7 @@ func TestForkAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var regs []NodeInfo
-	for _, n := range r.Nodes(TargetIU) {
+	for _, n := range Nodes(TargetIU) {
 		if n.Node.Name == "iu.rf.regs" {
 			regs = append(regs, n)
 		}

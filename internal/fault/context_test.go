@@ -29,7 +29,7 @@ func TestCampaignContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := Expand(r.Nodes(TargetIU), rtl.FaultModels()...)
+	exps := Expand(Nodes(TargetIU), rtl.FaultModels()...)
 	if len(exps) < 32 {
 		t.Fatalf("want a large experiment set, got %d", len(exps))
 	}
@@ -70,7 +70,7 @@ func TestCampaignContextComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := Expand(SampleNodes(r.Nodes(TargetIU), 6, 3), rtl.StuckAt1)
+	exps := Expand(SampleNodes(Nodes(TargetIU), 6, 3), rtl.StuckAt1)
 	var taps atomic.Int64
 	got, _, err := r.CampaignStopContext(context.Background(), exps, 3, func(i int, res Result) {
 		taps.Add(1)
@@ -104,7 +104,7 @@ func TestCampaignStopContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := Expand(r.Nodes(TargetIU), rtl.FaultModels()...)
+	exps := Expand(Nodes(TargetIU), rtl.FaultModels()...)
 	if len(exps) < 32 {
 		t.Fatalf("want a large experiment set, got %d", len(exps))
 	}
@@ -149,7 +149,7 @@ func TestCampaignStopContext(t *testing.T) {
 
 	// Unstopped: every experiment runs, bitmap all true, identical to the
 	// plain campaign.
-	small := Expand(SampleNodes(r.Nodes(TargetIU), 6, 3), rtl.StuckAt1)
+	small := Expand(SampleNodes(Nodes(TargetIU), 6, 3), rtl.StuckAt1)
 	got, ran2, err := r.CampaignStopContext(context.Background(), small, 3, nil,
 		func(done, failures int) bool { return false })
 	if err != nil {
@@ -282,10 +282,10 @@ func TestWarmCampaignStartsNoGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := Expand(SampleNodes(r.Nodes(TargetIU), 48, 5), rtl.FaultModels()...)
+	exps := Expand(SampleNodes(Nodes(TargetIU), 48, 5), rtl.FaultModels()...)
 	for _, c := range []struct {
 		name string
-		eng  CampaignEngine
+		eng  testEngine
 	}{{"rtl", r}, {"iss", ir}} {
 		cold, _, err := c.eng.CampaignStopContext(context.Background(), exps, 4, nil, nil)
 		if err != nil {
@@ -326,7 +326,7 @@ func TestNoExperimentWaitsBehindABusyWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := Expand(SampleNodes(r.Nodes(TargetIU), 64, 2), rtl.FaultModels()...)
+	exps := Expand(SampleNodes(Nodes(TargetIU), 64, 2), rtl.FaultModels()...)
 	act := activatedLanes(r, exps)
 	var first atomic.Bool
 	var others atomic.Int64
@@ -374,7 +374,7 @@ func TestStoppedCampaignSamplesInputMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := Expand(SampleNodes(r.Nodes(TargetIU), 256, 1), rtl.BitFlip)
+	exps := Expand(SampleNodes(Nodes(TargetIU), 256, 1), rtl.BitFlip)
 	r.ScheduleTransients(exps, 1)
 	scalar := make([]bool, len(exps))
 	scalars := 0
@@ -414,25 +414,6 @@ func TestStoppedCampaignSamplesInputMix(t *testing.T) {
 	}
 }
 
-func TestPfInterval(t *testing.T) {
-	results := []Result{
-		{Outcome: OutcomeMismatch},
-		{Outcome: OutcomeNoEffect},
-		{Outcome: OutcomeNoEffect},
-		{Outcome: OutcomeHang},
-	}
-	if n := Failures(results); n != 2 {
-		t.Fatalf("Failures = %d, want 2", n)
-	}
-	lo, hi := PfInterval(results, 1.96)
-	if !(lo > 0.09 && lo < 0.2) || !(hi > 0.8 && hi < 0.91) {
-		t.Errorf("PfInterval = [%v, %v], want roughly [0.15, 0.85]", lo, hi)
-	}
-	if lo, hi := PfInterval(nil, 1.96); lo != 0 || hi != 1 {
-		t.Errorf("empty interval = [%v, %v], want [0, 1]", lo, hi)
-	}
-}
-
 // TestTapOnlyCampaignTapsEachIndexOnce: a campaign with a tap and no stop
 // rule, on four workers, taps every experiment exactly once with its own
 // index and the result it returns at that index, on both engines. Without a
@@ -452,8 +433,8 @@ func TestTapOnlyCampaignTapsEachIndexOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []CampaignEngine{r, ir} {
-		exps := Expand(SampleNodes(eng.Nodes(TargetIU), 64, 5), rtl.FaultModels()...)
+	for _, eng := range []testEngine{r, ir} {
+		exps := Expand(SampleNodes(Nodes(TargetIU), 64, 5), rtl.FaultModels()...)
 		eng.ScheduleTransients(exps, 5)
 		taps := make([]atomic.Int32, len(exps))
 		tapped := make([]Result, len(exps))

@@ -13,13 +13,13 @@ import (
 )
 
 // CampaignEngine is the execution contract every campaign-capable
-// simulation backend satisfies: golden-run construction happens in the
-// backend's constructor, and the interface exposes what campaign
-// orchestration (the jobs layer, the shard coordinator, the hybrid
-// router) needs afterwards — node enumeration, deterministic transient
-// scheduling, the golden run's length in the backend's own timebase,
-// whether experiments fork from a snapshot, and the parallel campaign
-// loop with sink/stop hooks.
+// simulation backend satisfies, and exactly what the jobs layer calls:
+// golden-run construction happens in the backend's constructor, and the
+// interface exposes what a campaign needs afterwards — deterministic
+// transient scheduling, the golden run's length in the backend's own
+// timebase, whether experiments fork from a snapshot, and the parallel
+// campaign loop with sink/stop hooks. Node identity is the design's, not an
+// engine's: both engines inject into the one list Nodes enumerates.
 //
 // Timebase: every tick-valued quantity (GoldenTicks, Result.Cycles,
 // Result.InjectAt, Result.Latency, Experiment.AtCycle) is in the
@@ -28,11 +28,6 @@ import (
 // engines to the RTL cycle timebase (see NewISSRunner's cycleRef) so a
 // single experiment list with RTL-cycle instants drives either side.
 type CampaignEngine interface {
-	// Nodes enumerates the injectable nodes of a target, annotated with
-	// their functional units. Node identity is a property of the RTL
-	// design, not of any particular engine, so every engine enumerates
-	// the identical list in the identical order.
-	Nodes(target Target) []NodeInfo
 	// ScheduleTransients assigns every transient-model experiment its
 	// injection instant, keyed by (seed, absolute index) alone — the
 	// determinism rule of sharded campaigns.
@@ -44,18 +39,11 @@ type CampaignEngine interface {
 	// is the value of the outcome's frozen `checkpointed` field, not a
 	// statement about which engine ran.
 	Checkpointed() bool
-	// RunOne executes a single injection experiment.
-	RunOne(e Experiment) Result
 	// CampaignSink runs the experiments across workers and hands each
 	// finished one to sink, under an optional sequential stop rule; see
 	// dispatch for the full contract. It is the engine's one campaign loop.
 	CampaignSink(ctx context.Context, exps []Experiment, workers int,
 		sink func(i int, res *Result), stop func(done, failures int) bool) error
-	// CampaignStopContext is CampaignSink collected into an input-ordered
-	// result array, with a bitmap of the experiments that ran and a tap
-	// per completion.
-	CampaignStopContext(ctx context.Context, exps []Experiment, workers int,
-		tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error)
 }
 
 // Both campaign backends satisfy the engine contract.

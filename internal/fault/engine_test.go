@@ -42,14 +42,14 @@ func TestEngineEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prod, ref := enginePair(t, w.Program, tc.opts)
-			exps := Expand(SampleNodes(prod.Nodes(tc.target), 6, 7), rtl.AllFaultModels()...)
+			exps := Expand(SampleNodes(Nodes(tc.target), 6, 7), rtl.AllFaultModels()...)
 			// Both runners derive the same window from the same options, so
 			// one schedule serves both.
 			prod.ScheduleTransients(exps, 21)
 			want := ref.Campaign(exps, 3)
 			checkEngine(t, prod, exps, want)
-			if got := Pf(prod.Campaign(exps, 3)); got != Pf(want) {
-				t.Fatalf("Pf %v != reference %v", got, Pf(want))
+			if got := pf(prod.Campaign(exps, 3)); got != pf(want) {
+				t.Fatalf("Pf %v != reference %v", got, pf(want))
 			}
 		})
 	}
@@ -69,7 +69,7 @@ func TestSharedPassEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			prod, ref := enginePair(t, w.Program, Options{InjectAtFraction: 0.3, PulseCycles: 2})
-			nodes := append(SampleNodes(prod.Nodes(TargetIU), 56, 13), SampleNodes(prod.Nodes(TargetCMEM), 32, 13)...)
+			nodes := append(SampleNodes(Nodes(TargetIU), 56, 13), SampleNodes(Nodes(TargetCMEM), 32, 13)...)
 			exps := Expand(nodes, rtl.AllFaultModels()...)
 			prod.ScheduleTransients(exps, 13)
 			want := ref.Campaign(exps, 0)
@@ -239,7 +239,7 @@ func TestReferenceEngineIsNaive(t *testing.T) {
 	// upsets and the top one's dead EX gate are what the production engine
 	// proves (TestProvenVerdictsEquivalence).
 	pc := signalNodes(r, "iu.fe.pc")
-	exps := Expand(append(SampleNodes(r.Nodes(TargetIU), 8, 3), append(pc[2:6], pc[31])...), rtl.AllFaultModels()...)
+	exps := Expand(append(SampleNodes(Nodes(TargetIU), 8, 3), append(pc[2:6], pc[31])...), rtl.AllFaultModels()...)
 	r.ScheduleTransients(exps, 3)
 	r.PrepareCheckpoint()
 	r.Campaign(exps, 3)
@@ -284,7 +284,7 @@ func TestKeptObjectsSurviveCollections(t *testing.T) {
 		t.Fatal(err)
 	}
 	workers := min(2, runtime.GOMAXPROCS(0))
-	exps := Expand(SampleNodes(r.Nodes(TargetIU), 96, 5), rtl.FaultModels()...)
+	exps := Expand(SampleNodes(Nodes(TargetIU), 96, 5), rtl.FaultModels()...)
 	want := r.Campaign(exps, workers)
 	engines := slices.Clone(r.engines.idle)
 	memos := slices.Clone(r.memos.idle)
@@ -350,7 +350,7 @@ func TestBatchedCampaignRace(t *testing.T) {
 		return r, reg
 	}
 	r, reg := fresh()
-	nodes := SampleNodes(r.Nodes(TargetIU), 160, 11)
+	nodes := SampleNodes(Nodes(TargetIU), 160, 11)
 	exps := Expand(nodes, rtl.AllFaultModels()...)
 	r.ScheduleTransients(exps, 4)
 	par := acrossWorkers(t, r, exps, 8)
@@ -364,7 +364,7 @@ func TestBatchedCampaignRace(t *testing.T) {
 		t.Fatalf("%v verdicts shared across 8 workers, %v by one worker: want the same, nonzero", twins, serial)
 	}
 
-	mixed := Expand(SampleNodes(r.Nodes(TargetIU), 24, 12), rtl.BitFlip, rtl.SETPulse, rtl.StuckAt1)
+	mixed := Expand(SampleNodes(Nodes(TargetIU), 24, 12), rtl.BitFlip, rtl.SETPulse, rtl.StuckAt1)
 	r.ScheduleTransients(mixed, 6)
 	want := r.Campaign(mixed, 1)
 	var wg sync.WaitGroup
@@ -429,7 +429,7 @@ func TestPooledCampaignRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := SampleNodes(r.Nodes(TargetIU), 16, 11)
+	nodes := SampleNodes(Nodes(TargetIU), 16, 11)
 	exps := Expand(nodes, rtl.StuckAt1, rtl.StuckAt0)
 	par := r.Campaign(exps, 8)
 	ser := r.Campaign(exps, 1)
@@ -440,18 +440,10 @@ func TestPooledCampaignRace(t *testing.T) {
 
 // TestNodesCachedPerRunner pins the satellite fix: Nodes used to build a
 // complete throwaway core on every call; it is now enumerated once per
-// runner and the same backing slice is handed back.
+// process and the same backing slice is handed back.
 func TestNodesCachedPerRunner(t *testing.T) {
-	w, err := workloads.Build("excerptA", workloads.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(w.Program, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, target := range []Target{TargetIU, TargetCMEM} {
-		a, b := r.Nodes(target), r.Nodes(target)
+		a, b := Nodes(target), Nodes(target)
 		if len(a) == 0 {
 			t.Fatalf("%v: empty enumeration", target)
 		}
@@ -459,7 +451,7 @@ func TestNodesCachedPerRunner(t *testing.T) {
 			t.Errorf("%v: enumeration rebuilt on second call", target)
 		}
 	}
-	if fmt.Sprint(r.Nodes(TargetIU)[0]) == fmt.Sprint(r.Nodes(TargetCMEM)[0]) {
+	if fmt.Sprint(Nodes(TargetIU)[0]) == fmt.Sprint(Nodes(TargetCMEM)[0]) {
 		t.Error("IU and CMEM enumerations alias each other")
 	}
 }

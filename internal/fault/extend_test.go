@@ -29,14 +29,14 @@ func TestTransientWeakerThanPermanent(t *testing.T) {
 	// On the same node sample, single flips must not out-fail permanent
 	// stuck-at faults (they expose strictly less opportunity).
 	r := newRunner(t, "excerptB", workloads.Config{})
-	nodes := SampleNodes(r.Nodes(TargetIU), 48, 11)
+	nodes := SampleNodes(Nodes(TargetIU), 48, 11)
 	perm := r.Campaign(Expand(nodes, rtl.StuckAt1), 0)
 	flips := Expand(nodes, rtl.BitFlip)
 	for i := range flips {
 		flips[i].AtCycle = 100
 	}
 	trans := r.Campaign(flips, 0)
-	pfPerm, pfTrans := Pf(perm), Pf(trans)
+	pfPerm, pfTrans := pf(perm), pf(trans)
 	t.Logf("permanent Pf=%.3f transient Pf=%.3f", pfPerm, pfTrans)
 	if pfTrans > pfPerm+0.05 {
 		t.Errorf("transient Pf %.3f exceeds permanent %.3f", pfTrans, pfPerm)

@@ -30,7 +30,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rtl"
 	"repro/internal/sparc"
-	"repro/internal/stats"
 )
 
 // Target selects the microcontroller unit whose nodes are injected.
@@ -227,8 +226,6 @@ type Runner struct {
 	golden mem.Trace
 	// GoldenCycles is the clean run's length in cycles.
 	GoldenCycles uint64
-	// GoldenStatus is the clean run's terminal status.
-	GoldenStatus iss.Status
 	budget       uint64
 
 	// baseImg is the pristine program memory, loaded once per runner;
@@ -329,7 +326,6 @@ func NewRunner(p *asm.Program, opts Options) (*Runner, error) {
 	}
 	r.golden = core.Bus.Trace
 	r.GoldenCycles = core.Cycles()
-	r.GoldenStatus = st
 	if opts.InjectAtFraction > 0 {
 		r.opts.InjectAtCycle = uint64(opts.InjectAtFraction * float64(r.GoldenCycles))
 	}
@@ -337,16 +333,14 @@ func NewRunner(p *asm.Program, opts Options) (*Runner, error) {
 	return r, nil
 }
 
-// Golden returns the clean off-core trace.
-func (r *Runner) Golden() *mem.Trace { return &r.golden }
-
 // Nodes enumerates the injectable nodes of a target, annotated with their
 // functional units. The enumeration is computed once per process (the design
 // table) and the same slice is returned to every caller; callers must not
 // mutate it.
 func Nodes(target Target) []NodeInfo { return design().nodesOf(target) }
 
-// Nodes is the package's Nodes: the design's, not the runner's.
+// Nodes is the package's Nodes: the design's, not the runner's. Only the
+// repository benchmark calls it (see CampaignStopContext).
 func (r *Runner) Nodes(target Target) []NodeInfo { return Nodes(target) }
 
 // Experiment is one (node, model) injection.
@@ -701,19 +695,12 @@ func (r *Runner) park(eng *engine, n int, t uint64) (next int64, kept int, ok bo
 // transient universe is finalized the moment it heals (see resolve);
 // under NoCheckpoint, and for a hand-built transient placed before the
 // ladder's first rung, it simulates from reset so the injection is never
-// skipped. Both engines produce identical results.
+// skipped. Both engines produce identical results. Only the repository
+// benchmark calls it (see CampaignStopContext).
 func (r *Runner) RunOne(e Experiment) Result {
 	var res Result
 	r.runLane(&e, nil, 0, &res, nil)
 	return res
-}
-
-// Campaign runs the experiments across workers and returns results in
-// input order: CampaignStopContext with no context, tap or stop rule, for
-// library callers (core, internal/campaign).
-func (r *Runner) Campaign(exps []Experiment, workers int) []Result {
-	results, _, _ := r.CampaignStopContext(context.Background(), exps, workers, nil, nil)
-	return results
 }
 
 // CampaignStopContext runs the experiments across workers under ctx, with
@@ -721,9 +708,13 @@ func (r *Runner) Campaign(exps []Experiment, workers int) []Result {
 // input order with a bitmap of the experiments that ran; experiments a
 // cancellation or the stop rule kept from running are left zero-valued, and
 // a cancelled campaign's partial results come back with ctx.Err(). It is
-// CampaignSink with a sink that fills the array (collect); the repository
-// benchmark's engine layer (bench/layers.go) and the hybrid plan's ISS pass
-// and audit call it.
+// CampaignSink with a sink that fills the array (collect).
+//
+// Every campaign of the module runs through CampaignSink. This, the
+// ISSRunner's, collect, Runner.Nodes, Runner.RunOne and
+// ISSRunner.PrepareCheckpoint are kept for one caller alone, the repository
+// benchmark's engine layer (bench/layers.go), which calls them on the
+// concrete runners; they go together with that caller's edit.
 func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int, tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
 	return collect(ctx, r, exps, workers, tap, stop)
 }
@@ -901,65 +892,4 @@ func (c *crew) work(w int) {
 type workerResult struct {
 	res Result
 	_   [64]byte
-}
-
-// Pf returns the fraction of experiments whose fault propagated to a
-// failure at the off-core boundary.
-func Pf(results []Result) float64 {
-	if len(results) == 0 {
-		return 0
-	}
-	return float64(Failures(results)) / float64(len(results))
-}
-
-// Failures counts the experiments whose fault propagated to a failure.
-func Failures(results []Result) int {
-	n := 0
-	for _, r := range results {
-		if r.Outcome.IsFailure() {
-			n++
-		}
-	}
-	return n
-}
-
-// PfInterval returns the Wilson score confidence interval around Pf at
-// confidence level z (1.96 for 95%): the range of true failure
-// probabilities compatible with the campaign's sample. Campaigns are
-// statistical fault injection (a node sample, not the exhaustive set), so
-// every reported Pf carries this sampling uncertainty.
-func PfInterval(results []Result, z float64) (lo, hi float64) {
-	return stats.WilsonCI(Failures(results), len(results), z)
-}
-
-// PfByUnit groups Pf by functional unit.
-func PfByUnit(results []Result) map[sparc.Unit]float64 {
-	tot := map[sparc.Unit]int{}
-	fail := map[sparc.Unit]int{}
-	for _, r := range results {
-		tot[r.Unit]++
-		if r.Outcome.IsFailure() {
-			fail[r.Unit]++
-		}
-	}
-	out := map[sparc.Unit]float64{}
-	for u, n := range tot {
-		out[u] = float64(fail[u]) / float64(n)
-	}
-	return out
-}
-
-// MaxLatency returns the maximum detection latency in cycles over the
-// experiments whose fault manifested at a bounded instant (mismatches,
-// truncations and error modes; hangs are unbounded and excluded). This is
-// Figure 4(b)'s metric: it grows with run length because some faults only
-// corrupt data consumed in the program's final phase.
-func MaxLatency(results []Result) int64 {
-	max := int64(-1)
-	for _, r := range results {
-		if r.Outcome != OutcomeHang && r.Latency > max {
-			max = r.Latency
-		}
-	}
-	return max
 }

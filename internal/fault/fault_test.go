@@ -24,18 +24,17 @@ func newRunner(t *testing.T, name string, cfg workloads.Config) *Runner {
 
 func TestGoldenRunMatchesWorkload(t *testing.T) {
 	r := newRunner(t, "excerptA", workloads.Config{})
-	if !r.Golden().Exited {
+	if !r.golden.Exited {
 		t.Fatal("golden trace did not exit")
 	}
-	if len(r.Golden().Writes) < 10 {
-		t.Fatalf("golden writes = %d", len(r.Golden().Writes))
+	if len(r.golden.Writes) < 10 {
+		t.Fatalf("golden writes = %d", len(r.golden.Writes))
 	}
 }
 
 func TestNodesEnumerationAndUnits(t *testing.T) {
-	r := newRunner(t, "excerptA", workloads.Config{})
-	iu := r.Nodes(TargetIU)
-	cm := r.Nodes(TargetCMEM)
+	iu := Nodes(TargetIU)
+	cm := Nodes(TargetCMEM)
 	if len(iu) == 0 || len(cm) == 0 {
 		t.Fatalf("node counts: iu=%d cmem=%d", len(iu), len(cm))
 	}
@@ -52,8 +51,7 @@ func TestNodesEnumerationAndUnits(t *testing.T) {
 }
 
 func TestSampleNodesDeterministic(t *testing.T) {
-	r := newRunner(t, "excerptA", workloads.Config{})
-	nodes := r.Nodes(TargetIU)
+	nodes := Nodes(TargetIU)
 	s1 := SampleNodes(nodes, 10, 42)
 	s2 := SampleNodes(nodes, 10, 42)
 	s3 := SampleNodes(nodes, 10, 43)
@@ -86,13 +84,12 @@ func TestSampleNodesDeterministic(t *testing.T) {
 // positions — the whole population, in order, from its size on — and a size
 // of 0 or less is an empty sample.
 func TestSampleNodesMatchesPerm(t *testing.T) {
-	r := newRunner(t, "excerptA", workloads.Config{})
 	seeds := append([]int64{}, sampleSeeds...)
 	for seed := range int64(64) {
 		seeds = append(seeds, seed)
 	}
 	for _, target := range []Target{TargetIU, TargetCMEM} {
-		nodes := r.Nodes(target)
+		nodes := Nodes(target)
 		pop := len(nodes)
 		for _, n := range []int{-1, 0, 1, 2, 48, 256, pop - 1, pop, pop + 1} {
 			for _, seed := range seeds {
@@ -102,31 +99,17 @@ func TestSampleNodesMatchesPerm(t *testing.T) {
 	}
 }
 
-// TestNodeNamesPrintedOnce: every node a runner enumerates carries the name
-// Node.String() prints, on both engines, and a hand-built NodeInfo without
-// one prints the same.
+// TestNodeNamesPrintedOnce: every node the design enumerates carries the
+// name Node.String() prints, and a hand-built NodeInfo without one prints the
+// same.
 func TestNodeNamesPrintedOnce(t *testing.T) {
-	w, err := workloads.Build("excerptA", workloads.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(w.Program, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ir, err := NewISSRunner(w.Program, Options{}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range []CampaignEngine{r, ir} {
-		for _, target := range []Target{TargetIU, TargetCMEM} {
-			for _, n := range eng.Nodes(target) {
-				if n.name == "" || n.String() != n.Node.String() {
-					t.Fatalf("%T %v: enumerated as %q, Node.String() prints %q", eng, target, n.name, n.Node.String())
-				}
-				if hand := (NodeInfo{Node: n.Node, Unit: n.Unit}); hand.String() != n.String() {
-					t.Fatalf("hand-built %v prints %q, enumerated %q", n.Node, hand.String(), n.String())
-				}
+	for _, target := range []Target{TargetIU, TargetCMEM} {
+		for _, n := range Nodes(target) {
+			if n.name == "" || n.String() != n.Node.String() {
+				t.Fatalf("%v: enumerated as %q, Node.String() prints %q", target, n.name, n.Node.String())
+			}
+			if hand := (NodeInfo{Node: n.Node, Unit: n.Unit}); hand.String() != n.String() {
+				t.Fatalf("hand-built %v prints %q, enumerated %q", n.Node, hand.String(), n.String())
 			}
 		}
 	}
@@ -192,7 +175,7 @@ func TestPCFaultCausesControlFailure(t *testing.T) {
 
 func TestCampaignParallelMatchesSerial(t *testing.T) {
 	r := newRunner(t, "excerptA", workloads.Config{})
-	nodes := SampleNodes(r.Nodes(TargetIU), 24, 7)
+	nodes := SampleNodes(Nodes(TargetIU), 24, 7)
 	exps := Expand(nodes, rtl.StuckAt1)
 	serial := make([]Result, len(exps))
 	for i, e := range exps {
@@ -204,11 +187,11 @@ func TestCampaignParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("exp %d: serial %v, parallel %v", i, serial[i].Outcome, parallel[i].Outcome)
 		}
 	}
-	pf := Pf(parallel)
-	if pf < 0 || pf > 1 {
-		t.Fatalf("Pf = %v", pf)
+	p := pf(parallel)
+	if p < 0 || p > 1 {
+		t.Fatalf("Pf = %v", p)
 	}
-	t.Logf("excerptA IU sa1 sample Pf = %.3f, %d failures", pf, Failures(parallel))
+	t.Logf("excerptA IU sa1 sample Pf = %.3f, %d failures", p, failures(parallel))
 }
 
 func TestExpandCrossesModels(t *testing.T) {
@@ -216,29 +199,6 @@ func TestExpandCrossesModels(t *testing.T) {
 	exps := Expand(nodes, rtl.StuckAt0, rtl.StuckAt1, rtl.OpenLine)
 	if len(exps) != 6 {
 		t.Fatalf("expanded %d", len(exps))
-	}
-}
-
-func TestPfByUnitGrouping(t *testing.T) {
-	results := []Result{
-		{Unit: sparc.UnitALU, Outcome: OutcomeMismatch},
-		{Unit: sparc.UnitALU, Outcome: OutcomeNoEffect},
-		{Unit: sparc.UnitShifter, Outcome: OutcomeNoEffect},
-	}
-	m := PfByUnit(results)
-	if m[sparc.UnitALU] != 0.5 || m[sparc.UnitShifter] != 0 {
-		t.Errorf("per-unit pf = %v", m)
-	}
-}
-
-func TestMaxLatency(t *testing.T) {
-	results := []Result{
-		{Outcome: OutcomeMismatch, Latency: 10},
-		{Outcome: OutcomeMismatch, Latency: 99},
-		{Outcome: OutcomeHang, Latency: -1},
-	}
-	if got := MaxLatency(results); got != 99 {
-		t.Errorf("max latency = %d", got)
 	}
 }
 

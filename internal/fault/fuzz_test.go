@@ -84,7 +84,7 @@ func FuzzLaneEquivalence(f *testing.F) {
 		// Skips a program that ends in a trap.
 		lanes, ref := enginePair(t, p, Options{PulseCycles: 2, InjectAtFraction: float64(fixed%4) / 4})
 		logAround(lanes)
-		iu, cmem := lanes.Nodes(TargetIU), lanes.Nodes(TargetCMEM)
+		iu, cmem := Nodes(TargetIU), Nodes(TargetCMEM)
 		var n NodeInfo
 		if i := int(node) % (len(iu) + len(cmem)); i < len(iu) {
 			n = iu[i]
@@ -189,15 +189,15 @@ func FuzzISSEquivalence(f *testing.F) {
 		if err != nil {
 			t.Skipf("no golden run: %v", err) // a program that ends in a trap
 		}
-		opts, cycleRef, fixed := Options{PulseCycles: 2}, uint64(0), uint64(instant)%(probe.GoldenInsts+64)
+		opts, cycleRef, fixed := Options{PulseCycles: 2}, uint64(0), uint64(instant)%(probe.goldenInsts+64)
 		if instant%2 == 1 {
-			cycleRef = probe.GoldenInsts*8/5 + 3
+			cycleRef = probe.goldenInsts*8/5 + 3
 			fixed = uint64(instant) % (cycleRef + 64)
 		} else {
 			opts.InjectAtCycle = fixed
 		}
 		prod, ref := issPair(t, p, opts, cycleRef, fixed)
-		iu, cmem := prod.Nodes(TargetIU), prod.Nodes(TargetCMEM)
+		iu, cmem := Nodes(TargetIU), Nodes(TargetCMEM)
 		var n NodeInfo
 		if i := int(node) % (len(iu) + len(cmem)); i < len(iu) {
 			n = iu[i]

@@ -64,12 +64,10 @@ type ISSRunner struct {
 	prog   *asm.Program
 	opts   Options
 	golden mem.Trace
-	// GoldenInsts is the clean run's length in executed instructions —
+	// goldenInsts is the clean run's length in executed instructions —
 	// the ISS engine's timebase.
-	GoldenInsts uint64
-	// GoldenStatus is the clean run's terminal status.
-	GoldenStatus iss.Status
-	budget       uint64
+	goldenInsts uint64
+	budget      uint64
 
 	// cycleRef, when nonzero, pins the engine to the RTL cycle timebase:
 	// experiment instants are RTL cycles out of a golden run of cycleRef
@@ -155,21 +153,20 @@ func NewISSRunner(p *asm.Program, opts Options, cycleRef, fixedCycle uint64) (*I
 		return nil, fmt.Errorf("fault: ISS golden run did not exit: %v", st)
 	}
 	r.golden = cpu.Bus.Trace
-	r.GoldenInsts = cpu.Icount
-	r.GoldenStatus = st
+	r.goldenInsts = cpu.Icount
 	switch {
 	case cycleRef != 0:
 		r.injectExt = fixedCycle
 		r.injectAt = r.mapTicks(fixedCycle)
 	case opts.InjectAtFraction > 0:
-		r.injectAt = uint64(opts.InjectAtFraction * float64(r.GoldenInsts))
+		r.injectAt = uint64(opts.InjectAtFraction * float64(r.goldenInsts))
 		r.injectExt = r.injectAt
 	default:
 		r.injectAt = opts.InjectAtCycle
 		r.injectExt = r.injectAt
 	}
 	r.opts.InjectAtCycle = r.injectExt
-	r.budget = faultedBudget(r.GoldenInsts)
+	r.budget = faultedBudget(r.goldenInsts)
 	r.pulseTicks = r.opts.PulseCycles
 	if cycleRef != 0 {
 		if r.pulseTicks = r.mapTicks(r.opts.PulseCycles); r.pulseTicks == 0 {
@@ -209,11 +206,8 @@ func (r *ISSRunner) mapTicks(c uint64) uint64 {
 	if r.cycleRef == 0 {
 		return c
 	}
-	return c * r.GoldenInsts / r.cycleRef
+	return c * r.goldenInsts / r.cycleRef
 }
-
-// Golden returns the clean off-core trace.
-func (r *ISSRunner) Golden() *mem.Trace { return &r.golden }
 
 // GoldenTicks returns the golden run length in the engine's external
 // timebase: RTL cycles when pinned, executed instructions otherwise.
@@ -221,13 +215,8 @@ func (r *ISSRunner) GoldenTicks() uint64 {
 	if r.cycleRef != 0 {
 		return r.cycleRef
 	}
-	return r.GoldenInsts
+	return r.goldenInsts
 }
-
-// Nodes enumerates the injectable nodes of a target — the identical
-// list the RTL engine yields, because node identity is a property of
-// the design, not the engine.
-func (r *ISSRunner) Nodes(target Target) []NodeInfo { return Nodes(target) }
 
 // ScheduleTransients assigns transient experiments their instants over
 // [fixed instant, golden length) in the engine's external timebase,
@@ -247,8 +236,9 @@ func (r *ISSRunner) Checkpointed() bool {
 }
 
 // PrepareCheckpoint walks the golden run eagerly (a no-op for the
-// reference, or once the log exists). Benchmarks call it to keep the
-// one-time walk out of timed regions.
+// reference, or once the log exists), to keep the one-time walk out of a
+// timed region. Only the repository benchmark calls it (see
+// Runner.CampaignStopContext).
 func (r *ISSRunner) PrepareCheckpoint() { r.goldenLog() }
 
 // issRungSpacing is the base distance between rungs in steps: it bounds
@@ -316,7 +306,7 @@ func (r *ISSRunner) goldenLog() *issLog {
 // is stepped for its state, however many campaigns the runner serves.
 func (r *ISSRunner) buildLog() *issLog {
 	lg := &issLog{text: iss.Predecode(r.prog.Origin, r.prog.Image)}
-	lg.stride = issRungSpacing * uint32(max(1, (r.GoldenInsts+issRungSpacing*issMaxRungs-1)/(issRungSpacing*issMaxRungs)))
+	lg.stride = issRungSpacing * uint32(max(1, (r.goldenInsts+issRungSpacing*issMaxRungs-1)/(issRungSpacing*issMaxRungs)))
 	eng := r.newEngine(lg.text)
 	cpu, bus := eng.cpu, eng.bus
 	for ; cpu.Status() == iss.StatusRunning; lg.steps++ {
@@ -475,14 +465,6 @@ func (r *ISSRunner) armAt(e *Experiment) uint64 {
 	return r.injectExt
 }
 
-// RunOne executes a single injection experiment on the emulator; see
-// resolve.
-func (r *ISSRunner) RunOne(e Experiment) Result {
-	var res Result
-	r.resolve(&e, r.verdicts.begin(), &res, nil)
-	return res
-}
-
 // resolve classifies one experiment of call number call (see verdicts) into
 // res, on a worker of crew c (nil outside a campaign), which it wakes before
 // any run that takes an emulator. The reference builds a fresh emulator, steps it clean from reset to the
@@ -503,7 +485,7 @@ func (r *ISSRunner) resolve(e *Experiment, call uint64, res *Result, c *crew) {
 	v := victimOf(&e.Node)
 	// The golden run's verdict, until a run says otherwise.
 	res.Fault, res.Unit, res.Outcome = rtl.Fault{Node: e.Node.Node, Model: e.Model}, e.Node.Unit, OutcomeNoEffect
-	res.Latency, res.Cycles, res.InjectAt = -1, r.GoldenInsts, atExt
+	res.Latency, res.Cycles, res.InjectAt = -1, r.goldenInsts, atExt
 	lg := r.goldenLog()
 	if lg == nil {
 		c.wake()
@@ -581,16 +563,10 @@ func (r *ISSRunner) finish(res *Result, eng *issEngine, model rtl.FaultModel, v 
 	classifyRun(res, &r.golden, cpu.Status(), cpu.Icount, eng.bus, &eng.cmp, at)
 }
 
-// Campaign runs the experiments across workers and returns results in
-// input order.
-func (r *ISSRunner) Campaign(exps []Experiment, workers int) []Result {
-	results, _, _ := r.CampaignStopContext(context.Background(), exps, workers, nil, nil)
-	return results
-}
-
 // CampaignStopContext runs the experiments across workers under ctx and
 // returns results in input order: CampaignSink collected into an array, as
-// for the RTL engine (collect).
+// for the RTL engine (collect). Only the repository benchmark calls it (see
+// Runner.CampaignStopContext).
 func (r *ISSRunner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int,
 	tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
 	return collect(ctx, r, exps, workers, tap, stop)

@@ -66,7 +66,7 @@ func checkISSEngine(t testing.TB, prod, ref *ISSRunner, exps []Experiment) {
 // transient instants around the fixed one: a third stay where the schedule
 // put them (after it), a third move before it, a third past program exit.
 func issOracleExps(r *ISSRunner, n int, seed int64) []Experiment {
-	exps := Expand(SampleNodes(r.Nodes(TargetIU), n, seed), rtl.AllFaultModels()...)
+	exps := Expand(SampleNodes(Nodes(TargetIU), n, seed), rtl.AllFaultModels()...)
 	r.ScheduleTransients(exps, seed)
 	for i := range exps {
 		switch {
@@ -116,7 +116,7 @@ func TestISSEngineMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Skipf("no golden run: %v", err)
 			}
-			g := probe.GoldenInsts
+			g := probe.goldenInsts
 			// A pinned engine maps instants by golden-length ratio: an RTL
 			// run about 1.6x as long, as the workalikes' are.
 			cycleRef := g*8/5 + 3
@@ -142,7 +142,7 @@ func TestISSEngineMatchesReference(t *testing.T) {
 func nodeForVictim(t *testing.T, r *ISSRunner, v victim) NodeInfo {
 	t.Helper()
 	for _, target := range []Target{TargetIU, TargetCMEM} {
-		for _, n := range r.Nodes(target) {
+		for _, n := range Nodes(target) {
 			if victimOf(&n) == v {
 				return n
 			}
@@ -167,7 +167,7 @@ func TestISSNeverActivatedIsFree(t *testing.T) {
 	lg := prod.goldenLog()
 	s0 := uint32(lg.boundary(prod.injectAt))
 	var silent, late []Experiment
-	for _, n := range prod.Nodes(TargetIU) {
+	for _, n := range Nodes(TargetIU) {
 		v := victimOf(&n)
 		for _, m := range []rtl.FaultModel{rtl.StuckAt0, rtl.StuckAt1} {
 			s, ok := lg.activation(v, uint32(m-rtl.StuckAt0), s0)
@@ -184,13 +184,13 @@ func TestISSNeverActivatedIsFree(t *testing.T) {
 	}
 	// A transient past program exit finds nothing left to upset.
 	for _, m := range rtl.TransientFaultModels() {
-		silent = append(silent, Experiment{Node: late[0].Node, Model: m, AtCycle: prod.GoldenInsts + 3})
+		silent = append(silent, Experiment{Node: late[0].Node, Model: m, AtCycle: prod.goldenInsts + 3})
 	}
 
 	checkISSEngine(t, prod, ref, append(append([]Experiment{}, silent...), late...))
 	before := engineCounters(t, reg)
 	for _, e := range silent {
-		if res := prod.RunOne(e); res.Outcome != OutcomeNoEffect || res.Cycles != prod.GoldenInsts || res.Latency != -1 {
+		if res := prod.RunOne(e); res.Outcome != OutcomeNoEffect || res.Cycles != prod.goldenInsts || res.Latency != -1 {
 			t.Errorf("%v %v: got %+v, want the golden run's verdict", e.Model, e.Node.Node, res)
 		}
 	}
@@ -238,7 +238,7 @@ func TestISSTwinsShareOneRun(t *testing.T) {
 		// nodes: every permanent model's run of the second is the first's.
 		first := map[victim]NodeInfo{}
 		var nodes []NodeInfo
-		for _, n := range prod.Nodes(TargetIU) {
+		for _, n := range Nodes(TargetIU) {
 			v := victimOf(&n)
 			if f, ok := first[v]; ok && len(nodes) < 24 {
 				nodes = append(nodes, f, n)
@@ -380,7 +380,7 @@ func TestISSSelfModifiedText(t *testing.T) {
 		// patched word, as the golden run does.
 		prod, ref := issPair(t, p, Options{}, 0, 0)
 		for _, r := range []*ISSRunner{prod, ref} {
-			if w := r.Golden().Writes; len(w) != 3 || w[1].Addr != mem.OutAddr || w[1].Data != 7 {
+			if w := r.golden.Writes; len(w) != 3 || w[1].Addr != mem.OutAddr || w[1].Data != 7 {
 				t.Fatalf("golden writes %v: the stored instruction was not executed", w)
 			}
 		}
@@ -395,7 +395,7 @@ func TestISSSelfModifiedText(t *testing.T) {
 		// the run — most fork from a rung taken after the store — and
 		// forcings of the patched sum, which activate at the patched word.
 		var exps []Experiment
-		for at := uint64(0); at < prod.GoldenInsts; at += 9 {
+		for at := uint64(0); at < prod.goldenInsts; at += 9 {
 			exps = append(exps, Experiment{Node: nodeForVictim(t, prod, victim{reg: 7, bit: 3}), Model: rtl.BitFlip, AtCycle: at})
 		}
 		sum := nodeForVictim(t, prod, victim{reg: 11, bit: 1}) // %o3: 7 = 0b111
@@ -419,12 +419,12 @@ func TestISSSelfModifiedText(t *testing.T) {
 		ptr := nodeForVictim(t, prod, victim{reg: 16, bit: 6}) // %l0
 		exps := []Experiment{
 			{Node: ptr, Model: rtl.StuckAt1},                                   // activates when %l0 is loaded
-			{Node: ptr, Model: rtl.BitFlip, AtCycle: prod.GoldenInsts * 2 / 3}, // forks mid-spin
+			{Node: ptr, Model: rtl.BitFlip, AtCycle: prod.goldenInsts * 2 / 3}, // forks mid-spin
 			{Node: ptr, Model: rtl.StuckAt0},                                   // never differs
 		}
 		checkISSEngine(t, prod, ref, exps)
 		got := prod.Campaign(exps, 1)
-		store := prod.Golden().Writes[0].Seq // the golden run's store into buf
+		store := prod.golden.Writes[0].Seq // the golden run's store into buf
 		for i, res := range got[:2] {
 			// The store went astray: a mismatch at its own instant, and
 			// the run ends there.
@@ -440,7 +440,7 @@ func TestISSSelfModifiedText(t *testing.T) {
 		if res := prod.RunOne(exps[2]); res != got[2] {
 			t.Errorf("after a redirected run: %+v, want %+v", res, got[2])
 		}
-		if res := prod.RunOne(Experiment{Node: ptr, Model: rtl.BitFlip, AtCycle: prod.GoldenInsts - 2}); res.Outcome != OutcomeNoEffect {
+		if res := prod.RunOne(Experiment{Node: ptr, Model: rtl.BitFlip, AtCycle: prod.goldenInsts - 2}); res.Outcome != OutcomeNoEffect {
 			t.Errorf("an upset after the store, on the emulator a redirected run used: %+v", res)
 		}
 	})

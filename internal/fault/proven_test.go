@@ -36,7 +36,7 @@ func sub(a, b [len(proofs) + 1]float64) [len(proofs) + 1]float64 {
 // signalNodes returns every bit of the named IU signals.
 func signalNodes(r *Runner, names ...string) []NodeInfo {
 	var out []NodeInfo
-	for _, n := range r.Nodes(TargetIU) {
+	for _, n := range Nodes(TargetIU) {
 		for _, name := range names {
 			if n.Node.Name == name {
 				out = append(out, n)
@@ -295,7 +295,7 @@ func TestFaultedCyclesByOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := Expand(SampleNodes(r.Nodes(TargetIU), 96, 5), rtl.AllFaultModels()...)
+	exps := Expand(SampleNodes(Nodes(TargetIU), 96, 5), rtl.AllFaultModels()...)
 	r.ScheduleTransients(exps, 5)
 	r.Campaign(exps, 2)
 	sum, counters := 0.0, engineCounters(t, reg)

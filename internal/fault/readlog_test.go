@@ -2,6 +2,8 @@ package fault
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
 	"reflect"
 	"runtime"
 	"sync"
@@ -22,7 +24,7 @@ func allNets(r *Runner) []rtl.WitnessNet {
 	seen := map[rtl.WitnessNet]bool{}
 	var nets []rtl.WitnessNet
 	for _, target := range []Target{TargetIU, TargetCMEM} {
-		for _, n := range r.Nodes(target) {
+		for _, n := range Nodes(target) {
 			if wn := (rtl.WitnessNet{Name: n.Node.Name, Word: n.Node.Word}); !seen[wn] {
 				seen[wn] = true
 				nets = append(nets, wn)
@@ -205,7 +207,7 @@ func TestLogEqualsLiveWitness(t *testing.T) {
 // mixedCampaign is a campaign over IU and CMEM nodes under every model, so
 // that signals, array words, polled and unpolled nets all ride it.
 func mixedCampaign(r *Runner, n int, seed int64) []Experiment {
-	nodes := append(SampleNodes(r.Nodes(TargetIU), n, seed), SampleNodes(r.Nodes(TargetCMEM), n/2, seed)...)
+	nodes := append(SampleNodes(Nodes(TargetIU), n, seed), SampleNodes(Nodes(TargetCMEM), n/2, seed)...)
 	exps := Expand(nodes, rtl.AllFaultModels()...)
 	r.ScheduleTransients(exps, seed)
 	return exps
@@ -403,13 +405,35 @@ func TestParksOnLogsPublishedMidRun(t *testing.T) {
 	wg.Wait()
 }
 
+// footprintEnv marks the process TestLogFootprint re-executes the test
+// binary into to measure the heap.
+const footprintEnv = "FAULT_TEST_LOG_FOOTPRINT"
+
 // TestLogFootprint holds the read log to its budget beside
 // TestLadderFootprint: after a campaign has asked for every IU and CMEM net
 // with its raw values and its clock edges, what the runner retains is within logBudget, by the
-// log's own books and by the heap's, and the books are not far below the
+// log's own books and by the heap's, and the books are not far from the
 // heap (the flat per-net charge covers the struct; the runner holds a slot
 // for every net of the design from its construction on).
+//
+// The books of a full log sit a few hundred bytes under the budget, and the
+// process's heap moves by kilobytes a test does not control — a sync.Pool's
+// victim cache, another test's goroutine — so the heap counted is what the
+// runtime's heap profile says the allocations made under readLogs retain,
+// every allocation sampled. The rate is set once, in a process of its own:
+// the test binary run again for this test alone.
 func TestLogFootprint(t *testing.T) {
+	if os.Getenv(footprintEnv) != "1" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestLogFootprint$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), footprintEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		t.Logf("measured in a child process:\n%s", out)
+		if err != nil {
+			t.Fatalf("the child process: %v", err)
+		}
+		return
+	}
+	runtime.MemProfileRate = 1
 	for _, name := range []string{"rspeed", "puwmod"} {
 		t.Run(name, func(t *testing.T) {
 			w, err := workloads.Build(name, workloads.Config{Iterations: 2})
@@ -425,9 +449,7 @@ func TestLogFootprint(t *testing.T) {
 			// no part of what the log retains.
 			r.logWalk(allNets(r)[:1], make([]logExtra, 1))
 			m := &memo{nets: netIDs(allNets(r)), extras: allExtras(r, allNets(r))}
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
+			before := walkHeap()
 			r.readLogs(m)
 			logged, runs, vals := r.log.logged(), 0, 0
 			for _, lg := range m.logs {
@@ -436,20 +458,43 @@ func TestLogFootprint(t *testing.T) {
 			}
 			asked := len(m.nets)
 			m = nil // what did not fit was the campaign's alone
-			runtime.GC()
-			runtime.ReadMemStats(&after)
-			heap := int(after.HeapAlloc) - int(before.HeapAlloc)
-			t.Logf("%d nets over %d cycles: %d runs, %d value changes; %d nets kept in %d KiB by the log's books, %d KiB of heap",
-				asked, r.GoldenCycles, runs, vals, logged, r.log.bytes>>10, heap>>10)
+			heap := walkHeap() - before
+			t.Logf("%d nets over %d cycles: %d runs, %d value changes; %d nets kept in %d bytes by the log's books, %d of heap",
+				asked, r.GoldenCycles, runs, vals, logged, r.log.bytes, heap)
 			if r.log.bytes > logBudget || heap > logBudget {
 				t.Errorf("the log retains %d bytes by its books, %d of heap; budget %d", r.log.bytes, heap, logBudget)
 			}
-			if logged == 0 || heap > 0 && r.log.bytes < heap*3/4 {
+			if logged == 0 || r.log.bytes < heap*3/4 || heap < r.log.bytes*3/4 {
 				t.Errorf("%d nets logged; the books say %d bytes where the heap says %d", logged, r.log.bytes, heap)
 			}
 			runtime.KeepAlive(r)
 		})
 	}
+}
+
+// walkHeap returns the bytes the heap profile says allocations made under
+// Runner.readLogs retain, after the collections that bring it up to date.
+func walkHeap() int {
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, false)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, false)
+	}
+	inUse := 0
+	for _, rec := range recs[:n] {
+		frames := runtime.CallersFrames(rec.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			if f, more = frames.Next(); f.Function == "repro/internal/fault.(*Runner).readLogs" {
+				inUse += int(rec.InUseBytes())
+				break
+			}
+		}
+	}
+	return inUse
 }
 
 // bruteProbe is the stateful activation predicate a live witness is drained
@@ -552,7 +597,7 @@ func TestNextActivationMatchesLiveWitness(t *testing.T) {
 
 				byNet := make([][]NodeInfo, len(nets))
 				for _, target := range []Target{TargetIU, TargetCMEM} {
-					for _, n := range r.Nodes(target) {
+					for _, n := range Nodes(target) {
 						i := netIdx[rtl.WitnessNet{Name: n.Node.Name, Word: n.Node.Word}]
 						byNet[i] = append(byNet[i], n)
 					}

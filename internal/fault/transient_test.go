@@ -50,7 +50,7 @@ func TestScheduleTransientsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := SampleNodes(r.Nodes(TargetIU), 8, 3)
+	nodes := SampleNodes(Nodes(TargetIU), 8, 3)
 	exps := Expand(nodes, rtl.BitFlip, rtl.SETPulse)
 	r.ScheduleTransients(exps, 9)
 
@@ -120,10 +120,10 @@ func TestTransientEngineEquivalence(t *testing.T) {
 		t.Run(pr.name, func(t *testing.T) {
 			prod, ref := enginePair(t, pr.prog, Options{InjectAtFraction: 0.3, PulseCycles: 3})
 			for _, target := range []Target{TargetIU, TargetCMEM} {
-				exps := Expand(SampleNodes(prod.Nodes(target), 32, 7), rtl.BitFlip, rtl.SETPulse)
+				exps := Expand(SampleNodes(Nodes(target), 32, 7), rtl.BitFlip, rtl.SETPulse)
 				prod.ScheduleTransients(exps, 5)
 				want := ref.Campaign(exps, 3)
-				t.Logf("%v: %d golden cycles, %d failures", target, prod.GoldenCycles, Failures(want))
+				t.Logf("%v: %d golden cycles, %d failures", target, prod.GoldenCycles, failures(want))
 				checkEngine(t, prod, exps, want)
 			}
 		})
@@ -156,7 +156,7 @@ func TestTransientEdgeInstants(t *testing.T) {
 		end - 2, end - 1, // the last running cycles
 		end, end + 1, end + 1000, // the core has exited
 	}
-	nodes := SampleNodes(ladder.Nodes(TargetIU), 6, 5)
+	nodes := SampleNodes(Nodes(TargetIU), 6, 5)
 	// A register-file word never heals unless overwritten; a pipeline
 	// register heals within cycles: cover both ends.
 	nodes = append(nodes,
@@ -273,7 +273,7 @@ func TestLadderBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := Expand(SampleNodes(r.Nodes(TargetIU), 8, 2), rtl.StuckAt1, rtl.BitFlip, rtl.SETPulse)
+	exps := Expand(SampleNodes(Nodes(TargetIU), 8, 2), rtl.StuckAt1, rtl.BitFlip, rtl.SETPulse)
 	r.ScheduleTransients(exps, 2)
 	if got, want := r.Campaign(exps, 0), ref.Campaign(exps, 0); !reflect.DeepEqual(got, want) {
 		t.Fatalf("widened ladder diverged from the from-reset reference:\n got %+v\nwant %+v", got, want)
@@ -289,7 +289,7 @@ func TestPassRecordBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, ref := enginePair(t, w.Program, Options{InjectAtFraction: 0.2, PulseCycles: 2})
-	exps := Expand(SampleNodes(r.Nodes(TargetIU), 120, 4), rtl.StuckAt1, rtl.OpenLine, rtl.SETPulse, rtl.BitFlip)
+	exps := Expand(SampleNodes(Nodes(TargetIU), 120, 4), rtl.StuckAt1, rtl.OpenLine, rtl.SETPulse, rtl.BitFlip)
 	r.ScheduleTransients(exps, 4)
 	got := r.Campaign(exps, 1)
 	var cut []Result
@@ -414,7 +414,7 @@ func TestReconvergenceWorkCounters(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				exps := Expand(SampleNodes(r.Nodes(TargetIU), 256, 1), tc.models...)
+				exps := Expand(SampleNodes(Nodes(TargetIU), 256, 1), tc.models...)
 				r.ScheduleTransients(exps, 1)
 				r.Campaign(exps, workers)
 				counters := engineCounters(t, reg)
@@ -522,12 +522,12 @@ func TestSETPulseTemporalDependence(t *testing.T) {
 // sample.
 func TestSETPulseWeakerThanPermanent(t *testing.T) {
 	r := newRunner(t, "excerptB", workloads.Config{})
-	nodes := SampleNodes(r.Nodes(TargetIU), 48, 11)
+	nodes := SampleNodes(Nodes(TargetIU), 48, 11)
 	perm := r.Campaign(Expand(nodes, rtl.StuckAt1), 0)
 	set := Expand(nodes, rtl.SETPulse)
 	r.ScheduleTransients(set, 11)
 	trans := r.Campaign(set, 0)
-	pfPerm, pfTrans := Pf(perm), Pf(trans)
+	pfPerm, pfTrans := pf(perm), pf(trans)
 	t.Logf("permanent Pf=%.3f set-pulse Pf=%.3f", pfPerm, pfTrans)
 	if pfTrans > pfPerm+0.05 {
 		t.Errorf("set-pulse Pf %.3f exceeds permanent %.3f", pfTrans, pfPerm)

@@ -31,21 +31,21 @@ func TestRunnerKeepsVerdicts(t *testing.T) {
 	}
 	for _, eng := range []struct {
 		name  string
-		build func(p *asm.Program, opts Options) (CampaignEngine, error)
+		build func(p *asm.Program, opts Options) (testEngine, error)
 		work  [2]string // cycles or steps simulated, universes resolved
-		table func(CampaignEngine) *verdicts
+		table func(testEngine) *verdicts
 	}{
-		{"rtl", func(p *asm.Program, opts Options) (CampaignEngine, error) { return NewRunner(p, opts) },
+		{"rtl", func(p *asm.Program, opts Options) (testEngine, error) { return NewRunner(p, opts) },
 			[2]string{"engine_faulted_cycles_total", "engine_snapshot_materializations_total"},
-			func(e CampaignEngine) *verdicts { return &e.(*Runner).verdicts }},
-		{"iss", func(p *asm.Program, opts Options) (CampaignEngine, error) { return NewISSRunner(p, opts, 0, 0) },
+			func(e testEngine) *verdicts { return &e.(*Runner).verdicts }},
+		{"iss", func(p *asm.Program, opts Options) (testEngine, error) { return NewISSRunner(p, opts, 0, 0) },
 			[2]string{"iss_engine_steps_total", `iss_engine_verdicts_total{path="stepped"}`},
-			func(e CampaignEngine) *verdicts { return &e.(*ISSRunner).verdicts }},
+			func(e testEngine) *verdicts { return &e.(*ISSRunner).verdicts }},
 	} {
 		// fresh builds a runner that has resolved nothing; work reads what it
 		// has simulated since, entries what its table holds.
 		type runner struct {
-			CampaignEngine
+			testEngine
 			reg *obs.Registry
 		}
 		fresh := func(t *testing.T, noCheckpoint bool) runner {
@@ -71,7 +71,7 @@ func TestRunnerKeepsVerdicts(t *testing.T) {
 			return res
 		}
 		permanent := func(r runner, lo, hi int) []Experiment {
-			return Expand(SampleNodes(r.Nodes(TargetIU), 96, 3)[lo:hi], rtl.FaultModels()...)
+			return Expand(SampleNodes(Nodes(TargetIU), 96, 3)[lo:hi], rtl.FaultModels()...)
 		}
 
 		t.Run(eng.name+"/again", func(t *testing.T) {
@@ -156,7 +156,7 @@ func TestRunnerKeepsVerdicts(t *testing.T) {
 
 		t.Run(eng.name+"/bounded", func(t *testing.T) {
 			r := fresh(t, false)
-			nodes := r.Nodes(TargetIU)
+			nodes := Nodes(TargetIU)
 			campaign(t, r, Expand(nodes, rtl.FaultModels()...), 0)
 			n := entries(t, r)
 			if n == 0 || n > float64(2*len(nodes)) {
@@ -166,7 +166,7 @@ func TestRunnerKeepsVerdicts(t *testing.T) {
 			// touched — on the RTL engine a net's bits are the nodes the
 			// population has on it, on the ISS engine a register's are 32 —
 			// and nothing else.
-			table := eng.table(r.CampaignEngine)
+			table := eng.table(r.testEngine)
 			bits := map[int32]int{}
 			for _, nd := range nodes {
 				bits[nd.net]++
@@ -222,16 +222,16 @@ func TestVerdictCallsDoNotWrap(t *testing.T) {
 	}
 	for _, eng := range []struct {
 		name  string
-		build func(opts Options) (CampaignEngine, *verdicts, error)
+		build func(opts Options) (testEngine, *verdicts, error)
 	}{
-		{"rtl", func(opts Options) (CampaignEngine, *verdicts, error) {
+		{"rtl", func(opts Options) (testEngine, *verdicts, error) {
 			r, err := NewRunner(w.Program, opts)
 			if err != nil {
 				return nil, nil, err
 			}
 			return r, &r.verdicts, nil
 		}},
-		{"iss", func(opts Options) (CampaignEngine, *verdicts, error) {
+		{"iss", func(opts Options) (testEngine, *verdicts, error) {
 			r, err := NewISSRunner(w.Program, opts, 0, 0)
 			if err != nil {
 				return nil, nil, err
@@ -249,7 +249,7 @@ func TestVerdictCallsDoNotWrap(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				nodes := SampleNodes(r.Nodes(TargetIU), 96, 3)
+				nodes := SampleNodes(Nodes(TargetIU), 96, 3)
 				for k, span := range [][2]int{{0, 48}, {24, 72}, {48, 96}, {0, 96}} {
 					if k == 1 && start != 0 {
 						table.calls.Store(start)
@@ -415,7 +415,7 @@ func TestKnownVerdictAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exps := Expand(SampleNodes(r.Nodes(TargetIU), 64, 1), rtl.FaultModels()...)
+		exps := Expand(SampleNodes(Nodes(TargetIU), 64, 1), rtl.FaultModels()...)
 		want := r.Campaign(exps, 2)
 		m := r.planBatches(exps)
 		defer r.putMemo(m)
@@ -449,7 +449,7 @@ func TestKnownVerdictAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exps := Expand(SampleNodes(r.Nodes(TargetIU), 64, 1), rtl.FaultModels()...)
+		exps := Expand(SampleNodes(Nodes(TargetIU), 64, 1), rtl.FaultModels()...)
 		want := r.Campaign(exps, 2)
 		call := r.verdicts.begin()
 		c := engineCounters(t, reg)

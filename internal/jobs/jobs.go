@@ -143,6 +143,17 @@ var modelOrder = []struct {
 	{"set", rtl.SETPulse},
 }
 
+// ModelName returns the wire name a Request spells model with, or "" for a
+// model no request can select.
+func ModelName(model rtl.FaultModel) string {
+	for _, m := range modelOrder {
+		if m.model == model {
+			return m.name
+		}
+	}
+	return ""
+}
+
 func parseModel(name string) (rtl.FaultModel, error) {
 	for _, m := range modelOrder {
 		if m.name == name {
@@ -416,8 +427,10 @@ func fillOutcome(eo *ExperimentOutcome, res *fault.Result, node string) {
 // failure; everything else manifests at the off-core boundary.
 var noEffect = fault.OutcomeNoEffect.String()
 
-// outcomeHang excludes unbounded latencies from the max-latency metric,
-// mirroring fault.MaxLatency.
+// outcomeHang is the one outcome with no bounded detection instant: a
+// hang's latency is left out of MaxLatencyCycles, which is the largest
+// latency over the experiments whose fault manifested (Figure 4(b)'s
+// metric), and -1 when none did.
 var outcomeHang = fault.OutcomeHang.String()
 
 // assembleOutcome builds the canonical result encoding from wire-encoded
@@ -590,7 +603,7 @@ func engineFor(ctx context.Context, n Request, reg *obs.Registry) (fault.Campaig
 // which is what makes experiment-index ranges a sound shard currency:
 // scheduling happens on the full list before any slicing, never per worker.
 func experimentsFor(dst []fault.Experiment, r fault.CampaignEngine, n Request) []fault.Experiment {
-	nodes := r.Nodes(n.target())
+	nodes := fault.Nodes(n.target())
 	if n.Nodes > 0 && n.Nodes < len(nodes) {
 		// The expansion copies each node, so the sample is free again once
 		// it is made. (A sample of the whole population is the population,

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/jobs"
+	"repro/internal/rtl"
 )
 
 // small is a cheap real campaign: excerptA's golden run is under a
@@ -34,6 +35,25 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 	if want := []string{"sa0", "sa1", "open"}; strings.Join(n.Models, ",") != strings.Join(want, ",") {
 		t.Errorf("models = %v, want %v", n.Models, want)
+	}
+}
+
+// TestModelNames: every fault model has the wire name a request selects it
+// by, the artifacts' campaigns among them, and a model no request can select
+// has none.
+func TestModelNames(t *testing.T) {
+	var names []string
+	for _, m := range rtl.AllFaultModels() {
+		names = append(names, jobs.ModelName(m))
+	}
+	if got := strings.Join(names, ","); got != "sa0,sa1,open,seu,set" {
+		t.Errorf("wire names %s, want sa0,sa1,open,seu,set", got)
+	}
+	if _, err := (jobs.Request{Workload: "excerptA", Models: names}).Normalize(); err != nil {
+		t.Error(err)
+	}
+	if name := jobs.ModelName(rtl.SETPulse + 1); name != "" {
+		t.Errorf("a model past the last is named %q", name)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"repro/internal/fault"
+	"repro/internal/sparc"
 )
 
 // warmRequest is the repository benchmark's engine_perm shape: 256 sampled
@@ -201,6 +202,37 @@ func TestWarmRunnerLookupAllocatesNothing(t *testing.T) {
 	lookup() // build both
 	if a := testing.AllocsPerRun(100, lookup); a != 0 {
 		t.Errorf("a warm runner lookup allocates %v times, want 0", a)
+	}
+}
+
+// TestAssembleOutcomeAggregates holds assembleOutcome's per-experiment
+// rules on a hand-built array: a hang has no bounded detection instant, so
+// its latency — here the largest — is left out of MaxLatencyCycles, which
+// reads -1 when only hangs failed; and PfByUnit is each unit's own failure
+// share, not the campaign's.
+func TestAssembleOutcomeAggregates(t *testing.T) {
+	alu, shifter := sparc.UnitALU.String(), sparc.UnitShifter.String()
+	mismatch, hang := fault.OutcomeMismatch.String(), fault.OutcomeHang.String()
+	exps := []ExperimentOutcome{
+		{Unit: alu, Outcome: mismatch, Latency: 10},
+		{Unit: alu, Outcome: noEffect},
+		{Unit: shifter, Outcome: noEffect},
+		{Unit: alu, Outcome: mismatch, Latency: 99},
+		{Unit: shifter, Outcome: hang, Latency: 1000},
+	}
+	req := Request{Workload: "rspeed", Target: "iu", Models: []string{"sa0"}}
+	out := assembleOutcome(req, 1234, true, len(exps), exps)
+	if out.Failures != 3 || out.Pf != 0.6 {
+		t.Errorf("%d failures, Pf %v: want 3 and 0.6", out.Failures, out.Pf)
+	}
+	if out.MaxLatencyCycles != 99 {
+		t.Errorf("MaxLatencyCycles = %d, want 99: the hang's 1000 is unbounded", out.MaxLatencyCycles)
+	}
+	if want := map[string]float64{alu: 2.0 / 3, shifter: 0.5}; !maps.Equal(out.PfByUnit, want) {
+		t.Errorf("PfByUnit = %v, want %v", out.PfByUnit, want)
+	}
+	if out := assembleOutcome(req, 1234, true, 1, exps[4:]); out.MaxLatencyCycles != -1 {
+		t.Errorf("a campaign whose one failure hung: MaxLatencyCycles = %d, want -1", out.MaxLatencyCycles)
 	}
 }
 

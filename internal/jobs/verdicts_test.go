@@ -229,7 +229,7 @@ func TestHybridSharesOneVerdictTable(t *testing.T) {
 		}
 		return r
 	}
-	exps := fault.Expand(fault.SampleNodes(rtlRunner().Nodes(fault.TargetIU), req.Nodes, req.Seed), rtl.FaultModels()...)
+	exps := fault.Expand(fault.SampleNodes(fault.Nodes(fault.TargetIU), req.Nodes, req.Seed), rtl.FaultModels()...)
 	var onRTL []fault.Experiment
 	audited := 0
 	for i, e := range out.Experiments {
