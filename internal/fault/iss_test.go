@@ -34,6 +34,19 @@ func TestISSGoldenRunExits(t *testing.T) {
 	}
 }
 
+// The ISS engine holds no node list of its own: its callers hand it
+// experiments over the design's, Nodes. The RTL runner's enumeration, which
+// the benchmark's engine layer samples from, must be that same list, so both
+// engines inject the same nodes.
+func TestISSNodesMatchRTL(t *testing.T) {
+	rr := newRunner(t, "excerptA", workloads.Config{})
+	for _, target := range []Target{TargetIU, TargetCMEM} {
+		if !reflect.DeepEqual(Nodes(target), rr.Nodes(target)) {
+			t.Fatalf("%v node enumeration diverges between engines", target)
+		}
+	}
+}
+
 // The ISS engine must schedule the byte-identical transient instants the
 // RTL engine does when pinned to its cycle timebase — the hybrid router
 // feeds one experiment list to both sides.

@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -421,21 +422,25 @@ const footprintEnv = "FAULT_TEST_LOG_FOOTPRINT"
 // victim cache, another test's goroutine — so the heap counted is what the
 // runtime's heap profile says the allocations made under readLogs retain,
 // every allocation sampled. The rate is set once, in a process of its own:
-// the test binary run again for this test alone.
+// the test binary run again for each subtest alone, which prints its
+// measurement for the subtest here to log.
 func TestLogFootprint(t *testing.T) {
-	if os.Getenv(footprintEnv) != "1" {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestLogFootprint$", "-test.count=1", "-test.v")
-		cmd.Env = append(os.Environ(), footprintEnv+"=1")
-		out, err := cmd.CombinedOutput()
-		t.Logf("measured in a child process:\n%s", out)
-		if err != nil {
-			t.Fatalf("the child process: %v", err)
-		}
-		return
+	child := os.Getenv(footprintEnv) == "1"
+	if child {
+		runtime.MemProfileRate = 1
 	}
-	runtime.MemProfileRate = 1
 	for _, name := range []string{"rspeed", "puwmod"} {
 		t.Run(name, func(t *testing.T) {
+			if !child {
+				cmd := exec.Command(os.Args[0], "-test.run=^TestLogFootprint$/^"+name+"$", "-test.count=1")
+				cmd.Env = append(os.Environ(), footprintEnv+"=1")
+				out, err := cmd.CombinedOutput()
+				if err != nil {
+					t.Fatalf("the child process: %v\n%s", err, out)
+				}
+				t.Logf("measured in a child process:\n%s", strings.TrimSuffix(string(out), "PASS\n"))
+				return
+			}
 			w, err := workloads.Build(name, workloads.Config{Iterations: 2})
 			if err != nil {
 				t.Fatal(err)
@@ -459,7 +464,7 @@ func TestLogFootprint(t *testing.T) {
 			asked := len(m.nets)
 			m = nil // what did not fit was the campaign's alone
 			heap := walkHeap() - before
-			t.Logf("%d nets over %d cycles: %d runs, %d value changes; %d nets kept in %d bytes by the log's books, %d of heap",
+			fmt.Printf("%d nets over %d cycles: %d runs, %d value changes; %d nets kept in %d bytes by the log's books, %d of heap\n",
 				asked, r.GoldenCycles, runs, vals, logged, r.log.bytes, heap)
 			if r.log.bytes > logBudget || heap > logBudget {
 				t.Errorf("the log retains %d bytes by its books, %d of heap; budget %d", r.log.bytes, heap, logBudget)
