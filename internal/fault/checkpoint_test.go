@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/difftest"
+	"repro/internal/iss"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/rtl"
@@ -323,5 +324,140 @@ func TestForkAllocatesNothing(t *testing.T) {
 	}
 	if teleporting < 5 {
 		t.Errorf("%d lanes of %d were re-forked at a later activation: the sample does not reach the teleport", teleporting, len(exps))
+	}
+}
+
+// TestForkPointsMatchReference: a universe forked from a fork point — a
+// rung's state plus what the golden run changed since, between two rungs or
+// past the last one — is the universe the from-reset reference steps to.
+// The two campaigns, at instant 0 on two iterations, are faultcampaign's
+// `-w intbench -models seu,set -pulse 4 -nodes 300 -seed 2` and
+// `-w tblook -target cmem -models seu -nodes 400 -seed 4`, the shapes on
+// which forks from full golden states between rungs, with the words they
+// differ in taken from the rungs' differences, once changed the bytes. Most
+// of their instants lie off a rung, some past the last rung, and the test
+// checks that fork points answer both kinds. Under the race detector it
+// takes every forkSample-th experiment and every one past the last rung.
+func TestForkPointsMatchReference(t *testing.T) {
+	for _, tc := range []struct {
+		workload string
+		target   Target
+		models   []rtl.FaultModel
+		pulse    uint64
+		nodes    int
+		seed     int64
+	}{
+		{"intbench", TargetIU, []rtl.FaultModel{rtl.BitFlip, rtl.SETPulse}, 4, 300, 2},
+		{"tblook", TargetCMEM, []rtl.FaultModel{rtl.BitFlip}, 0, 400, 4},
+	} {
+		t.Run(tc.workload, func(t *testing.T) {
+			w, err := workloads.Build(tc.workload, workloads.Config{Iterations: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prod, ref := enginePair(t, w.Program, Options{PulseCycles: tc.pulse})
+			all := Expand(SampleNodes(Nodes(tc.target), tc.nodes, tc.seed), tc.models...)
+			ref.ScheduleTransients(all, tc.seed)
+			lad := prod.ladder()
+			last := lad.rungs[len(lad.rungs)-1].core.Cycle()
+			var exps []Experiment
+			between, tail := 0, 0
+			for i, e := range all {
+				if i%forkSample != 0 && e.AtCycle <= last {
+					continue
+				}
+				exps = append(exps, e)
+				switch {
+				case lad.point(lad.below(e.AtCycle), e.AtCycle) == nil:
+				case e.AtCycle > last:
+					tail++
+				default:
+					between++
+				}
+			}
+			want, got := ref.Campaign(exps, 2), prod.Campaign(exps, 2)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%v %v@%d: got %+v, reference %+v", exps[i].Model, exps[i].Node.Node, exps[i].AtCycle, got[i], want[i])
+				}
+			}
+			t.Logf("%d experiments: %d forked from a point between rungs, %d past the last rung", len(exps), between, tail)
+			if between == 0 || tail == 0 {
+				t.Errorf("%d instants on a point between rungs and %d past the last rung: the campaign misses a kind", between, tail)
+			}
+		})
+	}
+}
+
+// TestForkIsTheGoldenState: materialize at any cycle — on a rung, on a fork
+// point, between them, past the last rung — leaves the engine exactly where
+// the golden run is at that cycle: every kernel slab, wires included
+// (rtl.Kernel.Recurs), the cycle, the instruction and stall counters, the
+// memory at every address the golden run writes, and the comparator at the
+// golden write index. The engine is forked at every cycle in turn, so each
+// fork starts from a core the last one left: forks near and far, both ways.
+func TestForkIsTheGoldenState(t *testing.T) {
+	p, err := asm.Assemble(difftest.Generate(2, difftest.AllFeatures(200)), mem.RAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workloads.Build("excerptA", workloads.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		p      *asm.Program
+		frac   float64
+		stride uint64
+	}{
+		{"generated-2", p, 0, 0}, {"generated-2/stride-128", p, 0.3, 128}, {"excerptA", w.Program, 0.5, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewRunner(tc.p, Options{InjectAtFraction: tc.frac})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.stride = tc.stride
+			lad, eng := r.ladder(), r.getEngine()
+			addrs := map[uint32]bool{}
+			for _, a := range r.golden.Writes {
+				addrs[a.Addr&^3] = true
+			}
+			ref, bus := r.freshCore()
+			for ref.Cycles() < lad.start {
+				ref.StepCycle()
+			}
+			var snap rtl.Snapshot
+			points := 0
+			for ref.Status() == iss.StatusRunning {
+				at := ref.Cycles()
+				if lad.point(lad.below(at), at) != nil {
+					points++
+				}
+				r.materialize(eng, lad, at)
+				c := eng.core
+				ref.K.SnapshotInto(&snap)
+				switch {
+				case c.Cycles() != at || !c.K.Recurs(&snap):
+					t.Fatalf("cycle %d: forked kernel state differs from the golden run's", at)
+				case c.Icount != ref.Icount || c.OpCounts != ref.OpCounts || c.StallMismatch != ref.StallMismatch ||
+					c.StallEmpty != ref.StallEmpty || c.StallDCache != ref.StallDCache || c.StallMulDiv != ref.StallMulDiv ||
+					c.StallLoadUse != ref.StallLoadUse || c.StallAnnul != ref.StallAnnul:
+					t.Fatalf("cycle %d: forked counters differ from the golden run's", at)
+				case eng.cmp.idx != len(bus.Trace.Writes) || eng.cmp.mismatchAt >= 0:
+					t.Fatalf("cycle %d: comparator at write %d (mismatch at %d), the golden run at %d", at, eng.cmp.idx, eng.cmp.mismatchAt, len(bus.Trace.Writes))
+				}
+				for a := range addrs {
+					if got, want := c.Bus.Mem.Read32(a), bus.Mem.Read32(a); got != want {
+						t.Fatalf("cycle %d: forked memory holds %#x at %#x, the golden run %#x", at, got, a, want)
+					}
+				}
+				ref.StepCycle()
+			}
+			if points == 0 {
+				t.Error("no cycle forked from a fork point")
+			}
+		})
 	}
 }

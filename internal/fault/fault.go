@@ -457,6 +457,12 @@ type engine struct {
 	cmp  comparator
 	seen rtl.Snapshot
 	diff [diffMax]rtl.WordDiff // the words a universe differs from a rung in (Runner.park)
+	// base is the rung the core was last forked from (-1: none), and near
+	// the array words the golden run wrote from there to rung nearTo
+	// (ladder.near): with the words the core wrote since, all its arrays
+	// can differ from a later rung's in.
+	base, nearTo int
+	near         []uint64
 }
 
 // diffMax is how many state words a universe may differ from a golden rung
@@ -474,7 +480,7 @@ func (r *Runner) getEngine() *engine {
 		}
 	}
 	core, bus := r.freshCore()
-	e := &engine{core: core}
+	e := &engine{core: core, base: -1}
 	e.cmp.watch(&r.golden, bus, core.Cycles)
 	return e
 }
@@ -539,9 +545,10 @@ func (r *Runner) armAt(e *Experiment) uint64 {
 // Recurrent: past the last rung, with nothing left to release, the future
 // is a function of kernel slabs, memory and comparator. Brent's cycle
 // search — eng.seen is the state since cycles back, re-saved at doubling
-// periods and after every off-core write, which alone moves memory and
-// comparator — finds a state recurring with no write in between: the
-// universe is finalized at the budget, the hang it would be stepped to.
+// periods and whenever the comparator's write index moves, which alone
+// moves memory (every write so far matched the golden run's, teleports
+// included) — finds a state recurring at one index: the universe is
+// finalized at the budget, the hang it would be stepped to.
 //
 // Wedged: with nothing left to release and no mismatch recorded, a core
 // whose back end is drained and whose EX gate provably stays shut to the
@@ -584,7 +591,7 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane, res *Result) {
 		g := &lad.rungs[i]
 		shift := t - g.core.Cycle()
 		if shift > 0 && i == len(lad.rungs)-1 && release == 0 {
-			w := len(bus.Trace.Writes)
+			w := c.idx
 			if w == writes && core.K.Recurs(&eng.seen) {
 				hangs(provenRecurrent)
 				return
@@ -609,7 +616,7 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane, res *Result) {
 		case unarmed && shift == 0:
 			// Healed when no word differs; parked, golden but for a few words
 			// whose logs say when one is next read, a lane again from here.
-			n, ok := core.Diff(g.core, eng.diff[:])
+			n, ok := core.DiffNear(g.core, lad.rungs[eng.base].core, lad.near(eng, i), eng.diff[:])
 			if ok && n > 0 {
 				next, kept, ok = r.park(eng, n, t)
 				parked = true

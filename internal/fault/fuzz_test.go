@@ -73,6 +73,11 @@ func FuzzLaneEquivalence(f *testing.F) {
 	f.Add(int64(7), uint32(10466), uint8(rtl.SETPulse), uint32(1188), uint8(1)) // the sibling's upset leaves three words; XOR iu.rf.regs[133], replaced before the teleport, and a mismatch follows
 	f.Add(int64(9), uint32(11709), uint8(rtl.BitFlip), uint32(618), uint8(0))   // cmem.ic.data[135].2: a wrong divide leaves iu.md.quot, logged without its edges: never parked there
 	f.Add(int64(4), uint32(166), uint8(rtl.BitFlip), uint32(1154), uint8(1))    // iu.de.disp.14: the pulse moves on to iu.ex.disp, logged without its edges
+	// Forks from a fork point: between two rungs, and past the last rung.
+	f.Add(int64(1), uint32(2500), uint8(rtl.BitFlip), uint32(710), uint8(0))     // iu.rf.regs[31].13: the point at 708, two cycles replayed
+	f.Add(int64(3), uint32(40), uint8(rtl.BitFlip), uint32(1213), uint8(1))      // iu.de.pc.7 a quarter in: rungs from 406, the point at 1,210
+	f.Add(int64(6), uint32(4454), uint8(rtl.BitFlip), uint32(1770), uint8(0))    // iu.rf.regs[92].15 past the last rung (1,760): the point at 1,768
+	f.Add(int64(10), uint32(21811), uint8(rtl.SETPulse), uint32(1645), uint8(0)) // cmem.dc.data[148].24 past the last rung (1,632): the point at 1,644
 	// Permanent lanes asked from a log that starts mid-run.
 	f.Add(int64(2), uint32(2222), uint8(rtl.StuckAt1), uint32(900), uint8(2)) // a register-file word stuck from half-way
 	f.Add(int64(5), uint32(9000), uint8(rtl.OpenLine), uint32(15), uint8(1))  // cmem.ic.data[50].13, open from a quarter in

@@ -102,13 +102,13 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		lanesFree: r.Counter("engine_batch_lanes_free_total",
 			"Batch lanes finalized from the golden trajectory without scalar simulation."),
 		snapshots: r.Counter("engine_snapshot_materializations_total",
-			"Experiments, batch lanes and teleports materialized from a golden-ladder rung. Rises when parked universes teleport (a restore and under one stride of replay in place of the cycles in between): engine_faulted_cycles_total is the cost."),
+			"Experiments, batch lanes and teleports materialized from a golden-ladder rung or the fork point past it. Rises when parked universes teleport (a restore and under a quarter stride of replay in place of the cycles in between): engine_faulted_cycles_total is the cost."),
 		reconverged: r.Counter("engine_reconverged_total",
 			"Healed experiments and batch lanes, and transient universes golden but for a few state words parked on those words' read logs, dropped back onto the golden trajectory: finalized there or teleported to the first read of a word still differing, which is XORed back in."),
 		faultedCycles: r.Counter("engine_faulted_cycles_total",
 			"Cycles simulated outside witnessed golden walks, engine_replay_cycles_total included."),
 		replayCycles: r.Counter("engine_replay_cycles_total",
-			"Clean cycles replayed from a golden-ladder rung (or from reset) to the cycle a universe was materialized at."),
+			"Clean cycles replayed from a golden-ladder rung or fork point (or from reset) to the cycle a universe was materialized at: under a quarter stride each on a ladder."),
 		fallbacks: r.Counter("engine_scalar_fallbacks_total",
 			"Experiments resolved through the scalar fallback because the golden read log's witness failed to arm."),
 		goldenCycles: r.Counter("engine_golden_pass_cycles_total",

@@ -209,7 +209,8 @@ func (r *Runner) logWalk(nets []rtl.WitnessNet, extras []logExtra) []*netLog {
 	eng := r.getEngine()
 	defer r.putEngine(eng)
 	core := eng.core
-	r.ladder().fork(eng, 0)
+	lad := r.ladder()
+	lad.fork(eng, lad.start)
 	start := core.Cycles()
 	w, err := core.K.StartWitness(nets)
 	if err != nil {

@@ -133,7 +133,7 @@ func TestLogEqualsLiveWitness(t *testing.T) {
 			}
 
 			eng := r.getEngine()
-			r.ladder().fork(eng, 0)
+			r.ladder().fork(eng, r.ladder().start)
 			core := eng.core
 			w := liveWitness(t, core, nets, extras)
 			defer w.Stop()
@@ -573,7 +573,7 @@ func TestNextActivationMatchesLiveWitness(t *testing.T) {
 				// The live walk: each net's touched cycles (an untouched one
 				// has the empty accumulator) and its raw word at the instants.
 				eng := r.getEngine()
-				r.ladder().fork(eng, 0)
+				r.ladder().fork(eng, r.ladder().start)
 				core := eng.core
 				w := liveWitness(t, core, nets, extras)
 				live := make([][]event, len(nets))

@@ -369,6 +369,16 @@ func TestPassRecordBounded(t *testing.T) {
 // faulted cycles 13,501, 12,431 of them (from 14,079) in the universes that
 // end in a mismatch. Reconverged is the 281 teleports and the 47 heals.
 //
+// Since materialize forks the fork point at or below its cycle — one every
+// four cycles between rungs, a rung's state plus what the golden run changed
+// since — a fork replays at most three clean cycles where it replayed up to
+// fifteen. The SEU campaign's 366 materializations replay 535 cycles in all
+// (2,583 before: 1.5 a fork against 7.1), and nothing else moves: the same
+// forks, heals, parks and teleports, 2,048 fewer faulted cycles (13,501 to
+// 11,453; the mismatches' 12,431 to 10,703, the hangs' 8 to 4). The
+// permanent campaign's 281 forks replay 403 cycles (1,731 before): 99,605
+// faulted cycles to 98,277, the wedged hangs' 17,678 to 17,642.
+//
 // The golden continuation itself is walked once, at plan time, by a campaign
 // that brings a net the runner's read log lacks — GoldenCycles − InjectCycle
 // cycles whatever the worker count — and a second campaign on the runner
@@ -390,20 +400,21 @@ func TestReconvergenceWorkCounters(t *testing.T) {
 	}{
 		{"seu", []rtl.FaultModel{rtl.BitFlip}, 0, map[string]float64{
 			"engine_batch_lanes_planned_total": 234, "engine_batch_lanes_activated_total": 63, "engine_batch_lanes_free_total": 171,
-			"engine_faulted_cycles_total": 13501, "engine_reconverged_total": 281 + 47, "engine_snapshot_materializations_total": 63 + 22 + 281,
-			"engine_replay_cycles_total":                       2583,
+			"engine_faulted_cycles_total": 11453, "engine_reconverged_total": 281 + 47, "engine_snapshot_materializations_total": 63 + 22 + 281,
+			"engine_replay_cycles_total":                       535,
 			`engine_verdicts_proven_total{proof="equivalent"}`: 0, `engine_verdicts_proven_total{proof="recurrent"}`: 0,
 			`engine_verdicts_proven_total{proof="shifted"}`: 4, `engine_verdicts_proven_total{proof="wedged"}`: 1,
 			`engine_verdicts_proven_total{proof="parked"}`:           1,
-			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 8, `engine_faulted_cycles_by_outcome_total{outcome="mismatch"}`: 12431,
+			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 4, `engine_faulted_cycles_by_outcome_total{outcome="mismatch"}`: 10703,
 		}},
 		{"permanent", rtl.FaultModels(), 186, map[string]float64{
 			"engine_batch_lanes_planned_total": 768, "engine_batch_lanes_activated_total": 186, "engine_batch_lanes_free_total": 582,
-			"engine_faulted_cycles_total": 99605, "engine_reconverged_total": 152, "engine_snapshot_materializations_total": 281,
+			"engine_faulted_cycles_total": 98277, "engine_reconverged_total": 152, "engine_snapshot_materializations_total": 281,
+			"engine_replay_cycles_total":                       403,
 			`engine_verdicts_proven_total{proof="equivalent"}`: 51, `engine_verdicts_proven_total{proof="recurrent"}`: 2,
 			`engine_verdicts_proven_total{proof="shifted"}`: 0, `engine_verdicts_proven_total{proof="wedged"}`: 11,
 			`engine_verdicts_proven_total{proof="parked"}`:           0,
-			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 17678, "engine_verdict_table_entries": 135,
+			`engine_faulted_cycles_by_outcome_total{outcome="hang"}`: 17642, "engine_verdict_table_entries": 135,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

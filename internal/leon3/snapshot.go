@@ -16,9 +16,8 @@ import (
 // warm-up prefix for every experiment.
 type Snapshot struct {
 	kern     *rtl.Snapshot
-	icount   uint64
+	counts   [7]uint64 // Icount, then the six stall counters (Core.counts)
 	opCounts [sparc.NumOps]uint64
-	stalls   [6]uint64
 	status   Status
 	trapType uint8
 	entry    uint32
@@ -51,10 +50,8 @@ func (c *Core) Snapshots(n int) []Snapshot {
 // Snapshot's, reusing its storage.
 func (c *Core) SnapshotInto(s *Snapshot) {
 	c.K.SnapshotInto(s.kern)
-	s.icount = c.Icount
+	s.counts = c.counts()
 	s.opCounts = c.OpCounts
-	s.stalls = [6]uint64{c.StallMismatch, c.StallEmpty, c.StallDCache,
-		c.StallMulDiv, c.StallLoadUse, c.StallAnnul}
 	s.status = c.status
 	s.trapType = c.trapType
 	s.entry = c.entry
@@ -64,20 +61,69 @@ func (c *Core) SnapshotInto(s *Snapshot) {
 // New with the same entry point (the kernel structure is deterministic, so
 // any same-entry core matches). The core's bus is left untouched: callers
 // fork the memory image and preload the trace prefix themselves.
-func (c *Core) Restore(s *Snapshot) error {
+func (c *Core) Restore(s *Snapshot) error { return c.RestoreNear(s, nil, nil) }
+
+// RestoreNear is Restore by rtl.Kernel.RestoreNear: for a core last
+// restored from from, near marks the array words in which s may differ
+// from it, and only those and the words the core wrote since are copied.
+// A nil from is Restore.
+func (c *Core) RestoreNear(s, from *Snapshot, near []uint64) error {
 	if s.entry != c.entry {
 		return fmt.Errorf("leon3: snapshot entry %08x does not match core entry %08x", s.entry, c.entry)
 	}
-	if err := c.K.Restore(s.kern); err != nil {
+	var fk *rtl.Snapshot
+	if from != nil {
+		fk = from.kern
+	}
+	if err := c.K.RestoreNear(s.kern, fk, near); err != nil {
 		return err
 	}
-	c.Icount = s.icount
+	c.restoreDiagnostics(s)
+	return nil
+}
+
+// restoreDiagnostics loads the counters and the run status of s.
+func (c *Core) restoreDiagnostics(s *Snapshot) {
+	c.setCounts(s.counts)
 	c.OpCounts = s.opCounts
-	c.StallMismatch, c.StallEmpty, c.StallDCache = s.stalls[0], s.stalls[1], s.stalls[2]
-	c.StallMulDiv, c.StallLoadUse, c.StallAnnul = s.stalls[3], s.stalls[4], s.stalls[5]
 	c.status = s.status
 	c.trapType = s.trapType
-	return nil
+}
+
+// counts returns the instruction and stall counters, as Snapshot keeps them.
+func (c *Core) counts() [7]uint64 {
+	return [7]uint64{c.Icount, c.StallMismatch, c.StallEmpty, c.StallDCache,
+		c.StallMulDiv, c.StallLoadUse, c.StallAnnul}
+}
+
+// setCounts loads counters laid out as counts returns them.
+func (c *Core) setCounts(n [7]uint64) {
+	c.Icount = n[0]
+	c.StallMismatch, c.StallEmpty, c.StallDCache = n[1], n[2], n[3]
+	c.StallMulDiv, c.StallLoadUse, c.StallAnnul = n[4], n[5], n[6]
+}
+
+// AppendDelta appends to d the core's state relative to s, the snapshot it
+// was last restored from: its kernel's (rtl.Kernel.AppendDelta), then the
+// counters that differ from s's (rtl.AppendChanged). ApplyDelta loads it
+// into a core restored from s. The run status is not recorded: both the
+// core and s must be running.
+func (c *Core) AppendDelta(d []uint64, s *Snapshot) []uint64 {
+	d = c.K.AppendDelta(d)
+	n, base := c.counts(), s.counts
+	d = rtl.AppendChanged(d, n[:], base[:])
+	return rtl.AppendChanged(d, c.OpCounts[:], s.opCounts[:])
+}
+
+// ApplyDelta puts a core restored from the snapshot an AppendDelta core was
+// last restored from into that core's state. The bus is left alone, as by
+// Restore.
+func (c *Core) ApplyDelta(d []uint64) {
+	d = c.K.ApplyDelta(d)
+	n := c.counts()
+	d = rtl.LoadChanged(d, n[:])
+	c.setCounts(n)
+	rtl.LoadChanged(d, c.OpCounts[:])
 }
 
 // StateEquals reports whether the core's committed RTL state (register
@@ -101,4 +147,10 @@ func (c *Core) StateEquals(s *Snapshot) bool {
 // the snapshot but for those words.
 func (c *Core) Diff(s *Snapshot, dst []rtl.WordDiff) (int, bool) {
 	return c.K.Diff(s.kern, dst)
+}
+
+// DiffNear is Diff for a core last restored from from, where near marks the
+// array words in which s may differ from it (rtl.Kernel.DiffNear).
+func (c *Core) DiffNear(s, from *Snapshot, near []uint64, dst []rtl.WordDiff) (int, bool) {
+	return c.K.DiffNear(s.kern, from.kern, near, dst)
 }

@@ -37,6 +37,7 @@ func (k *Kernel) flip(n Node, carried bool) error {
 			return fmt.Errorf("rtl: flip %v out of range", n)
 		}
 		a.data[n.Word] ^= bit
+		a.mark(n.Word)
 		return nil
 	}
 	return fmt.Errorf("rtl: unknown node %v", n)

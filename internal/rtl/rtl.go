@@ -178,11 +178,16 @@ type MemArray struct {
 	fVal  uint64
 
 	obs   []*observer // per-word read observers (nil unless witnessed)
-	armed int         // words with an observer, over every witness
+	armed int32       // words with an observer, over every witness
+	slow  bool        // Write records: a witness is armed or the kernel tracks writes
 
-	off   int // word offset into the kernel array slab
-	width int
-	name  string
+	off int // word offset into the kernel array slab
+	// touched is the array's window of the kernel's touched bitmap (bit i:
+	// word i written since the last Restore), nil unless the kernel tracks
+	// writes.
+	touched []uint64
+	width   int
+	name    string
 }
 
 // Name returns the array name.
@@ -215,14 +220,39 @@ func (a *MemArray) Read(i int) uint64 {
 // On a witnessed word, a write that lands before any read recorded since
 // the accumulator was last drained is marked WriteFirst: array writes are
 // immediate, so within one cycle the order of a word's write and its
-// reads decides whether the old contents were ever consumed.
+// reads decides whether the old contents were ever consumed. On a kernel
+// that tracks writes (one restored from a snapshot) the word is marked
+// touched.
 func (a *MemArray) Write(i int, v uint64) {
 	a.data[i] = v & a.mask
+	if a.slow {
+		a.writeSlow(i)
+	}
+}
+
+// writeSlow records a write to word i: the touched mark, the witness's
+// WriteFirst. It is kept out of line so that Write stays small enough to
+// inline, as Signal.Get keeps getSlow.
+//
+//go:noinline
+func (a *MemArray) writeSlow(i int) {
+	a.mark(i)
 	if a.obs != nil {
 		if o := a.obs[i]; o != nil && o.Ones|o.Zeros == 0 {
 			o.touch()
 			o.WriteFirst = true
 		}
+	}
+}
+
+// updateSlow recomputes the slow-path flag after witness or tracking
+// changes.
+func (a *MemArray) updateSlow() { a.slow = a.obs != nil || a.touched != nil }
+
+// mark marks word i written, on a kernel that tracks writes.
+func (a *MemArray) mark(i int) {
+	if len(a.touched) != 0 {
+		a.touched[i>>6] |= 1 << (i & 63)
 	}
 }
 
@@ -246,6 +276,14 @@ type Kernel struct {
 	fSigs  []*Signal   // signals with armed faults
 	fArrs  []*MemArray // arrays with armed faults
 	dirty  bool        // any fault armed on the design
+
+	// touched marks, one bit per array word, the words written since base
+	// was restored: array by array in declaration order, each array's bits
+	// from a fresh bitmap word (MemArray.touched is its window). It is nil
+	// until the first Restore, so a kernel only ever run from reset tracks
+	// nothing (see RestoreNear).
+	touched []uint64
+	base    *Snapshot // the snapshot last restored; nil before it and after ResetState
 }
 
 // decl is what a declared name resolves to: its unit, and its handle's
@@ -427,6 +465,17 @@ func (k *Kernel) ResetState() {
 	clear(k.wireNxt)
 	clear(k.arr)
 	k.cycle = 0
+	k.base = nil
+}
+
+// touch marks array-slab word j written, on a kernel that tracks writes.
+func (k *Kernel) touch(j int) {
+	for _, a := range k.arrays {
+		if i := j - a.off; i >= 0 && i < len(a.data) {
+			a.mark(i)
+			return
+		}
+	}
 }
 
 // UnitOf returns the functional unit a signal or array name was declared

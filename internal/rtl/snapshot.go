@@ -2,6 +2,7 @@ package rtl
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -67,12 +68,14 @@ func (k *Kernel) SnapshotInto(s *Snapshot) {
 // campaign engine's per-experiment reset of a pooled core, so it is
 // deliberately cheap: clearing is O(armed faults) and the state reload is
 // a handful of bulk copies.
+//
+// From its first Restore on, a kernel tracks writes: it marks every array
+// word that MemArray.Write, FlipBit, FlipCarried or XorWord changes
+// (Touched), so that RestoreNear and DiffNear visit only the words that can
+// differ. A kernel only ever run from reset tracks nothing.
 func (k *Kernel) Restore(s *Snapshot) error {
-	if len(s.regs) != len(k.regCur) || len(s.wires) != len(k.wireCur) ||
-		len(s.arr) != len(k.arr) || s.narr != len(k.arrays) {
-		return fmt.Errorf("rtl: snapshot shape (%d regs, %d wires, %d arrays, %d array words) does not match kernel (%d regs, %d wires, %d arrays, %d array words)",
-			len(s.regs), len(s.wires), s.narr, len(s.arr),
-			len(k.regCur), len(k.wireCur), len(k.arrays), len(k.arr))
+	if err := k.fits(s); err != nil {
+		return err
 	}
 	k.ClearFaults()
 	copy(k.regCur, s.regs)
@@ -80,7 +83,172 @@ func (k *Kernel) Restore(s *Snapshot) error {
 	copy(k.wireCur, s.wires)
 	copy(k.arr, s.arr)
 	k.cycle = s.cycle
+	k.rebase(s)
 	return nil
+}
+
+// fits checks that s was taken of a kernel of this one's structure.
+func (k *Kernel) fits(s *Snapshot) error {
+	if len(s.regs) != len(k.regCur) || len(s.wires) != len(k.wireCur) ||
+		len(s.arr) != len(k.arr) || s.narr != len(k.arrays) {
+		return fmt.Errorf("rtl: snapshot shape (%d regs, %d wires, %d arrays, %d array words) does not match kernel (%d regs, %d wires, %d arrays, %d array words)",
+			len(s.regs), len(s.wires), s.narr, len(s.arr),
+			len(k.regCur), len(k.wireCur), len(k.arrays), len(k.arr))
+	}
+	return nil
+}
+
+// rebase makes s, just restored, the snapshot the touched words are counted
+// from, and turns write tracking on at the first call.
+func (k *Kernel) rebase(s *Snapshot) {
+	if k.touched == nil {
+		n := 0
+		for _, a := range k.arrays {
+			n += (len(a.data) + 63) / 64
+		}
+		k.touched = make([]uint64, n)
+		n = 0
+		for _, a := range k.arrays {
+			w := (len(a.data) + 63) / 64
+			a.touched = k.touched[n : n+w : n+w]
+			n += w
+			a.updateSlow()
+		}
+	} else {
+		clear(k.touched)
+	}
+	k.base = s
+}
+
+// Touched returns the kernel's touched-word bitmap: one bit per array
+// word, set when the word was written since the last Restore, array by
+// array in declaration order and each array's bits from a fresh bitmap
+// word. It is nil on a kernel never restored, and the caller must not keep
+// it across a Restore.
+func (k *Kernel) Touched() []uint64 { return k.touched }
+
+// RestoreNear is Restore for a kernel whose last Restore (or RestoreNear)
+// was from the snapshot from, where near marks, as Touched does, every
+// array word in which s may differ from from — the words the run that
+// took both wrote between them. The kernel's arrays then differ from s's
+// only in words near or touched, and only those are copied, with the
+// register and wire slabs. On a kernel not based on from it is Restore.
+func (k *Kernel) RestoreNear(s, from *Snapshot, near []uint64) error {
+	if from == nil || k.base != from || len(near) != len(k.touched) {
+		return k.Restore(s)
+	}
+	if err := k.fits(s); err != nil {
+		return err
+	}
+	k.ClearFaults()
+	copy(k.regCur, s.regs)
+	copy(k.regNxt, s.regs)
+	copy(k.wireCur, s.wires)
+	w := 0
+	for _, a := range k.arrays {
+		for j, m := range a.touched {
+			for m |= near[w+j]; m != 0; m &= m - 1 {
+				i := a.off + (j<<6 | bits.TrailingZeros64(m))
+				k.arr[i] = s.arr[i]
+			}
+		}
+		w += len(a.touched)
+	}
+	k.cycle = s.cycle
+	k.rebase(s)
+	return nil
+}
+
+// AppendDelta appends to d the kernel's state relative to the snapshot it
+// was last restored from, and returns the extended slice: the cycle
+// counter; the register and the wire words that differ from the
+// snapshot's (AppendChanged); the number of array words written since the
+// restore, then each one's index and value. A kernel restored from the
+// same snapshot takes that state with ApplyDelta. The campaign engine
+// freezes golden states between its ladder's rungs this way, a few hundred
+// bytes each against a snapshot's kilobytes. It panics on a kernel never
+// restored.
+func (k *Kernel) AppendDelta(d []uint64) []uint64 {
+	if k.base == nil {
+		panic("rtl: AppendDelta on a kernel not restored from a snapshot")
+	}
+	d = append(d, k.cycle)
+	d = AppendChanged(d, k.regCur, k.base.regs)
+	d = AppendChanged(d, k.wireCur, k.base.wires)
+	at := len(d)
+	d = append(d, 0)
+	for _, a := range k.arrays {
+		for j, m := range a.touched {
+			for ; m != 0; m &= m - 1 {
+				i := a.off + (j<<6 | bits.TrailingZeros64(m))
+				d = append(d, uint64(i), k.arr[i])
+			}
+		}
+	}
+	d[at] = uint64(len(d)-at-1) / 2
+	return d
+}
+
+// ApplyDelta puts the kernel, restored from the snapshot an AppendDelta
+// kernel was last restored from, into that kernel's state, and returns
+// what of d follows the delta. The array words it writes count as
+// touched, so RestoreNear and DiffNear stay exact.
+func (k *Kernel) ApplyDelta(d []uint64) []uint64 {
+	k.cycle = d[0]
+	d = LoadChanged(d[1:], k.regCur)
+	copy(k.regNxt, k.regCur)
+	d = LoadChanged(d, k.wireCur)
+	n := int(d[0])
+	for p := d[1 : 1+2*n]; len(p) > 0; p = p[2:] {
+		k.arr[p[0]] = p[1]
+		k.touch(int(p[0]))
+	}
+	return d[1+2*n:]
+}
+
+// AppendChanged appends to d a bitmap of the words in which cur differs
+// from base (bit i of word i/64), then those words of cur in order, and
+// returns the extended slice. LoadChanged reads it back over a copy of
+// base.
+func AppendChanged(d, cur, base []uint64) []uint64 {
+	at := len(d)
+	for lo := 0; lo < len(cur); lo += 64 {
+		c := cur[lo:min(lo+64, len(cur))]
+		b := base[lo:][:len(c)]
+		// Without a branch (which words differ is unpredictable), four
+		// words a step: the ladder walk takes a delta every few cycles.
+		var m uint64
+		i := 0
+		for ; i+4 <= len(c); i += 4 {
+			x0, x1, x2, x3 := c[i]^b[i], c[i+1]^b[i+1], c[i+2]^b[i+2], c[i+3]^b[i+3]
+			m |= ((x0|-x0)>>63 | (x1|-x1)>>63<<1 | (x2|-x2)>>63<<2 | (x3|-x3)>>63<<3) << uint(i)
+		}
+		for ; i < len(c); i++ {
+			x := c[i] ^ b[i]
+			m |= (x | -x) >> 63 << uint(i)
+		}
+		d = append(d, m)
+	}
+	for j, m := range d[at:] {
+		for ; m != 0; m &= m - 1 {
+			d = append(d, cur[j<<6|bits.TrailingZeros64(m)])
+		}
+	}
+	return d
+}
+
+// LoadChanged writes into dst the words AppendChanged recorded of a slice
+// of dst's length, and returns what of d follows them.
+func LoadChanged(d, dst []uint64) []uint64 {
+	nb := (len(dst) + 63) / 64
+	mask, vals := d[:nb], d[nb:]
+	for j, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			dst[j<<6|bits.TrailingZeros64(m)] = vals[0]
+			vals = vals[1:]
+		}
+	}
+	return vals
 }
 
 // StateEquals reports whether the kernel's committed state at a cycle
@@ -121,7 +289,9 @@ type WordDiff struct {
 }
 
 // diffChunk is how many words Diff compares in one bulk equality before it
-// looks at them one by one: a few words of the thousands differ.
+// looks at them one by one: a few words of the thousands differ. It is the
+// width of a touched-bitmap word, so that DiffNear skips a chunk of an
+// array on one load.
 const diffChunk = 64
 
 // Diff is StateEquals word by word: it lists in dst, registers first, the
@@ -134,25 +304,67 @@ func (k *Kernel) Diff(s *Snapshot, dst []WordDiff) (n int, ok bool) {
 	if len(s.regs) != len(k.regCur) || len(s.arr) != len(k.arr) {
 		return 0, false
 	}
-	base := 0
-	for _, slab := range [2][2][]uint64{{k.regCur, s.regs}, {k.arr, s.arr}} {
-		a, b := slab[0], slab[1]
-		for lo := 0; lo < len(a); lo += diffChunk {
-			hi := min(lo+diffChunk, len(a))
-			if slices.Equal(a[lo:hi], b[lo:hi]) {
+	if n, ok = diffSlab(k.regCur, s.regs, nil, nil, 0, dst, 0); ok {
+		n, ok = diffSlab(k.arr, s.arr, nil, nil, len(k.regCur), dst, n)
+	}
+	return n, ok
+}
+
+// DiffNear is Diff for a kernel based on the snapshot from (RestoreNear's
+// from and near): the register slab in full, and only the array words near
+// or touched, where alone the kernel's arrays can differ from s's. It
+// reports what Diff reports, in Diff's order. On a kernel not based on from
+// it is Diff.
+func (k *Kernel) DiffNear(s, from *Snapshot, near []uint64, dst []WordDiff) (n int, ok bool) {
+	if from == nil || k.base != from || len(near) != len(k.touched) {
+		return k.Diff(s, dst)
+	}
+	if len(s.regs) != len(k.regCur) || len(s.arr) != len(k.arr) {
+		return 0, false
+	}
+	if n, ok = diffSlab(k.regCur, s.regs, nil, nil, 0, dst, 0); !ok {
+		return n, ok
+	}
+	w := 0
+	for _, a := range k.arrays {
+		lo, hi := a.off, a.off+len(a.data)
+		nw := len(a.touched)
+		if n, ok = diffSlab(k.arr[lo:hi], s.arr[lo:hi], near[w:w+nw], a.touched, len(k.regCur)+lo, dst, n); !ok {
+			return n, ok
+		}
+		w += nw
+	}
+	return n, true
+}
+
+// diffSlab appends to dst[:n] the words in which slab a differs from b,
+// indexed from base, and returns the new count; ok is false when dst fills.
+// With bitmaps near and touched (of one bit per word of a), a chunk is
+// looked at only where either marks a word, and then only those words.
+func diffSlab(a, b, near, touched []uint64, base int, dst []WordDiff, n int) (int, bool) {
+	for lo := 0; lo < len(a); lo += diffChunk {
+		hi, m := min(lo+diffChunk, len(a)), ^uint64(0)
+		if near != nil {
+			if m = near[lo/diffChunk] | touched[lo/diffChunk]; m == 0 {
 				continue
 			}
-			for i := lo; i < hi; i++ {
-				if x := a[i] ^ b[i]; x != 0 {
-					if n == len(dst) {
-						return n, false
-					}
-					dst[n] = WordDiff{Index: int32(base + i), Mask: x}
-					n++
+		}
+		if slices.Equal(a[lo:hi], b[lo:hi]) {
+			continue
+		}
+		for ; m != 0; m &= m - 1 {
+			i := lo + bits.TrailingZeros64(m)
+			if i >= hi {
+				break
+			}
+			if x := a[i] ^ b[i]; x != 0 {
+				if n == len(dst) {
+					return n, false
 				}
+				dst[n] = WordDiff{Index: int32(base + i), Mask: x}
+				n++
 			}
 		}
-		base = len(a)
 	}
 	return n, true
 }
@@ -167,7 +379,9 @@ func (k *Kernel) XorWord(i int32, mask uint64) {
 		k.regNxt[i] ^= mask
 		return
 	}
-	k.arr[int(i)-len(k.regCur)] ^= mask
+	j := int(i) - len(k.regCur)
+	k.arr[j] ^= mask
+	k.touch(j)
 }
 
 // Recurs is StateEquals plus the wire slab: exactly the snapshot's

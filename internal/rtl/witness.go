@@ -165,6 +165,7 @@ func (k *Kernel) StartWitness(nets []WitnessNet) (*Witness, error) {
 		}
 		a.obs[w.words[i]] = o
 		a.armed++
+		a.updateSlow()
 	}
 	return w, nil
 }
@@ -270,6 +271,7 @@ func (w *Witness) Stop() {
 			a.obs[w.words[i]] = nil
 			if a.armed--; a.armed == 0 {
 				a.obs = nil
+				a.updateSlow()
 			}
 		}
 	}
