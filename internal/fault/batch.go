@@ -90,8 +90,11 @@ import (
 // half-way, and the from-reset reference keeps no table — so whether a lane
 // computes a verdict or copies it changes no result, only the work counters.
 // Permanent forcings alone enter, at most two per node of the population:
-// bounded by construction, no budget. A transient is keyed by an instant
-// sampled per experiment, never recurs, and is resolved directly.
+// bounded by construction, no budget. A transient is not looked up here:
+// its instant, sampled per experiment, never recurs, so it is resolved
+// directly. The states its universe parks in on the way do recur, and what
+// they came to the runner keeps apart, by rung and differing words (futures,
+// future.go).
 type verdicts struct {
 	rows    []atomic.Pointer[[]verdict] // by row; none under NoCheckpoint
 	bits    []uint8                     // by row, the width of its net
@@ -279,6 +282,7 @@ type lane struct {
 	unit     sparc.Unit
 	injectAt uint64
 	pulseEnd uint64 // SETPulse window end; 0 for the other models
+	call     uint64 // the campaign call it belongs to; 0 outside one (RunOne)
 	// activateAt is the golden cycle at which the universe first differs
 	// from the golden one in anything a consumer saw: the injection
 	// instant for a scalar experiment, for an activated batch lane the
@@ -310,8 +314,9 @@ type probe struct {
 	flip bool
 }
 
-// newLane describes experiment e's universe in l, a zero lane, as a scalar
-// run: it leaves the golden trajectory at its injection instant.
+// newLane describes experiment e's universe in l, a zero lane but for its
+// call, as a scalar run: it leaves the golden trajectory at its injection
+// instant.
 func (r *Runner) newLane(l *lane, e *Experiment) {
 	l.f, l.unit, l.injectAt = rtl.Fault{Node: e.Node.Node, Model: e.Model}, e.Node.Unit, r.armAt(e)
 	l.activateAt = l.injectAt
@@ -320,11 +325,11 @@ func (r *Runner) newLane(l *lane, e *Experiment) {
 	}
 }
 
-// batchLane describes experiment e's universe in l, a zero lane, as a cursor
-// over its net's log: armed from its injection instant — a charge-sampling
-// model's polarity from the logged raw word there — it leaves the golden
-// trajectory at its first activation, if it has one, and says whether it
-// does.
+// batchLane describes experiment e's universe in l, a zero lane but for its
+// call, as a cursor over its net's log: armed from its injection instant — a
+// charge-sampling model's polarity from the logged raw word there — it
+// leaves the golden trajectory at its first activation, if it has one, and
+// says whether it does.
 func (r *Runner) batchLane(l *lane, e *Experiment, lg *netLog) (activated bool) {
 	r.newLane(l, e)
 	l.log = lg
@@ -363,6 +368,9 @@ func (r *Runner) runLane(e *Experiment, m *memo, i int, res *Result, c *crew) {
 	r.met.experiments.Inc()
 	var l lane
 	lad := r.ladder()
+	if m != nil {
+		l.call = m.call
+	}
 	if m != nil && m.netOf[i] >= 0 {
 		if len(m.logs) == 0 {
 			// The logging walk's witness failed to arm, which never happens

@@ -122,13 +122,22 @@ func (r *Runner) ladder() *ladder {
 	return r.lad
 }
 
-// buildLadder re-runs the clean core once, from reset through the
-// injection instant to program exit, freezing a rung every stride cycles
-// from the injection instant on. This is the only time the warm-up
-// prefix and the clean continuation are simulated for their state, no
-// matter how many experiments and campaigns the runner serves.
+// buildLadder re-runs the clean core once, from the golden run's latest mark
+// at or below the injection instant (from reset when there is none) through
+// the instant to program exit, freezing a rung every stride cycles from the
+// injection instant on. This is the only time the rest of the warm-up prefix
+// and the clean continuation are simulated for their state, no matter how
+// many experiments and campaigns the runner serves.
 func (r *Runner) buildLadder() *ladder {
 	core, bus := r.freshCore()
+	if m := r.mark; m != nil {
+		m.img.ForkInto(bus.Mem)
+		if err := core.Restore(m.core); err != nil {
+			panic("fault: the golden run's mark does not fit a fresh core: " + err.Error())
+		}
+		bus.Trace.Writes = append(bus.Trace.Writes, r.golden.Writes[:m.writes]...)
+		r.mark = nil
+	}
 	for core.Cycles() < r.opts.InjectAtCycle && core.Status() == iss.StatusRunning {
 		core.StepCycle()
 	}

@@ -241,12 +241,19 @@ type Runner struct {
 	// stride, when nonzero, is the ladder's stride whatever the run length:
 	// set by tests alone, before the ladder is first used.
 	stride uint64
+	// mark is the golden run's state at the latest of its marks at or below
+	// the fixed instant, where the ladder's walk starts; nil once the ladder
+	// is built, or when no mark precedes the instant (see goldenRun).
+	mark *goldenMark
 	// log is what the golden continuation read of the nets campaigns have
 	// faulted so far, each walked once (see readlog.go).
 	log readLog
 	// verdicts is what the permanent forcings campaigns have activated so
 	// far came to, each stepped once (see batch.go).
 	verdicts verdicts
+	// futures is what the states transient universes parked in came to, by
+	// the call that stepped them (see future.go).
+	futures futures
 
 	// engines keeps reusable RTL cores: each campaign worker restores a
 	// kept core in place per experiment instead of rebuilding the whole
@@ -320,7 +327,7 @@ func NewRunner(p *asm.Program, opts Options) (*Runner, error) {
 	keep := runtime.GOMAXPROCS(0)
 	r.engines.max, r.memos.max = keep, keep
 	core, _ := r.freshCore()
-	st := core.Run(200_000_000)
+	marks, st := r.goldenRun(core)
 	if st != iss.StatusExited {
 		return nil, fmt.Errorf("fault: golden run did not exit: %v", st)
 	}
@@ -329,8 +336,58 @@ func NewRunner(p *asm.Program, opts Options) (*Runner, error) {
 	if opts.InjectAtFraction > 0 {
 		r.opts.InjectAtCycle = uint64(opts.InjectAtFraction * float64(r.GoldenCycles))
 	}
+	for i := range marks {
+		if marks[i].core.Cycle() <= r.opts.InjectAtCycle {
+			r.mark = &marks[i]
+		}
+	}
 	r.budget = faultedBudget(r.GoldenCycles)
 	return r, nil
+}
+
+// goldenLimit is the golden run's cycle limit: a program still running there
+// is rejected.
+const goldenLimit = 200_000_000
+
+// firstMark is the cycle of the golden run's first mark; the others follow at
+// doubling cycles.
+const firstMark = 1024
+
+// goldenMark is the golden run's state at one cycle: the core's, its memory
+// and its write index.
+type goldenMark struct {
+	core   *leon3.Snapshot
+	img    *mem.Image
+	writes int
+}
+
+// goldenRun runs the clean core to exit or the limit and returns its final
+// status, with the core's state frozen at cycles 1,024, 2,048, 4,096, … on
+// the way: a handful of marks, the latest of which at or below the fixed
+// instant lets the ladder's walk skip most of the prefix this run already
+// stepped (buildLadder). Only marks that can be at or below the instant are
+// taken: past a fixed cycle, none; before a fraction of the run's length,
+// which is not known yet, all. The reference builds no ladder and takes
+// none.
+func (r *Runner) goldenRun(core *leon3.Core) (marks []goldenMark, st iss.Status) {
+	bus := core.Bus
+	last := uint64(goldenLimit) // the latest cycle a mark may sit at
+	switch {
+	case r.opts.NoCheckpoint:
+		last = 0
+	case r.opts.InjectAtFraction == 0:
+		last = r.opts.InjectAtCycle
+	}
+	for next := uint64(firstMark); core.Status() == iss.StatusRunning && core.Cycles() < goldenLimit; core.StepCycle() {
+		if core.Cycles() == next && next <= last {
+			marks = append(marks, goldenMark{core: core.Snapshot(), img: bus.Mem.Snapshot(), writes: len(bus.Trace.Writes)})
+			next *= 2
+		}
+	}
+	if st = core.Status(); st == iss.StatusRunning {
+		st = iss.StatusBudget
+	}
+	return marks, st
 }
 
 // Nodes enumerates the injectable nodes of a target, annotated with their
@@ -457,6 +514,10 @@ type engine struct {
 	cmp  comparator
 	seen rtl.Snapshot
 	diff [diffMax]rtl.WordDiff // the words a universe differs from a rung in (Runner.park)
+	// keys are the states the universe on the core parked in that no earlier
+	// call had passed through (Runner.known), which it ends under (store).
+	keys  [futureKeep]futureRef
+	nkeys int
 	// base is the rung the core was last forked from (-1: none), and near
 	// the array words the golden run wrote from there to rung nearTo
 	// (ladder.near): with the words the core wrote since, all its arrays
@@ -540,7 +601,9 @@ func (r *Runner) armAt(e *Experiment) uint64 {
 // never, and it is no-effect; more than two strides away, and it is re-forked
 // there with the words still differing XORed back in; nearer, and it runs
 // on. An upset lane whose flip has drained is the lane it was at its
-// instant; a universe healed altogether asks nothing.
+// instant; a universe healed altogether asks nothing. Before the logs, the
+// state is looked up in the runner's known futures (Runner.known): parked
+// where a universe of an earlier call parked, it ends as that one did.
 //
 // Recurrent: past the last rung, with nothing left to release, the future
 // is a function of kernel slabs, memory and comparator. Brent's cycle
@@ -559,7 +622,10 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane, res *Result) {
 	l.result(res)
 	stepped := r.materialize(eng, lad, l.activateAt)
 	healed := false
-	defer func() { r.met.cycles(stepped, res.Outcome, healed) }()
+	defer func() {
+		r.met.cycles(stepped, res.Outcome, healed)
+		r.store(eng, l, res)
+	}()
 	if err := l.arm(core); err != nil {
 		// An invalid node: nothing was injected.
 		return
@@ -618,6 +684,10 @@ func (r *Runner) resolve(eng *engine, lad *ladder, l *lane, res *Result) {
 			// whose logs say when one is next read, a lane again from here.
 			n, ok := core.DiffNear(g.core, lad.rungs[eng.base].core, lad.near(eng, i), eng.diff[:])
 			if ok && n > 0 {
+				if r.known(eng, l, i, n, res) {
+					r.met.proven[provenFuture].Inc()
+					return
+				}
 				next, kept, ok = r.park(eng, n, t)
 				parked = true
 			}

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,7 +31,11 @@ import (
 // the register file and the IU registers (logAround), as earlier campaigns
 // would leave it. Every input runs twice on its runner: the
 // first round walks the nets into the runner's read log and resolves the
-// forcings into its verdict table, the second is answered from both. A
+// forcings into its verdict table, the second is answered from both and
+// from the runner's known futures. Then it runs again with every transient
+// a cycle earlier, whose universes meet the first ones' parked states at
+// instants of their own: a future kept under the wrong key, or its latency
+// taken relative to the wrong instant, is a finding. A
 // second campaign then overlaps the first on the same runner — the node's own
 // forcings again, beside those of its sibling bit and of a neighbouring node
 // the table has not seen — and is held to the reference too: a verdict kept
@@ -126,6 +131,18 @@ func FuzzLaneEquivalence(f *testing.F) {
 			if got := lanes.Campaign(padded, 1); !reflect.DeepEqual(got[filler:], want) {
 				t.Fatalf("%s, behind %d filler lanes: got %+v, reference %+v", round, filler, got[filler:], want)
 			}
+		}
+		// The input again, every transient a cycle earlier: its universes meet
+		// the states the first ones parked in at instants of their own, and
+		// take their endings from the runner's known futures.
+		moved := slices.Clone(exps)
+		for i := range moved {
+			if moved[i].Model.Transient() && moved[i].AtCycle > 0 {
+				moved[i].AtCycle--
+			}
+		}
+		if got, want := lanes.Campaign(moved, 2), ref.Campaign(moved, 1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("a cycle earlier, on the warm runner: got %+v, reference %+v", got, want)
 		}
 		overlap := Expand([]NodeInfo{sibling, n, iu[(int(node)+1)%len(iu)]}, rtl.FaultModels()...)
 		if got, want := lanes.Campaign(overlap, 2), ref.Campaign(overlap, 1); !reflect.DeepEqual(got, want) {

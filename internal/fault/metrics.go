@@ -61,8 +61,9 @@ type engineMetrics struct {
 // EX gate stays shut to the budget (resolve), a forcing an earlier call on the
 // runner resolved (resolveOnce), a universe parked on the logs of the few
 // words it differs from the golden one in, none of which is read again
-// (Runner.park).
-var proofs = [...]string{"equivalent", "recurrent", "shifted", "wedged", "known", "parked"}
+// (Runner.park), a universe parked in a state an earlier call's universe
+// passed through, whose ending it takes (Runner.known).
+var proofs = [...]string{"equivalent", "recurrent", "shifted", "wedged", "known", "parked", "future"}
 
 const (
 	provenEquivalent = iota
@@ -71,6 +72,7 @@ const (
 	provenWedged
 	provenKnown
 	provenParked
+	provenFuture
 )
 
 // healedEnding is cyclesBy's slot past the outcomes: a healed universe,
@@ -90,7 +92,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 	byOutcome := r.CounterVec("engine_faulted_cycles_by_outcome_total",
 		"engine_faulted_cycles_total split by how the universe ended; healed ones apart from no-effects that ran to exit.", "outcome")
 	byProof := r.CounterVec("engine_verdicts_proven_total",
-		"Verdicts reached without stepping to them: a twin of a forcing the same call resolved (equivalent), one the runner's verdict table kept from an earlier call (known), a recurring state, a time-shifted golden state, a dead EX gate, a transient universe golden but for a few state words, parked on their read logs, none read again before it is replaced or the run ends (parked).", "proof")
+		"Verdicts reached without stepping to them: a twin of a forcing the same call resolved (equivalent), one the runner's verdict table kept from an earlier call (known), a recurring state, a time-shifted golden state, a dead EX gate, a transient universe golden but for a few state words, parked on their read logs, none read again before it is replaced or the run ends (parked), a transient universe parked in a state — rung and differing words — that a universe of an earlier call on the runner passed through, whose ending it takes from the runner's table of known futures (future).", "proof")
 	m := engineMetrics{
 		live: r != nil,
 		experiments: r.Counter("engine_experiments_total",

@@ -74,9 +74,12 @@ func pick(r *Runner, name string, bits ...int) []NodeInfo {
 // worker, by another one, or waits for it (two, three and five workers). The counters — faulted cycles
 // included — must not move with the worker count: each count is measured on
 // a runner of its own, whose verdict table holds nothing yet, and so proves
-// nothing known; none of these pipeline registers keeps an upset to program
-// exit, so nothing need end parked (TestReconvergenceWorkCounters has those).
-// The reference takes none of the proving branches.
+// nothing known, and whose table of futures holds no earlier call's state, so
+// proves no future; none of these pipeline registers keeps an upset to
+// program exit, so nothing need end parked (TestReconvergenceWorkCounters has
+// those). A second call on the last runner then proves both known verdicts
+// and known futures, to the same bytes. The reference takes none of the
+// proving branches.
 func TestProvenVerdictsEquivalence(t *testing.T) {
 	for _, name := range []string{"rspeed", "excerptA"} {
 		t.Run(name, func(t *testing.T) {
@@ -127,7 +130,7 @@ func TestProvenVerdictsEquivalence(t *testing.T) {
 				n := sub(proofCounts(t, reg), before)
 				t.Logf("%d workers: proven equivalent %v, recurrent %v, shifted %v, wedged %v; %v faulted cycles", workers, n[provenEquivalent], n[provenRecurrent], n[provenShifted], n[provenWedged], n[faultedCycles])
 				for i, p := range proofs {
-					if i != provenParked && (n[i] == 0) != (i == provenKnown) {
+					if i != provenParked && (n[i] == 0) != (i == provenKnown || i == provenFuture) {
 						t.Errorf("%d workers: %v verdicts proven %s on a fresh runner", workers, n[i], p)
 					}
 				}
@@ -136,6 +139,19 @@ func TestProvenVerdictsEquivalence(t *testing.T) {
 				} else if n != first {
 					t.Errorf("%d workers: proof and cycle counters %v, at 1 worker %v", workers, n, first)
 				}
+			}
+
+			// A second call on the last runner: every permanent forcing is known,
+			// and a transient universe that parks meets the state it parked in
+			// in the first call — the same bytes, fewer cycles.
+			before := proofCounts(t, reg)
+			if got := prod.Campaign(exps, 2); !reflect.DeepEqual(got, want) {
+				t.Fatal("second call: campaign differs from the from-reset reference")
+			}
+			n := sub(proofCounts(t, reg), before)
+			t.Logf("second call: known %v, future %v; %v faulted cycles", n[provenKnown], n[provenFuture], n[faultedCycles])
+			if n[provenKnown] == 0 || n[provenFuture] == 0 || n[faultedCycles] >= first[faultedCycles] {
+				t.Errorf("second call: known %v, future %v, %v faulted cycles (first call %v)", n[provenKnown], n[provenFuture], n[faultedCycles], first[faultedCycles])
 			}
 
 			// Experiment by experiment (RunOne: no verdict table, so no twins): what a

@@ -82,12 +82,15 @@ type onceEntry[V any] struct {
 // reset; DESIGN.md §10), however long the run — and its verdict table,
 // what the permanent forcings campaigns activated came to: at most two
 // entries of about 130 bytes per node of the faulted populations, 1.5 MB
-// for every IU node, in practice the activated quarter. A full cache
-// therefore holds at most 64 x 14 MiB of golden state and verdicts beside
-// the traces, and nears that only if every entry is driven over all of its
-// nets on a long run. Eviction only drops the memoization: runners still
-// referenced by in-flight campaigns stay alive until those campaigns
-// finish.
+// for every IU node, in practice the activated quarter — and, once a
+// transient campaign has run on it, its table of known futures (what the
+// states its transient universes parked in came to: 4,096 slots of 72 bytes
+// on the first store, doubled as they fill, at most 65,536, 4.5 MiB). A full
+// cache therefore holds at most 64 x 18.5 MiB of golden state, verdicts and
+// futures beside the traces, and nears that only if every entry is driven
+// over all of its nets on a long run and by transient campaigns. Eviction
+// only drops the memoization: runners still referenced by in-flight
+// campaigns stay alive until those campaigns finish.
 const maxRunners = 64
 
 // buildSem bounds concurrent golden-run constructions: each is a full

@@ -86,8 +86,11 @@ func coldWorkDelta(t *testing.T, reg *obs.Registry, f func()) [3]float64 {
 // (transients, a hybrid campaign's escalations) are the control: nothing to
 // share, nothing moves. A transient universe parks on the read logs the
 // runner has published (fault.Runner.park), which a shard finds filled or
-// not as the other shards' plans go, so its shards are held to the uncut
-// campaign's work on a runner whose log the uncut campaign filled.
+// not as the other shards' plans go, and takes the ending of a state an
+// earlier call's universe parked in from the runner's known futures
+// (fault.Runner.known), so its shards are held to the uncut campaign's work
+// on a runner whose log and futures the uncut campaign filled: there every
+// universe that parks at all takes the first state it parks in, cut or not.
 func TestLocalShardsShareVerdicts(t *testing.T) {
 	ctx := context.Background()
 	reg := sharedReg
