@@ -18,6 +18,8 @@
 // simplifications change only cycle counts, never architectural results.
 package leon3
 
+//go:generate go run gen.go
+
 import (
 	"repro/internal/iss"
 	"repro/internal/mem"
@@ -237,9 +239,6 @@ type Core struct {
 	entry    uint32
 }
 
-// u32 truncates a signal value to 32 bits.
-func u32(s *rtl.Signal) uint32 { return uint32(s.Get()) }
-
 // New builds the RTL core over the given bus, ready to execute from entry.
 func New(bus *mem.Bus, entry uint32) *Core {
 	k := rtl.NewKernel()
@@ -425,16 +424,10 @@ func New(bus *mem.Bus, entry uint32) *Core {
 
 	c.resetSignals()
 
-	// Processes in evaluation order: write-first register file, then the
-	// older stages before the younger ones so that bypass wires are valid
-	// when the register-access stage samples them.
-	k.Comb(c.writebackComb)
-	k.Comb(c.decodeComb)
-	k.Comb(c.memoryComb)
-	k.Comb(c.executeComb)
-	k.Comb(c.regaccessComb)
-	k.Comb(c.fetchComb)
-	k.Comb(c.stallComb)
+	// One process, in two builds: the seven stages with probed reads, and
+	// their generated clean twin, which the kernel runs while nothing is
+	// armed.
+	k.Twin(c.cycleClean, c.cycleProbed)
 	return c
 }
 

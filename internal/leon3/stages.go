@@ -2,8 +2,29 @@ package leon3
 
 import (
 	"repro/internal/iss"
+	"repro/internal/rtl"
 	"repro/internal/sparc"
 )
+
+// cycleProbed is one cycle of the pipeline: the stages in evaluation
+// order, the write-first register file, then the older stages before the
+// younger ones so that bypass wires are valid when the register-access
+// stage samples them. Every net read in what it runs goes through the
+// kernel's probes (Get, Read). Its clean twin, cycleClean
+// (stages_clean.go), is generated from this file, execute.go and
+// muldiv.go with every read raw; edit these and run go generate.
+func (c *Core) cycleProbed() {
+	c.writebackComb()
+	c.decodeComb()
+	c.memoryComb()
+	c.executeComb()
+	c.regaccessComb()
+	c.fetchComb()
+	c.stallComb()
+}
+
+// u32 truncates a signal value to 32 bits.
+func u32(s *rtl.Signal) uint32 { return uint32(s.Get()) }
 
 // writebackComb runs first each cycle: it retires the WB stage into the
 // register file (write-before-read, like the LEON3 register file's

@@ -192,6 +192,7 @@ func (k *Kernel) inject(f Fault, sampled uint64, haveSample bool) error {
 			cur = sampled
 		}
 		a.fWord = f.Node.Word
+		a.updateSlow()
 		a.fMask |= bit
 		switch f.Model {
 		case StuckAt1:
@@ -245,6 +246,7 @@ func (k *Kernel) ClearFaults() {
 	}
 	for _, a := range k.fArrs {
 		a.fWord, a.fMask, a.fVal = -1, 0, 0
+		a.updateSlow()
 	}
 	// Keep the capacity: a pooled kernel arms one fault per experiment.
 	k.fSigs, k.fArrs, k.faults = k.fSigs[:0], k.fArrs[:0], k.faults[:0]

@@ -48,6 +48,23 @@
 // per-signal slow-path flag (set only for the ≤1 faulted node of an
 // experiment, with the kernel-level dirty flag guarding the
 // campaign engine's clear/restore walks).
+//
+// # Clean twins
+//
+// Even that branch is paid only where a probe can fire. A design may
+// register each process twice (Twin): probed, reading through Get and
+// Read, and clean, the same code with every read raw (Signal.Raw,
+// MemArray.ReadRaw) — the leon3 core generates its clean twin from its
+// probed stages with go generate. Cycle picks the build once per cycle,
+// by structure alone: with no fault armed (the dirty flag) and no witness
+// armed (a count StartWitness and Stop keep), no read can be forced or
+// recorded, so it runs the clean twins; otherwise the probed ones. Golden
+// runs, ladder walks and faulted universes whose fault is a past bit-flip
+// run clean; a universe with a forcing armed and every witnessed walk run
+// probed. Faults are still forced by the simulator, never by the model:
+// the twin drops probes that cannot fire, it does not instrument anything.
+// Writes have one build: Write keeps the touched-word tracking a restored
+// kernel needs whatever is armed.
 package rtl
 
 import (
@@ -134,6 +151,14 @@ func (s *Signal) updateSlow() {
 // GetBool samples a 1-bit signal.
 func (s *Signal) GetBool() bool { return s.Get() != 0 }
 
+// Raw returns the committed value with no probe: no forcing, no witness.
+// It is what Get returns on a net with nothing armed, and only a process
+// the kernel runs as a clean twin (Twin) may call it.
+func (s *Signal) Raw() uint64 { return *s.curp }
+
+// RawBool is Raw of a 1-bit signal.
+func (s *Signal) RawBool() bool { return *s.curp != 0 }
+
 // Set drives a wire combinationally (visible to processes that run later
 // in the same cycle).
 func (s *Signal) Set(v uint64) { *s.curp = v & s.mask }
@@ -179,6 +204,7 @@ type MemArray struct {
 
 	obs   []*observer // per-word read observers (nil unless witnessed)
 	armed int32       // words with an observer, over every witness
+	rslow bool        // Read probes: a word is forced or witnessed
 	slow  bool        // Write records: a witness is armed or the kernel tracks writes
 
 	off int // word offset into the kernel array slab
@@ -202,6 +228,18 @@ func (a *MemArray) Width() int { return a.width }
 // Read samples word i with any injected fault applied, recording the
 // sampled value when the word is witnessed.
 func (a *MemArray) Read(i int) uint64 {
+	if a.rslow {
+		return a.readSlow(i)
+	}
+	return a.data[i]
+}
+
+// readSlow samples word i of an array with a forced or witnessed word. It
+// is kept out of line so that Read stays one test and a load, as Get keeps
+// getSlow.
+//
+//go:noinline
+func (a *MemArray) readSlow(i int) uint64 {
 	v := a.data[i]
 	if i == a.fWord {
 		v = (v &^ a.fMask) | a.fVal
@@ -215,6 +253,11 @@ func (a *MemArray) Read(i int) uint64 {
 	}
 	return v
 }
+
+// ReadRaw returns word i with no probe: no forcing, no witness. It is what
+// Read returns on an array with nothing armed, and only a process the
+// kernel runs as a clean twin (Twin) may call it.
+func (a *MemArray) ReadRaw(i int) uint64 { return a.data[i] }
 
 // Write stores word i. Faulted bits ignore the write (the cell is stuck).
 // On a witnessed word, a write that lands before any read recorded since
@@ -245,9 +288,12 @@ func (a *MemArray) writeSlow(i int) {
 	}
 }
 
-// updateSlow recomputes the slow-path flag after witness or tracking
-// changes.
-func (a *MemArray) updateSlow() { a.slow = a.obs != nil || a.touched != nil }
+// updateSlow recomputes the slow-path flags after fault, witness or
+// tracking changes.
+func (a *MemArray) updateSlow() {
+	a.rslow = a.obs != nil || a.fWord >= 0
+	a.slow = a.obs != nil || a.touched != nil
+}
 
 // mark marks word i written, on a kernel that tracks writes.
 func (a *MemArray) mark(i int) {
@@ -269,13 +315,15 @@ type Kernel struct {
 	signals []*Signal
 	arrays  []*MemArray
 	decls   map[string]decl // per signal/array name
-	procs   []func()
+	procs   []func()        // the probed processes
+	clean   []func()        // their clean twins (see Twin)
 	cycle   uint64
 
-	faults []Fault
-	fSigs  []*Signal   // signals with armed faults
-	fArrs  []*MemArray // arrays with armed faults
-	dirty  bool        // any fault armed on the design
+	faults    []Fault
+	fSigs     []*Signal   // signals with armed faults
+	fArrs     []*MemArray // arrays with armed faults
+	dirty     bool        // any fault armed on the design
+	witnesses int         // armed witnesses (StartWitness, Stop)
 
 	// touched marks, one bit per array word, the words written since base
 	// was restored: array by array in declaration order, each array's bits
@@ -406,7 +454,18 @@ func (k *Kernel) Array(name string, width, n int, unit Unit) *MemArray {
 
 // Comb appends a combinational process; processes run in registration
 // order each cycle, so producers must be registered before consumers.
-func (k *Kernel) Comb(p func()) { k.procs = append(k.procs, p) }
+func (k *Kernel) Comb(p func()) { k.Twin(p, p) }
+
+// Twin appends a combinational process in two builds: probed, whose reads
+// go through Get and Read, and clean, the same process with every read raw
+// (Signal.Raw, MemArray.ReadRaw). A cycle with no fault and no witness
+// armed runs the clean twins; any other cycle runs the probed ones. The two
+// must compute the same state from the same state whenever nothing is
+// armed, and may differ only in what they cost.
+func (k *Kernel) Twin(clean, probed func()) {
+	k.clean = append(k.clean, clean)
+	k.procs = append(k.procs, probed)
+}
 
 // Group is a precomputed set of registers that stall together. Holding a
 // group re-schedules every member's committed value with one tight loop
@@ -441,9 +500,15 @@ func (g Group) Hold() {
 }
 
 // Cycle evaluates all combinational processes once and commits every
-// register with one bulk copy of the register slab.
+// register with one bulk copy of the register slab. With nothing armed —
+// no fault, no witness — no read can be forced or recorded, so it runs
+// the clean twins (Twin), which pay for no probe.
 func (k *Kernel) Cycle() {
-	for _, p := range k.procs {
+	procs := k.procs
+	if !k.dirty && k.witnesses == 0 {
+		procs = k.clean
+	}
+	for _, p := range procs {
 		p()
 	}
 	copy(k.regCur, k.regNxt)

@@ -53,6 +53,7 @@ type WitnessAcc struct {
 // applied), but its intended use is on a clean design, where the
 // recorded values are the golden ones.
 type Witness struct {
+	k   *Kernel    // nil once stopped
 	obs []observer // one per net, indexed like the nets passed to StartWitness
 	raw []*uint64  // each net's raw slab word, for Sample
 	// head chains the nets observed since the last drain, most recent first
@@ -119,7 +120,7 @@ type WitnessEvent struct {
 // kernel's hot path pays for witnessing only on the watched nets
 // themselves, exactly like fault forcing.
 func (k *Kernel) StartWitness(nets []WitnessNet) (*Witness, error) {
-	w := &Witness{obs: make([]observer, len(nets)), raw: make([]*uint64, len(nets)), sigs: make([]*Signal, len(nets)),
+	w := &Witness{k: k, obs: make([]observer, len(nets)), raw: make([]*uint64, len(nets)), sigs: make([]*Signal, len(nets)),
 		arrs: make([]*MemArray, len(nets)), words: make([]int, len(nets))}
 	w.head = chainEnd
 	seen := make(map[WitnessNet]bool, len(nets))
@@ -167,6 +168,7 @@ func (k *Kernel) StartWitness(nets []WitnessNet) (*Witness, error) {
 		a.armed++
 		a.updateSlow()
 	}
+	k.witnesses++
 	return w, nil
 }
 
@@ -255,8 +257,13 @@ func (w *Witness) Sample(i int) uint64 {
 // over different words share an array's observer list, which goes with the
 // last of them. The witness must be stopped before its kernel is reused for
 // non-witnessed simulation (pooled campaign cores), and before arming a new
-// witness over the same nets.
+// witness over the same nets. Stopping a stopped witness does nothing.
 func (w *Witness) Stop() {
+	if w.k == nil {
+		return
+	}
+	w.k.witnesses--
+	w.k = nil
 	for _, i := range w.edges {
 		s := w.sigs[i]
 		s.fMask, s.tagged = s.fMask&^edgeTags, false
