@@ -39,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRequestNormalize -fuzztime $(FUZZTIME) ./internal/jobs/
 	$(GO) test -run '^$$' -fuzz FuzzShardBody -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotFork -fuzztime $(FUZZTIME) ./internal/leon3/
+	$(GO) test -run '^$$' -fuzz FuzzTwinLockstep -fuzztime $(FUZZTIME) ./internal/leon3/
 	$(GO) test -run '^$$' -fuzz FuzzInstRoundTrip -fuzztime $(FUZZTIME) ./internal/asm/
 
 # Optional locally (the container may not ship it); CI installs and runs it.

@@ -221,6 +221,12 @@ type Core struct {
 	// frozen by stallComb.
 	gArch, gFE, gRA, gEX, gME rtl.Group
 
+	// The kernel's slabs (rtl.Kernel.Slabs) as the clean twin indexes
+	// them: committed and pending registers, and wires, each word at the
+	// constant stages_clean.go names for its net.
+	rc, rn *[nRegs]uint64
+	wc     *[nWires]uint64
+
 	// Icount counts architecturally executed (non-annulled) instructions.
 	Icount uint64
 	// OpCounts mirrors the ISS histogram for cross-checks.
@@ -421,6 +427,12 @@ func New(bus *mem.Bus, entry uint32) *Core {
 		c.me.size, c.me.signed, c.me.addr, c.me.wdata, c.me.wdata2,
 		c.me.swap, c.me.stub, c.me.result, c.me.wbEn, c.me.wbIdx,
 		c.me.wb2En, c.me.wb2Idx, c.me.wb2Val)
+
+	regs, next, wires := k.Slabs()
+	if len(regs) != nRegs || len(wires) != nWires {
+		panic("leon3: the nets New declares are not the twin's layout: run go generate ./internal/leon3")
+	}
+	c.rc, c.rn, c.wc = (*[nRegs]uint64)(regs), (*[nRegs]uint64)(next), (*[nWires]uint64)(wires)
 
 	c.resetSignals()
 

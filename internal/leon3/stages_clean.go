@@ -1,7 +1,8 @@
-// Code generated by twingen from stages.go, execute.go, muldiv.go; DO NOT EDIT.
+// Code generated by twingen from stages.go, execute.go, muldiv.go and New's slab layout; DO NOT EDIT.
 
 // This file is the leon3 pipeline's clean twin: what cycleProbed runs,
-// with every net read raw. The kernel runs it on cycles with nothing armed
+// compiled against the slab layout New declares, with no probe and no
+// rtl.Signal handle. The kernel runs it on cycles with nothing armed
 // (rtl.Kernel.Twin). Edit the sources and run go generate ./internal/leon3.
 
 package leon3
@@ -9,11 +10,136 @@ package leon3
 import (
 	"repro/internal/iss"
 	"repro/internal/mem"
-	"repro/internal/rtl"
 	"repro/internal/sparc"
 )
 
-// cycleClean is cycleProbed with raw reads.
+// The slab layout: the lengths of the register and wire slabs, and each
+// net's word in its slab, in the order New declares them.
+const (
+	nRegs  = 80
+	nWires = 38
+
+	regIuFePc       = 0  // iu.fe.pc, width 32
+	regIuDeValid    = 1  // iu.de.valid, width 1
+	regIuDePc       = 2  // iu.de.pc, width 32
+	regIuDeInst     = 3  // iu.de.inst, width 32
+	wireIuDeOp      = 0  // iu.de.op, width 7
+	wireIuDeRd      = 1  // iu.de.rd, width 5
+	wireIuDeRs1     = 2  // iu.de.rs1, width 5
+	wireIuDeRs2     = 3  // iu.de.rs2, width 5
+	wireIuDeImmf    = 4  // iu.de.immf, width 1
+	wireIuDeSimm    = 5  // iu.de.simm, width 32
+	wireIuDeDisp    = 6  // iu.de.disp, width 32
+	wireIuDeAnnul   = 7  // iu.de.annul, width 1
+	wireIuDeCond    = 8  // iu.de.cond, width 4
+	regIuRaValid    = 4  // iu.ra.valid, width 1
+	regIuRaPc       = 5  // iu.ra.pc, width 32
+	regIuRaOp       = 6  // iu.ra.op, width 7
+	regIuRaRd       = 7  // iu.ra.rd, width 5
+	regIuRaRs1      = 8  // iu.ra.rs1, width 5
+	regIuRaRs2      = 9  // iu.ra.rs2, width 5
+	regIuRaImmf     = 10 // iu.ra.immf, width 1
+	regIuRaSimm     = 11 // iu.ra.simm, width 32
+	regIuRaDisp     = 12 // iu.ra.disp, width 32
+	regIuRaAnnul    = 13 // iu.ra.annul, width 1
+	regIuRaCond     = 14 // iu.ra.cond, width 4
+	regIuRaRaw      = 15 // iu.ra.raw, width 32
+	wireIuRaOp1     = 9  // iu.ra.op1, width 32
+	wireIuRaOp2     = 10 // iu.ra.op2, width 32
+	wireIuRaSd      = 11 // iu.ra.sd, width 32
+	regIuExValid    = 16 // iu.ex.valid, width 1
+	regIuExPc       = 17 // iu.ex.pc, width 32
+	regIuExOp       = 18 // iu.ex.op, width 7
+	regIuExRd       = 19 // iu.ex.rd, width 5
+	regIuExA        = 20 // iu.ex.a, width 32
+	regIuExB        = 21 // iu.ex.b, width 32
+	regIuExSd       = 22 // iu.ex.sd, width 32
+	regIuExDisp     = 23 // iu.ex.disp, width 32
+	regIuExAnnulf   = 24 // iu.ex.annulf, width 1
+	regIuExCond     = 25 // iu.ex.cond, width 4
+	regIuExRs1      = 26 // iu.ex.rs1, width 5
+	wireIuExAluout  = 12 // iu.ex.aluout, width 32
+	wireIuExAlucc   = 13 // iu.ex.alucc, width 4
+	wireIuExShout   = 14 // iu.ex.shout, width 32
+	wireIuExBrtaken = 15 // iu.ex.brtaken, width 1
+	wireIuExTrap    = 16 // iu.ex.trap, width 1
+	wireIuExTt      = 17 // iu.ex.tt, width 8
+	wireIuExMemaddr = 18 // iu.ex.memaddr, width 32
+	wireIuExMatch   = 19 // iu.ex.match, width 1
+	wireIuExResult  = 20 // iu.ex.result, width 32
+	wireIuExWben    = 21 // iu.ex.wben, width 1
+	wireIuExWbidx   = 22 // iu.ex.wbidx, width 8
+	wireIuExNextcwp = 23 // iu.ex.nextcwp, width 3
+	wireIuFeRedir   = 24 // iu.fe.redir, width 1
+	wireIuFeRedirpc = 25 // iu.fe.redirpc, width 32
+	regIuMdCount    = 27 // iu.md.count, width 6
+	regIuMdAcc      = 28 // iu.md.acc, width 64
+	regIuMdQuot     = 29 // iu.md.quot, width 32
+	regIuMdNeg      = 30 // iu.md.neg, width 1
+	regIuMdOvf      = 31 // iu.md.ovf, width 1
+	wireIuMdBusy    = 26 // iu.md.busy, width 1
+	regIuCtlExppc   = 32 // iu.ctl.exppc, width 32
+	regIuCtlExpnpc  = 33 // iu.ctl.expnpc, width 32
+	regIuPsrIcc     = 34 // iu.psr.icc, width 4
+	regIuPsrCwp     = 35 // iu.psr.cwp, width 3
+	regIuPsrS       = 36 // iu.psr.s, width 1
+	regIuPsrPs      = 37 // iu.psr.ps, width 1
+	regIuPsrEt      = 38 // iu.psr.et, width 1
+	regIuPsrWim     = 39 // iu.psr.wim, width 8
+	regIuPsrTbr     = 40 // iu.psr.tbr, width 32
+	regIuPsrY       = 41 // iu.psr.y, width 32
+	regIuCtlAnnul   = 42 // iu.ctl.annul, width 1
+	regIuCtlRedirt  = 43 // iu.ctl.redirt, width 1
+	regIuCtlErrm    = 44 // iu.ctl.errm, width 1
+	regIuCtlHalt    = 45 // iu.ctl.halt, width 1
+	regIuPsrTt      = 46 // iu.psr.tt, width 8
+	regIuMeValid    = 47 // iu.me.valid, width 1
+	regIuMeIsmem    = 48 // iu.me.ismem, width 1
+	regIuMeLoad     = 49 // iu.me.load, width 1
+	regIuMeStore    = 50 // iu.me.store, width 1
+	regIuMeDbl      = 51 // iu.me.dbl, width 1
+	regIuMeSize     = 52 // iu.me.size, width 3
+	regIuMeSigned   = 53 // iu.me.signed, width 1
+	regIuMeAddr     = 54 // iu.me.addr, width 32
+	regIuMeWdata    = 55 // iu.me.wdata, width 32
+	regIuMeWdata2   = 56 // iu.me.wdata2, width 32
+	regIuMeSwapf    = 57 // iu.me.swapf, width 1
+	regIuMeStub     = 58 // iu.me.stub, width 1
+	regIuMeResult   = 59 // iu.me.result, width 32
+	regIuMeWben     = 60 // iu.me.wben, width 1
+	regIuMeWbidx    = 61 // iu.me.wbidx, width 8
+	regIuMeWb2en    = 62 // iu.me.wb2en, width 1
+	regIuMeWb2idx   = 63 // iu.me.wb2idx, width 8
+	regIuMeWb2val   = 64 // iu.me.wb2val, width 32
+	wireIuMeWbval   = 27 // iu.me.wbval, width 32
+	wireIuMeWb2valw = 28 // iu.me.wb2valw, width 32
+	wireIuRaLoaduse = 29 // iu.ra.loaduse, width 1
+	regIuXcValid    = 65 // iu.xc.valid, width 1
+	regIuXcWben     = 66 // iu.xc.wben, width 1
+	regIuXcWbidx    = 67 // iu.xc.wbidx, width 8
+	regIuXcWbval    = 68 // iu.xc.wbval, width 32
+	regIuXcWb2en    = 69 // iu.xc.wb2en, width 1
+	regIuXcWb2idx   = 70 // iu.xc.wb2idx, width 8
+	regIuXcWb2val   = 71 // iu.xc.wb2val, width 32
+	regIuWbWben     = 72 // iu.wb.wben, width 1
+	regIuWbWbidx    = 73 // iu.wb.wbidx, width 8
+	regIuWbWbval    = 74 // iu.wb.wbval, width 32
+	regIuWbWb2en    = 75 // iu.wb.wb2en, width 1
+	regIuWbWb2idx   = 76 // iu.wb.wb2idx, width 8
+	regIuWbWb2val   = 77 // iu.wb.wb2val, width 32
+	regCmemIcCount  = 78 // cmem.ic.count, width 4
+	wireCmemIcIdx   = 30 // cmem.ic.idx, width 6
+	wireCmemIcTag   = 31 // cmem.ic.tag, width 22
+	wireCmemIcHit   = 32 // cmem.ic.hit, width 1
+	wireCmemIcStall = 33 // cmem.ic.stall, width 1
+	regCmemDcCount  = 79 // cmem.dc.count, width 4
+	wireCmemDcIdx   = 34 // cmem.dc.idx, width 6
+	wireCmemDcTag   = 35 // cmem.dc.tag, width 22
+	wireCmemDcHit   = 36 // cmem.dc.hit, width 1
+	wireCmemDcStall = 37 // cmem.dc.stall, width 1
+)
+
+// cycleClean is cycleProbed compiled against the slab layout.
 func (c *Core) cycleClean() {
 	c.writebackCombClean()
 	c.decodeCombClean()
@@ -24,94 +150,97 @@ func (c *Core) cycleClean() {
 	c.stallCombClean()
 }
 
-// u32Clean is u32 with raw reads.
-func u32Clean(s *rtl.Signal) uint32 { return uint32(s.Raw()) }
+// u32Clean is u32 compiled against the slab layout.
+func u32Clean(s uint64) uint32 { return uint32(s) }
 
-// writebackCombClean is writebackComb with raw reads.
+// writebackCombClean is writebackComb compiled against the slab layout.
 func (c *Core) writebackCombClean() {
-	if c.wb.wbEn.RawBool() {
-		if idx := c.wb.wbIdx.Raw() % physRegCnt; idx != 0 {
-			c.rf.Write(int(idx), c.wb.wbVal.Raw())
+	rc, rn := c.rc, c.rn
+	if rc[regIuWbWben] != 0 {
+		if idx := rc[regIuWbWbidx] % physRegCnt; idx != 0 {
+			c.rf.Write(int(idx), rc[regIuWbWbval])
 		}
 	}
-	if c.wb.wb2En.RawBool() {
-		if idx := c.wb.wb2Idx.Raw() % physRegCnt; idx != 0 {
-			c.rf.Write(int(idx), c.wb.wb2Val.Raw())
+	if rc[regIuWbWb2en] != 0 {
+		if idx := rc[regIuWbWb2idx] % physRegCnt; idx != 0 {
+			c.rf.Write(int(idx), rc[regIuWbWb2val])
 		}
 	}
 	// The index/value ports are only latched behind their enables, so a
 	// read-witness on the XC registers observes true consumption: a
 	// bubble's (or non-writeback instruction's) stale port values never
 	// reach the register file.
-	valid := c.xc.valid.RawBool()
-	wbEn := valid && c.xc.wbEn.RawBool()
-	c.wb.wbEn.SetNextBool(wbEn)
+	valid := rc[regIuXcValid] != 0
+	wbEn := valid && rc[regIuXcWben] != 0
+	rn[regIuWbWben] = boolWord(wbEn)
 	if wbEn {
-		c.wb.wbIdx.SetNext(c.xc.wbIdx.Raw())
-		c.wb.wbVal.SetNext(c.xc.wbVal.Raw())
+		rn[regIuWbWbidx] = rc[regIuXcWbidx] & 0xff
+		rn[regIuWbWbval] = rc[regIuXcWbval] & 0xffffffff
 	}
-	wb2En := valid && c.xc.wb2En.RawBool()
-	c.wb.wb2En.SetNextBool(wb2En)
+	wb2En := valid && rc[regIuXcWb2en] != 0
+	rn[regIuWbWb2en] = boolWord(wb2En)
 	if wb2En {
-		c.wb.wb2Idx.SetNext(c.xc.wb2Idx.Raw())
-		c.wb.wb2Val.SetNext(c.xc.wb2Val.Raw())
+		rn[regIuWbWb2idx] = rc[regIuXcWb2idx] & 0xff
+		rn[regIuWbWb2val] = rc[regIuXcWb2val] & 0xffffffff
 	}
 }
 
-// decodeCombClean is decodeComb with raw reads.
+// decodeCombClean is decodeComb compiled against the slab layout.
 func (c *Core) decodeCombClean() {
+	rc, rn, wc := c.rc, c.rn, c.wc
 	// A fetch bubble decodes nothing: only the valid bit propagates. The
 	// RA operand registers keep their stale contents, which regaccessComb
 	// never reads for an invalid slot.
-	if !c.de.valid.RawBool() {
-		c.ra.valid.SetNext(0)
+	if rc[regIuDeValid] == 0 {
+		rn[regIuRaValid] = 0
 		return
 	}
-	word := u32Clean(c.de.inst)
+	word := u32Clean(rc[regIuDeInst])
 	in := sparc.Decode(word)
-	c.wDeOp.Set(uint64(in.Op))
-	c.wDeRd.Set(uint64(in.Rd))
-	c.wDeRs1.Set(uint64(in.Rs1))
-	c.wDeRs2.Set(uint64(in.Rs2))
-	c.wDeImm.SetBool(in.Imm)
+	wc[wireIuDeOp] = uint64(in.Op) & 0x7f
+	wc[wireIuDeRd] = uint64(in.Rd) & 0x1f
+	wc[wireIuDeRs1] = uint64(in.Rs1) & 0x1f
+	wc[wireIuDeRs2] = uint64(in.Rs2) & 0x1f
+	wc[wireIuDeImmf] = boolWord(in.Imm)
 	simm := uint64(uint32(in.Simm13))
 	if in.Op == sparc.OpSETHI {
 		simm = uint64(uint32(in.Imm22) << 10)
-		c.wDeImm.SetBool(true)
+		wc[wireIuDeImmf] = 1
 	}
-	c.wDeSimm.Set(simm)
+	wc[wireIuDeSimm] = simm & 0xffffffff
 	disp := uint64(uint32(in.Imm22))
 	if in.Op == sparc.OpCALL {
 		disp = uint64(uint32(in.Disp30))
 	}
-	c.wDeDisp.Set(disp)
-	c.wDeAnnul.SetBool(in.Annul)
-	c.wDeCond.Set(uint64(in.Op.Cond()))
+	wc[wireIuDeDisp] = disp & 0xffffffff
+	wc[wireIuDeAnnul] = boolWord(in.Annul)
+	wc[wireIuDeCond] = uint64(in.Op.Cond()) & 0xf
 
-	c.ra.valid.SetNext(1)
-	c.ra.pc.SetNext(c.de.pc.Raw())
-	c.ra.op.SetNext(c.wDeOp.Raw())
-	c.ra.rd.SetNext(c.wDeRd.Raw())
-	c.ra.rs1.SetNext(c.wDeRs1.Raw())
-	c.ra.rs2.SetNext(c.wDeRs2.Raw())
-	c.ra.imm.SetNext(c.wDeImm.Raw())
-	c.ra.simm.SetNext(c.wDeSimm.Raw())
-	c.ra.disp.SetNext(c.wDeDisp.Raw())
-	c.ra.annul.SetNext(c.wDeAnnul.Raw())
-	c.ra.cond.SetNext(c.wDeCond.Raw())
-	c.ra.raw.SetNext(uint64(word))
+	rn[regIuRaValid] = 1
+	rn[regIuRaPc] = rc[regIuDePc] & 0xffffffff
+	rn[regIuRaOp] = wc[wireIuDeOp] & 0x7f
+	rn[regIuRaRd] = wc[wireIuDeRd] & 0x1f
+	rn[regIuRaRs1] = wc[wireIuDeRs1] & 0x1f
+	rn[regIuRaRs2] = wc[wireIuDeRs2] & 0x1f
+	rn[regIuRaImmf] = wc[wireIuDeImmf] & 0x1
+	rn[regIuRaSimm] = wc[wireIuDeSimm] & 0xffffffff
+	rn[regIuRaDisp] = wc[wireIuDeDisp] & 0xffffffff
+	rn[regIuRaAnnul] = wc[wireIuDeAnnul] & 0x1
+	rn[regIuRaCond] = wc[wireIuDeCond] & 0xf
+	rn[regIuRaRaw] = uint64(word)
 }
 
-// memoryCombClean is memoryComb with raw reads.
+// memoryCombClean is memoryComb compiled against the slab layout.
 func (c *Core) memoryCombClean() {
-	c.wDcStall.SetBool(false)
+	rc, rn, wc := c.rc, c.rn, c.wc
+	wc[wireCmemDcStall] = 0
 
 	bubble := func() {
-		c.xc.valid.SetNext(0)
-		c.xc.wbEn.SetNext(0)
-		c.xc.wb2En.SetNext(0)
+		rn[regIuXcValid] = 0
+		rn[regIuXcWben] = 0
+		rn[regIuXcWb2en] = 0
 	}
-	if !c.me.valid.RawBool() {
+	if rc[regIuMeValid] == 0 {
 		bubble()
 		return
 	}
@@ -120,54 +249,54 @@ func (c *Core) memoryCombClean() {
 	// enables, and the value closures defer the ME register reads until
 	// an enable proves the value is consumed.
 	pass := func(val, val2 func() uint64) {
-		c.xc.valid.SetNext(1)
-		wbEn := c.me.wbEn.RawBool()
-		c.xc.wbEn.SetNextBool(wbEn)
+		rn[regIuXcValid] = 1
+		wbEn := rc[regIuMeWben] != 0
+		rn[regIuXcWben] = boolWord(wbEn)
 		if wbEn {
-			c.xc.wbIdx.SetNext(c.me.wbIdx.Raw())
-			c.xc.wbVal.SetNext(val())
+			rn[regIuXcWbidx] = rc[regIuMeWbidx] & 0xff
+			rn[regIuXcWbval] = val() & 0xffffffff
 		}
-		wb2En := c.me.wb2En.RawBool()
-		c.xc.wb2En.SetNextBool(wb2En)
+		wb2En := rc[regIuMeWb2en] != 0
+		rn[regIuXcWb2en] = boolWord(wb2En)
 		if wb2En {
-			c.xc.wb2Idx.SetNext(c.me.wb2Idx.Raw())
-			c.xc.wb2Val.SetNext(val2())
+			rn[regIuXcWb2idx] = rc[regIuMeWb2idx] & 0xff
+			rn[regIuXcWb2val] = val2() & 0xffffffff
 		}
 	}
 	meResult := func() uint64 {
-		v := c.me.result.Raw()
-		c.wMeWbVal.Set(v)
+		v := rc[regIuMeResult]
+		wc[wireIuMeWbval] = v & 0xffffffff
 		return v
 	}
 	meWb2 := func() uint64 {
-		v := c.me.wb2Val.Raw()
-		c.wMeWb2Val.Set(v)
+		v := rc[regIuMeWb2val]
+		wc[wireIuMeWb2valw] = v & 0xffffffff
 		return v
 	}
-	if !c.me.isMem.RawBool() {
+	if rc[regIuMeIsmem] == 0 {
 		pass(meResult, meWb2)
 		return
 	}
 
-	addr := u32Clean(c.me.addr)
-	c.dc.idx.Set(uint64(addr >> 4 & (dcSets - 1)))
-	c.dc.tag.Set(uint64(addr >> 10))
-	idx := int(c.dc.idx.Raw())
+	addr := u32Clean(rc[regIuMeAddr])
+	wc[wireCmemDcIdx] = uint64(addr>>4&(dcSets-1)) & 0x3f
+	wc[wireCmemDcTag] = uint64(addr>>10) & 0x3fffff
+	idx := int(wc[wireCmemDcIdx])
 	entry := c.dc.tags.ReadRaw(idx)
-	hit := entry>>22&1 == 1 && entry&0x3fffff == c.dc.tag.Raw()
-	c.dc.hit.SetBool(hit)
+	hit := entry>>22&1 == 1 && entry&0x3fffff == wc[wireCmemDcTag]
+	wc[wireCmemDcHit] = boolWord(hit)
 
-	load := c.me.load.RawBool()
+	load := rc[regIuMeLoad] != 0
 	needLine := load && !hit
-	switch cnt := c.dc.counter.Raw(); {
+	switch cnt := rc[regCmemDcCount]; {
 	case needLine && cnt == 0:
-		c.dc.counter.SetNext(dcMissPen)
-		c.wDcStall.SetBool(true)
+		rn[regCmemDcCount] = dcMissPen
+		wc[wireCmemDcStall] = 1
 		bubble()
 		return
 	case needLine && cnt > 1:
-		c.dc.counter.SetNext(cnt - 1)
-		c.wDcStall.SetBool(true)
+		rn[regCmemDcCount] = (cnt - 1) & 0xf
+		wc[wireCmemDcStall] = 1
 		bubble()
 		return
 	case needLine && cnt == 1:
@@ -178,16 +307,16 @@ func (c *Core) memoryCombClean() {
 		for w := 0; w < lineWords; w++ {
 			c.dc.data.Write(idx*lineWords+w, uint64(c.Bus.Mem.Read32(base+uint32(4*w))))
 		}
-		c.dc.tags.Write(idx, 1<<22|c.dc.tag.Raw())
-		c.dc.counter.SetNext(0)
+		c.dc.tags.Write(idx, 1<<22|wc[wireCmemDcTag])
+		rn[regCmemDcCount] = 0
 		hit = true
-		c.dc.hit.SetBool(true)
+		wc[wireCmemDcHit] = 1
 	}
 
 	seq := c.K.Now()
 	off := int(addr >> 2 & (lineWords - 1))
 	word := uint32(c.dc.data.ReadRaw(idx*lineWords + off))
-	size := uint32(c.me.size.Raw())
+	size := uint32(rc[regIuMeSize])
 
 	var loaded uint64
 	if load {
@@ -195,14 +324,14 @@ func (c *Core) memoryCombClean() {
 		case 1:
 			sh := 24 - 8*(addr&3)
 			b := word >> sh & 0xff
-			if c.me.signed.RawBool() {
+			if rc[regIuMeSigned] != 0 {
 				b = uint32(int32(int8(b)))
 			}
 			loaded = uint64(b)
 		case 2:
 			sh := 16 - 8*(addr&2)
 			h := word >> sh & 0xffff
-			if c.me.signed.RawBool() {
+			if rc[regIuMeSigned] != 0 {
 				h = uint32(int32(int16(h)))
 			}
 			loaded = uint64(h)
@@ -211,7 +340,7 @@ func (c *Core) memoryCombClean() {
 		}
 	}
 	var loaded2 uint64
-	if load && c.me.dbl.RawBool() {
+	if load && rc[regIuMeDbl] != 0 {
 		loaded2 = c.dc.data.ReadRaw(idx*lineWords + (off | 1))
 	}
 
@@ -237,28 +366,28 @@ func (c *Core) memoryCombClean() {
 	}
 
 	switch {
-	case c.me.stub.RawBool(): // LDSTUB: read byte, write 0xff
+	case rc[regIuMeStub] != 0: // LDSTUB: read byte, write 0xff
 		c.Bus.Write(addr, 1, 0xff, seq)
 		updateLine(addr, 1, 0xff)
-	case c.me.swap.RawBool(): // SWAP: read word, write rd
-		v := u32Clean(c.me.wdata)
+	case rc[regIuMeSwapf] != 0: // SWAP: read word, write rd
+		v := u32Clean(rc[regIuMeWdata])
 		c.Bus.Write(addr, 4, v, seq)
 		updateLine(addr, 4, v)
-	case c.me.store.RawBool():
-		v := u32Clean(c.me.wdata)
+	case rc[regIuMeStore] != 0:
+		v := u32Clean(rc[regIuMeWdata])
 		c.Bus.Write(addr, uint8(size&7), v, seq)
 		updateLine(addr, size, v)
-		if c.me.dbl.RawBool() {
-			v2 := u32Clean(c.me.wdata2)
+		if rc[regIuMeDbl] != 0 {
+			v2 := u32Clean(rc[regIuMeWdata2])
 			c.Bus.Write(addr+4, 4, v2, seq)
 			updateLine(addr+4, 4, v2)
 		}
 	}
 
 	if load {
-		c.wMeWbVal.Set(loaded)
-		if c.me.dbl.RawBool() {
-			c.wMeWb2Val.Set(loaded2)
+		wc[wireIuMeWbval] = loaded & 0xffffffff
+		if rc[regIuMeDbl] != 0 {
+			wc[wireIuMeWb2valw] = loaded2 & 0xffffffff
 		}
 		pass(func() uint64 { return loaded }, func() uint64 { return loaded2 })
 		return
@@ -266,16 +395,17 @@ func (c *Core) memoryCombClean() {
 	pass(meResult, meWb2)
 }
 
-// regaccessCombClean is regaccessComb with raw reads.
+// regaccessCombClean is regaccessComb compiled against the slab layout.
 func (c *Core) regaccessCombClean() {
+	rc, rn, wc := c.rc, c.rn, c.wc
 	// A bubble touches no operand state: it neither reads the register
 	// file nor latches the EX operand registers.
-	if !c.ra.valid.RawBool() {
-		c.ex.valid.SetNext(0)
-		c.wLoadUse.SetBool(false)
+	if rc[regIuRaValid] == 0 {
+		rn[regIuExValid] = 0
+		wc[wireIuRaLoaduse] = 0
 		return
 	}
-	w := c.wNextCWP.Raw()
+	w := wc[wireIuExNextcwp]
 	read := func(r uint64) uint64 {
 		idx := physReg(w, r&31)
 		if idx == 0 {
@@ -284,33 +414,33 @@ func (c *Core) regaccessCombClean() {
 		// Youngest producer first, and nothing behind the one that supplies
 		// the value is sampled: a bypassed register-file word, like an older
 		// stage's ports, is not consumed (see the operand comment below).
-		if c.wExWbEn.RawBool() && c.wExWbIdx.Raw() == idx {
-			return c.wExResult.Raw()
+		if wc[wireIuExWben] != 0 && wc[wireIuExWbidx] == idx {
+			return wc[wireIuExResult]
 		}
-		if c.me.valid.RawBool() {
-			if c.me.wb2En.RawBool() && c.me.wb2Idx.Raw() == idx {
-				return c.wMeWb2Val.Raw()
+		if rc[regIuMeValid] != 0 {
+			if rc[regIuMeWb2en] != 0 && rc[regIuMeWb2idx] == idx {
+				return wc[wireIuMeWb2valw]
 			}
-			if c.me.wbEn.RawBool() && c.me.wbIdx.Raw() == idx {
-				return c.wMeWbVal.Raw()
+			if rc[regIuMeWben] != 0 && rc[regIuMeWbidx] == idx {
+				return wc[wireIuMeWbval]
 			}
 		}
-		if c.xc.valid.RawBool() {
-			if c.xc.wb2En.RawBool() && c.xc.wb2Idx.Raw() == idx {
-				return c.xc.wb2Val.Raw()
+		if rc[regIuXcValid] != 0 {
+			if rc[regIuXcWb2en] != 0 && rc[regIuXcWb2idx] == idx {
+				return rc[regIuXcWb2val]
 			}
-			if c.xc.wbEn.RawBool() && c.xc.wbIdx.Raw() == idx {
-				return c.xc.wbVal.Raw()
+			if rc[regIuXcWben] != 0 && rc[regIuXcWbidx] == idx {
+				return rc[regIuXcWbval]
 			}
 		}
 		return c.rf.ReadRaw(int(idx % physRegCnt))
 	}
 
-	rs1 := c.ra.rs1.Raw()
-	rs2 := c.ra.rs2.Raw()
-	rd := c.ra.rd.Raw()
-	op := sparc.Op(c.ra.op.Raw())
-	useRs2 := !c.ra.imm.RawBool()
+	rs1 := rc[regIuRaRs1]
+	rs2 := rc[regIuRaRs2]
+	rd := rc[regIuRaRd]
+	op := sparc.Op(rc[regIuRaOp])
+	useRs2 := rc[regIuRaImmf] == 0
 
 	// Operand consumption by op class. Branch-steering ops (Bicc, CALL)
 	// and undecodable words never touch the operand datapath, SETHI
@@ -321,46 +451,46 @@ func (c *Core) regaccessCombClean() {
 	// activation predicate depends on this; see rtl.StartWitness).
 	needA := !(op == sparc.OpUnknown || op == sparc.OpSETHI || op.IsBicc() || op == sparc.OpCALL)
 	if needA {
-		c.wRaOp1.Set(read(rs1))
-		c.ex.a.SetNext(c.wRaOp1.Raw())
+		wc[wireIuRaOp1] = read(rs1) & 0xffffffff
+		rn[regIuExA] = wc[wireIuRaOp1] & 0xffffffff
 	}
 	if needA || op == sparc.OpSETHI {
 		op2 := uint64(0)
 		if useRs2 {
 			op2 = read(rs2)
 		} else {
-			op2 = c.ra.simm.Raw()
+			op2 = rc[regIuRaSimm]
 		}
-		c.wRaOp2.Set(op2)
-		c.ex.b.SetNext(c.wRaOp2.Raw())
+		wc[wireIuRaOp2] = op2 & 0xffffffff
+		rn[regIuExB] = wc[wireIuRaOp2] & 0xffffffff
 	}
 	if op.IsStore() {
-		c.wRaSd.Set(read(rd))
-		c.ex.sd.SetNext(c.wRaSd.Raw())
+		wc[wireIuRaSd] = read(rd) & 0xffffffff
+		rn[regIuExSd] = wc[wireIuRaSd] & 0xffffffff
 	}
 	if op.IsBicc() || op == sparc.OpCALL {
-		c.ex.disp.SetNext(c.ra.disp.Raw())
+		rn[regIuExDisp] = rc[regIuRaDisp] & 0xffffffff
 	}
 	if op.IsBicc() || op.IsTicc() {
-		c.ex.cond.SetNext(c.ra.cond.Raw())
+		rn[regIuExCond] = rc[regIuRaCond] & 0xf
 	}
 	if op.IsBicc() {
-		c.ex.annul.SetNext(c.ra.annul.Raw())
+		rn[regIuExAnnulf] = rc[regIuRaAnnul] & 0x1
 	}
 
-	c.ex.valid.SetNext(1)
-	c.ex.pc.SetNext(c.ra.pc.Raw())
-	c.ex.op.SetNext(c.ra.op.Raw())
-	c.ex.rd.SetNext(rd)
-	c.ex.rs1.SetNext(rs1)
+	rn[regIuExValid] = 1
+	rn[regIuExPc] = rc[regIuRaPc] & 0xffffffff
+	rn[regIuExOp] = rc[regIuRaOp] & 0x7f
+	rn[regIuExRd] = rd & 0x1f
+	rn[regIuExRs1] = rs1 & 0x1f
 
 	// Load-use hazard: the instruction in EX is a load whose destination
 	// feeds one of our sources; its data only exists at ME next cycle.
 	lu := false
-	if c.ex.valid.RawBool() && c.wMatch.RawBool() {
-		exOp := sparc.Op(c.ex.op.Raw())
+	if rc[regIuExValid] != 0 && wc[wireIuExMatch] != 0 {
+		exOp := sparc.Op(rc[regIuExOp])
 		if exOp.IsLoad() {
-			dst := physReg(c.wNextCWP.Raw(), c.ex.rd.Raw()&31)
+			dst := physReg(wc[wireIuExNextcwp], rc[regIuExRd]&31)
 			dbl := exOp == sparc.OpLDD
 			match := func(r uint64) bool {
 				i := physReg(w, r&31)
@@ -374,41 +504,42 @@ func (c *Core) regaccessCombClean() {
 			}
 		}
 	}
-	c.wLoadUse.SetBool(lu)
+	wc[wireIuRaLoaduse] = boolWord(lu)
 }
 
-// fetchCombClean is fetchComb with raw reads.
+// fetchCombClean is fetchComb compiled against the slab layout.
 func (c *Core) fetchCombClean() {
+	rc, rn, wc := c.rc, c.rn, c.wc
 	bubble := func() {
-		c.de.valid.SetNext(0)
+		rn[regIuDeValid] = 0
 	}
-	if c.wRedir.RawBool() {
+	if wc[wireIuFeRedir] != 0 {
 		// Abandon the current fetch (and any miss in progress).
-		c.fe.pc.SetNext(c.wRedirPC.Raw())
-		c.ic.counter.SetNext(0)
-		c.wIcStall.SetBool(false)
+		rn[regIuFePc] = wc[wireIuFeRedirpc] & 0xffffffff
+		rn[regCmemIcCount] = 0
+		wc[wireCmemIcStall] = 0
 		bubble()
 		return
 	}
-	pc := u32Clean(c.fe.pc) &^ 3
-	c.ic.idx.Set(uint64(pc >> 4 & (icSets - 1)))
-	c.ic.tag.Set(uint64(pc >> 10))
-	idx := int(c.ic.idx.Raw())
+	pc := u32Clean(rc[regIuFePc]) &^ 3
+	wc[wireCmemIcIdx] = uint64(pc>>4&(icSets-1)) & 0x3f
+	wc[wireCmemIcTag] = uint64(pc>>10) & 0x3fffff
+	idx := int(wc[wireCmemIcIdx])
 	entry := c.ic.tags.ReadRaw(idx)
-	hit := entry>>22&1 == 1 && entry&0x3fffff == c.ic.tag.Raw()
-	c.ic.hit.SetBool(hit)
+	hit := entry>>22&1 == 1 && entry&0x3fffff == wc[wireCmemIcTag]
+	wc[wireCmemIcHit] = boolWord(hit)
 
-	switch cnt := c.ic.counter.Raw(); {
+	switch cnt := rc[regCmemIcCount]; {
 	case !hit && cnt == 0:
-		c.ic.counter.SetNext(icMissPen)
-		c.wIcStall.SetBool(true)
-		c.fe.pc.Hold()
+		rn[regCmemIcCount] = icMissPen
+		wc[wireCmemIcStall] = 1
+		rn[regIuFePc] = rc[regIuFePc]
 		bubble()
 		return
 	case !hit && cnt > 1:
-		c.ic.counter.SetNext(cnt - 1)
-		c.wIcStall.SetBool(true)
-		c.fe.pc.Hold()
+		rn[regCmemIcCount] = (cnt - 1) & 0xf
+		wc[wireCmemIcStall] = 1
+		rn[regIuFePc] = rc[regIuFePc]
 		bubble()
 		return
 	case !hit && cnt == 1:
@@ -416,120 +547,183 @@ func (c *Core) fetchCombClean() {
 		for w := 0; w < lineWords; w++ {
 			c.ic.data.Write(idx*lineWords+w, uint64(c.Bus.Fetch32(base+uint32(4*w))))
 		}
-		c.ic.tags.Write(idx, 1<<22|c.ic.tag.Raw())
-		c.ic.counter.SetNext(0)
+		c.ic.tags.Write(idx, 1<<22|wc[wireCmemIcTag])
+		rn[regCmemIcCount] = 0
 	default:
-		c.wIcStall.SetBool(false)
+		wc[wireCmemIcStall] = 0
 	}
 
 	off := int(pc >> 2 & (lineWords - 1))
 	inst := c.ic.data.ReadRaw(idx*lineWords + off)
-	c.de.valid.SetNext(1)
-	c.de.pc.SetNext(uint64(pc))
-	c.de.inst.SetNext(inst)
-	c.fe.pc.SetNext(uint64(pc + 4))
+	rn[regIuDeValid] = 1
+	rn[regIuDePc] = uint64(pc)
+	rn[regIuDeInst] = inst & 0xffffffff
+	rn[regIuFePc] = uint64(pc + 4)
 }
 
-// stallCombClean is stallComb with raw reads.
+// stallCombClean is stallComb compiled against the slab layout.
 func (c *Core) stallCombClean() {
-	dc := c.wDcStall.RawBool()
-	md := c.wMdBusy.RawBool()
-	lu := c.wLoadUse.RawBool()
+	rc, rn, wc := c.rc, c.rn, c.wc
+	dc := wc[wireCmemDcStall] != 0
+	md := wc[wireIuMdBusy] != 0
+	lu := wc[wireIuRaLoaduse] != 0
 	if !(dc || md || lu) {
 		return
 	}
-	c.gFE.Hold()
-	c.gRA.Hold()
+	rn[regIuFePc] = rc[regIuFePc]
+	rn[regIuDeValid] = rc[regIuDeValid]
+	rn[regIuDePc] = rc[regIuDePc]
+	rn[regIuDeInst] = rc[regIuDeInst]
+	rn[regCmemIcCount] = rc[regCmemIcCount]
+	rn[regIuRaValid] = rc[regIuRaValid]
+	rn[regIuRaPc] = rc[regIuRaPc]
+	rn[regIuRaOp] = rc[regIuRaOp]
+	rn[regIuRaRd] = rc[regIuRaRd]
+	rn[regIuRaRs1] = rc[regIuRaRs1]
+	rn[regIuRaRs2] = rc[regIuRaRs2]
+	rn[regIuRaImmf] = rc[regIuRaImmf]
+	rn[regIuRaSimm] = rc[regIuRaSimm]
+	rn[regIuRaDisp] = rc[regIuRaDisp]
+	rn[regIuRaAnnul] = rc[regIuRaAnnul]
+	rn[regIuRaCond] = rc[regIuRaCond]
+	rn[regIuRaRaw] = rc[regIuRaRaw]
 	if lu && !dc && !md {
 		c.StallLoadUse++
-		c.ex.valid.SetNext(0)
+		rn[regIuExValid] = 0
 		return
 	}
-	c.gEX.Hold()
+	rn[regIuExValid] = rc[regIuExValid]
+	rn[regIuExPc] = rc[regIuExPc]
+	rn[regIuExOp] = rc[regIuExOp]
+	rn[regIuExRd] = rc[regIuExRd]
+	rn[regIuExA] = rc[regIuExA]
+	rn[regIuExB] = rc[regIuExB]
+	rn[regIuExSd] = rc[regIuExSd]
+	rn[regIuExDisp] = rc[regIuExDisp]
+	rn[regIuExAnnulf] = rc[regIuExAnnulf]
+	rn[regIuExCond] = rc[regIuExCond]
+	rn[regIuExRs1] = rc[regIuExRs1]
 	if dc {
-		c.gME.Hold()
+		rn[regIuMeValid] = rc[regIuMeValid]
+		rn[regIuMeIsmem] = rc[regIuMeIsmem]
+		rn[regIuMeLoad] = rc[regIuMeLoad]
+		rn[regIuMeStore] = rc[regIuMeStore]
+		rn[regIuMeDbl] = rc[regIuMeDbl]
+		rn[regIuMeSize] = rc[regIuMeSize]
+		rn[regIuMeSigned] = rc[regIuMeSigned]
+		rn[regIuMeAddr] = rc[regIuMeAddr]
+		rn[regIuMeWdata] = rc[regIuMeWdata]
+		rn[regIuMeWdata2] = rc[regIuMeWdata2]
+		rn[regIuMeSwapf] = rc[regIuMeSwapf]
+		rn[regIuMeStub] = rc[regIuMeStub]
+		rn[regIuMeResult] = rc[regIuMeResult]
+		rn[regIuMeWben] = rc[regIuMeWben]
+		rn[regIuMeWbidx] = rc[regIuMeWbidx]
+		rn[regIuMeWb2en] = rc[regIuMeWb2en]
+		rn[regIuMeWb2idx] = rc[regIuMeWb2idx]
+		rn[regIuMeWb2val] = rc[regIuMeWb2val]
 		// The architectural state scheduled by a skipped EX must also
 		// freeze (executeComb held off all its commits already).
 	}
 }
 
-// executeCombClean is executeComb with raw reads.
+// executeCombClean is executeComb compiled against the slab layout.
 func (c *Core) executeCombClean() {
+	rc, rn, wc := c.rc, c.rn, c.wc
 	// Default wire values and register pass-through.
-	c.wRedir.SetBool(false)
-	c.wRedirPC.Set(c.arch.expPC.Raw())
-	c.wExWbEn.SetBool(false)
-	c.wExWbIdx.Set(0)
-	c.wExResult.Set(0)
-	c.wMdBusy.SetBool(false)
-	c.wExTrap.SetBool(false)
-	c.wExTT.Set(0)
-	c.wMatch.SetBool(false)
-	c.wBrTaken.SetBool(false)
-	c.wAluOut.Set(0)
-	c.wShOut.Set(0)
-	c.wMemAddr.Set(0)
-	c.wNextCWP.Set(c.arch.cwp.Raw())
+	wc[wireIuFeRedir] = 0
+	wc[wireIuFeRedirpc] = rc[regIuCtlExppc] & 0xffffffff
+	wc[wireIuExWben] = 0
+	wc[wireIuExWbidx] = 0
+	wc[wireIuExResult] = 0
+	wc[wireIuMdBusy] = 0
+	wc[wireIuExTrap] = 0
+	wc[wireIuExTt] = 0
+	wc[wireIuExMatch] = 0
+	wc[wireIuExBrtaken] = 0
+	wc[wireIuExAluout] = 0
+	wc[wireIuExShout] = 0
+	wc[wireIuExMemaddr] = 0
+	wc[wireIuExNextcwp] = rc[regIuPsrCwp] & 0x7
 
-	c.gArch.Hold()
+	rn[regIuCtlExppc] = rc[regIuCtlExppc]
+	rn[regIuCtlExpnpc] = rc[regIuCtlExpnpc]
+	rn[regIuPsrIcc] = rc[regIuPsrIcc]
+	rn[regIuPsrCwp] = rc[regIuPsrCwp]
+	rn[regIuPsrS] = rc[regIuPsrS]
+	rn[regIuPsrPs] = rc[regIuPsrPs]
+	rn[regIuPsrEt] = rc[regIuPsrEt]
+	rn[regIuPsrWim] = rc[regIuPsrWim]
+	rn[regIuPsrTbr] = rc[regIuPsrTbr]
+	rn[regIuPsrY] = rc[regIuPsrY]
+	rn[regIuCtlAnnul] = rc[regIuCtlAnnul]
+	rn[regIuCtlRedirt] = rc[regIuCtlRedirt]
+	rn[regIuCtlErrm] = rc[regIuCtlErrm]
+	rn[regIuCtlHalt] = rc[regIuCtlHalt]
+	rn[regIuPsrTt] = rc[regIuPsrTt]
+	rn[regIuMdCount] = rc[regIuMdCount]
+	rn[regIuMdAcc] = rc[regIuMdAcc]
+	rn[regIuMdQuot] = rc[regIuMdQuot]
+	rn[regIuMdNeg] = rc[regIuMdNeg]
+	rn[regIuMdOvf] = rc[regIuMdOvf]
 
 	meBubble := func() {
-		c.me.valid.SetNext(0)
-		c.me.isMem.SetNext(0)
-		c.me.wbEn.SetNext(0)
-		c.me.wb2En.SetNext(0)
+		rn[regIuMeValid] = 0
+		rn[regIuMeIsmem] = 0
+		rn[regIuMeWben] = 0
+		rn[regIuMeWb2en] = 0
 	}
 	meBubble()
 
 	// A data-cache stall freezes EX entirely (stallComb holds the input
 	// registers; nothing may commit twice).
-	if c.wDcStall.RawBool() {
+	if wc[wireCmemDcStall] != 0 {
 		c.StallDCache++
 		return
 	}
-	if c.arch.errm.RawBool() || c.arch.halt.RawBool() {
+	if rc[regIuCtlErrm] != 0 || rc[regIuCtlHalt] != 0 {
 		return
 	}
-	if !c.ex.valid.RawBool() {
+	if rc[regIuExValid] == 0 {
 		c.StallEmpty++
 		return
 	}
 
-	expPC := u32Clean(c.arch.expPC)
-	pc := u32Clean(c.ex.pc)
+	expPC := u32Clean(rc[regIuCtlExppc])
+	pc := u32Clean(rc[regIuExPc])
 	if pc != expPC {
 		// Stale sequential prefetch: bubble it. Redirect fetch unless the
 		// expected instruction is already in flight (short forward
 		// branches land inside the sequential prefetch window) or a
 		// redirect for this expectation was already issued.
 		c.StallMismatch++
-		inFlight := (c.ra.valid.RawBool() && u32Clean(c.ra.pc) == expPC) ||
-			(c.de.valid.RawBool() && u32Clean(c.de.pc) == expPC) ||
-			u32Clean(c.fe.pc) == expPC
-		if !inFlight && !c.arch.redirT.RawBool() {
-			c.wRedir.SetBool(true)
-			c.wRedirPC.Set(uint64(expPC))
-			c.arch.redirT.SetNext(1)
+		inFlight := (rc[regIuRaValid] != 0 && u32Clean(rc[regIuRaPc]) == expPC) ||
+			(rc[regIuDeValid] != 0 && u32Clean(rc[regIuDePc]) == expPC) ||
+			u32Clean(rc[regIuFePc]) == expPC
+		if !inFlight && rc[regIuCtlRedirt] == 0 {
+			wc[wireIuFeRedir] = 1
+			wc[wireIuFeRedirpc] = uint64(expPC)
+			rn[regIuCtlRedirt] = 1
 		}
 		return
 	}
-	c.wMatch.SetBool(true)
-	c.arch.redirT.SetNext(0)
+	wc[wireIuExMatch] = 1
+	rn[regIuCtlRedirt] = 0
 
-	expNPC := u32Clean(c.arch.expNPC)
+	expNPC := u32Clean(rc[regIuCtlExpnpc])
 	advance := func() {
-		c.arch.expPC.SetNext(uint64(expNPC))
-		c.arch.expNPC.SetNext(uint64(expNPC + 4))
+		rn[regIuCtlExppc] = uint64(expNPC)
+		rn[regIuCtlExpnpc] = uint64(expNPC + 4)
 	}
 	jumpTo := func(t uint32) {
-		c.arch.expPC.SetNext(uint64(expNPC))
-		c.arch.expNPC.SetNext(uint64(t))
+		rn[regIuCtlExppc] = uint64(expNPC)
+		rn[regIuCtlExpnpc] = uint64(t)
 	}
 
-	if c.arch.annul.RawBool() {
+	if rc[regIuCtlAnnul] != 0 {
 		// Annulled delay slot: consumes a pipeline slot, no effects.
 		c.StallAnnul++
-		c.arch.annul.SetNext(0)
+		rn[regIuCtlAnnul] = 0
 		advance()
 		return
 	}
@@ -539,55 +733,55 @@ func (c *Core) executeCombClean() {
 	// EX operand registers or the condition codes must see only true
 	// consumption. cwp is genuinely consumed every cycle (the wNextCWP
 	// default above already reads it).
-	op := sparc.Op(c.ex.op.Raw())
-	cwp := c.arch.cwp.Raw()
-	opA := func() uint32 { return u32Clean(c.ex.a) }
-	opB := func() uint32 { return u32Clean(c.ex.b) }
-	archICC := func() sparc.CC { return sparc.CCFromBits(uint32(c.arch.icc.Raw())) }
+	op := sparc.Op(rc[regIuExOp])
+	cwp := rc[regIuPsrCwp]
+	opA := func() uint32 { return u32Clean(rc[regIuExA]) }
+	opB := func() uint32 { return u32Clean(rc[regIuExB]) }
+	archICC := func() sparc.CC { return sparc.CCFromBits(uint32(rc[regIuPsrIcc])) }
 
 	trap := func(tt uint8) {
-		c.wExTrap.SetBool(true)
-		c.wExTT.Set(uint64(tt))
-		c.arch.tt.SetNext(uint64(tt))
-		if !c.arch.sET.RawBool() {
-			c.arch.errm.SetNext(1)
+		wc[wireIuExTrap] = 1
+		wc[wireIuExTt] = uint64(tt)
+		rn[regIuPsrTt] = uint64(tt)
+		if rc[regIuPsrEt] == 0 {
+			rn[regIuCtlErrm] = 1
 			return
 		}
 		newCWP := (cwp + NWindows - 1) % NWindows
-		c.arch.sET.SetNext(0)
-		c.arch.sPS.SetNext(c.arch.sS.Raw())
-		c.arch.sS.SetNext(1)
-		c.arch.cwp.SetNext(newCWP)
-		c.wNextCWP.Set(newCWP)
-		tbr := u32Clean(c.arch.tbr)&0xfffff000 | uint32(tt)<<4
-		c.arch.tbr.SetNext(uint64(tbr))
-		c.arch.expPC.SetNext(uint64(tbr))
-		c.arch.expNPC.SetNext(uint64(tbr + 4))
-		c.arch.annul.SetNext(0)
+		rn[regIuPsrEt] = 0
+		rn[regIuPsrPs] = rc[regIuPsrS] & 0x1
+		rn[regIuPsrS] = 1
+		rn[regIuPsrCwp] = newCWP & 0x7
+		wc[wireIuExNextcwp] = newCWP & 0x7
+		tbr := u32Clean(rc[regIuPsrTbr])&0xfffff000 | uint32(tt)<<4
+		rn[regIuPsrTbr] = uint64(tbr)
+		rn[regIuCtlExppc] = uint64(tbr)
+		rn[regIuCtlExpnpc] = uint64(tbr + 4)
+		rn[regIuCtlAnnul] = 0
 		// l1/l2 of the new window receive PC/nPC via the WB ports.
-		c.me.valid.SetNext(1)
-		c.me.isMem.SetNext(0)
-		c.me.wbEn.SetNext(1)
-		c.me.wbIdx.SetNext(physReg(newCWP, sparc.RegL1))
-		c.me.result.SetNext(uint64(pc))
-		c.me.wb2En.SetNext(1)
-		c.me.wb2Idx.SetNext(physReg(newCWP, sparc.RegL2))
-		c.me.wb2Val.SetNext(uint64(expNPC))
+		rn[regIuMeValid] = 1
+		rn[regIuMeIsmem] = 0
+		rn[regIuMeWben] = 1
+		rn[regIuMeWbidx] = physReg(newCWP, sparc.RegL1) & 0xff
+		rn[regIuMeResult] = uint64(pc)
+		rn[regIuMeWb2en] = 1
+		rn[regIuMeWb2idx] = physReg(newCWP, sparc.RegL2) & 0xff
+		rn[regIuMeWb2val] = uint64(expNPC)
 	}
 
 	// commit pushes a non-memory result toward writeback.
 	commit := func(wbEn bool, rd uint64, val uint32) {
-		c.me.valid.SetNext(1)
-		c.me.isMem.SetNext(0)
+		rn[regIuMeValid] = 1
+		rn[regIuMeIsmem] = 0
 		if wbEn {
-			idx := physReg(c.wNextCWP.Raw(), rd&31)
+			idx := physReg(wc[wireIuExNextcwp], rd&31)
 			if idx != 0 {
-				c.me.wbEn.SetNext(1)
-				c.me.wbIdx.SetNext(idx)
-				c.me.result.SetNext(uint64(val))
-				c.wExWbEn.SetBool(true)
-				c.wExWbIdx.Set(idx)
-				c.wExResult.Set(uint64(val))
+				rn[regIuMeWben] = 1
+				rn[regIuMeWbidx] = idx & 0xff
+				rn[regIuMeResult] = uint64(val)
+				wc[wireIuExWben] = 1
+				wc[wireIuExWbidx] = idx & 0xff
+				wc[wireIuExResult] = uint64(val)
 			}
 		}
 	}
@@ -604,24 +798,24 @@ func (c *Core) executeCombClean() {
 
 	case op == sparc.OpSETHI:
 		b := opB()
-		c.wAluOut.Set(uint64(b))
-		commit(true, c.ex.rd.Raw(), b)
+		wc[wireIuExAluout] = uint64(b)
+		commit(true, rc[regIuExRd], b)
 		advance()
 		retire()
 		return
 
 	case op.IsBicc():
-		taken := sparc.EvalCond(uint32(c.ex.cond.Raw()), archICC())
-		c.wBrTaken.SetBool(taken)
+		taken := sparc.EvalCond(uint32(rc[regIuExCond]), archICC())
+		wc[wireIuExBrtaken] = boolWord(taken)
 		if taken {
-			t := pc + u32Clean(c.ex.disp)<<2
+			t := pc + u32Clean(rc[regIuExDisp])<<2
 			jumpTo(t)
-			if c.ex.annul.RawBool() && op == sparc.OpBA {
-				c.arch.annul.SetNext(1)
+			if rc[regIuExAnnulf] != 0 && op == sparc.OpBA {
+				rn[regIuCtlAnnul] = 1
 			}
 		} else {
-			if c.ex.annul.RawBool() {
-				c.arch.annul.SetNext(1)
+			if rc[regIuExAnnulf] != 0 {
+				rn[regIuCtlAnnul] = 1
 			}
 			advance()
 		}
@@ -630,14 +824,14 @@ func (c *Core) executeCombClean() {
 		return
 
 	case op == sparc.OpCALL:
-		t := pc + u32Clean(c.ex.disp)<<2
+		t := pc + u32Clean(rc[regIuExDisp])<<2
 		jumpTo(t)
 		commit(true, 15, pc)
 		retire()
 		return
 
 	case op.IsTicc():
-		if sparc.EvalCond(uint32(c.ex.cond.Raw()), archICC()) {
+		if sparc.EvalCond(uint32(rc[regIuExCond]), archICC()) {
 			trap(uint8(iss.TrapInstBase + (opA()+opB())&0x7f))
 			return
 		}
@@ -648,22 +842,22 @@ func (c *Core) executeCombClean() {
 
 	case op == sparc.OpJMPL:
 		t := opA() + opB()
-		c.wMemAddr.Set(uint64(t))
+		wc[wireIuExMemaddr] = uint64(t)
 		if t&3 != 0 {
 			trap(iss.TrapMemNotAligned)
 			return
 		}
 		jumpTo(t)
-		commit(true, c.ex.rd.Raw(), pc)
+		commit(true, rc[regIuExRd], pc)
 		retire()
 		return
 
 	case op == sparc.OpRETT:
-		if c.arch.sET.RawBool() {
+		if rc[regIuPsrEt] != 0 {
 			trap(iss.TrapIllegalInst)
 			return
 		}
-		if !c.arch.sS.RawBool() {
+		if rc[regIuPsrS] == 0 {
 			trap(iss.TrapPrivilegedInst)
 			return
 		}
@@ -673,14 +867,14 @@ func (c *Core) executeCombClean() {
 			return
 		}
 		newCWP := (cwp + 1) % NWindows
-		if c.arch.wim.Raw()&(1<<newCWP) != 0 {
+		if rc[regIuPsrWim]&(1<<newCWP) != 0 {
 			trap(iss.TrapWindowUnderflow)
 			return
 		}
-		c.arch.cwp.SetNext(newCWP)
-		c.wNextCWP.Set(newCWP)
-		c.arch.sS.SetNext(c.arch.sPS.Raw())
-		c.arch.sET.SetNext(1)
+		rn[regIuPsrCwp] = newCWP & 0x7
+		wc[wireIuExNextcwp] = newCWP & 0x7
+		rn[regIuPsrS] = rc[regIuPsrPs] & 0x1
+		rn[regIuPsrEt] = 1
 		jumpTo(t)
 		commit(false, 0, 0)
 		retire()
@@ -696,15 +890,15 @@ func (c *Core) executeCombClean() {
 			newCWP = (cwp + 1) % NWindows
 			tt = iss.TrapWindowUnderflow
 		}
-		if c.arch.wim.Raw()&(1<<newCWP) != 0 {
+		if rc[regIuPsrWim]&(1<<newCWP) != 0 {
 			trap(tt)
 			return
 		}
 		sum := opA() + opB()
-		c.wAluOut.Set(uint64(sum))
-		c.arch.cwp.SetNext(newCWP)
-		c.wNextCWP.Set(newCWP)
-		commit(true, c.ex.rd.Raw(), sum)
+		wc[wireIuExAluout] = uint64(sum)
+		rn[regIuPsrCwp] = newCWP & 0x7
+		wc[wireIuExNextcwp] = newCWP & 0x7
+		commit(true, rc[regIuExRd], sum)
 		advance()
 		retire()
 		return
@@ -726,52 +920,54 @@ func (c *Core) executeCombClean() {
 		trap(c.aluTrapTypeClean(op))
 		return
 	}
-	c.wAluOut.Set(uint64(res))
-	c.wAluCC.Set(uint64(cc.Bits()))
+	wc[wireIuExAluout] = uint64(res)
+	wc[wireIuExAlucc] = uint64(cc.Bits()) & 0xf
 	if op.SetsCC() {
-		c.arch.icc.SetNext(c.wAluCC.Raw())
+		rn[regIuPsrIcc] = wc[wireIuExAlucc] & 0xf
 	}
 	advance()
 	retire()
 
 	switch op {
 	case sparc.OpWRY:
-		c.arch.y.SetNext(uint64(a ^ b))
+		rn[regIuPsrY] = uint64(a ^ b)
 		commit(false, 0, 0)
 	case sparc.OpWRPSR:
 		v := a ^ b
 		psr := iss.PSRFromBits(v)
-		c.arch.icc.SetNext(uint64(psr.ICC.Bits()))
-		c.arch.sS.SetNextBool(psr.S)
-		c.arch.sPS.SetNextBool(psr.PS)
-		c.arch.sET.SetNextBool(psr.ET)
-		c.arch.cwp.SetNext(uint64(psr.CWP))
-		c.wNextCWP.Set(uint64(psr.CWP))
+		rn[regIuPsrIcc] = uint64(psr.ICC.Bits()) & 0xf
+		rn[regIuPsrS] = boolWord(psr.S)
+		rn[regIuPsrPs] = boolWord(psr.PS)
+		rn[regIuPsrEt] = boolWord(psr.ET)
+		rn[regIuPsrCwp] = uint64(psr.CWP) & 0x7
+		wc[wireIuExNextcwp] = uint64(psr.CWP) & 0x7
 		commit(false, 0, 0)
 	case sparc.OpWRWIM:
-		c.arch.wim.SetNext(uint64((a ^ b) & (1<<NWindows - 1)))
+		rn[regIuPsrWim] = uint64((a^b)&(1<<NWindows-1)) & 0xff
 		commit(false, 0, 0)
 	case sparc.OpWRTBR:
-		c.arch.tbr.SetNext(uint64((a ^ b) & 0xfffff000))
+		rn[regIuPsrTbr] = uint64((a ^ b) & 0xfffff000)
 		commit(false, 0, 0)
 	default:
-		commit(true, c.ex.rd.Raw(), res)
+		commit(true, rc[regIuExRd], res)
 	}
 }
 
-// aluTrapTypeClean is aluTrapType with raw reads.
+// aluTrapTypeClean is aluTrapType compiled against the slab layout.
 func (c *Core) aluTrapTypeClean(op sparc.Op) uint8 {
+	rc := c.rc
 	switch op {
 	case sparc.OpRDPSR, sparc.OpRDWIM, sparc.OpRDTBR, sparc.OpWRPSR, sparc.OpWRWIM, sparc.OpWRTBR:
-		if !c.arch.sS.RawBool() {
+		if rc[regIuPsrS] == 0 {
 			return iss.TrapPrivilegedInst
 		}
 	}
 	return iss.TrapIllegalInst
 }
 
-// aluOpClean is aluOp with raw reads.
+// aluOpClean is aluOp compiled against the slab layout.
 func (c *Core) aluOpClean(op sparc.Op, a, b uint32, icc sparc.CC) (res uint32, cc sparc.CC, ok bool) {
+	rc, rn, wc := c.rc, c.rn, c.wc
 	cc = icc
 	ok = true
 	switch op {
@@ -813,43 +1009,43 @@ func (c *Core) aluOpClean(op sparc.Op, a, b uint32, icc sparc.CC) (res uint32, c
 		cc = sparc.LogicCC(res)
 	case sparc.OpSLL:
 		res = a << (b & 31)
-		c.wShOut.Set(uint64(res))
+		wc[wireIuExShout] = uint64(res)
 	case sparc.OpSRL:
 		res = a >> (b & 31)
-		c.wShOut.Set(uint64(res))
+		wc[wireIuExShout] = uint64(res)
 	case sparc.OpSRA:
 		res = uint32(int32(a) >> (b & 31))
-		c.wShOut.Set(uint64(res))
+		wc[wireIuExShout] = uint64(res)
 	case sparc.OpMULSCC:
 		op1 := a>>1 | bit(icc.N != icc.V)<<31
 		op2 := uint32(0)
-		y := u32Clean(c.arch.y)
+		y := u32Clean(rc[regIuPsrY])
 		if y&1 != 0 {
 			op2 = b
 		}
 		res, cc = sparc.AddCC(op1, op2, false)
-		c.arch.y.SetNext(uint64(y>>1 | (a&1)<<31))
+		rn[regIuPsrY] = uint64(y>>1 | (a&1)<<31)
 	case sparc.OpRDY:
-		res = u32Clean(c.arch.y)
+		res = u32Clean(rc[regIuPsrY])
 	case sparc.OpRDPSR:
-		if !c.arch.sS.RawBool() {
+		if rc[regIuPsrS] == 0 {
 			return 0, cc, false
 		}
 		res = c.psrBitsClean()
 	case sparc.OpRDWIM:
-		if !c.arch.sS.RawBool() {
+		if rc[regIuPsrS] == 0 {
 			return 0, cc, false
 		}
-		res = u32Clean(c.arch.wim)
+		res = u32Clean(rc[regIuPsrWim])
 	case sparc.OpRDTBR:
-		if !c.arch.sS.RawBool() {
+		if rc[regIuPsrS] == 0 {
 			return 0, cc, false
 		}
-		res = u32Clean(c.arch.tbr)
+		res = u32Clean(rc[regIuPsrTbr])
 	case sparc.OpWRY:
 		res = 0
 	case sparc.OpWRPSR, sparc.OpWRWIM, sparc.OpWRTBR:
-		if !c.arch.sS.RawBool() {
+		if rc[regIuPsrS] == 0 {
 			return 0, cc, false
 		}
 		if op == sparc.OpWRPSR && (a^b)&0x1f >= NWindows {
@@ -862,22 +1058,24 @@ func (c *Core) aluOpClean(op sparc.Op, a, b uint32, icc sparc.CC) (res uint32, c
 	return res, cc, true
 }
 
-// psrBitsClean is psrBits with raw reads.
+// psrBitsClean is psrBits compiled against the slab layout.
 func (c *Core) psrBitsClean() uint32 {
+	rc := c.rc
 	p := iss.PSR{
-		ICC: sparc.CCFromBits(uint32(c.arch.icc.Raw())),
-		S:   c.arch.sS.RawBool(),
-		PS:  c.arch.sPS.RawBool(),
-		ET:  c.arch.sET.RawBool(),
-		CWP: uint8(c.arch.cwp.Raw()),
+		ICC: sparc.CCFromBits(uint32(rc[regIuPsrIcc])),
+		S:   rc[regIuPsrS] != 0,
+		PS:  rc[regIuPsrPs] != 0,
+		ET:  rc[regIuPsrEt] != 0,
+		CWP: uint8(rc[regIuPsrCwp]),
 	}
 	return p.Bits()
 }
 
-// executeMemOpClean is executeMemOp with raw reads.
+// executeMemOpClean is executeMemOp compiled against the slab layout.
 func (c *Core) executeMemOpClean(op sparc.Op, a, b uint32, trap func(uint8), advance, retire func()) {
+	rc, rn, wc := c.rc, c.rn, c.wc
 	addr := a + b
-	c.wMemAddr.Set(uint64(addr))
+	wc[wireIuExMemaddr] = uint64(addr)
 	var align uint32
 	size := uint64(4)
 	switch op {
@@ -894,7 +1092,7 @@ func (c *Core) executeMemOpClean(op sparc.Op, a, b uint32, trap func(uint8), adv
 		trap(iss.TrapMemNotAligned)
 		return
 	}
-	rd := c.ex.rd.Raw()
+	rd := rc[regIuExRd]
 	dbl := op == sparc.OpLDD || op == sparc.OpSTD
 	if dbl && rd&1 != 0 {
 		trap(iss.TrapIllegalInst)
@@ -903,74 +1101,76 @@ func (c *Core) executeMemOpClean(op sparc.Op, a, b uint32, trap func(uint8), adv
 
 	if op.IsStore() && addr == mem.ExitAddr {
 		// The exit device terminates the program once this store drains.
-		c.arch.halt.SetNext(1)
+		rn[regIuCtlHalt] = 1
 	}
 
-	c.me.valid.SetNext(1)
-	c.me.isMem.SetNext(1)
-	c.me.load.SetNextBool(op.IsLoad())
-	c.me.store.SetNextBool(op.IsStore() && op != sparc.OpSWAP && op != sparc.OpLDSTUB)
-	c.me.dbl.SetNextBool(dbl)
-	c.me.size.SetNext(size)
-	c.me.signed.SetNextBool(op == sparc.OpLDSB || op == sparc.OpLDSH)
-	c.me.addr.SetNext(uint64(addr))
+	rn[regIuMeValid] = 1
+	rn[regIuMeIsmem] = 1
+	rn[regIuMeLoad] = boolWord(op.IsLoad())
+	rn[regIuMeStore] = boolWord(op.IsStore() && op != sparc.OpSWAP && op != sparc.OpLDSTUB)
+	rn[regIuMeDbl] = boolWord(dbl)
+	rn[regIuMeSize] = size & 0x7
+	rn[regIuMeSigned] = boolWord(op == sparc.OpLDSB || op == sparc.OpLDSH)
+	rn[regIuMeAddr] = uint64(addr)
 	if op.IsStore() {
 		// Loads never consume the write-data port; reading sd for them
 		// would make every load an observer of the store-data path.
-		c.me.wdata.SetNext(c.ex.sd.Raw())
+		rn[regIuMeWdata] = rc[regIuExSd] & 0xffffffff
 	}
-	c.me.swap.SetNextBool(op == sparc.OpSWAP)
-	c.me.stub.SetNextBool(op == sparc.OpLDSTUB)
+	rn[regIuMeSwapf] = boolWord(op == sparc.OpSWAP)
+	rn[regIuMeStub] = boolWord(op == sparc.OpLDSTUB)
 
 	if op.IsLoad() {
-		idx := physReg(c.wNextCWP.Raw(), rd&31)
+		idx := physReg(wc[wireIuExNextcwp], rd&31)
 		if idx != 0 {
-			c.me.wbEn.SetNext(1)
-			c.me.wbIdx.SetNext(idx)
+			rn[regIuMeWben] = 1
+			rn[regIuMeWbidx] = idx & 0xff
 		}
 		if op == sparc.OpLDD {
-			c.me.wb2En.SetNext(1)
-			c.me.wb2Idx.SetNext(physReg(c.wNextCWP.Raw(), (rd|1)&31))
+			rn[regIuMeWb2en] = 1
+			rn[regIuMeWb2idx] = physReg(wc[wireIuExNextcwp], (rd|1)&31) & 0xff
 		}
 	}
 	if op == sparc.OpSTD {
 		// The second word travels via the sd path read at RA? STD needs
 		// rd|1 as well: it was read as part of the bypass network below.
-		c.me.wdata2.SetNext(uint64(c.stdSecondWordClean()))
+		rn[regIuMeWdata2] = uint64(c.stdSecondWordClean())
 	}
 	advance()
 	retire()
 }
 
-// stdSecondWordClean is stdSecondWord with raw reads.
+// stdSecondWordClean is stdSecondWord compiled against the slab layout.
 func (c *Core) stdSecondWordClean() uint32 {
-	idx := physReg(c.wNextCWP.Raw(), (c.ex.rd.Raw()|1)&31)
+	rc, wc := c.rc, c.wc
+	idx := physReg(wc[wireIuExNextcwp], (rc[regIuExRd]|1)&31)
 	if idx == 0 {
 		return 0
 	}
 	v := c.rf.ReadRaw(int(idx % physRegCnt))
-	if c.xc.valid.RawBool() {
-		if c.xc.wbEn.RawBool() && c.xc.wbIdx.Raw() == idx {
-			v = c.xc.wbVal.Raw()
+	if rc[regIuXcValid] != 0 {
+		if rc[regIuXcWben] != 0 && rc[regIuXcWbidx] == idx {
+			v = rc[regIuXcWbval]
 		}
-		if c.xc.wb2En.RawBool() && c.xc.wb2Idx.Raw() == idx {
-			v = c.xc.wb2Val.Raw()
+		if rc[regIuXcWb2en] != 0 && rc[regIuXcWb2idx] == idx {
+			v = rc[regIuXcWb2val]
 		}
 	}
-	if c.me.valid.RawBool() { // ME is younger than XC: it wins
-		if c.me.wbEn.RawBool() && c.me.wbIdx.Raw() == idx {
-			v = c.wMeWbVal.Raw()
+	if rc[regIuMeValid] != 0 { // ME is younger than XC: it wins
+		if rc[regIuMeWben] != 0 && rc[regIuMeWbidx] == idx {
+			v = wc[wireIuMeWbval]
 		}
-		if c.me.wb2En.RawBool() && c.me.wb2Idx.Raw() == idx {
-			v = c.wMeWb2Val.Raw()
+		if rc[regIuMeWb2en] != 0 && rc[regIuMeWb2idx] == idx {
+			v = wc[wireIuMeWb2valw]
 		}
 	}
 	return uint32(v)
 }
 
-// executeMulDivClean is executeMulDiv with raw reads.
+// executeMulDivClean is executeMulDiv compiled against the slab layout.
 func (c *Core) executeMulDivClean(op sparc.Op, a, b uint32,
 	trap func(uint8), advance, retire func(), commit func(bool, uint64, uint32)) {
+	rc, rn, wc := c.rc, c.rn, c.wc
 
 	isDiv := op == sparc.OpUDIV || op == sparc.OpUDIVCC || op == sparc.OpSDIV || op == sparc.OpSDIVCC
 	signedOp := op == sparc.OpSDIV || op == sparc.OpSDIVCC || op == sparc.OpSMUL || op == sparc.OpSMULCC
@@ -990,14 +1190,14 @@ func (c *Core) executeMulDivClean(op sparc.Op, a, b uint32,
 		}
 	}
 
-	switch cnt := c.md.count.Raw(); {
+	switch cnt := rc[regIuMdCount]; {
 	case cnt == 0: // issue cycle
 		if isDiv {
 			if b == 0 {
 				trap(iss.TrapDivByZero)
 				return
 			}
-			dividend := c.arch.y.Raw()<<32 | uint64(a)
+			dividend := rc[regIuPsrY]<<32 | uint64(a)
 			if signedOp {
 				neg = false
 				if int64(dividend) < 0 {
@@ -1014,72 +1214,72 @@ func (c *Core) executeMulDivClean(op sparc.Op, a, b uint32,
 			if !signedOp {
 				divisor = uint64(b)
 			}
-			c.md.acc.SetNext(dividend)
-			c.md.quot.SetNext(0)
-			c.md.neg.SetNextBool(neg)
-			c.md.ovf.SetNextBool(dividend>>32 >= divisor)
-			c.md.count.SetNext(33) // 32 bit-steps + finalize
+			rn[regIuMdAcc] = dividend
+			rn[regIuMdQuot] = 0
+			rn[regIuMdNeg] = boolWord(neg)
+			rn[regIuMdOvf] = boolWord(dividend>>32 >= divisor)
+			rn[regIuMdCount] = 33 // 32 bit-steps + finalize
 		} else {
-			c.md.acc.SetNext(0)
-			c.md.neg.SetNextBool(neg)
-			c.md.ovf.SetNext(0)
-			c.md.count.SetNext(mulCycles) // 4 byte-steps + finalize
+			rn[regIuMdAcc] = 0
+			rn[regIuMdNeg] = boolWord(neg)
+			rn[regIuMdOvf] = 0
+			rn[regIuMdCount] = mulCycles // 4 byte-steps + finalize
 		}
-		c.wMdBusy.SetBool(true)
+		wc[wireIuMdBusy] = 1
 		c.StallMulDiv++
 		return
 
 	case cnt > 1: // iteration
 		if isDiv {
-			if !c.md.ovf.RawBool() {
+			if rc[regIuMdOvf] == 0 {
 				divisor := mb
 				if !signedOp {
 					divisor = uint64(b)
 				}
 				i := cnt - 2 // bit index 31..0
-				acc := c.md.acc.Raw()
+				acc := rc[regIuMdAcc]
 				rem := acc >> 32
 				low := acc & 0xffffffff
 				rem = rem<<1 | (low>>i)&1
-				q := c.md.quot.Raw()
+				q := rc[regIuMdQuot]
 				if rem >= divisor {
 					rem -= divisor
 					q |= 1 << i
 				}
-				c.md.acc.SetNext(rem<<32 | low)
-				c.md.quot.SetNext(q)
+				rn[regIuMdAcc] = rem<<32 | low
+				rn[regIuMdQuot] = q & 0xffffffff
 			}
 		} else {
 			j := mulCycles - cnt // byte index 0..3
 			part := (ma * (mb >> (8 * j) & 0xff)) << (8 * j)
-			c.md.acc.SetNext(c.md.acc.Raw() + part)
+			rn[regIuMdAcc] = rc[regIuMdAcc] + part
 		}
-		c.md.count.SetNext(cnt - 1)
-		c.wMdBusy.SetBool(true)
+		rn[regIuMdCount] = (cnt - 1) & 0x3f
+		wc[wireIuMdBusy] = 1
 		c.StallMulDiv++
 		return
 	}
 
 	// cnt == 1: finalize and retire.
-	c.md.count.SetNext(0)
+	rn[regIuMdCount] = 0
 	var res uint32
 	var cc sparc.CC
 	if isDiv {
-		q := c.md.quot.Raw()
+		q := rc[regIuMdQuot]
 		v := false
 		if signedOp {
 			limit := uint64(0x7fffffff)
-			if c.md.neg.RawBool() {
+			if rc[regIuMdNeg] != 0 {
 				limit = 0x80000000
 			}
-			if c.md.ovf.RawBool() || q > limit {
+			if rc[regIuMdOvf] != 0 || q > limit {
 				v = true
 				q = limit
 			}
-			if c.md.neg.RawBool() {
+			if rc[regIuMdNeg] != 0 {
 				q = uint64(uint32(-int32(uint32(q))))
 			}
-		} else if c.md.ovf.RawBool() {
+		} else if rc[regIuMdOvf] != 0 {
 			v = true
 			q = 0xffffffff
 		}
@@ -1087,19 +1287,27 @@ func (c *Core) executeMulDivClean(op sparc.Op, a, b uint32,
 		cc = sparc.LogicCC(res)
 		cc.V = v
 	} else {
-		prod := c.md.acc.Raw()
-		if c.md.neg.RawBool() {
+		prod := rc[regIuMdAcc]
+		if rc[regIuMdNeg] != 0 {
 			prod = -prod
 		}
 		res = uint32(prod)
-		c.arch.y.SetNext(prod >> 32)
+		rn[regIuPsrY] = prod >> 32 & 0xffffffff
 		cc = sparc.LogicCC(res)
 	}
 	if op.SetsCC() {
-		c.arch.icc.SetNext(uint64(cc.Bits()))
+		rn[regIuPsrIcc] = uint64(cc.Bits()) & 0xf
 	}
-	c.wAluOut.Set(uint64(res))
-	commit(true, c.ex.rd.Raw(), res)
+	wc[wireIuExAluout] = uint64(res)
+	commit(true, rc[regIuExRd], res)
 	advance()
 	retire()
+}
+
+// boolWord is the word a 1-bit net holds for b.
+func boolWord(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -52,19 +52,23 @@
 // # Clean twins
 //
 // Even that branch is paid only where a probe can fire. A design may
-// register each process twice (Twin): probed, reading through Get and
-// Read, and clean, the same code with every read raw (Signal.Raw,
-// MemArray.ReadRaw) — the leon3 core generates its clean twin from its
-// probed stages with go generate. Cycle picks the build once per cycle,
-// by structure alone: with no fault armed (the dirty flag) and no witness
-// armed (a count StartWitness and Stop keep), no read can be forced or
-// recorded, so it runs the clean twins; otherwise the probed ones. Golden
-// runs, ladder walks and faulted universes whose fault is a past bit-flip
-// run clean; a universe with a forcing armed and every witnessed walk run
-// probed. Faults are still forced by the simulator, never by the model:
-// the twin drops probes that cannot fire, it does not instrument anything.
-// Writes have one build: Write keeps the touched-word tracking a restored
-// kernel needs whatever is armed.
+// register each process twice (Twin): probed, reading through Get and Read,
+// and clean, the same code with no probe. The leon3 core generates its
+// clean twin from its probed stages with go generate, compiled against the
+// slab layout: its constructor declares every signal in straight-line code,
+// so each signal's slab word is a constant, and the twin reads and writes
+// the slices Slabs returns at those constants, with no Signal handle (and
+// MemArray.ReadRaw for arrays); the probed build still reads and writes
+// through the handles. Cycle picks the build once per cycle, by structure
+// alone: with no fault armed (the dirty flag) and no witness armed (a count
+// StartWitness and Stop keep), no read can be forced or recorded, so it
+// runs the clean twins; otherwise the probed ones. Golden runs, ladder
+// walks and faulted universes whose fault is a past bit-flip run clean; a
+// universe with a forcing armed and every witnessed walk run probed. Faults
+// are still forced by the simulator, never by the model: the twin drops
+// probes that cannot fire, it does not instrument anything. Array writes
+// have one build: MemArray.Write keeps the touched-word tracking a
+// restored kernel needs whatever is armed.
 package rtl
 
 import (
@@ -152,8 +156,9 @@ func (s *Signal) updateSlow() {
 func (s *Signal) GetBool() bool { return s.Get() != 0 }
 
 // Raw returns the committed value with no probe: no forcing, no witness.
-// It is what Get returns on a net with nothing armed, and only a process
-// the kernel runs as a clean twin (Twin) may call it.
+// It is what Get returns on a net with nothing armed, and what a clean
+// twin (Twin) reads from the slabs (Slabs); it is not for a probed
+// process.
 func (s *Signal) Raw() uint64 { return *s.curp }
 
 // RawBool is Raw of a 1-bit signal.
@@ -552,6 +557,12 @@ func (k *Kernel) Signals() []*Signal { return k.signals }
 
 // Arrays returns the declared memory blocks (stable order).
 func (k *Kernel) Arrays() []*MemArray { return k.arrays }
+
+// Slabs returns the register slab's committed and pending words and the
+// wire slab's words, for a clean twin compiled against the layout (see
+// the package comment): word i of a slab is the i-th register or wire
+// declared. The slices stay valid until the next Reg or Wire.
+func (k *Kernel) Slabs() (regs, next, wires []uint64) { return k.regCur, k.regNxt, k.wireCur }
 
 // String summarizes the design.
 func (k *Kernel) String() string {
